@@ -5,7 +5,7 @@ package coormv2
 // requests/second on a single core" of a 2009-era CPU). Benchmarks run the
 // same code paths as the full experiments at reduced scale so `go test
 // -bench=.` stays tractable; `cmd/coorm-exp -full` regenerates the
-// full-scale figures (recorded in EXPERIMENTS.md).
+// full-scale figures.
 
 import (
 	"fmt"

@@ -7,840 +7,93 @@
 //	coorm-exp -exp fig3                  # one figure, reduced scale
 //	coorm-exp -exp fig9 -full            # paper-scale (1000 steps, 3.16 TiB)
 //	coorm-exp -exp all -full -seed 42
+//	coorm-exp -exp chaos -report json    # any experiment as a JSON report
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"strconv"
-	"time"
+	"strings"
 
-	"coormv2/internal/amr"
-	"coormv2/internal/apps"
-	"coormv2/internal/chaos"
 	"coormv2/internal/experiments"
-	"coormv2/internal/federation"
-	"coormv2/internal/netchaos"
-	"coormv2/internal/obs"
-	"coormv2/internal/rms"
-	"coormv2/internal/stats"
-	"coormv2/internal/workload"
 )
 
-func main() {
-	var (
-		exp    = flag.String("exp", "all", "experiment: fig1|fig2|fig3|fig4|fig9|fig10|fig11|ablation|accounting|replay|federated|chaos|nodechaos|netchaos|rebalance|gang|tenants|all")
-		seed   = flag.Int64("seed", 1, "base random seed")
-		full   = flag.Bool("full", false, "paper scale (1000 steps, 3.16 TiB) instead of the fast reduced scale")
-		steps  = flag.Int("steps", 0, "override profile length (0 = scale default)")
-		report = flag.String("report", "text", "chaos|nodechaos|rebalance|gang output: text (aligned table) or json (full report incl. obs snapshot)")
-	)
-	sc := registerScenarioFlags()
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main without the process: it parses args, runs the selected
+// experiments in table order and returns the exit code (2 for a usage
+// error, 1 for a failed experiment).
+func run(args []string, stdout, stderr io.Writer) int {
+	names := make([]string, len(experiments.Experiments))
+	for i, x := range experiments.Experiments {
+		names[i] = x.Name
+	}
+	o := experiments.DefaultOptions()
+	fs := flag.NewFlagSet("coorm-exp", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	exp := fs.String("exp", "all", "experiment: "+strings.Join(names, "|")+"|all")
+	report := fs.String("report", "text", "output: text (notes + aligned table) or json (full report incl. obs snapshot where collected)")
+	fs.Int64Var(&o.Seed, "seed", o.Seed, "base random seed")
+	fs.BoolVar(&o.Full, "full", o.Full, "paper scale (1000 steps, 3.16 TiB) instead of the fast reduced scale")
+	fs.IntVar(&o.Steps, "steps", o.Steps, "override profile length (0 = scale default)")
+	fs.IntVar(&o.Shards, "shards", o.Shards, "shard count (federated: maximum, swept in powers of two)")
+	fs.Float64Var(&o.CrashRate, "crash-rate", o.CrashRate, "chaos: expected crashes per shard per simulated hour (0 disables faults)")
+	fs.Float64Var(&o.RestartDelay, "restart-delay", o.RestartDelay, "chaos: mean shard restart delay in simulated seconds")
+	fs.Float64Var(&o.NodeMTTF, "node-mttf", o.NodeMTTF, "nodechaos: per-cluster mean time between machine failures in simulated seconds (0 disables)")
+	fs.Float64Var(&o.NodeRepair, "node-repair", o.NodeRepair, "nodechaos: mean machine repair time in simulated seconds")
+	fs.IntVar(&o.ClustersPerShard, "clusters-per-shard", o.ClustersPerShard, "rebalance: clusters initially partitioned onto each shard")
+	fs.Float64Var(&o.HotFrac, "hot-frac", o.HotFrac, "rebalance: fraction of the trace pinned to shard 0's clusters")
+	fs.Float64Var(&o.RebalanceInterval, "rebalance-interval", o.RebalanceInterval, "rebalance: seconds between load checks")
+	fs.Float64Var(&o.SkewRatio, "skew-ratio", o.SkewRatio, "rebalance: migrate when the hottest shard exceeds this ratio of the coldest")
+	fs.Float64Var(&o.GangFrac, "gang-frac", o.GangFrac, "gang: fraction of jobs given a cross-shard companion leg")
+	fs.IntVar(&o.Tenants, "tenants", o.Tenants, "tenants: tenant-queue count (t0 guaranteed, t1 hot)")
+	fs.Float64Var(&o.TenantHotFrac, "tenant-hot-frac", o.TenantHotFrac, "tenants: fraction of the trace submitted by the hot best-effort tenant")
+	fs.IntVar(&o.NetJobs, "net-jobs", o.NetJobs, "netchaos: sequential jobs driven over the faulty wire")
+	fs.Float64Var(&o.NetFaultGap, "net-fault-gap", o.NetFaultGap, "netchaos: mean wall-clock seconds between wire faults")
+	fs.Float64Var(&o.NetHorizon, "net-horizon", o.NetHorizon, "netchaos: wall-clock fault-schedule horizon in seconds")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	if *report != "text" && *report != "json" {
-		fmt.Fprintf(os.Stderr, "coorm-exp: unknown -report format %q (want text or json)\n", *report)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "coorm-exp: unknown -report format %q (want text or json)\n", *report)
+		return 2
 	}
-	// emit renders a Report in the selected format: the text table and the
-	// JSON export come from the same struct, so the two can never disagree.
-	emit := func(rep *experiments.Report, err error) error {
+
+	matched := false
+	for _, x := range experiments.Experiments {
+		if *exp != "all" && *exp != x.Name {
+			continue
+		}
+		matched = true
+		fmt.Fprintf(stdout, "== %s ==\n", x.Title)
+		rep, err := x.Run(o)
 		if err != nil {
-			return err
+			fmt.Fprintf(stderr, "coorm-exp: %s: %v\n", x.Title, err)
+			return 1
 		}
+		// The text table and the JSON export come from the same Report, so
+		// the two can never disagree.
+		out := []byte(rep.Text())
 		if *report == "json" {
-			js, err := rep.JSON()
-			if err != nil {
-				return err
+			if out, err = rep.JSON(); err != nil {
+				fmt.Fprintf(stderr, "coorm-exp: %s: %v\n", x.Title, err)
+				return 1
 			}
-			_, err = os.Stdout.Write(js)
-			return err
 		}
-		fmt.Print(rep.Text())
-		return nil
-	}
-
-	scale := scaleFor(*full, *steps)
-	run := func(name string, fn func() error) {
-		fmt.Printf("== %s ==\n", name)
-		if err := fn(); err != nil {
-			fmt.Fprintf(os.Stderr, "coorm-exp: %s: %v\n", name, err)
-			os.Exit(1)
+		if _, err := stdout.Write(append(out, '\n')); err != nil {
+			fmt.Fprintf(stderr, "coorm-exp: %v\n", err)
+			return 1
 		}
-		fmt.Println()
-	}
-
-	all := *exp == "all"
-	matched := all
-	if all || *exp == "fig1" {
-		matched = true
-		run("Fig. 1 — AMR working-set evolutions", func() error { return fig1(*seed, scale) })
-	}
-	if all || *exp == "fig2" {
-		matched = true
-		run("Fig. 2 — speed-up model fit", func() error { return fig2(*seed) })
-	}
-	if all || *exp == "fig3" {
-		matched = true
-		run("Fig. 3 — equivalent static allocation end-time increase", func() error { return fig3(*seed, scale) })
-	}
-	if all || *exp == "fig4" {
-		matched = true
-		run("Fig. 4 — static allocation choices at 75% target efficiency", func() error { return fig4(*seed, scale) })
-	}
-	if all || *exp == "fig9" {
-		matched = true
-		run("Fig. 9 — scheduling with spontaneous updates", func() error { return fig9(*seed, scale) })
-	}
-	if all || *exp == "fig10" {
-		matched = true
-		run("Fig. 10 — scheduling with announced updates", func() error { return fig10(*seed, scale) })
-	}
-	if all || *exp == "fig11" {
-		matched = true
-		run("Fig. 11 — efficient resource filling (two PSAs)", func() error { return fig11(*seed, scale) })
-	}
-	if all || *exp == "ablation" {
-		matched = true
-		run("Ablation — PSA graceful release and window selection", func() error { return ablation(*seed, scale) })
-	}
-	if all || *exp == "accounting" {
-		matched = true
-		run("Accounting — used vs reserved areas (§7 extension)", func() error { return accounting(*seed, scale) })
-	}
-	if all || *exp == "replay" {
-		matched = true
-		run("Replay — synthetic rigid trace with and without a scavenging PSA", func() error { return replay(*seed) })
-	}
-	if all || *exp == "federated" {
-		matched = true
-		run("Federated — rigid trace + PSAs + evolving app across scheduler shards", func() error { return federated(*seed, sc.shards) })
-	}
-	if all || *exp == "chaos" {
-		matched = true
-		run("Chaos — federated replay under seeded shard crash/recovery", func() error {
-			return emit(chaosExp(*seed, sc))
-		})
-	}
-	if all || *exp == "nodechaos" {
-		matched = true
-		run("Node chaos — machine failures under kill/requeue/cooperative recovery", func() error {
-			return emit(nodeChaosExp(*seed, sc))
-		})
-	}
-	if all || *exp == "netchaos" {
-		matched = true
-		run("Net chaos — wire faults vs reconnect+resume and kill-and-replay (real TCP)", func() error {
-			return emit(netChaosExp(*seed, sc))
-		})
-	}
-	if all || *exp == "gang" {
-		matched = true
-		run("Gang — cross-shard two-phase reservations under chaos", func() error {
-			return emit(gangExp(*seed, sc))
-		})
-	}
-	if all || *exp == "rebalance" {
-		matched = true
-		run("Rebalance — skewed federated workload with live cluster migration on/off", func() error {
-			return emit(rebalanceExp(*seed, sc))
-		})
-	}
-	if all || *exp == "tenants" {
-		matched = true
-		run("Tenants — multi-tenant queue hierarchy, DRF + quota preemption vs FIFO", func() error {
-			return emit(tenantsExp(*seed, sc))
-		})
 	}
 	if !matched {
-		fmt.Fprintf(os.Stderr, "coorm-exp: unknown experiment %q\n", *exp)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "coorm-exp: unknown experiment %q\n", *exp)
+		return 2
 	}
-}
-
-// scale bundles the per-run sizing knobs.
-type scale struct {
-	steps int
-	smax  float64
-	// PSA task durations (Fig. 9/10 use psa1 only).
-	psa1, psa2 float64
-	announces  []float64
-	seeds      []int64
-}
-
-func scaleFor(full bool, stepsOverride int) scale {
-	s := scale{}
-	if full {
-		s.steps = amr.ProfileSteps
-		s.smax = amr.DefaultSmax
-		s.psa1, s.psa2 = 600, 60
-		s.announces = []float64{0, 100, 200, 300, 400, 500, 550, 600, 650, 700}
-		s.seeds = []int64{1, 2, 3, 4, 5}
-	} else {
-		s.steps = 60
-		s.smax = 50 * 1024
-		s.psa1, s.psa2 = 120, 12
-		s.announces = []float64{0, 30, 60, 90, 110, 120, 130, 140}
-		s.seeds = []int64{1, 2, 3}
-	}
-	if stepsOverride > 0 {
-		s.steps = stepsOverride
-	}
-	return s
-}
-
-func f(v float64, prec int) string { return strconv.FormatFloat(v, 'f', prec, 64) }
-func g(v float64) string           { return strconv.FormatFloat(v, 'g', 6, 64) }
-
-func fig1(seed int64, sc scale) error {
-	profiles := experiments.Fig1(experiments.Fig1Config{
-		Seeds: []int64{seed, seed + 1, seed + 2, seed + 3},
-		Steps: sc.steps,
-	})
-	header := []string{"step"}
-	for _, p := range profiles {
-		header = append(header, fmt.Sprintf("seed%d", p.Seed))
-	}
-	rows := make([][]string, sc.steps)
-	for i := 0; i < sc.steps; i++ {
-		row := []string{strconv.Itoa(i)}
-		for _, p := range profiles {
-			row = append(row, f(p.Series[i], 1))
-		}
-		rows[i] = row
-	}
-	fmt.Print(experiments.FormatTable(header, rows))
-	return nil
-}
-
-func fig2(seed int64) error {
-	res, err := experiments.Fig2(seed, 0.05)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("fitted: A=%.4g B=%.4g C=%.4g D=%.4g (paper: A=7.26e-3 B=1.23e-4 C=1.13e-6 D=1.38)\n",
-		res.Fitted.A, res.Fitted.B, res.Fitted.C, res.Fitted.D)
-	fmt.Printf("max relative error: %.2f%% (paper: <15%%)\n", 100*res.MaxRelError)
-	var rows [][]string
-	for _, r := range res.Rows {
-		rows = append(rows, []string{
-			strconv.Itoa(r.Nodes), f(r.SizeMiB/1024, 0), f(r.Measured, 3), f(r.Predicted, 3),
-		})
-	}
-	fmt.Print(experiments.FormatTable([]string{"nodes", "size-GiB", "measured-s", "model-s"}, rows))
-	return nil
-}
-
-func fig3(seed int64, sc scale) error {
-	rows := experiments.Fig3(seed, sc.steps, nil)
-	var out [][]string
-	for _, r := range rows {
-		out = append(out, []string{f(r.TargetEff, 2), strconv.Itoa(r.Neq), f(r.EndTimeIncreasePct, 3)})
-	}
-	fmt.Print(experiments.FormatTable([]string{"target-eff", "n_eq", "end-time-increase-%"}, out))
-	return nil
-}
-
-func fig4(seed int64, sc scale) error {
-	rows := experiments.Fig4(seed, sc.steps, nil, 0)
-	var out [][]string
-	for _, r := range rows {
-		out = append(out, []string{
-			g(r.RelativeSize), strconv.Itoa(r.MinNodes), strconv.Itoa(r.MaxNodes),
-			strconv.FormatBool(r.Feasible),
-		})
-	}
-	fmt.Print(experiments.FormatTable([]string{"rel-size", "min-nodes(mem)", "max-nodes(area)", "feasible"}, out))
-	return nil
-}
-
-func fig9(seed int64, sc scale) error {
-	rows, err := experiments.Fig9(experiments.Fig9Config{
-		Seed: seed, Steps: sc.steps, Smax: sc.smax, PSATaskDur: sc.psa1,
-	})
-	if err != nil {
-		return err
-	}
-	var out [][]string
-	for _, r := range rows {
-		out = append(out, []string{
-			f(r.Overcommit, 3), strconv.Itoa(r.Nodes),
-			g(r.StaticArea), g(r.DynamicArea), g(r.PSAWaste),
-		})
-	}
-	fmt.Print(experiments.FormatTable(
-		[]string{"overcommit", "nodes", "static-node·s", "dynamic-node·s", "psa-waste-node·s"}, out))
-	return nil
-}
-
-func fig10(seed int64, sc scale) error {
-	rows, err := experiments.Fig10(experiments.Fig10Config{
-		AnnounceIntervals: sc.announces,
-		Seed:              seed, Steps: sc.steps, Smax: sc.smax, PSATaskDur: sc.psa1,
-	})
-	if err != nil {
-		return err
-	}
-	var out [][]string
-	for _, r := range rows {
-		out = append(out, []string{
-			f(r.AnnounceInterval, 0), f(r.EndTimeIncreasePct, 2),
-			f(r.PSAWastePct, 2), f(r.UsedResourcesPct, 2),
-		})
-	}
-	fmt.Print(experiments.FormatTable(
-		[]string{"announce-s", "amr-endtime-increase-%", "psa-waste-%", "used-resources-%"}, out))
-	return nil
-}
-
-func fig11(seed int64, sc scale) error {
-	seeds := make([]int64, len(sc.seeds))
-	for i, s := range sc.seeds {
-		seeds[i] = s + seed - 1
-	}
-	rows, err := experiments.Fig11(experiments.Fig11Config{
-		AnnounceIntervals: sc.announces,
-		Seeds:             seeds,
-		Steps:             sc.steps, Smax: sc.smax,
-		PSA1TaskDur: sc.psa1, PSA2TaskDur: sc.psa2,
-	})
-	if err != nil {
-		return err
-	}
-	var out [][]string
-	for _, r := range rows {
-		out = append(out, []string{
-			f(r.AnnounceInterval, 0), f(r.FillingPct, 2), f(r.StrictPct, 2),
-		})
-	}
-	fmt.Print(experiments.FormatTable(
-		[]string{"announce-s", "filling-used-%", "strict-used-%"}, out))
-	return nil
-}
-
-func ablation(seed int64, sc scale) error {
-	rows, err := experiments.AblationPSA(experiments.AblationConfig{
-		Seed: seed, Steps: sc.steps, Smax: sc.smax,
-		AnnounceInterval: sc.psa1 / 2, PSATaskDur: sc.psa1,
-	})
-	if err != nil {
-		return err
-	}
-	var out [][]string
-	for _, r := range rows {
-		out = append(out, []string{
-			r.Variant, g(r.PSAWaste), f(r.UsedResourcesPct, 2), f(r.AMRRuntime, 0),
-		})
-	}
-	fmt.Print(experiments.FormatTable(
-		[]string{"variant", "psa-waste-node·s", "used-%", "amr-runtime-s"}, out))
-	return nil
-}
-
-func replay(seed int64) error {
-	jobs := workload.Synthetic(stats.NewRand(seed), workload.SyntheticConfig{
-		Jobs: 100, MaxNodes: 32, MeanInterArr: 180, MeanRuntime: 1800,
-		PowerOfTwoBias: 0.5,
-	})
-	st := workload.Summarize(jobs)
-	fmt.Printf("trace: %d jobs, %.3g node·s, max %d nodes\n", st.Jobs, st.TotalArea, st.MaxNodes)
-	var out [][]string
-	for _, fill := range []bool{false, true} {
-		res, err := experiments.RunReplay(experiments.ReplayConfig{
-			Jobs: jobs, Nodes: 64, FillWithPSA: fill, PSATaskDur: 300,
-		})
-		if err != nil {
-			return err
-		}
-		name := "rigid only"
-		if fill {
-			name = "rigid + scavenging PSA"
-		}
-		out = append(out, []string{
-			name, f(res.MeanWait, 1), f(res.MaxWait, 1), f(res.Makespan, 0),
-			f(100*res.Utilization, 2), f(100*res.UtilizationWithPSA, 2),
-		})
-	}
-	fmt.Print(experiments.FormatTable(
-		[]string{"setup", "mean-wait-s", "max-wait-s", "makespan-s", "rigid-util-%", "total-util-%"}, out))
-	return nil
-}
-
-// federated replays one rigid trace through federations of growing shard
-// count. The total node count is fixed (per-shard clusters shrink as the
-// shard count grows) so the rows compare scheduling topology, not capacity.
-// A 1-shard federation is byte-identical to a single RMS (see the
-// differential test in internal/experiments), so the first row doubles as
-// the unsharded baseline.
-func federated(seed int64, maxShards int) error {
-	jobs := workload.Synthetic(stats.NewRand(seed), workload.SyntheticConfig{
-		Jobs: 200, MaxNodes: 16, MeanInterArr: 60, MeanRuntime: 1200,
-		PowerOfTwoBias: 0.5,
-	})
-	st := workload.Summarize(jobs)
-	fmt.Printf("trace: %d jobs, %.3g node·s, max %d nodes/job\n", st.Jobs, st.TotalArea, st.MaxNodes)
-	const totalNodes = 128
-	var out [][]string
-	for shards := 1; shards <= maxShards; shards *= 2 {
-		res, err := experiments.RunFederatedReplay(experiments.FederatedReplayConfig{
-			Jobs:          jobs,
-			Shards:        shards,
-			NodesPerShard: totalNodes / shards,
-			PSATaskDur:    300,
-			Evolving: []apps.Segment{
-				{N: 8, Duration: 1800}, {N: 16, Duration: 1800}, {N: 4, Duration: 1800},
-			},
-		})
-		if err != nil {
-			return err
-		}
-		out = append(out, []string{
-			strconv.Itoa(res.Shards), strconv.Itoa(res.Nodes), strconv.Itoa(res.Completed),
-			f(res.MeanWait, 1), f(res.MaxWait, 1), f(res.Makespan, 0),
-			f(100*res.RigidUtilization, 2), f(100*res.UsedFraction, 2),
-			strconv.FormatInt(res.Events, 10),
-		})
-	}
-	fmt.Print(experiments.FormatTable(
-		[]string{"shards", "nodes", "jobs", "mean-wait-s", "max-wait-s", "makespan-s",
-			"rigid-util-%", "used-%", "events"}, out))
-	return nil
-}
-
-// scenarioOpts bundles the flags shared by the federated fault/rebalance
-// scenarios (-exp chaos and -exp rebalance build their configurations from
-// this one source, instead of each parsing its own copy).
-type scenarioOpts struct {
-	shards           int
-	crashRate        float64
-	restartDelay     float64
-	nodeMTTF         float64
-	nodeRepair       float64
-	clustersPerShard int
-	hotFrac          float64
-	rebalInterval    float64
-	skewRatio        float64
-	gangFrac         float64
-	tenants          int
-	tenantHotFrac    float64
-	netJobs          int
-	netFaultGap      float64
-	netHorizon       float64
-}
-
-// registerScenarioFlags declares the shared scenario flags on the default
-// flag set and returns the struct they populate.
-func registerScenarioFlags() *scenarioOpts {
-	sc := &scenarioOpts{}
-	flag.IntVar(&sc.shards, "shards", 4, "shard count (federated: maximum, swept in powers of two)")
-	flag.Float64Var(&sc.crashRate, "crash-rate", 2, "chaos: expected crashes per shard per simulated hour (0 disables faults)")
-	flag.Float64Var(&sc.restartDelay, "restart-delay", 180, "chaos: mean shard restart delay in simulated seconds")
-	flag.Float64Var(&sc.nodeMTTF, "node-mttf", 1200, "nodechaos: per-cluster mean time between machine failures in simulated seconds (0 disables)")
-	flag.Float64Var(&sc.nodeRepair, "node-repair", 600, "nodechaos: mean machine repair time in simulated seconds")
-	flag.IntVar(&sc.clustersPerShard, "clusters-per-shard", 4, "rebalance: clusters initially partitioned onto each shard")
-	flag.Float64Var(&sc.hotFrac, "hot-frac", 0.75, "rebalance: fraction of the trace pinned to shard 0's clusters")
-	flag.Float64Var(&sc.rebalInterval, "rebalance-interval", 120, "rebalance: seconds between load checks")
-	flag.Float64Var(&sc.skewRatio, "skew-ratio", 2, "rebalance: migrate when the hottest shard exceeds this ratio of the coldest")
-	flag.Float64Var(&sc.gangFrac, "gang-frac", 0.5, "gang: fraction of jobs given a cross-shard companion leg")
-	flag.IntVar(&sc.tenants, "tenants", 3, "tenants: tenant-queue count (t0 guaranteed, t1 hot)")
-	flag.Float64Var(&sc.tenantHotFrac, "tenant-hot-frac", 0.5, "tenants: fraction of the trace submitted by the hot best-effort tenant")
-	flag.IntVar(&sc.netJobs, "net-jobs", 6, "netchaos: sequential jobs driven over the faulty wire")
-	flag.Float64Var(&sc.netFaultGap, "net-fault-gap", 0.15, "netchaos: mean wall-clock seconds between wire faults")
-	flag.Float64Var(&sc.netHorizon, "net-horizon", 1.2, "netchaos: wall-clock fault-schedule horizon in seconds")
-	return sc
-}
-
-// chaosConfig builds the chaos-scenario configuration for one seed/policy;
-// rebalance additionally arms the cluster-migration loop, and skewed pins
-// the hot fraction of the trace onto shard 0's clusters.
-func (sc *scenarioOpts) chaosConfig(seed int64, pol federation.RecoveryPolicy, jobs []workload.Job, skewed, rebalance bool) experiments.ChaosReplayConfig {
-	mttf := 0.0 // -crash-rate 0 disables fault injection (chaos.Plan is empty for MTTF<=0)
-	if sc.crashRate > 0 {
-		mttf = 3600.0 / sc.crashRate
-	}
-	cfg := experiments.ChaosReplayConfig{
-		Jobs:          jobs,
-		Shards:        sc.shards,
-		NodesPerShard: 64,
-		PSATaskDur:    300,
-		Recovery:      pol,
-		Chaos: chaos.Config{
-			Seed:             seed,
-			MTTF:             mttf,
-			MeanRestartDelay: sc.restartDelay,
-			Horizon:          3 * 3600,
-		},
-	}
-	if skewed {
-		cfg.ClustersPerShard = sc.clustersPerShard
-		cfg.HotJobFraction = sc.hotFrac
-		cfg.NodesPerShard = 32
-	}
-	if rebalance {
-		cfg.Rebalance = &federation.RebalancerConfig{
-			Interval:  sc.rebalInterval,
-			SkewRatio: sc.skewRatio,
-		}
-	}
-	return cfg
-}
-
-// chaosExp replays one rigid trace through a sharded federation while a
-// seeded fault plan crashes and restarts shards, once per recovery policy
-// and seed. Same seed ⇒ identical row, including the event-stream hash (the
-// determinism contract of internal/chaos). The first (baseline) run carries
-// an observability registry; its snapshot rides along in the report.
-func chaosExp(seed int64, sc *scenarioOpts) (*experiments.Report, error) {
-	opts := *sc
-	if opts.shards < 2 {
-		opts.shards = 2
-	}
-	jobs := workload.Synthetic(stats.NewRand(seed), workload.SyntheticConfig{
-		Jobs: 150, MaxNodes: 16, MeanInterArr: 60, MeanRuntime: 1200,
-		PowerOfTwoBias: 0.5,
-	})
-	st := workload.Summarize(jobs)
-	rep := &experiments.Report{
-		Name: "chaos",
-		Notes: []string{fmt.Sprintf("trace: %d jobs, %.3g node·s, max %d nodes/job; %d shards, %.3g crashes/shard/h",
-			st.Jobs, st.TotalArea, st.MaxNodes, opts.shards, opts.crashRate)},
-		Header: []string{"policy", "seed", "crashes", "done", "killed", "rejected",
-			"requeued", "replayed", "dropped", "mean-wait-s", "makespan-s", "used-%", "event-hash"},
-	}
-	for _, pol := range []federation.RecoveryPolicy{federation.KillOnCrash, federation.RequeueOnCrash} {
-		for s := seed; s < seed+3; s++ {
-			cfg := opts.chaosConfig(s, pol, jobs, false, false)
-			if rep.Obs == nil && len(rep.Rows) == 0 {
-				cfg.Obs = obs.NewRegistry()
-			}
-			res, err := experiments.RunChaosReplay(cfg)
-			if err != nil {
-				return nil, err
-			}
-			if cfg.Obs != nil {
-				rep.Obs = res.Snapshot
-			}
-			rep.Rows = append(rep.Rows, []string{
-				pol.String(), strconv.FormatInt(s, 10),
-				strconv.Itoa(res.Crashes),
-				strconv.Itoa(res.Completed), strconv.Itoa(res.Killed), strconv.Itoa(res.Rejected),
-				strconv.Itoa(res.RequeuedRequests), strconv.Itoa(res.ReplayedRequests), strconv.Itoa(res.DroppedRequests),
-				f(res.MeanWait, 1), f(res.Makespan, 0), f(100*res.UsedFraction, 2),
-				fmt.Sprintf("%016x", res.EventHash),
-			})
-		}
-	}
-	return rep, nil
-}
-
-// gangExp measures cross-shard gang scheduling: a fraction of the rigid
-// jobs carries a NEXT/COALLOC companion leg on the next shard, driving the
-// two-phase reservation coordinator (hold → align → commit/abort) while the
-// seeded fault plan crashes shards — participant and coordinator sides
-// alike — mid-reservation. The abort-rate column is the fraction of gangs
-// the coordinator gave up on (crashed holds under the kill policy plus
-// unfittable legs past the backoff budget); same seed ⇒ identical row
-// including the event-stream hash.
-func gangExp(seed int64, sc *scenarioOpts) (*experiments.Report, error) {
-	opts := *sc
-	if opts.shards < 2 {
-		opts.shards = 2
-	}
-	jobs := workload.Synthetic(stats.NewRand(seed), workload.SyntheticConfig{
-		Jobs: 150, MaxNodes: 16, MeanInterArr: 60, MeanRuntime: 1200,
-		PowerOfTwoBias: 0.5,
-	})
-	st := workload.Summarize(jobs)
-	rep := &experiments.Report{
-		Name: "gang",
-		Notes: []string{fmt.Sprintf("trace: %d jobs, %.3g node·s, max %d nodes/job; %d shards, %.3g crashes/shard/h, gang fraction %.2g",
-			st.Jobs, st.TotalArea, st.MaxNodes, opts.shards, opts.crashRate, opts.gangFrac)},
-		Header: []string{"policy", "seed", "crashes", "done", "committed", "aborted",
-			"retried", "abort-%", "mean-wait-s", "makespan-s", "used-%", "event-hash"},
-	}
-	for _, pol := range []federation.RecoveryPolicy{federation.KillOnCrash, federation.RequeueOnCrash} {
-		for s := seed; s < seed+3; s++ {
-			cfg := opts.chaosConfig(s, pol, jobs, false, false)
-			cfg.GangFraction = opts.gangFrac
-			if rep.Obs == nil && len(rep.Rows) == 0 {
-				cfg.Obs = obs.NewRegistry()
-			}
-			res, err := experiments.RunChaosReplay(cfg)
-			if err != nil {
-				return nil, err
-			}
-			if cfg.Obs != nil {
-				rep.Obs = res.Snapshot
-			}
-			abortPct := 0.0
-			if n := res.GangsCommitted + res.GangsAborted; n > 0 {
-				abortPct = 100 * float64(res.GangsAborted) / float64(n)
-			}
-			rep.Rows = append(rep.Rows, []string{
-				pol.String(), strconv.FormatInt(s, 10),
-				strconv.Itoa(res.Crashes), strconv.Itoa(res.Completed),
-				strconv.Itoa(res.GangsCommitted), strconv.Itoa(res.GangsAborted),
-				strconv.Itoa(res.GangsRetried), f(abortPct, 1),
-				f(res.MeanWait, 1), f(res.Makespan, 0), f(100*res.UsedFraction, 2),
-				fmt.Sprintf("%016x", res.EventHash),
-			})
-		}
-	}
-	return rep, nil
-}
-
-// nodeChaosExp compares the three node-recovery policies on the same seeded
-// machine-failure schedule: shard crashes are disabled, so every difference
-// between rows of a seed comes from how dying machines are handled. The
-// lost-work column (node·s of computation killed or repeated on rigid jobs)
-// is the §3.1.4 argument for cooperative recovery in one number; same seed ⇒
-// identical row including the event-stream hash.
-func nodeChaosExp(seed int64, sc *scenarioOpts) (*experiments.Report, error) {
-	opts := *sc
-	if opts.shards < 2 {
-		opts.shards = 2
-	}
-	jobs := workload.Synthetic(stats.NewRand(seed), workload.SyntheticConfig{
-		Jobs: 150, MaxNodes: 16, MeanInterArr: 60, MeanRuntime: 1200,
-		PowerOfTwoBias: 0.5,
-	})
-	st := workload.Summarize(jobs)
-	rep := &experiments.Report{
-		Name: "nodechaos",
-		Notes: []string{fmt.Sprintf("trace: %d jobs, %.3g node·s, max %d nodes/job; %d shards, node MTTF %.3gs, repair %.3gs",
-			st.Jobs, st.TotalArea, st.MaxNodes, opts.shards, opts.nodeMTTF, opts.nodeRepair)},
-		Header: []string{"policy", "seed", "node-fails", "recovers", "done", "killed",
-			"n-killed", "n-requeued", "n-reduced", "lost-node-s", "resubmits",
-			"mean-wait-s", "used-%", "event-hash"},
-	}
-	for _, pol := range []rms.NodeRecoveryPolicy{
-		rms.KillOnNodeFailure, rms.RequeueOnNodeFailure, rms.CooperativeOnNodeFailure,
-	} {
-		for s := seed; s < seed+3; s++ {
-			cfg := opts.chaosConfig(s, federation.RequeueOnCrash, jobs, false, false)
-			cfg.Chaos.MTTF = 0 // machine faults only — no shard crashes
-			cfg.Chaos.NodeMTTF = opts.nodeMTTF
-			cfg.Chaos.MeanNodeRecovery = opts.nodeRepair
-			cfg.NodeRecovery = pol
-			if rep.Obs == nil && len(rep.Rows) == 0 {
-				cfg.Obs = obs.NewRegistry()
-			}
-			res, err := experiments.RunChaosReplay(cfg)
-			if err != nil {
-				return nil, err
-			}
-			if cfg.Obs != nil {
-				rep.Obs = res.Snapshot
-			}
-			rep.Rows = append(rep.Rows, []string{
-				pol.String(), strconv.FormatInt(s, 10),
-				strconv.Itoa(res.NodeFails), strconv.Itoa(res.NodeRecovers),
-				strconv.Itoa(res.Completed), strconv.Itoa(res.Killed),
-				strconv.Itoa(res.NodeKilled), strconv.Itoa(res.NodeRequeued), strconv.Itoa(res.NodeReduced),
-				f(res.LostWork, 0), strconv.Itoa(res.Resubmits),
-				f(res.MeanWait, 1), f(100*res.UsedFraction, 2),
-				fmt.Sprintf("%016x", res.EventHash),
-			})
-		}
-	}
-	return rep, nil
-}
-
-// netChaosExp measures the transport's wire-level resilience on real TCP
-// connections: a sequential job stream runs through a netchaos proxy that
-// severs, partitions, half-opens, and delays the wire on a seeded
-// schedule, once with reconnect+resume (grace window, idempotent retries)
-// and once with the kill-and-replay baseline (a dropped connection kills
-// the session; the driver re-dials and resubmits). The trace-hash column
-// pins the schedule's determinism: same seed ⇒ same faults for both modes.
-// This experiment runs on the wall clock — rows measure the actual
-// transport, so timing columns vary run to run; the invariant columns
-// (lost acks, duplicate starts) must not.
-func netChaosExp(seed int64, sc *scenarioOpts) (*experiments.Report, error) {
-	faults := func(s int64) netchaos.Config {
-		return netchaos.Config{
-			Seed:        s,
-			MeanBetween: sc.netFaultGap,
-			MeanDur:     sc.netFaultGap / 4,
-			Horizon:     sc.netHorizon,
-			MaxFaults:   8,
-		}
-	}
-	rep := &experiments.Report{
-		Name: "netchaos",
-		Notes: []string{fmt.Sprintf("wire faults over real TCP: %d jobs, mean fault gap %.3gs, horizon %.3gs; resume grace 10s",
-			sc.netJobs, sc.netFaultGap, sc.netHorizon)},
-		Header: []string{"mode", "seed", "done", "reconnects", "resubmits",
-			"lost-acks", "dup-starts", "recover-p50-ms", "recover-p99-ms",
-			"elapsed-s", "trace-hash"},
-	}
-	for _, resume := range []bool{true, false} {
-		mode := "resume"
-		if !resume {
-			mode = "kill-replay"
-		}
-		for s := seed; s < seed+2; s++ {
-			res, err := experiments.RunNetChaos(experiments.NetChaosConfig{
-				Seed: s, Jobs: sc.netJobs, Resume: resume,
-				Faults: faults(s),
-				Grace:  10 * time.Second,
-			})
-			if err != nil {
-				return nil, err
-			}
-			if rep.Obs == nil {
-				rep.Obs = res.Snapshot
-			}
-			rep.Rows = append(rep.Rows, []string{
-				mode, strconv.FormatInt(s, 10),
-				strconv.Itoa(res.Completed), strconv.Itoa(res.Reconnects),
-				strconv.Itoa(res.Resubmits), strconv.Itoa(res.LostAcks),
-				strconv.Itoa(res.DupStarts),
-				f(res.RecoverP50*1000, 2), f(res.RecoverP99*1000, 2),
-				f(res.Elapsed, 2),
-				fmt.Sprintf("%016x", res.TraceHash),
-			})
-		}
-	}
-	return rep, nil
-}
-
-// rebalanceExp replays one skewed rigid trace — the configured hot fraction
-// pinned to shard 0's clusters — with live cluster migration off and on,
-// with and without the chaos fault plan. The imbalance column is max/mean of
-// the per-shard end-state churn (1.00 = perfectly balanced); the event hash
-// pins determinism per row.
-func rebalanceExp(seed int64, sc *scenarioOpts) (*experiments.Report, error) {
-	opts := *sc
-	if opts.shards < 2 {
-		opts.shards = 2
-	}
-	if opts.clustersPerShard < 2 {
-		opts.clustersPerShard = 2
-	}
-	jobs := workload.Synthetic(stats.NewRand(seed), workload.SyntheticConfig{
-		Jobs: 150, MaxNodes: 16, MeanInterArr: 60, MeanRuntime: 1200,
-		PowerOfTwoBias: 0.5,
-	})
-	st := workload.Summarize(jobs)
-	rep := &experiments.Report{
-		Name: "rebalance",
-		Notes: []string{fmt.Sprintf("trace: %d jobs, %.3g node·s, max %d nodes/job; %d shards × %d clusters, %.0f%% hot",
-			st.Jobs, st.TotalArea, st.MaxNodes, opts.shards, opts.clustersPerShard, 100*opts.hotFrac)},
-		Header: []string{"rebalance", "crashes", "migrations", "moved-reqs", "done",
-			"mean-wait-s", "makespan-s", "imbalance", "used-%", "event-hash"},
-	}
-	for _, chaosOn := range []bool{false, true} {
-		for _, rebalance := range []bool{false, true} {
-			o := opts
-			if !chaosOn {
-				o.crashRate = 0
-			}
-			cfg := o.chaosConfig(seed, federation.RequeueOnCrash, jobs, true, rebalance)
-			if rep.Obs == nil && len(rep.Rows) == 0 {
-				cfg.Obs = obs.NewRegistry()
-			}
-			res, err := experiments.RunChaosReplay(cfg)
-			if err != nil {
-				return nil, err
-			}
-			if cfg.Obs != nil {
-				rep.Obs = res.Snapshot
-			}
-			var maxChurn, sumChurn int64
-			for _, c := range res.ShardChurn {
-				sumChurn += c
-				if c > maxChurn {
-					maxChurn = c
-				}
-			}
-			imbalance := 1.0
-			if sumChurn > 0 {
-				imbalance = float64(maxChurn) * float64(len(res.ShardChurn)) / float64(sumChurn)
-			}
-			rep.Rows = append(rep.Rows, []string{
-				strconv.FormatBool(rebalance), strconv.Itoa(res.Crashes), strconv.Itoa(res.Migrations),
-				strconv.Itoa(res.MigratedRequests), strconv.Itoa(res.Completed),
-				f(res.MeanWait, 1), f(res.Makespan, 0), f(imbalance, 3),
-				f(100*res.UsedFraction, 2), fmt.Sprintf("%016x", res.EventHash),
-			})
-		}
-	}
-	return rep, nil
-}
-
-// tenantsExp runs the identical skewed multi-tenant trace under
-// connection-order FIFO and under DRF with quota preemption: N tenant
-// queues (t0 guaranteed half of every cluster, t1 the hot best-effort
-// flood), per-cluster scavenging PSAs tagged with the best-effort tenants
-// as the preemptible load. The table reads per tenant and mode: wait
-// mean/p99, quota preemptions suffered, and per-mode wait fairness (Jain)
-// and PSA waste. The DRF run carries the observability registry, so the
-// JSON report includes the per-tenant wait histograms and EvPreempt
-// events every shard records.
-func tenantsExp(seed int64, sc *scenarioOpts) (*experiments.Report, error) {
-	opts := *sc
-	if opts.shards < 2 {
-		opts.shards = 2
-	}
-	if opts.tenants < 2 {
-		opts.tenants = 2
-	}
-	jobs := workload.Synthetic(stats.NewRand(seed), workload.SyntheticConfig{
-		Jobs: 120, MaxNodes: 16, MeanInterArr: 45, MeanRuntime: 900,
-		PowerOfTwoBias: 0.5,
-	})
-	st := workload.Summarize(jobs)
-	rep := &experiments.Report{
-		Name: "tenants",
-		Notes: []string{fmt.Sprintf("trace: %d jobs, %.3g node·s, max %d nodes/job; %d shards, %d tenants, %.0f%% hot-tenant demand",
-			st.Jobs, st.TotalArea, st.MaxNodes, opts.shards, opts.tenants, 100*opts.tenantHotFrac)},
-		Header: []string{"policy", "tenant", "guarantee", "jobs", "done",
-			"mean-wait-s", "p99-wait-s", "preempts", "fairness", "waste-node·s", "used-%"},
-	}
-	for _, drf := range []bool{false, true} {
-		cfg := experiments.TenantsReplayConfig{
-			Jobs: jobs, Tenants: opts.tenants, Shards: opts.shards, NodesPerShard: 64,
-			GuaranteeFrac: 0.5, HotFrac: opts.tenantHotFrac, PSATaskDur: 300, DRF: drf,
-		}
-		if drf {
-			cfg.Obs = obs.NewRegistry()
-		}
-		res, err := experiments.RunTenantsReplay(cfg)
-		if err != nil {
-			return nil, err
-		}
-		if cfg.Obs != nil {
-			rep.Obs = res.Snapshot
-		}
-		policy := "fifo"
-		if drf {
-			policy = "drf"
-		}
-		for _, ts := range res.Tenants {
-			rep.Rows = append(rep.Rows, []string{
-				policy, ts.Tenant, strconv.Itoa(ts.Guarantee),
-				strconv.Itoa(ts.Jobs), strconv.Itoa(ts.Completed),
-				f(ts.MeanWait, 1), f(ts.P99Wait, 1), strconv.FormatInt(ts.Preempts, 10),
-				f(res.WaitFairness, 3), g(res.TotalWaste), f(100*res.UsedFraction, 2),
-			})
-		}
-	}
-	return rep, nil
-}
-
-func accounting(seed int64, sc scale) error {
-	rows, err := experiments.Accounting(seed, sc.steps, sc.smax, sc.psa1)
-	if err != nil {
-		return err
-	}
-	var out [][]string
-	for _, r := range rows {
-		out = append(out, []string{
-			r.App, g(r.UsedArea), g(r.PreAllocArea), g(r.ReservedIdle), g(r.Waste),
-		})
-	}
-	fmt.Print(experiments.FormatTable(
-		[]string{"application", "used-node·s", "pre-alloc-node·s", "reserved-idle-node·s", "waste-node·s"}, out))
-	return nil
+	return 0
 }

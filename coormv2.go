@@ -28,8 +28,8 @@
 //	    Type: coormv2.NonPreempt})
 //	sim.Engine.RunAll()
 //
-// See examples/ for complete programs, DESIGN.md for the system inventory
-// and EXPERIMENTS.md for the paper-versus-measured results.
+// See examples/ for complete programs, README.md for the package layout and
+// PERFORMANCE.md for measured results.
 package coormv2
 
 import (

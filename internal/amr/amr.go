@@ -274,7 +274,7 @@ type StaticChoice struct {
 
 // DefaultNodeMemoryMiB is the assumed per-node memory for the Fig. 4
 // analysis. The paper does not state it; 4 GiB per node is typical for the
-// 2011-era clusters the paper targets (documented substitution, DESIGN.md).
+// 2011-era clusters the paper targets (a substitution, documented here).
 const DefaultNodeMemoryMiB = 4096
 
 // StaticChoiceRange computes Fig. 4's choice band for one scaled profile:

@@ -25,9 +25,9 @@ var Fig2Nodes = []int{1, 4, 16, 64, 256, 1024, 4096, 16384}
 
 // SynthesizeMeasurements generates a synthetic measurement grid from the
 // given model with multiplicative log-normal noise. The original Uintah
-// measurements are not publicly available; this substitution (documented in
-// DESIGN.md) exercises the same fitting pipeline: the fit must recover the
-// generating parameters to within the paper's 15 % error band.
+// measurements are not publicly available; this substitution exercises the
+// same fitting pipeline: the fit must recover the generating parameters to
+// within the paper's 15 % error band.
 func SynthesizeMeasurements(p SpeedupParams, rng *rand.Rand, noise float64) []Measurement {
 	var out []Measurement
 	for _, s := range Fig2Sizes {

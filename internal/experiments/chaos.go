@@ -2,20 +2,16 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 
 	"coormv2/internal/apps"
 	"coormv2/internal/chaos"
-	"coormv2/internal/clock"
 	"coormv2/internal/core"
 	"coormv2/internal/federation"
 	"coormv2/internal/metrics"
 	"coormv2/internal/obs"
 	"coormv2/internal/request"
 	"coormv2/internal/rms"
-	"coormv2/internal/sim"
 	"coormv2/internal/tenants"
-	"coormv2/internal/view"
 	"coormv2/internal/workload"
 )
 
@@ -177,58 +173,6 @@ type ChaosReplayResult struct {
 	Snapshot *obs.Snapshot
 }
 
-// chaosRigid wraps a rigid job so that it settles exactly once — completed,
-// killed, or rejected — no matter how many end timers or notifications the
-// crash/replay machinery produces.
-type chaosRigid struct {
-	*apps.Rigid
-	settled bool
-	settle  func(outcome string)
-}
-
-func (w *chaosRigid) settleOnce(outcome string) {
-	if w.settled {
-		return
-	}
-	w.settled = true
-	w.settle(outcome)
-}
-
-func (w *chaosRigid) OnKill(reason string) {
-	w.Rigid.OnKill(reason)
-	w.settleOnce("killed")
-}
-
-// OnRequestFinished settles the job as completed on the server-authoritative
-// finish event (forwarded through the federation under the federated ID).
-// Unlike the application's own end timer, it is delivered exactly when the
-// allocation actually finished — including after a crash-requeued re-run,
-// whose first-run timer would otherwise settle the job while the re-run is
-// still queued or executing. Only the job's *current* request counts: a
-// cooperative node-failure recovery finishes the superseded request while
-// the resubmitted remainder is still pending, and that finish is a
-// checkpoint hand-over, not a completion.
-func (w *chaosRigid) OnRequestFinished(id request.ID) {
-	if id != w.RequestID() {
-		return
-	}
-	w.settleOnce("completed")
-}
-
-// OnRequestsReaped settles a job whose current request was dropped: a reap
-// without a preceding finish means the work never completed (killed by a
-// node failure, replay rejected, or the queue entry withdrawn), so the job
-// counts as killed. Reaps of superseded requests (a cooperative recovery's
-// released predecessor) and reaps after a normal finish are no-ops.
-func (w *chaosRigid) OnRequestsReaped(ids []request.ID) {
-	for _, id := range ids {
-		if id == w.RequestID() {
-			w.settleOnce("killed")
-			return
-		}
-	}
-}
-
 // RunChaosReplay replays a rigid-job stream through a federated RMS while a
 // deterministic, seeded fault plan crashes and restarts shards. The
 // federation invariant checker runs after every fault and once after the
@@ -252,85 +196,24 @@ func RunChaosReplay(cfg ChaosReplayConfig) (*ChaosReplayResult, error) {
 	if cfg.GangFraction < 0 || cfg.GangFraction > 1 {
 		return nil, fmt.Errorf("experiments: GangFraction %g outside [0,1]", cfg.GangFraction)
 	}
-	if cfg.MaxSimTime <= 0 {
-		cfg.MaxSimTime = 1e9
-	}
 
-	e := sim.NewEngine()
-	// Fingerprint the full event stream: time bits plus event name per
-	// fired event, FNV-1a. Hand-rolled rather than hash/fnv: Write would
-	// need a []byte(name) conversion — one allocation per fired event, on a
-	// stream of ~10^6 events per run — where this loop allocates nothing.
-	const (
-		fnvOffset = 14695981039346656037
-		fnvPrime  = 1099511628211
-	)
-	hash := uint64(fnvOffset)
-	e.SetObserver(func(at float64, name string) {
-		bits := math.Float64bits(at)
-		for i := 0; i < 8; i++ {
-			hash ^= uint64(byte(bits >> (8 * i)))
-			hash *= fnvPrime
-		}
-		for i := 0; i < len(name); i++ {
-			hash ^= uint64(name[i])
-			hash *= fnvPrime
-		}
-	})
-
-	clk := clock.SimClock{E: e}
 	// Cluster names sort in index order, so federation.Partition assigns
 	// cluster j to shard j % Shards: shard 0's initial clusters are exactly
 	// the indices ≡ 0 (mod Shards) — the "hot" set of the skewed trace.
 	totalClusters := cfg.Shards * cfg.ClustersPerShard
-	clusters := make(map[view.ClusterID]int, totalClusters)
-	for i := 0; i < totalClusters; i++ {
-		clusters[federatedCluster(i)] = cfg.NodesPerShard
-	}
-	clientRec := metrics.NewRecorder()
-	fedRec := metrics.NewRecorder()
-	recs := []*metrics.Recorder{clientRec, fedRec}
 	var scheduling func(int) core.SchedulingPolicy
 	if cfg.Tenants != nil {
 		scheduling = func(int) core.SchedulingPolicy { return tenants.NewDRF(cfg.Tenants) }
 	}
-	fed := federation.New(federation.Config{
-		Clusters:        clusters,
-		Shards:          cfg.Shards,
-		ReschedInterval: 1,
-		Clock:           clk,
-		Recovery:        cfg.Recovery,
-		NodeRecovery:    cfg.NodeRecovery,
-		FullRecompute:   cfg.FullRecompute,
-		Scheduling:      scheduling,
-		Metrics: func(int) *metrics.Recorder {
-			r := metrics.NewRecorder()
-			recs = append(recs, r)
-			return r
-		},
-		FederationMetrics: fedRec,
-		Obs:               cfg.Obs,
+	env := buildRMS(federatedClusters(totalClusters), cfg.NodesPerShard, cfg.Shards, federation.Config{
+		Recovery:      cfg.Recovery,
+		NodeRecovery:  cfg.NodeRecovery,
+		FullRecompute: cfg.FullRecompute,
+		Scheduling:    scheduling,
+		Obs:           cfg.Obs,
 	})
-	if fed.NumShards() != cfg.Shards {
-		return nil, fmt.Errorf("experiments: federation clamped to %d shards", fed.NumShards())
-	}
-	agg := metrics.NewAggregate(recs...)
-
-	if cfg.Obs != nil {
-		// Recorder totals (allocation area, waste, fault counters, …) summed
-		// over every application across all recorders — the shard-local
-		// recorders created above are appended to recs as shards come up, and
-		// the closure reads the live slice at snapshot time.
-		cfg.Obs.RegisterCounters("metrics", func() map[string]int64 {
-			tot := make(map[string]int64)
-			for _, r := range recs {
-				for k, v := range r.Totals() {
-					tot[k] += v
-				}
-			}
-			return tot
-		})
-	}
+	e, fed := env.e, env.fed
+	hash := fingerprintEvents(e)
 
 	inj := chaos.NewInjector(e, fed, chaos.Plan(cfg.Chaos, cfg.Shards))
 	inj.CheckAfterFault = true
@@ -338,7 +221,7 @@ func RunChaosReplay(cfg ChaosReplayConfig) (*ChaosReplayResult, error) {
 		inj.SetObs(cfg.Obs)
 	}
 	inj.Arm()
-	inj.ArmNodes(chaos.PlanNodes(cfg.Chaos, clusters))
+	inj.ArmNodes(chaos.PlanNodes(cfg.Chaos, env.clusters))
 
 	// Rebalancing runs as deterministic "rebalance.check" timer events on the
 	// shared clock, interleaving with the fault plan; the invariant checker
@@ -363,128 +246,50 @@ func RunChaosReplay(cfg ChaosReplayConfig) (*ChaosReplayResult, error) {
 		defer rb.Stop()
 	}
 
-	if cfg.PSATaskDur > 0 {
-		for i := 0; i < totalClusters; i++ {
-			p := apps.NewPSA(clk, apps.PSAConfig{
-				Cluster: federatedCluster(i), TaskDuration: cfg.PSATaskDur, Metrics: clientRec,
-			})
-			sess := fed.Connect(p)
-			p.SetMetricsID(sess.AppID())
-			p.Attach(sess)
-		}
-	}
+	env.attachPSAPerCluster(cfg.PSATaskDur, nil)
 
-	res := &ChaosReplayResult{
-		Shards:     cfg.Shards,
-		Nodes:      totalClusters * cfg.NodesPerShard,
-		Policy:     cfg.Recovery,
-		NodePolicy: cfg.NodeRecovery,
-	}
-	remaining := len(cfg.Jobs)
-	var waitSum float64
-	settleJob := func(w *chaosRigid, submit float64) func(string) {
-		return func(outcome string) {
-			switch outcome {
-			case "completed":
-				res.Completed++
-				wait := w.StartTime - submit
-				if wait < 0 {
-					wait = 0
-				}
-				waitSum += wait
-				if wait > res.MaxWait {
-					res.MaxWait = wait
-				}
-			case "killed":
-				res.Killed++
-			case "rejected":
-				res.Rejected++
-			}
-			res.LostWork += w.LostWork
-			res.Resubmits += w.Resubmits
-			remaining--
-			if remaining == 0 {
-				e.Stop()
-			}
-		}
-	}
-
-	for i, j := range cfg.Jobs {
-		i, j := i, j
-		// Deterministic skew: the configured fraction of the trace cycles
-		// over shard 0's initial clusters (indices ≡ 0 mod Shards), the rest
-		// over the whole cluster set.
-		var cluster int
-		if cfg.HotJobFraction > 0 && float64(i%100) < cfg.HotJobFraction*100 {
-			cluster = (i % cfg.ClustersPerShard) * cfg.Shards
-		} else {
-			cluster = i % totalClusters
-		}
-		n := j.Nodes
-		if n > cfg.NodesPerShard {
-			n = cfg.NodesPerShard
-		}
-		e.At(j.Submit, "chaos.submit", func() {
-			r := apps.NewRigid(clk, federatedCluster(cluster), n, j.Runtime)
-			w := &chaosRigid{Rigid: r}
-			w.settle = settleJob(w, j.Submit)
-			var copts []rms.ConnectOption
+	run := env.submitRigid(rigidTrace{
+		jobs: cfg.Jobs, event: "chaos.submit", serverFinish: true,
+		place: func(i int) (int, []rms.ConnectOption) {
+			var opts []rms.ConnectOption
 			if cfg.Tenants != nil && cfg.TenantOf != nil {
-				copts = append(copts, rms.WithTenant(cfg.TenantOf(i)))
+				opts = append(opts, rms.WithTenant(cfg.TenantOf(i)))
 			}
-			// Completion settles on the forwarded OnRequestFinished event,
-			// not the app's own end timer — the server-side finish is the
-			// only signal that survives crash/requeue re-runs correctly.
-			sess := fed.Connect(w, copts...)
-			r.Attach(sess)
-			if err := r.Submit(); err != nil {
-				// KillOnCrash: the target shard is down; the submission is
-				// refused rather than queued.
-				sess.Disconnect()
-				w.settleOnce("rejected")
+			// Deterministic skew: the configured fraction of the trace cycles
+			// over shard 0's initial clusters (indices ≡ 0 mod Shards), the
+			// rest over the whole cluster set.
+			if cfg.HotJobFraction > 0 && float64(i%100) < cfg.HotJobFraction*100 {
+				return (i % cfg.ClustersPerShard) * cfg.Shards, opts
+			}
+			return i % totalClusters, opts
+		},
+		submitted: func(i, cluster int, r *apps.Rigid, sess session) {
+			if cfg.GangFraction == 0 || totalClusters == 1 || float64(i%100) >= cfg.GangFraction*100 {
 				return
 			}
-			if cfg.GangFraction > 0 && totalClusters > 1 && float64(i%100) < cfg.GangFraction*100 {
-				// Gang companion: a related request on the next cluster —
-				// under the round-robin partition, the next shard. The rigid
-				// job filters foreign IDs, so the companion rides the same
-				// session; it self-finishes when its ¬P duration runs out.
-				// A refused companion (its shard down under KillOnCrash)
-				// leaves the job itself intact.
-				how := request.Next
-				if i%2 == 1 {
-					how = request.Coalloc
-				}
-				_, _ = sess.Request(rms.RequestSpec{
-					Cluster:    federatedCluster((cluster + 1) % totalClusters),
-					N:          n,
-					Duration:   j.Runtime,
-					Type:       request.NonPreempt,
-					RelatedHow: how,
-					RelatedTo:  r.RequestID(),
-				})
+			// Gang companion: a related request on the next cluster — under
+			// the round-robin partition, the next shard. The rigid job filters
+			// foreign IDs, so the companion rides the same session; it
+			// self-finishes when its ¬P duration runs out. A refused companion
+			// (its shard down under KillOnCrash) leaves the job itself intact.
+			how := request.Next
+			if i%2 == 1 {
+				how = request.Coalloc
 			}
-		})
-	}
+			_, _ = sess.Request(rms.RequestSpec{
+				Cluster:    env.names[(cluster+1)%totalClusters],
+				N:          r.N,
+				Duration:   r.Duration,
+				Type:       request.NonPreempt,
+				RelatedHow: how,
+				RelatedTo:  r.RequestID(),
+			})
+		},
+	})
 
-	for remaining > 0 {
-		before := e.Processed()
-		e.Run(e.Now() + 3600)
-		if remaining == 0 {
-			break
-		}
-		if e.Now() > cfg.MaxSimTime {
-			return nil, fmt.Errorf("experiments: chaos replay exceeded %g s (remaining=%d)", cfg.MaxSimTime, remaining)
-		}
-		// An event-free window is just an idle gap while events are still
-		// queued (sparse traces can have inter-arrival gaps over an hour); a
-		// deadlock is jobs remaining with nothing queued at all. Run drains
-		// cancelled events even past the horizon, so Pending()==0 is exact.
-		if e.Processed() == before && e.Pending() == 0 {
-			return nil, fmt.Errorf("experiments: chaos replay stalled at t=%g (remaining=%d)", e.Now(), remaining)
-		}
+	if err := env.run("chaos replay", cfg.MaxSimTime, nil); err != nil {
+		return nil, err
 	}
-
 	if err := inj.InvariantErr(); err != nil {
 		return nil, fmt.Errorf("experiments: chaos invariant violated %w", err)
 	}
@@ -495,40 +300,51 @@ func RunChaosReplay(cfg ChaosReplayConfig) (*ChaosReplayResult, error) {
 		return nil, fmt.Errorf("experiments: post-run invariant violated: %w", err)
 	}
 
-	res.Crashes = inj.Crashes()
-	res.Restarts = inj.Restarts()
-	res.NodeFails = inj.NodeFails()
-	res.NodeRecovers = inj.NodeRecovers()
-	res.Trace = inj.Trace()
+	st, agg := run.stats(), env.agg
+	res := &ChaosReplayResult{
+		Shards:     cfg.Shards,
+		Nodes:      totalClusters * cfg.NodesPerShard,
+		Policy:     cfg.Recovery,
+		NodePolicy: cfg.NodeRecovery,
+
+		Completed: st.completed, Killed: st.killed, Rejected: st.rejected,
+		LostWork: st.lostWork, Resubmits: st.resubmits,
+		MeanWait: st.meanWait, MaxWait: st.maxWait,
+
+		Crashes:      inj.Crashes(),
+		Restarts:     inj.Restarts(),
+		NodeFails:    inj.NodeFails(),
+		NodeRecovers: inj.NodeRecovers(),
+		Trace:        inj.Trace(),
+
+		KilledSessions:   agg.TotalCount(metrics.KilledSessions),
+		RequeuedRequests: agg.TotalCount(metrics.RequeuedRequests),
+		ReplayedRequests: agg.TotalCount(metrics.ReplayedRequests),
+		DroppedRequests:  agg.TotalCount(metrics.DroppedRequests),
+		NodeKilled:       agg.TotalCount(metrics.NodeKilledRequests),
+		NodeRequeued:     agg.TotalCount(metrics.NodeRequeuedRequests),
+		NodeReduced:      agg.TotalCount(metrics.NodeReducedRequests),
+		GangsCommitted:   agg.TotalCount(metrics.GangCommitted),
+		GangsAborted:     agg.TotalCount(metrics.GangAborted),
+		GangsRetried:     agg.TotalCount(metrics.GangRetried),
+
+		Makespan:  e.Now(),
+		Events:    e.Processed(),
+		EventHash: *hash,
+	}
 	if rb != nil {
 		res.Migrations = rb.Migrations()
 		res.MigratedRequests = rb.MovedRequests()
 		res.MigrationTrace = rb.Trace()
 	}
 	res.ShardChurn = make([]int64, cfg.Shards)
-	for i := 0; i < cfg.Shards; i++ {
+	for i := range res.ShardChurn {
 		for _, l := range fed.Shard(i).ClusterLoads() {
 			res.ShardChurn[i] += l.Churn
 		}
 	}
-	res.KilledSessions = agg.TotalCount(metrics.KilledSessions)
-	res.RequeuedRequests = agg.TotalCount(metrics.RequeuedRequests)
-	res.ReplayedRequests = agg.TotalCount(metrics.ReplayedRequests)
-	res.DroppedRequests = agg.TotalCount(metrics.DroppedRequests)
-	res.NodeKilled = agg.TotalCount(metrics.NodeKilledRequests)
-	res.NodeRequeued = agg.TotalCount(metrics.NodeRequeuedRequests)
-	res.NodeReduced = agg.TotalCount(metrics.NodeReducedRequests)
-	res.GangsCommitted = agg.TotalCount(metrics.GangCommitted)
-	res.GangsAborted = agg.TotalCount(metrics.GangAborted)
-	res.GangsRetried = agg.TotalCount(metrics.GangRetried)
 	if cfg.Tenants != nil {
 		res.TenantPreempts = fed.TenantPreempts()
-	}
-	res.Makespan = e.Now()
-	res.Events = e.Processed()
-	res.EventHash = hash
-	if res.Completed > 0 {
-		res.MeanWait = waitSum / float64(res.Completed)
 	}
 	res.TotalArea = agg.TotalArea(res.Makespan)
 	res.TotalWaste = agg.TotalWaste()

@@ -4,12 +4,9 @@ import (
 	"fmt"
 
 	"coormv2/internal/apps"
-	"coormv2/internal/clock"
 	"coormv2/internal/federation"
-	"coormv2/internal/metrics"
 	"coormv2/internal/request"
-	"coormv2/internal/sim"
-	"coormv2/internal/view"
+	"coormv2/internal/rms"
 	"coormv2/internal/workload"
 )
 
@@ -58,13 +55,6 @@ type FederatedReplayResult struct {
 	Events int64
 }
 
-// federatedCluster names shard i's cluster; the two-digit form keeps the
-// sorted order equal to the shard order, so federation.Partition assigns
-// cluster i to shard i.
-func federatedCluster(i int) view.ClusterID {
-	return view.ClusterID(fmt.Sprintf("shard%02d", i))
-}
-
 // evolvingWatch wraps the predictable-evolving app's handler to observe the
 // start of its last segment (the app itself has no completion callback).
 type evolvingWatch struct {
@@ -89,144 +79,56 @@ func RunFederatedReplay(cfg FederatedReplayConfig) (*FederatedReplayResult, erro
 	if cfg.NodesPerShard <= 0 {
 		return nil, fmt.Errorf("experiments: need a positive per-shard node count")
 	}
-	if cfg.MaxSimTime <= 0 {
-		cfg.MaxSimTime = 1e9
-	}
 
-	e := sim.NewEngine()
-	clk := clock.SimClock{E: e}
-	clusters := make(map[view.ClusterID]int, cfg.Shards)
-	for i := 0; i < cfg.Shards; i++ {
-		clusters[federatedCluster(i)] = cfg.NodesPerShard
-	}
-	clientRec := metrics.NewRecorder()
-	recs := []*metrics.Recorder{clientRec}
-	fed := federation.New(federation.Config{
-		Clusters:        clusters,
-		Shards:          cfg.Shards,
-		ReschedInterval: 1,
-		Clock:           clk,
-		Metrics: func(int) *metrics.Recorder {
-			r := metrics.NewRecorder()
-			recs = append(recs, r)
-			return r
-		},
-	})
-	if fed.NumShards() != cfg.Shards {
-		return nil, fmt.Errorf("experiments: federation clamped to %d shards", fed.NumShards())
-	}
-	agg := metrics.NewAggregate(recs...)
+	env := buildRMS(federatedClusters(cfg.Shards), cfg.NodesPerShard, cfg.Shards, federation.Config{})
+	env.attachPSAPerCluster(cfg.PSATaskDur, nil)
 
-	// remaining counts the applications whose completion gates the run:
-	// every rigid job, plus the evolving app if present. The engine is
-	// stopped at the last completion so every metric is evaluated over
-	// exactly the workload's makespan.
-	remaining := len(cfg.Jobs)
-	done := func() {
-		remaining--
-		if remaining == 0 {
-			e.Stop()
-		}
-	}
-
-	if cfg.PSATaskDur > 0 {
-		for i := 0; i < cfg.Shards; i++ {
-			p := apps.NewPSA(clk, apps.PSAConfig{
-				Cluster: federatedCluster(i), TaskDuration: cfg.PSATaskDur, Metrics: clientRec,
-			})
-			sess := fed.Connect(p)
-			p.SetMetricsID(sess.AppID())
-			p.Attach(sess)
-		}
-	}
-
-	var ev *apps.PredictableEvolving
 	if len(cfg.Evolving) > 0 {
 		segs := make([]apps.Segment, len(cfg.Evolving))
 		copy(segs, cfg.Evolving)
 		for i := range segs {
-			if segs[i].N > cfg.NodesPerShard {
-				segs[i].N = cfg.NodesPerShard
-			}
+			segs[i].N = min(segs[i].N, cfg.NodesPerShard)
 		}
-		remaining++
-		ev = apps.NewPredictableEvolving(clk, federatedCluster(0), segs)
+		env.expect(1)
+		ev := apps.NewPredictableEvolving(env.clk, federatedCluster(0), segs)
 		last := len(segs) - 1
 		watch := &evolvingWatch{PredictableEvolving: ev}
 		watch.onStart = func(request.ID, []int) {
 			if ev.SegmentStarted(last) {
-				e.After(segs[last].Duration, "federated.evolving-end", done)
+				env.e.After(segs[last].Duration, "federated.evolving-end", env.done)
 			}
 		}
-		sess := fed.Connect(watch)
-		ev.Attach(sess)
+		ev.Attach(env.connect(watch))
 		if err := ev.Submit(); err != nil {
 			return nil, err
 		}
 	}
 
-	shardRigidArea := make([]float64, cfg.Shards)
-	rigids := make([]*apps.Rigid, len(cfg.Jobs))
-	jobNodes := make([]int, len(cfg.Jobs))
-	for i, j := range cfg.Jobs {
-		i, j := i, j
-		shard := i % cfg.Shards
-		n := j.Nodes
-		if n > cfg.NodesPerShard {
-			n = cfg.NodesPerShard
-		}
-		jobNodes[i] = n
-		shardRigidArea[shard] += float64(n) * j.Runtime
-		e.At(j.Submit, "federated.submit", func() {
-			r := apps.NewRigid(clk, federatedCluster(shard), n, j.Runtime)
-			r.OnEnd = done
-			sess := fed.Connect(r)
-			r.Attach(sess)
-			if err := r.Submit(); err != nil {
-				panic(fmt.Sprintf("federated replay: submit job %d: %v", j.ID, err))
-			}
-			rigids[i] = r
-		})
+	run := env.submitRigid(rigidTrace{
+		jobs: cfg.Jobs, event: "federated.submit",
+		place: func(i int) (int, []rms.ConnectOption) { return i % cfg.Shards, nil },
+	})
+	if err := env.run("federated replay", cfg.MaxSimTime, nil); err != nil {
+		return nil, err
 	}
 
-	for remaining > 0 {
-		before := e.Processed()
-		e.Run(e.Now() + 3600)
-		if remaining == 0 {
-			break
-		}
-		if e.Now() > cfg.MaxSimTime {
-			return nil, fmt.Errorf("experiments: federated replay exceeded %g s", cfg.MaxSimTime)
-		}
-		if e.Processed() == before {
-			return nil, fmt.Errorf("experiments: federated replay stalled at t=%g", e.Now())
-		}
+	st := run.stats()
+	if st.completed != len(cfg.Jobs) {
+		return nil, fmt.Errorf("experiments: federated replay completed %d of %d jobs", st.completed, len(cfg.Jobs))
 	}
-
 	res := &FederatedReplayResult{
 		Shards:         cfg.Shards,
 		Nodes:          cfg.Shards * cfg.NodesPerShard,
-		ShardRigidArea: shardRigidArea,
-		Makespan:       e.Now(),
-		Events:         e.Processed(),
+		Completed:      st.completed,
+		MeanWait:       st.meanWait,
+		MaxWait:        st.maxWait,
+		Makespan:       env.e.Now(),
+		ShardRigidArea: run.clusterArea,
+		Events:         env.e.Processed(),
 	}
-	var waitSum, rigidArea float64
-	for i, r := range rigids {
-		res.Completed++
-		wait := r.StartTime - cfg.Jobs[i].Submit
-		if wait < 0 {
-			wait = 0
-		}
-		waitSum += wait
-		if wait > res.MaxWait {
-			res.MaxWait = wait
-		}
-		rigidArea += float64(jobNodes[i]) * cfg.Jobs[i].Runtime
-	}
-	res.MeanWait = waitSum / float64(res.Completed)
 	if res.Makespan > 0 {
-		res.RigidUtilization = rigidArea / (float64(res.Nodes) * res.Makespan)
+		res.RigidUtilization = run.area / (float64(res.Nodes) * res.Makespan)
 	}
-	res.UsedFraction = agg.UsedFraction(res.Nodes, res.Makespan)
+	res.UsedFraction = env.agg.UsedFraction(res.Nodes, res.Makespan)
 	return res, nil
 }

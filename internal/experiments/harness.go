@@ -1,0 +1,377 @@
+package experiments
+
+import (
+	"fmt"
+	"math"
+
+	"coormv2/internal/apps"
+	"coormv2/internal/clock"
+	"coormv2/internal/federation"
+	"coormv2/internal/metrics"
+	"coormv2/internal/request"
+	"coormv2/internal/rms"
+	"coormv2/internal/sim"
+	"coormv2/internal/view"
+	"coormv2/internal/workload"
+)
+
+// session is the server-side handle the harness needs; both *rms.Session
+// and *federation.Session satisfy it.
+type session interface {
+	AppID() int
+	Request(spec rms.RequestSpec) (request.ID, error)
+	Done(id request.ID, released []int) error
+	Disconnect()
+}
+
+// simEnv is the one simulated environment every experiment runs in: the
+// paper's §5 recipe of an RMS on a simulated clock with applications
+// connected to it. RunScenario drives an AMR application through it; the
+// four trace replays (RunReplay, RunFederatedReplay, RunChaosReplay,
+// RunTenantsReplay) are configurations of its PSA attach, rigid-job
+// submission, run-to-completion and summary steps.
+type simEnv struct {
+	e   *sim.Engine
+	clk clock.SimClock
+	// names lists the clusters in index order; every cluster has nodes
+	// machines. clusters is the same set in the form the RMS takes.
+	names    []view.ClusterID
+	nodes    int
+	clusters map[view.ClusterID]int
+	// rec is the client-side recorder handed to applications (PSA waste);
+	// agg sums it with the federation-level and per-shard recorders.
+	rec *metrics.Recorder
+	agg *metrics.Aggregate
+	// fed is nil when the environment runs a single rms.Server.
+	fed     *federation.Federator
+	connect func(h rms.AppHandler, opts ...rms.ConnectOption) session
+	// remaining counts the applications whose completion gates the run. The
+	// engine is stopped at the last completion so every metric is evaluated
+	// over exactly the workload's makespan.
+	remaining int
+}
+
+// buildRMS creates the environment: a single rms.Server when shards <= 0,
+// otherwise a Federator with that many shards configured by fc (policy,
+// recovery, scheduling, obs; the cluster set, clock, interval and recorders
+// are filled in here). §5.1.3: the re-scheduling interval is "set to 1
+// second, to obtain a very reactive system".
+func buildRMS(names []view.ClusterID, nodes, shards int, fc federation.Config) *simEnv {
+	e := sim.NewEngine()
+	env := &simEnv{
+		e: e, clk: clock.SimClock{E: e},
+		names: names, nodes: nodes, clusters: make(map[view.ClusterID]int, len(names)),
+		rec: metrics.NewRecorder(),
+	}
+	for _, c := range names {
+		env.clusters[c] = nodes
+	}
+	recs := []*metrics.Recorder{env.rec}
+	if shards <= 0 {
+		srv := rms.NewServer(rms.Config{
+			Clusters: env.clusters, ReschedInterval: 1, Clock: env.clk,
+			Policy: fc.Policy, Metrics: env.rec,
+		})
+		env.connect = func(h rms.AppHandler, opts ...rms.ConnectOption) session { return srv.Connect(h, opts...) }
+	} else {
+		fc.Clusters, fc.Shards, fc.ReschedInterval, fc.Clock = env.clusters, shards, 1, env.clk
+		fc.FederationMetrics = metrics.NewRecorder()
+		recs = append(recs, fc.FederationMetrics)
+		fc.Metrics = func(int) *metrics.Recorder {
+			r := metrics.NewRecorder()
+			recs = append(recs, r)
+			return r
+		}
+		env.fed = federation.New(fc)
+		env.connect = func(h rms.AppHandler, opts ...rms.ConnectOption) session { return env.fed.Connect(h, opts...) }
+	}
+	env.agg = metrics.NewAggregate(recs...)
+	if fc.Obs != nil {
+		// Recorder totals (allocation area, waste, fault counters, …) summed
+		// over every application across all recorders.
+		fc.Obs.RegisterCounters("metrics", func() map[string]int64 {
+			tot := make(map[string]int64)
+			for _, r := range env.agg.Recorders() {
+				for k, v := range r.Totals() {
+					tot[k] += v
+				}
+			}
+			return tot
+		})
+	}
+	return env
+}
+
+// federatedCluster names cluster i of a federated environment; the
+// two-digit form keeps the sorted order equal to the index order, so
+// federation.Partition assigns cluster i to shard i % shards.
+func federatedCluster(i int) view.ClusterID {
+	return view.ClusterID(fmt.Sprintf("shard%02d", i))
+}
+
+func federatedClusters(n int) []view.ClusterID {
+	names := make([]view.ClusterID, n)
+	for i := range names {
+		names[i] = federatedCluster(i)
+	}
+	return names
+}
+
+// attachPSA connects one scavenging PSA to cluster c and returns it with
+// its application ID. hook, when set, customizes the PSA before it connects.
+func (env *simEnv) attachPSA(c view.ClusterID, taskDur float64, hook func(*apps.PSA), opts ...rms.ConnectOption) (*apps.PSA, int) {
+	p := apps.NewPSA(env.clk, apps.PSAConfig{Cluster: c, TaskDuration: taskDur, Metrics: env.rec})
+	if hook != nil {
+		hook(p)
+	}
+	sess := env.connect(p, opts...)
+	p.SetMetricsID(sess.AppID())
+	p.Attach(sess)
+	return p, sess.AppID()
+}
+
+// attachPSAPerCluster adds one scavenging PSA per cluster when taskDur is
+// positive; optsOf, when set, gives cluster i's PSA its connect options.
+func (env *simEnv) attachPSAPerCluster(taskDur float64, optsOf func(i int) []rms.ConnectOption) {
+	if taskDur <= 0 {
+		return
+	}
+	for i, c := range env.names {
+		var opts []rms.ConnectOption
+		if optsOf != nil {
+			opts = optsOf(i)
+		}
+		env.attachPSA(c, taskDur, nil, opts...)
+	}
+}
+
+// expect registers n more applications whose completion gates the run;
+// done reports one of them complete.
+func (env *simEnv) expect(n int) { env.remaining += n }
+
+func (env *simEnv) done() {
+	env.remaining--
+	if env.remaining == 0 {
+		env.e.Stop()
+	}
+}
+
+// run advances the simulation in one-hour windows until every expected
+// application is done, or maxSimTime (default 10^9 s) is exceeded. check,
+// when set, is consulted after each window and aborts the run with its
+// error. An event-free window is just an idle gap
+// while events are still queued (sparse traces have inter-arrival gaps over
+// an hour); a deadlock is applications remaining with nothing queued at
+// all. Engine.Run drains cancelled events even past the horizon, so
+// Pending()==0 is exact.
+func (env *simEnv) run(what string, maxSimTime float64, check func() error) error {
+	if maxSimTime <= 0 {
+		maxSimTime = 1e9
+	}
+	e := env.e
+	for env.remaining > 0 {
+		before := e.Processed()
+		e.Run(e.Now() + 3600)
+		if env.remaining == 0 {
+			break
+		}
+		if check != nil {
+			if err := check(); err != nil {
+				return err
+			}
+		}
+		if e.Now() > maxSimTime {
+			return fmt.Errorf("experiments: %s exceeded %g s (remaining=%d)", what, maxSimTime, env.remaining)
+		}
+		if e.Processed() == before && e.Pending() == 0 {
+			return fmt.Errorf("experiments: %s stalled at t=%g (remaining=%d)", what, e.Now(), env.remaining)
+		}
+	}
+	return nil
+}
+
+// settlingRigid wraps a rigid job so that it settles exactly once —
+// completed, killed, or rejected — no matter how many end timers or
+// notifications the crash/replay machinery produces.
+type settlingRigid struct {
+	*apps.Rigid
+	settled bool
+	settle  func(outcome string)
+}
+
+func (w *settlingRigid) settleOnce(outcome string) {
+	if w.settled {
+		return
+	}
+	w.settled = true
+	w.settle(outcome)
+}
+
+func (w *settlingRigid) OnKill(reason string) {
+	w.Rigid.OnKill(reason)
+	w.settleOnce("killed")
+}
+
+// OnRequestFinished settles the job as completed on the server-authoritative
+// finish event (forwarded through the federation under the federated ID).
+// Unlike the application's own end timer, it is delivered exactly when the
+// allocation actually finished — including after a crash-requeued re-run,
+// whose first-run timer would otherwise settle the job while the re-run is
+// still queued or executing. Only the job's *current* request counts: a
+// cooperative node-failure recovery finishes the superseded request while
+// the resubmitted remainder is still pending, and that finish is a
+// checkpoint hand-over, not a completion.
+func (w *settlingRigid) OnRequestFinished(id request.ID) {
+	if id != w.RequestID() {
+		return
+	}
+	w.settleOnce("completed")
+}
+
+// OnRequestsReaped settles a job whose current request was dropped: a reap
+// without a preceding finish means the work never completed (killed by a
+// node failure, replay rejected, or the queue entry withdrawn), so the job
+// counts as killed. Reaps of superseded requests (a cooperative recovery's
+// released predecessor) and reaps after a normal finish are no-ops.
+func (w *settlingRigid) OnRequestsReaped(ids []request.ID) {
+	for _, id := range ids {
+		if id == w.RequestID() {
+			w.settleOnce("killed")
+			return
+		}
+	}
+}
+
+// rigidTrace parametrizes the rigid-job submission of a replay.
+type rigidTrace struct {
+	jobs []workload.Job
+	// event names the simulator event of a submission (it is part of the
+	// fingerprinted event stream).
+	event string
+	// place gives job i its cluster index and its session's connect options.
+	place func(i int) (cluster int, opts []rms.ConnectOption)
+	// serverFinish settles a job on the server-side finish/reap/kill
+	// notifications — the only signals that survive crash/requeue re-runs
+	// correctly — instead of the application's own end timer, which is exact
+	// (and cheaper) on a fault-free run.
+	serverFinish bool
+	// submitted, when set, runs right after job i was accepted on cluster
+	// index cluster.
+	submitted func(i, cluster int, r *apps.Rigid, sess session)
+}
+
+// jobFate is how one rigid job ended; outcome stays empty until it settles.
+type jobFate struct {
+	outcome   string  // "completed", "killed" or "rejected"
+	wait      float64 // submit → (last) start, completed jobs only
+	lostWork  float64
+	resubmits int
+}
+
+// rigidRun is the per-job and per-cluster record of one submitted trace.
+type rigidRun struct {
+	fates []jobFate
+	// area is the rigid node·s of the trace after clamping node counts to
+	// the cluster size; clusterArea splits it by cluster index.
+	area        float64
+	clusterArea []float64
+}
+
+// submitRigid schedules every job of the trace for submission at its submit
+// time, each as a rigid application on a session of its own, and expects
+// their completion. A refused submission (its shard is down under
+// KillOnCrash) settles the job as rejected.
+func (env *simEnv) submitRigid(t rigidTrace) *rigidRun {
+	run := &rigidRun{fates: make([]jobFate, len(t.jobs)), clusterArea: make([]float64, len(env.names))}
+	env.expect(len(t.jobs))
+	for i, j := range t.jobs {
+		cluster, opts := t.place(i)
+		n := min(j.Nodes, env.nodes)
+		run.area += float64(n) * j.Runtime
+		run.clusterArea[cluster] += float64(n) * j.Runtime
+		env.e.At(j.Submit, t.event, func() {
+			r := apps.NewRigid(env.clk, env.names[cluster], n, j.Runtime)
+			w := &settlingRigid{Rigid: r}
+			w.settle = func(outcome string) {
+				run.fates[i] = jobFate{outcome, math.Max(0, r.StartTime-j.Submit), r.LostWork, r.Resubmits}
+				env.done()
+			}
+			var h rms.AppHandler = w
+			if !t.serverFinish {
+				h = r
+				r.OnEnd = func() { w.settleOnce("completed") }
+			}
+			sess := env.connect(h, opts...)
+			r.Attach(sess)
+			if err := r.Submit(); err != nil {
+				sess.Disconnect()
+				w.settleOnce("rejected")
+				return
+			}
+			if t.submitted != nil {
+				t.submitted(i, cluster, r, sess)
+			}
+		})
+	}
+	return run
+}
+
+// rigidStats is the wait/outcome summary of a finished replay.
+type rigidStats struct {
+	completed, killed, rejected int
+	meanWait, maxWait           float64 // completed jobs only
+	lostWork                    float64
+	resubmits                   int
+}
+
+func (run *rigidRun) stats() rigidStats {
+	var s rigidStats
+	var waitSum float64
+	for _, f := range run.fates {
+		switch f.outcome {
+		case "completed":
+			s.completed++
+			waitSum += f.wait
+			s.maxWait = math.Max(s.maxWait, f.wait)
+		case "killed":
+			s.killed++
+		case "rejected":
+			s.rejected++
+		}
+		s.lostWork += f.lostWork
+		s.resubmits += f.resubmits
+	}
+	if s.completed > 0 {
+		s.meanWait = waitSum / float64(s.completed)
+	}
+	return s
+}
+
+// fingerprintEvents installs an observer that folds the full simulator
+// event stream (time bits + event name, in firing order) into an FNV-1a
+// hash: two runs are byte-identical iff their hashes match. Hand-rolled
+// rather than hash/fnv: Write would need a []byte(name) conversion — one
+// allocation per fired event, on a stream of ~10^6 events per run — where
+// this loop allocates nothing.
+func fingerprintEvents(e *sim.Engine) *uint64 {
+	const (
+		fnvOffset = 14695981039346656037
+		fnvPrime  = 1099511628211
+	)
+	hash := new(uint64)
+	*hash = fnvOffset
+	e.SetObserver(func(at float64, name string) {
+		h := *hash
+		bits := math.Float64bits(at)
+		for i := 0; i < 8; i++ {
+			h ^= uint64(byte(bits >> (8 * i)))
+			h *= fnvPrime
+		}
+		for i := 0; i < len(name); i++ {
+			h ^= uint64(name[i])
+			h *= fnvPrime
+		}
+		*hash = h
+	})
+	return hash
+}

@@ -5,10 +5,8 @@ import (
 	"math"
 
 	"coormv2/internal/apps"
-	"coormv2/internal/clock"
-	"coormv2/internal/core"
-	"coormv2/internal/metrics"
-	"coormv2/internal/sim"
+	"coormv2/internal/federation"
+	"coormv2/internal/rms"
 	"coormv2/internal/view"
 	"coormv2/internal/workload"
 )
@@ -52,9 +50,6 @@ func RunReplay(cfg ReplayConfig) (*ReplayResult, error) {
 	if cfg.Nodes <= 0 {
 		return nil, fmt.Errorf("experiments: need a positive node count")
 	}
-	if cfg.MaxSimTime <= 0 {
-		cfg.MaxSimTime = 1e9
-	}
 	for _, j := range cfg.Jobs {
 		if j.Nodes > cfg.Nodes {
 			return nil, fmt.Errorf("experiments: job %d needs %d nodes, cluster has %d", j.ID, j.Nodes, cfg.Nodes)
@@ -64,91 +59,38 @@ func RunReplay(cfg ReplayConfig) (*ReplayResult, error) {
 		cfg.PSATaskDur = 600
 	}
 
-	e := sim.NewEngine()
-	rec := metrics.NewRecorder()
-	connect, reader := buildRMS(cfg.Shards, map[view.ClusterID]int{Cluster: cfg.Nodes},
-		1, clock.SimClock{E: e}, core.EquiPartitionFilling, rec)
-
+	env := buildRMS([]view.ClusterID{Cluster}, cfg.Nodes, cfg.Shards, federation.Config{})
 	var psa *apps.PSA
 	var psaID int
 	if cfg.FillWithPSA {
-		psa = apps.NewPSA(clock.SimClock{E: e}, apps.PSAConfig{
-			Cluster: Cluster, TaskDuration: cfg.PSATaskDur, Metrics: rec,
-		})
-		sess := connect(psa)
-		psa.SetMetricsID(sess.AppID())
-		psaID = sess.AppID()
-		psa.Attach(sess)
+		psa, psaID = env.attachPSA(Cluster, cfg.PSATaskDur, nil)
+	}
+	run := env.submitRigid(rigidTrace{
+		jobs: cfg.Jobs, event: "replay.submit",
+		place: func(int) (int, []rms.ConnectOption) { return 0, nil },
+	})
+	if err := env.run("replay", cfg.MaxSimTime, nil); err != nil {
+		return nil, err
 	}
 
-	remaining := len(cfg.Jobs)
-	rigids := make([]*apps.Rigid, len(cfg.Jobs))
-	for i, j := range cfg.Jobs {
-		i, j := i, j
-		e.At(j.Submit, "replay.submit", func() {
-			r := apps.NewRigid(clock.SimClock{E: e}, Cluster, j.Nodes, j.Runtime)
-			// Freeze the clock at the last completion so the metrics are
-			// evaluated over exactly the trace's makespan.
-			r.OnEnd = func() {
-				remaining--
-				if remaining == 0 {
-					e.Stop()
-				}
-			}
-			sess := connect(r)
-			r.Attach(sess)
-			if err := r.Submit(); err != nil {
-				panic(fmt.Sprintf("replay: submit job %d: %v", j.ID, err))
-			}
-			rigids[i] = r
-		})
+	st := run.stats()
+	if st.completed != len(cfg.Jobs) {
+		return nil, fmt.Errorf("experiments: replay completed %d of %d jobs", st.completed, len(cfg.Jobs))
 	}
-
-	for remaining > 0 {
-		before := e.Processed()
-		e.Run(e.Now() + 3600)
-		if remaining == 0 {
-			break
-		}
-		if e.Now() > cfg.MaxSimTime {
-			return nil, fmt.Errorf("experiments: replay exceeded %g s", cfg.MaxSimTime)
-		}
-		if e.Processed() == before {
-			return nil, fmt.Errorf("experiments: replay stalled at t=%g", e.Now())
-		}
+	res := &ReplayResult{
+		Completed: st.completed, MeanWait: st.meanWait, MaxWait: st.maxWait,
+		Makespan: env.e.Now(),
 	}
-
-	res := &ReplayResult{}
-	var waitSum, area float64
-	for i, r := range rigids {
-		res.Completed++
-		wait := r.StartTime - cfg.Jobs[i].Submit
-		if wait < 0 {
-			wait = 0
-		}
-		waitSum += wait
-		if wait > res.MaxWait {
-			res.MaxWait = wait
-		}
-		if r.EndTime > res.Makespan {
-			res.Makespan = r.EndTime
-		}
-		area += float64(cfg.Jobs[i].Nodes) * cfg.Jobs[i].Runtime
-	}
-	res.MeanWait = waitSum / float64(res.Completed)
+	capacity := float64(cfg.Nodes) * res.Makespan
 	if res.Makespan > 0 {
-		res.Utilization = area / (float64(cfg.Nodes) * res.Makespan)
+		res.Utilization = run.area / capacity
 	}
+	res.UtilizationWithPSA = res.Utilization
 	if psa != nil {
-		res.PSAUseful = reader.Area(psaID, res.Makespan) - psa.Waste()
-		if res.PSAUseful < 0 {
-			res.PSAUseful = 0
-		}
+		res.PSAUseful = math.Max(0, env.agg.Area(psaID, res.Makespan)-psa.Waste())
 		if res.Makespan > 0 {
-			res.UtilizationWithPSA = (area + res.PSAUseful) / (float64(cfg.Nodes) * res.Makespan)
+			res.UtilizationWithPSA = (run.area + res.PSAUseful) / capacity
 		}
-	} else {
-		res.UtilizationWithPSA = res.Utilization
 	}
 	if math.IsNaN(res.Utilization) {
 		return nil, fmt.Errorf("experiments: degenerate replay result")

@@ -10,19 +10,19 @@ import (
 
 // Report is the single source of truth for one experiment's results: the
 // text table and the JSON export are two renderings of the same struct, so
-// they can never drift apart. The chaos/nodechaos/rebalance experiments in
-// cmd/coorm-exp build Reports; `-report json` emits Report.JSON, the
-// default emits Report.Text.
+// they can never drift apart. Every entry of Experiments returns one;
+// coorm-exp's `-report json` emits Report.JSON, the default Report.Text.
 type Report struct {
-	// Name identifies the experiment ("chaos", "nodechaos", "rebalance").
+	// Name identifies the experiment: its Experiments entry's Name.
 	Name string `json:"name"`
 	// Notes are free-form preamble lines (trace summary, topology).
 	Notes []string `json:"notes,omitempty"`
 	// Header and Rows are the result table, column-aligned with Header.
 	Header []string   `json:"header"`
 	Rows   [][]string `json:"rows"`
-	// Obs is the observability snapshot of the experiment's baseline run
-	// (first row): latency histograms, counters, and the structured event
+	// Obs is the observability snapshot of one of the experiment's runs (the
+	// baseline first row; for tenants the DRF run), where the experiment
+	// collects one: latency histograms, counters, and the structured event
 	// ring, encoded exactly as coormd's /debug/obs endpoint encodes them.
 	Obs *obs.Snapshot `json:"obs,omitempty"`
 }

@@ -1,7 +1,7 @@
 // Package experiments reproduces the paper's evaluation (§5): every figure
 // with quantitative content has a runner that regenerates its data from the
-// discrete-event simulation. The per-experiment index lives in DESIGN.md;
-// measured-vs-paper numbers live in EXPERIMENTS.md.
+// discrete-event simulation. The per-experiment index is the Experiments
+// table (registry.go); measured numbers live in PERFORMANCE.md.
 package experiments
 
 import (
@@ -10,13 +10,8 @@ import (
 
 	"coormv2/internal/amr"
 	"coormv2/internal/apps"
-	"coormv2/internal/clock"
 	"coormv2/internal/core"
 	"coormv2/internal/federation"
-	"coormv2/internal/metrics"
-	"coormv2/internal/request"
-	"coormv2/internal/rms"
-	"coormv2/internal/sim"
 	"coormv2/internal/stats"
 	"coormv2/internal/view"
 )
@@ -63,54 +58,6 @@ type ScenarioConfig struct {
 	// a 1-shard federation must reproduce the single-RMS run byte-for-byte
 	// (see the differential test).
 	Shards int
-}
-
-// session is the server-side handle the harness needs; both *rms.Session
-// and *federation.Session satisfy it.
-type session interface {
-	AppID() int
-	Request(spec rms.RequestSpec) (request.ID, error)
-	Done(id request.ID, released []int) error
-	Disconnect()
-}
-
-// metricsReader is the read surface shared by *metrics.Recorder and
-// *metrics.Aggregate.
-type metricsReader interface {
-	Area(appID int, t float64) float64
-	PreAllocArea(appID int, t float64) float64
-	UsedFraction(capacity int, horizon float64) float64
-}
-
-// buildRMS wires either a single rms.Server or a Federator over the given
-// clusters. rec is the client-side recorder handed to applications (PSA
-// waste); the returned reader aggregates it with the per-shard recorders.
-func buildRMS(shards int, clusters map[view.ClusterID]int, interval float64, clk clock.Clock, policy core.PreemptPolicy, rec *metrics.Recorder) (connect func(rms.AppHandler) session, reader metricsReader) {
-	if shards <= 0 {
-		srv := rms.NewServer(rms.Config{
-			Clusters:        clusters,
-			ReschedInterval: interval,
-			Clock:           clk,
-			Policy:          policy,
-			Metrics:         rec,
-		})
-		return func(h rms.AppHandler) session { return srv.Connect(h) }, rec
-	}
-	shardRecs := []*metrics.Recorder{rec}
-	fed := federation.New(federation.Config{
-		Clusters:        clusters,
-		Shards:          shards,
-		ReschedInterval: interval,
-		Clock:           clk,
-		Policy:          policy,
-		Metrics: func(int) *metrics.Recorder {
-			r := metrics.NewRecorder()
-			shardRecs = append(shardRecs, r)
-			return r
-		},
-	})
-	return func(h rms.AppHandler) session { return fed.Connect(h) },
-		metrics.NewAggregate(shardRecs...)
 }
 
 // ScenarioResult aggregates the §5 metrics of one run.
@@ -169,59 +116,43 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 		return nil, fmt.Errorf("experiments: %d nodes cannot hold a %d-node pre-allocation", nodes, pre)
 	}
 
-	e := sim.NewEngine()
-	rec := metrics.NewRecorder()
-	// §5.1.3: the re-scheduling interval is "set to 1 second, to obtain a
-	// very reactive system".
-	connect, reader := buildRMS(cfg.Shards, map[view.ClusterID]int{Cluster: nodes},
-		1, clock.SimClock{E: e}, cfg.Policy, rec)
-
-	nea := apps.NewNEA(clock.SimClock{E: e}, apps.NEAConfig{
+	env := buildRMS([]view.ClusterID{Cluster}, nodes, cfg.Shards, federation.Config{Policy: cfg.Policy})
+	nea := apps.NewNEA(env.clk, apps.NEAConfig{
 		Cluster: Cluster, Profile: profile, Params: params,
 		TargetEff: cfg.TargetEff, PreAllocN: pre, Mode: cfg.Mode,
 		AnnounceInterval: cfg.AnnounceInterval,
 	})
-	// Freeze the clock at the makespan so every metric is evaluated over
-	// exactly the AMR's run, as in §5.
-	nea.OnFinish = e.Stop
-	neaSess := connect(nea)
+	// The run is gated on the AMR alone: the clock freezes at its makespan so
+	// every metric is evaluated over exactly the AMR's run, as in §5.
+	env.expect(1)
+	nea.OnFinish = env.done
+	neaSess := env.connect(nea)
 	nea.Attach(neaSess)
 	if err := nea.Submit(); err != nil {
 		return nil, err
 	}
 
-	psas := make([]*apps.PSA, 0, len(cfg.PSATaskDurations))
-	psaIDs := make([]int, 0, len(cfg.PSATaskDurations))
+	psas := make([]*apps.PSA, len(cfg.PSATaskDurations))
+	psaIDs := make([]int, len(cfg.PSATaskDurations))
 	for i, d := range cfg.PSATaskDurations {
-		p := apps.NewPSA(clock.SimClock{E: e}, apps.PSAConfig{
-			Cluster: Cluster, TaskDuration: d, Metrics: rec,
-		})
+		var hook func(*apps.PSA)
 		if cfg.PSAHook != nil {
-			cfg.PSAHook(i, p)
+			hook = func(p *apps.PSA) { cfg.PSAHook(i, p) }
 		}
-		sess := connect(p)
-		p.SetMetricsID(sess.AppID())
-		p.Attach(sess)
-		psas = append(psas, p)
-		psaIDs = append(psaIDs, sess.AppID())
+		psas[i], psaIDs[i] = env.attachPSA(Cluster, d, hook)
 	}
 
-	// Run until the AMR finishes (chunked so we can detect stalls).
-	for !nea.Finished() {
+	err := env.run("simulation", cfg.MaxSimTime, func() error {
 		if nea.Err != nil {
-			return nil, fmt.Errorf("experiments: NEA error: %w", nea.Err)
+			return fmt.Errorf("experiments: NEA error at step %d: %w", nea.Step(), nea.Err)
 		}
 		if killed, why := nea.Killed(); killed {
-			return nil, fmt.Errorf("experiments: NEA killed: %s", why)
+			return fmt.Errorf("experiments: NEA killed at step %d: %s", nea.Step(), why)
 		}
-		if e.Now() > cfg.MaxSimTime {
-			return nil, fmt.Errorf("experiments: simulation exceeded %g s at step %d", cfg.MaxSimTime, nea.Step())
-		}
-		before := e.Processed()
-		e.Run(e.Now() + 3600)
-		if e.Processed() == before && !nea.Finished() {
-			return nil, fmt.Errorf("experiments: simulation stalled at t=%g, step %d", e.Now(), nea.Step())
-		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	for _, p := range psas {
 		if p.Err != nil {
@@ -236,16 +167,16 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 	res := &ScenarioResult{
 		Nodes:           nodes,
 		Neq:             neq,
-		AMRArea:         reader.Area(neaSess.AppID(), makespan),
+		AMRArea:         env.agg.Area(neaSess.AppID(), makespan),
 		AMRRuntime:      nea.EndTime - nea.StartTime,
-		AMRPreAllocArea: reader.PreAllocArea(neaSess.AppID(), makespan),
+		AMRPreAllocArea: env.agg.PreAllocArea(neaSess.AppID(), makespan),
 		Makespan:        makespan,
-		Events:          e.Processed(),
+		Events:          env.e.Processed(),
 	}
 	for i, p := range psas {
-		res.PSAArea = append(res.PSAArea, reader.Area(psaIDs[i], makespan))
+		res.PSAArea = append(res.PSAArea, env.agg.Area(psaIDs[i], makespan))
 		res.PSAWaste = append(res.PSAWaste, p.Waste())
 	}
-	res.UsedFraction = reader.UsedFraction(nodes, makespan)
+	res.UsedFraction = env.agg.UsedFraction(nodes, makespan)
 	return res, nil
 }

@@ -5,17 +5,12 @@ import (
 	"sort"
 	"strconv"
 
-	"coormv2/internal/apps"
-	"coormv2/internal/clock"
 	"coormv2/internal/core"
 	"coormv2/internal/federation"
-	"coormv2/internal/metrics"
 	"coormv2/internal/obs"
 	"coormv2/internal/rms"
-	"coormv2/internal/sim"
 	"coormv2/internal/stats"
 	"coormv2/internal/tenants"
-	"coormv2/internal/view"
 	"coormv2/internal/workload"
 )
 
@@ -129,24 +124,12 @@ func RunTenantsReplay(cfg TenantsReplayConfig) (*TenantsReplayResult, error) {
 	if cfg.GuaranteeFrac <= 0 || cfg.GuaranteeFrac > 1 {
 		cfg.GuaranteeFrac = 0.5
 	}
-	if cfg.MaxSimTime <= 0 {
-		cfg.MaxSimTime = 1e9
-	}
 
-	e := sim.NewEngine()
-	clk := clock.SimClock{E: e}
-	clusters := make(map[view.ClusterID]int, cfg.Shards)
-	for i := 0; i < cfg.Shards; i++ {
-		clusters[federatedCluster(i)] = cfg.NodesPerShard
-	}
-
+	names := federatedClusters(cfg.Shards)
 	// The queue tree: t0 guaranteed on every cluster, the rest best-effort.
-	perCluster := int(cfg.GuaranteeFrac * float64(cfg.NodesPerShard))
-	if perCluster < 1 {
-		perCluster = 1
-	}
+	perCluster := max(1, int(cfg.GuaranteeFrac*float64(cfg.NodesPerShard)))
 	guarantee := tenants.Resources{}
-	for cid := range clusters {
+	for _, cid := range names {
 		guarantee[cid] = perCluster
 	}
 	tree := tenants.NewTree()
@@ -154,106 +137,49 @@ func RunTenantsReplay(cfg TenantsReplayConfig) (*TenantsReplayResult, error) {
 	for k := 1; k < cfg.Tenants; k++ {
 		tree.MustAdd("t"+strconv.Itoa(k), nil, nil)
 	}
-
 	var scheduling func(int) core.SchedulingPolicy
 	if cfg.DRF {
 		scheduling = func(int) core.SchedulingPolicy { return tenants.NewDRF(tree) }
 	}
-	clientRec := metrics.NewRecorder()
-	recs := []*metrics.Recorder{clientRec}
-	fed := federation.New(federation.Config{
-		Clusters:        clusters,
-		Shards:          cfg.Shards,
-		ReschedInterval: 1,
-		Clock:           clk,
-		Scheduling:      scheduling,
-		Metrics: func(int) *metrics.Recorder {
-			r := metrics.NewRecorder()
-			recs = append(recs, r)
-			return r
-		},
-		Obs: cfg.Obs,
-	})
-	agg := metrics.NewAggregate(recs...)
+	env := buildRMS(names, cfg.NodesPerShard, cfg.Shards, federation.Config{Scheduling: scheduling, Obs: cfg.Obs})
 
 	// Scavenging PSAs, one per cluster, tagged with the best-effort tenants
 	// round-robin: the saturating preemptible load quota preemption revokes.
-	if cfg.PSATaskDur > 0 {
-		for i := 0; i < cfg.Shards; i++ {
-			p := apps.NewPSA(clk, apps.PSAConfig{
-				Cluster: federatedCluster(i), TaskDuration: cfg.PSATaskDur, Metrics: clientRec,
-			})
-			label := "t" + strconv.Itoa(1+i%(cfg.Tenants-1))
-			sess := fed.Connect(p, rms.WithTenant(label))
-			p.SetMetricsID(sess.AppID())
-			p.Attach(sess)
-		}
+	env.attachPSAPerCluster(cfg.PSATaskDur, func(i int) []rms.ConnectOption {
+		return []rms.ConnectOption{rms.WithTenant("t" + strconv.Itoa(1+i%(cfg.Tenants-1)))}
+	})
+	run := env.submitRigid(rigidTrace{
+		jobs: cfg.Jobs, event: "tenants.submit", serverFinish: true,
+		place: func(i int) (int, []rms.ConnectOption) {
+			return i % cfg.Shards, []rms.ConnectOption{rms.WithTenant(cfg.TenantOfJob(i))}
+		},
+	})
+	if err := env.run("tenants replay", cfg.MaxSimTime, nil); err != nil {
+		return nil, err
 	}
-
-	remaining := len(cfg.Jobs)
-	jobsPer := make(map[string]int, cfg.Tenants)
-	waits := make(map[string][]float64, cfg.Tenants)
-	completed := make(map[string]int, cfg.Tenants)
-	for i, j := range cfg.Jobs {
-		i, j := i, j
-		tenant := cfg.TenantOfJob(i)
-		jobsPer[tenant]++
-		cluster := i % cfg.Shards
-		n := j.Nodes
-		if n > cfg.NodesPerShard {
-			n = cfg.NodesPerShard
-		}
-		e.At(j.Submit, "tenants.submit", func() {
-			r := apps.NewRigid(clk, federatedCluster(cluster), n, j.Runtime)
-			w := &chaosRigid{Rigid: r}
-			w.settle = func(outcome string) {
-				if outcome == "completed" {
-					completed[tenant]++
-					wait := w.StartTime - j.Submit
-					if wait < 0 {
-						wait = 0
-					}
-					waits[tenant] = append(waits[tenant], wait)
-				}
-				remaining--
-				if remaining == 0 {
-					e.Stop()
-				}
-			}
-			sess := fed.Connect(w, rms.WithTenant(tenant))
-			r.Attach(sess)
-			if err := r.Submit(); err != nil {
-				w.settleOnce("rejected")
-			}
-		})
-	}
-
-	for remaining > 0 {
-		before := e.Processed()
-		e.Run(e.Now() + 3600)
-		if remaining == 0 {
-			break
-		}
-		if e.Now() > cfg.MaxSimTime {
-			return nil, fmt.Errorf("experiments: tenants replay exceeded %g s (remaining=%d)", cfg.MaxSimTime, remaining)
-		}
-		if e.Processed() == before && e.Pending() == 0 {
-			return nil, fmt.Errorf("experiments: tenants replay stalled at t=%g (remaining=%d)", e.Now(), remaining)
-		}
-	}
+	fed, agg := env.fed, env.agg
 	if err := fed.CheckInvariants(); err != nil {
 		return nil, fmt.Errorf("experiments: post-run invariant violated: %w", err)
 	}
 
+	jobsPer := make(map[string]int, cfg.Tenants)
+	waits := make(map[string][]float64, cfg.Tenants)
+	for i, f := range run.fates {
+		tenant := cfg.TenantOfJob(i)
+		jobsPer[tenant]++
+		if f.outcome == "completed" {
+			waits[tenant] = append(waits[tenant], f.wait)
+		}
+	}
 	preempts := fed.TenantPreempts()
-	res := &TenantsReplayResult{Makespan: e.Now(), Events: e.Processed()}
+	res := &TenantsReplayResult{Makespan: env.e.Now(), Events: env.e.Processed()}
 	means := make([]float64, 0, cfg.Tenants)
 	for k := 0; k < cfg.Tenants; k++ {
 		label := "t" + strconv.Itoa(k)
 		st := TenantStat{
 			Tenant:    label,
 			Jobs:      jobsPer[label],
-			Completed: completed[label],
+			Completed: len(waits[label]),
 			Preempts:  preempts[label],
 		}
 		if k == 0 {

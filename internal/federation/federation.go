@@ -171,14 +171,13 @@ type Federator struct {
 	// rms.ClusterSnapshot.
 	failedNodes map[view.ClusterID][]int
 
-	// Merge-cache counters (atomics: sessions record them under sess.mu,
-	// which is per-session). remergedShards counts shard views whose epoch
-	// had advanced at merge time (the dirty views that forced work);
-	// cleanShards counts shard views whose epoch had not. A merge with zero
-	// dirty views returns the cached result with no work; a merge with any
-	// dirty view re-folds every shard view into fresh maps (cheap map union
-	// of cached immutable profiles), so the clean count measures update
-	// locality, not work avoided within a rebuild.
+	// Merge counters (atomics: sessions record them under sess.mu, which is
+	// per-session). remergedShards counts shard views that had been replaced
+	// since the session's previous merge (the dirty views that forced the
+	// merge); cleanShards counts shard views that had not. Every merge
+	// re-folds every shard view into fresh maps (cheap map union of immutable
+	// profiles), so the clean count measures update locality, not work
+	// avoided.
 	remergedShards atomic.Int64
 	cleanShards    atomic.Int64
 
@@ -201,9 +200,9 @@ type Federator struct {
 }
 
 // noteMerge records one merged-view delivery in which `dirty` of `total`
-// shard views carried an advanced epoch. When federation metrics are
-// enabled the split surfaces as RemergedShardViews/ReusedShardViews under
-// the pseudo-app 0.
+// shard views had been replaced since the previous one. When federation
+// metrics are enabled the split surfaces as RemergedShardViews/
+// ReusedShardViews under the pseudo-app 0.
 func (f *Federator) noteMerge(dirty, total int) {
 	f.remergedShards.Add(int64(dirty))
 	f.cleanShards.Add(int64(total - dirty))
@@ -214,9 +213,8 @@ func (f *Federator) noteMerge(dirty, total int) {
 }
 
 // MergeStats returns the cumulative merge counters: shard views that were
-// dirty (epoch advanced) versus clean at merge time, across every
-// session's merged-view deliveries. Deliveries with clean == total were
-// served from cache with no work at all.
+// dirty (replaced since the session's previous merge) versus clean at merge
+// time, across every session's merged-view deliveries.
 func (f *Federator) MergeStats() (dirty, clean int64) {
 	return f.remergedShards.Load(), f.cleanShards.Load()
 }
@@ -419,7 +417,7 @@ func (f *Federator) Connect(h rms.AppHandler, opts ...rms.ConnectOption) *Sessio
 		subs:       make([]*rms.Session, len(f.shards)),
 		shardDown:  make([]bool, len(f.shards)),
 		shardViews: make([][2]view.View, len(f.shards)),
-		shardEpoch: make([]uint64, len(f.shards)),
+		shardDirty: make([]bool, len(f.shards)),
 		toLocal:    make(map[request.ID]*fedReq),
 		fromLocal:  make([]map[request.ID]request.ID, len(f.shards)),
 		queues:     make([][]request.ID, len(f.shards)),

@@ -194,6 +194,6 @@ func (s *Session) noteClusterMoved(cid view.ClusterID, from int) {
 			}
 		}
 	}
-	s.shardEpoch[from]++
+	s.shardDirty[from] = true
 	s.viewsDirty = true
 }

@@ -102,23 +102,14 @@ type Session struct {
 
 	// shardViews holds the latest views pushed by each shard; merged pushes
 	// are serialized by the delivering/viewsDirty pair so a slow handler
-	// never observes an older merge after a newer one. shardEpoch advances
-	// on every stored-view change (push, crash zeroing, migration strip):
-	// the merge cache re-merges exactly the shards whose epoch moved.
+	// never observes an older merge after a newer one. shardDirty marks the
+	// shards whose stored views were replaced (push, crash zeroing,
+	// migration strip) since the previous merge; it only feeds the
+	// federator's merge counters.
 	shardViews [][2]view.View
-	shardEpoch []uint64
+	shardDirty []bool
 	viewsDirty bool
 	delivering bool
-
-	// Epoch-cached merge state: the last merged maps and the epoch each
-	// shard was merged at. When no epoch advanced the cached maps are
-	// returned with no work at all; when any did, the union is rebuilt into
-	// fresh maps — delivered maps are never mutated afterwards, so
-	// applications can retain them like they always could.
-	mergedOK    bool
-	mergedNP    view.View
-	mergedP     view.View
-	mergedEpoch []uint64
 }
 
 // AppID returns the federated application ID (identical on every shard).
@@ -406,7 +397,7 @@ func (s *Session) absorbCrash(shard int, pol RecoveryPolicy) (affected bool, req
 	s.subs[shard] = nil
 	s.shardDown[shard] = true
 	s.shardViews[shard] = [2]view.View{}
-	s.shardEpoch[shard]++
+	s.shardDirty[shard] = true
 	s.viewsDirty = true
 	// Ascending federated-ID order: deterministic, and it guarantees a
 	// relation's parent (always a smaller ID) is processed first.
@@ -802,7 +793,7 @@ func (h *shardHandler) OnViews(np, p view.View) {
 	s := h.sess
 	s.mu.Lock()
 	s.shardViews[h.shard] = [2]view.View{np, p}
-	s.shardEpoch[h.shard]++
+	s.shardDirty[h.shard] = true
 	s.viewsDirty = true
 	s.deliverViewsLocked()
 }
@@ -813,15 +804,13 @@ func (h *shardHandler) OnViews(np, p view.View) {
 // With a single shard the shard's views are forwarded as-is, keeping a
 // 1-shard federation byte-identical to a single RMS.
 //
-// The merge is epoch-cached: each stored shard view carries an epoch, and
-// when no epoch advanced since the last merge the cached maps are returned
-// with no work at all (crash/migration sweeps call pushMerged on every
-// session; only the affected ones pay anything). When some epoch did
-// advance the union is rebuilt into fresh pre-sized maps — rebuilding
-// beats patching the cached maps in place, because patching would have to
-// clone them first anyway (the previous result was handed to the
-// application, which may retain it). The per-shard dirty/clean split is
-// reported to the federator's merge counters.
+// Every merge builds the union into fresh pre-sized maps: the previous
+// result was handed to the application, which may retain it, so it is never
+// patched in place. (A merge only runs when viewsDirty was set, and every
+// site that sets it replaces some shard's views, so there is never an
+// unchanged result to reuse.) How many shard views were replaced since the
+// previous merge, versus carried over, is reported to the federator's merge
+// counters.
 func (s *Session) mergedLocked() (np, p view.View) {
 	if len(s.shardViews) == 1 {
 		v := s.shardViews[0]
@@ -830,19 +819,6 @@ func (s *Session) mergedLocked() (np, p view.View) {
 			return view.New(), view.New()
 		}
 		return v[0], v[1]
-	}
-	if s.mergedEpoch == nil {
-		s.mergedEpoch = make([]uint64, len(s.shardViews))
-	}
-	dirty := 0
-	for i := range s.shardViews {
-		if s.mergedEpoch[i] != s.shardEpoch[i] {
-			dirty++
-		}
-	}
-	if s.mergedOK && dirty == 0 {
-		s.f.noteMerge(0, len(s.shardViews))
-		return s.mergedNP, s.mergedP
 	}
 	var mergeT0 float64
 	if s.f.hMerge != nil {
@@ -854,6 +830,7 @@ func (s *Session) mergedLocked() (np, p view.View) {
 		nP += len(sv[1])
 	}
 	np, p = make(view.View, nNP), make(view.View, nP)
+	dirty := 0
 	for i, sv := range s.shardViews {
 		for cid, f := range sv[0] {
 			np[cid] = f
@@ -861,17 +838,16 @@ func (s *Session) mergedLocked() (np, p view.View) {
 		for cid, f := range sv[1] {
 			p[cid] = f
 		}
-		s.mergedEpoch[i] = s.shardEpoch[i]
+		if s.shardDirty[i] {
+			s.shardDirty[i] = false
+			dirty++
+		}
 	}
-	s.mergedNP, s.mergedP = np, p
-	s.mergedOK = true
 	s.f.noteMerge(dirty, len(s.shardViews))
 	if s.f.hMerge != nil {
 		// Clock-measured rebuild latency: zero inside the simulator (time
 		// never advances mid-event, keeping same-seed snapshots identical),
-		// real microseconds under clock.RealClock. Cache hits above are not
-		// recorded — the histogram measures rebuild cost, the fed.merge
-		// counters measure hit rate.
+		// real microseconds under clock.RealClock.
 		dur := s.f.clk.Now() - mergeT0
 		s.f.hMerge.Record(dur)
 		s.f.obsReg.Event(obs.Event{Time: mergeT0, Type: obs.EvMerge, App: s.id, Value: dur})

@@ -66,13 +66,12 @@ const (
 	// it under application ID 0 — the pseudo-app standing for the federation
 	// itself, since a migration is not attributable to one application.
 	MigratedClusters
-	// RemergedShardViews counts shard views whose epoch had advanced when a
-	// session's merged view was delivered (the dirty views that forced a
-	// merge); ReusedShardViews counts shard views whose epoch had not. A
-	// delivery with no dirty views is served from the merge cache with no
-	// work; one with any dirty view rebuilds the union, so the split
-	// measures update locality across the fleet. Federation-level counters
-	// (pseudo-app 0) for the epoch-cached view merge.
+	// RemergedShardViews counts shard views that had been replaced since the
+	// session's previous merge when its merged view was delivered (the dirty
+	// views that forced the merge); ReusedShardViews counts shard views that
+	// had not. Every delivery rebuilds the union, so the split measures
+	// update locality across the fleet, not work avoided. Federation-level
+	// counters (pseudo-app 0).
 	RemergedShardViews
 	ReusedShardViews
 	// FailedNodes / RecoveredNodes count individual node failures and

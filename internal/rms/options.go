@@ -1,97 +1,11 @@
 package rms
 
 import (
-	"coormv2/internal/clock"
-	"coormv2/internal/core"
 	"coormv2/internal/metrics"
 	"coormv2/internal/obs"
 	"coormv2/internal/request"
 	"coormv2/internal/view"
 )
-
-// Option configures a Server at construction. Options consolidate what
-// used to be scattered knobs — the preemptible-division policy, node
-// recovery, full-recompute mode, the obs registry, pool-debug panics —
-// into one composable configuration surface:
-//
-//	s := rms.NewServerWith(clusters, clk,
-//		rms.WithMetrics(rec),
-//		rms.WithScheduling(tenants.NewDRF(tree)),
-//		rms.WithObs(reg, "shard0"))
-//
-// Building a Config literal and calling NewServer remains supported; an
-// Option is just a function mutating that Config.
-type Option func(*Config)
-
-// WithReschedInterval sets the §3.2 re-scheduling interval in seconds.
-func WithReschedInterval(d float64) Option {
-	return func(c *Config) { c.ReschedInterval = d }
-}
-
-// WithPolicy selects the preemptible division policy (default: filling).
-func WithPolicy(p core.PreemptPolicy) Option {
-	return func(c *Config) { c.Policy = p }
-}
-
-// WithGracePeriod sets how long an application may hold more preemptible
-// resources than granted before it is killed.
-func WithGracePeriod(d float64) Option {
-	return func(c *Config) { c.GracePeriod = d }
-}
-
-// WithClip limits every application's non-preemptive view.
-func WithClip(v view.View) Option {
-	return func(c *Config) { c.Clip = v }
-}
-
-// WithMetrics attaches an allocation-metrics recorder.
-func WithMetrics(m *metrics.Recorder) Option {
-	return func(c *Config) { c.Metrics = m }
-}
-
-// WithObs attaches an observability registry; label prefixes the
-// server's metric names and stamps its events (empty for a standalone
-// RMS).
-func WithObs(reg *obs.Registry, label string) Option {
-	return func(c *Config) { c.Obs = reg; c.ObsLabel = label }
-}
-
-// WithFullRecompute disables incremental recomputation: every round
-// recomputes from scratch (differential testing; production leaves it
-// off).
-func WithFullRecompute(on bool) Option {
-	return func(c *Config) { c.FullRecompute = on }
-}
-
-// WithNodeRecovery selects what happens to started non-preemptible
-// requests whose nodes die.
-func WithNodeRecovery(p NodeRecoveryPolicy) Option {
-	return func(c *Config) { c.NodeRecovery = p }
-}
-
-// WithScheduling installs an application ordering/admission policy
-// (internal/tenants provides the DRF queue-hierarchy policy). A nil
-// policy keeps the default connection-order FIFO.
-func WithScheduling(p core.SchedulingPolicy) Option {
-	return func(c *Config) { c.Scheduling = p }
-}
-
-// WithPoolDebugPanics turns node-ID pool accounting violations into
-// panics (fail-stop debugging). The underlying switch is process-global;
-// see Config.PoolDebugPanics.
-func WithPoolDebugPanics(on bool) Option {
-	return func(c *Config) { c.PoolDebugPanics = on }
-}
-
-// NewServerWith constructs a Server from the two mandatory inputs and
-// functional options.
-func NewServerWith(clusters map[view.ClusterID]int, clk clock.Clock, opts ...Option) *Server {
-	cfg := Config{Clusters: clusters, Clock: clk}
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	return NewServer(cfg)
-}
 
 // ConnectOption configures a session at Connect/ConnectID time.
 type ConnectOption func(*connectOpts)

@@ -38,10 +38,10 @@ func TestQuotaPreemptionRecoversGuarantee(t *testing.T) {
 	e := sim.NewEngine()
 	rec := metrics.NewRecorder()
 	reg := obs.NewRegistry()
-	s := NewServerWith(map[view.ClusterID]int{c0: 12}, clock.SimClock{E: e},
-		WithScheduling(tenants.NewDRF(tree)),
-		WithMetrics(rec),
-		WithObs(reg, ""))
+	s := NewServer(Config{
+		Clusters: map[view.ClusterID]int{c0: 12}, Clock: clock.SimClock{E: e},
+		Scheduling: tenants.NewDRF(tree), Metrics: rec, Obs: reg,
+	})
 
 	var batch [2]*finishWatcher
 	for i := range batch {

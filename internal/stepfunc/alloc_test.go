@@ -141,14 +141,6 @@ func TestDifferentialMergeVsNaive(t *testing.T) {
 		}
 		check("AddRect", f.AddRect(t0, dur, n), naiveAddRect(f, t0, dur, n))
 
-		// Into variants write through a reused destination.
-		dst := &StepFunc{}
-		check("AddInto", f.AddInto(g, dst), naiveAdd(f, g))
-		check("SubInto", f.SubInto(g, dst), naiveSub(f, g))
-		check("MinInto", f.MinInto(g, dst), naiveMin(f, g))
-		check("MaxInto", f.MaxInto(g, dst), naiveMax(f, g))
-		check("AddRectInto", f.AddRectInto(t0, dur, n, dst), naiveAddRect(f, t0, dur, n))
-
 		// SumAll against a fold of naive Adds.
 		fs := []*StepFunc{f, g, randProfile(r), randProfile(r), randProfile(r)}
 		want := Zero()
@@ -224,8 +216,7 @@ func TestOperationsStayNormalized(t *testing.T) {
 
 // ---------------------------------------------------------------------------
 // Allocation-regression tests: the merge-based core must do exactly one
-// exact-capacity slice allocation plus one header per fresh result, and
-// none at all for the Into variants once the destination has capacity.
+// exact-capacity slice allocation plus one header per fresh result.
 // ---------------------------------------------------------------------------
 
 func TestAllocsBinaryOps(t *testing.T) {
@@ -252,32 +243,6 @@ func TestAllocsBinaryOps(t *testing.T) {
 		})
 		if got > c.max {
 			t.Errorf("%s: %v allocs/op, want <= %v", c.name, got, c.max)
-		}
-	}
-}
-
-func TestAllocsIntoOpsZero(t *testing.T) {
-	f := FromSteps(Step{3600, 4}, Step{3600, 3}, Step{1800, 7})
-	g := FromSteps(Step{1200, 2}, Step{4000, 5}, Step{900, 1})
-	dst := f.Add(g) // pre-size the destination
-	cases := []struct {
-		name string
-		op   func() *StepFunc
-	}{
-		{"AddInto", func() *StepFunc { return f.AddInto(g, dst) }},
-		{"SubInto", func() *StepFunc { return f.SubInto(g, dst) }},
-		{"MinInto", func() *StepFunc { return f.MinInto(g, dst) }},
-		{"MaxInto", func() *StepFunc { return f.MaxInto(g, dst) }},
-		{"AddRectInto", func() *StepFunc { return f.AddRectInto(600, 5000, 3, dst) }},
-	}
-	for _, c := range cases {
-		got := testing.AllocsPerRun(200, func() {
-			if c.op() == nil {
-				t.Fatal("nil result")
-			}
-		})
-		if got != 0 {
-			t.Errorf("%s: %v allocs/op, want 0", c.name, got)
 		}
 	}
 }

@@ -14,8 +14,8 @@
 // normalized (strictly increasing times, no repeated values), so every
 // binary operation emits its result already normalized, with exactly one
 // slice allocation of exact capacity. Hot callers can go further with the
-// *Into variants and the Builder, which reuse caller-owned storage, and
-// with SumAll, which folds any number of operands in one k-way pass.
+// Builder, which reuses caller-owned storage, and with SumAll, which folds
+// any number of operands in one k-way pass.
 package stepfunc
 
 import (
@@ -43,8 +43,7 @@ type StepFunc struct {
 }
 
 // zeroFunc is the shared constant-zero function. Sharing is safe because
-// StepFunc values are immutable; the *Into variants explicitly refuse to
-// write into it.
+// StepFunc values are immutable.
 var zeroFunc = &StepFunc{}
 
 // Zero returns the constant-zero step function.
@@ -286,21 +285,6 @@ func newCombined(f, g *StepFunc, op opCode) *StepFunc {
 	return ownPts(pts)
 }
 
-// combineInto stores op(f, g) into dst, reusing dst's storage, and returns
-// dst. When dst aliases an operand (or is the shared zero) a fresh function
-// is returned instead; callers must therefore always use the return value.
-func combineInto(f, g, dst *StepFunc, op opCode) *StepFunc {
-	if dst == nil || dst == zeroFunc || dst == f || dst == g {
-		return newCombined(f, g, op)
-	}
-	pts := appendCombined(dst.pts[:0], f.pts, g.pts, op)
-	if len(pts) == 0 || (len(pts) == 1 && pts[0].n == 0) {
-		pts = pts[:0]
-	}
-	dst.pts = pts
-	return dst
-}
-
 // Add returns f + g (the paper's view sum).
 func (f *StepFunc) Add(g *StepFunc) *StepFunc { return newCombined(f, g, opAdd) }
 
@@ -314,18 +298,6 @@ func (f *StepFunc) Max(g *StepFunc) *StepFunc { return newCombined(f, g, opMax) 
 // (§3.2: "the amount of resources that an application can pre-allocate can
 // be limited, by clipping its non-preemptible view").
 func (f *StepFunc) Min(g *StepFunc) *StepFunc { return newCombined(f, g, opMin) }
-
-// AddInto stores f + g into dst (see combineInto for the reuse contract).
-func (f *StepFunc) AddInto(g, dst *StepFunc) *StepFunc { return combineInto(f, g, dst, opAdd) }
-
-// SubInto stores f − g into dst (see combineInto for the reuse contract).
-func (f *StepFunc) SubInto(g, dst *StepFunc) *StepFunc { return combineInto(f, g, dst, opSub) }
-
-// MaxInto stores max(f, g) into dst (see combineInto for the reuse contract).
-func (f *StepFunc) MaxInto(g, dst *StepFunc) *StepFunc { return combineInto(f, g, dst, opMax) }
-
-// MinInto stores min(f, g) into dst (see combineInto for the reuse contract).
-func (f *StepFunc) MinInto(g, dst *StepFunc) *StepFunc { return combineInto(f, g, dst, opMin) }
 
 // SumAll returns the pointwise sum of all the functions in one k-way merge
 // pass, instead of the N-1 intermediate functions a fold over Add would
@@ -451,35 +423,6 @@ func (f *StepFunc) AddRect(t0, dur float64, n int) *StepFunc {
 	rect := appendRectPts(buf[:0], t0, dur, n)
 	pts := appendCombined(make([]point, 0, len(f.pts)+len(rect)), f.pts, rect, opAdd)
 	return ownPts(pts)
-}
-
-// AddRectInto stores f plus the rectangle into dst (see combineInto for the
-// reuse contract).
-func (f *StepFunc) AddRectInto(t0, dur float64, n int, dst *StepFunc) *StepFunc {
-	if t0 < 0 {
-		panic("stepfunc: negative rect start")
-	}
-	if dur < 0 {
-		panic("stepfunc: negative rect duration")
-	}
-	if dur == 0 || n == 0 {
-		if dst == nil || dst == zeroFunc || dst == f {
-			return f
-		}
-		dst.pts = append(dst.pts[:0], f.pts...)
-		return dst
-	}
-	var buf [3]point
-	rect := appendRectPts(buf[:0], t0, dur, n)
-	if dst == nil || dst == zeroFunc || dst == f {
-		return ownPts(appendCombined(make([]point, 0, len(f.pts)+len(rect)), f.pts, rect, opAdd))
-	}
-	pts := appendCombined(dst.pts[:0], f.pts, rect, opAdd)
-	if len(pts) == 1 && pts[0].n == 0 {
-		pts = pts[:0]
-	}
-	dst.pts = pts
-	return dst
 }
 
 // appendRectPts appends the normalized points of Rect(t0, dur, n) onto dst.

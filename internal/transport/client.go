@@ -306,7 +306,9 @@ func (c *Client) call(m proto.Message) (*proto.Message, error) {
 			return nil, res.err
 		}
 		if res.m.Type == proto.MsgError {
-			return nil, fmt.Errorf("rms: %s", res.m.Reason)
+			// The reason is the server-side error's full text and already
+			// names its origin ("rms: request 7 not found").
+			return nil, errors.New(res.m.Reason)
 		}
 		return res.m, nil
 	case <-deadline:

@@ -138,8 +138,9 @@ func TestRequestErrorsPropagate(t *testing.T) {
 	if _, err := c.Request(rms.RequestSpec{Cluster: "bogus", N: 1, Duration: 1, Type: request.NonPreempt}); err == nil {
 		t.Error("unknown cluster should error over the wire")
 	}
-	if err := c.Done(12345, nil); err == nil {
-		t.Error("bogus done should error over the wire")
+	// The server's reason arrives as is: one "rms: " prefix, not two.
+	if err := c.Done(12345, nil); err == nil || err.Error() != "rms: request 12345 not found" {
+		t.Errorf("bogus done over the wire: %v, want \"rms: request 12345 not found\"", err)
 	}
 	// The session survives errors.
 	if _, err := c.Request(rms.RequestSpec{Cluster: c0, N: 1, Duration: 10, Type: request.NonPreempt}); err != nil {
