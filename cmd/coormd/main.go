@@ -16,21 +16,22 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"net"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"coormv2/internal/clock"
 	"coormv2/internal/core"
 	"coormv2/internal/federation"
-	"coormv2/internal/metrics"
 	"coormv2/internal/obs"
 	"coormv2/internal/rms"
 	"coormv2/internal/transport"
@@ -61,81 +62,81 @@ func (c clusterFlags) Set(s string) error {
 	return nil
 }
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main without the process: it starts the daemon and serves until
+// the listener is closed. Exit code 2 is a usage error, 1 a runtime failure.
+// The daemon only logs, so nothing is written to stdout.
+func run(args []string, _, stderr io.Writer) int {
+	d, code := start(args, stderr)
+	if d == nil {
+		return code
+	}
+	defer d.Close()
+	if err := d.srv.Serve(); err != nil {
+		fmt.Fprintf(stderr, "coormd: %v\n", err)
+		return 1
+	}
+	return 0
+}
+
+// daemon is a started coormd: the RMS protocol listener (bound, not yet
+// serving) and, with -pprof, the pprof/obs side listener (serving).
+type daemon struct {
+	srv   *transport.Server
+	addr  string       // RMS protocol address
+	obsLn net.Listener // pprof/obs side listener; nil when off
+}
+
+// Close stops both listeners.
+func (d *daemon) Close() {
+	d.srv.Close()
+	if d.obsLn != nil {
+		d.obsLn.Close()
+	}
+}
+
+// start parses args, builds the RMS (federated with -shards > 1) and binds
+// the listeners. Logs and errors go to stderr; on failure it returns nil and
+// the exit code.
+func start(args []string, stderr io.Writer) (*daemon, int) {
+	logger := log.New(stderr, "", log.LstdFlags)
 	clusters := clusterFlags{}
+	fs := flag.NewFlagSet("coormd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		listen   = flag.String("listen", "127.0.0.1:7777", "TCP listen address")
-		interval = flag.Float64("interval", 1, "re-scheduling interval in seconds (§3.2)")
-		grace    = flag.Float64("grace", 0, "preemption grace period in seconds (0 = 5×interval)")
-		strict   = flag.Bool("strict", false, "use strict equi-partitioning instead of filling")
-		shards   = flag.Int("shards", 1, "scheduler shards; >1 federates the cluster set across independent schedulers")
-		workers  = flag.Int("workers", 0, "admission limit: max concurrently served application sessions; further connections wait unserved until one ends (0 = unlimited)")
-		pprofOn  = flag.String("pprof", "", "side listener for net/http/pprof (e.g. 127.0.0.1:6060; empty = off), so scheduling hot paths can be profiled against the live daemon")
-		graceWin = flag.Duration("grace-window", 15*time.Second, "how long a session whose connection dropped survives awaiting a resume (0 = tear down immediately, no resume)")
-		writeQ   = flag.Int("write-queue", 0, "per-connection outbound frame queue; a client that falls this many frames behind is evicted into the grace window (0 = default 256)")
-		maxFrame = flag.Int("max-frame", 0, "received frame size cap in bytes; oversized frames are skipped and reported as structured errors (0 = default 4 MiB)")
+		listen   = fs.String("listen", "127.0.0.1:7777", "TCP listen address")
+		interval = fs.Float64("interval", 1, "re-scheduling interval in seconds (§3.2)")
+		grace    = fs.Float64("grace", 0, "preemption grace period in seconds (0 = 5×interval)")
+		strict   = fs.Bool("strict", false, "use strict equi-partitioning instead of filling")
+		shards   = fs.Int("shards", 1, "scheduler shards; >1 federates the cluster set across independent schedulers")
+		workers  = fs.Int("workers", 0, "admission limit: max concurrently served application sessions; further connections wait unserved until one ends (0 = unlimited)")
+		pprofOn  = fs.String("pprof", "", "side listener for net/http/pprof (e.g. 127.0.0.1:6060; empty = off), so scheduling hot paths can be profiled against the live daemon")
+		graceWin = fs.Duration("grace-window", 15*time.Second, "how long a session whose connection dropped survives awaiting a resume (0 = tear down immediately, no resume)")
+		writeQ   = fs.Int("write-queue", 0, "per-connection outbound frame queue; a client that falls this many frames behind is evicted into the grace window (0 = default 256)")
+		maxFrame = fs.Int("max-frame", 0, "received frame size cap in bytes; oversized frames are skipped and reported as structured errors (0 = default 4 MiB)")
 	)
-	flag.Var(clusters, "cluster", "cluster as name=nodes (repeatable)")
-	flag.Parse()
+	fs.Var(clusters, "cluster", "cluster as name=nodes (repeatable)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil, 0
+		}
+		return nil, 2
+	}
 
 	if len(clusters) == 0 {
 		clusters["default"] = 64
 	}
 	clk := clock.NewRealClock()
+	// Every layer registers its counters and histograms with this one
+	// registry (rms and federation at construction, transport in Serve);
+	// the side listener below only exports it.
 	reg := obs.NewRegistry()
-	var recsMu sync.Mutex
-	var recs []*metrics.Recorder
-	newRecorder := func() *metrics.Recorder {
-		r := metrics.NewRecorder()
-		recsMu.Lock()
-		recs = append(recs, r)
-		recsMu.Unlock()
-		return r
-	}
-	reg.RegisterCounters("metrics", func() map[string]int64 {
-		recsMu.Lock()
-		defer recsMu.Unlock()
-		tot := make(map[string]int64)
-		for _, r := range recs {
-			for k, v := range r.Totals() {
-				tot[k] += v
-			}
-		}
-		return tot
-	})
-	if *pprofOn != "" {
-		// net/http/pprof registers its handlers on the default mux; serve
-		// it on a dedicated side listener so profiling endpoints are never
-		// exposed on the RMS protocol port. The observability endpoints
-		// share the listener: /metrics (Prometheus text) and /debug/obs
-		// (JSON snapshot + structured event ring).
-		http.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			if err := reg.Snapshot(clk.Now()).WritePrometheus(w); err != nil {
-				log.Printf("coormd: /metrics: %v", err)
-			}
-		})
-		http.HandleFunc("/debug/obs", func(w http.ResponseWriter, _ *http.Request) {
-			js, err := reg.Snapshot(clk.Now()).JSON()
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-				return
-			}
-			w.Header().Set("Content-Type", "application/json")
-			w.Write(js)
-		})
-		go func() {
-			log.Printf("coormd: pprof/obs listening on http://%s/debug/pprof/ /metrics /debug/obs", *pprofOn)
-			if err := http.ListenAndServe(*pprofOn, nil); err != nil {
-				log.Printf("coormd: pprof listener failed: %v", err)
-			}
-		}()
-	}
 	policy := core.EquiPartitionFilling
 	if *strict {
 		policy = core.StrictEquiPartition
 	}
-	var d *transport.Server
+	d := &daemon{}
 	topology := clusters.String()
 	if *shards > 1 {
 		fed := federation.New(federation.Config{
@@ -145,10 +146,9 @@ func main() {
 			GracePeriod:     *grace,
 			Clock:           clk,
 			Policy:          policy,
-			Metrics:         func(int) *metrics.Recorder { return newRecorder() },
 			Obs:             reg,
 		})
-		d = transport.NewFederatedServer(fed)
+		d.srv = transport.NewFederatedServer(fed)
 		var shardDesc []string
 		for i := 0; i < fed.NumShards(); i++ {
 			shardDesc = append(shardDesc, fmt.Sprintf("shard%d=%s",
@@ -156,30 +156,58 @@ func main() {
 		}
 		topology = strings.Join(shardDesc, " ")
 	} else {
-		srv := rms.NewServer(rms.Config{
+		d.srv = transport.NewServer(rms.NewServer(rms.Config{
 			Clusters:        clusters,
 			ReschedInterval: *interval,
 			GracePeriod:     *grace,
 			Clock:           clk,
 			Policy:          policy,
-			Metrics:         newRecorder(),
 			Obs:             reg,
+		}))
+	}
+	d.srv.Logf = logger.Printf
+	d.srv.Workers = *workers
+	d.srv.Grace = *graceWin
+	d.srv.WriteQueue = *writeQ
+	d.srv.MaxFrame = *maxFrame
+	d.srv.Obs = reg
+	var err error
+	if d.addr, err = d.srv.Listen(*listen); err != nil {
+		fmt.Fprintf(stderr, "coormd: %v\n", err)
+		return nil, 1
+	}
+	if *pprofOn != "" {
+		// A dedicated side listener, so profiling endpoints are never
+		// exposed on the RMS protocol port. The observability endpoints
+		// share it: /metrics (Prometheus text) and /debug/obs (JSON
+		// snapshot + structured event ring). net/http/pprof registered
+		// itself on the default mux, which is mounted for its paths only.
+		mux := http.NewServeMux()
+		mux.Handle("/debug/pprof/", http.DefaultServeMux)
+		mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+			if err := reg.Snapshot(clk.Now()).WritePrometheus(w); err != nil {
+				logger.Printf("coormd: /metrics: %v", err)
+			}
 		})
-		d = transport.NewServer(srv)
+		mux.HandleFunc("/debug/obs", func(w http.ResponseWriter, _ *http.Request) {
+			js, err := reg.Snapshot(clk.Now()).JSON()
+			if err != nil {
+				http.Error(w, err.Error(), http.StatusInternalServerError)
+				return
+			}
+			w.Header().Set("Content-Type", "application/json")
+			w.Write(js)
+		})
+		if d.obsLn, err = net.Listen("tcp", *pprofOn); err != nil {
+			d.srv.Close()
+			fmt.Fprintf(stderr, "coormd: pprof listener: %v\n", err)
+			return nil, 1
+		}
+		go http.Serve(d.obsLn, mux)
+		logger.Printf("coormd: pprof/obs listening on http://%s/debug/pprof/ /metrics /debug/obs", d.obsLn.Addr())
 	}
-	d.Workers = *workers
-	d.Grace = *graceWin
-	d.WriteQueue = *writeQ
-	d.MaxFrame = *maxFrame
-	d.Obs = reg
-	addr, err := d.Listen(*listen)
-	if err != nil {
-		log.Fatalf("coormd: %v", err)
-	}
-	log.Printf("coormd: serving %s on %s (policy %s, interval %gs, workers %d, grace window %s)",
-		topology, addr, policy, *interval, *workers, *graceWin)
-	if err := d.Serve(); err != nil {
-		log.Printf("coormd: %v", err)
-		os.Exit(1)
-	}
+	logger.Printf("coormd: serving %s on %s (policy %s, interval %gs, workers %d, grace window %s)",
+		topology, d.addr, policy, *interval, *workers, *graceWin)
+	return d, 0
 }

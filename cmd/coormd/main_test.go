@@ -1,0 +1,220 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net"
+	"net/http"
+	"regexp"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"coormv2/internal/obs"
+	"coormv2/internal/request"
+	"coormv2/internal/rms"
+	"coormv2/internal/transport"
+	"coormv2/internal/view"
+)
+
+// lockedBuffer is a bytes.Buffer the daemon's goroutines can log into.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
+func TestUsageErrorsExit2(t *testing.T) {
+	for _, args := range [][]string{
+		{"-no-such-flag"},
+		{"-cluster", "a"},
+		{"-cluster", "a=0"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 2 {
+			t.Errorf("%v: exit code %d, want 2", args, code)
+		}
+		if stdout.Len() != 0 || stderr.Len() == 0 {
+			t.Errorf("%v: stdout %q, stderr %q; want a diagnostic on stderr only", args, &stdout, &stderr)
+		}
+	}
+}
+
+func TestListenFailureExits1(t *testing.T) {
+	taken, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer taken.Close()
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-listen", taken.Addr().String()}, &stdout, &stderr); code != 1 {
+		t.Errorf("exit code %d, want 1 (stderr %q)", code, &stderr)
+	}
+}
+
+// startedApp is the client side of `coormctl run`: it waits for its start.
+type startedApp struct{ started chan []int }
+
+func (a *startedApp) OnViews(_, _ view.View) {}
+func (a *startedApp) OnKill(string)          {}
+func (a *startedApp) OnStart(_ request.ID, nodeIDs []int) {
+	a.started <- nodeIDs
+}
+
+// renamedCounters maps every counter key a 2-shard daemon served before the
+// fault/recovery counters left internal/metrics (the "metrics" and
+// "fed.merge" groups) to the key that serves the same count now. Per-shard
+// keys exist once per shard; "shard0" stands for all of them.
+var renamedCounters = map[string]string{
+	"metrics.killed-sessions":        "fed.killed_sessions",
+	"metrics.requeued-requests":      "fed.requeued_requests",
+	"metrics.replayed-requests":      "fed.replayed_requests",
+	"metrics.dropped-requests":       "fed.dropped_requests",
+	"metrics.migrated-clusters":      "fed.migrated_clusters",
+	"metrics.gang-committed":         "fed.gang_committed",
+	"metrics.gang-aborted":           "fed.gang_aborted",
+	"metrics.gang-retried":           "fed.gang_retried",
+	"metrics.remerged-shard-views":   "fed.remerged_shard_views",
+	"metrics.reused-shard-views":     "fed.reused_shard_views",
+	"fed.merge.remerged_shard_views": "fed.remerged_shard_views",
+	"fed.merge.reused_shard_views":   "fed.reused_shard_views",
+	"metrics.churn-requests":         "shard0.rms.churn_requests",
+	"metrics.migrated-requests":      "shard0.rms.migrated_requests",
+	"metrics.failed-nodes":           "shard0.rms.failed_nodes",
+	"metrics.recovered-nodes":        "shard0.rms.recovered_nodes",
+	"metrics.node-killed-requests":   "shard0.rms.node_killed_requests",
+	"metrics.node-requeued-requests": "shard0.rms.node_requeued_requests",
+	"metrics.node-reduced-requests":  "shard0.rms.node_reduced_requests",
+	"metrics.preempted-requests":     "shard0.rms.preempted_requests",
+}
+
+// unchangedCounters are the keys of the groups this change did not touch,
+// as the parent daemon served them after one job ("shard0" for every shard).
+var unchangedCounters = []string{
+	"shard0.sched.artifacts_recomputed", "shard0.sched.artifacts_reused",
+	"shard0.sched.cbf_recomputed", "shard0.sched.cbf_reused",
+	"shard0.sched.eqapp_recomputed", "shard0.sched.eqapp_reused",
+	"shard0.sched.eqocc_recomputed", "shard0.sched.eqocc_reused",
+	"shard0.sched.fold_clusters_recomputed", "shard0.sched.full_rounds",
+	"shard0.sched.rounds", "shard0.sched.walks_recomputed", "shard0.sched.walks_reused",
+	"transport.conn_drops", "transport.conns_accepted", "transport.errors_sent",
+	"transport.evictions", "transport.grace_expiries", "transport.idem_replays",
+	"transport.oversized_frames", "transport.resumes", "transport.resumes_rejected",
+	"transport.sessions",
+}
+
+// TestDaemonServesObs starts a 2-shard daemon with the obs side listener on
+// free ports, drives one rigid job through it the way `coormctl run` does,
+// and checks both export surfaces: /metrics is Prometheus 0.0.4 text with
+// TYPE lines and coorm_-prefixed histogram samples, /debug/obs is the JSON
+// snapshot with counters, histograms and events, and every counter key the
+// daemon served before the counters moved is still served.
+func TestDaemonServesObs(t *testing.T) {
+	var logs lockedBuffer
+	d, code := start([]string{
+		"-listen", "127.0.0.1:0", "-pprof", "127.0.0.1:0",
+		"-cluster", "a=32", "-cluster", "b=32", "-shards", "2", "-interval", "0.05",
+	}, &logs)
+	if d == nil {
+		t.Fatalf("start: exit code %d: %s", code, logs.String())
+	}
+	served := make(chan error, 1)
+	go func() { served <- d.srv.Serve() }()
+	defer func() {
+		d.Close()
+		if err := <-served; err != nil {
+			t.Errorf("Serve after Close: %v", err)
+		}
+	}()
+	if !strings.Contains(logs.String(), "shard0=a=32 shard1=b=32") {
+		t.Errorf("startup log does not describe the topology:\n%s", logs.String())
+	}
+
+	app := &startedApp{started: make(chan []int, 1)}
+	c, err := transport.Dial(d.addr, app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	id, err := c.Request(rms.RequestSpec{Cluster: "a", N: 4, Duration: 0.1, Type: request.NonPreempt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case nodes := <-app.started:
+		if len(nodes) != 4 {
+			t.Fatalf("started on %v, want 4 nodes", nodes)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the job never started")
+	}
+	c.Done(id, nil) // may already have expired server-side
+
+	get := func(path string) []byte {
+		t.Helper()
+		resp, err := http.Get(fmt.Sprintf("http://%s%s", d.obsLn.Addr(), path))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %s, %v", path, resp.Status, err)
+		}
+		return body
+	}
+
+	get("/debug/pprof/cmdline") // the profiling endpoints share the side listener
+	prom := get("/metrics")
+	for _, re := range []string{`(?m)^# TYPE coorm_`, `(?m)^coorm_.*_count `} {
+		if !regexp.MustCompile(re).Match(prom) {
+			t.Errorf("/metrics has no line matching %s:\n%s", re, prom)
+		}
+	}
+
+	var snap obs.Snapshot
+	if err := json.Unmarshal(get("/debug/obs"), &snap); err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Counters) == 0 || len(snap.Histograms) == 0 || len(snap.Events) == 0 {
+		t.Fatalf("/debug/obs: %d counters, %d histograms, %d events; want all non-empty",
+			len(snap.Counters), len(snap.Histograms), len(snap.Events))
+	}
+	want := append([]string(nil), unchangedCounters...)
+	for _, now := range renamedCounters {
+		want = append(want, now)
+	}
+	for _, key := range want {
+		for _, shard := range []string{"shard0", "shard1"} {
+			k := strings.Replace(key, "shard0", shard, 1)
+			if _, ok := snap.Counters[k]; !ok {
+				t.Errorf("/debug/obs serves no counter %q", k)
+			}
+		}
+	}
+	for old := range renamedCounters {
+		if _, ok := snap.Counters[old]; ok {
+			t.Errorf("/debug/obs still serves the old key %q", old)
+		}
+	}
+	if got := snap.Counters["shard0.rms.churn_requests"]; got != 1 {
+		t.Errorf("shard0.rms.churn_requests = %d after one request on cluster a, want 1", got)
+	}
+	if got := snap.Counters["transport.sessions"]; got != 1 {
+		t.Errorf("transport.sessions = %d, want 1", got)
+	}
+}

@@ -29,7 +29,7 @@
 //	sim.Engine.RunAll()
 //
 // See examples/ for complete programs, README.md for the package layout and
-// PERFORMANCE.md for measured results.
+// PERFORMANCE.md for measured results (the benchmark itself is bench/).
 package coormv2
 
 import (

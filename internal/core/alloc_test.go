@@ -1,0 +1,72 @@
+package core
+
+import (
+	"math"
+	"testing"
+	"time"
+
+	"coormv2/internal/obs"
+	"coormv2/internal/request"
+	"coormv2/internal/view"
+)
+
+// buildBenchFleet constructs the canonical scheduler fleet: 50 applications
+// on one 4096-node cluster, each with a started pre-allocation, a running
+// non-preemptible request, a pending NEXT update and a started preemptible
+// request.
+func buildBenchFleet() *Scheduler {
+	const cluster = view.ClusterID("c0")
+	s := NewScheduler(map[view.ClusterID]int{cluster: 4096})
+	reqID := request.ID(1)
+	mk := func(app *AppState, n int, dur float64, typ request.Type, how request.Relation, parent *request.Request) *request.Request {
+		r := request.New(reqID, app.ID, cluster, n, dur, typ, how, parent)
+		reqID++
+		app.SetFor(typ).Add(r)
+		return r
+	}
+	for i := 0; i < 50; i++ {
+		a := s.AddApp(i+1, float64(i))
+		pa := mk(a, 16, 1e6, request.PreAlloc, request.Free, nil)
+		pa.StartedAt = 0
+		np := mk(a, 8, 1e5, request.NonPreempt, request.Coalloc, pa)
+		np.StartedAt = 0
+		mk(a, 12, 1e5, request.NonPreempt, request.Next, np)
+		p := mk(a, 4, math.Inf(1), request.Preempt, request.Free, nil)
+		p.StartedAt = 0
+	}
+	return s
+}
+
+// TestSteadyRoundAllocs pins the allocation budget of the fully cached
+// steady state: with the standing fleet unchanged between rounds, a round
+// costs 2 heap allocations — with observability enabled but idle, i.e. a
+// live registry recording per round exactly what rms.Server.runLocked
+// records (round duration, dirty-artifact count, one round event). Recording
+// must stay off the allocation path. (The retired root
+// BenchmarkSchedulerThroughput read 8 allocs/op on this fleet: the same 2,
+// plus the cold first round amortised over its 500 iterations.)
+func TestSteadyRoundAllocs(t *testing.T) {
+	s := buildBenchFleet()
+	reg := obs.NewRegistry()
+	hRound := reg.Hist("rms.round_seconds")
+	hDirty := reg.Hist("rms.round_dirty_artifacts")
+	var prevRecomputed int64
+	now := 0.0
+	round := func() {
+		t0 := time.Now()
+		out := s.Schedule(now)
+		if len(out.NonPreemptViews) != 50 {
+			t.Fatal("lost applications")
+		}
+		st := s.Stats()
+		hRound.Record(time.Since(t0).Seconds())
+		hDirty.Record(float64(st.ArtifactsRecomputed - prevRecomputed))
+		prevRecomputed = st.ArtifactsRecomputed
+		reg.Event(obs.Event{Time: now, Type: obs.EvRound})
+		now++
+	}
+	round() // warm the caches
+	if got := testing.AllocsPerRun(200, round); got > 2 {
+		t.Fatalf("steady cached round allocates %.1f times, want ≤ 2", got)
+	}
+}

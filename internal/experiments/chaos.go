@@ -7,11 +7,11 @@ import (
 	"coormv2/internal/chaos"
 	"coormv2/internal/core"
 	"coormv2/internal/federation"
-	"coormv2/internal/metrics"
 	"coormv2/internal/obs"
 	"coormv2/internal/request"
 	"coormv2/internal/rms"
 	"coormv2/internal/tenants"
+	"coormv2/internal/transport"
 	"coormv2/internal/workload"
 )
 
@@ -263,7 +263,7 @@ func RunChaosReplay(cfg ChaosReplayConfig) (*ChaosReplayResult, error) {
 			}
 			return i % totalClusters, opts
 		},
-		submitted: func(i, cluster int, r *apps.Rigid, sess session) {
+		submitted: func(i, cluster int, r *apps.Rigid, sess transport.Session) {
 			if cfg.GangFraction == 0 || totalClusters == 1 || float64(i%100) >= cfg.GangFraction*100 {
 				return
 			}
@@ -300,7 +300,7 @@ func RunChaosReplay(cfg ChaosReplayConfig) (*ChaosReplayResult, error) {
 		return nil, fmt.Errorf("experiments: post-run invariant violated: %w", err)
 	}
 
-	st, agg := run.stats(), env.agg
+	st, agg, fs := run.stats(), env.agg, fed.Stats()
 	res := &ChaosReplayResult{
 		Shards:     cfg.Shards,
 		Nodes:      totalClusters * cfg.NodesPerShard,
@@ -317,16 +317,13 @@ func RunChaosReplay(cfg ChaosReplayConfig) (*ChaosReplayResult, error) {
 		NodeRecovers: inj.NodeRecovers(),
 		Trace:        inj.Trace(),
 
-		KilledSessions:   agg.TotalCount(metrics.KilledSessions),
-		RequeuedRequests: agg.TotalCount(metrics.RequeuedRequests),
-		ReplayedRequests: agg.TotalCount(metrics.ReplayedRequests),
-		DroppedRequests:  agg.TotalCount(metrics.DroppedRequests),
-		NodeKilled:       agg.TotalCount(metrics.NodeKilledRequests),
-		NodeRequeued:     agg.TotalCount(metrics.NodeRequeuedRequests),
-		NodeReduced:      agg.TotalCount(metrics.NodeReducedRequests),
-		GangsCommitted:   agg.TotalCount(metrics.GangCommitted),
-		GangsAborted:     agg.TotalCount(metrics.GangAborted),
-		GangsRetried:     agg.TotalCount(metrics.GangRetried),
+		KilledSessions:   int(fs["killed_sessions"]),
+		RequeuedRequests: int(fs["requeued_requests"]),
+		ReplayedRequests: int(fs["replayed_requests"]),
+		DroppedRequests:  int(fs["dropped_requests"]),
+		GangsCommitted:   int(fs["gang_committed"]),
+		GangsAborted:     int(fs["gang_aborted"]),
+		GangsRetried:     int(fs["gang_retried"]),
 
 		Makespan:  e.Now(),
 		Events:    e.Processed(),
@@ -342,6 +339,10 @@ func RunChaosReplay(cfg ChaosReplayConfig) (*ChaosReplayResult, error) {
 		for _, l := range fed.Shard(i).ClusterLoads() {
 			res.ShardChurn[i] += l.Churn
 		}
+		ss := fed.Shard(i).Stats()
+		res.NodeKilled += int(ss["node_killed_requests"])
+		res.NodeRequeued += int(ss["node_requeued_requests"])
+		res.NodeReduced += int(ss["node_reduced_requests"])
 	}
 	if cfg.Tenants != nil {
 		res.TenantPreempts = fed.TenantPreempts()

@@ -11,18 +11,10 @@ import (
 	"coormv2/internal/request"
 	"coormv2/internal/rms"
 	"coormv2/internal/sim"
+	"coormv2/internal/transport"
 	"coormv2/internal/view"
 	"coormv2/internal/workload"
 )
-
-// session is the server-side handle the harness needs; both *rms.Session
-// and *federation.Session satisfy it.
-type session interface {
-	AppID() int
-	Request(spec rms.RequestSpec) (request.ID, error)
-	Done(id request.ID, released []int) error
-	Disconnect()
-}
 
 // simEnv is the one simulated environment every experiment runs in: the
 // paper's §5 recipe of an RMS on a simulated clock with applications
@@ -39,12 +31,12 @@ type simEnv struct {
 	nodes    int
 	clusters map[view.ClusterID]int
 	// rec is the client-side recorder handed to applications (PSA waste);
-	// agg sums it with the federation-level and per-shard recorders.
+	// agg sums it with the per-shard recorders.
 	rec *metrics.Recorder
 	agg *metrics.Aggregate
 	// fed is nil when the environment runs a single rms.Server.
 	fed     *federation.Federator
-	connect func(h rms.AppHandler, opts ...rms.ConnectOption) session
+	connect func(h rms.AppHandler, opts ...rms.ConnectOption) transport.Session
 	// remaining counts the applications whose completion gates the run. The
 	// engine is stopped at the last completion so every metric is evaluated
 	// over exactly the workload's makespan.
@@ -72,33 +64,20 @@ func buildRMS(names []view.ClusterID, nodes, shards int, fc federation.Config) *
 			Clusters: env.clusters, ReschedInterval: 1, Clock: env.clk,
 			Policy: fc.Policy, Metrics: env.rec,
 		})
-		env.connect = func(h rms.AppHandler, opts ...rms.ConnectOption) session { return srv.Connect(h, opts...) }
+		env.connect = func(h rms.AppHandler, opts ...rms.ConnectOption) transport.Session { return srv.Connect(h, opts...) }
 	} else {
 		fc.Clusters, fc.Shards, fc.ReschedInterval, fc.Clock = env.clusters, shards, 1, env.clk
-		fc.FederationMetrics = metrics.NewRecorder()
-		recs = append(recs, fc.FederationMetrics)
 		fc.Metrics = func(int) *metrics.Recorder {
 			r := metrics.NewRecorder()
 			recs = append(recs, r)
 			return r
 		}
 		env.fed = federation.New(fc)
-		env.connect = func(h rms.AppHandler, opts ...rms.ConnectOption) session { return env.fed.Connect(h, opts...) }
+		env.connect = func(h rms.AppHandler, opts ...rms.ConnectOption) transport.Session {
+			return env.fed.Connect(h, opts...)
+		}
 	}
 	env.agg = metrics.NewAggregate(recs...)
-	if fc.Obs != nil {
-		// Recorder totals (allocation area, waste, fault counters, …) summed
-		// over every application across all recorders.
-		fc.Obs.RegisterCounters("metrics", func() map[string]int64 {
-			tot := make(map[string]int64)
-			for _, r := range env.agg.Recorders() {
-				for k, v := range r.Totals() {
-					tot[k] += v
-				}
-			}
-			return tot
-		})
-	}
 	return env
 }
 
@@ -257,7 +236,7 @@ type rigidTrace struct {
 	serverFinish bool
 	// submitted, when set, runs right after job i was accepted on cluster
 	// index cluster.
-	submitted func(i, cluster int, r *apps.Rigid, sess session)
+	submitted func(i, cluster int, r *apps.Rigid, sess transport.Session)
 }
 
 // jobFate is how one rigid job ended; outcome stays empty until it settles.

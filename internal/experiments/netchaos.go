@@ -144,7 +144,7 @@ func RunNetChaos(cfg NetChaosConfig) (*NetChaosResult, error) {
 		Obs:               reg,
 	}
 	app := newNetApp()
-	c, err := transport.DialOptions(addr, app, opts)
+	c, err := transport.Dial(addr, app, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -162,7 +162,7 @@ func RunNetChaos(cfg NetChaosConfig) (*NetChaosResult, error) {
 		deadline := time.Now().Add(30 * time.Second)
 		for {
 			app = newNetApp()
-			c, err = transport.DialOptions(addr, app, opts)
+			c, err = transport.Dial(addr, app, opts)
 			if err == nil {
 				break
 			}

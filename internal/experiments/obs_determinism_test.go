@@ -74,8 +74,8 @@ func TestObsSnapshotDeterministic(t *testing.T) {
 
 // TestObsSnapshotCoverage checks that the chaos replay actually exercises
 // every advertised recording point: the snapshot must carry non-empty wait,
-// round, reap, merge, outage and node-repair histograms, the sched/merge/
-// metrics counter groups, and crash/restart/node events in the ring.
+// round, reap, merge, outage and node-repair histograms, the per-shard sched
+// and rms counter groups and the federation's, and crash/restart/node events in the ring.
 func TestObsSnapshotCoverage(t *testing.T) {
 	reg := obs.NewRegistry()
 	res, err := RunChaosReplay(obsChaosConfig(42, reg))
@@ -100,7 +100,7 @@ func TestObsSnapshotCoverage(t *testing.T) {
 			t.Errorf("histogram %q recorded nothing", h)
 		}
 	}
-	wantCounterPrefixes := []string{"shard0.sched.", "fed.merge.", "metrics."}
+	wantCounterPrefixes := []string{"shard0.sched.", "shard0.rms.", "fed."}
 	for _, p := range wantCounterPrefixes {
 		found := false
 		for k := range snap.Counters {

@@ -118,11 +118,6 @@ type Config struct {
 	// NodeRecovery selects the per-request node-failure recovery policy,
 	// applied uniformly by every shard (default: KillOnNodeFailure).
 	NodeRecovery rms.NodeRecoveryPolicy
-	// FederationMetrics, when non-nil, receives the fault-recovery counters
-	// (killed sessions, requeued/replayed/dropped requests) keyed by
-	// federated application ID. It must be a recorder of its own, not one of
-	// the per-shard recorders.
-	FederationMetrics *metrics.Recorder
 	// FullRecompute disables incremental scheduling on every shard (each
 	// round recomputes from scratch). The chaos×migration differential test
 	// pins the two modes byte-identical; production leaves it off.
@@ -149,7 +144,7 @@ type Federator struct {
 	clk          clock.Clock
 	recovery     RecoveryPolicy
 	nodeRecovery rms.NodeRecoveryPolicy
-	fedRec       *metrics.Recorder
+	stats        fedStats
 
 	// topoMu serializes topology transitions — CrashShard, RestartShard and
 	// MigrateCluster — against each other, so a migration can never observe a
@@ -171,16 +166,6 @@ type Federator struct {
 	// rms.ClusterSnapshot.
 	failedNodes map[view.ClusterID][]int
 
-	// Merge counters (atomics: sessions record them under sess.mu, which is
-	// per-session). remergedShards counts shard views that had been replaced
-	// since the session's previous merge (the dirty views that forced the
-	// merge); cleanShards counts shard views that had not. Every merge
-	// re-folds every shard view into fresh maps (cheap map union of immutable
-	// profiles), so the clean count measures update locality, not work
-	// avoided.
-	remergedShards atomic.Int64
-	cleanShards    atomic.Int64
-
 	// Observability (nil when Config.Obs is nil). crashedAt remembers each
 	// shard's last crash instant so RestartShard can record the outage
 	// duration (sim seconds under SimClock — deterministic — and wall
@@ -199,24 +184,64 @@ type Federator struct {
 	reschedInterval float64
 }
 
-// noteMerge records one merged-view delivery in which `dirty` of `total`
-// shard views had been replaced since the previous one. When federation
-// metrics are enabled the split surfaces as RemergedShardViews/
-// ReusedShardViews under the pseudo-app 0.
-func (f *Federator) noteMerge(dirty, total int) {
-	f.remergedShards.Add(int64(dirty))
-	f.cleanShards.Add(int64(total - dirty))
-	if f.fedRec != nil {
-		f.fedRec.IncCounter(0, metrics.RemergedShardViews, dirty)
-		f.fedRec.IncCounter(0, metrics.ReusedShardViews, total-dirty)
+// fedStats are the federation's event counters, exported through Stats and
+// the "fed" obs counter group. Atomics: sessions record them under their own
+// per-session locks.
+type fedStats struct {
+	// Shard-crash recovery: sessions killed because a shard holding their
+	// live state crashed (§3.1.4); live requests parked on a replay queue
+	// (crash, or submitted while the shard was down); queued requests
+	// re-submitted to the restarted shard; and queued requests that never
+	// made it back (done() while queued, failed replay, aborted gang).
+	killedSessions   atomic.Int64
+	requeuedRequests atomic.Int64
+	replayedRequests atomic.Int64
+	droppedRequests  atomic.Int64
+	migratedClusters atomic.Int64 // live cluster migrations
+	// Cross-shard two-phase reservations (gang.go): holds committed into real
+	// requests, reservations abandoned for good, and hold re-placements after
+	// a release or crash.
+	gangCommitted atomic.Int64
+	gangAborted   atomic.Int64
+	gangRetried   atomic.Int64
+	// remergedShardViews counts shard views that had been replaced since the
+	// session's previous merge when its merged view was delivered (the dirty
+	// views that forced the merge); reusedShardViews counts those that had
+	// not. Every merge re-folds every shard view, so the split measures
+	// update locality across the fleet, not work avoided.
+	remergedShardViews atomic.Int64
+	reusedShardViews   atomic.Int64
+}
+
+// Stats returns the federation's cumulative event counters.
+func (f *Federator) Stats() map[string]int64 {
+	st := &f.stats
+	return map[string]int64{
+		"killed_sessions":      st.killedSessions.Load(),
+		"requeued_requests":    st.requeuedRequests.Load(),
+		"replayed_requests":    st.replayedRequests.Load(),
+		"dropped_requests":     st.droppedRequests.Load(),
+		"migrated_clusters":    st.migratedClusters.Load(),
+		"gang_committed":       st.gangCommitted.Load(),
+		"gang_aborted":         st.gangAborted.Load(),
+		"gang_retried":         st.gangRetried.Load(),
+		"remerged_shard_views": st.remergedShardViews.Load(),
+		"reused_shard_views":   st.reusedShardViews.Load(),
 	}
+}
+
+// noteMerge records one merged-view delivery in which `dirty` of `total`
+// shard views had been replaced since the previous one.
+func (f *Federator) noteMerge(dirty, total int) {
+	f.stats.remergedShardViews.Add(int64(dirty))
+	f.stats.reusedShardViews.Add(int64(total - dirty))
 }
 
 // MergeStats returns the cumulative merge counters: shard views that were
 // dirty (replaced since the session's previous merge) versus clean at merge
 // time, across every session's merged-view deliveries.
 func (f *Federator) MergeStats() (dirty, clean int64) {
-	return f.remergedShards.Load(), f.cleanShards.Load()
+	return f.stats.remergedShardViews.Load(), f.stats.reusedShardViews.Load()
 }
 
 // Partition splits a cluster set into at most n per-shard cluster sets,
@@ -264,7 +289,6 @@ func New(cfg Config) *Federator {
 		clk:          cfg.Clock,
 		recovery:     cfg.Recovery,
 		nodeRecovery: cfg.NodeRecovery,
-		fedRec:       cfg.FederationMetrics,
 		down:         make([]bool, len(parts)),
 		sessions:     make(map[int]*Session),
 		failedNodes:  make(map[view.ClusterID][]int),
@@ -282,10 +306,7 @@ func New(cfg Config) *Federator {
 		f.hOutage = cfg.Obs.Hist("fed.outage_seconds")
 		f.hGang = cfg.Obs.Hist("fed.gang_reserve_seconds")
 		f.crashedAt = make([]float64, len(parts))
-		cfg.Obs.RegisterCounters("fed.merge", func() map[string]int64 {
-			dirty, clean := f.MergeStats()
-			return map[string]int64{"remerged_shard_views": dirty, "reused_shard_views": clean}
-		})
+		cfg.Obs.RegisterCounters("fed", f.Stats)
 	}
 	for i, part := range parts {
 		var rec *metrics.Recorder
@@ -468,13 +489,6 @@ func (f *Federator) sessionsLocked() []*Session {
 	return out
 }
 
-// count records a fault-recovery event when federation metrics are enabled.
-func (f *Federator) count(appID int, c metrics.Counter, n int) {
-	if f.fedRec != nil && n > 0 {
-		f.fedRec.IncCounter(appID, c, n)
-	}
-}
-
 // ShardDown reports whether shard i is currently crashed.
 func (f *Federator) ShardDown(i int) bool {
 	f.mu.Lock()
@@ -572,18 +586,19 @@ func (f *Federator) CrashShard(i int) CrashReport {
 		rep.Requeued += requeued
 		rep.Purged += purged
 		rep.GangsAborted += gangsAborted
-		f.count(sess.id, metrics.RequeuedRequests, requeued)
-		f.count(0, metrics.GangAborted, gangsAborted)
-		f.count(sess.id, metrics.DroppedRequests, gangsAborted)
 		if len(reaped) > 0 {
 			notices[sess] = purgeNotice{ended, reaped}
 		}
 		if affected && f.recovery == KillOnCrash {
 			killed = append(killed, sess)
 			rep.Killed = append(rep.Killed, sess.id)
-			f.count(sess.id, metrics.KilledSessions, 1)
 		}
 	}
+	f.stats.killedSessions.Add(int64(len(killed)))
+	f.stats.requeuedRequests.Add(int64(rep.Requeued))
+	// An aborted gang's child is a dropped request as well.
+	f.stats.gangAborted.Add(int64(rep.GangsAborted))
+	f.stats.droppedRequests.Add(int64(rep.GangsAborted))
 	// Deliver outcomes with no federation lock held: finish/reap events for
 	// the purged mappings, kills for the affected sessions, re-merged views
 	// for the survivors.
@@ -645,9 +660,9 @@ func (f *Federator) RestartShard(i int) RestartReport {
 		replayed, dropped := sess.replayQueue(i)
 		rep.Replayed += replayed
 		rep.Dropped += dropped
-		f.count(sess.id, metrics.ReplayedRequests, replayed)
-		f.count(sess.id, metrics.DroppedRequests, dropped)
 	}
+	f.stats.replayedRequests.Add(int64(rep.Replayed))
+	f.stats.droppedRequests.Add(int64(rep.Dropped))
 	return rep
 }
 

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"coormv2/internal/clock"
-	"coormv2/internal/metrics"
 	"coormv2/internal/obs"
 	"coormv2/internal/request"
 	"coormv2/internal/rms"
@@ -404,7 +403,7 @@ func (s *Session) commitGang(fid request.ID, g *gangState, childSub *rms.Session
 	s.clearGangLocked(fid)
 	s.mu.Unlock()
 	f := s.f
-	f.count(0, metrics.GangCommitted, 1)
+	f.stats.gangCommitted.Add(1)
 	if f.obsReg != nil {
 		now := f.clk.Now()
 		f.hGang.Record(now - g.placedAt)
@@ -432,7 +431,7 @@ func (s *Session) retryGang(fid request.ID, g *gangState, childShard int, childS
 		s.dropGang(fid, g)
 		return
 	}
-	s.f.count(0, metrics.GangRetried, 1)
+	s.f.stats.gangRetried.Add(1)
 }
 
 // replaceHold re-places a released hold after its retry backoff elapsed.
@@ -486,8 +485,8 @@ func (s *Session) dropGang(fid request.ID, g *gangState) {
 		return
 	}
 	f := s.f
-	f.count(0, metrics.GangAborted, 1)
-	f.count(s.id, metrics.DroppedRequests, 1)
+	f.stats.gangAborted.Add(1)
+	f.stats.droppedRequests.Add(1)
 	if f.obsReg != nil {
 		now := f.clk.Now()
 		f.obsReg.Event(obs.Event{Time: now, Type: obs.EvGangAbort, App: s.id, Request: int(fid), Value: now - g.placedAt})
@@ -527,7 +526,7 @@ func (s *Session) replayGang(shard int, sub *rms.Session, fid request.ID, e *fed
 		s.armGangLocked(g, s.f.reschedInterval)
 	}
 	s.mu.Unlock()
-	s.f.count(0, metrics.GangRetried, 1)
+	s.f.stats.gangRetried.Add(1)
 	return true
 }
 

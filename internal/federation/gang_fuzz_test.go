@@ -42,13 +42,12 @@ func FuzzGangReservations(f *testing.F) {
 
 		e := sim.NewEngine()
 		fed := New(Config{
-			Clusters:          map[view.ClusterID]int{cA: 6, cB: 6, cC: 6},
-			Shards:            2,
-			ReschedInterval:   1,
-			Clock:             clock.SimClock{E: e},
-			Recovery:          pol,
-			FederationMetrics: metrics.NewRecorder(),
-			Metrics:           func(int) *metrics.Recorder { return metrics.NewRecorder() },
+			Clusters:        map[view.ClusterID]int{cA: 6, cB: 6, cC: 6},
+			Shards:          2,
+			ReschedInterval: 1,
+			Clock:           clock.SimClock{E: e},
+			Recovery:        pol,
+			Metrics:         func(int) *metrics.Recorder { return metrics.NewRecorder() },
 		})
 		sessions := []*Session{fed.Connect(&testApp{}), fed.Connect(&testApp{})}
 		var ids []request.ID // successfully submitted requests, any session

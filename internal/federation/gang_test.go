@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"coormv2/internal/clock"
-	"coormv2/internal/metrics"
 	"coormv2/internal/request"
 	"coormv2/internal/rms"
 	"coormv2/internal/sim"
@@ -79,13 +78,11 @@ func TestSingleShardGangDifferential(t *testing.T) {
 
 	// 1-shard federation over the identical cluster set.
 	fe := sim.NewEngine()
-	fedRec := metrics.NewRecorder()
 	f := New(Config{
-		Clusters:          map[view.ClusterID]int{cA: 8, cB: 8, cC: 8},
-		Shards:            1,
-		ReschedInterval:   1,
-		Clock:             clock.SimClock{E: fe},
-		FederationMetrics: fedRec,
+		Clusters:        map[view.ClusterID]int{cA: 8, cB: 8, cC: 8},
+		Shards:          1,
+		ReschedInterval: 1,
+		Clock:           clock.SimClock{E: fe},
 	})
 	fapp := &testApp{}
 	fsess := f.Connect(fapp)
@@ -97,8 +94,8 @@ func TestSingleShardGangDifferential(t *testing.T) {
 	if !reflect.DeepEqual(bareRecs, fedRecs) {
 		t.Fatalf("1-shard federation diverged from bare RMS:\nbare: %+v\nfed:  %+v", bareRecs, fedRecs)
 	}
-	for _, c := range []metrics.Counter{metrics.GangCommitted, metrics.GangAborted, metrics.GangRetried} {
-		if n := fedRec.Count(0, c); n != 0 {
+	for _, c := range []string{"gang_committed", "gang_aborted", "gang_retried"} {
+		if n := f.Stats()[c]; n != 0 {
 			t.Errorf("1-shard federation moved gang counter %v to %d", c, n)
 		}
 	}
@@ -109,7 +106,7 @@ func TestSingleShardGangDifferential(t *testing.T) {
 // both legs start, the commit counter moves, and invariants hold after the
 // gang has fully drained.
 func TestGangCoallocCommits(t *testing.T) {
-	e, f, fedRec := newRecoveryFederation(t, KillOnCrash)
+	e, f := newRecoveryFederation(t, KillOnCrash)
 	app := &testApp{}
 	sess := f.Connect(app)
 	parent, err := sess.Request(rms.RequestSpec{Cluster: cA, N: 2, Duration: 10, Type: request.NonPreempt})
@@ -131,10 +128,10 @@ func TestGangCoallocCommits(t *testing.T) {
 	if !started[parent] || !started[child] {
 		t.Fatalf("gang legs started = %v, want both %d and %d", started, parent, child)
 	}
-	if n := fedRec.Count(0, metrics.GangCommitted); n != 1 {
+	if n := f.Stats()["gang_committed"]; n != 1 {
 		t.Errorf("gang-committed counter = %d, want 1", n)
 	}
-	if n := fedRec.Count(0, metrics.GangAborted); n != 0 {
+	if n := f.Stats()["gang_aborted"]; n != 0 {
 		t.Errorf("gang-aborted counter = %d, want 0", n)
 	}
 	mustCheck(t, f)
@@ -146,7 +143,7 @@ func TestGangCoallocCommits(t *testing.T) {
 // abort deterministically — releasing the hold (no leak) and dropping only
 // the child while the parent runs to completion.
 func TestGangAbortsWhenChildCannotFit(t *testing.T) {
-	e, f, fedRec := newRecoveryFederation(t, KillOnCrash)
+	e, f := newRecoveryFederation(t, KillOnCrash)
 	squatter := &testApp{}
 	ssess := f.Connect(squatter)
 	if _, err := ssess.Request(rms.RequestSpec{Cluster: cB, N: 8, Duration: math.Inf(1), Type: request.NonPreempt}); err != nil {
@@ -166,10 +163,10 @@ func TestGangAbortsWhenChildCannotFit(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Run(120) // past the full backoff budget (1+2+4+8 s of retries)
-	if n := fedRec.Count(0, metrics.GangAborted); n != 1 {
+	if n := f.Stats()["gang_aborted"]; n != 1 {
 		t.Fatalf("gang-aborted counter = %d, want 1", n)
 	}
-	if n := fedRec.Count(0, metrics.GangRetried); n == 0 {
+	if n := f.Stats()["gang_retried"]; n == 0 {
 		t.Error("gang-retried counter = 0, want backoff retries before the abort")
 	}
 	app.mu.Lock()
@@ -191,7 +188,7 @@ func TestGangAbortsWhenChildCannotFit(t *testing.T) {
 // migrates onto the parent's shard. The hold must survive the move — carried
 // in the cluster snapshot — and the gang must still resolve and run.
 func TestMigrateChildClusterWithHoldInFlight(t *testing.T) {
-	e, f, _ := newMigrateFederation(t, RequeueOnCrash)
+	e, f := newMigrateFederation(t, RequeueOnCrash)
 	app := &testApp{}
 	sess := f.Connect(app)
 	// Parent on beta (shard 1), child hold on gamma (shard 0, which also
@@ -230,7 +227,7 @@ func TestMigrateChildClusterWithHoldInFlight(t *testing.T) {
 // shard, co-locating both legs on the child's shard. The reservation must
 // still commit.
 func TestMigrateParentClusterWithHoldInFlight(t *testing.T) {
-	e, f, _ := newMigrateFederation(t, RequeueOnCrash)
+	e, f := newMigrateFederation(t, RequeueOnCrash)
 	app := &testApp{}
 	sess := f.Connect(app)
 	parent, err := sess.Request(rms.RequestSpec{Cluster: cA, N: 3, Duration: 15, Type: request.NonPreempt})
@@ -266,7 +263,7 @@ func TestMigrateParentClusterWithHoldInFlight(t *testing.T) {
 // regression: a committed cross-shard gang leaves both legs shard-locally
 // FREE, so the clusters involved must remain migratable afterwards.
 func TestCommittedGangKeepsClustersMigratable(t *testing.T) {
-	e, f, fedRec := newMigrateFederation(t, KillOnCrash)
+	e, f := newMigrateFederation(t, KillOnCrash)
 	app := &testApp{}
 	sess := f.Connect(app)
 	parent, err := sess.Request(rms.RequestSpec{Cluster: cA, N: 2, Duration: 100, Type: request.NonPreempt})
@@ -278,7 +275,7 @@ func TestCommittedGangKeepsClustersMigratable(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Run(10)
-	if n := fedRec.Count(0, metrics.GangCommitted); n != 1 {
+	if n := f.Stats()["gang_committed"]; n != 1 {
 		t.Fatalf("gang-committed counter = %d, want 1 before migration", n)
 	}
 	// Both legs live; historically the cross-shard relation would have
@@ -298,7 +295,7 @@ func TestCommittedGangKeepsClustersMigratable(t *testing.T) {
 // live allocation behind it).
 func TestCrashChildShardBetweenHoldAndCommit(t *testing.T) {
 	t.Run("requeue", func(t *testing.T) {
-		e, f, fedRec := newRecoveryFederation(t, RequeueOnCrash)
+		e, f := newRecoveryFederation(t, RequeueOnCrash)
 		app := &testApp{}
 		sess := f.Connect(app)
 		parent, err := sess.Request(rms.RequestSpec{Cluster: cA, N: 2, Duration: 30, Type: request.NonPreempt})
@@ -333,13 +330,13 @@ func TestCrashChildShardBetweenHoldAndCommit(t *testing.T) {
 		if !childStarted {
 			t.Fatalf("replayed gang child %d never started; starts = %v", child, app.starts)
 		}
-		if n := fedRec.Count(0, metrics.GangCommitted); n != 1 {
+		if n := f.Stats()["gang_committed"]; n != 1 {
 			t.Errorf("gang-committed counter = %d, want 1", n)
 		}
 		mustCheck(t, f)
 	})
 	t.Run("kill", func(t *testing.T) {
-		e, f, fedRec := newRecoveryFederation(t, KillOnCrash)
+		e, f := newRecoveryFederation(t, KillOnCrash)
 		app := &testApp{}
 		sess := f.Connect(app)
 		parent, err := sess.Request(rms.RequestSpec{Cluster: cA, N: 2, Duration: 30, Type: request.NonPreempt})
@@ -362,7 +359,7 @@ func TestCrashChildShardBetweenHoldAndCommit(t *testing.T) {
 		if app.killed != "" {
 			t.Fatalf("session killed (%q) by losing a hold", app.killed)
 		}
-		if n := fedRec.Count(0, metrics.GangAborted); n != 1 {
+		if n := f.Stats()["gang_aborted"]; n != 1 {
 			t.Errorf("gang-aborted counter = %d, want 1", n)
 		}
 		mustCheck(t, f)
@@ -386,7 +383,7 @@ func TestCrashChildShardBetweenHoldAndCommit(t *testing.T) {
 // hold on the surviving shard (no leak).
 func TestCrashParentShardBetweenHoldAndCommit(t *testing.T) {
 	t.Run("requeue", func(t *testing.T) {
-		e, f, fedRec := newRecoveryFederation(t, RequeueOnCrash)
+		e, f := newRecoveryFederation(t, RequeueOnCrash)
 		app := &testApp{}
 		sess := f.Connect(app)
 		parent, err := sess.Request(rms.RequestSpec{Cluster: cA, N: 2, Duration: 30, Type: request.NonPreempt})
@@ -416,13 +413,13 @@ func TestCrashParentShardBetweenHoldAndCommit(t *testing.T) {
 		if started[child] != 1 {
 			t.Fatalf("gang child started %d times, want 1; starts = %v", started[child], started)
 		}
-		if n := fedRec.Count(0, metrics.GangCommitted); n != 1 {
+		if n := f.Stats()["gang_committed"]; n != 1 {
 			t.Errorf("gang-committed counter = %d, want 1", n)
 		}
 		mustCheck(t, f)
 	})
 	t.Run("kill", func(t *testing.T) {
-		e, f, _ := newRecoveryFederation(t, KillOnCrash)
+		e, f := newRecoveryFederation(t, KillOnCrash)
 		app := &testApp{}
 		sess := f.Connect(app)
 		parent, err := sess.Request(rms.RequestSpec{Cluster: cA, N: 2, Duration: 30, Type: request.NonPreempt})

@@ -3,7 +3,6 @@ package federation
 import (
 	"fmt"
 
-	"coormv2/internal/metrics"
 	"coormv2/internal/obs"
 	"coormv2/internal/request"
 	"coormv2/internal/view"
@@ -133,12 +132,7 @@ func (f *Federator) MigrateCluster(cid view.ClusterID, to int) (MigrationReport,
 	for _, sess := range sessions {
 		sess.pushMerged()
 	}
-	if f.fedRec != nil {
-		// Migrations are a federation-level event, recorded under the
-		// pseudo-application ID 0 (per-app MigratedRequests counters land on
-		// the target shard's recorder via AttachCluster).
-		f.fedRec.IncCounter(0, metrics.MigratedClusters, 1)
-	}
+	f.stats.migratedClusters.Add(1)
 	if f.hMigrate != nil {
 		// Detach→attach pause, clock-measured: the window in which the
 		// cluster was placed on neither shard. Zero inside the simulator

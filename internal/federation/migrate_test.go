@@ -17,18 +17,16 @@ import (
 
 // newMigrateFederation builds a 2-shard federation over three clusters:
 // Partition assigns {alpha, gamma} to shard 0 and {beta} to shard 1.
-func newMigrateFederation(t *testing.T, pol RecoveryPolicy) (*sim.Engine, *Federator, *metrics.Recorder) {
+func newMigrateFederation(t *testing.T, pol RecoveryPolicy) (*sim.Engine, *Federator) {
 	t.Helper()
 	e := sim.NewEngine()
-	fedRec := metrics.NewRecorder()
 	f := New(Config{
-		Clusters:          map[view.ClusterID]int{cA: 8, cB: 8, cC: 8},
-		Shards:            2,
-		ReschedInterval:   1,
-		Clock:             clock.SimClock{E: e},
-		Recovery:          pol,
-		FederationMetrics: fedRec,
-		Metrics:           func(int) *metrics.Recorder { return metrics.NewRecorder() },
+		Clusters:        map[view.ClusterID]int{cA: 8, cB: 8, cC: 8},
+		Shards:          2,
+		ReschedInterval: 1,
+		Clock:           clock.SimClock{E: e},
+		Recovery:        pol,
+		Metrics:         func(int) *metrics.Recorder { return metrics.NewRecorder() },
 	})
 	if s, _ := f.Owner(cA); s != 0 {
 		t.Fatalf("alpha on shard %d, want 0", s)
@@ -36,11 +34,11 @@ func newMigrateFederation(t *testing.T, pol RecoveryPolicy) (*sim.Engine, *Feder
 	if s, _ := f.Owner(cC); s != 0 {
 		t.Fatalf("gamma on shard %d, want 0", s)
 	}
-	return e, f, fedRec
+	return e, f
 }
 
 func TestMigrateClusterHandsOverLiveState(t *testing.T) {
-	e, f, fedRec := newMigrateFederation(t, KillOnCrash)
+	e, f := newMigrateFederation(t, KillOnCrash)
 	app, bystander := &testApp{}, &testApp{}
 	sess := f.Connect(app)
 	bsess := f.Connect(bystander)
@@ -73,7 +71,7 @@ func TestMigrateClusterHandsOverLiveState(t *testing.T) {
 		t.Fatalf("gamma owned by shard %d after migration, want 1", s)
 	}
 	mustCheck(t, f)
-	if got := fedRec.Count(0, metrics.MigratedClusters); got != 1 {
+	if got := f.Stats()["migrated_clusters"]; got != 1 {
 		t.Errorf("migrated-clusters counter = %d, want 1", got)
 	}
 
@@ -115,7 +113,7 @@ func TestMigrateClusterHandsOverLiveState(t *testing.T) {
 }
 
 func TestMigrateClusterErrors(t *testing.T) {
-	e, f, _ := newMigrateFederation(t, KillOnCrash)
+	e, f := newMigrateFederation(t, KillOnCrash)
 	sess := f.Connect(&testApp{})
 	px, err := sess.Request(rms.RequestSpec{Cluster: cA, N: 1, Duration: 1e6, Type: request.NonPreempt})
 	if err != nil {
@@ -157,7 +155,7 @@ func TestMigrateClusterErrors(t *testing.T) {
 }
 
 func TestMigrateThenCrashRequeueReplaysOnNewOwner(t *testing.T) {
-	e, f, _ := newMigrateFederation(t, RequeueOnCrash)
+	e, f := newMigrateFederation(t, RequeueOnCrash)
 	app := &testApp{}
 	sess := f.Connect(app)
 	id, err := sess.Request(rms.RequestSpec{Cluster: cC, N: 2, Duration: math.Inf(1), Type: request.NonPreempt})
@@ -215,7 +213,7 @@ func churnOn(t *testing.T, e *sim.Engine, sess *Session, cid view.ClusterID, n i
 
 func TestRebalancerMovesHotCluster(t *testing.T) {
 	run := func() (*Rebalancer, *Federator) {
-		e, f, _ := newMigrateFederation(t, KillOnCrash)
+		e, f := newMigrateFederation(t, KillOnCrash)
 		sess := f.Connect(&testApp{})
 		rb := NewRebalancer(f, RebalancerConfig{Interval: 5})
 		rb.Start()
@@ -245,7 +243,7 @@ func TestRebalancerMovesHotCluster(t *testing.T) {
 }
 
 func TestRebalancerIdleFederationIsNotChurned(t *testing.T) {
-	e, f, _ := newMigrateFederation(t, KillOnCrash)
+	e, f := newMigrateFederation(t, KillOnCrash)
 	f.Connect(&testApp{})
 	rb := NewRebalancer(f, RebalancerConfig{Interval: 5})
 	rb.Start()
@@ -260,7 +258,7 @@ func TestRebalancerIdleFederationIsNotChurned(t *testing.T) {
 }
 
 func TestRebalancerSkipsDownShards(t *testing.T) {
-	e, f, _ := newMigrateFederation(t, RequeueOnCrash)
+	e, f := newMigrateFederation(t, RequeueOnCrash)
 	sess := f.Connect(&testApp{})
 	rb := NewRebalancer(f, RebalancerConfig{Interval: 5})
 	churnOn(t, e, sess, cC, 20)

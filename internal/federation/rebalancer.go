@@ -13,9 +13,9 @@ import (
 //
 // Load is observed per cluster through rms.Server.ClusterLoads: the score of
 // a cluster over one check interval is its request churn delta (accepted
-// request() operations since the last check — the counter also surfaces in
-// the metrics registry as metrics.ChurnRequests) plus its firm pool
-// occupancy (node IDs held by non-preemptible allocations; preemptible
+// request() operations since the last check — its per-shard sum also
+// surfaces as the churn_requests counter of rms.Server.Stats) plus its firm
+// pool occupancy (node IDs held by non-preemptible allocations; preemptible
 // holdings are reclaimable and would mask skew under scavenger PSAs that
 // fill every idle node); a shard's score is the sum over its clusters. When the
 // hottest shard's score exceeds SkewRatio times the coldest's, the

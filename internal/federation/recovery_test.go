@@ -14,17 +14,15 @@ import (
 	"coormv2/internal/view"
 )
 
-func newRecoveryFederation(t *testing.T, pol RecoveryPolicy) (*sim.Engine, *Federator, *metrics.Recorder) {
+func newRecoveryFederation(t *testing.T, pol RecoveryPolicy) (*sim.Engine, *Federator) {
 	t.Helper()
 	e := sim.NewEngine()
-	fedRec := metrics.NewRecorder()
 	f := New(Config{
-		Clusters:          map[view.ClusterID]int{cA: 8, cB: 8},
-		Shards:            2,
-		ReschedInterval:   1,
-		Clock:             clock.SimClock{E: e},
-		Recovery:          pol,
-		FederationMetrics: fedRec,
+		Clusters:        map[view.ClusterID]int{cA: 8, cB: 8},
+		Shards:          2,
+		ReschedInterval: 1,
+		Clock:           clock.SimClock{E: e},
+		Recovery:        pol,
 		Metrics: func(int) *metrics.Recorder {
 			return metrics.NewRecorder()
 		},
@@ -32,7 +30,7 @@ func newRecoveryFederation(t *testing.T, pol RecoveryPolicy) (*sim.Engine, *Fede
 	if f.NumShards() != 2 {
 		t.Fatalf("NumShards = %d, want 2", f.NumShards())
 	}
-	return e, f, fedRec
+	return e, f
 }
 
 func mustCheck(t *testing.T, f *Federator) {
@@ -43,7 +41,7 @@ func mustCheck(t *testing.T, f *Federator) {
 }
 
 func TestCrashKillPolicyKillsAffectedSparesBystander(t *testing.T) {
-	e, f, fedRec := newRecoveryFederation(t, KillOnCrash)
+	e, f := newRecoveryFederation(t, KillOnCrash)
 	victim, bystander := &testApp{}, &testApp{}
 	vs := f.Connect(victim)
 	bs := f.Connect(bystander)
@@ -68,7 +66,7 @@ func TestCrashKillPolicyKillsAffectedSparesBystander(t *testing.T) {
 	if bystander.killed != "" {
 		t.Fatalf("bystander killed: %q", bystander.killed)
 	}
-	if got := fedRec.Count(vs.AppID(), metrics.KilledSessions); got != 1 {
+	if got := f.Stats()["killed_sessions"]; got != 1 {
 		t.Errorf("killed-sessions counter = %d, want 1", got)
 	}
 	// The bystander immediately sees views without the dead shard's cluster.
@@ -102,7 +100,7 @@ func TestCrashKillPolicyKillsAffectedSparesBystander(t *testing.T) {
 }
 
 func TestCrashRequeuePolicyReplaysUnderSameFederatedIDs(t *testing.T) {
-	e, f, fedRec := newRecoveryFederation(t, RequeueOnCrash)
+	e, f := newRecoveryFederation(t, RequeueOnCrash)
 	app := &testApp{}
 	sess := f.Connect(app)
 	idA, err := sess.Request(rms.RequestSpec{Cluster: cA, N: 3, Duration: math.Inf(1), Type: request.NonPreempt})
@@ -134,7 +132,7 @@ func TestCrashRequeuePolicyReplaysUnderSameFederatedIDs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("queued request: %v", err)
 	}
-	if got := fedRec.Count(sess.AppID(), metrics.RequeuedRequests); got != 2 {
+	if got := f.Stats()["requeued_requests"]; got != 2 {
 		t.Errorf("requeued counter = %d, want 2", got)
 	}
 	// The request on the surviving shard still works.
@@ -159,7 +157,7 @@ func TestCrashRequeuePolicyReplaysUnderSameFederatedIDs(t *testing.T) {
 	if started[idA] != 3 || started[idA2] != 1 {
 		t.Fatalf("replayed starts = %v, want %d:3 and %d:1", started, idA, idA2)
 	}
-	if got := fedRec.Count(sess.AppID(), metrics.ReplayedRequests); got != 2 {
+	if got := f.Stats()["replayed_requests"]; got != 2 {
 		t.Errorf("replayed counter = %d, want 2", got)
 	}
 	mustCheck(t, f)
@@ -175,7 +173,7 @@ func TestCrashRequeuePolicyReplaysUnderSameFederatedIDs(t *testing.T) {
 }
 
 func TestDoneOnQueuedRequestDropsIt(t *testing.T) {
-	e, f, fedRec := newRecoveryFederation(t, RequeueOnCrash)
+	e, f := newRecoveryFederation(t, RequeueOnCrash)
 	app := &testApp{}
 	sess := f.Connect(app)
 	e.Run(2)
@@ -188,7 +186,7 @@ func TestDoneOnQueuedRequestDropsIt(t *testing.T) {
 	if err := sess.Done(id, nil); err != nil {
 		t.Fatalf("done on queued request: %v", err)
 	}
-	if got := fedRec.Count(sess.AppID(), metrics.DroppedRequests); got != 1 {
+	if got := f.Stats()["dropped_requests"]; got != 1 {
 		t.Errorf("dropped counter = %d, want 1", got)
 	}
 	// Nothing left to replay.
@@ -204,7 +202,7 @@ func TestDoneOnQueuedRequestDropsIt(t *testing.T) {
 // whose parent is requeued keeps the relation; a NEXT child whose parent
 // was already finished replays unconstrained.
 func TestRequeueNextChainAcrossCrash(t *testing.T) {
-	e, f, _ := newRecoveryFederation(t, RequeueOnCrash)
+	e, f := newRecoveryFederation(t, RequeueOnCrash)
 	app := &testApp{}
 	sess := f.Connect(app)
 	parent, err := sess.Request(rms.RequestSpec{Cluster: cA, N: 2, Duration: math.Inf(1), Type: request.NonPreempt})
@@ -264,7 +262,7 @@ func TestRequeueNextChainAcrossCrash(t *testing.T) {
 // request-ID tables: after a full request/done cycle (plus the GC round) the
 // tables return to their baseline size.
 func TestIDTablePruning(t *testing.T) {
-	e, f, _ := newRecoveryFederation(t, KillOnCrash)
+	e, f := newRecoveryFederation(t, KillOnCrash)
 	app := &testApp{}
 	sess := f.Connect(app)
 	tableSize := func() (int, int) {
@@ -304,7 +302,7 @@ func TestIDTablePruning(t *testing.T) {
 // that crosses the Federator boundary quoting a request ID: the quoted ID
 // must be the federated one, never the shard-local one.
 func TestErrorIDTranslation(t *testing.T) {
-	e, f, _ := newRecoveryFederation(t, KillOnCrash)
+	e, f := newRecoveryFederation(t, KillOnCrash)
 	// Session 1 burns federated IDs on shard A so that session 2's
 	// shard-local IDs on shard B diverge from its federated IDs.
 	s1 := f.Connect(&testApp{})
@@ -418,7 +416,7 @@ func (a *observerApp) OnRequestsReaped(ids []request.ID) { a.reaped = append(a.r
 func TestCrashAfterLogicalEndCompletesInsteadOfRequeue(t *testing.T) {
 	for _, pol := range []RecoveryPolicy{KillOnCrash, RequeueOnCrash} {
 		t.Run(pol.String(), func(t *testing.T) {
-			e, f, fedRec := newRecoveryFederation(t, pol)
+			e, f := newRecoveryFederation(t, pol)
 			app := &observerApp{}
 			sess := f.Connect(app)
 			shardA, _ := f.Owner(cA)
@@ -445,7 +443,7 @@ func TestCrashAfterLogicalEndCompletesInsteadOfRequeue(t *testing.T) {
 			if len(app.reaped) != 1 || app.reaped[0] != id {
 				t.Fatalf("reaped = %v, want [%d]", app.reaped, id)
 			}
-			if got := fedRec.Count(sess.AppID(), metrics.RequeuedRequests); got != 0 {
+			if got := f.Stats()["requeued_requests"]; got != 0 {
 				t.Errorf("requeued counter = %d, want 0", got)
 			}
 			mustCheck(t, f)
@@ -465,7 +463,7 @@ func TestCrashAfterLogicalEndCompletesInsteadOfRequeue(t *testing.T) {
 // was not yet GC-reaped when its shard died still gets the reap the dead
 // shard's GC would have produced, so observer tables prune in lockstep.
 func TestCrashDeliversReapForFinishedUnreapedRequests(t *testing.T) {
-	e, f, _ := newRecoveryFederation(t, RequeueOnCrash)
+	e, f := newRecoveryFederation(t, RequeueOnCrash)
 	app := &observerApp{}
 	sess := f.Connect(app)
 	parent, err := sess.Request(rms.RequestSpec{Cluster: cA, N: 2, Duration: math.Inf(1), Type: request.NonPreempt})
@@ -508,7 +506,7 @@ func TestCrashDeliversReapForFinishedUnreapedRequests(t *testing.T) {
 // duration (completed work). It stays interrupted work: requeued again and
 // eventually re-run to a real completion.
 func TestDoubleCrashBeforeReplayRestartsKeepsWorkQueued(t *testing.T) {
-	e, f, _ := newRecoveryFederation(t, RequeueOnCrash)
+	e, f := newRecoveryFederation(t, RequeueOnCrash)
 	app := &observerApp{}
 	sess := f.Connect(app)
 	id, err := sess.Request(rms.RequestSpec{Cluster: cA, N: 2, Duration: 100, Type: request.NonPreempt})

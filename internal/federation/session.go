@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"coormv2/internal/metrics"
 	"coormv2/internal/obs"
 	"coormv2/internal/request"
 	"coormv2/internal/rms"
@@ -210,7 +209,7 @@ func (s *Session) requestOn(shard int, spec rms.RequestSpec) (request.ID, error)
 		s.toLocal[fid] = &fedReq{shard: shard, spec: spec, queued: true}
 		s.queues[shard] = append(s.queues[shard], fid)
 		s.mu.Unlock()
-		s.f.count(s.id, metrics.RequeuedRequests, 1)
+		s.f.stats.requeuedRequests.Add(1)
 		// A queued cross-shard spec needs no gang record yet: replayQueue
 		// detects the live cross-shard parent and starts the reservation.
 		return fid, nil
@@ -258,7 +257,7 @@ func (s *Session) Done(id request.ID, released []int) error {
 		s.clearGangLocked(id)            // a withdrawn gang child needs no reservation
 		s.noteGangParentLocked(id, true) // a withdraw delivers a finish: NEXT is satisfied
 		s.mu.Unlock()
-		s.f.count(s.id, metrics.DroppedRequests, 1)
+		s.f.stats.droppedRequests.Add(1)
 		s.notifyWithdrawn(id)
 		return nil
 	}

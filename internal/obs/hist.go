@@ -1,8 +1,8 @@
 // Package obs is the observability substrate: streaming log-bucketed
 // latency histograms, a bounded structured event ring, and a registry
-// that unifies the repo's scattered counters (core.SchedStats,
-// federation.MergeStats, metrics.Counter) behind one Snapshot with
-// stable JSON and Prometheus text encodings.
+// where every layer registers its event counters (core.SchedStats and the
+// Stats() of rms.Server, federation.Federator and transport.Server), all
+// behind one Snapshot with stable JSON and Prometheus text encodings.
 //
 // Everything here is designed to stay out of the allocation-lean hot
 // paths when observability is disabled: a nil *Registry and a nil

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"coormv2/internal/metrics"
 	"coormv2/internal/request"
 )
 
@@ -74,9 +73,6 @@ func (sess *Session) HoldObserved(spec RequestSpec, notBefore float64, observe f
 	sess.app.SetFor(spec.Type).Add(r)
 	s.touchLocked(sess.app.ID)
 	s.churn[spec.Cluster]++
-	if s.cfg.Metrics != nil {
-		s.cfg.Metrics.IncCounter(sess.app.ID, metrics.ChurnRequests, 1)
-	}
 	if observe != nil {
 		observe(id)
 	}

@@ -6,7 +6,6 @@ import (
 	"math"
 	"sort"
 
-	"coormv2/internal/metrics"
 	"coormv2/internal/request"
 	"coormv2/internal/stepfunc"
 	"coormv2/internal/view"
@@ -440,9 +439,7 @@ func (s *Server) AttachCluster(snap *ClusterSnapshot, observe func(appID int, ol
 			s.recordAllocLocked(sess, now)
 		}
 		s.touchLocked(as.AppID)
-		if s.cfg.Metrics != nil {
-			s.cfg.Metrics.IncCounter(as.AppID, metrics.MigratedRequests, len(as.Requests))
-		}
+		s.stats.migratedRequests += int64(len(as.Requests))
 	}
 	s.loadEpoch++ // the topology change alone alters ClusterLoads
 	s.recordPreAllocLocked(now)

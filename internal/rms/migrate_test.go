@@ -113,8 +113,8 @@ func TestDetachAttachRoundTrip(t *testing.T) {
 	if got := recB.Current(7); got != 4 {
 		t.Fatalf("target current = %d, want 4", got)
 	}
-	if got := recB.Count(7, metrics.MigratedRequests); got != 3 {
-		t.Fatalf("migrated-requests counter = %d, want 3", got)
+	if got := b.Stats()["migrated_requests"]; got != 3 {
+		t.Fatalf("migrated_requests counter = %d, want 3", got)
 	}
 
 	// The bystander request is untouched and the donor no longer knows mx.

@@ -5,7 +5,6 @@ import (
 	"math"
 	"sort"
 
-	"coormv2/internal/metrics"
 	"coormv2/internal/request"
 	"coormv2/internal/view"
 )
@@ -244,7 +243,7 @@ func (s *Server) FailNodes(cid view.ClusterID, ids []int) (*NodeFaultReport, err
 				}
 				killed = append(killed, r)
 				rep.Killed++
-				s.countLocked(appID, metrics.NodeKilledRequests, 1)
+				s.stats.nodeKilled++
 			case NodeFaultRequeued:
 				if len(r.NodeIDs) > 0 {
 					s.mustFreeLocked(cid, r.NodeIDs)
@@ -256,11 +255,11 @@ func (s *Server) FailNodes(cid view.ClusterID, ids []int) (*NodeFaultReport, err
 				r.ScheduledAt = math.Inf(1)
 				r.Wrapped = false
 				rep.Requeued++
-				s.countLocked(appID, metrics.NodeRequeuedRequests, 1)
+				s.stats.nodeRequeued++
 			case NodeFaultReduced:
 				r.NAlloc = len(r.NodeIDs)
 				rep.Reduced++
-				s.countLocked(appID, metrics.NodeReducedRequests, 1)
+				s.stats.nodeReduced++
 			}
 			s.notifyNodeFailureLocked(sess, NodeFailure{
 				Cluster:   cid,
@@ -293,9 +292,7 @@ func (s *Server) FailNodes(cid view.ClusterID, ids []int) (*NodeFaultReport, err
 	s.sched.SetCapacity(cid, pool.capacity())
 	rep.Capacity = pool.capacity()
 	s.loadEpoch++
-	if s.cfg.Metrics != nil {
-		s.cfg.Metrics.IncCounter(0, metrics.FailedNodes, len(failing))
-	}
+	s.stats.failedNodes += int64(len(failing))
 	s.requestRunLocked()
 	s.mu.Unlock()
 	s.flush()
@@ -337,9 +334,7 @@ func (s *Server) RecoverNodes(cid view.ClusterID, ids []int) (*NodeRecoverReport
 	}
 	s.sched.SetCapacity(cid, pool.capacity())
 	s.loadEpoch++
-	if s.cfg.Metrics != nil {
-		s.cfg.Metrics.IncCounter(0, metrics.RecoveredNodes, len(recovering))
-	}
+	s.stats.recoveredNodes += int64(len(recovering))
 	s.requestRunLocked()
 	rep := &NodeRecoverReport{Cluster: cid, Recovered: recovering, Capacity: pool.capacity()}
 	s.mu.Unlock()
@@ -382,13 +377,6 @@ func remainingFor(action NodeFaultAction, r *request.Request) []int {
 func (s *Server) notifyNodeFailureLocked(sess *Session, ev NodeFailure) {
 	if nh, ok := sess.h.(NodeFailureHandler); ok {
 		s.pending = append(s.pending, func() { nh.OnNodeFailure(ev) })
-	}
-}
-
-// countLocked increments a per-application fault counter if metrics are on.
-func (s *Server) countLocked(appID int, c metrics.Counter, n int) {
-	if s.cfg.Metrics != nil {
-		s.cfg.Metrics.IncCounter(appID, c, n)
 	}
 }
 

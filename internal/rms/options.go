@@ -1,7 +1,6 @@
 package rms
 
 import (
-	"coormv2/internal/metrics"
 	"coormv2/internal/obs"
 	"coormv2/internal/request"
 	"coormv2/internal/view"
@@ -121,9 +120,6 @@ func (s *Server) enforceQuotaLocked(now float64) bool {
 		s.touchLocked(r.AppID)
 		s.notifyFinishedLocked(sess, r.ID)
 		s.tenantPreempts[tenantKey(sess.app.Tenant)]++
-		if s.cfg.Metrics != nil {
-			s.cfg.Metrics.IncCounter(r.AppID, metrics.PreemptedRequests, 1)
-		}
 		if s.obs != nil {
 			s.obs.Event(obs.Event{Time: now, Type: obs.EvPreempt, Shard: s.obsLabel,
 				App: r.AppID, Cluster: string(r.Cluster), Request: int(r.ID), Value: float64(granted)})

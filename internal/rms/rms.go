@@ -119,6 +119,22 @@ type Config struct {
 	PoolDebugPanics bool
 }
 
+// serverStats are the server's event counters, exported through Stats and
+// the "rms" obs counter group. Guarded by Server.mu. Like the per-tenant
+// preemption tally they survive Stop/Reset: a crash loses scheduler state,
+// not the record of what happened to the machines.
+type serverStats struct {
+	migratedRequests int64 // requests adopted with a migrated cluster (AttachCluster)
+	failedNodes      int64 // machines reported down (FailNodes)
+	recoveredNodes   int64 // machines reported back (RecoverNodes)
+	// Started requests hit by a node failure, by recovery action: terminated
+	// (§3.1.4 applied per request), reset to pending for a full re-run, or
+	// kept running on their surviving nodes (cooperative).
+	nodeKilled   int64
+	nodeRequeued int64
+	nodeReduced  int64
+}
+
 // Server is a CooRMv2 RMS instance.
 type Server struct {
 	mu    sync.Mutex
@@ -137,6 +153,8 @@ type Server struct {
 	// counter migrates with it (DetachCluster/AttachCluster) so deltas stay
 	// meaningful across shards.
 	churn map[view.ClusterID]int64
+
+	stats serverStats
 
 	schedPending bool
 	schedTimer   clock.Timer
@@ -200,9 +218,9 @@ type Server struct {
 	victimBuf      []*request.Request
 	tenantPreempts map[string]int64
 
-	// gcCollect is the persistent reap callback for gcRequestsLocked with
-	// its per-call state (gcNow/gcObserve/gcReaped scratch): allocating a
-	// fresh closure per session per round would show up in the steady
+	// gcCollect is reapLocked bound once at construction, with its
+	// per-call inputs (gcNow/gcObserve/gcReaped scratch): a fresh method
+	// value or closure per session per round would show up in the steady
 	// cached round's allocation budget.
 	gcCollect func(*request.Request)
 	gcNow     float64
@@ -228,6 +246,7 @@ func NewServer(cfg Config) *Server {
 		SetPoolDebugPanics(true)
 	}
 	s := &Server{cfg: cfg, clk: cfg.Clock, tenantPreempts: make(map[string]int64)}
+	s.gcCollect = s.reapLocked
 	s.initObs()
 	s.initStateLocked()
 	return s
@@ -255,6 +274,7 @@ func (s *Server) initObs() {
 	s.obs.RegisterCounters(prefix+"sched", func() map[string]int64 {
 		return s.SchedStats().Map()
 	})
+	s.obs.RegisterCounters(prefix+"rms", s.Stats)
 	if s.cfg.Scheduling != nil {
 		s.obs.RegisterCounters(prefix+"tenants", func() map[string]int64 {
 			snap := s.TenantPreempts()
@@ -399,6 +419,32 @@ func (s *Server) SchedStats() core.SchedStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.sched.Stats()
+}
+
+// Stats returns the server's cumulative event counters. churn_requests sums
+// the per-cluster churn the rebalancer reads (so it follows clusters through
+// migration and restarts with the scheduler state); preempted_requests sums
+// the per-tenant quota revocations.
+func (s *Server) Stats() map[string]int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var churn, preempted int64
+	for _, n := range s.churn {
+		churn += n
+	}
+	for _, n := range s.tenantPreempts {
+		preempted += n
+	}
+	return map[string]int64{
+		"churn_requests":         churn,
+		"migrated_requests":      s.stats.migratedRequests,
+		"failed_nodes":           s.stats.failedNodes,
+		"recovered_nodes":        s.stats.recoveredNodes,
+		"node_killed_requests":   s.stats.nodeKilled,
+		"node_requeued_requests": s.stats.nodeRequeued,
+		"node_reduced_requests":  s.stats.nodeReduced,
+		"preempted_requests":     preempted,
+	}
 }
 
 // LoadEpoch returns the server's load-mutation epoch: it advances on every
@@ -653,9 +699,6 @@ func (sess *Session) RequestObserved(spec RequestSpec, observe func(request.ID))
 	sess.app.SetFor(spec.Type).Add(r)
 	s.touchLocked(sess.app.ID)
 	s.churn[spec.Cluster]++
-	if s.cfg.Metrics != nil {
-		s.cfg.Metrics.IncCounter(sess.app.ID, metrics.ChurnRequests, 1)
-	}
 	if observe != nil {
 		observe(id)
 	}
@@ -732,13 +775,16 @@ func (sess *Session) findRequestLocked(id request.ID) *request.Request {
 }
 
 // hasPendingNextChildLocked reports whether some unstarted request is NEXT-
-// chained to r (its node IDs must then be preserved for hand-over). Only a
-// same-cluster child counts: node IDs are cluster-scoped, so a cross-cluster
-// NEXT child draws fresh IDs from its own pool and parking the parent's IDs
-// for it would leak them when the parent is reaped.
+// chained to r and could take its node IDs over (they must then be preserved
+// for the hand-over). Only a same-cluster child that holds nodes counts:
+// node IDs are cluster-scoped, so a cross-cluster NEXT child draws fresh IDs
+// from its own pool, and a pre-allocation holds none. IDs parked for a child
+// that never takes them go back to the pool when r is reaped
+// (gcRequestsLocked).
 func (sess *Session) hasPendingNextChildLocked(r *request.Request) bool {
 	for _, q := range sess.app.Requests() {
-		if q.RelatedTo == r && q.RelatedHow == request.Next && q.Cluster == r.Cluster && !q.Started() && !q.Finished {
+		if q.RelatedTo == r && q.RelatedHow == request.Next && q.Cluster == r.Cluster &&
+			q.Type != request.PreAlloc && !q.Started() && !q.Finished {
 			return true
 		}
 	}
@@ -1011,36 +1057,12 @@ func (s *Server) gcRequestsLocked(now float64) {
 			continue
 		}
 		ro, observes := sess.h.(RequestObserver)
-		var collect func(*request.Request)
-		if observes || s.hReap != nil {
-			// One persistent callback serves every session and round; its
-			// inputs live on the server (gcNow/gcObserve/gcReaped scratch).
-			// A per-session closure here would cost one allocation per
-			// session per steady round.
-			if s.gcCollect == nil {
-				s.gcCollect = func(r *request.Request) {
-					if s.gcObserve {
-						s.gcReaped = append(s.gcReaped, r.ID)
-					}
-					if s.hReap != nil {
-						lag := s.gcNow - r.End()
-						if lag < 0 || math.IsNaN(lag) {
-							lag = 0 // withdrawn-but-referenced requests have no end time
-						}
-						s.hReap.Record(lag)
-						s.obs.Event(obs.Event{Time: s.gcNow, Type: obs.EvReap, Shard: s.obsLabel,
-							App: r.AppID, Cluster: string(r.Cluster), Request: int(r.ID), Value: lag})
-					}
-				}
-			}
-			s.gcNow = now
-			s.gcObserve = observes
-			s.gcReaped = s.gcReaped[:0]
-			collect = s.gcCollect
-		}
-		app.PA.GC(now, collect)
-		app.NP.GC(now, collect)
-		app.P.GC(now, collect)
+		s.gcNow = now
+		s.gcObserve = observes
+		s.gcReaped = s.gcReaped[:0]
+		app.PA.GC(now, s.gcCollect)
+		app.NP.GC(now, s.gcCollect)
+		app.P.GC(now, s.gcCollect)
 		if app.PA.Len()+app.NP.Len()+app.P.Len() != before {
 			s.touchLocked(id)
 		}
@@ -1049,6 +1071,33 @@ func (s *Server) gcRequestsLocked(now float64) {
 			sort.Slice(reaped, func(i, j int) bool { return reaped[i] < reaped[j] })
 			s.pending = append(s.pending, func() { ro.OnRequestsReaped(reaped) })
 		}
+	}
+}
+
+// reapLocked is gcRequestsLocked's per-request callback: r was just removed
+// from its set.
+func (s *Server) reapLocked(r *request.Request) {
+	if len(r.NodeIDs) > 0 {
+		// Parked for a NEXT hand-over that never happened: the child sits in
+		// another request set (so it does not keep r alive), or was withdrawn
+		// or killed first.
+		sess := s.sessions[r.AppID]
+		s.mustFreeLocked(r.Cluster, r.NodeIDs)
+		sess.held -= len(r.NodeIDs)
+		r.NodeIDs = nil
+		s.recordAllocLocked(sess, s.gcNow)
+	}
+	if s.gcObserve {
+		s.gcReaped = append(s.gcReaped, r.ID)
+	}
+	if s.hReap != nil {
+		lag := s.gcNow - r.End()
+		if lag < 0 || math.IsNaN(lag) {
+			lag = 0 // withdrawn-but-referenced requests have no end time
+		}
+		s.hReap.Record(lag)
+		s.obs.Event(obs.Event{Time: s.gcNow, Type: obs.EvReap, Shard: s.obsLabel,
+			App: r.AppID, Cluster: string(r.Cluster), Request: int(r.ID), Value: lag})
 	}
 }
 
@@ -1112,12 +1161,13 @@ func (s *Server) startRequestsLocked(outcome *core.Outcome, now float64) {
 			// Inherit IDs from a finished NEXT parent. Only a same-cluster
 			// parent can hand IDs over: node IDs are cluster-scoped, so a
 			// cross-cluster NEXT must draw fresh IDs from its own pool.
+			// donor is that parent; from here on its list is whatever r has
+			// not yet taken or returned.
+			var donor *request.Request
 			var inherited []int
-			if r.RelatedHow == request.Next && r.RelatedTo != nil {
-				parent := r.RelatedTo
-				if parent.Cluster == r.Cluster && parent.Ended(now) && len(parent.NodeIDs) > 0 {
-					inherited = parent.NodeIDs
-				}
+			if p := r.RelatedTo; r.RelatedHow == request.Next && p != nil &&
+				p.Cluster == r.Cluster && p.Ended(now) && len(p.NodeIDs) > 0 {
+				donor, inherited = p, p.NodeIDs
 			}
 			want := r.NAlloc
 			pool := s.pools[r.Cluster]
@@ -1130,21 +1180,19 @@ func (s *Server) startRequestsLocked(outcome *core.Outcome, now float64) {
 				inherited = inherited[:want]
 				s.mustFreeLocked(r.Cluster, surplus)
 				sess.held -= len(surplus)
+				donor.NodeIDs = inherited
 			}
 			need := want - len(inherited)
 			if pool.available() < need {
 				// Defer: preempted resources have not been released yet.
-				// The parent keeps any trimmed ID list for the retry.
-				if r.RelatedTo != nil && len(inherited) > 0 {
-					r.RelatedTo.NodeIDs = inherited
-				}
+				// The donor keeps its trimmed ID list for the retry.
 				s.touchLocked(r.AppID)
 				s.recordAllocLocked(sess, now)
 				continue
 			}
 			ids := append(append([]int(nil), inherited...), pool.alloc(need)...)
-			if r.RelatedTo != nil && len(inherited) > 0 {
-				r.RelatedTo.NodeIDs = nil
+			if donor != nil {
+				donor.NodeIDs = nil
 			}
 			r.NodeIDs = ids
 			r.StartedAt = now

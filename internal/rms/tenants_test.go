@@ -84,7 +84,7 @@ func TestQuotaPreemptionRecoversGuarantee(t *testing.T) {
 	}
 	// The revocations were real terminations, visible everywhere: the
 	// applications heard OnRequestFinished, the per-tenant counter and the
-	// metrics counter advanced, and the event trace carries EvPreempt.
+	// server's preempted_requests counter advanced, and the event trace carries EvPreempt.
 	revoked := len(batch[0].finished) + len(batch[1].finished)
 	if revoked == 0 {
 		t.Fatal("no batch request was revoked")
@@ -92,8 +92,8 @@ func TestQuotaPreemptionRecoversGuarantee(t *testing.T) {
 	if got := s.TenantPreempts()["batch"]; got != int64(revoked) {
 		t.Fatalf("TenantPreempts[batch] = %d, want %d", got, revoked)
 	}
-	if got := rec.TotalCount(metrics.PreemptedRequests); got != revoked {
-		t.Fatalf("metrics preempted-requests = %d, want %d", got, revoked)
+	if got := s.Stats()["preempted_requests"]; got != int64(revoked) {
+		t.Fatalf("preempted_requests counter = %d, want %d", got, revoked)
 	}
 	events := 0
 	for _, ev := range reg.Events() {

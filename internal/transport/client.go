@@ -111,14 +111,14 @@ type Client struct {
 	hReconnect *obs.Histogram
 }
 
-// Dial connects to a CooRMv2 daemon and performs the connect handshake
-// with default options: no heartbeats, no reconnection, no call deadline.
-func Dial(addr string, h Handler) (*Client, error) {
-	return DialOptions(addr, h, Options{})
-}
-
-// DialOptions connects with explicit resilience options.
-func DialOptions(addr string, h Handler, o Options) (*Client, error) {
+// Dial connects to a CooRMv2 daemon and performs the connect handshake.
+// Without opts the client runs with the zero Options: no heartbeats, no
+// reconnection, no call deadline. At most one Options value is used.
+func Dial(addr string, h Handler, opts ...Options) (*Client, error) {
+	var o Options
+	if len(opts) > 0 {
+		o = opts[0]
+	}
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: %w", err)

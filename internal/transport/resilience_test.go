@@ -118,7 +118,7 @@ func TestReconnectResumeAfterSever(t *testing.T) {
 	defer p.Close()
 
 	app := newResilApp()
-	c, err := DialOptions(addr, app, Options{
+	c, err := Dial(addr, app, Options{
 		Reconnect:       true,
 		ReconnectWindow: 8 * time.Second,
 		BackoffBase:     5 * time.Millisecond,
@@ -181,7 +181,7 @@ func TestGraceExpiryTearsDownSession(t *testing.T) {
 	defer p.Close()
 
 	app := newResilApp()
-	c, err := DialOptions(addr, app, Options{
+	c, err := Dial(addr, app, Options{
 		Reconnect:       true,
 		ReconnectWindow: 5 * time.Second,
 		BackoffBase:     5 * time.Millisecond,
@@ -258,7 +258,7 @@ func TestHeartbeatDetectsSilentPeer(t *testing.T) {
 	}()
 
 	app := newResilApp()
-	c, err := DialOptions(ln.Addr().String(), app, Options{
+	c, err := Dial(ln.Addr().String(), app, Options{
 		HeartbeatInterval: 20 * time.Millisecond,
 		HeartbeatMiss:     3,
 		CallTimeout:       5 * time.Second,
@@ -419,7 +419,7 @@ func runChaosScenario(t *testing.T, seed int64) uint64 {
 	trace := netchaos.TraceOf(plan)
 
 	app := newResilApp()
-	c, err := DialOptions(addr, app, Options{
+	c, err := Dial(addr, app, Options{
 		Reconnect:         true,
 		ReconnectWindow:   15 * time.Second,
 		BackoffBase:       5 * time.Millisecond,
@@ -501,7 +501,7 @@ func TestViewsReplayedOnResume(t *testing.T) {
 	defer p.Close()
 
 	app := newResilApp()
-	c, err := DialOptions(addr, app, Options{
+	c, err := Dial(addr, app, Options{
 		Reconnect:       true,
 		ReconnectWindow: 8 * time.Second,
 		BackoffBase:     5 * time.Millisecond,
@@ -552,7 +552,7 @@ func TestResumeRejectedSurfacesAsKill(t *testing.T) {
 	defer p.Close()
 
 	app := newResilApp()
-	c, err := DialOptions(addr, app, Options{
+	c, err := Dial(addr, app, Options{
 		Reconnect:       true,
 		ReconnectWindow: 5 * time.Second,
 		BackoffBase:     5 * time.Millisecond,

@@ -152,7 +152,7 @@ func TestOversizedServerFrame(t *testing.T) {
 	}()
 
 	app := newResilApp()
-	c, err := DialOptions(ln.Addr().String(), app, Options{MaxFrame: 512})
+	c, err := Dial(ln.Addr().String(), app, Options{MaxFrame: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
