@@ -102,8 +102,9 @@ var renamedCounters = map[string]string{
 	"metrics.preempted-requests":     "shard0.rms.preempted_requests",
 }
 
-// unchangedCounters are the keys of the groups this change did not touch,
-// as the parent daemon served them after one job ("shard0" for every shard).
+// unchangedCounters are the keys of the groups the counter move did not
+// touch, as the daemon serves them after one job ("shard0" for every
+// shard), plus the transport's views-frame counters added since.
 var unchangedCounters = []string{
 	"shard0.sched.artifacts_recomputed", "shard0.sched.artifacts_reused",
 	"shard0.sched.cbf_recomputed", "shard0.sched.cbf_reused",
@@ -115,6 +116,7 @@ var unchangedCounters = []string{
 	"transport.evictions", "transport.grace_expiries", "transport.idem_replays",
 	"transport.oversized_frames", "transport.resumes", "transport.resumes_rejected",
 	"transport.sessions",
+	"transport.views_full_frames", "transport.views_delta_frames", "transport.views_bytes",
 }
 
 // TestDaemonServesObs starts a 2-shard daemon with the obs side listener on
@@ -216,5 +218,9 @@ func TestDaemonServesObs(t *testing.T) {
 	}
 	if got := snap.Counters["transport.sessions"]; got != 1 {
 		t.Errorf("transport.sessions = %d, want 1", got)
+	}
+	// One connection: its first views frame is the only full one.
+	if got := snap.Counters["transport.views_full_frames"]; got != 1 {
+		t.Errorf("transport.views_full_frames = %d, want 1", got)
 	}
 }

@@ -54,40 +54,88 @@ type StepJSON struct {
 type ViewJSON map[string][]StepJSON
 
 // EncodeView converts a view to its wire form.
-func EncodeView(v view.View) ViewJSON {
-	out := make(ViewJSON, len(v))
-	for _, cid := range v.Clusters() {
-		steps := v.Get(cid).Steps()
-		enc := make([]StepJSON, len(steps))
-		for i, s := range steps {
-			d := s.Duration
-			if math.IsInf(d, 1) {
-				d = infDuration
-			}
-			enc[i] = StepJSON{Duration: d, N: s.N}
+func EncodeView(v view.View) ViewJSON { return EncodeViewDelta(nil, v) }
+
+// EncodeViewDelta lists what turns base into v: every cluster of v whose
+// profile differs from base's, and a zero profile for every cluster only
+// base has. A nil base lists all of v — the full form, which is also the
+// delta from an empty view. Neither view is modified.
+func EncodeViewDelta(base, v view.View) ViewJSON {
+	size := 0
+	if base == nil {
+		size = len(v)
+	}
+	out := make(ViewJSON, size)
+	shared := 0 // clusters of v that base lists too
+	for cid, f := range v {
+		b, ok := base[cid]
+		if ok {
+			shared++
 		}
-		out[string(cid)] = enc
+		if f = orZero(f); base == nil || !f.Equal(orZero(b)) {
+			out[string(cid)] = encodeProfile(f)
+		}
+	}
+	if shared == len(base) {
+		return out // base lists nothing that v lacks
+	}
+	for cid, b := range base {
+		if _, ok := v[cid]; !ok && !orZero(b).IsZero() {
+			out[string(cid)] = encodeProfile(stepfunc.Zero())
+		}
 	}
 	return out
 }
 
-// DecodeView converts a wire view back to the internal representation.
-func (vj ViewJSON) DecodeView() (view.View, error) {
-	out := view.New()
+// orZero reads a view entry the way view.View.Get does: nil is zero.
+func orZero(f *stepfunc.StepFunc) *stepfunc.StepFunc {
+	if f == nil {
+		return stepfunc.Zero()
+	}
+	return f
+}
+
+func encodeProfile(f *stepfunc.StepFunc) []StepJSON {
+	steps := f.Steps()
+	enc := make([]StepJSON, len(steps))
+	for i, s := range steps {
+		d := s.Duration
+		if math.IsInf(d, 1) {
+			d = infDuration
+		}
+		enc[i] = StepJSON{Duration: d, N: s.N}
+	}
+	return enc
+}
+
+// DecodeView converts a full wire view back to the internal representation.
+func (vj ViewJSON) DecodeView() (view.View, error) { return vj.Apply(nil) }
+
+// Apply returns base patched with vj: a listed cluster replaces base's
+// profile, a zero profile removes the cluster, every other cluster of base
+// carries over. The result is a fresh map; base is not modified.
+func (vj ViewJSON) Apply(base view.View) (view.View, error) {
+	out := base.Clone()
 	for cid, steps := range vj {
 		dec := make([]stepfunc.Step, len(steps))
+		t := 0.0
 		for i, s := range steps {
 			d := s.Duration
 			if d == infDuration {
 				d = math.Inf(1)
 			}
-			if d < 0 {
+			// A step must move time forward to a finite instant (or be the
+			// closing "forever"), else the profile's breakpoints collide.
+			end := t + d
+			if d < 0 || d > 0 && (end == t || math.IsInf(end, 1) && !math.IsInf(d, 1)) {
 				return nil, fmt.Errorf("proto: invalid duration %v in view", s.Duration)
 			}
+			t = end
 			dec[i] = stepfunc.Step{Duration: d, N: s.N}
 		}
-		f := stepfunc.FromSteps(dec...)
-		if !f.IsZero() {
+		if f := stepfunc.FromSteps(dec...); f.IsZero() {
+			delete(out, view.ClusterID(cid))
+		} else {
 			out[view.ClusterID(cid)] = f
 		}
 	}
@@ -143,9 +191,13 @@ type Message struct {
 	// MsgStart
 	NodeIDs []int `json:"node_ids,omitempty"`
 
-	// MsgViews
+	// MsgViews. With Delta the two views list only what changed since the
+	// previous views frame on the same connection (see ViewJSON.Apply): an
+	// absent view is unchanged, not empty. The first views frame of every
+	// connection is full.
 	NonPreemptView ViewJSON `json:"np_view,omitempty"`
 	PreemptView    ViewJSON `json:"p_view,omitempty"`
+	Delta          bool     `json:"delta,omitempty"`
 
 	// MsgError, MsgKill
 	Reason string `json:"reason,omitempty"`

@@ -73,6 +73,8 @@ type Config struct {
 	Clusters map[view.ClusterID]int
 	// ReschedInterval is the §3.2 re-scheduling interval: the scheduling
 	// algorithm runs at most once per interval. The evaluation uses 1 s.
+	// Under a real clock it is also the least idle time between the end of
+	// one round's notification delivery and the next round (see runScheduled).
 	ReschedInterval float64
 	// Clock drives time; use clock.SimClock for simulations.
 	Clock clock.Clock
@@ -161,6 +163,10 @@ type Server struct {
 	wakeTimer    clock.Timer
 	lastRunAt    float64
 	ranOnce      bool
+	// delivering: a timer-driven round is running or still delivering its
+	// notifications; idleUntil is the earliest the next one may start.
+	delivering bool
+	idleUntil  float64
 
 	lastViews map[int][2]view.View
 
@@ -330,6 +336,7 @@ func (s *Server) initStateLocked() {
 	s.nextReq = 1
 	s.lastRunAt = math.Inf(-1)
 	s.ranOnce = false
+	s.idleUntil = math.Inf(-1)
 	s.obsPrevRecomputed = 0 // fresh scheduler: cumulative counters restart
 }
 
@@ -938,16 +945,50 @@ func (s *Server) ScheduleNow() {
 // runScheduled is the timer callback for a scheduling round. Stop cancels
 // the timers, but under a real clock a firing callback can race the crash;
 // the stopped guard makes that race a no-op.
+//
+// Under a real clock a round and the delivery of its notifications take
+// time, possibly more than the interval. A round therefore never overlaps
+// the previous round's delivery and starts only after the server has then
+// been idle for one interval, so every call that arrives during a round or
+// the idle interval after it shares the next round. Without the rule the
+// number of rounds — and of view pushes — one request()/done() pair costs
+// depends on how far the previous delivery had got when each call arrived,
+// that is on the machine's speed. A timer that fires too early re-arms
+// itself. Inside the simulator rounds take no time, the timer
+// requestRunLocked armed is never early, and nothing changes.
 func (s *Server) runScheduled() {
 	s.mu.Lock()
 	if s.stopped {
 		s.mu.Unlock()
 		return
 	}
+	wait := s.idleUntil - s.clk.Now()
+	if s.delivering {
+		wait = s.cfg.ReschedInterval
+	}
+	if wait > 1e-9 {
+		s.schedTimer = s.clk.AfterFunc(wait, "rms.schedule", s.runScheduled)
+		s.mu.Unlock()
+		return
+	}
 	s.schedPending = false
+	s.delivering = true
 	s.runLocked()
+	// The round delivers its own notifications: a concurrent API call's
+	// flush must not take them and leave this goroutine nothing to wait for.
+	batch := s.pending
+	s.pending = nil
 	s.mu.Unlock()
+	for _, fn := range batch {
+		fn()
+	}
 	s.flush()
+	s.mu.Lock()
+	s.delivering = false
+	if s.ranOnce && !s.stopped { // not crashed or reset meanwhile
+		s.idleUntil = s.clk.Now() + s.cfg.ReschedInterval
+	}
+	s.mu.Unlock()
 }
 
 // flush delivers queued notifications without holding the lock, so handlers

@@ -21,6 +21,8 @@ import (
 // Handler receives asynchronous RMS notifications on the client side.
 // It is the client-side twin of rms.AppHandler.
 type Handler interface {
+	// OnViews delivers fresh views. As with rms.AppHandler, the handler may
+	// retain them indefinitely but must never modify them.
 	OnViews(nonPreempt, preempt view.View)
 	OnStart(id request.ID, nodeIDs []int)
 	OnKill(reason string)
@@ -547,6 +549,10 @@ func (c *Client) heartbeatLoop() {
 
 // readLoop pumps one connection until it dies or the session ends.
 func (c *Client) readLoop(fr *frameReader) error {
+	// The views this connection's frames have built so far; a delta frame
+	// patches them. They start over with every connection.
+	var np, p view.View
+	synced := false
 	for {
 		line, err := fr.next()
 		if err != nil {
@@ -582,12 +588,24 @@ func (c *Client) readLoop(fr *frameReader) error {
 				pc.ch <- callResult{m: m}
 			}
 		case proto.MsgViews:
-			np, err1 := m.NonPreemptView.DecodeView()
-			p, err2 := m.PreemptView.DecodeView()
+			if m.Delta && !synced {
+				// Nothing to patch: fatal for the connection, like any frame
+				// the client cannot use; the resume re-syncs.
+				return errors.New("transport: delta views frame before a full one")
+			}
+			if !m.Delta {
+				np, p = nil, nil
+			}
+			var err1, err2 error
+			np, err1 = m.NonPreemptView.Apply(np)
+			p, err2 = m.PreemptView.Apply(p)
 			if err1 != nil || err2 != nil {
 				return errors.Join(err1, err2)
 			}
-			c.notif <- func() { c.h.OnViews(np, p) }
+			synced = true
+			// Apply built fresh maps, so the handler may keep this pair.
+			fnp, fp := np, p
+			c.notif <- func() { c.h.OnViews(fnp, fp) }
 		case proto.MsgStart:
 			c.mu.Lock()
 			dup := m.Replay && c.started[m.ReqID]

@@ -1,0 +1,378 @@
+package transport
+
+import (
+	"bytes"
+	"fmt"
+	"io"
+	"math"
+	"math/rand"
+	"net"
+	"sync"
+	"testing"
+	"time"
+
+	"coormv2/internal/proto"
+	"coormv2/internal/request"
+	"coormv2/internal/stepfunc"
+	"coormv2/internal/view"
+)
+
+// referenceFrame is the views frame as the transport encoded it before
+// delta frames — every cluster of both views, on every push — kept as the
+// oracle the delta path is checked against.
+func referenceFrame(t *testing.T, np, p view.View, replay bool) []byte {
+	t.Helper()
+	m := proto.Message{
+		Type:           proto.MsgViews,
+		NonPreemptView: proto.EncodeView(np),
+		PreemptView:    proto.EncodeView(p),
+		Replay:         replay,
+	}
+	data, err := m.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// deltaApp retains every views pair the client hands it, with a snapshot
+// taken on delivery, so the test can tell whether a delivered map was
+// written to afterwards.
+type deltaApp struct {
+	got       chan [2]view.View
+	mu        sync.Mutex
+	delivered [][2]view.View
+	snapshots [][2]view.View
+}
+
+func (a *deltaApp) OnViews(np, p view.View) {
+	a.mu.Lock()
+	a.delivered = append(a.delivered, [2]view.View{np, p})
+	a.snapshots = append(a.snapshots, [2]view.View{np.Clone(), p.Clone()})
+	a.mu.Unlock()
+	a.got <- [2]view.View{np, p}
+}
+func (a *deltaApp) OnStart(request.ID, []int) {}
+func (a *deltaApp) OnKill(string)             {}
+
+// deltaWire joins a server-side wireSession to a client-side read loop
+// over net.Pipe, one pipe per connection, and records the bytes that cross.
+type deltaWire struct {
+	t   *testing.T
+	ws  *wireSession
+	c   *Client
+	app *deltaApp
+
+	cw      *connWriter
+	peer    net.Conn
+	wire    *bytes.Buffer // what the client read on this connection
+	loopErr chan error
+}
+
+func newDeltaWire(t *testing.T) *deltaWire {
+	srv := NewBackendServer(nil)
+	srv.Logf = func(string, ...any) {}
+	srv.Grace = time.Hour
+	app := &deltaApp{got: make(chan [2]view.View, 1)}
+	w := &deltaWire{
+		t:   t,
+		app: app,
+		ws: &wireSession{
+			srv:    srv,
+			token:  "tok",
+			starts: make(map[int64][]int),
+			idem:   make(map[int64]*idemEntry),
+		},
+		c: &Client{h: app, notif: make(chan func(), 1), dispatchDone: make(chan struct{})},
+	}
+	go w.c.dispatchLoop()
+	t.Cleanup(func() {
+		w.detach()
+		close(w.c.notif)
+		<-w.c.dispatchDone
+		w.ws.mu.Lock()
+		w.ws.graceT.Stop()
+		w.ws.mu.Unlock()
+	})
+	return w
+}
+
+// attach opens a connection: the server side attaches (replaying current
+// views on a resume) and a fresh client read loop starts on the other end.
+func (w *deltaWire) attach() {
+	srvEnd, cliEnd := net.Pipe()
+	w.cw = newConnWriter(srvEnd, 16, 10*time.Second)
+	w.peer, w.wire, w.loopErr = cliEnd, new(bytes.Buffer), make(chan error, 1)
+	fr := newFrameReader(io.TeeReader(cliEnd, w.wire), 0)
+	loopErr := w.loopErr
+	go func() { loopErr <- w.c.readLoop(fr) }()
+	if !w.ws.attach(w.cw, proto.Message{Type: proto.MsgConnected, AppID: 1, Resume: "tok"}) {
+		w.t.Fatal("attach refused")
+	}
+}
+
+// detach drops the connection the way a dead socket does.
+func (w *deltaWire) detach() {
+	if w.cw == nil {
+		return
+	}
+	w.peer.Close()
+	<-w.loopErr
+	w.ws.dropConn(w.cw)
+	w.cw.drainThenClose()
+	w.cw = nil
+}
+
+// await returns the pair the client delivered for the frame just pushed
+// and that frame as it crossed the wire.
+func (w *deltaWire) await() ([2]view.View, *proto.Message, []byte) {
+	w.t.Helper()
+	var got [2]view.View
+	select {
+	case got = <-w.app.got:
+	case err := <-w.loopErr:
+		w.t.Fatalf("client read loop ended: %v", err)
+	case <-time.After(5 * time.Second):
+		w.t.Fatal("no views delivered")
+	}
+	// The read loop is parked in the next read; the buffer is quiescent.
+	lines := bytes.Split(bytes.TrimSuffix(w.wire.Bytes(), []byte("\n")), []byte("\n"))
+	line := append([]byte(nil), lines[len(lines)-1]...)
+	m, err := proto.Unmarshal(line)
+	if err != nil || m.Type != proto.MsgViews {
+		w.t.Fatalf("last frame %s: not a views frame (%v)", line, err)
+	}
+	return got, m, line
+}
+
+// viewGen produces a random walk over view pairs shaped like a federated
+// fleet's: 24 clusters, the last 8 of which belong to one shard.
+type viewGen struct {
+	rng    *rand.Rand
+	np, p  view.View
+	shared []*stepfunc.StepFunc
+}
+
+func genCluster(i int) view.ClusterID { return view.ClusterID(fmt.Sprintf("c%02d", i)) }
+
+func (g *viewGen) profile() *stepfunc.StepFunc {
+	if len(g.shared) > 0 && g.rng.Intn(3) == 0 {
+		return g.shared[g.rng.Intn(len(g.shared))] // same object as elsewhere
+	}
+	steps := make([]stepfunc.Step, 1+g.rng.Intn(4))
+	for i := range steps {
+		steps[i] = stepfunc.Step{Duration: float64(1 + g.rng.Intn(3600)), N: g.rng.Intn(64)}
+	}
+	if g.rng.Intn(2) == 0 {
+		steps[len(steps)-1].Duration = math.Inf(1)
+	}
+	f := stepfunc.FromSteps(steps...)
+	g.shared = append(g.shared, f)
+	return f
+}
+
+// step derives the next pair. Views are immutable once delivered, so every
+// change builds new maps (sharing the untouched profiles).
+func (g *viewGen) step() (np, p view.View, what string) {
+	mutate := func(v view.View, n int) view.View {
+		out := v.Clone()
+		for ; n > 0; n-- {
+			cid := genCluster(g.rng.Intn(24))
+			switch g.rng.Intn(5) {
+			case 0:
+				delete(out, cid)
+			case 1:
+				out[cid] = g.profile().Clone() // equal by value, new pointer
+			default:
+				out[cid] = g.profile()
+			}
+		}
+		return out
+	}
+	without := func(v view.View, explicit bool) view.View {
+		out := v.Clone()
+		for i := 16; i < 24; i++ {
+			if explicit {
+				out[genCluster(i)] = stepfunc.Zero()
+			} else {
+				delete(out, genCluster(i))
+			}
+		}
+		return out
+	}
+	switch k := g.rng.Intn(12); {
+	case k == 0:
+		what = "identical"
+	case k == 1:
+		g.np, g.p, what = view.New(), view.New(), "empty"
+	case k == 2:
+		g.np, g.p, what = nil, nil, "nil"
+	case k == 3:
+		explicit := g.rng.Intn(2) == 0
+		g.np, g.p, what = without(g.np, explicit), without(g.p, explicit), "shard crash"
+	case k == 4:
+		g.np, g.p, what = mutate(g.np, 24), mutate(g.p, 24), "rebuild"
+	case k < 8:
+		g.np, what = mutate(g.np, 1+g.rng.Intn(3)), "np only"
+	default:
+		g.np, g.p, what = mutate(g.np, g.rng.Intn(4)), mutate(g.p, 1+g.rng.Intn(4)), "both"
+	}
+	return g.np, g.p, what
+}
+
+// changed counts the clusters a delta from a to b has to list: those whose
+// profile differs — or all of b after a nil view, which the encoder takes
+// for "no base".
+func changed(a, b view.View) int {
+	if a == nil {
+		return len(b)
+	}
+	n := 0
+	for cid := range a {
+		if !a.Get(cid).Equal(b.Get(cid)) {
+			n++
+		}
+	}
+	for cid := range b {
+		if _, ok := a[cid]; !ok && !b.Get(cid).IsZero() {
+			n++
+		}
+	}
+	return n
+}
+
+// TestDeltaViewsMatchFullEncode is the differential oracle for delta
+// frames: whatever sequence of pairs the server is given — with detaches,
+// pushes while detached and resumes in between — the pair the client
+// hands its handler after every frame equals the pair the server was
+// given and what the reference full frame decodes to; a connection's first
+// views frame is byte-identical to the reference; a delta lists exactly
+// the clusters that changed; delivered maps are never written to again.
+func TestDeltaViewsMatchFullEncode(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			w := newDeltaWire(t)
+			g := &viewGen{rng: rand.New(rand.NewSource(seed)), np: view.New(), p: view.New()}
+			w.attach()
+			var sentNP, sentP view.View // what this connection's client holds
+			first := true               // next views frame opens the connection
+			fulls, deltas := 0, 0
+			check := func(np, p view.View, replay bool, what string) {
+				t.Helper()
+				got, m, line := w.await()
+				if !got[0].Equal(np) || !got[1].Equal(p) {
+					t.Fatalf("%s: client holds\n np %v\n p  %v\nserver was given\n np %v\n p  %v\nframe %s",
+						what, got[0], got[1], np, p, line)
+				}
+				ref, err := proto.Unmarshal(referenceFrame(t, np, p, replay))
+				if err != nil {
+					t.Fatal(err)
+				}
+				rnp, _ := ref.NonPreemptView.DecodeView()
+				rp, _ := ref.PreemptView.DecodeView()
+				if !got[0].Equal(rnp) || !got[1].Equal(rp) {
+					t.Fatalf("%s: client pair differs from the reference full frame's", what)
+				}
+				for _, v := range got {
+					for cid, f := range v {
+						if f == nil || f.IsZero() {
+							t.Fatalf("%s: delivered view carries a zero profile for %s", what, cid)
+						}
+					}
+				}
+				if m.Replay != replay {
+					t.Fatalf("%s: replay = %v, want %v", what, m.Replay, replay)
+				}
+				if first {
+					if want := referenceFrame(t, np, p, replay); m.Delta || !bytes.Equal(line, want) {
+						t.Fatalf("%s: first views frame of a connection\n got  %s\n want %s", what, line, want)
+					}
+					fulls++
+				} else {
+					if !m.Delta {
+						t.Fatalf("%s: full frame in mid-connection: %s", what, line)
+					}
+					if got, want := len(m.NonPreemptView)+len(m.PreemptView), changed(sentNP, np)+changed(sentP, p); got != want {
+						t.Fatalf("%s: delta lists %d clusters, %d changed: %s", what, got, want, line)
+					}
+					deltas++
+				}
+				sentNP, sentP, first = np, p, false
+			}
+			for i := 0; i < 300; i++ {
+				if g.rng.Intn(25) == 0 {
+					w.detach()
+					var np, p view.View
+					pushed := g.rng.Intn(4)
+					for j := 0; j < pushed; j++ {
+						np, p, _ = g.step()
+						w.ws.OnViews(np, p)
+					}
+					first = true
+					w.attach()
+					if i > 0 || pushed > 0 {
+						// The resume replays the session's current views in full.
+						w.ws.mu.Lock()
+						np, p = w.ws.lastNP, w.ws.lastP
+						w.ws.mu.Unlock()
+						check(np, p, true, "resume")
+					}
+				}
+				np, p, what := g.step()
+				w.ws.OnViews(np, p)
+				check(np, p, false, fmt.Sprintf("step %d (%s)", i, what))
+			}
+			if fulls < 2 || deltas < 200 {
+				t.Fatalf("sequence exercised %d full and %d delta frames", fulls, deltas)
+			}
+			st := w.ws.srv.Stats()
+			if st["views_full_frames"] != int64(fulls) || st["views_delta_frames"] != int64(deltas) || st["views_bytes"] <= 0 {
+				t.Fatalf("stats %v, want %d full / %d delta frames", st, fulls, deltas)
+			}
+			w.app.mu.Lock()
+			defer w.app.mu.Unlock()
+			for i, d := range w.app.delivered {
+				for k := range d {
+					if s := w.app.snapshots[i][k]; len(d[k]) != len(s) || !d[k].Equal(s) {
+						t.Fatalf("views delivered by frame %d were modified afterwards", i)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestDeltaBeforeFullIsConnectionFatal pins the client's guard: a delta
+// with no full views frame before it on the same connection ends the
+// connection (the resume path re-syncs) instead of patching stale views.
+func TestDeltaBeforeFullIsConnectionFatal(t *testing.T) {
+	app := &deltaApp{got: make(chan [2]view.View, 4)}
+	c := &Client{h: app, notif: make(chan func(), 4)}
+	full := `{"type":"views","np_view":{"c0":[{"dur":-1,"n":4}]}}`
+	delta := `{"type":"views","np_view":{"c0":[{"dur":-1,"n":3}]},"delta":true}`
+
+	err := c.readLoop(newFrameReader(bytes.NewBufferString(full+"\n"+delta+"\n"), 0))
+	if err != io.EOF || len(c.notif) != 2 {
+		t.Fatalf("full then delta: err %v, %d deliveries; want EOF, 2", err, len(c.notif))
+	}
+	// A new connection starts from nothing, whatever the last one held.
+	err = c.readLoop(newFrameReader(bytes.NewBufferString(delta+"\n"), 0))
+	if err == nil || err == io.EOF || len(c.notif) != 2 {
+		t.Fatalf("delta first: err %v, %d deliveries; want a connection error, still 2", err, len(c.notif))
+	}
+}
+
+// TestViewsBeforeAttachReachFreshSession pins the connect race: a round that
+// pushes a fresh session's first views between the backend connect and the
+// attach of its connection must not lose them — the RMS pushes only what
+// changed, so nothing would ever re-send them.
+func TestViewsBeforeAttachReachFreshSession(t *testing.T) {
+	w := newDeltaWire(t)
+	np, p := view.Constant(16, c0), view.Constant(8, c0)
+	w.ws.OnViews(np, p)
+	w.attach()
+	got, m, line := w.await()
+	if !got[0].Equal(np) || !got[1].Equal(p) || m.Delta || m.Replay {
+		t.Fatalf("fresh session's first frame: %s", line)
+	}
+}

@@ -332,6 +332,27 @@ func TestIdempotentRetryDeduplicated(t *testing.T) {
 	if st := srv.Stats(); st["idem_replays"] != 1 {
 		t.Fatalf("idem_replays = %d, want 1", st["idem_replays"])
 	}
+
+	// The cache keeps the outcome, not the frame: a verbatim re-send — of an
+	// acked request, and of a done the backend refused — is answered with
+	// the very bytes of the first answer.
+	send(req)
+	if again := read(); again != ack1 {
+		t.Fatalf("replayed ack = %s, first = %s", again, ack1)
+	}
+	done := `{"type":"done","seq":3,"idem":8,"req_id":999}`
+	send(done)
+	err1 := read()
+	if !contains(err1, `"error"`) || !contains(err1, `"seq":3`) || !contains(err1, "999") {
+		t.Fatalf("done of an unknown request answered %s", err1)
+	}
+	send(done)
+	if again := read(); again != err1 {
+		t.Fatalf("replayed error = %s, first = %s", again, err1)
+	}
+	if st := srv.Stats(); st["idem_replays"] != 3 {
+		t.Fatalf("idem_replays = %d, want 3", st["idem_replays"])
+	}
 }
 
 func contains(s, sub string) bool {

@@ -93,6 +93,9 @@ type serverStats struct {
 	oversized    atomic.Int64 // oversized client frames skipped
 	unsolicited  atomic.Int64 // unsolicited error frames sent to clients
 	idemReplays  atomic.Int64 // calls answered from the idempotency cache
+	viewsFull    atomic.Int64 // views frames enqueued in full
+	viewsDelta   atomic.Int64 // views frames enqueued as deltas
+	viewsBytes   atomic.Int64 // bytes of all views frames enqueued
 }
 
 func (st *serverStats) snapshot() map[string]int64 {
@@ -107,6 +110,10 @@ func (st *serverStats) snapshot() map[string]int64 {
 		"oversized_frames": st.oversized.Load(),
 		"errors_sent":      st.unsolicited.Load(),
 		"idem_replays":     st.idemReplays.Load(),
+
+		"views_full_frames":  st.viewsFull.Load(),
+		"views_delta_frames": st.viewsDelta.Load(),
+		"views_bytes":        st.viewsBytes.Load(),
 	}
 }
 
@@ -414,12 +421,24 @@ func (w *connWriter) evict() {
 	w.finish()
 }
 
+// callReply is the outcome of one request/done call: everything its ack or
+// error frame carries except the Seq, which the responder stamps.
+type callReply struct {
+	typ    proto.MsgType
+	reqID  int64
+	reason string
+}
+
+func (r callReply) frame(seq int64) proto.Message {
+	return proto.Message{Type: r.typ, Seq: seq, ReqID: r.reqID, Reason: r.reason}
+}
+
 // idemEntry caches one idempotent call outcome. done is closed when the
 // reply is valid; a duplicate arriving while the original executes waits
 // on it instead of re-executing.
 type idemEntry struct {
 	done  chan struct{}
-	reply proto.Message // Seq cleared; the responder stamps the retry's
+	reply callReply
 }
 
 // wireSession is the server side of one application session across any
@@ -437,6 +456,8 @@ type wireSession struct {
 	lastNP    view.View   // latest views, replayed on resume
 	lastP     view.View
 	haveViews bool
+	// synced: cw was sent lastNP/lastP, so its next views frame is a delta.
+	synced    bool
 	starts    map[int64][]int // started-but-unfinished requests, replayed on resume
 	idem      map[int64]*idemEntry
 	idemQ     []int64 // insertion order, for cache eviction
@@ -447,18 +468,18 @@ type wireSession struct {
 }
 
 // enqueueLocked marshals and queues one frame on the attached connection,
-// evicting it when the queue is full. Call with ws.mu held — the lock
-// makes state recording and frame ordering atomic against a concurrent
-// resume replay.
-func (ws *wireSession) enqueueLocked(m proto.Message) {
+// evicting it when the queue is full, and returns the frame's size. Call
+// with ws.mu held — the lock makes state recording and frame ordering
+// atomic against a concurrent resume replay.
+func (ws *wireSession) enqueueLocked(m proto.Message) int {
 	cw := ws.cw
 	if cw == nil {
-		return // detached: state is re-delivered on resume
+		return 0 // detached: state is re-delivered on resume
 	}
 	data, err := m.Marshal()
 	if err != nil {
 		ws.srv.Logf("transport: marshal: %v", err)
-		return
+		return 0
 	}
 	if !cw.enqueue(append(data, '\n')) {
 		// Slow consumer: a stalled client must never block the notifier.
@@ -466,6 +487,7 @@ func (ws *wireSession) enqueueLocked(m proto.Message) {
 		ws.srv.stats.evictions.Add(1)
 		cw.evict()
 	}
+	return len(data) + 1
 }
 
 // deliver is enqueueLocked for callers not holding ws.mu.
@@ -478,13 +500,38 @@ func (ws *wireSession) deliver(m proto.Message) {
 // OnViews caches and forwards the freshest views.
 func (ws *wireSession) OnViews(np, p view.View) {
 	ws.mu.Lock()
-	ws.lastNP, ws.lastP, ws.haveViews = np, p, true
-	ws.enqueueLocked(proto.Message{
-		Type:           proto.MsgViews,
-		NonPreemptView: proto.EncodeView(np),
-		PreemptView:    proto.EncodeView(p),
-	})
+	ws.pushViewsLocked(np, p, false)
 	ws.mu.Unlock()
+}
+
+// pushViewsLocked records np/p as the session's views and enqueues them:
+// in full as a connection's first views frame, afterwards as the delta from
+// the pair recorded before — which the connection's previous views frame
+// brought its client to, since the write queue is FIFO and a connection
+// that loses a frame is cut and re-synced by a resume.
+func (ws *wireSession) pushViewsLocked(np, p view.View, replay bool) {
+	baseNP, baseP, delta := ws.lastNP, ws.lastP, ws.synced
+	ws.lastNP, ws.lastP, ws.haveViews = np, p, true
+	if ws.cw == nil {
+		return
+	}
+	if !delta {
+		baseNP, baseP = nil, nil
+	}
+	n := ws.enqueueLocked(proto.Message{
+		Type:           proto.MsgViews,
+		Replay:         replay,
+		Delta:          delta,
+		NonPreemptView: proto.EncodeViewDelta(baseNP, np),
+		PreemptView:    proto.EncodeViewDelta(baseP, p),
+	})
+	ws.synced = n > 0 // a frame that could not be encoded breaks the chain
+	if delta {
+		ws.srv.stats.viewsDelta.Add(1)
+	} else {
+		ws.srv.stats.viewsFull.Add(1)
+	}
+	ws.srv.stats.viewsBytes.Add(int64(n))
 }
 
 // OnStart records and forwards a start. Recording and enqueueing share
@@ -550,7 +597,7 @@ func (ws *wireSession) attach(cw *connWriter, connected proto.Message) bool {
 		return false
 	}
 	old := ws.cw
-	ws.cw = cw
+	ws.cw, ws.synced = cw, false
 	if t := ws.graceT; t != nil {
 		t.Stop()
 		ws.graceT = nil
@@ -562,15 +609,12 @@ func (ws *wireSession) attach(cw *connWriter, connected proto.Message) bool {
 		ws.droppedAt = time.Time{}
 	}
 	ws.enqueueLocked(connected)
+	if ws.haveViews {
+		// Also on a fresh session: its first round may have pushed views
+		// between the backend connect and this attach.
+		ws.pushViewsLocked(ws.lastNP, ws.lastP, resumed)
+	}
 	if resumed {
-		if ws.haveViews {
-			ws.enqueueLocked(proto.Message{
-				Type:           proto.MsgViews,
-				NonPreemptView: proto.EncodeView(ws.lastNP),
-				PreemptView:    proto.EncodeView(ws.lastP),
-				Replay:         true,
-			})
-		}
 		ids := make([]int64, 0, len(ws.starts))
 		for id := range ws.starts {
 			ids = append(ids, id)
@@ -818,9 +862,7 @@ func (s *Server) readCalls(ws *wireSession, fr *frameReader) (bye bool) {
 // cached outcome instead of executing twice.
 func (s *Server) serveCall(ws *wireSession, m *proto.Message) {
 	if m.Idem == 0 {
-		reply := s.invoke(ws, m)
-		reply.Seq = m.Seq
-		ws.deliver(reply)
+		ws.deliver(s.invoke(ws, m).frame(m.Seq))
 		return
 	}
 	ws.mu.Lock()
@@ -828,9 +870,7 @@ func (s *Server) serveCall(ws *wireSession, m *proto.Message) {
 		ws.mu.Unlock()
 		<-e.done // the original may still be executing
 		s.stats.idemReplays.Add(1)
-		reply := e.reply
-		reply.Seq = m.Seq
-		ws.deliver(reply)
+		ws.deliver(e.reply.frame(m.Seq))
 		return
 	}
 	e := &idemEntry{done: make(chan struct{})}
@@ -844,33 +884,30 @@ func (s *Server) serveCall(ws *wireSession, m *proto.Message) {
 
 	e.reply = s.invoke(ws, m)
 	close(e.done)
-	reply := e.reply
-	reply.Seq = m.Seq
-	ws.deliver(reply)
+	ws.deliver(e.reply.frame(m.Seq))
 }
 
-// invoke executes one backend call and shapes the ack/error frame
-// (without Seq — the caller stamps it, also on idempotent replays).
-func (s *Server) invoke(ws *wireSession, m *proto.Message) proto.Message {
+// invoke executes one backend call and shapes its ack or error.
+func (s *Server) invoke(ws *wireSession, m *proto.Message) callReply {
 	switch m.Type {
 	case proto.MsgRequest:
 		spec, err := m.DecodeRequestSpec()
 		if err != nil {
-			return proto.Message{Type: proto.MsgError, Reason: err.Error()}
+			return callReply{typ: proto.MsgError, reason: err.Error()}
 		}
 		id, err := ws.sess.Request(spec)
 		if err != nil {
-			return proto.Message{Type: proto.MsgError, Reason: err.Error()}
+			return callReply{typ: proto.MsgError, reason: err.Error()}
 		}
-		return proto.Message{Type: proto.MsgReqAck, ReqID: int64(id)}
+		return callReply{typ: proto.MsgReqAck, reqID: int64(id)}
 
 	default: // proto.MsgDone
 		if err := ws.sess.Done(request.ID(m.ReqID), m.Released); err != nil {
-			return proto.Message{Type: proto.MsgError, Reason: err.Error()}
+			return callReply{typ: proto.MsgError, reason: err.Error()}
 		}
 		ws.mu.Lock()
 		delete(ws.starts, m.ReqID)
 		ws.mu.Unlock()
-		return proto.Message{Type: proto.MsgReqAck, ReqID: m.ReqID}
+		return callReply{typ: proto.MsgReqAck, reqID: m.ReqID}
 	}
 }
