@@ -156,8 +156,9 @@ func runCmd(addr string, args []string, stdout, stderr io.Writer) int {
 
 // statsCmd fetches /debug/obs from the daemon's pprof/obs side listener and
 // renders the snapshot: counters, histogram quantiles, and the tail of the
-// event ring. -json dumps the raw snapshot instead (the exact bytes the
-// daemon served).
+// event ring. An event's req is the request ID the client holds — the one
+// `coormctl run` printed — whichever shard reported it. -json dumps the raw
+// snapshot instead (the exact bytes the daemon served).
 func statsCmd(_ string, args []string, stdout, stderr io.Writer) int {
 	fs := newFlags("stats", stderr)
 	obsAddr := fs.String("obs", "127.0.0.1:6060", "daemon pprof/obs listener address (coormd -pprof)")

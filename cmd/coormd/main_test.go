@@ -67,12 +67,12 @@ func TestListenFailureExits1(t *testing.T) {
 }
 
 // startedApp is the client side of `coormctl run`: it waits for its start.
-type startedApp struct{ started chan []int }
+type startedApp struct{ started chan request.ID }
 
 func (a *startedApp) OnViews(_, _ view.View) {}
 func (a *startedApp) OnKill(string)          {}
-func (a *startedApp) OnStart(_ request.ID, nodeIDs []int) {
-	a.started <- nodeIDs
+func (a *startedApp) OnStart(id request.ID, _ []int) {
+	a.started <- id
 }
 
 // renamedCounters maps every counter key a 2-shard daemon served before the
@@ -120,11 +120,12 @@ var unchangedCounters = []string{
 }
 
 // TestDaemonServesObs starts a 2-shard daemon with the obs side listener on
-// free ports, drives one rigid job through it the way `coormctl run` does,
-// and checks both export surfaces: /metrics is Prometheus 0.0.4 text with
-// TYPE lines and coorm_-prefixed histogram samples, /debug/obs is the JSON
-// snapshot with counters, histograms and events, and every counter key the
-// daemon served before the counters moved is still served.
+// free ports, drives one rigid job per shard through it the way `coormctl
+// run` does, and checks both export surfaces: /metrics is Prometheus 0.0.4
+// text with TYPE lines and coorm_-prefixed histogram samples, /debug/obs is
+// the JSON snapshot with counters, histograms and events, every counter key
+// the daemon served before the counters moved is still served, and a shard's
+// start event quotes the request ID the client was given.
 func TestDaemonServesObs(t *testing.T) {
 	var logs lockedBuffer
 	d, code := start([]string{
@@ -146,25 +147,31 @@ func TestDaemonServesObs(t *testing.T) {
 		t.Errorf("startup log does not describe the topology:\n%s", logs.String())
 	}
 
-	app := &startedApp{started: make(chan []int, 1)}
+	app := &startedApp{started: make(chan request.ID, 1)}
 	c, err := transport.Dial(d.addr, app)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	id, err := c.Request(rms.RequestSpec{Cluster: "a", N: 4, Duration: 0.1, Type: request.NonPreempt})
-	if err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case nodes := <-app.started:
-		if len(nodes) != 4 {
-			t.Fatalf("started on %v, want 4 nodes", nodes)
+	// One job on each shard: the second is shard1's first admission, so its
+	// ID differs from shard1's admission sequence.
+	var onB request.ID
+	for _, cid := range []view.ClusterID{"a", "b"} {
+		id, err := c.Request(rms.RequestSpec{Cluster: cid, N: 4, Duration: 0.1, Type: request.NonPreempt})
+		if err != nil {
+			t.Fatal(err)
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("the job never started")
+		select {
+		case got := <-app.started:
+			if got != id {
+				t.Fatalf("request %d started while waiting for %d", got, id)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("the job never started")
+		}
+		c.Done(id, nil) // may already have expired server-side
+		onB = id
 	}
-	c.Done(id, nil) // may already have expired server-side
 
 	get := func(path string) []byte {
 		t.Helper()
@@ -212,6 +219,18 @@ func TestDaemonServesObs(t *testing.T) {
 		if _, ok := snap.Counters[old]; ok {
 			t.Errorf("/debug/obs still serves the old key %q", old)
 		}
+	}
+	quoted := false
+	for _, ev := range snap.Events {
+		if ev.Type == obs.EvStart && ev.Shard == "shard1" {
+			quoted = true
+			if ev.Request != int(onB) {
+				t.Errorf("shard1 start event quotes request %d, the client holds %d", ev.Request, onB)
+			}
+		}
+	}
+	if !quoted {
+		t.Errorf("no start event from shard1 among %d events", len(snap.Events))
 	}
 	if got := snap.Counters["shard0.rms.churn_requests"]; got != 1 {
 		t.Errorf("shard0.rms.churn_requests = %d after one request on cluster a, want 1", got)

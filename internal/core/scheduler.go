@@ -600,7 +600,7 @@ func (s *Scheduler) Schedule(now float64) *Outcome {
 		if da != db {
 			return da < db
 		}
-		return a.ID < b.ID
+		return a.Seq < b.Seq
 	})
 	return out
 }

@@ -13,13 +13,16 @@
 // shards run concurrently, each behind its own lock, with
 // internal/transport routing TCP sessions to them.
 //
-// Identifier spaces: the Federator owns both the application-ID and the
-// request-ID space. Application IDs are assigned by the front-end and
-// registered verbatim on every shard (rms.Server.ConnectID), so per-shard
-// metrics recorders aggregate by the same ID. Request IDs are federated:
-// the front-end assigns them sequentially and keeps a per-session
-// federated↔shard-local translation table, registered atomically with the
-// shard's own bookkeeping via rms.Session.RequestObserved.
+// Identifier spaces: there is one of each, and the Federator owns both.
+// Application IDs are assigned by the front-end and registered verbatim on
+// every shard (rms.Server.ConnectID), so per-shard metrics recorders
+// aggregate by the same ID. Request IDs likewise: the front-end draws them
+// sequentially and the owning shard admits the request under that ID
+// (rms.Session.RequestID), so a notification, an error or an obs event from
+// any shard quotes the ID request() returned, and a request keeps it across
+// crash replay and cluster migration. What a session keeps per request is
+// where it lives (the shard) and the spec to replay, registered atomically
+// with the shard's own bookkeeping through RequestID's observe hook.
 //
 // Shard lifecycle: CrashShard/RestartShard give every shard a crash/restart
 // cycle (driven deterministically by internal/chaos inside the simulator). A
@@ -33,11 +36,11 @@
 // Cross-shard gang scheduling: a request may relate (NEXT/COALLOC) to a
 // request on another shard. The Federator runs a two-phase reservation for
 // such gangs (see gang.go): a tentative hold reserves capacity in the child
-// shard's schedule (rms.Session.HoldObserved), a coordinator aligns the two
+// shard's schedule (rms.Session.HoldID), a coordinator aligns the two
 // legs by exchanging NotBefore floors, and the hold is committed into a real
 // request when both legs fit — or released and retried with backoff, then
 // dropped, when the child leg cannot fit at all. Shard-locally the legs are
-// unrelated (the relation lives in the federated spec only), so holds never
+// unrelated (the relation lives in the session's record only), so holds never
 // entangle clusters: committed gangs stay migratable.
 package federation
 
@@ -439,13 +442,9 @@ func (f *Federator) Connect(h rms.AppHandler, opts ...rms.ConnectOption) *Sessio
 		shardDown:  make([]bool, len(f.shards)),
 		shardViews: make([][2]view.View, len(f.shards)),
 		shardDirty: make([]bool, len(f.shards)),
-		toLocal:    make(map[request.ID]*fedReq),
-		fromLocal:  make([]map[request.ID]request.ID, len(f.shards)),
+		reqs:       make(map[request.ID]*fedReq),
 		queues:     make([][]request.ID, len(f.shards)),
 		gangs:      make(map[request.ID]*gangState),
-	}
-	for i := range sess.fromLocal {
-		sess.fromLocal[i] = make(map[request.ID]request.ID)
 	}
 	// Allocate the ID, register the session, and snapshot the shard states
 	// in one critical section: a crash or restart ordered before it is
@@ -669,8 +668,9 @@ func (f *Federator) RestartShard(i int) RestartReport {
 // CheckInvariants verifies the cross-shard bookkeeping: every running shard
 // passes its own accounting check, no shard hosts a session the federation
 // no longer knows (orphans), every live session is admitted to every
-// running shard, ID-translation tables are exact bijections with no leaked
-// entries, replay queues exist only for crashed shards, and cluster
+// running shard, every running shard holds exactly the requests the sessions
+// place on it (same IDs, none leaked), replay queues exist only for crashed
+// shards, and cluster
 // ownership is an exact bijection — every shard hosts precisely the
 // clusters the owner table assigns it (no cluster owned by two shards, none
 // stranded by a migration), and every request mapping routes to the shard
@@ -789,7 +789,7 @@ func (f *Federator) CheckInvariants() error {
 	return nil
 }
 
-// nextRequestID reserves one federated request ID. Mirroring rms, an ID is
+// nextRequestID reserves one request ID. Mirroring rms, an ID is
 // burned even if the shard later rejects the request spec, so a 1-shard
 // federation stays in lockstep with a single RMS.
 func (f *Federator) nextRequestID() request.ID {

@@ -18,10 +18,10 @@ import (
 // coordinator per gang:
 //
 //  1. Hold.   The child leg is admitted on its shard as a *hold*
-//     (rms.Session.HoldObserved): it reserves capacity in the shard's
+//     (rms.Session.HoldID): it reserves capacity in the shard's
 //     CBF/eqSchedule window exactly like a pending request, but the shard
 //     never starts it. Shard-locally the leg is unrelated — the NEXT/COALLOC
-//     relation lives only in the federated spec — so a hold never entangles
+//     relation lives only in the session's record of the spec — so a hold never entangles
 //     its cluster with the parent's: committed gangs stay migratable.
 //
 //  2. Align.  Every reservation interval the coordinator re-reads the
@@ -76,11 +76,11 @@ const (
 )
 
 // gangState is the coordinator's record of one in-flight reservation, keyed
-// by the child's federated ID in Session.gangs. It exists exactly while the
-// child mapping is held (e.held); commit and abort both delete it.
+// by the child's ID in Session.gangs. It exists exactly while the child
+// mapping is held (e.held); commit and abort both delete it.
 type gangState struct {
-	child  request.ID       // federated ID of the held leg
-	parent request.ID       // federated ID of the related leg
+	child  request.ID       // the held leg
+	parent request.ID       // the related leg
 	how    request.Relation // Next or Coalloc
 	// placedAt stamps the first hold placement; the fed.gang_reserve_seconds
 	// histogram measures hold→commit/abort from it.
@@ -123,29 +123,24 @@ func (s *Session) requestGang(shard int, sub *rms.Session, spec rms.RequestSpec)
 	// round already reserves roughly the right window.
 	s.mu.Lock()
 	var psub *rms.Session
-	var plid request.ID
-	if pe := s.toLocal[spec.RelatedTo]; pe != nil && !pe.queued && pe.id != 0 {
+	if pe := s.reqs[spec.RelatedTo]; pe != nil && !pe.queued && !pe.released {
 		psub = s.subs[pe.shard]
-		plid = pe.id
 	}
 	s.mu.Unlock()
 	notBefore := 0.0
 	if psub != nil {
-		if info, err := psub.ScheduleInfo(plid); err == nil {
+		if info, err := psub.ScheduleInfo(spec.RelatedTo); err == nil {
 			notBefore = gangTarget(spec.RelatedHow, info)
 		}
 	}
-	local := spec
-	local.RelatedHow, local.RelatedTo = request.Free, 0
 	fid := s.f.nextRequestID()
-	_, err := sub.HoldObserved(local, notBefore, func(lid request.ID) {
+	err := sub.HoldID(unrelated(spec), fid, notBefore, func() {
 		s.mu.Lock()
-		s.toLocal[fid] = &fedReq{shard: shard, id: lid, spec: spec, held: true}
-		s.fromLocal[shard][lid] = fid
+		s.reqs[fid] = &fedReq{shard: shard, spec: spec, held: true}
 		s.mu.Unlock()
 	})
 	if err != nil {
-		return 0, s.translateErr(shard, err)
+		return 0, err
 	}
 	s.mu.Lock()
 	if !s.killed {
@@ -155,6 +150,13 @@ func (s *Session) requestGang(shard int, sub *rms.Session, spec rms.RequestSpec)
 	}
 	s.mu.Unlock()
 	return fid, nil
+}
+
+// unrelated strips the relation from a gang child's spec: shard-locally the
+// leg is unrelated, the coordinator enforces the relation.
+func unrelated(spec rms.RequestSpec) rms.RequestSpec {
+	spec.RelatedHow, spec.RelatedTo = request.Free, 0
+	return spec
 }
 
 // armGangLocked (re-)arms the gang's evaluation timer. Caller holds sess.mu.
@@ -222,7 +224,7 @@ func (s *Session) evalGang(fid request.ID) {
 		return
 	}
 	g.timer = nil
-	e := s.toLocal[fid]
+	e := s.reqs[fid]
 	if s.killed || e == nil || !e.held {
 		s.clearGangLocked(fid)
 		s.mu.Unlock()
@@ -234,15 +236,15 @@ func (s *Session) evalGang(fid request.ID) {
 		s.mu.Unlock()
 		return
 	}
-	if e.id == 0 {
+	if e.released {
 		// Between release and re-placement (retry backoff elapsed).
 		s.mu.Unlock()
 		s.replaceHold(fid, g)
 		return
 	}
-	childShard, childLID := e.shard, e.id
+	childShard := e.shard
 	childSub := s.subs[childShard]
-	pe := s.toLocal[g.parent]
+	pe := s.reqs[g.parent]
 	if pe != nil {
 		if pe.done {
 			g.parentDone = true
@@ -256,7 +258,6 @@ func (s *Session) evalGang(fid request.ID) {
 		target      float64
 		unmovable   bool
 		parentShard int
-		parentLID   request.ID
 		parentSub   *rms.Session
 		parentDur   float64
 	)
@@ -290,14 +291,14 @@ func (s *Session) evalGang(fid request.ID) {
 			action = gangAlign
 		}
 	default:
-		parentShard, parentLID = pe.shard, pe.id
+		parentShard = pe.shard
 		parentSub = s.subs[parentShard]
 		parentDur = pe.spec.Duration
-		if parentSub != nil && parentLID != 0 {
+		if parentSub != nil && !pe.released {
 			action = gangAlign
 		}
 	}
-	how := g.how
+	how, parent := g.how, g.parent
 	s.mu.Unlock()
 
 	switch action {
@@ -305,14 +306,11 @@ func (s *Session) evalGang(fid request.ID) {
 		s.rearmGang(g)
 		return
 	case gangCommit:
-		s.commitGang(fid, g, childSub, childLID)
+		s.commitGang(fid, g, childSub)
 		return
 	case gangDropOrphan:
 		if childSub != nil {
-			_ = childSub.ReleaseHold(childLID)
-			s.mu.Lock()
-			delete(s.fromLocal[childShard], childLID)
-			s.mu.Unlock()
+			_ = childSub.ReleaseHold(fid)
 		}
 		s.dropGang(fid, g)
 		return
@@ -321,7 +319,7 @@ func (s *Session) evalGang(fid request.ID) {
 	// Alignment turn: pin the child at the parent's target, run a synchronous
 	// round on its shard, and see where it lands.
 	if parentSub != nil {
-		info, err := parentSub.ScheduleInfo(parentLID)
+		info, err := parentSub.ScheduleInfo(parent)
 		if err != nil {
 			// The parent vanished mid-decision (unreachable under topoMu in
 			// the simulator); the memo updated by the handler fan-in settles
@@ -336,17 +334,17 @@ func (s *Session) evalGang(fid request.ID) {
 			// The parent leg itself is unschedulable on its own shard:
 			// release this leg and retry with backoff — the parent's shard
 			// (node recovery, load drain) may change.
-			s.retryGang(fid, g, childShard, childSub, childLID)
+			s.retryGang(fid, g, childSub)
 			return
 		}
 		target = gangTarget(how, info)
 	}
-	if err := childSub.SetNotBefore(childLID, target); err != nil {
+	if err := childSub.SetNotBefore(fid, target); err != nil {
 		s.rearmGang(g)
 		return
 	}
 	f.shards[childShard].ScheduleNow()
-	cinfo, err := childSub.ScheduleInfo(childLID)
+	cinfo, err := childSub.ScheduleInfo(fid)
 	if err != nil {
 		s.rearmGang(g)
 		return
@@ -354,11 +352,11 @@ func (s *Session) evalGang(fid request.ID) {
 	if math.IsInf(cinfo.ScheduledAt, 1) {
 		// The child leg cannot fit at all: two-phase abort path — release
 		// the reserved capacity and retry after backoff.
-		s.retryGang(fid, g, childShard, childSub, childLID)
+		s.retryGang(fid, g, childSub)
 		return
 	}
 	if unmovable || cinfo.ScheduledAt <= target+gangEps {
-		s.commitGang(fid, g, childSub, childLID)
+		s.commitGang(fid, g, childSub)
 		return
 	}
 	// The child cannot make the parent's slot. Delay the still-movable
@@ -369,7 +367,7 @@ func (s *Session) evalGang(fid request.ID) {
 	exhausted := g.aligns > maxGangAligns
 	s.mu.Unlock()
 	if exhausted || parentSub == nil {
-		s.commitGang(fid, g, childSub, childLID)
+		s.commitGang(fid, g, childSub)
 		return
 	}
 	pt := cinfo.ScheduledAt
@@ -379,7 +377,7 @@ func (s *Session) evalGang(fid request.ID) {
 	if pt < 0 {
 		pt = 0
 	}
-	if err := parentSub.SetNotBefore(parentLID, pt); err == nil {
+	if err := parentSub.SetNotBefore(parent, pt); err == nil {
 		f.shards[parentShard].ScheduleNow()
 	}
 	s.rearmGang(g)
@@ -387,8 +385,8 @@ func (s *Session) evalGang(fid request.ID) {
 
 // commitGang converts the hold into an ordinary pending request — the point
 // of no return for the gang — and retires the coordinator state.
-func (s *Session) commitGang(fid request.ID, g *gangState, childSub *rms.Session, childLID request.ID) {
-	if childSub == nil || childSub.CommitHold(childLID) != nil {
+func (s *Session) commitGang(fid request.ID, g *gangState, childSub *rms.Session) {
+	if childSub == nil || childSub.CommitHold(fid) != nil {
 		// The hold vanished under us (session torn down mid-turn under a
 		// real clock); the crash/teardown machinery owns the mapping.
 		s.mu.Lock()
@@ -397,7 +395,7 @@ func (s *Session) commitGang(fid request.ID, g *gangState, childSub *rms.Session
 		return
 	}
 	s.mu.Lock()
-	if e := s.toLocal[fid]; e != nil {
+	if e := s.reqs[fid]; e != nil {
 		e.held = false
 	}
 	s.clearGangLocked(fid)
@@ -414,12 +412,11 @@ func (s *Session) commitGang(fid request.ID, g *gangState, childSub *rms.Session
 // retryGang releases the child's hold (its leg cannot fit right now) and
 // schedules a re-placement after an exponential backoff — or aborts the
 // gang once the retry budget is spent.
-func (s *Session) retryGang(fid request.ID, g *gangState, childShard int, childSub *rms.Session, childLID request.ID) {
-	_ = childSub.ReleaseHold(childLID)
+func (s *Session) retryGang(fid request.ID, g *gangState, childSub *rms.Session) {
+	_ = childSub.ReleaseHold(fid)
 	s.mu.Lock()
-	delete(s.fromLocal[childShard], childLID)
-	if e := s.toLocal[fid]; e != nil {
-		e.id = 0 // no shard-local presence until re-placement
+	if e := s.reqs[fid]; e != nil {
+		e.released = true // no shard-side presence until re-placement
 	}
 	g.retries++
 	spent := g.retries > maxGangRetries
@@ -443,25 +440,21 @@ func (s *Session) replaceHold(fid request.ID, g *gangState) {
 		s.mu.Unlock()
 		return
 	}
-	e := s.toLocal[fid]
-	if e == nil || !e.held || e.queued || e.id != 0 {
+	e := s.reqs[fid]
+	if e == nil || !e.released {
 		s.mu.Unlock()
 		return
 	}
-	shard := e.shard
-	sub := s.subs[shard]
+	sub := s.subs[e.shard]
 	spec := e.spec
 	s.mu.Unlock()
 	if sub == nil {
 		s.rearmGang(g)
 		return
 	}
-	local := spec
-	local.RelatedHow, local.RelatedTo = request.Free, 0
-	_, err := sub.HoldObserved(local, 0, func(lid request.ID) {
+	err := sub.HoldID(unrelated(spec), fid, 0, func() {
 		s.mu.Lock()
-		e.id = lid
-		s.fromLocal[shard][lid] = fid
+		e.released = false
 		s.mu.Unlock()
 	})
 	if err != nil {
@@ -478,8 +471,8 @@ func (s *Session) replaceHold(fid request.ID, g *gangState) {
 func (s *Session) dropGang(fid request.ID, g *gangState) {
 	s.mu.Lock()
 	s.clearGangLocked(fid)
-	e := s.toLocal[fid]
-	delete(s.toLocal, fid)
+	e := s.reqs[fid]
+	delete(s.reqs, fid)
 	s.mu.Unlock()
 	if e == nil {
 		return
@@ -497,21 +490,17 @@ func (s *Session) dropGang(fid request.ID, g *gangState) {
 // replayGang re-places the hold for a queued cross-shard gang child on its
 // restarted shard and (re)starts the reservation. Reports whether the child
 // survived. Called from replayQueue with no lock held.
-func (s *Session) replayGang(shard int, sub *rms.Session, fid request.ID, e *fedReq) bool {
-	local := e.spec
-	local.RelatedHow, local.RelatedTo = request.Free, 0
-	_, err := sub.HoldObserved(local, 0, func(lid request.ID) {
+func (s *Session) replayGang(sub *rms.Session, fid request.ID, e *fedReq) bool {
+	err := sub.HoldID(unrelated(e.spec), fid, 0, func() {
 		s.mu.Lock()
-		e.id = lid
 		e.queued = false
 		e.held = true
-		s.fromLocal[shard][lid] = fid
 		s.mu.Unlock()
 	})
 	if err != nil {
 		s.mu.Lock()
 		s.clearGangLocked(fid)
-		delete(s.toLocal, fid)
+		delete(s.reqs, fid)
 		s.mu.Unlock()
 		s.notifyDropped(fid)
 		return false
@@ -530,15 +519,15 @@ func (s *Session) replayGang(shard int, sub *rms.Session, fid request.ID, e *fed
 	return true
 }
 
-// rehomeDetachedHolds re-points released-but-not-yet-re-placed holds
-// (e.held, e.id == 0) whose target cluster just migrated: they have no
-// shard-side request for the snapshot to carry, so migrateMapping never sees
-// them. Called by MigrateCluster under topoMu.
+// rehomeDetachedHolds re-points released-but-not-yet-re-placed holds whose
+// target cluster just migrated: they have no shard-side request for the
+// snapshot to carry, so the attach hook never sees them. Called by
+// MigrateCluster under topoMu.
 func (s *Session) rehomeDetachedHolds(cid view.ClusterID, to int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, e := range s.toLocal {
-		if e.held && !e.queued && e.id == 0 && e.spec.Cluster == cid {
+	for _, e := range s.reqs {
+		if e.released && e.spec.Cluster == cid {
 			e.shard = to
 		}
 	}

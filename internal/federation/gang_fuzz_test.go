@@ -1,115 +1,244 @@
 package federation
 
 import (
+	"errors"
 	"math"
+	"math/rand"
 	"testing"
 
 	"coormv2/internal/clock"
 	"coormv2/internal/metrics"
+	"coormv2/internal/obs"
 	"coormv2/internal/request"
 	"coormv2/internal/rms"
 	"coormv2/internal/sim"
 	"coormv2/internal/view"
 )
 
-// FuzzGangReservations drives the reservation state machine through random
-// interleavings of hold placement (cross-shard related requests), commits
-// (time advancing past alignment), aborts (squatted clusters), done(),
-// shard crashes and restarts, and cluster migrations — under both recovery
-// policies — and asserts the federation invariants after every step: no
-// leaked holds, no half-committed gangs, no dangling ID mappings. Request
-// and migration errors are legal outcomes (killed sessions, down shards,
-// last clusters); invariant violations and panics are the only failures.
+// idTally counts, over one or more driveGangOps runs, the reports that
+// quoted a request ID, by kind, and what the runs put the IDs through. Like
+// idApp it is only used on the simulated clock, from one goroutine.
+type idTally struct {
+	starts, finishes, reaps, nodeFaults, errors int
+	shardEvents                                 int   // obs events a shard stamped with a request
+	committed, migrated, replayed               int64 // gangs, clusters, requests
+}
+
+// idApp is the recording handler of the request-ID property: whatever a
+// shard reports about a session's request — start, finish, reap, node
+// failure, or a RequestError from a call — quotes an ID the session's
+// Request returned, through every replay, migration and reservation. It
+// implements rms.RequestObserver and rms.NodeFailureHandler to see them all.
+type idApp struct {
+	t      *testing.T
+	tally  *idTally
+	issued map[request.ID]bool
+}
+
+func (a *idApp) quoted(what string, id request.ID, n *int) {
+	if !a.issued[id] {
+		a.t.Errorf("%s quotes request %d, which Session.Request never returned to this session", what, id)
+	}
+	*n++
+}
+
+func (a *idApp) OnViews(_, _ view.View)          {}
+func (a *idApp) OnKill(string)                   {}
+func (a *idApp) OnStart(id request.ID, _ []int)  { a.quoted("start", id, &a.tally.starts) }
+func (a *idApp) OnRequestFinished(id request.ID) { a.quoted("finish", id, &a.tally.finishes) }
+func (a *idApp) OnNodeFailure(ev rms.NodeFailure) {
+	a.quoted("node failure", ev.Request, &a.tally.nodeFaults)
+}
+func (a *idApp) OnRequestsReaped(ids []request.ID) {
+	for _, id := range ids {
+		a.quoted("reap", id, &a.tally.reaps)
+	}
+}
+
+// request submits spec on sess and records the returned ID as issued. A
+// RequestError may only be about the spec's related request.
+func (a *idApp) request(sess *Session, spec rms.RequestSpec) (request.ID, error) {
+	id, err := sess.Request(spec)
+	if err == nil {
+		a.issued[id] = true
+	}
+	a.callErr("request()", err, spec.RelatedTo)
+	return id, err
+}
+
+// callErr checks that a RequestError returned by a call names the ID the
+// caller passed in.
+func (a *idApp) callErr(what string, err error, passed request.ID) {
+	var re *rms.RequestError
+	if !errors.As(err, &re) {
+		return
+	}
+	if re.ID != passed {
+		a.t.Errorf("%s about request %d answered %v", what, passed, err)
+	}
+	a.tally.errors++
+}
+
+// driveGangOps interprets data as a stream of (op, arg) byte pairs against a
+// 2-shard, 3-cluster federation with two sessions: plain and related
+// requests (a cross-shard parent starts a two-phase reservation), done(),
+// shard crashes and restarts, cluster migrations, node failures and
+// recoveries, and clock advances. data[0] picks the crash and node recovery
+// policies. It asserts the federation invariants after every step — no
+// leaked holds, no half-committed gangs, every placed request held by its
+// shard under the same ID — and that every reported request ID is one
+// Session.Request returned: to the application (idApp), and in the obs
+// events the shards themselves stamp. Request, migration and node-fault
+// errors are legal outcomes (killed sessions, down shards, last clusters);
+// invariant violations, foreign IDs and panics are the only failures.
+func driveGangOps(t *testing.T, data []byte, tally *idTally) {
+	if len(data) == 0 {
+		return
+	}
+	pol := KillOnCrash
+	if data[0]&1 == 1 {
+		pol = RequeueOnCrash
+	}
+	nodePol := []rms.NodeRecoveryPolicy{rms.KillOnNodeFailure, rms.RequeueOnNodeFailure, rms.CooperativeOnNodeFailure}[int(data[0]>>1)%3]
+	data = data[1:]
+
+	clusterIDs := []view.ClusterID{cA, cB, cC}
+	e := sim.NewEngine()
+	reg := obs.NewRegistry()
+	fed := New(Config{
+		Clusters:        map[view.ClusterID]int{cA: 6, cB: 6, cC: 6},
+		Shards:          2,
+		ReschedInterval: 1,
+		Clock:           clock.SimClock{E: e},
+		Recovery:        pol,
+		NodeRecovery:    nodePol,
+		Metrics:         func(int) *metrics.Recorder { return metrics.NewRecorder() },
+		Obs:             reg,
+	})
+	type client struct {
+		app  *idApp
+		sess *Session
+	}
+	apps := make(map[int]*idApp) // by application ID, every session ever connected
+	connect := func() client {
+		app := &idApp{t: t, tally: tally, issued: make(map[request.ID]bool)}
+		sess := fed.Connect(app)
+		apps[sess.AppID()] = app
+		return client{app, sess}
+	}
+	clients := []client{connect(), connect()}
+	var ids []request.ID // successfully submitted requests, any session
+
+	check := func(op int) {
+		if err := fed.CheckInvariants(); err != nil {
+			t.Fatalf("after op %d: %v", op, err)
+		}
+	}
+	for i := 0; i+1 < len(data); i += 2 {
+		op, arg := data[i]>>4, data[i+1]
+		c := clients[int(data[i]&0x0f)%len(clients)]
+		switch op % 10 {
+		case 0: // plain request
+			dur := float64(1 + arg%40)
+			if arg%16 == 0 {
+				dur = math.Inf(1)
+			}
+			if id, err := c.app.request(c.sess, rms.RequestSpec{
+				Cluster: clusterIDs[int(arg)%len(clusterIDs)],
+				N:       1 + int(arg%4), Duration: dur, Type: request.NonPreempt,
+			}); err == nil {
+				ids = append(ids, id)
+			}
+		case 1: // related request — cross-shard parents start a gang
+			if len(ids) == 0 {
+				continue
+			}
+			how := request.Next
+			if arg&1 == 1 {
+				how = request.Coalloc
+			}
+			if id, err := c.app.request(c.sess, rms.RequestSpec{
+				Cluster: clusterIDs[int(arg>>1)%len(clusterIDs)],
+				N:       1 + int(arg%3), Duration: float64(1 + arg%20), Type: request.NonPreempt,
+				RelatedHow: how, RelatedTo: ids[int(arg)%len(ids)],
+			}); err == nil {
+				ids = append(ids, id)
+			}
+		case 2: // done on a random known request (maybe another session's)
+			if len(ids) > 0 {
+				id := ids[int(arg)%len(ids)]
+				c.app.callErr("done()", c.sess.Done(id, nil), id)
+			}
+		case 3: // crash a shard
+			fed.CrashShard(int(arg) % fed.NumShards())
+		case 4: // restart a shard
+			fed.RestartShard(int(arg) % fed.NumShards())
+		case 5: // migrate a cluster (errors — down/last/same-shard — are fine)
+			_, _ = fed.MigrateCluster(clusterIDs[int(arg)%len(clusterIDs)], int(arg>>4)%fed.NumShards())
+		case 6: // let timers, alignment, and backoff fire
+			e.Run(e.Now() + float64(arg%16))
+		case 7: // reconnect a fresh session in a killed slot
+			clients[int(arg)%len(clients)] = connect()
+		case 8: // a machine dies (already down — an error — is fine)
+			_, _ = fed.FailNodes(clusterIDs[int(arg)%len(clusterIDs)], []int{int(arg>>2) % 6})
+		case 9: // a machine comes back (not down is fine)
+			_, _ = fed.RecoverNodes(clusterIDs[int(arg)%len(clusterIDs)], []int{int(arg>>2) % 6})
+		}
+		check(i)
+		e.Run(e.Now() + 1)
+		check(i)
+	}
+	// Drain far enough for every pending gang to commit or abort, then
+	// re-check: nothing may leak once the machinery settles.
+	e.Run(e.Now() + 500)
+	check(len(data))
+	for _, ev := range reg.Events() {
+		if ev.Shard == "" || ev.Request == 0 {
+			continue
+		}
+		tally.shardEvents++
+		if app := apps[ev.App]; app == nil || !app.issued[request.ID(ev.Request)] {
+			t.Errorf("%s event %s quotes request %d of app %d, which Session.Request never returned", ev.Shard, ev.Type, ev.Request, ev.App)
+		}
+	}
+	st := fed.Stats()
+	tally.committed += st["gang_committed"]
+	tally.migrated += st["migrated_clusters"]
+	tally.replayed += st["replayed_requests"]
+}
+
+// FuzzGangReservations drives the reservation state machine, and with it the
+// request-ID property, through random driveGangOps interleavings.
 func FuzzGangReservations(f *testing.F) {
 	f.Add([]byte{0x00, 0x10, 0x23, 0x31, 0x41, 0x65})
 	f.Add([]byte{0x01, 0x12, 0x24, 0x30, 0x40, 0x52, 0x61})
 	f.Add([]byte{0x02, 0x13, 0x13, 0x25, 0x33, 0x43, 0x50, 0x67, 0x21})
 	f.Add([]byte{0x03, 0x11, 0x26, 0x32, 0x62, 0x42, 0x14, 0x29})
-
-	clusterIDs := []view.ClusterID{cA, cB, cC}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 256 {
 			data = data[:256]
 		}
-		if len(data) == 0 {
-			return
-		}
-		pol := KillOnCrash
-		if data[0]&1 == 1 {
-			pol = RequeueOnCrash
-		}
-		data = data[1:]
-
-		e := sim.NewEngine()
-		fed := New(Config{
-			Clusters:        map[view.ClusterID]int{cA: 6, cB: 6, cC: 6},
-			Shards:          2,
-			ReschedInterval: 1,
-			Clock:           clock.SimClock{E: e},
-			Recovery:        pol,
-			Metrics:         func(int) *metrics.Recorder { return metrics.NewRecorder() },
-		})
-		sessions := []*Session{fed.Connect(&testApp{}), fed.Connect(&testApp{})}
-		var ids []request.ID // successfully submitted requests, any session
-
-		check := func(op int) {
-			if err := fed.CheckInvariants(); err != nil {
-				t.Fatalf("after op %d: %v", op, err)
-			}
-		}
-		for i := 0; i+1 < len(data); i += 2 {
-			op, arg := data[i]>>4, data[i+1]
-			sess := sessions[int(data[i]&0x0f)%len(sessions)]
-			switch op % 8 {
-			case 0: // plain request
-				dur := float64(1 + arg%40)
-				if arg%16 == 0 {
-					dur = math.Inf(1)
-				}
-				if id, err := sess.Request(rms.RequestSpec{
-					Cluster: clusterIDs[int(arg)%len(clusterIDs)],
-					N:       1 + int(arg%4), Duration: dur, Type: request.NonPreempt,
-				}); err == nil {
-					ids = append(ids, id)
-				}
-			case 1: // related request — cross-shard parents start a gang
-				if len(ids) == 0 {
-					continue
-				}
-				how := request.Next
-				if arg&1 == 1 {
-					how = request.Coalloc
-				}
-				if id, err := sess.Request(rms.RequestSpec{
-					Cluster: clusterIDs[int(arg>>1)%len(clusterIDs)],
-					N:       1 + int(arg%3), Duration: float64(1 + arg%20), Type: request.NonPreempt,
-					RelatedHow: how, RelatedTo: ids[int(arg)%len(ids)],
-				}); err == nil {
-					ids = append(ids, id)
-				}
-			case 2: // done on a random known request
-				if len(ids) > 0 {
-					_ = sess.Done(ids[int(arg)%len(ids)], nil)
-				}
-			case 3: // crash a shard
-				fed.CrashShard(int(arg) % fed.NumShards())
-			case 4: // restart a shard
-				fed.RestartShard(int(arg) % fed.NumShards())
-			case 5: // migrate a cluster (errors — down/last/same-shard — are fine)
-				_, _ = fed.MigrateCluster(clusterIDs[int(arg)%len(clusterIDs)], int(arg>>4)%fed.NumShards())
-			case 6: // let timers, alignment, and backoff fire
-				e.Run(e.Now() + float64(arg%16))
-			case 7: // reconnect a fresh session in a killed slot
-				slot := int(arg) % len(sessions)
-				sessions[slot] = fed.Connect(&testApp{})
-			}
-			check(i)
-			e.Run(e.Now() + 1)
-			check(i)
-		}
-		// Drain far enough for every pending gang to commit or abort, then
-		// re-check: nothing may leak once the machinery settles.
-		e.Run(e.Now() + 500)
-		check(len(data))
+		driveGangOps(t, data, new(idTally))
 	})
+}
+
+// TestRequestIDsEndToEnd runs the chaos × migration × gang × node-fault op
+// matrix — every crash policy × node recovery policy, three seeded op streams
+// each — under the recording handler, and requires every kind of report to
+// have occurred somewhere in it, so no arm of the property is vacuous.
+func TestRequestIDsEndToEnd(t *testing.T) {
+	tally := new(idTally)
+	for policies := byte(0); policies < 6; policies++ {
+		for seed := int64(1); seed <= 3; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			data := make([]byte, 241)
+			rng.Read(data)
+			data[0] = policies
+			driveGangOps(t, data, tally)
+		}
+	}
+	if tally.starts == 0 || tally.finishes == 0 || tally.reaps == 0 || tally.nodeFaults == 0 || tally.errors == 0 || tally.shardEvents == 0 ||
+		tally.committed == 0 || tally.migrated == 0 || tally.replayed == 0 {
+		t.Fatalf("vacuous matrix: %+v", tally)
+	}
 }

@@ -259,8 +259,7 @@ func TestMigrateParentClusterWithHoldInFlight(t *testing.T) {
 	mustCheck(t, f)
 }
 
-// TestCommittedGangKeepsClustersMigratable is the ErrEntangled-relaxation
-// regression: a committed cross-shard gang leaves both legs shard-locally
+// TestCommittedGangKeepsClustersMigratable: a committed cross-shard gang leaves both legs shard-locally
 // FREE, so the clusters involved must remain migratable afterwards.
 func TestCommittedGangKeepsClustersMigratable(t *testing.T) {
 	e, f := newMigrateFederation(t, KillOnCrash)

@@ -11,12 +11,12 @@ import (
 // Live cluster migration: MigrateCluster re-homes one cluster — capacity,
 // node-ID pool occupancy, and every session's requests on it — from the
 // shard that owns it to another running shard, as one atomic topology
-// transition. The donor's state is drained with rms.Server.DetachCluster,
-// re-admitted with AttachCluster on the target, and the sessions'
-// federated↔local ID tables are rewritten through the attach observe hook
-// (under the target's server lock, so no scheduling round can start a
-// migrated request before its mapping is in place — the same guarantee
-// RequestObserved gives fresh requests).
+// transition. The donor's state is drained with rms.Server.DetachCluster and
+// re-admitted with AttachCluster on the target under the same request IDs;
+// the sessions' records are re-pointed at the target through the attach
+// observe hook (under the target's server lock, so no scheduling round can
+// start a migrated request before its record names the shard that reports
+// it — the same guarantee RequestID gives fresh requests).
 //
 // Determinism: inside the simulator a migration runs within a single event
 // (the Rebalancer's "rebalance.check" timer), so request()/done() traffic is
@@ -49,14 +49,13 @@ func (r MigrationReport) String() string {
 // unknown, already owned by the target, the donor or target shard is down,
 // or the donor would be left clusterless (rms.ErrLastCluster). A live
 // NEXT/COALLOC relation crossing from the cluster to another donor cluster
-// no longer blocks the move (the historical rms.ErrEntangled failure): the
-// donor is drained with DetachClusterSevering, which converts each crossing
-// relation into a NotBefore floor carrying the same timing intent — the
-// relation's constraint survives the cut, and the federation's cross-shard
-// gangs (whose legs are shard-locally unrelated holds, see gang.go) were
-// never entangling to begin with. On success the owner table, the sessions'
-// ID tables and the merged views all reflect the new topology before the
-// call returns, and the cluster is placed exactly once: a failure after the
+// does not block the move: DetachCluster converts each crossing relation
+// into a NotBefore floor carrying the same timing intent — the relation's
+// constraint survives the cut, and the federation's cross-shard gangs (whose
+// legs are shard-locally unrelated holds, see gang.go) were never entangling
+// to begin with. On success the owner table, the sessions' request tables
+// and the merged views all reflect the new topology before the call
+// returns, and the cluster is placed exactly once: a failure after the
 // donor was drained re-attaches the snapshot to the donor.
 func (f *Federator) MigrateCluster(cid view.ClusterID, to int) (MigrationReport, error) {
 	if to < 0 || to >= len(f.shards) {
@@ -89,7 +88,7 @@ func (f *Federator) MigrateCluster(cid view.ClusterID, to int) (MigrationReport,
 	sessions := f.sessionsLocked()
 	f.mu.Unlock()
 
-	snap, err := f.shards[from].DetachClusterSevering(cid)
+	snap, err := f.shards[from].DetachCluster(cid)
 	if err != nil {
 		return rep, err
 	}
@@ -99,19 +98,19 @@ func (f *Federator) MigrateCluster(cid view.ClusterID, to int) (MigrationReport,
 	for _, sess := range sessions {
 		byID[sess.id] = sess
 	}
-	rewrite := func(dst int) func(appID int, oldID, newID request.ID) {
-		return func(appID int, oldID, newID request.ID) {
+	repoint := func(dst int) func(appID int, id request.ID) {
+		return func(appID int, id request.ID) {
 			if sess := byID[appID]; sess != nil {
-				sess.migrateMapping(from, dst, oldID, newID)
+				sess.migrateMapping(dst, id)
 			}
 		}
 	}
-	if err := f.shards[to].AttachCluster(snap, rewrite(to)); err != nil {
+	if err := f.shards[to].AttachCluster(snap, repoint(to)); err != nil {
 		// The donor is drained but the target refused (unreachable in the
 		// simulator — topoMu excludes a concurrent crash, and the down check
 		// above covered the rest). Exactly-once placement must hold even
 		// here: hand the snapshot back to the donor.
-		if rerr := f.shards[from].AttachCluster(snap, rewrite(from)); rerr != nil {
+		if rerr := f.shards[from].AttachCluster(snap, repoint(from)); rerr != nil {
 			panic(fmt.Sprintf("federation: cluster %q lost in migration: %v (after %v)", cid, rerr, err))
 		}
 		return rep, err
@@ -146,25 +145,16 @@ func (f *Federator) MigrateCluster(cid view.ClusterID, to int) (MigrationReport,
 	return rep, nil
 }
 
-// migrateMapping re-points one federated request mapping from its old
-// donor-local ID to its new ID on shard dst. Called under the attaching
-// shard's server lock (the sanctioned shard-lock → sess.mu nesting), so the
-// rewrite is visible before any scheduling round can notify about the
-// request.
-func (s *Session) migrateMapping(from, dst int, oldID, newID request.ID) {
+// migrateMapping re-points one request's record at shard dst. Called under
+// the attaching shard's server lock (the sanctioned shard-lock → sess.mu
+// nesting), so the record names dst before any scheduling round there can
+// notify about the request.
+func (s *Session) migrateMapping(dst int, id request.ID) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	fid, ok := s.fromLocal[from][oldID]
-	if !ok {
-		return
+	if e := s.reqs[id]; e != nil {
+		e.shard = dst
 	}
-	delete(s.fromLocal[from], oldID)
-	e := s.toLocal[fid]
-	if e == nil {
-		return
-	}
-	e.shard, e.id = dst, newID
-	s.fromLocal[dst][newID] = fid
+	s.mu.Unlock()
 }
 
 // noteClusterMoved drops the migrated cluster from the session's stored

@@ -37,6 +37,14 @@ func newMigrateFederation(t *testing.T, pol RecoveryPolicy) (*sim.Engine, *Feder
 	return e, f
 }
 
+// shardRequests returns the IDs of the requests shard i holds for sess.
+func shardRequests(sess *Session, i int) []request.ID {
+	sess.mu.Lock()
+	sub := sess.subs[i]
+	sess.mu.Unlock()
+	return sub.RequestIDs()
+}
+
 func TestMigrateClusterHandsOverLiveState(t *testing.T) {
 	e, f := newMigrateFederation(t, KillOnCrash)
 	app, bystander := &testApp{}, &testApp{}
@@ -74,9 +82,13 @@ func TestMigrateClusterHandsOverLiveState(t *testing.T) {
 	if got := f.Stats()["migrated_clusters"]; got != 1 {
 		t.Errorf("migrated-clusters counter = %d, want 1", got)
 	}
+	// The new shard holds both requests under the IDs request() returned.
+	if got := shardRequests(sess, 1); !reflect.DeepEqual(got, []request.ID{np, child}) {
+		t.Fatalf("shard 1 holds %v after migration, want [%d %d]", got, np, child)
+	}
 
-	// The running allocation finishes under its original federated ID — on
-	// the new shard — and the NEXT child starts there with inherited IDs.
+	// The running allocation finishes under its original ID — on the new
+	// shard — and the NEXT child starts there with inherited node IDs.
 	if err := sess.Done(np, nil); err != nil {
 		t.Fatalf("done on migrated request: %v", err)
 	}
@@ -134,11 +146,10 @@ func TestMigrateClusterErrors(t *testing.T) {
 	if _, err := f.MigrateCluster(cA, 5); err == nil {
 		t.Fatal("migrated to an out-of-range shard")
 	}
-	// alpha↔gamma carry a live COALLOC. Historically this raised
-	// rms.ErrEntangled; the severing detach now migrates the cluster,
-	// converting the crossing relation into an equivalent NotBefore floor.
+	// alpha↔gamma carry a live COALLOC: the detach converts the crossing
+	// relation into an equivalent NotBefore floor and the cluster migrates.
 	if _, err := f.MigrateCluster(cC, 1); err != nil {
-		t.Fatalf("entangled migration = %v, want success after ErrEntangled relaxation", err)
+		t.Fatalf("entangled migration = %v, want the relation severed", err)
 	}
 	mustCheck(t, f)
 	// alpha is now shard 0's only cluster.

@@ -3,6 +3,7 @@ package federation
 import (
 	"errors"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -145,9 +146,13 @@ func TestCrashRequeuePolicyReplaysUnderSameFederatedIDs(t *testing.T) {
 	if rrep.Replayed != 2 || rrep.Dropped != 0 {
 		t.Fatalf("restart report = %+v, want 2 replayed", rrep)
 	}
+	// The restarted shard holds the replayed requests under the IDs request()
+	// returned, not under its own fresh admission sequence.
+	if got := shardRequests(sess, shardA); !reflect.DeepEqual(got, []request.ID{idA, idA2}) {
+		t.Fatalf("shard %d holds %v after replay, want [%d %d]", shardA, got, idA, idA2)
+	}
 	e.Run(e.Now() + 5)
-	// Both the lost and the queued request started under their original
-	// federated IDs.
+	// Both the lost and the queued request started under their original IDs.
 	started := map[request.ID]int{}
 	app.mu.Lock()
 	for _, st := range app.starts {
@@ -258,9 +263,9 @@ func TestRequeueNextChainAcrossCrash(t *testing.T) {
 	mustCheck(t, f)
 }
 
-// TestIDTablePruning is the leak-regression test for the federated↔local
-// request-ID tables: after a full request/done cycle (plus the GC round) the
-// tables return to their baseline size.
+// TestIDTablePruning is the leak-regression test for the session's request
+// table: after a full request/done cycle (plus the GC round) it is empty
+// again, and so are the shards' request sets for the session.
 func TestIDTablePruning(t *testing.T) {
 	e, f := newRecoveryFederation(t, KillOnCrash)
 	app := &testApp{}
@@ -268,11 +273,11 @@ func TestIDTablePruning(t *testing.T) {
 	tableSize := func() (int, int) {
 		sess.mu.Lock()
 		defer sess.mu.Unlock()
-		rev := 0
-		for _, m := range sess.fromLocal {
-			rev += len(m)
+		onShards := 0
+		for _, sub := range sess.subs {
+			onShards += len(sub.RequestIDs())
 		}
-		return len(sess.toLocal), rev
+		return len(sess.reqs), onShards
 	}
 	clusters := []view.ClusterID{cA, cB}
 	const rounds = 40
@@ -291,20 +296,21 @@ func TestIDTablePruning(t *testing.T) {
 	}
 	// Let expiries and GC settle.
 	e.Run(e.Now() + 30)
-	fwd, rev := tableSize()
-	if fwd != 0 || rev != 0 {
-		t.Fatalf("ID tables leak: %d forward, %d reverse entries after %d finished requests", fwd, rev, rounds)
+	table, onShards := tableSize()
+	if table != 0 || onShards != 0 {
+		t.Fatalf("request table leaks: %d records, %d shard-side requests after %d finished requests", table, onShards, rounds)
 	}
 	mustCheck(t, f)
 }
 
 // TestErrorIDTranslation is the table-driven test over every error path
 // that crosses the Federator boundary quoting a request ID: the quoted ID
-// must be the federated one, never the shard-local one.
+// must be the one request() returned — there is no shard-local one to leak
+// (a shard's own admission sequence is never an ID).
 func TestErrorIDTranslation(t *testing.T) {
 	e, f := newRecoveryFederation(t, KillOnCrash)
-	// Session 1 burns federated IDs on shard A so that session 2's
-	// shard-local IDs on shard B diverge from its federated IDs.
+	// Session 1 burns IDs on shard A so that session 2's admission sequence
+	// on shard B diverges from its IDs.
 	s1 := f.Connect(&testApp{})
 	for i := 0; i < 3; i++ {
 		if _, err := s1.Request(rms.RequestSpec{Cluster: cA, N: 1, Duration: math.Inf(1), Type: request.NonPreempt}); err != nil {
@@ -313,7 +319,7 @@ func TestErrorIDTranslation(t *testing.T) {
 	}
 	app := &testApp{}
 	sess := f.Connect(app)
-	// fed ID 4, shard-B-local ID 1.
+	// ID 4, first admission on shard B.
 	parent, err := sess.Request(rms.RequestSpec{Cluster: cB, N: 2, Duration: math.Inf(1), Type: request.NonPreempt})
 	if err != nil {
 		t.Fatal(err)
@@ -329,7 +335,7 @@ func TestErrorIDTranslation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// doneTwice provisions a finished request: fed ID 6, local ID 3.
+	// doneTwice provisions a finished request: ID 6, third admission on B.
 	doneTwice, err := sess.Request(rms.RequestSpec{Cluster: cB, N: 1, Duration: math.Inf(1), Type: request.NonPreempt})
 	if err != nil {
 		t.Fatal(err)

@@ -13,13 +13,12 @@ import (
 	"coormv2/internal/view"
 )
 
-// fedReq is the session's record of one federated request: where it lives,
-// its shard-local ID, and enough of the original spec to replay it after a
+// fedReq is the session's record of one request: which shard it lives on
+// (under the same ID) and enough of the original spec to replay it after a
 // shard crash (RequeueOnCrash).
 type fedReq struct {
 	shard int
-	id    request.ID      // shard-local request ID; 0 while queued
-	spec  rms.RequestSpec // federated-space spec (RelatedTo is a federated ID)
+	spec  rms.RequestSpec
 	// queued marks a request waiting for its crashed shard to restart.
 	queued bool
 	// done marks a finished request (done() or expiry), as reported by the
@@ -32,9 +31,11 @@ type fedReq struct {
 	started   bool
 	startedAt float64
 	// held marks the child leg of a cross-shard gang whose two-phase
-	// reservation has not committed yet (see gang.go). While held, id may be
-	// 0 between a release and the backoff re-placement.
-	held bool
+	// reservation has not committed yet (see gang.go). released marks a held
+	// leg between the release of a hold that could not fit and its backoff
+	// re-placement: like a queued request it has no shard-side presence.
+	held     bool
+	released bool
 }
 
 // migrateRetryBudget bounds how many times a racing request()/done() call
@@ -57,8 +58,8 @@ const migrateRetryBudget = 3
 // shardHandler on the same goroutine, and application handlers may
 // synchronously call back into the session — both safe because no session
 // lock is held at those points. The one sanctioned nesting is shard lock →
-// sess.mu, inside the RequestObserved observe hook and inside handler
-// fan-in; no code path acquires them in the opposite order.
+// sess.mu, inside the RequestID/HoldID/AttachCluster observe hooks and inside
+// handler fan-in; no code path acquires them in the opposite order.
 type Session struct {
 	f  *Federator
 	h  rms.AppHandler
@@ -84,18 +85,17 @@ type Session struct {
 	// f.mu → shard lock in CrashShard and shard lock → sess.mu in the
 	// observe hook).
 	shardDown []bool
-	// toLocal / fromLocal translate between federated and shard-local
-	// request IDs. Entries are pruned in lockstep with the shard's own
-	// request GC (OnRequestsReaped): once a request is finished and has no
-	// pending NEXT/COALLOC child it can never be referenced again.
-	toLocal   map[request.ID]*fedReq
-	fromLocal []map[request.ID]request.ID
-	// queues holds, per shard, the federated IDs awaiting replay after a
-	// crash, in submission order. Non-empty only while the shard is down.
+	// reqs records every request of the session by ID. Entries are pruned in
+	// lockstep with the shard's own request GC (OnRequestsReaped): once a
+	// request is finished and has no pending NEXT/COALLOC child it can never
+	// be referenced again.
+	reqs map[request.ID]*fedReq
+	// queues holds, per shard, the IDs awaiting replay after a crash, in
+	// submission order. Non-empty only while the shard is down.
 	queues [][]request.ID
 	// gangs holds the in-flight cross-shard reservations, keyed by the held
-	// child's federated ID (see gang.go). A record exists exactly while the
-	// child mapping is held.
+	// child's ID (see gang.go). A record exists exactly while the child
+	// mapping is held.
 	gangs  map[request.ID]*gangState
 	killed bool
 
@@ -114,8 +114,18 @@ type Session struct {
 // AppID returns the federated application ID (identical on every shard).
 func (s *Session) AppID() int { return s.id }
 
+// onShardLocked returns the record of a request shard reports about, or nil
+// when the session has none placed there (already reaped, requeued by a crash
+// sweep, or a released hold). Caller holds sess.mu.
+func (s *Session) onShardLocked(shard int, id request.ID) *fedReq {
+	if e := s.reqs[id]; e != nil && e.shard == shard && !e.queued && !e.released {
+		return e
+	}
+	return nil
+}
+
 // Request routes the request() operation to the shard owning the target
-// cluster and returns its federated request ID. If that shard is down the
+// cluster and returns the request's ID. If that shard is down the
 // outcome depends on the recovery policy: under RequeueOnCrash the request
 // is queued and replayed when the shard restarts (the ID is returned
 // immediately); under KillOnCrash it fails.
@@ -160,10 +170,9 @@ func (s *Session) requestOn(shard int, spec rms.RequestSpec) (request.ID, error)
 		return 0, fmt.Errorf("rms: session was terminated")
 	}
 	sub := s.subs[shard]
-	local := spec
 	crossShard := false
 	if spec.RelatedHow != request.Free {
-		e, ok := s.toLocal[spec.RelatedTo]
+		e, ok := s.reqs[spec.RelatedTo]
 		if !ok {
 			s.mu.Unlock()
 			return 0, &rms.RequestError{ID: spec.RelatedTo, Related: true, Node: -1, Reason: rms.ReasonNotFound}
@@ -180,8 +189,6 @@ func (s *Session) requestOn(shard int, spec rms.RequestSpec) (request.ID, error)
 			// and its queue replay; inside the simulator it cannot occur.
 			s.mu.Unlock()
 			return 0, fmt.Errorf("federation: related request %d is awaiting replay on shard %d", spec.RelatedTo, shard)
-		default:
-			local.RelatedTo = e.id
 		}
 	}
 	s.mu.Unlock()
@@ -190,8 +197,8 @@ func (s *Session) requestOn(shard int, spec rms.RequestSpec) (request.ID, error)
 		if s.f.recovery != RequeueOnCrash {
 			return 0, fmt.Errorf("federation: shard %d is down", shard)
 		}
-		// Queue the federated-space spec for replay on restart. The ID is
-		// reserved now so the application's bookkeeping works as usual.
+		// Queue the spec for replay on restart. The ID is reserved now so the
+		// application's bookkeeping works as usual.
 		fid := s.f.nextRequestID()
 		s.mu.Lock()
 		if s.killed {
@@ -206,7 +213,7 @@ func (s *Session) requestOn(shard int, spec rms.RequestSpec) (request.ID, error)
 			s.mu.Unlock()
 			return 0, fmt.Errorf("federation: shard %d restarted mid-request; retry", shard)
 		}
-		s.toLocal[fid] = &fedReq{shard: shard, spec: spec, queued: true}
+		s.reqs[fid] = &fedReq{shard: shard, spec: spec, queued: true}
 		s.queues[shard] = append(s.queues[shard], fid)
 		s.mu.Unlock()
 		s.f.stats.requeuedRequests.Add(1)
@@ -221,15 +228,14 @@ func (s *Session) requestOn(shard int, spec rms.RequestSpec) (request.ID, error)
 
 	fid := s.f.nextRequestID()
 	// observe runs under the shard's lock, before any scheduling round can
-	// start the request, so OnStart always finds the mapping.
-	_, err := sub.RequestObserved(local, func(lid request.ID) {
+	// start the request, so OnStart always finds the record.
+	err := sub.RequestID(spec, fid, func() {
 		s.mu.Lock()
-		s.toLocal[fid] = &fedReq{shard: shard, id: lid, spec: spec}
-		s.fromLocal[shard][lid] = fid
+		s.reqs[fid] = &fedReq{shard: shard, spec: spec}
 		s.mu.Unlock()
 	})
 	if err != nil {
-		return 0, s.translateErr(shard, err)
+		return 0, err
 	}
 	return fid, nil
 }
@@ -242,10 +248,10 @@ func (s *Session) Done(id request.ID, released []int) error {
 		s.mu.Unlock()
 		return fmt.Errorf("rms: session was terminated")
 	}
-	e, ok := s.toLocal[id]
+	e, ok := s.reqs[id]
 	if !ok {
 		s.mu.Unlock()
-		return &rms.RequestError{ID: id, Node: -1, Reason: "not found"}
+		return &rms.RequestError{ID: id, Node: -1, Reason: rms.ReasonNotFound}
 	}
 	if e.queued {
 		// The request never made it (back) onto a shard; withdrawing it is
@@ -269,24 +275,22 @@ func (s *Session) Done(id request.ID, released []int) error {
 		s.mu.Unlock()
 		return fmt.Errorf("federation: shard %d is down", shard)
 	}
-	lid := e.id
 	s.mu.Unlock()
-	err := sub.Done(lid, released)
+	err := sub.Done(id, released)
 	// A live migration may have re-homed the request mid-operation (real
-	// clock only): the mapping now points at another shard-local ID. Retry
-	// against the rewritten mapping, bounded by the migration retry budget.
-	// An unchanged mapping with a "not found" rejection is the mid-flight
-	// window (the rewrite lands with the attach, under the target's lock):
-	// back off briefly and re-read the mapping.
+	// clock only): the record now points at another shard. Retry there,
+	// bounded by the migration retry budget. An unchanged record with a
+	// "not found" rejection is the mid-flight window (the re-point lands with
+	// the attach, under the target's lock): back off briefly and re-read it.
 	for attempt := 0; err != nil && attempt < migrateRetryBudget; attempt++ {
 		s.mu.Lock()
-		shard2, lid2, queued := e.shard, e.id, e.queued
+		shard2, queued := e.shard, e.queued
 		sub2 := s.subs[shard2]
 		s.mu.Unlock()
 		if queued || sub2 == nil {
 			break
 		}
-		if shard2 == shard && lid2 == lid {
+		if shard2 == shard {
 			// Only a structural not-found can be the migration window (a
 			// shard-side reap race pays the same bounded wait — its mapping
 			// is pruned moments later and retries are rare either way).
@@ -297,13 +301,10 @@ func (s *Session) Done(id request.ID, released []int) error {
 			time.Sleep(time.Duration(attempt+1) * 100 * time.Microsecond)
 			continue
 		}
-		shard, lid, sub = shard2, lid2, sub2
-		err = sub.Done(lid, released)
+		shard, sub = shard2, sub2
+		err = sub.Done(id, released)
 	}
-	if err != nil {
-		return s.translateErr(shard, err)
-	}
-	return nil
+	return err
 }
 
 // dropQueuedLocked removes a queued request from its replay queue and table.
@@ -315,25 +316,7 @@ func (s *Session) dropQueuedLocked(shard int, fid request.ID) {
 			break
 		}
 	}
-	delete(s.toLocal, fid)
-}
-
-// translateErr rewrites the shard-local request ID inside a structured
-// rms.RequestError into the federated ID space before the error reaches the
-// application. Errors without an ID (or about IDs the federation never
-// issued) pass through unchanged.
-func (s *Session) translateErr(shard int, err error) error {
-	var re *rms.RequestError
-	if !errors.As(err, &re) {
-		return err
-	}
-	s.mu.Lock()
-	fid, ok := s.fromLocal[shard][re.ID]
-	s.mu.Unlock()
-	if !ok {
-		return err
-	}
-	return re.WithID(fid)
+	delete(s.reqs, fid)
 }
 
 // Disconnect ends the session cleanly on every running shard.
@@ -398,17 +381,17 @@ func (s *Session) absorbCrash(shard int, pol RecoveryPolicy) (affected bool, req
 	s.shardViews[shard] = [2]view.View{}
 	s.shardDirty[shard] = true
 	s.viewsDirty = true
-	// Ascending federated-ID order: deterministic, and it guarantees a
-	// relation's parent (always a smaller ID) is processed first.
-	fids := make([]request.ID, 0, len(s.toLocal))
-	for fid, e := range s.toLocal {
+	// Ascending ID order: deterministic, and it guarantees a relation's
+	// parent (always a smaller ID) is processed first.
+	fids := make([]request.ID, 0, len(s.reqs))
+	for fid, e := range s.reqs {
 		if e.shard == shard {
 			fids = append(fids, fid)
 		}
 	}
 	sort.Slice(fids, func(i, j int) bool { return fids[i] < fids[j] })
 	for _, fid := range fids {
-		e := s.toLocal[fid]
+		e := s.reqs[fid]
 		switch {
 		case e.queued:
 			// Already waiting for a restart; nothing more to lose.
@@ -416,7 +399,7 @@ func (s *Session) absorbCrash(shard int, pol RecoveryPolicy) (affected bool, req
 			// The finished request's state died with the shard; nothing can
 			// reference it anymore. Its finish was already delivered — the
 			// reap the dead shard's GC would have produced still must be.
-			delete(s.toLocal, fid)
+			delete(s.reqs, fid)
 			purged++
 			reaped = append(reaped, fid)
 			s.noteGangParentLocked(fid, true)
@@ -425,7 +408,7 @@ func (s *Session) absorbCrash(shard int, pol RecoveryPolicy) (affected bool, req
 			// the shard's sweep (which died with it) hadn't recorded the
 			// finish. Completed work is not re-run under RequeueOnCrash,
 			// and its loss kills nobody under §3.1.4 (no live state died).
-			delete(s.toLocal, fid)
+			delete(s.reqs, fid)
 			purged++
 			ended = append(ended, fid)
 			reaped = append(reaped, fid)
@@ -438,13 +421,12 @@ func (s *Session) absorbCrash(shard int, pol RecoveryPolicy) (affected bool, req
 			// replayQueue restarts it; otherwise the gang is aborted and the
 			// child dropped with the reap-without-finish signal.
 			if pol == RequeueOnCrash {
-				e.queued = true
-				e.id = 0
+				e.queued, e.released = true, false
 				s.queues[shard] = append(s.queues[shard], fid)
 				requeued++
 			} else {
 				s.clearGangLocked(fid)
-				delete(s.toLocal, fid)
+				delete(s.reqs, fid)
 				purged++
 				gangsAborted++
 				reaped = append(reaped, fid)
@@ -455,13 +437,12 @@ func (s *Session) absorbCrash(shard int, pol RecoveryPolicy) (affected bool, req
 			// after a finished parent is trivially satisfied, and the node
 			// hand-over it implied died with the shard anyway.
 			if e.spec.RelatedHow != request.Free {
-				if pe := s.toLocal[e.spec.RelatedTo]; pe == nil || !pe.queued {
+				if pe := s.reqs[e.spec.RelatedTo]; pe == nil || !pe.queued {
 					e.spec.RelatedHow = request.Free
 					e.spec.RelatedTo = 0
 				}
 			}
 			e.queued = true
-			e.id = 0
 			// The interrupted run's start is history: if the shard dies
 			// again before the replay re-starts, the request must read as
 			// interrupted work, not as an allocation that ran out.
@@ -473,7 +454,6 @@ func (s *Session) absorbCrash(shard int, pol RecoveryPolicy) (affected bool, req
 			affected = true
 		}
 	}
-	s.fromLocal[shard] = make(map[request.ID]request.ID)
 	return affected, requeued, purged, gangsAborted, ended, reaped
 }
 
@@ -566,7 +546,7 @@ func (s *Session) notifyDropped(fid request.ID) {
 }
 
 // replayQueue re-submits the session's queued requests to a restarted shard
-// in submission order, under their original federated IDs. A request whose
+// in submission order, under their original IDs. A request whose
 // relation cannot be resolved anymore (its parent was dropped) or that the
 // shard rejects is dropped, with a drop notification to observer handlers.
 func (s *Session) replayQueue(shard int) (replayed, dropped int) {
@@ -577,25 +557,25 @@ func (s *Session) replayQueue(shard int) (replayed, dropped int) {
 	for _, fid := range fids {
 		s.mu.Lock()
 		if s.killed {
-			delete(s.toLocal, fid)
+			delete(s.reqs, fid)
 			s.mu.Unlock()
 			dropped++
 			continue
 		}
-		e := s.toLocal[fid]
+		e := s.reqs[fid]
 		if e == nil || !e.queued {
 			s.mu.Unlock()
 			continue
 		}
-		local := e.spec
+		spec := e.spec
 		gangReplay := false
-		if local.RelatedHow != request.Free {
-			pe := s.toLocal[local.RelatedTo]
+		if spec.RelatedHow != request.Free {
+			pe := s.reqs[spec.RelatedTo]
 			switch {
 			case pe == nil || pe.queued:
 				// The parent's replay failed or it was dropped: cascade.
 				s.clearGangLocked(fid)
-				delete(s.toLocal, fid)
+				delete(s.reqs, fid)
 				s.mu.Unlock()
 				dropped++
 				s.notifyDropped(fid)
@@ -611,7 +591,6 @@ func (s *Session) replayQueue(shard int) (replayed, dropped int) {
 				// related replay; any reservation state is obsolete.
 				s.clearGangLocked(fid)
 				e.held = false
-				local.RelatedTo = pe.id
 			}
 		}
 		sub := s.subs[shard]
@@ -619,31 +598,29 @@ func (s *Session) replayQueue(shard int) (replayed, dropped int) {
 		if sub == nil {
 			s.mu.Lock()
 			s.clearGangLocked(fid)
-			delete(s.toLocal, fid)
+			delete(s.reqs, fid)
 			s.mu.Unlock()
 			dropped++
 			s.notifyDropped(fid)
 			continue
 		}
 		if gangReplay {
-			if s.replayGang(shard, sub, fid, e) {
+			if s.replayGang(sub, fid, e) {
 				replayed++
 			} else {
 				dropped++
 			}
 			continue
 		}
-		_, err := sub.RequestObserved(local, func(lid request.ID) {
+		err := sub.RequestID(spec, fid, func() {
 			s.mu.Lock()
-			e.id = lid
 			e.queued = false
-			s.fromLocal[shard][lid] = fid
 			s.mu.Unlock()
 		})
 		if err != nil {
 			s.mu.Lock()
 			s.clearGangLocked(fid)
-			delete(s.toLocal, fid)
+			delete(s.reqs, fid)
 			s.mu.Unlock()
 			dropped++
 			s.notifyDropped(fid)
@@ -687,18 +664,34 @@ func (s *Session) deliverViewsLocked() {
 	s.mu.Unlock()
 }
 
-// checkInvariants verifies the session's translation tables against the
-// shard topology: live mappings form an exact bijection with the reverse
-// tables, nothing references a down shard except queued entries, every
-// mapping routes to the shard owning its target cluster (no orphaned
-// mappings after a migration hand-over), and replay queues agree with the
-// table's queued set.
+// checkInvariants verifies the session's request table against the shard
+// topology: nothing references a down shard except queued entries, every
+// record routes to the shard owning its target cluster (no orphans after a
+// migration hand-over), replay queues agree with the table's queued set, and
+// every running shard holds exactly the requests the table places on it,
+// under the same IDs. The shards are read before the table (sess.mu never
+// nests a shard lock), so — like the admission check in CheckInvariants —
+// that comparison wants no call in flight.
 func (s *Session) checkInvariants(down []bool, owner map[view.ClusterID]int) error {
+	s.mu.Lock()
+	subs := append([]*rms.Session(nil), s.subs...)
+	s.mu.Unlock()
+	onShard := make(map[request.ID]int) // request → the shard holding it
+	for shard, sub := range subs {
+		if sub == nil {
+			continue
+		}
+		for _, id := range sub.RequestIDs() {
+			if other, dup := onShard[id]; dup {
+				return fmt.Errorf("federation: app %d request %d is held by shards %d and %d", s.id, id, other, shard)
+			}
+			onShard[id] = shard
+		}
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	queued := make([]int, len(s.queues))
-	total := 0
-	for fid, e := range s.toLocal {
+	for fid, e := range s.reqs {
 		if own, ok := owner[e.spec.Cluster]; !ok || own != e.shard {
 			return fmt.Errorf("federation: app %d request %d maps to shard %d but cluster %q is owned by shard %d",
 				s.id, fid, e.shard, e.spec.Cluster, own)
@@ -723,19 +716,23 @@ func (s *Session) checkInvariants(down []bool, owner map[view.ClusterID]int) err
 			if e.started || e.done {
 				return fmt.Errorf("federation: app %d held request %d has started or finished", s.id, fid)
 			}
-			if e.id == 0 {
-				// Between a release and the backoff re-placement: the hold
-				// has no shard-local presence, only coordinator state.
-				continue
+		}
+		if e.released {
+			if !e.held {
+				return fmt.Errorf("federation: app %d request %d is released but not held", s.id, fid)
 			}
+			continue // no shard-side presence, only coordinator state
 		}
-		if got, ok := s.fromLocal[e.shard][e.id]; !ok || got != fid {
-			return fmt.Errorf("federation: app %d request %d: reverse mapping on shard %d is %d", s.id, fid, e.shard, got)
+		if on, ok := onShard[fid]; !ok || on != e.shard {
+			return fmt.Errorf("federation: app %d request %d is placed on shard %d, which does not hold it", s.id, fid, e.shard)
 		}
-		total++
+		delete(onShard, fid)
+	}
+	if len(onShard) > 0 {
+		return fmt.Errorf("federation: app %d: shards hold requests the session does not place there (request → shard): %v", s.id, onShard)
 	}
 	for fid, g := range s.gangs {
-		e := s.toLocal[fid]
+		e := s.reqs[fid]
 		if e == nil {
 			return fmt.Errorf("federation: app %d reservation record for unknown request %d", s.id, fid)
 		}
@@ -746,19 +743,6 @@ func (s *Session) checkInvariants(down []bool, owner map[view.ClusterID]int) err
 			return fmt.Errorf("federation: app %d reservation record %d names child %d", s.id, fid, g.child)
 		}
 	}
-	reverse := 0
-	for shard, m := range s.fromLocal {
-		for lid, fid := range m {
-			e := s.toLocal[fid]
-			if e == nil || e.queued || e.shard != shard || e.id != lid {
-				return fmt.Errorf("federation: app %d leaked reverse mapping shard=%d local=%d fed=%d", s.id, shard, lid, fid)
-			}
-		}
-		reverse += len(m)
-	}
-	if reverse != total {
-		return fmt.Errorf("federation: app %d has %d forward but %d reverse mappings", s.id, total, reverse)
-	}
 	for shard, q := range s.queues {
 		if len(q) > 0 && !down[shard] {
 			return fmt.Errorf("federation: app %d has a replay queue for running shard %d", s.id, shard)
@@ -768,7 +752,7 @@ func (s *Session) checkInvariants(down []bool, owner map[view.ClusterID]int) err
 				s.id, shard, len(q), queued[shard])
 		}
 		for _, fid := range q {
-			e := s.toLocal[fid]
+			e := s.reqs[fid]
 			if e == nil || !e.queued || e.shard != shard {
 				return fmt.Errorf("federation: app %d queue for shard %d holds stale request %d", s.id, shard, fid)
 			}
@@ -779,8 +763,8 @@ func (s *Session) checkInvariants(down []bool, owner map[view.ClusterID]int) err
 
 // shardHandler is the per-(session, shard) rms.AppHandler: it fans shard
 // notifications back into the federated session. It also implements
-// rms.RequestObserver so the session's ID-translation tables shrink in
-// lockstep with the shard's request GC.
+// rms.RequestObserver so the session's request table shrinks in lockstep
+// with the shard's request GC.
 type shardHandler struct {
 	sess  *Session
 	shard int
@@ -854,76 +838,70 @@ func (s *Session) mergedLocked() (np, p view.View) {
 	return np, p
 }
 
-// OnStart translates the shard-local request ID back to its federated ID
-// and records the start instant (crash recovery distinguishes allocations
-// that ran out their duration from ones interrupted mid-run).
+// OnStart records the start instant (crash recovery distinguishes
+// allocations that ran out their duration from ones interrupted mid-run) and
+// forwards the notification.
 func (h *shardHandler) OnStart(id request.ID, nodeIDs []int) {
 	s := h.sess
 	s.mu.Lock()
-	fid, ok := s.fromLocal[h.shard][id]
-	if ok {
-		if e := s.toLocal[fid]; e != nil {
-			e.started = true
-			e.startedAt = s.f.clk.Now()
-		}
-		s.noteGangParentLocked(fid, false)
+	e := s.onShardLocked(h.shard, id)
+	if e != nil {
+		e.started = true
+		e.startedAt = s.f.clk.Now()
+		s.noteGangParentLocked(id, false)
 	}
 	s.mu.Unlock()
-	if !ok {
-		// RequestObserved registers the mapping under the shard lock before
-		// any round can start the request; a miss is a bug, not a race.
+	if e == nil {
+		// RequestID registers the record under the shard lock before any
+		// round can start the request; a miss is a bug, not a race.
 		panic(fmt.Sprintf("federation: shard %d started unknown request %d for app %d", h.shard, id, s.id))
 	}
-	s.h.OnStart(fid, nodeIDs)
+	s.h.OnStart(id, nodeIDs)
 }
 
 // OnRequestFinished marks the request finished in the session's table
 // (finished requests are never requeued after a crash) and forwards the
-// event under its federated ID to applications implementing
-// rms.RequestObserver, matching what a single RMS would deliver.
+// event to applications implementing rms.RequestObserver, matching what a
+// single RMS would deliver.
 func (h *shardHandler) OnRequestFinished(id request.ID) {
 	s := h.sess
 	s.mu.Lock()
-	fid, ok := s.fromLocal[h.shard][id]
-	if ok {
-		if e := s.toLocal[fid]; e != nil {
-			e.done = true
-		}
-		s.noteGangParentLocked(fid, true)
+	e := s.onShardLocked(h.shard, id)
+	if e != nil {
+		e.done = true
+		s.noteGangParentLocked(id, true)
 	}
 	s.mu.Unlock()
-	if !ok {
+	if e == nil {
 		return
 	}
 	if ro, obs := s.h.(rms.RequestObserver); obs {
-		ro.OnRequestFinished(fid)
+		ro.OnRequestFinished(id)
 	}
 }
 
-// OnRequestsReaped prunes the ID-translation entries of requests the shard
-// garbage-collected: they are finished with no pending NEXT/COALLOC child,
-// so nothing can ever reference them again.
+// OnRequestsReaped prunes the records of requests the shard garbage-
+// collected: they are finished with no pending NEXT/COALLOC child, so
+// nothing can ever reference them again. The shard reports ascending IDs.
 func (h *shardHandler) OnRequestsReaped(ids []request.ID) {
 	s := h.sess
-	fids := make([]request.ID, 0, len(ids))
+	known := make([]request.ID, 0, len(ids))
 	s.mu.Lock()
 	for _, id := range ids {
-		if fid, ok := s.fromLocal[h.shard][id]; ok {
-			delete(s.fromLocal[h.shard], id)
-			delete(s.toLocal, fid)
+		if s.onShardLocked(h.shard, id) != nil {
+			delete(s.reqs, id)
 			// A held child can be reaped only through an application-side
 			// withdraw (Done on a pending hold); retire its reservation.
-			s.clearGangLocked(fid)
-			fids = append(fids, fid)
+			s.clearGangLocked(id)
+			known = append(known, id)
 		}
 	}
 	s.mu.Unlock()
-	if len(fids) == 0 {
+	if len(known) == 0 {
 		return
 	}
 	if ro, obs := s.h.(rms.RequestObserver); obs {
-		sort.Slice(fids, func(i, j int) bool { return fids[i] < fids[j] })
-		ro.OnRequestsReaped(fids)
+		ro.OnRequestsReaped(known)
 	}
 }
 
@@ -942,30 +920,25 @@ func (h *shardHandler) CooperatesOnNodeFailure() bool {
 	return rms.CooperatesOnNodeFailure(h.sess.h)
 }
 
-// OnNodeFailure translates a node-failure event into the federated ID space
-// and forwards it to applications implementing rms.NodeFailureHandler. A
-// requeued request also clears its recorded start: it is pending again, and
-// a later shard crash must read it as interrupted work to be replayed, not
-// as an allocation that ran out its duration.
+// OnNodeFailure forwards a node-failure event to applications implementing
+// rms.NodeFailureHandler. A requeued request also clears its recorded start:
+// it is pending again, and a later shard crash must read it as interrupted
+// work to be replayed, not as an allocation that ran out its duration.
 func (h *shardHandler) OnNodeFailure(ev rms.NodeFailure) {
 	s := h.sess
 	s.mu.Lock()
-	fid, ok := s.fromLocal[h.shard][ev.Request]
-	if ok && ev.Action == rms.NodeFaultRequeued {
-		if e := s.toLocal[fid]; e != nil {
-			e.started = false
-			e.startedAt = 0
-		}
+	e := s.onShardLocked(h.shard, ev.Request)
+	if e != nil && ev.Action == rms.NodeFaultRequeued {
+		e.started = false
+		e.startedAt = 0
 	}
 	s.mu.Unlock()
-	if !ok {
-		// The mapping is registered under the shard lock before any node
+	if e == nil {
+		// The record is registered under the shard lock before any node
 		// event can touch the request; a miss mirrors OnStart's contract.
 		panic(fmt.Sprintf("federation: shard %d reported node failure on unknown request %d for app %d", h.shard, ev.Request, s.id))
 	}
 	if nh, obs := s.h.(rms.NodeFailureHandler); obs {
-		fev := ev
-		fev.Request = fid
-		nh.OnNodeFailure(fev)
+		nh.OnNodeFailure(ev)
 	}
 }

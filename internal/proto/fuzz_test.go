@@ -3,6 +3,10 @@ package proto
 import (
 	"testing"
 
+	"coormv2/internal/clock"
+	"coormv2/internal/request"
+	"coormv2/internal/rms"
+	"coormv2/internal/sim"
 	"coormv2/internal/view"
 )
 
@@ -69,3 +73,71 @@ func FuzzViewsFrame(f *testing.F) {
 		}
 	})
 }
+
+// requestFrameSeeds are request frames as transport.Client sends them, plus
+// frames the server must refuse or survive.
+var requestFrameSeeds = []string{
+	`{"type":"request","seq":1,"idem":1,"cluster":"c0","n":4,"duration":30,"req_type":"NP"}`,
+	`{"type":"request","seq":2,"cluster":"c0","n":2,"duration":-1,"req_type":"P"}`,
+	`{"type":"request","seq":3,"cluster":"c0","n":8,"duration":1e9,"req_type":"PA"}`,
+	`{"type":"request","seq":4,"cluster":"c0","n":1,"duration":5,"req_type":"NP","related_how":"NEXT","related_to":1}`,
+	`{"type":"request","seq":5,"cluster":"c0","n":1,"duration":5,"req_type":"NP","related_how":"COALLOC","related_to":-7}`,
+	`{"type":"request","cluster":"","n":0,"duration":0,"req_type":"NP"}`,
+	`{"type":"request","cluster":"nope","n":-3,"duration":1e308,"req_type":"NP"}`,
+	`{"type":"request","cluster":"c0","n":9223372036854775807,"duration":1e-300,"req_type":"P"}`,
+	`{"type":"request","cluster":"c0","n":1,"duration":1,"req_type":"??"}`,
+	`{"type":"done","req_id":1}`,
+}
+
+// FuzzDecodeRequestSpec feeds untrusted bytes through the server's request
+// path: Unmarshal, DecodeRequestSpec, then request() on a live RMS and the
+// scheduling rounds it triggers. Nothing may panic; a spec that decodes must
+// survive re-encoding, and whether the RMS admits or refuses it, its
+// accounting must stay consistent.
+func FuzzDecodeRequestSpec(f *testing.F) {
+	for _, s := range requestFrameSeeds {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		m, err := Unmarshal(frame)
+		if err != nil {
+			return
+		}
+		spec, err := m.DecodeRequestSpec()
+		if err != nil {
+			return
+		}
+		again := EncodeRequestSpec(spec, m.Seq)
+		data, err := again.Marshal()
+		if err != nil {
+			t.Fatalf("re-encoding %+v: %v", spec, err)
+		}
+		if m2, err := Unmarshal(data); err != nil {
+			t.Fatalf("re-decoding %s: %v", data, err)
+		} else if back, err := m2.DecodeRequestSpec(); err != nil || back != spec {
+			t.Fatalf("round trip of %+v gave %+v, %v", spec, back, err)
+		}
+
+		e := sim.NewEngine()
+		srv := rms.NewServer(rms.Config{
+			Clusters: map[view.ClusterID]int{"c0": 16}, ReschedInterval: 1, Clock: clock.SimClock{E: e},
+		})
+		sess := srv.Connect(quietApp{})
+		// A parent the spec may relate to (related_to 1).
+		if _, err := sess.Request(rms.RequestSpec{Cluster: "c0", N: 2, Duration: 10, Type: spec.Type}); err != nil {
+			t.Fatal(err)
+		}
+		_, _ = sess.Request(spec)
+		e.Run(100)
+		if err := srv.CheckInvariants(); err != nil {
+			t.Fatalf("after request %+v: %v", spec, err)
+		}
+	})
+}
+
+// quietApp discards every notification.
+type quietApp struct{}
+
+func (quietApp) OnViews(_, _ view.View)    {}
+func (quietApp) OnStart(request.ID, []int) {}
+func (quietApp) OnKill(string)             {}

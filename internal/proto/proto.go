@@ -153,7 +153,11 @@ type Message struct {
 	// The server caches the outcome of every idem-carrying call, so a
 	// client re-sending the same call after a reconnect (its ack may have
 	// died with the connection) gets the original outcome replayed instead
-	// of executing the operation twice. Zero disables deduplication.
+	// of executing the operation twice. Tokens increase within a session
+	// (transport.Client counts up from 1): the server's cache is bounded,
+	// and it tells a retry of an outcome it no longer holds — refused as
+	// stale — from a new call by the token being below ones it has evicted.
+	// Zero disables deduplication.
 	Idem int64 `json:"idem,omitempty"`
 
 	// Resume carries the session-resume token: on MsgConnect a client

@@ -67,7 +67,10 @@ func (r Relation) String() string {
 	}
 }
 
-// ID uniquely identifies a request within an RMS instance.
+// ID identifies a request: request() returns it, done() and every
+// notification quote it (§3.1.3). It is unique within the ID space of the
+// layer that draws it — a standalone RMS, or the Federator for all of its
+// shards, where a request keeps its ID across replay and migration.
 type ID int64
 
 // Request is a resource request as stored inside the RMS (§A.1). The first
@@ -75,6 +78,13 @@ type ID int64
 // scheduler while computing a schedule; the third group records the
 // allocation once the request has started.
 type Request struct {
+	// Seq is the admitting server's admission sequence number. Only
+	// orderings read it: the last tie-break of the scheduler's start order
+	// and the newest-first pick among a tenant's quota-preemption victims.
+	// It equals the ID on a server that draws its own IDs (New sets it so); a
+	// server admitting under caller-supplied IDs stamps its own sequence.
+	Seq int64
+
 	// Application-provided attributes.
 	ID         ID
 	AppID      int
@@ -125,6 +135,7 @@ type Request struct {
 // StartedAt is initialized to NaN ("has not started", §A.1).
 func New(id ID, appID int, cid view.ClusterID, n int, duration float64, typ Type, how Relation, parent *Request) *Request {
 	return &Request{
+		Seq:         int64(id),
 		ID:          id,
 		AppID:       appID,
 		Cluster:     cid,
@@ -294,7 +305,7 @@ func (s *Set) Children(r *Request) []*Request {
 // harmless (its rectangle lies entirely in the past), but sets would grow
 // without bound in long-running sessions. When reaped is non-nil it is
 // called, in set order, for every removed request — the RMS forwards the
-// IDs to routing layers so they can prune translation tables in lockstep.
+// IDs to routing layers so they can prune their request tables in lockstep.
 func (s *Set) GC(now float64, reaped func(*Request)) {
 	needed := map[*Request]bool{}
 	for _, r := range s.reqs {

@@ -25,10 +25,13 @@ var ErrUnknownCluster = errors.New("rms: unknown cluster")
 // committed yet (see internal/federation.Session.Done).
 const ReasonNotFound = "not found"
 
+// ReasonInUse is the RequestError.Reason for an admission (RequestID, HoldID,
+// AttachCluster) under an ID that already names one of the session's requests.
+const ReasonInUse = "already in use"
+
 // RequestError is an error about a specific request. The offending request
-// ID is carried as a field, not only baked into the message, so a routing
-// layer (internal/federation) can translate shard-local IDs into its own
-// federated ID space before the error reaches the application.
+// ID is carried as a field, not only baked into the message, so callers can
+// match on it.
 type RequestError struct {
 	// ID is the request the error is about: the request itself, or — when
 	// Related is set — the request named by the spec's RelatedTo.
@@ -67,12 +70,4 @@ func (e *RequestError) Error() string {
 	default:
 		return fmt.Sprintf("rms: request %d %s", e.ID, e.Reason)
 	}
-}
-
-// WithID returns a copy of the error quoting a different request ID — the
-// federation boundary uses it to swap a shard-local ID for the federated one.
-func (e *RequestError) WithID(id request.ID) *RequestError {
-	cp := *e
-	cp.ID = id
-	return &cp
 }

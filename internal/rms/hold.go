@@ -35,51 +35,32 @@ type HoldInfo struct {
 	NotBefore   float64
 }
 
-// HoldObserved admits a tentative hold: a request that reserves schedule
-// capacity no earlier than notBefore but can never start. Like
-// RequestObserved, observe (when non-nil) runs with the server lock held so
-// routing tables are in place before any round can reference the request.
-func (sess *Session) HoldObserved(spec RequestSpec, notBefore float64, observe func(request.ID)) (request.ID, error) {
-	s := sess.s
-	s.mu.Lock()
+// HoldID admits a tentative hold under the coordinator's ID: a request that
+// reserves schedule capacity no earlier than notBefore but can never start.
+// ID and observe are as for RequestID.
+func (sess *Session) HoldID(spec RequestSpec, id request.ID, notBefore float64, observe func()) error {
+	if id <= 0 {
+		return fmt.Errorf("rms: request ID %d must be positive", id)
+	}
+	_, err := sess.admit(spec, id, true, notBefore, observe)
+	return err
+}
+
+// liveRequestLocked looks up one of the session's requests for the
+// operations below: it fails on a terminated session or an unknown ID, and —
+// when held is set — on a request that is not a hold.
+func (sess *Session) liveRequestLocked(id request.ID, held bool) (*request.Request, error) {
 	if sess.killed {
-		s.mu.Unlock()
-		return 0, fmt.Errorf("rms: session was terminated")
+		return nil, fmt.Errorf("rms: session was terminated")
 	}
-	var parent *request.Request
-	if spec.RelatedHow != request.Free {
-		parent = sess.findRequestLocked(spec.RelatedTo)
-		if parent == nil {
-			s.mu.Unlock()
-			return 0, errRelated(spec.RelatedTo, ReasonNotFound)
-		}
+	r := sess.findRequestLocked(id)
+	if r == nil {
+		return nil, errRequest(id, ReasonNotFound)
 	}
-	if _, ok := s.cfg.Clusters[spec.Cluster]; !ok {
-		s.mu.Unlock()
-		return 0, fmt.Errorf("%w %q", ErrUnknownCluster, spec.Cluster)
+	if held && !r.Held {
+		return nil, errRequest(id, "not held")
 	}
-	id := s.nextReq
-	s.nextReq++
-	r := request.New(id, sess.app.ID, spec.Cluster, spec.N, spec.Duration, spec.Type, spec.RelatedHow, parent)
-	if err := r.Validate(); err != nil {
-		s.mu.Unlock()
-		return 0, err
-	}
-	r.SubmittedAt = s.clk.Now()
-	r.Held = true
-	if notBefore > 0 && !math.IsNaN(notBefore) {
-		r.NotBefore = notBefore
-	}
-	sess.app.SetFor(spec.Type).Add(r)
-	s.touchLocked(sess.app.ID)
-	s.churn[spec.Cluster]++
-	if observe != nil {
-		observe(id)
-	}
-	s.requestRunLocked()
-	s.mu.Unlock()
-	s.flush()
-	return id, nil
+	return r, nil
 }
 
 // CommitHold converts a hold into an ordinary pending request: the reserved
@@ -88,18 +69,10 @@ func (sess *Session) HoldObserved(spec RequestSpec, notBefore float64, observe f
 func (sess *Session) CommitHold(id request.ID) error {
 	s := sess.s
 	s.mu.Lock()
-	if sess.killed {
+	r, err := sess.liveRequestLocked(id, true)
+	if err != nil {
 		s.mu.Unlock()
-		return fmt.Errorf("rms: session was terminated")
-	}
-	r := sess.findRequestLocked(id)
-	if r == nil {
-		s.mu.Unlock()
-		return errRequest(id, ReasonNotFound)
-	}
-	if !r.Held {
-		s.mu.Unlock()
-		return errRequest(id, "not held")
+		return err
 	}
 	r.Held = false
 	s.touchLocked(sess.app.ID)
@@ -117,18 +90,10 @@ func (sess *Session) CommitHold(id request.ID) error {
 func (sess *Session) ReleaseHold(id request.ID) error {
 	s := sess.s
 	s.mu.Lock()
-	if sess.killed {
+	r, err := sess.liveRequestLocked(id, true)
+	if err != nil {
 		s.mu.Unlock()
-		return fmt.Errorf("rms: session was terminated")
-	}
-	r := sess.findRequestLocked(id)
-	if r == nil {
-		s.mu.Unlock()
-		return errRequest(id, ReasonNotFound)
-	}
-	if !r.Held {
-		s.mu.Unlock()
-		return errRequest(id, "not held")
+		return err
 	}
 	sess.app.SetFor(r.Type).Remove(r)
 	s.touchLocked(sess.app.ID)
@@ -145,29 +110,17 @@ func (sess *Session) ReleaseHold(id request.ID) error {
 func (sess *Session) SetNotBefore(id request.ID, t float64) error {
 	s := sess.s
 	s.mu.Lock()
-	if sess.killed {
-		s.mu.Unlock()
-		return fmt.Errorf("rms: session was terminated")
+	r, err := sess.liveRequestLocked(id, false)
+	if err == nil && r.Started() {
+		err = errRequest(id, "already started")
 	}
-	r := sess.findRequestLocked(id)
-	if r == nil {
-		s.mu.Unlock()
-		return errRequest(id, ReasonNotFound)
+	if err == nil && (math.IsNaN(t) || math.IsInf(t, 0)) {
+		err = errRequest(id, "invalid NotBefore")
 	}
-	if r.Started() {
+	t = math.Max(t, 0)
+	if err != nil || r.NotBefore == t {
 		s.mu.Unlock()
-		return errRequest(id, "already started")
-	}
-	if math.IsNaN(t) || math.IsInf(t, 0) {
-		s.mu.Unlock()
-		return errRequest(id, "invalid NotBefore")
-	}
-	if t < 0 {
-		t = 0
-	}
-	if r.NotBefore == t {
-		s.mu.Unlock()
-		return nil
+		return err
 	}
 	r.NotBefore = t
 	s.touchLocked(sess.app.ID)
@@ -184,12 +137,9 @@ func (sess *Session) ScheduleInfo(id request.ID) (HoldInfo, error) {
 	s := sess.s
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if sess.killed {
-		return HoldInfo{}, fmt.Errorf("rms: session was terminated")
-	}
-	r := sess.findRequestLocked(id)
-	if r == nil {
-		return HoldInfo{}, errRequest(id, ReasonNotFound)
+	r, err := sess.liveRequestLocked(id, false)
+	if err != nil {
+		return HoldInfo{}, err
 	}
 	info := HoldInfo{
 		ScheduledAt: r.ScheduledAt,

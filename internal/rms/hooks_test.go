@@ -1,15 +1,17 @@
 package rms
 
 import (
+	"errors"
 	"testing"
 
 	"coormv2/internal/request"
 )
 
 // The hooks below exist for internal/federation: ConnectID registers a
-// session under an externally assigned application ID, RequestObserved
-// exposes the assigned request ID while the server lock is still held, and
-// ScheduleNow forces a synchronous scheduling round.
+// session under an externally assigned application ID, RequestID admits a
+// request under an externally assigned request ID and runs its observe hook
+// while the server lock is still held, and ScheduleNow forces a synchronous
+// scheduling round.
 
 func TestConnectIDAssignsAndCollides(t *testing.T) {
 	e, s := newTestServer(10)
@@ -57,30 +59,61 @@ func TestRequestObservedSeesIDBeforeStart(t *testing.T) {
 	app := &testApp{}
 	app.sess = s.Connect(app)
 
-	var observed request.ID
-	started := false
+	observed, started := false, false
 	app.onStart = func(id request.ID, _ []int) {
 		started = true
-		if observed == 0 {
+		if !observed {
 			t.Error("OnStart fired before observe")
 		}
-		if id != observed {
-			t.Errorf("started %d, observed %d", id, observed)
+		if id != 41 {
+			t.Errorf("started %d, want the caller's ID 41", id)
 		}
 	}
-	id, err := app.sess.RequestObserved(
-		RequestSpec{Cluster: c0, N: 1, Duration: 10, Type: request.NonPreempt},
-		func(rid request.ID) { observed = rid },
-	)
-	if err != nil {
+	spec := RequestSpec{Cluster: c0, N: 1, Duration: 10, Type: request.NonPreempt}
+	if err := app.sess.RequestID(spec, 41, func() { observed = true }); err != nil {
 		t.Fatal(err)
-	}
-	if id != observed {
-		t.Errorf("Request returned %d, observe saw %d", id, observed)
 	}
 	e.RunAll()
 	if !started {
 		t.Fatal("request never started")
+	}
+}
+
+// A caller-chosen ID must be positive and unused in the session; the IDs the
+// server draws itself stay ahead of it, and a related request names its
+// parent by that ID.
+func TestRequestIDCollidesAndAdvancesSequence(t *testing.T) {
+	e, s := newTestServer(10)
+	app := &testApp{}
+	app.sess = s.Connect(app)
+	spec := RequestSpec{Cluster: c0, N: 1, Duration: 10, Type: request.NonPreempt}
+	if err := app.sess.RequestID(spec, 0, nil); err == nil {
+		t.Error("non-positive ID should error")
+	}
+	if err := app.sess.RequestID(spec, 7, nil); err != nil {
+		t.Fatal(err)
+	}
+	var re *RequestError
+	if err := app.sess.RequestID(spec, 7, nil); !errors.As(err, &re) || re.ID != 7 || re.Reason != ReasonInUse {
+		t.Errorf("duplicate ID = %v, want a RequestError{7, in use}", err)
+	}
+	if err := app.sess.HoldID(spec, 7, 0, nil); !errors.As(err, &re) || re.Reason != ReasonInUse {
+		t.Errorf("hold under a used ID = %v, want in use", err)
+	}
+	next, err := app.sess.Request(RequestSpec{Cluster: c0, N: 1, Duration: 10, Type: request.NonPreempt,
+		RelatedHow: request.Next, RelatedTo: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next != 8 {
+		t.Errorf("next drawn ID = %d, want 8", next)
+	}
+	if got := app.sess.RequestIDs(); len(got) != 2 || got[0] != 7 || got[1] != 8 {
+		t.Errorf("RequestIDs = %v, want [7 8]", got)
+	}
+	e.RunAll()
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -90,9 +123,9 @@ func TestRequestObservedNotCalledOnError(t *testing.T) {
 	app.sess = s.Connect(app)
 	e.RunAll()
 	called := false
-	_, err := app.sess.RequestObserved(
+	err := app.sess.RequestID(
 		RequestSpec{Cluster: c0, N: 0, Duration: 1, Type: request.NonPreempt},
-		func(request.ID) { called = true },
+		5, func() { called = true },
 	)
 	if err == nil {
 		t.Fatal("invalid request should error")

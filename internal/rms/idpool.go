@@ -5,25 +5,8 @@ import (
 	"sort"
 )
 
-// debugPoolPanics restores the historical fail-stop behaviour of the node-ID
-// pools: accounting violations (double free, out-of-range ID) panic instead
-// of surfacing as structured errors. Tests enable it to turn silent
-// degradation into loud failures; production leaves it off so a buggy done()
-// under node churn degrades gracefully instead of crashing the daemon.
-var debugPoolPanics = false
-
-// SetPoolDebugPanics toggles fail-stop pool accounting. It is not
-// synchronized: set it before creating servers (tests do this in TestMain or
-// at the top of a sequential test).
-//
-// Deprecated: prefer Config.PoolDebugPanics / WithPoolDebugPanics, which
-// set the same switch at server construction. This global setter is kept
-// for tests toggling it mid-process.
-func SetPoolDebugPanics(on bool) { debugPoolPanics = on }
-
 // poolError reports a node-ID pool accounting violation. The server boundary
-// converts it into a *RequestError quoting the offending request so routing
-// layers can translate the ID.
+// converts it into a *RequestError quoting the offending request.
 type poolError struct {
 	node   int
 	reason string // completes "released node %d %s request %d"
@@ -101,25 +84,18 @@ func (p *idPool) alloc(k int) []int {
 // a failed (down) ID indicates RMS state corruption; free validates the
 // whole batch before mutating anything, so on error the pool is unchanged
 // and the operation can be rejected at the server boundary as a
-// *RequestError. With SetPoolDebugPanics(true) violations panic instead.
+// *RequestError.
 func (p *idPool) free(ids []int) error {
 	for i, id := range ids {
-		var e *poolError
 		switch {
 		case id < 0 || id >= p.size:
-			e = &poolError{node: id, reason: "is out of range for"}
+			return &poolError{node: id, reason: "is out of range for"}
 		case p.isFree(id):
-			e = &poolError{node: id, reason: "was already free when released by"}
+			return &poolError{node: id, reason: "was already free when released by"}
 		case p.isFailed(id):
-			e = &poolError{node: id, reason: "is down and cannot be released by"}
+			return &poolError{node: id, reason: "is down and cannot be released by"}
 		case containsInt(ids[:i], id):
-			e = &poolError{node: id, reason: "was released twice by"}
-		}
-		if e != nil {
-			if debugPoolPanics {
-				panic(e.Error())
-			}
-			return e
+			return &poolError{node: id, reason: "was released twice by"}
 		}
 	}
 	for _, id := range ids {
@@ -138,18 +114,10 @@ func (p *idPool) free(ids []int) error {
 // already-failed node returns an error and leaves the pool unchanged.
 func (p *idPool) fail(id int) (wasFree bool, err error) {
 	if id < 0 || id >= p.size {
-		e := &poolError{node: id, reason: "is out of range for"}
-		if debugPoolPanics {
-			panic(e.Error())
-		}
-		return false, e
+		return false, &poolError{node: id, reason: "is out of range for"}
 	}
 	if p.isFailed(id) {
-		e := &poolError{node: id, reason: "is already down for"}
-		if debugPoolPanics {
-			panic(e.Error())
-		}
-		return false, e
+		return false, &poolError{node: id, reason: "is already down for"}
 	}
 	if i := sort.SearchInts(p.freeIDs, id); i < len(p.freeIDs) && p.freeIDs[i] == id {
 		p.freeIDs = append(p.freeIDs[:i], p.freeIDs[i+1:]...)
@@ -168,11 +136,7 @@ func (p *idPool) fail(id int) (wasFree bool, err error) {
 func (p *idPool) recover(id int) error {
 	i := sort.SearchInts(p.failed, id)
 	if i >= len(p.failed) || p.failed[i] != id {
-		e := &poolError{node: id, reason: "is not down; cannot recover for"}
-		if debugPoolPanics {
-			panic(e.Error())
-		}
-		return e
+		return &poolError{node: id, reason: "is not down; cannot recover for"}
 	}
 	p.failed = append(p.failed[:i], p.failed[i+1:]...)
 	j := sort.SearchInts(p.freeIDs, id)

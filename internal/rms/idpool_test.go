@@ -1,8 +1,11 @@
 package rms
 
 import (
+	"errors"
 	"strings"
 	"testing"
+
+	"coormv2/internal/request"
 )
 
 func TestIDPoolAllocLowestFirst(t *testing.T) {
@@ -101,20 +104,36 @@ func TestIDPoolBatchFreeIsAtomic(t *testing.T) {
 	}
 }
 
-func TestIDPoolDebugFlagRestoresPanics(t *testing.T) {
-	SetPoolDebugPanics(true)
-	defer SetPoolDebugPanics(false)
-	p := newIDPool(2)
-	ids := p.alloc(1)
-	if err := p.free(ids); err != nil {
-		t.Fatalf("first free: %v", err)
+// A pool violation is never a panic. At the server boundary (done()) it is a
+// structured error that leaves the request retryable; on an internal release
+// path (here: teardown) the refused batch is counted in Stats.
+func TestPoolViolationsAreCountedErrors(t *testing.T) {
+	e, s := newTestServer(4)
+	app := &testApp{}
+	app.sess = s.Connect(app)
+	id, err := app.sess.Request(RequestSpec{Cluster: c0, N: 2, Duration: 100, Type: request.NonPreempt})
+	if err != nil {
+		t.Fatal(err)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("double free should panic under the debug flag")
-		}
-	}()
-	p.free(ids)
+	e.Run(1)
+	if len(app.starts) != 1 {
+		t.Fatalf("starts = %v, want one", app.starts)
+	}
+	// Corrupt the accounting: the held IDs go back behind the request's back.
+	if err := s.pools[c0].free(app.starts[0].ids); err != nil {
+		t.Fatal(err)
+	}
+	var re *RequestError
+	if err := app.sess.Done(id, nil); !errors.As(err, &re) || re.ID != id || re.Node != app.starts[0].ids[0] {
+		t.Fatalf("done() over a double free = %v, want a RequestError naming request %d and node %d", err, id, app.starts[0].ids[0])
+	}
+	if got := s.Stats()["pool_violations"]; got != 0 {
+		t.Fatalf("pool_violations = %d after a refused done(), want 0", got)
+	}
+	app.sess.Disconnect()
+	if got := s.Stats()["pool_violations"]; got != 1 {
+		t.Fatalf("pool_violations = %d after teardown over a double free, want 1", got)
+	}
 }
 
 func TestIDPoolFailFreeNode(t *testing.T) {

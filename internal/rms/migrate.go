@@ -14,19 +14,12 @@ import (
 // This file implements live cluster hand-over between rms.Server instances:
 // DetachCluster snapshots one cluster — its capacity, node-ID pool occupancy
 // and every session's requests targeting it — and removes it from the server;
-// AttachCluster re-admits the snapshot on another server under fresh local
+// AttachCluster re-admits the snapshot on another server under the same
 // request IDs. The federation layer (internal/federation.MigrateCluster)
-// drives the pair as one atomic step and rewrites its federated↔local ID
-// tables through the observe hook. The same snapshot shape is the seed for
+// drives the pair as one atomic step and re-points its request→shard table
+// through the observe hook. The same snapshot shape is the seed for
 // the ROADMAP's warm-standby item: it is exactly the per-cluster portion of
 // scheduler-side state a restarted shard would need to resume.
-
-// ErrEntangled is returned by DetachCluster when the cluster cannot be
-// detached because an unfinished request on it relates (NEXT/COALLOC) to a
-// request on another cluster of the same server, or vice versa. Migrating
-// one side would turn the relation cross-shard, which the federation does
-// not support; the rebalancer skips such donor candidates.
-var ErrEntangled = errors.New("rms: cluster has live cross-cluster request relations")
 
 // ErrLastCluster is returned by DetachCluster when the cluster is the
 // server's only one: a shard must always manage at least one cluster.
@@ -35,15 +28,15 @@ var ErrLastCluster = errors.New("rms: cannot detach a server's last cluster")
 // RequestState is the portable state of one request inside a
 // ClusterSnapshot: the application-provided spec plus every scheduler- and
 // allocation-side attribute, so the importing server resumes exactly where
-// the exporting one stopped. IDs are local to the exporting server;
-// AttachCluster assigns fresh ones and reports the correspondence.
+// the exporting one stopped. The request keeps its ID; only its admission
+// sequence (request.Request.Seq) is the importing server's own.
 type RequestState struct {
-	ID         request.ID // exporting server's local ID
+	ID         request.ID
 	N          int
 	Duration   float64
 	Type       request.Type
 	RelatedHow request.Relation
-	RelatedTo  request.ID // exporting-server local parent ID; 0 when Free
+	RelatedTo  request.ID // parent's ID; 0 when Free
 
 	NAlloc             int
 	ScheduledAt        float64
@@ -172,38 +165,6 @@ func (s *Server) ClusterLoads() []ClusterLoad {
 	return out
 }
 
-// DetachCluster removes cluster cid from the server and returns its full
-// transferable state. Every request targeting the cluster leaves with it;
-// the sessions themselves stay connected (they may hold requests on other
-// clusters). Allocation metrics are closed out at the detach instant so the
-// node·second integrals move between shard recorders without overlap.
-//
-// Dead relations — NEXT/COALLOC edges whose child request already finished —
-// are severed when they cross the cluster boundary (they can no longer
-// influence scheduling); a *live* crossing relation makes the cluster
-// ineligible and DetachCluster fails with ErrEntangled, leaving the server
-// untouched. Detaching the last cluster fails with ErrLastCluster.
-func (s *Server) DetachCluster(cid view.ClusterID) (*ClusterSnapshot, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.detachClusterLocked(cid, false)
-}
-
-// DetachClusterSevering is DetachCluster with the entanglement check
-// replaced by deterministic relation severing: every live NEXT/COALLOC edge
-// crossing the cluster boundary is converted into a NotBefore pin on the
-// unstarted child (the start-time target the relation implied at the detach
-// instant) and then cut on both sides, so the cluster always detaches. The
-// federation uses it for MigrateCluster — its reservation coordinator keeps
-// cross-shard gang legs unrelated at the shard level and re-aligns them
-// through the same NotBefore mechanism, so a severed pin is exactly the
-// state the coordinator would have produced.
-func (s *Server) DetachClusterSevering(cid view.ClusterID) (*ClusterSnapshot, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.detachClusterLocked(cid, true)
-}
-
 // severRelationLocked converts r's relation into a NotBefore pin (for an
 // unstarted child: the parent-derived start target, when finite) and cuts
 // the edge.
@@ -232,7 +193,23 @@ func severRelationLocked(r *request.Request) {
 	r.RelatedHow, r.RelatedTo = request.Free, nil
 }
 
-func (s *Server) detachClusterLocked(cid view.ClusterID, sever bool) (*ClusterSnapshot, error) {
+// DetachCluster removes cluster cid from the server and returns its full
+// transferable state. Every request targeting the cluster leaves with it;
+// the sessions themselves stay connected (they may hold requests on other
+// clusters). Allocation metrics are closed out at the detach instant so the
+// node·second integrals move between shard recorders without overlap.
+//
+// A relation crossing the cluster boundary never blocks the detach. A dead
+// one — its child already finished — is simply cut. A live NEXT/COALLOC edge
+// is converted into a NotBefore pin on the unstarted child (the start-time
+// target the relation implied at the detach instant) and then cut on both
+// sides. The federation's reservation coordinator keeps cross-shard gang
+// legs unrelated at the shard level and re-aligns them through the same
+// NotBefore mechanism, so a severed pin is exactly the state the coordinator
+// would have produced. Detaching the last cluster fails with ErrLastCluster.
+func (s *Server) DetachCluster(cid view.ClusterID) (*ClusterSnapshot, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.stopped {
 		return nil, ErrStopped
 	}
@@ -243,21 +220,16 @@ func (s *Server) detachClusterLocked(cid view.ClusterID, sever bool) (*ClusterSn
 	if len(s.cfg.Clusters) == 1 {
 		return nil, fmt.Errorf("%w (%q)", ErrLastCluster, cid)
 	}
-	// Eligibility: no unfinished request may have a relation crossing the
-	// cluster boundary. (For unfinished requests the parent is always still
-	// in a set — GC keeps parents of pending/running children — so the
-	// parent's Cluster field is authoritative.) In severing mode the crossing
-	// edge is pinned and cut instead of failing the detach.
+	// Pin and cut every live relation crossing the cluster boundary. (For
+	// unfinished requests the parent is always still in a set — GC keeps
+	// parents of pending/running children — so the parent's Cluster field is
+	// authoritative.)
 	for _, id := range s.sessionIDsLocked() {
 		for _, r := range s.sessions[id].app.Requests() {
 			if r.Finished || r.RelatedTo == nil {
 				continue
 			}
 			if (r.Cluster == cid) != (r.RelatedTo.Cluster == cid) {
-				if !sever {
-					return nil, fmt.Errorf("%w: request %d on %q relates to request %d on %q",
-						ErrEntangled, r.ID, r.Cluster, r.RelatedTo.ID, r.RelatedTo.Cluster)
-				}
 				severRelationLocked(r)
 				s.touchLocked(id)
 			}
@@ -348,17 +320,19 @@ func (s *Server) detachClusterLocked(cid view.ClusterID, sever bool) (*ClusterSn
 
 // AttachCluster admits a detached cluster's state to this server: capacity
 // and pool occupancy are restored exactly, and every snapshot request is
-// re-created — under a fresh local ID — in its session's sets, preserving
-// set order and relation topology. observe, when non-nil, is invoked for
-// every imported request with its old and new local IDs while the server
-// lock is still held, mirroring RequestObserved's hook: any routing-table
-// rewrite done inside it is in place before a scheduling round can touch
-// the request. observe must not call back into the server.
+// re-created — under the ID it had, with a fresh admission sequence drawn in
+// snapshot order — in its session's sets, preserving set order and relation
+// topology. A snapshot request whose ID already names a request of its
+// session here is refused with a *RequestError (ReasonInUse) and the server
+// is left untouched. observe, when non-nil, is invoked for every imported
+// request while the server lock is still held, mirroring RequestID's hook:
+// any routing-table update done inside it is in place before a scheduling
+// round can touch the request. observe must not call back into the server.
 //
 // A snapshot application with no session on this server (possible only in
 // real-clock races where the session died mid-migration) is dropped like a
 // disconnect: its held node IDs return to the pool.
-func (s *Server) AttachCluster(snap *ClusterSnapshot, observe func(appID int, oldID, newID request.ID)) error {
+func (s *Server) AttachCluster(snap *ClusterSnapshot, observe func(appID int, id request.ID)) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.stopped {
@@ -366,6 +340,15 @@ func (s *Server) AttachCluster(snap *ClusterSnapshot, observe func(appID int, ol
 	}
 	if _, dup := s.cfg.Clusters[snap.Cluster]; dup {
 		return fmt.Errorf("rms: cluster %q already attached", snap.Cluster)
+	}
+	for _, as := range snap.Apps {
+		if sess := s.sessions[as.AppID]; sess != nil {
+			for _, rs := range as.Requests {
+				if sess.findRequestLocked(rs.ID) != nil {
+					return errRequest(rs.ID, ReasonInUse)
+				}
+			}
+		}
 	}
 	s.cfg.Clusters[snap.Cluster] = snap.Nodes
 	pool := &idPool{
@@ -397,12 +380,11 @@ func (s *Server) AttachCluster(snap *ClusterSnapshot, observe func(appID int, ol
 			}
 			continue
 		}
-		byOld := make(map[request.ID]*request.Request, len(as.Requests))
+		byID := make(map[request.ID]*request.Request, len(as.Requests))
 		moved := 0
 		for _, rs := range as.Requests {
-			id := s.nextReq
-			s.nextReq++
-			r := request.New(id, as.AppID, snap.Cluster, rs.N, rs.Duration, rs.Type, request.Free, nil)
+			r := request.New(rs.ID, as.AppID, snap.Cluster, rs.N, rs.Duration, rs.Type, request.Free, nil)
+			r.Seq = int64(s.nextSeqLocked(rs.ID))
 			r.NAlloc = rs.NAlloc
 			r.ScheduledAt = rs.ScheduledAt
 			r.Fixed = rs.Fixed
@@ -414,11 +396,11 @@ func (s *Server) AttachCluster(snap *ClusterSnapshot, observe func(appID int, ol
 			r.SubmittedAt = rs.SubmittedAt
 			r.Held = rs.Held
 			r.NotBefore = rs.NotBefore
-			byOld[rs.ID] = r
+			byID[rs.ID] = r
 			sess.app.SetFor(rs.Type).Add(r)
 			moved += len(r.NodeIDs)
 			if observe != nil {
-				observe(as.AppID, rs.ID, id)
+				observe(as.AppID, rs.ID)
 			}
 		}
 		// Second pass: re-link relations. A non-Free entry's parent is always
@@ -427,12 +409,11 @@ func (s *Server) AttachCluster(snap *ClusterSnapshot, observe func(appID int, ol
 			if rs.RelatedHow == request.Free {
 				continue
 			}
-			parent := byOld[rs.RelatedTo]
+			parent := byID[rs.RelatedTo]
 			if parent == nil {
 				panic(fmt.Sprintf("rms: snapshot request %d relates to absent request %d", rs.ID, rs.RelatedTo))
 			}
-			child := byOld[rs.ID]
-			child.RelatedHow, child.RelatedTo = rs.RelatedHow, parent
+			byID[rs.ID].RelatedHow, byID[rs.ID].RelatedTo = rs.RelatedHow, parent
 		}
 		if moved > 0 {
 			sess.held += moved

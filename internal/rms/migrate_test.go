@@ -95,17 +95,19 @@ func TestDetachAttachRoundTrip(t *testing.T) {
 		t.Fatalf("donor current = %d, want %d", got, heldBefore-4)
 	}
 
-	var remaps [][2]request.ID
-	if err := b.AttachCluster(snap, func(appID int, oldID, newID request.ID) {
+	var moved []request.ID
+	if err := b.AttachCluster(snap, func(appID int, id request.ID) {
 		if appID != 7 {
 			t.Errorf("observe appID = %d, want 7", appID)
 		}
-		remaps = append(remaps, [2]request.ID{oldID, newID})
+		moved = append(moved, id)
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if len(remaps) != 3 {
-		t.Fatalf("observe saw %d requests, want 3", len(remaps))
+	// The requests keep their IDs (set order: the parent, its NEXT child, the
+	// preemptible one).
+	if len(moved) != 3 || moved[0] != np || moved[1] != np+1 {
+		t.Fatalf("observe saw %v, want 3 requests starting with %d, %d", moved, np, np+1)
 	}
 	if err := b.CheckInvariants(); err != nil {
 		t.Fatalf("target invariants after attach: %v", err)
@@ -126,13 +128,12 @@ func TestDetachAttachRoundTrip(t *testing.T) {
 	}
 
 	// On the target, the migrated allocation keeps running: finishing the
-	// parent hands its node IDs to the NEXT child at the new local IDs.
+	// parent hands its node IDs to the NEXT child, under the same IDs.
 	sb := b.sessions[7]
 	if sb == nil {
 		t.Fatal("no session 7 on target")
 	}
-	newNP := remaps[0][1]
-	if err := sb.Done(newNP, nil); err != nil {
+	if err := sb.Done(np, nil); err != nil {
 		t.Fatalf("done on migrated request: %v", err)
 	}
 	e.Run(e.Now() + 3)
@@ -142,7 +143,7 @@ func TestDetachAttachRoundTrip(t *testing.T) {
 	// The NEXT child started on the target with inherited node IDs.
 	found := false
 	for _, st := range appB.starts {
-		if st.id == remaps[1][1] && len(st.ids) == 2 {
+		if st.id == moved[1] && len(st.ids) == 2 {
 			found = true
 		}
 	}
@@ -160,7 +161,7 @@ func TestDetachAttachRoundTrip(t *testing.T) {
 }
 
 func TestDetachClusterEntangledAndLast(t *testing.T) {
-	e, a, _, _, _ := newMigratePair(t)
+	e, a, b, _, _ := newMigratePair(t)
 	sa, err := a.ConnectID(&testApp{}, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -169,30 +170,69 @@ func TestDetachClusterEntangledAndLast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Live cross-cluster COALLOC: mx ↔ my are entangled in both directions.
-	if _, err := sa.Request(RequestSpec{Cluster: mcY, N: 1, Duration: 1e6, Type: request.NonPreempt,
-		RelatedHow: request.Coalloc, RelatedTo: px}); err != nil {
+	// Live cross-cluster NEXT: the parent runs on mx, the child waits on my.
+	child, err := sa.Request(RequestSpec{Cluster: mcY, N: 1, Duration: 1e6, Type: request.NonPreempt,
+		RelatedHow: request.Next, RelatedTo: px})
+	if err != nil {
 		t.Fatal(err)
 	}
 	e.Run(3)
-	if _, err := a.DetachCluster(mcX); !errors.Is(err, ErrEntangled) {
-		t.Fatalf("detach entangled = %v, want ErrEntangled", err)
+	// The live edge does not block the detach: it leaves as a NotBefore pin at
+	// the parent's end, cut on both sides.
+	parent, err := sa.ScheduleInfo(px)
+	if err != nil || !parent.Started {
+		t.Fatalf("parent = %+v, %v; want it running", parent, err)
 	}
-	if _, err := a.DetachCluster(mcY); !errors.Is(err, ErrEntangled) {
-		t.Fatalf("detach entangled (child side) = %v, want ErrEntangled", err)
+	snap, err := a.DetachCluster(mcY)
+	if err != nil {
+		t.Fatalf("detach entangled (child side) = %v, want the edge severed", err)
+	}
+	rs := snap.Apps[0].Requests[0]
+	if rs.ID != child || rs.RelatedHow != request.Free || rs.NotBefore != parent.ScheduledAt+parent.Duration {
+		t.Fatalf("severed child = %+v, want request %d unrelated and pinned at %g", rs, child, parent.ScheduledAt+parent.Duration)
 	}
 	if err := a.CheckInvariants(); err != nil {
-		t.Fatalf("invariants after refused detach: %v", err)
+		t.Fatalf("invariants after severing detach: %v", err)
 	}
 
-	// Once both sides finish, the relation is dead and the cluster detaches;
-	// severing drops the dead edge from the surviving state.
-	for _, r := range a.sessions[1].app.Requests() {
-		if err := sa.Done(r.ID, nil); err != nil {
+	// A server whose session already uses the child's ID refuses the snapshot
+	// whole; the donor takes it back under the same IDs.
+	sb, err := b.ConnectID(&testApp{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ { // b draws IDs 1 and 2 itself
+		if _, err := sb.Request(RequestSpec{Cluster: mcZ, N: 1, Duration: 1e6, Type: request.NonPreempt}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	snap, err := a.DetachCluster(mcX)
+	var re *RequestError
+	if err := b.AttachCluster(snap, nil); !errors.As(err, &re) || re.ID != child || re.Reason != ReasonInUse {
+		t.Fatalf("attach over a used ID = %v, want RequestError{%d, in use}", err, child)
+	}
+	if _, ok := b.Clusters()[mcY]; ok {
+		t.Fatal("refused attach left the cluster on the target")
+	}
+	if got := sb.RequestIDs(); len(got) != 2 {
+		t.Fatalf("refused attach changed the target's requests: %v", got)
+	}
+	if err := b.CheckInvariants(); err != nil {
+		t.Fatalf("target invariants after refused attach: %v", err)
+	}
+	if err := a.AttachCluster(snap, nil); err != nil {
+		t.Fatalf("re-attach to donor: %v", err)
+	}
+	if got := sa.RequestIDs(); len(got) != 2 || got[0] != px || got[1] != child {
+		t.Fatalf("donor requests after re-attach = %v, want [%d %d]", got, px, child)
+	}
+
+	// Once both sides finish, the cluster detaches with nothing related left.
+	for _, id := range []request.ID{px, child} {
+		if err := sa.Done(id, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap, err = a.DetachCluster(mcX)
 	if err != nil {
 		t.Fatalf("detach after finish: %v", err)
 	}

@@ -381,9 +381,11 @@ func (s *Server) notifyNodeFailureLocked(sess *Session, ev NodeFailure) {
 }
 
 // mustFreeLocked returns IDs to a pool on an internal path where a failure
-// indicates state corruption: loud under the debug flag (free panics
-// itself), ignored otherwise — the pool rejects the batch atomically, so
-// degrading costs leaked IDs, not a crashed daemon.
+// indicates state corruption. The pool rejects the batch atomically, so
+// degrading costs leaked IDs, not a crashed daemon; the violation is counted
+// (Stats "pool_violations") and CheckInvariants reports the leak.
 func (s *Server) mustFreeLocked(cid view.ClusterID, ids []int) {
-	_ = s.pools[cid].free(ids)
+	if err := s.pools[cid].free(ids); err != nil {
+		s.stats.poolViolations++
+	}
 }

@@ -40,7 +40,7 @@ type AppHandler interface {
 	OnKill(reason string)
 }
 
-// RequestObserver is an optional AppHandler extension for ID-routing layers
+// RequestObserver is an optional AppHandler extension for routing layers
 // (internal/federation). Handlers that implement it are additionally told
 // when a request finishes (done() or duration expiry) and when finished
 // requests are garbage-collected — i.e. can no longer be referenced by
@@ -114,11 +114,6 @@ type Config struct {
 	// started preemptible allocations are terminated and their nodes
 	// reclaimed for the starved queue.
 	Scheduling core.SchedulingPolicy
-	// PoolDebugPanics turns node-ID pool accounting violations into
-	// panics at construction (fail-stop debugging). The underlying switch
-	// is process-global — it stays on for every pool once some server set
-	// it — which is acceptable for its debug-only purpose.
-	PoolDebugPanics bool
 }
 
 // serverStats are the server's event counters, exported through Stats and
@@ -135,6 +130,9 @@ type serverStats struct {
 	nodeKilled   int64
 	nodeRequeued int64
 	nodeReduced  int64
+	// poolViolations counts node-ID batches a pool refused on an internal
+	// release path (mustFreeLocked): state corruption, degraded to leaked IDs.
+	poolViolations int64
 }
 
 // Server is a CooRMv2 RMS instance.
@@ -146,7 +144,7 @@ type Server struct {
 
 	sessions map[int]*Session
 	nextApp  int
-	nextReq  request.ID
+	nextReq  request.ID // see nextSeqLocked
 
 	pools map[view.ClusterID]*idPool
 
@@ -247,9 +245,6 @@ func NewServer(cfg Config) *Server {
 	}
 	if cfg.GracePeriod <= 0 {
 		cfg.GracePeriod = 5 * cfg.ReschedInterval
-	}
-	if cfg.PoolDebugPanics {
-		SetPoolDebugPanics(true)
 	}
 	s := &Server{cfg: cfg, clk: cfg.Clock, tenantPreempts: make(map[string]int64)}
 	s.gcCollect = s.reapLocked
@@ -451,6 +446,7 @@ func (s *Server) Stats() map[string]int64 {
 		"node_requeued_requests": s.stats.nodeRequeued,
 		"node_reduced_requests":  s.stats.nodeReduced,
 		"preempted_requests":     preempted,
+		"pool_violations":        s.stats.poolViolations,
 	}
 }
 
@@ -664,24 +660,52 @@ func (s *Server) CheckInvariants() error {
 func (s *Server) Now() float64 { return s.clk.Now() }
 
 // Request implements the request() operation (§3.1.3): it adds a new
-// request to the system and returns its ID.
+// request to the system and returns its ID, which the server draws.
 func (sess *Session) Request(spec RequestSpec) (request.ID, error) {
-	return sess.RequestObserved(spec, nil)
+	return sess.admit(spec, 0, false, 0, nil)
 }
 
-// RequestObserved is Request with a routing hook: on success, observe (when
-// non-nil) is invoked with the newly assigned request ID while the server
-// lock is still held. Scheduling rounds also run under that lock, so any
-// bookkeeping done inside observe — e.g. internal/federation registering
-// its federated→shard-local ID mapping — is guaranteed to be in place
-// before the request can start (OnStart) or be referenced by a later round.
-// observe must not call back into the server.
-func (sess *Session) RequestObserved(spec RequestSpec, observe func(request.ID)) (request.ID, error) {
+// RequestID is Request under a caller-chosen ID — the request-side twin of
+// ConnectID, for the layer that owns the ID space (internal/federation
+// admits a request on its shard under the federated ID, so every
+// notification, error and obs event quotes the ID the application holds).
+// It errors if the ID is non-positive or already names one of the session's
+// requests. On success observe (when non-nil) runs while the server lock is
+// still held. Scheduling rounds also run under that lock, so bookkeeping
+// done inside observe — the federation registering where the request lives —
+// is in place before the request can start (OnStart) or be referenced by a
+// later round. observe must not call back into the server.
+func (sess *Session) RequestID(spec RequestSpec, id request.ID, observe func()) error {
+	if id <= 0 {
+		return fmt.Errorf("rms: request ID %d must be positive", id)
+	}
+	_, err := sess.admit(spec, id, false, 0, observe)
+	return err
+}
+
+// nextSeqLocked draws the next admission sequence number (request.Request.Seq)
+// for a request admitted under id. The sequence doubles as the ID of requests
+// the server draws itself, so it is kept ahead of every caller-chosen ID, as
+// connectLocked does for applications.
+func (s *Server) nextSeqLocked(id request.ID) request.ID {
+	seq := s.nextReq
+	s.nextReq = max(seq, id) + 1
+	return seq
+}
+
+// admit is the one admission path; Request, RequestID and HoldID are its
+// callers. id 0 lets the server draw the ID: the admission sequence number.
+// held admits a two-phase hold floored at notBefore (hold.go).
+func (sess *Session) admit(spec RequestSpec, id request.ID, held bool, notBefore float64, observe func()) (request.ID, error) {
 	s := sess.s
 	s.mu.Lock()
 	if sess.killed {
 		s.mu.Unlock()
 		return 0, fmt.Errorf("rms: session was terminated")
+	}
+	if id != 0 && sess.findRequestLocked(id) != nil {
+		s.mu.Unlock()
+		return 0, errRequest(id, ReasonInUse)
 	}
 	var parent *request.Request
 	if spec.RelatedHow != request.Free {
@@ -695,19 +719,26 @@ func (sess *Session) RequestObserved(spec RequestSpec, observe func(request.ID))
 		s.mu.Unlock()
 		return 0, fmt.Errorf("%w %q", ErrUnknownCluster, spec.Cluster)
 	}
-	id := s.nextReq
-	s.nextReq++
+	seq := s.nextSeqLocked(id)
+	if id == 0 {
+		id = seq
+	}
 	r := request.New(id, sess.app.ID, spec.Cluster, spec.N, spec.Duration, spec.Type, spec.RelatedHow, parent)
 	if err := r.Validate(); err != nil {
 		s.mu.Unlock()
 		return 0, err
 	}
+	r.Seq = int64(seq)
 	r.SubmittedAt = s.clk.Now()
+	r.Held = held
+	if notBefore > 0 { // false for NaN
+		r.NotBefore = notBefore
+	}
 	sess.app.SetFor(spec.Type).Add(r)
 	s.touchLocked(sess.app.ID)
 	s.churn[spec.Cluster]++
 	if observe != nil {
-		observe(id)
+		observe()
 	}
 	s.requestRunLocked()
 	s.mu.Unlock()
@@ -769,6 +800,23 @@ func (sess *Session) Disconnect() {
 	}
 	s.mu.Unlock()
 	s.flush()
+}
+
+// RequestIDs returns the IDs of every request the server holds for the
+// session — pending, running, or finished and not yet reaped — in set order.
+// A routing layer checks its own table against it (CheckInvariants).
+func (sess *Session) RequestIDs() []request.ID {
+	sess.s.mu.Lock()
+	defer sess.s.mu.Unlock()
+	if sess.killed {
+		return nil
+	}
+	reqs := sess.app.Requests()
+	ids := make([]request.ID, len(reqs))
+	for i, r := range reqs {
+		ids[i] = r.ID
+	}
+	return ids
 }
 
 // findRequestLocked looks a request up across the application's three sets.

@@ -243,7 +243,4 @@ func TestStructuredErrors(t *testing.T) {
 	if err := sess.Done(42, nil); err.Error() != "rms: request 42 not found" {
 		t.Errorf("message = %q", err.Error())
 	}
-	if got := re.WithID(7).Error(); got != "rms: request 7 not found" {
-		t.Errorf("WithID message = %q", got)
-	}
 }

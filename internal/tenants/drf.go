@@ -351,7 +351,7 @@ func (p *DRFPolicy) nominate(q *Queue, cid view.ClusterID, short int, taken map[
 			}
 			return qi.path < qj.path
 		}
-		return cands[i].req.ID > cands[j].req.ID // newest allocation first
+		return cands[i].req.Seq > cands[j].req.Seq // newest admission first
 	})
 	for _, c := range cands {
 		if short <= 0 {

@@ -6,12 +6,14 @@ import (
 	"hash/fnv"
 	"net"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"coormv2/internal/clock"
 	"coormv2/internal/netchaos"
+	"coormv2/internal/proto"
 	"coormv2/internal/request"
 	"coormv2/internal/rms"
 	"coormv2/internal/view"
@@ -352,6 +354,84 @@ func TestIdempotentRetryDeduplicated(t *testing.T) {
 	}
 	if st := srv.Stats(); st["idem_replays"] != 3 {
 		t.Fatalf("idem_replays = %d, want 3", st["idem_replays"])
+	}
+}
+
+// countingSession counts Done calls per request ID; a call on blockOn waits
+// for release.
+type countingSession struct {
+	mu      sync.Mutex
+	calls   map[request.ID]int
+	blockOn request.ID
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (c *countingSession) AppID() int                                  { return 1 }
+func (c *countingSession) Request(rms.RequestSpec) (request.ID, error) { return 0, nil }
+func (c *countingSession) Disconnect()                                 {}
+func (c *countingSession) Done(id request.ID, _ []int) error {
+	c.mu.Lock()
+	c.calls[id]++
+	c.mu.Unlock()
+	if id == c.blockOn {
+		close(c.entered)
+		<-c.release
+	}
+	return nil
+}
+
+// TestIdemCacheAtItsBound pins the idempotency cache at idemCacheSize: a
+// retry of a token the cache has evicted is refused as stale instead of being
+// executed a second time, and a call still executing is never the one
+// evicted — its retry waits for the one execution and replays its outcome.
+func TestIdemCacheAtItsBound(t *testing.T) {
+	srv := NewBackendServer(nil)
+	srv.Logf = func(string, ...any) {}
+	const pinned = idemCacheSize + 2
+	sess := &countingSession{calls: make(map[request.ID]int), blockOn: pinned,
+		entered: make(chan struct{}), release: make(chan struct{})}
+	ws := &wireSession{srv: srv, token: "tok", sess: sess,
+		starts: make(map[int64][]int), idem: make(map[int64]*idemEntry)}
+	done := func(tok int64) callReply {
+		return srv.outcome(ws, &proto.Message{Type: proto.MsgDone, Idem: tok, ReqID: tok})
+	}
+
+	for tok := int64(1); tok <= idemCacheSize+1; tok++ {
+		if r := done(tok); r.typ != proto.MsgReqAck {
+			t.Fatalf("call %d answered %+v", tok, r)
+		}
+	}
+	if r := done(1); r.typ != proto.MsgError || !strings.Contains(r.reason, "stale idempotency token 1") {
+		t.Fatalf("retry of evicted token 1 answered %+v, want a stale-token error", r)
+	}
+	if r := done(2); r.typ != proto.MsgReqAck || r.reqID != 2 {
+		t.Fatalf("retry of cached token 2 answered %+v, want its ack replayed", r)
+	}
+
+	// A call that is still executing while the cache turns over completely.
+	first := make(chan callReply, 1)
+	go func() { first <- done(pinned) }()
+	<-sess.entered
+	for tok := int64(pinned + 1); tok <= pinned+idemCacheSize+1; tok++ {
+		done(tok)
+	}
+	retry := make(chan callReply, 1)
+	go func() { retry <- done(pinned) }()
+	close(sess.release)
+	if a, b := <-first, <-retry; a != b || a.typ != proto.MsgReqAck || a.reqID != pinned {
+		t.Fatalf("executing call answered %+v, its retry %+v; want the same ack", a, b)
+	}
+
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	for id, n := range sess.calls {
+		if n != 1 {
+			t.Errorf("request %d executed %d times, want exactly once", id, n)
+		}
+	}
+	if len(ws.idem) > idemCacheSize+1 || len(ws.idem) != len(ws.idemQ) {
+		t.Errorf("cache holds %d outcomes (%d queued), bound %d", len(ws.idem), len(ws.idemQ), idemCacheSize)
 	}
 }
 

@@ -47,8 +47,8 @@ const (
 	// queue to flush.
 	drainWait = time.Second
 	// idemCacheSize bounds the per-session idempotency result cache. A
-	// client's in-flight window is far smaller; older outcomes can no
-	// longer be retried.
+	// client's in-flight window is far smaller; a retry of an older, evicted
+	// token is refused as stale, never executed again (see outcome).
 	idemCacheSize = 1024
 )
 
@@ -461,6 +461,7 @@ type wireSession struct {
 	starts    map[int64][]int // started-but-unfinished requests, replayed on resume
 	idem      map[int64]*idemEntry
 	idemQ     []int64 // insertion order, for cache eviction
+	idemFloor int64   // largest token evicted: nothing at or below it is new
 	killed    bool
 	gone      bool
 	graceT    *time.Timer
@@ -855,36 +856,66 @@ func (s *Server) readCalls(ws *wireSession, fr *frameReader) (bye bool) {
 	}
 }
 
-// serveCall executes one request/done call with idempotent-retry
-// semantics: the first arrival of an idem token executes and caches the
-// outcome; any retry (same token, re-sent after a reconnect because the
-// ack may have died with the old connection) waits for and replays the
-// cached outcome instead of executing twice.
+// serveCall answers one request/done call.
 func (s *Server) serveCall(ws *wireSession, m *proto.Message) {
+	ws.deliver(s.outcome(ws, m).frame(m.Seq))
+}
+
+// outcome executes one request/done call with idempotent-retry semantics:
+// the first arrival of an idem token executes and caches the outcome; any
+// retry (same token, re-sent after a reconnect because the ack may have died
+// with the old connection) waits for and replays the cached outcome instead
+// of executing twice.
+//
+// At its bound the cache evicts its oldest finished outcome — never one whose
+// call is still executing, whose retry must find it — and remembers the
+// largest evicted token. Tokens increase per session, so an uncached token
+// at or below that floor is a retry of an evicted call: it is refused as
+// stale rather than executed a second time.
+func (s *Server) outcome(ws *wireSession, m *proto.Message) callReply {
 	if m.Idem == 0 {
-		ws.deliver(s.invoke(ws, m).frame(m.Seq))
-		return
+		return s.invoke(ws, m)
 	}
 	ws.mu.Lock()
 	if e, ok := ws.idem[m.Idem]; ok {
 		ws.mu.Unlock()
 		<-e.done // the original may still be executing
 		s.stats.idemReplays.Add(1)
-		ws.deliver(e.reply.frame(m.Seq))
-		return
+		return e.reply
+	}
+	if m.Idem <= ws.idemFloor {
+		ws.mu.Unlock()
+		return callReply{typ: proto.MsgError, reason: fmt.Sprintf(
+			"transport: stale idempotency token %d: outcomes up to %d are no longer cached", m.Idem, ws.idemFloor)}
 	}
 	e := &idemEntry{done: make(chan struct{})}
 	ws.idem[m.Idem] = e
 	ws.idemQ = append(ws.idemQ, m.Idem)
 	if len(ws.idemQ) > idemCacheSize {
-		delete(ws.idem, ws.idemQ[0])
-		ws.idemQ = ws.idemQ[1:]
+		ws.evictIdemLocked()
 	}
 	ws.mu.Unlock()
 
 	e.reply = s.invoke(ws, m)
 	close(e.done)
-	ws.deliver(e.reply.frame(m.Seq))
+	return e.reply
+}
+
+// evictIdemLocked drops the oldest finished outcome from the cache; with
+// every call still executing it drops nothing.
+func (ws *wireSession) evictIdemLocked() {
+	for i, tok := range ws.idemQ {
+		select {
+		case <-ws.idem[tok].done:
+		default:
+			continue
+		}
+		delete(ws.idem, tok)
+		ws.idemFloor = max(ws.idemFloor, tok)
+		copy(ws.idemQ[1:i+1], ws.idemQ[:i]) // keep the executing calls ahead of it
+		ws.idemQ = ws.idemQ[1:]
+		return
+	}
 }
 
 // invoke executes one backend call and shapes its ack or error.

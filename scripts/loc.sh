@@ -1,0 +1,19 @@
+#!/usr/bin/env bash
+# Non-test Go lines per package and in total, bench/ (its own module)
+# excluded: the number ROADMAP aim 2 tracks. Plain `wc -l`, so comment and
+# blank lines count — which is why deleting comments is not a reduction.
+# Run from anywhere inside the repository.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -print0 |
+	xargs -0 wc -l |
+	awk '$2 != "total" {
+		dir = $2; sub(/^\.\//, "", dir)
+		if (sub(/\/[^\/]*$/, "", dir) == 0) dir = "."
+		lines[dir] += $1; total += $1
+	}
+	END {
+		for (d in lines) printf "%7d  %s\n", lines[d], d | "sort -k2"
+		close("sort -k2")
+		printf "%7d  total (non-test, bench/ excluded)\n", total
+	}'
