@@ -80,6 +80,7 @@ func TestChaosInvariantMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				checkMatrixGolden(t, res)
 				if res.Crashes == 0 {
 					t.Fatal("plan produced no crashes; matrix entry is vacuous")
 				}

@@ -53,6 +53,7 @@ func TestGangChaosMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				checkMatrixGolden(t, res)
 				if res.Crashes == 0 {
 					t.Fatal("plan produced no crashes; matrix entry is vacuous")
 				}
@@ -92,6 +93,7 @@ func TestGangChaosMigrationMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				checkMatrixGolden(t, res)
 				total := res.Completed + res.Killed + res.Rejected
 				if total != len(cfg.Jobs) {
 					t.Fatalf("jobs unaccounted for: %d completed + %d killed + %d rejected != %d",

@@ -91,6 +91,7 @@ func TestNodeChaosInvariantMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				checkMatrixGolden(t, res)
 				if res.NodeFails == 0 {
 					t.Fatal("plan injected no node faults; matrix entry is vacuous")
 				}

@@ -130,6 +130,7 @@ func TestChaosRebalanceMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				checkMatrixGolden(t, res)
 				if res.Crashes == 0 {
 					t.Fatal("plan produced no crashes; matrix entry is vacuous")
 				}
@@ -198,6 +199,7 @@ func TestChaosRebalanceMatrixDRF(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			checkMatrixGolden(t, res)
 			if res.Crashes == 0 {
 				t.Fatal("plan produced no crashes; matrix entry is vacuous")
 			}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"reflect"
 	"strings"
@@ -113,6 +114,36 @@ func TestExperimentsGolden(t *testing.T) {
 		}
 		t.Fatalf("output has %d lines, golden has %d", len(gotLines), len(wantLines))
 	}
+}
+
+// checkMatrixGolden pins one chaos-matrix run against its line of
+// testdata/chaos_matrix.golden, keyed by the (sub)test's name: the
+// event-stream fingerprint, the fault-trace length and the job and recovery
+// counters. The matrix tests call it on the run they already make, so a
+// refactor that claims "same behaviour" is held to same-seed identical
+// hashes by the suite rather than by a one-off comparison. To regenerate
+// after an intended change, empty the file and collect the failures:
+//
+//	go test ./internal/experiments -run Matrix | sed -n 's/^ *got: //p' | sort > testdata/chaos_matrix.golden
+func checkMatrixGolden(t *testing.T, res *ChaosReplayResult) {
+	t.Helper()
+	golden, err := os.ReadFile("testdata/chaos_matrix.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := fmt.Sprintf("%s hash=%016x trace=%d completed=%d killed=%d dropped=%d gangs=%d/%d/%d",
+		t.Name(), res.EventHash, len(res.Trace), res.Completed, res.Killed, res.DroppedRequests,
+		res.GangsCommitted, res.GangsAborted, res.GangsRetried)
+	for i, want := range strings.Split(string(golden), "\n") {
+		if !strings.HasPrefix(want, t.Name()+" ") {
+			continue
+		}
+		if got != want {
+			t.Fatalf("output differs from testdata/chaos_matrix.golden at line %d:\n got: %s\nwant: %s", i+1, got, want)
+		}
+		return
+	}
+	t.Fatalf("testdata/chaos_matrix.golden has no line for this run:\n got: %s", got)
 }
 
 // TestNetChaosReport pins the wire-resilience table's invariant columns:
