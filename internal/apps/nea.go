@@ -97,9 +97,6 @@ func (a *NEA) Finished() bool { return a.finished }
 // Step returns the current step index (== len(Profile) when finished).
 func (a *NEA) Step() int { return a.step }
 
-// CurrentNodes returns the currently allocated node count.
-func (a *NEA) CurrentNodes() int { return a.curN }
-
 // desiredNodes returns the node-count for the given step, clamped into
 // [1, PreAllocN]: a sure-execution NEA never outgrows its pre-allocation.
 func (a *NEA) desiredNodes(step int) int {

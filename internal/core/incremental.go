@@ -137,9 +137,6 @@ func (s *Scheduler) SetIncremental(on bool) {
 	s.structGen++ // flush every cache on the next round
 }
 
-// Incremental reports whether incremental recomputation is enabled.
-func (s *Scheduler) Incremental() bool { return s.incremental }
-
 // Stats returns the cumulative incremental-recomputation counters.
 func (s *Scheduler) Stats() SchedStats { return s.stats }
 

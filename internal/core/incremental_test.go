@@ -86,7 +86,7 @@ func (m *diffMirror) apply(t *testing.T, op diffOp, now float64) {
 		a.P.GC(now, collect)
 		m.s.MarkAppDirty(op.app)
 	case "hold":
-		// Mirrors rms.HoldObserved: a pending request that reserves CBF
+		// Mirrors rms.Session.HoldID: a pending request that reserves CBF
 		// capacity from a NotBefore floor but is never started.
 		a := m.s.App(op.app)
 		r := request.New(op.req, op.app, op.cluster, op.n, op.dur, op.typ, request.Free, nil)

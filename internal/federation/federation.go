@@ -603,11 +603,11 @@ func (f *Federator) CrashShard(i int) CrashReport {
 	// for the survivors.
 	for _, sess := range sessions {
 		n := notices[sess]
-		sess.notifyCrashPurged(n.ended, n.reaped)
+		sess.notifyRetired(n.ended, n.reaped)
 	}
 	reason := fmt.Sprintf("federation: shard %d crashed and its scheduler-side state was lost", i)
 	for _, sess := range killed {
-		sess.killFromCrash(reason)
+		sess.teardown(reason)
 	}
 	for _, sess := range sessions {
 		sess.pushMerged()
@@ -660,8 +660,7 @@ func (f *Federator) RestartShard(i int) RestartReport {
 		rep.Replayed += replayed
 		rep.Dropped += dropped
 	}
-	f.stats.replayedRequests.Add(int64(rep.Replayed))
-	f.stats.droppedRequests.Add(int64(rep.Dropped))
+	f.stats.replayedRequests.Add(int64(rep.Replayed)) // drops are counted as they happen
 	return rep
 }
 

@@ -50,7 +50,8 @@ import (
 // spans at least one reservation interval, so those faults can — and in the
 // chaos tests do — land inside it. Crash handling lives in absorbCrash
 // (holds are requeued or aborted, never kill a session: no live allocation
-// ever ran behind a hold) and replayQueue (re-places holds after restarts).
+// ever ran behind a hold) and replayQueue (re-places holds after restarts);
+// every hold, first or repeated, is admitted by Session.place (session.go).
 const (
 	// maxGangAligns bounds the parent-delay ping-pong. The exchange is
 	// monotone, so exhaustion means both legs fit individually but no common
@@ -76,8 +77,9 @@ const (
 )
 
 // gangState is the coordinator's record of one in-flight reservation, keyed
-// by the child's ID in Session.gangs. It exists exactly while the child
-// mapping is held (e.held); commit and abort both delete it.
+// by the child's ID in Session.gangs. It exists while the child's record is
+// a hold — held, released, or queued behind a crashed shard — and never
+// beside a placed one; commit and abort both delete it.
 type gangState struct {
 	child  request.ID       // the held leg
 	parent request.ID       // the related leg
@@ -112,44 +114,6 @@ func gangTarget(how request.Relation, info rms.HoldInfo) float64 {
 		return t + info.Duration
 	}
 	return t
-}
-
-// requestGang places the tentative hold for a cross-shard gang child and
-// arms the first evaluation. Called from requestOn with no lock held; the
-// parent may be anywhere from pending to already finished — the evaluation
-// loop sorts that out.
-func (s *Session) requestGang(shard int, sub *rms.Session, spec rms.RequestSpec) (request.ID, error) {
-	// Seed the floor from the parent's current schedule so the very first
-	// round already reserves roughly the right window.
-	s.mu.Lock()
-	var psub *rms.Session
-	if pe := s.reqs[spec.RelatedTo]; pe != nil && !pe.queued && !pe.released {
-		psub = s.subs[pe.shard]
-	}
-	s.mu.Unlock()
-	notBefore := 0.0
-	if psub != nil {
-		if info, err := psub.ScheduleInfo(spec.RelatedTo); err == nil {
-			notBefore = gangTarget(spec.RelatedHow, info)
-		}
-	}
-	fid := s.f.nextRequestID()
-	err := sub.HoldID(unrelated(spec), fid, notBefore, func() {
-		s.mu.Lock()
-		s.reqs[fid] = &fedReq{shard: shard, spec: spec, held: true}
-		s.mu.Unlock()
-	})
-	if err != nil {
-		return 0, err
-	}
-	s.mu.Lock()
-	if !s.killed {
-		g := &gangState{child: fid, parent: spec.RelatedTo, how: spec.RelatedHow, placedAt: s.f.clk.Now()}
-		s.gangs[fid] = g
-		s.armGangLocked(g, s.f.reschedInterval)
-	}
-	s.mu.Unlock()
-	return fid, nil
 }
 
 // unrelated strips the relation from a gang child's spec: shard-locally the
@@ -225,21 +189,27 @@ func (s *Session) evalGang(fid request.ID) {
 	}
 	g.timer = nil
 	e := s.reqs[fid]
-	if s.killed || e == nil || !e.held {
+	if s.killed || e == nil || e.state == placed {
 		s.clearGangLocked(fid)
 		s.mu.Unlock()
 		return
 	}
-	if e.queued {
+	switch e.state {
+	case queued:
 		// The child shard is down: the crash machinery owns the entry and
 		// replayQueue re-places the hold and re-arms the evaluation.
 		s.mu.Unlock()
 		return
-	}
-	if e.released {
-		// Between release and re-placement (retry backoff elapsed).
+	case released:
+		// The retry backoff elapsed: re-place the hold (place re-arms the
+		// evaluation), or abort the gang if the shard now rejects it.
+		sub := s.subs[e.shard]
 		s.mu.Unlock()
-		s.replaceHold(fid, g)
+		if sub == nil {
+			s.rearmGang(g)
+		} else if _, err := s.place(fid, e, sub, 0); err != nil {
+			s.dropGang(fid, g)
+		}
 		return
 	}
 	childShard := e.shard
@@ -275,7 +245,7 @@ func (s *Session) evalGang(fid request.ID) {
 			// the single-RMS replay semantics for orphaned children.
 			action = gangDropOrphan
 		}
-	case pe.queued:
+	case pe.state == queued:
 		// The parent's shard is down; wait for its replay.
 	case pe.done:
 		action = gangCommit
@@ -294,7 +264,7 @@ func (s *Session) evalGang(fid request.ID) {
 		parentShard = pe.shard
 		parentSub = s.subs[parentShard]
 		parentDur = pe.spec.Duration
-		if parentSub != nil && !pe.released {
+		if parentSub != nil && pe.state != released {
 			action = gangAlign
 		}
 	}
@@ -396,7 +366,7 @@ func (s *Session) commitGang(fid request.ID, g *gangState, childSub *rms.Session
 	}
 	s.mu.Lock()
 	if e := s.reqs[fid]; e != nil {
-		e.held = false
+		e.state = placed
 	}
 	s.clearGangLocked(fid)
 	s.mu.Unlock()
@@ -416,7 +386,7 @@ func (s *Session) retryGang(fid request.ID, g *gangState, childSub *rms.Session)
 	_ = childSub.ReleaseHold(fid)
 	s.mu.Lock()
 	if e := s.reqs[fid]; e != nil {
-		e.released = true // no shard-side presence until re-placement
+		e.state = released // no shard-side presence until re-placement
 	}
 	g.retries++
 	spent := g.retries > maxGangRetries
@@ -431,92 +401,20 @@ func (s *Session) retryGang(fid request.ID, g *gangState, childSub *rms.Session)
 	s.f.stats.gangRetried.Add(1)
 }
 
-// replaceHold re-places a released hold after its retry backoff elapsed.
-// Called with no lock held.
-func (s *Session) replaceHold(fid request.ID, g *gangState) {
-	s.mu.Lock()
-	if s.killed {
-		s.clearGangLocked(fid)
-		s.mu.Unlock()
-		return
-	}
-	e := s.reqs[fid]
-	if e == nil || !e.released {
-		s.mu.Unlock()
-		return
-	}
-	sub := s.subs[e.shard]
-	spec := e.spec
-	s.mu.Unlock()
-	if sub == nil {
-		s.rearmGang(g)
-		return
-	}
-	err := sub.HoldID(unrelated(spec), fid, 0, func() {
-		s.mu.Lock()
-		e.released = false
-		s.mu.Unlock()
-	})
-	if err != nil {
-		s.dropGang(fid, g)
-		return
-	}
-	s.rearmGang(g)
-}
-
-// dropGang aborts the reservation for good: coordinator state and mapping
-// are discarded and the application sees a drop (reap without finish) for
-// the child — the same signal a replay cascade drop delivers. The child's
-// shard-side hold, if any, must already be released.
+// dropGang aborts the reservation for good: the child is dropped — the
+// application sees a reap without finish, the same signal a replay cascade
+// drop delivers — and the abort is counted. The child's shard-side hold, if
+// any, must already be released.
 func (s *Session) dropGang(fid request.ID, g *gangState) {
-	s.mu.Lock()
-	s.clearGangLocked(fid)
-	e := s.reqs[fid]
-	delete(s.reqs, fid)
-	s.mu.Unlock()
-	if e == nil {
+	if !s.drop(fid) {
 		return
 	}
 	f := s.f
 	f.stats.gangAborted.Add(1)
-	f.stats.droppedRequests.Add(1)
 	if f.obsReg != nil {
 		now := f.clk.Now()
 		f.obsReg.Event(obs.Event{Time: now, Type: obs.EvGangAbort, App: s.id, Request: int(fid), Value: now - g.placedAt})
 	}
-	s.notifyDropped(fid)
-}
-
-// replayGang re-places the hold for a queued cross-shard gang child on its
-// restarted shard and (re)starts the reservation. Reports whether the child
-// survived. Called from replayQueue with no lock held.
-func (s *Session) replayGang(sub *rms.Session, fid request.ID, e *fedReq) bool {
-	err := sub.HoldID(unrelated(e.spec), fid, 0, func() {
-		s.mu.Lock()
-		e.queued = false
-		e.held = true
-		s.mu.Unlock()
-	})
-	if err != nil {
-		s.mu.Lock()
-		s.clearGangLocked(fid)
-		delete(s.reqs, fid)
-		s.mu.Unlock()
-		s.notifyDropped(fid)
-		return false
-	}
-	s.mu.Lock()
-	if !s.killed {
-		g := s.gangs[fid]
-		if g == nil {
-			g = &gangState{child: fid, parent: e.spec.RelatedTo, how: e.spec.RelatedHow, placedAt: s.f.clk.Now()}
-			s.gangs[fid] = g
-		}
-		s.armGangLocked(g, s.f.reschedInterval)
-	}
-	s.mu.Unlock()
-	s.f.stats.gangRetried.Add(1)
-	return true
 }
 
 // rehomeDetachedHolds re-points released-but-not-yet-re-placed holds whose
@@ -527,7 +425,7 @@ func (s *Session) rehomeDetachedHolds(cid view.ClusterID, to int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, e := range s.reqs {
-		if e.released && e.spec.Cluster == cid {
+		if e.state == released && e.spec.Cluster == cid {
 			e.shard = to
 		}
 	}

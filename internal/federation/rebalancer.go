@@ -56,11 +56,6 @@ type RebalancerConfig struct {
 	// exceeds SkewRatio × the coldest's. Values below 1 select the default
 	// of 2 (a shard twice as loaded as the coldest is skewed).
 	SkewRatio float64
-	// MinLoad is the minimum donor score for a check to act at all, so an
-	// idle federation is never churned. Default 1.
-	MinLoad int64
-	// MaxMoves caps migrations per check. Default 1.
-	MaxMoves int
 	// OnMigration, when non-nil, observes every completed migration (the
 	// chaos×migration harness hooks its invariant checker here). It must not
 	// call back into the Rebalancer.
@@ -75,12 +70,6 @@ func NewRebalancer(f *Federator, cfg RebalancerConfig) *Rebalancer {
 	}
 	if cfg.SkewRatio < 1 {
 		cfg.SkewRatio = 2
-	}
-	if cfg.MinLoad <= 0 {
-		cfg.MinLoad = 1
-	}
-	if cfg.MaxMoves <= 0 {
-		cfg.MaxMoves = 1
 	}
 	return &Rebalancer{f: f, cfg: cfg, last: make(map[view.ClusterID]int64)}
 }
@@ -205,57 +194,48 @@ func (rb *Rebalancer) CheckNow() {
 		}
 	}
 
-	for moves := 0; moves < rb.cfg.MaxMoves; moves++ {
-		donor, target := -1, -1
-		for i := 0; i < n; i++ {
-			if !running[i] {
-				continue
-			}
-			if target < 0 || scores[i] < scores[target] {
-				target = i
-			}
-			// Only shards with at least two clusters can donate.
-			if len(clusters[i]) >= 2 && (donor < 0 || scores[i] > scores[donor]) {
-				donor = i
-			}
+	donor, target := -1, -1
+	for i := 0; i < n; i++ {
+		if !running[i] {
+			continue
 		}
-		if donor < 0 || target < 0 || donor == target {
-			return
+		if target < 0 || scores[i] < scores[target] {
+			target = i
 		}
-		gap := scores[donor] - scores[target]
-		if scores[donor] < rb.cfg.MinLoad || float64(scores[donor]) <= rb.cfg.SkewRatio*float64(scores[target]) {
-			return
+		// Only shards with at least two clusters can donate.
+		if len(clusters[i]) >= 2 && (donor < 0 || scores[i] > scores[donor]) {
+			donor = i
 		}
-		// Hottest candidate first; ClusterLoads order makes ties resolve by
-		// ascending cluster ID, so candidate order is deterministic. A move
-		// must strictly narrow the gap: 0 < score < gap.
-		sort.SliceStable(clusters[donor], func(a, b int) bool {
-			return clusters[donor][a].score > clusters[donor][b].score
-		})
-		moved := false
-		for ci, c := range clusters[donor] {
-			if c.score <= 0 || c.score >= gap {
-				continue
-			}
-			rep, err := rb.f.MigrateCluster(c.cid, target)
-			if err != nil {
-				continue // last cluster or racing topology change: next candidate
-			}
-			rb.migrated++
-			rb.requests += rep.Requests
-			rb.trace = append(rb.trace, fmt.Sprintf("t=%.6f %s", rb.f.Now(), rep))
-			if rb.cfg.OnMigration != nil {
-				rb.cfg.OnMigration(rep)
-			}
-			scores[donor] -= c.score
-			scores[target] += c.score
-			clusters[donor] = append(clusters[donor][:ci], clusters[donor][ci+1:]...)
-			clusters[target] = append(clusters[target], c)
-			moved = true
-			break
+	}
+	if donor < 0 || target < 0 || donor == target {
+		return
+	}
+	// Scores are never negative, so an idle federation (hottest score 0)
+	// fails the skew test and is never churned.
+	gap := scores[donor] - scores[target]
+	if float64(scores[donor]) <= rb.cfg.SkewRatio*float64(scores[target]) {
+		return
+	}
+	// Hottest candidate first; ClusterLoads order makes ties resolve by
+	// ascending cluster ID, so candidate order is deterministic. A move
+	// must strictly narrow the gap: 0 < score < gap. One migration per check.
+	sort.SliceStable(clusters[donor], func(a, b int) bool {
+		return clusters[donor][a].score > clusters[donor][b].score
+	})
+	for _, c := range clusters[donor] {
+		if c.score <= 0 || c.score >= gap {
+			continue
 		}
-		if !moved {
-			return
+		rep, err := rb.f.MigrateCluster(c.cid, target)
+		if err != nil {
+			continue // last cluster or racing topology change: next candidate
 		}
+		rb.migrated++
+		rb.requests += rep.Requests
+		rb.trace = append(rb.trace, fmt.Sprintf("t=%.6f %s", rb.f.Now(), rep))
+		if rb.cfg.OnMigration != nil {
+			rb.cfg.OnMigration(rep)
+		}
+		return
 	}
 }

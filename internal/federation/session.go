@@ -3,6 +3,7 @@ package federation
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -13,14 +14,35 @@ import (
 	"coormv2/internal/view"
 )
 
-// fedReq is the session's record of one request: which shard it lives on
-// (under the same ID) and enough of the original spec to replay it after a
-// shard crash (RequeueOnCrash).
+// placement is the one state a request's record is in relative to its shard.
+// Who moves it: place puts a record on its shard — placed, or held for a gang
+// child — whether it is fresh (Request), queued (the shard restarted) or
+// released (the hold's retry back-off ran out); commitGang turns held into
+// placed; retryGang turns a hold that cannot fit into released; the crash
+// sweep (absorbCrash) turns what the dead shard had into queued under
+// RequeueOnCrash. A record leaves the table through the shard's reap, the
+// crash sweep's purge, a withdraw (Done on a record that is nowhere) or drop.
+type placement uint8
+
+const (
+	placed   placement = iota // on shard, under the same ID
+	held                      // an uncommitted gang hold on shard (gang.go)
+	released                  // gang child between release and re-placement: nowhere
+	queued                    // awaiting shard's restart: nowhere
+)
+
+// nowhere reports whether a record in this state has no shard-side presence.
+func (p placement) nowhere() bool { return p == released || p == queued }
+
+// fedReq is the session's record of one request: which shard it belongs to
+// (under the same ID), how it stands there, and enough of the original spec
+// to replay it after a shard crash (RequeueOnCrash). Whether a queued record
+// is a gang child is not stored: placement reads it from s.gangs and the
+// parent's shard.
 type fedReq struct {
 	shard int
 	spec  rms.RequestSpec
-	// queued marks a request waiting for its crashed shard to restart.
-	queued bool
+	state placement
 	// done marks a finished request (done() or expiry), as reported by the
 	// shard's OnRequestFinished. Finished requests are never requeued.
 	done bool
@@ -30,12 +52,6 @@ type fedReq struct {
 	// shard — and must not be re-run.
 	started   bool
 	startedAt float64
-	// held marks the child leg of a cross-shard gang whose two-phase
-	// reservation has not committed yet (see gang.go). released marks a held
-	// leg between the release of a hold that could not fit and its backoff
-	// re-placement: like a queued request it has no shard-side presence.
-	held     bool
-	released bool
 }
 
 // migrateRetryBudget bounds how many times a racing request()/done() call
@@ -93,9 +109,9 @@ type Session struct {
 	// queues holds, per shard, the IDs awaiting replay after a crash, in
 	// submission order. Non-empty only while the shard is down.
 	queues [][]request.ID
-	// gangs holds the in-flight cross-shard reservations, keyed by the held
-	// child's ID (see gang.go). A record exists exactly while the child
-	// mapping is held.
+	// gangs holds the in-flight cross-shard reservations, keyed by the
+	// child's ID (see gang.go). A record exists only while the child is a
+	// hold: held, released, or queued behind a crashed shard.
 	gangs  map[request.ID]*gangState
 	killed bool
 
@@ -118,7 +134,7 @@ func (s *Session) AppID() int { return s.id }
 // when the session has none placed there (already reaped, requeued by a crash
 // sweep, or a released hold). Caller holds sess.mu.
 func (s *Session) onShardLocked(shard int, id request.ID) *fedReq {
-	if e := s.reqs[id]; e != nil && e.shard == shard && !e.queued && !e.released {
+	if e := s.reqs[id]; e != nil && e.shard == shard && !e.state.nowhere() {
 		return e
 	}
 	return nil
@@ -170,21 +186,23 @@ func (s *Session) requestOn(shard int, spec rms.RequestSpec) (request.ID, error)
 		return 0, fmt.Errorf("rms: session was terminated")
 	}
 	sub := s.subs[shard]
-	crossShard := false
+	var parentSub *rms.Session // of a cross-shard parent that is on its shard
 	if spec.RelatedHow != request.Free {
-		e, ok := s.reqs[spec.RelatedTo]
+		pe, ok := s.reqs[spec.RelatedTo]
 		if !ok {
 			s.mu.Unlock()
 			return 0, &rms.RequestError{ID: spec.RelatedTo, Related: true, Node: -1, Reason: rms.ReasonNotFound}
 		}
 		switch {
-		case e.shard != shard:
-			// The relation crosses a shard boundary: handled by the two-phase
-			// reservation coordinator (gang.go) instead of a shard-local
+		case pe.shard != shard:
+			// The relation crosses a shard boundary: place admits the request
+			// as a two-phase reservation (gang.go) instead of a shard-local
 			// relation. The parent may even be queued for replay — the
 			// reservation's evaluation loop waits it out.
-			crossShard = true
-		case e.queued && sub != nil:
+			if !pe.state.nowhere() {
+				parentSub = s.subs[pe.shard]
+			}
+		case pe.state == queued && sub != nil:
 			// Transient real-clock window between a restart's re-admission
 			// and its queue replay; inside the simulator it cannot occur.
 			s.mu.Unlock()
@@ -213,35 +231,97 @@ func (s *Session) requestOn(shard int, spec rms.RequestSpec) (request.ID, error)
 			s.mu.Unlock()
 			return 0, fmt.Errorf("federation: shard %d restarted mid-request; retry", shard)
 		}
-		s.reqs[fid] = &fedReq{shard: shard, spec: spec, queued: true}
+		s.reqs[fid] = &fedReq{shard: shard, spec: spec, state: queued}
 		s.queues[shard] = append(s.queues[shard], fid)
 		s.mu.Unlock()
 		s.f.stats.requeuedRequests.Add(1)
-		// A queued cross-shard spec needs no gang record yet: replayQueue
-		// detects the live cross-shard parent and starts the reservation.
 		return fid, nil
 	}
 
-	if crossShard {
-		return s.requestGang(shard, sub, spec)
+	// Seed a reservation's floor from the parent's current schedule so the
+	// very first round already reserves roughly the right window.
+	notBefore := 0.0
+	if parentSub != nil {
+		if info, err := parentSub.ScheduleInfo(spec.RelatedTo); err == nil {
+			notBefore = gangTarget(spec.RelatedHow, info)
+		}
 	}
-
 	fid := s.f.nextRequestID()
-	// observe runs under the shard's lock, before any scheduling round can
-	// start the request, so OnStart always finds the record.
-	err := sub.RequestID(spec, fid, func() {
-		s.mu.Lock()
-		s.reqs[fid] = &fedReq{shard: shard, spec: spec}
-		s.mu.Unlock()
-	})
-	if err != nil {
+	if _, err := s.place(fid, &fedReq{shard: shard, spec: spec}, sub, notBefore); err != nil {
 		return 0, err
 	}
 	return fid, nil
 }
 
-// Done routes the done() operation to the shard owning the request. done()
-// on a request queued for replay simply drops it from the queue.
+// place admits record e on its shard under fid; it is the only admission
+// path, called for a fresh request (e not in the table yet), for a queued
+// one after the shard's restart and for a released hold after its back-off.
+// A record with a reservation, or whose relation's parent belongs to another
+// shard, goes in as a hold — shard-locally unrelated, floored at notBefore —
+// and its reservation is created or re-armed; anything else as an ordinary
+// request. Reports whether it placed a hold. On an error the shard holds
+// nothing and e is as it was. Called with no lock held.
+func (s *Session) place(fid request.ID, e *fedReq, sub *rms.Session, notBefore float64) (hold bool, err error) {
+	s.mu.Lock()
+	pe := s.reqs[e.spec.RelatedTo]
+	crossShard := e.spec.RelatedHow != request.Free && pe != nil && pe.shard != e.shard
+	st := placed
+	if crossShard || s.gangs[fid] != nil {
+		st = held
+	}
+	s.mu.Unlock()
+	// install runs under the shard's lock, before any scheduling round can
+	// start or report the request, so the handler fan-in always finds the
+	// record in the state the shard has it in.
+	install := func() {
+		s.mu.Lock()
+		e.state = st
+		s.reqs[fid] = e
+		s.mu.Unlock()
+	}
+	if st == placed {
+		return false, sub.RequestID(e.spec, fid, install)
+	}
+	if err := sub.HoldID(unrelated(e.spec), fid, notBefore, install); err != nil {
+		return true, err
+	}
+	s.mu.Lock()
+	if !s.killed {
+		g := s.gangs[fid]
+		if g == nil {
+			g = &gangState{child: fid, parent: e.spec.RelatedTo, how: e.spec.RelatedHow, placedAt: s.f.clk.Now()}
+			s.gangs[fid] = g
+		}
+		s.armGangLocked(g, s.f.reschedInterval)
+	}
+	s.mu.Unlock()
+	return true, nil
+}
+
+// drop discards a record that will never reach a shard (again) — a failed
+// replay, an orphaned child, an aborted reservation: reservation state and
+// table entry go, the loss is counted, and an observer handler sees a reap
+// without a preceding finish (a killed session has nobody left to tell).
+// Reports whether there was a record to drop. Called with no lock held.
+func (s *Session) drop(fid request.ID) bool {
+	s.mu.Lock()
+	_, ok := s.reqs[fid]
+	killed := s.killed
+	s.clearGangLocked(fid)
+	delete(s.reqs, fid)
+	s.mu.Unlock()
+	if ok {
+		s.f.stats.droppedRequests.Add(1)
+		if !killed {
+			s.notifyDropped(fid)
+		}
+	}
+	return ok
+}
+
+// Done routes the done() operation to the shard holding the request. done()
+// on a request that is nowhere — queued for replay, or a released hold in its
+// retry back-off — withdraws it federation-side.
 func (s *Session) Done(id request.ID, released []int) error {
 	s.mu.Lock()
 	if s.killed {
@@ -253,18 +333,21 @@ func (s *Session) Done(id request.ID, released []int) error {
 		s.mu.Unlock()
 		return &rms.RequestError{ID: id, Node: -1, Reason: rms.ReasonNotFound}
 	}
-	if e.queued {
-		// The request never made it (back) onto a shard; withdrawing it is
-		// purely a federation-side affair. A voluntary withdraw is not lost
-		// work, so it delivers the finish+reap pair exactly like a single
-		// RMS does for a pending-request Done — only recovery drops use the
+	if e.state.nowhere() {
+		// The request is not on a shard; withdrawing it is purely a
+		// federation-side affair. A voluntary withdraw is not lost work, so
+		// it delivers the finish+reap pair exactly like a single RMS does for
+		// a pending-request Done — only recovery drops use the
 		// reap-without-finish signal.
-		s.dropQueuedLocked(e.shard, id)
+		if e.state == queued {
+			s.queues[e.shard] = slices.DeleteFunc(s.queues[e.shard], func(q request.ID) bool { return q == id })
+		}
+		delete(s.reqs, id)
 		s.clearGangLocked(id)            // a withdrawn gang child needs no reservation
 		s.noteGangParentLocked(id, true) // a withdraw delivers a finish: NEXT is satisfied
 		s.mu.Unlock()
 		s.f.stats.droppedRequests.Add(1)
-		s.notifyWithdrawn(id)
+		s.notifyRetired([]request.ID{id}, []request.ID{id})
 		return nil
 	}
 	shard := e.shard
@@ -284,10 +367,10 @@ func (s *Session) Done(id request.ID, released []int) error {
 	// the attach, under the target's lock): back off briefly and re-read it.
 	for attempt := 0; err != nil && attempt < migrateRetryBudget; attempt++ {
 		s.mu.Lock()
-		shard2, queued := e.shard, e.queued
+		shard2, nowhere := e.shard, e.state.nowhere()
 		sub2 := s.subs[shard2]
 		s.mu.Unlock()
-		if queued || sub2 == nil {
+		if nowhere || sub2 == nil {
 			break
 		}
 		if shard2 == shard {
@@ -307,23 +390,11 @@ func (s *Session) Done(id request.ID, released []int) error {
 	return err
 }
 
-// dropQueuedLocked removes a queued request from its replay queue and table.
-func (s *Session) dropQueuedLocked(shard int, fid request.ID) {
-	q := s.queues[shard]
-	for i, qid := range q {
-		if qid == fid {
-			s.queues[shard] = append(q[:i], q[i+1:]...)
-			break
-		}
-	}
-	delete(s.reqs, fid)
-}
-
 // Disconnect ends the session cleanly on every running shard.
 func (s *Session) Disconnect() { s.teardown("") }
 
 // teardown is the single session-teardown path, shared by Disconnect, the
-// crash sweep (killFromCrash), and a shard-originated kill: it marks the
+// crash sweep under KillOnCrash, and a shard-originated kill: it marks the
 // session killed exactly once, disconnects every live sub-session (a no-op
 // on the shard that initiated a kill — its side is already down), and
 // forgets the session federation-side. A non-empty reason also delivers
@@ -393,7 +464,7 @@ func (s *Session) absorbCrash(shard int, pol RecoveryPolicy) (affected bool, req
 	for _, fid := range fids {
 		e := s.reqs[fid]
 		switch {
-		case e.queued:
+		case e.state == queued:
 			// Already waiting for a restart; nothing more to lose.
 		case e.done:
 			// The finished request's state died with the shard; nothing can
@@ -413,7 +484,7 @@ func (s *Session) absorbCrash(shard int, pol RecoveryPolicy) (affected bool, req
 			ended = append(ended, fid)
 			reaped = append(reaped, fid)
 			s.noteGangParentLocked(fid, true)
-		case e.held:
+		case e.state != placed:
 			// A tentative hold is coordinator-owned state: no allocation ever
 			// ran behind it, so its loss never kills the session (§3.1.4
 			// guards live state). Under RequeueOnCrash the reservation is
@@ -421,7 +492,7 @@ func (s *Session) absorbCrash(shard int, pol RecoveryPolicy) (affected bool, req
 			// replayQueue restarts it; otherwise the gang is aborted and the
 			// child dropped with the reap-without-finish signal.
 			if pol == RequeueOnCrash {
-				e.queued, e.released = true, false
+				e.state = queued
 				s.queues[shard] = append(s.queues[shard], fid)
 				requeued++
 			} else {
@@ -437,12 +508,12 @@ func (s *Session) absorbCrash(shard int, pol RecoveryPolicy) (affected bool, req
 			// after a finished parent is trivially satisfied, and the node
 			// hand-over it implied died with the shard anyway.
 			if e.spec.RelatedHow != request.Free {
-				if pe := s.reqs[e.spec.RelatedTo]; pe == nil || !pe.queued {
+				if pe := s.reqs[e.spec.RelatedTo]; pe == nil || pe.state != queued {
 					e.spec.RelatedHow = request.Free
 					e.spec.RelatedTo = 0
 				}
 			}
-			e.queued = true
+			e.state = queued
 			// The interrupted run's start is history: if the shard dies
 			// again before the replay re-starts, the request must read as
 			// interrupted work, not as an allocation that ran out.
@@ -457,12 +528,14 @@ func (s *Session) absorbCrash(shard int, pol RecoveryPolicy) (affected bool, req
 	return affected, requeued, purged, gangsAborted, ended, reaped
 }
 
-// notifyCrashPurged delivers the observer events for mappings a crash sweep
-// purged: finishes for allocations that ran out before the crash, then one
-// ascending reap batch covering every purged request — the ran-out ones and
-// those that had finished earlier but were never GC-reaped by the dead
-// shard (their finish was already delivered). Called with no locks held.
-func (s *Session) notifyCrashPurged(ended, reaped []request.ID) {
+// notifyRetired delivers the observer events for records the federation
+// itself retired. For the mappings a crash sweep purged: finishes for
+// allocations that ran out before the crash, then one ascending reap batch
+// covering every purged request — the ran-out ones and those that had
+// finished earlier but were never GC-reaped by the dead shard (their finish
+// was already delivered). For a voluntary withdraw: the finish + reap pair,
+// mirroring the single-RMS pending-withdraw. Called with no locks held.
+func (s *Session) notifyRetired(ended, reaped []request.ID) {
 	ro, ok := s.h.(rms.RequestObserver)
 	if !ok {
 		return
@@ -474,21 +547,6 @@ func (s *Session) notifyCrashPurged(ended, reaped []request.ID) {
 		ro.OnRequestsReaped(reaped)
 	}
 }
-
-// notifyWithdrawn delivers the finish + reap pair for a voluntarily
-// withdrawn queued request, mirroring the single-RMS pending-withdraw
-// notifications. Called with no session lock held.
-func (s *Session) notifyWithdrawn(fid request.ID) {
-	if ro, ok := s.h.(rms.RequestObserver); ok {
-		ro.OnRequestFinished(fid)
-		ro.OnRequestsReaped([]request.ID{fid})
-	}
-}
-
-// killFromCrash terminates the session after its shard crashed under
-// KillOnCrash: the surviving sub-sessions are disconnected and the
-// application sees a single OnKill with the crash reason.
-func (s *Session) killFromCrash(reason string) { s.teardown(reason) }
 
 // admitShard connects the session to shard i under its federated ID. It is
 // shared by Connect's initial fan-out and RestartShard's re-admission;
@@ -556,77 +614,41 @@ func (s *Session) replayQueue(shard int) (replayed, dropped int) {
 	s.mu.Unlock()
 	for _, fid := range fids {
 		s.mu.Lock()
-		if s.killed {
-			delete(s.reqs, fid)
-			s.mu.Unlock()
-			dropped++
-			continue
-		}
 		e := s.reqs[fid]
-		if e == nil || !e.queued {
+		if e == nil || e.state != queued {
 			s.mu.Unlock()
 			continue
 		}
-		spec := e.spec
-		gangReplay := false
-		if spec.RelatedHow != request.Free {
-			pe := s.reqs[spec.RelatedTo]
+		sub := s.subs[shard]
+		doomed := s.killed || sub == nil // nobody to replay for, nothing to replay onto
+		if e.spec.RelatedHow != request.Free {
+			pe := s.reqs[e.spec.RelatedTo]
 			switch {
-			case pe == nil || pe.queued:
+			case pe == nil || pe.state == queued:
 				// The parent's replay failed or it was dropped: cascade.
-				s.clearGangLocked(fid)
-				delete(s.reqs, fid)
-				s.mu.Unlock()
-				dropped++
-				s.notifyDropped(fid)
-				continue
-			case pe.shard != shard:
-				// A cross-shard relation with a live parent: restart (or, for
-				// a spec queued at submit time, start) the two-phase
-				// reservation instead of submitting a related request.
-				gangReplay = true
-			default:
+				doomed = true
+			case pe.shard == shard:
 				// The parent lives on this same shard — possibly co-located
 				// by a migration since the hold was placed. An ordinary
 				// related replay; any reservation state is obsolete.
 				s.clearGangLocked(fid)
-				e.held = false
 			}
+			// Otherwise a cross-shard relation with a live parent: place
+			// restarts (or, for a spec queued at submit time, starts) the
+			// two-phase reservation instead of submitting a related request.
 		}
-		sub := s.subs[shard]
 		s.mu.Unlock()
-		if sub == nil {
-			s.mu.Lock()
-			s.clearGangLocked(fid)
-			delete(s.reqs, fid)
-			s.mu.Unlock()
-			dropped++
-			s.notifyDropped(fid)
-			continue
-		}
-		if gangReplay {
-			if s.replayGang(sub, fid, e) {
+		if !doomed {
+			if hold, err := s.place(fid, e, sub, 0); err == nil {
+				if hold {
+					s.f.stats.gangRetried.Add(1)
+				}
 				replayed++
-			} else {
-				dropped++
+				continue
 			}
-			continue
 		}
-		err := sub.RequestID(spec, fid, func() {
-			s.mu.Lock()
-			e.queued = false
-			s.mu.Unlock()
-		})
-		if err != nil {
-			s.mu.Lock()
-			s.clearGangLocked(fid)
-			delete(s.reqs, fid)
-			s.mu.Unlock()
-			dropped++
-			s.notifyDropped(fid)
-			continue
-		}
-		replayed++
+		s.drop(fid)
+		dropped++
 	}
 	return replayed, dropped
 }
@@ -690,23 +712,23 @@ func (s *Session) checkInvariants(down []bool, owner map[view.ClusterID]int) err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	queued := make([]int, len(s.queues))
+	inQueue := make([]int, len(s.queues))
 	for fid, e := range s.reqs {
 		if own, ok := owner[e.spec.Cluster]; !ok || own != e.shard {
 			return fmt.Errorf("federation: app %d request %d maps to shard %d but cluster %q is owned by shard %d",
 				s.id, fid, e.shard, e.spec.Cluster, own)
 		}
-		if e.queued {
+		if e.state == queued {
 			if !down[e.shard] {
 				return fmt.Errorf("federation: app %d request %d queued for running shard %d", s.id, fid, e.shard)
 			}
-			queued[e.shard]++
+			inQueue[e.shard]++
 			continue
 		}
 		if down[e.shard] {
 			return fmt.Errorf("federation: app %d request %d maps to down shard %d", s.id, fid, e.shard)
 		}
-		if e.held {
+		if e.state != placed { // a hold, on its shard or released
 			if s.gangs[fid] == nil {
 				return fmt.Errorf("federation: app %d held request %d has no reservation record (leaked hold)", s.id, fid)
 			}
@@ -717,10 +739,7 @@ func (s *Session) checkInvariants(down []bool, owner map[view.ClusterID]int) err
 				return fmt.Errorf("federation: app %d held request %d has started or finished", s.id, fid)
 			}
 		}
-		if e.released {
-			if !e.held {
-				return fmt.Errorf("federation: app %d request %d is released but not held", s.id, fid)
-			}
+		if e.state == released {
 			continue // no shard-side presence, only coordinator state
 		}
 		if on, ok := onShard[fid]; !ok || on != e.shard {
@@ -736,7 +755,7 @@ func (s *Session) checkInvariants(down []bool, owner map[view.ClusterID]int) err
 		if e == nil {
 			return fmt.Errorf("federation: app %d reservation record for unknown request %d", s.id, fid)
 		}
-		if !e.held {
+		if e.state == placed {
 			return fmt.Errorf("federation: app %d reservation record for committed request %d (half-committed gang)", s.id, fid)
 		}
 		if g.child != fid {
@@ -747,13 +766,13 @@ func (s *Session) checkInvariants(down []bool, owner map[view.ClusterID]int) err
 		if len(q) > 0 && !down[shard] {
 			return fmt.Errorf("federation: app %d has a replay queue for running shard %d", s.id, shard)
 		}
-		if len(q) != queued[shard] {
+		if len(q) != inQueue[shard] {
 			return fmt.Errorf("federation: app %d queue/table mismatch on shard %d: %d queued IDs, %d queued mappings",
-				s.id, shard, len(q), queued[shard])
+				s.id, shard, len(q), inQueue[shard])
 		}
 		for _, fid := range q {
 			e := s.reqs[fid]
-			if e == nil || !e.queued || e.shard != shard {
+			if e == nil || e.state != queued || e.shard != shard {
 				return fmt.Errorf("federation: app %d queue for shard %d holds stale request %d", s.id, shard, fid)
 			}
 		}

@@ -77,8 +77,6 @@ type Config struct {
 	Horizon float64
 	// MaxFaults caps the plan length; 0 means bounded by Horizon alone.
 	MaxFaults int
-	// DelayEach is the per-chunk latency applied during Delay faults.
-	DelayEach time.Duration
 }
 
 // Plan derives the fault schedule: a renewal process of exponential gaps,
@@ -146,7 +144,6 @@ type Proxy struct {
 	wg          sync.WaitGroup
 
 	severed atomic.Int64 // connections cut by Sever/Partition
-	refused atomic.Int64 // connections refused while partitioned
 	held64  atomic.Int64 // connections held half-open
 }
 
@@ -263,9 +260,6 @@ func (p *Proxy) SetDelay(d time.Duration) {
 // Severed reports how many fault events cut at least one connection.
 func (p *Proxy) Severed() int64 { return p.severed.Load() }
 
-// Refused reports how many connections were refused while partitioned.
-func (p *Proxy) Refused() int64 { return p.refused.Load() }
-
 // Held reports how many connections were held half-open.
 func (p *Proxy) Held() int64 { return p.held64.Load() }
 
@@ -310,7 +304,6 @@ func (p *Proxy) acceptLoop() {
 			return
 		case p.partitioned:
 			p.mu.Unlock()
-			p.refused.Add(1)
 			conn.Close()
 			continue
 		case p.halfOpen:

@@ -260,15 +260,6 @@ func (p *DRFPolicy) Shares() map[string]float64 {
 	return out
 }
 
-// Usage returns the last tally's per-queue usage (diagnostics; allocates).
-func (p *DRFPolicy) Usage() map[string]Resources {
-	out := make(map[string]Resources, len(p.tree.queues))
-	for _, q := range p.tree.queues {
-		out[q.path] = p.usage[q.id].clone()
-	}
-	return out
-}
-
 // Victims implements core.VictimNominator with the YuniKorn DRF
 // preemption rule: a queue is starved on a cluster when its usage is
 // below its guarantee there AND it has pending demand there AND the

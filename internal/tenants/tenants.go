@@ -145,9 +145,6 @@ func (t *Tree) Queue(path string) *Queue { return t.byPath[path] }
 // Root returns the root queue.
 func (t *Tree) Root() *Queue { return t.root }
 
-// Queues returns every queue (including the root) in creation order.
-func (t *Tree) Queues() []*Queue { return t.queues }
-
 // Resolve maps a tenant label to its queue: an exact path match, or the
 // DefaultQueue for unknown and empty labels.
 func (t *Tree) Resolve(tenant string) *Queue {

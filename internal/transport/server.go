@@ -156,10 +156,6 @@ type Server struct {
 	// session enters the grace window for the client to resume.
 	WriteQueue int
 
-	// WriteTimeout bounds a single frame write on a stalled connection
-	// (0 = DefaultWriteTimeout).
-	WriteTimeout time.Duration
-
 	// Grace is how long a session whose connection dropped without a Bye
 	// survives awaiting a resume. Zero disables resume: a dropped
 	// connection tears its session down immediately (the pre-resilience
@@ -208,13 +204,6 @@ func (s *Server) writeQueue() int {
 		return s.WriteQueue
 	}
 	return DefaultWriteQueue
-}
-
-func (s *Server) writeTimeout() time.Duration {
-	if s.WriteTimeout > 0 {
-		return s.WriteTimeout
-	}
-	return DefaultWriteTimeout
 }
 
 // Listen binds the given address ("host:port"; use ":0" for an ephemeral
@@ -711,7 +700,7 @@ func (s *Server) sendRaw(conn net.Conn, m proto.Message) {
 	if err != nil {
 		return
 	}
-	conn.SetWriteDeadline(time.Now().Add(s.writeTimeout()))
+	conn.SetWriteDeadline(time.Now().Add(DefaultWriteTimeout))
 	conn.Write(append(data, '\n'))
 }
 
@@ -761,7 +750,7 @@ func (s *Server) handle(conn net.Conn) {
 			return
 		}
 	}
-	cw = newConnWriter(conn, s.writeQueue(), s.writeTimeout())
+	cw = newConnWriter(conn, s.writeQueue(), DefaultWriteTimeout)
 	connected := proto.Message{Type: proto.MsgConnected, AppID: ws.appID, Resume: ws.token}
 	if !ws.attach(cw, connected) {
 		s.stats.resumeReject.Add(1)
