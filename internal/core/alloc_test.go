@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -10,13 +11,13 @@ import (
 	"coormv2/internal/view"
 )
 
-// buildBenchFleet constructs the canonical scheduler fleet: 50 applications
-// on one 4096-node cluster, each with a started pre-allocation, a running
-// non-preemptible request, a pending NEXT update and a started preemptible
-// request.
-func buildBenchFleet() *Scheduler {
+// buildBenchFleet constructs the canonical scheduler fleet: n applications
+// (50 is the canonical size) on one cluster with room for all of them, each
+// with a started pre-allocation, a running non-preemptible request, a
+// pending NEXT update and a started preemptible request.
+func buildBenchFleet(n int) *Scheduler {
 	const cluster = view.ClusterID("c0")
-	s := NewScheduler(map[view.ClusterID]int{cluster: 4096})
+	s := NewScheduler(map[view.ClusterID]int{cluster: 4096 * (n + 49) / 50})
 	reqID := request.ID(1)
 	mk := func(app *AppState, n int, dur float64, typ request.Type, how request.Relation, parent *request.Request) *request.Request {
 		r := request.New(reqID, app.ID, cluster, n, dur, typ, how, parent)
@@ -24,7 +25,7 @@ func buildBenchFleet() *Scheduler {
 		app.SetFor(typ).Add(r)
 		return r
 	}
-	for i := 0; i < 50; i++ {
+	for i := 0; i < n; i++ {
 		a := s.AddApp(i+1, float64(i))
 		pa := mk(a, 16, 1e6, request.PreAlloc, request.Free, nil)
 		pa.StartedAt = 0
@@ -44,29 +45,40 @@ func buildBenchFleet() *Scheduler {
 // records (round duration, dirty-artifact count, one round event). Recording
 // must stay off the allocation path. (The retired root
 // BenchmarkSchedulerThroughput read 8 allocs/op on this fleet: the same 2,
-// plus the cold first round amortised over its 500 iterations.)
+// plus the cold first round amortised over its 500 iterations.) The budget
+// is the same under a non-Stable() policy whose answer does not change,
+// however many applications there are: the remembered sequence reuses its
+// buffer like orderBuf does.
 func TestSteadyRoundAllocs(t *testing.T) {
-	s := buildBenchFleet()
-	reg := obs.NewRegistry()
-	hRound := reg.Hist("rms.round_seconds")
-	hDirty := reg.Hist("rms.round_dirty_artifacts")
-	var prevRecomputed int64
-	now := 0.0
-	round := func() {
-		t0 := time.Now()
-		out := s.Schedule(now)
-		if len(out.NonPreemptViews) != 50 {
-			t.Fatal("lost applications")
-		}
-		st := s.Stats()
-		hRound.Record(time.Since(t0).Seconds())
-		hDirty.Record(float64(st.ArtifactsRecomputed - prevRecomputed))
-		prevRecomputed = st.ArtifactsRecomputed
-		reg.Event(obs.Event{Time: now, Type: obs.EvRound})
-		now++
-	}
-	round() // warm the caches
-	if got := testing.AllocsPerRun(200, round); got > 2 {
-		t.Fatalf("steady cached round allocates %.1f times, want ≤ 2", got)
+	for _, tc := range []struct {
+		n      int
+		policy SchedulingPolicy
+	}{{50, FIFOPolicy{}}, {50, dynamicFIFO{}}, {200, dynamicFIFO{}}} {
+		t.Run(fmt.Sprintf("%s/%d", tc.policy.Name(), tc.n), func(t *testing.T) {
+			s := buildBenchFleet(tc.n)
+			s.SetSchedulingPolicy(tc.policy)
+			reg := obs.NewRegistry()
+			hRound := reg.Hist("rms.round_seconds")
+			hDirty := reg.Hist("rms.round_dirty_artifacts")
+			var prevRecomputed int64
+			now := 0.0
+			round := func() {
+				t0 := time.Now()
+				out := s.Schedule(now)
+				if len(out.NonPreemptViews) != tc.n {
+					t.Fatal("lost applications")
+				}
+				st := s.Stats()
+				hRound.Record(time.Since(t0).Seconds())
+				hDirty.Record(float64(st.ArtifactsRecomputed - prevRecomputed))
+				prevRecomputed = st.ArtifactsRecomputed
+				reg.Event(obs.Event{Time: now, Type: obs.EvRound})
+				now++
+			}
+			round() // warm the caches
+			if got := testing.AllocsPerRun(200, round); got > 2 {
+				t.Fatalf("steady cached round allocates %.1f times, want ≤ 2", got)
+			}
+		})
 	}
 }

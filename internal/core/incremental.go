@@ -24,8 +24,9 @@ import (
 // such mutation must be reported with MarkAppDirty before the next Schedule
 // call. Structural mutations through the Scheduler's own API (AddApp,
 // RemoveApp, AddCluster, RemoveCluster, SetClip, SetPolicy) invalidate
-// caches themselves. SetIncremental(false) restores unconditional full
-// recomputation.
+// caches themselves. A dynamic SchedulingPolicy invalidates nothing: its
+// answer is the key of the one order-dependent cache, the CBF chain.
+// SetIncremental(false) restores unconditional full recomputation.
 
 // SchedStats counts cache behaviour across Schedule rounds. All counters
 // are cumulative; Reused+Recomputed pairs sum to the work the corresponding
@@ -134,7 +135,7 @@ type clusterWalk struct {
 // differential tests pin the two modes byte-identical.
 func (s *Scheduler) SetIncremental(on bool) {
 	s.incremental = on
-	s.structGen++ // flush every cache on the next round
+	s.bumpStruct() // flush every cache on the next round
 }
 
 // Stats returns the cumulative incremental-recomputation counters.
@@ -154,7 +155,12 @@ func (s *Scheduler) MarkAppDirty(id int) {
 
 // bumpStruct invalidates everything on the next round: cluster topology,
 // application membership/order, clip and policy all feed every artifact.
-func (s *Scheduler) bumpStruct() { s.structGen++ }
+// The remembered policy answer goes at once: it must not pin a removed app.
+func (s *Scheduler) bumpStruct() {
+	s.structGen++
+	clear(s.lastSeq)
+	s.lastSeq = s.lastSeq[:0]
+}
 
 // invalidateDerivedLocked clears every derived cache while keeping the
 // per-app request-state artifacts (they depend only on the request sets,

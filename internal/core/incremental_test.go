@@ -33,10 +33,12 @@ type diffOp struct {
 	nb      float64 // NotBefore floor for hold/setnb ops
 }
 
-// diffMirror is one scheduler with ID-indexed request bookkeeping.
+// diffMirror is one scheduler with ID-indexed request bookkeeping. onRound,
+// when set, runs before each churn round's Schedule calls (policy swaps).
 type diffMirror struct {
-	s    *Scheduler
-	reqs map[request.ID]*request.Request
+	s       *Scheduler
+	reqs    map[request.ID]*request.Request
+	onRound func(round int)
 }
 
 func newDiffMirror(clusters map[view.ClusterID]int, incremental bool) *diffMirror {
@@ -374,6 +376,11 @@ func runDiffChurn(t *testing.T, seed int64, inc, full *diffMirror) {
 				clusterIDs = []view.ClusterID{"ca", "cb", "cc", "cd"}
 			}
 
+			for _, m := range []*diffMirror{inc, full} {
+				if m.onRound != nil {
+					m.onRound(round)
+				}
+			}
 			outA := inc.s.Schedule(now)
 			outB := full.s.Schedule(now)
 			if err := inc.compareTo(full, outA, outB); err != nil {
@@ -394,34 +401,53 @@ func runDiffChurn(t *testing.T, seed int64, inc, full *diffMirror) {
 
 // TestIncrementalStatsReuse sanity-checks that steady rounds actually hit
 // the caches: after a quiet fleet settles, repeated rounds reuse every
-// per-app artifact and every cluster walk.
+// per-app artifact and every cluster walk — under the stable default and
+// equally under a dynamic policy whose answer does not change, where
+// FullRounds must count the structural rounds only.
 func TestIncrementalStatsReuse(t *testing.T) {
-	s := NewScheduler(map[view.ClusterID]int{c0: 64})
-	for i := 0; i < 8; i++ {
-		a := s.AddApp(i+1, float64(i))
-		pa := request.New(request.ID(2*i+1), a.ID, c0, 4, 1e6, request.PreAlloc, request.Free, nil)
-		pa.StartedAt = 0
-		a.PA.Add(pa)
-		p := request.New(request.ID(2*i+2), a.ID, c0, 2, math.Inf(1), request.Preempt, request.Free, nil)
-		p.StartedAt = 0
-		a.P.Add(p)
-	}
-	s.Schedule(1) // cold round populates the caches
-	base := s.Stats()
-	for i := 2; i < 10; i++ {
-		s.Schedule(float64(i))
-	}
-	st := s.Stats()
-	if got := st.CBFRecomputed - base.CBFRecomputed; got != 0 {
-		t.Errorf("steady rounds recomputed %d CBF steps, want 0", got)
-	}
-	if got := st.EqOccRecomputed - base.EqOccRecomputed; got != 0 {
-		t.Errorf("steady rounds recomputed %d occupancies, want 0", got)
-	}
-	if got := st.WalksRecomputed - base.WalksRecomputed; got != 0 {
-		t.Errorf("steady rounds recomputed %d cluster walks, want 0", got)
-	}
-	if got := st.EqAppReused - base.EqAppReused; got == 0 {
-		t.Error("steady rounds should reuse the rescheduling pass")
+	for _, p := range []SchedulingPolicy{FIFOPolicy{}, dynamicFIFO{}} {
+		t.Run(p.Name(), func(t *testing.T) {
+			s := NewScheduler(map[view.ClusterID]int{c0: 64})
+			s.SetSchedulingPolicy(p)
+			for i := 0; i < 8; i++ {
+				a := s.AddApp(i+1, float64(i))
+				pa := request.New(request.ID(2*i+1), a.ID, c0, 4, 1e6, request.PreAlloc, request.Free, nil)
+				pa.StartedAt = 0
+				a.PA.Add(pa)
+				pr := request.New(request.ID(2*i+2), a.ID, c0, 2, math.Inf(1), request.Preempt, request.Free, nil)
+				pr.StartedAt = 0
+				a.P.Add(pr)
+			}
+			s.Schedule(1) // cold round populates the caches
+			base := s.Stats()
+			for i := 2; i < 10; i++ {
+				s.Schedule(float64(i))
+			}
+			st := s.Stats()
+			if got := st.CBFRecomputed - base.CBFRecomputed; got != 0 {
+				t.Errorf("steady rounds recomputed %d CBF steps, want 0", got)
+			}
+			if got := st.CBFReused - base.CBFReused; got != 8*8 {
+				t.Errorf("steady rounds reused %d CBF steps, want %d", got, 8*8)
+			}
+			if got := st.EqOccRecomputed - base.EqOccRecomputed; got != 0 {
+				t.Errorf("steady rounds recomputed %d occupancies, want 0", got)
+			}
+			if got := st.WalksRecomputed - base.WalksRecomputed; got != 0 {
+				t.Errorf("steady rounds recomputed %d cluster walks, want 0", got)
+			}
+			if got := st.EqAppReused - base.EqAppReused; got == 0 {
+				t.Error("steady rounds should reuse the rescheduling pass")
+			}
+			if base.FullRounds != 1 || st.FullRounds != 1 {
+				t.Errorf("FullRounds = %d after the cold round, %d after the steady ones, want 1 and 1", base.FullRounds, st.FullRounds)
+			}
+			s.AddApp(9, 9)
+			s.Schedule(10)
+			s.Schedule(11)
+			if got := s.Stats().FullRounds; got != 2 {
+				t.Errorf("FullRounds = %d after one structural change, want 2", got)
+			}
+		})
 	}
 }

@@ -40,11 +40,11 @@ type SchedulingPolicy interface {
 	// Stable reports that the policy is the identity: Order always
 	// returns the connection-order slice unchanged and Admit always
 	// admits. A stable policy lets the scheduler skip the per-application
-	// policy calls entirely and keep every incremental-recomputation
-	// cache, making its rounds byte-identical to the pre-policy
-	// scheduler. A dynamic policy (Stable() == false) forces every round
-	// to recompute from scratch: the chain-reuse and fold caches assume
-	// connection order and are invalidated each round.
+	// policy calls entirely, making its rounds byte-identical to the
+	// pre-policy scheduler. A dynamic policy (Stable() == false) is asked
+	// every round and keeps the caches too: the CBF chain is reused up to
+	// the first position where its (application, admitted) answer differs
+	// from the previous round's, and no other cache depends on the order.
 	Stable() bool
 	// Order returns the applications in the order the round offers them
 	// resources (the CBF iteration order and the eqSchedule slot order).
@@ -91,8 +91,9 @@ func (FIFOPolicy) Order(_ RoundInfo, apps []*AppState, _ []*AppState) []*AppStat
 func (FIFOPolicy) Admit(RoundInfo, *AppState) bool { return true }
 
 // SetSchedulingPolicy installs the application-ordering/admission policy
-// (nil restores the default FIFOPolicy). Dynamic policies force every
-// round to full recomputation; see SchedulingPolicy.Stable.
+// (nil restores the default FIFOPolicy). The swap is a structural change:
+// the next round recomputes everything, so nothing of the previous
+// policy's rounds survives it.
 func (s *Scheduler) SetSchedulingPolicy(p SchedulingPolicy) {
 	if p == nil {
 		p = FIFOPolicy{}

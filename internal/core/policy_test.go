@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -10,10 +11,10 @@ import (
 )
 
 // dynamicFIFO is FIFO order and admit-all behind a Stable() == false
-// policy: it forces every round through the dynamic machinery (policy
-// ordering buffer, per-app admission calls, full recomputation) while
-// demanding the exact same schedule as the cached fast path. The
-// differential below pins the two paths byte-identical.
+// policy: it sends every round through the dynamic machinery (policy
+// ordering buffer, per-app admission calls, the remembered-sequence
+// comparison) while demanding the exact same schedule as the stable fast
+// path. The differential below pins the two paths byte-identical.
 type dynamicFIFO struct{}
 
 func (dynamicFIFO) Name() string { return "dynamic-fifo" }
@@ -28,9 +29,9 @@ func (dynamicFIFO) Admit(RoundInfo, *AppState) bool { return true }
 
 // TestPolicyPathMatchesFIFO is the FIFOPolicy differential required by the
 // policy redesign: the policy-dispatched dynamic path (ordering buffer,
-// admission calls, forced full rounds) must produce byte-identical views,
-// start lists, and request attributes to the default stable FIFO path
-// across the full randomized churn generator.
+// admission calls, chain keyed on the sequence) must produce
+// byte-identical views, start lists, and request attributes to the default
+// stable FIFO path across the full randomized churn generator.
 func TestPolicyPathMatchesFIFO(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		clusters := map[view.ClusterID]int{"ca": 16, "cb": 8, "cc": 12}
@@ -39,6 +40,128 @@ func TestPolicyPathMatchesFIFO(t *testing.T) {
 		dyn.s.SetSchedulingPolicy(dynamicFIFO{})
 		runDiffChurn(t, seed, fifo, dyn)
 	}
+}
+
+// shiftingPolicy is a reordering policy whose answer is a function of
+// RoundInfo.Now alone, so two mirrored schedulers see the same one: it
+// holds an order for a few rounds (a phase lasts 40 time units, a churn
+// round advances 7.5 on average), then reverses it, then swaps only the
+// last two applications (a suffix perturbation), then rotates by one.
+// With flipAdmit it also refuses a third of the applications, a different
+// third every 25 time units — so some rounds change only admissions.
+type shiftingPolicy struct{ flipAdmit bool }
+
+func (shiftingPolicy) Name() string { return "shifting" }
+func (shiftingPolicy) Stable() bool { return false }
+
+func (shiftingPolicy) Order(info RoundInfo, apps []*AppState, buf []*AppState) []*AppState {
+	buf = append(buf, apps...)
+	n := len(buf)
+	switch int(info.Now/40) % 4 {
+	case 1:
+		for i, j := 0, n-1; i < j; i, j = i+1, j-1 {
+			buf[i], buf[j] = buf[j], buf[i]
+		}
+	case 2:
+		if n >= 2 {
+			buf[n-2], buf[n-1] = buf[n-1], buf[n-2]
+		}
+	case 3:
+		if n >= 2 {
+			first := buf[0]
+			copy(buf, buf[1:])
+			buf[n-1] = first
+		}
+	}
+	return buf
+}
+
+func (p shiftingPolicy) Admit(info RoundInfo, a *AppState) bool {
+	return !p.flipAdmit || (int(info.Now/25)+a.ID)%3 != 0
+}
+
+// TestDynamicPolicyIncrementalMatchesFull is the differential behind the
+// sequence-keyed CBF chain: under a policy that reorders and re-admits
+// over time, the incremental scheduler must stay byte-identical to the
+// from-scratch oracle across the full randomized churn generator. Leaving
+// the admission bit out of the key fails it: a re-admitted application
+// changes the running availability of everyone after it.
+func TestDynamicPolicyIncrementalMatchesFull(t *testing.T) {
+	for _, p := range []shiftingPolicy{{flipAdmit: false}, {flipAdmit: true}} {
+		t.Run(fmt.Sprintf("flipAdmit=%v", p.flipAdmit), func(t *testing.T) {
+			var reused int64
+			for seed := int64(1); seed <= 40; seed++ {
+				clusters := map[view.ClusterID]int{"ca": 16, "cb": 8, "cc": 12}
+				inc := newDiffMirror(clusters, true)
+				full := newDiffMirror(clusters, false)
+				inc.s.SetSchedulingPolicy(p)
+				full.s.SetSchedulingPolicy(p)
+				runDiffChurn(t, seed, inc, full)
+				if got := full.s.Stats().CBFReused; got != 0 {
+					t.Fatalf("seed %d: the oracle reused %d CBF steps", seed, got)
+				}
+				reused += inc.s.Stats().CBFReused
+			}
+			if reused == 0 {
+				t.Error("no CBF step was ever reused — the differential compared two full paths")
+			}
+		})
+	}
+}
+
+// TestPolicySwapMidRunMatchesFull swaps the policy twice in the middle of
+// the churn — disruptive, back to the default, disruptive again — on both
+// mirrors. The oracle has no cache to carry across a swap, so agreement
+// means a swap leaves nothing of the previous policy's rounds behind: the
+// caches are warm on both sides of it and the default is restored exactly.
+func TestPolicySwapMidRunMatchesFull(t *testing.T) {
+	for seed := int64(1); seed <= 12; seed++ {
+		clusters := map[view.ClusterID]int{"ca": 16, "cb": 8, "cc": 12}
+		inc := newDiffMirror(clusters, true)
+		full := newDiffMirror(clusters, false)
+		for _, m := range []*diffMirror{inc, full} {
+			m.s.SetSchedulingPolicy(shiftingPolicy{flipAdmit: true})
+			m.onRound = func(round int) {
+				switch round {
+				case 40:
+					m.s.SetSchedulingPolicy(nil)
+				case 80:
+					m.s.SetSchedulingPolicy(shiftingPolicy{flipAdmit: true})
+				}
+			}
+		}
+		runDiffChurn(t, seed, inc, full)
+	}
+}
+
+// TestRememberedSequenceUnpinned checks that the previous round's policy
+// answer never keeps a removed application alive: RemoveApp and a policy
+// swap drop it at once, not at the next round.
+func TestRememberedSequenceUnpinned(t *testing.T) {
+	s := NewScheduler(map[view.ClusterID]int{c0: 8})
+	s.SetSchedulingPolicy(dynamicFIFO{})
+	for i := 1; i <= 4; i++ {
+		s.AddApp(i, float64(i))
+	}
+	dropped := func(after string) {
+		t.Helper()
+		for _, slot := range s.lastSeq[:cap(s.lastSeq)] {
+			if slot.app != nil {
+				t.Fatalf("after %s the remembered sequence still holds application %d", after, slot.app.ID)
+			}
+		}
+	}
+	s.Schedule(0)
+	if len(s.lastSeq) != 4 {
+		t.Fatalf("a dynamic round remembered %d positions, want 4", len(s.lastSeq))
+	}
+	s.RemoveApp(2)
+	dropped("RemoveApp")
+	s.Schedule(1)
+	s.SetSchedulingPolicy(nil)
+	dropped("SetSchedulingPolicy")
+	s.Schedule(2)
+	dropped("a stable round")
 }
 
 // reverseAdmitOne reverses the round order and admits everything except
@@ -69,7 +192,8 @@ func TestAdmissionGating(t *testing.T) {
 	b.NP.Add(rb)
 
 	s.SetSchedulingPolicy(reverseAdmitOne{blocked: 2})
-	out := s.Schedule(0)
+	s.Schedule(0)
+	out := s.Schedule(0) // same answer again: this round runs on warm caches
 	if !math.IsInf(rb.ScheduledAt, 1) || rb.NAlloc != 0 {
 		t.Fatalf("blocked app's request scheduled at %v alloc %d, want unscheduled", rb.ScheduledAt, rb.NAlloc)
 	}
@@ -91,7 +215,8 @@ func TestAdmissionGating(t *testing.T) {
 
 	// Re-admitting schedules the backlog behind the started work.
 	s.SetSchedulingPolicy(nil) // back to FIFO
-	out = s.Schedule(1)
+	s.Schedule(1)
+	s.Schedule(1) // and warm again on this side of the swap
 	if !a.Admitted() && b.Admitted() {
 		t.Fatal("stable policy must not rewrite admission flags")
 	}

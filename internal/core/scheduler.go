@@ -92,11 +92,14 @@ type Scheduler struct {
 	// by default — the paper's connection order, every app admitted).
 	// roundApps/roundDynamic are the current round's iteration slice and
 	// admission-gating flag; orderBuf is the reusable ordering buffer
-	// handed to dynamic policies.
+	// handed to dynamic policies. lastSeq is the previous dynamic round's
+	// answer, the key of the CBF chain cache; structural changes drop it
+	// (bumpStruct), so it never pins a removed application.
 	schedPolicy  SchedulingPolicy
 	roundApps    []*AppState
 	roundDynamic bool
 	orderBuf     []*AppState
+	lastSeq      []roundSlot
 
 	// clip, when non-nil, limits the non-preemptive view presented to every
 	// application (§3.2's suggested pre-allocation limit).
@@ -308,6 +311,13 @@ func (s *Scheduler) sortApps() {
 	}
 }
 
+// roundSlot is one position of a round's policy answer: which application
+// was offered resources there and whether it was admitted.
+type roundSlot struct {
+	app      *AppState
+	admitted bool
+}
+
 // Outcome is the result of one scheduling round: the views to present to
 // each application and the requests whose computed start time has arrived.
 type Outcome struct {
@@ -333,19 +343,15 @@ type Outcome struct {
 // Schedule recomputes incrementally: per-application artifacts and
 // per-cluster availability folds are cached across rounds and recomputed
 // only for applications marked dirty (MarkAppDirty) and the clusters their
-// changes touched. Outputs are bit-identical to a full recomputation — a
-// cached value is reused only when its exact inputs are unchanged (see
-// incremental.go).
+// changes touched, under a stable and a dynamic SchedulingPolicy alike.
+// Outputs are bit-identical to a full recomputation — a cached value is
+// reused only when its exact inputs are unchanged (see incremental.go).
 func (s *Scheduler) Schedule(now float64) *Outcome {
 	sc := &s.sc
 	s.stats.Rounds++
 	s.ensureSortedLocked()
 
-	// A dynamic scheduling policy may reorder or gate applications
-	// differently every round; the chain-reuse and fold caches assume
-	// connection order, so every dynamic round is a full round.
-	dynamic := !s.schedPolicy.Stable()
-	if s.structGen != s.cacheGen || !s.incremental || dynamic {
+	if s.structGen != s.cacheGen || !s.incremental {
 		s.invalidateDerivedLocked()
 		if !s.incremental {
 			for _, a := range s.apps {
@@ -361,6 +367,7 @@ func (s *Scheduler) Schedule(now float64) *Outcome {
 	// entirely: order is connection order and everything is admitted,
 	// keeping the round byte-identical to the pre-policy scheduler.
 	apps := s.apps
+	dynamic := !s.schedPolicy.Stable()
 	if dynamic {
 		info := RoundInfo{Now: now, Clusters: s.clusters}
 		ordered := s.schedPolicy.Order(info, s.apps, s.orderBuf[:0])
@@ -378,6 +385,7 @@ func (s *Scheduler) Schedule(now float64) *Outcome {
 			a.admitted = s.schedPolicy.Admit(info, a)
 		}
 		apps = ordered
+		s.lastSeq = grown(s.lastSeq, len(apps)) // once dropped: zero slots, equal to none
 	}
 	s.roundApps = apps
 	s.roundDynamic = dynamic
@@ -430,7 +438,12 @@ func (s *Scheduler) Schedule(now float64) *Outcome {
 	// application was reused, the running availability is byte-identical to
 	// the previous round, so each settled application's cached view and
 	// wrapped excess stand in for its recomputation. The first recomputed
-	// application breaks the chain for everything after it.
+	// application breaks the chain for everything after it, and so does the
+	// first position where a dynamic policy's answer differs from the last
+	// round's: a moved application meets a different running availability,
+	// one whose admission flipped leaves a different one behind. No other
+	// cache depends on the order: the base folds are order-independent
+	// sums, eqSchedule's caches carry the identity of their inputs.
 	chain := !npChanged
 	if sc.inPA == nil {
 		sc.inPA = view.New()
@@ -444,8 +457,13 @@ func (s *Scheduler) Schedule(now float64) *Outcome {
 	// request-less there, and this keeps the round cost proportional to the
 	// applications the shard actually schedules.
 	var idleViewNP view.View
-	for _, a := range apps {
+	for i, a := range apps {
 		c := &a.cache
+		if dynamic {
+			slot := roundSlot{a, a.admitted}
+			chain = chain && s.lastSeq[i] == slot
+			s.lastSeq[i] = slot
+		}
 		if dynamic && !a.admitted {
 			// Not admitted this round: pending work stays unscheduled,
 			// started/fixed allocations keep counting (they are already

@@ -162,8 +162,9 @@ func RunNetChaos(cfg NetChaosConfig) (*NetChaosResult, error) {
 		deadline := time.Now().Add(30 * time.Second)
 		for {
 			app = newNetApp()
-			c, err = transport.Dial(addr, app, opts)
+			nc, err := transport.Dial(addr, app, opts)
 			if err == nil {
+				c = nc // only a live client replaces the closed one: the deferred Close needs one
 				break
 			}
 			if time.Now().After(deadline) {

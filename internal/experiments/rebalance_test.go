@@ -166,14 +166,7 @@ func TestChaosRebalanceMatrix(t *testing.T) {
 // to known queues, and same-seed runs must stay byte-identical — the
 // policy's ordering, admission and victim selection are all deterministic.
 func TestChaosRebalanceMatrixDRF(t *testing.T) {
-	tree := tenants.NewTree()
-	guarantee := tenants.Resources{}
-	for i := 0; i < 6; i++ { // 3 shards × 2 clusters in rebalanceTestConfig
-		guarantee[federatedCluster(i)] = 8
-	}
-	tree.MustAdd("prod", guarantee, nil)
-	tree.MustAdd("batch", nil, nil)
-
+	tree, tenantOf := drfMatrixTenants()
 	preempts := int64(0)
 	for seed := int64(1); seed <= 3; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -186,13 +179,7 @@ func TestChaosRebalanceMatrixDRF(t *testing.T) {
 					MeanRestartDelay: 90,
 					Horizon:          2500,
 				}
-				cfg.Tenants = tree
-				cfg.TenantOf = func(job int) string {
-					if job%3 == 0 {
-						return "prod"
-					}
-					return "batch"
-				}
+				cfg.Tenants, cfg.TenantOf = tree, tenantOf
 				return cfg
 			}
 			res, err := RunChaosReplay(mk())
@@ -232,6 +219,25 @@ func TestChaosRebalanceMatrixDRF(t *testing.T) {
 	}
 }
 
+// drfMatrixTenants is the DRF matrix's queue hierarchy and job tagging:
+// prod guaranteed half of every rebalanceTestConfig cluster, batch
+// best-effort, every third rigid job prod's.
+func drfMatrixTenants() (*tenants.Tree, func(job int) string) {
+	tree := tenants.NewTree()
+	guarantee := tenants.Resources{}
+	for i := 0; i < 6; i++ { // 3 shards × 2 clusters in rebalanceTestConfig
+		guarantee[federatedCluster(i)] = 8
+	}
+	tree.MustAdd("prod", guarantee, nil)
+	tree.MustAdd("batch", nil, nil)
+	return tree, func(job int) string {
+		if job%3 == 0 {
+			return "prod"
+		}
+		return "batch"
+	}
+}
+
 // TestIncrementalMatchesFullRecomputeChaosMatrix is the system-level half
 // of the incremental-scheduling differential: the same seeded
 // chaos×migration×node-fault replay — crashes, restarts, replay queues,
@@ -242,39 +248,56 @@ func TestChaosRebalanceMatrixDRF(t *testing.T) {
 // crash/restart/migration/capacity-change is the risky part of the
 // incremental scheduler; this pins it end to end. The node-recovery policy
 // cycles across the matrix so all three (kill/requeue/cooperative) hit the
-// differential.
+// differential. Every entry runs twice, under FIFO and under the DRF
+// hierarchy of TestChaosRebalanceMatrixDRF: a reordering policy keeps the
+// round's caches keyed on its answer, so crash / restart / migration /
+// quota preemption under DRF are compared against the oracle as well.
 func TestIncrementalMatchesFullRecomputeChaosMatrix(t *testing.T) {
+	tree, tenantOf := drfMatrixTenants()
 	nodePols := []rms.NodeRecoveryPolicy{
 		rms.KillOnNodeFailure, rms.RequeueOnNodeFailure, rms.CooperativeOnNodeFailure,
 	}
 	entry := 0
 	nodeFaults := 0
+	var preempts int64
 	for _, seed := range []int64{7, 23} {
 		for _, pol := range []federation.RecoveryPolicy{federation.KillOnCrash, federation.RequeueOnCrash} {
-			cfg := rebalanceTestConfig(seed, true)
-			cfg.Recovery = pol
-			cfg.NodeRecovery = nodePols[entry%len(nodePols)]
+			nodePol := nodePols[entry%len(nodePols)]
 			entry++
-			cfg.Chaos = chaos.Config{
-				Seed: seed, MTTF: 900, MeanRestartDelay: 120, Horizon: 3000,
-				NodeMTTF: 600, MeanNodeRecovery: 200,
-			}
+			for _, drf := range []bool{false, true} {
+				cfg := rebalanceTestConfig(seed, true)
+				cfg.Recovery = pol
+				cfg.NodeRecovery = nodePol
+				cfg.Chaos = chaos.Config{
+					Seed: seed, MTTF: 900, MeanRestartDelay: 120, Horizon: 3000,
+					NodeMTTF: 600, MeanNodeRecovery: 200,
+				}
+				if drf {
+					cfg.Tenants, cfg.TenantOf = tree, tenantOf
+				}
 
-			inc, err := RunChaosReplay(cfg)
-			if err != nil {
-				t.Fatalf("seed %d %v incremental: %v", seed, pol, err)
+				inc, err := RunChaosReplay(cfg)
+				if err != nil {
+					t.Fatalf("seed %d %v drf=%v incremental: %v", seed, pol, drf, err)
+				}
+				cfg.FullRecompute = true
+				full, err := RunChaosReplay(cfg)
+				if err != nil {
+					t.Fatalf("seed %d %v drf=%v full: %v", seed, pol, drf, err)
+				}
+				if !reflect.DeepEqual(inc, full) {
+					t.Errorf("seed %d %v drf=%v: incremental run diverged from full recomputation\nincremental: %+v\nfull: %+v",
+						seed, pol, drf, inc, full)
+				}
+				nodeFaults += inc.NodeFails
+				for _, n := range inc.TenantPreempts {
+					preempts += n
+				}
 			}
-			cfg.FullRecompute = true
-			full, err := RunChaosReplay(cfg)
-			if err != nil {
-				t.Fatalf("seed %d %v full: %v", seed, pol, err)
-			}
-			if !reflect.DeepEqual(inc, full) {
-				t.Errorf("seed %d %v: incremental run diverged from full recomputation\nincremental: %+v\nfull: %+v",
-					seed, pol, inc, full)
-			}
-			nodeFaults += inc.NodeFails
 		}
+	}
+	if preempts == 0 {
+		t.Fatal("no DRF entry preempted for quota; the reordering-policy differential is untested")
 	}
 	if nodeFaults == 0 {
 		t.Fatal("no matrix entry injected node faults; the capacity-change differential is untested")

@@ -171,32 +171,34 @@ func (p *Proxy) Listen(addr string) (string, error) {
 }
 
 // Start arms a fault plan on the wall clock: fault f fires f.At seconds
-// from now, and durable faults clear themselves f.Dur later.
+// from now, and durable faults clear themselves f.Dur later. The end of a
+// durable fault is armed by its start, so however late the runtime runs the
+// two, an end never overtakes its start and leaves the fault on for good.
 func (p *Proxy) Start(plan []Fault, delayEach time.Duration) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return
-	}
-	arm := func(after float64, fn func()) {
-		p.timers = append(p.timers, time.AfterFunc(
-			time.Duration(after*float64(time.Second)), fn))
+	during := func(f Fault, on, off func()) {
+		p.after(f.At, func() { on(); p.after(f.Dur, off) })
 	}
 	for _, f := range plan {
-		f := f
 		switch f.Kind {
 		case Sever:
-			arm(f.At, p.Sever)
+			p.after(f.At, p.Sever)
 		case Partition:
-			arm(f.At, func() { p.SetPartitioned(true) })
-			arm(f.At+f.Dur, func() { p.SetPartitioned(false) })
+			during(f, func() { p.SetPartitioned(true) }, func() { p.SetPartitioned(false) })
 		case HalfOpen:
-			arm(f.At, func() { p.SetHalfOpen(true) })
-			arm(f.At+f.Dur, func() { p.SetHalfOpen(false) })
+			during(f, func() { p.SetHalfOpen(true) }, func() { p.SetHalfOpen(false) })
 		case Delay:
-			arm(f.At, func() { p.SetDelay(delayEach) })
-			arm(f.At+f.Dur, func() { p.SetDelay(0) })
+			during(f, func() { p.SetDelay(delayEach) }, func() { p.SetDelay(0) })
 		}
+	}
+}
+
+// after runs fn the given number of seconds from now, unless the proxy is
+// closed by then.
+func (p *Proxy) after(seconds float64, fn func()) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if !p.closed {
+		p.timers = append(p.timers, time.AfterFunc(time.Duration(seconds*float64(time.Second)), fn))
 	}
 }
 

@@ -192,3 +192,40 @@ func TestProxyDelay(t *testing.T) {
 	}
 	p.SetDelay(0)
 }
+
+// TestPlanFaultsAlwaysClear arms many partitions and half-opens too short
+// for their two ends to be told apart by the timer: whatever order the
+// runtime fires them in, every fault must be over once the plan is, and the
+// proxy forwards again. (With the end armed independently of the start, an
+// end that overtook its start left the fault on for good — RunNetChaos then
+// sat out its 30 s reconnect window on a loaded box.)
+func TestPlanFaultsAlwaysClear(t *testing.T) {
+	backend, closeBackend := echoServer(t)
+	defer closeBackend()
+	p := NewProxy(backend)
+	addr, err := p.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	var plan []Fault
+	for i := 0; i < 400; i++ {
+		plan = append(plan, Fault{At: float64(i) * 1e-4, Kind: Partition + Kind(i%2)})
+	}
+	p.Start(plan, 0)
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		conn, err := net.Dial("tcp", addr)
+		if err == nil {
+			err = roundTrip(t, conn)
+			conn.Close()
+		}
+		if err == nil {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("proxy still faulted 5 s after a 40 ms plan: %v", err)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}

@@ -323,3 +323,45 @@ func TestDRFEndToEnd(t *testing.T) {
 		t.Fatalf("victims[0] = request %v, want batch's newest (2)", victims[0].ID)
 	}
 }
+
+// TestSteadyDRFRoundAllocs pins the allocation budget of a steady round
+// under DRF: with the standing fleet unchanged the policy gives the same
+// answer every round, core keeps every cache, and what a round allocates
+// is a constant that does not grow with the number of applications: core's
+// 2 (TestSteadyRoundAllocs) plus the 2 of the policy's one sort.SliceStable
+// over the root's children.
+func TestSteadyDRFRoundAllocs(t *testing.T) {
+	for _, n := range []int{48, 192} {
+		tr := NewTree()
+		tr.MustAdd("t0", Resources{cA: 32 * n}, nil)
+		tr.MustAdd("t1", nil, nil)
+		tr.MustAdd("t2", nil, nil)
+		s := core.NewScheduler(map[view.ClusterID]int{cA: 64 * n})
+		s.SetSchedulingPolicy(NewDRF(tr))
+		for i := 0; i < n; i++ {
+			a := s.AddApp(i+1, float64(i))
+			a.Tenant = []string{"t0", "t1", "t2"}[i%3]
+			pa := request.New(request.ID(3*i+1), a.ID, cA, 16, 1e6, request.PreAlloc, request.Free, nil)
+			pa.StartedAt = 0
+			a.PA.Add(pa)
+			np := request.New(request.ID(3*i+2), a.ID, cA, 8, 1e5, request.NonPreempt, request.Coalloc, pa)
+			np.StartedAt = 0
+			a.NP.Add(np)
+			addStartedP(a, request.ID(3*i+3), cA, 4)
+		}
+		now := 0.0
+		round := func() {
+			if out := s.Schedule(now); len(out.PreemptViews) != n {
+				t.Fatal("lost applications")
+			}
+			now++
+		}
+		round() // warm the caches
+		if got := testing.AllocsPerRun(100, round); got > 4 {
+			t.Fatalf("steady DRF round over %d applications allocates %.1f times, want ≤ 4", n, got)
+		}
+		if st := s.Stats(); st.FullRounds != 1 || st.CBFReused == 0 {
+			t.Fatalf("%d applications: %d full rounds, %d CBF steps reused, want 1 and > 0", n, st.FullRounds, st.CBFReused)
+		}
+	}
+}

@@ -11,6 +11,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -31,7 +32,8 @@ type Job struct {
 // comments. The fields used here are: 1 job number, 2 submit time,
 // 4 run time, 8 requested processors (falling back to field 5, allocated
 // processors, when the request is absent). Jobs with non-positive runtime
-// or processor count are skipped, as is customary when replaying SWF.
+// or processor count are skipped, as is customary when replaying SWF; a
+// submit or run time that is not a finite number is an error.
 func ParseSWF(r io.Reader) ([]Job, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
@@ -59,6 +61,11 @@ func ParseSWF(r io.Reader) ([]Job, error) {
 		if err != nil {
 			return nil, fmt.Errorf("workload: line %d: run time: %w", line, err)
 		}
+		for _, x := range [2]float64{submit, runtime} {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				return nil, fmt.Errorf("workload: line %d: submit %v, run time %v: not finite", line, submit, runtime)
+			}
+		}
 		procs, err := strconv.Atoi(fields[7])
 		if err != nil || procs <= 0 {
 			// Fall back to allocated processors.
@@ -80,15 +87,17 @@ func ParseSWF(r io.Reader) ([]Job, error) {
 }
 
 // FormatSWF writes jobs back out as a minimal SWF trace (unused fields are
-// -1, per the format's convention).
+// -1, per the format's convention). Times are written in full, so ParseSWF
+// reads back exactly the jobs written (FuzzParseSWF).
 func FormatSWF(w io.Writer, jobs []Job) error {
 	bw := bufio.NewWriter(w)
+	sec := func(x float64) string { return strconv.FormatFloat(x, 'f', -1, 64) }
 	fmt.Fprintln(bw, "; SWF trace written by coormv2/internal/workload")
 	for _, j := range jobs {
 		// 18 fields: id submit wait run usedProc avgCPU usedMem reqProc
 		// reqTime reqMem status uid gid app queue partition prevJob think
-		if _, err := fmt.Fprintf(bw, "%d %.0f -1 %.0f %d -1 -1 %d %.0f -1 1 -1 -1 -1 -1 -1 -1 -1\n",
-			j.ID, j.Submit, j.Runtime, j.Nodes, j.Nodes, j.Runtime); err != nil {
+		if _, err := fmt.Fprintf(bw, "%d %s -1 %s %d -1 -1 %d %s -1 1 -1 -1 -1 -1 -1 -1 -1\n",
+			j.ID, sec(j.Submit), sec(j.Runtime), j.Nodes, j.Nodes, sec(j.Runtime)); err != nil {
 			return err
 		}
 	}

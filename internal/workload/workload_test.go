@@ -2,6 +2,8 @@ package workload
 
 import (
 	"bytes"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -69,6 +71,41 @@ func TestSWFRoundTrip(t *testing.T) {
 			t.Errorf("job %d: %+v != %+v", i, back[i], orig[i])
 		}
 	}
+}
+
+// FuzzParseSWF feeds ParseSWF arbitrary bytes — a trace file is untrusted
+// input. Whatever it accepts must be usable (finite times, positive sizes,
+// submit order) and must survive FormatSWF → ParseSWF unchanged.
+func FuzzParseSWF(f *testing.F) {
+	f.Add([]byte(sampleSWF))
+	f.Add([]byte("1 2 3\n"))
+	f.Add([]byte("7 0.25 -1 1e3 4 -1 -1 0 -1 -1 1 -1 -1 -1 -1 -1 -1 -1\n"))
+	f.Add([]byte("8 NaN -1 Inf 4 -1 -1 4 -1 -1 1 -1 -1 -1 -1 -1 -1 -1\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		jobs, err := ParseSWF(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		for i, j := range jobs {
+			if !(j.Runtime > 0) || math.IsInf(j.Runtime, 0) || math.IsNaN(j.Submit) || math.IsInf(j.Submit, 0) || j.Nodes <= 0 {
+				t.Fatalf("accepted unusable job %+v", j)
+			}
+			if i > 0 && jobs[i-1].Submit > j.Submit {
+				t.Fatalf("jobs %d and %d out of submit order", i-1, i)
+			}
+		}
+		var buf bytes.Buffer
+		if err := FormatSWF(&buf, jobs); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ParseSWF(&buf)
+		if err != nil {
+			t.Fatalf("FormatSWF wrote what ParseSWF rejects: %v", err)
+		}
+		if !slices.Equal(back, jobs) {
+			t.Fatalf("round trip changed the jobs:\n%+v\n%+v", jobs, back)
+		}
+	})
 }
 
 func TestSynthetic(t *testing.T) {
