@@ -20,18 +20,21 @@
 // sequentially and the owning shard admits the request under that ID
 // (rms.Session.RequestID), so a notification, an error or an obs event from
 // any shard quotes the ID request() returned, and a request keeps it across
-// crash replay and cluster migration. What a session keeps per request is
-// where it lives (the shard) and the spec to replay, registered atomically
-// with the shard's own bookkeeping through RequestID's observe hook.
+// crash replay and cluster migration. What a session keeps per request is one
+// record in one table (fedReq): where it lives (the shard), how it stands
+// there, the spec to replay and, for a gang child, its reservation —
+// registered atomically with the shard's own bookkeeping through RequestID's
+// observe hook.
 //
 // Shard lifecycle: CrashShard/RestartShard give every shard a crash/restart
 // cycle (driven deterministically by internal/chaos inside the simulator). A
 // crash stops the shard's rms.Server — its scheduler-side state is gone —
 // and the Federator applies the configured RecoveryPolicy to the sessions
 // that lost state: KillOnCrash terminates them per §3.1.4, RequeueOnCrash
-// parks their requests on replay queues and re-submits them when the shard
-// rejoins empty. Survivors keep running against views re-merged without the
-// dead shard.
+// marks their records queued and re-submits those, in ID order, when the
+// shard rejoins empty. Survivors keep running against views re-merged
+// without the dead shard. A session's admission to the shards (Connect) is a
+// topology transition as well, serialized with the three above.
 //
 // Cross-shard gang scheduling: a request may relate (NEXT/COALLOC) to a
 // request on another shard. The Federator runs a two-phase reservation for
@@ -71,10 +74,10 @@ const (
 	// requests targeting the dead shard fail until it restarts.
 	KillOnCrash RecoveryPolicy = iota
 	// RequeueOnCrash keeps the affected sessions alive: their live requests
-	// on the crashed shard move to a per-session replay queue and are
-	// re-submitted — under the same federated IDs — when the shard rejoins
-	// with empty state. Requests submitted while the shard is down are
-	// queued the same way; done() on a queued request drops it.
+	// on the crashed shard become queued records and are re-submitted —
+	// under the same federated IDs, in ID (submission) order — when the
+	// shard rejoins with empty state. Requests submitted while the shard is
+	// down are queued the same way; done() on a queued request drops it.
 	RequeueOnCrash
 )
 
@@ -149,19 +152,20 @@ type Federator struct {
 	nodeRecovery rms.NodeRecoveryPolicy
 	stats        fedStats
 
-	// topoMu serializes topology transitions — CrashShard, RestartShard and
-	// MigrateCluster — against each other, so a migration can never observe a
-	// shard half-crashed (or vice versa). It is taken before f.mu and before
-	// any shard lock; nothing nests the other way. Handler callbacks never
-	// acquire it: applications re-entering the federator from a notification
-	// only use the session surface.
+	// topoMu serializes topology transitions — CrashShard, RestartShard,
+	// MigrateCluster and Connect (a session's admission to the running
+	// shards) — against each other, so a migration or an admission can never
+	// observe a shard half-crashed (or vice versa). It is taken before f.mu
+	// and before any shard lock; nothing nests the other way. Handler
+	// callbacks never acquire it: applications re-entering the federator from
+	// a notification only use the session surface.
 	topoMu sync.Mutex
 
 	mu       sync.Mutex
 	owner    map[view.ClusterID]int // cluster → shard index; mutated by migration
 	nextApp  int
 	nextReq  request.ID
-	down     []bool           // per-shard crashed flag
+	down     []bool           // per-shard crashed flag; written under topoMu and mu
 	sessions map[int]*Session // live federated sessions by app ID
 	// failedNodes is the authoritative per-cluster record of down machines
 	// (sorted ascending). It outlives shard crashes — RestartShard re-applies
@@ -192,7 +196,7 @@ type Federator struct {
 // per-session locks.
 type fedStats struct {
 	// Shard-crash recovery: sessions killed because a shard holding their
-	// live state crashed (§3.1.4); live requests parked on a replay queue
+	// live state crashed (§3.1.4); live requests marked queued for replay
 	// (crash, or submitted while the shard was down); queued requests
 	// re-submitted to the restarted shard; and queued requests that never
 	// made it back (done() while queued, failed replay, aborted gang).
@@ -406,9 +410,9 @@ func (f *Federator) TenantLoads() map[string]map[view.ClusterID]int {
 }
 
 // TenantPreempts sums the per-tenant quota-preemption revocation counts
-// across running shards. Each shard's tally is cumulative over its own
-// lifetime — a crash resets it with the rest of the scheduler state —
-// matching how every other shard-side counter behaves across faults.
+// across running shards. A shard's tally is cumulative and, like its other
+// event counters (rms.Server.Stats), survives crash and restart; only a shard
+// that is down right now is left out of the sum.
 func (f *Federator) TenantPreempts() map[string]int64 {
 	f.mu.Lock()
 	down := append([]bool(nil), f.down...)
@@ -433,39 +437,38 @@ func (f *Federator) TenantPreempts() map[string]int64 {
 // Connect options (e.g. rms.WithTenant) are applied on every shard and
 // replayed on each re-admission, so tenant identity survives shard
 // crash/restart and follows the session everywhere it is scheduled.
+//
+// Connect is a topology transition: it holds topoMu like RestartShard, the
+// other admission, so a crash or restart is ordered wholly before it (and
+// shows in the down flags) or wholly after (and sweeps or re-admits the
+// registered session itself). Like MigrateCluster and CheckInvariants it must
+// not be called from inside a notification handler — handlers run under
+// topoMu whenever a topology transition flushes them.
 func (f *Federator) Connect(h rms.AppHandler, opts ...rms.ConnectOption) *Session {
 	sess := &Session{
 		f:          f,
 		h:          h,
 		connect:    opts,
 		subs:       make([]*rms.Session, len(f.shards)),
-		shardDown:  make([]bool, len(f.shards)),
 		shardViews: make([][2]view.View, len(f.shards)),
 		shardDirty: make([]bool, len(f.shards)),
 		reqs:       make(map[request.ID]*fedReq),
-		queues:     make([][]request.ID, len(f.shards)),
-		gangs:      make(map[request.ID]*gangState),
 	}
-	// Allocate the ID, register the session, and snapshot the shard states
-	// in one critical section: a crash or restart ordered before it is
-	// reflected in the down snapshot; one ordered after it sees the session
-	// and sweeps it itself (admitShard makes the two admission paths
-	// idempotent, so a racing restart cannot double-admit or be missed).
+	f.topoMu.Lock()
+	defer f.topoMu.Unlock()
 	f.mu.Lock()
 	sess.id = f.nextApp
 	f.nextApp++
 	f.sessions[sess.id] = sess
-	down := append([]bool(nil), f.down...)
-	copy(sess.shardDown, down)
 	f.mu.Unlock()
 	// Admit outside the federator lock: ConnectID flushes notifications,
 	// which may synchronously re-enter the session (and, through an
-	// application handler, the federator).
+	// application handler, the federator's Owner/nextRequestID). The down
+	// flags only change under topoMu, which is held.
 	for i := range f.shards {
-		if down[i] {
-			continue
+		if !f.down[i] {
+			sess.admitShard(i)
 		}
-		sess.admitShard(i)
 	}
 	return sess
 }
@@ -507,7 +510,7 @@ type CrashReport struct {
 	Policy RecoveryPolicy
 	// Killed lists the app IDs killed under KillOnCrash, ascending.
 	Killed []int
-	// Requeued counts live requests moved to replay queues (RequeueOnCrash).
+	// Requeued counts live requests marked queued for replay (RequeueOnCrash).
 	Requeued int
 	// Purged counts finished-request mappings discarded with the shard's
 	// state (they could only be referenced by state that no longer exists).
@@ -547,8 +550,8 @@ func (r RestartReport) String() string {
 // CrashShard kills shard i: its rms.Server is stopped (scheduler-side state
 // gone, metrics closed out at the crash instant) and every live session
 // absorbs the loss per the recovery policy — KillOnCrash terminates sessions
-// with live requests there (§3.1.4), RequeueOnCrash moves those requests to
-// replay queues. Survivors immediately receive views re-merged without the
+// with live requests there (§3.1.4), RequeueOnCrash marks those requests
+// queued. Survivors immediately receive views re-merged without the
 // dead shard. Crashing an already-down shard is a no-op.
 func (f *Federator) CrashShard(i int) CrashReport {
 	if i < 0 || i >= len(f.shards) {
@@ -618,8 +621,8 @@ func (f *Federator) CrashShard(i int) CrashReport {
 // RestartShard brings a crashed shard back: its rms.Server is Reset to
 // empty state, the Federator re-admits every live session (the shard's
 // clusters reappear in the merged views on its next scheduling round), and —
-// under RequeueOnCrash — the per-session replay queues are re-submitted in
-// (session-ID, submission) order under their original federated request IDs.
+// under RequeueOnCrash — every session's queued records are re-submitted in
+// (session-ID, request-ID) order under their original federated request IDs.
 // Restarting a running shard is a no-op.
 func (f *Federator) RestartShard(i int) RestartReport {
 	if i < 0 || i >= len(f.shards) {
@@ -668,7 +671,7 @@ func (f *Federator) RestartShard(i int) RestartReport {
 // passes its own accounting check, no shard hosts a session the federation
 // no longer knows (orphans), every live session is admitted to every
 // running shard, every running shard holds exactly the requests the sessions
-// place on it (same IDs, none leaked), replay queues exist only for crashed
+// place on it (same IDs, none leaked), queued records exist only for crashed
 // shards, and cluster
 // ownership is an exact bijection — every shard hosts precisely the
 // clusters the owner table assigns it (no cluster owned by two shards, none

@@ -76,12 +76,11 @@ const (
 	gangDropOrphan
 )
 
-// gangState is the coordinator's record of one in-flight reservation, keyed
-// by the child's ID in Session.gangs. It exists while the child's record is
+// gangState is the coordinator's record of one in-flight reservation, hung
+// off the child's record (fedReq.gang). It exists while that record is
 // a hold — held, released, or queued behind a crashed shard — and never
-// beside a placed one; commit and abort both delete it.
+// on a placed one; commit and abort both detach it.
 type gangState struct {
-	child  request.ID       // the held leg
 	parent request.ID       // the related leg
 	how    request.Relation // Next or Coalloc
 	// placedAt stamps the first hold placement; the fed.gang_reserve_seconds
@@ -123,45 +122,54 @@ func unrelated(spec rms.RequestSpec) rms.RequestSpec {
 	return spec
 }
 
-// armGangLocked (re-)arms the gang's evaluation timer. Caller holds sess.mu.
-func (s *Session) armGangLocked(g *gangState, d float64) {
+// armGangLocked (re-)arms the evaluation timer of fid's gang. Caller holds
+// sess.mu.
+func (s *Session) armGangLocked(fid request.ID, g *gangState, d float64) {
 	if g.timer != nil {
 		g.timer.Stop()
 	}
-	fid := g.child
 	g.timer = s.f.clk.AfterFunc(d, "fed.gang", func() { s.evalGang(fid) })
 }
 
 // rearmGang re-arms the evaluation one interval out, if the gang still
 // exists. Called with no lock held.
-func (s *Session) rearmGang(g *gangState) {
+func (s *Session) rearmGang(fid request.ID, g *gangState) {
 	s.mu.Lock()
-	if !s.killed && s.gangs[g.child] == g {
-		s.armGangLocked(g, s.f.reschedInterval)
+	if e := s.reqs[fid]; !s.killed && e != nil && e.gang == g {
+		s.armGangLocked(fid, g, s.f.reschedInterval)
 	}
 	s.mu.Unlock()
 }
 
-// clearGangLocked discards a gang's coordinator state (timer included)
-// without touching the mapping. Caller holds sess.mu.
-func (s *Session) clearGangLocked(fid request.ID) {
-	if g := s.gangs[fid]; g != nil {
+// clearGang discards a record's reservation (timer included) and leaves the
+// record where it is. Caller holds sess.mu.
+func clearGang(e *fedReq) {
+	if g := e.gang; g != nil {
 		if g.timer != nil {
 			g.timer.Stop()
 			g.timer = nil
 		}
-		delete(s.gangs, fid)
+		e.gang = nil
 	}
+}
+
+// forgetLocked removes a record, and the reservation on it, from the table;
+// it reports whether there was one. Caller holds sess.mu.
+func (s *Session) forgetLocked(fid request.ID) bool {
+	e := s.reqs[fid]
+	if e != nil {
+		clearGang(e)
+		delete(s.reqs, fid)
+	}
+	return e != nil
 }
 
 // noteGangParentLocked memoizes a parent-side event (started or finished)
 // on every gang whose parent is fid. Caller holds sess.mu.
 func (s *Session) noteGangParentLocked(fid request.ID, done bool) {
-	if len(s.gangs) == 0 {
-		return
-	}
-	for _, g := range s.gangs {
-		if g.parent != fid {
+	for _, e := range s.reqs {
+		g := e.gang
+		if g == nil || g.parent != fid {
 			continue
 		}
 		if done {
@@ -182,15 +190,15 @@ func (s *Session) evalGang(fid request.ID) {
 	defer f.topoMu.Unlock()
 
 	s.mu.Lock()
-	g := s.gangs[fid]
-	if g == nil {
+	e := s.reqs[fid]
+	if e == nil || e.gang == nil {
 		s.mu.Unlock()
 		return
 	}
+	g := e.gang
 	g.timer = nil
-	e := s.reqs[fid]
-	if s.killed || e == nil || e.state == placed {
-		s.clearGangLocked(fid)
+	if s.killed || e.state == placed {
+		clearGang(e)
 		s.mu.Unlock()
 		return
 	}
@@ -206,7 +214,7 @@ func (s *Session) evalGang(fid request.ID) {
 		sub := s.subs[e.shard]
 		s.mu.Unlock()
 		if sub == nil {
-			s.rearmGang(g)
+			s.rearmGang(fid, g)
 		} else if _, err := s.place(fid, e, sub, 0); err != nil {
 			s.dropGang(fid, g)
 		}
@@ -273,7 +281,7 @@ func (s *Session) evalGang(fid request.ID) {
 
 	switch action {
 	case gangWait:
-		s.rearmGang(g)
+		s.rearmGang(fid, g)
 		return
 	case gangCommit:
 		s.commitGang(fid, g, childSub)
@@ -294,7 +302,7 @@ func (s *Session) evalGang(fid request.ID) {
 			// The parent vanished mid-decision (unreachable under topoMu in
 			// the simulator); the memo updated by the handler fan-in settles
 			// it next turn.
-			s.rearmGang(g)
+			s.rearmGang(fid, g)
 			return
 		}
 		if info.Started || info.Finished {
@@ -310,13 +318,13 @@ func (s *Session) evalGang(fid request.ID) {
 		target = gangTarget(how, info)
 	}
 	if err := childSub.SetNotBefore(fid, target); err != nil {
-		s.rearmGang(g)
+		s.rearmGang(fid, g)
 		return
 	}
 	f.shards[childShard].ScheduleNow()
 	cinfo, err := childSub.ScheduleInfo(fid)
 	if err != nil {
-		s.rearmGang(g)
+		s.rearmGang(fid, g)
 		return
 	}
 	if math.IsInf(cinfo.ScheduledAt, 1) {
@@ -350,26 +358,26 @@ func (s *Session) evalGang(fid request.ID) {
 	if err := parentSub.SetNotBefore(parent, pt); err == nil {
 		f.shards[parentShard].ScheduleNow()
 	}
-	s.rearmGang(g)
+	s.rearmGang(fid, g)
 }
 
 // commitGang converts the hold into an ordinary pending request — the point
 // of no return for the gang — and retires the coordinator state.
 func (s *Session) commitGang(fid request.ID, g *gangState, childSub *rms.Session) {
-	if childSub == nil || childSub.CommitHold(fid) != nil {
-		// The hold vanished under us (session torn down mid-turn under a
-		// real clock); the crash/teardown machinery owns the mapping.
-		s.mu.Lock()
-		s.clearGangLocked(fid)
-		s.mu.Unlock()
-		return
-	}
+	committed := childSub != nil && childSub.CommitHold(fid) == nil
 	s.mu.Lock()
 	if e := s.reqs[fid]; e != nil {
-		e.state = placed
+		if committed {
+			e.state = placed
+		}
+		clearGang(e)
 	}
-	s.clearGangLocked(fid)
 	s.mu.Unlock()
+	if !committed {
+		// The hold vanished under us (session torn down mid-turn under a
+		// real clock); the crash/teardown machinery owns the mapping.
+		return
+	}
 	f := s.f
 	f.stats.gangCommitted.Add(1)
 	if f.obsReg != nil {
@@ -391,7 +399,7 @@ func (s *Session) retryGang(fid request.ID, g *gangState, childSub *rms.Session)
 	g.retries++
 	spent := g.retries > maxGangRetries
 	if !spent && !s.killed {
-		s.armGangLocked(g, s.f.reschedInterval*float64(int(1)<<g.retries))
+		s.armGangLocked(fid, g, s.f.reschedInterval*float64(int(1)<<g.retries))
 	}
 	s.mu.Unlock()
 	if spent {

@@ -152,7 +152,7 @@ func TestPlaceLifecycle(t *testing.T) {
 				t.Fatalf("state after the placement = %d (present %t), want %d", st, ok, tc.state)
 			}
 			sess.mu.Lock()
-			_, reserved := sess.gangs[id]
+			reserved := sess.reqs[id] != nil && sess.reqs[id].gang != nil
 			sess.mu.Unlock()
 			if reserved != (tc.state == held && !tc.reject) {
 				t.Fatalf("reservation record present = %t in state %d", reserved, st)

@@ -4,7 +4,10 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"coormv2/internal/clock"
@@ -581,5 +584,130 @@ func TestCrashWithRealClockRace(t *testing.T) {
 	<-done
 	if err := f.CheckInvariants(); err != nil {
 		t.Fatalf("invariants after concurrent crash/restart: %v", err)
+	}
+}
+
+// TestReplayOrderIsSubmissionOrder pins the replay order, which is read off
+// the request table: a restarted shard admits the session's queued records in
+// ascending ID — submission — order, whether the crash sweep queued them (A,
+// a requeued hold H, C) or they were submitted while the shard was down (D,
+// E), with a withdrawn one (B) simply gone. A second crash before anything
+// finishes replays the same sequence.
+func TestReplayOrderIsSubmissionOrder(t *testing.T) {
+	e, f := newRecoveryFederation(t, RequeueOnCrash)
+	sess := f.Connect(&testApp{})
+	shardB, _ := f.Owner(cB)
+	onB := func() request.ID {
+		t.Helper()
+		id, err := sess.Request(rms.RequestSpec{Cluster: cB, N: 1, Duration: 1000, Type: request.NonPreempt})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	parent, err := sess.Request(rms.RequestSpec{Cluster: cA, N: 1, Duration: 1000, Type: request.NonPreempt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := onB(), onB()
+	// A cross-shard gang child: a hold on cB's shard between ordinary records.
+	h, err := sess.Request(rms.RequestSpec{Cluster: cB, N: 1, Duration: 1000, Type: request.NonPreempt,
+		RelatedHow: request.Next, RelatedTo: parent})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := onB()
+	e.Run(0.5) // A, B, C start; H is still an uncommitted hold
+	if st, _ := stateOf(sess, h); st != held {
+		t.Fatalf("gang child state = %d, want held", st)
+	}
+
+	f.CrashShard(shardB)
+	d, e2 := onB(), onB() // submitted while the shard is down
+	if err := sess.Done(b, nil); err != nil {
+		t.Fatal(err)
+	}
+	mustCheck(t, f)
+	want := []request.ID{a, h, c, d, e2}
+	for round := 1; round <= 2; round++ {
+		rep := f.RestartShard(shardB)
+		if rep.Replayed != len(want) || rep.Dropped != 0 {
+			t.Fatalf("restart %d: %+v, want %d replayed, none dropped", round, rep, len(want))
+		}
+		mustCheck(t, f)
+		sess.mu.Lock()
+		sub := sess.subs[shardB]
+		sess.mu.Unlock()
+		if got := sub.RequestIDs(); !slices.Equal(got, want) {
+			t.Fatalf("restart %d: shard holds %v, want %v", round, got, want)
+		}
+		var lastSeq int64
+		for _, r := range f.Shard(shardB).Scheduler().App(sess.AppID()).Requests() {
+			if r.Seq <= lastSeq {
+				t.Fatalf("restart %d: request %d admitted with Seq %d after Seq %d", round, r.ID, r.Seq, lastSeq)
+			}
+			lastSeq = r.Seq
+		}
+		if st, _ := stateOf(sess, h); st != held {
+			t.Fatalf("restart %d: gang child state = %d, want held", round, st)
+		}
+		if round == 1 {
+			f.CrashShard(shardB) // again, before anything finishes
+			mustCheck(t, f)
+		}
+	}
+	e.Run(e.Now() + 10)
+	mustCheck(t, f)
+	for _, id := range want {
+		if st, ok := stateOf(sess, id); !ok || st != placed {
+			t.Fatalf("request %d settled in state %d (present %t), want placed", id, st, ok)
+		}
+	}
+}
+
+// TestConnectRacesCrashRestart races the two shard admissions — Connect's
+// fan-out and RestartShard's re-admission — under the real clock (run with
+// -race): every session must end up admitted exactly once to every running
+// shard (a second admission panics in admitShard) and no shard may keep a
+// session the federation forgot.
+func TestConnectRacesCrashRestart(t *testing.T) {
+	f := New(Config{
+		Clusters:        map[view.ClusterID]int{cA: 32, cB: 32},
+		Shards:          2,
+		ReschedInterval: 0.001,
+		Clock:           clock.NewRealClock(),
+		Recovery:        RequeueOnCrash,
+	})
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var connects atomic.Int64
+	for w := 0; w < 4; w++ {
+		cid := []view.ClusterID{cA, cB}[w%2]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				sess := f.Connect(&testApp{})
+				connects.Add(1)
+				select {
+				case <-stop:
+					return // the last session stays connected for the check
+				default:
+				}
+				if id, err := sess.Request(rms.RequestSpec{Cluster: cid, N: 1, Duration: math.Inf(1), Type: request.Preempt}); err == nil {
+					_ = sess.Done(id, nil)
+				}
+				sess.Disconnect()
+			}
+		}()
+	}
+	for i := 0; connects.Load() < 200; i++ {
+		f.CrashShard(i % 2)
+		f.RestartShard(i % 2)
+	}
+	close(stop)
+	wg.Wait()
+	if err := f.CheckInvariants(); err != nil {
+		t.Fatalf("invariants after Connect raced crash/restart: %v", err)
 	}
 }

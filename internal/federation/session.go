@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -36,13 +35,15 @@ func (p placement) nowhere() bool { return p == released || p == queued }
 
 // fedReq is the session's record of one request: which shard it belongs to
 // (under the same ID), how it stands there, and enough of the original spec
-// to replay it after a shard crash (RequeueOnCrash). Whether a queued record
-// is a gang child is not stored: placement reads it from s.gangs and the
-// parent's shard.
+// to replay it after a shard crash (RequeueOnCrash).
 type fedReq struct {
 	shard int
 	spec  rms.RequestSpec
 	state placement
+	// gang is the in-flight cross-shard reservation of a gang child (see
+	// gang.go). Non-nil only while the record is a hold: held, released, or
+	// queued behind a crashed shard.
+	gang *gangState
 	// done marks a finished request (done() or expiry), as reported by the
 	// shard's OnRequestFinished. Finished requests are never requeued.
 	done bool
@@ -68,7 +69,7 @@ const migrateRetryBudget = 3
 // Disconnect), so applications and the transport layer use the two
 // interchangeably.
 //
-// Locking discipline: sess.mu protects the routing tables and view state
+// Locking discipline: sess.mu protects the request table and view state
 // and is never held while calling into a shard or into the application
 // handler. Shard calls may synchronously flush notifications back into the
 // shardHandler on the same goroutine, and application handlers may
@@ -76,6 +77,12 @@ const migrateRetryBudget = 3
 // lock is held at those points. The one sanctioned nesting is shard lock →
 // sess.mu, inside the RequestID/HoldID/AttachCluster observe hooks and inside
 // handler fan-in; no code path acquires them in the opposite order.
+//
+// Admission to a shard (admitShard) is a topology transition: Connect and
+// RestartShard run it under f.topoMu, so no crash, restart or second
+// admission lands inside it. The handlers it flushes thus run under topoMu;
+// a handler must stay on the session surface and never call Connect,
+// MigrateCluster or CheckInvariants.
 type Session struct {
 	f  *Federator
 	h  rms.AppHandler
@@ -86,33 +93,15 @@ type Session struct {
 	// reconstructs the same tenant identity on the fresh shard.
 	connect []rms.ConnectOption
 
-	// admitMu serializes shard admission (Connect's initial fan-out vs a
-	// racing RestartShard re-admission) so the same session cannot be
-	// connected to one shard twice. Never held together with sess.mu beyond
-	// admitShard's own short critical sections.
-	admitMu sync.Mutex
-
 	mu   sync.Mutex
 	subs []*rms.Session // per-shard sub-sessions; nil while a shard is down
-	// shardDown mirrors the federator's down flags under sess.mu: the crash
-	// sweep (absorbCrash) sets it, admission clears it. It lets admitShard
-	// detect a crash that landed while ConnectID was in flight without
-	// nesting sess.mu → federator.mu (which would close a lock cycle with
-	// f.mu → shard lock in CrashShard and shard lock → sess.mu in the
-	// observe hook).
-	shardDown []bool
-	// reqs records every request of the session by ID. Entries are pruned in
-	// lockstep with the shard's own request GC (OnRequestsReaped): once a
+	// reqs records every request of the session by ID, and is the only
+	// per-request structure: a shard's replay queue is its queued records in
+	// ID order, a reservation hangs off its child's record. Entries are pruned
+	// in lockstep with the shard's own request GC (OnRequestsReaped): once a
 	// request is finished and has no pending NEXT/COALLOC child it can never
 	// be referenced again.
-	reqs map[request.ID]*fedReq
-	// queues holds, per shard, the IDs awaiting replay after a crash, in
-	// submission order. Non-empty only while the shard is down.
-	queues [][]request.ID
-	// gangs holds the in-flight cross-shard reservations, keyed by the
-	// child's ID (see gang.go). A record exists only while the child is a
-	// hold: held, released, or queued behind a crashed shard.
-	gangs  map[request.ID]*gangState
+	reqs   map[request.ID]*fedReq
 	killed bool
 
 	// shardViews holds the latest views pushed by each shard; merged pushes
@@ -232,7 +221,6 @@ func (s *Session) requestOn(shard int, spec rms.RequestSpec) (request.ID, error)
 			return 0, fmt.Errorf("federation: shard %d restarted mid-request; retry", shard)
 		}
 		s.reqs[fid] = &fedReq{shard: shard, spec: spec, state: queued}
-		s.queues[shard] = append(s.queues[shard], fid)
 		s.mu.Unlock()
 		s.f.stats.requeuedRequests.Add(1)
 		return fid, nil
@@ -266,7 +254,7 @@ func (s *Session) place(fid request.ID, e *fedReq, sub *rms.Session, notBefore f
 	pe := s.reqs[e.spec.RelatedTo]
 	crossShard := e.spec.RelatedHow != request.Free && pe != nil && pe.shard != e.shard
 	st := placed
-	if crossShard || s.gangs[fid] != nil {
+	if crossShard || e.gang != nil {
 		st = held
 	}
 	s.mu.Unlock()
@@ -287,12 +275,10 @@ func (s *Session) place(fid request.ID, e *fedReq, sub *rms.Session, notBefore f
 	}
 	s.mu.Lock()
 	if !s.killed {
-		g := s.gangs[fid]
-		if g == nil {
-			g = &gangState{child: fid, parent: e.spec.RelatedTo, how: e.spec.RelatedHow, placedAt: s.f.clk.Now()}
-			s.gangs[fid] = g
+		if e.gang == nil {
+			e.gang = &gangState{parent: e.spec.RelatedTo, how: e.spec.RelatedHow, placedAt: s.f.clk.Now()}
 		}
-		s.armGangLocked(g, s.f.reschedInterval)
+		s.armGangLocked(fid, e.gang, s.f.reschedInterval)
 	}
 	s.mu.Unlock()
 	return true, nil
@@ -305,10 +291,8 @@ func (s *Session) place(fid request.ID, e *fedReq, sub *rms.Session, notBefore f
 // Reports whether there was a record to drop. Called with no lock held.
 func (s *Session) drop(fid request.ID) bool {
 	s.mu.Lock()
-	_, ok := s.reqs[fid]
 	killed := s.killed
-	s.clearGangLocked(fid)
-	delete(s.reqs, fid)
+	ok := s.forgetLocked(fid)
 	s.mu.Unlock()
 	if ok {
 		s.f.stats.droppedRequests.Add(1)
@@ -339,11 +323,7 @@ func (s *Session) Done(id request.ID, released []int) error {
 		// it delivers the finish+reap pair exactly like a single RMS does for
 		// a pending-request Done — only recovery drops use the
 		// reap-without-finish signal.
-		if e.state == queued {
-			s.queues[e.shard] = slices.DeleteFunc(s.queues[e.shard], func(q request.ID) bool { return q == id })
-		}
-		delete(s.reqs, id)
-		s.clearGangLocked(id)            // a withdrawn gang child needs no reservation
+		s.forgetLocked(id)               // a withdrawn gang child needs no reservation
 		s.noteGangParentLocked(id, true) // a withdraw delivers a finish: NEXT is satisfied
 		s.mu.Unlock()
 		s.f.stats.droppedRequests.Add(1)
@@ -407,13 +387,10 @@ func (s *Session) teardown(reason string) {
 	}
 	s.killed = true
 	// Reservation timers die with the session; a racing evalGang fire sees
-	// killed (or a nil gang) and bails.
-	for _, g := range s.gangs {
-		if g.timer != nil {
-			g.timer.Stop()
-		}
+	// a record without a reservation and bails.
+	for _, e := range s.reqs {
+		clearGang(e)
 	}
-	s.gangs = nil
 	subs := append([]*rms.Session(nil), s.subs...)
 	s.mu.Unlock()
 	for _, sub := range subs {
@@ -448,20 +425,10 @@ func (s *Session) absorbCrash(shard int, pol RecoveryPolicy) (affected bool, req
 		return false, 0, 0, 0, nil, nil
 	}
 	s.subs[shard] = nil
-	s.shardDown[shard] = true
 	s.shardViews[shard] = [2]view.View{}
 	s.shardDirty[shard] = true
 	s.viewsDirty = true
-	// Ascending ID order: deterministic, and it guarantees a relation's
-	// parent (always a smaller ID) is processed first.
-	fids := make([]request.ID, 0, len(s.reqs))
-	for fid, e := range s.reqs {
-		if e.shard == shard {
-			fids = append(fids, fid)
-		}
-	}
-	sort.Slice(fids, func(i, j int) bool { return fids[i] < fids[j] })
-	for _, fid := range fids {
+	for _, fid := range s.idsOnLocked(shard) {
 		e := s.reqs[fid]
 		switch {
 		case e.state == queued:
@@ -470,7 +437,7 @@ func (s *Session) absorbCrash(shard int, pol RecoveryPolicy) (affected bool, req
 			// The finished request's state died with the shard; nothing can
 			// reference it anymore. Its finish was already delivered — the
 			// reap the dead shard's GC would have produced still must be.
-			delete(s.reqs, fid)
+			s.forgetLocked(fid)
 			purged++
 			reaped = append(reaped, fid)
 			s.noteGangParentLocked(fid, true)
@@ -479,7 +446,7 @@ func (s *Session) absorbCrash(shard int, pol RecoveryPolicy) (affected bool, req
 			// the shard's sweep (which died with it) hadn't recorded the
 			// finish. Completed work is not re-run under RequeueOnCrash,
 			// and its loss kills nobody under §3.1.4 (no live state died).
-			delete(s.reqs, fid)
+			s.forgetLocked(fid)
 			purged++
 			ended = append(ended, fid)
 			reaped = append(reaped, fid)
@@ -493,11 +460,9 @@ func (s *Session) absorbCrash(shard int, pol RecoveryPolicy) (affected bool, req
 			// child dropped with the reap-without-finish signal.
 			if pol == RequeueOnCrash {
 				e.state = queued
-				s.queues[shard] = append(s.queues[shard], fid)
 				requeued++
 			} else {
-				s.clearGangLocked(fid)
-				delete(s.reqs, fid)
+				s.forgetLocked(fid)
 				purged++
 				gangsAborted++
 				reaped = append(reaped, fid)
@@ -519,7 +484,6 @@ func (s *Session) absorbCrash(shard int, pol RecoveryPolicy) (affected bool, req
 			// interrupted work, not as an allocation that ran out.
 			e.started = false
 			e.startedAt = 0
-			s.queues[shard] = append(s.queues[shard], fid)
 			requeued++
 		default:
 			affected = true
@@ -548,43 +512,23 @@ func (s *Session) notifyRetired(ended, reaped []request.ID) {
 	}
 }
 
-// admitShard connects the session to shard i under its federated ID. It is
-// shared by Connect's initial fan-out and RestartShard's re-admission;
-// admitMu serializes the two so a restart racing a fresh Connect cannot
-// admit the same ID twice (the shard would reject the duplicate). Reports
-// whether this call admitted the session: false if it was already admitted,
-// killed, or the shard is (again) down.
+// admitShard connects the session to shard i under its federated ID and
+// reports whether it did (false: the session was torn down). Shared
+// by Connect's initial fan-out and RestartShard's re-admission, both of which
+// hold f.topoMu: the shard is running and stays so, and nobody else admits.
 func (s *Session) admitShard(i int) bool {
-	s.admitMu.Lock()
-	defer s.admitMu.Unlock()
-	s.mu.Lock()
-	if s.killed || s.subs[i] != nil {
-		s.mu.Unlock()
-		return false
-	}
-	// Optimistically mark the shard up: a crash landing while ConnectID is
-	// in flight re-marks it through absorbCrash, under this same lock.
-	s.shardDown[i] = false
-	s.mu.Unlock()
 	// ConnectID outside sess.mu: it flushes notifications, which
 	// synchronously re-enter the session through the shardHandler.
 	sub, err := s.f.shards[i].ConnectID(&shardHandler{sess: s, shard: i}, s.id, s.connect...)
 	if err != nil {
-		if errors.Is(err, rms.ErrStopped) {
-			return false // crashed (again) before the connect landed
-		}
-		// The federator owns the ID space; a collision is a bug.
+		// The federator owns the ID space and the shard's lifecycle; a
+		// collision or a stopped shard is a bug.
 		panic(fmt.Sprintf("federation: shard %d rejected app %d: %v", i, s.id, err))
 	}
 	s.mu.Lock()
-	// Re-check under s.mu: the shard may have crashed — and its sweep
-	// already run — while ConnectID was in flight, and installing the dead
-	// sub would block re-admission on the next restart forever. The sweep
-	// marks shardDown under s.mu, so either the crash is visible here and
-	// we bail, or the sweep runs after us and clears the sub we install.
-	if s.killed || s.shardDown[i] {
+	if s.killed { // a Disconnect raced the connect (real clock only)
 		s.mu.Unlock()
-		sub.Disconnect() // no-op if the shard stopped: the sub died with it
+		sub.Disconnect()
 		return false
 	}
 	s.subs[i] = sub
@@ -603,14 +547,28 @@ func (s *Session) notifyDropped(fid request.ID) {
 	}
 }
 
+// idsOnLocked returns the IDs of shard's records in ascending order, which is
+// submission order (IDs are drawn at submission) and puts a relation's parent
+// before its child. Caller holds sess.mu.
+func (s *Session) idsOnLocked(shard int) []request.ID {
+	var fids []request.ID
+	for fid, e := range s.reqs {
+		if e.shard == shard {
+			fids = append(fids, fid)
+		}
+	}
+	slices.Sort(fids)
+	return fids
+}
+
 // replayQueue re-submits the session's queued requests to a restarted shard
-// in submission order, under their original IDs. A request whose
+// in submission order, under their original IDs: the replay queue is the
+// shard's queued records. A request whose
 // relation cannot be resolved anymore (its parent was dropped) or that the
 // shard rejects is dropped, with a drop notification to observer handlers.
 func (s *Session) replayQueue(shard int) (replayed, dropped int) {
 	s.mu.Lock()
-	fids := s.queues[shard]
-	s.queues[shard] = nil
+	fids := s.idsOnLocked(shard)
 	s.mu.Unlock()
 	for _, fid := range fids {
 		s.mu.Lock()
@@ -631,7 +589,7 @@ func (s *Session) replayQueue(shard int) (replayed, dropped int) {
 				// The parent lives on this same shard — possibly co-located
 				// by a migration since the hold was placed. An ordinary
 				// related replay; any reservation state is obsolete.
-				s.clearGangLocked(fid)
+				clearGang(e)
 			}
 			// Otherwise a cross-shard relation with a live parent: place
 			// restarts (or, for a spec queued at submit time, starts) the
@@ -689,7 +647,7 @@ func (s *Session) deliverViewsLocked() {
 // checkInvariants verifies the session's request table against the shard
 // topology: nothing references a down shard except queued entries, every
 // record routes to the shard owning its target cluster (no orphans after a
-// migration hand-over), replay queues agree with the table's queued set, and
+// migration hand-over), only a hold carries a reservation, and
 // every running shard holds exactly the requests the table places on it,
 // under the same IDs. The shards are read before the table (sess.mu never
 // nests a shard lock), so — like the admission check in CheckInvariants —
@@ -712,24 +670,25 @@ func (s *Session) checkInvariants(down []bool, owner map[view.ClusterID]int) err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	inQueue := make([]int, len(s.queues))
 	for fid, e := range s.reqs {
 		if own, ok := owner[e.spec.Cluster]; !ok || own != e.shard {
 			return fmt.Errorf("federation: app %d request %d maps to shard %d but cluster %q is owned by shard %d",
 				s.id, fid, e.shard, e.spec.Cluster, own)
 		}
+		if e.gang != nil && e.state == placed {
+			return fmt.Errorf("federation: app %d reservation record for committed request %d (half-committed gang)", s.id, fid)
+		}
 		if e.state == queued {
 			if !down[e.shard] {
 				return fmt.Errorf("federation: app %d request %d queued for running shard %d", s.id, fid, e.shard)
 			}
-			inQueue[e.shard]++
 			continue
 		}
 		if down[e.shard] {
 			return fmt.Errorf("federation: app %d request %d maps to down shard %d", s.id, fid, e.shard)
 		}
 		if e.state != placed { // a hold, on its shard or released
-			if s.gangs[fid] == nil {
+			if e.gang == nil {
 				return fmt.Errorf("federation: app %d held request %d has no reservation record (leaked hold)", s.id, fid)
 			}
 			if e.spec.RelatedHow == request.Free {
@@ -749,33 +708,6 @@ func (s *Session) checkInvariants(down []bool, owner map[view.ClusterID]int) err
 	}
 	if len(onShard) > 0 {
 		return fmt.Errorf("federation: app %d: shards hold requests the session does not place there (request → shard): %v", s.id, onShard)
-	}
-	for fid, g := range s.gangs {
-		e := s.reqs[fid]
-		if e == nil {
-			return fmt.Errorf("federation: app %d reservation record for unknown request %d", s.id, fid)
-		}
-		if e.state == placed {
-			return fmt.Errorf("federation: app %d reservation record for committed request %d (half-committed gang)", s.id, fid)
-		}
-		if g.child != fid {
-			return fmt.Errorf("federation: app %d reservation record %d names child %d", s.id, fid, g.child)
-		}
-	}
-	for shard, q := range s.queues {
-		if len(q) > 0 && !down[shard] {
-			return fmt.Errorf("federation: app %d has a replay queue for running shard %d", s.id, shard)
-		}
-		if len(q) != inQueue[shard] {
-			return fmt.Errorf("federation: app %d queue/table mismatch on shard %d: %d queued IDs, %d queued mappings",
-				s.id, shard, len(q), inQueue[shard])
-		}
-		for _, fid := range q {
-			e := s.reqs[fid]
-			if e == nil || e.state != queued || e.shard != shard {
-				return fmt.Errorf("federation: app %d queue for shard %d holds stale request %d", s.id, shard, fid)
-			}
-		}
 	}
 	return nil
 }
@@ -908,10 +840,9 @@ func (h *shardHandler) OnRequestsReaped(ids []request.ID) {
 	s.mu.Lock()
 	for _, id := range ids {
 		if s.onShardLocked(h.shard, id) != nil {
-			delete(s.reqs, id)
 			// A held child can be reaped only through an application-side
-			// withdraw (Done on a pending hold); retire its reservation.
-			s.clearGangLocked(id)
+			// withdraw (Done on a pending hold); its reservation goes with it.
+			s.forgetLocked(id)
 			known = append(known, id)
 		}
 	}

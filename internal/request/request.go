@@ -270,19 +270,6 @@ func (s *Set) IsRoot(r *Request) bool {
 	return r.RelatedHow == Free || r.RelatedTo == nil || !s.Contains(r.RelatedTo)
 }
 
-// Roots returns the requests that are roots of constraint trees within the
-// set (§A.2): requests that are unconstrained, or whose related request is
-// outside the set.
-func (s *Set) Roots() []*Request {
-	var out []*Request
-	for _, r := range s.reqs {
-		if s.IsRoot(r) {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // EachChild calls fn for every request in the set that is constrained to r
 // (§A.2), in insertion order, without allocating.
 func (s *Set) EachChild(r *Request, fn func(*Request)) {
@@ -291,13 +278,6 @@ func (s *Set) EachChild(r *Request, fn func(*Request)) {
 			fn(q)
 		}
 	}
-}
-
-// Children returns the requests in the set that are constrained to r (§A.2).
-func (s *Set) Children(r *Request) []*Request {
-	var out []*Request
-	s.EachChild(r, func(q *Request) { out = append(out, q) })
-	return out
 }
 
 // GC removes requests whose allocation is over at time now and that no

@@ -160,26 +160,24 @@ func TestRootsAndChildren(t *testing.T) {
 		s.Add(r)
 	}
 
-	roots := s.Roots()
-	if len(roots) != 3 {
-		t.Fatalf("Roots = %v, want 3 roots", roots)
-	}
 	wantRoots := map[ID]bool{1: true, 4: true, 5: true}
-	for _, r := range roots {
-		if !wantRoots[r.ID] {
-			t.Errorf("unexpected root %v", r)
+	for _, r := range s.All() {
+		if s.IsRoot(r) != wantRoots[r.ID] {
+			t.Errorf("IsRoot(%v) = %t, want %t", r, s.IsRoot(r), wantRoots[r.ID])
 		}
 	}
 
-	ch := s.Children(root)
-	if len(ch) != 1 || ch[0] != child {
-		t.Errorf("Children(root) = %v", ch)
+	children := func(r *Request) (out []*Request) {
+		s.EachChild(r, func(q *Request) { out = append(out, q) })
+		return out
 	}
-	ch = s.Children(child)
-	if len(ch) != 1 || ch[0] != grand {
-		t.Errorf("Children(child) = %v", ch)
+	if ch := children(root); len(ch) != 1 || ch[0] != child {
+		t.Errorf("children of root = %v", ch)
 	}
-	if len(s.Children(grand)) != 0 {
+	if ch := children(child); len(ch) != 1 || ch[0] != grand {
+		t.Errorf("children of child = %v", ch)
+	}
+	if len(children(grand)) != 0 {
 		t.Error("leaf should have no children")
 	}
 }

@@ -197,8 +197,8 @@ func (s *Server) FailNodes(cid view.ClusterID, ids []int) (*NodeFaultReport, err
 
 	for _, id := range failing {
 		if _, err := pool.fail(id); err != nil {
-			// Unreachable after batch validation; surface corruption loudly
-			// in debug mode, degrade to a no-op for the remainder otherwise.
+			// Unreachable after the batch validation above; a refusal leaves
+			// the remaining IDs unmarked.
 			break
 		}
 	}

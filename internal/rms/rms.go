@@ -166,12 +166,6 @@ type Server struct {
 	delivering bool
 	idleUntil  float64
 
-	lastViews map[int][2]view.View
-
-	// deficitSince tracks, per app, since when it holds more preemptible
-	// nodes than granted (kill after GracePeriod).
-	deficitSince map[int]float64
-
 	// notifications queued during a locked section, delivered unlocked.
 	pending []func()
 
@@ -320,8 +314,6 @@ func (s *Server) initStateLocked() {
 	s.victims, _ = s.cfg.Scheduling.(core.VictimNominator)
 	s.sessions = make(map[int]*Session)
 	s.idsOK = false
-	s.lastViews = make(map[int][2]view.View)
-	s.deficitSince = make(map[int]float64)
 	s.pools = make(map[view.ClusterID]*idPool, len(s.cfg.Clusters))
 	s.churn = make(map[view.ClusterID]int64, len(s.cfg.Clusters))
 	for cid, n := range s.cfg.Clusters {
@@ -342,6 +334,14 @@ type Session struct {
 	h      AppHandler
 	killed bool
 	held   int // total node IDs currently held, for metrics
+
+	// lastNP/lastP are the views last pushed to the handler (nil before the
+	// first push); an unchanged pair is not pushed again.
+	lastNP, lastP view.View
+	// inDeficit/deficitSince: whether, and since when, the application holds
+	// more preemptible nodes than granted (kill after GracePeriod).
+	inDeficit    bool
+	deficitSince float64
 }
 
 // AppID returns the RMS-assigned application ID.
@@ -500,8 +500,6 @@ func (s *Server) Stop() {
 	}
 	s.sessions = make(map[int]*Session)
 	s.idsOK = false
-	s.lastViews = make(map[int][2]view.View)
-	s.deficitSince = make(map[int]float64)
 	if s.schedTimer != nil {
 		s.schedTimer.Stop()
 		s.schedTimer = nil
@@ -944,8 +942,6 @@ func (s *Server) teardownLocked(sess *Session) {
 	s.sched.RemoveApp(sess.app.ID)
 	delete(s.sessions, sess.app.ID)
 	s.idsOK = false
-	delete(s.lastViews, sess.app.ID)
-	delete(s.deficitSince, sess.app.ID)
 	s.requestRunLocked()
 }
 
@@ -1327,11 +1323,10 @@ func (s *Server) pushViewsLocked(outcome *core.Outcome) {
 		sess := s.sessions[id]
 		np := trim(outcome.NonPreemptViews[id])
 		p := trim(outcome.PreemptViews[id])
-		last, seen := s.lastViews[id]
-		if seen && last[0].Equal(np) && last[1].Equal(p) {
+		if sess.lastNP != nil && sess.lastNP.Equal(np) && sess.lastP.Equal(p) {
 			continue
 		}
-		s.lastViews[id] = [2]view.View{np, p}
+		sess.lastNP, sess.lastP = np, p
 		h := sess.h
 		// Views are pushed without cloning: the OnViews contract makes them
 		// immutable to the handler, and sessions sharing a map (idle
@@ -1351,10 +1346,6 @@ func (s *Server) enforcePreemptionLocked(now float64) float64 {
 	// notification order) deterministic.
 	for _, id := range s.sessionIDsLocked() {
 		sess := s.sessions[id]
-		if sess.app.P.Len() == 0 {
-			delete(s.deficitSince, id)
-			continue
-		}
 		deficit := false
 		for _, r := range sess.app.P.All() {
 			if r.Started() && !r.Finished && len(r.NodeIDs) > r.NAlloc {
@@ -1362,16 +1353,14 @@ func (s *Server) enforcePreemptionLocked(now float64) float64 {
 				break
 			}
 		}
+		if !sess.inDeficit && deficit {
+			sess.deficitSince = now
+		}
+		sess.inDeficit = deficit
 		if !deficit {
-			delete(s.deficitSince, id)
 			continue
 		}
-		since, ok := s.deficitSince[id]
-		if !ok {
-			since = now
-			s.deficitSince[id] = now
-		}
-		deadline := since + s.cfg.GracePeriod
+		deadline := sess.deficitSince + s.cfg.GracePeriod
 		if now >= deadline {
 			toKill = append(toKill, sess)
 		} else if deadline < earliest {

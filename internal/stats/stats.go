@@ -64,25 +64,6 @@ func Percentile(xs []float64, p float64) float64 {
 	return cp[lo]*(1-frac) + cp[hi]*frac
 }
 
-// Variance returns the population variance of xs (NaN for empty input).
-func Variance(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	return math.Sqrt(Variance(xs))
-}
-
 // Min returns the minimum of xs (NaN for empty input).
 func Min(xs []float64) float64 {
 	if len(xs) == 0 {

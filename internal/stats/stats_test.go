@@ -124,19 +124,6 @@ func TestPercentileMonotone(t *testing.T) {
 	}
 }
 
-func TestVarianceStdDev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if got := Variance(xs); !almostEq(got, 4, 1e-12) {
-		t.Errorf("Variance = %v, want 4", got)
-	}
-	if got := StdDev(xs); !almostEq(got, 2, 1e-12) {
-		t.Errorf("StdDev = %v, want 2", got)
-	}
-	if !math.IsNaN(Variance(nil)) {
-		t.Error("Variance(nil) should be NaN")
-	}
-}
-
 func TestMinMax(t *testing.T) {
 	xs := []float64{3, -1, 4, 1, 5}
 	if Min(xs) != -1 {

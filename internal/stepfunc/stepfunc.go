@@ -180,17 +180,8 @@ func (f *StepFunc) Equal(g *StepFunc) bool {
 	return true
 }
 
-// Breakpoints returns the times at which the function changes value,
-// always including 0.
-func (f *StepFunc) Breakpoints() []float64 {
-	if len(f.pts) == 0 {
-		return []float64{0}
-	}
-	return f.AppendBreakpoints(make([]float64, 0, len(f.pts)))
-}
-
-// AppendBreakpoints appends the function's breakpoints (including 0) to dst
-// and returns the extended slice. It allocates only when dst lacks capacity.
+// AppendBreakpoints appends the times at which the function changes value
+// (always including 0) to dst and returns the extended slice. It allocates only when dst lacks capacity.
 func (f *StepFunc) AppendBreakpoints(dst []float64) []float64 {
 	if len(f.pts) == 0 {
 		return append(dst, 0)

@@ -464,7 +464,7 @@ func TestPropQuickNormalizeAnchorsZero(t *testing.T) {
 	f := func(start uint16, dur uint16, n int8) bool {
 		r := Rect(float64(start), float64(dur%100)+1, int(n))
 		// Invariant: defined at 0 and all breakpoints sorted.
-		bps := r.Breakpoints()
+		bps := r.AppendBreakpoints(nil)
 		for i := 1; i < len(bps); i++ {
 			if bps[i] <= bps[i-1] {
 				return false

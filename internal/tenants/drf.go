@@ -22,8 +22,7 @@ import (
 // queue's own applications in connection order before its children —
 // so the most under-served tenant is offered resources first.
 type DRFPolicy struct {
-	tree    *Tree
-	preempt bool
+	tree *Tree
 
 	// Per-round scratch, indexed by Queue.id. usage counts the nodes of
 	// started unfinished allocations (NAlloc, all three request types);
@@ -40,14 +39,13 @@ type DRFPolicy struct {
 	lastRejected int
 }
 
-// NewDRF returns a DRF policy over the tree with preemption enabled.
+// NewDRF returns a DRF policy over the tree.
 // The tree is sealed: it must not gain queues afterwards.
 func NewDRF(tree *Tree) *DRFPolicy {
 	tree.seal()
 	n := len(tree.queues)
 	p := &DRFPolicy{
 		tree:    tree,
-		preempt: true,
 		usage:   make([]Resources, n),
 		pending: make([]Resources, n),
 		share:   make([]float64, n),
@@ -61,11 +59,6 @@ func NewDRF(tree *Tree) *DRFPolicy {
 	}
 	return p
 }
-
-// SetPreemption switches victim nomination on or off (on by default).
-// With it off, Victims always returns nil — DRF ordering and admission
-// still apply.
-func (p *DRFPolicy) SetPreemption(on bool) { p.preempt = on }
 
 // Tree returns the tenant tree the policy schedules over.
 func (p *DRFPolicy) Tree() *Tree { return p.tree }
@@ -272,9 +265,6 @@ func (p *DRFPolicy) Shares() map[string]float64 {
 // shortage cluster outside the starved subtree — nothing is nominated
 // for it: preemption never fires when it cannot help.
 func (p *DRFPolicy) Victims(info core.RoundInfo, apps []*core.AppState, buf []*request.Request) []*request.Request {
-	if !p.preempt {
-		return nil
-	}
 	p.tally(info, apps) // fresh tally: starts may have happened since Order
 	var taken map[request.ID]bool
 	for _, q := range p.tree.queues {

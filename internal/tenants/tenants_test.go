@@ -250,13 +250,6 @@ func TestVictimsNeverFireWithoutRelief(t *testing.T) {
 	if v := p.Victims(infoCaps(tight), []*core.AppState{np, pr}, nil); len(v) != 0 {
 		t.Fatalf("non-preemptible work nominated: %d nominations", len(v))
 	}
-
-	p.SetPreemption(false)
-	b2 := mkApp(6, "batch", 5)
-	addStartedP(b2, 10, cA, 6)
-	if v := p.Victims(infoCaps(tight), []*core.AppState{b2, pr}, nil); v != nil {
-		t.Fatal("preemption disabled but victims nominated")
-	}
 }
 
 // TestDRFEndToEnd runs the policy inside a real scheduler, in the regime

@@ -34,17 +34,6 @@ type View map[ClusterID]*stepfunc.StepFunc
 // New returns an empty view (all clusters zero).
 func New() View { return View{} }
 
-// Of builds a view from cluster/profile pairs.
-func Of(pairs map[ClusterID]*stepfunc.StepFunc) View {
-	v := New()
-	for cid, f := range pairs {
-		if f != nil && !f.IsZero() {
-			v[cid] = f
-		}
-	}
-	return v
-}
-
 // Constant returns a view in which every listed cluster has n nodes forever.
 func Constant(n int, cids ...ClusterID) View {
 	v := New()

@@ -25,17 +25,6 @@ func TestConstant(t *testing.T) {
 	}
 }
 
-func TestOfDropsZeroProfiles(t *testing.T) {
-	v := Of(map[ClusterID]*stepfunc.StepFunc{
-		"a": stepfunc.Constant(3),
-		"b": stepfunc.Zero(),
-		"c": nil,
-	})
-	if len(v) != 1 {
-		t.Errorf("Of should keep only non-zero profiles, got %d entries", len(v))
-	}
-}
-
 func TestClusters(t *testing.T) {
 	v := Constant(1, "zeta", "alpha", "mid")
 	got := v.Clusters()

@@ -2,22 +2,36 @@
 # Exported funcs and methods declared in non-test files under internal/ whose
 # name appears nowhere else in the repository's Go code — non-test code,
 # tests, cmd/, examples/ and bench/ — outside comments and its own
-# declaration. staticcheck's U1000 only sees unexported names; this is the
+# declaration; then, as a second listing, those that only _test.go files
+# name. staticcheck's U1000 only sees unexported names; this is the
 # grep-level scan for the exported ones. Printed, not gated: a method reached
 # only through an interface it is never named for (sim's eventHeap.Less via
-# container/heap) is listed too, and a name shared with a used one is missed.
+# container/heap) is listed too, a name shared with a used one is missed, and
+# an accessor a test reads to observe other behaviour belongs on the second
+# list.
 # Run from anywhere inside the repository.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export LC_ALL=C # sort and join must agree on the order
 recv='(\([^)]*\) )?' # a method's receiver
-# Every identifier used anywhere: comment lines and trailing comments dropped,
-# the declared name cut out of func lines (receiver and signature stay).
-used=$(find . -name '*.go' ! -path './.bench_build/*' -print0 | xargs -0 cat |
-	sed -E -e '/^[[:space:]]*\/\//d' -e 's/[[:space:]]\/\/.*$//' \
-		-e "s/^func ${recv}[A-Za-z_][A-Za-z0-9_]*/func \1/" |
-	grep -oE '[A-Za-z_][A-Za-z0-9_]*' | sort -u)
-find internal -name '*.go' ! -name '*_test.go' -print0 | xargs -0 grep -nE "^func ${recv}[A-Z]" |
-	sed -E "s/^([^:]+:[0-9]+):func ${recv}([A-Za-z0-9_]+).*/\3 \1/" | sort |
-	join -v 1 - <(printf '%s\n' "$used") |
-	awk '{ printf "%s  %s\n", $2, $1; n++ } END { printf "%d exported funcs/methods under internal/ with no reference\n", n }'
+# idents prints every identifier used in the Go files found with the given
+# extra find(1) tests: comment lines and trailing comments dropped, the
+# declared name cut out of func lines (receiver and signature stay).
+idents() {
+	find . -name '*.go' ! -path './.bench_build/*' "$@" -print0 | xargs -0 cat |
+		sed -E -e '/^[[:space:]]*\/\//d' -e 's/[[:space:]]\/\/.*$//' \
+			-e "s/^func ${recv}[A-Za-z_][A-Za-z0-9_]*/func \1/" |
+		grep -oE '[A-Za-z_][A-Za-z0-9_]*' | sort -u
+}
+decls=$(find internal -name '*.go' ! -name '*_test.go' -print0 | xargs -0 grep -nE "^func ${recv}[A-Z]" |
+	sed -E "s/^([^:]+:[0-9]+):func ${recv}([A-Za-z0-9_]+).*/\3 \1/" | sort)
+# list prints the declarations named by none of the identifiers on stdin.
+list() {
+	join -v 1 <(printf '%s\n' "$decls") - |
+		awk -v what="$1" '{ printf "%s  %s\n", $2, $1; n++ } END { printf "%d exported funcs/methods under internal/ %s\n", n, what }'
+}
+idents | list "with no reference"
+# Named somewhere, but in no non-test file: the names of the first list are
+# filtered out by joining on the test files' identifiers first.
+decls=$(join <(printf '%s\n' "$decls") <(idents -name '*_test.go'))
+idents ! -name '*_test.go' | list "referenced from _test.go files only"
