@@ -1,30 +1,22 @@
-// Package chaos is the deterministic fault-injection harness for the
-// federated RMS (internal/federation): it derives a crash/restart schedule
-// for every scheduler shard from a seeded PRNG, arms the faults as
-// discrete-event simulator events, and records a trace of what each fault
-// did. Because the schedule is precomputed and the simulator is a
-// deterministic event loop, two runs with the same seed produce
-// byte-identical traces — the property the chaos tests pin — and the
-// federation's invariant checker can be run after every fault, not just at
-// the end.
-//
-// The harness follows the simulation-first consistency-testing stance: the
-// recovery path is exercised systematically across seeds and policies
-// instead of being left to rare production incidents.
-//
-// Its wire-level counterpart is internal/netchaos, which derives
-// fault plans the same way (seeded, seed-stable traces) but breaks the
-// network between real transport clients and servers instead of crashing
-// simulated shards.
+// Package chaos derives the deterministic fault plans of the fault-injection
+// harness. Every plan is one seeded exponential renewal process (Renewal) in
+// its own fault vocabulary: crash/restart cycles of the federation's
+// scheduler shards (Plan), machine failures/repairs per cluster (PlanNodes)
+// and, in internal/netchaos, wire faults. Same seed ⇒ same plan; Hash is the
+// plan's fingerprint. internal/experiments arms the shard and node plans as
+// simulator events and runs the federation's invariant checker after every
+// fault, so the recovery path — the paper's §3.1.4 kill semantics and the
+// reproduction's requeue policies — is exercised systematically across seeds
+// and policies instead of being left to rare production incidents.
 package chaos
 
 import (
 	"fmt"
+	"hash/fnv"
+	"io"
+	"math/rand"
 	"sort"
 
-	"coormv2/internal/federation"
-	"coormv2/internal/obs"
-	"coormv2/internal/sim"
 	"coormv2/internal/stats"
 )
 
@@ -39,9 +31,6 @@ type Config struct {
 	MeanRestartDelay float64
 	// Horizon bounds the plan: no crash is scheduled at or after it.
 	Horizon float64
-	// MaxFaultsPerShard caps the crashes of one shard; 0 means unlimited
-	// (bounded by the horizon alone).
-	MaxFaultsPerShard int
 
 	// NodeMTTF is the mean time between machine failures on one cluster
 	// (exponential; cluster-level rate, not per machine). Zero disables node
@@ -50,9 +39,38 @@ type Config struct {
 	// MeanNodeRecovery is the mean repair time of a failed machine
 	// (exponential).
 	MeanNodeRecovery float64
-	// MaxNodeFaultsPerCluster caps the machine failures of one cluster; 0
-	// means unlimited (bounded by the horizon alone).
-	MaxNodeFaultsPerCluster int
+}
+
+// Renewal runs one seeded renewal process: arrival instants t separated by
+// exponential gaps of the given mean, stopping at the first instant at or
+// after horizon or after max arrivals (0: the horizon alone bounds it). fault
+// is called at every arrival — it may draw from rng itself — and returns how
+// long the process stays busy: the next gap starts that much after t (a crash
+// until its restart, a wire fault for its duration; 0 when faults overlap).
+// A mean or horizon ≤ 0 draws nothing.
+func Renewal(rng *rand.Rand, mean, horizon float64, max int, fault func(t float64) (busy float64)) {
+	if mean <= 0 || horizon <= 0 {
+		return
+	}
+	t := 0.0
+	for n := 0; max == 0 || n < max; n++ {
+		t += rng.ExpFloat64() * mean
+		if t >= horizon {
+			return
+		}
+		t += fault(t)
+	}
+}
+
+// Hash folds a plan's trace — one String() line per fault, in order — into
+// one stable FNV-1a fingerprint, the value determinism tests compare.
+func Hash[F fmt.Stringer](plan []F) uint64 {
+	h := fnv.New64a()
+	for _, f := range plan {
+		io.WriteString(h, f.String())
+		h.Write([]byte{'\n'})
+	}
+	return h.Sum64()
 }
 
 // Fault is one crash/restart cycle of one shard.
@@ -74,24 +92,16 @@ func (f Fault) String() string {
 // by (CrashAt, Shard); ties cannot produce nondeterminism because the order
 // is total.
 func Plan(cfg Config, shards int) []Fault {
-	if shards <= 0 || cfg.MTTF <= 0 || cfg.Horizon <= 0 {
-		return nil
-	}
 	rng := stats.NewRand(cfg.Seed)
 	var plan []Fault
 	// Draw shard by shard so adding shards never perturbs the earlier
 	// shards' schedules relative to a plan with the same seed.
 	for shard := 0; shard < shards; shard++ {
-		t := 0.0
-		for n := 0; cfg.MaxFaultsPerShard == 0 || n < cfg.MaxFaultsPerShard; n++ {
-			t += rng.ExpFloat64() * cfg.MTTF
-			if t >= cfg.Horizon {
-				break
-			}
-			delay := rng.ExpFloat64() * cfg.MeanRestartDelay
+		Renewal(rng, cfg.MTTF, cfg.Horizon, 0, func(t float64) float64 {
+			delay := cfg.MeanRestartDelay * rng.ExpFloat64()
 			plan = append(plan, Fault{Shard: shard, CrashAt: t, RestartAt: t + delay})
-			t += delay
-		}
+			return delay
+		})
 	}
 	sort.Slice(plan, func(i, j int) bool {
 		if plan[i].CrashAt != plan[j].CrashAt {
@@ -101,86 +111,3 @@ func Plan(cfg Config, shards int) []Fault {
 	})
 	return plan
 }
-
-// Injector arms a fault plan on a simulator engine and records what every
-// fault did to the federation.
-type Injector struct {
-	e   *sim.Engine
-	fed *federation.Federator
-	pln []Fault
-
-	// CheckAfterFault, when set, runs the federation invariant checker
-	// after every crash and every restart; the first failure is retained.
-	CheckAfterFault bool
-
-	trace        []string
-	crashes      int
-	restarts     int
-	nodeFails    int
-	nodeRecovers int
-	invErr       error
-
-	// Observability (nil unless SetObs was called; nil receivers no-op).
-	obsReg        *obs.Registry
-	hRecovery     *obs.Histogram
-	hNodeRecovery *obs.Histogram
-}
-
-// NewInjector binds a plan to an engine and federation. Call Arm before
-// running the simulation.
-func NewInjector(e *sim.Engine, fed *federation.Federator, plan []Fault) *Injector {
-	return &Injector{e: e, fed: fed, pln: plan}
-}
-
-// SetObs attaches an observability registry: executed fault→recovery
-// times land in the "chaos.recovery_seconds" (shard outage per plan) and
-// "chaos.node_recovery_seconds" (machine repair) histograms, and node
-// faults are traced as structured events. Shard crash/restart events are
-// recorded by the federation itself. Call before Arm/ArmNodes.
-func (in *Injector) SetObs(reg *obs.Registry) {
-	in.obsReg = reg
-	in.hRecovery = reg.Hist("chaos.recovery_seconds")
-	in.hNodeRecovery = reg.Hist("chaos.node_recovery_seconds")
-}
-
-// Arm schedules every fault of the plan as simulator events.
-func (in *Injector) Arm() {
-	for _, f := range in.pln {
-		f := f
-		in.e.At(f.CrashAt, "chaos.crash", func() {
-			rep := in.fed.CrashShard(f.Shard)
-			in.crashes++
-			in.record(fmt.Sprintf("t=%.6f %s", in.e.Now(), rep))
-		})
-		in.e.At(f.RestartAt, "chaos.restart", func() {
-			rep := in.fed.RestartShard(f.Shard)
-			in.restarts++
-			in.hRecovery.Record(f.RestartAt - f.CrashAt)
-			in.record(fmt.Sprintf("t=%.6f %s", in.e.Now(), rep))
-		})
-	}
-}
-
-// record appends a trace line and, when enabled, checks invariants.
-func (in *Injector) record(line string) {
-	in.trace = append(in.trace, line)
-	if in.CheckAfterFault && in.invErr == nil {
-		if err := in.fed.CheckInvariants(); err != nil {
-			in.invErr = fmt.Errorf("after %q: %w", line, err)
-		}
-	}
-}
-
-// Trace returns the fault trace so far: one deterministic line per executed
-// crash/restart, in execution order.
-func (in *Injector) Trace() []string { return in.trace }
-
-// Crashes returns the number of executed crash events.
-func (in *Injector) Crashes() int { return in.crashes }
-
-// Restarts returns the number of executed restart events.
-func (in *Injector) Restarts() int { return in.restarts }
-
-// InvariantErr returns the first invariant violation observed after a fault
-// (nil if none, or if CheckAfterFault was off).
-func (in *Injector) InvariantErr() error { return in.invErr }

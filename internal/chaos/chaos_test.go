@@ -3,14 +3,9 @@ package chaos
 import (
 	"math"
 	"reflect"
-	"strings"
 	"testing"
 
-	"coormv2/internal/clock"
-	"coormv2/internal/federation"
-	"coormv2/internal/request"
-	"coormv2/internal/rms"
-	"coormv2/internal/sim"
+	"coormv2/internal/stats"
 	"coormv2/internal/view"
 )
 
@@ -68,14 +63,14 @@ func TestChaosPlanPrefixStableAcrossShardCounts(t *testing.T) {
 }
 
 func TestChaosPlanCapsAndDegenerateConfigs(t *testing.T) {
-	cfg := Config{Seed: 1, MTTF: 10, MeanRestartDelay: 1, Horizon: 10000, MaxFaultsPerShard: 3}
-	perShard := map[int]int{}
-	for _, f := range Plan(cfg, 2) {
-		perShard[f.Shard]++
+	cfg := Config{Seed: 1, MTTF: 10, MeanRestartDelay: 1, Horizon: 200}
+	plan := Plan(cfg, 2)
+	if len(plan) < 10 {
+		t.Fatalf("dense plan has %d faults", len(plan))
 	}
-	for shard, n := range perShard {
-		if n > 3 {
-			t.Errorf("shard %d has %d faults, cap is 3", shard, n)
+	for _, f := range plan {
+		if f.CrashAt >= cfg.Horizon {
+			t.Errorf("crash %v at or beyond the horizon", f)
 		}
 	}
 	if Plan(Config{Seed: 1, MTTF: 0, Horizon: 100}, 2) != nil {
@@ -89,51 +84,58 @@ func TestChaosPlanCapsAndDegenerateConfigs(t *testing.T) {
 	}
 }
 
-func TestChaosInjectorTraceAndInvariants(t *testing.T) {
-	e := sim.NewEngine()
-	fed := federation.New(federation.Config{
-		Clusters:        map[view.ClusterID]int{"a": 4, "b": 4},
-		Shards:          2,
-		ReschedInterval: 1,
-		Clock:           clock.SimClock{E: e},
-		Recovery:        federation.KillOnCrash,
-	})
-	app := &inertHandler{}
-	sess := fed.Connect(app)
-	if _, err := sess.Request(rms.RequestSpec{Cluster: "a", N: 2, Duration: math.Inf(1), Type: request.NonPreempt}); err != nil {
-		t.Fatal(err)
+func TestRenewal(t *testing.T) {
+	arrivals := func(mean, horizon float64, max int, busy float64) []float64 {
+		var ts []float64
+		Renewal(stats.NewRand(5), mean, horizon, max, func(t float64) float64 {
+			ts = append(ts, t)
+			return busy
+		})
+		return ts
 	}
-	shard, _ := fed.Owner("a")
-	in := NewInjector(e, fed, []Fault{{Shard: shard, CrashAt: 5, RestartAt: 9}})
-	in.CheckAfterFault = true
-	in.Arm()
-	e.Run(20)
-	if in.Crashes() != 1 || in.Restarts() != 1 {
-		t.Fatalf("crashes=%d restarts=%d, want 1/1", in.Crashes(), in.Restarts())
+	free := arrivals(1, 1000, 0, 0)
+	if len(free) < 900 || free[len(free)-1] >= 1000 {
+		t.Fatalf("%d arrivals, last at %g: want ≈1000 before the horizon", len(free), free[len(free)-1])
 	}
-	if err := in.InvariantErr(); err != nil {
-		t.Fatalf("invariant violated: %v", err)
+	if got := arrivals(1, 1000, 7, 0); !reflect.DeepEqual(got, free[:7]) {
+		t.Errorf("max=7 drew %v, want the first 7 arrivals %v", got, free[:7])
 	}
-	tr := in.Trace()
-	if len(tr) != 2 {
-		t.Fatalf("trace = %v, want 2 lines", tr)
+	// The fault's busy time delays every later arrival by exactly that much:
+	// the gaps themselves are the same draws.
+	busy := arrivals(1, 1e9, 20, 0.5)
+	for i := range busy {
+		if want := free[i] + 0.5*float64(i); math.Abs(busy[i]-want) > 1e-9 {
+			t.Fatalf("arrival %d at %g, want %g", i, busy[i], want)
+		}
 	}
-	if !strings.Contains(tr[0], "crash shard=0") || !strings.Contains(tr[0], "killed=[1]") {
-		t.Errorf("crash line = %q", tr[0])
-	}
-	if !strings.Contains(tr[1], "restart shard=0") {
-		t.Errorf("restart line = %q", tr[1])
-	}
-	if !app.killed {
-		t.Error("session with live state on the crashed shard should be killed")
-	}
-	if err := fed.CheckInvariants(); err != nil {
-		t.Fatalf("post-run invariants: %v", err)
+	for _, c := range []struct{ mean, horizon float64 }{{0, 10}, {-1, 10}, {1, 0}, {1, -1}} {
+		if got := arrivals(c.mean, c.horizon, 0, 0); got != nil {
+			t.Errorf("mean=%g horizon=%g drew %v, want nothing", c.mean, c.horizon, got)
+		}
 	}
 }
 
-type inertHandler struct{ killed bool }
-
-func (h *inertHandler) OnViews(_, _ view.View)    {}
-func (h *inertHandler) OnStart(request.ID, []int) {}
-func (h *inertHandler) OnKill(string)             { h.killed = true }
+// TestPlansPinned pins the shard and node plans of coorm-exp's default chaos
+// configuration to the values the three hand-written renewal loops produced
+// before Renewal replaced them: same length and same Hash for seeds 1–3.
+func TestPlansPinned(t *testing.T) {
+	clusters := map[view.ClusterID]int{"c0": 64, "c1": 64, "c2": 64, "c3": 64}
+	want := []struct {
+		shards, nodes       int
+		shardHash, nodeHash uint64
+	}{
+		{27, 36, 0xe96cc9b657287727, 0xc8843147b861b570},
+		{22, 33, 0x65ed1c18458b0a92, 0xe242d78da85a2f5f},
+		{17, 33, 0x6851c17750ef8b14, 0x77c362860e3ff0fc},
+	}
+	for i, w := range want {
+		c := Config{Seed: int64(i + 1), MTTF: 1800, MeanRestartDelay: 180, Horizon: 10800, NodeMTTF: 1200, MeanNodeRecovery: 600}
+		sp, np := Plan(c, 4), PlanNodes(c, clusters)
+		if len(sp) != w.shards || Hash(sp) != w.shardHash {
+			t.Errorf("seed %d: shard plan %d %016x, want %d %016x", c.Seed, len(sp), Hash(sp), w.shards, w.shardHash)
+		}
+		if len(np) != w.nodes || Hash(np) != w.nodeHash {
+			t.Errorf("seed %d: node plan %d %016x, want %d %016x", c.Seed, len(np), Hash(np), w.nodes, w.nodeHash)
+		}
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"hash/fnv"
 	"sort"
 
-	"coormv2/internal/obs"
 	"coormv2/internal/stats"
 	"coormv2/internal/view"
 )
@@ -44,13 +43,11 @@ func clusterSeed(seed int64, cid view.ClusterID) int64 {
 // renewal process draws failure instants (exponential inter-failure time with
 // mean NodeMTTF) and an exponential repair time per failure; the failed
 // machine is picked uniformly among the nodes up at that instant, so no node
-// is ever failed twice concurrently. Because each cluster's draws come from
-// its own derived RNG, the schedule is stable across shard counts and under
-// adding clusters: a cluster's faults are identical in every topology.
+// is ever failed twice concurrently, and failures overlap (a failure does not
+// delay the next one). Because each cluster's draws come from its own derived
+// RNG, the schedule is stable across shard counts and under adding clusters:
+// a cluster's faults are identical in every topology.
 func PlanNodes(cfg Config, clusters map[view.ClusterID]int) []NodeFault {
-	if len(clusters) == 0 || cfg.NodeMTTF <= 0 || cfg.Horizon <= 0 {
-		return nil
-	}
 	cids := make([]view.ClusterID, 0, len(clusters))
 	for cid := range clusters {
 		cids = append(cids, cid)
@@ -59,17 +56,9 @@ func PlanNodes(cfg Config, clusters map[view.ClusterID]int) []NodeFault {
 	var plan []NodeFault
 	for _, cid := range cids {
 		size := clusters[cid]
-		if size <= 0 {
-			continue
-		}
 		rng := stats.NewRand(clusterSeed(cfg.Seed, cid))
 		var down []NodeFault // this cluster's machines still under repair
-		t := 0.0
-		for n := 0; cfg.MaxNodeFaultsPerCluster == 0 || n < cfg.MaxNodeFaultsPerCluster; n++ {
-			t += rng.ExpFloat64() * cfg.NodeMTTF
-			if t >= cfg.Horizon {
-				break
-			}
+		Renewal(rng, cfg.NodeMTTF, cfg.Horizon, 0, func(t float64) float64 {
 			live := down[:0]
 			for _, d := range down {
 				if d.RecoverAt > t {
@@ -78,20 +67,20 @@ func PlanNodes(cfg Config, clusters map[view.ClusterID]int) []NodeFault {
 			}
 			down = live
 			up := size - len(down)
-			if up == 0 {
-				continue // every machine is already dead; the draw is spent
+			if up <= 0 {
+				return 0 // every machine is already dead; the draw is spent
 			}
 			pick := rng.Intn(up)
-			node := pickUpNode(size, down, pick)
 			f := NodeFault{
 				Cluster:   cid,
-				Node:      node,
+				Node:      pickUpNode(size, down, pick),
 				FailAt:    t,
-				RecoverAt: t + rng.ExpFloat64()*cfg.MeanNodeRecovery,
+				RecoverAt: t + cfg.MeanNodeRecovery*rng.ExpFloat64(),
 			}
 			plan = append(plan, f)
 			down = append(down, f)
-		}
+			return 0
+		})
 	}
 	sort.Slice(plan, func(i, j int) bool {
 		if plan[i].FailAt != plan[j].FailAt {
@@ -123,40 +112,3 @@ func pickUpNode(size int, down []NodeFault, pick int) int {
 	}
 	panic(fmt.Sprintf("chaos: pickUpNode(%d) exhausted %d nodes with %d down", pick, size, len(down)))
 }
-
-// ArmNodes schedules every node fault of the plan as simulator events. The
-// events route through federation.FailNodes/RecoverNodes, so a fault lands
-// whether the owning shard is up (applied immediately) or crashed (recorded
-// and re-applied at restart). Call alongside Arm, before running.
-func (in *Injector) ArmNodes(plan []NodeFault) {
-	for _, f := range plan {
-		f := f
-		in.e.At(f.FailAt, "chaos.nodefail", func() {
-			rep, err := in.fed.FailNodes(f.Cluster, []int{f.Node})
-			if err != nil {
-				panic(fmt.Sprintf("chaos: %s: %v", f, err))
-			}
-			in.nodeFails++
-			in.obsReg.Event(obs.Event{Time: f.FailAt, Type: obs.EvNodeFail,
-				Cluster: string(f.Cluster), Value: 1})
-			in.record(fmt.Sprintf("t=%.6f %s", in.e.Now(), rep))
-		})
-		in.e.At(f.RecoverAt, "chaos.noderecover", func() {
-			rep, err := in.fed.RecoverNodes(f.Cluster, []int{f.Node})
-			if err != nil {
-				panic(fmt.Sprintf("chaos: %s: %v", f, err))
-			}
-			in.nodeRecovers++
-			in.hNodeRecovery.Record(f.RecoverAt - f.FailAt)
-			in.obsReg.Event(obs.Event{Time: f.RecoverAt, Type: obs.EvNodeRecover,
-				Cluster: string(f.Cluster), Value: 1})
-			in.record(fmt.Sprintf("t=%.6f %s", in.e.Now(), rep))
-		})
-	}
-}
-
-// NodeFails returns the number of executed node-failure events.
-func (in *Injector) NodeFails() int { return in.nodeFails }
-
-// NodeRecovers returns the number of executed node-recovery events.
-func (in *Injector) NodeRecovers() int { return in.nodeRecovers }

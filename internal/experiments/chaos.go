@@ -10,6 +10,7 @@ import (
 	"coormv2/internal/obs"
 	"coormv2/internal/request"
 	"coormv2/internal/rms"
+	"coormv2/internal/sim"
 	"coormv2/internal/tenants"
 	"coormv2/internal/transport"
 	"coormv2/internal/workload"
@@ -40,9 +41,9 @@ type ChaosReplayConfig struct {
 	// exists to dissolve. 0 spreads the trace over all clusters evenly.
 	HotJobFraction float64
 	// Rebalance, when non-nil, runs a federation.Rebalancer with this
-	// configuration for the whole replay. The federation invariant checker
-	// runs after every migration (on top of the per-fault checks) and any
-	// violation fails the run.
+	// configuration for the whole replay. Its OnMigration hook is replaced by
+	// the federation invariant checker, which runs after every migration (on
+	// top of the per-fault checks); any violation fails the run.
 	Rebalance *federation.RebalancerConfig
 	// PSATaskDur, when positive, adds one scavenging PSA per cluster.
 	PSATaskDur float64
@@ -64,7 +65,7 @@ type ChaosReplayConfig struct {
 	// MaxSimTime aborts runaway replays (default 10^9 s).
 	MaxSimTime float64
 	// Obs, when non-nil, is threaded through the federation, every shard
-	// and the fault injector, collecting latency histograms, counters and
+	// and the armed fault plans, collecting latency histograms, counters and
 	// the structured event ring for the run; ChaosReplayResult.Snapshot is
 	// then its end-of-run snapshot. All durations are measured on the
 	// simulated clock, so same-seed snapshots are byte-identical.
@@ -159,8 +160,8 @@ type ChaosReplayResult struct {
 	// (time bits + event name, in firing order): two runs are byte-identical
 	// iff their hashes match.
 	EventHash uint64
-	// Trace is the injector's fault trace: one line per executed
-	// crash/restart, in execution order.
+	// Trace is the fault trace: the federation's report of every executed
+	// crash, restart, node failure and node recovery, in execution order.
 	Trace []string
 
 	// TenantPreempts is the end-of-run per-tenant quota-preemption tally
@@ -176,7 +177,7 @@ type ChaosReplayResult struct {
 // RunChaosReplay replays a rigid-job stream through a federated RMS while a
 // deterministic, seeded fault plan crashes and restarts shards. The
 // federation invariant checker runs after every fault and once after the
-// run; any violation is returned as an error.
+// run; any violation, or a fault the federation refuses, is an error.
 func RunChaosReplay(cfg ChaosReplayConfig) (*ChaosReplayResult, error) {
 	if len(cfg.Jobs) == 0 {
 		return nil, fmt.Errorf("experiments: empty job stream")
@@ -215,32 +216,15 @@ func RunChaosReplay(cfg ChaosReplayConfig) (*ChaosReplayResult, error) {
 	e, fed := env.e, env.fed
 	hash := fingerprintEvents(e)
 
-	inj := chaos.NewInjector(e, fed, chaos.Plan(cfg.Chaos, cfg.Shards))
-	inj.CheckAfterFault = true
-	if cfg.Obs != nil {
-		inj.SetObs(cfg.Obs)
-	}
-	inj.Arm()
-	inj.ArmNodes(chaos.PlanNodes(cfg.Chaos, env.clusters))
+	faults := armFaults(e, fed, chaos.Plan(cfg.Chaos, cfg.Shards), chaos.PlanNodes(cfg.Chaos, env.clusters), cfg.Obs)
 
 	// Rebalancing runs as deterministic "rebalance.check" timer events on the
 	// shared clock, interleaving with the fault plan; the invariant checker
 	// runs after every migration exactly as it does after every fault.
 	var rb *federation.Rebalancer
-	var migErr error
 	if cfg.Rebalance != nil {
 		rcfg := *cfg.Rebalance
-		userHook := rcfg.OnMigration
-		rcfg.OnMigration = func(rep federation.MigrationReport) {
-			if userHook != nil {
-				userHook(rep)
-			}
-			if migErr == nil {
-				if err := fed.CheckInvariants(); err != nil {
-					migErr = fmt.Errorf("after %q: %w", rep.String(), err)
-				}
-			}
-		}
+		rcfg.OnMigration = func(rep federation.MigrationReport) { faults.check(fed, rep.String()) }
 		rb = federation.NewRebalancer(fed, rcfg)
 		rb.Start()
 		defer rb.Stop()
@@ -290,11 +274,8 @@ func RunChaosReplay(cfg ChaosReplayConfig) (*ChaosReplayResult, error) {
 	if err := env.run("chaos replay", cfg.MaxSimTime, nil); err != nil {
 		return nil, err
 	}
-	if err := inj.InvariantErr(); err != nil {
-		return nil, fmt.Errorf("experiments: chaos invariant violated %w", err)
-	}
-	if migErr != nil {
-		return nil, fmt.Errorf("experiments: migration invariant violated %w", migErr)
+	if faults.err != nil {
+		return nil, fmt.Errorf("experiments: %w", faults.err)
 	}
 	if err := fed.CheckInvariants(); err != nil {
 		return nil, fmt.Errorf("experiments: post-run invariant violated: %w", err)
@@ -311,11 +292,11 @@ func RunChaosReplay(cfg ChaosReplayConfig) (*ChaosReplayResult, error) {
 		LostWork: st.lostWork, Resubmits: st.resubmits,
 		MeanWait: st.meanWait, MaxWait: st.maxWait,
 
-		Crashes:      inj.Crashes(),
-		Restarts:     inj.Restarts(),
-		NodeFails:    inj.NodeFails(),
-		NodeRecovers: inj.NodeRecovers(),
-		Trace:        inj.Trace(),
+		Crashes:      faults.count["chaos.crash"],
+		Restarts:     faults.count["chaos.restart"],
+		NodeFails:    faults.count["chaos.nodefail"],
+		NodeRecovers: faults.count["chaos.noderecover"],
+		Trace:        faults.trace,
 
 		KilledSessions:   int(fs["killed_sessions"]),
 		RequeuedRequests: int(fs["requeued_requests"]),
@@ -355,4 +336,73 @@ func RunChaosReplay(cfg ChaosReplayConfig) (*ChaosReplayResult, error) {
 		res.Snapshot = &snap
 	}
 	return res, nil
+}
+
+// faultLog is what armFaults records: the trace (one line per executed fault,
+// in execution order), the executed faults by event name, and the first error
+// — a fault the federation refused, or an invariant violation after a fault or
+// a migration.
+type faultLog struct {
+	trace []string
+	count map[string]int
+	err   error
+}
+
+// check runs the federation's invariant checker after the event `after`; the
+// first violation is kept.
+func (l *faultLog) check(fed *federation.Federator, after string) {
+	if err := fed.CheckInvariants(); err != nil && l.err == nil {
+		l.err = fmt.Errorf("invariant violated after %q: %w", after, err)
+	}
+}
+
+// armFaults schedules every fault of the two plans as one simulator event that
+// applies it, appends the federation's report to the trace and checks the
+// invariants. Fault→recovery times land in reg's "chaos.recovery_seconds"
+// (shard outage per plan) and "chaos.node_recovery_seconds" (machine repair)
+// histograms and node faults in its event ring; the federation records shard
+// crash/restart events itself.
+func armFaults(e *sim.Engine, fed *federation.Federator, shardPlan []chaos.Fault, nodePlan []chaos.NodeFault, reg *obs.Registry) *faultLog {
+	faults := &faultLog{count: make(map[string]int)}
+	hRecovery, hNodeRecovery := reg.Hist("chaos.recovery_seconds"), reg.Hist("chaos.node_recovery_seconds")
+	at := func(t float64, name string, apply func() (fmt.Stringer, error)) {
+		e.At(t, name, func() {
+			rep, err := apply()
+			if err != nil {
+				if faults.err == nil {
+					faults.err = fmt.Errorf("%s at t=%g refused: %w", name, t, err)
+				}
+				return
+			}
+			faults.count[name]++
+			line := fmt.Sprintf("t=%.6f %s", e.Now(), rep)
+			faults.trace = append(faults.trace, line)
+			faults.check(fed, line)
+		})
+	}
+	for _, f := range shardPlan {
+		at(f.CrashAt, "chaos.crash", func() (fmt.Stringer, error) { return fed.CrashShard(f.Shard), nil })
+		at(f.RestartAt, "chaos.restart", func() (fmt.Stringer, error) {
+			hRecovery.Record(f.RestartAt - f.CrashAt)
+			return fed.RestartShard(f.Shard), nil
+		})
+	}
+	for _, f := range nodePlan {
+		at(f.FailAt, "chaos.nodefail", func() (fmt.Stringer, error) {
+			rep, err := fed.FailNodes(f.Cluster, []int{f.Node})
+			if err == nil {
+				reg.Event(obs.Event{Time: f.FailAt, Type: obs.EvNodeFail, Cluster: string(f.Cluster), Value: 1})
+			}
+			return rep, err
+		})
+		at(f.RecoverAt, "chaos.noderecover", func() (fmt.Stringer, error) {
+			rep, err := fed.RecoverNodes(f.Cluster, []int{f.Node})
+			if err == nil {
+				hNodeRecovery.Record(f.RecoverAt - f.FailAt)
+				reg.Event(obs.Event{Time: f.RecoverAt, Type: obs.EvNodeRecover, Cluster: string(f.Cluster), Value: 1})
+			}
+			return rep, err
+		})
+	}
+	return faults
 }

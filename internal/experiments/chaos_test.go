@@ -2,12 +2,19 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"coormv2/internal/chaos"
+	"coormv2/internal/clock"
 	"coormv2/internal/federation"
+	"coormv2/internal/request"
+	"coormv2/internal/rms"
+	"coormv2/internal/sim"
 	"coormv2/internal/stats"
+	"coormv2/internal/view"
 	"coormv2/internal/workload"
 )
 
@@ -160,3 +167,80 @@ func TestChaosReplaySparseTrace(t *testing.T) {
 		t.Fatalf("completed %d of %d jobs across the gap", res.Completed, len(jobs))
 	}
 }
+
+// faultTestFederation is a 2-shard federation of two 4-node clusters on a
+// fresh simulator engine, with one session holding a live ¬P request on
+// cluster "a".
+func faultTestFederation(t *testing.T) (*sim.Engine, *federation.Federator, *inertHandler) {
+	t.Helper()
+	e := sim.NewEngine()
+	fed := federation.New(federation.Config{
+		Clusters:        map[view.ClusterID]int{"a": 4, "b": 4},
+		Shards:          2,
+		ReschedInterval: 1,
+		Clock:           clock.SimClock{E: e},
+		Recovery:        federation.KillOnCrash,
+	})
+	app := &inertHandler{}
+	sess := fed.Connect(app)
+	if _, err := sess.Request(rms.RequestSpec{Cluster: "a", N: 2, Duration: math.Inf(1), Type: request.NonPreempt}); err != nil {
+		t.Fatal(err)
+	}
+	return e, fed, app
+}
+
+func TestArmFaultsTraceAndInvariants(t *testing.T) {
+	e, fed, app := faultTestFederation(t)
+	shard, _ := fed.Owner("a")
+	log := armFaults(e, fed, []chaos.Fault{{Shard: shard, CrashAt: 5, RestartAt: 9}}, nil, nil)
+	e.Run(20)
+	if log.count["chaos.crash"] != 1 || log.count["chaos.restart"] != 1 {
+		t.Fatalf("executed %v, want one crash and one restart", log.count)
+	}
+	if log.err != nil {
+		t.Fatalf("invariant violated: %v", log.err)
+	}
+	tr := log.trace
+	if len(tr) != 2 {
+		t.Fatalf("trace = %v, want 2 lines", tr)
+	}
+	if !strings.Contains(tr[0], "crash shard=0") || !strings.Contains(tr[0], "killed=[1]") {
+		t.Errorf("crash line = %q", tr[0])
+	}
+	if !strings.Contains(tr[1], "restart shard=0") {
+		t.Errorf("restart line = %q", tr[1])
+	}
+	if !app.killed {
+		t.Error("session with live state on the crashed shard should be killed")
+	}
+	if err := fed.CheckInvariants(); err != nil {
+		t.Fatalf("post-run invariants: %v", err)
+	}
+}
+
+// TestArmFaultsKeepsRefusedNodeFault: a node fault the federation refuses
+// (here: recovering a machine that is not down) is the run's fault error,
+// not a panic, and later faults still run.
+func TestArmFaultsKeepsRefusedNodeFault(t *testing.T) {
+	e, fed, _ := faultTestFederation(t)
+	log := armFaults(e, fed, nil, []chaos.NodeFault{
+		{Cluster: "b", Node: 1, FailAt: 7, RecoverAt: 3},
+		{Cluster: "b", Node: 2, FailAt: 4, RecoverAt: 6},
+	}, nil)
+	e.Run(20)
+	if log.err == nil || !strings.Contains(log.err.Error(), "not down") {
+		t.Fatalf("err = %v, want the refused recovery of node 1", log.err)
+	}
+	if log.count["chaos.nodefail"] != 2 || log.count["chaos.noderecover"] != 1 || len(log.trace) != 3 {
+		t.Fatalf("executed %v, trace %v: want 2 failures, 1 recovery, 3 lines", log.count, log.trace)
+	}
+	if err := fed.CheckInvariants(); err != nil {
+		t.Fatalf("post-run invariants: %v", err)
+	}
+}
+
+type inertHandler struct{ killed bool }
+
+func (h *inertHandler) OnViews(_, _ view.View)    {}
+func (h *inertHandler) OnStart(request.ID, []int) {}
+func (h *inertHandler) OnKill(string)             { h.killed = true }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"coormv2/internal/chaos"
 	"coormv2/internal/clock"
 	"coormv2/internal/netchaos"
 	"coormv2/internal/obs"
@@ -131,7 +132,7 @@ func RunNetChaos(cfg NetChaosConfig) (*NetChaosResult, error) {
 	defer p.Close()
 
 	plan := netchaos.Plan(cfg.Faults)
-	res := &NetChaosResult{TraceHash: netchaos.HashTrace(netchaos.TraceOf(plan))}
+	res := &NetChaosResult{TraceHash: chaos.Hash(plan)}
 
 	opts := transport.Options{
 		Reconnect:         cfg.Resume,

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"coormv2/internal/chaos"
 	"coormv2/internal/netchaos"
 )
 
@@ -63,7 +64,7 @@ func TestNetChaosReplayBaselineCompletes(t *testing.T) {
 	if res.DupStarts != 0 {
 		t.Fatalf("%d duplicate starts", res.DupStarts)
 	}
-	want := netchaos.HashTrace(netchaos.TraceOf(netchaos.Plan(netChaosFaults(1))))
+	want := chaos.Hash(netchaos.Plan(netChaosFaults(1)))
 	if res.TraceHash != want {
 		t.Fatalf("trace hash %#x, want %#x (schedule must be seed-stable)", res.TraceHash, want)
 	}

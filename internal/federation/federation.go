@@ -94,7 +94,7 @@ func (p RecoveryPolicy) String() string {
 }
 
 // Config parametrizes a Federator. The scheduling knobs (ReschedInterval,
-// Policy, GracePeriod, Clip) are applied uniformly to every shard.
+// Policy, GracePeriod) are applied uniformly to every shard.
 type Config struct {
 	// Clusters is the full federated cluster set.
 	Clusters map[view.ClusterID]int
@@ -109,9 +109,6 @@ type Config struct {
 	Policy core.PreemptPolicy
 	// GracePeriod is the per-shard protocol-violation grace period.
 	GracePeriod float64
-	// Clip optionally limits non-preemptive views; each shard receives the
-	// restriction of Clip to its own clusters.
-	Clip view.View
 	// Metrics, when non-nil, is called once per shard (in shard order,
 	// during New) to create that shard's recorder; returning nil disables
 	// metrics for the shard. Shards must not share a recorder: each
@@ -330,7 +327,6 @@ func New(cfg Config) *Federator {
 			Clock:           cfg.Clock,
 			Policy:          cfg.Policy,
 			GracePeriod:     cfg.GracePeriod,
-			Clip:            clipFor(cfg.Clip, part),
 			Metrics:         rec,
 			NodeRecovery:    cfg.NodeRecovery,
 			FullRecompute:   cfg.FullRecompute,
@@ -343,23 +339,6 @@ func New(cfg Config) *Federator {
 		}
 	}
 	return f
-}
-
-// clipFor restricts an administrator clip to one shard's clusters.
-func clipFor(clip view.View, part map[view.ClusterID]int) view.View {
-	if clip == nil {
-		return nil
-	}
-	out := view.New()
-	for cid := range part {
-		if f, ok := clip[cid]; ok {
-			out[cid] = f
-		}
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
 }
 
 // NumShards returns the number of scheduler shards (after clamping).

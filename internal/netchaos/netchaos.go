@@ -1,22 +1,21 @@
 // Package netchaos is the wire-level counterpart of internal/chaos: where
-// chaos crashes scheduler shards inside the simulator, netchaos breaks the
-// network between real transport clients and a real transport server. A
+// chaos plans crash scheduler shards inside the simulator, netchaos breaks
+// the network between real transport clients and a real transport server. A
 // seeded plan of connection faults (sever, partition, half-open, delay) is
-// derived exactly like a chaos.Plan — same seed ⇒ same schedule, and the
-// trace of scheduled faults is byte-identical across runs — and a Proxy
-// applies it to live TCP connections, so the reconnect/resume machinery of
-// internal/transport is exercised against real sockets instead of mocks.
+// drawn by the same chaos.Renewal process as a chaos.Plan — same seed ⇒ same
+// schedule, fingerprinted by chaos.Hash — and a Proxy applies it to live TCP
+// connections, so the reconnect/resume machinery of internal/transport is
+// exercised against real sockets instead of mocks.
 package netchaos
 
 import (
 	"fmt"
-	"hash/fnv"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"coormv2/internal/chaos"
 	"coormv2/internal/stats"
 )
 
@@ -79,50 +78,22 @@ type Config struct {
 	MaxFaults int
 }
 
-// Plan derives the fault schedule: a renewal process of exponential gaps,
-// each fault's kind drawn uniformly and its duration exponentially, all
-// from one seeded PRNG so the schedule — and hence the trace — is a pure
-// function of the seed.
+// Plan derives the fault schedule: a chaos.Renewal process of exponential
+// gaps, each fault's kind drawn uniformly and its duration exponentially, the
+// next gap starting when the fault ends — all from one seeded PRNG, so the
+// schedule, and hence its chaos.Hash, is a pure function of the seed.
 func Plan(cfg Config) []Fault {
-	if cfg.MeanBetween <= 0 || cfg.Horizon <= 0 {
-		return nil
-	}
 	rng := stats.NewRand(cfg.Seed)
 	var plan []Fault
-	t := 0.0
-	for n := 0; cfg.MaxFaults == 0 || n < cfg.MaxFaults; n++ {
-		t += rng.ExpFloat64() * cfg.MeanBetween
-		if t >= cfg.Horizon {
-			break
-		}
+	chaos.Renewal(rng, cfg.MeanBetween, cfg.Horizon, cfg.MaxFaults, func(t float64) float64 {
 		f := Fault{At: t, Kind: Kind(rng.Intn(4))}
 		if f.Kind != Sever {
-			f.Dur = rng.ExpFloat64() * cfg.MeanDur
-			t += f.Dur
+			f.Dur = cfg.MeanDur * rng.ExpFloat64()
 		}
 		plan = append(plan, f)
-	}
+		return f.Dur
+	})
 	return plan
-}
-
-// TraceOf renders a plan as its deterministic trace lines.
-func TraceOf(plan []Fault) []string {
-	lines := make([]string, len(plan))
-	for i, f := range plan {
-		lines[i] = f.String()
-	}
-	return lines
-}
-
-// HashTrace folds trace lines into one stable fingerprint (FNV-1a), the
-// value determinism tests compare across same-seed runs.
-func HashTrace(lines []string) uint64 {
-	h := fnv.New64a()
-	for _, l := range lines {
-		io.WriteString(h, l)
-		h.Write([]byte{'\n'})
-	}
-	return h.Sum64()
 }
 
 // Proxy is an in-process TCP proxy between transport clients and a

@@ -4,6 +4,8 @@ import (
 	"net"
 	"testing"
 	"time"
+
+	"coormv2/internal/chaos"
 )
 
 func TestPlanDeterministic(t *testing.T) {
@@ -12,11 +14,11 @@ func TestPlanDeterministic(t *testing.T) {
 	if len(a) == 0 {
 		t.Fatal("empty plan")
 	}
-	if HashTrace(TraceOf(a)) != HashTrace(TraceOf(b)) {
+	if chaos.Hash(a) != chaos.Hash(b) {
 		t.Fatal("same seed produced different plans")
 	}
 	cfg.Seed = 43
-	if HashTrace(TraceOf(Plan(cfg))) == HashTrace(TraceOf(a)) {
+	if chaos.Hash(Plan(cfg)) == chaos.Hash(a) {
 		t.Fatal("different seeds produced identical plans")
 	}
 }
@@ -34,6 +36,22 @@ func TestPlanRespectsCaps(t *testing.T) {
 	}
 	if Plan(Config{}) != nil {
 		t.Fatal("zero config should produce no plan")
+	}
+}
+
+// TestPlansPinned pins the wire plan of coorm-exp's default netchaos
+// configuration to the values netchaos's own renewal loop produced before
+// chaos.Renewal replaced it: same length and same chaos.Hash for seeds 1–3.
+func TestPlansPinned(t *testing.T) {
+	want := []struct {
+		n    int
+		hash uint64
+	}{{8, 0xee23f3120928aac0}, {7, 0x10192fdddea19c56}, {4, 0xb00e5ced3ac842fb}}
+	for i, w := range want {
+		p := Plan(Config{Seed: int64(i + 1), MeanBetween: 0.15, MeanDur: 0.0375, Horizon: 1.2, MaxFaults: 8})
+		if len(p) != w.n || chaos.Hash(p) != w.hash {
+			t.Errorf("seed %d: wire plan %d %016x, want %d %016x", i+1, len(p), chaos.Hash(p), w.n, w.hash)
+		}
 	}
 }
 

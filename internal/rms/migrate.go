@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"coormv2/internal/request"
-	"coormv2/internal/stepfunc"
 	"coormv2/internal/view"
 )
 
@@ -80,8 +79,6 @@ type ClusterSnapshot struct {
 	// Churn carries the cluster's cumulative accepted-request counter so
 	// rebalancer load deltas survive the move.
 	Churn int64
-	// Clip is the administrator clip fragment for this cluster, if any.
-	Clip *stepfunc.StepFunc
 	// Apps lists the sessions with requests on the cluster, ascending AppID.
 	Apps []SessionClusterState
 }
@@ -301,16 +298,6 @@ func (s *Server) DetachCluster(cid view.ClusterID) (*ClusterSnapshot, error) {
 	delete(s.pools, cid)
 	delete(s.churn, cid)
 	delete(s.cfg.Clusters, cid)
-	if s.cfg.Clip != nil {
-		if f, ok := s.cfg.Clip[cid]; ok {
-			snap.Clip = f
-			delete(s.cfg.Clip, cid)
-			if len(s.cfg.Clip) == 0 {
-				s.cfg.Clip = nil
-			}
-			s.sched.SetClip(s.cfg.Clip)
-		}
-	}
 	s.sched.RemoveCluster(cid)
 	s.loadEpoch++ // the topology change alone alters ClusterLoads
 	s.recordPreAllocLocked(now)
@@ -361,13 +348,6 @@ func (s *Server) AttachCluster(snap *ClusterSnapshot, observe func(appID int, id
 	// The scheduler plans against working nodes only: a cluster migrates
 	// with its degraded capacity.
 	s.sched.AddCluster(snap.Cluster, pool.capacity())
-	if snap.Clip != nil {
-		if s.cfg.Clip == nil {
-			s.cfg.Clip = view.New()
-		}
-		s.cfg.Clip[snap.Cluster] = snap.Clip
-		s.sched.SetClip(s.cfg.Clip)
-	}
 
 	now := s.clk.Now()
 	for _, as := range snap.Apps {

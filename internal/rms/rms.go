@@ -84,7 +84,8 @@ type Config struct {
 	// resources than granted before it is killed. Zero selects the default
 	// of 5 re-scheduling intervals.
 	GracePeriod float64
-	// Clip optionally limits every application's non-preemptive view.
+	// Clip optionally limits every application's non-preemptive view. It
+	// stays with the server: DetachCluster/AttachCluster do not carry it.
 	Clip view.View
 	// Metrics, when non-nil, receives allocation updates.
 	Metrics *metrics.Recorder

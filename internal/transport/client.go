@@ -519,10 +519,11 @@ func (c *Client) reconnect(cause error) (net.Conn, *frameReader, error) {
 
 // heartbeatLoop probes liveness: a ping every interval, and a forced
 // connection teardown (feeding the reconnect path) when nothing has been
-// received for HeartbeatMiss intervals.
+// received for heartbeatMisses intervals.
 func (c *Client) heartbeatLoop() {
 	t := time.NewTicker(c.o.HeartbeatInterval)
 	defer t.Stop()
+	deadline := heartbeatMisses * c.o.HeartbeatInterval
 	for {
 		select {
 		case <-c.stop:
@@ -537,7 +538,7 @@ func (c *Client) heartbeatLoop() {
 		if !up || conn == nil {
 			continue
 		}
-		if time.Since(time.Unix(0, c.lastRx.Load())) > c.o.heartbeatDeadline() {
+		if time.Since(time.Unix(0, c.lastRx.Load())) > deadline {
 			// Silent for too long: declare the connection dead. Closing it
 			// unblocks the read loop, which reconnects (or fails).
 			conn.Close()

@@ -7,9 +7,12 @@ import (
 	"coormv2/internal/obs"
 )
 
+// heartbeatMisses is the number of silent heartbeat intervals tolerated
+// before a connection is declared dead.
+const heartbeatMisses = 3
+
 // Defaults for Options fields left at zero.
 const (
-	DefaultHeartbeatMiss   = 3
 	DefaultBackoffBase     = 25 * time.Millisecond
 	DefaultBackoffMax      = 1 * time.Second
 	DefaultReconnectWindow = 15 * time.Second
@@ -38,13 +41,9 @@ type Options struct {
 
 	// HeartbeatInterval enables liveness probing: the client sends a ping
 	// every interval and declares the connection dead when nothing —
-	// pong, ack, or notification — arrives for HeartbeatMiss intervals.
+	// pong, ack, or notification — arrives for three intervals.
 	// Zero disables heartbeats (liveness then relies on TCP errors).
 	HeartbeatInterval time.Duration
-
-	// HeartbeatMiss is the number of silent intervals tolerated before
-	// the connection is declared dead (0 = DefaultHeartbeatMiss).
-	HeartbeatMiss int
 
 	// Reconnect enables automatic reconnection with session resume: on
 	// connection death the client re-dials with exponential backoff +
@@ -80,14 +79,6 @@ type Options struct {
 	// "transport.reconnect_seconds" histogram (connection death →
 	// resumed), EvResume events, and the client counter group.
 	Obs *obs.Registry
-}
-
-func (o *Options) heartbeatDeadline() time.Duration {
-	miss := o.HeartbeatMiss
-	if miss <= 0 {
-		miss = DefaultHeartbeatMiss
-	}
-	return time.Duration(miss) * o.HeartbeatInterval
 }
 
 func (o *Options) backoffBase() time.Duration {

@@ -262,7 +262,6 @@ func TestHeartbeatDetectsSilentPeer(t *testing.T) {
 	app := newResilApp()
 	c, err := Dial(ln.Addr().String(), app, Options{
 		HeartbeatInterval: 20 * time.Millisecond,
-		HeartbeatMiss:     3,
 		CallTimeout:       5 * time.Second,
 	})
 	if err != nil {
@@ -517,7 +516,6 @@ func runChaosScenario(t *testing.T, seed int64) uint64 {
 		Horizon:     2.0,
 		MaxFaults:   8,
 	})
-	trace := netchaos.TraceOf(plan)
 
 	app := newResilApp()
 	c, err := Dial(addr, app, Options{
@@ -559,8 +557,8 @@ func runChaosScenario(t *testing.T, seed int64) uint64 {
 
 	sort.Slice(acked, func(i, j int) bool { return acked[i] < acked[j] })
 	h := fnv.New64a()
-	for _, l := range trace {
-		fmt.Fprintln(h, l)
+	for _, f := range plan {
+		fmt.Fprintln(h, f)
 	}
 	for _, id := range acked {
 		fmt.Fprintf(h, "acked=%d starts=1\n", id)
