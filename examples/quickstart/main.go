@@ -19,7 +19,8 @@ import (
 
 const cluster = coormv2.ClusterID("c0")
 
-// logger prints every notification with a timestamp.
+// logger prints every notification with a timestamp. A view names every
+// cluster of the RMS, so a fully booked one prints as "c0: [(inf, 0)]".
 type logger struct {
 	name    string
 	sim     *coormv2.Simulation

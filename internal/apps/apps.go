@@ -14,6 +14,8 @@ import (
 	"coormv2/internal/clock"
 	"coormv2/internal/request"
 	"coormv2/internal/rms"
+	"coormv2/internal/stepfunc"
+	"coormv2/internal/view"
 )
 
 // Session is the application-side handle to the RMS. Both *rms.Session
@@ -48,6 +50,16 @@ func (b *base) OnKill(reason string) {
 
 // now returns the current time.
 func (b *base) now() float64 { return b.clk.Now() }
+
+// named returns cid's profile in the view segment v (see
+// rms.AppHandler.OnViews), else last (nil: zero): under a federation another
+// shard's push leaves the application's cluster alone.
+func named(v view.View, cid view.ClusterID, last *stepfunc.StepFunc) *stepfunc.StepFunc {
+	if _, ok := v[cid]; ok || last == nil {
+		return v.Get(cid)
+	}
+	return last
+}
 
 // lastN returns the last k elements of ids (the IDs an application gives
 // back when shrinking; keeping the lowest IDs makes traces stable).

@@ -4,6 +4,7 @@ import (
 	"coormv2/internal/clock"
 	"coormv2/internal/request"
 	"coormv2/internal/rms"
+	"coormv2/internal/stepfunc"
 	"coormv2/internal/view"
 )
 
@@ -34,6 +35,8 @@ type Malleable struct {
 	minStarted bool
 	minIDs     []int
 	ExtraIDs   []int
+
+	lastP *stepfunc.StepFunc // Cluster's last preemptive profile
 }
 
 // NewMalleable creates a malleable application.
@@ -66,10 +69,11 @@ func (m *Malleable) MinStarted() bool { return m.minStarted }
 // "During execution, the application monitors V_P and updates r_extra if
 // necessary" (§4).
 func (m *Malleable) OnViews(_, p view.View) {
+	m.lastP = named(p, m.Cluster, m.lastP)
 	if m.minReq == 0 {
 		return // not submitted yet
 	}
-	visible := p.Get(m.Cluster).Value(m.now())
+	visible := m.lastP.Value(m.now())
 	target := m.Usable(visible)
 	if target < 0 {
 		target = 0

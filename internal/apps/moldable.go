@@ -6,6 +6,7 @@ import (
 	"coormv2/internal/clock"
 	"coormv2/internal/request"
 	"coormv2/internal/rms"
+	"coormv2/internal/stepfunc"
 	"coormv2/internal/view"
 )
 
@@ -31,6 +32,8 @@ type Moldable struct {
 	StartIDs []int
 	// EstEnd is the end-time estimate of the last selection.
 	EstEnd float64
+
+	lastNP *stepfunc.StepFunc // Cluster's last non-preemptive profile
 }
 
 // NewMoldable creates a moldable application.
@@ -47,10 +50,11 @@ func (m *Moldable) OnViews(np, _ view.View) {
 	if m.Started {
 		return
 	}
+	m.lastNP = named(np, m.Cluster, m.lastNP)
 	bestN, bestEnd := 0, math.Inf(1)
 	for n := 1; n <= m.MaxNodes; n++ {
 		d := m.DurationFor(n)
-		start := np.FindHole(m.Cluster, n, d, m.now())
+		start := m.lastNP.FindHole(n, d, m.now())
 		if math.IsInf(start, 1) {
 			continue
 		}

@@ -143,9 +143,10 @@ func (p *PSA) elapsed(nd psaNode, now float64) float64 {
 // HeldNodes returns the number of nodes currently allocated.
 func (p *PSA) HeldNodes() int { return len(p.nodes) }
 
-// OnViews stores the preemptive view and re-plans.
+// OnViews stores the preemptive profile of its cluster, when the segment
+// names it, and re-plans.
 func (p *PSA) OnViews(_, pv view.View) {
-	p.lastView = pv.Get(p.cfg.Cluster)
+	p.lastView = named(pv, p.cfg.Cluster, p.lastView)
 	p.plan()
 }
 

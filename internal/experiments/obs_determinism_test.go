@@ -15,7 +15,7 @@ import (
 
 // obsChaosConfig is the chaos scenario under full observability: shard and
 // node faults, so every recording point — round latency, admit→start wait,
-// reap lag, merge latency, outage, node repair — fires at least once.
+// reap lag, outage, node repair — fires at least once.
 func obsChaosConfig(seed int64, reg *obs.Registry) ChaosReplayConfig {
 	jobs := workload.Synthetic(stats.NewRand(seed), workload.SyntheticConfig{
 		Jobs: 60, MaxNodes: 8, MeanInterArr: 45, MeanRuntime: 600,
@@ -74,7 +74,7 @@ func TestObsSnapshotDeterministic(t *testing.T) {
 
 // TestObsSnapshotCoverage checks that the chaos replay actually exercises
 // every advertised recording point: the snapshot must carry non-empty wait,
-// round, reap, merge, outage and node-repair histograms, the per-shard sched
+// round, reap, outage and node-repair histograms, the per-shard sched
 // and rms counter groups and the federation's, and crash/restart/node events in the ring.
 func TestObsSnapshotCoverage(t *testing.T) {
 	reg := obs.NewRegistry()
@@ -87,7 +87,6 @@ func TestObsSnapshotCoverage(t *testing.T) {
 		"shard0.rms.round_seconds",
 		"shard0.rms.wait_seconds",
 		"shard0.rms.reap_lag_seconds",
-		"fed.merge_seconds",
 		"fed.outage_seconds",
 		"chaos.recovery_seconds",
 		"chaos.node_recovery_seconds",

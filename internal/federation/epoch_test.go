@@ -12,16 +12,17 @@ import (
 	"coormv2/internal/view"
 )
 
-// viewRecorder retains every delivered merged view, so the test can check
-// that later in-place cache updates never mutate an already-delivered map
-// (the copy-on-write loan contract).
+// viewRecorder retains every delivered view segment, so a test can check
+// that no delivered map is written to afterwards, and what they add up to.
 type viewRecorder struct {
 	nps, ps []view.View
+	held    [2]view.View
 }
 
 func (r *viewRecorder) OnViews(np, p view.View) {
 	r.nps = append(r.nps, np)
 	r.ps = append(r.ps, p)
+	r.held = [2]view.View{patch(r.held[0], np), patch(r.held[1], p)}
 }
 func (r *viewRecorder) OnStart(request.ID, []int) {}
 func (r *viewRecorder) OnKill(string)             {}
@@ -43,14 +44,15 @@ func epochFed(t *testing.T, e *sim.Engine, shards int) (*Federator, []view.Clust
 	}), cids
 }
 
-// TestMergeCacheReusesCleanShards drives localized churn on one shard and
-// checks that merged-view deliveries re-merge only the changed shard once
-// the cache is warm.
-func TestMergeCacheReusesCleanShards(t *testing.T) {
+// TestSegmentsNameOnlyTheirShard drives localized churn on one shard and
+// checks that the application is sent only that shard's segments, each
+// naming exactly the shard's clusters, while what it holds still spans
+// every cluster.
+func TestSegmentsNameOnlyTheirShard(t *testing.T) {
 	e := sim.NewEngine()
 	fed, cids := epochFed(t, e, 4)
 	// Two standing sessions on the churn cluster: every arrival changes the
-	// preemptible shares there, so views really re-merge each round.
+	// preemptible shares there, so its shard really pushes each round.
 	for i := 0; i < 2; i++ {
 		standing := fed.Connect(&viewRecorder{})
 		if _, err := standing.Request(rms.RequestSpec{Cluster: cids[0], N: 4, Duration: math.Inf(1), Type: request.Preempt}); err != nil {
@@ -63,31 +65,43 @@ func TestMergeCacheReusesCleanShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Run(5)
-	baseRemerged, baseReused := fed.MergeStats()
+	warm := len(rec.nps)
 
 	// Steady churn on cluster 0 only (short firm allocations, so the
-	// availability really changes): every re-merge after warm-up should
-	// fold exactly one shard and reuse the other three.
+	// availability really changes).
 	for i := 0; i < 8; i++ {
 		if _, err := sess.Request(rms.RequestSpec{Cluster: cids[0], N: 1, Duration: 0.4, Type: request.NonPreempt}); err != nil {
 			t.Fatal(err)
 		}
 		e.Run(e.Now() + 1)
 	}
-	remerged, reused := fed.MergeStats()
-	dRemerged, dReused := remerged-baseRemerged, reused-baseReused
-	if dRemerged == 0 {
-		t.Fatal("churn produced no re-merges; the benchmark scenario is broken")
+	if len(rec.nps) == warm {
+		t.Fatal("churn delivered no views; the scenario is broken")
 	}
-	if dReused < 3*dRemerged {
-		t.Errorf("re-merged %d shard views but reused only %d; localized churn should reuse ~3 of 4 shards per merge",
-			dRemerged, dReused)
+	shard, _ := fed.Owner(cids[0])
+	owned := fed.Shard(shard).Clusters()
+	for i := warm; i < len(rec.nps); i++ {
+		for _, seg := range []view.View{rec.nps[i], rec.ps[i]} {
+			if len(seg) != len(owned) {
+				t.Fatalf("segment %d names %v, want exactly shard %d's clusters %v", i, seg, shard, owned)
+			}
+			for cid := range seg {
+				if _, ok := owned[cid]; !ok {
+					t.Fatalf("segment %d names %v, want exactly shard %d's clusters %v", i, seg, shard, owned)
+				}
+			}
+		}
+	}
+	for _, cid := range cids {
+		if rec.held[0].Get(cid).IsZero() {
+			t.Errorf("the application holds no availability on %s: %v", cid, rec.held[0])
+		}
 	}
 }
 
-// TestMergeCacheDeliveredViewsImmutable checks the copy-on-write loan: a
-// view delivered to the application must never change afterwards, even
-// though the session keeps updating its cached merge in place.
+// TestMergeCacheDeliveredViewsImmutable checks the loan contract: a view
+// segment delivered to the application never changes afterwards, however
+// the shards and the federation go on pushing.
 func TestMergeCacheDeliveredViewsImmutable(t *testing.T) {
 	e := sim.NewEngine()
 	fed, cids := epochFed(t, e, 4)
@@ -99,7 +113,8 @@ func TestMergeCacheDeliveredViewsImmutable(t *testing.T) {
 	e.Run(5)
 
 	// Snapshot every delivered view (shallow copy of the map, profiles are
-	// immutable), then churn across clusters and verify the originals.
+	// immutable), then churn across clusters, crash and restart a shard, and
+	// verify the originals.
 	type snap struct {
 		v    view.View
 		copy view.View
@@ -116,6 +131,9 @@ func TestMergeCacheDeliveredViewsImmutable(t *testing.T) {
 		}
 		e.Run(e.Now() + 1)
 	}
+	fed.CrashShard(1)
+	fed.RestartShard(1)
+	e.Run(e.Now() + 2)
 	for i, sn := range snaps {
 		if len(sn.v) != len(sn.copy) {
 			t.Fatalf("delivered view %d mutated after delivery: %d clusters, had %d", i, len(sn.v), len(sn.copy))
@@ -128,11 +146,11 @@ func TestMergeCacheDeliveredViewsImmutable(t *testing.T) {
 	}
 }
 
-// TestMergeCacheSurvivesCrashAndMigration pins the cache against topology
-// transitions: after a crash the dead shard's clusters vanish from the
-// merge, after restart+rounds they return, and a migration never leaves a
-// cluster duplicated or stranded in the merged view.
-func TestMergeCacheSurvivesCrashAndMigration(t *testing.T) {
+// TestSegmentsFollowCrashAndMigration pins the views an application holds
+// across topology transitions: a crash takes the dead shard's clusters away
+// at once, the restarted shard's rounds bring them back, and a migrated
+// cluster is gone until its new owner's round names it again.
+func TestSegmentsFollowCrashAndMigration(t *testing.T) {
 	e := sim.NewEngine()
 	fed, cids := epochFed(t, e, 2)
 	rec := &viewRecorder{}
@@ -142,32 +160,22 @@ func TestMergeCacheSurvivesCrashAndMigration(t *testing.T) {
 	}
 	e.Run(5)
 
-	last := func() (view.View, view.View) {
-		if len(rec.nps) == 0 {
-			t.Fatal("no views delivered")
-		}
-		return rec.nps[len(rec.nps)-1], rec.ps[len(rec.ps)-1]
-	}
-
 	fed.CrashShard(1)
-	np, _ := last()
 	sh1 := fed.Shard(1).Clusters()
-	for cid := range np {
+	for cid := range rec.held[0] {
 		if _, dead := sh1[cid]; dead {
-			t.Fatalf("crashed shard's cluster %s still visible in merge", cid)
+			t.Fatalf("crashed shard's cluster %s still held", cid)
 		}
 	}
 	fed.RestartShard(1)
 	e.Run(e.Now() + 3)
-	np, _ = last()
-	for cid := range fed.Shard(1).Clusters() {
-		if _, ok := np[cid]; !ok {
-			t.Fatalf("restarted shard's cluster %s missing from merge", cid)
+	for cid := range sh1 {
+		if _, ok := rec.held[0][cid]; !ok {
+			t.Fatalf("restarted shard's cluster %s not held", cid)
 		}
 	}
 
-	// Migrate a cluster from shard 0 to shard 1 and make sure the merged
-	// view still shows every cluster exactly once with fresh profiles.
+	// Migrate an idle cluster from shard 0 to shard 1.
 	var donorCluster view.ClusterID
 	for cid := range fed.Shard(0).Clusters() {
 		if cid != cids[0] { // keep the busy cluster put; move an idle one
@@ -178,17 +186,32 @@ func TestMergeCacheSurvivesCrashAndMigration(t *testing.T) {
 	if _, err := fed.MigrateCluster(donorCluster, 1); err != nil {
 		t.Fatal(err)
 	}
+	if _, ok := rec.held[0][donorCluster]; ok {
+		t.Fatalf("migrated cluster %s still held before its new owner's round", donorCluster)
+	}
 	e.Run(e.Now() + 3)
-	np, p := last()
-	for _, v := range []view.View{np, p} {
+	for _, v := range rec.held {
 		for cid := range v {
 			if _, ok := fed.Owner(cid); !ok {
-				t.Fatalf("merged view shows unknown cluster %s", cid)
+				t.Fatalf("the application holds unknown cluster %s", cid)
 			}
 		}
 	}
-	if _, ok := np[donorCluster]; !ok {
-		t.Fatalf("migrated cluster %s missing from merged view", donorCluster)
+	if got := rec.held[0].Get(donorCluster).Value(e.Now()); got != 8 {
+		t.Fatalf("migrated cluster %s holds %d free nodes after its new owner's round, want 8", donorCluster, got)
+	}
+
+	// Away and straight back, with no round of its owner in between: the
+	// owner's next round must name the cluster again although its profile
+	// is the one the owner pushed last.
+	for _, to := range []int{0, 1} {
+		if _, err := fed.MigrateCluster(donorCluster, to); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.Run(e.Now() + 3)
+	if got := rec.held[0].Get(donorCluster).Value(e.Now()); got != 8 {
+		t.Fatalf("cluster %s migrated away and back holds %d free nodes, want 8", donorCluster, got)
 	}
 	if err := fed.CheckInvariants(); err != nil {
 		t.Fatal(err)

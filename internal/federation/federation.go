@@ -1,11 +1,12 @@
 // Package federation scales the CooRMv2 RMS horizontally: a Federator
 // front-end partitions the cluster set across N independent rms.Server
 // shards, routes application sessions and request()/done() calls to the
-// shard owning their target cluster, and merges the per-shard
-// non-preemptive/preemptive views into the single federated view each
-// application sees. Scheduling semantics are untouched — every shard runs
-// the unmodified §3 algorithm over its own clusters; the federation layer
-// only routes and merges.
+// shard owning their target cluster, and forwards each shard's
+// non-preemptive/preemptive views — a segment naming the clusters the shard
+// owns (see rms.AppHandler.OnViews) — to the application untouched.
+// Scheduling semantics are untouched — every shard runs the unmodified §3
+// algorithm over its own clusters; the federation layer only routes and
+// forwards.
 //
 // Like the rest of the system the Federator is clock-agnostic: under
 // clock.SimClock all shards advance deterministically on one shared virtual
@@ -32,9 +33,10 @@
 // and the Federator applies the configured RecoveryPolicy to the sessions
 // that lost state: KillOnCrash terminates them per §3.1.4, RequeueOnCrash
 // marks their records queued and re-submits those, in ID order, when the
-// shard rejoins empty. Survivors keep running against views re-merged
-// without the dead shard. A session's admission to the shards (Connect) is a
-// topology transition as well, serialized with the three above.
+// shard rejoins empty. Survivors keep running, told by a segment naming the
+// dead shard's clusters with zero profiles that those are gone. A session's
+// admission to the shards (Connect) is a topology transition as well,
+// serialized with the three above.
 //
 // Cross-shard gang scheduling: a request may relate (NEXT/COALLOC) to a
 // request on another shard. The Federator runs a two-phase reservation for
@@ -59,6 +61,7 @@ import (
 	"coormv2/internal/obs"
 	"coormv2/internal/request"
 	"coormv2/internal/rms"
+	"coormv2/internal/stepfunc"
 	"coormv2/internal/view"
 )
 
@@ -135,9 +138,8 @@ type Config struct {
 	// the fresh scheduler.
 	Scheduling func(shard int) core.SchedulingPolicy
 	// Obs, when non-nil, is threaded through every shard (labelled
-	// "shard<i>") and additionally records federation-level signals: merge
-	// latency, migration pauses, shard outage durations, and crash/restart
-	// events.
+	// "shard<i>") and additionally records federation-level signals:
+	// migration pauses, shard outage durations, and crash/restart events.
 	Obs *obs.Registry
 }
 
@@ -175,7 +177,6 @@ type Federator struct {
 	// duration (sim seconds under SimClock — deterministic — and wall
 	// seconds under RealClock).
 	obsReg    *obs.Registry
-	hMerge    *obs.Histogram
 	hMigrate  *obs.Histogram
 	hOutage   *obs.Histogram
 	hGang     *obs.Histogram
@@ -208,45 +209,27 @@ type fedStats struct {
 	gangCommitted atomic.Int64
 	gangAborted   atomic.Int64
 	gangRetried   atomic.Int64
-	// remergedShardViews counts shard views that had been replaced since the
-	// session's previous merge when its merged view was delivered (the dirty
-	// views that forced the merge); reusedShardViews counts those that had
-	// not. Every merge re-folds every shard view, so the split measures
-	// update locality across the fleet, not work avoided.
-	remergedShardViews atomic.Int64
-	reusedShardViews   atomic.Int64
 }
 
 // Stats returns the federation's cumulative event counters.
 func (f *Federator) Stats() map[string]int64 {
 	st := &f.stats
 	return map[string]int64{
-		"killed_sessions":      st.killedSessions.Load(),
-		"requeued_requests":    st.requeuedRequests.Load(),
-		"replayed_requests":    st.replayedRequests.Load(),
-		"dropped_requests":     st.droppedRequests.Load(),
-		"migrated_clusters":    st.migratedClusters.Load(),
-		"gang_committed":       st.gangCommitted.Load(),
-		"gang_aborted":         st.gangAborted.Load(),
-		"gang_retried":         st.gangRetried.Load(),
-		"remerged_shard_views": st.remergedShardViews.Load(),
-		"reused_shard_views":   st.reusedShardViews.Load(),
+		"killed_sessions":   st.killedSessions.Load(),
+		"requeued_requests": st.requeuedRequests.Load(),
+		"replayed_requests": st.replayedRequests.Load(),
+		"dropped_requests":  st.droppedRequests.Load(),
+		"migrated_clusters": st.migratedClusters.Load(),
+		"gang_committed":    st.gangCommitted.Load(),
+		"gang_aborted":      st.gangAborted.Load(),
+		"gang_retried":      st.gangRetried.Load(),
 	}
 }
 
-// noteMerge records one merged-view delivery in which `dirty` of `total`
-// shard views had been replaced since the previous one.
-func (f *Federator) noteMerge(dirty, total int) {
-	f.stats.remergedShardViews.Add(int64(dirty))
-	f.stats.reusedShardViews.Add(int64(total - dirty))
-}
-
-// MergeStats returns the cumulative merge counters: shard views that were
-// dirty (replaced since the session's previous merge) versus clean at merge
-// time, across every session's merged-view deliveries.
-func (f *Federator) MergeStats() (dirty, clean int64) {
-	return f.stats.remergedShardViews.Load(), f.stats.reusedShardViews.Load()
-}
+// MergeStats returns (0, 0): sessions forward shard segments and merge
+// nothing. It stays only because the benchmark module (bench/run.go) calls
+// it.
+func (f *Federator) MergeStats() (dirty, clean int64) { return 0, 0 }
 
 // Partition splits a cluster set into at most n per-shard cluster sets,
 // assigning clusters round-robin in sorted ID order so the split is
@@ -305,7 +288,6 @@ func New(cfg Config) *Federator {
 	}
 	if cfg.Obs != nil {
 		f.obsReg = cfg.Obs
-		f.hMerge = cfg.Obs.Hist("fed.merge_seconds")
 		f.hMigrate = cfg.Obs.Hist("fed.migration_pause_seconds")
 		f.hOutage = cfg.Obs.Hist("fed.outage_seconds")
 		f.hGang = cfg.Obs.Hist("fed.gang_reserve_seconds")
@@ -364,7 +346,7 @@ func (f *Federator) Now() float64 { return f.clk.Now() }
 // TenantLoads aggregates the node IDs held per tenant label per cluster
 // across every running shard (see rms.Server.TenantLoads). Down shards
 // contribute nothing: a crash loses the scheduler-side allocations the
-// shard would report, exactly as the merged views do.
+// shard would report, exactly as the views do.
 func (f *Federator) TenantLoads() map[string]map[view.ClusterID]int {
 	f.mu.Lock()
 	down := append([]bool(nil), f.down...)
@@ -410,9 +392,10 @@ func (f *Federator) TenantPreempts() map[string]int64 {
 
 // Connect registers an application with every running shard under one
 // federated application ID and returns the federated session. Connecting to
-// all shards eagerly gives the application the same full-cluster-set views a
-// single RMS would push, merged by the session's handler fan-in. Crashed
-// shards are skipped; the session is re-admitted to them when they restart.
+// all shards eagerly has every shard push the application the views of the
+// clusters it owns, forwarded untouched, so what the application holds adds
+// up to the full-cluster-set views a single RMS would push. Crashed shards
+// are skipped; the session is re-admitted to them when they restart.
 // Connect options (e.g. rms.WithTenant) are applied on every shard and
 // replayed on each re-admission, so tenant identity survives shard
 // crash/restart and follows the session everywhere it is scheduled.
@@ -425,13 +408,12 @@ func (f *Federator) TenantPreempts() map[string]int64 {
 // topoMu whenever a topology transition flushes them.
 func (f *Federator) Connect(h rms.AppHandler, opts ...rms.ConnectOption) *Session {
 	sess := &Session{
-		f:          f,
-		h:          h,
-		connect:    opts,
-		subs:       make([]*rms.Session, len(f.shards)),
-		shardViews: make([][2]view.View, len(f.shards)),
-		shardDirty: make([]bool, len(f.shards)),
-		reqs:       make(map[request.ID]*fedReq),
+		f:         f,
+		h:         h,
+		connect:   opts,
+		subs:      make([]*rms.Session, len(f.shards)),
+		reqs:      make(map[request.ID]*fedReq),
+		movedFrom: make(map[view.ClusterID]int),
 	}
 	f.topoMu.Lock()
 	defer f.topoMu.Unlock()
@@ -530,8 +512,8 @@ func (r RestartReport) String() string {
 // gone, metrics closed out at the crash instant) and every live session
 // absorbs the loss per the recovery policy — KillOnCrash terminates sessions
 // with live requests there (§3.1.4), RequeueOnCrash marks those requests
-// queued. Survivors immediately receive views re-merged without the
-// dead shard. Crashing an already-down shard is a no-op.
+// queued. Survivors immediately receive a segment naming the dead shard's
+// clusters with zero profiles. Crashing an already-down shard is a no-op.
 func (f *Federator) CrashShard(i int) CrashReport {
 	if i < 0 || i >= len(f.shards) {
 		panic(fmt.Sprintf("federation: CrashShard(%d) with %d shards", i, len(f.shards)))
@@ -551,6 +533,13 @@ func (f *Federator) CrashShard(i int) CrashReport {
 	// order matches RestartShard's Reset; nothing nests the other way.
 	f.shards[i].Stop()
 	sessions := f.sessionsLocked()
+	// One segment for every survivor: the dead shard's clusters, named zero.
+	lost := view.New()
+	for cid, own := range f.owner {
+		if own == i {
+			lost[cid] = stepfunc.Zero()
+		}
+	}
 	f.mu.Unlock()
 
 	if f.obsReg != nil {
@@ -581,8 +570,8 @@ func (f *Federator) CrashShard(i int) CrashReport {
 	f.stats.gangAborted.Add(int64(rep.GangsAborted))
 	f.stats.droppedRequests.Add(int64(rep.GangsAborted))
 	// Deliver outcomes with no federation lock held: finish/reap events for
-	// the purged mappings, kills for the affected sessions, re-merged views
-	// for the survivors.
+	// the purged mappings, kills for the affected sessions, the lost clusters
+	// to the survivors.
 	for _, sess := range sessions {
 		n := notices[sess]
 		sess.notifyRetired(n.ended, n.reaped)
@@ -592,14 +581,15 @@ func (f *Federator) CrashShard(i int) CrashReport {
 		sess.teardown(reason)
 	}
 	for _, sess := range sessions {
-		sess.pushMerged()
+		sess.queueLost(lost, -1)
+		sess.deliver()
 	}
 	return rep
 }
 
 // RestartShard brings a crashed shard back: its rms.Server is Reset to
 // empty state, the Federator re-admits every live session (the shard's
-// clusters reappear in the merged views on its next scheduling round), and —
+// clusters reappear in the views on its next scheduling round), and —
 // under RequeueOnCrash — every session's queued records are re-submitted in
 // (session-ID, request-ID) order under their original federated request IDs.
 // Restarting a running shard is a no-op.

@@ -24,7 +24,7 @@ const (
 // testApp is a programmable rms.AppHandler that records everything.
 type testApp struct {
 	mu     sync.Mutex
-	views  []struct{ np, p view.View }
+	held   [2]view.View // what the view segments so far add up to
 	starts []struct {
 		id  request.ID
 		ids []int
@@ -33,9 +33,27 @@ type testApp struct {
 	onStart func(id request.ID, ids []int)
 }
 
+// patch applies a view segment (see rms.AppHandler.OnViews) to a pair an
+// application holds: a named profile replaces the held one, a named zero
+// removes the cluster, a cluster the segment does not name keeps its
+// profile. It returns held, allocated on first use.
+func patch(held, seg view.View) view.View {
+	if held == nil {
+		held = view.New()
+	}
+	for cid, f := range seg {
+		if f.IsZero() {
+			delete(held, cid)
+		} else {
+			held[cid] = f
+		}
+	}
+	return held
+}
+
 func (a *testApp) OnViews(np, p view.View) {
 	a.mu.Lock()
-	a.views = append(a.views, struct{ np, p view.View }{np, p})
+	a.held = [2]view.View{patch(a.held[0], np), patch(a.held[1], p)}
 	a.mu.Unlock()
 }
 
@@ -58,15 +76,16 @@ func (a *testApp) OnKill(reason string) {
 	a.mu.Unlock()
 }
 
-func (a *testApp) lastViews(t *testing.T) (view.View, view.View) {
+// heldViews returns the pair the application holds; callers must not
+// modify it.
+func (a *testApp) heldViews(t *testing.T) (view.View, view.View) {
 	t.Helper()
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if len(a.views) == 0 {
+	if a.held[0] == nil {
 		t.Fatal("no views received")
 	}
-	v := a.views[len(a.views)-1]
-	return v.np, v.p
+	return a.held[0], a.held[1]
 }
 
 func TestPartition(t *testing.T) {
@@ -103,7 +122,9 @@ func newTestFederation(shards int) (*sim.Engine, *Federator) {
 	return e, f
 }
 
-func TestMergedViewsSpanAllShards(t *testing.T) {
+// TestViewSegmentsSpanAllShards: every shard pushes a segment naming the
+// clusters it owns, so what the application holds spans all of them.
+func TestViewSegmentsSpanAllShards(t *testing.T) {
 	e, f := newTestFederation(3)
 	if f.NumShards() != 3 {
 		t.Fatalf("NumShards = %d, want 3", f.NumShards())
@@ -111,7 +132,7 @@ func TestMergedViewsSpanAllShards(t *testing.T) {
 	app := &testApp{}
 	f.Connect(app)
 	e.RunAll()
-	np, p := app.lastViews(t)
+	np, p := app.heldViews(t)
 	for _, cid := range []view.ClusterID{cA, cB, cC} {
 		if got := np.Get(cid).Value(0); got != 8 {
 			t.Errorf("non-preemptive view of %s = %d, want 8", cid, got)

@@ -21,6 +21,7 @@ import (
 type idTally struct {
 	starts, finishes, reaps, nodeFaults, errors int
 	shardEvents                                 int   // obs events a shard stamped with a request
+	vanished                                    int   // (live session, lost cluster) pairs checked
 	committed, migrated, replayed               int64 // gangs, clusters, requests
 }
 
@@ -30,13 +31,15 @@ type idTally struct {
 // Request returned, through every replay, migration and reservation. It
 // implements rms.RequestObserver and rms.NodeFailureHandler to see them all.
 // It also tracks which of its IDs are still the session's to end: done() on
-// one of those must find the request, wherever its record stands.
+// one of those must find the request, wherever its record stands; and what
+// its view segments add up to.
 type idApp struct {
 	t       *testing.T
 	tally   *idTally
 	issued  map[request.ID]bool
 	retired map[request.ID]bool // a finish, reap or drop was delivered
 	killed  bool
+	held    [2]view.View
 }
 
 func (a *idApp) quoted(what string, id request.ID, n *int) {
@@ -46,7 +49,9 @@ func (a *idApp) quoted(what string, id request.ID, n *int) {
 	*n++
 }
 
-func (a *idApp) OnViews(_, _ view.View)         {}
+func (a *idApp) OnViews(np, p view.View) {
+	a.held = [2]view.View{patch(a.held[0], np), patch(a.held[1], p)}
+}
 func (a *idApp) OnKill(string)                  { a.killed = true }
 func (a *idApp) OnStart(id request.ID, _ []int) { a.quoted("start", id, &a.tally.starts) }
 func (a *idApp) OnRequestFinished(id request.ID) {
@@ -107,9 +112,11 @@ func (a *idApp) callErr(what string, err error, passed request.ID) {
 // recoveries, and clock advances. data[0] picks the crash and node recovery
 // policies. It asserts the federation invariants after every step — no
 // leaked holds, no half-committed gangs, every placed request held by its
-// shard under the same ID — and that every reported request ID is one
+// shard under the same ID — that every reported request ID is one
 // Session.Request returned: to the application (idApp), and in the obs
-// events the shards themselves stamp. Request, migration and node-fault
+// events the shards themselves stamp — and that the clusters of a down shard,
+// or of a migration, vanish from what every live application holds until
+// their (new) owner pushes them. Request, migration and node-fault
 // errors are legal outcomes (killed sessions, down shards, last clusters);
 // invariant violations, foreign IDs and panics are the only failures.
 func driveGangOps(t *testing.T, data []byte, tally *idTally) {
@@ -155,9 +162,38 @@ func driveGangOps(t *testing.T, data []byte, tally *idTally) {
 			t.Fatalf("after op %d: %v", op, err)
 		}
 	}
+	// gone checks that no live session holds availability on a cluster of a
+	// down shard, nor on moved, the cluster a migration just took away: only
+	// its new owner's next round may name it again.
+	gone := func(op int, moved view.ClusterID) {
+		var lost []view.ClusterID
+		if moved != "" {
+			lost = append(lost, moved)
+		}
+		for i := 0; i < fed.NumShards(); i++ {
+			if fed.ShardDown(i) {
+				for cid := range fed.Shard(i).Clusters() {
+					lost = append(lost, cid)
+				}
+			}
+		}
+		for id, app := range apps {
+			if app.killed {
+				continue
+			}
+			for _, cid := range lost {
+				if _, np := app.held[0][cid]; np || app.held[1][cid] != nil {
+					t.Fatalf("after op %d: app %d holds %s (np %v, p %v), which a crash or migration took away",
+						op, id, cid, app.held[0], app.held[1])
+				}
+				tally.vanished++
+			}
+		}
+	}
 	for i := 0; i+1 < len(data); i += 2 {
 		op, arg := data[i]>>4, data[i+1]
 		c := clients[int(data[i]&0x0f)%len(clients)]
+		var moved view.ClusterID
 		switch op % 10 {
 		case 0: // plain request
 			dur := float64(1 + arg%40)
@@ -195,7 +231,9 @@ func driveGangOps(t *testing.T, data []byte, tally *idTally) {
 		case 4: // restart a shard
 			fed.RestartShard(int(arg) % fed.NumShards())
 		case 5: // migrate a cluster (errors — down/last/same-shard — are fine)
-			_, _ = fed.MigrateCluster(clusterIDs[int(arg)%len(clusterIDs)], int(arg>>4)%fed.NumShards())
+			if rep, err := fed.MigrateCluster(clusterIDs[int(arg)%len(clusterIDs)], int(arg>>4)%fed.NumShards()); err == nil {
+				moved = rep.Cluster
+			}
 		case 6: // let timers, alignment, and backoff fire
 			e.Run(e.Now() + float64(arg%16))
 		case 7: // reconnect a fresh session in a killed slot
@@ -206,8 +244,10 @@ func driveGangOps(t *testing.T, data []byte, tally *idTally) {
 			_, _ = fed.RecoverNodes(clusterIDs[int(arg)%len(clusterIDs)], []int{int(arg>>2) % 6})
 		}
 		check(i)
+		gone(i, moved)
 		e.Run(e.Now() + 1)
 		check(i)
+		gone(i, "")
 	}
 	// Drain far enough for every pending gang to commit or abort, then
 	// re-check: nothing may leak once the machinery settles.
@@ -262,7 +302,7 @@ func TestRequestIDsEndToEnd(t *testing.T) {
 		}
 	}
 	if tally.starts == 0 || tally.finishes == 0 || tally.reaps == 0 || tally.nodeFaults == 0 || tally.errors == 0 || tally.shardEvents == 0 ||
-		tally.committed == 0 || tally.migrated == 0 || tally.replayed == 0 {
+		tally.vanished == 0 || tally.committed == 0 || tally.migrated == 0 || tally.replayed == 0 {
 		t.Fatalf("vacuous matrix: %+v", tally)
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"coormv2/internal/obs"
 	"coormv2/internal/request"
+	"coormv2/internal/stepfunc"
 	"coormv2/internal/view"
 )
 
@@ -53,10 +54,12 @@ func (r MigrationReport) String() string {
 // into a NotBefore floor carrying the same timing intent — the relation's
 // constraint survives the cut, and the federation's cross-shard gangs (whose
 // legs are shard-locally unrelated holds, see gang.go) were never entangling
-// to begin with. On success the owner table, the sessions' request tables
-// and the merged views all reflect the new topology before the call
-// returns, and the cluster is placed exactly once: a failure after the
-// donor was drained re-attaches the snapshot to the donor.
+// to begin with. On success the owner table and the sessions' request
+// tables reflect the new topology before the call returns, every session
+// has been handed a segment naming the cluster with zero profiles (its new
+// owner's next push names it again), and the cluster is placed exactly
+// once: a failure after the donor was drained re-attaches the snapshot to
+// the donor.
 func (f *Federator) MigrateCluster(cid view.ClusterID, to int) (MigrationReport, error) {
 	if to < 0 || to >= len(f.shards) {
 		return MigrationReport{Cluster: cid, From: -1, To: to},
@@ -93,6 +96,13 @@ func (f *Federator) MigrateCluster(cid view.ClusterID, to int) (MigrationReport,
 		return rep, err
 	}
 	rep.Apps, rep.Requests, rep.Nodes = len(snap.Apps), snap.Requests(), snap.HeldNodes()
+	// Until its new owner's first push names the cluster, every session reads
+	// it as empty. The segment saying so is queued now, ahead of any push of
+	// the target's, and delivered once the migration is done.
+	lost := view.View{cid: stepfunc.Zero()}
+	for _, sess := range sessions {
+		sess.queueLost(lost, from)
+	}
 
 	byID := make(map[int]*Session, len(sessions))
 	for _, sess := range sessions {
@@ -109,7 +119,12 @@ func (f *Federator) MigrateCluster(cid view.ClusterID, to int) (MigrationReport,
 		// The donor is drained but the target refused (unreachable in the
 		// simulator — topoMu excludes a concurrent crash, and the down check
 		// above covered the rest). Exactly-once placement must hold even
-		// here: hand the snapshot back to the donor.
+		// here: hand the snapshot back to the donor — to the sessions, a
+		// migration from the target.
+		for _, sess := range sessions {
+			sess.queueLost(lost, to)
+			sess.deliver()
+		}
 		if rerr := f.shards[from].AttachCluster(snap, repoint(from)); rerr != nil {
 			panic(fmt.Sprintf("federation: cluster %q lost in migration: %v (after %v)", cid, rerr, err))
 		}
@@ -120,16 +135,9 @@ func (f *Federator) MigrateCluster(cid view.ClusterID, to int) (MigrationReport,
 	f.owner[cid] = to
 	f.mu.Unlock()
 
-	// Strip the migrated cluster from every session's stored donor views —
-	// until the donor's next round pushes cid-less views, the stale copy
-	// would keep the cluster double-represented in merges — then deliver the
-	// re-merged result.
 	for _, sess := range sessions {
-		sess.noteClusterMoved(cid, from)
 		sess.rehomeDetachedHolds(cid, to)
-	}
-	for _, sess := range sessions {
-		sess.pushMerged()
+		sess.deliver()
 	}
 	f.stats.migratedClusters.Add(1)
 	if f.hMigrate != nil {
@@ -155,29 +163,4 @@ func (s *Session) migrateMapping(dst int, id request.ID) {
 		e.shard = dst
 	}
 	s.mu.Unlock()
-}
-
-// noteClusterMoved drops the migrated cluster from the session's stored
-// views of the donor shard and marks the merge dirty; the caller delivers
-// with pushMerged once the owner table is updated.
-func (s *Session) noteClusterMoved(cid view.ClusterID, from int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.killed {
-		return
-	}
-	for k := 0; k < 2; k++ {
-		if v := s.shardViews[from][k]; v != nil {
-			if _, ok := v[cid]; ok {
-				// Copy-on-write: pushed view maps are shared with the rms
-				// layer (and possibly other sessions) under the immutable
-				// OnViews contract, so the strip works on a private clone.
-				v = v.Clone()
-				delete(v, cid)
-				s.shardViews[from][k] = v
-			}
-		}
-	}
-	s.shardDirty[from] = true
-	s.viewsDirty = true
 }

@@ -2,16 +2,19 @@ package federation
 
 import (
 	"errors"
+	"maps"
 	"math"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"coormv2/internal/clock"
 	"coormv2/internal/metrics"
 	"coormv2/internal/request"
 	"coormv2/internal/rms"
 	"coormv2/internal/sim"
+	"coormv2/internal/stepfunc"
 	"coormv2/internal/view"
 )
 
@@ -104,10 +107,10 @@ func TestMigrateClusterHandsOverLiveState(t *testing.T) {
 	}
 	mustCheck(t, f)
 
-	// Merged views keep the migrated cluster visible at full capacity once
+	// The bystander's views show the migrated cluster at full capacity once
 	// its allocations drain.
 	e.Run(e.Now() + 60)
-	nv, _ := bystander.lastViews(t)
+	nv, _ := bystander.heldViews(t)
 	if got := nv.Get(cC).Value(e.Now()); got != 8 {
 		t.Errorf("migrated cluster shows %d free nodes, want 8", got)
 	}
@@ -203,6 +206,101 @@ func TestMigrateThenCrashRequeueReplaysOnNewOwner(t *testing.T) {
 	}
 	if err := sess.Done(id, nil); err != nil {
 		t.Fatal(err)
+	}
+	mustCheck(t, f)
+}
+
+// TestStaleDonorPushIsStripped delivers, after a migration, a push the donor
+// computed before the detach (under clock.RealClock its delivery can trail
+// the migration): the cluster it still names must keep the new owner's
+// profile, the rest of the push must get through, and the pushed maps must
+// stay untouched. Once the cluster moves back, its old donor's pushes name
+// it again and count.
+func TestStaleDonorPushIsStripped(t *testing.T) {
+	e, f := newMigrateFederation(t, KillOnCrash)
+	app := &testApp{}
+	sess := f.Connect(app)
+	if _, err := sess.Request(rms.RequestSpec{Cluster: cC, N: 3, Duration: math.Inf(1), Type: request.NonPreempt}); err != nil {
+		t.Fatal(err)
+	}
+	e.Run(3)
+	push := func(shard int, seg view.View) {
+		before := seg.Clone()
+		(&shardHandler{sess: sess, shard: shard}).OnViews(seg, seg)
+		if !maps.Equal(seg, before) {
+			t.Fatalf("forwarding modified the pushed segment: %v, was %v", seg, before)
+		}
+	}
+	free := func(cid view.ClusterID) int {
+		np, _ := app.heldViews(t)
+		return np.Get(cid).Value(e.Now())
+	}
+	hops := []struct {
+		from, to int
+		other    view.ClusterID // a cluster the donor keeps
+	}{{0, 1, cA}, {1, 0, cB}}
+	for _, hop := range hops {
+		if _, err := f.MigrateCluster(cC, hop.to); err != nil {
+			t.Fatal(err)
+		}
+		e.Run(e.Now() + 3)
+		if got := free(cC); got != 5 {
+			t.Fatalf("after the move to shard %d gamma holds %d free nodes, want 5", hop.to, got)
+		}
+		push(hop.from, view.View{cC: stepfunc.Constant(1), hop.other: stepfunc.Constant(2)})
+		if got := free(cC); got != 5 {
+			t.Fatalf("a stale push of shard %d set gamma to %d free nodes, want 5", hop.from, got)
+		}
+		if got := free(hop.other); got != 2 {
+			t.Fatalf("the stale push's other cluster holds %d, want 2", got)
+		}
+		push(hop.to, view.View{cC: stepfunc.Constant(4)})
+		if got := free(cC); got != 4 {
+			t.Fatalf("a push of gamma's owner, shard %d, set %d free nodes, want 4", hop.to, got)
+		}
+	}
+}
+
+// slowViews is an application whose view handler takes a while, so that
+// MigrateCluster is still delivering to it when the target's first round
+// pushes to the sessions after it.
+type slowViews struct{ inertApp }
+
+func (slowViews) OnViews(_, _ view.View) { time.Sleep(2 * time.Millisecond) }
+
+// TestMigrationUnderRealClockKeepsClusterVisible ping-pongs an idle cluster
+// under clock.RealClock, where the target's first round runs on a timer
+// goroutine and can push before MigrateCluster returns. Once the shards are
+// idle again the application must hold the cluster at full capacity: a zero
+// segment delivered after that push would hide the cluster until its views
+// change.
+func TestMigrationUnderRealClockKeepsClusterVisible(t *testing.T) {
+	f := New(Config{
+		Clusters:        map[view.ClusterID]int{cA: 8, cB: 8, cC: 8},
+		Shards:          2,
+		ReschedInterval: 0.001,
+		GracePeriod:     1e18,
+		Clock:           clock.NewRealClock(),
+	})
+	f.Connect(slowViews{})
+	app := &testApp{}
+	f.Connect(app)
+	for i := 0; i < 20; i++ {
+		time.Sleep(5 * time.Millisecond) // both shards idle: the target's round starts at once
+		if _, err := f.MigrateCluster(cC, 1-i%2); err != nil {
+			t.Fatal(err)
+		}
+		for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+			app.mu.Lock()
+			got := app.held[0].Get(cC).Value(0)
+			app.mu.Unlock()
+			if got == 8 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("migration %d: the application holds %d free nodes of gamma, want 8", i+1, got)
+			}
+		}
 	}
 	mustCheck(t, f)
 }

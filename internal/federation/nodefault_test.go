@@ -155,7 +155,7 @@ func TestFailNodesWhileShardDownAppliesAtRestart(t *testing.T) {
 	if got := f.Shard(shardA).FailedNodeIDs(cA); len(got) != 1 || got[0] != 2 {
 		t.Fatalf("shard failed IDs = %v, want [2]", got)
 	}
-	np, _ := app.lastViews(t)
+	np, _ := app.heldViews(t)
 	if got := np.Get(cA).Value(e.Now()); got != 7 {
 		t.Errorf("restarted cluster shows %d nodes, want 7 (one still down)", got)
 	}

@@ -74,7 +74,7 @@ func TestCrashKillPolicyKillsAffectedSparesBystander(t *testing.T) {
 		t.Errorf("killed-sessions counter = %d, want 1", got)
 	}
 	// The bystander immediately sees views without the dead shard's cluster.
-	np, _ := bystander.lastViews(t)
+	np, _ := bystander.heldViews(t)
 	if _, ok := np[cA]; ok {
 		t.Errorf("dead shard's cluster still visible: %v", np)
 	}
@@ -91,7 +91,7 @@ func TestCrashKillPolicyKillsAffectedSparesBystander(t *testing.T) {
 		t.Fatalf("reconnected = %d, want 1 (bystander only)", rrep.Reconnected)
 	}
 	e.Run(e.Now() + 5)
-	np, _ = bystander.lastViews(t)
+	np, _ = bystander.heldViews(t)
 	if got := np.Get(cA).Value(e.Now()); got != 8 {
 		t.Errorf("restarted cluster shows %d nodes, want 8", got)
 	}

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"coormv2/internal/obs"
 	"coormv2/internal/request"
 	"coormv2/internal/rms"
 	"coormv2/internal/view"
@@ -104,16 +103,16 @@ type Session struct {
 	reqs   map[request.ID]*fedReq
 	killed bool
 
-	// shardViews holds the latest views pushed by each shard; merged pushes
-	// are serialized by the delivering/viewsDirty pair so a slow handler
-	// never observes an older merge after a newer one. shardDirty marks the
-	// shards whose stored views were replaced (push, crash zeroing,
-	// migration strip) since the previous merge; it only feeds the
-	// federator's merge counters.
-	shardViews [][2]view.View
-	shardDirty []bool
-	viewsDirty bool
+	// segs holds the view segments (see rms.AppHandler.OnViews) not yet
+	// handed to the application: shard pushes, forwarded untouched, and the
+	// federation's own crash and migration segments. One deliverer at a time
+	// (delivering) hands them over in order, one OnViews each, so a handler
+	// never sees a segment before an older one.
+	segs       [][2]view.View
 	delivering bool
+	// movedFrom maps a migrated cluster to the shard it last left: a push of
+	// that shard's still naming it predates the detach (see queueLost).
+	movedFrom map[view.ClusterID]int
 }
 
 // AppID returns the federated application ID (identical on every shard).
@@ -415,8 +414,8 @@ func (s *Session) teardown(reason string) {
 // GC-reaped by the dead shard). gangsAborted counts cross-shard
 // reservations whose held leg died with the shard and was not requeued
 // (their drops ride in reaped). The caller delivers the corresponding
-// observer notifications (and the re-merged views) after the sweep, with
-// no locks held.
+// observer notifications (and the segment naming the lost clusters) after
+// the sweep, with no locks held.
 func (s *Session) absorbCrash(shard int, pol RecoveryPolicy) (affected bool, requeued, purged, gangsAborted int, ended, reaped []request.ID) {
 	now := s.f.clk.Now()
 	s.mu.Lock()
@@ -425,9 +424,6 @@ func (s *Session) absorbCrash(shard int, pol RecoveryPolicy) (affected bool, req
 		return false, 0, 0, 0, nil, nil
 	}
 	s.subs[shard] = nil
-	s.shardViews[shard] = [2]view.View{}
-	s.shardDirty[shard] = true
-	s.viewsDirty = true
 	for _, fid := range s.idsOnLocked(shard) {
 		e := s.reqs[fid]
 		switch {
@@ -611,35 +607,46 @@ func (s *Session) replayQueue(shard int) (replayed, dropped int) {
 	return replayed, dropped
 }
 
-// pushMerged delivers the merged views if a topology change marked them
-// dirty (crash sweeps call it once per surviving session).
-func (s *Session) pushMerged() {
+// queueLost queues, for deliver to hand over, the federation's own segment
+// naming the clusters a topology transition took from the session with zero
+// profiles (one map for both views). A migration queues it before the
+// attach, ahead of every push of the new owner, and passes the donor as from
+// (a crash passes -1): shardHandler.OnViews then strips the clusters from
+// the donor's pushes, which can only predate the detach.
+func (s *Session) queueLost(lost view.View, from int) {
 	s.mu.Lock()
-	if s.killed || !s.viewsDirty {
-		s.mu.Unlock()
+	defer s.mu.Unlock()
+	if s.killed {
 		return
 	}
-	s.deliverViewsLocked()
+	for cid := range lost {
+		if from >= 0 {
+			s.movedFrom[cid] = from
+		}
+	}
+	s.segs = append(s.segs, [2]view.View{lost, lost})
 }
 
-// deliverViewsLocked drains the dirty flag, delivering merged views with no
-// lock held; it unlocks s.mu before returning. If a delivery is already in
-// progress the flag is left for the active deliverer's loop, so merges are
-// serialized per session (possible under clock.RealClock where shards run
-// concurrently, or when a handler re-enters).
-func (s *Session) deliverViewsLocked() {
+// deliver hands the queued segments to the application in order, with no
+// lock held. If a delivery is already in progress the queue is left for the
+// active deliverer's loop, so handler calls stay serialized per session
+// (possible under clock.RealClock where shards run concurrently, or when a
+// handler re-enters).
+func (s *Session) deliver() {
+	s.mu.Lock()
 	if s.delivering {
 		s.mu.Unlock()
 		return
 	}
 	s.delivering = true
-	for s.viewsDirty {
-		s.viewsDirty = false
-		mnp, mp := s.mergedLocked()
+	for i := 0; i < len(s.segs); i++ {
+		seg := s.segs[i]
 		s.mu.Unlock()
-		s.h.OnViews(mnp, mp)
+		s.h.OnViews(seg[0], seg[1])
 		s.mu.Lock()
 	}
+	clear(s.segs) // drop the delivered maps, keep the backing array
+	s.segs = s.segs[:0]
 	s.delivering = false
 	s.mu.Unlock()
 }
@@ -721,72 +728,23 @@ type shardHandler struct {
 	shard int
 }
 
-// OnViews merges the shard's fresh views with the latest views of every
-// other shard and pushes the federated result.
+// OnViews forwards the shard's segment, which names every cluster the shard
+// owns, untouched: a single RMS's push and a shard's are the same thing, so
+// a 1-shard federation is a single RMS by construction — except that a
+// cluster a migration took from the shard is stripped, from a copy.
 func (h *shardHandler) OnViews(np, p view.View) {
 	s := h.sess
 	s.mu.Lock()
-	s.shardViews[h.shard] = [2]view.View{np, p}
-	s.shardDirty[h.shard] = true
-	s.viewsDirty = true
-	s.deliverViewsLocked()
-}
-
-// mergedLocked builds the federated views from the latest per-shard views.
-// Shard cluster sets are disjoint, so merging is plain map union; a crashed
-// shard's entry is zeroed, so its clusters simply vanish from the merge.
-// With a single shard the shard's views are forwarded as-is, keeping a
-// 1-shard federation byte-identical to a single RMS.
-//
-// Every merge builds the union into fresh pre-sized maps: the previous
-// result was handed to the application, which may retain it, so it is never
-// patched in place. (A merge only runs when viewsDirty was set, and every
-// site that sets it replaces some shard's views, so there is never an
-// unchanged result to reuse.) How many shard views were replaced since the
-// previous merge, versus carried over, is reported to the federator's merge
-// counters.
-func (s *Session) mergedLocked() (np, p view.View) {
-	if len(s.shardViews) == 1 {
-		v := s.shardViews[0]
-		if v[0] == nil && v[1] == nil {
-			// The only shard is down: nothing is visible.
-			return view.New(), view.New()
-		}
-		return v[0], v[1]
-	}
-	var mergeT0 float64
-	if s.f.hMerge != nil {
-		mergeT0 = s.f.clk.Now()
-	}
-	nNP, nP := 0, 0
-	for _, sv := range s.shardViews {
-		nNP += len(sv[0])
-		nP += len(sv[1])
-	}
-	np, p = make(view.View, nNP), make(view.View, nP)
-	dirty := 0
-	for i, sv := range s.shardViews {
-		for cid, f := range sv[0] {
-			np[cid] = f
-		}
-		for cid, f := range sv[1] {
-			p[cid] = f
-		}
-		if s.shardDirty[i] {
-			s.shardDirty[i] = false
-			dirty++
+	for cid, from := range s.movedFrom {
+		if _, stale := np[cid]; stale && from == h.shard {
+			np, p = np.Clone(), p.Clone()
+			delete(np, cid)
+			delete(p, cid)
 		}
 	}
-	s.f.noteMerge(dirty, len(s.shardViews))
-	if s.f.hMerge != nil {
-		// Clock-measured rebuild latency: zero inside the simulator (time
-		// never advances mid-event, keeping same-seed snapshots identical),
-		// real microseconds under clock.RealClock.
-		dur := s.f.clk.Now() - mergeT0
-		s.f.hMerge.Record(dur)
-		s.f.obsReg.Event(obs.Event{Time: mergeT0, Type: obs.EvMerge, App: s.id, Value: dur})
-	}
-	return np, p
+	s.segs = append(s.segs, [2]view.View{np, p})
+	s.mu.Unlock()
+	s.deliver()
 }
 
 // OnStart records the start instant (crash recovery distinguishes

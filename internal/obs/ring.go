@@ -8,7 +8,6 @@ const (
 	EvRound       = "round"        // one scheduling round (Value = clock seconds)
 	EvStart       = "start"        // request admit→start (Value = wait seconds)
 	EvReap        = "reap"         // request done→reap (Value = reap lag seconds)
-	EvMerge       = "merge"        // federated view re-merge (Value = clock seconds)
 	EvMigrate     = "migrate"      // live cluster migration (Value = pause seconds)
 	EvCrash       = "crash"        // shard crash fault
 	EvRestart     = "restart"      // shard restart (Value = outage seconds)

@@ -1,6 +1,7 @@
 package proto
 
 import (
+	"maps"
 	"testing"
 
 	"coormv2/internal/clock"
@@ -30,12 +31,16 @@ var viewsFrameSeeds = []string{
 // FuzzViewsFrame feeds untrusted bytes through the client's views path:
 // Unmarshal, then each view applied to an arbitrary base (a second frame's
 // views, when they decode). Nothing may panic; a view that decodes must
-// apply, leave its base alone, hold no zero profile, and survive both
-// re-encodings — in full, and as the delta from that base.
+// apply, leave its base alone, hold no zero profile, and survive the full
+// re-encoding. The server's path runs too: the frame's clusters, named with
+// what the view holds for them (zero for a removed one), are a segment
+// patched onto a copy of the base, which must equal the base with the
+// returned delta applied, and the segment stays untouched.
 func FuzzViewsFrame(f *testing.F) {
 	for i, s := range viewsFrameSeeds {
 		f.Add([]byte(s), []byte(viewsFrameSeeds[(i+1)%len(viewsFrameSeeds)]))
 	}
+	f.Add([]byte(viewsFrameSeeds[1]), []byte(viewsFrameSeeds[1])) // a segment that changes nothing
 	f.Fuzz(func(t *testing.T, frame, baseFrame []byte) {
 		m, err := Unmarshal(frame)
 		if err != nil {
@@ -67,8 +72,23 @@ func FuzzViewsFrame(f *testing.F) {
 			if back, err := EncodeView(got).DecodeView(); err != nil || !back.Equal(got) || len(back) != len(got) {
 				t.Fatalf("full round trip of %v gave %v, %v", got, back, err)
 			}
-			if back, err := EncodeViewDelta(base, got).Apply(base); err != nil || !back.Equal(got) || len(back) != len(got) {
-				t.Fatalf("delta round trip of %v over %v gave %v, %v", got, base, back, err)
+			seg := view.New()
+			for cid := range vj {
+				seg[view.ClusterID(cid)] = got.Get(view.ClusterID(cid))
+			}
+			segBefore := seg.Clone()
+			acc := base.Clone()
+			delta := PatchView(acc, seg)
+			if back, err := delta.Apply(base); err != nil || !back.Equal(acc) || len(back) != len(acc) {
+				t.Fatalf("segment %v patched onto %v gave %v, its delta %v applied %v, %v", seg, base, acc, delta, back, err)
+			}
+			for cid := range delta {
+				if c := view.ClusterID(cid); base.Get(c).Equal(acc.Get(c)) {
+					t.Fatalf("delta %v lists unchanged cluster %q", delta, cid)
+				}
+			}
+			if !maps.Equal(seg, segBefore) {
+				t.Fatalf("PatchView modified its segment: %v, was %v", seg, segBefore)
 			}
 		}
 	})

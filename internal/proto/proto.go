@@ -53,46 +53,39 @@ type StepJSON struct {
 // ViewJSON is a wire-encodable view: cluster ID → availability steps.
 type ViewJSON map[string][]StepJSON
 
-// EncodeView converts a view to its wire form.
-func EncodeView(v view.View) ViewJSON { return EncodeViewDelta(nil, v) }
-
-// EncodeViewDelta lists what turns base into v: every cluster of v whose
-// profile differs from base's, and a zero profile for every cluster only
-// base has. A nil base lists all of v — the full form, which is also the
-// delta from an empty view. Neither view is modified.
-func EncodeViewDelta(base, v view.View) ViewJSON {
-	size := 0
-	if base == nil {
-		size = len(v)
-	}
-	out := make(ViewJSON, size)
-	shared := 0 // clusters of v that base lists too
-	for cid, f := range v {
-		b, ok := base[cid]
-		if ok {
-			shared++
-		}
-		if f = orZero(f); base == nil || !f.Equal(orZero(b)) {
-			out[string(cid)] = encodeProfile(f)
-		}
-	}
-	if shared == len(base) {
-		return out // base lists nothing that v lacks
-	}
-	for cid, b := range base {
-		if _, ok := v[cid]; !ok && !orZero(b).IsZero() {
-			out[string(cid)] = encodeProfile(stepfunc.Zero())
-		}
+// EncodeView converts a view to its full wire form: every cluster it names.
+func EncodeView(v view.View) ViewJSON {
+	out := make(ViewJSON, len(v))
+	for cid := range v {
+		out[string(cid)] = encodeProfile(v.Get(cid))
 	}
 	return out
 }
 
-// orZero reads a view entry the way view.View.Get does: nil is zero.
-func orZero(f *stepfunc.StepFunc) *stepfunc.StepFunc {
-	if f == nil {
-		return stepfunc.Zero()
+// PatchView applies the segment seg (see rms.AppHandler.OnViews) to acc in
+// place — a named profile replaces acc's, a named zero removes the cluster,
+// a cluster seg does not name keeps its profile — and returns the delta: the
+// named clusters whose profile changed, a removed one as a zero profile.
+// Applying the delta to a copy of acc taken before the call (ViewJSON.Apply)
+// gives acc after it. acc must be owned by the caller; seg is not modified.
+func PatchView(acc, seg view.View) ViewJSON {
+	var out ViewJSON // nil until a profile changes
+	for cid := range seg {
+		f := seg.Get(cid)
+		if f.Equal(acc.Get(cid)) {
+			continue
+		}
+		if f.IsZero() {
+			delete(acc, cid)
+		} else {
+			acc[cid] = f
+		}
+		if out == nil {
+			out = make(ViewJSON)
+		}
+		out[string(cid)] = encodeProfile(f)
 	}
-	return f
+	return out
 }
 
 func encodeProfile(f *stepfunc.StepFunc) []StepJSON {
@@ -196,9 +189,9 @@ type Message struct {
 	NodeIDs []int `json:"node_ids,omitempty"`
 
 	// MsgViews. With Delta the two views list only what changed since the
-	// previous views frame on the same connection (see ViewJSON.Apply): an
-	// absent view is unchanged, not empty. The first views frame of every
-	// connection is full.
+	// previous views frame on the same connection (see PatchView and
+	// ViewJSON.Apply): an absent view is unchanged, not empty. The first
+	// views frame of every connection is full.
 	NonPreemptView ViewJSON `json:"np_view,omitempty"`
 	PreemptView    ViewJSON `json:"p_view,omitempty"`
 	Delta          bool     `json:"delta,omitempty"`

@@ -348,6 +348,15 @@ func (s *Server) AttachCluster(snap *ClusterSnapshot, observe func(appID int, id
 	// The scheduler plans against working nodes only: a cluster migrates
 	// with its degraded capacity.
 	s.sched.AddCluster(snap.Cluster, pool.capacity())
+	// A session whose last push still names the cluster has not been pushed
+	// to since the cluster left this server; meanwhile a federation told the
+	// handler the cluster was gone. Forget that push, so an equal profile is
+	// not taken for one the handler holds.
+	for _, sess := range s.sessions {
+		if _, stale := sess.lastNP[snap.Cluster]; stale {
+			sess.lastNP, sess.lastP = nil, nil
+		}
+	}
 
 	now := s.clk.Now()
 	for _, as := range snap.Apps {

@@ -76,6 +76,58 @@ func TestMultiClusterViewsPerCluster(t *testing.T) {
 	}
 }
 
+// TestPushesNameEveryCluster pins the server's half of the OnViews contract:
+// every push names every cluster the server holds right now — a fully booked
+// one with the zero profile — and follows a detach and an attach.
+func TestPushesNameEveryCluster(t *testing.T) {
+	e, s := newTwoClusterServer()
+	holder := &testApp{}
+	holder.sess = s.Connect(holder)
+	if _, err := holder.sess.Request(RequestSpec{Cluster: cB, N: 4, Duration: math.Inf(1), Type: request.NonPreempt}); err != nil {
+		t.Fatal(err)
+	}
+	watcher := &testApp{}
+	watcher.sess = s.Connect(watcher)
+	names := func(what string, want ...view.ClusterID) {
+		t.Helper()
+		np, p := watcher.lastViews(t)
+		for _, got := range []view.View{np, p} {
+			if len(got) != len(want) {
+				t.Fatalf("%s: push names %v, want %v", what, got, want)
+			}
+			for _, cid := range want {
+				if _, ok := got[cid]; !ok {
+					t.Fatalf("%s: push names %v, want %v", what, got, want)
+				}
+			}
+		}
+	}
+	e.Run(3)
+	names("booked beta", cA, cB)
+	if np, _ := watcher.lastViews(t); !np[cB].IsZero() {
+		t.Fatalf("booked beta reads %v, want the zero profile", np[cB])
+	}
+
+	snap, err := s.DetachCluster(cB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := holder.sess.Request(RequestSpec{Cluster: cA, N: 2, Duration: 1000, Type: request.NonPreempt}); err != nil {
+		t.Fatal(err)
+	}
+	e.Run(6)
+	names("after the detach", cA)
+
+	if err := s.AttachCluster(snap, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := holder.sess.Request(RequestSpec{Cluster: cA, N: 2, Duration: 1000, Type: request.NonPreempt}); err != nil {
+		t.Fatal(err)
+	}
+	e.Run(9)
+	names("after the attach", cA, cB)
+}
+
 func TestMultiClusterPreemptibleIsolation(t *testing.T) {
 	// A preemptible app on beta must be unaffected by non-preemptible load
 	// on alpha.

@@ -12,6 +12,7 @@ package rms
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"reflect"
 	"sort"
@@ -22,6 +23,7 @@ import (
 	"coormv2/internal/metrics"
 	"coormv2/internal/obs"
 	"coormv2/internal/request"
+	"coormv2/internal/stepfunc"
 	"coormv2/internal/view"
 )
 
@@ -30,6 +32,12 @@ import (
 // its lock while notifying).
 type AppHandler interface {
 	// OnViews delivers fresh non-preemptive and preemptive views (§3.1.4).
+	// Each push is a segment: it names every cluster its pusher owns — a
+	// cluster with no availability as stepfunc.Zero(), not left out — and a
+	// cluster it does not name keeps the profile the handler last saw. A
+	// single RMS owns all its clusters, so every push names them all; a
+	// federation forwards each shard's push as it is, and names the clusters
+	// a crashed shard or a migration took away with zero profiles.
 	// Delivered views are immutable and may be shared between sessions:
 	// handlers may retain them indefinitely but must never modify them.
 	OnViews(nonPreempt, preempt view.View)
@@ -177,8 +185,8 @@ type Server struct {
 	idScratch []int
 	idsOK     bool
 
-	// trimMemo memoizes per-round view trims by map identity (see
-	// pushViewsLocked); cleared at the start of every push pass.
+	// trimMemo memoizes per-round trimmed and completed views by map
+	// identity (see pushViewsLocked); cleared at the start of every push pass.
 	trimMemo map[uintptr]view.View
 
 	// loadEpoch counts load-relevant mutations (accepted requests, starts,
@@ -1296,12 +1304,16 @@ func (s *Server) startRequestsLocked(outcome *core.Outcome, now float64) {
 
 // pushViewsLocked queues OnViews notifications for applications whose views
 // changed since the last push. Views are trimmed to [now, ∞): their values
-// in the past are reconstruction artifacts.
+// in the past are reconstruction artifacts. Every pushed view names every
+// cluster of the server (s.pools, so a detach or attach is followed): the
+// view algebra drops zero profiles, and the OnViews contract reads a cluster
+// left out as unchanged, so a cluster without availability is named with
+// stepfunc.Zero().
 //
 // The scheduler shares view maps across applications (idle applications in
 // a CBF run see one map; idle preemptible applications share the idle
-// grant), so the trim is memoized by map identity — each distinct map is
-// trimmed once per round, not once per session.
+// grant), so the trim and the completion are memoized by map identity —
+// each distinct map is handled once per round, not once per session.
 func (s *Server) pushViewsLocked(outcome *core.Outcome) {
 	now := s.clk.Now()
 	if s.trimMemo == nil {
@@ -1309,14 +1321,19 @@ func (s *Server) pushViewsLocked(outcome *core.Outcome) {
 	}
 	clear(s.trimMemo)
 	trim := func(v view.View) view.View {
-		if v == nil {
-			return view.New()
-		}
-		key := reflect.ValueOf(v).Pointer()
+		key := reflect.ValueOf(v).Pointer() // 0 for a nil view
 		if t, ok := s.trimMemo[key]; ok {
 			return t
 		}
 		t := v.TrimBefore(now)
+		if len(t) < len(s.pools) { // a view names only the server's clusters
+			full := make(view.View, len(s.pools))
+			for cid := range s.pools {
+				full[cid] = stepfunc.Zero()
+			}
+			maps.Copy(full, t)
+			t = full
+		}
 		s.trimMemo[key] = t
 		return t
 	}

@@ -21,8 +21,11 @@ import (
 // Handler receives asynchronous RMS notifications on the client side.
 // It is the client-side twin of rms.AppHandler.
 type Handler interface {
-	// OnViews delivers fresh views. As with rms.AppHandler, the handler may
-	// retain them indefinitely but must never modify them.
+	// OnViews delivers fresh views. Unlike rms.AppHandler's segments they
+	// are whole: the client applies each frame to the pair it holds, so
+	// every cluster with availability is listed and a cluster left out has
+	// none. As with rms.AppHandler, the handler may retain them indefinitely
+	// but must never modify them.
 	OnViews(nonPreempt, preempt view.View)
 	OnStart(id request.ID, nodeIDs []int)
 	OnKill(reason string)

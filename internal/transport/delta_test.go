@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"math/rand"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -145,17 +147,33 @@ func (w *deltaWire) await() ([2]view.View, *proto.Message, []byte) {
 	return got, m, line
 }
 
-// viewGen produces a random walk over view pairs shaped like a federated
-// fleet's: 24 clusters, the last 8 of which belong to one shard.
-type viewGen struct {
+// segGen produces view segments the way a federated session receives them
+// (see rms.AppHandler.OnViews): 24 clusters owned by 4 groups (shards); a
+// push names every cluster of its group, zero profiles included; a crash
+// names the group's clusters zero; a migration names the moved cluster zero
+// and its new owner's next push names it again. Beside them it keeps the
+// merge the federation used to build as the oracle: each group's latest
+// pair (nothing while the group is down, the moved cluster stripped from its
+// donor's), unioned.
+type segGen struct {
 	rng    *rand.Rand
-	np, p  view.View
+	owner  [24]int         // cluster index → group
+	latest [4][2]view.View // each group's latest pair; zero while down
+	down   [4]bool
 	shared []*stepfunc.StepFunc
+}
+
+func newSegGen(seed int64) *segGen {
+	g := &segGen{rng: rand.New(rand.NewSource(seed))}
+	for i := range g.owner {
+		g.owner[i] = i % 4
+	}
+	return g
 }
 
 func genCluster(i int) view.ClusterID { return view.ClusterID(fmt.Sprintf("c%02d", i)) }
 
-func (g *viewGen) profile() *stepfunc.StepFunc {
+func (g *segGen) profile() *stepfunc.StepFunc {
 	if len(g.shared) > 0 && g.rng.Intn(3) == 0 {
 		return g.shared[g.rng.Intn(len(g.shared))] // same object as elsewhere
 	}
@@ -171,97 +189,130 @@ func (g *viewGen) profile() *stepfunc.StepFunc {
 	return f
 }
 
-// step derives the next pair. Views are immutable once delivered, so every
-// change builds new maps (sharing the untouched profiles).
-func (g *viewGen) step() (np, p view.View, what string) {
-	mutate := func(v view.View, n int) view.View {
-		out := v.Clone()
-		for ; n > 0; n-- {
-			cid := genCluster(g.rng.Intn(24))
-			switch g.rng.Intn(5) {
-			case 0:
-				delete(out, cid)
-			case 1:
-				out[cid] = g.profile().Clone() // equal by value, new pointer
-			default:
-				out[cid] = g.profile()
-			}
-		}
-		return out
-	}
-	without := func(v view.View, explicit bool) view.View {
-		out := v.Clone()
-		for i := 16; i < 24; i++ {
-			if explicit {
-				out[genCluster(i)] = stepfunc.Zero()
-			} else {
-				delete(out, genCluster(i))
-			}
-		}
-		return out
-	}
-	switch k := g.rng.Intn(12); {
-	case k == 0:
-		what = "identical"
-	case k == 1:
-		g.np, g.p, what = view.New(), view.New(), "empty"
-	case k == 2:
-		g.np, g.p, what = nil, nil, "nil"
-	case k == 3:
-		explicit := g.rng.Intn(2) == 0
-		g.np, g.p, what = without(g.np, explicit), without(g.p, explicit), "shard crash"
-	case k == 4:
-		g.np, g.p, what = mutate(g.np, 24), mutate(g.p, 24), "rebuild"
-	case k < 8:
-		g.np, what = mutate(g.np, 1+g.rng.Intn(3)), "np only"
+// next picks a pushed cluster's profile given its previous one (nil if the
+// group's last push did not name it): mostly unchanged, else a named zero,
+// an equal profile under a new pointer, or another profile.
+func (g *segGen) next(prev *stepfunc.StepFunc) *stepfunc.StepFunc {
+	switch k := g.rng.Intn(8); {
+	case k < 5 && prev != nil:
+		return prev
+	case k == 5:
+		return stepfunc.Zero()
+	case k == 6:
+		return g.profile().Clone()
 	default:
-		g.np, g.p, what = mutate(g.np, g.rng.Intn(4)), mutate(g.p, 1+g.rng.Intn(4)), "both"
+		return g.profile()
 	}
-	return g.np, g.p, what
 }
 
-// changed counts the clusters a delta from a to b has to list: those whose
-// profile differs — or all of b after a nil view, which the encoder takes
-// for "no base".
-func changed(a, b view.View) int {
-	if a == nil {
-		return len(b)
-	}
-	n := 0
-	for cid := range a {
-		if !a.Get(cid).Equal(b.Get(cid)) {
-			n++
+// step produces the next segment. Delivered views are immutable, so every
+// segment is a new map (sharing profiles freely).
+func (g *segGen) step() (np, p view.View, what string) {
+	grp := g.rng.Intn(4)
+	switch k := g.rng.Intn(16); {
+	case k == 0:
+		return view.New(), view.New(), "empty"
+	case k == 1:
+		return nil, nil, "nil"
+	case k == 2 && !g.down[grp]:
+		lost := view.New()
+		for i, o := range g.owner {
+			if o == grp {
+				lost[genCluster(i)] = stepfunc.Zero()
+			}
 		}
-	}
-	for cid := range b {
-		if _, ok := a[cid]; !ok && !b.Get(cid).IsZero() {
-			n++
+		g.latest[grp], g.down[grp] = [2]view.View{}, true
+		return lost, lost, "crash"
+	case k == 3:
+		i := g.rng.Intn(len(g.owner))
+		from, to, size := g.owner[i], (g.owner[i]+1+g.rng.Intn(3))%4, 0
+		for _, o := range g.owner {
+			if o == from {
+				size++
+			}
 		}
+		if g.down[from] || g.down[to] || size == 1 {
+			return view.New(), view.New(), "refused migration"
+		}
+		cid := genCluster(i)
+		g.owner[i] = to
+		for j, v := range g.latest[from] {
+			if v != nil {
+				v = v.Clone()
+				delete(v, cid)
+				g.latest[from][j] = v
+			}
+		}
+		lost := view.View{cid: stepfunc.Zero()}
+		return lost, lost, "migration"
+	default: // a push by grp, which restarts it if it was down
+		prev := g.latest[grp]
+		np, p = view.New(), view.New()
+		for i, o := range g.owner {
+			if o == grp {
+				cid := genCluster(i)
+				np[cid], p[cid] = g.next(prev[0][cid]), g.next(prev[1][cid])
+			}
+		}
+		g.latest[grp], g.down[grp] = [2]view.View{np, p}, false
+		return np, p, fmt.Sprintf("push by group %d", grp)
 	}
-	return n
 }
 
-// TestDeltaViewsMatchFullEncode is the differential oracle for delta
-// frames: whatever sequence of pairs the server is given — with detaches,
-// pushes while detached and resumes in between — the pair the client
-// hands its handler after every frame equals the pair the server was
-// given and what the reference full frame decodes to; a connection's first
-// views frame is byte-identical to the reference; a delta lists exactly
-// the clusters that changed; delivered maps are never written to again.
+// union is the oracle: the disjoint union of the groups' latest pairs,
+// without zero profiles.
+func (g *segGen) union() (np, p view.View) {
+	out := [2]view.View{view.New(), view.New()}
+	for _, l := range g.latest {
+		for k := range out {
+			for cid, f := range l[k] {
+				if !f.IsZero() {
+					out[k][cid] = f
+				}
+			}
+		}
+	}
+	return out[0], out[1]
+}
+
+// changed lists the clusters whose profile differs between a and b.
+func changed(a, b view.View) map[string]bool {
+	out := make(map[string]bool)
+	for _, v := range []view.View{a, b} {
+		for cid := range v {
+			if !a.Get(cid).Equal(b.Get(cid)) {
+				out[string(cid)] = true
+			}
+		}
+	}
+	return out
+}
+
+// TestDeltaViewsMatchFullEncode is the differential oracle for view
+// segments on the wire: whatever sequence of segments the server is given —
+// pushes from 4 cluster groups with named zeros, crashes, migrations, empty
+// segments, with detaches, pushes while detached and resumes in between —
+// the pair the client hands its handler after every frame equals the union
+// of each group's latest pair and what the reference full frame of that
+// union decodes to; a connection's first views frame is byte-identical to
+// the reference; a delta lists exactly the clusters whose union profile
+// changed; delivered maps are never written to again.
 func TestDeltaViewsMatchFullEncode(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			w := newDeltaWire(t)
-			g := &viewGen{rng: rand.New(rand.NewSource(seed)), np: view.New(), p: view.New()}
+			g := newSegGen(seed)
 			w.attach()
 			var sentNP, sentP view.View // what this connection's client holds
 			first := true               // next views frame opens the connection
 			fulls, deltas := 0, 0
-			check := func(np, p view.View, replay bool, what string) {
+			seen := make(map[string]int) // segment kinds stepped while attached
+			check := func(replay bool, what string) {
 				t.Helper()
+				np, p := g.union()
 				got, m, line := w.await()
 				if !got[0].Equal(np) || !got[1].Equal(p) {
-					t.Fatalf("%s: client holds\n np %v\n p  %v\nserver was given\n np %v\n p  %v\nframe %s",
+					t.Fatalf("%s: client holds\n np %v\n p  %v\nthe union is\n np %v\n p  %v\nframe %s",
 						what, got[0], got[1], np, p, line)
 				}
 				ref, err := proto.Unmarshal(referenceFrame(t, np, p, replay))
@@ -292,8 +343,19 @@ func TestDeltaViewsMatchFullEncode(t *testing.T) {
 					if !m.Delta {
 						t.Fatalf("%s: full frame in mid-connection: %s", what, line)
 					}
-					if got, want := len(m.NonPreemptView)+len(m.PreemptView), changed(sentNP, np)+changed(sentP, p); got != want {
-						t.Fatalf("%s: delta lists %d clusters, %d changed: %s", what, got, want, line)
+					for k, d := range []struct {
+						listed proto.ViewJSON
+						was    view.View
+						is     view.View
+					}{{m.NonPreemptView, sentNP, np}, {m.PreemptView, sentP, p}} {
+						want := changed(d.was, d.is)
+						listed := make(map[string]bool, len(d.listed))
+						for cid := range d.listed {
+							listed[cid] = true
+						}
+						if !maps.Equal(listed, want) {
+							t.Fatalf("%s: view %d of the delta lists %v, the union changed %v: %s", what, k, listed, want, line)
+						}
 					}
 					deltas++
 				}
@@ -302,28 +364,25 @@ func TestDeltaViewsMatchFullEncode(t *testing.T) {
 			for i := 0; i < 300; i++ {
 				if g.rng.Intn(25) == 0 {
 					w.detach()
-					var np, p view.View
 					pushed := g.rng.Intn(4)
 					for j := 0; j < pushed; j++ {
-						np, p, _ = g.step()
+						np, p, _ := g.step()
 						w.ws.OnViews(np, p)
 					}
 					first = true
 					w.attach()
 					if i > 0 || pushed > 0 {
-						// The resume replays the session's current views in full.
-						w.ws.mu.Lock()
-						np, p = w.ws.lastNP, w.ws.lastP
-						w.ws.mu.Unlock()
-						check(np, p, true, "resume")
+						// The resume replays what the segments add up to, in full.
+						check(true, "resume")
 					}
 				}
 				np, p, what := g.step()
 				w.ws.OnViews(np, p)
-				check(np, p, false, fmt.Sprintf("step %d (%s)", i, what))
+				check(false, fmt.Sprintf("step %d (%s)", i, what))
+				seen[strings.Fields(what)[0]]++
 			}
-			if fulls < 2 || deltas < 200 {
-				t.Fatalf("sequence exercised %d full and %d delta frames", fulls, deltas)
+			if fulls < 2 || deltas < 200 || seen["crash"] == 0 || seen["migration"] == 0 || seen["empty"] == 0 || seen["nil"] == 0 {
+				t.Fatalf("sequence exercised %d full and %d delta frames, segments %v", fulls, deltas, seen)
 			}
 			st := w.ws.srv.Stats()
 			if st["views_full_frames"] != int64(fulls) || st["views_delta_frames"] != int64(deltas) || st["views_bytes"] <= 0 {

@@ -51,7 +51,7 @@ func TestFederatedRoutingOverTCP(t *testing.T) {
 	}
 	defer c.Close()
 
-	// Both clusters are visible in the merged federated view.
+	// Views arrive: each shard's segment, patched into the client's pair.
 	app.waitFor(t, "initial views", func() bool { return app.views > 0 })
 
 	// Requests on clusters owned by different shards, one session.

@@ -440,12 +440,13 @@ type wireSession struct {
 	appID int
 	sess  Session
 
-	mu        sync.Mutex
-	cw        *connWriter // nil while detached
-	lastNP    view.View   // latest views, replayed on resume
-	lastP     view.View
-	haveViews bool
-	// synced: cw was sent lastNP/lastP, so its next views frame is a delta.
+	mu sync.Mutex
+	cw *connWriter // nil while detached
+	// np/p is the pair the session's view segments add up to (see
+	// rms.AppHandler.OnViews), nil before the first: owned here, patched in
+	// place, and sent whole as a connection's first views frame.
+	np, p view.View
+	// synced: cw was sent np/p, so its next views frame is a delta.
 	synced    bool
 	starts    map[int64][]int // started-but-unfinished requests, replayed on resume
 	idem      map[int64]*idemEntry
@@ -487,33 +488,36 @@ func (ws *wireSession) deliver(m proto.Message) {
 	ws.mu.Unlock()
 }
 
-// OnViews caches and forwards the freshest views.
+// OnViews patches the session's pair with a segment and forwards what
+// changed.
 func (ws *wireSession) OnViews(np, p view.View) {
 	ws.mu.Lock()
-	ws.pushViewsLocked(np, p, false)
+	if ws.np == nil {
+		ws.np, ws.p = view.New(), view.New()
+	}
+	ws.pushViewsLocked(proto.PatchView(ws.np, np), proto.PatchView(ws.p, p), false)
 	ws.mu.Unlock()
 }
 
-// pushViewsLocked records np/p as the session's views and enqueues them:
-// in full as a connection's first views frame, afterwards as the delta from
-// the pair recorded before — which the connection's previous views frame
-// brought its client to, since the write queue is FIFO and a connection
-// that loses a frame is cut and re-synced by a resume.
-func (ws *wireSession) pushViewsLocked(np, p view.View, replay bool) {
-	baseNP, baseP, delta := ws.lastNP, ws.lastP, ws.synced
-	ws.lastNP, ws.lastP, ws.haveViews = np, p, true
+// pushViewsLocked enqueues a views frame on the attached connection: the
+// delta dnp/dp when the connection holds the pair as it was before the
+// patch that produced them — its previous views frame brought its client
+// there, since the write queue is FIFO and a connection that loses a frame
+// is cut and re-synced by a resume — else the whole pair.
+func (ws *wireSession) pushViewsLocked(dnp, dp proto.ViewJSON, replay bool) {
 	if ws.cw == nil {
 		return
 	}
+	delta := ws.synced
 	if !delta {
-		baseNP, baseP = nil, nil
+		dnp, dp = proto.EncodeView(ws.np), proto.EncodeView(ws.p)
 	}
 	n := ws.enqueueLocked(proto.Message{
 		Type:           proto.MsgViews,
 		Replay:         replay,
 		Delta:          delta,
-		NonPreemptView: proto.EncodeViewDelta(baseNP, np),
-		PreemptView:    proto.EncodeViewDelta(baseP, p),
+		NonPreemptView: dnp,
+		PreemptView:    dp,
 	})
 	ws.synced = n > 0 // a frame that could not be encoded breaks the chain
 	if delta {
@@ -599,10 +603,10 @@ func (ws *wireSession) attach(cw *connWriter, connected proto.Message) bool {
 		ws.droppedAt = time.Time{}
 	}
 	ws.enqueueLocked(connected)
-	if ws.haveViews {
+	if ws.np != nil {
 		// Also on a fresh session: its first round may have pushed views
 		// between the backend connect and this attach.
-		ws.pushViewsLocked(ws.lastNP, ws.lastP, resumed)
+		ws.pushViewsLocked(nil, nil, resumed)
 	}
 	if resumed {
 		ids := make([]int64, 0, len(ws.starts))

@@ -64,8 +64,7 @@ func (v View) Clusters() []ClusterID {
 
 // Clone returns a copy of the view (a fresh map; the immutable profiles are
 // shared). maps.Clone copies the table structure directly instead of
-// re-inserting every key — the merge-cache copy-on-write and the
-// scheduler's fold cloning sit on hot paths.
+// re-inserting every key — the scheduler's fold cloning sits on a hot path.
 func (v View) Clone() View {
 	if v == nil {
 		return New()

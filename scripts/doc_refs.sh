@@ -2,9 +2,9 @@
 # Back-quoted `pkg.Name` / `pkg.Type.Name` references in README.md and
 # PERFORMANCE.md whose package is a directory under internal/ but which
 # resolve to no exported declaration there (func, type, var, const, method or
-# struct field, as `go doc` finds them) — the doc drift ROADMAP 6(d) asks CI
-# to show. Fenced code blocks are skipped; a reference may be followed by more
-# text inside its span (`rms.Server.Stats()`). Printed, not gated.
+# struct field, as `go doc` finds them): doc drift. Fenced code blocks are
+# skipped; a reference may be followed by more text inside its span
+# (`rms.Server.Stats()`). Exits 1 when it lists any.
 # Run from anywhere inside the repository.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -33,3 +33,4 @@ while read -r where ref; do
 	fi
 done < <(refs)
 echo "$n back-quoted references in README.md/PERFORMANCE.md resolve to nothing exported under internal/"
+[ "$n" = 0 ]
