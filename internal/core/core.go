@@ -79,7 +79,9 @@ type scratch struct {
 	slotViews   []view.View
 	slotStable  []bool
 
-	// eqSchedule buffers.
+	// eqSchedule buffers. grantP is a recomputed application's granted view
+	// restricted to its preemptible requests' clusters.
+	grantP   view.View
 	occ      []int // indices of applications with non-nil occupancy
 	vocc     []view.View
 	clusters []view.ClusterID

@@ -246,6 +246,9 @@ func (s *Scheduler) eqScheduleIncremental(vin view.View, t0 float64, sc *scratch
 	// views as immutable). A clean, settled application whose granted view
 	// object is unchanged and whose alloc() values re-check identical
 	// against it has nothing to update either.
+	if sc.grantP == nil {
+		sc.grantP = view.New() // never nil: toView reads a nil view as unlimited
+	}
 	j := 0
 	for i, a := range apps {
 		var v view.View
@@ -281,8 +284,17 @@ func (s *Scheduler) eqScheduleIncremental(vin view.View, t0 float64, sc *scratch
 			continue
 		}
 		s.stats.EqAppRecomputed++
-		fixed := toViewScratch(a.P, v, t0, sc)
-		avail := v.Sub(fixed)
+		// toView and fit read a view only at their requests' clusters, so
+		// they run on the granted view restricted to those, in a reused map.
+		avail := sc.grantP
+		clear(avail)
+		for _, r := range a.P.All() {
+			if f, ok := v[r.Cluster]; ok {
+				avail[r.Cluster] = f
+			}
+		}
+		fixed := toViewScratch(a.P, avail, t0, sc)
+		avail.MutSub(fixed)
 		avail.MutClampMin(0)
 		fitScratch(a.P, avail, t0, sc)
 		out[a.ID] = v

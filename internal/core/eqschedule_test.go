@@ -22,6 +22,61 @@ func mkPApp(id, n int, started bool) *AppState {
 	return a
 }
 
+// TestRestrictedRescheduleMatchesGrantedView: the rescheduling pass runs
+// toView and fit on each application's granted view restricted to its
+// preemptible requests' clusters. With requests on two of three clusters —
+// started, pending, NEXT- and COALLOC-related — rescheduling every
+// application against its whole granted view sets the same NAlloc and
+// ScheduledAt.
+func TestRestrictedRescheduleMatchesGrantedView(t *testing.T) {
+	const now = 5.0
+	s := NewScheduler(map[view.ClusterID]int{"c0": 12, "c1": 9, "c2": 7})
+	id := request.ID(1)
+	mk := func(a *AppState, cid view.ClusterID, n int, dur float64, typ request.Type, how request.Relation, parent *request.Request) *request.Request {
+		r := request.New(id, a.ID, cid, n, dur, typ, how, parent)
+		id++
+		a.SetFor(typ).Add(r)
+		return r
+	}
+	for i := 0; i < 4; i++ {
+		a := s.AddApp(i+1, float64(i))
+		cid := []view.ClusterID{"c0", "c1"}[i%2]
+		run := mk(a, cid, 3+i, math.Inf(1), request.Preempt, request.Free, nil)
+		run.StartedAt = 1
+		mk(a, cid, 2+i, 40, request.Preempt, request.Next, run)
+		mk(a, "c1", 4, 30, request.Preempt, request.Free, nil)
+		if i == 0 {
+			np := mk(a, "c2", 3, 20, request.NonPreempt, request.Free, nil)
+			np.StartedAt = 2
+			mk(a, "c0", 2, 20, request.Preempt, request.Coalloc, np)
+		}
+	}
+	out := s.Schedule(now)
+	for _, a := range s.Apps() {
+		v := out.PreemptViews[a.ID]
+		if len(v) != 3 {
+			t.Fatalf("application %d's granted view names %v, want all three clusters", a.ID, v)
+		}
+		type attrs struct {
+			nalloc int
+			at     float64
+		}
+		var got []attrs
+		for _, r := range a.P.All() {
+			got = append(got, attrs{r.NAlloc, r.ScheduledAt})
+		}
+		fixed := toView(a.P, v, now)
+		avail := v.Sub(fixed)
+		avail.MutClampMin(0)
+		fit(a.P, avail, now)
+		for i, r := range a.P.All() {
+			if want := (attrs{r.NAlloc, r.ScheduledAt}); got[i] != want {
+				t.Errorf("application %d request %d: restricted pass set %+v, the whole granted view %+v", a.ID, r.ID, got[i], want)
+			}
+		}
+	}
+}
+
 func TestEqScheduleSingleAppGetsEverything(t *testing.T) {
 	a := mkPApp(1, 10, true)
 	vin := view.Constant(10, "c0")

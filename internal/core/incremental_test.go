@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"coormv2/internal/request"
@@ -449,5 +450,62 @@ func TestIncrementalStatsReuse(t *testing.T) {
 				t.Errorf("FullRounds = %d after one structural change, want 2", got)
 			}
 		})
+	}
+}
+
+// TestNonPreemptViewsKeepIdentity: a round in which no non-preemptive value
+// changed hands over the same map objects as the round before, although an
+// application queued for capacity (2) is recomputed every round and breaks
+// the chain for those after it: runs of request-less applications, which
+// share one view, and a settled application with a pending NEXT update keep
+// their maps — also when an application's preemptible set changed in
+// between. The queued application's own view is not compared.
+func TestNonPreemptViewsKeepIdentity(t *testing.T) {
+	s := newSched(20)
+	id := request.ID(1)
+	mk := func(app int, n int, dur float64, typ request.Type, how request.Relation, parent *request.Request) *request.Request {
+		r := request.New(id, app, c0, n, dur, typ, how, parent)
+		id++
+		s.App(app).SetFor(typ).Add(r)
+		return r
+	}
+	for app := 1; app <= 7; app++ {
+		s.AddApp(app, float64(app))
+	}
+	mk(1, 14, 100, request.NonPreempt, request.Free, nil).StartedAt = 0
+	mk(2, 10, 10, request.NonPreempt, request.Free, nil) // queued until 100
+	// Applications 3 and 4 are an idle run; so are 6 and 7.
+	pa := mk(5, 6, 1e6, request.PreAlloc, request.Free, nil)
+	pa.StartedAt = 0
+	np := mk(5, 3, 50, request.NonPreempt, request.Coalloc, pa)
+	np.StartedAt = 0
+	mk(5, 4, 50, request.NonPreempt, request.Next, np)
+	addr := func(v view.View) uintptr { return reflect.ValueOf(v).Pointer() }
+	snapshot := func(out *Outcome) map[int]uintptr {
+		m := make(map[int]uintptr, len(out.NonPreemptViews))
+		for id, v := range out.NonPreemptViews {
+			m[id] = addr(v)
+		}
+		return m
+	}
+	before := snapshot(s.Schedule(0))
+	for round, mutate := range []func(){
+		func() {},
+		func() { // a preemptible change only: no non-preemptive value moves
+			mk(3, 3, math.Inf(1), request.Preempt, request.Free, nil)
+			s.MarkAppDirty(3)
+		},
+	} {
+		mutate()
+		recomputed := s.Stats().CBFRecomputed
+		out := s.Schedule(float64(round + 1))
+		if s.Stats().CBFRecomputed == recomputed {
+			t.Fatalf("round %d recomputed no application: nothing to keep", round+1)
+		}
+		for id, v := range out.NonPreemptViews {
+			if id != 2 && addr(v) != before[id] {
+				t.Errorf("round %d: application %d's non-preemptive view is a new map", round+1, id)
+			}
+		}
 	}
 }

@@ -135,8 +135,10 @@ type Scheduler struct {
 
 	// Persistent Outcome maps: entries are rewritten only when an
 	// application's view is recomputed, so a fully-reused round performs no
-	// map writes at all. Consequently an Outcome is valid until the next
-	// Schedule call (the RMS consumes it immediately; see Schedule's doc).
+	// map writes at all, and a recomputed non-preemptive view equal to its
+	// entry keeps the entry's object (kept). Consequently an Outcome is
+	// valid until the next Schedule call (the RMS consumes it immediately;
+	// see Schedule's doc).
 	outNPViews map[int]view.View
 	outPViews  map[int]view.View
 	outOK      bool
@@ -320,6 +322,8 @@ type roundSlot struct {
 
 // Outcome is the result of one scheduling round: the views to present to
 // each application and the requests whose computed start time has arrived.
+// A view map is never written once an Outcome holds it, and a later round
+// hands over the same map only with the same value.
 type Outcome struct {
 	// NonPreemptViews holds V_¬P^(i): what each application can see for
 	// pre-allocations and non-preemptible requests.
@@ -456,7 +460,7 @@ func (s *Scheduler) Schedule(now float64) *Outcome {
 	// (internal/federation.Connect), most applications on a shard are
 	// request-less there, and this keeps the round cost proportional to the
 	// applications the shard actually schedules.
-	var idleViewNP view.View
+	var idleViewNP, idleOld view.View // idleOld: the last entry compared with it
 	for i, a := range apps {
 		c := &a.cache
 		if dynamic {
@@ -477,7 +481,7 @@ func (s *Scheduler) Schedule(now float64) *Outcome {
 			if s.clip != nil {
 				viewNP = viewNP.Clip(s.clip)
 			}
-			out.NonPreemptViews[a.ID] = viewNP.ClampMin(0)
+			out.NonPreemptViews[a.ID] = kept(s.outNPViews[a.ID], viewNP.ClampMin(0))
 			c.cbfOK = false
 			continue
 		}
@@ -504,7 +508,13 @@ func (s *Scheduler) Schedule(now float64) *Outcome {
 				if s.clip != nil {
 					viewNP = viewNP.Clip(s.clip)
 				}
-				idleViewNP = viewNP.ClampMin(0)
+				idleViewNP, idleOld = viewNP.ClampMin(0), nil
+			}
+			// Keep this application's map if its value held and hand the run
+			// on whichever map it got. The entries of a run are mostly one
+			// map, and a map already compared needs no second comparison.
+			if old := s.outNPViews[a.ID]; !view.Same(old, idleOld) {
+				idleViewNP, idleOld = kept(old, idleViewNP), old
 			}
 			out.NonPreemptViews[a.ID] = idleViewNP
 			c.cbfOut, c.cbfExcess, c.cbfOK = idleViewNP, nil, true
@@ -572,17 +582,19 @@ func (s *Scheduler) Schedule(now float64) *Outcome {
 			vP.MutSub(voccNP)
 		}
 
-		outNP := viewNP.ClampMin(0)
-		out.NonPreemptViews[a.ID] = outNP
 		// A settled application (no pending PA/¬P request) contributes only
 		// its wrapped excess, which depends on its own state alone — cache
-		// the step for chain reuse. An application with pending requests
-		// depends on the clock and is recomputed every round.
+		// the step for chain reuse, and keep last round's view if its value
+		// held. An application with pending requests depends on the clock
+		// and is recomputed every round, so its view is not compared.
+		outNP := viewNP.ClampMin(0)
 		if c.paSettled && c.npSettled {
+			outNP = kept(s.outNPViews[a.ID], outNP)
 			c.cbfOut, c.cbfExcess, c.cbfOK = outNP, excess, true
 		} else {
 			c.cbfOK = false
 		}
+		out.NonPreemptViews[a.ID] = outNP
 	}
 
 	// Compute preemptive views and start times of preemptible requests
@@ -621,6 +633,18 @@ func (s *Scheduler) Schedule(now float64) *Outcome {
 		return a.Seq < b.Seq
 	})
 	return out
+}
+
+// kept returns old, an application's entry in the persistent Outcome map
+// (nil if none), when it equals the recomputed view v by value, and v
+// otherwise. A view whose value held thus keeps its identity across rounds,
+// and a consumer tells an unchanged view by its address
+// (rms.pushViewsLocked).
+func kept(old, v view.View) view.View {
+	if old != nil && old.Equal(v) {
+		return old
+	}
+	return v
 }
 
 // appendToStart collects the requests of rs whose computed start time has

@@ -412,6 +412,7 @@ func (f *Federator) Connect(h rms.AppHandler, opts ...rms.ConnectOption) *Sessio
 		h:         h,
 		connect:   opts,
 		subs:      make([]*rms.Session, len(f.shards)),
+		handlers:  make([]*shardHandler, len(f.shards)),
 		reqs:      make(map[request.ID]*fedReq),
 		movedFrom: make(map[view.ClusterID]int),
 	}

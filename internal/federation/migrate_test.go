@@ -226,7 +226,7 @@ func TestStaleDonorPushIsStripped(t *testing.T) {
 	e.Run(3)
 	push := func(shard int, seg view.View) {
 		before := seg.Clone()
-		(&shardHandler{sess: sess, shard: shard}).OnViews(seg, seg)
+		sess.handlers[shard].OnViews(seg, seg)
 		if !maps.Equal(seg, before) {
 			t.Fatalf("forwarding modified the pushed segment: %v, was %v", seg, before)
 		}
@@ -258,6 +258,46 @@ func TestStaleDonorPushIsStripped(t *testing.T) {
 		if got := free(cC); got != 4 {
 			t.Fatalf("a push of gamma's owner, shard %d, set %d free nodes, want 4", hop.to, got)
 		}
+	}
+}
+
+// TestCrashedShardPushIsDropped delivers a push that shard 0 computed before
+// it crashed (under clock.RealClock its delivery can trail the crash's zero
+// segment) through the handler of the dead admission, once while the shard
+// is down and once after its restart: the shard's clusters must stay zero
+// at the application until the restarted shard pushes.
+func TestCrashedShardPushIsDropped(t *testing.T) {
+	e, f := newMigrateFederation(t, RequeueOnCrash)
+	app := &testApp{}
+	sess := f.Connect(app)
+	e.Run(3)
+	stale := sess.handlers[0]
+	lost := func(when string) {
+		t.Helper()
+		np, p := app.heldViews(t)
+		for _, cid := range []view.ClusterID{cA, cC} {
+			if np.Get(cid).Value(e.Now()) != 0 || p.Get(cid).Value(e.Now()) != 0 {
+				t.Fatalf("%s: crashed shard's cluster %s reads %v / %v, want zero", when, cid, np[cid], p[cid])
+			}
+		}
+		if got := np.Get(cB).Value(e.Now()); got != 8 {
+			t.Fatalf("%s: surviving cluster beta holds %d free nodes, want 8", when, got)
+		}
+	}
+	f.CrashShard(0)
+	seg := view.View{cA: stepfunc.Constant(8), cC: stepfunc.Constant(8)}
+	stale.OnViews(seg, seg)
+	lost("after the crash")
+	f.RestartShard(0)
+	if sess.handlers[0] == stale {
+		t.Fatal("the restart kept the dead admission's handler")
+	}
+	stale.OnViews(seg, seg)
+	lost("after the restart")
+	e.Run(e.Now() + 3)
+	np, _ := app.heldViews(t)
+	if got := np.Get(cA).Value(e.Now()); got != 8 {
+		t.Fatalf("after the restarted shard's round alpha holds %d free nodes, want 8", got)
 	}
 }
 

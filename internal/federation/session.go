@@ -94,6 +94,9 @@ type Session struct {
 
 	mu   sync.Mutex
 	subs []*rms.Session // per-shard sub-sessions; nil while a shard is down
+	// handlers holds the per-shard handler of the current admission (nil
+	// while a shard is down): a push reaching an older one is dropped.
+	handlers []*shardHandler
 	// reqs records every request of the session by ID, and is the only
 	// per-request structure: a shard's replay queue is its queued records in
 	// ID order, a reservation hangs off its child's record. Entries are pruned
@@ -424,6 +427,7 @@ func (s *Session) absorbCrash(shard int, pol RecoveryPolicy) (affected bool, req
 		return false, 0, 0, 0, nil, nil
 	}
 	s.subs[shard] = nil
+	s.handlers[shard] = nil
 	for _, fid := range s.idsOnLocked(shard) {
 		e := s.reqs[fid]
 		switch {
@@ -513,9 +517,14 @@ func (s *Session) notifyRetired(ended, reaped []request.ID) {
 // by Connect's initial fan-out and RestartShard's re-admission, both of which
 // hold f.topoMu: the shard is running and stays so, and nobody else admits.
 func (s *Session) admitShard(i int) bool {
+	// The handler is current before ConnectID, which flushes synchronously.
+	h := &shardHandler{sess: s, shard: i}
+	s.mu.Lock()
+	s.handlers[i] = h
+	s.mu.Unlock()
 	// ConnectID outside sess.mu: it flushes notifications, which
 	// synchronously re-enter the session through the shardHandler.
-	sub, err := s.f.shards[i].ConnectID(&shardHandler{sess: s, shard: i}, s.id, s.connect...)
+	sub, err := s.f.shards[i].ConnectID(h, s.id, s.connect...)
 	if err != nil {
 		// The federator owns the ID space and the shard's lifecycle; a
 		// collision or a stopped shard is a bug.
@@ -731,10 +740,17 @@ type shardHandler struct {
 // OnViews forwards the shard's segment, which names every cluster the shard
 // owns, untouched: a single RMS's push and a shard's are the same thing, so
 // a 1-shard federation is a single RMS by construction — except that a
-// cluster a migration took from the shard is stripped, from a copy.
+// cluster a migration took from the shard is stripped, from a copy, and that
+// a push reaching a handler the session no longer holds for the shard is
+// dropped: the shard computed it before it crashed, so it may trail the
+// crash's zero segment, and the restarted shard pushes afresh.
 func (h *shardHandler) OnViews(np, p view.View) {
 	s := h.sess
 	s.mu.Lock()
+	if s.handlers[h.shard] != h {
+		s.mu.Unlock()
+		return
+	}
 	for cid, from := range s.movedFrom {
 		if _, stale := np[cid]; stale && from == h.shard {
 			np, p = np.Clone(), p.Clone()

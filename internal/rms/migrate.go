@@ -296,6 +296,7 @@ func (s *Server) DetachCluster(cid view.ClusterID) (*ClusterSnapshot, error) {
 	}
 
 	delete(s.pools, cid)
+	s.expirePushHorizonsLocked()
 	delete(s.churn, cid)
 	delete(s.cfg.Clusters, cid)
 	s.sched.RemoveCluster(cid)
@@ -344,6 +345,7 @@ func (s *Server) AttachCluster(snap *ClusterSnapshot, observe func(appID int, id
 		failed:  append([]int(nil), snap.FailedIDs...),
 	}
 	s.pools[snap.Cluster] = pool
+	s.expirePushHorizonsLocked()
 	s.churn[snap.Cluster] = snap.Churn
 	// The scheduler plans against working nodes only: a cluster migrates
 	// with its degraded capacity.
@@ -353,8 +355,8 @@ func (s *Server) AttachCluster(snap *ClusterSnapshot, observe func(appID int, id
 	// handler the cluster was gone. Forget that push, so an equal profile is
 	// not taken for one the handler holds.
 	for _, sess := range s.sessions {
-		if _, stale := sess.lastNP[snap.Cluster]; stale {
-			sess.lastNP, sess.lastP = nil, nil
+		if _, stale := sess.np.v[snap.Cluster]; stale {
+			sess.np.v, sess.p.v = nil, nil
 		}
 	}
 

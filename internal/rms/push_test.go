@@ -1,0 +1,258 @@
+package rms
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"coormv2/internal/clock"
+	"coormv2/internal/request"
+	"coormv2/internal/sim"
+	"coormv2/internal/stepfunc"
+	"coormv2/internal/view"
+)
+
+// pushRecorder is a passive AppHandler that keeps its last push and counts
+// them.
+type pushRecorder struct {
+	calls int
+	np, p view.View
+}
+
+func (r *pushRecorder) OnViews(np, p view.View)   { r.calls, r.np, r.p = r.calls+1, np, p }
+func (r *pushRecorder) OnStart(request.ID, []int) {}
+func (r *pushRecorder) OnKill(string)             {}
+
+// pushTwin drives an incremental server ([0]) and its full-recompute twin
+// ([1]) through the same operations on one simulated clock. A round runs only
+// when the driver asks for one (the rescheduling interval is out of reach),
+// so every round is followed by the oracle check: each application's last
+// push on the incremental server equals its last push on the twin — whose
+// scheduler hands over fresh maps every round, so it trims, completes and
+// compares everything — and both servers pushed it as often.
+type pushTwin struct {
+	t    *testing.T
+	e    *sim.Engine
+	srv  [2]*Server
+	apps [2][]*pushRecorder
+	sess [2][]*Session
+	ids  [][]request.ID // per application, in submission order (equal on both)
+	snap [2]*ClusterSnapshot
+}
+
+const pushApps = 4
+
+func newPushTwin(t *testing.T, clip view.View) *pushTwin {
+	tw := &pushTwin{t: t, e: sim.NewEngine(), ids: make([][]request.ID, pushApps)}
+	for k := range tw.srv {
+		s := NewServer(Config{
+			Clusters:        map[view.ClusterID]int{cA: 8, cB: 4},
+			ReschedInterval: 1e9,
+			Clock:           clock.SimClock{E: tw.e},
+			Clip:            clip,
+			FullRecompute:   k == 1,
+		})
+		s.ScheduleNow() // from now on a timer-armed round is 1e9 s away
+		for i := 0; i < pushApps; i++ {
+			r := &pushRecorder{}
+			tw.apps[k] = append(tw.apps[k], r)
+			tw.sess[k] = append(tw.sess[k], s.Connect(r))
+		}
+		tw.srv[k] = s
+	}
+	return tw
+}
+
+// round runs one round on both servers and checks the oracle.
+func (tw *pushTwin) round() {
+	tw.t.Helper()
+	for _, s := range tw.srv {
+		s.ScheduleNow()
+	}
+	for i := range tw.apps[0] {
+		inc, full := tw.apps[0][i], tw.apps[1][i]
+		if inc.calls != full.calls {
+			tw.t.Fatalf("t=%g app %d: %d pushes, the full-recompute twin %d", tw.e.Now(), i, inc.calls, full.calls)
+		}
+		if !sameNames(inc.np, full.np) || !inc.np.Equal(full.np) || !sameNames(inc.p, full.p) || !inc.p.Equal(full.p) {
+			tw.t.Fatalf("t=%g app %d holds\n np %v\n p  %v\nthe full-recompute twin\n np %v\n p  %v",
+				tw.e.Now(), i, inc.np, inc.p, full.np, full.p)
+		}
+	}
+}
+
+// sameNames reports whether two pushed views name the same clusters.
+func sameNames(a, b view.View) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for cid := range a {
+		if _, ok := b[cid]; !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// advance moves the clock by d, firing any timer due (none runs a round).
+func (tw *pushTwin) advance(d float64) { tw.e.Run(tw.e.Now() + d) }
+
+// request submits the same request on both servers; both must agree.
+func (tw *pushTwin) request(app int, spec RequestSpec) {
+	tw.t.Helper()
+	var ids [2]request.ID
+	var errs [2]error
+	for k := range tw.srv {
+		ids[k], errs[k] = tw.sess[k][app].Request(spec)
+	}
+	if ids[0] != ids[1] || (errs[0] == nil) != (errs[1] == nil) {
+		tw.t.Fatalf("request %+v: %d, %v on the incremental server, %d, %v on its twin", spec, ids[0], errs[0], ids[1], errs[1])
+	}
+	if errs[0] == nil {
+		tw.ids[app] = append(tw.ids[app], ids[0])
+	}
+}
+
+func (tw *pushTwin) done(app int, id request.ID) {
+	tw.t.Helper()
+	e0, e1 := tw.sess[0][app].Done(id, nil), tw.sess[1][app].Done(id, nil)
+	if (e0 == nil) != (e1 == nil) {
+		tw.t.Fatalf("done(%d): %v on the incremental server, %v on its twin", id, e0, e1)
+	}
+}
+
+// detachOrAttach moves beta out of both servers, or back in.
+func (tw *pushTwin) detachOrAttach() {
+	tw.t.Helper()
+	for k, s := range tw.srv {
+		if tw.snap[k] == nil {
+			snap, err := s.DetachCluster(cB)
+			if err != nil {
+				tw.t.Fatal(err)
+			}
+			tw.snap[k] = snap
+		} else {
+			if err := s.AttachCluster(tw.snap[k], nil); err != nil {
+				tw.t.Fatal(err)
+			}
+			tw.snap[k] = nil
+		}
+	}
+}
+
+// run interprets a byte program, one operation per byte plus its operand
+// bytes (missing operands read as zero): request, done, advance then round,
+// round, and a detach or attach of beta. A final round checks the end state.
+func (tw *pushTwin) run(prog []byte) {
+	tw.t.Helper()
+	next := func() int {
+		if len(prog) == 0 {
+			return 0
+		}
+		b := prog[0]
+		prog = prog[1:]
+		return int(b)
+	}
+	for len(prog) > 0 {
+		switch op := next(); op % 6 {
+		case 0, 1: // request
+			app, kind, shape := next()%pushApps, next(), next()
+			spec := RequestSpec{
+				Cluster:  []view.ClusterID{cA, cB}[kind&1],
+				N:        1 + shape%5,
+				Type:     []request.Type{request.PreAlloc, request.NonPreempt, request.Preempt}[(kind>>1)%3],
+				Duration: []float64{3, 7.5, 20, math.Inf(1)}[(shape>>3)%4],
+			}
+			if ids := tw.ids[app]; len(ids) > 0 && kind&0x40 != 0 {
+				spec.RelatedHow = []request.Relation{request.Next, request.Coalloc}[(kind>>7)&1]
+				spec.RelatedTo = ids[len(ids)-1]
+			}
+			tw.request(app, spec)
+		case 2: // done
+			app, pick := next()%pushApps, next()
+			if ids := tw.ids[app]; len(ids) > 0 {
+				tw.done(app, ids[pick%len(ids)])
+			}
+		case 3: // the clock moves, possibly across breakpoints, then a round
+			tw.advance(float64(next()%64) / 4)
+			tw.round()
+		case 4: // a round at the same instant
+			tw.round()
+		case 5:
+			tw.detachOrAttach()
+		}
+	}
+	tw.round()
+}
+
+// pushClip limits non-preemptive views with breakpoints no request causes:
+// alpha alternates between 8 and 5 nodes every 7 s for 100 s.
+func pushClip() view.View {
+	var steps []stepfunc.Step
+	for i := 0; i < 14; i++ {
+		steps = append(steps, stepfunc.Step{Duration: 7, N: 8 - 3*(i%2)})
+	}
+	steps = append(steps, stepfunc.Step{Duration: math.Inf(1), N: 8})
+	return view.View{cA: stepfunc.FromSteps(steps...), cB: stepfunc.Constant(4)}
+}
+
+// TestPushMatchesFullRecompute drives random request/done/clock churn and a
+// detach/attach pair through an incremental server and its full-recompute
+// twin: after every round each application holds the same views on both,
+// pushed as often.
+func TestPushMatchesFullRecompute(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			prog := make([]byte, 600)
+			rng.Read(prog)
+			for _, clip := range []view.View{nil, pushClip()} {
+				newPushTwin(t, clip).run(prog)
+			}
+		})
+	}
+}
+
+// TestPushFollowsTrimHorizon: the session's view maps stay the same objects
+// while only the clock moves, so a push that is due because the clock
+// crossed a breakpoint of the clip comes from the horizon check alone.
+func TestPushFollowsTrimHorizon(t *testing.T) {
+	clip := view.View{cA: stepfunc.FromSteps(stepfunc.Step{Duration: 5, N: 4}, stepfunc.Step{Duration: math.Inf(1), N: 8}), cB: stepfunc.Constant(4)}
+	tw := newPushTwin(t, clip)
+	pushes := func(want int) {
+		t.Helper()
+		for k := range tw.srv {
+			if got := tw.apps[k][0].calls; got != want {
+				t.Fatalf("t=%g: server %d pushed %d times, want %d", tw.e.Now(), k, got, want)
+			}
+		}
+	}
+	tw.round()
+	pushes(1)
+	tw.advance(2)
+	tw.round()
+	pushes(1)
+	tw.advance(4) // t=6: across the clip's breakpoint at 5
+	tw.round()
+	pushes(2)
+	if got := tw.apps[0][0].np.Get(cA); !got.Equal(stepfunc.Constant(8)) {
+		t.Fatalf("alpha past the breakpoint reads %v, want constant 8", got)
+	}
+	tw.advance(1)
+	tw.round()
+	pushes(2)
+}
+
+// FuzzViewPush runs byte programs against an incremental server and its
+// full-recompute twin under the same oracle as TestPushMatchesFullRecompute.
+func FuzzViewPush(f *testing.F) {
+	f.Add([]byte{0, 2, 9, 3, 20, 4, 1, 0x43, 9, 3, 40, 5, 3, 30, 5, 2, 0, 1, 3, 60})
+	f.Add([]byte{1, 1, 7, 3, 9, 0, 0x42, 24, 3, 28, 5, 0, 3, 17, 3, 200, 5})
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		if len(prog) > 2000 {
+			prog = prog[:2000]
+		}
+		newPushTwin(t, pushClip()).run(prog)
+	})
+}

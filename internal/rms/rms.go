@@ -344,9 +344,9 @@ type Session struct {
 	killed bool
 	held   int // total node IDs currently held, for metrics
 
-	// lastNP/lastP are the views last pushed to the handler (nil before the
-	// first push); an unchanged pair is not pushed again.
-	lastNP, lastP view.View
+	// np/p are the two halves of the last push; an unchanged pair is not
+	// pushed again.
+	np, p pushed
 	// inDeficit/deficitSince: whether, and since when, the application holds
 	// more preemptible nodes than granted (kill after GracePeriod).
 	inDeficit    bool
@@ -1310,46 +1310,99 @@ func (s *Server) startRequestsLocked(outcome *core.Outcome, now float64) {
 // left out as unchanged, so a cluster without availability is named with
 // stepfunc.Zero().
 //
-// The scheduler shares view maps across applications (idle applications in
-// a CBF run see one map; idle preemptible applications share the idle
-// grant), so the trim and the completion are memoized by map identity —
-// each distinct map is handled once per round, not once per session.
+// A round pays for what changed. The scheduler keeps a view's map while its
+// value holds, so a session handed the map its last push came from, before
+// that map's trim horizon, is skipped without a trim, a completion or a
+// comparison (see pushed). The scheduler also shares view maps across
+// applications (idle applications in a CBF run see one map; idle
+// preemptible applications share the idle grant), so the trim and the
+// completion are memoized by map identity — each distinct map is handled
+// once per round, not once per session.
 func (s *Server) pushViewsLocked(outcome *core.Outcome) {
 	now := s.clk.Now()
 	if s.trimMemo == nil {
 		s.trimMemo = make(map[uintptr]view.View)
 	}
 	clear(s.trimMemo)
-	trim := func(v view.View) view.View {
-		key := reflect.ValueOf(v).Pointer() // 0 for a nil view
-		if t, ok := s.trimMemo[key]; ok {
-			return t
-		}
-		t := v.TrimBefore(now)
-		if len(t) < len(s.pools) { // a view names only the server's clusters
-			full := make(view.View, len(s.pools))
-			for cid := range s.pools {
-				full[cid] = stepfunc.Zero()
-			}
-			maps.Copy(full, t)
-			t = full
-		}
-		s.trimMemo[key] = t
-		return t
-	}
 	for _, id := range s.sessionIDsLocked() {
 		sess := s.sessions[id]
-		np := trim(outcome.NonPreemptViews[id])
-		p := trim(outcome.PreemptViews[id])
-		if sess.lastNP != nil && sess.lastNP.Equal(np) && sess.lastP.Equal(p) {
+		changed := s.refreshLocked(&sess.np, outcome.NonPreemptViews[id], now, false)
+		if !s.refreshLocked(&sess.p, outcome.PreemptViews[id], now, changed) && !changed {
 			continue
 		}
-		sess.lastNP, sess.lastP = np, p
-		h := sess.h
+		np, p, h := sess.np.v, sess.p.v, sess.h
 		// Views are pushed without cloning: the OnViews contract makes them
 		// immutable to the handler, and sessions sharing a map (idle
 		// applications) share one trimmed object.
 		s.pending = append(s.pending, func() { h.OnViews(np, p) })
+	}
+}
+
+// pushed is one half (non-preemptive or preemptive) of a session's last
+// push: the trimmed, completed view the handler holds, the scheduler map that
+// view was last derived from and the instant it was trimmed at. The map is
+// held, so its address cannot be recycled. While the scheduler hands over the
+// same map before its trim horizon — its first breakpoint after that instant
+// — the view derived from it is v, exactly: TrimBefore at t₁ and at t₂ agree
+// when no breakpoint lies in (t₁, t₂]. The horizon is computed by the first
+// round that is handed the same map again, so a map that changes every round
+// costs nothing more. The completion reads s.pools, so a change there
+// expires every horizon (expirePushHorizonsLocked).
+type pushed struct {
+	v       view.View // nil before the first push
+	src     view.View
+	at      float64
+	horizon float64 // NaN until computed
+}
+
+// refreshLocked brings one half of a session's last push up to src at now
+// and reports whether its value changed. When the pair is pushed anyway
+// (pushing), a new source is taken without comparing.
+func (s *Server) refreshLocked(h *pushed, src view.View, now float64, pushing bool) bool {
+	if h.v != nil && view.Same(src, h.src) {
+		if math.IsNaN(h.horizon) {
+			h.horizon = math.Inf(1)
+			for _, f := range src {
+				h.horizon = min(h.horizon, f.NextBreakpoint(h.at))
+			}
+		}
+		if now < h.horizon {
+			return false
+		}
+	}
+	key := reflect.ValueOf(src).Pointer() // 0 for a nil view
+	t, ok := s.trimMemo[key]
+	if !ok {
+		t = s.trimLocked(src, now)
+		s.trimMemo[key] = t
+	}
+	h.src, h.at, h.horizon = src, now, math.NaN()
+	if !pushing && h.v != nil && h.v.Equal(t) {
+		return false
+	}
+	h.v = t
+	return true
+}
+
+// trimLocked trims v at now and completes it to the server's clusters.
+func (s *Server) trimLocked(v view.View, now float64) view.View {
+	t := v.TrimBefore(now)
+	if len(t) < len(s.pools) { // a view names only the server's clusters
+		full := make(view.View, len(s.pools))
+		for cid := range s.pools {
+			full[cid] = stepfunc.Zero()
+		}
+		maps.Copy(full, t)
+		t = full
+	}
+	return t
+}
+
+// expirePushHorizonsLocked makes the next push pass trim, complete and
+// compare every session's views afresh; s.pools changed.
+func (s *Server) expirePushHorizonsLocked() {
+	for _, sess := range s.sessions {
+		sess.np.horizon, sess.p.horizon = math.Inf(-1), math.Inf(-1)
 	}
 }
 

@@ -671,6 +671,17 @@ func (f *StepFunc) TrimBefore(t float64) *StepFunc {
 	return &StepFunc{pts: pts}
 }
 
+// NextBreakpoint returns the first breakpoint strictly after t, +Inf if
+// there is none. TrimBefore(t) and TrimBefore(u) are the same function for
+// every u in [t, NextBreakpoint(t)).
+func (f *StepFunc) NextBreakpoint(t float64) float64 {
+	i := sort.Search(len(f.pts), func(i int) bool { return f.pts[i].t > t })
+	if i == len(f.pts) {
+		return Inf
+	}
+	return f.pts[i].t
+}
+
 // Steps returns the function as the paper's list of (duration, node-count)
 // pairs starting at time 0. The final step has Duration == Inf. It is the
 // inverse of FromSteps and is used for wire serialization.

@@ -323,6 +323,26 @@ func TestTrimBefore(t *testing.T) {
 	}
 }
 
+// TestNextBreakpointBoundsTrim: TrimBefore is one function from t up to
+// NextBreakpoint(t) and another at it — the exactness the RMS's push skip
+// relies on.
+func TestNextBreakpointBoundsTrim(t *testing.T) {
+	r := rand.New(rand.NewSource(6))
+	for i := 0; i < 300; i++ {
+		f := randFunc(r)
+		at := float64(r.Intn(90)) / 2
+		next := f.NextBreakpoint(at)
+		for u := at; u < next && u < 100; u += 0.25 {
+			if !f.TrimBefore(u).Equal(f.TrimBefore(at)) {
+				t.Fatalf("%v trimmed at %g and %g differ, next breakpoint %g", f, at, u, next)
+			}
+		}
+		if !math.IsInf(next, 1) && f.TrimBefore(next).Equal(f.TrimBefore(at)) {
+			t.Fatalf("%v trimmed at %g and at its next breakpoint %g agree", f, at, next)
+		}
+	}
+}
+
 func TestStepsRoundTrip(t *testing.T) {
 	f := FromSteps(Step{3600, 4}, Step{3600, 3})
 	back := FromSteps(f.Steps()...)

@@ -16,6 +16,7 @@ package view
 import (
 	"fmt"
 	"maps"
+	"reflect"
 	"sort"
 	"strings"
 
@@ -273,6 +274,11 @@ func (v View) FindHole(cid ClusterID, n int, dur, after float64) float64 {
 // Equal reports whether two views are identical. The RMS uses it to push
 // view updates only when something actually changed.
 func (v View) Equal(o View) bool {
+	if Same(v, o) {
+		// The scheduler keeps a view's map across rounds while its value
+		// holds, so identity is a common fast path.
+		return true
+	}
 	for cid := range v {
 		if !v.Get(cid).Equal(o.Get(cid)) {
 			return false
@@ -284,6 +290,13 @@ func (v View) Equal(o View) bool {
 		}
 	}
 	return true
+}
+
+// Same reports whether a and b are one map (or both nil). For views nobody
+// mutates any more, such as the ones the scheduler hands out, one map is one
+// value.
+func Same(a, b View) bool {
+	return reflect.ValueOf(a).Pointer() == reflect.ValueOf(b).Pointer()
 }
 
 // NonNegative reports whether every profile in the view is >= 0 everywhere.
