@@ -47,8 +47,8 @@ func buildBenchFleet(n int) *Scheduler {
 // BenchmarkSchedulerThroughput read 8 allocs/op on this fleet: the same 2,
 // plus the cold first round amortised over its 500 iterations.) The budget
 // is the same under a non-Stable() policy whose answer does not change,
-// however many applications there are: the remembered sequence reuses its
-// buffer like orderBuf does.
+// however many applications there are: the CBF chain's key alternates
+// between two buffers, reused like orderBuf.
 func TestSteadyRoundAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		n      int

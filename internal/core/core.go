@@ -95,6 +95,14 @@ type scratch struct {
 	need     []int
 	grant    []int
 	builders []stepfunc.Builder
+
+	// clusterWalk.permute buffers.
+	moved     []int
+	slotOf    map[*stepfunc.StepFunc]int
+	nextSame  []int
+	from      []int
+	permFrags []*stepfunc.StepFunc
+	permCuts  []cutFrag
 }
 
 // grown returns s resized to n elements, reusing capacity.

@@ -34,11 +34,12 @@ func (p PreemptPolicy) String() string {
 
 // eqSchedule implements Algorithm 3 (§A.4.3): it divides the resources of
 // vin among the applications' preemptible requests and returns the
-// preemptive view of each application, keyed by application ID. As a side
-// effect the ScheduledAt and NAlloc attributes of the preemptible requests
-// are updated. It runs on a throwaway scheduler, so nothing is cached
-// across calls (the applications' caches are written but never reused with
-// stale inputs — every cache carries its exact input identity).
+// preemptive view of each application trimmed at t0, keyed by application
+// ID. As a side effect the ScheduledAt and NAlloc attributes of the
+// preemptible requests are updated. It runs on a throwaway scheduler, so
+// nothing is cached across calls (the applications' caches are written but
+// never reused with stale inputs — every cache carries its exact input
+// identity).
 func eqSchedule(apps []*AppState, vin view.View, t0 float64, policy PreemptPolicy) map[int]view.View {
 	s := NewScheduler(map[view.ClusterID]int{})
 	s.apps = apps
@@ -48,17 +49,28 @@ func eqSchedule(apps []*AppState, vin view.View, t0 float64, policy PreemptPolic
 }
 
 // eqScheduleIncremental is Algorithm 3 with per-application and per-cluster
-// caching: preliminary occupancy views are reused when the application's
-// preemptible set is clean and its availability-dependent allocs re-check
-// unchanged; the per-cluster interval walk is reused when every input
-// profile is the identical (immutable) object; and each application's
-// granted view keeps its object identity when none of its fragments
-// changed, which in turn lets the final rescheduling pass skip clean
-// applications. All reuse conditions are exact, so the result is
-// bit-identical to a full recomputation.
+// caching. Every reuse condition is exact, so the result is bit-identical
+// to a full recomputation:
+//   - a preliminary occupancy view is reused when the application's
+//     preemptible set is clean and its availability-dependent allocs
+//     re-check unchanged, and a recomputed one equal by value keeps the
+//     cached map (so a start that leaves the rectangle where fit put it
+//     changes no walk input);
+//   - a per-cluster interval walk is reused when every input profile is the
+//     identical (immutable) object;
+//   - the walk's fragments are handed out cut at t0 and keep their trimmed
+//     object until t0 reaches their next breakpoint. The preemptive side
+//     reads views only on [t0, ∞) — allocWindow starts at t0 or later, fit
+//     places requests at t0 or later — so the cut changes no schedule, and
+//     the views arrive trimmed;
+//   - a granted view keeps its map when none of its fragments changed;
+//   - the rescheduling pass skips a clean, settled application whose
+//     fragments at its requests' clusters are the ones it was last
+//     rescheduled against.
+//
 // outSeeded reports that the persistent preemptive-view map already holds
 // every application's entry from the previous round, so reused
-// applications skip their map write.
+// applications whose map held skip their map write.
 func (s *Scheduler) eqScheduleIncremental(vin view.View, t0 float64, sc *scratch, outSeeded bool) map[int]view.View {
 	apps := s.roundApps // this round's policy order (s.apps under FIFO)
 	n := len(apps)
@@ -104,6 +116,11 @@ func (s *Scheduler) eqScheduleIncremental(vin view.View, t0 float64, sc *scratch
 			fixed = pending // may still be nil: app occupies nothing
 		} else {
 			fixed.MutAdd(pending)
+		}
+		if fixed != nil {
+			// An occupancy whose value held keeps its map, and so its
+			// profiles: the walks keyed on them stay valid.
+			fixed = kept(c.vocc, fixed)
 		}
 		vocc[i] = fixed
 		c.vocc = fixed
@@ -165,7 +182,8 @@ func (s *Scheduler) eqScheduleIncremental(vin view.View, t0 float64, sc *scratch
 	// For each cluster, walk the piece-wise constant intervals
 	// (lines 4–27) — or reuse the cached walk when every input profile is
 	// the identical object (profiles are immutable, so identity implies
-	// equality; a recomputed occupancy always carries fresh objects).
+	// equality; a recomputed occupancy keeps its objects only when its value
+	// held), or is one in another slot of an order-free walk.
 	sc.profs = grown(sc.profs, nw+1)
 	sc.walks = grown(sc.walks, len(clusters))
 	var zero view.View
@@ -178,23 +196,21 @@ func (s *Scheduler) eqScheduleIncremental(vin view.View, t0 float64, sc *scratch
 		if nw > len(occ) {
 			profs[1+len(occ)] = zero.Get(cid) // virtual idle slot
 		}
-		if w := s.eqWalks[cid]; w != nil && walkKeyEqual(w.key, profs) {
+		if w := s.eqWalks[cid]; w != nil && (walkKeyEqual(w.key, profs) || w.permute(profs, sc)) {
 			s.stats.WalksReused++
 			sc.walks[ci] = w
 			continue
 		}
 		s.stats.WalksRecomputed++
-		w := &clusterWalk{
-			key:   append([]*stepfunc.StepFunc(nil), profs...),
-			frags: walkCluster(profs, nw, s.policy, sc),
-		}
+		w := newClusterWalk(profs, nw, s.policy, sc)
 		s.eqWalks[cid] = w
 		sc.walks[ci] = w
 	}
 
-	// Assemble each slot's granted view from the per-cluster fragments,
-	// keeping the cached view object when nothing changed (stability feeds
-	// the rescheduling pass below). Slot nw-1 is the shared idle view.
+	// Assemble each slot's granted view from the per-cluster fragments cut
+	// at t0, keeping the cached view object when nothing changed (stability
+	// decides which maps are written below). Slot nw-1 is the shared idle
+	// view.
 	sc.slotViews = grown(sc.slotViews, nw)
 	sc.slotStable = grown(sc.slotStable, nw)
 	for j := 0; j < nw; j++ {
@@ -207,7 +223,7 @@ func (s *Scheduler) eqScheduleIncremental(vin view.View, t0 float64, sc *scratch
 		nonzero := 0
 		match := cached != nil
 		for ci := range clusters {
-			f := sc.walks[ci].frags[j]
+			f := sc.walks[ci].cut(j, t0)
 			if f.IsZero() {
 				continue
 			}
@@ -222,7 +238,7 @@ func (s *Scheduler) eqScheduleIncremental(vin view.View, t0 float64, sc *scratch
 		}
 		v := make(view.View, nonzero)
 		for ci := range clusters {
-			if f := sc.walks[ci].frags[j]; !f.IsZero() {
+			if f := sc.walks[ci].cut(j, t0); !f.IsZero() {
 				v[clusters[ci]] = f
 			}
 		}
@@ -243,9 +259,11 @@ func (s *Scheduler) eqScheduleIncremental(vin view.View, t0 float64, sc *scratch
 	// ScheduledAt and NAlloc are set correctly (lines 28–30). Idle
 	// applications with no preemptible requests at all have nothing to
 	// reschedule and share the idle view's map (consumers treat pushed
-	// views as immutable). A clean, settled application whose granted view
-	// object is unchanged and whose alloc() values re-check identical
-	// against it has nothing to update either.
+	// views as immutable). A clean, settled application whose fragments at
+	// its requests' clusters are the objects it was last rescheduled
+	// against, and whose alloc() values re-check identical against them, has
+	// nothing to update either: a change on another cluster does not touch
+	// it.
 	if sc.grantP == nil {
 		sc.grantP = view.New() // never nil: toView reads a nil view as unlimited
 	}
@@ -276,9 +294,9 @@ func (s *Scheduler) eqScheduleIncremental(vin view.View, t0 float64, sc *scratch
 			c.eqOK = false
 			continue
 		}
-		if stable && c.eqOK && c.pSettled && grantAllocStable(a.P, v, t0) {
+		if c.eqOK && c.pSettled && sameGrantFrags(a.P, v, c.grantFrags) && grantAllocStable(a.P, v, t0) {
 			s.stats.EqAppReused++
-			if !outSeeded {
+			if !outSeeded || !stable {
 				out[a.ID] = v
 			}
 			continue
@@ -288,10 +306,13 @@ func (s *Scheduler) eqScheduleIncremental(vin view.View, t0 float64, sc *scratch
 		// they run on the granted view restricted to those, in a reused map.
 		avail := sc.grantP
 		clear(avail)
+		c.grantFrags = c.grantFrags[:0]
 		for _, r := range a.P.All() {
-			if f, ok := v[r.Cluster]; ok {
+			f, ok := v[r.Cluster]
+			if ok {
 				avail[r.Cluster] = f
 			}
+			c.grantFrags = append(c.grantFrags, f)
 		}
 		fixed := toViewScratch(a.P, avail, t0, sc)
 		avail.MutSub(fixed)
@@ -326,8 +347,9 @@ func captureNAllocs(rs *request.Set, dst []int) []int {
 
 // walkCluster runs one cluster's piece-wise constant interval walk
 // (Alg. 3 lines 4–27): profs[0] is the vin fragment, profs[1+j] walked
-// slot j's occupancy fragment. It returns the per-slot result fragments.
-func walkCluster(profs []*stepfunc.StepFunc, nw int, policy PreemptPolicy, sc *scratch) []*stepfunc.StepFunc {
+// slot j's occupancy fragment. It returns the per-slot result fragments and
+// whether any interval's division depended on the slots' order.
+func walkCluster(profs []*stepfunc.StepFunc, nw int, policy PreemptPolicy, sc *scratch) (frags []*stepfunc.StepFunc, ordered bool) {
 	// Merge the breakpoints of all profiles into one sorted, deduplicated
 	// slice (no per-cluster set allocation).
 	bps := append(sc.bps[:0], 0)
@@ -390,24 +412,30 @@ func walkCluster(profs []*stepfunc.StepFunc, nw int, policy PreemptPolicy, sc *s
 				active++
 			}
 		}
-		divideInterval(vinVal, sc.req, sum, active, policy, sc.share, sc.need, sc.grant)
+		if divideInterval(vinVal, sc.req, sum, active, policy, sc.share, sc.need, sc.grant) {
+			ordered = true
+		}
 		for i := 0; i < nw; i++ {
 			sc.builders[i].Append(t, sc.share[i])
 		}
 	}
-	frags := make([]*stepfunc.StepFunc, nw)
+	frags = make([]*stepfunc.StepFunc, nw)
 	for i := 0; i < nw; i++ {
 		frags[i] = sc.builders[i].Fn()
 	}
-	return frags
+	return frags, ordered
 }
 
 // divideInterval computes the per-application view values for one
 // piece-wise constant interval: avail nodes available, req[i] nodes
 // requested by application i (sum, active precomputed). The result is
 // written into out; need and grant are caller-provided scratch of the same
-// length.
-func divideInterval(avail int, req []int, sum, active int, policy PreemptPolicy, out, need, grant []int) {
+// length. It reports whether the division depended on the applications'
+// order, which happens only when a water-filling pass has fewer nodes left
+// than unsatisfied applications and hands them out one each in order; any
+// other value is a function of the application's own request and the
+// totals.
+func divideInterval(avail int, req []int, sum, active int, policy PreemptPolicy, out, need, grant []int) (ordered bool) {
 	n := len(req)
 
 	// Fair-share size for an application: its equi-partition. An inactive
@@ -429,7 +457,7 @@ func divideInterval(avail int, req []int, sum, active int, policy PreemptPolicy,
 		for i := 0; i < n; i++ {
 			out[i] = share(i)
 		}
-		return
+		return false
 	}
 
 	if sum > avail {
@@ -453,6 +481,7 @@ func divideInterval(avail int, req []int, sum, active int, policy PreemptPolicy,
 			veq := left / unsat
 			if veq < 1 {
 				veq = 1
+				ordered = true
 			}
 			progressed := false
 			for i := 0; i < n; i++ {
@@ -486,7 +515,7 @@ func divideInterval(avail int, req []int, sum, active int, policy PreemptPolicy,
 				out[i] = share(i)
 			}
 		}
-		return
+		return ordered
 	}
 
 	// Uncongested: give each application the resources left free by the
@@ -501,4 +530,5 @@ func divideInterval(avail int, req []int, sum, active int, policy PreemptPolicy,
 		}
 		out[i] = leftover
 	}
+	return false
 }

@@ -24,9 +24,11 @@ import (
 // such mutation must be reported with MarkAppDirty before the next Schedule
 // call. Structural mutations through the Scheduler's own API (AddApp,
 // RemoveApp, AddCluster, RemoveCluster, SetClip, SetPolicy) invalidate
-// caches themselves. A dynamic SchedulingPolicy invalidates nothing: its
-// answer is the key of the one order-dependent cache, the CBF chain.
-// SetIncremental(false) restores unconditional full recomputation.
+// caches themselves. A dynamic SchedulingPolicy invalidates nothing: the CBF
+// chain is keyed on the views its pass subtracted, in order, and an interval
+// walk whose division did not depend on its slots' order follows a
+// reordering of them (clusterWalk.permute). SetIncremental(false) restores
+// unconditional full recomputation.
 
 // SchedStats counts cache behaviour across Schedule rounds. All counters
 // are cumulative; Reused+Recomputed pairs sum to the work the corresponding
@@ -109,7 +111,10 @@ type appCache struct {
 
 	// CBF outputs, reusable while the running availability prefix is
 	// byte-identical to the round they were computed in (chain reuse).
+	// cbfAt counts the views the last round subtracted from the running
+	// availability before this application's step.
 	cbfOK     bool
+	cbfAt     int
 	cbfOut    view.View // the application's non-preemptive view
 	cbfExcess view.View // wrapped excess subtracted from the running vNP
 
@@ -120,14 +125,128 @@ type appCache struct {
 	vocc       view.View
 	voccNAlloc []int     // phase-A NAlloc per P request, set order
 	granted    view.View // granted preemptive view object of the last round
+	// grantFrags holds, per P request in set order, the granted fragment at
+	// its cluster that the application was last rescheduled against.
+	grantFrags []*stepfunc.StepFunc
 }
 
 // clusterWalk caches one cluster's eqSchedule interval walk: the exact
-// input profiles (by identity — StepFuncs are immutable) and the per-slot
-// output fragments.
+// input profiles (by identity — StepFuncs are immutable), the per-slot
+// output fragments, and each fragment as last cut at a round's instant.
+// The slots whose input is zero share one output and one cut: a slot that
+// requests nothing is shown the hypothetical share, whatever its place
+// (divideInterval). ordered records that some interval's division depended
+// on the slots' order; otherwise a slot's output is a function of its own
+// input and the interval's totals, and a reordering of the inputs reorders
+// the outputs alike (permute).
 type clusterWalk struct {
-	key   []*stepfunc.StepFunc // [vin fragment, slot fragments...]
-	frags []*stepfunc.StepFunc // per-slot outputs
+	key     []*stepfunc.StepFunc // [vin fragment, slot fragments...]
+	frags   []*stepfunc.StepFunc // per-slot outputs
+	cuts    []cutFrag            // per slot, then the zero-input slots' one
+	ordered bool
+}
+
+// newClusterWalk walks one cluster's input profiles: profs[0] is the vin
+// fragment, profs[1+j] walked slot j's occupancy fragment.
+func newClusterWalk(profs []*stepfunc.StepFunc, nw int, policy PreemptPolicy, sc *scratch) *clusterWalk {
+	frags, ordered := walkCluster(profs, nw, policy, sc)
+	w := &clusterWalk{
+		key:     append([]*stepfunc.StepFunc(nil), profs...),
+		frags:   frags,
+		cuts:    make([]cutFrag, nw+1),
+		ordered: ordered,
+	}
+	zero := -1 // the first zero-input slot
+	for j := range w.frags {
+		if profs[1+j].IsZero() {
+			if zero < 0 {
+				zero = j
+			}
+			w.frags[j] = w.frags[zero]
+		}
+	}
+	return w
+}
+
+// permute reorders an order-free walk to the input profiles profs when they
+// are its key's slot profiles in another order, and reports whether it did.
+// A slot that holds the input it held keeps its output; a moved input takes
+// its output and cut along, so an application a dynamic policy moved keeps
+// its fragments.
+func (w *clusterWalk) permute(profs []*stepfunc.StepFunc, sc *scratch) bool {
+	if w.ordered || len(profs) != len(w.key) || profs[0] != w.key[0] {
+		return false
+	}
+	moved := sc.moved[:0]
+	for j := range w.frags {
+		if profs[1+j] != w.key[1+j] {
+			moved = append(moved, j)
+		}
+	}
+	sc.moved = moved
+	if len(moved) < 2 {
+		return false // one changed input is no reordering
+	}
+	// slotOf maps an input to the first moved slot that held it and is not
+	// matched yet, nextSame to the next one.
+	if sc.slotOf == nil {
+		sc.slotOf = make(map[*stepfunc.StepFunc]int)
+	}
+	clear(sc.slotOf)
+	sc.nextSame = grown(sc.nextSame, len(w.frags))
+	for k := len(moved) - 1; k >= 0; k-- {
+		i := moved[k]
+		sc.nextSame[i] = -1
+		if j, ok := sc.slotOf[w.key[1+i]]; ok {
+			sc.nextSame[i] = j
+		}
+		sc.slotOf[w.key[1+i]] = i
+	}
+	from := grown(sc.from, len(moved))
+	sc.from = from
+	for k, j := range moved {
+		i, ok := sc.slotOf[profs[1+j]]
+		if !ok || i < 0 {
+			return false
+		}
+		sc.slotOf[profs[1+j]] = sc.nextSame[i]
+		from[k] = i
+	}
+	frags, cuts := grown(sc.permFrags, len(moved)), grown(sc.permCuts, len(moved))
+	for k, i := range from {
+		frags[k], cuts[k] = w.frags[i], w.cuts[i]
+	}
+	for k, j := range moved {
+		w.frags[j], w.cuts[j], w.key[1+j] = frags[k], cuts[k], profs[1+j]
+	}
+	clear(frags) // pin nothing
+	clear(cuts)
+	sc.permFrags, sc.permCuts = frags, cuts
+	return true
+}
+
+// cutFrag is one slot fragment trimmed at instant at: the same function for
+// every instant in [at, until), until being the fragment's next breakpoint.
+type cutFrag struct {
+	f         *stepfunc.StepFunc // nil until first cut
+	at, until float64
+}
+
+// cut returns slot j's fragment trimmed at t0 (stepfunc.TrimBefore). The
+// trimmed object is kept while t0 stays in [at, until) of its last cut, so
+// a walk reused across rounds hands out the same fragments until the clock
+// crosses one of their breakpoints.
+func (w *clusterWalk) cut(j int, t0 float64) *stepfunc.StepFunc {
+	c := &w.cuts[j]
+	if w.key[1+j].IsZero() {
+		c = &w.cuts[len(w.frags)]
+	}
+	if c.f != nil && c.at <= t0 && t0 < c.until {
+		return c.f
+	}
+	f := w.frags[j]
+	*c = cutFrag{f: f.TrimBefore(t0), at: t0, until: f.NextBreakpoint(t0)}
+	return c.f
 }
 
 // SetIncremental switches incremental recomputation on or off (default on).
@@ -155,11 +274,11 @@ func (s *Scheduler) MarkAppDirty(id int) {
 
 // bumpStruct invalidates everything on the next round: cluster topology,
 // application membership/order, clip and policy all feed every artifact.
-// The remembered policy answer goes at once: it must not pin a removed app.
+// The CBF chain's key goes at once: it must not pin a removed app's views.
 func (s *Scheduler) bumpStruct() {
 	s.structGen++
-	clear(s.lastSeq)
-	s.lastSeq = s.lastSeq[:0]
+	clear(s.cbfMuts)
+	s.cbfMuts = s.cbfMuts[:0]
 }
 
 // invalidateDerivedLocked clears every derived cache while keeping the
@@ -171,6 +290,7 @@ func (s *Scheduler) invalidateDerivedLocked() {
 		a.cache.cbfOK = false
 		a.cache.eqOK = false
 		a.cache.granted = nil
+		a.cache.grantFrags = a.cache.grantFrags[:0]
 	}
 	s.foldsReady = false
 	s.pvClampOK = false
@@ -403,6 +523,21 @@ func allocStable(rs *request.Set, v view.View, now float64, want []int) bool {
 	for i, r := range all {
 		t0, t1 := allocWindow(r, now)
 		if v.Alloc(r.Cluster, r.N, t0, t1-t0) != want[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// sameGrantFrags reports whether v's fragment at every request's cluster is
+// the object recorded in want (one entry per request, set order).
+func sameGrantFrags(rs *request.Set, v view.View, want []*stepfunc.StepFunc) bool {
+	all := rs.All()
+	if len(want) != len(all) {
+		return false
+	}
+	for i, r := range all {
+		if v[r.Cluster] != want[i] {
 			return false
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"coormv2/internal/request"
+	"coormv2/internal/stepfunc"
 	"coormv2/internal/view"
 )
 
@@ -191,13 +192,92 @@ func TestIncrementalMatchesFullRecompute(t *testing.T) {
 	}
 }
 
+// TestIncrementalMatchesFullAtBreakpoints is the differential under the two
+// clock shapes the preemptive caches key on: a round that repeats the
+// previous instant, which must hand out the cut fragments it cut before,
+// and a round that lands exactly on a started preemptible request's end, a
+// breakpoint where every cut fragment that drops there must be cut afresh.
+func TestIncrementalMatchesFullAtBreakpoints(t *testing.T) {
+	landed := 0
+	for seed := int64(1); seed <= 25; seed++ {
+		clusters := map[view.ClusterID]int{"ca": 16, "cb": 8, "cc": 12}
+		landed += runDiffShaped(t, seed, churnShape{same: 64, exact: 96},
+			newDiffMirror(clusters, true), newDiffMirror(clusters, false))
+	}
+	if landed < 100 {
+		t.Errorf("%d rounds landed on a started preemptible request's end, want at least 100", landed)
+	}
+}
+
+// FuzzIncrementalSchedule drives the incremental-vs-full differential from
+// fuzz bytes: the churn seed, which op kinds are left out, how often a round
+// repeats the previous instant or lands on a started preemptible request's
+// end, and the scheduling policy (FIFO, a reordering one, a reordering one
+// that also refuses admissions).
+func FuzzIncrementalSchedule(f *testing.F) {
+	f.Add(int64(1), uint16(0), uint8(64), uint8(96), uint8(0))
+	f.Add(int64(7), uint16(0x0203), uint8(128), uint8(128), uint8(2))
+	f.Fuzz(func(t *testing.T, seed int64, skip uint16, same, exact, policy uint8) {
+		clusters := map[view.ClusterID]int{"ca": 16, "cb": 8, "cc": 12}
+		inc, full := newDiffMirror(clusters, true), newDiffMirror(clusters, false)
+		if policy%3 > 0 {
+			p := shiftingPolicy{flipAdmit: policy%3 == 2}
+			inc.s.SetSchedulingPolicy(p)
+			full.s.SetSchedulingPolicy(p)
+		}
+		runDiffShaped(t, seed, churnShape{skip: skip, same: same, exact: exact}, inc, full)
+	})
+}
+
+// churnShape is what the churn sequence draws besides its seed. The zero
+// shape is runDiffChurn's: every op kind, and a random clock step per round.
+type churnShape struct {
+	skip uint16 // op kinds never applied: bit k is case k of the op draw
+	// Per round, same in 256 repeat the previous instant and the next exact
+	// in 256 land exactly on the nearest end of a started preemptible
+	// request still ahead (a random step when there is none).
+	same, exact uint8
+}
+
+// next returns the instant of the round after now and whether it is a
+// started preemptible request's end. The zero shape draws exactly what the
+// original sequence drew.
+func (sh churnShape) next(rng *rand.Rand, now float64, m *diffMirror) (float64, bool) {
+	if sh.same > 0 || sh.exact > 0 {
+		x := rng.Intn(256)
+		if x < int(sh.same) {
+			return now, false
+		}
+		if x < int(sh.same)+int(sh.exact) {
+			end := math.Inf(1)
+			for _, r := range m.reqs {
+				if r.Type == request.Preempt && r.Started() && !r.Finished && r.End() > now {
+					end = math.Min(end, r.End())
+				}
+			}
+			if !math.IsInf(end, 1) {
+				return end, true
+			}
+		}
+	}
+	return now + rng.Float64()*15, false
+}
+
 // runDiffChurn drives the two mirrored schedulers through the seeded
 // randomized churn sequence (120 rounds of connect/disconnect/request/
 // withdraw/finish/gc/hold/commit/setnb/addcluster ops) and asserts
-// byte-identical outcomes after every round. It is shared by the
-// incremental-vs-full differential above and the policy-path differential
-// in policy_test.go.
+// byte-identical outcomes after every Schedule call. Each round has the rms
+// shape: Schedule, start what it says, Schedule again at the same instant.
+// It is shared by the incremental-vs-full differential above and the
+// policy-path differential in policy_test.go.
 func runDiffChurn(t *testing.T, seed int64, inc, full *diffMirror) {
+	t.Helper()
+	runDiffShaped(t, seed, churnShape{}, inc, full)
+}
+
+// runDiffShaped is runDiffChurn with a churn shape. It returns how many
+// rounds landed on a started preemptible request's end.
+func runDiffShaped(t *testing.T, seed int64, shape churnShape, inc, full *diffMirror) (landed int) {
 	t.Helper()
 	clusterIDs := []view.ClusterID{"ca", "cb", "cc"}
 	rng := rand.New(rand.NewSource(seed))
@@ -216,14 +296,21 @@ func runDiffChurn(t *testing.T, seed int64, inc, full *diffMirror) {
 		}
 
 		for round := 0; round < 120; round++ {
-			now += rng.Float64() * 15
+			var onEnd bool
+			if now, onEnd = shape.next(rng, now, inc); onEnd {
+				landed++
+			}
 			// 1–3 mutations per round, so rounds see mixed dirt.
 			for k := 0; k < 1+rng.Intn(3); k++ {
 				appIDs := []int{}
 				for _, a := range inc.s.Apps() {
 					appIDs = append(appIDs, a.ID)
 				}
-				switch rng.Intn(13) {
+				kind := rng.Intn(13)
+				if shape.skip&(1<<kind) != 0 {
+					continue
+				}
+				switch kind {
 				case 0:
 					if len(appIDs) < 6 {
 						apply(diffOp{kind: "connect", app: nextApp})
@@ -398,6 +485,7 @@ func runDiffChurn(t *testing.T, seed int64, inc, full *diffMirror) {
 			}
 		}
 	}
+	return landed
 }
 
 // TestIncrementalStatsReuse sanity-checks that steady rounds actually hit
@@ -507,5 +595,226 @@ func TestNonPreemptViewsKeepIdentity(t *testing.T) {
 				t.Errorf("round %d: application %d's non-preemptive view is a new map", round+1, id)
 			}
 		}
+	}
+}
+
+// TestClusterWalkCut: a walk's cut fragment equals frags[j].TrimBefore(t0)
+// for random profiles and instants on, between and before breakpoints, and
+// the trimmed object of the last cut comes back exactly while t0 lies in
+// [at, until) of that cut; any other instant, an earlier one included, cuts
+// afresh.
+func TestClusterWalkCut(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for iter := 0; iter < 400; iter++ {
+		f := stepfunc.Zero()
+		for k := rng.Intn(6); k > 0; k-- {
+			f = f.AddRect(float64(rng.Intn(60)), float64(1+rng.Intn(40)), 1+rng.Intn(9))
+		}
+		bps := f.AppendBreakpoints(nil)
+		w := &clusterWalk{key: []*stepfunc.StepFunc{nil, f}, frags: []*stepfunc.StepFunc{f}, cuts: make([]cutFrag, 2)}
+		entry := &w.cuts[0]
+		if f.IsZero() {
+			entry = &w.cuts[1] // the zero-input slots' shared cut
+		}
+		t0 := 0.0
+		for step := 0; step < 25; step++ {
+			switch rng.Intn(4) {
+			case 0: // on a breakpoint
+				t0 = bps[rng.Intn(len(bps))]
+			case 1: // between breakpoints, or past the last one
+				t0 = rng.Float64() * 110
+			case 2: // before the last cut
+				t0 = math.Max(0, t0-rng.Float64()*20)
+			case 3: // the same instant again
+			}
+			last := *entry
+			got := w.cut(0, t0)
+			if want := f.TrimBefore(t0); !got.Equal(want) {
+				t.Fatalf("profile %v cut at %v = %v, want %v", f, t0, got, want)
+			}
+			hit := last.f != nil && last.at <= t0 && t0 < last.until
+			if hit {
+				if got != last.f || *entry != last {
+					t.Fatalf("profile %v: cut at %v inside [%v, %v) of the last cut is a new object", f, t0, last.at, last.until)
+				}
+				continue
+			}
+			if c := *entry; c.at != t0 || c.until != f.NextBreakpoint(t0) {
+				t.Fatalf("profile %v: cut at %v outside [%v, %v) kept the last cut %+v", f, t0, last.at, last.until, c)
+			}
+			// TrimBefore hands out f itself when nothing lies before t0 and
+			// the shared zero when nothing is left: those are not copies.
+			if got == last.f && got != f && got != stepfunc.Zero() {
+				t.Fatalf("profile %v: cut at %v outside [%v, %v) returned the last trimmed object", f, t0, last.at, last.until)
+			}
+		}
+	}
+}
+
+// TestClusterWalkPermute: every slot of a walk holds what a walk of its
+// inputs gives, the zero-input slots one shared output and cut. A walk whose
+// division did not depend on its slots' order, handed its slot inputs in
+// another order, is reordered rather than recomputed: every slot's output is
+// what a fresh walk of the reordered inputs gives, and its cut fragment is
+// the object cut before for a slot holding the same input. A walk whose
+// division did depend on the order, or inputs that are not a reordering of
+// its key, are refused.
+func TestClusterWalkPermute(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	sc := &scratch{}
+	var permuted, refused int
+	for iter := 0; iter < 600; iter++ {
+		// A small pool, so slots often share an input; zero included.
+		pool := []*stepfunc.StepFunc{stepfunc.Zero()}
+		for k := 0; k < 3; k++ {
+			f := stepfunc.Zero()
+			for r := 1 + rng.Intn(3); r > 0; r-- {
+				f = f.AddRect(float64(rng.Intn(40)), float64(1+rng.Intn(40)), 1+rng.Intn(6))
+			}
+			pool = append(pool, f)
+		}
+		nw := 1 + rng.Intn(6)
+		profs := make([]*stepfunc.StepFunc, nw+1)
+		profs[0] = stepfunc.Rect(0, math.Inf(1), rng.Intn(20)) // small: often congested
+		for j := 1; j <= nw; j++ {
+			profs[j] = pool[rng.Intn(len(pool))]
+		}
+		policy := PreemptPolicy(rng.Intn(2))
+		w := newClusterWalk(profs, nw, policy, sc)
+		ordered := w.ordered
+		plain, _ := walkCluster(profs, nw, policy, sc)
+		for j := range plain {
+			if !w.frags[j].Equal(plain[j]) {
+				t.Fatalf("walk of %v: slot %d holds %v, its own walk gives %v", profs, j, w.frags[j], plain[j])
+			}
+		}
+		t0 := float64(rng.Intn(50))
+		cuts := make([]*stepfunc.StepFunc, nw)
+		for j := range cuts {
+			cuts[j] = w.cut(j, t0)
+		}
+		for j := range cuts {
+			for i := 0; i < j; i++ {
+				if sharing := w.frags[i] == w.frags[j] && cuts[i] == cuts[j]; profs[1+i].IsZero() && profs[1+j].IsZero() && !sharing {
+					t.Fatalf("walk of %v: zero-input slots %d and %d do not share one output and cut", profs, i, j)
+				}
+			}
+		}
+
+		alien := append([]*stepfunc.StepFunc(nil), profs...)
+		alien[1+rng.Intn(nw)] = stepfunc.Rect(0, 1, 1)
+		if w.permute(alien, sc) {
+			t.Fatalf("walk of %v permuted to %v, which is no reordering of it", profs, alien)
+		}
+		if nw >= 3 && profs[1] != profs[2] && profs[1] != profs[3] && profs[2] != profs[3] {
+			// Every slot changed, each to an input the walk has, one of
+			// them twice.
+			twice := append([]*stepfunc.StepFunc(nil), profs...)
+			twice[1], twice[2], twice[3] = profs[2], profs[1], profs[1]
+			if w.permute(twice, sc) {
+				t.Fatalf("walk of %v permuted to %v, which is no reordering of it", profs, twice)
+			}
+		}
+		moved := []*stepfunc.StepFunc{profs[0]}
+		for _, i := range rng.Perm(nw) {
+			moved = append(moved, profs[1+i])
+		}
+		if walkKeyEqual(w.key, moved) {
+			continue // no slot's input moved: the walk is reused as it is
+		}
+		if ordered {
+			if w.permute(moved, sc) {
+				t.Fatalf("walk of %v, whose division depended on the order, was permuted", profs)
+			}
+			refused++
+			continue
+		}
+		if !w.permute(moved, sc) {
+			t.Fatalf("order-free walk of %v refused its reordering %v", profs, moved)
+		}
+		permuted++
+		fresh, _ := walkCluster(moved, nw, policy, sc)
+		for j := 0; j < nw; j++ {
+			if w.key[1+j] != moved[1+j] || !w.frags[j].Equal(fresh[j]) {
+				t.Fatalf("walk of %v reordered to %v: slot %d holds %v -> %v, a fresh walk gives %v",
+					profs, moved, j, w.key[1+j], w.frags[j], fresh[j])
+			}
+			got := w.cut(j, t0)
+			if !got.Equal(fresh[j].TrimBefore(t0)) {
+				t.Fatalf("walk of %v reordered to %v: slot %d cut at %v = %v, want %v",
+					profs, moved, j, t0, got, fresh[j].TrimBefore(t0))
+			}
+			same := false
+			for i := range cuts {
+				same = same || (got == cuts[i] && profs[1+i] == moved[1+j])
+			}
+			if !same {
+				t.Fatalf("walk of %v reordered to %v: slot %d's cut fragment is not one cut before for its input", profs, moved, j)
+			}
+		}
+	}
+	if permuted < 100 || refused < 50 {
+		t.Errorf("%d walks permuted and %d refused, want at least 100 and 50", permuted, refused)
+	}
+}
+
+// TestPreemptViewsKeepIdentity: a start round whose start leaves the
+// started request's rectangle where fit put it hands over every preemptive
+// view map of the round before it at the same instant, recomputing no walk
+// and rescheduling at most the started application. A change on one
+// cluster then reschedules only the applications that request it.
+func TestPreemptViewsKeepIdentity(t *testing.T) {
+	s := NewScheduler(map[view.ClusterID]int{"cx": 24, "cy": 24})
+	id := request.ID(1)
+	mk := func(app int, cid view.ClusterID, n int, dur float64, typ request.Type) *request.Request {
+		r := request.New(id, app, cid, n, dur, typ, request.Free, nil)
+		id++
+		s.App(app).SetFor(typ).Add(r)
+		s.MarkAppDirty(app)
+		return r
+	}
+	// Applications 1 and 2 request cx, 3 and 4 cy, 5 both; 6 will ask for
+	// cy, and 7 requests no preemptible nodes.
+	for app := 1; app <= 7; app++ {
+		s.AddApp(app, float64(app))
+	}
+	for app, cids := range [][]view.ClusterID{1: {"cx"}, 2: {"cx"}, 3: {"cy"}, 4: {"cy"}, 5: {"cx", "cy"}} {
+		for _, cid := range cids {
+			mk(app, cid, 3, math.Inf(1), request.Preempt).StartedAt = 0
+		}
+	}
+	s.Schedule(0)
+
+	r := mk(6, "cy", 2, 50, request.Preempt)
+	out := s.Schedule(1)
+	if len(out.ToStart) != 1 || out.ToStart[0] != r {
+		t.Fatalf("ToStart = %v, want request %d alone", out.ToStart, r.ID)
+	}
+	before := make(map[int]view.View, len(out.PreemptViews))
+	for app, v := range out.PreemptViews {
+		before[app] = v
+	}
+	st := s.Stats()
+	r.StartedAt = 1
+	s.MarkAppDirty(6)
+	out = s.Schedule(1)
+	for app, v := range out.PreemptViews {
+		if !view.Same(v, before[app]) {
+			t.Errorf("application %d's preemptive view is a new map after a start-only round", app)
+		}
+	}
+	if got := s.Stats().WalksRecomputed - st.WalksRecomputed; got != 0 {
+		t.Errorf("a start-only round recomputed %d walks, want 0", got)
+	}
+	if got := s.Stats().EqAppRecomputed - st.EqAppRecomputed; got > 1 {
+		t.Errorf("a start-only round rescheduled %d applications, want at most 1", got)
+	}
+
+	// A started non-preemptible request on cx changes the cx walk only.
+	mk(7, "cx", 4, 100, request.NonPreempt).StartedAt = 2
+	st = s.Stats()
+	s.Schedule(2)
+	if got := s.Stats().EqAppRecomputed - st.EqAppRecomputed; got != 3 {
+		t.Errorf("a change on cx rescheduled %d applications, want 3 (1, 2 and 5 request cx)", got)
 	}
 }

@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -12,9 +14,8 @@ import (
 
 // dynamicFIFO is FIFO order and admit-all behind a Stable() == false
 // policy: it sends every round through the dynamic machinery (policy
-// ordering buffer, per-app admission calls, the remembered-sequence
-// comparison) while demanding the exact same schedule as the stable fast
-// path. The differential below pins the two paths byte-identical.
+// ordering buffer, per-app admission calls) while demanding the exact same
+// schedule as the stable fast path. The differential below pins the two paths byte-identical.
 type dynamicFIFO struct{}
 
 func (dynamicFIFO) Name() string { return "dynamic-fifo" }
@@ -29,9 +30,9 @@ func (dynamicFIFO) Admit(RoundInfo, *AppState) bool { return true }
 
 // TestPolicyPathMatchesFIFO is the FIFOPolicy differential required by the
 // policy redesign: the policy-dispatched dynamic path (ordering buffer,
-// admission calls, chain keyed on the sequence) must produce
-// byte-identical views, start lists, and request attributes to the default
-// stable FIFO path across the full randomized churn generator.
+// admission calls) must produce byte-identical views, start lists, and
+// request attributes to the default stable FIFO path across the full
+// randomized churn generator.
 func TestPolicyPathMatchesFIFO(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		clusters := map[view.ClusterID]int{"ca": 16, "cb": 8, "cc": 12}
@@ -81,11 +82,13 @@ func (p shiftingPolicy) Admit(info RoundInfo, a *AppState) bool {
 }
 
 // TestDynamicPolicyIncrementalMatchesFull is the differential behind the
-// sequence-keyed CBF chain: under a policy that reorders and re-admits
-// over time, the incremental scheduler must stay byte-identical to the
-// from-scratch oracle across the full randomized churn generator. Leaving
-// the admission bit out of the key fails it: a re-admitted application
-// changes the running availability of everyone after it.
+// order-carrying caches: under a policy that reorders and re-admits over
+// time, the incremental scheduler must stay byte-identical to the
+// from-scratch oracle across the full randomized churn generator. A CBF
+// chain that ignores where a subtracted view sits fails it (a moved or
+// re-admitted application changes the running availability of everyone
+// after it), and so does a walk permuted although its division depended on
+// the order.
 func TestDynamicPolicyIncrementalMatchesFull(t *testing.T) {
 	for _, p := range []shiftingPolicy{{flipAdmit: false}, {flipAdmit: true}} {
 		t.Run(fmt.Sprintf("flipAdmit=%v", p.flipAdmit), func(t *testing.T) {
@@ -134,34 +137,203 @@ func TestPolicySwapMidRunMatchesFull(t *testing.T) {
 	}
 }
 
-// TestRememberedSequenceUnpinned checks that the previous round's policy
-// answer never keeps a removed application alive: RemoveApp and a policy
-// swap drop it at once, not at the next round.
+// TestRememberedSequenceUnpinned checks that the CBF chain's key, the views
+// the last round subtracted from the running availability, never keeps a
+// removed application's views alive: RemoveApp and a policy swap drop it at
+// once, not at the next round.
 func TestRememberedSequenceUnpinned(t *testing.T) {
 	s := NewScheduler(map[view.ClusterID]int{c0: 8})
 	s.SetSchedulingPolicy(dynamicFIFO{})
 	for i := 1; i <= 4; i++ {
-		s.AddApp(i, float64(i))
+		a := s.AddApp(i, float64(i))
+		// A pending non-preemptible request outside any pre-allocation is
+		// wrapped: its excess is subtracted from the running availability.
+		a.NP.Add(request.New(request.ID(i), i, c0, 2, 10, request.NonPreempt, request.Free, nil))
 	}
 	dropped := func(after string) {
 		t.Helper()
-		for _, slot := range s.lastSeq[:cap(s.lastSeq)] {
-			if slot.app != nil {
-				t.Fatalf("after %s the remembered sequence still holds application %d", after, slot.app.ID)
+		for _, m := range s.cbfMuts[:cap(s.cbfMuts)] {
+			if m != nil {
+				t.Fatalf("after %s the remembered sequence still holds %v", after, m)
 			}
 		}
 	}
-	s.Schedule(0)
-	if len(s.lastSeq) != 4 {
-		t.Fatalf("a dynamic round remembered %d positions, want 4", len(s.lastSeq))
+	remembers := func(n int) {
+		t.Helper()
+		if len(s.cbfMuts) != n {
+			t.Fatalf("a round remembered %d subtracted views, want %d", len(s.cbfMuts), n)
+		}
 	}
+	s.Schedule(0)
+	remembers(4)
 	s.RemoveApp(2)
 	dropped("RemoveApp")
 	s.Schedule(1)
+	remembers(3)
 	s.SetSchedulingPolicy(nil)
 	dropped("SetSchedulingPolicy")
 	s.Schedule(2)
-	dropped("a stable round")
+	remembers(3)
+}
+
+// scriptedPolicy answers with the application IDs of order and refuses the
+// ones in refused; a test rewrites both between rounds.
+type scriptedPolicy struct {
+	order   []int
+	refused map[int]bool
+}
+
+func (*scriptedPolicy) Name() string { return "scripted" }
+func (*scriptedPolicy) Stable() bool { return false }
+
+func (p *scriptedPolicy) Order(_ RoundInfo, apps []*AppState, buf []*AppState) []*AppState {
+	for _, id := range p.order {
+		for _, a := range apps {
+			if a.ID == id {
+				buf = append(buf, a)
+			}
+		}
+	}
+	return buf
+}
+
+func (p *scriptedPolicy) Admit(_ RoundInfo, a *AppState) bool { return !p.refused[a.ID] }
+
+// scriptedTwins builds one incremental scheduler and its from-scratch twin
+// with build, both under p; round schedules both at now and fails the test
+// unless their views agree, returning the incremental side's outcome.
+func scriptedTwins(t *testing.T, clusters map[view.ClusterID]int, p *scriptedPolicy, build func(s *Scheduler)) (inc *Scheduler, round func(now float64) *Outcome) {
+	inc, full := NewScheduler(clusters), NewScheduler(clusters)
+	full.SetIncremental(false)
+	for _, s := range []*Scheduler{inc, full} {
+		s.SetSchedulingPolicy(p)
+		build(s)
+	}
+	return inc, func(now float64) *Outcome {
+		t.Helper()
+		a, b := inc.Schedule(now), full.Schedule(now)
+		if err := viewsEqual(a.NonPreemptViews, b.NonPreemptViews); err != nil {
+			t.Fatalf("t=%v: non-preemptive: %v", now, err)
+		}
+		if err := viewsEqual(a.PreemptViews, b.PreemptViews); err != nil {
+			t.Fatalf("t=%v: preemptive: %v", now, err)
+		}
+		return a
+	}
+}
+
+// TestReorderKeepsCaches: a dynamic policy that reverses its order moves
+// applications that subtract nothing from the running availability and
+// whose preemptible division does not depend on the order, so the round
+// after it recomputes no CBF step, no walk and no application, and hands
+// over every view map of the round before. Where the division does depend
+// on the order — a congested cluster handing out its last nodes one each —
+// exactly that cluster's walk is recomputed.
+func TestReorderKeepsCaches(t *testing.T) {
+	for _, congested := range []bool{false, true} {
+		t.Run(fmt.Sprintf("congested=%v", congested), func(t *testing.T) {
+			testReorderKeepsCaches(t, congested)
+		})
+	}
+}
+
+func testReorderKeepsCaches(t *testing.T, congested bool) {
+	clusters := map[view.ClusterID]int{"cx": 64, "cy": 64, "cz": 5}
+	p := &scriptedPolicy{order: []int{1, 2, 3, 4, 5, 6, 7}}
+	if congested {
+		p.order = append(p.order, 8, 9, 10)
+	}
+	inc, round := scriptedTwins(t, clusters, p, func(s *Scheduler) {
+		id := request.ID(1)
+		started := func(app int, cid view.ClusterID, n int, dur float64, typ request.Type) {
+			r := request.New(id, app, cid, n, dur, typ, request.Free, nil)
+			id++
+			r.StartedAt = 0
+			s.App(app).SetFor(typ).Add(r)
+		}
+		// 1–6: settled, a non-preemptible request inside a pre-allocation
+		// plus a preemptible one, on cx or cy (uncongested); 7 requests
+		// nothing; 8–10 share the 5 nodes of cz, 4 preemptible nodes each.
+		for _, app := range p.order {
+			s.AddApp(app, float64(app))
+			switch {
+			case app <= 6:
+				cid := []view.ClusterID{"cx", "cy"}[app%2]
+				started(app, cid, 8, 1000, request.PreAlloc)
+				started(app, cid, 4, 500, request.NonPreempt)
+				started(app, cid, 2, math.Inf(1), request.Preempt)
+			case app >= 8:
+				started(app, "cz", 4, math.Inf(1), request.Preempt)
+			}
+		}
+	})
+	round(1)
+	before := round(2)
+	np := maps.Clone(before.NonPreemptViews)
+	pv := maps.Clone(before.PreemptViews)
+	st := inc.Stats()
+
+	slices.Reverse(p.order)
+	out := round(3)
+	d := inc.Stats()
+	if got := d.CBFRecomputed - st.CBFRecomputed; got != 0 {
+		t.Errorf("the reversed round recomputed %d CBF steps, want 0", got)
+	}
+	for _, app := range p.order {
+		if !view.Same(out.NonPreemptViews[app], np[app]) {
+			t.Errorf("application %d's non-preemptive view is a new map after a reorder", app)
+		}
+	}
+	if !congested {
+		if got := d.WalksRecomputed - st.WalksRecomputed; got != 0 {
+			t.Errorf("the reversed round recomputed %d walks, want 0", got)
+		}
+		if got := d.EqAppRecomputed - st.EqAppRecomputed; got != 0 {
+			t.Errorf("the reversed round rescheduled %d applications, want 0", got)
+		}
+		for _, app := range p.order {
+			if !view.Same(out.PreemptViews[app], pv[app]) {
+				t.Errorf("application %d's preemptive view is a new map after a reorder", app)
+			}
+		}
+		return
+	}
+	if got := d.WalksRecomputed - st.WalksRecomputed; got != 1 {
+		t.Errorf("the reversed round recomputed %d walks, want 1 (cz's)", got)
+	}
+	if out.PreemptViews[8].Equal(pv[8]) && out.PreemptViews[10].Equal(pv[10]) {
+		t.Error("cz's last node went to the same application in both orders: its division does not depend on the order")
+	}
+}
+
+// TestIdleRunEndsAtReusedSubtraction: once a reorder has recomputed a
+// request-less application, a reused application after it that subtracts
+// its wrapped excess ends the run of request-less applications sharing one
+// view, so the next one — recomputed because it was refused last round —
+// sees the availability after the subtraction.
+func TestIdleRunEndsAtReusedSubtraction(t *testing.T) {
+	p := &scriptedPolicy{order: []int{2, 1, 3}, refused: map[int]bool{3: true}}
+	inc, round := scriptedTwins(t, map[view.ClusterID]int{c0: 8}, p, func(s *Scheduler) {
+		for app := 1; app <= 3; app++ {
+			s.AddApp(app, float64(app))
+		}
+		// Application 2 runs 2 nodes outside any pre-allocation (its
+		// pre-allocation ended early): a settled application whose CBF step
+		// subtracts them from the running availability.
+		r := request.New(1, 2, c0, 2, 50, request.NonPreempt, request.Free, nil)
+		r.StartedAt = 0
+		s.App(2).NP.Add(r)
+	})
+	round(1)
+	p.order, p.refused = []int{1, 2, 3}, nil
+	st := inc.Stats()
+	out := round(2)
+	if got := inc.Stats().CBFReused - st.CBFReused; got != 1 {
+		t.Fatalf("%d CBF steps reused, want 1 (application 2's, after 1 was recomputed)", got)
+	}
+	if got := out.NonPreemptViews[3].Get(c0).MinOn(2, 50); got != 6 {
+		t.Errorf("application 3 sees %d free nodes, want 6", got)
+	}
 }
 
 // reverseAdmitOne reverses the round order and admits everything except

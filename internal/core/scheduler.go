@@ -92,14 +92,17 @@ type Scheduler struct {
 	// by default — the paper's connection order, every app admitted).
 	// roundApps/roundDynamic are the current round's iteration slice and
 	// admission-gating flag; orderBuf is the reusable ordering buffer
-	// handed to dynamic policies. lastSeq is the previous dynamic round's
-	// answer, the key of the CBF chain cache; structural changes drop it
-	// (bumpStruct), so it never pins a removed application.
+	// handed to dynamic policies.
 	schedPolicy  SchedulingPolicy
 	roundApps    []*AppState
 	roundDynamic bool
 	orderBuf     []*AppState
-	lastSeq      []roundSlot
+
+	// cbfMuts is the key of the CBF chain cache: the views the last round's
+	// CBF pass subtracted from the running non-preemptive availability, in
+	// order. cbfMutsNext is the buffer this round's sequence is built in.
+	// Structural changes drop both (bumpStruct).
+	cbfMuts, cbfMutsNext []view.View
 
 	// clip, when non-nil, limits the non-preemptive view presented to every
 	// application (§3.2's suggested pre-allocation limit).
@@ -313,13 +316,6 @@ func (s *Scheduler) sortApps() {
 	}
 }
 
-// roundSlot is one position of a round's policy answer: which application
-// was offered resources there and whether it was admitted.
-type roundSlot struct {
-	app      *AppState
-	admitted bool
-}
-
 // Outcome is the result of one scheduling round: the views to present to
 // each application and the requests whose computed start time has arrived.
 // A view map is never written once an Outcome holds it, and a later round
@@ -330,7 +326,9 @@ type Outcome struct {
 	NonPreemptViews map[int]view.View
 	// PreemptViews holds V_P^(i): what each application can see for
 	// preemptible requests. A drop below an application's current
-	// preemptible allocation signals that it must release resources.
+	// preemptible allocation signals that it must release resources. The
+	// views are trimmed at the round's instant (stepfunc.TrimBefore): the
+	// preemptive side reads views only from now on.
 	PreemptViews map[int]view.View
 	// ToStart lists requests with ScheduledAt <= now that have not started,
 	// parents before children.
@@ -389,7 +387,6 @@ func (s *Scheduler) Schedule(now float64) *Outcome {
 			a.admitted = s.schedPolicy.Admit(info, a)
 		}
 		apps = ordered
-		s.lastSeq = grown(s.lastSeq, len(apps)) // once dropped: zero slots, equal to none
 	}
 	s.roundApps = apps
 	s.roundDynamic = dynamic
@@ -438,17 +435,21 @@ func (s *Scheduler) Schedule(now float64) *Outcome {
 
 	// Compute non-preemptive views and start times of pre-allocations and
 	// non-preemptible requests (lines 6–11), applications in CBF order,
-	// with chain reuse: while the base fold is unchanged and every earlier
-	// application was reused, the running availability is byte-identical to
-	// the previous round, so each settled application's cached view and
-	// wrapped excess stand in for its recomputation. The first recomputed
-	// application breaks the chain for everything after it, and so does the
-	// first position where a dynamic policy's answer differs from the last
-	// round's: a moved application meets a different running availability,
-	// one whose admission flipped leaves a different one behind. No other
-	// cache depends on the order: the base folds are order-independent
+	// with chain reuse. The running availability an application meets is
+	// the base fold minus the views subtracted before it, so while the base
+	// fold is unchanged and this round has subtracted the same view objects
+	// as the last round up to the application's step, it meets a
+	// byte-identical availability, and a settled application's cached view
+	// and wrapped excess stand in for its recomputation. The first
+	// subtraction that differs — a recomputed application's fresh view, a
+	// view moved by a dynamic policy's new order or dropped by a refused
+	// admission — breaks the chain for everything after it. Applications
+	// that subtract nothing, the request-less and the settled without
+	// wrapped excess, leave it intact wherever the policy puts them. No
+	// other cache depends on the order: the base folds are order-independent
 	// sums, eqSchedule's caches carry the identity of their inputs.
 	chain := !npChanged
+	muts := s.cbfMutsNext[:0]
 	if sc.inPA == nil {
 		sc.inPA = view.New()
 	}
@@ -461,13 +462,8 @@ func (s *Scheduler) Schedule(now float64) *Outcome {
 	// request-less there, and this keeps the round cost proportional to the
 	// applications the shard actually schedules.
 	var idleViewNP, idleOld view.View // idleOld: the last entry compared with it
-	for i, a := range apps {
+	for _, a := range apps {
 		c := &a.cache
-		if dynamic {
-			slot := roundSlot{a, a.admitted}
-			chain = chain && s.lastSeq[i] == slot
-			s.lastSeq[i] = slot
-		}
 		if dynamic && !a.admitted {
 			// Not admitted this round: pending work stays unscheduled,
 			// started/fixed allocations keep counting (they are already
@@ -485,7 +481,7 @@ func (s *Scheduler) Schedule(now float64) *Outcome {
 			c.cbfOK = false
 			continue
 		}
-		if chain && c.cbfOK {
+		if chain && c.cbfOK && c.cbfAt == len(muts) {
 			s.stats.CBFReused++
 			if !outSeeded {
 				out.NonPreemptViews[a.ID] = c.cbfOut
@@ -496,10 +492,12 @@ func (s *Scheduler) Schedule(now float64) *Outcome {
 					vNPShared = false
 				}
 				vNP.MutSub(c.cbfExcess)
+				muts, chain = s.noteCBFMut(muts, c.cbfExcess, chain)
+				idleViewNP = nil // the run of request-less applications ends here
 			}
 			continue
 		}
-		chain = false
+		c.cbfAt = len(muts)
 		s.stats.CBFRecomputed++
 		if a.PA.Len() == 0 && a.NP.Len() == 0 {
 			if idleViewNP == nil {
@@ -573,6 +571,11 @@ func (s *Scheduler) Schedule(now float64) *Outcome {
 			}
 			vNP.MutSub(voccPA)
 			vNP.MutSub(excess)
+			for _, m := range [2]view.View{voccPA, excess} {
+				if len(m) > 0 {
+					muts, chain = s.noteCBFMut(muts, m, chain)
+				}
+			}
 		}
 		if len(voccNP) > 0 {
 			if vPShared {
@@ -596,6 +599,8 @@ func (s *Scheduler) Schedule(now float64) *Outcome {
 		}
 		out.NonPreemptViews[a.ID] = outNP
 	}
+	clear(s.cbfMuts)
+	s.cbfMuts, s.cbfMutsNext = muts, s.cbfMuts[:0]
 
 	// Compute preemptive views and start times of preemptible requests
 	// (line 12). An untouched preemptible fold keeps its cached clamp so
@@ -633,6 +638,15 @@ func (s *Scheduler) Schedule(now float64) *Outcome {
 		return a.Seq < b.Seq
 	})
 	return out
+}
+
+// noteCBFMut appends m, a view just subtracted from the CBF pass's running
+// availability, to this round's sequence muts, and reports whether chain
+// still holds: every view subtracted so far is the one the last round
+// subtracted at the same position.
+func (s *Scheduler) noteCBFMut(muts []view.View, m view.View, chain bool) ([]view.View, bool) {
+	k := len(muts)
+	return append(muts, m), chain && k < len(s.cbfMuts) && view.Same(s.cbfMuts[k], m)
 }
 
 // kept returns old, an application's entry in the persistent Outcome map

@@ -171,6 +171,65 @@ func TestRingWraparound(t *testing.T) {
 	}
 }
 
+// TestRingOverwriteDuringSnapshot pins the ring at its bound: writers
+// overrun a small ring many times over while readers snapshot it. Every
+// snapshot is a run of consecutive sequence numbers, no longer than the
+// capacity, whose last one is below the total read after it. Meaningful
+// under -race.
+func TestRingOverwriteDuringSnapshot(t *testing.T) {
+	const capacity, writers, perWriter, readers = 16, 4, 3000, 2
+	r := NewRing(capacity)
+	stop := make(chan struct{})
+	var rwg sync.WaitGroup
+	for k := 0; k < readers; k++ {
+		rwg.Add(1)
+		go func() {
+			defer rwg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				ev := r.Events()
+				total := r.Total()
+				if len(ev) > capacity {
+					t.Errorf("snapshot holds %d events, capacity %d", len(ev), capacity)
+					return
+				}
+				for i := 1; i < len(ev); i++ {
+					if ev[i].Seq != ev[i-1].Seq+1 {
+						t.Errorf("snapshot seq %d follows %d", ev[i].Seq, ev[i-1].Seq)
+						return
+					}
+				}
+				if n := len(ev); n > 0 && ev[n-1].Seq >= total {
+					t.Errorf("snapshot ends at seq %d, total %d", ev[n-1].Seq, total)
+					return
+				}
+			}
+		}()
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				r.Add(Event{Type: EvRound, App: w, Value: float64(i)})
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	rwg.Wait()
+	ev := r.Events()
+	if total := r.Total(); total != writers*perWriter || len(ev) != capacity || ev[capacity-1].Seq != total-1 {
+		t.Fatalf("after the writers: total %d, %d events ending at seq %d; want %d, %d ending at %d",
+			total, len(ev), ev[len(ev)-1].Seq, writers*perWriter, capacity, writers*perWriter-1)
+	}
+}
+
 // TestConcurrentRecording hammers one registry from many goroutines
 // while snapshots are taken — meaningful under -race, and the final
 // counts must still be exact.

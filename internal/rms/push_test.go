@@ -80,6 +80,19 @@ func (tw *pushTwin) round() {
 				tw.e.Now(), i, inc.np, inc.p, full.np, full.p)
 		}
 	}
+	// The scheduler hands out preemptive views trimmed at the round's
+	// instant, so one that names every cluster needs neither a trim nor a
+	// completion: trimLocked returns its map.
+	for k, s := range tw.srv {
+		s.mu.Lock()
+		for id, sess := range s.sessions {
+			if src := sess.p.src; len(src) == len(s.pools) && !view.Same(s.trimLocked(src, s.clk.Now()), src) {
+				s.mu.Unlock()
+				tw.t.Fatalf("t=%g server %d app %d: trimLocked copied the preemptive view %v", tw.e.Now(), k, id, src)
+			}
+		}
+		s.mu.Unlock()
+	}
 }
 
 // sameNames reports whether two pushed views name the same clusters.
@@ -249,6 +262,10 @@ func TestPushFollowsTrimHorizon(t *testing.T) {
 func FuzzViewPush(f *testing.F) {
 	f.Add([]byte{0, 2, 9, 3, 20, 4, 1, 0x43, 9, 3, 40, 5, 3, 30, 5, 2, 0, 1, 3, 60})
 	f.Add([]byte{1, 1, 7, 3, 9, 0, 0x42, 24, 3, 28, 5, 0, 3, 17, 3, 200, 5})
+	// Beta is detached under a non-preemptible request that fills it; the
+	// preemptive half keeps its value across the detach, and the push the
+	// clip's next breakpoint causes must name alpha alone.
+	f.Add([]byte("009X90A9A90"))
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) > 2000 {
 			prog = prog[:2000]

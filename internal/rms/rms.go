@@ -1317,7 +1317,9 @@ func (s *Server) startRequestsLocked(outcome *core.Outcome, now float64) {
 // applications (idle applications in a CBF run see one map; idle
 // preemptible applications share the idle grant), so the trim and the
 // completion are memoized by map identity — each distinct map is handled
-// once per round, not once per session.
+// once per round, not once per session. Preemptive halves arrive trimmed at
+// the round's instant (core.Outcome.PreemptViews), so a new one that names
+// every cluster costs a comparison and nothing else.
 func (s *Server) pushViewsLocked(outcome *core.Outcome) {
 	now := s.clk.Now()
 	if s.trimMemo == nil {
@@ -1377,14 +1379,17 @@ func (s *Server) refreshLocked(h *pushed, src view.View, now float64, pushing bo
 		s.trimMemo[key] = t
 	}
 	h.src, h.at, h.horizon = src, now, math.NaN()
-	if !pushing && h.v != nil && h.v.Equal(t) {
-		return false
-	}
+	changed := pushing || h.v == nil || !h.v.Equal(t)
+	// Taken even when its value held: v must be what src derives, names
+	// included — s.pools may have changed since the last push, and a later
+	// push that skips this half by identity sends v.
 	h.v = t
-	return true
+	return changed
 }
 
-// trimLocked trims v at now and completes it to the server's clusters.
+// trimLocked trims v at now and completes it to the server's clusters. A
+// view that is already trimmed and names every cluster, as a preemptive view
+// the scheduler cut at this instant, comes back as the same map.
 func (s *Server) trimLocked(v view.View, now float64) view.View {
 	t := v.TrimBefore(now)
 	if len(t) < len(s.pools) { // a view names only the server's clusters
