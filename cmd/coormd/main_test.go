@@ -43,6 +43,9 @@ func TestUsageErrorsExit2(t *testing.T) {
 		{"-no-such-flag"},
 		{"-cluster", "a"},
 		{"-cluster", "a=0"},
+		// core.NewScheduler panics on a negative capacity: the flag is the
+		// only way a node count reaches it from outside the program.
+		{"-cluster", "a=-3"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(args, &stdout, &stderr); code != 2 {

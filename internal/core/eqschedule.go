@@ -271,19 +271,20 @@ func (s *Scheduler) eqScheduleIncremental(vin view.View, t0 float64, sc *scratch
 	for i, a := range apps {
 		var v view.View
 		var stable bool
+		c := &a.cache
 		if j < len(occ) && occ[j] == i {
 			v, stable = sc.slotViews[j], sc.slotStable[j]
 			j++
 		} else {
 			v, stable = idle, idleStable
 			if a.P.Len() == 0 {
-				if !outSeeded || !stable {
+				if !outSeeded || !stable || c.outNew {
 					out[a.ID] = v
 				}
+				c.outNew = false
 				continue
 			}
 		}
-		c := &a.cache
 		if s.roundDynamic && !a.admitted {
 			// Not admitted: refresh the started allocations against the
 			// granted view but leave pending requests unscheduled.

@@ -22,20 +22,25 @@ import (
 // Contract: the scheduler cannot see request-state mutations performed by
 // its caller (the RMS mutates request sets and attributes directly), so any
 // such mutation must be reported with MarkAppDirty before the next Schedule
-// call. Structural mutations through the Scheduler's own API (AddApp,
-// RemoveApp, AddCluster, RemoveCluster, SetClip, SetPolicy) invalidate
-// caches themselves. A dynamic SchedulingPolicy invalidates nothing: the CBF
-// chain is keyed on the views its pass subtracted, in order, and an interval
-// walk whose division did not depend on its slots' order follows a
-// reordering of them (clusterWalk.permute). SetIncremental(false) restores
-// unconditional full recomputation.
+// call. Structural mutations through the Scheduler's own API (AddCluster,
+// SetCapacity, RemoveCluster, SetClip, SetPolicy, SetSchedulingPolicy)
+// invalidate every cache themselves. Membership is not structural: AddApp
+// adds an application that subtracts and occupies nothing, and RemoveApp
+// marks the clusters of its started allocations dirty and drops the keys
+// that hold its views (see RemoveApp). A dynamic SchedulingPolicy
+// invalidates nothing: the CBF chain is keyed on the views its pass
+// subtracted, in order, and an interval walk whose division did not depend
+// on its slots' order follows a reordering of them (clusterWalk.permute).
+// SetIncremental(false) restores unconditional full recomputation.
 
 // SchedStats counts cache behaviour across Schedule rounds. All counters
 // are cumulative; Reused+Recomputed pairs sum to the work the corresponding
 // full recomputation would have performed.
 type SchedStats struct {
 	// Rounds counts Schedule calls; FullRounds counts the subset that ran
-	// with every cache invalidated (structural change or incremental off).
+	// with every cache invalidated: a structural change (a cluster, its
+	// capacity, the clip or a policy) or incremental off. Applications
+	// connecting and leaving are not structural.
 	Rounds     int64
 	FullRounds int64
 	// Artifacts: per-app started-allocation views (toView folds).
@@ -107,16 +112,26 @@ type appCache struct {
 	npRects   []rectA // fixed ¬P rects (wrapped flag carried), set order
 	paSettled bool    // every PA request is Fixed: fit is a no-op
 	npSettled bool    // every ¬P request is Fixed
-	idle      bool    // no PA and no ¬P requests at all
 
 	// CBF outputs, reusable while the running availability prefix is
-	// byte-identical to the round they were computed in (chain reuse).
-	// cbfAt counts the views the last round subtracted from the running
-	// availability before this application's step.
-	cbfOK     bool
-	cbfAt     int
-	cbfOut    view.View // the application's non-preemptive view
-	cbfExcess view.View // wrapped excess subtracted from the running vNP
+	// byte-identical to the round they were computed in (chain reuse) and
+	// the clock is in [cbfFrom, cbfUntil] (see cbfStep). cbfAt counts the
+	// views the last round subtracted from the running availability before
+	// this application's step. The three subtracted views are the last
+	// step's, kept also when the step is not reusable.
+	cbfOK             bool
+	cbfAt             int
+	cbfFrom, cbfUntil float64
+	cbfOut            view.View // the application's non-preemptive view
+	cbfPA             view.View // newly scheduled pre-allocations subtracted from vNP
+	cbfExcess         view.View // wrapped excess subtracted from vNP
+	cbfNP             view.View // scheduled ¬P occupancy subtracted from basePv
+
+	// outNew marks an application added since the last round: the Outcome
+	// maps hold no entry for it yet. Every branch of a round writes its
+	// entries but the preemptive one of an idle application sharing a
+	// stable view, which writes it once and clears the mark.
+	outNew bool
 
 	// eqSchedule caches.
 	eqOK       bool
@@ -272,13 +287,14 @@ func (s *Scheduler) MarkAppDirty(id int) {
 	}
 }
 
-// bumpStruct invalidates everything on the next round: cluster topology,
-// application membership/order, clip and policy all feed every artifact.
-// The CBF chain's key goes at once: it must not pin a removed app's views.
+// bumpStruct invalidates everything on the next round: cluster topology
+// and capacity, clip and policies all feed every artifact. The keys go at
+// once: they must not pin the views of an application removed before the
+// next round.
 func (s *Scheduler) bumpStruct() {
 	s.structGen++
-	clear(s.cbfMuts)
-	s.cbfMuts = s.cbfMuts[:0]
+	dropKey(&s.cbfMuts)
+	dropKey(&s.pvMuts)
 }
 
 // invalidateDerivedLocked clears every derived cache while keeping the
@@ -354,14 +370,29 @@ func addRectClusters(dst map[view.ClusterID]struct{}, rects []rectA) {
 	}
 }
 
+// dirtyNPFolds marks the clusters fixed ¬P rects feed: started ¬P
+// allocations feed the preemptible fold, their wrapped excess the
+// non-preemptive one.
+func dirtyNPFolds(npFold, pFold map[view.ClusterID]struct{}, rects []rectA) {
+	addRectClusters(pFold, rects)
+	for i := range rects {
+		if rects[i].wrapped {
+			npFold[rects[i].cid] = struct{}{}
+		}
+	}
+}
+
 // refreshAppLocked recomputes a dirty application's request-state artifacts
-// and reports which base-fold clusters they dirtied. It preserves cbfOK and
-// eqOK when the recomputed artifacts are identical to the cached ones (the
-// common case when the mutation hit only one of the three sets).
+// and reports which base-fold clusters they dirtied. It preserves eqOK, and
+// a settled application's cbfOK, when the recomputed artifacts are identical
+// to the cached ones (the common case when the mutation hit only one of the
+// three sets). A queued application's pending requests are not in its rects,
+// so a withdrawn one or a moved NotBefore floor leaves them equal: its CBF
+// step is dropped on any refresh.
 func (s *Scheduler) refreshAppLocked(a *AppState, now float64, npFold, pFold map[view.ClusterID]struct{}) {
 	c := &a.cache
 	oldPA, oldNP := c.paRects, c.npRects
-	oldPASettled, oldNPSettled, oldIdle := c.paSettled, c.npSettled, c.idle
+	oldPASettled, oldNPSettled := c.paSettled, c.npSettled
 
 	a.startedPA = toViewScratch(a.PA, nil, now, &s.sc)
 	a.startedNP = toViewScratch(a.NP, nil, now, &s.sc)
@@ -369,28 +400,18 @@ func (s *Scheduler) refreshAppLocked(a *AppState, now float64, npFold, pFold map
 	newNP := captureRects(a.NP, s.sc.npScratch[:0], true)
 	c.paSettled = allFixed(a.PA)
 	c.npSettled = allFixed(a.NP)
-	c.idle = a.PA.Len() == 0 && a.NP.Len() == 0
 
 	if !rectsEqual(oldPA, newPA) {
 		addRectClusters(npFold, oldPA)
 		addRectClusters(npFold, newPA)
 	}
 	if !rectsEqual(oldNP, newNP) {
-		// Started ¬P allocations feed the preemptible fold; their wrapped
-		// excess feeds the non-preemptive fold.
-		addRectClusters(pFold, oldNP)
-		addRectClusters(pFold, newNP)
-		for _, rects := range [2][]rectA{oldNP, newNP} {
-			for i := range rects {
-				if rects[i].wrapped {
-					npFold[rects[i].cid] = struct{}{}
-				}
-			}
-		}
+		dirtyNPFolds(npFold, pFold, oldNP)
+		dirtyNPFolds(npFold, pFold, newNP)
 	}
-	c.cbfOK = c.cbfOK &&
+	c.cbfOK = c.cbfOK && oldPASettled && oldNPSettled &&
 		rectsEqual(oldPA, newPA) && rectsEqual(oldNP, newNP) &&
-		c.paSettled == oldPASettled && c.npSettled == oldNPSettled && c.idle == oldIdle
+		c.paSettled && c.npSettled
 	// Swap the freshly captured lists into the cache and recycle the old
 	// backing arrays as the next refresh's scratch.
 	c.paRects, s.sc.paScratch = newPA, oldPA

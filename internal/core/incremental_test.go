@@ -192,6 +192,36 @@ func TestIncrementalMatchesFullRecompute(t *testing.T) {
 	}
 }
 
+// TestIncrementalMatchesFullRecomputeDeepQueue is the differential in trace
+// replay's shape, where queued steps are reused until their start and
+// applications connect and leave between rounds without flushing a cache:
+// a deep queue of FREE ¬P jobs, request-less applications coming and going,
+// and jobs torn down while they hold their allocation — under FIFO and both
+// reordering policies.
+func TestIncrementalMatchesFullRecomputeDeepQueue(t *testing.T) {
+	for p := 0; p < 3; p++ {
+		var torn, deep int
+		var reused int64
+		for seed := int64(1); seed <= 15; seed++ {
+			clusters := map[view.ClusterID]int{"ca": 16, "cb": 8, "cc": 12}
+			inc, full := newDiffMirror(clusters, true), newDiffMirror(clusters, false)
+			if p > 0 {
+				policy := shiftingPolicy{flipAdmit: p == 2}
+				inc.s.SetSchedulingPolicy(policy)
+				full.s.SetSchedulingPolicy(policy)
+			}
+			c := runDiffShaped(t, seed, churnShape{queue: true}, inc, full)
+			torn += c.runningTorn
+			deep = max(deep, c.maxQueued)
+			reused += inc.s.Stats().CBFReused
+		}
+		if torn < 500 || deep < 15 || reused == 0 {
+			t.Errorf("policy %d: %d running jobs torn down, at most %d jobs queued, %d CBF steps reused: want at least 500, 15 and 1",
+				p, torn, deep, reused)
+		}
+	}
+}
+
 // TestIncrementalMatchesFullAtBreakpoints is the differential under the two
 // clock shapes the preemptive caches key on: a round that repeats the
 // previous instant, which must hand out the cut fragments it cut before,
@@ -202,7 +232,7 @@ func TestIncrementalMatchesFullAtBreakpoints(t *testing.T) {
 	for seed := int64(1); seed <= 25; seed++ {
 		clusters := map[view.ClusterID]int{"ca": 16, "cb": 8, "cc": 12}
 		landed += runDiffShaped(t, seed, churnShape{same: 64, exact: 96},
-			newDiffMirror(clusters, true), newDiffMirror(clusters, false))
+			newDiffMirror(clusters, true), newDiffMirror(clusters, false)).landed
 	}
 	if landed < 100 {
 		t.Errorf("%d rounds landed on a started preemptible request's end, want at least 100", landed)
@@ -212,12 +242,13 @@ func TestIncrementalMatchesFullAtBreakpoints(t *testing.T) {
 // FuzzIncrementalSchedule drives the incremental-vs-full differential from
 // fuzz bytes: the churn seed, which op kinds are left out, how often a round
 // repeats the previous instant or lands on a started preemptible request's
-// end, and the scheduling policy (FIFO, a reordering one, a reordering one
-// that also refuses admissions).
+// end, the scheduling policy (FIFO, a reordering one, a reordering one that
+// also refuses admissions) and whether the run has trace replay's deep queue.
 func FuzzIncrementalSchedule(f *testing.F) {
-	f.Add(int64(1), uint16(0), uint8(64), uint8(96), uint8(0))
-	f.Add(int64(7), uint16(0x0203), uint8(128), uint8(128), uint8(2))
-	f.Fuzz(func(t *testing.T, seed int64, skip uint16, same, exact, policy uint8) {
+	f.Add(int64(1), uint16(0), uint8(64), uint8(96), uint8(0), false)
+	f.Add(int64(7), uint16(0x0203), uint8(128), uint8(128), uint8(2), false)
+	f.Add(int64(3), uint16(0), uint8(32), uint8(32), uint8(0), true)
+	f.Fuzz(func(t *testing.T, seed int64, skip uint16, same, exact, policy uint8, queue bool) {
 		clusters := map[view.ClusterID]int{"ca": 16, "cb": 8, "cc": 12}
 		inc, full := newDiffMirror(clusters, true), newDiffMirror(clusters, false)
 		if policy%3 > 0 {
@@ -225,7 +256,7 @@ func FuzzIncrementalSchedule(f *testing.F) {
 			inc.s.SetSchedulingPolicy(p)
 			full.s.SetSchedulingPolicy(p)
 		}
-		runDiffShaped(t, seed, churnShape{skip: skip, same: same, exact: exact}, inc, full)
+		runDiffShaped(t, seed, churnShape{skip: skip, same: same, exact: exact, queue: queue}, inc, full)
 	})
 }
 
@@ -237,6 +268,19 @@ type churnShape struct {
 	// in 256 land exactly on the nearest end of a started preemptible
 	// request still ahead (a random step when there is none).
 	same, exact uint8
+	// queue adds trace replay's shape to every round: request-less
+	// applications connecting and leaving, jobs arriving as applications of
+	// their own with one FREE ¬P (or pre-allocation) request each, faster
+	// than the clusters drain them, and jobs torn down while they hold their
+	// allocation — at its end, or killed before it.
+	queue bool
+}
+
+// churnCounts is what a churn run reports besides its verdict.
+type churnCounts struct {
+	landed      int // rounds that landed on a started preemptible request's end
+	runningTorn int // teardowns of jobs holding a started allocation
+	maxQueued   int // the most jobs pending at one round
 }
 
 // next returns the instant of the round after now and whether it is a
@@ -275,12 +319,17 @@ func runDiffChurn(t *testing.T, seed int64, inc, full *diffMirror) {
 	runDiffShaped(t, seed, churnShape{}, inc, full)
 }
 
-// runDiffShaped is runDiffChurn with a churn shape. It returns how many
-// rounds landed on a started preemptible request's end.
-func runDiffShaped(t *testing.T, seed int64, shape churnShape, inc, full *diffMirror) (landed int) {
+// runDiffShaped is runDiffChurn with a churn shape.
+func runDiffShaped(t *testing.T, seed int64, shape churnShape, inc, full *diffMirror) (counts churnCounts) {
 	t.Helper()
 	clusterIDs := []view.ClusterID{"ca", "cb", "cc"}
 	rng := rand.New(rand.NewSource(seed))
+	type job struct {
+		app int
+		req request.ID
+	}
+	var jobs []job
+	var idle []int // request-less applications of the queue shape
 	{
 		var nextReq request.ID = 1
 		nextApp := 1
@@ -298,7 +347,7 @@ func runDiffShaped(t *testing.T, seed int64, shape churnShape, inc, full *diffMi
 		for round := 0; round < 120; round++ {
 			var onEnd bool
 			if now, onEnd = shape.next(rng, now, inc); onEnd {
-				landed++
+				counts.landed++
 			}
 			// 1–3 mutations per round, so rounds see mixed dirt.
 			for k := 0; k < 1+rng.Intn(3); k++ {
@@ -463,6 +512,57 @@ func runDiffShaped(t *testing.T, seed int64, shape churnShape, inc, full *diffMi
 				apply(diffOp{kind: "addcluster", cluster: "cd", n: 10})
 				clusterIDs = []view.ClusterID{"ca", "cb", "cc", "cd"}
 			}
+			if shape.queue {
+				// Request-less sessions come and go (a federated session
+				// attaches to every shard).
+				for k := rng.Intn(3); k > 0; k-- {
+					apply(diffOp{kind: "connect", app: nextApp})
+					idle = append(idle, nextApp)
+					nextApp++
+				}
+				if len(idle) > 0 && rng.Intn(2) == 0 {
+					k := rng.Intn(len(idle))
+					apply(diffOp{kind: "disconnect", app: idle[k]})
+					idle = append(idle[:k], idle[k+1:]...)
+				}
+				// Jobs arrive, each an application with one FREE ¬P request,
+				// or a pre-allocation one time in four.
+				for k := rng.Intn(3); k > 0; k-- {
+					typ := request.NonPreempt
+					if rng.Intn(4) == 0 {
+						typ = request.PreAlloc
+					}
+					apply(diffOp{kind: "connect", app: nextApp})
+					apply(diffOp{
+						kind: "request", app: nextApp, req: nextReq, typ: typ,
+						cluster: clusterIDs[rng.Intn(len(clusterIDs))],
+						n:       1 + rng.Intn(6),
+						dur:     20 + rng.Float64()*200,
+					})
+					jobs = append(jobs, job{nextApp, nextReq})
+					nextApp++
+					nextReq++
+				}
+				// A job is torn down at its end, or killed while it runs.
+				kept, queued := jobs[:0], 0
+				for _, j := range jobs {
+					if inc.s.App(j.app) == nil {
+						continue // the random ops disconnected it
+					}
+					r := inc.reqs[j.req]
+					switch {
+					case r != nil && r.Started() && (r.End() <= now || rng.Intn(8) == 0):
+						apply(diffOp{kind: "disconnect", app: j.app})
+						counts.runningTorn++
+						continue
+					case r != nil && !r.Started():
+						queued++
+					}
+					kept = append(kept, j)
+				}
+				jobs = kept
+				counts.maxQueued = max(counts.maxQueued, queued)
+			}
 
 			for _, m := range []*diffMirror{inc, full} {
 				if m.onRound != nil {
@@ -485,14 +585,16 @@ func runDiffShaped(t *testing.T, seed int64, shape churnShape, inc, full *diffMi
 			}
 		}
 	}
-	return landed
+	return counts
 }
 
 // TestIncrementalStatsReuse sanity-checks that steady rounds actually hit
 // the caches: after a quiet fleet settles, repeated rounds reuse every
 // per-app artifact and every cluster walk — under the stable default and
 // equally under a dynamic policy whose answer does not change, where
-// FullRounds must count the structural rounds only.
+// FullRounds must count the structural rounds only. A connecting
+// application is not one (it used to flush every cache, until a deep queue's
+// connect per job made three rounds in four full); a new clip is.
 func TestIncrementalStatsReuse(t *testing.T) {
 	for _, p := range []SchedulingPolicy{FIFOPolicy{}, dynamicFIFO{}} {
 		t.Run(p.Name(), func(t *testing.T) {
@@ -534,6 +636,12 @@ func TestIncrementalStatsReuse(t *testing.T) {
 			s.AddApp(9, 9)
 			s.Schedule(10)
 			s.Schedule(11)
+			if got := s.Stats().FullRounds; got != 1 {
+				t.Errorf("FullRounds = %d after a connect, want 1", got)
+			}
+			s.SetClip(view.Constant(64, c0))
+			s.Schedule(12)
+			s.Schedule(13)
 			if got := s.Stats().FullRounds; got != 2 {
 				t.Errorf("FullRounds = %d after one structural change, want 2", got)
 			}
@@ -542,12 +650,16 @@ func TestIncrementalStatsReuse(t *testing.T) {
 }
 
 // TestNonPreemptViewsKeepIdentity: a round in which no non-preemptive value
-// changed hands over the same map objects as the round before, although an
-// application queued for capacity (2) is recomputed every round and breaks
-// the chain for those after it: runs of request-less applications, which
-// share one view, and a settled application with a pending NEXT update keep
-// their maps — also when an application's preemptible set changed in
-// between. The queued application's own view is not compared.
+// changed hands over the same map objects as the round before. An
+// application queued for capacity (2) keeps its CBF step until its queued
+// start, so a round before it recomputes nothing — also when an
+// application's preemptible set changed in between. (This test used to
+// assert the opposite: a queued application was recomputed every round and
+// broke the chain for those after it.) When its step is recomputed all the
+// same, here after a mark that changed nothing, the runs of request-less
+// applications, which share one view, and a settled application with a
+// pending NEXT update keep their maps; the queued application's own view is
+// not compared.
 func TestNonPreemptViewsKeepIdentity(t *testing.T) {
 	s := newSched(20)
 	id := request.ID(1)
@@ -577,21 +689,25 @@ func TestNonPreemptViewsKeepIdentity(t *testing.T) {
 		return m
 	}
 	before := snapshot(s.Schedule(0))
-	for round, mutate := range []func(){
-		func() {},
-		func() { // a preemptible change only: no non-preemptive value moves
+	for round, step := range []struct {
+		mutate     func()
+		recomputes bool
+	}{
+		{func() {}, false},
+		{func() { // a preemptible change only: no non-preemptive value moves
 			mk(3, 3, math.Inf(1), request.Preempt, request.Free, nil)
 			s.MarkAppDirty(3)
-		},
+		}, false},
+		{func() { s.MarkAppDirty(2) }, true},
 	} {
-		mutate()
+		step.mutate()
 		recomputed := s.Stats().CBFRecomputed
 		out := s.Schedule(float64(round + 1))
-		if s.Stats().CBFRecomputed == recomputed {
-			t.Fatalf("round %d recomputed no application: nothing to keep", round+1)
+		if got := s.Stats().CBFRecomputed > recomputed; got != step.recomputes {
+			t.Fatalf("round %d recomputed an application: %v, want %v", round+1, got, step.recomputes)
 		}
 		for id, v := range out.NonPreemptViews {
-			if id != 2 && addr(v) != before[id] {
+			if (id != 2 || !step.recomputes) && addr(v) != before[id] {
 				t.Errorf("round %d: application %d's non-preemptive view is a new map", round+1, id)
 			}
 		}

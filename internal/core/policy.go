@@ -42,9 +42,9 @@ type SchedulingPolicy interface {
 	// admits. A stable policy lets the scheduler skip the per-application
 	// policy calls entirely, making its rounds byte-identical to the
 	// pre-policy scheduler. A dynamic policy (Stable() == false) is asked
-	// every round and keeps the caches too: the CBF chain is reused up to
-	// the first position where its (application, admitted) answer differs
-	// from the previous round's, and no other cache depends on the order.
+	// every round and keeps the caches too: the CBF chain is keyed on the
+	// views its pass subtracted, in order, and an interval walk whose
+	// division did not depend on the order follows a reordering.
 	Stable() bool
 	// Order returns the applications in the order the round offers them
 	// resources (the CBF iteration order and the eqSchedule slot order).

@@ -137,34 +137,46 @@ func TestPolicySwapMidRunMatchesFull(t *testing.T) {
 	}
 }
 
-// TestRememberedSequenceUnpinned checks that the CBF chain's key, the views
-// the last round subtracted from the running availability, never keeps a
-// removed application's views alive: RemoveApp and a policy swap drop it at
-// once, not at the next round.
+// TestRememberedSequenceUnpinned checks that the keys of the CBF chain and
+// of the preemptible input, the views the last round subtracted from the
+// running availability and from the preemptible fold, never keep a removed
+// application's views alive: RemoveApp of an application whose views are in
+// them and a policy swap drop them at once, not at the next round. Since a
+// teardown stopped flushing every cache, RemoveApp of an application that
+// subtracted nothing keeps both keys, and so the round after it reuses them.
 func TestRememberedSequenceUnpinned(t *testing.T) {
 	s := NewScheduler(map[view.ClusterID]int{c0: 8})
 	s.SetSchedulingPolicy(dynamicFIFO{})
 	for i := 1; i <= 4; i++ {
 		a := s.AddApp(i, float64(i))
 		// A pending non-preemptible request outside any pre-allocation is
-		// wrapped: its excess is subtracted from the running availability.
+		// wrapped: its excess is subtracted from the running availability,
+		// its occupancy from the preemptible fold.
 		a.NP.Add(request.New(request.ID(i), i, c0, 2, 10, request.NonPreempt, request.Free, nil))
 	}
+	s.AddApp(5, 5) // subtracts nothing
+	keys := []*[]view.View{&s.cbfMuts, &s.pvMuts}
 	dropped := func(after string) {
 		t.Helper()
-		for _, m := range s.cbfMuts[:cap(s.cbfMuts)] {
-			if m != nil {
-				t.Fatalf("after %s the remembered sequence still holds %v", after, m)
+		for _, key := range keys {
+			for _, m := range (*key)[:cap(*key)] {
+				if m != nil {
+					t.Fatalf("after %s a remembered sequence still holds %v", after, m)
+				}
 			}
 		}
 	}
 	remembers := func(n int) {
 		t.Helper()
-		if len(s.cbfMuts) != n {
-			t.Fatalf("a round remembered %d subtracted views, want %d", len(s.cbfMuts), n)
+		for _, key := range keys {
+			if len(*key) != n {
+				t.Fatalf("a key remembers %d subtracted views, want %d", len(*key), n)
+			}
 		}
 	}
 	s.Schedule(0)
+	remembers(4)
+	s.RemoveApp(5)
 	remembers(4)
 	s.RemoveApp(2)
 	dropped("RemoveApp")

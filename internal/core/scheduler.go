@@ -100,9 +100,13 @@ type Scheduler struct {
 
 	// cbfMuts is the key of the CBF chain cache: the views the last round's
 	// CBF pass subtracted from the running non-preemptive availability, in
-	// order. cbfMutsNext is the buffer this round's sequence is built in.
-	// Structural changes drop both (bumpStruct).
+	// order. pvMuts is the key of the preemptible input (pvClamp): the ¬P
+	// occupancies the pass subtracted from basePv, in order. The *Next
+	// slices are the buffers this round's sequences are built in.
+	// Structural changes drop both keys (bumpStruct), and so does the
+	// removal of an application whose views are in one (RemoveApp).
 	cbfMuts, cbfMutsNext []view.View
+	pvMuts, pvMutsNext   []view.View
 
 	// clip, when non-nil, limits the non-preemptive view presented to every
 	// application (§3.2's suggested pre-allocation limit).
@@ -127,8 +131,9 @@ type Scheduler struct {
 	npFoldDirt map[view.ClusterID]struct{}
 	pFoldDirt  map[view.ClusterID]struct{}
 
-	// pvClamp caches clampMin(0) of an untouched basePv so the eqSchedule
-	// input keeps stable profile identities across rounds.
+	// pvClamp caches the eqSchedule input, clampMin(0) of basePv minus the
+	// pvMuts views, so it keeps stable profile identities across rounds.
+	// pvClampOK marks it current for the basePv it was computed from.
 	pvClamp   view.View
 	pvClampOK bool
 
@@ -139,9 +144,10 @@ type Scheduler struct {
 	// Persistent Outcome maps: entries are rewritten only when an
 	// application's view is recomputed, so a fully-reused round performs no
 	// map writes at all, and a recomputed non-preemptive view equal to its
-	// entry keeps the entry's object (kept). Consequently an Outcome is
-	// valid until the next Schedule call (the RMS consumes it immediately;
-	// see Schedule's doc).
+	// entry keeps the entry's object (kept). RemoveApp deletes the removed
+	// application's entries. Consequently an Outcome is valid until the next
+	// Schedule or RemoveApp call (the RMS consumes it immediately; see
+	// Schedule's doc).
 	outNPViews map[int]view.View
 	outPViews  map[int]view.View
 	outOK      bool
@@ -249,17 +255,19 @@ func (s *Scheduler) RemoveCluster(cid view.ClusterID) {
 }
 
 // AddApp registers an application at the given connection time and returns
-// its state.
+// its state. Membership is not structure: the new application's sets are
+// empty, so it subtracts and occupies nothing, and the next round computes
+// its steps and writes its Outcome entries while every cache stays warm.
 func (s *Scheduler) AddApp(id int, connectedAt float64) *AppState {
 	if _, dup := s.byID[id]; dup {
 		panic(fmt.Sprintf("core: duplicate application ID %d", id))
 	}
 	a := NewAppState(id, connectedAt)
+	a.cache.outNew = true
 	a.idx = len(s.apps)
 	s.apps = append(s.apps, a)
 	s.byID[id] = a
 	s.appsDirty = true
-	s.bumpStruct()
 	return a
 }
 
@@ -268,6 +276,13 @@ func (s *Scheduler) AddApp(id int, connectedAt float64) *AppState {
 // is O(1): the tracked slice index lets it swap-delete and the list is
 // re-sorted lazily before the next ordered iteration, so tearing down a
 // fleet of n applications costs O(n), not O(n²).
+//
+// Like AddApp it flushes no cache. The clusters of the application's
+// started allocations become fold dirt for the next round, its Outcome
+// entries go, and a key holding one of its subtracted views is dropped at
+// once, so no cache keeps a removed application's views alive. A
+// subtraction missing from the next round breaks the CBF chain at its
+// position, and an occupancy missing from it changes the walk keys.
 func (s *Scheduler) RemoveApp(id int) *AppState {
 	a, ok := s.byID[id]
 	if !ok {
@@ -282,7 +297,19 @@ func (s *Scheduler) RemoveApp(id int) *AppState {
 	}
 	s.apps[last] = nil
 	s.apps = s.apps[:last]
-	s.bumpStruct()
+
+	c := &a.cache
+	addRectClusters(s.npFoldDirt, c.paRects)
+	dirtyNPFolds(s.npFoldDirt, s.pFoldDirt, c.npRects)
+	if len(c.cbfPA) > 0 || len(c.cbfExcess) > 0 {
+		dropKey(&s.cbfMuts)
+	}
+	if len(c.cbfNP) > 0 {
+		dropKey(&s.pvMuts)
+		s.pvClampOK = false
+	}
+	delete(s.outNPViews, id)
+	delete(s.outPViews, id)
 	return a
 }
 
@@ -393,10 +420,9 @@ func (s *Scheduler) Schedule(now float64) *Outcome {
 
 	// Refresh the request-state artifacts of dirty applications (lines 3–5
 	// worth of per-app folds) and rebuild the base availability folds for
-	// the clusters those changes touched (lines 1–5 of Algorithm 4,
-	// maintained per cluster instead of recomputed from scratch).
-	clear(s.npFoldDirt)
-	clear(s.pFoldDirt)
+	// the clusters those changes and the removals since the last round
+	// touched (lines 1–5 of Algorithm 4, maintained per cluster instead of
+	// recomputed from scratch).
 	for _, a := range s.apps {
 		if a.cache.valid {
 			s.stats.ArtifactsReused++
@@ -406,6 +432,8 @@ func (s *Scheduler) Schedule(now float64) *Outcome {
 		s.refreshAppLocked(a, now, s.npFoldDirt, s.pFoldDirt)
 	}
 	npChanged, _ := s.rebuildFoldsLocked(s.npFoldDirt, s.pFoldDirt)
+	clear(s.npFoldDirt)
+	clear(s.pFoldDirt)
 
 	// The Outcome's view maps are persistent: a reused application keeps
 	// its entry from the previous round, so fully-reused rounds perform no
@@ -425,13 +453,11 @@ func (s *Scheduler) Schedule(now float64) *Outcome {
 		// PreemptViews is filled in by eqSchedule below.
 	}
 
-	// The running availabilities start as the cached base folds and are
-	// cloned lazily on the first mutation, so a round that subtracts
-	// nothing new leaves the cached maps untouched.
+	// The running availability starts as the cached base fold and is cloned
+	// lazily on the first subtraction, so a round that subtracts nothing new
+	// leaves the cached map untouched.
 	vNP := s.baseNP // resources free for pre-allocations / wrapped ¬P
 	vNPShared := true
-	vP := s.basePv // resources free for preemptible requests
-	vPShared := true
 
 	// Compute non-preemptive views and start times of pre-allocations and
 	// non-preemptible requests (lines 6–11), applications in CBF order,
@@ -439,20 +465,20 @@ func (s *Scheduler) Schedule(now float64) *Outcome {
 	// the base fold minus the views subtracted before it, so while the base
 	// fold is unchanged and this round has subtracted the same view objects
 	// as the last round up to the application's step, it meets a
-	// byte-identical availability, and a settled application's cached view
-	// and wrapped excess stand in for its recomputation. The first
+	// byte-identical availability, and its cached step — view, subtractions
+	// and request attributes — stands in for its recomputation as long as
+	// the clock is inside the step's horizon (cbfStep). The first
 	// subtraction that differs — a recomputed application's fresh view, a
 	// view moved by a dynamic policy's new order or dropped by a refused
-	// admission — breaks the chain for everything after it. Applications
-	// that subtract nothing, the request-less and the settled without
-	// wrapped excess, leave it intact wherever the policy puts them. No
-	// other cache depends on the order: the base folds are order-independent
-	// sums, eqSchedule's caches carry the identity of their inputs.
+	// admission or a removal — breaks the chain for everything after it.
+	// Applications that subtract nothing, the request-less and the settled
+	// without wrapped excess, leave it intact wherever the policy puts them.
+	// No other cache depends on the order: the base folds are
+	// order-independent sums, eqSchedule's caches carry the identity of
+	// their inputs.
 	chain := !npChanged
 	muts := s.cbfMutsNext[:0]
-	if sc.inPA == nil {
-		sc.inPA = view.New()
-	}
+	pvMuts := s.pvMutsNext[:0] // ¬P occupancies, subtracted from basePv below
 	// Applications with no PA and no ¬P requests neither take space nor
 	// change the running availability, so every one of them in a run of
 	// consecutive request-less applications sees the same view: compute it
@@ -479,144 +505,71 @@ func (s *Scheduler) Schedule(now float64) *Outcome {
 			}
 			out.NonPreemptViews[a.ID] = kept(s.outNPViews[a.ID], viewNP.ClampMin(0))
 			c.cbfOK = false
+			c.cbfPA, c.cbfExcess, c.cbfNP = nil, nil, nil
 			continue
 		}
-		if chain && c.cbfOK && c.cbfAt == len(muts) {
+		if chain && c.cbfOK && c.cbfAt == len(muts) && c.cbfFrom <= now && now <= c.cbfUntil {
 			s.stats.CBFReused++
 			if !outSeeded {
 				out.NonPreemptViews[a.ID] = c.cbfOut
 			}
-			if len(c.cbfExcess) > 0 {
-				if vNPShared {
-					vNP = vNP.Clone()
-					vNPShared = false
+		} else {
+			c.cbfAt = len(muts)
+			s.stats.CBFRecomputed++
+			if a.PA.Len() == 0 && a.NP.Len() == 0 {
+				if idleViewNP == nil {
+					vNPFree := vNP.ClampMin(0)
+					viewNP := view.View(nil).Add(vNPFree)
+					if s.clip != nil {
+						viewNP = viewNP.Clip(s.clip)
+					}
+					idleViewNP, idleOld = viewNP.ClampMin(0), nil
 				}
-				vNP.MutSub(c.cbfExcess)
-				muts, chain = s.noteCBFMut(muts, c.cbfExcess, chain)
-				idleViewNP = nil // the run of request-less applications ends here
-			}
-			continue
-		}
-		c.cbfAt = len(muts)
-		s.stats.CBFRecomputed++
-		if a.PA.Len() == 0 && a.NP.Len() == 0 {
-			if idleViewNP == nil {
-				vNPFree := vNP.ClampMin(0)
-				viewNP := view.View(nil).Add(vNPFree)
-				if s.clip != nil {
-					viewNP = viewNP.Clip(s.clip)
+				// Keep this application's map if its value held and hand the
+				// run on whichever map it got. The entries of a run are mostly
+				// one map, and a map already compared needs no second
+				// comparison.
+				if old := s.outNPViews[a.ID]; !view.Same(old, idleOld) {
+					idleViewNP, idleOld = kept(old, idleViewNP), old
 				}
-				idleViewNP, idleOld = viewNP.ClampMin(0), nil
-			}
-			// Keep this application's map if its value held and hand the run
-			// on whichever map it got. The entries of a run are mostly one
-			// map, and a map already compared needs no second comparison.
-			if old := s.outNPViews[a.ID]; !view.Same(old, idleOld) {
-				idleViewNP, idleOld = kept(old, idleViewNP), old
-			}
-			out.NonPreemptViews[a.ID] = idleViewNP
-			c.cbfOut, c.cbfExcess, c.cbfOK = idleViewNP, nil, true
-			continue
-		}
-		idleViewNP = nil // this application may change vNP below
-
-		// V_¬P^(i) = toView(R_PA) + V_¬P (line 7): the application sees its
-		// own pre-allocated space plus the globally free space.
-		vNPFree := vNP.ClampMin(0)
-		viewNP := a.startedPA.Add(vNPFree)
-		if s.clip != nil {
-			viewNP = viewNP.Clip(s.clip)
-		}
-
-		// Schedule pending pre-allocations into the non-preemptive view
-		// (line 8). This is Conservative Back-Filling: applications are
-		// processed in connection order and each takes the first hole.
-		voccPA := fitScratch(a.PA, viewNP, now, sc)
-
-		// Space available for the application's non-preemptible requests:
-		// all of its pre-allocations (started + newly scheduled) minus its
-		// own started in-pre-allocation requests (line 9), plus the global
-		// free space for requests that need implicit wrapping (§3.2).
-		clear(sc.inPA)
-		for _, r := range a.NP.All() {
-			if r.Fixed && !r.Wrapped {
-				sc.inPA.MutAddRect(r.Cluster, r.ScheduledAt, r.Duration, r.NAlloc)
-			}
-		}
-		paFree := a.startedPA.Add(voccPA)
-		paFree.MutSub(sc.inPA)
-		availNP := paFree.Add(vNPFree)
-		voccNP := fitScratch(a.NP, availNP, now, sc)
-
-		// Classify each pending request: wrapped if its allocation is not
-		// fully covered by the application's pre-allocation space.
-		for _, r := range a.NP.All() {
-			if r.Fixed || math.IsInf(r.ScheduledAt, 1) {
+				out.NonPreemptViews[a.ID] = idleViewNP
+				c.cbfOut, c.cbfPA, c.cbfExcess, c.cbfNP = idleViewNP, nil, nil, nil
+				c.cbfOK, c.cbfFrom, c.cbfUntil = true, math.Inf(-1), math.Inf(1)
 				continue
 			}
-			w0, w1 := r.ScheduledAt, r.ScheduledAt+r.Duration
-			r.Wrapped = paFree.Get(r.Cluster).MinOn(w0, w1) < r.NAlloc
+			idleViewNP = nil // this application may change vNP below
+			s.cbfStep(a, vNP, now)
+			out.NonPreemptViews[a.ID] = c.cbfOut
 		}
 
 		// Update the running availability (lines 10–11): newly scheduled
-		// pre-allocations and the wrapped excess of non-preemptible
-		// requests consume non-preemptible space; all scheduled
-		// non-preemptible requests consume preemptible space.
-		excess := voccNP.Sub(paFree)
-		excess.MutClampMin(0)
-		if len(voccPA) > 0 || len(excess) > 0 {
+		// pre-allocations and the wrapped excess of non-preemptible requests
+		// consume non-preemptible space; all scheduled non-preemptible
+		// requests consume preemptible space.
+		if len(c.cbfPA) > 0 || len(c.cbfExcess) > 0 {
 			if vNPShared {
 				vNP = vNP.Clone()
 				vNPShared = false
 			}
-			vNP.MutSub(voccPA)
-			vNP.MutSub(excess)
-			for _, m := range [2]view.View{voccPA, excess} {
+			vNP.MutSub(c.cbfPA)
+			vNP.MutSub(c.cbfExcess)
+			for _, m := range [2]view.View{c.cbfPA, c.cbfExcess} {
 				if len(m) > 0 {
 					muts, chain = s.noteCBFMut(muts, m, chain)
 				}
 			}
+			idleViewNP = nil // the run of request-less applications ends here
 		}
-		if len(voccNP) > 0 {
-			if vPShared {
-				vP = vP.Clone()
-				vPShared = false
-			}
-			vP.MutSub(voccNP)
+		if len(c.cbfNP) > 0 {
+			pvMuts = append(pvMuts, c.cbfNP)
 		}
-
-		// A settled application (no pending PA/¬P request) contributes only
-		// its wrapped excess, which depends on its own state alone — cache
-		// the step for chain reuse, and keep last round's view if its value
-		// held. An application with pending requests depends on the clock
-		// and is recomputed every round, so its view is not compared.
-		outNP := viewNP.ClampMin(0)
-		if c.paSettled && c.npSettled {
-			outNP = kept(s.outNPViews[a.ID], outNP)
-			c.cbfOut, c.cbfExcess, c.cbfOK = outNP, excess, true
-		} else {
-			c.cbfOK = false
-		}
-		out.NonPreemptViews[a.ID] = outNP
 	}
 	clear(s.cbfMuts)
 	s.cbfMuts, s.cbfMutsNext = muts, s.cbfMuts[:0]
 
 	// Compute preemptive views and start times of preemptible requests
-	// (line 12). An untouched preemptible fold keeps its cached clamp so
-	// profile identities stay stable for the per-cluster walk cache.
-	var vin view.View
-	if vPShared {
-		if s.pvClampOK {
-			vin = s.pvClamp
-		} else {
-			vin = vP.ClampMin(0)
-			s.pvClamp, s.pvClampOK = vin, true
-		}
-	} else {
-		vP.MutClampMin(0)
-		vin = vP
-	}
+	// (line 12).
+	vin := s.preemptInput(pvMuts)
 	out.PreemptViews = s.eqScheduleIncremental(vin, now, sc, outSeeded)
 	s.outOK = true
 
@@ -638,6 +591,120 @@ func (s *Scheduler) Schedule(now float64) *Outcome {
 		return a.Seq < b.Seq
 	})
 	return out
+}
+
+// cbfStep computes application a's CBF step against the running
+// non-preemptive availability vNP at now and caches it: the view (cbfOut),
+// the newly scheduled pre-allocations and the wrapped excess the pass
+// subtracts from vNP (cbfPA, cbfExcess), and the scheduled ¬P occupancy it
+// subtracts from the preemptible fold (cbfNP).
+//
+// The step is reusable (cbfOK) while vNP is byte-identical and now stays in
+// [cbfFrom, cbfUntil]. A settled application (no pending PA/¬P request)
+// never reads the clock. One whose pending requests are all FREE roots reads
+// it only through fit's lower bound, and FindHole returns the earliest
+// feasible start at or after that bound, so any later bound up to the
+// earliest start fit assigned yields the same schedule, Wrapped flags and
+// views. A pending request related to another one may move its parent, so
+// such an application is recomputed every round.
+func (s *Scheduler) cbfStep(a *AppState, vNP view.View, now float64) {
+	sc, c := &s.sc, &a.cache
+
+	// V_¬P^(i) = toView(R_PA) + V_¬P (line 7): the application sees its
+	// own pre-allocated space plus the globally free space.
+	vNPFree := vNP.ClampMin(0)
+	viewNP := a.startedPA.Add(vNPFree)
+	if s.clip != nil {
+		viewNP = viewNP.Clip(s.clip)
+	}
+
+	// Schedule pending pre-allocations into the non-preemptive view
+	// (line 8). This is Conservative Back-Filling: applications are
+	// processed in connection order and each takes the first hole.
+	voccPA := fitScratch(a.PA, viewNP, now, sc)
+
+	// Space available for the application's non-preemptible requests:
+	// all of its pre-allocations (started + newly scheduled) minus its
+	// own started in-pre-allocation requests (line 9), plus the global
+	// free space for requests that need implicit wrapping (§3.2).
+	if sc.inPA == nil {
+		sc.inPA = view.New()
+	}
+	clear(sc.inPA)
+	for _, r := range a.NP.All() {
+		if r.Fixed && !r.Wrapped {
+			sc.inPA.MutAddRect(r.Cluster, r.ScheduledAt, r.Duration, r.NAlloc)
+		}
+	}
+	paFree := a.startedPA.Add(voccPA)
+	paFree.MutSub(sc.inPA)
+	availNP := paFree.Add(vNPFree)
+	voccNP := fitScratch(a.NP, availNP, now, sc)
+
+	// Classify each pending request: wrapped if its allocation is not
+	// fully covered by the application's pre-allocation space.
+	for _, r := range a.NP.All() {
+		if r.Fixed || math.IsInf(r.ScheduledAt, 1) {
+			continue
+		}
+		w0, w1 := r.ScheduledAt, r.ScheduledAt+r.Duration
+		r.Wrapped = paFree.Get(r.Cluster).MinOn(w0, w1) < r.NAlloc
+	}
+	excess := voccNP.Sub(paFree)
+	excess.MutClampMin(0)
+
+	// The step's horizon. A settled application keeps last round's view if
+	// its value held.
+	c.cbfOK, c.cbfFrom, c.cbfUntil = true, math.Inf(-1), math.Inf(1)
+	for _, set := range [2]*request.Set{a.PA, a.NP} {
+		for _, r := range set.All() {
+			if r.Fixed {
+				continue
+			}
+			c.cbfOK = c.cbfOK && r.RelatedTo == nil
+			c.cbfFrom, c.cbfUntil = now, math.Min(c.cbfUntil, r.ScheduledAt)
+		}
+	}
+	outNP := viewNP.ClampMin(0)
+	if c.paSettled && c.npSettled {
+		outNP = kept(s.outNPViews[a.ID], outNP)
+	}
+	c.cbfOut, c.cbfPA, c.cbfExcess, c.cbfNP = outNP, voccPA, excess, voccNP
+}
+
+// preemptInput returns the eqSchedule input: basePv minus the ¬P
+// occupancies this round's CBF pass scheduled (muts, in order), clamped at
+// zero. While basePv is unchanged (pvClampOK) and muts are the objects last
+// round's pass subtracted, it is last round's map, so every walk key, cut
+// and granted view built on it holds. Otherwise it is computed with the op
+// sequence a full recomputation uses and becomes the cached input.
+func (s *Scheduler) preemptInput(muts []view.View) view.View {
+	same := s.pvClampOK && len(muts) == len(s.pvMuts)
+	for i := 0; same && i < len(muts); i++ {
+		same = view.Same(muts[i], s.pvMuts[i])
+	}
+	if !same {
+		if len(muts) == 0 {
+			s.pvClamp = s.basePv.ClampMin(0)
+		} else {
+			vP := s.basePv.Clone()
+			for _, m := range muts {
+				vP.MutSub(m)
+			}
+			vP.MutClampMin(0)
+			s.pvClamp = vP
+		}
+		s.pvClampOK = true
+	}
+	clear(s.pvMuts)
+	s.pvMuts, s.pvMutsNext = muts, s.pvMuts[:0]
+	return s.pvClamp
+}
+
+// dropKey empties a cache key, pinning none of the views it held.
+func dropKey(key *[]view.View) {
+	clear(*key)
+	*key = (*key)[:0]
 }
 
 // noteCBFMut appends m, a view just subtracted from the CBF pass's running

@@ -20,9 +20,10 @@ import (
 // Holds deliberately reuse the pending-request machinery: they are carried
 // by ClusterSnapshot across migrations, participate in incremental
 // dirty-tracking (a held request is never Fixed, so its application is
-// recomputed every round — cached artifacts stay byte-identical with the
-// full-recompute mode), and are checked by CheckInvariants (held ⇒ never
-// started, no node IDs).
+// never settled: its CBF step is kept only until the earliest start fit gave
+// its pending requests, its preemptible occupancy is recomputed every round,
+// and cached artifacts stay byte-identical with the full-recompute mode),
+// and are checked by CheckInvariants (held ⇒ never started, no node IDs).
 
 // HoldInfo is a point-in-time snapshot of one request's scheduling state,
 // used by reservation coordinators to decide commit vs re-align vs abort.

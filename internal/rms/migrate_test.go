@@ -261,3 +261,29 @@ func TestDetachClusterStoppedAndUnknown(t *testing.T) {
 		t.Fatalf("detach on stopped = %v, want ErrStopped", err)
 	}
 }
+
+// TestAttachClusterGuards: AttachCluster refuses a cluster the server
+// already has before the scheduler sees it, and a cluster migrated with
+// every node down attaches at capacity zero — core.Scheduler.AddCluster
+// panics on a duplicate or a negative capacity, and AttachCluster is its
+// only caller.
+func TestAttachClusterGuards(t *testing.T) {
+	_, a, b, _, _ := newMigratePair(t)
+	if _, err := a.FailNodes(mcX, []int{0, 1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := a.DetachCluster(mcX)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.AttachCluster(&ClusterSnapshot{Cluster: mcZ, Nodes: 4}, nil); err == nil {
+		t.Fatal("attached a cluster the server already has")
+	}
+	if err := b.AttachCluster(snap, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := b.Scheduler().Capacity(mcX); got != 0 {
+		t.Fatalf("a cluster migrated with every node down attached at capacity %d, want 0", got)
+	}
+	mustCheck(t, b)
+}

@@ -316,6 +316,21 @@ func TestFailNodesValidation(t *testing.T) {
 	if _, err := s.FailNodes(c0, []int{2}); err == nil {
 		t.Error("failing a down node should error")
 	}
+	// The scheduler's capacity is the pool's working nodes: it reaches zero
+	// and no call takes it below (core.Scheduler.SetCapacity panics on a
+	// negative or unknown cluster; these are its only callers).
+	if _, err := s.FailNodes(c0, []int{0, 1, 3}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.FailNodes(c0, []int{0}); err == nil {
+		t.Error("failing a node of a cluster with none up should error")
+	}
+	if got := s.Scheduler().Capacity(c0); got != 0 {
+		t.Errorf("scheduler capacity with every node down = %d, want 0", got)
+	}
+	if _, err := s.RecoverNodes("nope", []int{0}); err == nil {
+		t.Error("recovering on an unknown cluster should error")
+	}
 	mustCheck(t, s)
 }
 

@@ -135,6 +135,25 @@ func (tw *pushTwin) done(app int, id request.ID) {
 	}
 }
 
+// connect connects a new application to both servers: its first push comes
+// with the next round.
+func (tw *pushTwin) connect() {
+	for k, s := range tw.srv {
+		r := &pushRecorder{}
+		tw.apps[k] = append(tw.apps[k], r)
+		tw.sess[k] = append(tw.sess[k], s.Connect(r))
+	}
+	tw.ids = append(tw.ids, nil)
+}
+
+// teardown disconnects an application from both servers; nothing is pushed
+// to it afterwards, and its later calls fail on both.
+func (tw *pushTwin) teardown(app int) {
+	for k := range tw.srv {
+		tw.sess[k][app].Disconnect()
+	}
+}
+
 // detachOrAttach moves beta out of both servers, or back in.
 func (tw *pushTwin) detachOrAttach() {
 	tw.t.Helper()
@@ -156,7 +175,8 @@ func (tw *pushTwin) detachOrAttach() {
 
 // run interprets a byte program, one operation per byte plus its operand
 // bytes (missing operands read as zero): request, done, advance then round,
-// round, and a detach or attach of beta. A final round checks the end state.
+// round, and a detach or attach of beta, a connect or a teardown. A final
+// round checks the end state.
 func (tw *pushTwin) run(prog []byte) {
 	tw.t.Helper()
 	next := func() int {
@@ -170,7 +190,7 @@ func (tw *pushTwin) run(prog []byte) {
 	for len(prog) > 0 {
 		switch op := next(); op % 6 {
 		case 0, 1: // request
-			app, kind, shape := next()%pushApps, next(), next()
+			app, kind, shape := next()%len(tw.ids), next(), next()
 			spec := RequestSpec{
 				Cluster:  []view.ClusterID{cA, cB}[kind&1],
 				N:        1 + shape%5,
@@ -183,7 +203,7 @@ func (tw *pushTwin) run(prog []byte) {
 			}
 			tw.request(app, spec)
 		case 2: // done
-			app, pick := next()%pushApps, next()
+			app, pick := next()%len(tw.ids), next()
 			if ids := tw.ids[app]; len(ids) > 0 {
 				tw.done(app, ids[pick%len(ids)])
 			}
@@ -193,7 +213,14 @@ func (tw *pushTwin) run(prog []byte) {
 		case 4: // a round at the same instant
 			tw.round()
 		case 5:
-			tw.detachOrAttach()
+			switch {
+			case op < 128:
+				tw.detachOrAttach()
+			case op < 192:
+				tw.connect()
+			default:
+				tw.teardown(next() % len(tw.ids))
+			}
 		}
 	}
 	tw.round()
@@ -210,10 +237,10 @@ func pushClip() view.View {
 	return view.View{cA: stepfunc.FromSteps(steps...), cB: stepfunc.Constant(4)}
 }
 
-// TestPushMatchesFullRecompute drives random request/done/clock churn and a
-// detach/attach pair through an incremental server and its full-recompute
-// twin: after every round each application holds the same views on both,
-// pushed as often.
+// TestPushMatchesFullRecompute drives random request/done/clock churn, a
+// detach/attach pair and applications connecting and leaving through an
+// incremental server and its full-recompute twin: after every round each
+// application holds the same views on both, pushed as often.
 func TestPushMatchesFullRecompute(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
@@ -266,6 +293,10 @@ func FuzzViewPush(f *testing.F) {
 	// preemptive half keeps its value across the detach, and the push the
 	// clip's next breakpoint causes must name alpha alone.
 	f.Add([]byte("009X90A9A90"))
+	// A connect and the new application's first push, a request of its own
+	// that takes alpha's nodes for ever, and a teardown of an application
+	// running on the node left.
+	f.Add([]byte{0x83, 4, 0, 4, 2, 24, 4, 0, 0, 2, 40, 4, 0xC5, 0, 4, 3, 8})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) > 2000 {
 			prog = prog[:2000]

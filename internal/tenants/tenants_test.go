@@ -2,6 +2,7 @@ package tenants
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"coormv2/internal/core"
@@ -101,6 +102,37 @@ func TestDRFOrder(t *testing.T) {
 	}
 	if s := p.Shares()["hog"]; s != 2.0 {
 		t.Fatalf("hog share = %v, want 2.0", s)
+	}
+}
+
+// TestDRFOrderIsPermutation: whatever tenant labels the applications carry
+// — a wire connect sets them — Order returns every application exactly once.
+// core.Scheduler.Schedule panics on a policy that does not; DRF is the only
+// one in the tree.
+func TestDRFOrderIsPermutation(t *testing.T) {
+	tr := NewTree()
+	tr.MustAdd("org/team/q1", Resources{cA: 4}, Resources{cA: 8})
+	tr.MustAdd("org/ops", nil, nil)
+	p := NewDRF(tr)
+	labels := []string{"", "org", "org/team", "org/team/q1", "org/ops", DefaultQueue,
+		"nope", "org/team/q1/", "/", "org//ops", "\x00"}
+	rng := rand.New(rand.NewSource(1))
+	for round := 0; round < 300; round++ {
+		apps := make([]*core.AppState, rng.Intn(12))
+		for i := range apps {
+			apps[i] = mkApp(i+1, labels[rng.Intn(len(labels))], float64(i))
+			if rng.Intn(2) == 0 {
+				addStartedP(apps[i], request.ID(i+1), []view.ClusterID{cA, cB}[rng.Intn(2)], 1+rng.Intn(6))
+			}
+		}
+		got := p.Order(info(), apps, nil)
+		seen := make(map[int]bool, len(got))
+		for _, a := range got {
+			seen[a.ID] = true
+		}
+		if len(got) != len(apps) || len(seen) != len(apps) {
+			t.Fatalf("round %d: Order returned %v for applications %v", round, ids(got), ids(apps))
+		}
 	}
 }
 

@@ -1,10 +1,13 @@
 package transport
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"net"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -16,6 +19,7 @@ import (
 	"coormv2/internal/proto"
 	"coormv2/internal/request"
 	"coormv2/internal/rms"
+	"coormv2/internal/sim"
 	"coormv2/internal/view"
 )
 
@@ -494,6 +498,126 @@ func TestSlowConsumerEvicted(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("writer goroutine did not exit after eviction")
 	}
+}
+
+// goneSession closes gone once the backend session is disconnected.
+type goneSession struct {
+	Session
+	gone chan struct{}
+}
+
+func (g *goneSession) Disconnect() {
+	g.Session.Disconnect()
+	close(g.gone)
+}
+
+// TestEvictionWithUndeliveredStart pins the write queue at its bound with a
+// Start in it. The client stops reading, a Start waits in its full queue,
+// and the views frame of the same round evicts the connection: the Start is
+// never delivered. A client that resumes within the grace window is sent it
+// again exactly once, flagged Replay. One that does not is torn down by the
+// grace timer the way a vanished application is, and the started request's
+// nodes return to the pool.
+func TestEvictionWithUndeliveredStart(t *testing.T) {
+	for _, resume := range []bool{true, false} {
+		t.Run(fmt.Sprintf("resume=%v", resume), func(t *testing.T) { testEvictionWithUndeliveredStart(t, resume) })
+	}
+}
+
+func testEvictionWithUndeliveredStart(t *testing.T, resume bool) {
+	// Rounds run only through ScheduleNow: the simulated clock never runs.
+	r := rms.NewServer(rms.Config{Clusters: map[view.ClusterID]int{c0: 4}, Clock: clock.SimClock{E: sim.NewEngine()}})
+	srv := NewServer(r)
+	srv.Logf = func(string, ...any) {}
+	srv.Grace = time.Hour
+	if !resume {
+		srv.Grace = time.Millisecond
+	}
+	ws := &wireSession{srv: srv, token: "tok", starts: make(map[int64][]int), idem: make(map[int64]*idemEntry)}
+	sess := &goneSession{Session: r.Connect(ws), gone: make(chan struct{})}
+	ws.sess, ws.appID = sess, sess.AppID()
+	srv.mu.Lock()
+	srv.sessions[ws.token] = ws
+	srv.mu.Unlock()
+
+	// Nobody reads peer: the first frame wedges the writer, and the queue
+	// holds one more.
+	stalled, peer := net.Pipe()
+	defer peer.Close()
+	cw := newConnWriter(stalled, 1, 10*time.Second)
+	ws.mu.Lock()
+	ws.cw = cw
+	ws.mu.Unlock()
+	ws.OnViews(view.New(), view.New())
+	for len(cw.ch) > 0 {
+		runtime.Gosched() // until the writer holds the frame
+	}
+	id, err := sess.Request(rms.RequestSpec{Cluster: c0, N: 2, Duration: 100, Type: request.NonPreempt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.ScheduleNow() // the round's Start takes the free slot, its views frame finds none
+	if got := srv.Stats()["evictions"]; got != 1 {
+		t.Fatalf("evictions = %d, want 1", got)
+	}
+	if n, err := peer.Read(make([]byte, 1)); n != 0 || err != io.EOF {
+		t.Fatalf("the evicted client read %d bytes (%v), want none", n, err)
+	}
+	ws.dropConn(cw) // what the connection's reader does once the socket is gone
+
+	if !resume {
+		select {
+		case <-sess.gone:
+		case <-time.After(10 * time.Second):
+			t.Fatal("the grace window expired without a teardown")
+		}
+		if got := srv.Stats()["grace_expiries"]; got != 1 {
+			t.Errorf("grace_expiries = %d, want 1", got)
+		}
+		if srv.lookupSession(ws.token) != nil {
+			t.Error("the torn-down session can still be resumed")
+		}
+		if held := r.ClusterLoads()[0].Held; held != 0 {
+			t.Errorf("%d nodes still held after the teardown, want 0", held)
+		}
+		if err := r.CheckInvariants(); err != nil {
+			t.Error(err)
+		}
+		return
+	}
+
+	srvEnd, cliEnd := net.Pipe()
+	cw2 := newConnWriter(srvEnd, 16, 10*time.Second)
+	lines := make(chan []string, 1)
+	go func() {
+		var got []string
+		sc := bufio.NewScanner(cliEnd)
+		for sc.Scan() {
+			got = append(got, sc.Text())
+		}
+		lines <- got
+	}()
+	if !ws.attach(cw2, proto.Message{Type: proto.MsgConnected, AppID: ws.appID, Resume: ws.token}) {
+		t.Fatal("resume within the grace window refused")
+	}
+	cw2.drainThenClose()
+	starts := 0
+	for _, line := range <-lines {
+		m, err := proto.Unmarshal([]byte(line))
+		if err != nil {
+			t.Fatalf("frame %s: %v", line, err)
+		}
+		if m.Type == proto.MsgStart {
+			starts++
+			if m.ReqID != int64(id) || !m.Replay {
+				t.Errorf("start frame %s, want request %d flagged replay", line, id)
+			}
+		}
+	}
+	if starts != 1 {
+		t.Errorf("the resumed connection carried %d start frames, want 1", starts)
+	}
+	ws.teardown()
 }
 
 // runChaosScenario runs one seeded client-vs-netchaos session and returns
