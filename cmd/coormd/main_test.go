@@ -57,6 +57,24 @@ func TestUsageErrorsExit2(t *testing.T) {
 	}
 }
 
+// TestDefaultClusterWithoutFlag pins that no flag combination hands
+// rms.NewServer or federation.New an empty cluster set or a nil clock (both
+// panic): without -cluster the daemon serves one default cluster, single or
+// federated, on the real clock.
+func TestDefaultClusterWithoutFlag(t *testing.T) {
+	for _, args := range [][]string{{}, {"-shards", "3"}} {
+		var logs lockedBuffer
+		d, code := start(append([]string{"-listen", "127.0.0.1:0"}, args...), &logs)
+		if d == nil {
+			t.Fatalf("%v: exit code %d: %s", args, code, logs.String())
+		}
+		d.Close()
+		if !strings.Contains(logs.String(), "default=64") {
+			t.Errorf("%v: startup log names no default cluster:\n%s", args, logs.String())
+		}
+	}
+}
+
 func TestListenFailureExits1(t *testing.T) {
 	taken, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

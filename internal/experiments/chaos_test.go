@@ -244,3 +244,27 @@ type inertHandler struct{ killed bool }
 func (h *inertHandler) OnViews(_, _ view.View)    {}
 func (h *inertHandler) OnStart(request.ID, []int) {}
 func (h *inertHandler) OnKill(string)             { h.killed = true }
+
+// TestChaosPlanShardsExist pins that the chaos harness, the only caller of
+// CrashShard and RestartShard outside tests, never names a shard the
+// federation lacks (both panic on one), whatever -shards says:
+// RunChaosReplay builds Shards × ClustersPerShard ≥ Shards clusters, so
+// federation.Partition keeps every shard, and chaos.Plan draws indices
+// below Shards.
+func TestChaosPlanShardsExist(t *testing.T) {
+	for shards := 1; shards <= 6; shards++ {
+		env := buildRMS(federatedClusters(shards), 4, shards, federation.Config{})
+		n := env.fed.NumShards()
+		if n != shards {
+			t.Fatalf("%d clusters over %d shards built %d shards", shards, shards, n)
+		}
+		for seed := int64(1); seed <= 3; seed++ {
+			plan := chaos.Plan(chaos.Config{Seed: seed, MTTF: 700, MeanRestartDelay: 90, Horizon: 2500}, shards)
+			for _, f := range plan {
+				if f.Shard < 0 || f.Shard >= n {
+					t.Errorf("seed %d: plan crashes shard %d of %d", seed, f.Shard, n)
+				}
+			}
+		}
+	}
+}

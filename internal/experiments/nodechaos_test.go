@@ -176,8 +176,9 @@ func TestNodeChaosWasteComparison(t *testing.T) {
 
 // TestNodeChaosWithShardCrashes interleaves machine faults with shard
 // crashes and restarts on the same deterministic event stream: node faults
-// landing on a crashed shard are deferred and re-applied when it restarts,
-// and the whole composition must stay byte-identical across same-seed runs
+// landing on a crashed shard are recorded in its pools and stay in force
+// when it restarts, and the whole composition must stay byte-identical
+// across same-seed runs
 // with the invariants holding after every event of either kind.
 func TestNodeChaosWithShardCrashes(t *testing.T) {
 	crashes, nodeFails := 0, 0

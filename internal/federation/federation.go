@@ -28,15 +28,17 @@
 // observe hook.
 //
 // Shard lifecycle: CrashShard/RestartShard give every shard a crash/restart
-// cycle (driven deterministically by internal/chaos inside the simulator). A
-// crash stops the shard's rms.Server — its scheduler-side state is gone —
-// and the Federator applies the configured RecoveryPolicy to the sessions
-// that lost state: KillOnCrash terminates them per §3.1.4, RequeueOnCrash
-// marks their records queued and re-submits those, in ID order, when the
-// shard rejoins empty. Survivors keep running, told by a segment naming the
-// dead shard's clusters with zero profiles that those are gone. A session's
-// admission to the shards (Connect) is a topology transition as well,
-// serialized with the three above.
+// cycle (driven deterministically by internal/chaos inside the simulator).
+// The shard's rms.Server.Stopped is the one answer to whether it is down. A
+// crash stops the shard's rms.Server — its scheduler-side state is gone, its
+// node-ID pools and the dead machines they record are not — and the
+// Federator applies the configured RecoveryPolicy to the sessions that lost
+// state: KillOnCrash terminates them per §3.1.4, RequeueOnCrash marks their
+// records queued and re-submits those, in ID order, when the shard rejoins
+// empty. Survivors keep running, told by a segment naming the dead shard's
+// clusters with zero profiles that those are gone. A session's admission to
+// the shards (Connect) is a topology transition as well, serialized with the
+// three above.
 //
 // Cross-shard gang scheduling: a request may relate (NEXT/COALLOC) to a
 // request on another shard. The Federator runs a two-phase reservation for
@@ -51,6 +53,7 @@ package federation
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -164,13 +167,7 @@ type Federator struct {
 	owner    map[view.ClusterID]int // cluster → shard index; mutated by migration
 	nextApp  int
 	nextReq  request.ID
-	down     []bool           // per-shard crashed flag; written under topoMu and mu
 	sessions map[int]*Session // live federated sessions by app ID
-	// failedNodes is the authoritative per-cluster record of down machines
-	// (sorted ascending). It outlives shard crashes — RestartShard re-applies
-	// it to the fresh shard — and follows a cluster through migration via the
-	// rms.ClusterSnapshot.
-	failedNodes map[view.ClusterID][]int
 
 	// Observability (nil when Config.Obs is nil). crashedAt remembers each
 	// shard's last crash instant so RestartShard can record the outage
@@ -276,9 +273,7 @@ func New(cfg Config) *Federator {
 		clk:          cfg.Clock,
 		recovery:     cfg.Recovery,
 		nodeRecovery: cfg.NodeRecovery,
-		down:         make([]bool, len(parts)),
 		sessions:     make(map[int]*Session),
-		failedNodes:  make(map[view.ClusterID][]int),
 		nextApp:      1,
 		nextReq:      1,
 	}
@@ -344,18 +339,12 @@ func (f *Federator) Owner(cid view.ClusterID) (int, bool) {
 func (f *Federator) Now() float64 { return f.clk.Now() }
 
 // TenantLoads aggregates the node IDs held per tenant label per cluster
-// across every running shard (see rms.Server.TenantLoads). Down shards
-// contribute nothing: a crash loses the scheduler-side allocations the
+// across the shards (see rms.Server.TenantLoads). Down shards contribute
+// nothing: a crash loses the sessions, and with them the allocations, the
 // shard would report, exactly as the views do.
 func (f *Federator) TenantLoads() map[string]map[view.ClusterID]int {
-	f.mu.Lock()
-	down := append([]bool(nil), f.down...)
-	f.mu.Unlock()
 	out := make(map[string]map[view.ClusterID]int)
-	for i, sh := range f.shards {
-		if down[i] {
-			continue
-		}
+	for _, sh := range f.shards {
 		for tenant, loads := range sh.TenantLoads() {
 			m := out[tenant]
 			if m == nil {
@@ -375,12 +364,9 @@ func (f *Federator) TenantLoads() map[string]map[view.ClusterID]int {
 // event counters (rms.Server.Stats), survives crash and restart; only a shard
 // that is down right now is left out of the sum.
 func (f *Federator) TenantPreempts() map[string]int64 {
-	f.mu.Lock()
-	down := append([]bool(nil), f.down...)
-	f.mu.Unlock()
 	out := make(map[string]int64)
-	for i, sh := range f.shards {
-		if down[i] {
+	for _, sh := range f.shards {
+		if sh.Stopped() {
 			continue
 		}
 		for tenant, n := range sh.TenantPreempts() {
@@ -402,7 +388,7 @@ func (f *Federator) TenantPreempts() map[string]int64 {
 //
 // Connect is a topology transition: it holds topoMu like RestartShard, the
 // other admission, so a crash or restart is ordered wholly before it (and
-// shows in the down flags) or wholly after (and sweeps or re-admits the
+// shows in the shards' Stopped) or wholly after (and sweeps or re-admits the
 // registered session itself). Like MigrateCluster and CheckInvariants it must
 // not be called from inside a notification handler — handlers run under
 // topoMu whenever a topology transition flushes them.
@@ -425,10 +411,10 @@ func (f *Federator) Connect(h rms.AppHandler, opts ...rms.ConnectOption) *Sessio
 	f.mu.Unlock()
 	// Admit outside the federator lock: ConnectID flushes notifications,
 	// which may synchronously re-enter the session (and, through an
-	// application handler, the federator's Owner/nextRequestID). The down
-	// flags only change under topoMu, which is held.
-	for i := range f.shards {
-		if !f.down[i] {
+	// application handler, the federator's Owner/nextRequestID). A shard
+	// stops or restarts only under topoMu, which is held.
+	for i, sh := range f.shards {
+		if !sh.Stopped() {
 			sess.admitShard(i)
 		}
 	}
@@ -454,11 +440,7 @@ func (f *Federator) sessionsLocked() []*Session {
 }
 
 // ShardDown reports whether shard i is currently crashed.
-func (f *Federator) ShardDown(i int) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.down[i]
-}
+func (f *Federator) ShardDown(i int) bool { return f.shards[i].Stopped() }
 
 // Recovery returns the configured crash-recovery policy.
 func (f *Federator) Recovery() RecoveryPolicy { return f.recovery }
@@ -522,17 +504,13 @@ func (f *Federator) CrashShard(i int) CrashReport {
 	f.topoMu.Lock()
 	defer f.topoMu.Unlock()
 	rep := CrashReport{Shard: i, Policy: f.recovery}
-	f.mu.Lock()
-	if f.down[i] {
-		f.mu.Unlock()
+	if f.shards[i].Stopped() {
 		return rep
 	}
-	f.down[i] = true
-	// Stop the shard inside the critical section: a concurrent RestartShard
-	// (which Resets under f.mu) must never observe down[i] while the shard
-	// is still running. Stop makes no callbacks, and the f.mu → shard-lock
-	// order matches RestartShard's Reset; nothing nests the other way.
+	// Stop makes no callbacks; the shard is down from here on, as Stopped
+	// reports to every reader.
 	f.shards[i].Stop()
+	f.mu.Lock()
 	sessions := f.sessionsLocked()
 	// One segment for every survivor: the dead shard's clusters, named zero.
 	lost := view.New()
@@ -589,7 +567,8 @@ func (f *Federator) CrashShard(i int) CrashReport {
 }
 
 // RestartShard brings a crashed shard back: its rms.Server is Reset to
-// empty state, the Federator re-admits every live session (the shard's
+// empty scheduling state (its dead machines stay dead: the shard's pools
+// keep them), the Federator re-admits every live session (the shard's
 // clusters reappear in the views on its next scheduling round), and —
 // under RequeueOnCrash — every session's queued records are re-submitted in
 // (session-ID, request-ID) order under their original federated request IDs.
@@ -601,18 +580,11 @@ func (f *Federator) RestartShard(i int) RestartReport {
 	f.topoMu.Lock()
 	defer f.topoMu.Unlock()
 	rep := RestartReport{Shard: i}
-	f.mu.Lock()
-	if !f.down[i] {
-		f.mu.Unlock()
+	if !f.shards[i].Stopped() {
 		return rep
 	}
 	f.shards[i].Reset()
-	// Re-apply the recorded node failures before marking the shard up and
-	// re-admitting anyone: the machines are still dead, only the scheduler
-	// state was lost. The fresh server has no sessions, so this only shrinks
-	// pool capacity.
-	f.reapplyFailedNodesLocked(i)
-	f.down[i] = false
+	f.mu.Lock()
 	sessions := f.sessionsLocked()
 	f.mu.Unlock()
 
@@ -652,16 +624,12 @@ func (f *Federator) RestartShard(i int) RestartReport {
 func (f *Federator) CheckInvariants() error {
 	f.topoMu.Lock()
 	defer f.topoMu.Unlock()
+	down := make([]bool, len(f.shards))
+	for i, sh := range f.shards {
+		down[i] = sh.Stopped()
+	}
 	f.mu.Lock()
-	down := append([]bool(nil), f.down...)
-	owner := make(map[view.ClusterID]int, len(f.owner))
-	for cid, i := range f.owner {
-		owner[cid] = i
-	}
-	failed := make(map[view.ClusterID][]int, len(f.failedNodes))
-	for cid, ids := range f.failedNodes {
-		failed[cid] = append([]int(nil), ids...)
-	}
+	owner := maps.Clone(f.owner)
 	sessions := f.sessionsLocked()
 	f.mu.Unlock()
 
@@ -690,30 +658,10 @@ func (f *Federator) CheckInvariants() error {
 	}
 	for i, sh := range f.shards {
 		if down[i] {
-			if !sh.Stopped() {
-				return fmt.Errorf("federation: shard %d marked down but still running", i)
-			}
 			continue
-		}
-		if sh.Stopped() {
-			return fmt.Errorf("federation: shard %d stopped but not marked down", i)
 		}
 		if err := sh.CheckInvariants(); err != nil {
 			return fmt.Errorf("federation: shard %d: %w", i, err)
-		}
-		// The shard's per-cluster failed-node sets must match the federation's
-		// authoritative record exactly (both sorted ascending).
-		for cid := range sh.Clusters() {
-			got := sh.FailedNodeIDs(cid)
-			want := failed[cid]
-			if len(got) != len(want) {
-				return fmt.Errorf("federation: shard %d has %d failed nodes on %q, record says %d", i, len(got), cid, len(want))
-			}
-			for j := range got {
-				if got[j] != want[j] {
-					return fmt.Errorf("federation: shard %d failed nodes on %q = %v, record says %v", i, cid, got, want)
-				}
-			}
 		}
 		ids := sh.SessionIDs()
 		admitted := make(map[int]bool, len(ids))

@@ -2,8 +2,10 @@ package federation
 
 import (
 	"errors"
+	"maps"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"coormv2/internal/clock"
@@ -116,9 +118,13 @@ func (a *idApp) callErr(what string, err error, passed request.ID) {
 // Session.Request returned: to the application (idApp), and in the obs
 // events the shards themselves stamp — and that the clusters of a down shard,
 // or of a migration, vanish from what every live application holds until
-// their (new) owner pushes them. Request, migration and node-fault
-// errors are legal outcomes (killed sessions, down shards, last clusters);
-// invariant violations, foreign IDs and panics are the only failures.
+// their (new) owner pushes them. It also keeps its own model of which
+// machines are down per cluster: a node fault must succeed exactly when the
+// model says the machine is up (down, for a recovery), whether or not its
+// shard is running, and every shard, crashed ones included, must report the
+// model's set for each cluster it hosts. Request and migration errors are
+// legal outcomes (killed sessions, down shards, last clusters); invariant
+// violations, foreign IDs, model mismatches and panics are the failures.
 func driveGangOps(t *testing.T, data []byte, tally *idTally) {
 	if len(data) == 0 {
 		return
@@ -157,9 +163,44 @@ func driveGangOps(t *testing.T, data []byte, tally *idTally) {
 	clients := []client{connect(), connect()}
 	var ids []request.ID // successfully submitted requests, any session
 
+	down := make(map[view.ClusterID]map[int]bool) // the model: machines down, per cluster
+	for _, cid := range clusterIDs {
+		down[cid] = make(map[int]bool)
+	}
 	check := func(op int) {
 		if err := fed.CheckInvariants(); err != nil {
 			t.Fatalf("after op %d: %v", op, err)
+		}
+		for i := 0; i < fed.NumShards(); i++ {
+			for cid := range fed.Shard(i).Clusters() {
+				want := slices.Sorted(maps.Keys(down[cid]))
+				if got := fed.Shard(i).FailedNodeIDs(cid); !slices.Equal(got, want) {
+					t.Fatalf("after op %d: shard %d (down %t) reports %v down on %s, the model %v",
+						op, i, fed.ShardDown(i), got, cid, want)
+				}
+			}
+		}
+	}
+	// nodeFault applies a failure (fail) or recovery of one machine and
+	// checks the outcome against the model before updating it.
+	nodeFault := func(op int, cid view.ClusterID, node int, fail bool) {
+		var err error
+		if fail {
+			_, err = fed.FailNodes(cid, []int{node})
+		} else {
+			_, err = fed.RecoverNodes(cid, []int{node})
+		}
+		if want := down[cid][node] != fail; (err == nil) != want {
+			t.Fatalf("op %d: fail=%t of node %d on %s answered %v; the model has it down: %t",
+				op, fail, node, cid, err, down[cid][node])
+		}
+		if err != nil {
+			return
+		}
+		if fail {
+			down[cid][node] = true
+		} else {
+			delete(down[cid], node)
 		}
 	}
 	// gone checks that no live session holds availability on a cluster of a
@@ -238,10 +279,10 @@ func driveGangOps(t *testing.T, data []byte, tally *idTally) {
 			e.Run(e.Now() + float64(arg%16))
 		case 7: // reconnect a fresh session in a killed slot
 			clients[int(arg)%len(clients)] = connect()
-		case 8: // a machine dies (already down — an error — is fine)
-			_, _ = fed.FailNodes(clusterIDs[int(arg)%len(clusterIDs)], []int{int(arg>>2) % 6})
-		case 9: // a machine comes back (not down is fine)
-			_, _ = fed.RecoverNodes(clusterIDs[int(arg)%len(clusterIDs)], []int{int(arg>>2) % 6})
+		case 8: // a machine dies (already down: the model expects an error)
+			nodeFault(i, clusterIDs[int(arg)%len(clusterIDs)], int(arg>>2)%6, true)
+		case 9: // a machine comes back (not down: the model expects an error)
+			nodeFault(i, clusterIDs[int(arg)%len(clusterIDs)], int(arg>>2)%6, false)
 		}
 		check(i)
 		gone(i, moved)

@@ -84,7 +84,7 @@ func (f *Federator) MigrateCluster(cid view.ClusterID, to int) (MigrationReport,
 		f.mu.Unlock()
 		return rep, fmt.Errorf("federation: cluster %q is already owned by shard %d", cid, to)
 	}
-	if f.down[from] || f.down[to] {
+	if f.shards[from].Stopped() || f.shards[to].Stopped() {
 		f.mu.Unlock()
 		return rep, fmt.Errorf("federation: cannot migrate %q from shard %d to %d: a shard is down", cid, from, to)
 	}

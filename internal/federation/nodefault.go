@@ -2,18 +2,16 @@ package federation
 
 import (
 	"fmt"
-	"sort"
 
 	"coormv2/internal/view"
 )
 
-// Node-level fault routing: the Federator keeps an authoritative per-cluster
-// record of which machines are down and forwards FailNodes/RecoverNodes to
-// the shard owning the cluster. The record is topology-level state like the
-// owner table — a shard crash loses scheduler state, not the fact that a
-// machine is physically dead — so RestartShard re-applies a cluster's failed
-// set to the freshly reset shard before re-admitting sessions, and a
-// migration carries it inside the rms.ClusterSnapshot.
+// Node-level fault routing: FailNodes/RecoverNodes go to the shard owning the
+// cluster, whose node-ID pools are the one record of which machines are down.
+// A shard crash loses scheduler state, not the fact that a machine is
+// physically dead: a crashed shard still takes node faults into its pools,
+// and RestartShard's Reset rejoins with those machines down. A migration
+// carries the record inside the rms.ClusterSnapshot.
 
 // NodeFaultReport summarizes one federated node-failure event.
 type NodeFaultReport struct {
@@ -23,12 +21,13 @@ type NodeFaultReport struct {
 	// Failed are the node IDs taken down (ascending).
 	Failed []int
 	// Applied is false when the owning shard was down: the failure is
-	// recorded and applied when the shard restarts.
+	// recorded and the shard rejoins without the machines.
 	Applied bool
 	// Killed/Requeued/Reduced count the affected requests per action
 	// (zero when not applied).
 	Killed, Requeued, Reduced int
-	// Capacity is the cluster's working-node count after the event.
+	// Capacity is the cluster's working-node count after the event (zero
+	// when not applied).
 	Capacity int
 }
 
@@ -44,10 +43,11 @@ type NodeRecoverReport struct {
 	Shard   int
 	// Recovered are the node IDs brought back (ascending).
 	Recovered []int
-	// Applied is false when the owning shard was down; the recovery then
-	// only shrinks the recorded failed set the restart would re-apply.
+	// Applied is false when the owning shard was down: the recovery is
+	// recorded and the shard rejoins with the machines.
 	Applied bool
-	// Capacity is the cluster's working-node count after the event.
+	// Capacity is the cluster's working-node count after the event (zero
+	// when not applied).
 	Capacity int
 }
 
@@ -57,156 +57,55 @@ func (r NodeRecoverReport) String() string {
 		r.Cluster, r.Shard, r.Recovered, r.Applied, r.Capacity)
 }
 
-// FailedNodes returns the recorded down node IDs of cluster cid (ascending),
-// whether or not the owning shard is up.
-func (f *Federator) FailedNodes(cid view.ClusterID) []int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return append([]int(nil), f.failedNodes[cid]...)
-}
-
-// FailNodes marks the given nodes of cluster cid as down. When the owning
-// shard is running the failure is applied immediately — the shard shrinks
-// the cluster's capacity and handles every affected allocation per its node
-// recovery policy; when it is crashed the failure is recorded and applied at
-// restart (the machines are dead either way — a scheduler crash does not
-// resurrect them). The IDs are validated against the recorded failed set
-// before any state changes.
+// FailNodes marks the given nodes of cluster cid as down on the shard owning
+// it (rms.Server.FailNodes). A running shard shrinks the cluster's capacity
+// and handles every affected allocation per its node recovery policy; a
+// crashed one only records the failure, and rejoins without the machines.
+// The shard validates the IDs before any state changes.
 func (f *Federator) FailNodes(cid view.ClusterID, ids []int) (NodeFaultReport, error) {
 	f.topoMu.Lock()
 	defer f.topoMu.Unlock()
-	rep := NodeFaultReport{Cluster: cid}
-	f.mu.Lock()
-	shard, ok := f.owner[cid]
+	shard, ok := f.Owner(cid)
+	rep := NodeFaultReport{Cluster: cid, Shard: shard}
 	if !ok {
-		f.mu.Unlock()
 		return rep, fmt.Errorf("federation: unknown cluster %q", cid)
 	}
-	rep.Shard = shard
-	failing := append([]int(nil), ids...)
-	sort.Ints(failing)
-	recorded := f.failedNodes[cid]
-	for i, id := range failing {
-		if containsNode(recorded, id) {
-			f.mu.Unlock()
-			return rep, fmt.Errorf("federation: node %d on %q is already down", id, cid)
-		}
-		if i > 0 && failing[i-1] == id {
-			f.mu.Unlock()
-			return rep, fmt.Errorf("federation: node %d on %q failed twice in one call", id, cid)
-		}
-	}
-	f.failedNodes[cid] = mergeNodes(recorded, failing)
-	rep.Failed = failing
-	down := f.down[shard]
-	f.mu.Unlock()
-
-	if down {
-		// The shard's scheduler state is gone; the failed set is re-applied
-		// to the fresh server at restart, before sessions are re-admitted.
-		return rep, nil
-	}
-	srep, err := f.shards[shard].FailNodes(cid, failing)
+	sh := f.shards[shard]
+	applied := !sh.Stopped()
+	srep, err := sh.FailNodes(cid, ids)
 	if err != nil {
 		return rep, err
 	}
-	rep.Applied = true
-	rep.Killed, rep.Requeued, rep.Reduced = srep.Killed, srep.Requeued, srep.Reduced
-	rep.Capacity = srep.Capacity
+	rep.Failed = srep.Failed
+	rep.Applied = applied
+	if applied {
+		rep.Killed, rep.Requeued, rep.Reduced = srep.Killed, srep.Requeued, srep.Reduced
+		rep.Capacity = srep.Capacity
+	}
 	return rep, nil
 }
 
-// RecoverNodes marks the given nodes of cluster cid as working again. When
-// the owning shard is down only the recorded failed set shrinks: the restart
-// re-applies whatever is still down at that point.
+// RecoverNodes marks the given nodes of cluster cid as working again on the
+// shard owning it (rms.Server.RecoverNodes); a crashed shard records the
+// recovery and rejoins with the machines.
 func (f *Federator) RecoverNodes(cid view.ClusterID, ids []int) (NodeRecoverReport, error) {
 	f.topoMu.Lock()
 	defer f.topoMu.Unlock()
-	rep := NodeRecoverReport{Cluster: cid}
-	f.mu.Lock()
-	shard, ok := f.owner[cid]
+	shard, ok := f.Owner(cid)
+	rep := NodeRecoverReport{Cluster: cid, Shard: shard}
 	if !ok {
-		f.mu.Unlock()
 		return rep, fmt.Errorf("federation: unknown cluster %q", cid)
 	}
-	rep.Shard = shard
-	recovering := append([]int(nil), ids...)
-	sort.Ints(recovering)
-	recorded := f.failedNodes[cid]
-	for i, id := range recovering {
-		if !containsNode(recorded, id) {
-			f.mu.Unlock()
-			return rep, fmt.Errorf("federation: recovering node %d on %q which is not down", id, cid)
-		}
-		if i > 0 && recovering[i-1] == id {
-			f.mu.Unlock()
-			return rep, fmt.Errorf("federation: node %d on %q recovered twice in one call", id, cid)
-		}
-	}
-	remaining := removeNodes(recorded, recovering)
-	if len(remaining) == 0 {
-		delete(f.failedNodes, cid)
-	} else {
-		f.failedNodes[cid] = remaining
-	}
-	rep.Recovered = recovering
-	down := f.down[shard]
-	f.mu.Unlock()
-
-	if down {
-		return rep, nil
-	}
-	srep, err := f.shards[shard].RecoverNodes(cid, recovering)
+	sh := f.shards[shard]
+	applied := !sh.Stopped()
+	srep, err := sh.RecoverNodes(cid, ids)
 	if err != nil {
 		return rep, err
 	}
-	rep.Applied = true
-	rep.Capacity = srep.Capacity
+	rep.Recovered = srep.Recovered
+	rep.Applied = applied
+	if applied {
+		rep.Capacity = srep.Capacity
+	}
 	return rep, nil
-}
-
-// reapplyFailedNodesLocked re-applies the recorded failed sets of every
-// cluster owned by shard i to its freshly reset rms.Server. Called by
-// RestartShard under f.mu, before sessions are re-admitted: the fresh server
-// has full pools and no allocations, so the re-application only shrinks
-// capacity and can affect nobody.
-func (f *Federator) reapplyFailedNodesLocked(i int) {
-	cids := make([]view.ClusterID, 0)
-	for cid, shard := range f.owner {
-		if shard == i && len(f.failedNodes[cid]) > 0 {
-			cids = append(cids, cid)
-		}
-	}
-	sort.Slice(cids, func(a, b int) bool { return cids[a] < cids[b] })
-	for _, cid := range cids {
-		if _, err := f.shards[i].FailNodes(cid, f.failedNodes[cid]); err != nil {
-			panic(fmt.Sprintf("federation: re-applying failed nodes of %q to restarted shard %d: %v", cid, i, err))
-		}
-	}
-}
-
-// containsNode reports membership in a sorted node-ID list.
-func containsNode(sorted []int, id int) bool {
-	i := sort.SearchInts(sorted, id)
-	return i < len(sorted) && sorted[i] == id
-}
-
-// mergeNodes merges two sorted disjoint node-ID lists into a new sorted one.
-func mergeNodes(a, b []int) []int {
-	out := make([]int, 0, len(a)+len(b))
-	out = append(out, a...)
-	out = append(out, b...)
-	sort.Ints(out)
-	return out
-}
-
-// removeNodes returns sorted list a without the (sorted) IDs in rm.
-func removeNodes(a, rm []int) []int {
-	out := make([]int, 0, len(a))
-	for _, id := range a {
-		if !containsNode(rm, id) {
-			out = append(out, id)
-		}
-	}
-	return out
 }

@@ -140,10 +140,11 @@ func TestFailNodesWhileShardDownAppliesAtRestart(t *testing.T) {
 	if rep.Applied {
 		t.Fatalf("report = %+v, want deferred (shard down)", rep)
 	}
-	if got := f.FailedNodes(cA); len(got) != 2 {
+	// The crashed shard's pools record the failure.
+	if got := f.Shard(shardA).FailedNodeIDs(cA); len(got) != 2 {
 		t.Fatalf("recorded failed = %v, want [2 5]", got)
 	}
-	// A recovery while the shard is down shrinks the record it would re-apply.
+	// A recovery while the shard is down shrinks that record.
 	if _, err := f.RecoverNodes(cA, []int{5}); err != nil {
 		t.Fatal(err)
 	}
@@ -225,6 +226,57 @@ func TestFailNodesValidationAtFederation(t *testing.T) {
 	}
 	if _, err := f.FailNodes(cA, []int{1}); err == nil {
 		t.Error("failing a down node should error")
+	}
+	mustCheck(t, f)
+}
+
+// TestFailedNodesCountedOnce pins the shard's pools as the one record of a
+// dead machine: crash/restart cycles keep it down without failing it again,
+// so failed_nodes (served on coormd's /metrics) counts it once.
+func TestFailedNodesCountedOnce(t *testing.T) {
+	e, f := newNodeFaultFederation(t, rms.KillOnNodeFailure)
+	f.Connect(&nodeTestApp{})
+	e.Run(2)
+	shardA, _ := f.Owner(cA)
+	if _, err := f.FailNodes(cA, []int{3}); err != nil {
+		t.Fatal(err)
+	}
+	for range 3 {
+		f.CrashShard(shardA)
+		e.Run(e.Now() + 1)
+		f.RestartShard(shardA)
+		e.Run(e.Now() + 1)
+		mustCheck(t, f)
+	}
+	if got := f.Shard(shardA).Stats()["failed_nodes"]; got != 1 {
+		t.Errorf("failed_nodes after 3 crash/restart cycles = %d, want 1", got)
+	}
+	if got := f.Shard(shardA).FailedNodeIDs(cA); len(got) != 1 || got[0] != 3 {
+		t.Errorf("shard failed IDs = %v, want [3]", got)
+	}
+}
+
+// TestRestartRunningShardIsNoOp pins that RestartShard, rms.Server.Reset's
+// only caller, never resets a running shard (Reset panics on one), and that
+// CrashShard on a crashed shard does nothing either.
+func TestRestartRunningShardIsNoOp(t *testing.T) {
+	e, f := newNodeFaultFederation(t, rms.KillOnNodeFailure)
+	app := &nodeTestApp{}
+	sess := f.Connect(app)
+	if _, err := sess.Request(rms.RequestSpec{Cluster: cA, N: 2, Duration: 100, Type: request.NonPreempt}); err != nil {
+		t.Fatal(err)
+	}
+	e.Run(2)
+	shardA, _ := f.Owner(cA)
+	if rep := f.RestartShard(shardA); rep != (RestartReport{Shard: shardA}) {
+		t.Errorf("restart of a running shard = %+v, want a no-op", rep)
+	}
+	if len(app.starts) != 1 || f.ShardDown(shardA) {
+		t.Fatalf("running shard disturbed: starts %v, down %t", app.starts, f.ShardDown(shardA))
+	}
+	f.CrashShard(shardA)
+	if rep := f.CrashShard(shardA); len(rep.Killed) != 0 || rep.Purged != 0 || rep.Requeued != 0 {
+		t.Errorf("crash of a crashed shard = %+v, want a no-op", rep)
 	}
 	mustCheck(t, f)
 }

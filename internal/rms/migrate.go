@@ -79,7 +79,8 @@ type ClusterSnapshot struct {
 	// Churn carries the cluster's cumulative accepted-request counter so
 	// rebalancer load deltas survive the move.
 	Churn int64
-	// Apps lists the sessions with requests on the cluster, ascending AppID.
+	// Apps lists the sessions with requests on the cluster, in connection
+	// order.
 	Apps []SessionClusterState
 }
 
@@ -221,14 +222,14 @@ func (s *Server) DetachCluster(cid view.ClusterID) (*ClusterSnapshot, error) {
 	// unfinished requests the parent is always still in a set — GC keeps
 	// parents of pending/running children — so the parent's Cluster field is
 	// authoritative.)
-	for _, id := range s.sessionIDsLocked() {
-		for _, r := range s.sessions[id].app.Requests() {
+	for _, a := range s.sched.Apps() {
+		for _, r := range a.Requests() {
 			if r.Finished || r.RelatedTo == nil {
 				continue
 			}
 			if (r.Cluster == cid) != (r.RelatedTo.Cluster == cid) {
 				severRelationLocked(r)
-				s.touchLocked(id)
+				s.touchLocked(a.ID)
 			}
 		}
 	}
@@ -241,8 +242,8 @@ func (s *Server) DetachCluster(cid view.ClusterID) (*ClusterSnapshot, error) {
 		FailedIDs: pool.failedIDs(),
 		Churn:     s.churn[cid],
 	}
-	for _, id := range s.sessionIDsLocked() {
-		sess := s.sessions[id]
+	for _, a := range s.sched.Apps() {
+		id, sess := a.ID, s.sessions[a.ID]
 		var exported []*request.Request
 		inSnap := make(map[*request.Request]bool)
 		for _, set := range []*request.Set{sess.app.PA, sess.app.NP, sess.app.P} {

@@ -15,7 +15,9 @@ import (
 // allocation that held a dead node; RecoverNodes brings machines back.
 // Shard-level crashes (Stop/Reset) model a dying RMS process; node-level
 // faults model dying machines under a healthy RMS — the other half of the
-// paper's §3.1.4 fault model.
+// paper's §3.1.4 fault model. The two are independent: the pools own the
+// record of which machines are down, a stopped server still takes node
+// faults into it, and Reset rejoins with those machines down.
 
 // NodeRecoveryPolicy selects what happens to a started non-preemptible
 // request when a node it holds dies. Preemptible requests are always
@@ -105,7 +107,8 @@ type NodeFailure struct {
 // that cooperate with node failures: resubmitting reduced work, cancelling
 // stale completion timers, or checkpointing progress. Like every handler
 // callback it is delivered without the server lock held, in deterministic
-// (session-ID, then request-ID) order, and may call back into the Session.
+// order (sessions in connection order, then requests in set order), and may
+// call back into the Session.
 type NodeFailureHandler interface {
 	OnNodeFailure(ev NodeFailure)
 }
@@ -146,13 +149,11 @@ type NodeRecoverReport struct {
 }
 
 // FailedNodeIDs returns the currently-down node IDs of cluster cid in
-// ascending order, or nil for an unknown cluster or a stopped server.
+// ascending order, or nil for an unknown cluster. A stopped server answers
+// too: its machines are down or up whatever happened to the process.
 func (s *Server) FailedNodeIDs(cid view.ClusterID) []int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.stopped {
-		return nil
-	}
 	pool := s.pools[cid]
 	if pool == nil {
 		return nil
@@ -166,13 +167,11 @@ func (s *Server) FailedNodeIDs(cid view.ClusterID) []int {
 // against the reduced cluster. Every allocation holding a dead node is
 // identified and handled per the server's NodeRecovery policy (see
 // NodeRecoveryPolicy); the IDs are validated as a batch before any state
-// changes, so on error the server is untouched.
+// changes, so on error the server is untouched. On a stopped server the
+// failure is validated and recorded alike, and nothing else happens: there
+// is no session to affect and no round to run until Reset.
 func (s *Server) FailNodes(cid view.ClusterID, ids []int) (*NodeFaultReport, error) {
 	s.mu.Lock()
-	if s.stopped {
-		s.mu.Unlock()
-		return nil, ErrStopped
-	}
 	pool := s.pools[cid]
 	if pool == nil {
 		s.mu.Unlock()
@@ -202,12 +201,17 @@ func (s *Server) FailNodes(cid view.ClusterID, ids []int) (*NodeFaultReport, err
 			break
 		}
 	}
+	s.stats.failedNodes += int64(len(failing))
+	rep := &NodeFaultReport{Cluster: cid, Failed: failing, Capacity: pool.capacity()}
+	if s.stopped {
+		s.mu.Unlock()
+		return rep, nil
+	}
 	dead := func(nid int) bool { return containsInt(failing, nid) }
 
-	rep := &NodeFaultReport{Cluster: cid, Failed: failing}
 	now := s.clk.Now()
-	for _, appID := range s.sessionIDsLocked() {
-		sess := s.sessions[appID]
+	for _, a := range s.sched.Apps() {
+		appID, sess := a.ID, s.sessions[a.ID]
 		var killed []*request.Request
 		for _, r := range sess.app.Requests() {
 			if r.Cluster != cid || len(r.NodeIDs) == 0 {
@@ -290,9 +294,7 @@ func (s *Server) FailNodes(cid view.ClusterID, ids []int) (*NodeFaultReport, err
 	}
 
 	s.sched.SetCapacity(cid, pool.capacity())
-	rep.Capacity = pool.capacity()
 	s.loadEpoch++
-	s.stats.failedNodes += int64(len(failing))
 	s.requestRunLocked()
 	s.mu.Unlock()
 	s.flush()
@@ -303,13 +305,10 @@ func (s *Server) FailNodes(cid view.ClusterID, ids []int) (*NodeFaultReport, err
 // they return to the free pool and the cluster's effective capacity grows
 // back, invalidating the scheduler's cached folds so the next round plans
 // against the restored cluster. The IDs are validated as a batch before any
-// state changes.
+// state changes. On a stopped server the recovery is only recorded, as
+// FailNodes records a failure there.
 func (s *Server) RecoverNodes(cid view.ClusterID, ids []int) (*NodeRecoverReport, error) {
 	s.mu.Lock()
-	if s.stopped {
-		s.mu.Unlock()
-		return nil, ErrStopped
-	}
 	pool := s.pools[cid]
 	if pool == nil {
 		s.mu.Unlock()
@@ -332,11 +331,15 @@ func (s *Server) RecoverNodes(cid view.ClusterID, ids []int) (*NodeRecoverReport
 			break // unreachable after batch validation
 		}
 	}
+	s.stats.recoveredNodes += int64(len(recovering))
+	rep := &NodeRecoverReport{Cluster: cid, Recovered: recovering, Capacity: pool.capacity()}
+	if s.stopped {
+		s.mu.Unlock()
+		return rep, nil
+	}
 	s.sched.SetCapacity(cid, pool.capacity())
 	s.loadEpoch++
-	s.stats.recoveredNodes += int64(len(recovering))
 	s.requestRunLocked()
-	rep := &NodeRecoverReport{Cluster: cid, Recovered: recovering, Capacity: pool.capacity()}
 	s.mu.Unlock()
 	s.flush()
 	return rep, nil

@@ -2,6 +2,7 @@ package rms
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"coormv2/internal/clock"
@@ -379,6 +380,78 @@ func TestFailNodesNextHandOverSurvivorsStayParked(t *testing.T) {
 		if nid == held[0] {
 			t.Fatalf("child allocation %v includes the dead node", childStart)
 		}
+	}
+	mustCheck(t, s)
+}
+
+// TestFailedNodesSurviveReset pins the pools as the one record of dead
+// machines across a crash. A stopped server takes node faults: it refuses
+// what a running one refuses, records the rest, and arms nothing. Reset
+// rejoins with those machines down and the scheduler planning against the
+// working ones.
+func TestFailedNodesSurviveReset(t *testing.T) {
+	e, s := newNodeFaultServer(t, 8, KillOnNodeFailure)
+	app := &nodeApp{}
+	app.sess = s.Connect(app)
+	if _, err := app.sess.Request(RequestSpec{Cluster: c0, N: 4, Duration: math.Inf(1), Type: request.NonPreempt}); err != nil {
+		t.Fatal(err)
+	}
+	e.Run(2)
+	if _, err := s.FailNodes(c0, []int{1}); err != nil {
+		t.Fatal(err)
+	}
+	s.Stop()
+
+	pending := e.Pending()
+	for _, ids := range [][]int{{8}, {-1}, {1}, {2, 2}} {
+		if _, err := s.FailNodes(c0, ids); err == nil {
+			t.Errorf("stopped FailNodes(%v) accepted; a running server refuses it", ids)
+		}
+	}
+	for _, ids := range [][]int{{0}, {1, 1}} {
+		if _, err := s.RecoverNodes(c0, ids); err == nil {
+			t.Errorf("stopped RecoverNodes(%v) accepted; a running server refuses it", ids)
+		}
+	}
+	rep, err := s.FailNodes(c0, []int{6, 2, 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(rep.Failed, []int{2, 5, 6}) || rep.Capacity != 4 || rep.Killed != 0 {
+		t.Errorf("stopped FailNodes report = %+v, want [2 5 6] down, capacity 4, nothing affected", rep)
+	}
+	if _, err := s.RecoverNodes(c0, []int{6}); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Pending(); got != pending {
+		t.Errorf("node faults on a stopped server left %d pending events, want %d", got, pending)
+	}
+	if got := s.FailedNodeIDs(c0); !slices.Equal(got, []int{1, 2, 5}) {
+		t.Errorf("stopped server's failed IDs = %v, want [1 2 5]", got)
+	}
+	if got := s.Stats()["failed_nodes"]; got != 4 {
+		t.Errorf("failed_nodes = %d, want 4 (each failure counted once)", got)
+	}
+
+	s.Reset()
+	if got := s.FailedNodeIDs(c0); !slices.Equal(got, []int{1, 2, 5}) {
+		t.Errorf("failed IDs after Reset = %v, want [1 2 5]", got)
+	}
+	if got := s.Scheduler().Capacity(c0); got != 5 {
+		t.Errorf("scheduler capacity after Reset = %d, want 8 − 3 = 5", got)
+	}
+	mustCheck(t, s)
+	// The rejoined cluster fills its working nodes and none of the dead ones.
+	app2 := &nodeApp{}
+	if app2.sess, err = s.ConnectID(app2, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := app2.sess.Request(RequestSpec{Cluster: c0, N: 5, Duration: 10, Type: request.NonPreempt}); err != nil {
+		t.Fatal(err)
+	}
+	e.Run(e.Now() + 2)
+	if len(app2.starts) != 1 || !slices.Equal(app2.starts[0].ids, []int{0, 3, 4, 6, 7}) {
+		t.Fatalf("starts after Reset = %v, want one on [0 3 4 6 7]", app2.starts)
 	}
 	mustCheck(t, s)
 }

@@ -15,6 +15,7 @@ import (
 	"maps"
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 
@@ -29,7 +30,8 @@ import (
 
 // AppHandler receives RMS→application notifications. Implementations must
 // not block; they may call back into the Session (the server never holds
-// its lock while notifying).
+// its lock while notifying). Within a round, sessions are notified in
+// connection order, the order the scheduler serves them (§3.2).
 type AppHandler interface {
 	// OnViews delivers fresh non-preemptive and preemptive views (§3.1.4).
 	// Each push is a segment: it names every cluster its pusher owns — a
@@ -55,7 +57,8 @@ type AppHandler interface {
 // done() or a NEXT/COALLOC relation — so per-session routing tables can be
 // pruned in lockstep with the server's own bookkeeping. Like every other
 // handler callback, notifications are delivered without the server lock
-// held, in deterministic (session-ID, then request-ID) order.
+// held, in deterministic order: sessions in connection order, then requests
+// in set order.
 type RequestObserver interface {
 	// OnRequestFinished reports that the request's allocation is over.
 	// The request may still be referenced by a pending NEXT child.
@@ -177,13 +180,6 @@ type Server struct {
 
 	// notifications queued during a locked section, delivered unlocked.
 	pending []func()
-
-	// idScratch is the sorted session-ID list reused by sessionIDsLocked;
-	// idsOK marks it current (connect/teardown invalidate it). Per-round
-	// loops call sessionIDsLocked several times over an unchanged session
-	// set, so the collect-and-sort runs only when membership changed.
-	idScratch []int
-	idsOK     bool
 
 	// trimMemo memoizes per-round trimmed and completed views by map
 	// identity (see pushViewsLocked); cleared at the start of every push pass.
@@ -307,11 +303,26 @@ func (s *Server) tenantWaitHistLocked(key string) *obs.Histogram {
 }
 
 // initStateLocked (re)builds the server's mutable scheduling state from the
-// configuration: a fresh scheduler, empty session tables, full node-ID
-// pools, and restarted ID sequences. Shared by NewServer and Reset so a
-// restarted shard cannot silently diverge from a freshly constructed one.
+// configuration: empty session tables, node-ID pools that keep the machines
+// the previous pools had down, a fresh scheduler planning against the
+// working nodes, and restarted ID sequences. Shared by NewServer and Reset
+// so a restarted shard cannot silently diverge from a freshly constructed
+// one.
 func (s *Server) initStateLocked() {
-	s.sched = core.NewScheduler(s.cfg.Clusters)
+	old := s.pools
+	s.pools = make(map[view.ClusterID]*idPool, len(s.cfg.Clusters))
+	working := make(map[view.ClusterID]int, len(s.cfg.Clusters))
+	for cid, n := range s.cfg.Clusters {
+		pool := newIDPool(n)
+		if prev := old[cid]; prev != nil {
+			for _, id := range prev.failed {
+				pool.fail(id)
+			}
+		}
+		s.pools[cid] = pool
+		working[cid] = pool.capacity()
+	}
+	s.sched = core.NewScheduler(working)
 	s.sched.SetIncremental(!s.cfg.FullRecompute)
 	s.sched.SetPolicy(s.cfg.Policy)
 	if s.cfg.Clip != nil {
@@ -322,12 +333,7 @@ func (s *Server) initStateLocked() {
 	}
 	s.victims, _ = s.cfg.Scheduling.(core.VictimNominator)
 	s.sessions = make(map[int]*Session)
-	s.idsOK = false
-	s.pools = make(map[view.ClusterID]*idPool, len(s.cfg.Clusters))
 	s.churn = make(map[view.ClusterID]int64, len(s.cfg.Clusters))
-	for cid, n := range s.cfg.Clusters {
-		s.pools[cid] = newIDPool(n)
-	}
 	s.nextApp = 1
 	s.nextReq = 1
 	s.lastRunAt = math.Inf(-1)
@@ -415,7 +421,6 @@ func (s *Server) connectLocked(h AppHandler, id int, o connectOpts) *Session {
 	app.Tenant = o.tenant
 	sess := &Session{s: s, app: app, h: h}
 	s.sessions[id] = sess
-	s.idsOK = false
 	s.requestRunLocked()
 	return sess
 }
@@ -487,9 +492,10 @@ func (s *Server) touchLocked(appID int) {
 // dropped without notification (the process died — there are no goodbye
 // messages; a routing layer such as internal/federation decides what the
 // applications are told), pending timers and notifications are cancelled,
-// and every subsequent operation fails until Reset. Metrics integrals are
-// closed out at the crash instant so no allocation keeps accruing area for
-// a dead shard. Stop is idempotent.
+// and every subsequent operation fails until Reset, except the node-fault
+// calls (FailNodes, RecoverNodes, FailedNodeIDs): the machines outlive the
+// process. Metrics integrals are closed out at the crash instant so no
+// allocation keeps accruing area for a dead shard. Stop is idempotent.
 func (s *Server) Stop() {
 	s.mu.Lock()
 	if s.stopped {
@@ -498,17 +504,18 @@ func (s *Server) Stop() {
 	}
 	s.stopped = true
 	now := s.clk.Now()
-	for _, id := range s.sessionIDsLocked() {
-		sess := s.sessions[id]
+	for _, a := range s.sched.Apps() {
+		sess := s.sessions[a.ID]
 		sess.killed = true
 		sess.held = 0
 		if s.cfg.Metrics != nil {
-			s.cfg.Metrics.SetAlloc(id, now, 0)
-			s.cfg.Metrics.SetPreAlloc(id, now, 0)
+			s.cfg.Metrics.SetAlloc(a.ID, now, 0)
+			s.cfg.Metrics.SetPreAlloc(a.ID, now, 0)
 		}
 	}
+	// The scheduler keeps the dead sessions' applications until Reset
+	// replaces it; every path that walks them refuses a stopped server.
 	s.sessions = make(map[int]*Session)
-	s.idsOK = false
 	if s.schedTimer != nil {
 		s.schedTimer.Stop()
 		s.schedTimer = nil
@@ -529,11 +536,14 @@ func (s *Server) Stopped() bool {
 	return s.stopped
 }
 
-// Reset restarts a stopped server with completely empty state — a fresh
-// scheduler, full node-ID pools, and restarted ID sequences — modelling a
-// shard process that rejoins after a crash with no recollection of its
-// previous life. The configuration (clusters, policy, clip, metrics
-// recorder) is retained. Reset panics if the server is still running.
+// Reset restarts a stopped server with empty scheduling state — a fresh
+// scheduler, no sessions, node-ID pools with nothing held, and restarted ID
+// sequences — modelling a shard process that rejoins after a crash with no
+// recollection of its previous life. The machines are another matter: a node
+// down at Reset (failed before the crash or while stopped) stays down, and
+// the fresh scheduler plans against the working nodes only. The
+// configuration (clusters, policy, clip, metrics recorder) is retained.
+// Reset panics if the server is still running.
 func (s *Server) Reset() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -549,24 +559,7 @@ func (s *Server) Reset() {
 func (s *Server) SessionIDs() []int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]int(nil), s.sessionIDsLocked()...)
-}
-
-// sessionIDsLocked returns the live session IDs in ascending order, reusing
-// the server's cached list (valid until the session set changes; callers
-// never mutate membership while ranging it).
-func (s *Server) sessionIDsLocked() []int {
-	if s.idsOK {
-		return s.idScratch
-	}
-	ids := s.idScratch[:0]
-	for id := range s.sessions {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	s.idScratch = ids
-	s.idsOK = true
-	return ids
+	return slices.Sorted(maps.Keys(s.sessions))
 }
 
 // CheckInvariants verifies the server's internal accounting: every held
@@ -592,8 +585,8 @@ func (s *Server) CheckInvariants() error {
 		return nil
 	}
 	held := make(map[view.ClusterID]map[int]request.ID, len(s.pools))
-	for _, id := range s.sessionIDsLocked() {
-		sess := s.sessions[id]
+	for _, a := range s.sched.Apps() {
+		id, sess := a.ID, s.sessions[a.ID]
 		total := 0
 		for _, r := range sess.app.Requests() {
 			if r.Held {
@@ -950,7 +943,6 @@ func (s *Server) teardownLocked(sess *Session) {
 	s.loadEpoch++
 	s.sched.RemoveApp(sess.app.ID)
 	delete(s.sessions, sess.app.ID)
-	s.idsOK = false
 	s.requestRunLocked()
 }
 
@@ -1140,16 +1132,15 @@ func (s *Server) runLocked() {
 
 // gcRequestsLocked garbage-collects finished, unreferenced requests from
 // every session's sets and tells RequestObserver handlers which IDs were
-// reaped. Sessions are walked in ID order so the notification order is
-// deterministic.
+// reaped. Sessions are walked in connection order (the scheduler's), so the
+// notification order is deterministic.
 func (s *Server) gcRequestsLocked(now float64) {
-	for _, id := range s.sessionIDsLocked() {
-		sess := s.sessions[id]
-		app := sess.app
+	for _, app := range s.sched.Apps() {
 		before := app.PA.Len() + app.NP.Len() + app.P.Len()
 		if before == 0 {
 			continue
 		}
+		id, sess := app.ID, s.sessions[app.ID]
 		ro, observes := sess.h.(RequestObserver)
 		s.gcNow = now
 		s.gcObserve = observes
@@ -1201,12 +1192,11 @@ func (s *Server) reapLocked(r *request.Request) {
 // (for a shrinking NEXT update the application should have called done()
 // with its chosen IDs; if it did not, the RMS picks).
 func (s *Server) sweepExpiredLocked(now float64) {
-	for _, id := range s.sessionIDsLocked() {
-		sess := s.sessions[id]
-		app := sess.app
+	for _, app := range s.sched.Apps() {
 		if app.PA.Len() == 0 && app.NP.Len() == 0 && app.P.Len() == 0 {
 			continue // request-less federated session: nothing to sweep
 		}
+		id, sess := app.ID, s.sessions[app.ID]
 		for _, set := range [...]*request.Set{app.PA, app.NP, app.P} {
 			for _, r := range set.All() {
 				if !r.Started() || r.Finished || r.End() > now+1e-9 {
@@ -1326,8 +1316,8 @@ func (s *Server) pushViewsLocked(outcome *core.Outcome) {
 		s.trimMemo = make(map[uintptr]view.View)
 	}
 	clear(s.trimMemo)
-	for _, id := range s.sessionIDsLocked() {
-		sess := s.sessions[id]
+	for _, a := range s.sched.Apps() {
+		id, sess := a.ID, s.sessions[a.ID]
 		changed := s.refreshLocked(&sess.np, outcome.NonPreemptViews[id], now, false)
 		if !s.refreshLocked(&sess.p, outcome.PreemptViews[id], now, changed) && !changed {
 			continue
@@ -1418,10 +1408,10 @@ func (s *Server) expirePushHorizonsLocked() {
 func (s *Server) enforcePreemptionLocked(now float64) float64 {
 	var toKill []*Session
 	earliest := math.Inf(1)
-	// Session-ID order keeps multi-kill rounds (and their OnKill
+	// Connection order keeps multi-kill rounds (and their OnKill
 	// notification order) deterministic.
-	for _, id := range s.sessionIDsLocked() {
-		sess := s.sessions[id]
+	for _, a := range s.sched.Apps() {
+		sess := s.sessions[a.ID]
 		deficit := false
 		for _, r := range sess.app.P.All() {
 			if r.Started() && !r.Finished && len(r.NodeIDs) > r.NAlloc {
@@ -1455,14 +1445,14 @@ func (s *Server) recordPreAllocLocked(now float64) {
 	if s.cfg.Metrics == nil {
 		return
 	}
-	for id, sess := range s.sessions {
+	for _, app := range s.sched.Apps() {
 		pre := 0
-		for _, r := range sess.app.PA.All() {
+		for _, r := range app.PA.All() {
 			if r.Started() && !r.Ended(now) {
 				pre += r.N
 			}
 		}
-		s.cfg.Metrics.SetPreAlloc(id, now, pre)
+		s.cfg.Metrics.SetPreAlloc(app.ID, now, pre)
 	}
 }
 
@@ -1470,8 +1460,7 @@ func (s *Server) recordPreAllocLocked(now float64) {
 // future request start, allocation end, or preemption-kill deadline.
 func (s *Server) armWakeLocked(now float64, deadline float64) {
 	next := deadline
-	for _, sess := range s.sessions {
-		app := sess.app
+	for _, app := range s.sched.Apps() {
 		if app.PA.Len() == 0 && app.NP.Len() == 0 && app.P.Len() == 0 {
 			continue
 		}

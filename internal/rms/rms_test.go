@@ -2,6 +2,7 @@ package rms
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"coormv2/internal/clock"
@@ -499,4 +500,42 @@ func TestClipWiredThrough(t *testing.T) {
 	if got := np.Get(c0).Value(0); got != 3 {
 		t.Errorf("clipped non-preemptive view = %d, want 3", got)
 	}
+}
+
+// frozenClock stands still and never fires a timer: rounds run only through
+// ScheduleNow, at whatever instant the test set.
+type frozenClock struct{ now float64 }
+
+func (c *frozenClock) Now() float64 { return c.now }
+func (c *frozenClock) AfterFunc(float64, string, func()) clock.Timer {
+	return frozenTimer{}
+}
+
+type frozenTimer struct{}
+
+func (frozenTimer) Stop() bool { return true }
+
+// TestNotificationOrderIsConnectionOrder pins whose order a round notifies
+// in: the scheduler's, connection order (§3.2), not ascending ID. The two
+// agree for every ID the server or a federation draws; a caller-chosen ID
+// below an earlier one is where they part. SessionIDs stays ascending.
+func TestNotificationOrderIsConnectionOrder(t *testing.T) {
+	clk := &frozenClock{}
+	s := NewServer(Config{Clusters: map[view.ClusterID]int{c0: 4}, ReschedInterval: 1, Clock: clk})
+	var order []int
+	for _, id := range []int{5, 3} {
+		app := &testApp{onViews: func(view.View, view.View) { order = append(order, id) }}
+		if _, err := s.ConnectID(app, id); err != nil {
+			t.Fatal(err)
+		}
+		clk.now++
+	}
+	s.ScheduleNow()
+	if !slices.Equal(order, []int{5, 3}) {
+		t.Errorf("first round notified %v, want [5 3] (connection order)", order)
+	}
+	if got := s.SessionIDs(); !slices.Equal(got, []int{3, 5}) {
+		t.Errorf("SessionIDs = %v, want [3 5]", got)
+	}
+	mustCheck(t, s)
 }

@@ -2,7 +2,8 @@
 # Non-test Go lines per package and in total, bench/ (its own module)
 # excluded: the number ROADMAP aim 2 tracks. Plain `wc -l`, so comment and
 # blank lines count — which is why deleting comments is not a reduction.
-# Run from anywhere inside the repository.
+# Then the `panic(` call sites in the same files: the number ROADMAP item
+# 5(a) tracks. Run from anywhere inside the repository.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -print0 |
@@ -17,3 +18,6 @@ find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -print0 |
 		close("sort -k2")
 		printf "%7d  total (non-test, bench/ excluded)\n", total
 	}'
+panics=$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -print0 |
+	{ xargs -0 grep -o 'panic(' || true; } | wc -l)
+printf "%7d  panic( sites (non-test, bench/ excluded)\n" "$panics"
