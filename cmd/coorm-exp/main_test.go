@@ -45,3 +45,17 @@ func TestFigureAsJSON(t *testing.T) {
 		t.Errorf("decoded %+v", doc)
 	}
 }
+
+// TestBadRebalanceIntervalExits1: a non-positive load-check interval is
+// refused by the experiment as an error, not by the rebalancer's panic.
+func TestBadRebalanceIntervalExits1(t *testing.T) {
+	for _, iv := range []string{"0", "-5", "NaN"} {
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"-exp", "rebalance", "-rebalance-interval", iv}, &stdout, &stderr); code != 1 {
+			t.Errorf("-rebalance-interval %s: exit code %d, want 1", iv, code)
+		}
+		if !strings.Contains(stderr.String(), "rebalance interval") {
+			t.Errorf("-rebalance-interval %s: stderr %q, want the interval named", iv, &stderr)
+		}
+	}
+}

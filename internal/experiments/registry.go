@@ -493,6 +493,9 @@ func nodeChaosExp(o Options) (*Report, error) {
 // with and without the chaos fault plan. The imbalance column is max/mean of
 // the per-shard end-state churn (1.00 = perfectly balanced).
 func rebalanceExp(o Options) (*Report, error) {
+	if !(o.RebalanceInterval > 0) { // NaN included
+		return nil, fmt.Errorf("experiments: rebalance interval %g must be positive", o.RebalanceInterval)
+	}
 	o.Shards = max(o.Shards, 2)
 	o.ClustersPerShard = max(o.ClustersPerShard, 2)
 	var variants []chaosVariant

@@ -217,38 +217,3 @@ func TestSegmentsFollowCrashAndMigration(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestRebalancerSkipsQuiescentChecks pins the epoch fast path: a check on a
-// quiescent federation skips the scoring pass entirely, and any load
-// mutation (even one accepted request) re-arms the full pass.
-func TestRebalancerSkipsQuiescentChecks(t *testing.T) {
-	e := sim.NewEngine()
-	fed, cids := epochFed(t, e, 2)
-	rb := NewRebalancer(fed, RebalancerConfig{Interval: 1})
-	sess := fed.Connect(&viewRecorder{})
-	if _, err := sess.Request(rms.RequestSpec{Cluster: cids[0], N: 1, Duration: math.Inf(1), Type: request.Preempt}); err != nil {
-		t.Fatal(err)
-	}
-	e.Run(2)
-
-	rb.CheckNow() // first check always runs
-	if got := rb.SkippedChecks(); got != 0 {
-		t.Fatalf("first check skipped (%d)", got)
-	}
-	rb.CheckNow() // nothing moved since: skipped
-	rb.CheckNow()
-	if got := rb.SkippedChecks(); got != 2 {
-		t.Fatalf("quiescent checks skipped = %d, want 2", got)
-	}
-	if _, err := sess.Request(rms.RequestSpec{Cluster: cids[1], N: 1, Duration: math.Inf(1), Type: request.Preempt}); err != nil {
-		t.Fatal(err)
-	}
-	e.Run(e.Now() + 2)
-	rb.CheckNow() // the accepted request advanced an epoch: full pass runs
-	if got := rb.SkippedChecks(); got != 2 {
-		t.Fatalf("post-mutation check skipped (skipped=%d)", got)
-	}
-	if got := rb.Checks(); got != 4 {
-		t.Fatalf("checks = %d, want 4", got)
-	}
-}

@@ -419,3 +419,41 @@ func TestRebalancerSkipsDownShards(t *testing.T) {
 	f.RestartShard(1)
 	mustCheck(t, f)
 }
+
+// TestRebalancerActsOnSettledSkew: a check scores firm occupancy afresh even
+// when nothing changed since the previous one. The first check sees a burst
+// of preemptible churn on beta that masks shard 0's firm load (12 ≤ 2 × 10);
+// the second, with the burst settled and nothing else moved, sees 10 against
+// 0 and moves alpha.
+func TestRebalancerActsOnSettledSkew(t *testing.T) {
+	e, f := newMigrateFederation(t, KillOnCrash)
+	sess := f.Connect(&testApp{})
+	rb := NewRebalancer(f, RebalancerConfig{Interval: 5})
+	for _, spec := range []rms.RequestSpec{
+		{Cluster: cA, N: 6, Duration: math.Inf(1), Type: request.NonPreempt},
+		{Cluster: cC, N: 4, Duration: math.Inf(1), Type: request.NonPreempt},
+	} {
+		if _, err := sess.Request(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		if _, err := sess.Request(rms.RequestSpec{Cluster: cB, N: 1, Duration: math.Inf(1), Type: request.Preempt}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.Run(e.Now() + 3)
+
+	rb.CheckNow()
+	if rb.Migrations() != 0 {
+		t.Fatalf("the burst check migrated: %v", rb.Trace())
+	}
+	rb.CheckNow()
+	if rb.Migrations() != 1 {
+		t.Fatalf("the settled check made %d migrations, want 1", rb.Migrations())
+	}
+	if s, _ := f.Owner(cA); s != 1 {
+		t.Fatalf("alpha on shard %d after the settled check, want 1", s)
+	}
+	mustCheck(t, f)
+}

@@ -11,19 +11,20 @@ import (
 
 // Rebalancer watches per-shard load and migrates clusters off skewed shards.
 //
-// Load is observed per cluster through rms.Server.ClusterLoads: the score of
-// a cluster over one check interval is its request churn delta (accepted
-// request() operations since the last check — its per-shard sum also
-// surfaces as the churn_requests counter of rms.Server.Stats) plus its firm
-// pool occupancy (node IDs held by non-preemptible allocations; preemptible
-// holdings are reclaimable and would mask skew under scavenger PSAs that
-// fill every idle node); a shard's score is the sum over its clusters. When the
-// hottest shard's score exceeds SkewRatio times the coldest's, the
-// rebalancer migrates the hottest donor cluster whose move strictly narrows
-// the gap, via Federator.MigrateCluster. Clusters that cannot move — the
-// donor's last cluster, or a racing topology change — are skipped in
-// favour of the next candidate. (Live cross-cluster relations no longer
-// block a move: the severing detach converts them into NotBefore floors.)
+// Load is observed per cluster through rms.Server.ClusterLoads, afresh at
+// every check: the score of a cluster over one check interval is its request
+// churn delta (accepted request() operations since the last check — its
+// per-shard sum also surfaces as the churn_requests counter of
+// rms.Server.Stats) plus its firm pool occupancy (node IDs held by
+// non-preemptible allocations; preemptible holdings are reclaimable and
+// would mask skew under scavenger PSAs that fill every idle node); a shard's
+// score is the sum over its clusters. When the hottest shard's score exceeds
+// SkewRatio times the coldest's, the rebalancer migrates the hottest donor
+// cluster whose move strictly narrows the gap, via Federator.MigrateCluster.
+// Clusters that cannot move — the donor's last cluster, or a racing topology
+// change — are skipped in favour of the next candidate. (Live cross-cluster
+// relations no longer block a move: the severing detach converts them into
+// NotBefore floors.)
 //
 // Checks run on the federation's clock ("rebalance.check" timer events), so
 // under clock.SimClock the whole rebalancing schedule is part of the
@@ -37,12 +38,10 @@ type Rebalancer struct {
 
 	mu       sync.Mutex
 	last     map[view.ClusterID]int64 // cumulative churn at the last check
-	epochs   []int64                  // per-shard load epoch at the last check
 	timer    clock.Timer
 	started  bool
 	stopped  bool
 	checks   int
-	skipped  int
 	migrated int
 	requests int
 	trace    []string
@@ -113,10 +112,6 @@ func (rb *Rebalancer) tick() {
 // Checks returns the number of load checks performed.
 func (rb *Rebalancer) Checks() int { rb.mu.Lock(); defer rb.mu.Unlock(); return rb.checks }
 
-// SkippedChecks returns the number of checks that skipped the scoring pass
-// because no shard's load epoch had advanced since the previous check.
-func (rb *Rebalancer) SkippedChecks() int { rb.mu.Lock(); defer rb.mu.Unlock(); return rb.skipped }
-
 // Migrations returns the number of completed cluster migrations.
 func (rb *Rebalancer) Migrations() int { rb.mu.Lock(); defer rb.mu.Unlock(); return rb.migrated }
 
@@ -131,39 +126,15 @@ func (rb *Rebalancer) Trace() []string {
 }
 
 // CheckNow runs one load check immediately (the timer path calls it every
-// Interval; tests and benchmark warm-ups may call it directly).
+// Interval; tests may call it directly). Every check scores every running
+// shard afresh, a quiet one included: its scores are firm occupancy alone,
+// which a burst's churn deltas may have masked at the check before.
 func (rb *Rebalancer) CheckNow() {
 	rb.mu.Lock()
 	defer rb.mu.Unlock()
 	rb.checks++
 
-	// Cheap epoch compare before any load snapshotting: every shard
-	// reports a load-mutation epoch (rms.Server.LoadEpoch advances on any
-	// mutation that could change ClusterLoads; a stopped shard reports
-	// -1). If every epoch matches the previous check's, nothing moved on
-	// any shard — the scores would come out identical and the previous
-	// check already declined to act on them — so the whole scoring pass is
-	// skipped. The first check always runs.
 	n := rb.f.NumShards()
-	if rb.epochs == nil {
-		rb.epochs = make([]int64, n)
-		for i := range rb.epochs {
-			rb.epochs[i] = -2 // matches no real epoch: the first check runs
-		}
-	}
-	quiescent := true
-	for i := 0; i < n; i++ {
-		e := rb.f.Shard(i).LoadEpoch()
-		if e != rb.epochs[i] {
-			quiescent = false
-		}
-		rb.epochs[i] = e
-	}
-	if quiescent {
-		rb.skipped++
-		return
-	}
-
 	type cand struct {
 		cid   view.ClusterID
 		score int64

@@ -11,60 +11,29 @@ import (
 )
 
 // This file implements live cluster hand-over between rms.Server instances:
-// DetachCluster snapshots one cluster — its capacity, node-ID pool occupancy
-// and every session's requests targeting it — and removes it from the server;
-// AttachCluster re-admits the snapshot on another server under the same
-// request IDs. The federation layer (internal/federation.MigrateCluster)
+// DetachCluster takes one cluster out of the server — its capacity, node-ID
+// pool occupancy and every session's request records targeting it — and
+// AttachCluster adds the same records to another server's sets under the
+// same request IDs. The federation layer (internal/federation.MigrateCluster)
 // drives the pair as one atomic step and re-points its request→shard table
-// through the observe hook. The same snapshot shape is the seed for
-// the ROADMAP's warm-standby item: it is exactly the per-cluster portion of
-// scheduler-side state a restarted shard would need to resume.
+// through the observe hook.
 
 // ErrLastCluster is returned by DetachCluster when the cluster is the
 // server's only one: a shard must always manage at least one cluster.
 var ErrLastCluster = errors.New("rms: cannot detach a server's last cluster")
 
-// RequestState is the portable state of one request inside a
-// ClusterSnapshot: the application-provided spec plus every scheduler- and
-// allocation-side attribute, so the importing server resumes exactly where
-// the exporting one stopped. The request keeps its ID; only its admission
-// sequence (request.Request.Seq) is the importing server's own.
-type RequestState struct {
-	ID         request.ID
-	N          int
-	Duration   float64
-	Type       request.Type
-	RelatedHow request.Relation
-	RelatedTo  request.ID // parent's ID; 0 when Free
-
-	NAlloc             int
-	ScheduledAt        float64
-	Fixed              bool
-	EarliestScheduleAt float64
-
-	StartedAt   float64 // NaN when not started
-	NodeIDs     []int
-	Finished    bool
-	Wrapped     bool
-	SubmittedAt float64 // NaN when never stamped; carried so waits survive migration
-
-	// Held and NotBefore carry two-phase reservation state (see hold.go):
-	// a migrating cluster keeps its tentative holds and start-time floors,
-	// so a reservation coordinator finds them intact on the importing shard.
-	Held      bool
-	NotBefore float64
-}
-
-// SessionClusterState is one application's share of a ClusterSnapshot.
-// Requests appear in set order (PA, then ¬P, then P, each in insertion
-// order), which AttachCluster preserves — set order is scheduling order.
+// SessionClusterState is one application's share of a ClusterSnapshot: the
+// request records themselves, in set order (PA, then ¬P, then P, each in
+// insertion order), which AttachCluster preserves — set order is scheduling
+// order. A record's relation, if any, names a record of the same list.
 type SessionClusterState struct {
 	AppID    int
-	Requests []RequestState
+	Requests []*request.Request
 }
 
-// ClusterSnapshot is the complete transferable state of one cluster,
-// produced by DetachCluster and consumed by AttachCluster.
+// ClusterSnapshot is one detached cluster in transit, produced by
+// DetachCluster and consumed by AttachCluster. It owns its request records
+// until an attach adds them to a server's sets.
 type ClusterSnapshot struct {
 	Cluster view.ClusterID
 	Nodes   int
@@ -109,9 +78,9 @@ func (cs *ClusterSnapshot) HeldNodes() int {
 func (s *Server) Clusters() map[view.ClusterID]int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make(map[view.ClusterID]int, len(s.cfg.Clusters))
-	for cid, n := range s.cfg.Clusters {
-		out[cid] = n
+	out := make(map[view.ClusterID]int, len(s.pools))
+	for cid, pool := range s.pools {
+		out[cid] = pool.size
 	}
 	return out
 }
@@ -191,11 +160,11 @@ func severRelationLocked(r *request.Request) {
 	r.RelatedHow, r.RelatedTo = request.Free, nil
 }
 
-// DetachCluster removes cluster cid from the server and returns its full
-// transferable state. Every request targeting the cluster leaves with it;
-// the sessions themselves stay connected (they may hold requests on other
-// clusters). Allocation metrics are closed out at the detach instant so the
-// node·second integrals move between shard recorders without overlap.
+// DetachCluster removes cluster cid from the server and returns it in
+// transit. Every request record targeting the cluster leaves the sets with
+// it; the sessions themselves stay connected (they may hold requests on
+// other clusters). Allocation metrics are closed out at the detach instant
+// so the node·second integrals move between shard recorders without overlap.
 //
 // A relation crossing the cluster boundary never blocks the detach. A dead
 // one — its child already finished — is simply cut. A live NEXT/COALLOC edge
@@ -215,7 +184,7 @@ func (s *Server) DetachCluster(cid view.ClusterID) (*ClusterSnapshot, error) {
 	if pool == nil {
 		return nil, fmt.Errorf("rms: unknown cluster %q", cid)
 	}
-	if len(s.cfg.Clusters) == 1 {
+	if len(s.pools) == 1 {
 		return nil, fmt.Errorf("%w (%q)", ErrLastCluster, cid)
 	}
 	// Pin and cut every live relation crossing the cluster boundary. (For
@@ -244,52 +213,35 @@ func (s *Server) DetachCluster(cid view.ClusterID) (*ClusterSnapshot, error) {
 	}
 	for _, a := range s.sched.Apps() {
 		id, sess := a.ID, s.sessions[a.ID]
-		var exported []*request.Request
-		inSnap := make(map[*request.Request]bool)
+		st := SessionClusterState{AppID: id}
+		leaving := make(map[*request.Request]bool)
 		for _, set := range []*request.Set{sess.app.PA, sess.app.NP, sess.app.P} {
 			for _, r := range set.All() {
 				if r.Cluster == cid {
-					exported = append(exported, r)
-					inSnap[r] = true
+					st.Requests = append(st.Requests, r)
+					leaving[r] = true
 				}
 			}
 		}
-		if len(exported) == 0 {
+		if len(st.Requests) == 0 {
 			continue
 		}
-		st := SessionClusterState{AppID: id, Requests: make([]RequestState, 0, len(exported))}
-		moved := 0
-		for _, r := range exported {
-			rs := RequestState{
-				ID: r.ID, N: r.N, Duration: r.Duration, Type: r.Type,
-				NAlloc: r.NAlloc, ScheduledAt: r.ScheduledAt, Fixed: r.Fixed,
-				EarliestScheduleAt: r.EarliestScheduleAt,
-				StartedAt:          r.StartedAt,
-				NodeIDs:            append([]int(nil), r.NodeIDs...),
-				Finished:           r.Finished, Wrapped: r.Wrapped,
-				SubmittedAt: r.SubmittedAt,
-				Held:        r.Held, NotBefore: r.NotBefore,
-			}
-			if r.RelatedTo != nil && inSnap[r.RelatedTo] {
-				rs.RelatedHow, rs.RelatedTo = r.RelatedHow, r.RelatedTo.ID
-			}
-			// else: the parent stayed behind (possible only for a finished
-			// request, or one whose parent was already GC-reaped) — the
-			// relation is dead, export the request unconstrained.
-			st.Requests = append(st.Requests, rs)
-			moved += len(r.NodeIDs)
+		held := false
+		for _, r := range st.Requests {
 			sess.app.SetFor(r.Type).Remove(r)
+			held = held || len(r.NodeIDs) > 0
 		}
-		// Sever dead relations pointing *into* the detached cluster from
-		// requests that stay behind, so no live object references a request
-		// this server no longer manages.
-		for _, r := range sess.app.Requests() {
-			if r.RelatedTo != nil && inSnap[r.RelatedTo] {
+		// Cut the relations still crossing the boundary. They are dead (the
+		// live ones were severed above): a leaving record whose parent stayed
+		// behind — possible only for a finished request, or one whose parent
+		// was already reaped — leaves unconstrained, and no record that stays
+		// references one this server no longer manages.
+		for _, r := range append(sess.app.Requests(), st.Requests...) {
+			if r.RelatedTo != nil && leaving[r] != leaving[r.RelatedTo] {
 				r.RelatedHow, r.RelatedTo = request.Free, nil
 			}
 		}
-		if moved > 0 {
-			sess.held -= moved
+		if held {
 			s.recordAllocLocked(sess, now)
 		}
 		s.touchLocked(id)
@@ -299,24 +251,23 @@ func (s *Server) DetachCluster(cid view.ClusterID) (*ClusterSnapshot, error) {
 	delete(s.pools, cid)
 	s.expirePushHorizonsLocked()
 	delete(s.churn, cid)
-	delete(s.cfg.Clusters, cid)
 	s.sched.RemoveCluster(cid)
-	s.loadEpoch++ // the topology change alone alters ClusterLoads
 	s.recordPreAllocLocked(now)
 	s.requestRunLocked()
 	return snap, nil
 }
 
-// AttachCluster admits a detached cluster's state to this server: capacity
-// and pool occupancy are restored exactly, and every snapshot request is
-// re-created — under the ID it had, with a fresh admission sequence drawn in
-// snapshot order — in its session's sets, preserving set order and relation
-// topology. A snapshot request whose ID already names a request of its
-// session here is refused with a *RequestError (ReasonInUse) and the server
-// is left untouched. observe, when non-nil, is invoked for every imported
-// request while the server lock is still held, mirroring RequestID's hook:
-// any routing-table update done inside it is in place before a scheduling
-// round can touch the request. observe must not call back into the server.
+// AttachCluster admits a detached cluster to this server: capacity and pool
+// occupancy are restored exactly, and every snapshot record is added to its
+// session's sets as it is — same ID, same relations, set order preserved —
+// stamped with a fresh admission sequence drawn in snapshot order. A snapshot
+// request whose ID already names a request of its session here is refused
+// with a *RequestError (ReasonInUse); the server and the records are left
+// untouched, so the donor can take them back. observe, when non-nil, is
+// invoked for every imported request while the server lock is still held,
+// mirroring RequestID's hook: any routing-table update done inside it is in
+// place before a scheduling round can touch the request. observe must not
+// call back into the server.
 //
 // A snapshot application with no session on this server (possible only in
 // real-clock races where the session died mid-migration) is dropped like a
@@ -327,19 +278,18 @@ func (s *Server) AttachCluster(snap *ClusterSnapshot, observe func(appID int, id
 	if s.stopped {
 		return ErrStopped
 	}
-	if _, dup := s.cfg.Clusters[snap.Cluster]; dup {
+	if _, dup := s.pools[snap.Cluster]; dup {
 		return fmt.Errorf("rms: cluster %q already attached", snap.Cluster)
 	}
 	for _, as := range snap.Apps {
 		if sess := s.sessions[as.AppID]; sess != nil {
-			for _, rs := range as.Requests {
-				if sess.findRequestLocked(rs.ID) != nil {
-					return errRequest(rs.ID, ReasonInUse)
+			for _, r := range as.Requests {
+				if sess.findRequestLocked(r.ID) != nil {
+					return errRequest(r.ID, ReasonInUse)
 				}
 			}
 		}
 	}
-	s.cfg.Clusters[snap.Cluster] = snap.Nodes
 	pool := &idPool{
 		size:    snap.Nodes,
 		freeIDs: append([]int(nil), snap.FreeIDs...),
@@ -365,56 +315,28 @@ func (s *Server) AttachCluster(snap *ClusterSnapshot, observe func(appID int, id
 	for _, as := range snap.Apps {
 		sess := s.sessions[as.AppID]
 		if sess == nil {
-			for _, rs := range as.Requests {
-				if len(rs.NodeIDs) > 0 {
-					pool.free(rs.NodeIDs)
+			for _, r := range as.Requests {
+				if len(r.NodeIDs) > 0 {
+					pool.free(r.NodeIDs)
 				}
 			}
 			continue
 		}
-		byID := make(map[request.ID]*request.Request, len(as.Requests))
-		moved := 0
-		for _, rs := range as.Requests {
-			r := request.New(rs.ID, as.AppID, snap.Cluster, rs.N, rs.Duration, rs.Type, request.Free, nil)
-			r.Seq = int64(s.nextSeqLocked(rs.ID))
-			r.NAlloc = rs.NAlloc
-			r.ScheduledAt = rs.ScheduledAt
-			r.Fixed = rs.Fixed
-			r.EarliestScheduleAt = rs.EarliestScheduleAt
-			r.StartedAt = rs.StartedAt
-			r.NodeIDs = append([]int(nil), rs.NodeIDs...)
-			r.Finished = rs.Finished
-			r.Wrapped = rs.Wrapped
-			r.SubmittedAt = rs.SubmittedAt
-			r.Held = rs.Held
-			r.NotBefore = rs.NotBefore
-			byID[rs.ID] = r
-			sess.app.SetFor(rs.Type).Add(r)
-			moved += len(r.NodeIDs)
+		held := false
+		for _, r := range as.Requests {
+			r.Seq = int64(s.nextSeqLocked(r.ID))
+			sess.app.SetFor(r.Type).Add(r)
+			held = held || len(r.NodeIDs) > 0
 			if observe != nil {
-				observe(as.AppID, rs.ID)
+				observe(as.AppID, r.ID)
 			}
 		}
-		// Second pass: re-link relations. A non-Free entry's parent is always
-		// part of the same snapshot (DetachCluster severed the rest).
-		for _, rs := range as.Requests {
-			if rs.RelatedHow == request.Free {
-				continue
-			}
-			parent := byID[rs.RelatedTo]
-			if parent == nil {
-				panic(fmt.Sprintf("rms: snapshot request %d relates to absent request %d", rs.ID, rs.RelatedTo))
-			}
-			byID[rs.ID].RelatedHow, byID[rs.ID].RelatedTo = rs.RelatedHow, parent
-		}
-		if moved > 0 {
-			sess.held += moved
+		if held {
 			s.recordAllocLocked(sess, now)
 		}
 		s.touchLocked(as.AppID)
 		s.stats.migratedRequests += int64(len(as.Requests))
 	}
-	s.loadEpoch++ // the topology change alone alters ClusterLoads
 	s.recordPreAllocLocked(now)
 	s.requestRunLocked()
 	return nil

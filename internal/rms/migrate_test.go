@@ -2,6 +2,7 @@ package rms
 
 import (
 	"errors"
+	"maps"
 	"math"
 	"testing"
 
@@ -286,4 +287,137 @@ func TestAttachClusterGuards(t *testing.T) {
 		t.Fatalf("a cluster migrated with every node down attached at capacity %d, want 0", got)
 	}
 	mustCheck(t, b)
+}
+
+// TestMigrationLeavesConfigClustersAlone: a server's cluster set is its
+// pools, so moving a cluster between two servers leaves the maps their
+// callers configured them with as they were.
+func TestMigrationLeavesConfigClustersAlone(t *testing.T) {
+	clk := clock.SimClock{E: sim.NewEngine()}
+	cfgA := map[view.ClusterID]int{mcX: 4, mcY: 4}
+	cfgB := map[view.ClusterID]int{mcZ: 4}
+	a := NewServer(Config{Clusters: cfgA, ReschedInterval: 1, Clock: clk})
+	b := NewServer(Config{Clusters: cfgB, ReschedInterval: 1, Clock: clk})
+	snap, err := a.DetachCluster(mcY)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.AttachCluster(snap, nil); err != nil {
+		t.Fatal(err)
+	}
+	if want := map[view.ClusterID]int{mcX: 4, mcY: 4}; !maps.Equal(cfgA, want) {
+		t.Errorf("donor's configured clusters = %v, want %v", cfgA, want)
+	}
+	if want := map[view.ClusterID]int{mcZ: 4}; !maps.Equal(cfgB, want) {
+		t.Errorf("target's configured clusters = %v, want %v", cfgB, want)
+	}
+	if got, want := b.Clusters(), map[view.ClusterID]int{mcY: 4, mcZ: 4}; !maps.Equal(got, want) {
+		t.Errorf("target's clusters = %v, want %v", got, want)
+	}
+}
+
+// TestDetachCutsDeadRelations: a finished child keeps its relation until it
+// is reaped, so a detach can find a dead edge crossing the boundary from
+// either side. Whichever record leaves, neither the snapshot nor the donor
+// keeps a pointer across.
+func TestDetachCutsDeadRelations(t *testing.T) {
+	for _, leaving := range []view.ClusterID{mcX, mcY} {
+		e, a, _, _, _ := newMigratePair(t)
+		sa, err := a.ConnectID(&testApp{}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parent, err := sa.Request(RequestSpec{Cluster: mcX, N: 1, Duration: 1e6, Type: request.NonPreempt})
+		if err != nil {
+			t.Fatal(err)
+		}
+		child, err := sa.Request(RequestSpec{Cluster: mcY, N: 1, Duration: 1e6, Type: request.NonPreempt,
+			RelatedHow: request.Coalloc, RelatedTo: parent})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Run(3)
+		if err := sa.Done(child, nil); err != nil {
+			t.Fatal(err)
+		}
+		// No round in between: the finished child is not reaped yet.
+		snap, err := a.DetachCluster(leaving)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range append(snap.Apps[0].Requests, sa.app.Requests()...) {
+			if r.RelatedTo != nil || r.RelatedHow != request.Free {
+				t.Errorf("detach of %s: request %d still relates to %v", leaving, r.ID, r.RelatedTo)
+			}
+		}
+		mustCheck(t, a)
+	}
+}
+
+// TestAttachStampsFreshSeq: an attached record takes the next admission
+// sequence of its new server, so its start-order tie-break never collides
+// with a request the target admitted itself.
+func TestAttachStampsFreshSeq(t *testing.T) {
+	_, a, b, _, _ := newMigratePair(t)
+	sa, err := a.ConnectID(&testApp{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb, err := b.ConnectID(&testApp{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sa.RequestID(RequestSpec{Cluster: mcX, N: 1, Duration: 10, Type: request.NonPreempt}, 100, nil); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ { // b draws sequences 1 and 2 itself
+		if _, err := sb.Request(RequestSpec{Cluster: mcZ, N: 1, Duration: 10, Type: request.NonPreempt}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap, err := a.DetachCluster(mcX)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.AttachCluster(snap, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := sb.findRequestLocked(100).Seq; got != 3 {
+		t.Fatalf("attached request 100 has Seq %d, want b's next, 3", got)
+	}
+}
+
+// TestReapFreesParkedIDsInMetrics: node IDs parked on a finished parent for
+// a NEXT child that was then withdrawn go back to the pool when the parent
+// is reaped, and the recorder's allocation drops with them.
+func TestReapFreesParkedIDsInMetrics(t *testing.T) {
+	e, a, _, recA, _ := newMigratePair(t)
+	sa, err := a.ConnectID(&testApp{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parent, err := sa.Request(RequestSpec{Cluster: mcX, N: 2, Duration: 1e6, Type: request.NonPreempt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	child, err := sa.Request(RequestSpec{Cluster: mcX, N: 2, Duration: 1e6, Type: request.NonPreempt,
+		RelatedHow: request.Next, RelatedTo: parent})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Run(3)
+	if err := sa.Done(parent, nil); err != nil { // IDs parked for the child
+		t.Fatal(err)
+	}
+	if err := sa.Done(child, nil); err != nil { // withdrawn before its start
+		t.Fatal(err)
+	}
+	if got := recA.Current(1); got != 2 {
+		t.Fatalf("recorder holds %d before the reap, want the 2 parked IDs", got)
+	}
+	e.Run(e.Now() + 2)
+	if got := recA.Current(1); got != 0 {
+		t.Fatalf("recorder holds %d after the reap, want 0", got)
+	}
+	mustCheck(t, a)
 }

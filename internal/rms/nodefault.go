@@ -228,7 +228,6 @@ func (s *Server) FailNodes(cid view.ClusterID, ids []int) (*NodeFaultReport, err
 			}
 			sort.Ints(lost)
 			r.NodeIDs = removeInts(r.NodeIDs, lost)
-			sess.held -= len(lost)
 			s.touchLocked(appID)
 			if r.Finished {
 				// IDs parked on a finished request for a NEXT hand-over: the
@@ -242,7 +241,6 @@ func (s *Server) FailNodes(cid view.ClusterID, ids []int) (*NodeFaultReport, err
 			case NodeFaultKilled:
 				if len(r.NodeIDs) > 0 {
 					s.mustFreeLocked(cid, r.NodeIDs)
-					sess.held -= len(r.NodeIDs)
 					r.NodeIDs = nil
 				}
 				killed = append(killed, r)
@@ -251,7 +249,6 @@ func (s *Server) FailNodes(cid view.ClusterID, ids []int) (*NodeFaultReport, err
 			case NodeFaultRequeued:
 				if len(r.NodeIDs) > 0 {
 					s.mustFreeLocked(cid, r.NodeIDs)
-					sess.held -= len(r.NodeIDs)
 					r.NodeIDs = nil
 				}
 				r.StartedAt = math.NaN()
@@ -294,7 +291,6 @@ func (s *Server) FailNodes(cid view.ClusterID, ids []int) (*NodeFaultReport, err
 	}
 
 	s.sched.SetCapacity(cid, pool.capacity())
-	s.loadEpoch++
 	s.requestRunLocked()
 	s.mu.Unlock()
 	s.flush()
@@ -338,7 +334,6 @@ func (s *Server) RecoverNodes(cid view.ClusterID, ids []int) (*NodeRecoverReport
 		return rep, nil
 	}
 	s.sched.SetCapacity(cid, pool.capacity())
-	s.loadEpoch++
 	s.requestRunLocked()
 	s.mu.Unlock()
 	s.flush()

@@ -107,7 +107,6 @@ func (s *Server) enforceQuotaLocked(now float64) bool {
 		granted := r.NAlloc
 		if len(r.NodeIDs) > 0 {
 			s.mustFreeLocked(r.Cluster, r.NodeIDs)
-			sess.held -= len(r.NodeIDs)
 			r.NodeIDs = nil
 			s.recordAllocLocked(sess, now)
 		}

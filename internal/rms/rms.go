@@ -171,8 +171,7 @@ type Server struct {
 	schedPending bool
 	schedTimer   clock.Timer
 	wakeTimer    clock.Timer
-	lastRunAt    float64
-	ranOnce      bool
+	lastRunAt    float64 // −Inf until the first round
 	// delivering: a timer-driven round is running or still delivering its
 	// notifications; idleUntil is the earliest the next one may start.
 	delivering bool
@@ -184,12 +183,6 @@ type Server struct {
 	// trimMemo memoizes per-round trimmed and completed views by map
 	// identity (see pushViewsLocked); cleared at the start of every push pass.
 	trimMemo map[uintptr]view.View
-
-	// loadEpoch counts load-relevant mutations (accepted requests, starts,
-	// finishes, frees, cluster attach/detach, restarts). A rebalancer can
-	// compare epochs across checks and skip its scoring pass when nothing
-	// moved anywhere (see federation.Rebalancer).
-	loadEpoch int64
 
 	// stopped marks a crashed server (Stop): all state is gone and every
 	// operation fails until Reset.
@@ -222,13 +215,14 @@ type Server struct {
 	tenantPreempts map[string]int64
 
 	// gcCollect is reapLocked bound once at construction, with its
-	// per-call inputs (gcNow/gcObserve/gcReaped scratch): a fresh method
-	// value or closure per session per round would show up in the steady
-	// cached round's allocation budget.
+	// per-call inputs and outputs (gcNow/gcObserve/gcReaped/gcFreed
+	// scratch): a fresh method value or closure per session per round would
+	// show up in the steady cached round's allocation budget.
 	gcCollect func(*request.Request)
 	gcNow     float64
 	gcObserve bool
 	gcReaped  []request.ID
+	gcFreed   bool
 }
 
 // NewServer creates an RMS server. It panics on an invalid configuration.
@@ -246,6 +240,13 @@ func NewServer(cfg Config) *Server {
 		cfg.GracePeriod = 5 * cfg.ReschedInterval
 	}
 	s := &Server{cfg: cfg, clk: cfg.Clock, tenantPreempts: make(map[string]int64)}
+	// The pools are the cluster set from here on: attach and detach change
+	// them, and the caller's map is never read or written again.
+	s.pools = make(map[view.ClusterID]*idPool, len(cfg.Clusters))
+	for cid, n := range cfg.Clusters {
+		s.pools[cid] = newIDPool(n)
+	}
+	s.cfg.Clusters = nil
 	s.gcCollect = s.reapLocked
 	s.initObs()
 	s.initStateLocked()
@@ -302,22 +303,20 @@ func (s *Server) tenantWaitHistLocked(key string) *obs.Histogram {
 	return h
 }
 
-// initStateLocked (re)builds the server's mutable scheduling state from the
-// configuration: empty session tables, node-ID pools that keep the machines
-// the previous pools had down, a fresh scheduler planning against the
-// working nodes, and restarted ID sequences. Shared by NewServer and Reset
-// so a restarted shard cannot silently diverge from a freshly constructed
-// one.
+// initStateLocked (re)builds the server's mutable scheduling state from its
+// pools: empty session tables, node-ID pools of the same clusters and sizes
+// with nothing held and the same machines down, a fresh scheduler planning
+// against the working nodes, and restarted ID sequences. Shared by NewServer
+// and Reset so a restarted shard cannot silently diverge from a freshly
+// constructed one.
 func (s *Server) initStateLocked() {
 	old := s.pools
-	s.pools = make(map[view.ClusterID]*idPool, len(s.cfg.Clusters))
-	working := make(map[view.ClusterID]int, len(s.cfg.Clusters))
-	for cid, n := range s.cfg.Clusters {
-		pool := newIDPool(n)
-		if prev := old[cid]; prev != nil {
-			for _, id := range prev.failed {
-				pool.fail(id)
-			}
+	s.pools = make(map[view.ClusterID]*idPool, len(old))
+	working := make(map[view.ClusterID]int, len(old))
+	for cid, prev := range old {
+		pool := newIDPool(prev.size)
+		for _, id := range prev.failed {
+			pool.fail(id)
 		}
 		s.pools[cid] = pool
 		working[cid] = pool.capacity()
@@ -333,11 +332,10 @@ func (s *Server) initStateLocked() {
 	}
 	s.victims, _ = s.cfg.Scheduling.(core.VictimNominator)
 	s.sessions = make(map[int]*Session)
-	s.churn = make(map[view.ClusterID]int64, len(s.cfg.Clusters))
+	s.churn = make(map[view.ClusterID]int64, len(s.pools))
 	s.nextApp = 1
 	s.nextReq = 1
 	s.lastRunAt = math.Inf(-1)
-	s.ranOnce = false
 	s.idleUntil = math.Inf(-1)
 	s.obsPrevRecomputed = 0 // fresh scheduler: cumulative counters restart
 }
@@ -348,7 +346,6 @@ type Session struct {
 	app    *core.AppState
 	h      AppHandler
 	killed bool
-	held   int // total node IDs currently held, for metrics
 
 	// np/p are the two halves of the last push; an unchanged pair is not
 	// pushed again.
@@ -464,28 +461,12 @@ func (s *Server) Stats() map[string]int64 {
 	}
 }
 
-// LoadEpoch returns the server's load-mutation epoch: it advances on every
-// mutation that could change ClusterLoads (accepted requests, starts,
-// finishes, node-ID frees, cluster attach/detach, restart). Equal epochs
-// across two observations guarantee an unchanged load picture. A stopped
-// server reports -1.
-func (s *Server) LoadEpoch() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.stopped {
-		return -1
-	}
-	return s.loadEpoch
-}
-
 // touchLocked records a request-state mutation of one application: the
-// scheduler recomputes the app's cached artifacts next round, and the load
-// epoch advances. Every RMS mutation path funnels through this (missing a
-// mark would make cached rounds stale — the incremental≡full differential
-// tests guard it).
+// scheduler recomputes the app's cached artifacts next round. Every RMS
+// mutation path funnels through this (missing a mark would make cached
+// rounds stale — the incremental≡full differential tests guard it).
 func (s *Server) touchLocked(appID int) {
 	s.sched.MarkAppDirty(appID)
-	s.loadEpoch++
 }
 
 // Stop simulates a crash: the scheduler-side state of every session is
@@ -507,7 +488,6 @@ func (s *Server) Stop() {
 	for _, a := range s.sched.Apps() {
 		sess := s.sessions[a.ID]
 		sess.killed = true
-		sess.held = 0
 		if s.cfg.Metrics != nil {
 			s.cfg.Metrics.SetAlloc(a.ID, now, 0)
 			s.cfg.Metrics.SetPreAlloc(a.ID, now, 0)
@@ -541,9 +521,10 @@ func (s *Server) Stopped() bool {
 // sequences — modelling a shard process that rejoins after a crash with no
 // recollection of its previous life. The machines are another matter: a node
 // down at Reset (failed before the crash or while stopped) stays down, and
-// the fresh scheduler plans against the working nodes only. The
-// configuration (clusters, policy, clip, metrics recorder) is retained.
-// Reset panics if the server is still running.
+// the fresh scheduler plans against the working nodes only. The clusters are
+// the pools' (a cluster attached or detached since construction stays so),
+// and the configuration (policy, clip, metrics recorder) is retained. Reset
+// panics if the server is still running.
 func (s *Server) Reset() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -551,7 +532,6 @@ func (s *Server) Reset() {
 		panic("rms: Reset on a running server")
 	}
 	s.stopped = false
-	s.loadEpoch++ // an empty rejoin is a load change in itself
 	s.initStateLocked()
 }
 
@@ -564,10 +544,10 @@ func (s *Server) SessionIDs() []int {
 
 // CheckInvariants verifies the server's internal accounting: every held
 // node ID belongs to exactly one request, pools neither leak nor double-book
-// IDs, per-session held counters match the requests' ID lists, and the
-// metrics recorder's current allocation agrees with reality (the
-// double-counted-area guard). A stopped server must hold nothing. It is the
-// per-shard half of the chaos harness's post-run invariant checker.
+// IDs, and the metrics recorder's current allocation agrees with the node
+// IDs the requests hold (the double-counted-area guard). A stopped server
+// must hold nothing. It is the per-shard half of the chaos harness's
+// post-run invariant checker.
 func (s *Server) CheckInvariants() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -625,9 +605,6 @@ func (s *Server) CheckInvariants() error {
 				m[nid] = r.ID
 				total++
 			}
-		}
-		if sess.held != total {
-			return fmt.Errorf("rms: app %d held counter %d != %d node IDs across its requests", id, sess.held, total)
 		}
 		if s.cfg.Metrics != nil {
 			if n := s.cfg.Metrics.Current(id); n != total {
@@ -715,7 +692,7 @@ func (sess *Session) admit(spec RequestSpec, id request.ID, held bool, notBefore
 			return 0, errRelated(spec.RelatedTo, ReasonNotFound)
 		}
 	}
-	if _, ok := s.cfg.Clusters[spec.Cluster]; !ok {
+	if _, ok := s.pools[spec.Cluster]; !ok {
 		s.mu.Unlock()
 		return 0, fmt.Errorf("%w %q", ErrUnknownCluster, spec.Cluster)
 	}
@@ -898,7 +875,6 @@ func (sess *Session) finishLocked(r *request.Request, now float64, released []in
 
 	if len(released) > 0 {
 		r.NodeIDs = removeInts(r.NodeIDs, released)
-		sess.held -= len(released)
 		s.recordAllocLocked(sess, now)
 	}
 	s.notifyFinishedLocked(sess, r.ID)
@@ -934,13 +910,11 @@ func (s *Server) teardownLocked(sess *Session) {
 		}
 		r.Finished = true
 	}
-	sess.held = 0
 	s.recordAllocLocked(sess, now)
 	if s.cfg.Metrics != nil {
 		s.cfg.Metrics.SetPreAlloc(sess.app.ID, now, 0)
 	}
 	sess.killed = true
-	s.loadEpoch++
 	s.sched.RemoveApp(sess.app.ID)
 	delete(s.sessions, sess.app.ID)
 	s.requestRunLocked()
@@ -962,10 +936,8 @@ func (s *Server) requestRunLocked() {
 	}
 	now := s.clk.Now()
 	delay := 0.0
-	if s.ranOnce {
-		if next := s.lastRunAt + s.cfg.ReschedInterval; next > now {
-			delay = next - now
-		}
+	if next := s.lastRunAt + s.cfg.ReschedInterval; next > now {
+		delay = next - now
 	}
 	s.schedPending = true
 	s.schedTimer = s.clk.AfterFunc(delay, "rms.schedule", s.runScheduled)
@@ -1030,7 +1002,7 @@ func (s *Server) runScheduled() {
 	s.flush()
 	s.mu.Lock()
 	s.delivering = false
-	if s.ranOnce && !s.stopped { // not crashed or reset meanwhile
+	if !math.IsInf(s.lastRunAt, -1) && !s.stopped { // not crashed or reset meanwhile
 		s.idleUntil = s.clk.Now() + s.cfg.ReschedInterval
 	}
 	s.mu.Unlock()
@@ -1078,14 +1050,22 @@ func (s *Server) recordStartLocked(r *request.Request, now float64) {
 		App: r.AppID, Cluster: string(r.Cluster), Request: int(r.ID), Value: wait})
 }
 
-// recordAllocLocked pushes the session's held-node count to the metrics
-// recorder. now must be the time captured at the start of the current
-// locked section: re-reading the wall clock mid-section would go backwards
-// relative to later bookkeeping that still uses the section's time.
+// recordAllocLocked pushes the number of node IDs the session's requests
+// hold to the metrics recorder. now must be the time captured at the start
+// of the current locked section: re-reading the wall clock mid-section would
+// go backwards relative to later bookkeeping that still uses the section's
+// time.
 func (s *Server) recordAllocLocked(sess *Session, now float64) {
-	if s.cfg.Metrics != nil {
-		s.cfg.Metrics.SetAlloc(sess.app.ID, now, sess.held)
+	if s.cfg.Metrics == nil {
+		return
 	}
+	held := 0
+	for _, set := range [...]*request.Set{sess.app.PA, sess.app.NP, sess.app.P} {
+		for _, r := range set.All() {
+			held += len(r.NodeIDs)
+		}
+	}
+	s.cfg.Metrics.SetAlloc(sess.app.ID, now, held)
 }
 
 // runLocked executes one scheduling round: sweep expired allocations, run
@@ -1093,7 +1073,6 @@ func (s *Server) recordAllocLocked(sess *Session, now float64) {
 func (s *Server) runLocked() {
 	now := s.clk.Now()
 	s.lastRunAt = now
-	s.ranOnce = true
 
 	s.sweepExpiredLocked(now)
 
@@ -1145,11 +1124,15 @@ func (s *Server) gcRequestsLocked(now float64) {
 		s.gcNow = now
 		s.gcObserve = observes
 		s.gcReaped = s.gcReaped[:0]
+		s.gcFreed = false
 		app.PA.GC(now, s.gcCollect)
 		app.NP.GC(now, s.gcCollect)
 		app.P.GC(now, s.gcCollect)
 		if app.PA.Len()+app.NP.Len()+app.P.Len() != before {
 			s.touchLocked(id)
+		}
+		if s.gcFreed { // read the sets once GC has compacted them
+			s.recordAllocLocked(sess, now)
 		}
 		if observes && len(s.gcReaped) > 0 {
 			reaped := append([]request.ID(nil), s.gcReaped...)
@@ -1166,11 +1149,9 @@ func (s *Server) reapLocked(r *request.Request) {
 		// Parked for a NEXT hand-over that never happened: the child sits in
 		// another request set (so it does not keep r alive), or was withdrawn
 		// or killed first.
-		sess := s.sessions[r.AppID]
 		s.mustFreeLocked(r.Cluster, r.NodeIDs)
-		sess.held -= len(r.NodeIDs)
 		r.NodeIDs = nil
-		s.recordAllocLocked(sess, s.gcNow)
+		s.gcFreed = true
 	}
 	if s.gcObserve {
 		s.gcReaped = append(s.gcReaped, r.ID)
@@ -1213,7 +1194,6 @@ func (s *Server) sweepExpiredLocked(now float64) {
 				}
 				if len(r.NodeIDs) > 0 {
 					s.mustFreeLocked(r.Cluster, r.NodeIDs)
-					sess.held -= len(r.NodeIDs)
 					r.NodeIDs = nil
 					s.recordAllocLocked(sess, now)
 				}
@@ -1263,7 +1243,6 @@ func (s *Server) startRequestsLocked(outcome *core.Outcome, now float64) {
 				surplus := inherited[want:]
 				inherited = inherited[:want]
 				s.mustFreeLocked(r.Cluster, surplus)
-				sess.held -= len(surplus)
 				donor.NodeIDs = inherited
 			}
 			need := want - len(inherited)
@@ -1282,7 +1261,6 @@ func (s *Server) startRequestsLocked(outcome *core.Outcome, now float64) {
 			r.StartedAt = now
 			s.touchLocked(r.AppID)
 			s.recordStartLocked(r, now)
-			sess.held += need
 			s.recordAllocLocked(sess, now)
 			h := sess.h
 			id := r.ID

@@ -181,12 +181,14 @@ func TestStressInvariants(t *testing.T) {
 		checkConservation := func() {
 			held := 0
 			for _, sess := range s.sessions {
-				held += sess.held
+				for _, r := range sess.app.Requests() {
+					held += len(r.NodeIDs)
+				}
 			}
 			free := s.pools[c0].available()
 			// IDs parked on finished requests awaiting a NEXT hand-over
-			// remain in the sessions' held accounting, so held + free
-			// always covers the whole pool.
+			// stay on those requests, so held + free always covers the
+			// whole pool.
 			if held+free != capacity {
 				t.Fatalf("seed %d t=%.1f: node conservation violated: held %d + free %d != %d",
 					seed, e.Now(), held, free, capacity)

@@ -452,8 +452,7 @@ type wireSession struct {
 	idem      map[int64]*idemEntry
 	idemQ     []int64 // insertion order, for cache eviction
 	idemFloor int64   // largest token evicted: nothing at or below it is new
-	killed    bool
-	gone      bool
+	gone      bool    // torn down or killed: nothing to resume
 	graceT    *time.Timer
 	droppedAt time.Time
 }
@@ -542,7 +541,6 @@ func (ws *wireSession) OnStart(id request.ID, nodeIDs []int) {
 // tore it down, so there is nothing to resume.
 func (ws *wireSession) OnKill(reason string) {
 	ws.mu.Lock()
-	ws.killed = true
 	ws.gone = true
 	ws.enqueueLocked(proto.Message{Type: proto.MsgKill, Reason: reason})
 	cw := ws.cw
@@ -586,7 +584,7 @@ func (ws *wireSession) OnRequestsReaped(ids []request.ID) {
 // deduplication). Returns false when the session is already gone.
 func (ws *wireSession) attach(cw *connWriter, connected proto.Message) bool {
 	ws.mu.Lock()
-	if ws.gone || ws.killed {
+	if ws.gone {
 		ws.mu.Unlock()
 		return false
 	}
@@ -638,7 +636,7 @@ func (ws *wireSession) attach(cw *connWriter, connected proto.Message) bool {
 // down immediately.
 func (ws *wireSession) dropConn(cw *connWriter) {
 	ws.mu.Lock()
-	if ws.cw != cw || ws.gone || ws.killed {
+	if ws.cw != cw || ws.gone {
 		ws.mu.Unlock()
 		return
 	}
@@ -663,7 +661,7 @@ func (ws *wireSession) dropConn(cw *connWriter) {
 // resources freed — exactly what a vanished in-process application gets).
 func (ws *wireSession) expireGrace() {
 	ws.mu.Lock()
-	stale := ws.cw != nil || ws.gone || ws.killed // resumed or already down
+	stale := ws.cw != nil || ws.gone // resumed or already down
 	ws.mu.Unlock()
 	if stale {
 		return
