@@ -82,3 +82,44 @@ func TestSteadyRoundAllocs(t *testing.T) {
 		})
 	}
 }
+
+// TestArrivalRoundAllocsFlat pins what an arrival costs behind a standing
+// queue: k applications wait with pending pre-allocations behind a started
+// one that fills the cluster, so their CBF steps and the chain hold from
+// round to round, and each measured round connects one more application
+// with one pending request. That round recomputes only the newcomer's step,
+// which reads the running availability at the end of the queue: the pass
+// resumes from the map the last round built there instead of subtracting
+// the whole queue from a fresh clone of the base fold, so its allocations
+// do not grow with k.
+func TestArrivalRoundAllocsFlat(t *testing.T) {
+	const cluster = view.ClusterID("c0")
+	arrival := func(k int) float64 {
+		s := NewScheduler(map[view.ClusterID]int{cluster: 256})
+		reqID := request.ID(1)
+		add := func(id int) {
+			a := s.AddApp(id, float64(id))
+			a.PA.Add(request.New(reqID, id, cluster, 1, 10, request.PreAlloc, request.Free, nil))
+			reqID++
+		}
+		block := s.AddApp(0, 0)
+		r := request.New(reqID, 0, cluster, 256, 1000, request.PreAlloc, request.Free, nil)
+		r.StartedAt = 0
+		block.PA.Add(r)
+		reqID++
+		for id := 1; id <= k; id++ {
+			add(id)
+		}
+		s.Schedule(1)
+		s.Schedule(1) // the chain is warm
+		next := k + 1
+		return testing.AllocsPerRun(50, func() {
+			add(next)
+			next++
+			s.Schedule(1)
+		})
+	}
+	if small, large := arrival(16), arrival(64); math.Abs(large-small) > 2 {
+		t.Fatalf("an arrival round allocates %.1f times behind 16 queued applications and %.1f behind 64, want equal (±2)", small, large)
+	}
+}

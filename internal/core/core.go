@@ -88,6 +88,7 @@ type scratch struct {
 	cseen    map[view.ClusterID]bool
 	bps      []float64
 	profs    []*stepfunc.StepFunc // per-source profile cursors, [0] = vin
+	walkIn   []*stepfunc.StepFunc // newClusterWalk's distinct inputs
 	cursor   []int
 	val      []int
 	req      []int

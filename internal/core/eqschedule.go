@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"coormv2/internal/request"
@@ -177,7 +178,7 @@ func (s *Scheduler) eqScheduleIncremental(vin view.View, t0 float64, sc *scratch
 		}
 	}
 	clusters := sc.clusters
-	sort.Slice(clusters, func(i, j int) bool { return clusters[i] < clusters[j] })
+	slices.Sort(clusters) // cluster IDs are unique
 
 	// For each cluster, walk the piece-wise constant intervals
 	// (lines 4–27) — or reuse the cached walk when every input profile is

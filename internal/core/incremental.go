@@ -162,23 +162,41 @@ type clusterWalk struct {
 }
 
 // newClusterWalk walks one cluster's input profiles: profs[0] is the vin
-// fragment, profs[1+j] walked slot j's occupancy fragment.
+// fragment, profs[1+j] walked slot j's occupancy fragment. Only the distinct
+// slots are walked, the non-zero ones in order and the first zero-input one:
+// the other zero-input slots would repeat its output, and leaving them out
+// changes no interval's division, nor ordered.
 func newClusterWalk(profs []*stepfunc.StepFunc, nw int, policy PreemptPolicy, sc *scratch) *clusterWalk {
-	frags, ordered := walkCluster(profs, nw, policy, sc)
+	in := append(sc.walkIn[:0], profs[0])
+	zeroIn := false
+	for _, f := range profs[1 : nw+1] {
+		if f.IsZero() {
+			if zeroIn {
+				continue
+			}
+			zeroIn = true
+		}
+		in = append(in, f)
+	}
+	sc.walkIn = in
+	outs, ordered := walkCluster(in, len(in)-1, policy, sc)
 	w := &clusterWalk{
 		key:     append([]*stepfunc.StepFunc(nil), profs...),
-		frags:   frags,
+		frags:   make([]*stepfunc.StepFunc, nw),
 		cuts:    make([]cutFrag, nw+1),
 		ordered: ordered,
 	}
-	zero := -1 // the first zero-input slot
+	k, zero := 0, -1 // the next walked output; the zero-input slots' one
 	for j := range w.frags {
-		if profs[1+j].IsZero() {
-			if zero < 0 {
-				zero = j
-			}
-			w.frags[j] = w.frags[zero]
+		if profs[1+j].IsZero() && zero >= 0 {
+			w.frags[j] = outs[zero]
+			continue
 		}
+		if profs[1+j].IsZero() {
+			zero = k
+		}
+		w.frags[j] = outs[k]
+		k++
 	}
 	return w
 }

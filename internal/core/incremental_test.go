@@ -768,7 +768,8 @@ func TestClusterWalkCut(t *testing.T) {
 }
 
 // TestClusterWalkPermute: every slot of a walk holds what a walk of its
-// inputs gives, the zero-input slots one shared output and cut. A walk whose
+// inputs gives, the zero-input slots one shared output and cut, and the walk
+// is ordered exactly when a walk of every slot is. A walk whose
 // division did not depend on its slots' order, handed its slot inputs in
 // another order, is reordered rather than recomputed: every slot's output is
 // what a fresh walk of the reordered inputs gives, and its cut fragment is
@@ -798,7 +799,10 @@ func TestClusterWalkPermute(t *testing.T) {
 		policy := PreemptPolicy(rng.Intn(2))
 		w := newClusterWalk(profs, nw, policy, sc)
 		ordered := w.ordered
-		plain, _ := walkCluster(profs, nw, policy, sc)
+		plain, plainOrdered := walkCluster(profs, nw, policy, sc)
+		if ordered != plainOrdered {
+			t.Fatalf("walk of %v: ordered %v, its own walk of every slot gives %v", profs, ordered, plainOrdered)
+		}
 		for j := range plain {
 			if !w.frags[j].Equal(plain[j]) {
 				t.Fatalf("walk of %v: slot %d holds %v, its own walk gives %v", profs, j, w.frags[j], plain[j])
@@ -879,6 +883,35 @@ func TestClusterWalkPermute(t *testing.T) {
 // view map of the round before it at the same instant, recomputing no walk
 // and rescheduling at most the started application. A change on one
 // cluster then reschedules only the applications that request it.
+// TestClusterWalkZeroSlotsAllocs: a walk builds one fragment per distinct
+// slot, so zero-input slots beyond the first cost it no allocation however
+// many there are, wherever they sit among the others.
+func TestClusterWalkZeroSlotsAllocs(t *testing.T) {
+	sc := &scratch{}
+	walk := func(zeros int) float64 {
+		profs := []*stepfunc.StepFunc{stepfunc.Rect(0, math.Inf(1), 12)}
+		pad := func(n int) {
+			for ; n > 0; n-- {
+				profs = append(profs, stepfunc.Zero())
+			}
+		}
+		for j := 0; j < 4; j++ {
+			profs = append(profs, stepfunc.Rect(float64(j), 10, 2+j))
+			switch j {
+			case 1:
+				pad(zeros / 2)
+			case 2:
+				pad(zeros - zeros/2)
+			}
+		}
+		nw := len(profs) - 1
+		return testing.AllocsPerRun(20, func() { newClusterWalk(profs, nw, EquiPartitionFilling, sc) })
+	}
+	if many, one := walk(200), walk(1); many > one {
+		t.Fatalf("a walk of 4 non-zero and 200 zero-input slots allocates %.0f times, one with 4 and 1 %.0f", many, one)
+	}
+}
+
 func TestPreemptViewsKeepIdentity(t *testing.T) {
 	s := NewScheduler(map[view.ClusterID]int{"cx": 24, "cy": 24})
 	id := request.ID(1)

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"coormv2/internal/request"
@@ -107,6 +109,12 @@ type Scheduler struct {
 	// removal of an application whose views are in one (RemoveApp).
 	cbfMuts, cbfMutsNext []view.View
 	pvMuts, pvMutsNext   []view.View
+
+	// cbfAvail is the last running availability a CBF pass built: the base
+	// fold minus the first cbfAvailAt views of cbfMuts. It is the pass's
+	// own map, never handed out, so the next pass subtracts into it.
+	cbfAvail   view.View
+	cbfAvailAt int
 
 	// clip, when non-nil, limits the non-preemptive view presented to every
 	// application (§3.2's suggested pre-allocation limit).
@@ -453,12 +461,6 @@ func (s *Scheduler) Schedule(now float64) *Outcome {
 		// PreemptViews is filled in by eqSchedule below.
 	}
 
-	// The running availability starts as the cached base fold and is cloned
-	// lazily on the first subtraction, so a round that subtracts nothing new
-	// leaves the cached map untouched.
-	vNP := s.baseNP // resources free for pre-allocations / wrapped ¬P
-	vNPShared := true
-
 	// Compute non-preemptive views and start times of pre-allocations and
 	// non-preemptible requests (lines 6–11), applications in CBF order,
 	// with chain reuse. The running availability an application meets is
@@ -479,6 +481,33 @@ func (s *Scheduler) Schedule(now float64) *Outcome {
 	chain := !npChanged
 	muts := s.cbfMutsNext[:0]
 	pvMuts := s.pvMutsNext[:0] // ¬P occupancies, subtracted from basePv below
+	held := 0                  // leading entries of muts that are last round's
+
+	// The running availability (resources free for pre-allocations and
+	// wrapped ¬P) is the base fold minus muts, built only where a step reads
+	// it: vNP holds the first `applied` entries subtracted, in order, the op
+	// sequence a full recomputation uses. It starts from the map the last
+	// pass built (cbfAvail) when the chain holds through that map's position,
+	// and from a clone of the base fold otherwise; the base fold itself is
+	// never written.
+	vNP, applied := s.baseNP, 0
+	availNP := func() view.View {
+		if applied == len(muts) {
+			return vNP
+		}
+		if applied == 0 {
+			if s.cbfAvail != nil && s.cbfAvailAt <= held {
+				vNP, applied = s.cbfAvail, s.cbfAvailAt
+			} else {
+				vNP = vNP.Clone()
+			}
+		}
+		for _, m := range muts[applied:] {
+			vNP.MutSub(m)
+		}
+		applied = len(muts)
+		return vNP
+	}
 	// Applications with no PA and no ¬P requests neither take space nor
 	// change the running availability, so every one of them in a run of
 	// consecutive request-less applications sees the same view: compute it
@@ -498,7 +527,7 @@ func (s *Scheduler) Schedule(now float64) *Outcome {
 			s.stats.CBFRecomputed++
 			unschedulePending(a.PA)
 			unschedulePending(a.NP)
-			vNPFree := vNP.ClampMin(0)
+			vNPFree := availNP().ClampMin(0)
 			viewNP := a.startedPA.Add(vNPFree)
 			if s.clip != nil {
 				viewNP = viewNP.Clip(s.clip)
@@ -518,7 +547,7 @@ func (s *Scheduler) Schedule(now float64) *Outcome {
 			s.stats.CBFRecomputed++
 			if a.PA.Len() == 0 && a.NP.Len() == 0 {
 				if idleViewNP == nil {
-					vNPFree := vNP.ClampMin(0)
+					vNPFree := availNP().ClampMin(0)
 					viewNP := view.View(nil).Add(vNPFree)
 					if s.clip != nil {
 						viewNP = viewNP.Clip(s.clip)
@@ -538,7 +567,7 @@ func (s *Scheduler) Schedule(now float64) *Outcome {
 				continue
 			}
 			idleViewNP = nil // this application may change vNP below
-			s.cbfStep(a, vNP, now)
+			s.cbfStep(a, availNP(), now)
 			out.NonPreemptViews[a.ID] = c.cbfOut
 		}
 
@@ -547,15 +576,11 @@ func (s *Scheduler) Schedule(now float64) *Outcome {
 		// consume non-preemptible space; all scheduled non-preemptible
 		// requests consume preemptible space.
 		if len(c.cbfPA) > 0 || len(c.cbfExcess) > 0 {
-			if vNPShared {
-				vNP = vNP.Clone()
-				vNPShared = false
-			}
-			vNP.MutSub(c.cbfPA)
-			vNP.MutSub(c.cbfExcess)
 			for _, m := range [2]view.View{c.cbfPA, c.cbfExcess} {
 				if len(m) > 0 {
-					muts, chain = s.noteCBFMut(muts, m, chain)
+					if muts, chain = s.noteCBFMut(muts, m, chain); chain {
+						held = len(muts)
+					}
 				}
 			}
 			idleViewNP = nil // the run of request-less applications ends here
@@ -563,6 +588,13 @@ func (s *Scheduler) Schedule(now float64) *Outcome {
 		if len(c.cbfNP) > 0 {
 			pvMuts = append(pvMuts, c.cbfNP)
 		}
+	}
+	// Keep the last map this pass built for the next one, or last round's
+	// while it is still a prefix of this round's subtractions.
+	if applied > 0 {
+		s.cbfAvail, s.cbfAvailAt = vNP, applied
+	} else if held < s.cbfAvailAt {
+		s.cbfAvail, s.cbfAvailAt = nil, 0
 	}
 	clear(s.cbfMuts)
 	s.cbfMuts, s.cbfMutsNext = muts, s.cbfMuts[:0]
@@ -579,16 +611,14 @@ func (s *Scheduler) Schedule(now float64) *Outcome {
 		appendToStart(&out.ToStart, a.NP.All(), now)
 		appendToStart(&out.ToStart, a.P.All(), now)
 	}
-	sort.SliceStable(out.ToStart, func(i, j int) bool {
-		a, b := out.ToStart[i], out.ToStart[j]
+	slices.SortStableFunc(out.ToStart, func(a, b *request.Request) int {
 		if a.ScheduledAt != b.ScheduledAt {
-			return a.ScheduledAt < b.ScheduledAt
+			return cmp.Compare(a.ScheduledAt, b.ScheduledAt)
 		}
-		da, db := depth(a), depth(b)
-		if da != db {
-			return da < db
+		if da, db := depth(a), depth(b); da != db {
+			return cmp.Compare(da, db)
 		}
-		return a.Seq < b.Seq
+		return cmp.Compare(a.Seq, b.Seq)
 	})
 	return out
 }

@@ -374,7 +374,7 @@ func remainingFor(action NodeFaultAction, r *request.Request) []int {
 // implementing the NodeFailureHandler extension.
 func (s *Server) notifyNodeFailureLocked(sess *Session, ev NodeFailure) {
 	if nh, ok := sess.h.(NodeFailureHandler); ok {
-		s.pending = append(s.pending, func() { nh.OnNodeFailure(ev) })
+		s.notifyLocked(func() { nh.OnNodeFailure(ev) })
 	}
 }
 

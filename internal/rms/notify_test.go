@@ -1,0 +1,197 @@
+package rms
+
+import (
+	"sync"
+	"testing"
+	"time"
+
+	"coormv2/internal/clock"
+	"coormv2/internal/request"
+	"coormv2/internal/sim"
+	"coormv2/internal/view"
+)
+
+// reentrantApp calls back into the server from its handlers while a batch
+// of notifications is being delivered: OnStart ends the started request and
+// submits the next one, and OnStart and OnViews submit a request and withdraw
+// it at once, which queues two notifications (finished, then reaped) from
+// inside the delivery. It records what arrives and flags what arrives twice
+// or out of order.
+type reentrantApp struct {
+	t *testing.T
+
+	mu       sync.Mutex
+	sess     *Session
+	budget   int // requests still to submit
+	started  map[request.ID]int
+	finished map[request.ID]int
+	reaped   map[request.ID]int
+	views    int
+	np, p    view.View // the last push
+}
+
+func newReentrantApp(t *testing.T, budget int) *reentrantApp {
+	return &reentrantApp{t: t, budget: budget, started: map[request.ID]int{},
+		finished: map[request.ID]int{}, reaped: map[request.ID]int{}}
+}
+
+var reentrantSpec = RequestSpec{Cluster: c0, N: 1, Duration: 5, Type: request.NonPreempt}
+
+// take draws one request from the budget.
+func (a *reentrantApp) take() (*Session, bool) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.sess == nil || a.budget == 0 {
+		return nil, false
+	}
+	a.budget--
+	return a.sess, true
+}
+
+// submitAndWithdraw submits a request and withdraws it before it can start.
+func (a *reentrantApp) submitAndWithdraw() {
+	if sess, ok := a.take(); ok {
+		id, err := sess.Request(reentrantSpec)
+		if err != nil {
+			a.t.Error(err)
+			return
+		}
+		if err := sess.Done(id, nil); err != nil {
+			a.t.Error(err)
+		}
+	}
+}
+
+func (a *reentrantApp) OnStart(id request.ID, _ []int) {
+	a.mu.Lock()
+	a.started[id]++
+	if a.started[id] > 1 || a.finished[id] > 0 {
+		a.t.Errorf("request %d: start number %d, after %d finishes", id, a.started[id], a.finished[id])
+	}
+	sess := a.sess
+	a.mu.Unlock()
+	if err := sess.Done(id, nil); err != nil {
+		a.t.Error(err)
+	}
+	if sess, ok := a.take(); ok {
+		if _, err := sess.Request(reentrantSpec); err != nil {
+			a.t.Error(err)
+		}
+	}
+	a.submitAndWithdraw()
+}
+
+func (a *reentrantApp) OnViews(np, p view.View) {
+	a.mu.Lock()
+	if a.views > 0 && np.Equal(a.np) && p.Equal(a.p) {
+		a.t.Errorf("push %d repeats the last one", a.views+1)
+	}
+	a.views++
+	a.np, a.p = np, p
+	a.mu.Unlock()
+	a.submitAndWithdraw()
+}
+
+func (a *reentrantApp) OnKill(reason string) { a.t.Errorf("killed: %s", reason) }
+
+func (a *reentrantApp) OnRequestFinished(id request.ID) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.finished[id]++
+	if a.finished[id] > 1 || a.reaped[id] > 0 {
+		a.t.Errorf("request %d: finish number %d, after %d reaps", id, a.finished[id], a.reaped[id])
+	}
+}
+
+func (a *reentrantApp) OnRequestsReaped(ids []request.ID) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	for i, id := range ids {
+		a.reaped[id]++
+		if a.reaped[id] > 1 || a.finished[id] != 1 || i > 0 && ids[i-1] >= id {
+			a.t.Errorf("request %d: reap number %d, after %d finishes, in %v", id, a.reaped[id], a.finished[id], ids)
+		}
+	}
+}
+
+// TestNotificationsReentrantInOrder: handlers that call Request and Done
+// while a batch is being delivered get every notification once and in queue
+// order — a start before its finish, a finish before its reap, no push
+// twice, and as the last push the views the server last queued — under the
+// simulated clock and under the real one, where the round goroutine and the
+// API calls' flushes share the notification arrays.
+func TestNotificationsReentrantInOrder(t *testing.T) {
+	const apps, budget = 6, 40
+	run := func(t *testing.T, clk clock.Clock, drain func(done func() bool)) {
+		s := NewServer(Config{
+			Clusters:        map[view.ClusterID]int{c0: 4},
+			ReschedInterval: 1e-3,
+			Clock:           clk,
+		})
+		defer s.Stop()
+		var hs []*reentrantApp
+		var sessions []*Session
+		for i := 0; i < apps; i++ {
+			h := newReentrantApp(t, budget)
+			sess := s.Connect(h)
+			h.mu.Lock()
+			h.sess = sess
+			h.mu.Unlock()
+			hs, sessions = append(hs, h), append(sessions, sess)
+		}
+		for _, h := range hs {
+			if sess, ok := h.take(); ok {
+				if _, err := sess.Request(reentrantSpec); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		settled := func() bool {
+			for _, h := range hs {
+				h.mu.Lock()
+				open := h.budget > 0 || len(h.finished) != budget || len(h.reaped) != budget
+				h.mu.Unlock()
+				if open {
+					return false
+				}
+			}
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			return !s.schedPending && !s.delivering && len(s.pending) == 0
+		}
+		drain(settled)
+		if !settled() {
+			t.Fatal("the run did not settle")
+		}
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		for i, h := range hs {
+			h.mu.Lock()
+			for id, n := range h.finished {
+				if n != 1 || h.reaped[id] != 1 || h.started[id] > 1 {
+					t.Errorf("app %d request %d: %d starts, %d finishes, %d reaps", i, id, h.started[id], n, h.reaped[id])
+				}
+			}
+			if len(h.started) == 0 {
+				t.Errorf("app %d: no request started", i)
+			}
+			sess := sessions[i]
+			if h.views == 0 || !h.np.Equal(sess.np.v) || !h.p.Equal(sess.p.v) {
+				t.Errorf("app %d: %d pushes, the last\n np %v\n p  %v\nthe server last queued\n np %v\n p  %v",
+					i, h.views, h.np, h.p, sess.np.v, sess.p.v)
+			}
+			h.mu.Unlock()
+		}
+	}
+	t.Run("SimClock", func(t *testing.T) {
+		e := sim.NewEngine()
+		run(t, clock.SimClock{E: e}, func(func() bool) { e.RunAll() })
+	})
+	t.Run("RealClock", func(t *testing.T) {
+		run(t, clock.NewRealClock(), func(settled func() bool) {
+			for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline) && !settled(); {
+				time.Sleep(time.Millisecond)
+			}
+		})
+	})
+}

@@ -177,8 +177,9 @@ type Server struct {
 	delivering bool
 	idleUntil  float64
 
-	// notifications queued during a locked section, delivered unlocked.
-	pending []func()
+	// notifications queued during a locked section, delivered unlocked. A
+	// delivered batch's array comes back as the next batch's (recycleLocked).
+	pending []notice
 
 	// trimMemo memoizes per-round trimmed and completed views by map
 	// identity (see pushViewsLocked); cleared at the start of every push pass.
@@ -885,7 +886,7 @@ func (sess *Session) finishLocked(r *request.Request, now float64, released []in
 // implementing the RequestObserver extension.
 func (s *Server) notifyFinishedLocked(sess *Session, id request.ID) {
 	if ro, ok := sess.h.(RequestObserver); ok {
-		s.pending = append(s.pending, func() { ro.OnRequestFinished(id) })
+		s.notifyLocked(func() { ro.OnRequestFinished(id) })
 	}
 }
 
@@ -896,7 +897,7 @@ func (s *Server) notifyReapedLocked(sess *Session, ids []request.ID) {
 		return
 	}
 	if ro, ok := sess.h.(RequestObserver); ok {
-		s.pending = append(s.pending, func() { ro.OnRequestsReaped(ids) })
+		s.notifyLocked(func() { ro.OnRequestsReaped(ids) })
 	}
 }
 
@@ -925,7 +926,7 @@ func (s *Server) teardownLocked(sess *Session) {
 func (s *Server) killLocked(sess *Session, reason string) {
 	h := sess.h
 	s.teardownLocked(sess)
-	s.pending = append(s.pending, func() { h.OnKill(reason) })
+	s.notifyLocked(func() { h.OnKill(reason) })
 }
 
 // requestRunLocked schedules a scheduling round, coalescing triggers so the
@@ -996,11 +997,10 @@ func (s *Server) runScheduled() {
 	batch := s.pending
 	s.pending = nil
 	s.mu.Unlock()
-	for _, fn := range batch {
-		fn()
-	}
+	done := deliver(batch)
 	s.flush()
 	s.mu.Lock()
+	s.recycleLocked(done)
 	s.delivering = false
 	if !math.IsInf(s.lastRunAt, -1) && !s.stopped { // not crashed or reset meanwhile
 		s.idleUntil = s.clk.Now() + s.cfg.ReschedInterval
@@ -1012,8 +1012,10 @@ func (s *Server) runScheduled() {
 // can synchronously call back into the server (the simulated applications
 // do exactly that).
 func (s *Server) flush() {
+	var done []notice
 	for {
 		s.mu.Lock()
+		s.recycleLocked(done)
 		if len(s.pending) == 0 {
 			s.mu.Unlock()
 			return
@@ -1021,9 +1023,45 @@ func (s *Server) flush() {
 		batch := s.pending
 		s.pending = nil
 		s.mu.Unlock()
-		for _, fn := range batch {
-			fn()
+		done = deliver(batch)
+	}
+}
+
+// notice is one queued notification: a view push, by far the most frequent
+// kind, is {h, np, p}; every other kind is fn.
+type notice struct {
+	h     AppHandler
+	np, p view.View
+	fn    func()
+}
+
+// notifyLocked queues a notification other than a view push.
+func (s *Server) notifyLocked(fn func()) {
+	s.pending = append(s.pending, notice{fn: fn})
+}
+
+// deliver delivers a batch taken off the queue, in queue order, and returns
+// its emptied array. A batch is taken whole and the queue restarts without
+// an array, so a handler calling back into the server queues elsewhere.
+func deliver(batch []notice) []notice {
+	for i := range batch {
+		if n := &batch[i]; n.fn != nil {
+			n.fn()
+		} else {
+			n.h.OnViews(n.np, n.p)
 		}
+	}
+	clear(batch) // pin nothing
+	return batch[:0]
+}
+
+// recycleLocked hands a delivered batch's array back as the queue's, unless
+// the queue has one already: one spare array per server at most. Under a
+// real clock the round goroutine and API-call flushes hand arrays back and
+// forth, always under the lock.
+func (s *Server) recycleLocked(done []notice) {
+	if cap(s.pending) == 0 {
+		s.pending = done
 	}
 }
 
@@ -1137,7 +1175,7 @@ func (s *Server) gcRequestsLocked(now float64) {
 		if observes && len(s.gcReaped) > 0 {
 			reaped := append([]request.ID(nil), s.gcReaped...)
 			sort.Slice(reaped, func(i, j int) bool { return reaped[i] < reaped[j] })
-			s.pending = append(s.pending, func() { ro.OnRequestsReaped(reaped) })
+			s.notifyLocked(func() { ro.OnRequestsReaped(reaped) })
 		}
 	}
 }
@@ -1219,7 +1257,7 @@ func (s *Server) startRequestsLocked(outcome *core.Outcome, now float64) {
 			s.recordStartLocked(r, now)
 			h := sess.h
 			id := r.ID
-			s.pending = append(s.pending, func() { h.OnStart(id, nil) })
+			s.notifyLocked(func() { h.OnStart(id, nil) })
 
 		default:
 			// Inherit IDs from a finished NEXT parent. Only a same-cluster
@@ -1265,7 +1303,7 @@ func (s *Server) startRequestsLocked(outcome *core.Outcome, now float64) {
 			h := sess.h
 			id := r.ID
 			cp := append([]int(nil), ids...)
-			s.pending = append(s.pending, func() { h.OnStart(id, cp) })
+			s.notifyLocked(func() { h.OnStart(id, cp) })
 		}
 	}
 }
@@ -1304,7 +1342,7 @@ func (s *Server) pushViewsLocked(outcome *core.Outcome) {
 		// Views are pushed without cloning: the OnViews contract makes them
 		// immutable to the handler, and sessions sharing a map (idle
 		// applications) share one trimmed object.
-		s.pending = append(s.pending, func() { h.OnViews(np, p) })
+		s.pending = append(s.pending, notice{h: h, np: np, p: p})
 	}
 }
 
