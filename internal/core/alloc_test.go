@@ -123,3 +123,47 @@ func TestArrivalRoundAllocsFlat(t *testing.T) {
 		t.Fatalf("an arrival round allocates %.1f times behind 16 queued applications and %.1f behind 64, want equal (±2)", small, large)
 	}
 }
+
+// TestSettledCBFStepAllocs pins what a settled application's recomputed CBF
+// step allocates: the view it hands out and the occupancies it keeps, not
+// its pre-allocated space or the availability its ¬P requests are fitted
+// into, which never leave the step (the second is built only at pending
+// requests' clusters, and a settled application has none). The application
+// holds a started pre-allocation on c0 with a started request inside it;
+// the base fold changes on c1, which it does not hold, so its step is
+// recomputed.
+func TestSettledCBFStepAllocs(t *testing.T) {
+	c0, c1 := view.ClusterID("c0"), view.ClusterID("c1")
+	s := NewScheduler(map[view.ClusterID]int{c0: 64, c1: 64})
+	a := s.AddApp(1, 0)
+	pa := request.New(1, 1, c0, 16, 1e6, request.PreAlloc, request.Free, nil)
+	pa.StartedAt = 0
+	a.PA.Add(pa)
+	np := request.New(2, 1, c0, 8, 1e5, request.NonPreempt, request.Coalloc, pa)
+	np.StartedAt = 0
+	a.NP.Add(np)
+	b := s.AddApp(2, 1)
+	s.Schedule(0)
+	r := request.New(3, 2, c1, 32, 100, request.NonPreempt, request.Free, nil)
+	r.StartedAt, r.Wrapped = 1, true // no pre-allocation: it takes free space
+	b.NP.Add(r)
+	s.MarkAppDirty(2)
+	before := s.Stats().CBFRecomputed
+	out := s.Schedule(1)
+	if got := s.Stats().CBFRecomputed - before; got != 2 {
+		t.Fatalf("%d steps recomputed after the fold changed on c1, want both", got)
+	}
+	if f := out.NonPreemptViews[1].Get(c1); !f.Equal(s.baseNP.Get(c1)) || f.Value(1) != 32 {
+		t.Fatalf("the settled application sees c1 as %v, the base fold holds %v", f, s.baseNP.Get(c1))
+	}
+	// Its own pre-allocation plus the free space (64 − 16).
+	if got := out.NonPreemptViews[1].Get(c0).Value(1); got != 64 {
+		t.Fatalf("the settled application sees %d nodes on c0, want 64", got)
+	}
+	allocs := testing.AllocsPerRun(100, func() { s.cbfStep(a, s.baseNP, 1) })
+	// 13 on an amd64 build with go1.24; building both views in fresh maps,
+	// as the step did before, took 19.
+	if allocs > 13 {
+		t.Fatalf("a settled application's recomputed step allocates %.1f times, want ≤ 13", allocs)
+	}
+}

@@ -65,8 +65,12 @@ func (q *reqQueue) reset() {
 type scratch struct {
 	q reqQueue
 
-	// Schedule round accumulators.
-	inPA view.View
+	// Schedule round accumulators. paFree and availNP are a CBF step's
+	// pre-allocated space and the availability its ¬P requests are fitted
+	// into (cbfStep).
+	inPA    view.View
+	paFree  view.View
+	availNP view.View
 
 	// Incremental-recomputation buffers. paScratch/npScratch alternate with
 	// the per-app cached rect lists (capture into scratch, compare, swap),

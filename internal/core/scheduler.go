@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"sort"
@@ -666,9 +667,25 @@ func (s *Scheduler) cbfStep(a *AppState, vNP view.View, now float64) {
 			sc.inPA.MutAddRect(r.Cluster, r.ScheduledAt, r.Duration, r.NAlloc)
 		}
 	}
-	paFree := a.startedPA.Add(voccPA)
+	// Neither view leaves the step, so both are scratch maps, and fit reads
+	// availNP only at its pending requests' clusters.
+	if sc.paFree == nil {
+		sc.paFree, sc.availNP = view.New(), view.New()
+	}
+	paFree, availNP := sc.paFree, sc.availNP
+	clear(paFree)
+	maps.Copy(paFree, a.startedPA)
+	paFree.MutAdd(voccPA)
 	paFree.MutSub(sc.inPA)
-	availNP := paFree.Add(vNPFree)
+	clear(availNP)
+	for _, r := range a.NP.All() {
+		if _, ok := availNP[r.Cluster]; ok || r.Fixed {
+			continue
+		}
+		if f := paFree.Get(r.Cluster).Add(vNPFree.Get(r.Cluster)); !f.IsZero() {
+			availNP[r.Cluster] = f
+		}
+	}
 	voccNP := fitScratch(a.NP, availNP, now, sc)
 
 	// Classify each pending request: wrapped if its allocation is not

@@ -182,6 +182,23 @@ func TestScheduleNonPreemptInsidePreAllocGuaranteed(t *testing.T) {
 	}
 }
 
+// TestScheduleFreeNonPreemptInsideFullPreAlloc: a FREE ¬P request that only
+// its application's started pre-allocation can hold starts at once, though
+// no node of the cluster is free: the space it is fitted into is the
+// pre-allocation's plus the free space (line 9).
+func TestScheduleFreeNonPreemptInsideFullPreAlloc(t *testing.T) {
+	s := newSched(10)
+	a := s.AddApp(1, 0)
+	pa := submit(t, s, a, 1, 10, 1000, request.PreAlloc, request.Free, nil)
+	s.Schedule(0)
+	start(s, pa, 0)
+	np := submit(t, s, a, 2, 6, 100, request.NonPreempt, request.Free, nil)
+	s.Schedule(5)
+	if np.ScheduledAt != 5 || np.Wrapped {
+		t.Errorf("request inside the full pre-allocation scheduled at %v (wrapped %v), want 5, not wrapped", np.ScheduledAt, np.Wrapped)
+	}
+}
+
 func TestScheduleTwoPreAllocationsQueued(t *testing.T) {
 	// §4: two NEAs whose pre-allocations cannot fit simultaneously are run
 	// one after the other so peak requirements can always be met.

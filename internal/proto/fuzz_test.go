@@ -2,6 +2,7 @@ package proto
 
 import (
 	"maps"
+	"slices"
 	"testing"
 
 	"coormv2/internal/clock"
@@ -35,7 +36,9 @@ var viewsFrameSeeds = []string{
 // re-encoding. The server's path runs too: the frame's clusters, named with
 // what the view holds for them (zero for a removed one), are a segment
 // patched onto a copy of the base, which must equal the base with the
-// returned delta applied, and the segment stays untouched.
+// returned delta applied, and the segment stays untouched. The delta is
+// written into the previous view's delta map, as a wire session reuses
+// its own, and must equal the delta PatchView builds in a fresh map.
 func FuzzViewsFrame(f *testing.F) {
 	for i, s := range viewsFrameSeeds {
 		f.Add([]byte(s), []byte(viewsFrameSeeds[(i+1)%len(viewsFrameSeeds)]))
@@ -51,6 +54,7 @@ func FuzzViewsFrame(f *testing.F) {
 			bases[0], _ = bm.NonPreemptView.DecodeView()
 			bases[1], _ = bm.PreemptView.DecodeView()
 		}
+		var prev ViewJSON // the previous iteration's delta map
 		for i, vj := range []ViewJSON{m.NonPreemptView, m.PreemptView} {
 			base := bases[i]
 			before := base.Clone()
@@ -78,7 +82,12 @@ func FuzzViewsFrame(f *testing.F) {
 			}
 			segBefore := seg.Clone()
 			acc := base.Clone()
-			delta := PatchView(acc, seg)
+			delta := PatchView(prev, acc, seg)
+			fresh := base.Clone()
+			if want := PatchView(nil, fresh, seg); !maps.EqualFunc(delta, want, slices.Equal) || !fresh.Equal(acc) {
+				t.Fatalf("segment %v patched onto %v: delta %v into the reused map, %v into a fresh one", seg, base, delta, want)
+			}
+			prev = delta
 			if back, err := delta.Apply(base); err != nil || !back.Equal(acc) || len(back) != len(acc) {
 				t.Fatalf("segment %v patched onto %v gave %v, its delta %v applied %v, %v", seg, base, acc, delta, back, err)
 			}

@@ -67,9 +67,11 @@ func EncodeView(v view.View) ViewJSON {
 // a cluster seg does not name keeps its profile — and returns the delta: the
 // named clusters whose profile changed, a removed one as a zero profile.
 // Applying the delta to a copy of acc taken before the call (ViewJSON.Apply)
-// gives acc after it. acc must be owned by the caller; seg is not modified.
-func PatchView(acc, seg view.View) ViewJSON {
-	var out ViewJSON // nil until a profile changes
+// gives acc after it. The delta is dst, emptied and refilled (a fresh map
+// when dst is nil and a profile changed), so a caller that keeps it reuses
+// one map. acc and dst must be owned by the caller; seg is not modified.
+func PatchView(dst ViewJSON, acc, seg view.View) ViewJSON {
+	clear(dst)
 	for cid := range seg {
 		f := seg.Get(cid)
 		if f.Equal(acc.Get(cid)) {
@@ -80,23 +82,34 @@ func PatchView(acc, seg view.View) ViewJSON {
 		} else {
 			acc[cid] = f
 		}
-		if out == nil {
-			out = make(ViewJSON)
+		if dst == nil {
+			dst = make(ViewJSON)
 		}
-		out[string(cid)] = encodeProfile(f)
+		dst[string(cid)] = encodeProfile(f)
 	}
-	return out
+	return dst
 }
 
+// encodeProfile is f.Steps() in wire form, read off f's breakpoints (the
+// first is at 0, so a profile that is zero until some t > 0 starts with that
+// zero step).
 func encodeProfile(f *stepfunc.StepFunc) []StepJSON {
-	steps := f.Steps()
-	enc := make([]StepJSON, len(steps))
-	for i, s := range steps {
-		d := s.Duration
+	n := f.Len()
+	if n == 0 {
+		return []StepJSON{{Duration: infDuration}}
+	}
+	enc := make([]StepJSON, n)
+	for i := range enc {
+		t, v := f.At(i)
+		d := math.Inf(1)
+		if i+1 < n {
+			next, _ := f.At(i + 1)
+			d = next - t
+		}
 		if math.IsInf(d, 1) {
 			d = infDuration
 		}
-		enc[i] = StepJSON{Duration: d, N: s.N}
+		enc[i] = StepJSON{Duration: d, N: v}
 	}
 	return enc
 }

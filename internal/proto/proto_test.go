@@ -2,11 +2,14 @@ package proto
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"coormv2/internal/request"
 	"coormv2/internal/rms"
+	"coormv2/internal/stepfunc"
 	"coormv2/internal/view"
 )
 
@@ -175,6 +178,48 @@ func TestZeroResilienceFieldsOmitted(t *testing.T) {
 	for _, banned := range []string{"idem", "resume", "tenant", "replay"} {
 		if strings.Contains(string(data), banned) {
 			t.Fatalf("zero-valued %q serialized: %s", banned, data)
+		}
+	}
+}
+
+// TestEncodeProfileMatchesSteps checks encodeProfile, which reads a
+// profile's breakpoints, against the encoding of its Steps() list, on the
+// zero profile, a profile that is zero until its first breakpoint, a single
+// infinite step and random profiles.
+func TestEncodeProfileMatchesSteps(t *testing.T) {
+	viaSteps := func(f *stepfunc.StepFunc) []StepJSON {
+		var enc []StepJSON
+		for _, s := range f.Steps() {
+			d := s.Duration
+			if math.IsInf(d, 1) {
+				d = infDuration
+			}
+			enc = append(enc, StepJSON{Duration: d, N: s.N})
+		}
+		return enc
+	}
+	fs := []*stepfunc.StepFunc{
+		stepfunc.Zero(),
+		stepfunc.Rect(30, 60, 4),
+		stepfunc.Rect(30, math.Inf(1), 4),
+		stepfunc.Constant(7),
+		stepfunc.Constant(-2),
+		stepfunc.Zero().AddRect(1e308, 1e308, 3), // a breakpoint at +Inf
+	}
+	rng := rand.New(rand.NewSource(1))
+	for range 500 {
+		steps := make([]stepfunc.Step, 1+rng.Intn(6))
+		for i := range steps {
+			steps[i] = stepfunc.Step{Duration: float64(rng.Intn(4)) + rng.Float64(), N: rng.Intn(9) - 2}
+		}
+		if rng.Intn(2) == 0 {
+			steps[len(steps)-1].Duration = math.Inf(1)
+		}
+		fs = append(fs, stepfunc.FromSteps(steps...))
+	}
+	for _, f := range fs {
+		if got, want := encodeProfile(f), viaSteps(f); !slices.Equal(got, want) {
+			t.Fatalf("%v encodes as %v, its steps as %v", f, got, want)
 		}
 	}
 }

@@ -304,3 +304,60 @@ func FuzzViewPush(f *testing.F) {
 		newPushTwin(t, pushClip()).run(prog)
 	})
 }
+
+// TestTrimSharesProfilesAcrossSessions: sessions whose ¬P views are
+// distinct maps sharing the free-space profile of a cluster none of them
+// requests hold one trimmed object for it after a push, not one copy each;
+// and a trim asked for at a later instant, outside any push, is that
+// instant's.
+func TestTrimSharesProfilesAcrossSessions(t *testing.T) {
+	const k = 8
+	e := sim.NewEngine()
+	s := NewServer(Config{
+		Clusters:        map[view.ClusterID]int{cA: k, cB: 4},
+		ReschedInterval: 1e9,
+		Clock:           clock.SimClock{E: e},
+	})
+	// The holder comes first in CBF order, so the others meet beta's
+	// profile with its allocation subtracted.
+	holder := s.Connect(&pushRecorder{})
+	apps := make([]*pushRecorder, k)
+	for i := range apps {
+		apps[i] = &pushRecorder{}
+		if _, err := s.Connect(apps[i]).Request(RequestSpec{Cluster: cA, N: 1, Duration: 1000, Type: request.NonPreempt}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.ScheduleNow()
+	e.Run(2)
+	// The holder's allocation puts a breakpoint at 2 in beta's free space,
+	// so every session's view of beta needs trimming at 2.
+	if _, err := holder.Request(RequestSpec{Cluster: cB, N: 2, Duration: 100, Type: request.NonPreempt}); err != nil {
+		t.Fatal(err)
+	}
+	calls := apps[0].calls
+	s.ScheduleNow()
+	want := stepfunc.FromSteps(stepfunc.Step{Duration: 102, N: 2}, stepfunc.Step{Duration: math.Inf(1), N: 4})
+	first := apps[0].np[cB]
+	for i, a := range apps {
+		if a.calls != calls+1 {
+			t.Fatalf("app %d: %d pushes, want %d", i, a.calls, calls+1)
+		}
+		if got := a.np[cB]; got != first || !got.Equal(want) {
+			t.Fatalf("app %d holds beta %v at %p, app 0 %v at %p; want one object %v", i, got, got, first, first, want)
+		}
+	}
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	src := s.sessions[s.sched.Apps()[1].ID].np.src
+	if src.Get(cB) == first {
+		t.Fatalf("the scheduler's view already holds beta trimmed: %v", src)
+	}
+	for _, at := range []float64{110, 2} {
+		got := s.trimLocked(src, at)
+		if w := src.TrimBefore(at).Get(cB); !got.Get(cB).Equal(w) || len(got) != 2 {
+			t.Fatalf("trimLocked at %g outside a push gave %v, want beta %v", at, got, w)
+		}
+	}
+}

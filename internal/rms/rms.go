@@ -181,9 +181,16 @@ type Server struct {
 	// delivered batch's array comes back as the next batch's (recycleLocked).
 	pending []notice
 
-	// trimMemo memoizes per-round trimmed and completed views by map
-	// identity (see pushViewsLocked); cleared at the start of every push pass.
-	trimMemo map[uintptr]view.View
+	// The trim memo holds trims at the instant trimAt: trimmed, completed
+	// views by map identity (refreshLocked) and trimmed profiles by profile
+	// identity (trimLocked) — sessions' views share profiles, and TrimBefore
+	// is a pure function of a profile and the instant. It is emptied when the
+	// instant changes and at the start of every push pass, since a map's
+	// address may be recycled between rounds (a profile key holds its
+	// profile).
+	trimMemo  map[uintptr]view.View
+	trimProfs map[*stepfunc.StepFunc]*stepfunc.StepFunc
+	trimAt    float64
 
 	// stopped marks a crashed server (Stop): all state is gone and every
 	// operation fails until Reset.
@@ -1328,10 +1335,7 @@ func (s *Server) startRequestsLocked(outcome *core.Outcome, now float64) {
 // every cluster costs a comparison and nothing else.
 func (s *Server) pushViewsLocked(outcome *core.Outcome) {
 	now := s.clk.Now()
-	if s.trimMemo == nil {
-		s.trimMemo = make(map[uintptr]view.View)
-	}
-	clear(s.trimMemo)
+	s.resetTrimLocked(now)
 	for _, a := range s.sched.Apps() {
 		id, sess := a.ID, s.sessions[a.ID]
 		changed := s.refreshLocked(&sess.np, outcome.NonPreemptViews[id], now, false)
@@ -1393,20 +1397,52 @@ func (s *Server) refreshLocked(h *pushed, src view.View, now float64, pushing bo
 	return changed
 }
 
-// trimLocked trims v at now and completes it to the server's clusters. A
-// view that is already trimmed and names every cluster, as a preemptive view
-// the scheduler cut at this instant, comes back as the same map.
+// trimLocked trims v at now and completes it to the server's clusters,
+// trimming each profile once per instant. A view that is already trimmed and
+// names every cluster, as a preemptive view the scheduler cut at this
+// instant, comes back as the same map.
 func (s *Server) trimLocked(v view.View, now float64) view.View {
-	t := v.TrimBefore(now)
-	if len(t) < len(s.pools) { // a view names only the server's clusters
-		full := make(view.View, len(s.pools))
+	if now != s.trimAt || s.trimProfs == nil {
+		s.resetTrimLocked(now)
+	}
+	// t stays nil until a profile changes or a cluster is missing (a view
+	// names only the server's clusters).
+	var t view.View
+	if len(v) < len(s.pools) {
+		t = make(view.View, len(s.pools))
 		for cid := range s.pools {
-			full[cid] = stepfunc.Zero()
+			t[cid] = stepfunc.Zero()
 		}
-		maps.Copy(full, t)
-		t = full
+		maps.Copy(t, v)
+	}
+	for cid, f := range v {
+		if now < f.NextBreakpoint(0) {
+			continue // nothing before now: TrimBefore(now) is f
+		}
+		g, ok := s.trimProfs[f]
+		if !ok {
+			g = f.TrimBefore(now) // stepfunc.Zero() when nothing is left
+			s.trimProfs[f] = g
+		}
+		if t == nil {
+			t = maps.Clone(v)
+		}
+		t[cid] = g
+	}
+	if t == nil {
+		return v
 	}
 	return t
+}
+
+// resetTrimLocked empties the trim memo and dates it now.
+func (s *Server) resetTrimLocked(now float64) {
+	if s.trimProfs == nil {
+		s.trimMemo, s.trimProfs = make(map[uintptr]view.View), make(map[*stepfunc.StepFunc]*stepfunc.StepFunc)
+	}
+	clear(s.trimMemo)
+	clear(s.trimProfs)
+	s.trimAt = now
 }
 
 // expirePushHorizonsLocked makes the next push pass trim, complete and

@@ -435,3 +435,53 @@ func TestViewsBeforeAttachReachFreshSession(t *testing.T) {
 		t.Fatalf("fresh session's first frame: %s", line)
 	}
 }
+
+// TestOnViewsDeltaAllocs pins what a delta views frame allocates on the
+// server: a segment that names all 8 clusters of the pair and changes one
+// of them costs the frame's encoded profiles and its bytes — the delta maps
+// and the frame being marshalled are the session's own, reused under its
+// lock, and a profile is encoded straight from its breakpoints. The
+// connection's queue is never drained here, so it holds more than the 202
+// frames sent, and nothing is evicted.
+func TestOnViewsDeltaAllocs(t *testing.T) {
+	srv := NewBackendServer(nil)
+	srv.Logf = func(string, ...any) {}
+	ws := &wireSession{srv: srv}
+	ws.cw = &connWriter{ch: make(chan []byte, 512)}
+	profiles := [2]*stepfunc.StepFunc{
+		stepfunc.FromSteps(stepfunc.Step{Duration: 30, N: 4}, stepfunc.Step{Duration: math.Inf(1), N: 8}),
+		stepfunc.FromSteps(stepfunc.Step{Duration: 60, N: 2}, stepfunc.Step{Duration: math.Inf(1), N: 8}),
+	}
+	segs := [2][2]view.View{}
+	for k := range segs {
+		for j := range segs[k] {
+			segs[k][j] = view.New()
+			for i := range 8 {
+				segs[k][j][genCluster(i)] = stepfunc.Constant(8 + i + j)
+			}
+			segs[k][j][genCluster(3)] = profiles[k]
+		}
+	}
+	ws.OnViews(segs[0][0], segs[0][1]) // the connection's full frame
+	k := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		k = 1 - k
+		ws.OnViews(segs[k][0], segs[k][1])
+	})
+	if st := srv.Stats(); st["views_full_frames"] != 1 || st["views_delta_frames"] != 201 || st["evictions"] != 0 {
+		t.Fatalf("stats %v, want 1 full and 201 delta frames", st)
+	}
+	var last []byte
+	for len(ws.cw.ch) > 0 {
+		last = <-ws.cw.ch
+	}
+	want := `{"type":"views","np_view":{"c03":[{"dur":60,"n":2},{"dur":-1,"n":8}]},"p_view":{"c03":[{"dur":60,"n":2},{"dur":-1,"n":8}]},"delta":true}` + "\n"
+	if string(last) != want {
+		t.Fatalf("last frame %s, want %s", last, want)
+	}
+	// 9 on an amd64 build with go1.24; a fresh delta map per view, a
+	// Steps() copy per profile and a frame escaping to the heap took 16.
+	if allocs > 9 && !raceEnabled {
+		t.Fatalf("a one-cluster delta frame allocates %.1f times, want ≤ 9", allocs)
+	}
+}

@@ -320,9 +320,7 @@ func (s *Server) lookupSession(token string) *wireSession {
 // newToken mints an unguessable resume token.
 func newToken() string {
 	var b [16]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		panic(fmt.Sprintf("transport: token entropy: %v", err))
-	}
+	_, _ = rand.Read(b[:]) // crypto/rand.Read never fails since Go 1.24
 	return hex.EncodeToString(b[:])
 }
 
@@ -446,6 +444,12 @@ type wireSession struct {
 	// rms.AppHandler.OnViews), nil before the first: owned here, patched in
 	// place, and sent whole as a connection's first views frame.
 	np, p view.View
+	// dnp/dp are the delta maps OnViews patches into, and out is the frame
+	// being marshalled (enqueueLocked): reused under mu, so a views frame
+	// allocates its encoded profiles and bytes, and the marshalled bytes
+	// own nothing of them.
+	dnp, dp proto.ViewJSON
+	out     proto.Message
 	// synced: cw was sent np/p, so its next views frame is a delta.
 	synced    bool
 	starts    map[int64][]int // started-but-unfinished requests, replayed on resume
@@ -466,7 +470,9 @@ func (ws *wireSession) enqueueLocked(m proto.Message) int {
 	if cw == nil {
 		return 0 // detached: state is re-delivered on resume
 	}
-	data, err := m.Marshal()
+	ws.out = m
+	data, err := ws.out.Marshal()
+	ws.out = proto.Message{}
 	if err != nil {
 		ws.srv.Logf("transport: marshal: %v", err)
 		return 0
@@ -494,7 +500,8 @@ func (ws *wireSession) OnViews(np, p view.View) {
 	if ws.np == nil {
 		ws.np, ws.p = view.New(), view.New()
 	}
-	ws.pushViewsLocked(proto.PatchView(ws.np, np), proto.PatchView(ws.p, p), false)
+	ws.dnp, ws.dp = proto.PatchView(ws.dnp, ws.np, np), proto.PatchView(ws.dp, ws.p, p)
+	ws.pushViewsLocked(ws.dnp, ws.dp, false)
 	ws.mu.Unlock()
 }
 
