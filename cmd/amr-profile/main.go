@@ -10,60 +10,79 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"os"
 
 	"coormv2/internal/amr"
 	"coormv2/internal/stats"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main without the process: it parses args, prints the selected
+// output and returns the exit code (2 for a usage error).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("amr-profile", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		seed    = flag.Int64("seed", 1, "profile seed")
-		series  = flag.Bool("series", false, "print the normalized evolution series")
-		speedup = flag.Bool("speedup", false, "print speed-up model curves for the Fig. 2 sizes")
-		eff     = flag.Float64("eff", 0.75, "target efficiency for the analysis")
+		seed    = fs.Int64("seed", 1, "profile seed")
+		series  = fs.Bool("series", false, "print the normalized evolution series")
+		speedup = fs.Bool("speedup", false, "print speed-up model curves for the Fig. 2 sizes")
+		eff     = fs.Float64("eff", 0.75, "target efficiency for the analysis, in (0, 1]")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if !(*eff > 0 && *eff <= 1) { // NaN fails both comparisons
+		fmt.Fprintf(stderr, "amr-profile: -eff %v: want a target efficiency in (0, 1]\n", *eff)
+		return 2
+	}
 
 	p := amr.DefaultParams
 	if *speedup {
-		fmt.Println("# nodes  then one step-duration column per mesh size (GiB):")
-		fmt.Print("# nodes")
+		fmt.Fprintln(stdout, "# nodes  then one step-duration column per mesh size (GiB):")
+		fmt.Fprint(stdout, "# nodes")
 		for _, s := range amr.Fig2Sizes {
-			fmt.Printf("  %gGiB", s/1024)
+			fmt.Fprintf(stdout, "  %gGiB", s/1024)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 		for _, n := range amr.Fig2Nodes {
-			fmt.Printf("%7d", n)
+			fmt.Fprintf(stdout, "%7d", n)
 			for _, s := range amr.Fig2Sizes {
-				fmt.Printf("  %8.3f", p.StepTime(n, s))
+				fmt.Fprintf(stdout, "  %8.3f", p.StepTime(n, s))
 			}
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		}
-		return
+		return 0
 	}
 
 	pr := amr.GenerateProfile(stats.NewRand(*seed), amr.ProfileSteps, amr.DefaultSmax)
 	if *series {
-		fmt.Println("# step  normalized-size(0-1000)")
+		fmt.Fprintln(stdout, "# step  normalized-size(0-1000)")
 		for i, s := range pr {
-			fmt.Printf("%4d  %8.2f\n", i, s/amr.DefaultSmax*1000)
+			fmt.Fprintf(stdout, "%4d  %8.2f\n", i, s/amr.DefaultSmax*1000)
 		}
-		return
+		return 0
 	}
 
 	neq, relErr := p.EquivalentStatic(pr, *eff)
-	fmt.Printf("profile seed %d (%d steps, S_max = %.0f MiB = %.2f TiB)\n",
+	fmt.Fprintf(stdout, "profile seed %d (%d steps, S_max = %.0f MiB = %.2f TiB)\n",
 		*seed, len(pr), amr.DefaultSmax, amr.DefaultSmax/1024/1024)
-	fmt.Printf("target efficiency:        %.0f%%\n", 100**eff)
-	fmt.Printf("dynamic area A(e_t):      %.4g node·s\n", p.DynamicArea(pr, *eff))
-	fmt.Printf("dynamic end-time:         %.0f s\n", p.DynamicEndTime(pr, *eff))
-	fmt.Printf("equivalent static n_eq:   %d nodes (area error %.4f%%)\n", neq, 100*relErr)
-	fmt.Printf("static end-time (n_eq):   %.0f s (+%.2f%%)\n",
+	fmt.Fprintf(stdout, "target efficiency:        %.0f%%\n", 100**eff)
+	fmt.Fprintf(stdout, "dynamic area A(e_t):      %.4g node·s\n", p.DynamicArea(pr, *eff))
+	fmt.Fprintf(stdout, "dynamic end-time:         %.0f s\n", p.DynamicEndTime(pr, *eff))
+	fmt.Fprintf(stdout, "equivalent static n_eq:   %d nodes (area error %.4f%%)\n", neq, 100*relErr)
+	fmt.Fprintf(stdout, "static end-time (n_eq):   %.0f s (+%.2f%%)\n",
 		p.StaticEndTime(pr, neq), 100*p.EndTimeIncrease(pr, *eff))
-	fmt.Printf("peak target allocation:   %d nodes\n", p.NodesForEfficiency(pr.Max(), *eff))
+	fmt.Fprintf(stdout, "peak target allocation:   %d nodes\n", p.NodesForEfficiency(pr.Max(), *eff))
 	choice := p.StaticChoiceRange(pr, *eff, amr.DefaultNodeMemoryMiB, 1)
-	fmt.Printf("static choice band:       [%d, %d] nodes (memory floor @ %d MiB/node, 110%% area ceiling)\n",
+	fmt.Fprintf(stdout, "static choice band:       [%d, %d] nodes (memory floor @ %d MiB/node, 110%% area ceiling)\n",
 		choice.MinNodes, choice.MaxNodes, int(amr.DefaultNodeMemoryMiB))
+	return 0
 }

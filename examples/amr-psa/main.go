@@ -24,6 +24,10 @@ func main() {
 		taskDur    = flag.Float64("task", 600, "PSA task duration d_task in seconds")
 	)
 	flag.Parse()
+	if !(*taskDur > 0) { // NaN included
+		fmt.Fprintf(os.Stderr, "amr-psa: -task %v: want a positive PSA task duration\n", *taskDur)
+		os.Exit(2)
+	}
 
 	base := experiments.ScenarioConfig{
 		Seed: *seed, Steps: *steps,

@@ -106,11 +106,11 @@ func TestMalleableAppPowerOfTwoFilling(t *testing.T) {
 		t.Fatal(err)
 	}
 	v.e.Run(5)
-	if !m.MinStarted() {
+	if !m.minStarted {
 		t.Fatal("minimum part did not start")
 	}
 	// 36 visible preemptible nodes -> the paper's example: request 32.
-	if got := m.ExtraNodes(); got != 32 {
+	if got := len(m.ExtraIDs); got != 32 {
 		t.Errorf("extra nodes = %d, want 32 (power of two below 36)", got)
 	}
 }

@@ -59,12 +59,6 @@ func (m *Malleable) Submit() error {
 	return nil
 }
 
-// ExtraNodes returns the currently held malleable node count.
-func (m *Malleable) ExtraNodes() int { return len(m.ExtraIDs) }
-
-// MinStarted reports whether the non-preemptible part is running.
-func (m *Malleable) MinStarted() bool { return m.minStarted }
-
 // OnViews monitors the preemptive view and resizes the malleable part:
 // "During execution, the application monitors V_P and updates r_extra if
 // necessary" (§4).

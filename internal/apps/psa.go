@@ -113,20 +113,6 @@ func (p *PSA) SetNoGraceful(v bool) { p.cfg.NoGraceful = v }
 // Waste returns the node·seconds lost to killed tasks so far.
 func (p *PSA) Waste() float64 { return p.waste }
 
-// CompletedTasks returns the tasks finished up to now (including those on
-// still-held nodes).
-func (p *PSA) CompletedTasks() int {
-	n := p.completed
-	now := p.now()
-	for _, nd := range p.nodes {
-		limit := math.Min(now, nd.stopAt)
-		if k := math.Floor((limit - nd.taskStart) / p.cfg.TaskDuration); k > 0 {
-			n += int(k)
-		}
-	}
-	return n
-}
-
 // elapsed returns the in-progress work on a node at time now (0 if the
 // node is idling past its stop mark). Call after rollForward.
 func (p *PSA) elapsed(nd psaNode, now float64) float64 {
@@ -514,16 +500,4 @@ func (p *PSA) releaseBatch(nodeIDs []int, kill bool) {
 		return
 	}
 	p.updateRequest(len(p.nodes), released)
-}
-
-// Shutdown releases everything (clean exit, e.g. for the daemon demo).
-func (p *PSA) Shutdown() {
-	p.cancelTimers()
-	now := p.now()
-	p.rollForward(now)
-	if p.haveReq {
-		_ = p.sess.Done(p.reqID, nil)
-		p.haveReq = false
-	}
-	p.nodes = p.nodes[:0]
 }

@@ -113,11 +113,6 @@ func (s *Scheduler) Info(now float64) RoundInfo {
 	return RoundInfo{Now: now, Clusters: s.clusters}
 }
 
-// Admitted reports whether the application was admitted in the last
-// Schedule round. It is meaningful only under a dynamic policy; stable
-// policies admit every application without recording anything.
-func (a *AppState) Admitted() bool { return a.admitted }
-
 // unschedulePending clears the schedule of every unfixed pending request
 // in the set: a non-admitted application's pending work is invisible to
 // the round. Fixed requests (started allocations and their

@@ -384,8 +384,8 @@ func TestAdmissionGating(t *testing.T) {
 	if len(out.ToStart) != 1 || out.ToStart[0] != ra {
 		t.Fatalf("ToStart = %v, want only the admitted app's request", out.ToStart)
 	}
-	if b.Admitted() || !a.Admitted() {
-		t.Fatalf("admission flags: a=%v b=%v", a.Admitted(), b.Admitted())
+	if b.admitted || !a.admitted {
+		t.Fatalf("admission flags: a=%v b=%v", a.admitted, b.admitted)
 	}
 	// The blocked app still sees the free space: it is first in the
 	// reversed order, so the admitted app has not consumed anything yet
@@ -401,7 +401,7 @@ func TestAdmissionGating(t *testing.T) {
 	s.SetSchedulingPolicy(nil) // back to FIFO
 	s.Schedule(1)
 	s.Schedule(1) // and warm again on this side of the swap
-	if !a.Admitted() && b.Admitted() {
+	if !a.admitted && b.admitted {
 		t.Fatal("stable policy must not rewrite admission flags")
 	}
 	if math.IsInf(rb.ScheduledAt, 1) || rb.NAlloc != 4 {

@@ -133,15 +133,15 @@ func TestPropScheduleNeverOversubscribes(t *testing.T) {
 				npSum = npSum.Add(appNP)
 				combined = combined.Add(appPA.Add(appNP.Sub(appPA).ClampMin(0)))
 			}
-			if max := paSum.MaxValue(); max > capacity {
+			if max := maxValue(paSum); max > capacity {
 				t.Fatalf("seed %d round %d (t=%.1f): pre-allocations %d > capacity %d",
 					seed, round, now, max, capacity)
 			}
-			if max := npSum.MaxValue(); max > capacity {
+			if max := maxValue(npSum); max > capacity {
 				t.Fatalf("seed %d round %d (t=%.1f): non-preemptible load %d > capacity %d",
 					seed, round, now, max, capacity)
 			}
-			if max := combined.MaxValue(); max > capacity {
+			if max := maxValue(combined); max > capacity {
 				t.Fatalf("seed %d round %d (t=%.1f): guaranteed demand %d > capacity %d",
 					seed, round, now, max, capacity)
 			}
@@ -204,4 +204,15 @@ func TestPropPreemptibleGrantsFit(t *testing.T) {
 			t.Fatalf("seed %d: ¬P %d + preemptible grants %d > %d", seed, npLoad, grants, capacity)
 		}
 	}
+}
+
+// maxValue returns the largest value f takes (0 for the zero function).
+func maxValue(f *stepfunc.StepFunc) int {
+	m := 0
+	for i := 0; i < f.Len(); i++ {
+		if _, n := f.At(i); i == 0 || n > m {
+			m = n
+		}
+	}
+	return m
 }

@@ -62,8 +62,6 @@ type ChaosReplayConfig struct {
 	NodeRecovery rms.NodeRecoveryPolicy
 	// Chaos seeds and shapes the fault plan.
 	Chaos chaos.Config
-	// MaxSimTime aborts runaway replays (default 10^9 s).
-	MaxSimTime float64
 	// Obs, when non-nil, is threaded through the federation, every shard
 	// and the armed fault plans, collecting latency histograms, counters and
 	// the structured event ring for the run; ChaosReplayResult.Snapshot is
@@ -271,7 +269,7 @@ func RunChaosReplay(cfg ChaosReplayConfig) (*ChaosReplayResult, error) {
 		},
 	})
 
-	if err := env.run("chaos replay", cfg.MaxSimTime, nil); err != nil {
+	if err := env.run("chaos replay", maxReplayTime, nil); err != nil {
 		return nil, err
 	}
 	if faults.err != nil {

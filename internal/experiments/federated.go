@@ -11,10 +11,10 @@ import (
 )
 
 // FederatedReplayConfig parametrizes the federated workload scenario: a
-// rigid-job trace (SWF or synthetic) split round-robin across N shard
-// clusters, with an optional scavenging PSA per cluster (malleable) and an
-// optional predictably-evolving application — the §4 application mix
-// running against a sharded RMS instead of a single one.
+// rigid-job trace split round-robin across N shard clusters, with an
+// optional scavenging PSA per cluster (malleable) and an optional
+// predictably-evolving application — the §4 application mix running
+// against a sharded RMS instead of a single one.
 type FederatedReplayConfig struct {
 	// Jobs is the rigid trace. Jobs are assigned to shard clusters
 	// round-robin; node counts are clamped to NodesPerShard.
@@ -30,8 +30,6 @@ type FederatedReplayConfig struct {
 	// application (§4) with these segments on the first cluster. Segment
 	// node counts are clamped to NodesPerShard.
 	Evolving []apps.Segment
-	// MaxSimTime aborts runaway replays (default 10^9 s).
-	MaxSimTime float64
 }
 
 // FederatedReplayResult aggregates one federated replay.
@@ -108,7 +106,7 @@ func RunFederatedReplay(cfg FederatedReplayConfig) (*FederatedReplayResult, erro
 		jobs: cfg.Jobs, event: "federated.submit",
 		place: func(i int) (int, []rms.ConnectOption) { return i % cfg.Shards, nil },
 	})
-	if err := env.run("federated replay", cfg.MaxSimTime, nil); err != nil {
+	if err := env.run("federated replay", maxReplayTime, nil); err != nil {
 		return nil, err
 	}
 

@@ -135,8 +135,11 @@ func (env *simEnv) done() {
 	}
 }
 
+// maxReplayTime aborts a runaway trace replay, in simulated seconds.
+const maxReplayTime = 1e9
+
 // run advances the simulation in one-hour windows until every expected
-// application is done, or maxSimTime (default 10^9 s) is exceeded. check,
+// application is done, or maxSimTime is exceeded. check,
 // when set, is consulted after each window and aborts the run with its
 // error. An event-free window is just an idle gap
 // while events are still queued (sparse traces have inter-arrival gaps over
@@ -144,9 +147,6 @@ func (env *simEnv) done() {
 // all. Engine.Run drains cancelled events even past the horizon, so
 // Pending()==0 is exact.
 func (env *simEnv) run(what string, maxSimTime float64, check func() error) error {
-	if maxSimTime <= 0 {
-		maxSimTime = 1e9
-	}
 	e := env.e
 	for env.remaining > 0 {
 		before := e.Processed()

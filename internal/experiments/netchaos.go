@@ -36,9 +36,6 @@ type NetChaosConfig struct {
 	Faults netchaos.Config
 	// Grace is the server-side resume window in resume mode.
 	Grace time.Duration
-	// JobGap paces the workload so it spans the fault schedule instead of
-	// finishing before the first fault fires (0 = Faults.Horizon / Jobs).
-	JobGap time.Duration
 }
 
 // NetChaosResult is one scenario run's outcome.
@@ -178,6 +175,12 @@ func RunNetChaos(cfg NetChaosConfig) (*NetChaosResult, error) {
 		return nil
 	}
 
+	// The gap between jobs paces the workload so it spans the fault
+	// schedule instead of finishing before the first fault fires.
+	var gap time.Duration
+	if cfg.Faults.Horizon > 0 {
+		gap = time.Duration(cfg.Faults.Horizon / float64(cfg.Jobs) * float64(time.Second))
+	}
 	for job := 0; job < cfg.Jobs; job++ {
 		for done := false; !done; {
 			id, err := c.Request(rms.RequestSpec{
@@ -228,10 +231,6 @@ func RunNetChaos(cfg NetChaosConfig) (*NetChaosResult, error) {
 			}
 			res.Completed++
 			done = true
-		}
-		gap := cfg.JobGap
-		if gap <= 0 && cfg.Faults.Horizon > 0 {
-			gap = time.Duration(cfg.Faults.Horizon / float64(cfg.Jobs) * float64(time.Second))
 		}
 		time.Sleep(gap)
 	}

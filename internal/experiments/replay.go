@@ -22,8 +22,6 @@ type ReplayConfig struct {
 	// showing the malleable-fill gain on a rigid trace.
 	FillWithPSA bool
 	PSATaskDur  float64
-	// MaxSimTime aborts runaway replays.
-	MaxSimTime float64
 	// Shards, when positive, replays through a federation.Federator (see
 	// ScenarioConfig.Shards).
 	Shards int
@@ -69,7 +67,7 @@ func RunReplay(cfg ReplayConfig) (*ReplayResult, error) {
 		jobs: cfg.Jobs, event: "replay.submit",
 		place: func(int) (int, []rms.ConnectOption) { return 0, nil },
 	})
-	if err := env.run("replay", cfg.MaxSimTime, nil); err != nil {
+	if err := env.run("replay", maxReplayTime, nil); err != nil {
 		return nil, err
 	}
 

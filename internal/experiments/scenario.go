@@ -49,8 +49,6 @@ type ScenarioConfig struct {
 	// PSAHook, when set, customizes each PSA right after creation
 	// (diagnostics, test instrumentation).
 	PSAHook func(index int, p *apps.PSA)
-	// MaxSimTime aborts runaway simulations (default 10^7 s).
-	MaxSimTime float64
 	// Shards, when positive, runs the scenario through a
 	// federation.Federator with that many shards instead of a single
 	// rms.Server. The scenario has one cluster, so the federation clamps to
@@ -97,9 +95,6 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 	if cfg.Overcommit <= 0 {
 		cfg.Overcommit = 1
 	}
-	if cfg.MaxSimTime <= 0 {
-		cfg.MaxSimTime = 1e7
-	}
 
 	params := amr.DefaultParams
 	profile := amr.GenerateProfile(stats.NewRand(cfg.Seed), cfg.Steps, cfg.Smax)
@@ -142,7 +137,8 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 		psas[i], psaIDs[i] = env.attachPSA(Cluster, d, hook)
 	}
 
-	err := env.run("simulation", cfg.MaxSimTime, func() error {
+	// 10^7 simulated seconds aborts a runaway scenario.
+	err := env.run("simulation", 1e7, func() error {
 		if nea.Err != nil {
 			return fmt.Errorf("experiments: NEA error at step %d: %w", nea.Step(), nea.Err)
 		}

@@ -47,8 +47,6 @@ type TenantsReplayConfig struct {
 	// Obs, when non-nil, collects the run's histograms (incl. the
 	// per-tenant wait histograms every shard records), counters and events.
 	Obs *obs.Registry
-	// MaxSimTime aborts runaway replays (default 10^9 s).
-	MaxSimTime float64
 }
 
 // TenantOfJob assigns rigid job i its tenant queue: the first HotFrac of
@@ -154,7 +152,7 @@ func RunTenantsReplay(cfg TenantsReplayConfig) (*TenantsReplayResult, error) {
 			return i % cfg.Shards, []rms.ConnectOption{rms.WithTenant(cfg.TenantOfJob(i))}
 		},
 	})
-	if err := env.run("tenants replay", cfg.MaxSimTime, nil); err != nil {
+	if err := env.run("tenants replay", maxReplayTime, nil); err != nil {
 		return nil, err
 	}
 	fed, agg := env.fed, env.agg

@@ -41,8 +41,7 @@ func (inertApp) OnKill(string)             {}
 // the fleet. The identical warm-up phase (128 arrivals, enough checks for
 // the migrations to settle) runs in both variants so the measured loop
 // compares steady states. Reported alongside ns/op: churn requests fully
-// processed per wall-clock second and the admit→start wait quantiles in
-// simulated seconds.
+// processed per wall-clock second.
 func BenchmarkFederatedThroughputSkewed(b *testing.B) {
 	const (
 		nClusters = 32
@@ -133,12 +132,6 @@ func BenchmarkFederatedThroughputSkewed(b *testing.B) {
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "requests/s")
-			wait := &obs.Histogram{}
-			for i := 0; i < shards; i++ {
-				wait.Merge(reg.Hist(fmt.Sprintf("shard%d.rms.wait_seconds", i)))
-			}
-			b.ReportMetric(wait.Quantile(0.5), "p50-wait-s")
-			b.ReportMetric(wait.Quantile(0.99), "p99-wait-s")
 		})
 	}
 }

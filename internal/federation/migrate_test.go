@@ -400,8 +400,8 @@ func TestRebalancerIdleFederationIsNotChurned(t *testing.T) {
 	if rb.Migrations() != 0 {
 		t.Fatalf("idle federation migrated %d clusters: %v", rb.Migrations(), rb.Trace())
 	}
-	if rb.Checks() < 10 {
-		t.Fatalf("checks = %d, want ≥10 over 60s at interval 5", rb.Checks())
+	if rb.checks < 10 {
+		t.Fatalf("checks = %d, want ≥10 over 60s at interval 5", rb.checks)
 	}
 	mustCheck(t, f)
 }

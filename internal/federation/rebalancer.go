@@ -109,9 +109,6 @@ func (rb *Rebalancer) tick() {
 	rb.mu.Unlock()
 }
 
-// Checks returns the number of load checks performed.
-func (rb *Rebalancer) Checks() int { rb.mu.Lock(); defer rb.mu.Unlock(); return rb.checks }
-
 // Migrations returns the number of completed cluster migrations.
 func (rb *Rebalancer) Migrations() int { rb.mu.Lock(); defer rb.mu.Unlock(); return rb.migrated }
 

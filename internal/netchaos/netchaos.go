@@ -230,9 +230,6 @@ func (p *Proxy) SetDelay(d time.Duration) {
 	p.mu.Unlock()
 }
 
-// Severed reports how many fault events cut at least one connection.
-func (p *Proxy) Severed() int64 { return p.severed.Load() }
-
 // Held reports how many connections were held half-open.
 func (p *Proxy) Held() int64 { return p.held64.Load() }
 

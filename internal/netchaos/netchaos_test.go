@@ -123,7 +123,7 @@ func TestProxyForwardsAndSevers(t *testing.T) {
 	if _, err := conn.Read(buf); err == nil {
 		t.Fatal("read succeeded after sever")
 	}
-	if p.Severed() == 0 {
+	if p.severed.Load() == 0 {
 		t.Fatal("sever not counted")
 	}
 

@@ -30,7 +30,7 @@ const (
 	numBuckets = numOctaves*subCount + 2 // + underflow + overflow
 )
 
-// Histogram is a mergeable streaming latency histogram over
+// Histogram is a streaming latency histogram over
 // non-negative float64 values (seconds). The zero value is ready to
 // use; a nil *Histogram ignores Record calls.
 type Histogram struct {
@@ -98,33 +98,6 @@ func (h *Histogram) Record(v float64) {
 	if h.count == 1 || v > h.max {
 		h.max = v
 	}
-	h.mu.Unlock()
-}
-
-// Merge folds other into h. Both histograms keep working afterwards.
-func (h *Histogram) Merge(other *Histogram) {
-	if h == nil || other == nil {
-		return
-	}
-	other.mu.Lock()
-	ob := other.buckets
-	oc, os, omin, omax := other.count, other.sum, other.min, other.max
-	other.mu.Unlock()
-	if oc == 0 {
-		return
-	}
-	h.mu.Lock()
-	for i, n := range ob {
-		h.buckets[i] += n
-	}
-	if h.count == 0 || omin < h.min {
-		h.min = omin
-	}
-	if h.count == 0 || omax > h.max {
-		h.max = omax
-	}
-	h.count += oc
-	h.sum += os
 	h.mu.Unlock()
 }
 

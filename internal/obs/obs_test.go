@@ -79,46 +79,6 @@ func TestHistogramQuantileOracle(t *testing.T) {
 	}
 }
 
-// TestHistogramMergeAssociativity: merging the same parts in any order
-// yields identical bucket contents, hence identical quantiles/extrema.
-func TestHistogramMergeAssociativity(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	parts := make([]*Histogram, 3)
-	for i := range parts {
-		parts[i] = &Histogram{}
-		for j := 0; j < 1000*(i+1); j++ {
-			parts[i].Record(r.ExpFloat64() * math.Pow(10, float64(i-3)))
-		}
-	}
-	merged := func(order []int) *Histogram {
-		m := &Histogram{}
-		for _, i := range order {
-			m.Merge(parts[i])
-		}
-		return m
-	}
-	a := merged([]int{0, 1, 2})
-	b := merged([]int{2, 0, 1})
-	if a.buckets != b.buckets {
-		t.Fatal("merge order changed bucket contents")
-	}
-	sa, sb := a.Stat(), b.Stat()
-	if sa.Count != sb.Count || sa.Min != sb.Min || sa.Max != sb.Max ||
-		sa.P50 != sb.P50 || sa.P99 != sb.P99 || sa.P999 != sb.P999 {
-		t.Fatalf("merge order changed stats: %+v vs %+v", sa, sb)
-	}
-	if math.Abs(sa.Sum-sb.Sum) > 1e-9*math.Abs(sa.Sum) {
-		t.Fatalf("merge order changed sum beyond fp tolerance: %v vs %v", sa.Sum, sb.Sum)
-	}
-	var want uint64
-	for _, p := range parts {
-		want += p.Count()
-	}
-	if a.Count() != want {
-		t.Fatalf("merged count %d, want %d", a.Count(), want)
-	}
-}
-
 // TestHistogramEdgeValues: zero, negative (clamped), sub-underflow,
 // overflow, NaN and +Inf must all keep the histogram well-formed.
 func TestHistogramEdgeValues(t *testing.T) {
@@ -346,7 +306,6 @@ func TestNilDisabled(t *testing.T) {
 		t.Fatal("nil registry returned a histogram")
 	}
 	h.Record(1.0) // must not panic
-	h.Merge(&Histogram{})
 	if h.Count() != 0 || h.Quantile(0.5) != 0 {
 		t.Fatal("nil histogram not inert")
 	}

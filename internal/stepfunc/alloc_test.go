@@ -125,7 +125,6 @@ func TestDifferentialMergeVsNaive(t *testing.T) {
 		check("Add", f.Add(g), naiveAdd(f, g))
 		check("Sub", f.Sub(g), naiveSub(f, g))
 		check("Min", f.Min(g), naiveMin(f, g))
-		check("Max", f.Max(g), naiveMax(f, g))
 
 		lo := r.Intn(7) - 3
 		check("ClampMin", f.ClampMin(lo), naiveClampMin(f, lo))
@@ -206,7 +205,6 @@ func TestOperationsStayNormalized(t *testing.T) {
 		assert(f.Add(g))
 		assert(f.Sub(g))
 		assert(f.Min(g))
-		assert(f.Max(g))
 		assert(f.ClampMin(r.Intn(5) - 2))
 		assert(f.AddRect(float64(r.Intn(50)), float64(1+r.Intn(50)), r.Intn(9)-4))
 		assert(f.TrimBefore(float64(r.Intn(200))))
@@ -230,7 +228,6 @@ func TestAllocsBinaryOps(t *testing.T) {
 		{"Add", func() *StepFunc { return f.Add(g) }, 2},
 		{"Sub", func() *StepFunc { return f.Sub(g) }, 2},
 		{"Min", func() *StepFunc { return f.Min(g) }, 2},
-		{"Max", func() *StepFunc { return f.Max(g) }, 2},
 		{"AddRect", func() *StepFunc { return f.AddRect(600, 5000, 3) }, 2},
 		{"ClampMin", func() *StepFunc { return f.Sub(g).ClampMin(0) }, 4}, // Sub(2) + clamp(2)
 		{"SumAll3", func() *StepFunc { return SumAll([]*StepFunc{f, g, f}) }, 5},

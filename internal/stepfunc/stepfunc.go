@@ -203,7 +203,6 @@ const (
 	opAdd opCode = iota
 	opSub
 	opMin
-	opMax
 )
 
 func applyOp(op opCode, a, b int) int {
@@ -212,13 +211,8 @@ func applyOp(op opCode, a, b int) int {
 		return a + b
 	case opSub:
 		return a - b
-	case opMin:
+	default: // opMin
 		if a < b {
-			return a
-		}
-		return b
-	default: // opMax
-		if a > b {
 			return a
 		}
 		return b
@@ -281,9 +275,6 @@ func (f *StepFunc) Add(g *StepFunc) *StepFunc { return newCombined(f, g, opAdd) 
 
 // Sub returns f − g (the paper's view difference).
 func (f *StepFunc) Sub(g *StepFunc) *StepFunc { return newCombined(f, g, opSub) }
-
-// Max returns the pointwise maximum of f and g (the paper's view union).
-func (f *StepFunc) Max(g *StepFunc) *StepFunc { return newCombined(f, g, opMax) }
 
 // Min returns the pointwise minimum of f and g. It implements view clipping
 // (§3.2: "the amount of resources that an application can pre-allocate can
@@ -509,42 +500,6 @@ func (f *StepFunc) MinOn(t0, t1 float64) int {
 	return min
 }
 
-// Integral returns the integral of f over [t0, t1) in value·seconds.
-// If the integrand is non-zero on an infinite interval the result is ±Inf.
-func (f *StepFunc) Integral(t0, t1 float64) float64 {
-	if t1 <= t0 {
-		return 0
-	}
-	if len(f.pts) == 0 {
-		return 0
-	}
-	total := 0.0
-	// Walk segments overlapping [t0, t1).
-	for i := range f.pts {
-		segStart := f.pts[i].t
-		segEnd := Inf
-		if i+1 < len(f.pts) {
-			segEnd = f.pts[i+1].t
-		}
-		lo := math.Max(segStart, t0)
-		hi := math.Min(segEnd, t1)
-		if hi <= lo {
-			continue
-		}
-		if math.IsInf(hi, 1) {
-			if f.pts[i].n > 0 {
-				return Inf
-			}
-			if f.pts[i].n < 0 {
-				return math.Inf(-1)
-			}
-			continue
-		}
-		total += float64(f.pts[i].n) * (hi - lo)
-	}
-	return total
-}
-
 // FindHole returns the earliest time ts >= after such that
 // MinOn(ts, ts+dur) >= n, i.e. the first moment an allocation of n nodes for
 // dur seconds fits under the profile. It implements the paper's findHole
@@ -631,20 +586,6 @@ func (f *StepFunc) NonNegative() bool {
 		}
 	}
 	return true
-}
-
-// MaxValue returns the maximum value the function attains.
-func (f *StepFunc) MaxValue() int {
-	m := 0
-	if len(f.pts) > 0 {
-		m = f.pts[0].n
-	}
-	for _, p := range f.pts {
-		if p.n > m {
-			m = p.n
-		}
-	}
-	return m
 }
 
 // TrimBefore returns a function that equals f on [t, ∞) and extends f(t)

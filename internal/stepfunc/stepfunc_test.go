@@ -112,14 +112,10 @@ func TestAddSub(t *testing.T) {
 	}
 }
 
-func TestMaxMin(t *testing.T) {
+func TestMin(t *testing.T) {
 	a := FromSteps(Step{10, 4})
 	b := FromSteps(Step{20, 2})
-	mx := a.Max(b)
 	mn := a.Min(b)
-	if mx.Value(5) != 4 || mx.Value(15) != 2 || mx.Value(25) != 0 {
-		t.Errorf("Max wrong: %v", mx)
-	}
 	if mn.Value(5) != 2 || mn.Value(15) != 0 || mn.Value(25) != 0 {
 		t.Errorf("Min wrong: %v", mn)
 	}
@@ -160,29 +156,6 @@ func TestMinOn(t *testing.T) {
 	}
 	if f.MinOn(5, 5) != math.MaxInt {
 		t.Error("empty interval should return MaxInt")
-	}
-}
-
-func TestIntegral(t *testing.T) {
-	f := FromSteps(Step{10, 4}, Step{10, 2})
-	if got := f.Integral(0, 20); got != 60 {
-		t.Errorf("Integral full = %v, want 60", got)
-	}
-	if got := f.Integral(5, 15); got != 30 {
-		t.Errorf("Integral partial = %v, want 30", got)
-	}
-	if got := f.Integral(20, 100); got != 0 {
-		t.Errorf("Integral of zero tail = %v", got)
-	}
-	if got := f.Integral(7, 7); got != 0 {
-		t.Errorf("empty interval integral = %v", got)
-	}
-	if got := Constant(3).Integral(0, Inf); !math.IsInf(got, 1) {
-		t.Errorf("infinite integral = %v", got)
-	}
-	neg := Zero().Sub(Constant(3))
-	if got := neg.Integral(0, Inf); !math.IsInf(got, -1) {
-		t.Errorf("negative infinite integral = %v", got)
 	}
 }
 
@@ -261,20 +234,14 @@ func TestFirstBelow(t *testing.T) {
 	}
 }
 
-func TestNonNegativeAndMaxValue(t *testing.T) {
+func TestNonNegative(t *testing.T) {
 	f := FromSteps(Step{10, 4}, Step{10, 2})
 	if !f.NonNegative() {
 		t.Error("profile should be non-negative")
 	}
-	if f.MaxValue() != 4 {
-		t.Errorf("MaxValue = %d", f.MaxValue())
-	}
 	g := f.Sub(Constant(3))
 	if g.NonNegative() {
 		t.Error("difference should be negative somewhere")
-	}
-	if Zero().MaxValue() != 0 {
-		t.Error("MaxValue of zero")
 	}
 }
 
@@ -408,16 +375,13 @@ func TestPropValueConsistency(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	for i := 0; i < 300; i++ {
 		a, b := randFunc(r), randFunc(r)
-		sum, mx, mn := a.Add(b), a.Max(b), a.Min(b)
+		sum, mn := a.Add(b), a.Min(b)
 		for _, tt := range []float64{0, 0.5, 3, 10, 17.2, 49, 80, 200} {
 			va, vb := a.Value(tt), b.Value(tt)
 			if sum.Value(tt) != va+vb {
 				t.Fatalf("sum mismatch at t=%v", tt)
 			}
-			wantMax, wantMin := va, vb
-			if vb > va {
-				wantMax = vb
-			}
+			wantMin := vb
 			if vb < va {
 				wantMin = vb
 			} else {
@@ -425,9 +389,6 @@ func TestPropValueConsistency(t *testing.T) {
 				if va < vb {
 					wantMin = va
 				}
-			}
-			if mx.Value(tt) != wantMax {
-				t.Fatalf("max mismatch at t=%v: %d vs %d", tt, mx.Value(tt), wantMax)
 			}
 			if mn.Value(tt) != wantMin {
 				t.Fatalf("min mismatch at t=%v: %d vs %d", tt, mn.Value(tt), wantMin)
@@ -463,19 +424,6 @@ func TestPropFindHoleBruteForce(t *testing.T) {
 			if f.MinOn(got, got+dur) < n {
 				t.Fatalf("FindHole result infeasible: ts=%v (f=%v n=%d dur=%v)", got, f, n, dur)
 			}
-		}
-	}
-}
-
-func TestPropIntegralAdditive(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	for i := 0; i < 200; i++ {
-		f := randFunc(r)
-		a, b, c := 0.0, float64(r.Intn(50)), float64(50+r.Intn(100))
-		whole := f.Integral(a, c)
-		split := f.Integral(a, b) + f.Integral(b, c)
-		if math.Abs(whole-split) > 1e-6 {
-			t.Fatalf("integral not additive: %v vs %v (f=%v b=%v c=%v)", whole, split, f, b, c)
 		}
 	}
 }

@@ -240,19 +240,6 @@ func appPendingOn(a *core.AppState, cid view.ClusterID) bool {
 	return false
 }
 
-// LastRejected returns the number of admissions denied in the last round.
-func (p *DRFPolicy) LastRejected() int { return p.lastRejected }
-
-// Shares returns the last round's dominant share per queue path
-// (diagnostics; allocates).
-func (p *DRFPolicy) Shares() map[string]float64 {
-	out := make(map[string]float64, len(p.tree.queues))
-	for _, q := range p.tree.queues {
-		out[q.path] = p.share[q.id]
-	}
-	return out
-}
-
 // Victims implements core.VictimNominator with the YuniKorn DRF
 // preemption rule: a queue is starved on a cluster when its usage is
 // below its guarantee there AND it has pending demand there AND the

@@ -62,15 +62,6 @@ type Queue struct {
 // Name returns the queue's own name (last path element).
 func (q *Queue) Name() string { return q.name }
 
-// Path returns the queue's full slash-separated path.
-func (q *Queue) Path() string { return q.path }
-
-// Parent returns the parent queue (nil for the root).
-func (q *Queue) Parent() *Queue { return q.parent }
-
-// Children returns the child queues, sorted by name.
-func (q *Queue) Children() []*Queue { return q.children }
-
 // IsLeaf reports whether the queue has no children.
 func (q *Queue) IsLeaf() bool { return len(q.children) == 0 }
 
@@ -141,9 +132,6 @@ func (t *Tree) MustAdd(path string, guaranteed, max Resources) *Queue {
 
 // Queue returns the queue at path, or nil.
 func (t *Tree) Queue(path string) *Queue { return t.byPath[path] }
-
-// Root returns the root queue.
-func (t *Tree) Root() *Queue { return t.root }
 
 // Resolve maps a tenant label to its queue: an exact path match, or the
 // DefaultQueue for unknown and empty labels.

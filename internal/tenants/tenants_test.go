@@ -18,27 +18,27 @@ func TestTreeStructure(t *testing.T) {
 	tr.MustAdd("org/team/q2", nil, nil)
 	tr.MustAdd("org/ops", Resources{cA: 2}, nil)
 
-	if q := tr.Queue("org/team/q1"); q == nil || q.Name() != "q1" || q.Parent().Path() != "org/team" {
+	if q := tr.Queue("org/team/q1"); q == nil || q.Name() != "q1" || q.parent.path != "org/team" {
 		t.Fatalf("bad queue: %+v", tr.Queue("org/team/q1"))
 	}
 	org := tr.Queue("org")
-	if org == nil || org.Parent() != tr.Root() {
+	if org == nil || org.parent != tr.root {
 		t.Fatal("intermediate queue not created under root")
 	}
-	if got := len(org.Children()); got != 2 {
+	if got := len(org.children); got != 2 {
 		t.Fatalf("org has %d children, want 2", got)
 	}
-	if org.Children()[0].Name() != "ops" {
+	if org.children[0].Name() != "ops" {
 		t.Fatal("children not sorted by name")
 	}
 	if _, err := tr.Add("org/team/q1", nil, nil); err == nil {
 		t.Fatal("duplicate Add must fail")
 	}
-	if q := tr.Resolve("nope"); q.Path() != DefaultQueue {
-		t.Fatalf("unknown tenant resolves to %q, want default", q.Path())
+	if q := tr.Resolve("nope"); q.path != DefaultQueue {
+		t.Fatalf("unknown tenant resolves to %q, want default", q.path)
 	}
-	if q := tr.Resolve(""); q.Path() != DefaultQueue {
-		t.Fatalf("empty tenant resolves to %q, want default", q.Path())
+	if q := tr.Resolve(""); q.path != DefaultQueue {
+		t.Fatalf("empty tenant resolves to %q, want default", q.path)
 	}
 	NewDRF(tr) // seals
 	if _, err := tr.Add("late", nil, nil); err == nil {
@@ -100,7 +100,7 @@ func TestDRFOrder(t *testing.T) {
 			t.Fatalf("order[%d] = app %d, want %d (full: %v)", i, a.ID, want[i], ids(got))
 		}
 	}
-	if s := p.Shares()["hog"]; s != 2.0 {
+	if s := p.share[tr.Queue("hog").id]; s != 2.0 {
 		t.Fatalf("hog share = %v, want 2.0", s)
 	}
 }
@@ -169,8 +169,8 @@ func TestDRFAdmit(t *testing.T) {
 	if !p.Admit(info(), a3) {
 		t.Fatal("app demanding an uncapped cluster must be admitted")
 	}
-	if p.LastRejected() != 1 {
-		t.Fatalf("LastRejected = %d, want 1", p.LastRejected())
+	if p.lastRejected != 1 {
+		t.Fatalf("lastRejected = %d, want 1", p.lastRejected)
 	}
 }
 

@@ -6,7 +6,7 @@
 //
 // The profiles stored in a view are immutable everywhere (see stepfunc);
 // only the map itself is ever mutated. The value-returning operations (Add,
-// Sub, Union, Clip, ...) treat views as immutable and return a new View —
+// Sub, Clip, TrimBefore, ...) treat views as immutable and return a new View —
 // possibly sharing profiles with their operands. The Mut* operations are
 // the mutable-accumulator mode used on scheduler scratch: they update the
 // receiver's map in place, so the caller must own the map (profiles may
@@ -103,11 +103,6 @@ func (v View) Add(o View) View {
 // Sub returns the cluster-wise difference a − b (the paper's "−" on views).
 func (v View) Sub(o View) View {
 	return combine(v, o, func(x, y *stepfunc.StepFunc) *stepfunc.StepFunc { return x.Sub(y) })
-}
-
-// Union returns the cluster-wise pointwise maximum (the paper's "∪").
-func (v View) Union(o View) View {
-	return combine(v, o, func(x, y *stepfunc.StepFunc) *stepfunc.StepFunc { return x.Max(y) })
 }
 
 // Clip returns the cluster-wise pointwise minimum with o. It implements the

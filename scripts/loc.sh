@@ -2,8 +2,8 @@
 # Non-test Go lines per package and in total, bench/ (its own module)
 # excluded: the number ROADMAP aim 2 tracks. Plain `wc -l`, so comment and
 # blank lines count — which is why deleting comments is not a reduction.
-# Then the `panic(` call sites in the same files: the number ROADMAP item
-# 5(a) tracks. Run from anywhere inside the repository.
+# Then the `panic(` call sites in the same files: the number ROADMAP's panic
+# table tracks. Run from anywhere inside the repository.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -print0 |

@@ -5,32 +5,30 @@
 # declaration; then, as a second listing, those that only _test.go files
 # name. staticcheck's U1000 only sees unexported names; this is the
 # grep-level scan for the exported ones. A name shared with a used one is
-# missed. Exits 1 when the first listing is not empty; the second is printed
-# only.
+# missed. Exits 1 when the first listing is not empty, or when the second
+# names anything the table below does not.
 #
-# Kept on purpose, and why:
-# - allowed below, so never listed: sim's eventHeap.Less, reached through
-#   container/heap's interface, which it is never named for;
-# - on the second listing, accessors through which tests observe other
-#   behaviour: core AppState.Admitted, federation Federator.FailedNodes and
-#   Rebalancer.Checks / SkippedChecks, tenants Queue.Path / Parent / Children
-#   and Tree.Root, DRFPolicy.Shares / LastRejected, metrics
-#   Recorder.MaxAlloc, netchaos Proxy.Severed, apps PSA.CompletedTasks /
-#   Shutdown and Malleable.ExtraNodes / MinStarted;
-# - on the second listing, the algebra's and the histogram's own operations
-#   (stepfunc Integral and MaxValue, view Union — the paper's ∪ —, obs
-#   Histogram.Merge) and the SWF trace reader and writer workload.ParseSWF /
-#   FormatSWF that FuzzParseSWF round-trips;
-# - on the second listing, apps NewMoldable, NewMalleable and NewProbableNEA:
-#   the paper's §4 application taxonomy, ported to the view-segment contract
-#   of rms.AppHandler.OnViews and run by apps' tests, though nothing the
-#   system runs builds them.
+# Never listed: sim's eventHeap.Less, reached through container/heap's
+# interface, which it is never named for (allowed below).
+#
+# Named only by tests, and kept on purpose. One row per name: the name, its
+# file, and why. The script reads the rows, so keep the two columns.
+#   FailedNodeIDs   internal/rms/nodefault.go    the oracle of federation's
+#                   FuzzGangReservations: no shard may lose or double a dead
+#                   machine; rms and federation tests read it across packages
+#   MaxAlloc        internal/metrics/metrics.go  apps' tests read each
+#                   application's peak allocation from the recorder
+#   NewMoldable     internal/apps/moldable.go    the paper's §4 application
+#   NewMalleable    internal/apps/malleable.go   taxonomy, ported to the view
+#   NewProbableNEA  internal/apps/probable.go    segments of
+#                   rms.AppHandler.OnViews and run by apps' tests, though
+#                   nothing the system runs builds them
 # Run from anywhere inside the repository.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export LC_ALL=C # sort and join must agree on the order
 recv='(\([^)]*\) )?' # a method's receiver
-allowed='^Less internal/sim/sim\.go:' # "name file:line" of the first bullet above
+allowed='^Less internal/sim/sim\.go:' # "name file:line" of the one never listed
 # idents prints every identifier used in the Go files found with the given
 # extra find(1) tests: comment lines and trailing comments dropped, the
 # declared name cut out of func lines (receiver and signature stay).
@@ -52,8 +50,19 @@ echo "$unreferenced"
 # Named somewhere, but in no non-test file: the names of the first list are
 # filtered out by joining on the test files' identifiers first.
 decls=$(join <(printf '%s\n' "$decls") <(idents -name '*_test.go'))
-idents ! -name '*_test.go' | list "referenced from _test.go files only"
+testonly=$(idents ! -name '*_test.go' | list "referenced from _test.go files only")
+echo "$testonly"
+# The second listing's "file:line  name" lines whose "name file" is no row
+# of the header table.
+unkept=$(awk 'NR == FNR { kept[$1 " " $2]; next }
+	NF == 2 { file = $1; sub(/:.*/, "", file); if (!(($2 " " file) in kept)) print }' \
+	<(sed -nE 's/^#   ([A-Za-z0-9_]+) +(internal\/[^ ]+).*/\1 \2/p' scripts/unused_exported.sh) \
+	<(printf '%s\n' "$testonly"))
+if [ -n "$unkept" ]; then
+	printf 'named only by tests and not in the header table:\n%s\n' "$unkept"
+fi
 case $unreferenced in
 0\ *) ;;
 *) exit 1 ;;
 esac
+[ -z "$unkept" ]
