@@ -59,3 +59,25 @@ func TestBadRebalanceIntervalExits1(t *testing.T) {
 		}
 	}
 }
+
+// TestBadFaultDelaysExit1: a negative or NaN mean restart delay or repair
+// time is refused by the experiment as an error. A negative one drew fault
+// plans whose restarts or recoveries fell before 0, where the simulator
+// panics (sim.Engine.At); a NaN restart delay drew a plan without end.
+func TestBadFaultDelaysExit1(t *testing.T) {
+	for _, c := range []struct{ exp, flag, want string }{
+		{"chaos", "-restart-delay", "restart delay"},
+		{"rebalance", "-restart-delay", "restart delay"},
+		{"nodechaos", "-node-repair", "node repair time"},
+	} {
+		for _, v := range []string{"-1000", "NaN"} {
+			var stdout, stderr bytes.Buffer
+			if code := run([]string{"-exp", c.exp, c.flag, v}, &stdout, &stderr); code != 1 {
+				t.Errorf("-exp %s %s %s: exit code %d, want 1", c.exp, c.flag, v, code)
+			}
+			if !strings.Contains(stderr.String(), c.want) {
+				t.Errorf("-exp %s %s %s: stderr %q, want the %s named", c.exp, c.flag, v, &stderr, c.want)
+			}
+		}
+	}
+}

@@ -382,12 +382,32 @@ func policySeeds[P fmt.Stringer](seed int64, pols []P, cfg func(P, int64) ChaosR
 	return vs
 }
 
+// faultDelaysErr refuses a mean shard restart delay or machine repair time
+// the fault plans cannot draw from: a negative mean puts a restart or a
+// recovery before its fault, possibly before 0, where the simulator refuses
+// to schedule it (sim.Engine.At), and a NaN one never reaches the plan's
+// horizon.
+func (o Options) faultDelaysErr() error {
+	for _, d := range []struct {
+		flag string
+		mean float64
+	}{{"restart delay", o.RestartDelay}, {"node repair time", o.NodeRepair}} {
+		if !(d.mean >= 0) { // NaN included
+			return fmt.Errorf("experiments: %s %g must be non-negative", d.flag, d.mean)
+		}
+	}
+	return nil
+}
+
 // chaosSweep replays the shared 150-job trace once per variant through
 // RunChaosReplay; cols renders a result's columns after the variant's lead.
 // Same seed ⇒ identical row, including the event-stream hash (the
 // determinism contract of internal/chaos). The first (baseline) run carries
 // the observability registry.
 func chaosSweep(name string, o Options, topology string, header []string, variants []chaosVariant, cols func(*ChaosReplayResult) []string) (*Report, error) {
+	if err := o.faultDelaysErr(); err != nil {
+		return nil, err
+	}
 	jobs := synthetic(o.Seed, 150, 16, 60, 1200)
 	rep := &Report{Name: name, Notes: []string{traceNote(jobs, "/job; "+topology)}, Header: header}
 	return sweep(rep, variants, 0, func(v chaosVariant, reg *obs.Registry) ([][]string, *obs.Snapshot, error) {
@@ -495,6 +515,9 @@ func nodeChaosExp(o Options) (*Report, error) {
 func rebalanceExp(o Options) (*Report, error) {
 	if !(o.RebalanceInterval > 0) { // NaN included
 		return nil, fmt.Errorf("experiments: rebalance interval %g must be positive", o.RebalanceInterval)
+	}
+	if err := o.faultDelaysErr(); err != nil {
+		return nil, err
 	}
 	o.Shards = max(o.Shards, 2)
 	o.ClustersPerShard = max(o.ClustersPerShard, 2)

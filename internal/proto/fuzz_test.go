@@ -36,9 +36,10 @@ var viewsFrameSeeds = []string{
 // re-encoding. The server's path runs too: the frame's clusters, named with
 // what the view holds for them (zero for a removed one), are a segment
 // patched onto a copy of the base, which must equal the base with the
-// returned delta applied, and the segment stays untouched. The delta is
-// written into the previous view's delta map, as a wire session reuses
-// its own, and must equal the delta PatchView builds in a fresh map.
+// delta (EncodeViewAt at the names PatchView returns) applied, and the
+// segment stays untouched. The names and the delta are written into the
+// previous view's slices and map, as a wire session reuses its own, and
+// must equal what fresh ones give.
 func FuzzViewsFrame(f *testing.F) {
 	for i, s := range viewsFrameSeeds {
 		f.Add([]byte(s), []byte(viewsFrameSeeds[(i+1)%len(viewsFrameSeeds)]))
@@ -54,7 +55,9 @@ func FuzzViewsFrame(f *testing.F) {
 			bases[0], _ = bm.NonPreemptView.DecodeView()
 			bases[1], _ = bm.PreemptView.DecodeView()
 		}
-		var prev ViewJSON // the previous iteration's delta map
+		var prev ViewJSON              // the previous iteration's delta map
+		var prevNames []view.ClusterID // its changed names
+		var prevSteps []StepJSON       // and its steps
 		for i, vj := range []ViewJSON{m.NonPreemptView, m.PreemptView} {
 			base := bases[i]
 			before := base.Clone()
@@ -82,12 +85,18 @@ func FuzzViewsFrame(f *testing.F) {
 			}
 			segBefore := seg.Clone()
 			acc := base.Clone()
-			delta := PatchView(prev, acc, seg)
+			names := PatchView(prevNames, acc, seg)
+			delta, steps := EncodeViewAt(prev, prevSteps[:0], seg, names)
 			fresh := base.Clone()
-			if want := PatchView(nil, fresh, seg); !maps.EqualFunc(delta, want, slices.Equal) || !fresh.Equal(acc) {
-				t.Fatalf("segment %v patched onto %v: delta %v into the reused map, %v into a fresh one", seg, base, delta, want)
+			freshNames := PatchView(nil, fresh, seg)
+			slices.Sort(names) // a map's order
+			slices.Sort(freshNames)
+			if want, _ := EncodeViewAt(nil, nil, seg, freshNames); !maps.EqualFunc(delta, want, slices.Equal) || !fresh.Equal(acc) ||
+				len(names) != len(delta) || !slices.Equal(names, freshNames) {
+				t.Fatalf("segment %v patched onto %v: names %v, delta %v into the reused slice and map, %v, %v into fresh ones",
+					seg, base, names, delta, freshNames, want)
 			}
-			prev = delta
+			prev, prevNames, prevSteps = delta, names, steps
 			if back, err := delta.Apply(base); err != nil || !back.Equal(acc) || len(back) != len(acc) {
 				t.Fatalf("segment %v patched onto %v gave %v, its delta %v applied %v, %v", seg, base, acc, delta, back, err)
 			}

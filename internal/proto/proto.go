@@ -64,14 +64,13 @@ func EncodeView(v view.View) ViewJSON {
 
 // PatchView applies the segment seg (see rms.AppHandler.OnViews) to acc in
 // place — a named profile replaces acc's, a named zero removes the cluster,
-// a cluster seg does not name keeps its profile — and returns the delta: the
-// named clusters whose profile changed, a removed one as a zero profile.
-// Applying the delta to a copy of acc taken before the call (ViewJSON.Apply)
-// gives acc after it. The delta is dst, emptied and refilled (a fresh map
-// when dst is nil and a profile changed), so a caller that keeps it reuses
-// one map. acc and dst must be owned by the caller; seg is not modified.
-func PatchView(dst ViewJSON, acc, seg view.View) ViewJSON {
-	clear(dst)
+// a cluster seg does not name keeps its profile — and returns the clusters
+// whose profile changed, in names emptied and refilled. The delta is
+// EncodeViewAt(dst, steps, seg, names): applying it to a copy of acc taken
+// before the call (ViewJSON.Apply) gives acc after it. acc and names must
+// be owned by the caller; seg is not modified.
+func PatchView(names []view.ClusterID, acc, seg view.View) []view.ClusterID {
+	names = names[:0]
 	for cid := range seg {
 		f := seg.Get(cid)
 		if f.Equal(acc.Get(cid)) {
@@ -82,24 +81,43 @@ func PatchView(dst ViewJSON, acc, seg view.View) ViewJSON {
 		} else {
 			acc[cid] = f
 		}
-		if dst == nil {
-			dst = make(ViewJSON)
-		}
-		dst[string(cid)] = encodeProfile(f)
+		names = append(names, cid)
 	}
-	return dst
+	return names
 }
 
-// encodeProfile is f.Steps() in wire form, read off f's breakpoints (the
-// first is at 0, so a profile that is zero until some t > 0 starts with that
-// zero step).
+// EncodeViewAt encodes v's profiles at names, a zero profile for a cluster
+// v does not hold, into dst emptied and refilled (a fresh map when dst is
+// nil and names is not empty). The encoded steps are appended to steps,
+// returned grown: a caller that keeps dst and steps reuses one map and one
+// array, and must be done with dst before it passes steps[:0] again.
+func EncodeViewAt(dst ViewJSON, steps []StepJSON, v view.View, names []view.ClusterID) (ViewJSON, []StepJSON) {
+	clear(dst)
+	for _, cid := range names {
+		if dst == nil {
+			dst = make(ViewJSON, len(names))
+		}
+		from := len(steps)
+		steps = appendProfile(steps, v.Get(cid))
+		dst[string(cid)] = steps[from:len(steps):len(steps)]
+	}
+	return dst, steps
+}
+
+// encodeProfile is f.Steps() in wire form, in a slice of its own.
 func encodeProfile(f *stepfunc.StepFunc) []StepJSON {
+	return appendProfile(make([]StepJSON, 0, max(f.Len(), 1)), f)
+}
+
+// appendProfile appends f.Steps() in wire form to enc, read off f's
+// breakpoints (the first is at 0, so a profile that is zero until some
+// t > 0 starts with that zero step).
+func appendProfile(enc []StepJSON, f *stepfunc.StepFunc) []StepJSON {
 	n := f.Len()
 	if n == 0 {
-		return []StepJSON{{Duration: infDuration}}
+		return append(enc, StepJSON{Duration: infDuration})
 	}
-	enc := make([]StepJSON, n)
-	for i := range enc {
+	for i := range n {
 		t, v := f.At(i)
 		d := math.Inf(1)
 		if i+1 < n {
@@ -109,7 +127,7 @@ func encodeProfile(f *stepfunc.StepFunc) []StepJSON {
 		if math.IsInf(d, 1) {
 			d = infDuration
 		}
-		enc[i] = StepJSON{Duration: d, N: v}
+		enc = append(enc, StepJSON{Duration: d, N: v})
 	}
 	return enc
 }

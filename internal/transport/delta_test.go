@@ -52,7 +52,9 @@ func (a *deltaApp) OnViews(np, p view.View) {
 	a.delivered = append(a.delivered, [2]view.View{np, p})
 	a.snapshots = append(a.snapshots, [2]view.View{np.Clone(), p.Clone()})
 	a.mu.Unlock()
-	a.got <- [2]view.View{np, p}
+	if a.got != nil {
+		a.got <- [2]view.View{np, p}
+	}
 }
 func (a *deltaApp) OnStart(request.ID, []int) {}
 func (a *deltaApp) OnKill(string)             {}
@@ -66,19 +68,31 @@ type deltaWire struct {
 	app *deltaApp
 
 	cw      *connWriter
+	queue   int // cw's queue bound
 	peer    net.Conn
-	wire    *bytes.Buffer // what the client read on this connection
+	wire    *bytes.Buffer   // what the client read on this connection
+	wires   []*bytes.Buffer // and on every connection so far
 	loopErr chan error
 }
 
-func newDeltaWire(t *testing.T) *deltaWire {
+func newDeltaServer() *Server {
 	srv := NewBackendServer(nil)
 	srv.Logf = func(string, ...any) {}
 	srv.Grace = time.Hour
-	app := &deltaApp{got: make(chan [2]view.View, 1)}
+	return srv
+}
+
+func newDeltaWire(t *testing.T) *deltaWire {
+	return joinDeltaWire(t, newDeltaServer(), &deltaApp{got: make(chan [2]view.View, 1)}, 16)
+}
+
+// joinDeltaWire adds a session to srv whose connections queue at most
+// queue frames and whose client hands its views to app.
+func joinDeltaWire(t *testing.T, srv *Server, app *deltaApp, queue int) *deltaWire {
 	w := &deltaWire{
-		t:   t,
-		app: app,
+		t:     t,
+		app:   app,
+		queue: queue,
 		ws: &wireSession{
 			srv:    srv,
 			token:  "tok",
@@ -103,8 +117,9 @@ func newDeltaWire(t *testing.T) *deltaWire {
 // views on a resume) and a fresh client read loop starts on the other end.
 func (w *deltaWire) attach() {
 	srvEnd, cliEnd := net.Pipe()
-	w.cw = newConnWriter(srvEnd, 16, 10*time.Second)
+	w.cw = newConnWriter(srvEnd, w.queue, 10*time.Second)
 	w.peer, w.wire, w.loopErr = cliEnd, new(bytes.Buffer), make(chan error, 1)
+	w.wires = append(w.wires, w.wire)
 	fr := newFrameReader(io.TeeReader(cliEnd, w.wire), 0)
 	loopErr := w.loopErr
 	go func() { loopErr <- w.c.readLoop(fr) }()
@@ -133,6 +148,7 @@ func (w *deltaWire) await() ([2]view.View, *proto.Message, []byte) {
 	select {
 	case got = <-w.app.got:
 	case err := <-w.loopErr:
+		w.loopErr <- err // for detach
 		w.t.Fatalf("client read loop ended: %v", err)
 	case <-time.After(5 * time.Second):
 		w.t.Fatal("no views delivered")
@@ -438,11 +454,14 @@ func TestViewsBeforeAttachReachFreshSession(t *testing.T) {
 
 // TestOnViewsDeltaAllocs pins what a delta views frame allocates on the
 // server: a segment that names all 8 clusters of the pair and changes one
-// of them costs the frame's encoded profiles and its bytes — the delta maps
-// and the frame being marshalled are the session's own, reused under its
-// lock, and a profile is encoded straight from its breakpoints. The
-// connection's queue is never drained here, so it holds more than the 202
-// frames sent, and nothing is evicted.
+// of them. Alternating two segment pairs, every frame after the first two
+// is in the server's memo and is enqueued as it is. A frame the memo lacks
+// (its slot is emptied before each) costs its encoded profiles, its bytes
+// and its memo entry — the delta maps, the array of their steps and the
+// frame being marshalled are the session's own, reused under its lock, and
+// a profile is encoded straight from its breakpoints. The connection's
+// queue is never drained here, so it holds more than the frames sent, and
+// nothing is evicted.
 func TestOnViewsDeltaAllocs(t *testing.T) {
 	srv := NewBackendServer(nil)
 	srv.Logf = func(string, ...any) {}
@@ -454,22 +473,31 @@ func TestOnViewsDeltaAllocs(t *testing.T) {
 	}
 	segs := [2][2]view.View{}
 	for k := range segs {
-		for j := range segs[k] {
-			segs[k][j] = view.New()
-			for i := range 8 {
-				segs[k][j][genCluster(i)] = stepfunc.Constant(8 + i + j)
+		// Two pairs in one memo slot would evict each other on every frame.
+		for segs[k][0] == nil || k == 1 && srv.frameSlot(segs[1][0]) == srv.frameSlot(segs[0][0]) {
+			for j := range segs[k] {
+				segs[k][j] = view.New()
+				for i := range 8 {
+					segs[k][j][genCluster(i)] = stepfunc.Constant(8 + i + j)
+				}
+				segs[k][j][genCluster(3)] = profiles[k]
 			}
-			segs[k][j][genCluster(3)] = profiles[k]
 		}
 	}
 	ws.OnViews(segs[0][0], segs[0][1]) // the connection's full frame
 	k := 0
-	allocs := testing.AllocsPerRun(200, func() {
+	push := func() {
 		k = 1 - k
 		ws.OnViews(segs[k][0], segs[k][1])
+	}
+	push() // the memo's first entry; the warm-up run makes the second
+	hit := testing.AllocsPerRun(200, push)
+	miss := testing.AllocsPerRun(200, func() {
+		srv.frameSlot(segs[1-k][0]).Store(nil)
+		push()
 	})
-	if st := srv.Stats(); st["views_full_frames"] != 1 || st["views_delta_frames"] != 201 || st["evictions"] != 0 {
-		t.Fatalf("stats %v, want 1 full and 201 delta frames", st)
+	if st := srv.Stats(); st["views_full_frames"] != 1 || st["views_delta_frames"] != 403 || st["evictions"] != 0 {
+		t.Fatalf("stats %v, want 1 full and 403 delta frames", st)
 	}
 	var last []byte
 	for len(ws.cw.ch) > 0 {
@@ -479,9 +507,19 @@ func TestOnViewsDeltaAllocs(t *testing.T) {
 	if string(last) != want {
 		t.Fatalf("last frame %s, want %s", last, want)
 	}
-	// 9 on an amd64 build with go1.24; a fresh delta map per view, a
-	// Steps() copy per profile and a frame escaping to the heap took 16.
-	if allocs > 9 && !raceEnabled {
-		t.Fatalf("a one-cluster delta frame allocates %.1f times, want ≤ 9", allocs)
+	t.Logf("hit %.1f, miss %.1f allocations", hit, miss)
+	if raceEnabled {
+		return
+	}
+	// 0 on an amd64 build with go1.24.
+	if hit > 1 {
+		t.Errorf("a delta frame in the memo allocates %.1f times, want ≤ 1", hit)
+	}
+	// 9 on an amd64 build with go1.24, as before the memo, whose entry
+	// costs what the session's step array saves; a fresh delta map per
+	// view, a Steps() copy per profile and a frame escaping to the heap
+	// took 16.
+	if miss > 9 {
+		t.Errorf("a one-cluster delta frame the memo lacks allocates %.1f times, want ≤ 9", miss)
 	}
 }

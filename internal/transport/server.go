@@ -24,6 +24,8 @@ import (
 	"io"
 	"log"
 	"net"
+	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -130,6 +132,9 @@ type Server struct {
 
 	stats   serverStats
 	hResume *obs.Histogram
+	// frames holds recent delta views frames for every session to reuse
+	// (see sharedFrame), a slot per segment map address hash.
+	frames [1 << frameSlotBits]atomic.Pointer[sharedFrame]
 
 	// Logf logs transport events; defaults to log.Printf. Tests silence it.
 	Logf func(format string, args ...any)
@@ -317,6 +322,40 @@ func (s *Server) lookupSession(token string) *wireSession {
 	return s.sessions[token]
 }
 
+// frameSlotBits sizes Server.frames: 64 slots.
+const frameSlotBits = 6
+
+// sharedFrame is one delta views frame as some session marshalled it. Views
+// segments are immutable (rms.AppHandler.OnViews), so a delta frame is a
+// pure function of the segment pair it was built from and of the clusters
+// that changed in each view: a named cluster carries the segment's profile,
+// a removed one the zero profile. Any session handed the same two segment
+// maps with the same changes sends these bytes.
+type sharedFrame struct {
+	np, p view.View // the segment pair; held, so neither address is reused
+	// changed lists the clusters changed in np, sorted, then those changed
+	// in p, sorted; the first nnp belong to np.
+	changed []view.ClusterID
+	nnp     int
+	// data is the frame with its '\n', capped at its length so no append
+	// can write into the array every session's queue shares.
+	data []byte
+}
+
+// matches reports whether f is the frame for the segment pair (np, p) with
+// the sorted change sets cnp, cp.
+func (f *sharedFrame) matches(np, p view.View, cnp, cp []view.ClusterID) bool {
+	return view.Same(f.np, np) && view.Same(f.p, p) &&
+		slices.Equal(f.changed[:f.nnp], cnp) && slices.Equal(f.changed[f.nnp:], cp)
+}
+
+// frameSlot is the memo slot of a frame built from non-preemptive segment
+// np: its map address, Fibonacci-hashed to the top bits.
+func (s *Server) frameSlot(np view.View) *atomic.Pointer[sharedFrame] {
+	h := uint64(reflect.ValueOf(np).Pointer()) * 0x9e3779b97f4a7c15
+	return &s.frames[h>>(64-frameSlotBits)]
+}
+
 // newToken mints an unguessable resume token.
 func newToken() string {
 	var b [16]byte
@@ -444,11 +483,15 @@ type wireSession struct {
 	// rms.AppHandler.OnViews), nil before the first: owned here, patched in
 	// place, and sent whole as a connection's first views frame.
 	np, p view.View
-	// dnp/dp are the delta maps OnViews patches into, and out is the frame
-	// being marshalled (enqueueLocked): reused under mu, so a views frame
-	// allocates its encoded profiles and bytes, and the marshalled bytes
+	// cnp/cp are the clusters the last segment changed in np/p; dnp/dp and
+	// steps are the delta maps, and the array of their steps, that a frame
+	// missing from the server's memo is encoded into; out is the frame
+	// being marshalled (marshalLocked). All are reused under mu, so a views
+	// frame allocates its bytes and its memo entry, and the marshalled bytes
 	// own nothing of them.
+	cnp, cp []view.ClusterID
 	dnp, dp proto.ViewJSON
+	steps   []proto.StepJSON
 	out     proto.Message
 	// synced: cw was sent np/p, so its next views frame is a delta.
 	synced    bool
@@ -461,29 +504,44 @@ type wireSession struct {
 	droppedAt time.Time
 }
 
-// enqueueLocked marshals and queues one frame on the attached connection,
-// evicting it when the queue is full, and returns the frame's size. Call
-// with ws.mu held — the lock makes state recording and frame ordering
-// atomic against a concurrent resume replay.
+// enqueueLocked marshals and queues one frame on the attached connection
+// and returns the frame's size. Call with ws.mu held — the lock makes state
+// recording and frame ordering atomic against a concurrent resume replay.
 func (ws *wireSession) enqueueLocked(m proto.Message) int {
-	cw := ws.cw
-	if cw == nil {
+	if ws.cw == nil {
 		return 0 // detached: state is re-delivered on resume
 	}
+	data := ws.marshalLocked(m)
+	ws.sendLocked(data)
+	return len(data)
+}
+
+// marshalLocked returns m as one frame, its '\n' included and its capacity
+// capped at its length, or nil when m cannot be encoded.
+func (ws *wireSession) marshalLocked(m proto.Message) []byte {
 	ws.out = m
 	data, err := ws.out.Marshal()
 	ws.out = proto.Message{}
 	if err != nil {
 		ws.srv.Logf("transport: marshal: %v", err)
-		return 0
+		return nil
 	}
-	if !cw.enqueue(append(data, '\n')) {
+	data = append(data, '\n')
+	return data[:len(data):len(data)]
+}
+
+// sendLocked queues a marshalled frame on the attached connection, evicting
+// it when the queue is full.
+func (ws *wireSession) sendLocked(data []byte) {
+	if data == nil {
+		return
+	}
+	if !ws.cw.enqueue(data) {
 		// Slow consumer: a stalled client must never block the notifier.
 		// Cut the connection; the session survives into the grace window.
 		ws.srv.stats.evictions.Add(1)
-		cw.evict()
+		ws.cw.evict()
 	}
-	return len(data) + 1
 }
 
 // deliver is enqueueLocked for callers not holding ws.mu.
@@ -500,37 +558,61 @@ func (ws *wireSession) OnViews(np, p view.View) {
 	if ws.np == nil {
 		ws.np, ws.p = view.New(), view.New()
 	}
-	ws.dnp, ws.dp = proto.PatchView(ws.dnp, ws.np, np), proto.PatchView(ws.dp, ws.p, p)
-	ws.pushViewsLocked(ws.dnp, ws.dp, false)
+	ws.cnp, ws.cp = proto.PatchView(ws.cnp, ws.np, np), proto.PatchView(ws.cp, ws.p, p)
+	switch {
+	case ws.cw == nil:
+	case ws.synced:
+		ws.pushDeltaLocked(np, p)
+	default:
+		ws.pushFullLocked(false)
+	}
 	ws.mu.Unlock()
 }
 
-// pushViewsLocked enqueues a views frame on the attached connection: the
-// delta dnp/dp when the connection holds the pair as it was before the
-// patch that produced them — its previous views frame brought its client
-// there, since the write queue is FIFO and a connection that loses a frame
-// is cut and re-synced by a resume — else the whole pair.
-func (ws *wireSession) pushViewsLocked(dnp, dp proto.ViewJSON, replay bool) {
-	if ws.cw == nil {
-		return
+// pushDeltaLocked enqueues the delta the segment pair (np, p) made to the
+// session's pair: the clusters in cnp/cp with the segments' profiles. The
+// connection holds the pair as it was before that patch — its previous views
+// frame brought its client there, since the write queue is FIFO and a
+// connection that loses a frame is cut and re-synced by a resume. The frame
+// comes from the server's memo when a session built it for the same
+// segments and changes, else it is marshalled here and published there.
+func (ws *wireSession) pushDeltaLocked(np, p view.View) {
+	slices.Sort(ws.cnp)
+	slices.Sort(ws.cp)
+	slot := ws.srv.frameSlot(np)
+	var data []byte
+	if f := slot.Load(); f != nil && f.matches(np, p, ws.cnp, ws.cp) {
+		data = f.data
+	} else {
+		ws.dnp, ws.steps = proto.EncodeViewAt(ws.dnp, ws.steps[:0], np, ws.cnp)
+		ws.dp, ws.steps = proto.EncodeViewAt(ws.dp, ws.steps, p, ws.cp)
+		data = ws.marshalLocked(proto.Message{
+			Type:           proto.MsgViews,
+			Delta:          true,
+			NonPreemptView: ws.dnp,
+			PreemptView:    ws.dp,
+		})
+		if data != nil {
+			slot.Store(&sharedFrame{np: np, p: p, changed: slices.Concat(ws.cnp, ws.cp), nnp: len(ws.cnp), data: data})
+		}
 	}
-	delta := ws.synced
-	if !delta {
-		dnp, dp = proto.EncodeView(ws.np), proto.EncodeView(ws.p)
-	}
+	ws.sendLocked(data)
+	ws.synced = data != nil // a frame that could not be encoded breaks the chain
+	ws.srv.stats.viewsDelta.Add(1)
+	ws.srv.stats.viewsBytes.Add(int64(len(data)))
+}
+
+// pushFullLocked enqueues the session's whole pair on the attached
+// connection, which then holds it.
+func (ws *wireSession) pushFullLocked(replay bool) {
 	n := ws.enqueueLocked(proto.Message{
 		Type:           proto.MsgViews,
 		Replay:         replay,
-		Delta:          delta,
-		NonPreemptView: dnp,
-		PreemptView:    dp,
+		NonPreemptView: proto.EncodeView(ws.np),
+		PreemptView:    proto.EncodeView(ws.p),
 	})
 	ws.synced = n > 0 // a frame that could not be encoded breaks the chain
-	if delta {
-		ws.srv.stats.viewsDelta.Add(1)
-	} else {
-		ws.srv.stats.viewsFull.Add(1)
-	}
+	ws.srv.stats.viewsFull.Add(1)
 	ws.srv.stats.viewsBytes.Add(int64(n))
 }
 
@@ -611,7 +693,7 @@ func (ws *wireSession) attach(cw *connWriter, connected proto.Message) bool {
 	if ws.np != nil {
 		// Also on a fresh session: its first round may have pushed views
 		// between the backend connect and this attach.
-		ws.pushViewsLocked(nil, nil, resumed)
+		ws.pushFullLocked(resumed)
 	}
 	if resumed {
 		ids := make([]int64, 0, len(ws.starts))

@@ -147,3 +147,24 @@ func TestAllocsViewOps(t *testing.T) {
 		t.Errorf("View.TrimBefore no-op: %v allocs/op, want 0", got)
 	}
 }
+
+// TestCombineSizesForLargerOperand pins combine's map hint: the sum of two
+// views naming the same 8 clusters is an 8-entry map, which go1.24 builds
+// in 2 allocations with a hint of at most 8 and in 4 with the hint 16 that
+// the sum of the operands' sizes gives. The second operand's profiles are
+// zero, so Add hands back the first's and the map is all that allocates.
+func TestCombineSizesForLargerOperand(t *testing.T) {
+	a, b := New(), New()
+	for i := range 8 {
+		cid := ClusterID(rune('a' + i))
+		a[cid], b[cid] = stepfunc.Constant(i+1), stepfunc.Zero()
+	}
+	var sum View
+	got := testing.AllocsPerRun(200, func() { sum = a.Add(b) })
+	if !sum.Equal(a) || len(sum) != 8 {
+		t.Fatalf("a + 0 = %v, want %v", sum, a)
+	}
+	if got > 2 {
+		t.Errorf("View.Add of two 8-cluster views: %v allocs/op, want <= 2 (one small map)", got)
+	}
+}

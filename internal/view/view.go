@@ -75,8 +75,11 @@ func (v View) Clone() View {
 
 // combine merges two views cluster-wise with op: first every cluster of a,
 // then the clusters only b has. No intermediate key-set is materialized.
+// The map is sized for the larger operand: operands usually name the same
+// clusters, and a hint past 8 makes an 8-cluster result a large map (504 B
+// in 4 allocations with go1.24's maps, against 256 B in 2).
 func combine(a, b View, op func(x, y *stepfunc.StepFunc) *stepfunc.StepFunc) View {
-	out := make(View, len(a)+len(b))
+	out := make(View, max(len(a), len(b)))
 	for cid := range a {
 		f := op(a.Get(cid), b.Get(cid))
 		if !f.IsZero() {
