@@ -81,7 +81,6 @@ type scratch struct {
 	foldFns     []*stepfunc.StepFunc
 	walks       []*clusterWalk
 	slotViews   []view.View
-	slotStable  []bool
 
 	// eqSchedule buffers. grantP is a recomputed application's granted view
 	// restricted to its preemptible requests' clusters.

@@ -43,15 +43,20 @@ func (p PreemptPolicy) String() string {
 // identity).
 func eqSchedule(apps []*AppState, vin view.View, t0 float64, policy PreemptPolicy) map[int]view.View {
 	s := NewScheduler(map[view.ClusterID]int{})
-	s.apps = apps
-	s.roundApps = apps
 	s.policy = policy
-	return s.eqScheduleIncremental(vin, t0, &s.sc, false)
+	s.eqScheduleIncremental(apps, false, vin, t0)
+	out := make(map[int]view.View, len(apps))
+	for _, a := range apps {
+		out[a.ID] = a.cache.pOut
+	}
+	return out
 }
 
 // eqScheduleIncremental is Algorithm 3 with per-application and per-cluster
-// caching. Every reuse condition is exact, so the result is bit-identical
-// to a full recomputation:
+// caching, over apps in this round's order (dynamic: admission-gated). It
+// leaves each application's preemptive view in its cache (pOut). Every
+// reuse condition is exact, so the result is bit-identical to a full
+// recomputation:
 //   - a preliminary occupancy view is reused when the application's
 //     preemptible set is clean and its availability-dependent allocs
 //     re-check unchanged, and a recomputed one equal by value keeps the
@@ -68,19 +73,10 @@ func eqSchedule(apps []*AppState, vin view.View, t0 float64, policy PreemptPolic
 //   - the rescheduling pass skips a clean, settled application whose
 //     fragments at its requests' clusters are the ones it was last
 //     rescheduled against.
-//
-// outSeeded reports that the persistent preemptive-view map already holds
-// every application's entry from the previous round, so reused
-// applications whose map held skip their map write.
-func (s *Scheduler) eqScheduleIncremental(vin view.View, t0 float64, sc *scratch, outSeeded bool) map[int]view.View {
-	apps := s.roundApps // this round's policy order (s.apps under FIFO)
-	n := len(apps)
-	if s.outPViews == nil {
-		s.outPViews = make(map[int]view.View, n)
-	}
-	out := s.outPViews
+func (s *Scheduler) eqScheduleIncremental(apps []*AppState, dynamic bool, vin view.View, t0 float64) {
+	sc, n := &s.sc, len(apps)
 	if n == 0 {
-		return out
+		return
 	}
 
 	// Compute preliminary views of occupied resources (lines 1–3).
@@ -94,7 +90,7 @@ func (s *Scheduler) eqScheduleIncremental(vin view.View, t0 float64, sc *scratch
 			vocc[i] = nil
 			continue
 		}
-		if s.roundDynamic && !a.admitted {
+		if dynamic && !a.admitted {
 			// Not admitted: pending preemptible requests stay
 			// unscheduled; only the started/fixed allocations occupy.
 			s.stats.EqOccRecomputed++
@@ -197,7 +193,7 @@ func (s *Scheduler) eqScheduleIncremental(vin view.View, t0 float64, sc *scratch
 		if nw > len(occ) {
 			profs[1+len(occ)] = zero.Get(cid) // virtual idle slot
 		}
-		if w := s.eqWalks[cid]; w != nil && (walkKeyEqual(w.key, profs) || w.permute(profs, sc)) {
+		if w := s.eqWalks[cid]; w != nil && (slices.Equal(w.key, profs) || w.permute(profs, sc)) {
 			s.stats.WalksReused++
 			sc.walks[ci] = w
 			continue
@@ -209,15 +205,13 @@ func (s *Scheduler) eqScheduleIncremental(vin view.View, t0 float64, sc *scratch
 	}
 
 	// Assemble each slot's granted view from the per-cluster fragments cut
-	// at t0, keeping the cached view object when nothing changed (stability
-	// decides which maps are written below). Slot nw-1 is the shared idle
-	// view.
+	// at t0, keeping the application's last view object when nothing
+	// changed. Slot nw-1 is the shared idle view.
 	sc.slotViews = grown(sc.slotViews, nw)
-	sc.slotStable = grown(sc.slotStable, nw)
 	for j := 0; j < nw; j++ {
 		var cached view.View
 		if j < len(occ) {
-			cached = apps[occ[j]].cache.granted
+			cached = apps[occ[j]].cache.pOut
 		} else {
 			cached = s.eqIdle
 		}
@@ -234,7 +228,7 @@ func (s *Scheduler) eqScheduleIncremental(vin view.View, t0 float64, sc *scratch
 			}
 		}
 		if match && len(cached) == nonzero {
-			sc.slotViews[j], sc.slotStable[j] = cached, true
+			sc.slotViews[j] = cached
 			continue
 		}
 		v := make(view.View, nonzero)
@@ -243,17 +237,14 @@ func (s *Scheduler) eqScheduleIncremental(vin view.View, t0 float64, sc *scratch
 				v[clusters[ci]] = f
 			}
 		}
-		sc.slotViews[j], sc.slotStable[j] = v, false
-		if j < len(occ) {
-			apps[occ[j]].cache.granted = v
-		} else {
+		sc.slotViews[j] = v
+		if j >= len(occ) {
 			s.eqIdle = v
 		}
 	}
 	var idle view.View // shared by every idle application
-	idleStable := false
 	if nw > len(occ) {
-		idle, idleStable = sc.slotViews[nw-1], sc.slotStable[nw-1]
+		idle = sc.slotViews[nw-1]
 	}
 
 	// Reschedule all requests according to the computed views, so that
@@ -270,37 +261,26 @@ func (s *Scheduler) eqScheduleIncremental(vin view.View, t0 float64, sc *scratch
 	}
 	j := 0
 	for i, a := range apps {
-		var v view.View
-		var stable bool
-		c := &a.cache
+		v, c := idle, &a.cache
 		if j < len(occ) && occ[j] == i {
-			v, stable = sc.slotViews[j], sc.slotStable[j]
+			v = sc.slotViews[j]
 			j++
-		} else {
-			v, stable = idle, idleStable
-			if a.P.Len() == 0 {
-				if !outSeeded || !stable || c.outNew {
-					out[a.ID] = v
-				}
-				c.outNew = false
-				continue
-			}
 		}
-		if s.roundDynamic && !a.admitted {
+		c.pOut = v
+		if a.P.Len() == 0 {
+			continue
+		}
+		if dynamic && !a.admitted {
 			// Not admitted: refresh the started allocations against the
 			// granted view but leave pending requests unscheduled.
 			s.stats.EqAppRecomputed++
 			toViewScratch(a.P, v, t0, sc)
 			unschedulePending(a.P)
-			out[a.ID] = v
 			c.eqOK = false
 			continue
 		}
 		if c.eqOK && c.pSettled && sameGrantFrags(a.P, v, c.grantFrags) && grantAllocStable(a.P, v, t0) {
 			s.stats.EqAppReused++
-			if !outSeeded || !stable {
-				out[a.ID] = v
-			}
 			continue
 		}
 		s.stats.EqAppRecomputed++
@@ -320,22 +300,7 @@ func (s *Scheduler) eqScheduleIncremental(vin view.View, t0 float64, sc *scratch
 		avail.MutSub(fixed)
 		avail.MutClampMin(0)
 		fitScratch(a.P, avail, t0, sc)
-		out[a.ID] = v
 	}
-	return out
-}
-
-// walkKeyEqual reports whether two input-profile lists are identical.
-func walkKeyEqual(key, profs []*stepfunc.StepFunc) bool {
-	if len(key) != len(profs) {
-		return false
-	}
-	for i := range key {
-		if key[i] != profs[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // captureNAllocs records every request's NAlloc in set order.

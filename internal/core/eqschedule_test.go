@@ -51,7 +51,7 @@ func TestRestrictedRescheduleMatchesGrantedView(t *testing.T) {
 			mk(a, "c0", 2, 20, request.Preempt, request.Coalloc, np)
 		}
 	}
-	out := s.Schedule(now)
+	out := gather(s, s.Schedule(now))
 	for _, a := range s.Apps() {
 		v := out.PreemptViews[a.ID]
 		if len(v) != 3 {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 
 	"coormv2/internal/request"
 	"coormv2/internal/stepfunc"
@@ -122,16 +123,10 @@ type appCache struct {
 	cbfOK             bool
 	cbfAt             int
 	cbfFrom, cbfUntil float64
-	cbfOut            view.View // the application's non-preemptive view
+	cbfOut            view.View // the application's non-preemptive view (Views)
 	cbfPA             view.View // newly scheduled pre-allocations subtracted from vNP
 	cbfExcess         view.View // wrapped excess subtracted from vNP
 	cbfNP             view.View // scheduled ¬P occupancy subtracted from basePv
-
-	// outNew marks an application added since the last round: the Outcome
-	// maps hold no entry for it yet. Every branch of a round writes its
-	// entries but the preemptive one of an idle application sharing a
-	// stable view, which writes it once and clears the mark.
-	outNew bool
 
 	// eqSchedule caches.
 	eqOK       bool
@@ -139,7 +134,7 @@ type appCache struct {
 	pSettled   bool    // every P request is Fixed: no time-dependent fit
 	vocc       view.View
 	voccNAlloc []int     // phase-A NAlloc per P request, set order
-	granted    view.View // granted preemptive view object of the last round
+	pOut       view.View // the application's preemptive view (Views)
 	// grantFrags holds, per P request in set order, the granted fragment at
 	// its cluster that the application was last rescheduled against.
 	grantFrags []*stepfunc.StepFunc
@@ -323,13 +318,11 @@ func (s *Scheduler) invalidateDerivedLocked() {
 	for _, a := range s.apps {
 		a.cache.cbfOK = false
 		a.cache.eqOK = false
-		a.cache.granted = nil
 		a.cache.grantFrags = a.cache.grantFrags[:0]
 	}
 	s.foldsReady = false
 	s.pvClampOK = false
 	s.eqIdle = nil
-	s.outOK = false
 	clear(s.eqWalks)
 }
 
@@ -367,18 +360,6 @@ func captureRects(rs *request.Set, dst []rectA, withAlloc bool) []rectA {
 		})
 	}
 	return dst
-}
-
-func rectsEqual(a, b []rectA) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // addRectClusters marks the clusters of every rect dirty.
@@ -419,16 +400,16 @@ func (s *Scheduler) refreshAppLocked(a *AppState, now float64, npFold, pFold map
 	c.paSettled = allFixed(a.PA)
 	c.npSettled = allFixed(a.NP)
 
-	if !rectsEqual(oldPA, newPA) {
+	if !slices.Equal(oldPA, newPA) {
 		addRectClusters(npFold, oldPA)
 		addRectClusters(npFold, newPA)
 	}
-	if !rectsEqual(oldNP, newNP) {
+	if !slices.Equal(oldNP, newNP) {
 		dirtyNPFolds(npFold, pFold, oldNP)
 		dirtyNPFolds(npFold, pFold, newNP)
 	}
 	c.cbfOK = c.cbfOK && oldPASettled && oldNPSettled &&
-		rectsEqual(oldPA, newPA) && rectsEqual(oldNP, newNP) &&
+		slices.Equal(oldPA, newPA) && slices.Equal(oldNP, newNP) &&
 		c.paSettled && c.npSettled
 	// Swap the freshly captured lists into the cache and recycle the old
 	// backing arrays as the next refresh's scratch.
@@ -441,7 +422,7 @@ func (s *Scheduler) refreshAppLocked(a *AppState, now float64, npFold, pFold map
 	if c.eqOK {
 		freshP := captureRects(a.P, s.sc.rectScratch[:0], false)
 		s.sc.rectScratch = freshP
-		if !rectsEqual(c.pRects, freshP) || allFixed(a.P) != c.pSettled {
+		if !slices.Equal(c.pRects, freshP) || allFixed(a.P) != c.pSettled {
 			c.eqOK = false
 		}
 	}

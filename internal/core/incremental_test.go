@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"coormv2/internal/request"
@@ -118,7 +119,7 @@ func (m *diffMirror) apply(t *testing.T, op diffOp, now float64) {
 }
 
 // startArrived mirrors the RMS start path: every ToStart request begins now.
-func (m *diffMirror) startArrived(out *Outcome, now float64) {
+func (m *diffMirror) startArrived(out *gathered, now float64) {
 	for _, r := range out.ToStart {
 		r.StartedAt = now
 		m.s.MarkAppDirty(r.AppID)
@@ -141,7 +142,7 @@ func viewsEqual(a, b map[int]view.View) error {
 	return nil
 }
 
-func (m *diffMirror) compareTo(o *diffMirror, outA, outB *Outcome) error {
+func (m *diffMirror) compareTo(o *diffMirror, outA, outB *gathered) error {
 	if err := viewsEqual(outA.NonPreemptViews, outB.NonPreemptViews); err != nil {
 		return fmt.Errorf("non-preemptive: %w", err)
 	}
@@ -569,8 +570,8 @@ func runDiffShaped(t *testing.T, seed int64, shape churnShape, inc, full *diffMi
 					m.onRound(round)
 				}
 			}
-			outA := inc.s.Schedule(now)
-			outB := full.s.Schedule(now)
+			outA := gather(inc.s, inc.s.Schedule(now))
+			outB := gather(full.s, full.s.Schedule(now))
 			if err := inc.compareTo(full, outA, outB); err != nil {
 				t.Fatalf("seed %d round %d (t=%.2f): %v", seed, round, now, err)
 			}
@@ -578,8 +579,8 @@ func runDiffShaped(t *testing.T, seed int64, shape churnShape, inc, full *diffMi
 			// mirroring the RMS's schedule→start→schedule sequence.
 			inc.startArrived(outA, now)
 			full.startArrived(outB, now)
-			outA = inc.s.Schedule(now)
-			outB = full.s.Schedule(now)
+			outA = gather(inc.s, inc.s.Schedule(now))
+			outB = gather(full.s, full.s.Schedule(now))
 			if err := inc.compareTo(full, outA, outB); err != nil {
 				t.Fatalf("seed %d round %d post-start (t=%.2f): %v", seed, round, now, err)
 			}
@@ -681,14 +682,14 @@ func TestNonPreemptViewsKeepIdentity(t *testing.T) {
 	np.StartedAt = 0
 	mk(5, 4, 50, request.NonPreempt, request.Next, np)
 	addr := func(v view.View) uintptr { return reflect.ValueOf(v).Pointer() }
-	snapshot := func(out *Outcome) map[int]uintptr {
+	snapshot := func(out *gathered) map[int]uintptr {
 		m := make(map[int]uintptr, len(out.NonPreemptViews))
 		for id, v := range out.NonPreemptViews {
 			m[id] = addr(v)
 		}
 		return m
 	}
-	before := snapshot(s.Schedule(0))
+	before := snapshot(gather(s, s.Schedule(0)))
 	for round, step := range []struct {
 		mutate     func()
 		recomputes bool
@@ -702,7 +703,7 @@ func TestNonPreemptViewsKeepIdentity(t *testing.T) {
 	} {
 		step.mutate()
 		recomputed := s.Stats().CBFRecomputed
-		out := s.Schedule(float64(round + 1))
+		out := gather(s, s.Schedule(float64(round+1)))
 		if got := s.Stats().CBFRecomputed > recomputed; got != step.recomputes {
 			t.Fatalf("round %d recomputed an application: %v, want %v", round+1, got, step.recomputes)
 		}
@@ -839,7 +840,7 @@ func TestClusterWalkPermute(t *testing.T) {
 		for _, i := range rng.Perm(nw) {
 			moved = append(moved, profs[1+i])
 		}
-		if walkKeyEqual(w.key, moved) {
+		if slices.Equal(w.key, moved) {
 			continue // no slot's input moved: the walk is reused as it is
 		}
 		if ordered {
@@ -935,7 +936,7 @@ func TestPreemptViewsKeepIdentity(t *testing.T) {
 	s.Schedule(0)
 
 	r := mk(6, "cy", 2, 50, request.Preempt)
-	out := s.Schedule(1)
+	out := gather(s, s.Schedule(1))
 	if len(out.ToStart) != 1 || out.ToStart[0] != r {
 		t.Fatalf("ToStart = %v, want request %d alone", out.ToStart, r.ID)
 	}
@@ -946,7 +947,7 @@ func TestPreemptViewsKeepIdentity(t *testing.T) {
 	st := s.Stats()
 	r.StartedAt = 1
 	s.MarkAppDirty(6)
-	out = s.Schedule(1)
+	out = gather(s, s.Schedule(1))
 	for app, v := range out.PreemptViews {
 		if !view.Same(v, before[app]) {
 			t.Errorf("application %d's preemptive view is a new map after a start-only round", app)

@@ -214,16 +214,16 @@ func (p *scriptedPolicy) Admit(_ RoundInfo, a *AppState) bool { return !p.refuse
 // scriptedTwins builds one incremental scheduler and its from-scratch twin
 // with build, both under p; round schedules both at now and fails the test
 // unless their views agree, returning the incremental side's outcome.
-func scriptedTwins(t *testing.T, clusters map[view.ClusterID]int, p *scriptedPolicy, build func(s *Scheduler)) (inc *Scheduler, round func(now float64) *Outcome) {
+func scriptedTwins(t *testing.T, clusters map[view.ClusterID]int, p *scriptedPolicy, build func(s *Scheduler)) (inc *Scheduler, round func(now float64) *gathered) {
 	inc, full := NewScheduler(clusters), NewScheduler(clusters)
 	full.SetIncremental(false)
 	for _, s := range []*Scheduler{inc, full} {
 		s.SetSchedulingPolicy(p)
 		build(s)
 	}
-	return inc, func(now float64) *Outcome {
+	return inc, func(now float64) *gathered {
 		t.Helper()
-		a, b := inc.Schedule(now), full.Schedule(now)
+		a, b := gather(inc, inc.Schedule(now)), gather(full, full.Schedule(now))
 		if err := viewsEqual(a.NonPreemptViews, b.NonPreemptViews); err != nil {
 			t.Fatalf("t=%v: non-preemptive: %v", now, err)
 		}
@@ -377,7 +377,7 @@ func TestAdmissionGating(t *testing.T) {
 
 	s.SetSchedulingPolicy(reverseAdmitOne{blocked: 2})
 	s.Schedule(0)
-	out := s.Schedule(0) // same answer again: this round runs on warm caches
+	out := gather(s, s.Schedule(0)) // same answer again: this round runs on warm caches
 	if !math.IsInf(rb.ScheduledAt, 1) || rb.NAlloc != 0 {
 		t.Fatalf("blocked app's request scheduled at %v alloc %d, want unscheduled", rb.ScheduledAt, rb.NAlloc)
 	}

@@ -71,7 +71,7 @@ func TestPropScheduleNeverOversubscribes(t *testing.T) {
 				}
 			}
 
-			out := s.Schedule(now)
+			out := gather(s, s.Schedule(now))
 
 			// Start whatever the scheduler says (idealized RMS: IDs exist
 			// whenever NAlloc fits, which is what we are verifying).

@@ -40,9 +40,9 @@ func (tw *twin) request(app int, id request.ID, cid view.ClusterID, n int, dur f
 
 // schedule runs one Schedule call on both sides and returns the incremental
 // side's outcome.
-func (tw *twin) schedule(now float64) *Outcome {
+func (tw *twin) schedule(now float64) *gathered {
 	tw.t.Helper()
-	a, b := tw.inc.s.Schedule(now), tw.full.s.Schedule(now)
+	a, b := gather(tw.inc.s, tw.inc.s.Schedule(now)), gather(tw.full.s, tw.full.s.Schedule(now))
 	if err := tw.inc.compareTo(tw.full, a, b); err != nil {
 		tw.t.Fatalf("t=%v: %v", now, err)
 	}
@@ -50,10 +50,10 @@ func (tw *twin) schedule(now float64) *Outcome {
 }
 
 // round is the rms shape: schedule, start what arrived, schedule again.
-func (tw *twin) round(now float64) *Outcome {
+func (tw *twin) round(now float64) *gathered {
 	tw.t.Helper()
 	a := tw.schedule(now)
-	b := tw.full.s.Schedule(now)
+	b := gather(tw.full.s, tw.full.s.Schedule(now))
 	tw.inc.startArrived(a, now)
 	tw.full.startArrived(b, now)
 	return tw.schedule(now)
@@ -228,8 +228,7 @@ func TestPreemptInputKeyedOnSubtractions(t *testing.T) {
 // TestMembershipChurnBounded pins what a flush at every connect and teardown
 // used to give for free. Over 10,000 connect/teardown cycles interleaved with
 // rounds, on a shard whose queue holds ¬P requests and whose applications
-// start, run and hold preemptible nodes, the persistent Outcome maps hold
-// one entry per application, and neither cache key holds a view of an
+// start, run and hold preemptible nodes, neither cache key holds a view of an
 // application that is gone, from the teardown on.
 func TestMembershipChurnBounded(t *testing.T) {
 	s := NewScheduler(map[view.ClusterID]int{c0: 8, "c1": 8})
@@ -277,17 +276,12 @@ func TestMembershipChurnBounded(t *testing.T) {
 			live = append(live[:k], live[k+1:]...)
 			keysLive("after a teardown", cycle)
 		}
-		out := s.Schedule(now)
-		for _, r := range out.ToStart {
+		for _, r := range s.Schedule(now) {
 			r.StartedAt = now
 			s.MarkAppDirty(r.AppID)
 		}
 		s.Schedule(now)
 		keysLive("after a round", cycle)
-		if len(s.outNPViews) != len(s.apps) || len(s.outPViews) != len(s.apps) {
-			t.Fatalf("cycle %d: %d non-preemptive and %d preemptive entries for %d applications",
-				cycle, len(s.outNPViews), len(s.outPViews), len(s.apps))
-		}
 	}
 	if st := s.Stats(); st.FullRounds != 0 || st.CBFReused == 0 {
 		t.Errorf("FullRounds = %d, CBF steps reused %d: want 0 and some", st.FullRounds, st.CBFReused)

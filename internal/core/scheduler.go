@@ -78,6 +78,18 @@ func (a *AppState) Requests() []*request.Request {
 	return out
 }
 
+// Views returns the views the last Schedule round computed for the
+// application (Algorithm 4's V_¬P^(i) and V_P^(i)), nil before its first
+// round. nonPreempt is what it can see for pre-allocations and
+// non-preemptible requests; preempt is what it can see for preemptible
+// requests, trimmed at the round's instant (stepfunc.TrimBefore), and a drop
+// below its current preemptible allocation signals that it must release
+// resources. A view map is never written once handed out, and a later round
+// hands over the same map only with the same value.
+func (a *AppState) Views() (nonPreempt, preempt view.View) {
+	return a.cache.cbfOut, a.cache.pOut
+}
+
 // Scheduler holds the global scheduling state: the resource model and the
 // per-application request sets. It implements Algorithm 4 (§A.5).
 type Scheduler struct {
@@ -93,13 +105,9 @@ type Scheduler struct {
 
 	// schedPolicy orders and admits applications each round (FIFOPolicy
 	// by default — the paper's connection order, every app admitted).
-	// roundApps/roundDynamic are the current round's iteration slice and
-	// admission-gating flag; orderBuf is the reusable ordering buffer
-	// handed to dynamic policies.
-	schedPolicy  SchedulingPolicy
-	roundApps    []*AppState
-	roundDynamic bool
-	orderBuf     []*AppState
+	// orderBuf is the reusable ordering buffer handed to dynamic policies.
+	schedPolicy SchedulingPolicy
+	orderBuf    []*AppState
 
 	// cbfMuts is the key of the CBF chain cache: the views the last round's
 	// CBF pass subtracted from the running non-preemptive availability, in
@@ -149,17 +157,6 @@ type Scheduler struct {
 	// eqSchedule caches: per-cluster interval walks and the shared idle view.
 	eqWalks map[view.ClusterID]*clusterWalk
 	eqIdle  view.View
-
-	// Persistent Outcome maps: entries are rewritten only when an
-	// application's view is recomputed, so a fully-reused round performs no
-	// map writes at all, and a recomputed non-preemptive view equal to its
-	// entry keeps the entry's object (kept). RemoveApp deletes the removed
-	// application's entries. Consequently an Outcome is valid until the next
-	// Schedule or RemoveApp call (the RMS consumes it immediately; see
-	// Schedule's doc).
-	outNPViews map[int]view.View
-	outPViews  map[int]view.View
-	outOK      bool
 
 	stats SchedStats
 }
@@ -266,13 +263,12 @@ func (s *Scheduler) RemoveCluster(cid view.ClusterID) {
 // AddApp registers an application at the given connection time and returns
 // its state. Membership is not structure: the new application's sets are
 // empty, so it subtracts and occupies nothing, and the next round computes
-// its steps and writes its Outcome entries while every cache stays warm.
+// its steps and views while every cache stays warm.
 func (s *Scheduler) AddApp(id int, connectedAt float64) *AppState {
 	if _, dup := s.byID[id]; dup {
 		panic(fmt.Sprintf("core: duplicate application ID %d", id))
 	}
 	a := NewAppState(id, connectedAt)
-	a.cache.outNew = true
 	a.idx = len(s.apps)
 	s.apps = append(s.apps, a)
 	s.byID[id] = a
@@ -287,11 +283,11 @@ func (s *Scheduler) AddApp(id int, connectedAt float64) *AppState {
 // fleet of n applications costs O(n), not O(n²).
 //
 // Like AddApp it flushes no cache. The clusters of the application's
-// started allocations become fold dirt for the next round, its Outcome
-// entries go, and a key holding one of its subtracted views is dropped at
-// once, so no cache keeps a removed application's views alive. A
-// subtraction missing from the next round breaks the CBF chain at its
-// position, and an occupancy missing from it changes the walk keys.
+// started allocations become fold dirt for the next round, and a key
+// holding one of its subtracted views is dropped at once, so no cache keeps
+// a removed application's views alive. A subtraction missing from the next
+// round breaks the CBF chain at its position, and an occupancy missing from
+// it changes the walk keys.
 func (s *Scheduler) RemoveApp(id int) *AppState {
 	a, ok := s.byID[id]
 	if !ok {
@@ -317,8 +313,6 @@ func (s *Scheduler) RemoveApp(id int) *AppState {
 		dropKey(&s.pvMuts)
 		s.pvClampOK = false
 	}
-	delete(s.outNPViews, id)
-	delete(s.outPViews, id)
 	return a
 }
 
@@ -352,31 +346,13 @@ func (s *Scheduler) sortApps() {
 	}
 }
 
-// Outcome is the result of one scheduling round: the views to present to
-// each application and the requests whose computed start time has arrived.
-// A view map is never written once an Outcome holds it, and a later round
-// hands over the same map only with the same value.
-type Outcome struct {
-	// NonPreemptViews holds V_¬P^(i): what each application can see for
-	// pre-allocations and non-preemptible requests.
-	NonPreemptViews map[int]view.View
-	// PreemptViews holds V_P^(i): what each application can see for
-	// preemptible requests. A drop below an application's current
-	// preemptible allocation signals that it must release resources. The
-	// views are trimmed at the round's instant (stepfunc.TrimBefore): the
-	// preemptive side reads views only from now on.
-	PreemptViews map[int]view.View
-	// ToStart lists requests with ScheduledAt <= now that have not started,
-	// parents before children.
-	ToStart []*request.Request
-}
-
 // Schedule runs the main scheduling algorithm (Algorithm 4) at time now.
-// It computes views for every application, sets the ScheduledAt/NAlloc
-// attributes of every request, and reports which requests should start.
-// Marking requests as started (and allocating node IDs) is the caller's
-// job: the RMS may have to defer a start until preempted resources are
-// actually released (§A.5).
+// It computes views for every application (AppState.Views), sets the
+// ScheduledAt/NAlloc attributes of every request, and returns the requests
+// whose start time has arrived and that have not started, parents before
+// children. Marking requests as started (and allocating node IDs) is the
+// caller's job: the RMS may have to defer a start until preempted resources
+// are actually released (§A.5).
 //
 // Schedule recomputes incrementally: per-application artifacts and
 // per-cluster availability folds are cached across rounds and recomputed
@@ -384,8 +360,7 @@ type Outcome struct {
 // changes touched, under a stable and a dynamic SchedulingPolicy alike.
 // Outputs are bit-identical to a full recomputation — a cached value is
 // reused only when its exact inputs are unchanged (see incremental.go).
-func (s *Scheduler) Schedule(now float64) *Outcome {
-	sc := &s.sc
+func (s *Scheduler) Schedule(now float64) []*request.Request {
 	s.stats.Rounds++
 	s.ensureSortedLocked()
 
@@ -424,8 +399,6 @@ func (s *Scheduler) Schedule(now float64) *Outcome {
 		}
 		apps = ordered
 	}
-	s.roundApps = apps
-	s.roundDynamic = dynamic
 
 	// Refresh the request-state artifacts of dirty applications (lines 3–5
 	// worth of per-app folds) and rebuild the base availability folds for
@@ -443,24 +416,6 @@ func (s *Scheduler) Schedule(now float64) *Outcome {
 	npChanged, _ := s.rebuildFoldsLocked(s.npFoldDirt, s.pFoldDirt)
 	clear(s.npFoldDirt)
 	clear(s.pFoldDirt)
-
-	// The Outcome's view maps are persistent: a reused application keeps
-	// its entry from the previous round, so fully-reused rounds perform no
-	// map writes. outOK marks the maps as fully populated for the current
-	// application set (structural changes clear them).
-	if s.outNPViews == nil {
-		s.outNPViews = make(map[int]view.View, len(s.apps))
-		s.outPViews = make(map[int]view.View, len(s.apps))
-	}
-	if !s.outOK {
-		clear(s.outNPViews)
-		clear(s.outPViews)
-	}
-	outSeeded := s.outOK
-	out := &Outcome{
-		NonPreemptViews: s.outNPViews,
-		// PreemptViews is filled in by eqSchedule below.
-	}
 
 	// Compute non-preemptive views and start times of pre-allocations and
 	// non-preemptible requests (lines 6–11), applications in CBF order,
@@ -533,16 +488,12 @@ func (s *Scheduler) Schedule(now float64) *Outcome {
 			if s.clip != nil {
 				viewNP = viewNP.Clip(s.clip)
 			}
-			out.NonPreemptViews[a.ID] = kept(s.outNPViews[a.ID], viewNP.ClampMin(0))
-			c.cbfOK = false
+			c.cbfOut, c.cbfOK = kept(c.cbfOut, viewNP.ClampMin(0)), false
 			c.cbfPA, c.cbfExcess, c.cbfNP = nil, nil, nil
 			continue
 		}
 		if chain && c.cbfOK && c.cbfAt == len(muts) && c.cbfFrom <= now && now <= c.cbfUntil {
 			s.stats.CBFReused++
-			if !outSeeded {
-				out.NonPreemptViews[a.ID] = c.cbfOut
-			}
 		} else {
 			c.cbfAt = len(muts)
 			s.stats.CBFRecomputed++
@@ -559,17 +510,15 @@ func (s *Scheduler) Schedule(now float64) *Outcome {
 				// run on whichever map it got. The entries of a run are mostly
 				// one map, and a map already compared needs no second
 				// comparison.
-				if old := s.outNPViews[a.ID]; !view.Same(old, idleOld) {
+				if old := c.cbfOut; !view.Same(old, idleOld) {
 					idleViewNP, idleOld = kept(old, idleViewNP), old
 				}
-				out.NonPreemptViews[a.ID] = idleViewNP
 				c.cbfOut, c.cbfPA, c.cbfExcess, c.cbfNP = idleViewNP, nil, nil, nil
 				c.cbfOK, c.cbfFrom, c.cbfUntil = true, math.Inf(-1), math.Inf(1)
 				continue
 			}
 			idleViewNP = nil // this application may change vNP below
 			s.cbfStep(a, availNP(), now)
-			out.NonPreemptViews[a.ID] = c.cbfOut
 		}
 
 		// Update the running availability (lines 10–11): newly scheduled
@@ -602,17 +551,16 @@ func (s *Scheduler) Schedule(now float64) *Outcome {
 
 	// Compute preemptive views and start times of preemptible requests
 	// (line 12).
-	vin := s.preemptInput(pvMuts)
-	out.PreemptViews = s.eqScheduleIncremental(vin, now, sc, outSeeded)
-	s.outOK = true
+	s.eqScheduleIncremental(apps, dynamic, s.preemptInput(pvMuts), now)
 
 	// Collect requests whose start time has arrived (lines 13–14).
+	var toStart []*request.Request
 	for _, a := range apps {
-		appendToStart(&out.ToStart, a.PA.All(), now)
-		appendToStart(&out.ToStart, a.NP.All(), now)
-		appendToStart(&out.ToStart, a.P.All(), now)
+		appendToStart(&toStart, a.PA.All(), now)
+		appendToStart(&toStart, a.NP.All(), now)
+		appendToStart(&toStart, a.P.All(), now)
 	}
-	slices.SortStableFunc(out.ToStart, func(a, b *request.Request) int {
+	slices.SortStableFunc(toStart, func(a, b *request.Request) int {
 		if a.ScheduledAt != b.ScheduledAt {
 			return cmp.Compare(a.ScheduledAt, b.ScheduledAt)
 		}
@@ -621,7 +569,7 @@ func (s *Scheduler) Schedule(now float64) *Outcome {
 		}
 		return cmp.Compare(a.Seq, b.Seq)
 	})
-	return out
+	return toStart
 }
 
 // cbfStep computes application a's CBF step against the running
@@ -714,7 +662,7 @@ func (s *Scheduler) cbfStep(a *AppState, vNP view.View, now float64) {
 	}
 	outNP := viewNP.ClampMin(0)
 	if c.paSettled && c.npSettled {
-		outNP = kept(s.outNPViews[a.ID], outNP)
+		outNP = kept(c.cbfOut, outNP)
 	}
 	c.cbfOut, c.cbfPA, c.cbfExcess, c.cbfNP = outNP, voccPA, excess, voccNP
 }
@@ -763,11 +711,10 @@ func (s *Scheduler) noteCBFMut(muts []view.View, m view.View, chain bool) ([]vie
 	return append(muts, m), chain && k < len(s.cbfMuts) && view.Same(s.cbfMuts[k], m)
 }
 
-// kept returns old, an application's entry in the persistent Outcome map
-// (nil if none), when it equals the recomputed view v by value, and v
-// otherwise. A view whose value held thus keeps its identity across rounds,
-// and a consumer tells an unchanged view by its address
-// (rms.pushViewsLocked).
+// kept returns old, the view an application was last handed (nil if none),
+// when it equals the recomputed view v by value, and v otherwise. A view
+// whose value held thus keeps its identity across rounds, and a consumer
+// tells an unchanged view by its address (rms.pushViewsLocked).
 func kept(old, v view.View) view.View {
 	if old != nil && old.Equal(v) {
 		return old

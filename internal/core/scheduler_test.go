@@ -14,6 +14,28 @@ func newSched(n int) *Scheduler {
 	return NewScheduler(map[view.ClusterID]int{c0: n})
 }
 
+// gathered is one Schedule round's result collected into by-application
+// view maps, the shape the tests compare rounds in.
+type gathered struct {
+	NonPreemptViews map[int]view.View
+	PreemptViews    map[int]view.View
+	ToStart         []*request.Request
+}
+
+// gather collects every application's views after a round that returned
+// toStart. It allocates, so it stays out of AllocsPerRun closures.
+func gather(s *Scheduler, toStart []*request.Request) *gathered {
+	g := &gathered{
+		NonPreemptViews: make(map[int]view.View, len(s.apps)),
+		PreemptViews:    make(map[int]view.View, len(s.apps)),
+		ToStart:         toStart,
+	}
+	for _, a := range s.Apps() {
+		g.NonPreemptViews[a.ID], g.PreemptViews[a.ID] = a.Views()
+	}
+	return g
+}
+
 // submit creates, validates and adds a request to the right set.
 func submit(t *testing.T, s *Scheduler, a *AppState, id request.ID, n int, dur float64,
 	typ request.Type, how request.Relation, parent *request.Request) *request.Request {
@@ -36,7 +58,7 @@ func start(s *Scheduler, r *request.Request, now float64) {
 
 func TestScheduleEmpty(t *testing.T) {
 	s := newSched(10)
-	out := s.Schedule(0)
+	out := gather(s, s.Schedule(0))
 	if len(out.ToStart) != 0 || len(out.NonPreemptViews) != 0 {
 		t.Error("empty scheduler should produce empty outcome")
 	}
@@ -48,7 +70,7 @@ func TestScheduleRigidJob(t *testing.T) {
 	s := newSched(10)
 	a := s.AddApp(1, 0)
 	r := submit(t, s, a, 1, 4, 100, request.NonPreempt, request.Free, nil)
-	out := s.Schedule(0)
+	out := gather(s, s.Schedule(0))
 	if r.ScheduledAt != 0 {
 		t.Errorf("rigid request at %v, want 0", r.ScheduledAt)
 	}
@@ -68,7 +90,7 @@ func TestScheduleRigidJobsQueueFCFS(t *testing.T) {
 	b := s.AddApp(2, 1)
 	ra := submit(t, s, a, 1, 6, 100, request.NonPreempt, request.Free, nil)
 	rb := submit(t, s, b, 2, 6, 100, request.NonPreempt, request.Free, nil)
-	out := s.Schedule(1)
+	out := gather(s, s.Schedule(1))
 	if ra.ScheduledAt != 1 {
 		t.Errorf("first job at %v, want 1", ra.ScheduledAt)
 	}
@@ -111,7 +133,7 @@ func TestSchedulePreAllocationReservesSpace(t *testing.T) {
 	a := s.AddApp(1, 0)
 	pa := submit(t, s, a, 1, 8, 1000, request.PreAlloc, request.Free, nil)
 	np := submit(t, s, a, 2, 2, 1000, request.NonPreempt, request.Coalloc, pa)
-	out := s.Schedule(0)
+	out := gather(s, s.Schedule(0))
 	if pa.ScheduledAt != 0 || np.ScheduledAt != 0 {
 		t.Fatalf("PA/NP at %v/%v, want 0/0", pa.ScheduledAt, np.ScheduledAt)
 	}
@@ -121,7 +143,7 @@ func TestSchedulePreAllocationReservesSpace(t *testing.T) {
 	b := s.AddApp(2, 1)
 	rnp := submit(t, s, b, 3, 4, 100, request.NonPreempt, request.Free, nil)
 	rp := submit(t, s, b, 4, 8, math.Inf(1), request.Preempt, request.Free, nil)
-	out = s.Schedule(1)
+	out = gather(s, s.Schedule(1))
 
 	if rnp.ScheduledAt != 1000 {
 		t.Errorf("¬P into pre-allocated space at %v, want 1000 (when PA ends)", rnp.ScheduledAt)
@@ -161,7 +183,7 @@ func TestScheduleNonPreemptInsidePreAllocGuaranteed(t *testing.T) {
 	np1.Duration = 50 // done() shortens the current request
 	np1.Finished = true
 	s.MarkAppDirty(np1.AppID)
-	out := s.Schedule(50)
+	out := gather(s, s.Schedule(50))
 
 	if np2.ScheduledAt != 50 {
 		t.Errorf("update scheduled at %v, want 50 (guaranteed inside PA)", np2.ScheduledAt)
@@ -210,7 +232,7 @@ func TestScheduleTwoPreAllocationsQueued(t *testing.T) {
 
 	b := s.AddApp(2, 1)
 	paB := submit(t, s, b, 2, 7, 500, request.PreAlloc, request.Free, nil)
-	out := s.Schedule(1)
+	out := gather(s, s.Schedule(1))
 	if paB.ScheduledAt != 500 {
 		t.Errorf("second PA at %v, want 500 (queued after first)", paB.ScheduledAt)
 	}
@@ -234,7 +256,7 @@ func TestScheduleNonPreemptViewShowsOwnPA(t *testing.T) {
 	s.Schedule(0)
 	start(s, pa, 0)
 	s.AddApp(2, 1)
-	out := s.Schedule(1)
+	out := gather(s, s.Schedule(1))
 	// App 1 sees its own PA space (8) plus the free nodes (2) = 10.
 	if got := out.NonPreemptViews[1].Get(c0).Value(1); got != 10 {
 		t.Errorf("app1 ¬P view = %d, want 10", got)
@@ -255,7 +277,7 @@ func TestScheduleClipLimitsPreAllocation(t *testing.T) {
 	s.SetClip(view.Constant(4, c0))
 	a := s.AddApp(1, 0)
 	pa := submit(t, s, a, 1, 8, 100, request.PreAlloc, request.Free, nil)
-	out := s.Schedule(0)
+	out := gather(s, s.Schedule(0))
 	if got := out.NonPreemptViews[1].Get(c0).Value(0); got != 4 {
 		t.Errorf("clipped view = %d, want 4", got)
 	}
@@ -285,7 +307,7 @@ func TestScheduleNoOversubscription(t *testing.T) {
 
 	d := s.AddApp(4, 3)
 	rnp := submit(t, s, d, 5, 4, 100, request.NonPreempt, request.Free, nil)
-	out := s.Schedule(3)
+	out := gather(s, s.Schedule(3))
 	_ = out
 
 	for _, tt := range []float64{3, 10, 500, 1500} {
@@ -360,7 +382,7 @@ func TestScheduleToStartOrdering(t *testing.T) {
 	a := s.AddApp(1, 0)
 	pa := submit(t, s, a, 1, 5, 100, request.PreAlloc, request.Free, nil)
 	np := submit(t, s, a, 2, 3, 100, request.NonPreempt, request.Coalloc, pa)
-	out := s.Schedule(0)
+	out := gather(s, s.Schedule(0))
 	if len(out.ToStart) != 2 {
 		t.Fatalf("ToStart = %v, want 2 entries", out.ToStart)
 	}

@@ -442,12 +442,6 @@ func (f *Federator) sessionsLocked() []*Session {
 // ShardDown reports whether shard i is currently crashed.
 func (f *Federator) ShardDown(i int) bool { return f.shards[i].Stopped() }
 
-// Recovery returns the configured crash-recovery policy.
-func (f *Federator) Recovery() RecoveryPolicy { return f.recovery }
-
-// NodeRecovery returns the node-failure recovery policy every shard runs.
-func (f *Federator) NodeRecovery() rms.NodeRecoveryPolicy { return f.nodeRecovery }
-
 // CrashReport summarizes what one shard crash did to the federation.
 type CrashReport struct {
 	Shard  int

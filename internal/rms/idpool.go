@@ -2,6 +2,7 @@ package rms
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -94,7 +95,7 @@ func (p *idPool) free(ids []int) error {
 			return &poolError{node: id, reason: "was already free when released by"}
 		case p.isFailed(id):
 			return &poolError{node: id, reason: "is down and cannot be released by"}
-		case containsInt(ids[:i], id):
+		case slices.Contains(ids[:i], id):
 			return &poolError{node: id, reason: "was released twice by"}
 		}
 	}

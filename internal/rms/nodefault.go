@@ -3,6 +3,7 @@ package rms
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"coormv2/internal/request"
@@ -207,7 +208,7 @@ func (s *Server) FailNodes(cid view.ClusterID, ids []int) (*NodeFaultReport, err
 		s.mu.Unlock()
 		return rep, nil
 	}
-	dead := func(nid int) bool { return containsInt(failing, nid) }
+	dead := func(nid int) bool { return slices.Contains(failing, nid) }
 
 	now := s.clk.Now()
 	for _, a := range s.sched.Apps() {
@@ -227,7 +228,7 @@ func (s *Server) FailNodes(cid view.ClusterID, ids []int) (*NodeFaultReport, err
 				continue
 			}
 			sort.Ints(lost)
-			r.NodeIDs = removeInts(r.NodeIDs, lost)
+			r.NodeIDs = slices.DeleteFunc(r.NodeIDs, dead)
 			s.touchLocked(appID)
 			if r.Finished {
 				// IDs parked on a finished request for a NEXT hand-over: the

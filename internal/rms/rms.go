@@ -849,7 +849,7 @@ func (sess *Session) finishLocked(r *request.Request, now float64, released []in
 			released = r.NodeIDs
 		} else {
 			for _, id := range released {
-				if !containsInt(r.NodeIDs, id) {
+				if !slices.Contains(r.NodeIDs, id) {
 					return errNode(r.ID, id)
 				}
 			}
@@ -882,7 +882,7 @@ func (sess *Session) finishLocked(r *request.Request, now float64, released []in
 	}
 
 	if len(released) > 0 {
-		r.NodeIDs = removeInts(r.NodeIDs, released)
+		r.NodeIDs = slices.DeleteFunc(r.NodeIDs, func(id int) bool { return slices.Contains(released, id) })
 		s.recordAllocLocked(sess, now)
 	}
 	s.notifyFinishedLocked(sess, r.ID)
@@ -1121,8 +1121,7 @@ func (s *Server) runLocked() {
 
 	s.sweepExpiredLocked(now)
 
-	outcome := s.sched.Schedule(now)
-	s.startRequestsLocked(outcome, now)
+	s.startRequestsLocked(s.sched.Schedule(now), now)
 
 	// Quota preemption: revoke the policy's victims before recomputing
 	// views, so the freed capacity is visible this round; the follow-up
@@ -1133,8 +1132,8 @@ func (s *Server) runLocked() {
 
 	// Starting requests changes availability; recompute views so
 	// applications always see post-start state.
-	outcome = s.sched.Schedule(now)
-	s.pushViewsLocked(outcome)
+	s.sched.Schedule(now)
+	s.pushViewsLocked()
 	deadline := s.enforcePreemptionLocked(now)
 	s.recordPreAllocLocked(now)
 	s.armWakeLocked(now, deadline)
@@ -1247,12 +1246,12 @@ func (s *Server) sweepExpiredLocked(now float64) {
 	}
 }
 
-// startRequestsLocked processes the outcome's ToStart list in order,
-// allocating node IDs. A request whose IDs are not yet free is deferred:
+// startRequestsLocked processes a round's start list in order, allocating
+// node IDs. A request whose IDs are not yet free is deferred:
 // it stays unstarted and is reconsidered when resources are released
 // (§A.5, situation 2).
-func (s *Server) startRequestsLocked(outcome *core.Outcome, now float64) {
-	for _, r := range outcome.ToStart {
+func (s *Server) startRequestsLocked(toStart []*request.Request, now float64) {
+	for _, r := range toStart {
 		sess := s.sessions[r.AppID]
 		if sess == nil {
 			continue
@@ -1331,15 +1330,16 @@ func (s *Server) startRequestsLocked(outcome *core.Outcome, now float64) {
 // preemptible applications share the idle grant), so the trim and the
 // completion are memoized by map identity — each distinct map is handled
 // once per round, not once per session. Preemptive halves arrive trimmed at
-// the round's instant (core.Outcome.PreemptViews), so a new one that names
-// every cluster costs a comparison and nothing else.
-func (s *Server) pushViewsLocked(outcome *core.Outcome) {
+// the round's instant (core.AppState.Views), so a new one that names every
+// cluster costs a comparison and nothing else.
+func (s *Server) pushViewsLocked() {
 	now := s.clk.Now()
 	s.resetTrimLocked(now)
 	for _, a := range s.sched.Apps() {
-		id, sess := a.ID, s.sessions[a.ID]
-		changed := s.refreshLocked(&sess.np, outcome.NonPreemptViews[id], now, false)
-		if !s.refreshLocked(&sess.p, outcome.PreemptViews[id], now, changed) && !changed {
+		sess := s.sessions[a.ID]
+		npv, pv := a.Views()
+		changed := s.refreshLocked(&sess.np, npv, now, false)
+		if !s.refreshLocked(&sess.p, pv, now, changed) && !changed {
 			continue
 		}
 		np, p, h := sess.np.v, sess.p.v, sess.h
@@ -1548,23 +1548,4 @@ func (s *Server) armWakeLocked(now float64, deadline float64) {
 			s.flush()
 		})
 	}
-}
-
-func containsInt(xs []int, v int) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
-func removeInts(xs, rm []int) []int {
-	out := xs[:0]
-	for _, x := range xs {
-		if !containsInt(rm, x) {
-			out = append(out, x)
-		}
-	}
-	return out
 }

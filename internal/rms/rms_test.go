@@ -178,7 +178,7 @@ func TestSpontaneousUpdateGrow(t *testing.T) {
 	}
 	// The original IDs must be carried over (NEXT shares common resources).
 	for _, id := range firstIDs {
-		if !containsInt(got, id) {
+		if !slices.Contains(got, id) {
 			t.Errorf("ID %d not carried over into %v", id, got)
 		}
 	}

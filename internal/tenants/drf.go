@@ -60,9 +60,6 @@ func NewDRF(tree *Tree) *DRFPolicy {
 	return p
 }
 
-// Tree returns the tenant tree the policy schedules over.
-func (p *DRFPolicy) Tree() *Tree { return p.tree }
-
 // Name implements core.SchedulingPolicy.
 func (p *DRFPolicy) Name() string { return "drf" }
 

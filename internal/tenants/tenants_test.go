@@ -314,8 +314,7 @@ func TestDRFEndToEnd(t *testing.T) {
 	p0 := request.New(3, 3, cA, 8, math.Inf(1), request.Preempt, request.Free, nil)
 	prod.P.Add(p0)
 
-	out := s.Schedule(0)
-	for _, r := range out.ToStart {
+	for _, r := range s.Schedule(0) {
 		r.StartedAt = 0
 		s.MarkAppDirty(r.AppID)
 	}
@@ -353,8 +352,8 @@ func TestDRFEndToEnd(t *testing.T) {
 // under DRF: with the standing fleet unchanged the policy gives the same
 // answer every round, core keeps every cache, and what a round allocates
 // is a constant that does not grow with the number of applications: core's
-// 2 (TestSteadyRoundAllocs) plus the 2 of the policy's one sort.SliceStable
-// over the root's children.
+// none (TestSteadyRoundAllocs) plus the 2 of the policy's one
+// sort.SliceStable over the root's children.
 func TestSteadyDRFRoundAllocs(t *testing.T) {
 	for _, n := range []int{48, 192} {
 		tr := NewTree()
@@ -376,14 +375,19 @@ func TestSteadyDRFRoundAllocs(t *testing.T) {
 		}
 		now := 0.0
 		round := func() {
-			if out := s.Schedule(now); len(out.PreemptViews) != n {
-				t.Fatal("lost applications")
+			if toStart := s.Schedule(now); len(toStart) != 0 {
+				t.Fatalf("a steady round starts %d requests", len(toStart))
 			}
 			now++
 		}
 		round() // warm the caches
-		if got := testing.AllocsPerRun(100, round); got > 4 {
-			t.Fatalf("steady DRF round over %d applications allocates %.1f times, want ≤ 4", n, got)
+		if got := testing.AllocsPerRun(100, round); got > 2 {
+			t.Fatalf("steady DRF round over %d applications allocates %.1f times, want ≤ 2", n, got)
+		}
+		for _, a := range s.Apps() {
+			if _, p := a.Views(); p == nil {
+				t.Fatalf("%d applications: application %d lost its preemptive view", n, a.ID)
+			}
 		}
 		if st := s.Stats(); st.FullRounds != 1 || st.CBFReused == 0 {
 			t.Fatalf("%d applications: %d full rounds, %d CBF steps reused, want 1 and > 0", n, st.FullRounds, st.CBFReused)

@@ -4,9 +4,15 @@
 # tests, cmd/, examples/ and bench/ — outside comments and its own
 # declaration; then, as a second listing, those that only _test.go files
 # name. staticcheck's U1000 only sees unexported names; this is the
-# grep-level scan for the exported ones. A name shared with a used one is
-# missed. Exits 1 when the first listing is not empty, or when the second
-# names anything the table below does not.
+# grep-level scan for the exported ones. It matches names, not objects, so a
+# func named like any identifier in use is missed. The deleted
+# Federator.Recovery and Federator.NodeRecovery read as used through the
+# config fields of the same names, and DRFPolicy.Tree through the type
+# tenants.Tree, though none of the three had a caller. A type-aware check
+# found them (the module, its tests and bench/ compile without them), and
+# is the one for a name this scan cannot tell. Exits 1 when the first
+# listing is not empty, or when the second names anything the table below
+# does not.
 #
 # Never listed: sim's eventHeap.Less, reached through container/heap's
 # interface, which it is never named for (allowed below).
