@@ -46,6 +46,25 @@ func TestFigureAsJSON(t *testing.T) {
 	}
 }
 
+// TestNonPositiveStepsKeepsDefault: -steps overrides the profile length
+// only when it is positive, so a non-positive one runs at the scale's
+// default and never reaches amr.GenerateProfile's non-positive-steps panic.
+func TestNonPositiveStepsKeepsDefault(t *testing.T) {
+	var want, stderr bytes.Buffer
+	if code := run([]string{"-exp", "fig1"}, &want, &stderr); code != 0 {
+		t.Fatalf("-exp fig1: exit code %d: %s", code, &stderr)
+	}
+	for _, steps := range []string{"-1", "0"} {
+		var stdout bytes.Buffer
+		if code := run([]string{"-exp", "fig1", "-steps", steps}, &stdout, &stderr); code != 0 {
+			t.Fatalf("-steps %s: exit code %d: %s", steps, code, &stderr)
+		}
+		if stdout.String() != want.String() {
+			t.Errorf("-steps %s: output differs from the default length's", steps)
+		}
+	}
+}
+
 // TestBadRebalanceIntervalExits1: a non-positive load-check interval is
 // refused by the experiment as an error, not by the rebalancer's panic.
 func TestBadRebalanceIntervalExits1(t *testing.T) {

@@ -152,7 +152,7 @@ func start(args []string, stderr io.Writer) (*daemon, int) {
 		var shardDesc []string
 		for i := 0; i < fed.NumShards(); i++ {
 			shardDesc = append(shardDesc, fmt.Sprintf("shard%d=%s",
-				i, clusterFlags(fed.Shard(i).Scheduler().Clusters()).String()))
+				i, clusterFlags(fed.Shard(i).Clusters()).String()))
 		}
 		topology = strings.Join(shardDesc, " ")
 	} else {

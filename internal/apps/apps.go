@@ -55,7 +55,7 @@ func (b *base) now() float64 { return b.clk.Now() }
 // rms.AppHandler.OnViews), else last (nil: zero): under a federation another
 // shard's push leaves the application's cluster alone.
 func named(v view.View, cid view.ClusterID, last *stepfunc.StepFunc) *stepfunc.StepFunc {
-	if _, ok := v[cid]; ok || last == nil {
+	if _, ok := v.Lookup(cid); ok || last == nil {
 		return v.Get(cid)
 	}
 	return last

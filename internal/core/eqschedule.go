@@ -165,11 +165,11 @@ func (s *Scheduler) eqScheduleIncremental(apps []*AppState, dynamic bool, vin vi
 			sc.clusters = append(sc.clusters, cid)
 		}
 	}
-	for cid := range vin {
+	for cid := range vin.All() {
 		addCluster(cid)
 	}
 	for _, i := range occ {
-		for cid := range vocc[i] {
+		for cid := range vocc[i].All() {
 			addCluster(cid)
 		}
 	}
@@ -223,18 +223,18 @@ func (s *Scheduler) eqScheduleIncremental(apps []*AppState, dynamic bool, vin vi
 				continue
 			}
 			nonzero++
-			if match && cached[clusters[ci]] != f {
+			if match && cached.Get(clusters[ci]) != f {
 				match = false
 			}
 		}
-		if match && len(cached) == nonzero {
+		if match && cached.Len() == nonzero {
 			sc.slotViews[j] = cached
 			continue
 		}
-		v := make(view.View, nonzero)
+		v := view.NewSized(nonzero)
 		for ci := range clusters {
 			if f := sc.walks[ci].cut(j, t0); !f.IsZero() {
-				v[clusters[ci]] = f
+				v.Put(clusters[ci], f)
 			}
 		}
 		sc.slotViews[j] = v
@@ -287,12 +287,12 @@ func (s *Scheduler) eqScheduleIncremental(apps []*AppState, dynamic bool, vin vi
 		// toView and fit read a view only at their requests' clusters, so
 		// they run on the granted view restricted to those, in a reused map.
 		avail := sc.grantP
-		clear(avail)
+		avail.Clear()
 		c.grantFrags = c.grantFrags[:0]
 		for _, r := range a.P.All() {
-			f, ok := v[r.Cluster]
+			f, ok := v.Lookup(r.Cluster)
 			if ok {
-				avail[r.Cluster] = f
+				avail.Put(r.Cluster, f)
 			}
 			c.grantFrags = append(c.grantFrags, f)
 		}

@@ -447,7 +447,7 @@ func (s *Scheduler) rebuildFoldClusterLocked(cid view.ClusterID) {
 
 	fs := s.sc.foldFns[:0]
 	for _, a := range s.apps {
-		if f, ok := a.startedPA[cid]; ok && f != nil {
+		if f, ok := a.startedPA.Lookup(cid); ok && f != nil {
 			fs = append(fs, f)
 		}
 	}
@@ -463,15 +463,11 @@ func (s *Scheduler) rebuildFoldClusterLocked(cid view.ClusterID) {
 			}
 		}
 	}
-	if np.IsZero() {
-		delete(s.baseNP, cid)
-	} else {
-		s.baseNP[cid] = np
-	}
+	s.baseNP.Set(cid, np)
 
 	fs = fs[:0]
 	for _, a := range s.apps {
-		if f, ok := a.startedNP[cid]; ok && f != nil {
+		if f, ok := a.startedNP.Lookup(cid); ok && f != nil {
 			fs = append(fs, f)
 		}
 	}
@@ -480,11 +476,7 @@ func (s *Scheduler) rebuildFoldClusterLocked(cid view.ClusterID) {
 	if len(fs) > 0 {
 		pv = pv.Sub(stepfunc.SumAll(fs))
 	}
-	if pv.IsZero() {
-		delete(s.basePv, cid)
-	} else {
-		s.basePv[cid] = pv
-	}
+	s.basePv.Set(cid, pv)
 }
 
 // rebuildFoldsLocked rebuilds the dirty clusters of the base folds, or all
@@ -492,8 +484,8 @@ func (s *Scheduler) rebuildFoldClusterLocked(cid view.ClusterID) {
 // the non-preemptive and preemptible folds changed.
 func (s *Scheduler) rebuildFoldsLocked(npFold, pFold map[view.ClusterID]struct{}) (npChanged, pChanged bool) {
 	if !s.foldsReady {
-		clear(s.baseNP)
-		clear(s.basePv)
+		s.baseNP.Clear()
+		s.basePv.Clear()
 		clear(npFold)
 		clear(pFold)
 		for cid := range s.clusters {
@@ -557,7 +549,7 @@ func sameGrantFrags(rs *request.Set, v view.View, want []*stepfunc.StepFunc) boo
 		return false
 	}
 	for i, r := range all {
-		if v[r.Cluster] != want[i] {
+		if f, _ := v.Lookup(r.Cluster); f != want[i] {
 			return false
 		}
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"cmp"
 	"fmt"
-	"maps"
 	"math"
 	"slices"
 	"sort"
@@ -200,15 +199,6 @@ func (s *Scheduler) SetClip(v view.View) {
 	s.bumpStruct()
 }
 
-// Clusters returns the resource model (cluster ID → node count).
-func (s *Scheduler) Clusters() map[view.ClusterID]int {
-	out := make(map[view.ClusterID]int, len(s.clusters))
-	for cid, n := range s.clusters {
-		out[cid] = n
-	}
-	return out
-}
-
 // Capacity returns the node count of cluster cid.
 func (s *Scheduler) Capacity(cid view.ClusterID) int { return s.clusters[cid] }
 
@@ -306,10 +296,10 @@ func (s *Scheduler) RemoveApp(id int) *AppState {
 	c := &a.cache
 	addRectClusters(s.npFoldDirt, c.paRects)
 	dirtyNPFolds(s.npFoldDirt, s.pFoldDirt, c.npRects)
-	if len(c.cbfPA) > 0 || len(c.cbfExcess) > 0 {
+	if c.cbfPA.Len() > 0 || c.cbfExcess.Len() > 0 {
 		dropKey(&s.cbfMuts)
 	}
-	if len(c.cbfNP) > 0 {
+	if c.cbfNP.Len() > 0 {
 		dropKey(&s.pvMuts)
 		s.pvClampOK = false
 	}
@@ -525,9 +515,9 @@ func (s *Scheduler) Schedule(now float64) []*request.Request {
 		// pre-allocations and the wrapped excess of non-preemptible requests
 		// consume non-preemptible space; all scheduled non-preemptible
 		// requests consume preemptible space.
-		if len(c.cbfPA) > 0 || len(c.cbfExcess) > 0 {
+		if c.cbfPA.Len() > 0 || c.cbfExcess.Len() > 0 {
 			for _, m := range [2]view.View{c.cbfPA, c.cbfExcess} {
-				if len(m) > 0 {
+				if m.Len() > 0 {
 					if muts, chain = s.noteCBFMut(muts, m, chain); chain {
 						held = len(muts)
 					}
@@ -535,7 +525,7 @@ func (s *Scheduler) Schedule(now float64) []*request.Request {
 			}
 			idleViewNP = nil // the run of request-less applications ends here
 		}
-		if len(c.cbfNP) > 0 {
+		if c.cbfNP.Len() > 0 {
 			pvMuts = append(pvMuts, c.cbfNP)
 		}
 	}
@@ -609,7 +599,7 @@ func (s *Scheduler) cbfStep(a *AppState, vNP view.View, now float64) {
 	if sc.inPA == nil {
 		sc.inPA = view.New()
 	}
-	clear(sc.inPA)
+	sc.inPA.Clear()
 	for _, r := range a.NP.All() {
 		if r.Fixed && !r.Wrapped {
 			sc.inPA.MutAddRect(r.Cluster, r.ScheduledAt, r.Duration, r.NAlloc)
@@ -621,17 +611,14 @@ func (s *Scheduler) cbfStep(a *AppState, vNP view.View, now float64) {
 		sc.paFree, sc.availNP = view.New(), view.New()
 	}
 	paFree, availNP := sc.paFree, sc.availNP
-	clear(paFree)
-	maps.Copy(paFree, a.startedPA)
+	paFree.Clear()
+	a.startedPA.CopyInto(paFree)
 	paFree.MutAdd(voccPA)
 	paFree.MutSub(sc.inPA)
-	clear(availNP)
+	availNP.Clear()
 	for _, r := range a.NP.All() {
-		if _, ok := availNP[r.Cluster]; ok || r.Fixed {
-			continue
-		}
-		if f := paFree.Get(r.Cluster).Add(vNPFree.Get(r.Cluster)); !f.IsZero() {
-			availNP[r.Cluster] = f
+		if _, ok := availNP.Lookup(r.Cluster); !ok && !r.Fixed {
+			availNP.Set(r.Cluster, paFree.Get(r.Cluster).Add(vNPFree.Get(r.Cluster)))
 		}
 	}
 	voccNP := fitScratch(a.NP, availNP, now, sc)

@@ -396,11 +396,6 @@ func TestScheduleCapacityAccessors(t *testing.T) {
 	if s.Capacity(c0) != 10 {
 		t.Error("Capacity accessor")
 	}
-	m := s.Clusters()
-	m[c0] = 999
-	if s.Capacity(c0) != 10 {
-		t.Error("Clusters() must return a copy")
-	}
 	if s.Policy() != EquiPartitionFilling {
 		t.Error("default policy should be filling")
 	}

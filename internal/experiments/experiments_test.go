@@ -116,6 +116,24 @@ func TestFig3(t *testing.T) {
 	}
 }
 
+// TestDefaultSweepsAreConstant pins why stats.Linspace's n < 2 panic and
+// stats.Logspace's non-positive-bound panic are unreachable: their only
+// callers are Fig3's and Fig9's default sweeps, fixed grids no flag or
+// input changes (coorm-exp passes no sweep of its own).
+func TestDefaultSweepsAreConstant(t *testing.T) {
+	rows := Fig3(1, testSteps, nil)
+	if len(rows) != 17 || rows[0].TargetEff != 0.1 || rows[16].TargetEff != 0.9 {
+		t.Fatalf("Fig3's default sweep: %d rows from %v", len(rows), rows[0].TargetEff)
+	}
+	fig9, err := Fig9(Fig9Config{Seed: 1, Steps: testSteps, Smax: testSmax, PSATaskDur: 60})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fig9) != 9 || fig9[0].Overcommit != 0.1 || fig9[8].Overcommit != 10 {
+		t.Fatalf("Fig9's default sweep: %d rows from %v", len(fig9), fig9[0].Overcommit)
+	}
+}
+
 func TestFig4(t *testing.T) {
 	rows := Fig4(1, testSteps, []float64{0.5, 1, 8}, 0)
 	if len(rows) != 3 {

@@ -510,7 +510,7 @@ func (f *Federator) CrashShard(i int) CrashReport {
 	lost := view.New()
 	for cid, own := range f.owner {
 		if own == i {
-			lost[cid] = stepfunc.Zero()
+			lost.Put(cid, stepfunc.Zero())
 		}
 	}
 	f.mu.Unlock()

@@ -5,7 +5,6 @@ import (
 
 	"coormv2/internal/obs"
 	"coormv2/internal/request"
-	"coormv2/internal/stepfunc"
 	"coormv2/internal/view"
 )
 
@@ -99,7 +98,7 @@ func (f *Federator) MigrateCluster(cid view.ClusterID, to int) (MigrationReport,
 	// Until its new owner's first push names the cluster, every session reads
 	// it as empty. The segment saying so is queued now, ahead of any push of
 	// the target's, and delivered once the migration is done.
-	lost := view.View{cid: stepfunc.Zero()}
+	lost := view.Constant(0, cid)
 	for _, sess := range sessions {
 		sess.queueLost(lost, from)
 	}

@@ -628,7 +628,7 @@ func (s *Session) queueLost(lost view.View, from int) {
 	if s.killed {
 		return
 	}
-	for cid := range lost {
+	for cid := range lost.All() {
 		if from >= 0 {
 			s.movedFrom[cid] = from
 		}
@@ -752,10 +752,10 @@ func (h *shardHandler) OnViews(np, p view.View) {
 		return
 	}
 	for cid, from := range s.movedFrom {
-		if _, stale := np[cid]; stale && from == h.shard {
+		if _, stale := np.Lookup(cid); stale && from == h.shard {
 			np, p = np.Clone(), p.Clone()
-			delete(np, cid)
-			delete(p, cid)
+			np.Delete(cid)
+			p.Delete(cid)
 		}
 	}
 	s.segs = append(s.segs, [2]view.View{np, p})

@@ -55,8 +55,8 @@ type ViewJSON map[string][]StepJSON
 
 // EncodeView converts a view to its full wire form: every cluster it names.
 func EncodeView(v view.View) ViewJSON {
-	out := make(ViewJSON, len(v))
-	for cid := range v {
+	out := make(ViewJSON, v.Len())
+	for cid := range v.All() {
 		out[string(cid)] = encodeProfile(v.Get(cid))
 	}
 	return out
@@ -71,17 +71,11 @@ func EncodeView(v view.View) ViewJSON {
 // be owned by the caller; seg is not modified.
 func PatchView(names []view.ClusterID, acc, seg view.View) []view.ClusterID {
 	names = names[:0]
-	for cid := range seg {
-		f := seg.Get(cid)
-		if f.Equal(acc.Get(cid)) {
-			continue
+	for cid := range seg.All() {
+		if f := seg.Get(cid); !f.Equal(acc.Get(cid)) {
+			acc.Set(cid, f)
+			names = append(names, cid)
 		}
-		if f.IsZero() {
-			delete(acc, cid)
-		} else {
-			acc[cid] = f
-		}
-		names = append(names, cid)
 	}
 	return names
 }
@@ -157,11 +151,7 @@ func (vj ViewJSON) Apply(base view.View) (view.View, error) {
 			t = end
 			dec[i] = stepfunc.Step{Duration: d, N: s.N}
 		}
-		if f := stepfunc.FromSteps(dec...); f.IsZero() {
-			delete(out, view.ClusterID(cid))
-		} else {
-			out[view.ClusterID(cid)] = f
-		}
+		out.Set(view.ClusterID(cid), stepfunc.FromSteps(dec...))
 	}
 	return out, nil
 }

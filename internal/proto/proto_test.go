@@ -45,6 +45,37 @@ func TestViewDecodeRejectsBadDuration(t *testing.T) {
 	}
 }
 
+// TestPatchViewSegments pins how a segment patches an accumulated view: a
+// named zero survives in the segment and removes the cluster from the
+// accumulator, a named profile replaces, an unnamed cluster keeps its
+// profile.
+func TestPatchViewSegments(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		seg     view.View
+		changed []view.ClusterID
+		want    view.View
+	}{
+		{"named zero removes a held cluster", view.Constant(0, "a"), []view.ClusterID{"a"}, view.Constant(5, "c")},
+		{"named zero of a missing cluster", view.Constant(0, "b"), nil, view.Constant(5, "a", "c")},
+		{"named profile replaces", view.Constant(3, "a"), []view.ClusterID{"a"}, view.Constant(3, "a").Add(view.Constant(5, "c"))},
+		{"equal profile is no change", view.Constant(5, "a"), nil, view.Constant(5, "a", "c")},
+		{"empty segment", view.New(), nil, view.Constant(5, "a", "c")},
+	} {
+		acc := view.Constant(5, "a", "c")
+		segLen := tc.seg.Len()
+		names := PatchView(nil, acc, tc.seg)
+		slices.Sort(names)
+		// want is canonical, so an equal length means acc names no zero.
+		if !slices.Equal(names, tc.changed) || !acc.Equal(tc.want) || acc.Len() != tc.want.Len() {
+			t.Errorf("%s: changed %v, acc %v; want %v, %v", tc.name, names, acc, tc.changed, tc.want)
+		}
+		if tc.seg.Len() != segLen {
+			t.Errorf("%s: PatchView dropped a name from its segment: %v", tc.name, tc.seg)
+		}
+	}
+}
+
 func TestRequestSpecRoundTrip(t *testing.T) {
 	specs := []rms.RequestSpec{
 		{Cluster: "c0", N: 4, Duration: 100, Type: request.NonPreempt},

@@ -306,7 +306,7 @@ func (s *Server) AttachCluster(snap *ClusterSnapshot, observe func(appID int, id
 	// handler the cluster was gone. Forget that push, so an equal profile is
 	// not taken for one the handler holds.
 	for _, sess := range s.sessions {
-		if _, stale := sess.np.v[snap.Cluster]; stale {
+		if _, stale := sess.np.v.Lookup(snap.Cluster); stale {
 			sess.np.v, sess.p.v = nil, nil
 		}
 	}

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"maps"
 	"math"
-	"reflect"
 	"slices"
 	"sort"
 	"sync"
@@ -182,12 +181,12 @@ type Server struct {
 	pending []notice
 
 	// The trim memo holds trims at the instant trimAt: trimmed, completed
-	// views by map identity (refreshLocked) and trimmed profiles by profile
-	// identity (trimLocked) — sessions' views share profiles, and TrimBefore
-	// is a pure function of a profile and the instant. It is emptied when the
-	// instant changes and at the start of every push pass, since a map's
-	// address may be recycled between rounds (a profile key holds its
-	// profile).
+	// views by view identity (View.Key, refreshLocked) and trimmed profiles
+	// by profile identity (trimLocked) — sessions' views share profiles, and
+	// TrimBefore is a pure function of a profile and the instant. It is
+	// emptied when the instant changes and at the start of every push pass,
+	// since a view's key may be recycled between rounds (a profile key holds
+	// its profile).
 	trimMemo  map[uintptr]view.View
 	trimProfs map[*stepfunc.StepFunc]*stepfunc.StepFunc
 	trimAt    float64
@@ -1328,7 +1327,7 @@ func (s *Server) startRequestsLocked(toStart []*request.Request, now float64) {
 // comparison (see pushed). The scheduler also shares view maps across
 // applications (idle applications in a CBF run see one map; idle
 // preemptible applications share the idle grant), so the trim and the
-// completion are memoized by map identity — each distinct map is handled
+// completion are memoized by view identity — each distinct view is handled
 // once per round, not once per session. Preemptive halves arrive trimmed at
 // the round's instant (core.AppState.Views), so a new one that names every
 // cluster costs a comparison and nothing else.
@@ -1374,7 +1373,7 @@ func (s *Server) refreshLocked(h *pushed, src view.View, now float64, pushing bo
 	if h.v != nil && view.Same(src, h.src) {
 		if math.IsNaN(h.horizon) {
 			h.horizon = math.Inf(1)
-			for _, f := range src {
+			for _, f := range src.All() {
 				h.horizon = min(h.horizon, f.NextBreakpoint(h.at))
 			}
 		}
@@ -1382,7 +1381,7 @@ func (s *Server) refreshLocked(h *pushed, src view.View, now float64, pushing bo
 			return false
 		}
 	}
-	key := reflect.ValueOf(src).Pointer() // 0 for a nil view
+	key := src.Key()
 	t, ok := s.trimMemo[key]
 	if !ok {
 		t = s.trimLocked(src, now)
@@ -1408,14 +1407,14 @@ func (s *Server) trimLocked(v view.View, now float64) view.View {
 	// t stays nil until a profile changes or a cluster is missing (a view
 	// names only the server's clusters).
 	var t view.View
-	if len(v) < len(s.pools) {
-		t = make(view.View, len(s.pools))
+	if v.Len() < len(s.pools) {
+		t = view.NewSized(len(s.pools))
 		for cid := range s.pools {
-			t[cid] = stepfunc.Zero()
+			t.Put(cid, stepfunc.Zero())
 		}
-		maps.Copy(t, v)
+		v.CopyInto(t)
 	}
-	for cid, f := range v {
+	for cid, f := range v.All() {
 		if now < f.NextBreakpoint(0) {
 			continue // nothing before now: TrimBefore(now) is f
 		}
@@ -1425,9 +1424,9 @@ func (s *Server) trimLocked(v view.View, now float64) view.View {
 			s.trimProfs[f] = g
 		}
 		if t == nil {
-			t = maps.Clone(v)
+			t = v.Clone()
 		}
-		t[cid] = g
+		t.Put(cid, g)
 	}
 	if t == nil {
 		return v

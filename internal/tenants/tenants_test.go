@@ -327,7 +327,7 @@ func TestDRFEndToEnd(t *testing.T) {
 	if !ok {
 		t.Fatal("DRF must be a VictimNominator")
 	}
-	victims := vn.Victims(core.RoundInfo{Now: 1, Clusters: s.Clusters()}, s.Apps(), nil)
+	victims := vn.Victims(core.RoundInfo{Now: 1, Clusters: map[view.ClusterID]int{cA: 12}}, s.Apps(), nil)
 	if len(victims) == 0 {
 		t.Fatal("no victims nominated for a starved guaranteed queue on a full cluster")
 	}

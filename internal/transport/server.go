@@ -24,7 +24,6 @@ import (
 	"io"
 	"log"
 	"net"
-	"reflect"
 	"slices"
 	"sort"
 	"sync"
@@ -133,7 +132,7 @@ type Server struct {
 	stats   serverStats
 	hResume *obs.Histogram
 	// frames holds recent delta views frames for every session to reuse
-	// (see sharedFrame), a slot per segment map address hash.
+	// (see sharedFrame), a slot per hash of the segment's identity (View.Key).
 	frames [1 << frameSlotBits]atomic.Pointer[sharedFrame]
 
 	// Logf logs transport events; defaults to log.Printf. Tests silence it.
@@ -350,9 +349,9 @@ func (f *sharedFrame) matches(np, p view.View, cnp, cp []view.ClusterID) bool {
 }
 
 // frameSlot is the memo slot of a frame built from non-preemptive segment
-// np: its map address, Fibonacci-hashed to the top bits.
+// np: its identity (View.Key), Fibonacci-hashed to the top bits.
 func (s *Server) frameSlot(np view.View) *atomic.Pointer[sharedFrame] {
-	h := uint64(reflect.ValueOf(np).Pointer()) * 0x9e3779b97f4a7c15
+	h := uint64(np.Key()) * 0x9e3779b97f4a7c15
 	return &s.frames[h>>(64-frameSlotBits)]
 }
 

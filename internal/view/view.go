@@ -1,20 +1,22 @@
-// Package view implements the paper's views (§3.1.4, §A.3): maps from a
-// cluster ID to a Cluster Availability Profile (a step function of time).
-// The RMS pushes two views to every application — a non-preemptive view and
-// a preemptive view — and the scheduler manipulates views as scratch values
-// while computing a schedule.
+// Package view implements the paper's views (§3.1.4, §A.3): a Cluster
+// Availability Profile (a step function of time) per cluster ID. The RMS
+// pushes two views to every application — a non-preemptive view and a
+// preemptive view — and the scheduler manipulates views as scratch values
+// while computing a schedule. How a view stores its profiles is this
+// package's business: every other package goes through View's methods.
 //
 // The profiles stored in a view are immutable everywhere (see stepfunc);
-// only the map itself is ever mutated. The value-returning operations (Add,
+// only the view itself is ever mutated. The value-returning operations (Add,
 // Sub, Clip, TrimBefore, ...) treat views as immutable and return a new View —
-// possibly sharing profiles with their operands. The Mut* operations are
-// the mutable-accumulator mode used on scheduler scratch: they update the
-// receiver's map in place, so the caller must own the map (profiles may
+// possibly sharing profiles with their operands. The Mut* operations and the
+// setters are the mutable-accumulator mode used on scheduler scratch: they
+// update the receiver in place, so the caller must own it (profiles may
 // still be shared freely).
 package view
 
 import (
 	"fmt"
+	"iter"
 	"maps"
 	"reflect"
 	"sort"
@@ -28,21 +30,69 @@ import (
 // (requests carry a cluster ID, §3.1.1).
 type ClusterID string
 
-// View maps cluster IDs to availability profiles. A missing entry is the
-// constant-zero profile.
+// View holds an availability profile per cluster ID. A cluster the view does
+// not name is the constant-zero profile; a view segment (see
+// rms.AppHandler.OnViews) may also name a cluster with a zero profile.
 type View map[ClusterID]*stepfunc.StepFunc
 
 // New returns an empty view (all clusters zero).
 func New() View { return View{} }
 
+// NewSized returns an empty view with room for n clusters.
+func NewSized(n int) View { return make(View, n) }
+
 // Constant returns a view in which every listed cluster has n nodes forever.
+// With n = 0 it is the segment naming every listed cluster empty.
 func Constant(n int, cids ...ClusterID) View {
 	v := New()
 	for _, cid := range cids {
-		v[cid] = stepfunc.Constant(n)
+		v.Put(cid, stepfunc.Constant(n))
 	}
 	return v
 }
+
+// Lookup returns the profile v stores for cid (nil if none) and whether v
+// names cid. Unlike Get it tells a named zero profile from a cluster v does
+// not name.
+func (v View) Lookup(cid ClusterID) (*stepfunc.StepFunc, bool) {
+	f, ok := v[cid]
+	return f, ok
+}
+
+// Set stores f for cid, or drops cid when f is zero, so a view built with
+// Set names only its nonzero clusters.
+func (v View) Set(cid ClusterID, f *stepfunc.StepFunc) {
+	if f.IsZero() {
+		delete(v, cid)
+	} else {
+		v[cid] = f
+	}
+}
+
+// Put stores f for cid as it is, a zero f included: how a segment names a
+// cluster that went empty.
+func (v View) Put(cid ClusterID, f *stepfunc.StepFunc) { v[cid] = f }
+
+// Delete drops cid from v.
+func (v View) Delete(cid ClusterID) { delete(v, cid) }
+
+// Len returns the number of clusters v names.
+func (v View) Len() int { return len(v) }
+
+// Clear drops every cluster from v, keeping its storage for reuse.
+func (v View) Clear() { clear(v) }
+
+// CopyInto stores each of v's profiles into dst, as Put does.
+func (v View) CopyInto(dst View) { maps.Copy(dst, v) }
+
+// All yields every cluster v names with its stored profile, in no particular
+// order.
+func (v View) All() iter.Seq2[ClusterID, *stepfunc.StepFunc] { return maps.All(v) }
+
+// Key returns v's identity: equal for two views exactly when they are one
+// value (Same), 0 for a nil view. It stands for v's contents only while
+// nobody mutates v, as for the views the scheduler hands out.
+func (v View) Key() uintptr { return reflect.ValueOf(v).Pointer() }
 
 // Get returns the profile for cid (never nil; zero profile if absent or
 // explicitly nil).
@@ -81,18 +131,11 @@ func (v View) Clone() View {
 func combine(a, b View, op func(x, y *stepfunc.StepFunc) *stepfunc.StepFunc) View {
 	out := make(View, max(len(a), len(b)))
 	for cid := range a {
-		f := op(a.Get(cid), b.Get(cid))
-		if !f.IsZero() {
-			out[cid] = f
-		}
+		out.Set(cid, op(a.Get(cid), b.Get(cid)))
 	}
 	for cid := range b {
-		if _, ok := a[cid]; ok {
-			continue
-		}
-		f := op(a.Get(cid), b.Get(cid))
-		if !f.IsZero() {
-			out[cid] = f
+		if _, ok := a[cid]; !ok {
+			out.Set(cid, op(a.Get(cid), b.Get(cid)))
 		}
 	}
 	return out
@@ -149,35 +192,23 @@ func Sum(vs ...View) View {
 // up sharing profiles with o.
 func (v View) MutAdd(o View) {
 	for cid, g := range o {
-		f := v.Get(cid).Add(g)
-		if f.IsZero() {
-			delete(v, cid)
-		} else {
-			v[cid] = f
-		}
+		v.Set(cid, v.Get(cid).Add(g))
 	}
 }
 
 // MutSub subtracts o from v cluster-wise, mutating v's map in place.
 func (v View) MutSub(o View) {
 	for cid, g := range o {
-		f := v.Get(cid).Sub(g)
-		if f.IsZero() {
-			delete(v, cid)
-		} else {
-			v[cid] = f
-		}
+		v.Set(cid, v.Get(cid).Sub(g))
 	}
 }
 
 // MutClampMin clamps every profile of v below at lo, in place.
 func (v View) MutClampMin(lo int) {
 	for cid, f := range v {
-		g := f.ClampMin(lo)
-		if g.IsZero() {
-			delete(v, cid)
-		} else if g != f {
-			v[cid] = g
+		// A named zero goes even when ClampMin returns it unchanged.
+		if g := f.ClampMin(lo); g != f || g.IsZero() {
+			v.Set(cid, g)
 		}
 	}
 }
@@ -188,12 +219,7 @@ func (v View) MutClampMin(lo int) {
 // quadratic. n may be negative (used by the scheduler to retire
 // allocations from an availability accumulator).
 func (v View) MutAddRect(cid ClusterID, t0, dur float64, n int) {
-	f := v.Get(cid).AddRect(t0, dur, n)
-	if f.IsZero() {
-		delete(v, cid)
-	} else {
-		v[cid] = f
-	}
+	v.Set(cid, v.Get(cid).AddRect(t0, dur, n))
 }
 
 // ClampMin returns the view with every profile clamped below at lo
@@ -223,11 +249,7 @@ func (v View) transformed(op func(*stepfunc.StepFunc) *stepfunc.StepFunc) View {
 		if out == nil {
 			out = v.Clone()
 		}
-		if g.IsZero() {
-			delete(out, cid)
-		} else {
-			out[cid] = g
-		}
+		out.Set(cid, g)
 	}
 	if out == nil {
 		return v
@@ -290,12 +312,10 @@ func (v View) Equal(o View) bool {
 	return true
 }
 
-// Same reports whether a and b are one map (or both nil). For views nobody
-// mutates any more, such as the ones the scheduler hands out, one map is one
-// value.
-func Same(a, b View) bool {
-	return reflect.ValueOf(a).Pointer() == reflect.ValueOf(b).Pointer()
-}
+// Same reports whether a and b are one view (or both nil). For views nobody
+// mutates any more, such as the ones the scheduler hands out, one view is
+// one value.
+func Same(a, b View) bool { return a.Key() == b.Key() }
 
 // NonNegative reports whether every profile in the view is >= 0 everywhere.
 // The scheduler asserts this on the availability views it exposes.

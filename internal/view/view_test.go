@@ -127,6 +127,55 @@ func TestEqual(t *testing.T) {
 	}
 }
 
+// TestStoreSemantics pins the setters: Set keeps a view canonical (a zero
+// profile drops the cluster), while Put, CopyInto and Constant(0, ...) name
+// a cluster as given, a zero included, which is how a segment says a
+// cluster went empty.
+func TestStoreSemantics(t *testing.T) {
+	four, zero := stepfunc.Constant(4), stepfunc.Zero()
+	for _, tc := range []struct {
+		name  string
+		store func(View)
+		named bool // whether x is named afterwards
+		want  *stepfunc.StepFunc
+		len   int
+	}{
+		{"Set profile", func(v View) { v.Set("x", four) }, true, four, 2},
+		{"Set zero drops the cluster", func(v View) { v.Set("x", zero) }, false, zero, 1},
+		{"Set zero on a missing cluster", func(v View) { v.Set("z", zero) }, true, stepfunc.Constant(2), 2},
+		{"Put profile", func(v View) { v.Put("x", four) }, true, four, 2},
+		{"Put zero keeps the name", func(v View) { v.Put("x", zero) }, true, zero, 2},
+		{"Delete", func(v View) { v.Delete("x") }, false, zero, 1},
+		{"Clear", func(v View) { v.Clear() }, false, zero, 0},
+		{"CopyInto keeps a named zero", func(v View) { Constant(0, "x").CopyInto(v) }, true, zero, 2},
+		{"MutAddRect to zero drops the cluster", func(v View) { v.MutAddRect("x", 0, math.Inf(1), -2) }, false, zero, 1},
+	} {
+		v := Constant(2, "x", "y")
+		tc.store(v)
+		f, named := v.Lookup("x")
+		if named != tc.named || named && !f.Equal(tc.want) || !v.Get("x").Equal(tc.want) || v.Len() != tc.len {
+			t.Errorf("%s: x = %v (named %v), Len %d; want %v (named %v), Len %d",
+				tc.name, f, named, v.Len(), tc.want, tc.named, tc.len)
+		}
+	}
+}
+
+// TestKeyIsIdentity pins Key and Same: one view, one key; a clone, or any
+// other view of equal value, another; nil is 0.
+func TestKeyIsIdentity(t *testing.T) {
+	v := Constant(1, "x")
+	if w := v; w.Key() != v.Key() || !Same(w, v) {
+		t.Error("a view's copies should share its key")
+	}
+	if c := v.Clone(); c.Key() == v.Key() || Same(c, v) || !c.Equal(v) {
+		t.Error("a clone should be equal but not the same view")
+	}
+	var nilView View
+	if nilView.Key() != 0 || !Same(nilView, nil) || Same(nilView, New()) {
+		t.Error("a nil view's key should be 0 and differ from an empty view's")
+	}
+}
+
 func TestNonNegative(t *testing.T) {
 	if !Constant(3, "x").NonNegative() {
 		t.Error("positive view reported negative")
