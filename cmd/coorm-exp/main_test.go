@@ -100,3 +100,22 @@ func TestBadFaultDelaysExit1(t *testing.T) {
 		}
 	}
 }
+
+// TestTenantCountClamped: -tenants below 2 runs the two-tenant mix, so the
+// tenants preset adds the distinct queues t0 and t1 and never reaches
+// tenants.Tree.MustAdd's panic on a duplicate or empty path.
+func TestTenantCountClamped(t *testing.T) {
+	var want, stderr bytes.Buffer
+	if code := run([]string{"-exp", "tenants", "-tenants", "2"}, &want, &stderr); code != 0 {
+		t.Fatalf("-tenants 2: exit code %d: %s", code, &stderr)
+	}
+	for _, n := range []string{"-3", "1"} {
+		var stdout bytes.Buffer
+		if code := run([]string{"-exp", "tenants", "-tenants", n}, &stdout, &stderr); code != 0 {
+			t.Fatalf("-tenants %s: exit code %d: %s", n, code, &stderr)
+		}
+		if stdout.String() != want.String() {
+			t.Errorf("-tenants %s: output differs from -tenants 2's", n)
+		}
+	}
+}

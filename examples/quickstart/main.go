@@ -11,8 +11,12 @@
 package main
 
 import (
+	"errors"
+	"flag"
 	"fmt"
+	"io"
 	"math"
+	"os"
 
 	"coormv2"
 )
@@ -23,6 +27,7 @@ const cluster = coormv2.ClusterID("c0")
 // cluster of the RMS, so a fully booked one prints as "c0: [(inf, 0)]".
 type logger struct {
 	name    string
+	out     io.Writer
 	sim     *coormv2.Simulation
 	session *coormv2.Session
 	// onViews/onStart let the two mini-apps below react.
@@ -31,7 +36,7 @@ type logger struct {
 }
 
 func (l *logger) OnViews(np, p coormv2.View) {
-	fmt.Printf("[t=%4.0f] %s: views updated: non-preemptive %v | preemptive %v\n",
+	fmt.Fprintf(l.out, "[t=%4.0f] %s: views updated: non-preemptive %v | preemptive %v\n",
 		l.sim.Now(), l.name, np, p)
 	if l.onViews != nil {
 		l.onViews(np, p)
@@ -39,21 +44,43 @@ func (l *logger) OnViews(np, p coormv2.View) {
 }
 
 func (l *logger) OnStart(id coormv2.RequestID, nodes []int) {
-	fmt.Printf("[t=%4.0f] %s: request %d started, nodes %v\n", l.sim.Now(), l.name, id, nodes)
+	fmt.Fprintf(l.out, "[t=%4.0f] %s: request %d started, nodes %v\n", l.sim.Now(), l.name, id, nodes)
 	if l.onStart != nil {
 		l.onStart(id, nodes)
 	}
 }
 
 func (l *logger) OnKill(reason string) {
-	fmt.Printf("%s: killed: %s\n", l.name, reason)
+	fmt.Fprintf(l.out, "%s: killed: %s\n", l.name, reason)
 }
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main without the process: it plays the interaction, printing its
+// log to stdout, and returns the exit code (2 for a usage error, 1 when the
+// RMS refuses one of the script's requests).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("quickstart", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	// failed keeps the first request the RMS refused, whether the script or
+	// a notification handler made it; the run then exits 1.
+	var failed error
+	check := func(err error) {
+		if failed == nil {
+			failed = err
+		}
+	}
+
 	sim := coormv2.NewSimulation(map[coormv2.ClusterID]int{cluster: 16})
 
 	// --- The evolving application (steps 1–5 of Fig. 8). -----------------
-	nea := &logger{name: "NEA      ", sim: sim}
+	nea := &logger{name: "NEA      ", out: stdout, sim: sim}
 	neaSess := sim.Server.Connect(nea)
 	pa, err := neaSess.Request(coormv2.RequestSpec{
 		Cluster: cluster, N: 12, Duration: 10_000, Type: coormv2.PreAlloc,
@@ -66,7 +93,7 @@ func main() {
 	check(err)
 
 	// --- The malleable application (steps 6–9). --------------------------
-	mal := &logger{name: "malleable", sim: sim}
+	mal := &logger{name: "malleable", out: stdout, sim: sim}
 	var malReq coormv2.RequestID
 	var malHeld []int
 	mal.onStart = func(id coormv2.RequestID, nodes []int) {
@@ -92,7 +119,7 @@ func main() {
 			})
 			check(err)
 			check(mal.sess().Done(malReq, release))
-			fmt.Printf("[t=%4.0f] malleable: releasing nodes %v\n", sim.Now(), release)
+			fmt.Fprintf(stdout, "[t=%4.0f] malleable: releasing nodes %v\n", sim.Now(), release)
 			malReq = next
 			malHeld = malHeld[:avail]
 		}
@@ -103,31 +130,29 @@ func main() {
 	sim.Run(60)
 
 	// --- Steps 10–15: the NEA spontaneously updates 4 → 10 nodes. --------
-	fmt.Printf("[t=%4.0f] NEA      : spontaneous update, 4 -> 10 nodes\n", sim.Now())
-	next, err := neaSess.Request(coormv2.RequestSpec{
+	fmt.Fprintf(stdout, "[t=%4.0f] NEA      : spontaneous update, 4 -> 10 nodes\n", sim.Now())
+	_, err = neaSess.Request(coormv2.RequestSpec{
 		Cluster: cluster, N: 10, Duration: 10_000,
 		Type: coormv2.NonPreempt, RelatedHow: coormv2.Next, RelatedTo: cur,
 	})
 	check(err)
 	check(neaSess.Done(cur, nil))
-	_ = next
 
 	sim.Run(120)
+	if failed != nil {
+		fmt.Fprintf(stderr, "quickstart: %v\n", failed)
+		return 1
+	}
 
-	fmt.Println()
-	fmt.Printf("NEA allocated area so far: %.0f node·s; malleable area: %.0f node·s\n",
+	fmt.Fprintln(stdout)
+	fmt.Fprintf(stdout, "NEA allocated area so far: %.0f node·s; malleable area: %.0f node·s\n",
 		sim.Metrics.Area(neaSess.AppID(), sim.Now()),
 		sim.Metrics.Area(malSess.AppID(), sim.Now()))
-	fmt.Println("The update succeeded without the NEA ever over-allocating:")
-	fmt.Println("pre-allocated-but-unused nodes did useful malleable work until reclaimed.")
+	fmt.Fprintln(stdout, "The update succeeded without the NEA ever over-allocating:")
+	fmt.Fprintln(stdout, "pre-allocated-but-unused nodes did useful malleable work until reclaimed.")
+	return 0
 }
 
 // sess gives the logger late access to its session (it is created after
 // the handler, because Connect needs the handler first).
 func (l *logger) sess() *coormv2.Session { return l.session }
-
-func check(err error) {
-	if err != nil {
-		panic(err)
-	}
-}

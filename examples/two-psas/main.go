@@ -10,8 +10,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"coormv2/internal/apps"
@@ -19,15 +21,26 @@ import (
 	"coormv2/internal/experiments"
 )
 
-func main() {
-	var (
-		announce = flag.Float64("announce", 300, "AMR announce interval in seconds")
-		seed     = flag.Int64("seed", 1, "AMR profile seed")
-		steps    = flag.Int("steps", 200, "AMR profile length (paper: 1000)")
-	)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	fmt.Printf("One AMR (announce %gs) + PSA1 (d_task 600 s) + PSA2 (d_task 60 s)\n\n", *announce)
+// run is main without the process: it parses args, prints the comparison
+// and returns the exit code (2 for a usage error, 1 for a failed run).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("two-psas", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		announce = fs.Float64("announce", 300, "AMR announce interval in seconds")
+		seed     = fs.Int64("seed", 1, "AMR profile seed")
+		steps    = fs.Int("steps", 200, "AMR profile length (paper: 1000)")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+
+	fmt.Fprintf(stdout, "One AMR (announce %gs) + PSA1 (d_task 600 s) + PSA2 (d_task 60 s)\n\n", *announce)
 
 	for _, policy := range []core.PreemptPolicy{
 		core.StrictEquiPartition,
@@ -41,16 +54,17 @@ func main() {
 			Policy:           policy,
 		})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "two-psas: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "two-psas: %v\n", err)
+			return 1
 		}
-		fmt.Printf("%s:\n", policy)
-		fmt.Printf("  PSA1 (600s tasks): %10.0f node·s useful, %6.0f wasted\n",
+		fmt.Fprintf(stdout, "%s:\n", policy)
+		fmt.Fprintf(stdout, "  PSA1 (600s tasks): %10.0f node·s useful, %6.0f wasted\n",
 			res.PSAArea[0]-res.PSAWaste[0], res.PSAWaste[0])
-		fmt.Printf("  PSA2 ( 60s tasks): %10.0f node·s useful, %6.0f wasted\n",
+		fmt.Fprintf(stdout, "  PSA2 ( 60s tasks): %10.0f node·s useful, %6.0f wasted\n",
 			res.PSAArea[1]-res.PSAWaste[1], res.PSAWaste[1])
-		fmt.Printf("  used resources:    %10.2f%%\n\n", 100*res.UsedFraction)
+		fmt.Fprintf(stdout, "  used resources:    %10.2f%%\n\n", 100*res.UsedFraction)
 	}
-	fmt.Println("Filling lets the short-task PSA exploit the holes the long-task PSA")
-	fmt.Println("declines, which is exactly the gain Fig. 11 of the paper reports.")
+	fmt.Fprintln(stdout, "Filling lets the short-task PSA exploit the holes the long-task PSA")
+	fmt.Fprintln(stdout, "declines, which is exactly the gain Fig. 11 of the paper reports.")
+	return 0
 }

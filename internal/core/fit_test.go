@@ -41,6 +41,21 @@ func TestFitRespectsT0(t *testing.T) {
 	}
 }
 
+// TestFitFreePreemptHonoursFloor: a FREE preemptible request is shrunk,
+// never delayed, but a NotBefore floor above t0 still sets its start
+// (rms.Session.SetNotBefore accepts a floor on any unstarted request).
+func TestFitFreePreemptHonoursFloor(t *testing.T) {
+	rs := request.NewSet()
+	r := newReq(1, 4, math.Inf(1), request.Preempt, request.Free, nil)
+	r.NotBefore = 30
+	rs.Add(r)
+	prep(rs)
+	fit(rs, view.Constant(10, "c0"), 5)
+	if r.ScheduledAt != 30 || r.NAlloc != 4 {
+		t.Errorf("ScheduledAt = %v, NAlloc = %d; want the floor 30 and all 4 nodes", r.ScheduledAt, r.NAlloc)
+	}
+}
+
 func TestFitUnschedulableGoesToInfinity(t *testing.T) {
 	rs := request.NewSet()
 	r := newReq(1, 100, 10, request.NonPreempt, request.Free, nil)

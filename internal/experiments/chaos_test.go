@@ -21,12 +21,12 @@ import (
 // chaosTestConfig builds a reduced-scale chaos scenario: 60 rigid jobs over
 // 3 shards with one scavenging PSA per shard and an aggressive fault plan
 // (MTTF well under the trace span, so several crashes always happen).
-func chaosTestConfig(seed int64, pol federation.RecoveryPolicy) ChaosReplayConfig {
+func chaosTestConfig(seed int64, pol federation.RecoveryPolicy) replayConfig {
 	jobs := workload.Synthetic(stats.NewRand(seed), workload.SyntheticConfig{
 		Jobs: 60, MaxNodes: 8, MeanInterArr: 45, MeanRuntime: 600,
 		PowerOfTwoBias: 0.5,
 	})
-	return ChaosReplayConfig{
+	return replayConfig{
 		Jobs:          jobs,
 		Shards:        3,
 		NodesPerShard: 16,
@@ -48,11 +48,11 @@ func chaosTestConfig(seed int64, pol federation.RecoveryPolicy) ChaosReplayConfi
 func TestChaosReplayDeterministic(t *testing.T) {
 	for _, pol := range []federation.RecoveryPolicy{federation.KillOnCrash, federation.RequeueOnCrash} {
 		t.Run(pol.String(), func(t *testing.T) {
-			a, err := RunChaosReplay(chaosTestConfig(42, pol))
+			a, err := replay(chaosTestConfig(42, pol))
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := RunChaosReplay(chaosTestConfig(42, pol))
+			b, err := replay(chaosTestConfig(42, pol))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -62,7 +62,7 @@ func TestChaosReplayDeterministic(t *testing.T) {
 			if a.Crashes == 0 {
 				t.Fatal("test plan produced no crashes; the determinism check is vacuous")
 			}
-			c, err := RunChaosReplay(chaosTestConfig(43, pol))
+			c, err := replay(chaosTestConfig(43, pol))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -74,7 +74,7 @@ func TestChaosReplayDeterministic(t *testing.T) {
 }
 
 // TestChaosInvariantMatrix is the CI chaos matrix: three seeds × both
-// recovery policies. RunChaosReplay runs the invariant checker after every
+// recovery policies. replay runs the invariant checker after every
 // fault and once post-run (no orphaned sessions, no leaked ID mappings, no
 // double-counted area) and fails the run on any violation; the test adds
 // the job-accounting contract per policy.
@@ -83,7 +83,7 @@ func TestChaosInvariantMatrix(t *testing.T) {
 		for seed := int64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("%s/seed=%d", pol, seed), func(t *testing.T) {
 				cfg := chaosTestConfig(seed, pol)
-				res, err := RunChaosReplay(cfg)
+				res, err := replay(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -130,7 +130,7 @@ func TestChaosInvariantMatrix(t *testing.T) {
 func TestChaosZeroFaultPlanMatchesBaseline(t *testing.T) {
 	cfg := chaosTestConfig(5, federation.KillOnCrash)
 	cfg.Chaos = chaos.Config{}
-	res, err := RunChaosReplay(cfg)
+	res, err := replay(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestChaosReplaySparseTrace(t *testing.T) {
 		{ID: 1, Submit: 0, Nodes: 2, Runtime: 100},
 		{ID: 2, Submit: 9000, Nodes: 2, Runtime: 100},
 	}
-	res, err := RunChaosReplay(ChaosReplayConfig{
+	res, err := replay(replayConfig{
 		Jobs:          jobs,
 		Shards:        2,
 		NodesPerShard: 4,
@@ -248,7 +248,7 @@ func (h *inertHandler) OnKill(string)             { h.killed = true }
 // TestChaosPlanShardsExist pins that the chaos harness, the only caller of
 // CrashShard and RestartShard outside tests, never names a shard the
 // federation lacks (both panic on one), whatever -shards says:
-// RunChaosReplay builds Shards × ClustersPerShard ≥ Shards clusters, so
+// replay builds Shards × ClustersPerShard ≥ Shards clusters, so
 // federation.Partition keeps every shard, and chaos.Plan draws indices
 // below Shards.
 func TestChaosPlanShardsExist(t *testing.T) {

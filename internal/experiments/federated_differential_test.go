@@ -92,14 +92,21 @@ func TestOneShardFederationMatchesSingleRMSReplay(t *testing.T) {
 			name = "rigid+psa"
 		}
 		t.Run(name, func(t *testing.T) {
-			single, err := RunReplay(ReplayConfig{Jobs: jobs, Nodes: 32, FillWithPSA: fill, PSATaskDur: 120})
+			cfg := replayConfig{Jobs: jobs, NodesPerShard: 32, EndTimerSettles: true}
+			if fill {
+				cfg.PSATaskDur = 120
+			}
+			single, err := replay(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fed, err := RunReplay(ReplayConfig{Jobs: jobs, Nodes: 32, FillWithPSA: fill, PSATaskDur: 120, Shards: 1})
+			cfg.Shards = 1
+			fed, err := replay(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
+			// Only a federation reports shard churn and tenant tallies.
+			fed.ShardChurn, fed.TenantPreempts = nil, nil
 			if !reflect.DeepEqual(single, fed) {
 				t.Errorf("federated replay diverges:\nsingle: %+v\nfed:    %+v", single, fed)
 			}

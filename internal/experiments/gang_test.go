@@ -15,7 +15,7 @@ import (
 // jobs get a companion leg on the next shard's cluster, so every run drives
 // the two-phase reservation coordinator through the same fault plan the
 // plain chaos matrix uses.
-func gangTestConfig(seed int64, pol federation.RecoveryPolicy) ChaosReplayConfig {
+func gangTestConfig(seed int64, pol federation.RecoveryPolicy) replayConfig {
 	cfg := chaosTestConfig(seed, pol)
 	cfg.GangFraction = 0.5
 	return cfg
@@ -24,7 +24,7 @@ func gangTestConfig(seed int64, pol federation.RecoveryPolicy) ChaosReplayConfig
 // gangMigrationTestConfig layers gangs onto the skewed rebalancing scenario:
 // 3 shards × 2 clusters with a live Rebalancer, so holds and commits
 // interleave with cluster migrations *and* crash/restart faults.
-func gangMigrationTestConfig(seed int64, pol federation.RecoveryPolicy) ChaosReplayConfig {
+func gangMigrationTestConfig(seed int64, pol federation.RecoveryPolicy) replayConfig {
 	cfg := rebalanceTestConfig(seed, true)
 	cfg.Recovery = pol
 	cfg.GangFraction = 0.5
@@ -39,7 +39,7 @@ func gangMigrationTestConfig(seed int64, pol federation.RecoveryPolicy) ChaosRep
 
 // TestGangChaosMatrix is the headline satellite: crash participant and
 // coordinator shards between hold and commit across 3 seeds × both recovery
-// policies. RunChaosReplay checks federation invariants after every fault
+// policies. replay checks federation invariants after every fault
 // and once post-run — no leaked holds, no half-committed gangs — and the
 // test pins job accounting plus same-seed byte-identical results (fault
 // trace, gang counters, and the FNV event-stream fingerprint).
@@ -49,7 +49,7 @@ func TestGangChaosMatrix(t *testing.T) {
 		for seed := int64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("%s/seed=%d", pol, seed), func(t *testing.T) {
 				cfg := gangTestConfig(seed, pol)
-				res, err := RunChaosReplay(cfg)
+				res, err := replay(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -62,7 +62,7 @@ func TestGangChaosMatrix(t *testing.T) {
 					t.Fatalf("jobs unaccounted for: %d completed + %d killed + %d rejected != %d",
 						res.Completed, res.Killed, res.Rejected, len(cfg.Jobs))
 				}
-				again, err := RunChaosReplay(gangTestConfig(seed, pol))
+				again, err := replay(gangTestConfig(seed, pol))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -80,7 +80,7 @@ func TestGangChaosMatrix(t *testing.T) {
 
 // TestGangChaosMigrationMatrix interleaves all three mechanisms: two-phase
 // reservations, live cluster migration (rebalancer), and shard crashes.
-// Invariants are checked inside RunChaosReplay after every fault; the test
+// Invariants are checked inside replay after every fault; the test
 // adds determinism and coverage (both gangs and migrations must happen
 // somewhere in the matrix).
 func TestGangChaosMigrationMatrix(t *testing.T) {
@@ -89,7 +89,7 @@ func TestGangChaosMigrationMatrix(t *testing.T) {
 		for seed := int64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("%s/seed=%d", pol, seed), func(t *testing.T) {
 				cfg := gangMigrationTestConfig(seed, pol)
-				res, err := RunChaosReplay(cfg)
+				res, err := replay(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -99,7 +99,7 @@ func TestGangChaosMigrationMatrix(t *testing.T) {
 					t.Fatalf("jobs unaccounted for: %d completed + %d killed + %d rejected != %d",
 						res.Completed, res.Killed, res.Rejected, len(cfg.Jobs))
 				}
-				again, err := RunChaosReplay(gangMigrationTestConfig(seed, pol))
+				again, err := replay(gangMigrationTestConfig(seed, pol))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -125,7 +125,7 @@ func TestGangChaosMigrationMatrix(t *testing.T) {
 func TestGangZeroFaultPlan(t *testing.T) {
 	cfg := gangTestConfig(7, federation.KillOnCrash)
 	cfg.Chaos = chaos.Config{}
-	res, err := RunChaosReplay(cfg)
+	res, err := replay(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestGangSingleShardNeverEngagesCoordinator(t *testing.T) {
 		Jobs: 40, MaxNodes: 6, MeanInterArr: 45, MeanRuntime: 600,
 		PowerOfTwoBias: 0.5,
 	})
-	cfg := ChaosReplayConfig{
+	cfg := replayConfig{
 		Jobs:             jobs,
 		Shards:           1,
 		ClustersPerShard: 2,
@@ -159,7 +159,7 @@ func TestGangSingleShardNeverEngagesCoordinator(t *testing.T) {
 		Recovery:         federation.RequeueOnCrash,
 		Chaos:            chaos.Config{Seed: 9}, // MTTF 0 ⇒ empty fault plan
 	}
-	res, err := RunChaosReplay(cfg)
+	res, err := replay(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestGangSingleShardNeverEngagesCoordinator(t *testing.T) {
 	if res.Completed != len(cfg.Jobs) {
 		t.Fatalf("completed %d of %d jobs", res.Completed, len(cfg.Jobs))
 	}
-	again, err := RunChaosReplay(cfg)
+	again, err := replay(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

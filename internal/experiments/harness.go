@@ -13,14 +13,12 @@ import (
 	"coormv2/internal/sim"
 	"coormv2/internal/transport"
 	"coormv2/internal/view"
-	"coormv2/internal/workload"
 )
 
 // simEnv is the one simulated environment every experiment runs in: the
 // paper's §5 recipe of an RMS on a simulated clock with applications
-// connected to it. RunScenario drives an AMR application through it; the
-// four trace replays (RunReplay, RunFederatedReplay, RunChaosReplay,
-// RunTenantsReplay) are configurations of its PSA attach, rigid-job
+// connected to it. RunScenario drives an AMR application through it, and
+// replay drives a rigid-job trace through its PSA attach, rigid-job
 // submission, run-to-completion and summary steps.
 type simEnv struct {
 	e   *sim.Engine
@@ -107,21 +105,6 @@ func (env *simEnv) attachPSA(c view.ClusterID, taskDur float64, hook func(*apps.
 	p.SetMetricsID(sess.AppID())
 	p.Attach(sess)
 	return p, sess.AppID()
-}
-
-// attachPSAPerCluster adds one scavenging PSA per cluster when taskDur is
-// positive; optsOf, when set, gives cluster i's PSA its connect options.
-func (env *simEnv) attachPSAPerCluster(taskDur float64, optsOf func(i int) []rms.ConnectOption) {
-	if taskDur <= 0 {
-		return
-	}
-	for i, c := range env.names {
-		var opts []rms.ConnectOption
-		if optsOf != nil {
-			opts = optsOf(i)
-		}
-		env.attachPSA(c, taskDur, nil, opts...)
-	}
 }
 
 // expect registers n more applications whose completion gates the run;
@@ -221,24 +204,6 @@ func (w *settlingRigid) OnRequestsReaped(ids []request.ID) {
 	}
 }
 
-// rigidTrace parametrizes the rigid-job submission of a replay.
-type rigidTrace struct {
-	jobs []workload.Job
-	// event names the simulator event of a submission (it is part of the
-	// fingerprinted event stream).
-	event string
-	// place gives job i its cluster index and its session's connect options.
-	place func(i int) (cluster int, opts []rms.ConnectOption)
-	// serverFinish settles a job on the server-side finish/reap/kill
-	// notifications — the only signals that survive crash/requeue re-runs
-	// correctly — instead of the application's own end timer, which is exact
-	// (and cheaper) on a fault-free run.
-	serverFinish bool
-	// submitted, when set, runs right after job i was accepted on cluster
-	// index cluster.
-	submitted func(i, cluster int, r *apps.Rigid, sess transport.Session)
-}
-
 // jobFate is how one rigid job ended; outcome stays empty until it settles.
 type jobFate struct {
 	outcome   string  // "completed", "killed" or "rejected"
@@ -256,19 +221,30 @@ type rigidRun struct {
 	clusterArea []float64
 }
 
-// submitRigid schedules every job of the trace for submission at its submit
-// time, each as a rigid application on a session of its own, and expects
-// their completion. A refused submission (its shard is down under
+// submitRigid schedules every job of cfg's trace for submission at its
+// submit time, each as a rigid application on a session of its own, and
+// expects their completion. A refused submission (its shard is down under
 // KillOnCrash) settles the job as rejected.
-func (env *simEnv) submitRigid(t rigidTrace) *rigidRun {
-	run := &rigidRun{fates: make([]jobFate, len(t.jobs)), clusterArea: make([]float64, len(env.names))}
-	env.expect(len(t.jobs))
-	for i, j := range t.jobs {
-		cluster, opts := t.place(i)
+func (env *simEnv) submitRigid(cfg replayConfig) *rigidRun {
+	run := &rigidRun{fates: make([]jobFate, len(cfg.Jobs)), clusterArea: make([]float64, len(env.names))}
+	env.expect(len(cfg.Jobs))
+	for i, j := range cfg.Jobs {
+		// Jobs cycle over the clusters, but for a deterministic skew: the
+		// configured fraction of the trace cycles over shard 0's initial
+		// clusters (indices ≡ 0 mod Shards).
+		cluster := i % len(env.names)
+		if cfg.HotJobFraction > 0 && float64(i%100) < cfg.HotJobFraction*100 {
+			cluster = (i % cfg.ClustersPerShard) * max(cfg.Shards, 1)
+		}
+		var opts []rms.ConnectOption
+		if cfg.TenantOf != nil {
+			opts = append(opts, rms.WithTenant(cfg.TenantOf(i)))
+		}
 		n := min(j.Nodes, env.nodes)
 		run.area += float64(n) * j.Runtime
 		run.clusterArea[cluster] += float64(n) * j.Runtime
-		env.e.At(j.Submit, t.event, func() {
+		// The event name is part of the fingerprinted event stream.
+		env.e.At(j.Submit, "chaos.submit", func() {
 			r := apps.NewRigid(env.clk, env.names[cluster], n, j.Runtime)
 			w := &settlingRigid{Rigid: r}
 			w.settle = func(outcome string) {
@@ -276,7 +252,7 @@ func (env *simEnv) submitRigid(t rigidTrace) *rigidRun {
 				env.done()
 			}
 			var h rms.AppHandler = w
-			if !t.serverFinish {
+			if cfg.EndTimerSettles {
 				h = r
 				r.OnEnd = func() { w.settleOnce("completed") }
 			}
@@ -287,12 +263,32 @@ func (env *simEnv) submitRigid(t rigidTrace) *rigidRun {
 				w.settleOnce("rejected")
 				return
 			}
-			if t.submitted != nil {
-				t.submitted(i, cluster, r, sess)
+			if cfg.GangFraction > 0 && len(env.names) > 1 && float64(i%100) < cfg.GangFraction*100 {
+				env.gangCompanion(i, cluster, r, sess)
 			}
 		})
 	}
 	return run
+}
+
+// gangCompanion gives job i, just accepted on cluster index cluster, a
+// related request on the next cluster — under the round-robin partition, the
+// next shard. The rigid job filters foreign IDs, so the companion rides the
+// same session; it self-finishes when its ¬P duration runs out. A refused
+// companion (its shard down under KillOnCrash) leaves the job itself intact.
+func (env *simEnv) gangCompanion(i, cluster int, r *apps.Rigid, sess transport.Session) {
+	how := request.Next
+	if i%2 == 1 {
+		how = request.Coalloc
+	}
+	_, _ = sess.Request(rms.RequestSpec{
+		Cluster:    env.names[(cluster+1)%len(env.names)],
+		N:          r.N,
+		Duration:   r.Duration,
+		Type:       request.NonPreempt,
+		RelatedHow: how,
+		RelatedTo:  r.RequestID(),
+	})
 }
 
 // rigidStats is the wait/outcome summary of a finished replay.

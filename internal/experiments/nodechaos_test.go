@@ -15,12 +15,12 @@ import (
 // nodeChaosTestConfig isolates node-level faults: shard MTTF is zero (no
 // crashes), while machines fail and recover on a seeded renewal process
 // aggressive enough that several started allocations always lose nodes.
-func nodeChaosTestConfig(seed int64, pol rms.NodeRecoveryPolicy) ChaosReplayConfig {
+func nodeChaosTestConfig(seed int64, pol rms.NodeRecoveryPolicy) replayConfig {
 	jobs := workload.Synthetic(stats.NewRand(seed), workload.SyntheticConfig{
 		Jobs: 60, MaxNodes: 8, MeanInterArr: 45, MeanRuntime: 600,
 		PowerOfTwoBias: 0.5,
 	})
-	return ChaosReplayConfig{
+	return replayConfig{
 		Jobs:          jobs,
 		Shards:        3,
 		NodesPerShard: 16,
@@ -49,11 +49,11 @@ var nodePolicies = []rms.NodeRecoveryPolicy{
 func TestNodeChaosDeterministic(t *testing.T) {
 	for _, pol := range nodePolicies {
 		t.Run(pol.String(), func(t *testing.T) {
-			a, err := RunChaosReplay(nodeChaosTestConfig(42, pol))
+			a, err := replay(nodeChaosTestConfig(42, pol))
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := RunChaosReplay(nodeChaosTestConfig(42, pol))
+			b, err := replay(nodeChaosTestConfig(42, pol))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -66,7 +66,7 @@ func TestNodeChaosDeterministic(t *testing.T) {
 			if a.Crashes != 0 {
 				t.Fatalf("shard MTTF is zero but %d shards crashed", a.Crashes)
 			}
-			c, err := RunChaosReplay(nodeChaosTestConfig(43, pol))
+			c, err := replay(nodeChaosTestConfig(43, pol))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -78,7 +78,7 @@ func TestNodeChaosDeterministic(t *testing.T) {
 }
 
 // TestNodeChaosInvariantMatrix is the node-fault half of the CI chaos
-// matrix: three seeds × the three recovery policies. RunChaosReplay checks
+// matrix: three seeds × the three recovery policies. replay checks
 // the federation invariants (node accounting included: free + held + failed
 // must always partition each cluster) after every injected fault; the test
 // adds the per-policy contracts on job fates and action counters.
@@ -87,7 +87,7 @@ func TestNodeChaosInvariantMatrix(t *testing.T) {
 		for seed := int64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("%s/seed=%d", pol, seed), func(t *testing.T) {
 				cfg := nodeChaosTestConfig(seed, pol)
-				res, err := RunChaosReplay(cfg)
+				res, err := replay(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -150,7 +150,7 @@ func TestNodeChaosWasteComparison(t *testing.T) {
 	resubmits := 0
 	for _, pol := range nodePolicies {
 		for seed := int64(1); seed <= 3; seed++ {
-			res, err := RunChaosReplay(nodeChaosTestConfig(seed, pol))
+			res, err := replay(nodeChaosTestConfig(seed, pol))
 			if err != nil {
 				t.Fatalf("%v seed %d: %v", pol, seed, err)
 			}
@@ -185,13 +185,13 @@ func TestNodeChaosWithShardCrashes(t *testing.T) {
 	for _, pol := range nodePolicies {
 		for seed := int64(1); seed <= 2; seed++ {
 			t.Run(fmt.Sprintf("%s/seed=%d", pol, seed), func(t *testing.T) {
-				mk := func() ChaosReplayConfig {
+				mk := func() replayConfig {
 					cfg := nodeChaosTestConfig(seed, pol)
 					cfg.Chaos.MTTF = 700
 					cfg.Chaos.MeanRestartDelay = 90
 					return cfg
 				}
-				res, err := RunChaosReplay(mk())
+				res, err := replay(mk())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -200,7 +200,7 @@ func TestNodeChaosWithShardCrashes(t *testing.T) {
 					t.Fatalf("jobs unaccounted for: %d completed + %d killed + %d rejected != 60",
 						res.Completed, res.Killed, res.Rejected)
 				}
-				again, err := RunChaosReplay(mk())
+				again, err := replay(mk())
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -16,12 +16,12 @@ import (
 // obsChaosConfig is the chaos scenario under full observability: shard and
 // node faults, so every recording point — round latency, admit→start wait,
 // reap lag, outage, node repair — fires at least once.
-func obsChaosConfig(seed int64, reg *obs.Registry) ChaosReplayConfig {
+func obsChaosConfig(seed int64, reg *obs.Registry) replayConfig {
 	jobs := workload.Synthetic(stats.NewRand(seed), workload.SyntheticConfig{
 		Jobs: 60, MaxNodes: 8, MeanInterArr: 45, MeanRuntime: 600,
 		PowerOfTwoBias: 0.5,
 	})
-	return ChaosReplayConfig{
+	return replayConfig{
 		Jobs:          jobs,
 		Shards:        3,
 		NodesPerShard: 16,
@@ -49,7 +49,7 @@ func obsChaosConfig(seed int64, reg *obs.Registry) ChaosReplayConfig {
 func TestObsSnapshotDeterministic(t *testing.T) {
 	run := func(seed int64) []byte {
 		reg := obs.NewRegistry()
-		res, err := RunChaosReplay(obsChaosConfig(seed, reg))
+		res, err := replay(obsChaosConfig(seed, reg))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +78,7 @@ func TestObsSnapshotDeterministic(t *testing.T) {
 // and rms counter groups and the federation's, and crash/restart/node events in the ring.
 func TestObsSnapshotCoverage(t *testing.T) {
 	reg := obs.NewRegistry()
-	res, err := RunChaosReplay(obsChaosConfig(42, reg))
+	res, err := replay(obsChaosConfig(42, reg))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,12 +16,12 @@ import (
 // rebalanceTestConfig builds the skewed-workload scenario: 3 shards × 2
 // clusters, with 70% of the trace pinned to shard 0's clusters. With
 // rebalance on, a Rebalancer checks load once a simulated minute.
-func rebalanceTestConfig(seed int64, rebalance bool) ChaosReplayConfig {
+func rebalanceTestConfig(seed int64, rebalance bool) replayConfig {
 	jobs := workload.Synthetic(stats.NewRand(seed), workload.SyntheticConfig{
 		Jobs: 60, MaxNodes: 8, MeanInterArr: 45, MeanRuntime: 600,
 		PowerOfTwoBias: 0.5,
 	})
-	cfg := ChaosReplayConfig{
+	cfg := replayConfig{
 		Jobs:             jobs,
 		Shards:           3,
 		ClustersPerShard: 2,
@@ -56,11 +56,11 @@ func imbalance(churn []int64) float64 {
 // determinism contract: same seed ⇒ byte-identical results including the
 // migration trace and the event-stream fingerprint.
 func TestRebalanceReplayDeterministic(t *testing.T) {
-	a, err := RunChaosReplay(rebalanceTestConfig(11, true))
+	a, err := replay(rebalanceTestConfig(11, true))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunChaosReplay(rebalanceTestConfig(11, true))
+	b, err := replay(rebalanceTestConfig(11, true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,11 +80,11 @@ func TestRebalanceReplayDeterministic(t *testing.T) {
 // loads measurably flatter (cluster churn counters migrate with their
 // cluster, so end-state per-shard churn reflects final ownership).
 func TestRebalanceDissolvesSkew(t *testing.T) {
-	off, err := RunChaosReplay(rebalanceTestConfig(11, false))
+	off, err := replay(rebalanceTestConfig(11, false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	on, err := RunChaosReplay(rebalanceTestConfig(11, true))
+	on, err := replay(rebalanceTestConfig(11, true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestChaosRebalanceMatrix(t *testing.T) {
 	for _, pol := range []federation.RecoveryPolicy{federation.KillOnCrash, federation.RequeueOnCrash} {
 		for seed := int64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("%s/seed=%d", pol, seed), func(t *testing.T) {
-				mk := func() ChaosReplayConfig {
+				mk := func() replayConfig {
 					cfg := rebalanceTestConfig(seed, true)
 					cfg.Recovery = pol
 					cfg.Chaos = chaos.Config{
@@ -126,7 +126,7 @@ func TestChaosRebalanceMatrix(t *testing.T) {
 					}
 					return cfg
 				}
-				res, err := RunChaosReplay(mk())
+				res, err := replay(mk())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -138,7 +138,7 @@ func TestChaosRebalanceMatrix(t *testing.T) {
 					t.Fatalf("jobs unaccounted for: %d completed + %d killed + %d rejected != 60",
 						res.Completed, res.Killed, res.Rejected)
 				}
-				again, err := RunChaosReplay(mk())
+				again, err := replay(mk())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -170,7 +170,7 @@ func TestChaosRebalanceMatrixDRF(t *testing.T) {
 	preempts := int64(0)
 	for seed := int64(1); seed <= 3; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			mk := func() ChaosReplayConfig {
+			mk := func() replayConfig {
 				cfg := rebalanceTestConfig(seed, true)
 				cfg.Recovery = federation.RequeueOnCrash
 				cfg.Chaos = chaos.Config{
@@ -182,7 +182,7 @@ func TestChaosRebalanceMatrixDRF(t *testing.T) {
 				cfg.Tenants, cfg.TenantOf = tree, tenantOf
 				return cfg
 			}
-			res, err := RunChaosReplay(mk())
+			res, err := replay(mk())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -205,7 +205,7 @@ func TestChaosRebalanceMatrixDRF(t *testing.T) {
 				}
 				preempts += n
 			}
-			again, err := RunChaosReplay(mk())
+			again, err := replay(mk())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -276,12 +276,12 @@ func TestIncrementalMatchesFullRecomputeChaosMatrix(t *testing.T) {
 					cfg.Tenants, cfg.TenantOf = tree, tenantOf
 				}
 
-				inc, err := RunChaosReplay(cfg)
+				inc, err := replay(cfg)
 				if err != nil {
 					t.Fatalf("seed %d %v drf=%v incremental: %v", seed, pol, drf, err)
 				}
 				cfg.FullRecompute = true
-				full, err := RunChaosReplay(cfg)
+				full, err := replay(cfg)
 				if err != nil {
 					t.Fatalf("seed %d %v drf=%v full: %v", seed, pol, drf, err)
 				}

@@ -273,6 +273,34 @@ func sweep[V any](rep *Report, variants []V, obsAt int, run func(V, *obs.Registr
 	return rep, nil
 }
 
+// replayVariant is one run of a replay table: its leading label columns and
+// its replay configuration (replaySweep fills in Jobs and Obs).
+type replayVariant struct {
+	lead []string
+	cfg  replayConfig
+}
+
+// replaySweep replays jobs once per variant, in order, through the one
+// replay; cols renders a result's rows, each after the variant's lead. The
+// variant at obsAt (-1: none) carries the observability registry.
+func replaySweep(rep *Report, jobs []workload.Job, variants []replayVariant, obsAt int, cols func(*replayResult) [][]string) (*Report, error) {
+	return sweep(rep, variants, obsAt, func(v replayVariant, reg *obs.Registry) ([][]string, *obs.Snapshot, error) {
+		v.cfg.Jobs, v.cfg.Obs = jobs, reg
+		res, err := replay(v.cfg)
+		if err != nil {
+			return nil, nil, err
+		}
+		rows := cols(res)
+		for i, row := range rows {
+			rows[i] = append(v.lead[:len(v.lead):len(v.lead)], row...)
+		}
+		return rows, res.Snapshot, nil
+	})
+}
+
+// replayExp replays one rigid trace through a single RMS, with and without
+// a scavenging PSA filling the idle nodes preemptibly: the malleable-fill
+// gain on a rigid trace.
 func replayExp(o Options) (*Report, error) {
 	jobs := synthetic(o.Seed, 100, 32, 180, 1800)
 	rep := &Report{
@@ -280,23 +308,24 @@ func replayExp(o Options) (*Report, error) {
 		Notes:  []string{traceNote(jobs, "")},
 		Header: []string{"setup", "mean-wait-s", "max-wait-s", "makespan-s", "rigid-util-%", "total-util-%"},
 	}
-	for _, name := range []string{"rigid only", "rigid + scavenging PSA"} {
-		res, err := RunReplay(ReplayConfig{Jobs: jobs, Nodes: 64, FillWithPSA: name != "rigid only", PSATaskDur: 300})
-		if err != nil {
-			return nil, err
-		}
-		rep.Rows = append(rep.Rows, []string{
-			name, fixed(res.MeanWait, 1), fixed(res.MaxWait, 1), fixed(res.Makespan, 0),
-			fixed(100*res.Utilization, 2), fixed(100*res.UtilizationWithPSA, 2),
-		})
+	variants := []replayVariant{
+		{[]string{"rigid only"}, replayConfig{NodesPerShard: 64, EndTimerSettles: true}},
+		{[]string{"rigid + scavenging PSA"}, replayConfig{NodesPerShard: 64, PSATaskDur: 300, EndTimerSettles: true}},
 	}
-	return rep, nil
+	return replaySweep(rep, jobs, variants, -1, func(res *replayResult) [][]string {
+		return [][]string{{
+			fixed(res.MeanWait, 1), fixed(res.MaxWait, 1), fixed(res.Makespan, 0),
+			fixed(100*res.rigidUtilization(), 2),
+			fixed(100*(res.RigidArea+res.PSAUseful)/(float64(res.Nodes)*res.Makespan), 2),
+		}}
+	})
 }
 
-// federatedExp replays one rigid trace through federations of growing shard
-// count. The total node count is fixed (per-shard clusters shrink as the
-// shard count grows) so the rows compare scheduling topology, not capacity.
-// A 1-shard federation is byte-identical to a single RMS (see the
+// federatedExp replays one rigid trace, with a scavenging PSA per cluster
+// and a predictably-evolving application, through federations of growing
+// shard count. The total node count is fixed (per-shard clusters shrink as
+// the shard count grows) so the rows compare scheduling topology, not
+// capacity. A 1-shard federation is byte-identical to a single RMS (see the
 // differential test), so the first row doubles as the unsharded baseline.
 func federatedExp(o Options) (*Report, error) {
 	jobs := synthetic(o.Seed, 200, 16, 60, 1200)
@@ -307,38 +336,35 @@ func federatedExp(o Options) (*Report, error) {
 			"rigid-util-%", "used-%", "events"},
 	}
 	const totalNodes = 128
+	var variants []replayVariant
 	for shards := 1; shards <= o.Shards; shards *= 2 {
-		res, err := RunFederatedReplay(FederatedReplayConfig{
-			Jobs:          jobs,
-			Shards:        shards,
-			NodesPerShard: totalNodes / shards,
-			PSATaskDur:    300,
-			Evolving: []apps.Segment{
-				{N: 8, Duration: 1800}, {N: 16, Duration: 1800}, {N: 4, Duration: 1800},
-			},
-		})
-		if err != nil {
-			return nil, err
-		}
-		rep.Rows = append(rep.Rows, []string{
-			itoa(res.Shards), itoa(res.Nodes), itoa(res.Completed),
-			fixed(res.MeanWait, 1), fixed(res.MaxWait, 1), fixed(res.Makespan, 0),
-			fixed(100*res.RigidUtilization, 2), fixed(100*res.UsedFraction, 2),
-			strconv.FormatInt(res.Events, 10),
-		})
+		variants = append(variants, replayVariant{[]string{itoa(shards)}, replayConfig{
+			Shards:          shards,
+			NodesPerShard:   totalNodes / shards,
+			PSATaskDur:      300,
+			Evolving:        []apps.Segment{{N: 8, Duration: 1800}, {N: 16, Duration: 1800}, {N: 4, Duration: 1800}},
+			EndTimerSettles: true,
+		}})
 	}
-	return rep, nil
+	return replaySweep(rep, jobs, variants, -1, func(res *replayResult) [][]string {
+		return [][]string{{
+			itoa(res.Nodes), itoa(res.Completed),
+			fixed(res.MeanWait, 1), fixed(res.MaxWait, 1), fixed(res.Makespan, 0),
+			fixed(100*res.rigidUtilization(), 2), fixed(100*res.UsedFraction, 2),
+			strconv.FormatInt(res.Events, 10),
+		}}
+	})
 }
 
 // chaosConfig builds the chaos-scenario configuration (minus the trace) for
 // one seed/policy; rebalance additionally arms the cluster-migration loop,
 // and skewed pins the hot fraction of the trace onto shard 0's clusters.
-func (o Options) chaosConfig(seed int64, pol federation.RecoveryPolicy, skewed, rebalance bool) ChaosReplayConfig {
+func (o Options) chaosConfig(seed int64, pol federation.RecoveryPolicy, skewed, rebalance bool) replayConfig {
 	mttf := 0.0 // -crash-rate 0 disables fault injection (chaos.Plan is empty for MTTF<=0)
 	if o.CrashRate > 0 {
 		mttf = 3600.0 / o.CrashRate
 	}
-	cfg := ChaosReplayConfig{
+	cfg := replayConfig{
 		Shards:        o.Shards,
 		NodesPerShard: 64,
 		PSATaskDur:    300,
@@ -364,19 +390,12 @@ func (o Options) chaosConfig(seed int64, pol federation.RecoveryPolicy, skewed, 
 	return cfg
 }
 
-// chaosVariant is one row of a chaos-family table: its leading label
-// columns and its replay configuration (chaosSweep fills in Jobs and Obs).
-type chaosVariant struct {
-	lead []string
-	cfg  ChaosReplayConfig
-}
-
 // policySeeds crosses the policies with the seeds seed, seed+1, seed+2.
-func policySeeds[P fmt.Stringer](seed int64, pols []P, cfg func(P, int64) ChaosReplayConfig) []chaosVariant {
-	var vs []chaosVariant
+func policySeeds[P fmt.Stringer](seed int64, pols []P, cfg func(P, int64) replayConfig) []replayVariant {
+	var vs []replayVariant
 	for _, pol := range pols {
 		for s := seed; s < seed+3; s++ {
-			vs = append(vs, chaosVariant{[]string{pol.String(), strconv.FormatInt(s, 10)}, cfg(pol, s)})
+			vs = append(vs, replayVariant{[]string{pol.String(), strconv.FormatInt(s, 10)}, cfg(pol, s)})
 		}
 	}
 	return vs
@@ -399,25 +418,18 @@ func (o Options) faultDelaysErr() error {
 	return nil
 }
 
-// chaosSweep replays the shared 150-job trace once per variant through
-// RunChaosReplay; cols renders a result's columns after the variant's lead.
-// Same seed ⇒ identical row, including the event-stream hash (the
-// determinism contract of internal/chaos). The first (baseline) run carries
-// the observability registry.
-func chaosSweep(name string, o Options, topology string, header []string, variants []chaosVariant, cols func(*ChaosReplayResult) []string) (*Report, error) {
+// chaosSweep replays the shared 150-job trace once per variant; cols renders
+// a result's columns after the variant's lead. Same seed ⇒ identical row,
+// including the event-stream hash (the determinism contract of
+// internal/chaos). The first (baseline) run carries the observability
+// registry.
+func chaosSweep(name string, o Options, topology string, header []string, variants []replayVariant, cols func(*replayResult) []string) (*Report, error) {
 	if err := o.faultDelaysErr(); err != nil {
 		return nil, err
 	}
 	jobs := synthetic(o.Seed, 150, 16, 60, 1200)
 	rep := &Report{Name: name, Notes: []string{traceNote(jobs, "/job; "+topology)}, Header: header}
-	return sweep(rep, variants, 0, func(v chaosVariant, reg *obs.Registry) ([][]string, *obs.Snapshot, error) {
-		v.cfg.Jobs, v.cfg.Obs = jobs, reg
-		res, err := RunChaosReplay(v.cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		return [][]string{append(v.lead, cols(res)...)}, res.Snapshot, nil
-	})
+	return replaySweep(rep, jobs, variants, 0, func(res *replayResult) [][]string { return [][]string{cols(res)} })
 }
 
 // chaosExp replays one rigid trace through a sharded federation while a
@@ -430,10 +442,10 @@ func chaosExp(o Options) (*Report, error) {
 		[]string{"policy", "seed", "crashes", "done", "killed", "rejected",
 			"requeued", "replayed", "dropped", "mean-wait-s", "makespan-s", "used-%", "event-hash"},
 		policySeeds(o.Seed, []federation.RecoveryPolicy{federation.KillOnCrash, federation.RequeueOnCrash},
-			func(pol federation.RecoveryPolicy, s int64) ChaosReplayConfig {
+			func(pol federation.RecoveryPolicy, s int64) replayConfig {
 				return o.chaosConfig(s, pol, false, false)
 			}),
-		func(res *ChaosReplayResult) []string {
+		func(res *replayResult) []string {
 			return []string{
 				itoa(res.Crashes), itoa(res.Completed), itoa(res.Killed), itoa(res.Rejected),
 				itoa(res.RequeuedRequests), itoa(res.ReplayedRequests), itoa(res.DroppedRequests),
@@ -457,12 +469,12 @@ func gangExp(o Options) (*Report, error) {
 		[]string{"policy", "seed", "crashes", "done", "committed", "aborted",
 			"retried", "abort-%", "mean-wait-s", "makespan-s", "used-%", "event-hash"},
 		policySeeds(o.Seed, []federation.RecoveryPolicy{federation.KillOnCrash, federation.RequeueOnCrash},
-			func(pol federation.RecoveryPolicy, s int64) ChaosReplayConfig {
+			func(pol federation.RecoveryPolicy, s int64) replayConfig {
 				cfg := o.chaosConfig(s, pol, false, false)
 				cfg.GangFraction = o.GangFrac
 				return cfg
 			}),
-		func(res *ChaosReplayResult) []string {
+		func(res *replayResult) []string {
 			abortPct := 0.0
 			if n := res.GangsCommitted + res.GangsAborted; n > 0 {
 				abortPct = 100 * float64(res.GangsAborted) / float64(n)
@@ -489,7 +501,7 @@ func nodeChaosExp(o Options) (*Report, error) {
 			"n-killed", "n-requeued", "n-reduced", "lost-node-s", "resubmits",
 			"mean-wait-s", "used-%", "event-hash"},
 		policySeeds(o.Seed, []rms.NodeRecoveryPolicy{rms.KillOnNodeFailure, rms.RequeueOnNodeFailure, rms.CooperativeOnNodeFailure},
-			func(pol rms.NodeRecoveryPolicy, s int64) ChaosReplayConfig {
+			func(pol rms.NodeRecoveryPolicy, s int64) replayConfig {
 				cfg := o.chaosConfig(s, federation.RequeueOnCrash, false, false)
 				cfg.Chaos.MTTF = 0 // machine faults only — no shard crashes
 				cfg.Chaos.NodeMTTF = o.NodeMTTF
@@ -497,7 +509,7 @@ func nodeChaosExp(o Options) (*Report, error) {
 				cfg.NodeRecovery = pol
 				return cfg
 			}),
-		func(res *ChaosReplayResult) []string {
+		func(res *replayResult) []string {
 			return []string{
 				itoa(res.NodeFails), itoa(res.NodeRecovers), itoa(res.Completed), itoa(res.Killed),
 				itoa(res.NodeKilled), itoa(res.NodeRequeued), itoa(res.NodeReduced),
@@ -521,14 +533,14 @@ func rebalanceExp(o Options) (*Report, error) {
 	}
 	o.Shards = max(o.Shards, 2)
 	o.ClustersPerShard = max(o.ClustersPerShard, 2)
-	var variants []chaosVariant
+	var variants []replayVariant
 	for _, chaosOn := range []bool{false, true} {
 		for _, rebalance := range []bool{false, true} {
 			v := o
 			if !chaosOn {
 				v.CrashRate = 0
 			}
-			variants = append(variants, chaosVariant{
+			variants = append(variants, replayVariant{
 				[]string{strconv.FormatBool(rebalance)},
 				v.chaosConfig(o.Seed, federation.RequeueOnCrash, true, rebalance),
 			})
@@ -539,7 +551,7 @@ func rebalanceExp(o Options) (*Report, error) {
 		[]string{"rebalance", "crashes", "migrations", "moved-reqs", "done",
 			"mean-wait-s", "makespan-s", "imbalance", "used-%", "event-hash"},
 		variants,
-		func(res *ChaosReplayResult) []string {
+		func(res *replayResult) []string {
 			var maxChurn, sumChurn int64
 			for _, c := range res.ShardChurn {
 				sumChurn += c
@@ -610,46 +622,5 @@ func netChaosExp(o Options) (*Report, error) {
 			fixed(res.RecoverP50*1000, 2), fixed(res.RecoverP99*1000, 2),
 			fixed(res.Elapsed, 2), hex16(res.TraceHash),
 		}}, res.Snapshot, nil
-	})
-}
-
-// tenantsExp runs the identical skewed multi-tenant trace under
-// connection-order FIFO and under DRF with quota preemption: N tenant
-// queues (t0 guaranteed half of every cluster, t1 the hot best-effort
-// flood), per-cluster scavenging PSAs tagged with the best-effort tenants
-// as the preemptible load. The table reads per tenant and mode: wait
-// mean/p99, quota preemptions suffered, and per-mode wait fairness (Jain)
-// and PSA waste. The DRF run carries the observability registry, so the
-// JSON report includes the per-tenant wait histograms and EvPreempt
-// events every shard records.
-func tenantsExp(o Options) (*Report, error) {
-	o.Shards = max(o.Shards, 2)
-	o.Tenants = max(o.Tenants, 2)
-	jobs := synthetic(o.Seed, 120, 16, 45, 900)
-	rep := &Report{
-		Name: "tenants",
-		Notes: []string{traceNote(jobs, fmt.Sprintf("/job; %d shards, %d tenants, %.0f%% hot-tenant demand",
-			o.Shards, o.Tenants, 100*o.TenantHotFrac))},
-		Header: []string{"policy", "tenant", "guarantee", "jobs", "done",
-			"mean-wait-s", "p99-wait-s", "preempts", "fairness", "waste-node·s", "used-%"},
-	}
-	return sweep(rep, []string{"fifo", "drf"}, 1, func(policy string, reg *obs.Registry) ([][]string, *obs.Snapshot, error) {
-		res, err := RunTenantsReplay(TenantsReplayConfig{
-			Jobs: jobs, Tenants: o.Tenants, Shards: o.Shards, NodesPerShard: 64,
-			GuaranteeFrac: 0.5, HotFrac: o.TenantHotFrac, PSATaskDur: 300, DRF: policy == "drf",
-			Obs: reg,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		var rows [][]string
-		for _, ts := range res.Tenants {
-			rows = append(rows, []string{
-				policy, ts.Tenant, itoa(ts.Guarantee), itoa(ts.Jobs), itoa(ts.Completed),
-				fixed(ts.MeanWait, 1), fixed(ts.P99Wait, 1), strconv.FormatInt(ts.Preempts, 10),
-				fixed(res.WaitFairness, 3), sig(res.TotalWaste), fixed(100*res.UsedFraction, 2),
-			})
-		}
-		return rows, res.Snapshot, nil
 	})
 }

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -75,8 +77,10 @@ func TestReportRenderings(t *testing.T) {
 // at the CLI defaults with -seed 42 and requires the concatenation to match,
 // byte for byte, what `coorm-exp -exp all -seed 42` printed before the
 // experiment table moved here (netchaos, whose timing columns are wall-clock
-// measurements, is covered by TestNetChaosReport instead). The chaos and
-// tenants reports must also carry a non-empty observability snapshot.
+// measurements, is covered by TestNetChaosReport instead). Each report's
+// JSON export, observability snapshot included, must also hash to its line
+// of testdata/all_seed42.json.sha256 ("<name> <sha256>"), and the chaos and
+// tenants reports must carry a non-empty snapshot.
 func TestExperimentsGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment at reduced scale (≈12 s)")
@@ -84,6 +88,15 @@ func TestExperimentsGolden(t *testing.T) {
 	want, err := os.ReadFile("testdata/all_seed42.golden")
 	if err != nil {
 		t.Fatal(err)
+	}
+	sums, err := os.ReadFile("testdata/all_seed42.json.sha256")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSum := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(sums)), "\n") {
+		name, sum, _ := strings.Cut(line, " ")
+		wantSum[name] = sum
 	}
 	o := DefaultOptions()
 	o.Seed = 42
@@ -100,6 +113,13 @@ func TestExperimentsGolden(t *testing.T) {
 			t.Errorf("experiment %q reports as %q", x.Name, rep.Name)
 		}
 		got.WriteString(section(x, rep))
+		js, err := rep.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum := sha256.Sum256(js); hex.EncodeToString(sum[:]) != wantSum[x.Name] {
+			t.Errorf("%s: JSON report hashes to %x, testdata/all_seed42.json.sha256 has %q", x.Name, sum, wantSum[x.Name])
+		}
 		doc := decode(t, rep)
 		if (x.Name == "chaos" || x.Name == "tenants") && len(histograms(doc)) == 0 {
 			t.Errorf("%s: JSON report has no obs.histograms", x.Name)
@@ -125,7 +145,7 @@ func TestExperimentsGolden(t *testing.T) {
 // after an intended change, empty the file and collect the failures:
 //
 //	go test ./internal/experiments -run Matrix | sed -n 's/^ *got: //p' | sort > testdata/chaos_matrix.golden
-func checkMatrixGolden(t *testing.T, res *ChaosReplayResult) {
+func checkMatrixGolden(t *testing.T, res *replayResult) {
 	t.Helper()
 	golden, err := os.ReadFile("testdata/chaos_matrix.golden")
 	if err != nil {

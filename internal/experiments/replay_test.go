@@ -3,7 +3,10 @@ package experiments
 import (
 	"testing"
 
+	"coormv2/internal/chaos"
+	"coormv2/internal/federation"
 	"coormv2/internal/stats"
+	"coormv2/internal/tenants"
 	"coormv2/internal/workload"
 )
 
@@ -13,7 +16,7 @@ func TestReplaySmallTrace(t *testing.T) {
 		{ID: 2, Submit: 10, Runtime: 100, Nodes: 8}, // must queue (8+8 > 10)
 		{ID: 3, Submit: 20, Runtime: 50, Nodes: 2},  // backfills beside job 1
 	}
-	res, err := RunReplay(ReplayConfig{Jobs: jobs, Nodes: 10})
+	res, err := replay(replayConfig{Jobs: jobs, NodesPerShard: 10, EndTimerSettles: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,8 +30,8 @@ func TestReplaySmallTrace(t *testing.T) {
 	if res.Makespan < 200 || res.Makespan > 230 {
 		t.Errorf("makespan = %v, want ≈ 210", res.Makespan)
 	}
-	if res.Utilization <= 0 || res.Utilization > 1 {
-		t.Errorf("utilization = %v", res.Utilization)
+	if u := res.rigidUtilization(); u <= 0 || u > 1 {
+		t.Errorf("utilization = %v", u)
 	}
 }
 
@@ -36,11 +39,11 @@ func TestReplaySyntheticWithPSA(t *testing.T) {
 	jobs := workload.Synthetic(stats.NewRand(1), workload.SyntheticConfig{
 		Jobs: 30, MaxNodes: 16, MeanInterArr: 120, MeanRuntime: 600,
 	})
-	base, err := RunReplay(ReplayConfig{Jobs: jobs, Nodes: 32})
+	base, err := replay(replayConfig{Jobs: jobs, NodesPerShard: 32, EndTimerSettles: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	filled, err := RunReplay(ReplayConfig{Jobs: jobs, Nodes: 32, FillWithPSA: true, PSATaskDur: 60})
+	filled, err := replay(replayConfig{Jobs: jobs, NodesPerShard: 32, PSATaskDur: 60, EndTimerSettles: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +55,7 @@ func TestReplaySyntheticWithPSA(t *testing.T) {
 	if filled.PSAUseful <= 0 {
 		t.Error("PSA did no useful scavenging")
 	}
-	if filled.UtilizationWithPSA <= filled.Utilization {
+	if filled.UsedFraction <= filled.rigidUtilization() {
 		t.Error("utilization with PSA should exceed rigid-only utilization")
 	}
 	if filled.MeanWait > base.MeanWait*1.5+10 {
@@ -61,15 +64,33 @@ func TestReplaySyntheticWithPSA(t *testing.T) {
 }
 
 func TestReplayValidation(t *testing.T) {
-	if _, err := RunReplay(ReplayConfig{Nodes: 10}); err == nil {
+	if _, err := replay(replayConfig{NodesPerShard: 10}); err == nil {
 		t.Error("empty stream should error")
 	}
 	jobs := []workload.Job{{ID: 1, Submit: 0, Runtime: 10, Nodes: 99}}
-	if _, err := RunReplay(ReplayConfig{Jobs: jobs, Nodes: 10}); err == nil {
-		t.Error("oversized job should error")
-	}
-	if _, err := RunReplay(ReplayConfig{Jobs: jobs}); err == nil {
+	if _, err := replay(replayConfig{Jobs: jobs}); err == nil {
 		t.Error("zero nodes should error")
+	}
+	// A job wider than its cluster is clamped to it, single RMS or not.
+	for _, shards := range []int{0, 2} {
+		res, err := replay(replayConfig{Jobs: jobs, Shards: shards, NodesPerShard: 10})
+		if err != nil {
+			t.Fatalf("shards=%d: oversized job: %v", shards, err)
+		}
+		if res.Completed != 1 || res.RigidArea != 10*10 {
+			t.Errorf("shards=%d: completed %d, rigid area %v; want the job clamped to 10 nodes", shards, res.Completed, res.RigidArea)
+		}
+	}
+	// The single RMS runs none of a federation's extensions.
+	for name, cfg := range map[string]replayConfig{
+		"fault plan": {Chaos: chaos.Config{Seed: 1}},
+		"rebalancer": {Rebalance: &federation.RebalancerConfig{Interval: 60}},
+		"DRF tree":   {Tenants: tenants.NewTree()},
+	} {
+		cfg.Jobs, cfg.NodesPerShard = jobs, 10
+		if _, err := replay(cfg); err == nil {
+			t.Errorf("single RMS with a %s should error", name)
+		}
 	}
 }
 

@@ -5,183 +5,109 @@ import (
 	"sort"
 	"strconv"
 
-	"coormv2/internal/core"
-	"coormv2/internal/federation"
-	"coormv2/internal/obs"
-	"coormv2/internal/rms"
 	"coormv2/internal/stats"
 	"coormv2/internal/tenants"
-	"coormv2/internal/workload"
 )
 
-// TenantsReplayConfig parametrizes the multi-tenant scenario: N tenant
-// queues share a federated cluster set under skewed demand. Tenant t0 is
-// the guaranteed queue (GuaranteeFrac of every cluster); t1 is the hot
-// best-effort tenant submitting HotFrac of the rigid trace; the remaining
-// tenants split the rest of the trace evenly with t0. One scavenging PSA
-// per cluster, tagged with the best-effort tenants round-robin, keeps the
-// machines saturated with preemptible work — the allocations quota
-// preemption revokes when the guaranteed queue is starved. With DRF off
-// the identical workload runs under connection-order FIFO, the fairness
-// baseline the per-tenant wait table is read against.
-type TenantsReplayConfig struct {
-	// Jobs is the rigid trace, split across tenants by TenantOfJob below.
-	Jobs []workload.Job
-	// Tenants is the tenant-queue count N ≥ 2 (t0 guaranteed, t1 hot).
-	Tenants int
-	// Shards is the scheduler shard count; each shard owns one cluster.
-	Shards int
-	// NodesPerShard sizes each cluster.
-	NodesPerShard int
-	// GuaranteeFrac, in (0,1], is the fraction of every cluster guaranteed
-	// to t0 (default 0.5).
-	GuaranteeFrac float64
-	// HotFrac, in [0,1], is the fraction of the trace submitted by the hot
-	// best-effort tenant t1 — the demand skew.
-	HotFrac float64
-	// PSATaskDur is the per-task duration of the scavenging PSAs.
-	PSATaskDur float64
-	// DRF switches every shard from connection-order FIFO to the DRF
-	// queue-hierarchy policy with quota preemption.
-	DRF bool
-	// Obs, when non-nil, collects the run's histograms (incl. the
-	// per-tenant wait histograms every shard records), counters and events.
-	Obs *obs.Registry
+// tenantMix is the multi-tenant preset of the replay: tenants queues share
+// shards clusters of nodes machines each under skewed demand. Tenant t0 is
+// the guaranteed queue (half of every cluster); t1 is the hot best-effort
+// tenant submitting hotFrac of the rigid trace; the remaining tenants split
+// the rest of the trace evenly with t0. One scavenging PSA per cluster,
+// tagged with the best-effort tenants round-robin, keeps the machines
+// saturated with preemptible work — the allocations quota preemption revokes
+// when the guaranteed queue is starved. With DRF off the identical workload
+// runs under connection-order FIFO, the fairness baseline the per-tenant
+// wait table is read against.
+type tenantMix struct {
+	tenants       int     // queue count ≥ 2: t0 guaranteed, t1 hot
+	hotFrac       float64 // t1's share of the trace, in [0,1]
+	shards, nodes int
 }
 
-// TenantOfJob assigns rigid job i its tenant queue: the first HotFrac of
-// every 100-job block goes to the hot tenant t1, and the rest cycles over
-// the other tenants (t0, t2, t3, …) evenly. Exported so the CLI and the
-// tests label jobs exactly as the runner does.
-func (cfg TenantsReplayConfig) TenantOfJob(i int) string {
-	if float64(i%100) < cfg.HotFrac*100 {
+func tenantName(k int) string { return "t" + strconv.Itoa(k) }
+
+// guarantee is t0's per-cluster guaranteed node count.
+func (m tenantMix) guarantee() int { return max(1, m.nodes/2) }
+
+// of assigns rigid job i its tenant queue: the first hotFrac of every
+// 100-job block goes to the hot tenant t1, and the rest cycles over the
+// other tenants (t0, t2, t3, …) evenly.
+func (m tenantMix) of(i int) string {
+	if float64(i%100) < m.hotFrac*100 {
 		return "t1"
 	}
-	k := i % (cfg.Tenants - 1)
+	k := i % (m.tenants - 1)
 	if k >= 1 {
 		k++ // skip the hot tenant: cycle t0, t2, t3, …
 	}
-	return "t" + strconv.Itoa(k)
+	return tenantName(k)
 }
 
-// TenantStat is one tenant's end-of-run row.
-type TenantStat struct {
-	Tenant    string
-	Guarantee int // per-cluster guaranteed nodes (0 = best-effort)
-	Jobs      int
-	Completed int
-	MeanWait  float64
-	P99Wait   float64
-	// Preempts counts quota-preemption revocations charged to this tenant
+// config is the mix's replay (minus the trace) with PSAs of psaTaskDur
+// tasks: under DRF with quota preemption over the mix's queue tree when drf
+// is set, under connection-order FIFO otherwise. A job settles on the
+// server's finish signal.
+func (m tenantMix) config(psaTaskDur float64, drf bool) replayConfig {
+	cfg := replayConfig{
+		Shards: m.shards, NodesPerShard: m.nodes, PSATaskDur: psaTaskDur,
+		PSATenant: func(i int) string { return tenantName(1 + i%(m.tenants-1)) },
+		TenantOf:  m.of,
+	}
+	if drf {
+		guarantee := tenants.Resources{}
+		for _, cid := range federatedClusters(m.shards) {
+			guarantee[cid] = m.guarantee()
+		}
+		cfg.Tenants = tenants.NewTree()
+		cfg.Tenants.MustAdd("t0", guarantee, nil)
+		for k := 1; k < m.tenants; k++ {
+			cfg.Tenants.MustAdd(tenantName(k), nil, nil)
+		}
+	}
+	return cfg
+}
+
+// tenantStat is one tenant's end-of-run row.
+type tenantStat struct {
+	tenant    string
+	guarantee int // per-cluster guaranteed nodes (0 = best-effort)
+	jobs      int
+	completed int
+	meanWait  float64
+	p99Wait   float64
+	// preempts counts quota-preemption revocations charged to this tenant
 	// (its allocations were the victims).
-	Preempts int64
+	preempts int64
 }
 
-// TenantsReplayResult aggregates one multi-tenant replay. Every field is a
-// pure function of the configuration.
-type TenantsReplayResult struct {
-	Tenants []TenantStat // t0, t1, … in index order
-
-	// WaitFairness is Jain's fairness index over the per-tenant mean waits
-	// (1.0 = all tenants wait equally; 1/N = one tenant absorbs all the
-	// waiting). It quantifies how evenly the queueing pain is spread, the
-	// number the DRF-vs-FIFO comparison in PERFORMANCE.md reports.
-	WaitFairness float64
-
-	Preempts     int64 // total quota-preemption revocations
-	TotalWaste   float64
-	UsedFraction float64
-	Makespan     float64
-	Events       int64
-
-	// Snapshot is the end-of-run observability snapshot (nil unless
-	// TenantsReplayConfig.Obs was set).
-	Snapshot *obs.Snapshot
-}
-
-// RunTenantsReplay replays the rigid trace through a federated RMS with N
-// tenant queues. The federation invariant checker (which includes the
-// cross-shard tenant-label agreement clause) runs once after the run; any
-// violation is returned as an error.
-func RunTenantsReplay(cfg TenantsReplayConfig) (*TenantsReplayResult, error) {
-	if len(cfg.Jobs) == 0 {
-		return nil, fmt.Errorf("experiments: empty job stream")
-	}
-	if cfg.Tenants < 2 {
-		return nil, fmt.Errorf("experiments: need at least 2 tenants, have %d", cfg.Tenants)
-	}
-	if cfg.Shards < 1 {
-		cfg.Shards = 1
-	}
-	if cfg.NodesPerShard <= 0 {
-		return nil, fmt.Errorf("experiments: need a positive per-shard node count")
-	}
-	if cfg.HotFrac < 0 || cfg.HotFrac > 1 {
-		return nil, fmt.Errorf("experiments: HotFrac %g outside [0,1]", cfg.HotFrac)
-	}
-	if cfg.GuaranteeFrac <= 0 || cfg.GuaranteeFrac > 1 {
-		cfg.GuaranteeFrac = 0.5
-	}
-
-	names := federatedClusters(cfg.Shards)
-	// The queue tree: t0 guaranteed on every cluster, the rest best-effort.
-	perCluster := max(1, int(cfg.GuaranteeFrac*float64(cfg.NodesPerShard)))
-	guarantee := tenants.Resources{}
-	for _, cid := range names {
-		guarantee[cid] = perCluster
-	}
-	tree := tenants.NewTree()
-	tree.MustAdd("t0", guarantee, nil)
-	for k := 1; k < cfg.Tenants; k++ {
-		tree.MustAdd("t"+strconv.Itoa(k), nil, nil)
-	}
-	var scheduling func(int) core.SchedulingPolicy
-	if cfg.DRF {
-		scheduling = func(int) core.SchedulingPolicy { return tenants.NewDRF(tree) }
-	}
-	env := buildRMS(names, cfg.NodesPerShard, cfg.Shards, federation.Config{Scheduling: scheduling, Obs: cfg.Obs})
-
-	// Scavenging PSAs, one per cluster, tagged with the best-effort tenants
-	// round-robin: the saturating preemptible load quota preemption revokes.
-	env.attachPSAPerCluster(cfg.PSATaskDur, func(i int) []rms.ConnectOption {
-		return []rms.ConnectOption{rms.WithTenant("t" + strconv.Itoa(1+i%(cfg.Tenants-1)))}
-	})
-	run := env.submitRigid(rigidTrace{
-		jobs: cfg.Jobs, event: "tenants.submit", serverFinish: true,
-		place: func(i int) (int, []rms.ConnectOption) {
-			return i % cfg.Shards, []rms.ConnectOption{rms.WithTenant(cfg.TenantOfJob(i))}
-		},
-	})
-	if err := env.run("tenants replay", maxReplayTime, nil); err != nil {
-		return nil, err
-	}
-	fed, agg := env.fed, env.agg
-	if err := fed.CheckInvariants(); err != nil {
-		return nil, fmt.Errorf("experiments: post-run invariant violated: %w", err)
-	}
-
-	jobsPer := make(map[string]int, cfg.Tenants)
-	waits := make(map[string][]float64, cfg.Tenants)
-	for i, f := range run.fates {
-		tenant := cfg.TenantOfJob(i)
+// stats splits a finished replay's job fates by tenant, t0, t1, … in index
+// order, and returns them with Jain's fairness index over the mean waits of
+// the tenants that submitted jobs (1.0 = all tenants wait equally; 1/N = one
+// tenant absorbs all the waiting): how evenly the queueing pain is spread,
+// the number the DRF-vs-FIFO comparison in PERFORMANCE.md reports.
+func (m tenantMix) stats(res *replayResult) ([]tenantStat, float64) {
+	jobsPer := make(map[string]int, m.tenants)
+	waits := make(map[string][]float64, m.tenants)
+	for i, f := range res.Fates {
+		tenant := m.of(i)
 		jobsPer[tenant]++
 		if f.outcome == "completed" {
 			waits[tenant] = append(waits[tenant], f.wait)
 		}
 	}
-	preempts := fed.TenantPreempts()
-	res := &TenantsReplayResult{Makespan: env.e.Now(), Events: env.e.Processed()}
-	means := make([]float64, 0, cfg.Tenants)
-	for k := 0; k < cfg.Tenants; k++ {
-		label := "t" + strconv.Itoa(k)
-		st := TenantStat{
-			Tenant:    label,
-			Jobs:      jobsPer[label],
-			Completed: len(waits[label]),
-			Preempts:  preempts[label],
+	rows := make([]tenantStat, 0, m.tenants)
+	means := make([]float64, 0, m.tenants)
+	for k := 0; k < m.tenants; k++ {
+		label := tenantName(k)
+		st := tenantStat{
+			tenant:    label,
+			jobs:      jobsPer[label],
+			completed: len(waits[label]),
+			preempts:  res.TenantPreempts[label],
 		}
 		if k == 0 {
-			st.Guarantee = perCluster
+			st.guarantee = m.guarantee()
 		}
 		if ws := waits[label]; len(ws) > 0 {
 			sort.Float64s(ws)
@@ -189,23 +115,53 @@ func RunTenantsReplay(cfg TenantsReplayConfig) (*TenantsReplayResult, error) {
 			for _, w := range ws {
 				sum += w
 			}
-			st.MeanWait = sum / float64(len(ws))
-			st.P99Wait = stats.Percentile(ws, 99)
+			st.meanWait = sum / float64(len(ws))
+			st.p99Wait = stats.Percentile(ws, 99)
 		}
-		if st.Jobs > 0 {
-			means = append(means, st.MeanWait)
+		if st.jobs > 0 {
+			means = append(means, st.meanWait)
 		}
-		res.Preempts += st.Preempts
-		res.Tenants = append(res.Tenants, st)
+		rows = append(rows, st)
 	}
-	res.WaitFairness = jain(means)
-	res.TotalWaste = agg.TotalWaste()
-	res.UsedFraction = agg.UsedFraction(cfg.Shards*cfg.NodesPerShard, res.Makespan)
-	if cfg.Obs != nil {
-		snap := cfg.Obs.Snapshot(res.Makespan)
-		res.Snapshot = &snap
+	return rows, jain(means)
+}
+
+// tenantsExp runs the identical skewed multi-tenant trace under
+// connection-order FIFO and under DRF with quota preemption (see
+// tenantMix). The table reads per tenant and mode: wait mean/p99, quota
+// preemptions suffered, and per-mode wait fairness (Jain) and PSA waste.
+// The DRF run carries the observability registry, so the JSON report
+// includes the per-tenant wait histograms and EvPreempt events every shard
+// records.
+func tenantsExp(o Options) (*Report, error) {
+	mix := tenantMix{tenants: max(o.Tenants, 2), hotFrac: o.TenantHotFrac, shards: max(o.Shards, 2), nodes: 64}
+	if mix.hotFrac < 0 || mix.hotFrac > 1 {
+		return nil, fmt.Errorf("experiments: HotFrac %g outside [0,1]", mix.hotFrac)
 	}
-	return res, nil
+	jobs := synthetic(o.Seed, 120, 16, 45, 900)
+	rep := &Report{
+		Name: "tenants",
+		Notes: []string{traceNote(jobs, fmt.Sprintf("/job; %d shards, %d tenants, %.0f%% hot-tenant demand",
+			mix.shards, mix.tenants, 100*mix.hotFrac))},
+		Header: []string{"policy", "tenant", "guarantee", "jobs", "done",
+			"mean-wait-s", "p99-wait-s", "preempts", "fairness", "waste-node·s", "used-%"},
+	}
+	variants := []replayVariant{
+		{[]string{"fifo"}, mix.config(300, false)},
+		{[]string{"drf"}, mix.config(300, true)},
+	}
+	return replaySweep(rep, jobs, variants, 1, func(res *replayResult) [][]string {
+		rows, fairness := mix.stats(res)
+		out := make([][]string, len(rows))
+		for i, ts := range rows {
+			out[i] = []string{
+				ts.tenant, itoa(ts.guarantee), itoa(ts.jobs), itoa(ts.completed),
+				fixed(ts.meanWait, 1), fixed(ts.p99Wait, 1), strconv.FormatInt(ts.preempts, 10),
+				fixed(fairness, 3), sig(res.TotalWaste), fixed(100*res.UsedFraction, 2),
+			}
+		}
+		return out
+	})
 }
 
 // jain computes Jain's fairness index (Σx)²/(n·Σx²) over xs, the standard

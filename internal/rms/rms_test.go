@@ -539,3 +539,28 @@ func TestNotificationOrderIsConnectionOrder(t *testing.T) {
 	}
 	mustCheck(t, s)
 }
+
+// TestSetNotBeforeFloorsFreePreemptible: SetNotBefore accepts any unstarted
+// request, a FREE preemptible one included. Such a request is shrunk rather
+// than delayed, but its floor still holds its start back.
+func TestSetNotBeforeFloorsFreePreemptible(t *testing.T) {
+	e, s := newTestServer(10)
+	app := &testApp{}
+	app.sess = s.Connect(app)
+	startedAt := -1.0
+	app.onStart = func(request.ID, []int) { startedAt = e.Now() }
+	id, err := app.sess.Request(RequestSpec{Cluster: c0, N: 4, Duration: 100, Type: request.Preempt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := app.sess.SetNotBefore(id, 30); err != nil {
+		t.Fatal(err)
+	}
+	e.RunAll()
+	if len(app.starts) != 1 || app.starts[0].id != id || len(app.starts[0].ids) != 4 {
+		t.Fatalf("starts = %v, want request %d on 4 nodes", app.starts, id)
+	}
+	if startedAt != 30 {
+		t.Errorf("started at t=%v, want the floor t=30", startedAt)
+	}
+}

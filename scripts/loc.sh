@@ -3,7 +3,10 @@
 # excluded: the number ROADMAP aim 2 tracks. Plain `wc -l`, so comment and
 # blank lines count — which is why deleting comments is not a reduction.
 # Then the `panic(` call sites in the same files: the number ROADMAP's panic
-# table tracks. Run from anywhere inside the repository.
+# table tracks. Last, the exported top-level names per internal/ package and
+# in total, one `go doc -short` line each (a constructor listed under its
+# type counts as one): the number "no new exported name" is held to. Run from
+# anywhere inside the repository.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -print0 |
@@ -21,3 +24,10 @@ find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -print0 |
 panics=$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -print0 |
 	{ xargs -0 grep -o 'panic(' || true; } | wc -l)
 printf "%7d  panic( sites (non-test, bench/ excluded)\n" "$panics"
+exported=0
+for d in internal/*/; do
+	n=$(go doc -short "./$d" | wc -l)
+	printf "%7d  %s exported names\n" "$n" "${d%/}"
+	exported=$((exported + n))
+done
+printf "%7d  exported names (internal/, go doc -short lines)\n" "$exported"
