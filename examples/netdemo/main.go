@@ -8,7 +8,10 @@
 package main
 
 import (
+	"errors"
+	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"sync"
@@ -22,6 +25,7 @@ const cluster = coormv2.ClusterID("main")
 // client is a minimal transport.Handler that records notifications.
 type client struct {
 	name string
+	say  func(format string, a ...any)
 	mu   sync.Mutex
 	held []int
 	c    *coormv2.Client
@@ -39,11 +43,11 @@ func (a *client) OnStart(id coormv2.RequestID, nodes []int) {
 	a.mu.Lock()
 	a.held = nodes
 	a.mu.Unlock()
-	fmt.Printf("%s: request %d started on %v\n", a.name, id, nodes)
+	a.say("%s: request %d started on %v\n", a.name, id, nodes)
 }
 
 func (a *client) OnKill(reason string) {
-	fmt.Printf("%s: killed: %s\n", a.name, reason)
+	a.say("%s: killed: %s\n", a.name, reason)
 }
 
 func (a *client) heldNodes() []int {
@@ -52,25 +56,51 @@ func (a *client) heldNodes() []int {
 	return append([]int(nil), a.held...)
 }
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main without the process: it plays the demo over loopback TCP and
+// returns the exit code (2 for a usage error, 1 when the demo fails).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("netdemo", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	// say prints for run and for the handlers, which run on the clients'
+	// own goroutines.
+	var outMu sync.Mutex
+	say := func(format string, a ...any) {
+		outMu.Lock()
+		defer outMu.Unlock()
+		fmt.Fprintf(stdout, format, a...)
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "netdemo: %v\n", err)
+		return 1
+	}
+
 	// Start the daemon on an ephemeral port, wall clock, fast rounds.
-	srv := coormv2.NewServer(coormv2.ServerConfig{
+	daemon := coormv2.NewDaemon(coormv2.NewServer(coormv2.ServerConfig{
 		Clusters:        map[coormv2.ClusterID]int{cluster: 16},
 		ReschedInterval: 0.05,
-		Clock:           coormv2ClockRealOrDie(),
+		Clock:           coormv2.NewRealClock(),
 		Metrics:         coormv2.NewRecorder(),
-	})
-	daemon := coormv2.NewDaemon(srv)
+	}))
 	addr, err := daemon.Listen("127.0.0.1:0")
-	check(err)
+	if err != nil {
+		return fail(err)
+	}
 	go daemon.Serve()
 	defer daemon.Close()
-	fmt.Printf("coormd listening on %s\n", addr)
+	say("coormd listening on %s\n", addr)
 
 	// A malleable client that grabs all preemptible resources and releases
 	// on demand. The first view can arrive on the read goroutine before
 	// Dial returns, so the handler receives its client through a channel.
-	mal := &client{name: "malleable"}
+	mal := &client{name: "malleable", say: say}
 	ready := make(chan *coormv2.Client, 1)
 	var malReq coormv2.RequestID
 	var malMu sync.Mutex
@@ -104,12 +134,14 @@ func main() {
 			if err := mal.c.Done(malReq, rel); err != nil {
 				return
 			}
-			fmt.Printf("malleable: released %v\n", rel)
+			say("malleable: released %v\n", rel)
 			malReq = id
 		}
 	}
 	malClient, err := coormv2.Dial(addr, mal)
-	check(err)
+	if err != nil {
+		return fail(err)
+	}
 	ready <- malClient
 	defer malClient.Close()
 
@@ -119,43 +151,36 @@ func main() {
 		time.Sleep(20 * time.Millisecond)
 	}
 	if len(mal.heldNodes()) != 16 {
-		fmt.Println("netdemo: FAILED — malleable app never claimed the cluster")
-		os.Exit(1)
+		say("netdemo: FAILED — malleable app never claimed the cluster\n")
+		return 1
 	}
 
 	// A rigid client needing 10 of the 16 nodes: the malleable app must
 	// yield them.
-	rigid := &client{name: "rigid"}
+	rigid := &client{name: "rigid", say: say}
 	rc, err := coormv2.Dial(addr, rigid)
-	check(err)
+	if err != nil {
+		return fail(err)
+	}
 	defer rc.Close()
 	id, err := rc.Request(coormv2.RequestSpec{
 		Cluster: cluster, N: 10, Duration: 3600, Type: coormv2.NonPreempt,
 	})
-	check(err)
-	fmt.Printf("rigid: submitted request %d for 10 nodes\n", id)
+	if err != nil {
+		return fail(err)
+	}
+	say("rigid: submitted request %d for 10 nodes\n", id)
 
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		if len(rigid.heldNodes()) == 10 {
-			fmt.Printf("rigid: got its allocation; malleable now holds %d nodes\n",
+			say("rigid: got its allocation; malleable now holds %d nodes\n",
 				len(mal.heldNodes()))
-			fmt.Println("netdemo: OK — preemption over the real TCP protocol works")
-			return
+			say("netdemo: OK — preemption over the real TCP protocol works\n")
+			return 0
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	fmt.Println("netdemo: FAILED — rigid job never started")
-	os.Exit(1)
-}
-
-// coormv2ClockRealOrDie builds a wall clock (helper keeps main tidy).
-func coormv2ClockRealOrDie() coormv2.Clock {
-	return coormv2.NewRealClock()
-}
-
-func check(err error) {
-	if err != nil {
-		panic(err)
-	}
+	say("netdemo: FAILED — rigid job never started\n")
+	return 1
 }

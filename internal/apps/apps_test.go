@@ -315,6 +315,21 @@ func TestPSAKilledTasksOnSpontaneousRevocation(t *testing.T) {
 	}
 }
 
+// TestPSARecordsOnlyPositiveWaste pins why metrics.Recorder.AddWaste's
+// negative-waste panic is unreachable: its only caller, the PSA's
+// recordWaste, drops a non-positive amount before it reaches the recorder.
+func TestPSARecordsOnlyPositiveWaste(t *testing.T) {
+	rec := metrics.NewRecorder()
+	p := NewPSA(clock.SimClock{E: sim.NewEngine()}, PSAConfig{Cluster: c0, TaskDuration: 60, Metrics: rec})
+	p.SetMetricsID(7)
+	for _, w := range []float64{0, math.Copysign(0, -1), -5, math.Inf(-1), 3} {
+		p.recordWaste(w, "test")
+	}
+	if got := rec.Waste(7); got != 3 || p.Waste() != 3 {
+		t.Errorf("recorded waste %v, PSA waste %v; want 3 and 3", got, p.Waste())
+	}
+}
+
 func TestPSAGracefulReleaseNoWaste(t *testing.T) {
 	// An announced drop with notice > d_task lets every victim finish its
 	// task: zero waste (§5.3: "Once the announce interval is greater than

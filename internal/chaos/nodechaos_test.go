@@ -54,32 +54,61 @@ func TestPlanNodesStableAcrossClusterSetGrowth(t *testing.T) {
 	}
 }
 
+// TestPlanNodesNeverDoubleFailsANode also pins why pickUpNode's exhaustion
+// panic is unreachable: PlanNodes draws pick < up = size − |down|, where down
+// holds distinct node IDs below size, and skips the draw when up <= 0. The
+// saturating case (2 nodes failing every second, repaired in ~10⁶ s) takes
+// that branch at almost every draw of its horizon.
 func TestPlanNodesNeverDoubleFailsANode(t *testing.T) {
-	clusters := map[view.ClusterID]int{"a": 4, "b": 2}
-	cfg := nodeCfg(11)
-	cfg.NodeMTTF = 5          // dense failures
-	cfg.MeanNodeRecovery = 50 // slow repairs: forces near-exhaustion
-	plan := PlanNodes(cfg, clusters)
-	if len(plan) == 0 {
-		t.Fatal("empty plan")
-	}
-	type key struct {
-		cid view.ClusterID
-		id  int
-	}
-	downUntil := make(map[key]float64)
-	for _, f := range plan {
-		k := key{f.Cluster, f.Node}
-		if until, ok := downUntil[k]; ok && f.FailAt < until {
-			t.Fatalf("node %v fails at %g while still down until %g", k, f.FailAt, until)
+	dense := nodeCfg(11)
+	dense.NodeMTTF = 5          // dense failures
+	dense.MeanNodeRecovery = 50 // slow repairs: forces near-exhaustion
+	saturating := nodeCfg(11)
+	saturating.NodeMTTF = 1
+	saturating.MeanNodeRecovery = 1e6
+	for _, tc := range []struct {
+		name     string
+		cfg      Config
+		clusters map[view.ClusterID]int
+	}{
+		{"dense", dense, map[view.ClusterID]int{"a": 4, "b": 2}},
+		{"saturating", saturating, map[view.ClusterID]int{"a": 2}},
+	} {
+		plan := PlanNodes(tc.cfg, tc.clusters)
+		if len(plan) == 0 {
+			t.Fatalf("%s: empty plan", tc.name)
 		}
-		if f.Node < 0 || f.Node >= clusters[f.Cluster] {
-			t.Fatalf("node %d out of range for %q", f.Node, f.Cluster)
+		type key struct {
+			cid view.ClusterID
+			id  int
 		}
-		if f.RecoverAt < f.FailAt {
-			t.Fatalf("recovery %g before failure %g", f.RecoverAt, f.FailAt)
+		downUntil := make(map[key]float64)
+		maxDown := 0
+		for _, f := range plan {
+			k := key{f.Cluster, f.Node}
+			if until, ok := downUntil[k]; ok && f.FailAt < until {
+				t.Fatalf("%s: node %v fails at %g while still down until %g", tc.name, k, f.FailAt, until)
+			}
+			if f.Node < 0 || f.Node >= tc.clusters[f.Cluster] {
+				t.Fatalf("%s: node %d out of range for %q", tc.name, f.Node, f.Cluster)
+			}
+			if f.RecoverAt < f.FailAt {
+				t.Fatalf("%s: recovery %g before failure %g", tc.name, f.RecoverAt, f.FailAt)
+			}
+			downUntil[k] = f.RecoverAt
+			down := 0
+			for dk, until := range downUntil {
+				if dk.cid == f.Cluster && until > f.FailAt {
+					down++
+				}
+			}
+			maxDown = max(maxDown, down)
 		}
-		downUntil[k] = f.RecoverAt
+		// About Horizon/NodeMTTF = 1000 draws, all but a few with both
+		// machines down.
+		if tc.name == "saturating" && (maxDown != 2 || len(plan) > 10) {
+			t.Errorf("saturating: %d faults, at most %d machines down at once; want both down and at most 10 faults", len(plan), maxDown)
+		}
 	}
 }
 

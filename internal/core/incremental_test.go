@@ -496,10 +496,11 @@ func runDiffShaped(t *testing.T, seed int64, shape churnShape, inc, full *diffMi
 					}
 				case 12:
 					// Raise the floor of a random pending (unstarted,
-					// unheld) request — SetNotBefore is legal on those too.
+					// unheld) FREE request — SetNotBefore is legal on those
+					// too, and refuses a relation child.
 					var cands []*request.Request
 					for _, r := range inc.reqs {
-						if !r.Started() && !r.Finished && !r.Held {
+						if !r.Started() && !r.Finished && !r.Held && r.RelatedHow == request.Free {
 							cands = append(cands, r)
 						}
 					}
@@ -575,6 +576,7 @@ func runDiffShaped(t *testing.T, seed int64, shape churnShape, inc, full *diffMi
 			if err := inc.compareTo(full, outA, outB); err != nil {
 				t.Fatalf("seed %d round %d (t=%.2f): %v", seed, round, now, err)
 			}
+			checkFloors(t, seed, round, inc, full)
 			// Start what the round says and compare the post-start round,
 			// mirroring the RMS's schedule→start→schedule sequence.
 			inc.startArrived(outA, now)
@@ -584,9 +586,26 @@ func runDiffShaped(t *testing.T, seed int64, shape churnShape, inc, full *diffMi
 			if err := inc.compareTo(full, outA, outB); err != nil {
 				t.Fatalf("seed %d round %d post-start (t=%.2f): %v", seed, round, now, err)
 			}
+			checkFloors(t, seed, round, inc, full)
 		}
 	}
 	return counts
+}
+
+// checkFloors is the floor property (§3.1 NotBefore, the gang coordinator's
+// alignment): after a round, no unstarted request of either mirror is
+// scheduled below its NotBefore floor. Admission only lets a FREE request
+// carry one; a relation child follows its parent.
+func checkFloors(t *testing.T, seed int64, round int, mirrors ...*diffMirror) {
+	t.Helper()
+	for _, m := range mirrors {
+		for _, r := range m.reqs {
+			if r.NotBefore > 0 && !r.Started() && !r.Finished && r.ScheduledAt < r.NotBefore-1e-9 {
+				t.Fatalf("seed %d round %d: request %d (%v, relation %v, held %v) scheduled at %.4f below its floor %.4f",
+					seed, round, r.ID, r.Type, r.RelatedHow, r.Held, r.ScheduledAt, r.NotBefore)
+			}
+		}
+	}
 }
 
 // TestIncrementalStatsReuse sanity-checks that steady rounds actually hit

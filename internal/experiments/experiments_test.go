@@ -4,8 +4,10 @@ import (
 	"strings"
 	"testing"
 
+	"coormv2/internal/amr"
 	"coormv2/internal/apps"
 	"coormv2/internal/core"
+	"coormv2/internal/stats"
 )
 
 // Test scale: short profiles and a small S_max keep node counts ~100 and
@@ -58,169 +60,178 @@ func TestRunScenarioStaticUsesMoreAtHighOvercommit(t *testing.T) {
 	}
 }
 
-func TestRunScenarioRejectsTooSmallCluster(t *testing.T) {
-	_, err := RunScenario(ScenarioConfig{
-		Seed: 1, Steps: testSteps, Smax: testSmax, Overcommit: 1, Nodes: 2,
-	})
-	if err == nil {
-		t.Fatal("expected an error for a cluster smaller than the pre-allocation")
+// figScenario is the ScenarioConfig the figure presets build
+// (Options.amrScenario), at test scale.
+func figScenario(seed int64, overcommit float64, mode apps.NEAMode, announce float64, psaDurs ...float64) ScenarioConfig {
+	return ScenarioConfig{
+		Seed: seed, Steps: testSteps, Smax: testSmax,
+		TargetEff: 0.75, Overcommit: overcommit, Mode: mode,
+		AnnounceInterval: announce, PSATaskDurations: psaDurs,
 	}
 }
 
-func TestFig1(t *testing.T) {
-	profiles := Fig1(Fig1Config{Seeds: []int64{1, 2}, Steps: 100})
-	if len(profiles) != 2 {
-		t.Fatalf("profiles = %d", len(profiles))
+func mustRunScenario(t *testing.T, cfg ScenarioConfig) *ScenarioResult {
+	t.Helper()
+	res, err := RunScenario(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, p := range profiles {
-		if len(p.Series) != 100 {
-			t.Errorf("seed %d: %d steps", p.Seed, len(p.Series))
+	return res
+}
+
+func TestFig1(t *testing.T) {
+	for _, seed := range []int64{1, 2} {
+		series := amr.GenerateProfile(stats.NewRand(seed), 100, 1000)
+		if len(series) != 100 {
+			t.Errorf("seed %d: %d steps", seed, len(series))
 		}
 		max := 0.0
-		for _, v := range p.Series {
+		for _, v := range series {
 			if v > max {
 				max = v
 			}
 		}
 		if max < 999 || max > 1001 {
-			t.Errorf("seed %d: peak %v, want ≈ 1000 (normalized)", p.Seed, max)
+			t.Errorf("seed %d: peak %v, want ≈ 1000 (normalized)", seed, max)
 		}
 	}
 }
 
 func TestFig2(t *testing.T) {
-	res, err := Fig2(1, 0.05)
+	ms := amr.SynthesizeMeasurements(amr.DefaultParams, stats.NewRand(1), 0.05)
+	fitted, err := amr.FitSpeedup(ms)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.MaxRelError >= 0.15 {
-		t.Errorf("max relative error %v, paper requires < 15%%", res.MaxRelError)
+	if e := amr.MaxRelError(fitted, ms); e >= 0.15 {
+		t.Errorf("max relative error %v, paper requires < 15%%", e)
 	}
-	if len(res.Rows) == 0 {
+	if len(ms) == 0 {
 		t.Error("no fit rows")
 	}
 }
 
 func TestFig3(t *testing.T) {
-	rows := Fig3(1, testSteps, []float64{0.3, 0.5, 0.75})
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		if r.EndTimeIncreasePct < -1 || r.EndTimeIncreasePct > 6 {
-			t.Errorf("et=%v: end-time increase %v%% outside the paper's ballpark", r.TargetEff, r.EndTimeIncreasePct)
+	p := amr.DefaultParams
+	pr := amr.GenerateProfile(stats.NewRand(1), testSteps, amr.DefaultSmax)
+	for _, et := range []float64{0.3, 0.5, 0.75} {
+		if inc := 100 * p.EndTimeIncrease(pr, et); inc < -1 || inc > 6 {
+			t.Errorf("et=%v: end-time increase %v%% outside the paper's ballpark", et, inc)
 		}
-		if r.Neq < 1 {
-			t.Errorf("et=%v: n_eq = %d", r.TargetEff, r.Neq)
+		if neq, _ := p.EquivalentStatic(pr, et); neq < 1 {
+			t.Errorf("et=%v: n_eq = %d", et, neq)
 		}
 	}
 }
 
 // TestDefaultSweepsAreConstant pins why stats.Linspace's n < 2 panic and
 // stats.Logspace's non-positive-bound panic are unreachable: their only
-// callers are Fig3's and Fig9's default sweeps, fixed grids no flag or
-// input changes (coorm-exp passes no sweep of its own).
+// callers are fig3Exp's and fig9Exp's sweeps, literals no flag or input
+// changes.
 func TestDefaultSweepsAreConstant(t *testing.T) {
-	rows := Fig3(1, testSteps, nil)
-	if len(rows) != 17 || rows[0].TargetEff != 0.1 || rows[16].TargetEff != 0.9 {
-		t.Fatalf("Fig3's default sweep: %d rows from %v", len(rows), rows[0].TargetEff)
-	}
-	fig9, err := Fig9(Fig9Config{Seed: 1, Steps: testSteps, Smax: testSmax, PSATaskDur: 60})
+	o := DefaultOptions()
+	fig3, err := fig3Exp(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fig9) != 9 || fig9[0].Overcommit != 0.1 || fig9[8].Overcommit != 10 {
-		t.Fatalf("Fig9's default sweep: %d rows from %v", len(fig9), fig9[0].Overcommit)
+	if rows := fig3.Rows; len(rows) != 17 || rows[0][0] != "0.10" || rows[16][0] != "0.90" {
+		t.Fatalf("fig3's sweep: %d rows from %v", len(rows), rows[0][0])
+	}
+	fig9, err := fig9Exp(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows := fig9.Rows; len(rows) != 9 || rows[0][0] != "0.100" || rows[8][0] != "10.000" {
+		t.Fatalf("fig9's sweep: %d rows from %v", len(rows), rows[0][0])
 	}
 }
 
 func TestFig4(t *testing.T) {
-	rows := Fig4(1, testSteps, []float64{0.5, 1, 8}, 0)
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d", len(rows))
+	p := amr.DefaultParams
+	pr := amr.GenerateProfile(stats.NewRand(1), testSteps, amr.DefaultSmax)
+	feasible := func(rel float64) bool {
+		return p.StaticChoiceRange(pr, 0.75, amr.DefaultNodeMemoryMiB, rel).Feasible
 	}
-	if !rows[0].Feasible || !rows[1].Feasible {
+	if !feasible(0.5) || !feasible(1) {
 		t.Error("moderate sizes should be feasible")
 	}
-	if rows[2].Feasible {
+	if feasible(8) {
 		t.Error("8× the data should not be feasible with 4 GiB nodes (memory floor above area ceiling)")
 	}
 }
 
 func TestFig9Smoke(t *testing.T) {
-	rows, err := Fig9(Fig9Config{
-		Overcommits: []float64{0.5, 1, 2},
-		Seed:        1, Steps: testSteps, Smax: testSmax,
-		PSATaskDur: 60,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d", len(rows))
+	var static, dynamic []float64
+	for _, over := range []float64{0.5, 1, 2} {
+		dynamic = append(dynamic, mustRunScenario(t, figScenario(1, over, apps.NEADynamic, 0, 60)).AMRArea)
+		static = append(static, mustRunScenario(t, figScenario(1, over, apps.NEAStatic, 0, 60)).AMRArea)
 	}
 	// Static grows with overcommit; dynamic stays roughly flat.
-	if rows[2].StaticArea <= rows[1].StaticArea {
-		t.Errorf("static area should grow with overcommit: %v then %v", rows[1].StaticArea, rows[2].StaticArea)
+	if static[2] <= static[1] {
+		t.Errorf("static area should grow with overcommit: %v then %v", static[1], static[2])
 	}
-	growth := rows[2].DynamicArea / rows[1].DynamicArea
+	growth := dynamic[2] / dynamic[1]
 	if growth > 1.3 {
 		t.Errorf("dynamic area grew by %vx from overcommit 1 to 2; should be ≈ flat", growth)
 	}
 	// At overcommit ≥ 1 static costs more than dynamic.
-	if rows[2].StaticArea <= rows[2].DynamicArea {
+	if static[2] <= dynamic[2] {
 		t.Error("static should cost more than dynamic at overcommit 2")
 	}
 }
 
 func TestFig10Smoke(t *testing.T) {
-	rows, err := Fig10(Fig10Config{
-		AnnounceIntervals: []float64{0, 30, 90},
-		Seed:              1, Steps: testSteps, Smax: testSmax,
-		PSATaskDur: 60,
-	})
-	if err != nil {
-		t.Fatal(err)
+	var endTimeIncPct, wastePct []float64
+	var baseline float64
+	for i, ann := range []float64{0, 30, 90} {
+		res := mustRunScenario(t, figScenario(1, 1, apps.NEADynamic, ann, 60))
+		if i == 0 {
+			baseline = res.AMRRuntime
+		}
+		endTimeIncPct = append(endTimeIncPct, 100*(res.AMRRuntime/baseline-1))
+		waste := 0.0
+		if res.PSAArea[0] > 0 {
+			waste = 100 * res.PSAWaste[0] / res.PSAArea[0]
+		}
+		wastePct = append(wastePct, waste)
 	}
-	if rows[0].EndTimeIncreasePct != 0 {
-		t.Errorf("baseline end-time increase = %v, want 0", rows[0].EndTimeIncreasePct)
+	if endTimeIncPct[0] != 0 {
+		t.Errorf("baseline end-time increase = %v, want 0", endTimeIncPct[0])
 	}
 	// With notice ≥ d_task the PSA stops wasting.
-	if rows[2].PSAWastePct > rows[0].PSAWastePct {
-		t.Errorf("waste with notice %v%% should not exceed spontaneous %v%%", rows[2].PSAWastePct, rows[0].PSAWastePct)
+	if wastePct[2] > wastePct[0] {
+		t.Errorf("waste with notice %v%% should not exceed spontaneous %v%%", wastePct[2], wastePct[0])
 	}
-	if rows[2].PSAWastePct > 1 {
-		t.Errorf("waste with notice ≥ d_task = %v%%, want ≈ 0", rows[2].PSAWastePct)
+	if wastePct[2] > 1 {
+		t.Errorf("waste with notice ≥ d_task = %v%%, want ≈ 0", wastePct[2])
 	}
 	// End time grows with the announce interval.
-	if rows[2].EndTimeIncreasePct < 0 {
-		t.Errorf("announced updates should not speed the AMR up: %v%%", rows[2].EndTimeIncreasePct)
+	if endTimeIncPct[2] < 0 {
+		t.Errorf("announced updates should not speed the AMR up: %v%%", endTimeIncPct[2])
 	}
 }
 
 func TestFig11Smoke(t *testing.T) {
-	rows, err := Fig11(Fig11Config{
-		AnnounceIntervals: []float64{0, 60},
-		Seeds:             []int64{1, 2},
-		Steps:             testSteps, Smax: testSmax,
-		PSA1TaskDur: 120, PSA2TaskDur: 12,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rows {
-		if r.FillingPct < r.StrictPct-1 {
-			t.Errorf("announce=%v: filling %v%% should not lose to strict %v%%",
-				r.AnnounceInterval, r.FillingPct, r.StrictPct)
+	for _, ann := range []float64{0, 60} {
+		var filling, strict []float64
+		for _, seed := range []int64{1, 2} {
+			cfg := figScenario(seed, 1, apps.NEADynamic, ann, 120, 12)
+			filling = append(filling, 100*mustRunScenario(t, cfg).UsedFraction)
+			cfg.Policy = core.StrictEquiPartition
+			strict = append(strict, 100*mustRunScenario(t, cfg).UsedFraction)
 		}
-		if r.FillingPct <= 0 || r.FillingPct > 100.001 {
-			t.Errorf("announce=%v: implausible used%% %v", r.AnnounceInterval, r.FillingPct)
+		fillingPct, strictPct := stats.Median(filling), stats.Median(strict)
+		if fillingPct < strictPct-1 {
+			t.Errorf("announce=%v: filling %v%% should not lose to strict %v%%", ann, fillingPct, strictPct)
+		}
+		if fillingPct <= 0 || fillingPct > 100.001 {
+			t.Errorf("announce=%v: implausible used%% %v", ann, fillingPct)
 		}
 	}
 }
 
 func TestFormatTable(t *testing.T) {
-	s := FormatTable([]string{"x", "long-header"}, [][]string{{"1", "2"}, {"300", "4"}})
+	s := formatTable([]string{"x", "long-header"}, [][]string{{"1", "2"}, {"300", "4"}})
 	if !strings.HasPrefix(s, "# x") {
 		t.Errorf("missing gnuplot comment header: %q", s)
 	}

@@ -64,7 +64,7 @@ func TestOneShardFederationMatchesSingleRMSScenarios(t *testing.T) {
 }
 
 // scenarioTable renders a ScenarioResult the way cmd/coorm-exp renders
-// figure rows (FormatTable over formatted floats).
+// figure rows (formatTable over formatted floats).
 func scenarioTable(r *ScenarioResult) string {
 	g := func(v float64) string { return strconv.FormatFloat(v, 'g', 17, 64) }
 	row := []string{
@@ -78,7 +78,7 @@ func scenarioTable(r *ScenarioResult) string {
 		row = append(row, g(r.PSAArea[i]), g(r.PSAWaste[i]))
 		header = append(header, "psa"+strconv.Itoa(i)+"-area", "psa"+strconv.Itoa(i)+"-waste")
 	}
-	return FormatTable(header, [][]string{row})
+	return formatTable(header, [][]string{row})
 }
 
 func TestOneShardFederationMatchesSingleRMSReplay(t *testing.T) {

@@ -2,7 +2,7 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 
 	"coormv2/internal/amr"
 	"coormv2/internal/apps"
@@ -10,244 +10,121 @@ import (
 	"coormv2/internal/stats"
 )
 
-// ---------------------------------------------------------------------------
-// Fig. 1 — example AMR working-set evolutions.
-
-// Fig1Config parametrizes the profile showcase.
-type Fig1Config struct {
-	Seeds []int64
-	Steps int
-}
-
-// Fig1Profile is one generated evolution, on the paper's 0–1000 scale.
-type Fig1Profile struct {
-	Seed   int64
-	Series []float64
-}
-
-// Fig1 regenerates the normalized evolution profiles of Fig. 1.
-func Fig1(cfg Fig1Config) []Fig1Profile {
-	if cfg.Steps <= 0 {
-		cfg.Steps = amr.ProfileSteps
+// amrScenario is the §5 scenario at o's scale: one AMR at a target
+// efficiency of 75 % plus one PSA per task duration, on a cluster of the
+// AMR's pre-allocation size. Figs. 9–11, the PSA ablation and the §7
+// accounting table vary it by overcommit, announce interval, preemption
+// policy or a PSA switch; Figs. 1–4 read the AMR model directly.
+func (o Options) amrScenario(seed int64, overcommit float64, mode apps.NEAMode, announce float64, psaDurs ...float64) ScenarioConfig {
+	sc := o.scale()
+	return ScenarioConfig{
+		Seed: seed, Steps: sc.steps, Smax: sc.smax,
+		TargetEff: 0.75, Overcommit: overcommit, Mode: mode,
+		AnnounceInterval: announce, PSATaskDurations: psaDurs,
 	}
-	if len(cfg.Seeds) == 0 {
-		cfg.Seeds = []int64{1, 2, 3, 4}
+}
+
+// fig1Exp regenerates Fig. 1's AMR working-set evolutions, normalized to the
+// paper's 0–1000 scale, for four consecutive seeds.
+func fig1Exp(o Options) (*Report, error) {
+	steps := o.scale().steps
+	rep := &Report{Name: "fig1", Header: []string{"step"}, Rows: make([][]string, steps)}
+	for i := range rep.Rows {
+		rep.Rows[i] = []string{itoa(i)}
 	}
-	out := make([]Fig1Profile, 0, len(cfg.Seeds))
-	for _, seed := range cfg.Seeds {
-		pr := amr.GenerateProfile(stats.NewRand(seed), cfg.Steps, 1000)
-		out = append(out, Fig1Profile{Seed: seed, Series: pr})
+	for seed := o.Seed; seed < o.Seed+4; seed++ {
+		rep.Header = append(rep.Header, fmt.Sprintf("seed%d", seed))
+		for i, v := range amr.GenerateProfile(stats.NewRand(seed), steps, 1000) {
+			rep.Rows[i] = append(rep.Rows[i], fixed(v, 1))
+		}
 	}
-	return out
+	return rep, nil
 }
 
-// ---------------------------------------------------------------------------
-// Fig. 2 — speed-up model fit.
-
-// Fig2Result reports the fit of the speed-up model against (synthetic)
-// measurements: the paper's criterion is a maximum relative error < 15 %.
-type Fig2Result struct {
-	Fitted      amr.SpeedupParams
-	MaxRelError float64
-	// Rows are the per-(size, nodes) durations: measured vs model.
-	Rows []Fig2Row
-}
-
-// Fig2Row is one point of Fig. 2.
-type Fig2Row struct {
-	SizeMiB   float64
-	Nodes     int
-	Measured  float64
-	Predicted float64
-}
-
-// Fig2 synthesizes a measurement grid (documented substitution for the
-// unavailable Uintah data), fits the model and reports the error.
-func Fig2(seed int64, noise float64) (*Fig2Result, error) {
-	ms := amr.SynthesizeMeasurements(amr.DefaultParams, stats.NewRand(seed), noise)
+// fig2Exp synthesizes a measurement grid (documented substitution for the
+// unavailable Uintah data), fits the speed-up model and reports the fit per
+// (size, nodes) point: the paper's criterion is a maximum relative error
+// < 15 %.
+func fig2Exp(o Options) (*Report, error) {
+	ms := amr.SynthesizeMeasurements(amr.DefaultParams, stats.NewRand(o.Seed), 0.05)
 	fitted, err := amr.FitSpeedup(ms)
 	if err != nil {
 		return nil, err
 	}
-	res := &Fig2Result{Fitted: fitted, MaxRelError: amr.MaxRelError(fitted, ms)}
+	rep := &Report{
+		Name: "fig2",
+		Notes: []string{
+			fmt.Sprintf("fitted: A=%.4g B=%.4g C=%.4g D=%.4g (paper: A=7.26e-3 B=1.23e-4 C=1.13e-6 D=1.38)",
+				fitted.A, fitted.B, fitted.C, fitted.D),
+			fmt.Sprintf("max relative error: %.2f%% (paper: <15%%)", 100*amr.MaxRelError(fitted, ms)),
+		},
+		Header: []string{"nodes", "size-GiB", "measured-s", "model-s"},
+	}
 	for _, m := range ms {
-		res.Rows = append(res.Rows, Fig2Row{
-			SizeMiB: m.SizeMiB, Nodes: m.Nodes,
-			Measured: m.Duration, Predicted: fitted.StepTime(m.Nodes, m.SizeMiB),
+		rep.Rows = append(rep.Rows, []string{
+			itoa(m.Nodes), fixed(m.SizeMiB/1024, 0), fixed(m.Duration, 3), fixed(fitted.StepTime(m.Nodes, m.SizeMiB), 3),
 		})
 	}
-	return res, nil
+	return rep, nil
 }
 
-// ---------------------------------------------------------------------------
-// Fig. 3 — end-time increase of the equivalent static allocation.
-
-// Fig3Row is one point of Fig. 3.
-type Fig3Row struct {
-	TargetEff          float64
-	Neq                int
-	EndTimeIncreasePct float64
-}
-
-// Fig3 sweeps the target efficiency and reports the end-time increase when
+// fig3Exp sweeps the target efficiency and reports the end-time increase when
 // the equivalent static allocation replaces the dynamic one (§2.3: "the
 // end-time of the application increases with at most 2.5%").
-func Fig3(seed int64, steps int, targets []float64) []Fig3Row {
-	if steps <= 0 {
-		steps = amr.ProfileSteps
-	}
-	if len(targets) == 0 {
-		targets = stats.Linspace(0.1, 0.9, 17)
-	}
+func fig3Exp(o Options) (*Report, error) {
 	p := amr.DefaultParams
-	pr := amr.GenerateProfile(stats.NewRand(seed), steps, amr.DefaultSmax)
-	out := make([]Fig3Row, 0, len(targets))
-	for _, et := range targets {
+	pr := amr.GenerateProfile(stats.NewRand(o.Seed), o.scale().steps, amr.DefaultSmax)
+	rep := &Report{Name: "fig3", Header: []string{"target-eff", "n_eq", "end-time-increase-%"}}
+	for _, et := range stats.Linspace(0.1, 0.9, 17) {
 		neq, _ := p.EquivalentStatic(pr, et)
-		out = append(out, Fig3Row{
-			TargetEff:          et,
-			Neq:                neq,
-			EndTimeIncreasePct: 100 * p.EndTimeIncrease(pr, et),
-		})
+		rep.Rows = append(rep.Rows, []string{fixed(et, 2), itoa(neq), fixed(100*p.EndTimeIncrease(pr, et), 3)})
 	}
-	return out
+	return rep, nil
 }
 
-// ---------------------------------------------------------------------------
-// Fig. 4 — static allocation choices for a target efficiency of 75 %.
-
-// Fig4Row is one band of Fig. 4.
-type Fig4Row struct {
-	RelativeSize float64
-	MinNodes     int
-	MaxNodes     int
-	Feasible     bool
-}
-
-// Fig4 sweeps relative data sizes (1/8 … 8 in the paper) and reports, for
-// each, the static node-count band that neither runs out of memory nor
+// fig4Exp sweeps relative data sizes (1/8 … 8, as in the paper) and reports,
+// for each, the static node-count band that neither runs out of memory nor
 // exceeds 110 % of A(75 %).
-func Fig4(seed int64, steps int, relSizes []float64, nodeMemMiB float64) []Fig4Row {
-	if steps <= 0 {
-		steps = amr.ProfileSteps
-	}
-	if len(relSizes) == 0 {
-		relSizes = []float64{0.125, 0.25, 0.5, 1, 2, 4, 8}
-	}
-	if nodeMemMiB <= 0 {
-		nodeMemMiB = amr.DefaultNodeMemoryMiB
-	}
+func fig4Exp(o Options) (*Report, error) {
 	p := amr.DefaultParams
-	pr := amr.GenerateProfile(stats.NewRand(seed), steps, amr.DefaultSmax)
-	out := make([]Fig4Row, 0, len(relSizes))
-	for _, r := range relSizes {
-		c := p.StaticChoiceRange(pr, 0.75, nodeMemMiB, r)
-		out = append(out, Fig4Row{RelativeSize: r, MinNodes: c.MinNodes, MaxNodes: c.MaxNodes, Feasible: c.Feasible})
+	pr := amr.GenerateProfile(stats.NewRand(o.Seed), o.scale().steps, amr.DefaultSmax)
+	rep := &Report{Name: "fig4", Header: []string{"rel-size", "min-nodes(mem)", "max-nodes(area)", "feasible"}}
+	for _, r := range []float64{0.125, 0.25, 0.5, 1, 2, 4, 8} {
+		c := p.StaticChoiceRange(pr, 0.75, amr.DefaultNodeMemoryMiB, r)
+		rep.Rows = append(rep.Rows, []string{sig(r), itoa(c.MinNodes), itoa(c.MaxNodes), strconv.FormatBool(c.Feasible)})
 	}
-	return out
+	return rep, nil
 }
 
-// ---------------------------------------------------------------------------
-// Fig. 9 — scheduling with spontaneous updates.
-
-// Fig9Config parametrizes the spontaneous-update experiment (§5.2).
-type Fig9Config struct {
-	Overcommits []float64
-	Seed        int64
-	Steps       int
-	Smax        float64
-	PSATaskDur  float64 // d_task of PSA1 (600 s in the paper)
-}
-
-// Fig9Row is one x-position of Fig. 9: the AMR's consumed area under the
-// static and dynamic disciplines, and the PSA waste under dynamic.
-type Fig9Row struct {
-	Overcommit  float64
-	Nodes       int
-	StaticArea  float64 // node·s
-	DynamicArea float64 // node·s
-	PSAWaste    float64 // node·s (dynamic runs)
-}
-
-// Fig9 reproduces §5.2: one AMR + one PSA; the AMR is scheduled statically
-// (forced to use its whole pre-allocation) and dynamically (CooRMv2).
-func Fig9(cfg Fig9Config) ([]Fig9Row, error) {
-	if len(cfg.Overcommits) == 0 {
-		cfg.Overcommits = stats.Logspace(0.1, 10, 9)
-	}
-	if cfg.PSATaskDur <= 0 {
-		cfg.PSATaskDur = 600
-	}
-	out := make([]Fig9Row, 0, len(cfg.Overcommits))
-	for _, over := range cfg.Overcommits {
-		base := ScenarioConfig{
-			Seed: cfg.Seed, Steps: cfg.Steps, Smax: cfg.Smax,
-			TargetEff: 0.75, Overcommit: over,
-			PSATaskDurations: []float64{cfg.PSATaskDur},
-		}
-		dynCfg := base
-		dynCfg.Mode = apps.NEADynamic
-		dyn, err := RunScenario(dynCfg)
+// fig9Exp reproduces §5.2: one AMR + one PSA; the AMR is scheduled statically
+// (forced to use its whole pre-allocation) and dynamically (CooRMv2), and the
+// PSA's waste is that of the dynamic run.
+func fig9Exp(o Options) (*Report, error) {
+	psa := o.scale().psa1
+	rep := &Report{Name: "fig9", Header: []string{"overcommit", "nodes", "static-node·s", "dynamic-node·s", "psa-waste-node·s"}}
+	for _, over := range stats.Logspace(0.1, 10, 9) {
+		dyn, err := RunScenario(o.amrScenario(o.Seed, over, apps.NEADynamic, 0, psa))
 		if err != nil {
 			return nil, fmt.Errorf("fig9 overcommit=%g dynamic: %w", over, err)
 		}
-		statCfg := base
-		statCfg.Mode = apps.NEAStatic
-		stat, err := RunScenario(statCfg)
+		stat, err := RunScenario(o.amrScenario(o.Seed, over, apps.NEAStatic, 0, psa))
 		if err != nil {
 			return nil, fmt.Errorf("fig9 overcommit=%g static: %w", over, err)
 		}
-		out = append(out, Fig9Row{
-			Overcommit:  over,
-			Nodes:       dyn.Nodes,
-			StaticArea:  stat.AMRArea,
-			DynamicArea: dyn.AMRArea,
-			PSAWaste:    dyn.PSAWaste[0],
-		})
+		rep.Rows = append(rep.Rows, []string{fixed(over, 3), itoa(dyn.Nodes), sig(stat.AMRArea), sig(dyn.AMRArea), sig(dyn.PSAWaste[0])})
 	}
-	return out, nil
+	return rep, nil
 }
 
-// ---------------------------------------------------------------------------
-// Fig. 10 — scheduling with announced updates.
-
-// Fig10Config parametrizes the announced-update experiment (§5.3);
-// the overcommit factor is fixed to 1.
-type Fig10Config struct {
-	AnnounceIntervals []float64
-	Seed              int64
-	Steps             int
-	Smax              float64
-	PSATaskDur        float64
-}
-
-// Fig10Row is one x-position of Fig. 10.
-type Fig10Row struct {
-	AnnounceInterval   float64
-	EndTimeIncreasePct float64 // vs the spontaneous (announce = 0) run
-	PSAWastePct        float64 // waste as % of the PSA's allocated area
-	UsedResourcesPct   float64 // (allocated − waste) / capacity over makespan
-}
-
-// Fig10 reproduces §5.3: the AMR uses announced updates with increasing
-// notice; waste falls to zero once the notice exceeds d_task, at the cost
-// of a longer AMR run.
-func Fig10(cfg Fig10Config) ([]Fig10Row, error) {
-	if len(cfg.AnnounceIntervals) == 0 {
-		cfg.AnnounceIntervals = []float64{0, 100, 200, 300, 400, 500, 550, 600, 650, 700}
-	}
-	if cfg.PSATaskDur <= 0 {
-		cfg.PSATaskDur = 600
-	}
+// fig10Exp reproduces §5.3: at κ = 1 the AMR uses announced updates with
+// increasing notice; waste falls to zero once the notice exceeds d_task, at
+// the cost of a longer AMR run than the spontaneous (first) one.
+func fig10Exp(o Options) (*Report, error) {
+	sc := o.scale()
+	rep := &Report{Name: "fig10", Header: []string{"announce-s", "amr-endtime-increase-%", "psa-waste-%", "used-resources-%"}}
 	var baseline float64
-	out := make([]Fig10Row, 0, len(cfg.AnnounceIntervals))
-	for i, ann := range cfg.AnnounceIntervals {
-		res, err := RunScenario(ScenarioConfig{
-			Seed: cfg.Seed, Steps: cfg.Steps, Smax: cfg.Smax,
-			TargetEff: 0.75, Overcommit: 1, Mode: apps.NEADynamic,
-			AnnounceInterval: ann,
-			PSATaskDurations: []float64{cfg.PSATaskDur},
-		})
+	for i, ann := range sc.announces {
+		res, err := RunScenario(o.amrScenario(o.Seed, 1, apps.NEADynamic, ann, sc.psa1))
 		if err != nil {
 			return nil, fmt.Errorf("fig10 announce=%g: %w", ann, err)
 		}
@@ -258,113 +135,98 @@ func Fig10(cfg Fig10Config) ([]Fig10Row, error) {
 		if res.PSAArea[0] > 0 {
 			wastePct = 100 * res.PSAWaste[0] / res.PSAArea[0]
 		}
-		out = append(out, Fig10Row{
-			AnnounceInterval:   ann,
-			EndTimeIncreasePct: 100 * (res.AMRRuntime/baseline - 1),
-			PSAWastePct:        wastePct,
-			UsedResourcesPct:   100 * res.UsedFraction,
+		rep.Rows = append(rep.Rows, []string{
+			fixed(ann, 0), fixed(100*(res.AMRRuntime/baseline-1), 2), fixed(wastePct, 2), fixed(100*res.UsedFraction, 2),
 		})
 	}
-	return out, nil
+	return rep, nil
 }
 
-// ---------------------------------------------------------------------------
-// Fig. 11 — efficient resource filling with two PSAs.
-
-// Fig11Config parametrizes the two-PSA experiment (§5.4).
-type Fig11Config struct {
-	AnnounceIntervals []float64
-	Seeds             []int64
-	Steps             int
-	Smax              float64
-	PSA1TaskDur       float64 // 600 s in the paper
-	PSA2TaskDur       float64 // 60 s in the paper
-}
-
-// Fig11Row is one x-position of Fig. 11: the median used-resources
-// percentage under both preemptible division policies.
-type Fig11Row struct {
-	AnnounceInterval float64
-	FillingPct       float64 // equi-partitioning with filling (CooRMv2)
-	StrictPct        float64 // strict equi-partitioning (baseline)
-}
-
-// Fig11 reproduces §5.4: a second PSA with a smaller task duration fills
+// fig11Exp reproduces §5.4: a second PSA with a smaller task duration fills
 // the holes the first PSA cannot use — but only when the RMS lets it
-// (filling policy); medians across seeds, as in the paper.
-func Fig11(cfg Fig11Config) ([]Fig11Row, error) {
-	if len(cfg.AnnounceIntervals) == 0 {
-		cfg.AnnounceIntervals = []float64{0, 100, 200, 300, 400, 500, 600, 700}
-	}
-	if len(cfg.Seeds) == 0 {
-		cfg.Seeds = []int64{1, 2, 3, 4, 5}
-	}
-	if cfg.PSA1TaskDur <= 0 {
-		cfg.PSA1TaskDur = 600
-	}
-	if cfg.PSA2TaskDur <= 0 {
-		cfg.PSA2TaskDur = 60
-	}
-	out := make([]Fig11Row, 0, len(cfg.AnnounceIntervals))
-	for _, ann := range cfg.AnnounceIntervals {
-		var filling, strict []float64
-		for _, seed := range cfg.Seeds {
+// (filling policy); medians across the scale's seeds, as in the paper.
+func fig11Exp(o Options) (*Report, error) {
+	sc := o.scale()
+	rep := &Report{Name: "fig11", Header: []string{"announce-s", "filling-used-%", "strict-used-%"}}
+	for _, ann := range sc.announces {
+		usedPct := map[core.PreemptPolicy][]float64{}
+		for _, s := range sc.seeds {
+			seed := s + o.Seed - 1
 			for _, policy := range []core.PreemptPolicy{core.EquiPartitionFilling, core.StrictEquiPartition} {
-				res, err := RunScenario(ScenarioConfig{
-					Seed: seed, Steps: cfg.Steps, Smax: cfg.Smax,
-					TargetEff: 0.75, Overcommit: 1, Mode: apps.NEADynamic,
-					AnnounceInterval: ann,
-					PSATaskDurations: []float64{cfg.PSA1TaskDur, cfg.PSA2TaskDur},
-					Policy:           policy,
-				})
+				cfg := o.amrScenario(seed, 1, apps.NEADynamic, ann, sc.psa1, sc.psa2)
+				cfg.Policy = policy
+				res, err := RunScenario(cfg)
 				if err != nil {
 					return nil, fmt.Errorf("fig11 announce=%g seed=%d policy=%v: %w", ann, seed, policy, err)
 				}
-				if policy == core.EquiPartitionFilling {
-					filling = append(filling, 100*res.UsedFraction)
-				} else {
-					strict = append(strict, 100*res.UsedFraction)
-				}
+				usedPct[policy] = append(usedPct[policy], 100*res.UsedFraction)
 			}
 		}
-		out = append(out, Fig11Row{
-			AnnounceInterval: ann,
-			FillingPct:       stats.Median(filling),
-			StrictPct:        stats.Median(strict),
+		rep.Rows = append(rep.Rows, []string{
+			fixed(ann, 0), fixed(stats.Median(usedPct[core.EquiPartitionFilling]), 2), fixed(stats.Median(usedPct[core.StrictEquiPartition]), 2),
 		})
 	}
-	return out, nil
+	return rep, nil
 }
 
-// ---------------------------------------------------------------------------
-// Table rendering (gnuplot-friendly, used by cmd/coorm-exp).
+// ablationExp quantifies the two PSA-side design choices that make announced
+// updates pay off (§5.3–5.4):
+//
+//  1. graceful release (waiting for task completions instead of killing),
+//  2. window-aware resource selection (§4: claim a node only when its
+//     availability window fits at least one task).
+//
+// Each variant runs the Fig. 10 scenario (κ = 1, notice d_task/2) with one
+// mechanism disabled.
+func ablationExp(o Options) (*Report, error) {
+	psa := o.scale().psa1
+	rep := &Report{Name: "ablation", Header: []string{"variant", "psa-waste-node·s", "used-%", "amr-runtime-s"}}
+	for _, v := range []struct {
+		name string
+		mod  func(p *apps.PSA)
+	}{
+		{"full (graceful + window-aware)", nil},
+		{"no graceful release", func(p *apps.PSA) { p.SetNoGraceful(true) }},
+		{"no window selection", func(p *apps.PSA) { p.SetIgnoreWindows(true) }},
+		{"neither", func(p *apps.PSA) { p.SetNoGraceful(true); p.SetIgnoreWindows(true) }},
+	} {
+		cfg := o.amrScenario(o.Seed, 1, apps.NEADynamic, psa/2, psa)
+		cfg.PSAHook = v.mod
+		res, err := RunScenario(cfg)
+		if err != nil {
+			return nil, fmt.Errorf("ablation %q: %w", v.name, err)
+		}
+		rep.Rows = append(rep.Rows, []string{v.name, sig(res.PSAWaste[0]), fixed(100*res.UsedFraction, 2), fixed(res.AMRRuntime, 0)})
+	}
+	return rep, nil
+}
 
-// FormatTable renders rows of columns as an aligned text table with a
-// "# "-prefixed header, the format the paper's gnuplot scripts consume.
-func FormatTable(header []string, rows [][]string) string {
-	width := make([]int, len(header))
-	for i, h := range header {
-		width[i] = len(h)
-	}
-	for _, r := range rows {
-		for i, c := range r {
-			if i < len(width) && len(c) > width[i] {
-				width[i] = len(c)
-			}
+// accountingExp runs the κ = 2 scenario with a static and a dynamic AMR and
+// reports per-application accounting (the paper's first "future work" item,
+// §7: "study how accounting should be done in CooRMv2, so as to determine
+// users to efficiently use resources"). With a charging model of used +
+// α·reserved-idle (the reservation left unused), a dynamic NEA pays mostly
+// for what it computes while its idle reservation does PSA work, whereas a
+// static one burns its whole over-sized guess — CooRMv2 makes the efficient
+// behaviour the cheap one.
+func accountingExp(o Options) (*Report, error) {
+	psa := o.scale().psa1
+	rep := &Report{Name: "accounting", Header: []string{"application", "used-node·s", "pre-alloc-node·s", "reserved-idle-node·s", "waste-node·s"}}
+	for _, mode := range []struct {
+		name string
+		m    apps.NEAMode
+	}{
+		{"AMR static", apps.NEAStatic},
+		{"AMR dynamic", apps.NEADynamic},
+	} {
+		res, err := RunScenario(o.amrScenario(o.Seed, 2, mode.m, 0, psa))
+		if err != nil {
+			return nil, fmt.Errorf("accounting %s: %w", mode.name, err)
 		}
+		idle := max(res.AMRPreAllocArea-res.AMRArea, 0)
+		rep.Rows = append(rep.Rows,
+			[]string{mode.name, sig(res.AMRArea), sig(res.AMRPreAllocArea), sig(idle), sig(0)},
+			[]string{mode.name + " / PSA", sig(res.PSAArea[0]), sig(0), sig(0), sig(res.PSAWaste[0])})
 	}
-	var b strings.Builder
-	b.WriteString("# ")
-	for i, h := range header {
-		fmt.Fprintf(&b, "%-*s  ", width[i], h)
-	}
-	b.WriteString("\n")
-	for _, r := range rows {
-		b.WriteString("  ")
-		for i, c := range r {
-			fmt.Fprintf(&b, "%-*s  ", width[i], c)
-		}
-		b.WriteString("\n")
-	}
-	return b.String()
+	return rep, nil
 }

@@ -16,12 +16,12 @@ import (
 	"coormv2/internal/view"
 )
 
-// NetChaosConfig parametrizes the wire-resilience scenario: a sequential
+// netChaosConfig parametrizes the wire-resilience scenario: a sequential
 // job stream driven over a real TCP connection through a netchaos proxy
 // that severs, partitions, half-opens, and delays the wire on a seeded
 // schedule. Unlike the simulator experiments this one runs on the wall
 // clock — it measures the actual transport, not a model of it.
-type NetChaosConfig struct {
+type netChaosConfig struct {
 	// Seed drives the fault plan and the client's backoff jitter.
 	Seed int64
 	// Jobs is the number of sequential request→start→done cycles.
@@ -38,8 +38,8 @@ type NetChaosConfig struct {
 	Grace time.Duration
 }
 
-// NetChaosResult is one scenario run's outcome.
-type NetChaosResult struct {
+// netChaosResult is one scenario run's outcome.
+type netChaosResult struct {
 	Completed  int     // jobs that finished (must equal cfg.Jobs)
 	Reconnects int     // transparent session resumes (resume mode)
 	Resubmits  int     // sessions re-dialed from scratch (replay mode)
@@ -93,9 +93,9 @@ func (a *netApp) dupStarts() int {
 	return n
 }
 
-// RunNetChaos drives the scenario over real sockets and returns the
+// runNetChaos drives the scenario over real sockets and returns the
 // measured outcome.
-func RunNetChaos(cfg NetChaosConfig) (*NetChaosResult, error) {
+func runNetChaos(cfg netChaosConfig) (*netChaosResult, error) {
 	if cfg.Jobs <= 0 {
 		cfg.Jobs = 8
 	}
@@ -129,7 +129,7 @@ func RunNetChaos(cfg NetChaosConfig) (*NetChaosResult, error) {
 	defer p.Close()
 
 	plan := netchaos.Plan(cfg.Faults)
-	res := &NetChaosResult{TraceHash: chaos.Hash(plan)}
+	res := &netChaosResult{TraceHash: chaos.Hash(plan)}
 
 	opts := transport.Options{
 		Reconnect:         cfg.Resume,

@@ -21,7 +21,7 @@ func TestNetChaosResumeLosesNothing(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock scenario")
 	}
-	res, err := RunNetChaos(NetChaosConfig{
+	res, err := runNetChaos(netChaosConfig{
 		Seed: 1, Jobs: 5, Resume: true,
 		Faults: netChaosFaults(1),
 		Grace:  10 * time.Second,
@@ -51,7 +51,7 @@ func TestNetChaosReplayBaselineCompletes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock scenario")
 	}
-	res, err := RunNetChaos(NetChaosConfig{
+	res, err := runNetChaos(netChaosConfig{
 		Seed: 1, Jobs: 5, Resume: false,
 		Faults: netChaosFaults(1),
 	})

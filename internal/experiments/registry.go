@@ -115,128 +115,6 @@ func hex16(v uint64) string            { return fmt.Sprintf("%016x", v) }
 
 var itoa = strconv.Itoa
 
-func fig1Exp(o Options) (*Report, error) {
-	sc := o.scale()
-	profiles := Fig1(Fig1Config{
-		Seeds: []int64{o.Seed, o.Seed + 1, o.Seed + 2, o.Seed + 3},
-		Steps: sc.steps,
-	})
-	rep := &Report{Name: "fig1", Header: []string{"step"}}
-	for _, p := range profiles {
-		rep.Header = append(rep.Header, fmt.Sprintf("seed%d", p.Seed))
-	}
-	for i := 0; i < sc.steps; i++ {
-		row := []string{itoa(i)}
-		for _, p := range profiles {
-			row = append(row, fixed(p.Series[i], 1))
-		}
-		rep.Rows = append(rep.Rows, row)
-	}
-	return rep, nil
-}
-
-// table builds a report with one row per result.
-func table[R any](name string, notes, header []string, results []R, cols func(R) []string) *Report {
-	rep := &Report{Name: name, Notes: notes, Header: header}
-	for _, r := range results {
-		rep.Rows = append(rep.Rows, cols(r))
-	}
-	return rep
-}
-
-func fig2Exp(o Options) (*Report, error) {
-	res, err := Fig2(o.Seed, 0.05)
-	if err != nil {
-		return nil, err
-	}
-	notes := []string{
-		fmt.Sprintf("fitted: A=%.4g B=%.4g C=%.4g D=%.4g (paper: A=7.26e-3 B=1.23e-4 C=1.13e-6 D=1.38)",
-			res.Fitted.A, res.Fitted.B, res.Fitted.C, res.Fitted.D),
-		fmt.Sprintf("max relative error: %.2f%% (paper: <15%%)", 100*res.MaxRelError),
-	}
-	return table("fig2", notes, []string{"nodes", "size-GiB", "measured-s", "model-s"}, res.Rows,
-		func(r Fig2Row) []string {
-			return []string{itoa(r.Nodes), fixed(r.SizeMiB/1024, 0), fixed(r.Measured, 3), fixed(r.Predicted, 3)}
-		}), nil
-}
-
-func fig3Exp(o Options) (*Report, error) {
-	return table("fig3", nil, []string{"target-eff", "n_eq", "end-time-increase-%"}, Fig3(o.Seed, o.scale().steps, nil),
-		func(r Fig3Row) []string {
-			return []string{fixed(r.TargetEff, 2), itoa(r.Neq), fixed(r.EndTimeIncreasePct, 3)}
-		}), nil
-}
-
-func fig4Exp(o Options) (*Report, error) {
-	return table("fig4", nil, []string{"rel-size", "min-nodes(mem)", "max-nodes(area)", "feasible"}, Fig4(o.Seed, o.scale().steps, nil, 0),
-		func(r Fig4Row) []string {
-			return []string{sig(r.RelativeSize), itoa(r.MinNodes), itoa(r.MaxNodes), strconv.FormatBool(r.Feasible)}
-		}), nil
-}
-
-func fig9Exp(o Options) (*Report, error) {
-	sc := o.scale()
-	rows, err := Fig9(Fig9Config{Seed: o.Seed, Steps: sc.steps, Smax: sc.smax, PSATaskDur: sc.psa1})
-	return table("fig9", nil, []string{"overcommit", "nodes", "static-node·s", "dynamic-node·s", "psa-waste-node·s"}, rows,
-		func(r Fig9Row) []string {
-			return []string{fixed(r.Overcommit, 3), itoa(r.Nodes), sig(r.StaticArea), sig(r.DynamicArea), sig(r.PSAWaste)}
-		}), err
-}
-
-func fig10Exp(o Options) (*Report, error) {
-	sc := o.scale()
-	rows, err := Fig10(Fig10Config{
-		AnnounceIntervals: sc.announces,
-		Seed:              o.Seed, Steps: sc.steps, Smax: sc.smax, PSATaskDur: sc.psa1,
-	})
-	return table("fig10", nil, []string{"announce-s", "amr-endtime-increase-%", "psa-waste-%", "used-resources-%"}, rows,
-		func(r Fig10Row) []string {
-			return []string{
-				fixed(r.AnnounceInterval, 0), fixed(r.EndTimeIncreasePct, 2),
-				fixed(r.PSAWastePct, 2), fixed(r.UsedResourcesPct, 2),
-			}
-		}), err
-}
-
-func fig11Exp(o Options) (*Report, error) {
-	sc := o.scale()
-	seeds := make([]int64, len(sc.seeds))
-	for i, s := range sc.seeds {
-		seeds[i] = s + o.Seed - 1
-	}
-	rows, err := Fig11(Fig11Config{
-		AnnounceIntervals: sc.announces,
-		Seeds:             seeds,
-		Steps:             sc.steps, Smax: sc.smax,
-		PSA1TaskDur: sc.psa1, PSA2TaskDur: sc.psa2,
-	})
-	return table("fig11", nil, []string{"announce-s", "filling-used-%", "strict-used-%"}, rows,
-		func(r Fig11Row) []string {
-			return []string{fixed(r.AnnounceInterval, 0), fixed(r.FillingPct, 2), fixed(r.StrictPct, 2)}
-		}), err
-}
-
-func ablationExp(o Options) (*Report, error) {
-	sc := o.scale()
-	rows, err := AblationPSA(AblationConfig{
-		Seed: o.Seed, Steps: sc.steps, Smax: sc.smax,
-		AnnounceInterval: sc.psa1 / 2, PSATaskDur: sc.psa1,
-	})
-	return table("ablation", nil, []string{"variant", "psa-waste-node·s", "used-%", "amr-runtime-s"}, rows,
-		func(r AblationRow) []string {
-			return []string{r.Variant, sig(r.PSAWaste), fixed(r.UsedResourcesPct, 2), fixed(r.AMRRuntime, 0)}
-		}), err
-}
-
-func accountingExp(o Options) (*Report, error) {
-	sc := o.scale()
-	rows, err := Accounting(o.Seed, sc.steps, sc.smax, sc.psa1)
-	return table("accounting", nil, []string{"application", "used-node·s", "pre-alloc-node·s", "reserved-idle-node·s", "waste-node·s"}, rows,
-		func(r AccountingRow) []string {
-			return []string{r.App, sig(r.UsedArea), sig(r.PreAllocArea), sig(r.ReservedIdle), sig(r.Waste)}
-		}), err
-}
-
 // synthetic draws a seeded rigid trace with the power-of-two bias every
 // experiment uses.
 func synthetic(seed int64, jobs, maxNodes int, meanInterArr, meanRuntime float64) []workload.Job {
@@ -588,10 +466,10 @@ func netChaosExp(o Options) (*Report, error) {
 			"lost-acks", "dup-starts", "recover-p50-ms", "recover-p99-ms",
 			"elapsed-s", "trace-hash"},
 	}
-	var variants []NetChaosConfig
+	var variants []netChaosConfig
 	for _, resume := range []bool{true, false} {
 		for s := o.Seed; s < o.Seed+2; s++ {
-			variants = append(variants, NetChaosConfig{
+			variants = append(variants, netChaosConfig{
 				Seed: s, Jobs: o.NetJobs, Resume: resume,
 				Faults: netchaos.Config{
 					Seed:        s,
@@ -604,10 +482,10 @@ func netChaosExp(o Options) (*Report, error) {
 			})
 		}
 	}
-	// RunNetChaos keeps a registry of its own; the first run's snapshot is
+	// runNetChaos keeps a registry of its own; the first run's snapshot is
 	// the one reported.
-	return sweep(rep, variants, 0, func(cfg NetChaosConfig, _ *obs.Registry) ([][]string, *obs.Snapshot, error) {
-		res, err := RunNetChaos(cfg)
+	return sweep(rep, variants, 0, func(cfg netChaosConfig, _ *obs.Registry) ([][]string, *obs.Snapshot, error) {
+		res, err := runNetChaos(cfg)
 		if err != nil {
 			return nil, nil, err
 		}

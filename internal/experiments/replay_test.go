@@ -3,6 +3,7 @@ package experiments
 import (
 	"testing"
 
+	"coormv2/internal/apps"
 	"coormv2/internal/chaos"
 	"coormv2/internal/federation"
 	"coormv2/internal/stats"
@@ -95,52 +96,45 @@ func TestReplayValidation(t *testing.T) {
 }
 
 func TestAccounting(t *testing.T) {
-	rows, err := Accounting(1, 60, 50*1024, 60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 4 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	static, dynamic := rows[0], rows[2]
+	static := mustRunScenario(t, figScenario(1, 2, apps.NEAStatic, 0, 60))
+	dynamic := mustRunScenario(t, figScenario(1, 2, apps.NEADynamic, 0, 60))
 	// Static: everything reserved is used (that is its inefficiency).
-	if static.ReservedIdle != 0 {
-		t.Errorf("static reserved-idle = %v, want 0", static.ReservedIdle)
+	if idle := max(static.AMRPreAllocArea-static.AMRArea, 0); idle != 0 {
+		t.Errorf("static reserved-idle = %v, want 0", idle)
 	}
 	// Dynamic: substantial idle reservation, which the PSA filled.
-	if dynamic.ReservedIdle <= 0 {
+	if dynamic.AMRPreAllocArea-dynamic.AMRArea <= 0 {
 		t.Error("dynamic should have idle reservation")
 	}
-	if dynamic.UsedArea >= static.UsedArea {
+	if dynamic.AMRArea >= static.AMRArea {
 		t.Errorf("dynamic used %v should undercut static %v at overcommit 2",
-			dynamic.UsedArea, static.UsedArea)
+			dynamic.AMRArea, static.AMRArea)
 	}
-	dynPSA := rows[3]
-	if dynPSA.UsedArea <= 0 {
+	if dynamic.PSAArea[0] <= 0 {
 		t.Error("the PSA should have filled the dynamic AMR's idle reservation")
 	}
 }
 
 func TestAblationPSA(t *testing.T) {
-	rows, err := AblationPSA(AblationConfig{
-		Seed: 1, Steps: 60, Smax: 50 * 1024,
-		AnnounceInterval: 90, PSATaskDur: 60,
-	})
-	if err != nil {
-		t.Fatal(err)
+	var waste []float64
+	for _, hook := range []func(*apps.PSA){
+		nil,
+		func(p *apps.PSA) { p.SetNoGraceful(true) },
+		func(p *apps.PSA) { p.SetIgnoreWindows(true) },
+		func(p *apps.PSA) { p.SetNoGraceful(true); p.SetIgnoreWindows(true) },
+	} {
+		cfg := figScenario(1, 1, apps.NEADynamic, 90, 60)
+		cfg.PSAHook = hook
+		waste = append(waste, mustRunScenario(t, cfg).PSAWaste[0])
 	}
-	if len(rows) != 4 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	full := rows[0]
-	noGrace := rows[1]
+	full, noGrace := waste[0], waste[1]
 	// With notice ≥ d_task the full PSA wastes nothing; without graceful
 	// release it must kill tasks at every reclamation.
-	if full.PSAWaste > 1 {
-		t.Errorf("full variant waste = %v, want ≈ 0", full.PSAWaste)
+	if full > 1 {
+		t.Errorf("full variant waste = %v, want ≈ 0", full)
 	}
-	if noGrace.PSAWaste <= full.PSAWaste {
+	if noGrace <= full {
 		t.Errorf("disabling graceful release should increase waste: %v vs %v",
-			noGrace.PSAWaste, full.PSAWaste)
+			noGrace, full)
 	}
 }

@@ -35,7 +35,7 @@ func (r *Report) Text() string {
 		b.WriteString(n)
 		b.WriteByte('\n')
 	}
-	b.WriteString(FormatTable(r.Header, r.Rows))
+	b.WriteString(formatTable(r.Header, r.Rows))
 	return b.String()
 }
 
@@ -48,4 +48,31 @@ func (r *Report) JSON() ([]byte, error) {
 		return nil, fmt.Errorf("experiments: encoding report %q: %w", r.Name, err)
 	}
 	return append(js, '\n'), nil
+}
+
+// formatTable renders rows of columns as an aligned text table with a
+// "# "-prefixed header, the format the paper's gnuplot scripts consume.
+func formatTable(header []string, rows [][]string) string {
+	width := make([]int, len(header))
+	for _, r := range append([][]string{header}, rows...) {
+		for i, c := range r {
+			if i < len(width) {
+				width[i] = max(width[i], len(c))
+			}
+		}
+	}
+	var b strings.Builder
+	b.WriteString("# ")
+	for i, h := range header {
+		fmt.Fprintf(&b, "%-*s  ", width[i], h)
+	}
+	b.WriteString("\n")
+	for _, r := range rows {
+		b.WriteString("  ")
+		for i, c := range r {
+			fmt.Fprintf(&b, "%-*s  ", width[i], c)
+		}
+		b.WriteString("\n")
+	}
+	return b.String()
 }

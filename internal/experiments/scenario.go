@@ -1,5 +1,5 @@
 // Package experiments reproduces the paper's evaluation (§5): every figure
-// with quantitative content has a runner that regenerates its data from the
+// with quantitative content has a preset that regenerates its data from the
 // discrete-event simulation. The per-experiment index is the Experiments
 // table (registry.go); measured numbers live in PERFORMANCE.md.
 package experiments
@@ -16,12 +16,10 @@ import (
 	"coormv2/internal/view"
 )
 
-// Cluster is the single large homogeneous cluster of the resource model
-// (§5.1.3).
-const Cluster = view.ClusterID("cluster")
-
 // ScenarioConfig describes one simulated run: one AMR application plus any
-// number of PSAs on one cluster.
+// number of PSAs on one cluster of exactly the AMR's pre-allocation size
+// ceil(κ·n_eq) (§5.1.3: "for an overcommit factor of κ, having n = 1400·κ is
+// sufficient").
 type ScenarioConfig struct {
 	// Seed drives the AMR profile generation.
 	Seed int64
@@ -42,13 +40,9 @@ type ScenarioConfig struct {
 	PSATaskDurations []float64
 	// Policy selects the preemptible division policy (Fig. 11).
 	Policy core.PreemptPolicy
-	// Nodes overrides the cluster size; 0 sizes it like the paper:
-	// "for an overcommit factor of κ, having n = 1400·κ is sufficient" —
-	// we use exactly the pre-allocation size ceil(κ·n_eq).
-	Nodes int
 	// PSAHook, when set, customizes each PSA right after creation
-	// (diagnostics, test instrumentation).
-	PSAHook func(index int, p *apps.PSA)
+	// (the ablation preset's switches, diagnostics, test instrumentation).
+	PSAHook func(p *apps.PSA)
 	// Shards, when positive, runs the scenario through a
 	// federation.Federator with that many shards instead of a single
 	// rms.Server. The scenario has one cluster, so the federation clamps to
@@ -99,21 +93,13 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 	params := amr.DefaultParams
 	profile := amr.GenerateProfile(stats.NewRand(cfg.Seed), cfg.Steps, cfg.Smax)
 	neq, _ := params.EquivalentStatic(profile, cfg.TargetEff)
-	pre := int(math.Ceil(cfg.Overcommit * float64(neq)))
-	if pre < 1 {
-		pre = 1
-	}
-	nodes := cfg.Nodes
-	if nodes == 0 {
-		nodes = pre
-	}
-	if nodes < pre {
-		return nil, fmt.Errorf("experiments: %d nodes cannot hold a %d-node pre-allocation", nodes, pre)
-	}
+	pre := max(int(math.Ceil(cfg.Overcommit*float64(neq))), 1)
 
-	env := buildRMS([]view.ClusterID{Cluster}, nodes, cfg.Shards, federation.Config{Policy: cfg.Policy})
+	// The single large homogeneous cluster of the resource model (§5.1.3).
+	const cluster = view.ClusterID("cluster")
+	env := buildRMS([]view.ClusterID{cluster}, pre, cfg.Shards, federation.Config{Policy: cfg.Policy})
 	nea := apps.NewNEA(env.clk, apps.NEAConfig{
-		Cluster: Cluster, Profile: profile, Params: params,
+		Cluster: cluster, Profile: profile, Params: params,
 		TargetEff: cfg.TargetEff, PreAllocN: pre, Mode: cfg.Mode,
 		AnnounceInterval: cfg.AnnounceInterval,
 	})
@@ -130,11 +116,7 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 	psas := make([]*apps.PSA, len(cfg.PSATaskDurations))
 	psaIDs := make([]int, len(cfg.PSATaskDurations))
 	for i, d := range cfg.PSATaskDurations {
-		var hook func(*apps.PSA)
-		if cfg.PSAHook != nil {
-			hook = func(p *apps.PSA) { cfg.PSAHook(i, p) }
-		}
-		psas[i], psaIDs[i] = env.attachPSA(Cluster, d, hook)
+		psas[i], psaIDs[i] = env.attachPSA(cluster, d, cfg.PSAHook)
 	}
 
 	// 10^7 simulated seconds aborts a runaway scenario.
@@ -161,7 +143,7 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 
 	makespan := nea.EndTime
 	res := &ScenarioResult{
-		Nodes:           nodes,
+		Nodes:           pre,
 		Neq:             neq,
 		AMRArea:         env.agg.Area(neaSess.AppID(), makespan),
 		AMRRuntime:      nea.EndTime - nea.StartTime,
@@ -173,6 +155,6 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 		res.PSAArea = append(res.PSAArea, env.agg.Area(psaIDs[i], makespan))
 		res.PSAWaste = append(res.PSAWaste, p.Waste())
 	}
-	res.UsedFraction = env.agg.UsedFraction(nodes, makespan)
+	res.UsedFraction = env.agg.UsedFraction(pre, makespan)
 	return res, nil
 }

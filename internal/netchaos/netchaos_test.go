@@ -215,8 +215,8 @@ func TestProxyDelay(t *testing.T) {
 // for their two ends to be told apart by the timer: whatever order the
 // runtime fires them in, every fault must be over once the plan is, and the
 // proxy forwards again. (With the end armed independently of the start, an
-// end that overtook its start left the fault on for good — RunNetChaos then
-// sat out its 30 s reconnect window on a loaded box.)
+// end that overtook its start left the fault on for good — the netchaos
+// experiment then sat out its 30 s reconnect window on a loaded box.)
 func TestPlanFaultsAlwaysClear(t *testing.T) {
 	backend, closeBackend := echoServer(t)
 	defer closeBackend()

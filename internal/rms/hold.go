@@ -38,7 +38,7 @@ type HoldInfo struct {
 
 // HoldID admits a tentative hold under the coordinator's ID: a request that
 // reserves schedule capacity no earlier than notBefore but can never start.
-// ID and observe are as for RequestID.
+// ID and observe are as for RequestID; a floor needs a FREE spec.
 func (sess *Session) HoldID(spec RequestSpec, id request.ID, notBefore float64, observe func()) error {
 	if id <= 0 {
 		return fmt.Errorf("rms: request ID %d must be positive", id)
@@ -104,7 +104,11 @@ func (sess *Session) ReleaseHold(id request.ID) error {
 	return nil
 }
 
-// SetNotBefore adjusts the persistent start-time floor of an unstarted
+// reasonRelatedFloor refuses a NotBefore floor on a NEXT or COALLOC child,
+// which the scheduler places by its parent (Algorithm 1, fit), not by a floor.
+const reasonRelatedFloor = "cannot take a NotBefore floor: it is a relation child"
+
+// SetNotBefore adjusts the persistent start-time floor of an unstarted FREE
 // request — the cross-shard analogue of fit()'s parent delay: a reservation
 // coordinator pins one leg so the other can align with it. The next round
 // reschedules the request no earlier than t.
@@ -114,6 +118,9 @@ func (sess *Session) SetNotBefore(id request.ID, t float64) error {
 	r, err := sess.liveRequestLocked(id, false)
 	if err == nil && r.Started() {
 		err = errRequest(id, "already started")
+	}
+	if err == nil && r.RelatedHow != request.Free {
+		err = errRequest(id, reasonRelatedFloor)
 	}
 	if err == nil && (math.IsNaN(t) || math.IsInf(t, 0)) {
 		err = errRequest(id, "invalid NotBefore")

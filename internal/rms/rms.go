@@ -693,6 +693,10 @@ func (sess *Session) admit(spec RequestSpec, id request.ID, held bool, notBefore
 	}
 	var parent *request.Request
 	if spec.RelatedHow != request.Free {
+		if notBefore > 0 {
+			s.mu.Unlock()
+			return 0, errRequest(id, reasonRelatedFloor)
+		}
 		parent = sess.findRequestLocked(spec.RelatedTo)
 		if parent == nil {
 			s.mu.Unlock()

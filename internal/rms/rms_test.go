@@ -1,6 +1,7 @@
 package rms
 
 import (
+	"errors"
 	"math"
 	"slices"
 	"testing"
@@ -540,8 +541,47 @@ func TestNotificationOrderIsConnectionOrder(t *testing.T) {
 	mustCheck(t, s)
 }
 
+// TestRelationChildRefusesFloor: a NotBefore floor on a NEXT or COALLOC
+// child is refused, by SetNotBefore and by HoldID alike, because the
+// scheduler places a relation child by its parent and would ignore it. A
+// floor of 0 on a related hold is no floor and is admitted.
+func TestRelationChildRefusesFloor(t *testing.T) {
+	_, s := newTestServer(10)
+	app := &testApp{}
+	app.sess = s.Connect(app)
+	parent, err := app.sess.Request(RequestSpec{Cluster: c0, N: 4, Duration: 100, Type: request.NonPreempt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := map[request.ID]RequestSpec{}
+	for _, how := range []request.Relation{request.Next, request.Coalloc} {
+		spec := RequestSpec{Cluster: c0, N: 2, Duration: 50, Type: request.Preempt, RelatedHow: how, RelatedTo: parent}
+		child, err := app.sess.Request(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs[child] = spec
+	}
+	hold := request.ID(100)
+	for child, spec := range specs {
+		how := spec.RelatedHow
+		var re *RequestError
+		if err := app.sess.SetNotBefore(child, 30); !errors.As(err, &re) || re.ID != child || re.Reason != reasonRelatedFloor {
+			t.Errorf("%v child: SetNotBefore = %v, want a RequestError{%d, %q}", how, err, child, reasonRelatedFloor)
+		}
+		if err := app.sess.HoldID(spec, hold, 30, nil); !errors.As(err, &re) || re.ID != hold || re.Reason != reasonRelatedFloor {
+			t.Errorf("%v hold floored at 30 = %v, want a RequestError{%d, %q}", how, err, hold, reasonRelatedFloor)
+		}
+		if err := app.sess.HoldID(spec, hold+1, 0, nil); err != nil {
+			t.Errorf("%v hold without a floor: %v", how, err)
+		}
+		hold += 2
+	}
+	mustCheck(t, s)
+}
+
 // TestSetNotBeforeFloorsFreePreemptible: SetNotBefore accepts any unstarted
-// request, a FREE preemptible one included. Such a request is shrunk rather
+// FREE request, a preemptible one included. Such a request is shrunk rather
 // than delayed, but its floor still holds its start back.
 func TestSetNotBeforeFloorsFreePreemptible(t *testing.T) {
 	e, s := newTestServer(10)
