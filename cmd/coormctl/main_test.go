@@ -59,7 +59,7 @@ func TestUsageErrorsExit2(t *testing.T) {
 func startDaemon(t *testing.T) (addr, obsAddr string) {
 	clk := clock.NewRealClock()
 	reg := obs.NewRegistry()
-	srv := transport.NewFederatedServer(federation.New(federation.Config{
+	srv := transport.NewServer(federation.New(federation.Config{
 		Clusters:        map[view.ClusterID]int{"a": 32, "b": 32},
 		Shards:          2,
 		ReschedInterval: 0.05,

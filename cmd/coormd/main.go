@@ -9,10 +9,10 @@
 //	coormd -cluster a=64 -cluster b=64 -cluster c=64 -shards 3 -workers 32
 //	coormd -cluster a=64 -pprof 127.0.0.1:6060   # live profiling side listener
 //
-// With -shards > 1 the daemon runs a federated RMS: the cluster set is
-// partitioned across that many independent scheduler shards and every
+// The daemon runs a federated RMS: -shards (default 1) partitions the
+// cluster set across that many independent scheduler shards and every
 // session's requests are routed to the shard owning their target cluster
-// (see internal/federation).
+// (see internal/federation). One shard is the single RMS.
 package main
 
 import (
@@ -33,7 +33,6 @@ import (
 	"coormv2/internal/core"
 	"coormv2/internal/federation"
 	"coormv2/internal/obs"
-	"coormv2/internal/rms"
 	"coormv2/internal/transport"
 	"coormv2/internal/view"
 )
@@ -96,9 +95,8 @@ func (d *daemon) Close() {
 	}
 }
 
-// start parses args, builds the RMS (federated with -shards > 1) and binds
-// the listeners. Logs and errors go to stderr; on failure it returns nil and
-// the exit code.
+// start parses args, builds the federated RMS and binds the listeners. Logs
+// and errors go to stderr; on failure it returns nil and the exit code.
 func start(args []string, stderr io.Writer) (*daemon, int) {
 	logger := log.New(stderr, "", log.LstdFlags)
 	clusters := clusterFlags{}
@@ -109,7 +107,7 @@ func start(args []string, stderr io.Writer) (*daemon, int) {
 		interval = fs.Float64("interval", 1, "re-scheduling interval in seconds (§3.2)")
 		grace    = fs.Float64("grace", 0, "preemption grace period in seconds (0 = 5×interval)")
 		strict   = fs.Bool("strict", false, "use strict equi-partitioning instead of filling")
-		shards   = fs.Int("shards", 1, "scheduler shards; >1 federates the cluster set across independent schedulers")
+		shards   = fs.Int("shards", 1, "scheduler shards the cluster set is partitioned across (1: a single RMS)")
 		workers  = fs.Int("workers", 0, "admission limit: max concurrently served application sessions; further connections wait unserved until one ends (0 = unlimited)")
 		pprofOn  = fs.String("pprof", "", "side listener for net/http/pprof (e.g. 127.0.0.1:6060; empty = off), so scheduling hot paths can be profiled against the live daemon")
 		graceWin = fs.Duration("grace-window", 15*time.Second, "how long a session whose connection dropped survives awaiting a resume (0 = tear down immediately, no resume)")
@@ -137,34 +135,22 @@ func start(args []string, stderr io.Writer) (*daemon, int) {
 		policy = core.StrictEquiPartition
 	}
 	d := &daemon{}
-	topology := clusters.String()
-	if *shards > 1 {
-		fed := federation.New(federation.Config{
-			Clusters:        clusters,
-			Shards:          *shards,
-			ReschedInterval: *interval,
-			GracePeriod:     *grace,
-			Clock:           clk,
-			Policy:          policy,
-			Obs:             reg,
-		})
-		d.srv = transport.NewFederatedServer(fed)
-		var shardDesc []string
-		for i := 0; i < fed.NumShards(); i++ {
-			shardDesc = append(shardDesc, fmt.Sprintf("shard%d=%s",
-				i, clusterFlags(fed.Shard(i).Clusters()).String()))
-		}
-		topology = strings.Join(shardDesc, " ")
-	} else {
-		d.srv = transport.NewServer(rms.NewServer(rms.Config{
-			Clusters:        clusters,
-			ReschedInterval: *interval,
-			GracePeriod:     *grace,
-			Clock:           clk,
-			Policy:          policy,
-			Obs:             reg,
-		}))
+	fed := federation.New(federation.Config{
+		Clusters:        clusters,
+		Shards:          *shards,
+		ReschedInterval: *interval,
+		GracePeriod:     *grace,
+		Clock:           clk,
+		Policy:          policy,
+		Obs:             reg,
+	})
+	d.srv = transport.NewServer(fed)
+	var shardDesc []string
+	for i := 0; i < fed.NumShards(); i++ {
+		shardDesc = append(shardDesc, fmt.Sprintf("shard%d=%s",
+			i, clusterFlags(fed.Shard(i).Clusters()).String()))
 	}
+	topology := strings.Join(shardDesc, " ")
 	d.srv.Logf = logger.Printf
 	d.srv.Workers = *workers
 	d.srv.Grace = *graceWin

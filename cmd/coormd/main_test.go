@@ -58,9 +58,10 @@ func TestUsageErrorsExit2(t *testing.T) {
 }
 
 // TestDefaultClusterWithoutFlag pins that no flag combination hands
-// rms.NewServer or federation.New an empty cluster set or a nil clock (both
-// panic): without -cluster the daemon serves one default cluster, single or
-// federated, on the real clock.
+// federation.New (and through it rms.NewServer) an empty cluster set or a
+// nil clock (both panic): without -cluster the daemon serves one default
+// cluster on one shard, on the real clock, however many shards are asked
+// for.
 func TestDefaultClusterWithoutFlag(t *testing.T) {
 	for _, args := range [][]string{{}, {"-shards", "3"}} {
 		var logs lockedBuffer
@@ -69,8 +70,8 @@ func TestDefaultClusterWithoutFlag(t *testing.T) {
 			t.Fatalf("%v: exit code %d: %s", args, code, logs.String())
 		}
 		d.Close()
-		if !strings.Contains(logs.String(), "default=64") {
-			t.Errorf("%v: startup log names no default cluster:\n%s", args, logs.String())
+		if !strings.Contains(logs.String(), "shard0=default=64") {
+			t.Errorf("%v: startup log names no default cluster on shard 0:\n%s", args, logs.String())
 		}
 	}
 }
@@ -143,19 +144,37 @@ var unchangedCounters = []string{
 	"transport.views_full_frames", "transport.views_delta_frames", "transport.views_bytes",
 }
 
-// TestDaemonServesObs starts a 2-shard daemon with the obs side listener on
-// free ports, drives one rigid job per shard through it the way `coormctl
+// TestDaemonServesObs starts a daemon over clusters a and b with the obs
+// side listener on free ports — on its default single shard, and on two
+// shards — drives one rigid job per cluster through it the way `coormctl
 // run` does, and checks both export surfaces: /metrics is Prometheus 0.0.4
 // text with TYPE lines and coorm_-prefixed histogram samples, /debug/obs is
 // the JSON snapshot with counters, histograms and events, every counter key
-// the daemon served before the counters moved is still served, and a shard's
-// start event quotes the request ID the client was given.
+// the daemon served before the counters moved is still served under its
+// shard's prefix, and the start event of b's job quotes the request ID the
+// client was given.
 func TestDaemonServesObs(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		flags []string
+		// topology matches the startup log's shard list; owners are the
+		// shards owning a and b.
+		topology string
+		owners   []string
+	}{
+		{"default", nil, `serving shard0=(a=32,b=32|b=32,a=32) on `, []string{"shard0", "shard0"}},
+		{"shards=2", []string{"-shards", "2"}, `serving shard0=a=32 shard1=b=32 on `, []string{"shard0", "shard1"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { testDaemonServesObs(t, tc.flags, tc.topology, tc.owners) })
+	}
+}
+
+func testDaemonServesObs(t *testing.T, flags []string, topology string, owners []string) {
 	var logs lockedBuffer
-	d, code := start([]string{
+	d, code := start(append([]string{
 		"-listen", "127.0.0.1:0", "-pprof", "127.0.0.1:0",
-		"-cluster", "a=32", "-cluster", "b=32", "-shards", "2", "-interval", "0.05",
-	}, &logs)
+		"-cluster", "a=32", "-cluster", "b=32", "-interval", "0.05",
+	}, flags...), &logs)
 	if d == nil {
 		t.Fatalf("start: exit code %d: %s", code, logs.String())
 	}
@@ -167,7 +186,7 @@ func TestDaemonServesObs(t *testing.T) {
 			t.Errorf("Serve after Close: %v", err)
 		}
 	}()
-	if !strings.Contains(logs.String(), "shard0=a=32 shard1=b=32") {
+	if !regexp.MustCompile(topology).MatchString(logs.String()) {
 		t.Errorf("startup log does not describe the topology:\n%s", logs.String())
 	}
 
@@ -177,8 +196,8 @@ func TestDaemonServesObs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	// One job on each shard: the second is shard1's first admission, so its
-	// ID differs from shard1's admission sequence.
+	// One job on each cluster: on two shards the second is shard1's first
+	// admission, so its ID differs from shard1's admission sequence.
 	var onB request.ID
 	for _, cid := range []view.ClusterID{"a", "b"} {
 		id, err := c.Request(rms.RequestSpec{Cluster: cid, N: 4, Duration: 0.1, Type: request.NonPreempt})
@@ -234,11 +253,22 @@ func TestDaemonServesObs(t *testing.T) {
 		}
 	}
 	for _, key := range want {
-		for _, shard := range []string{"shard0", "shard1"} {
+		for _, shard := range owners {
 			k := strings.Replace(key, "shard0", shard, 1)
 			if _, ok := snap.Counters[k]; !ok {
 				t.Errorf("/debug/obs serves no counter %q", k)
 			}
+		}
+	}
+	// The counters of a shard are only ever served under its prefix.
+	for k := range snap.Counters {
+		if strings.HasPrefix(k, "rms.") || strings.HasPrefix(k, "sched.") {
+			t.Errorf("/debug/obs serves the unprefixed shard counter %q", k)
+		}
+	}
+	for _, k := range []string{"fed.killed_sessions", "fed.migrated_clusters"} {
+		if _, ok := snap.Counters[k]; !ok {
+			t.Errorf("/debug/obs serves no federation counter %q", k)
 		}
 	}
 	for old := range renamedCounters {
@@ -248,18 +278,24 @@ func TestDaemonServesObs(t *testing.T) {
 	}
 	quoted := false
 	for _, ev := range snap.Events {
-		if ev.Type == obs.EvStart && ev.Shard == "shard1" {
+		if ev.Type == obs.EvStart && ev.Shard == owners[1] && ev.Cluster == "b" {
 			quoted = true
 			if ev.Request != int(onB) {
-				t.Errorf("shard1 start event quotes request %d, the client holds %d", ev.Request, onB)
+				t.Errorf("%s start event on b quotes request %d, the client holds %d", owners[1], ev.Request, onB)
 			}
 		}
 	}
 	if !quoted {
-		t.Errorf("no start event from shard1 among %d events", len(snap.Events))
+		t.Errorf("no start event on b from %s among %d events", owners[1], len(snap.Events))
 	}
-	if got := snap.Counters["shard0.rms.churn_requests"]; got != 1 {
-		t.Errorf("shard0.rms.churn_requests = %d after one request on cluster a, want 1", got)
+	churn := map[string]int64{}
+	for _, shard := range owners {
+		churn[shard]++
+	}
+	for shard, want := range churn {
+		if got := snap.Counters[shard+".rms.churn_requests"]; got != want {
+			t.Errorf("%s.rms.churn_requests = %d after %d requests on its clusters, want %d", shard, got, want, want)
+		}
 	}
 	if got := snap.Counters["transport.sessions"]; got != 1 {
 		t.Errorf("transport.sessions = %d, want 1", got)

@@ -12,7 +12,8 @@
 // This package is a thin facade over the implementation packages:
 //
 //   - internal/core       — the scheduling algorithms (Algorithms 1–4)
-//   - internal/rms        — the RMS server (sessions, node IDs, timers)
+//   - internal/rms        — one scheduler shard (sessions, node IDs, timers)
+//   - internal/federation — the RMS: the cluster set over one or more shards
 //   - internal/transport  — TCP daemon + client (JSON protocol)
 //   - internal/sim        — discrete-event engine
 //   - internal/amr        — the AMR application model of §2
@@ -36,6 +37,7 @@ import (
 	"coormv2/internal/amr"
 	"coormv2/internal/clock"
 	"coormv2/internal/core"
+	"coormv2/internal/federation"
 	"coormv2/internal/metrics"
 	"coormv2/internal/request"
 	"coormv2/internal/rms"
@@ -84,12 +86,13 @@ const (
 
 // Server-side types.
 type (
-	// Server is a CooRMv2 RMS instance.
-	Server = rms.Server
+	// Server is a CooRMv2 RMS instance: a federation of scheduler shards,
+	// one by default (the single RMS).
+	Server = federation.Federator
 	// ServerConfig parametrizes a Server.
-	ServerConfig = rms.Config
+	ServerConfig = federation.Config
 	// Session is one application's connection.
-	Session = rms.Session
+	Session = federation.Session
 	// AppHandler receives RMS→application notifications.
 	AppHandler = rms.AppHandler
 	// Recorder accumulates evaluation metrics.
@@ -98,8 +101,8 @@ type (
 	Clock = clock.Clock
 )
 
-// NewServer creates an RMS server (see rms.Config for the knobs).
-func NewServer(cfg ServerConfig) *Server { return rms.NewServer(cfg) }
+// NewServer creates an RMS server (see federation.Config for the knobs).
+func NewServer(cfg ServerConfig) *Server { return federation.New(cfg) }
 
 // NewRecorder creates a metrics recorder.
 func NewRecorder() *Recorder { return metrics.NewRecorder() }
@@ -139,21 +142,21 @@ type Simulation struct {
 }
 
 // SimOption customizes NewSimulation.
-type SimOption func(*rms.Config)
+type SimOption func(*ServerConfig)
 
 // WithPolicy selects the preemptible division policy.
 func WithPolicy(p PreemptPolicy) SimOption {
-	return func(c *rms.Config) { c.Policy = p }
+	return func(c *ServerConfig) { c.Policy = p }
 }
 
 // WithReschedInterval sets the §3.2 re-scheduling interval (default 1 s).
 func WithReschedInterval(d float64) SimOption {
-	return func(c *rms.Config) { c.ReschedInterval = d }
+	return func(c *ServerConfig) { c.ReschedInterval = d }
 }
 
 // WithClip limits every application's non-preemptive view (§3.2).
 func WithClip(v View) SimOption {
-	return func(c *rms.Config) { c.Clip = v }
+	return func(c *ServerConfig) { c.Clip = v }
 }
 
 // NewSimulation creates a simulated CooRMv2 deployment with the given
@@ -161,16 +164,16 @@ func WithClip(v View) SimOption {
 func NewSimulation(clusters map[ClusterID]int, opts ...SimOption) *Simulation {
 	e := sim.NewEngine()
 	rec := metrics.NewRecorder()
-	cfg := rms.Config{
+	cfg := ServerConfig{
 		Clusters:        clusters,
 		ReschedInterval: 1,
 		Clock:           clock.SimClock{E: e},
-		Metrics:         rec,
+		Metrics:         func(int) *Recorder { return rec },
 	}
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	return &Simulation{Engine: e, Server: rms.NewServer(cfg), Metrics: rec}
+	return &Simulation{Engine: e, Server: federation.New(cfg), Metrics: rec}
 }
 
 // Clock returns the simulation's clock, for wiring application drivers.

@@ -12,11 +12,22 @@ type facadeApp struct {
 	views  int
 	starts map[request.ID][]int
 	killed string
+	// npMax is the largest node count any non-preemptive view showed on c0.
+	npMax int
 }
 
 func newFacadeApp() *facadeApp { return &facadeApp{starts: map[request.ID][]int{}} }
 
-func (a *facadeApp) OnViews(_, _ view.View)               { a.views++ }
+func (a *facadeApp) OnViews(np, _ view.View) {
+	a.views++
+	if f, ok := np.Lookup("c0"); ok {
+		for i := range f.Len() {
+			_, n := f.At(i)
+			a.npMax = max(a.npMax, n)
+		}
+	}
+}
+
 func (a *facadeApp) OnStart(id request.ID, nodeIDs []int) { a.starts[id] = nodeIDs }
 func (a *facadeApp) OnKill(reason string)                 { a.killed = reason }
 
@@ -49,16 +60,19 @@ func TestSimulationOptions(t *testing.T) {
 		WithReschedInterval(0.5),
 		WithClip(View{}.AddRect("c0", 0, 1e9, 4)),
 	)
-	if sim.Server.Scheduler().Policy() != StrictEquiPartition {
+	if sim.Server.Shard(0).Scheduler().Policy() != StrictEquiPartition {
 		t.Error("policy option not applied")
 	}
-	// The clip caps what any application can see non-preemptively.
+	// The clip caps what any application can see non-preemptively: 4 of
+	// the cluster's 10 nodes.
 	app := newFacadeApp()
-	sess := sim.Server.Connect(app)
-	_ = sess
+	sim.Server.Connect(app)
 	sim.Run(2)
 	if app.views == 0 {
 		t.Fatal("no views")
+	}
+	if app.npMax == 0 || app.npMax > 4 {
+		t.Errorf("non-preemptive view on c0 peaks at %d nodes, want 1..4 under the clip", app.npMax)
 	}
 }
 

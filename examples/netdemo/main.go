@@ -87,7 +87,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Clusters:        map[coormv2.ClusterID]int{cluster: 16},
 		ReschedInterval: 0.05,
 		Clock:           coormv2.NewRealClock(),
-		Metrics:         coormv2.NewRecorder(),
 	}))
 	addr, err := daemon.Listen("127.0.0.1:0")
 	if err != nil {

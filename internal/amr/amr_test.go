@@ -30,6 +30,40 @@ func TestStepTimePanicsOnBadN(t *testing.T) {
 	DefaultParams.StepTime(0, 100)
 }
 
+// TestStepTimeCallersPassPositiveNodes pins that StepTime's n < 1 panic is
+// unreachable from a flag, a trace or a socket: every node count a caller
+// hands it is a Fig2Nodes constant, a NodesForEfficiency or
+// EquivalentStatic answer, or an NEA's allocation, clamped into
+// [1, PreAllocN] after Submit refused PreAllocN < 1 (apps
+// TestNEAErrOnBadSubmit). The answers stay ≥ 1 at every extreme of size
+// and target efficiency, the out-of-range ones included.
+func TestStepTimeCallersPassPositiveNodes(t *testing.T) {
+	for _, n := range Fig2Nodes {
+		if n < 1 {
+			t.Errorf("Fig2Nodes holds %d", n)
+		}
+	}
+	p := DefaultParams
+	for _, s := range []float64{0, 1e-9, 1, DefaultSmax, 1e15, math.Inf(1), math.NaN()} {
+		for _, et := range []float64{1e-12, 0.5, 0.75, 1, 2, math.Inf(1), math.NaN()} {
+			if n := p.NodesForEfficiency(s, et); n < 1 {
+				t.Errorf("NodesForEfficiency(%g, %g) = %d", s, et, n)
+			}
+		}
+	}
+	pr := GenerateProfile(stats.NewRand(1), 20, DefaultSmax)
+	for _, et := range []float64{1e-12, 0.75, 1, 2} {
+		for i, n := range p.DynamicAllocation(pr, et) {
+			if n < 1 {
+				t.Errorf("DynamicAllocation(et=%g)[%d] = %d", et, i, n)
+			}
+		}
+		if n, _ := p.EquivalentStatic(pr, et); n < 1 {
+			t.Errorf("EquivalentStatic(et=%g) = %d", et, n)
+		}
+	}
+}
+
 func TestEfficiencyProperties(t *testing.T) {
 	p := DefaultParams
 	if e := p.Efficiency(1, DefaultSmax); math.Abs(e-1) > 1e-12 {

@@ -18,9 +18,9 @@ import (
 	"coormv2/internal/view"
 )
 
-// Session is the application-side handle to the RMS. Both *rms.Session
-// (in-process, used by the simulator) and *transport.Client (TCP) satisfy
-// it.
+// Session is the application-side handle to the RMS. Both
+// *federation.Session (in-process, used by the simulator) and
+// *transport.Client (TCP) satisfy it.
 type Session interface {
 	Request(spec rms.RequestSpec) (request.ID, error)
 	Done(id request.ID, released []int) error

@@ -7,6 +7,7 @@ import (
 	"coormv2/internal/amr"
 	"coormv2/internal/clock"
 	"coormv2/internal/core"
+	"coormv2/internal/federation"
 	"coormv2/internal/metrics"
 	"coormv2/internal/rms"
 	"coormv2/internal/sim"
@@ -18,29 +19,29 @@ import (
 const c0 = view.ClusterID("c0")
 
 // Compile-time check: the in-process RMS session satisfies apps.Session.
-var _ Session = (*rms.Session)(nil)
+var _ Session = (*federation.Session)(nil)
 
 type env struct {
 	e   *sim.Engine
-	srv *rms.Server
+	srv *federation.Federator
 	rec *metrics.Recorder
 }
 
 func newEnv(nodes int, policy core.PreemptPolicy) *env {
 	e := sim.NewEngine()
 	rec := metrics.NewRecorder()
-	srv := rms.NewServer(rms.Config{
+	srv := federation.New(federation.Config{
 		Clusters:        map[view.ClusterID]int{c0: nodes},
 		ReschedInterval: 1,
 		Clock:           clock.SimClock{E: e},
 		Policy:          policy,
-		Metrics:         rec,
+		Metrics:         func(int) *metrics.Recorder { return rec },
 	})
 	return &env{e: e, srv: srv, rec: rec}
 }
 
 // connect wires an application to the server.
-func (v *env) connect(h rms.AppHandler, b interface{ Attach(Session) }) *rms.Session {
+func (v *env) connect(h rms.AppHandler, b interface{ Attach(Session) }) *federation.Session {
 	sess := v.srv.Connect(h)
 	b.Attach(sess)
 	return sess

@@ -7,7 +7,11 @@ import (
 
 	"coormv2/internal/apps"
 	"coormv2/internal/core"
+	"coormv2/internal/federation"
+	"coormv2/internal/request"
+	"coormv2/internal/rms"
 	"coormv2/internal/stats"
+	"coormv2/internal/transport"
 	"coormv2/internal/workload"
 )
 
@@ -18,6 +22,54 @@ import (
 // the results — including the simulator event count, the strictest
 // available proxy for "same schedule" — to match exactly, and the
 // figure-pipeline tables rendered from them to match byte for byte.
+//
+// Every experiment runs a Federator, so the single-RMS reference is built
+// here: withBareRMS swaps each environment's connect for a bare rms.Server
+// on the same clock and client recorder. The environment's federation stays
+// idle — an idle Federator arms no timer — so the run's events are the bare
+// server's alone, and the post-run federation reads see nothing.
+
+// withBareRMS runs f with every environment buildRMS creates connecting its
+// applications to a bare rms.Server configured as the federation's single
+// shard would be. The server draws application and request IDs from 1, one
+// counter each, as the Federator does.
+func withBareRMS(f func()) {
+	envHook = func(env *simEnv, fc federation.Config) {
+		srv := rms.NewServer(rms.Config{
+			Clusters: env.clusters, ReschedInterval: fc.ReschedInterval, Clock: env.clk,
+			Policy: fc.Policy, NodeRecovery: fc.NodeRecovery, FullRecompute: fc.FullRecompute,
+			Metrics: env.rec,
+		})
+		var apps int
+		var reqs request.ID
+		env.connect = func(h rms.AppHandler, opts ...rms.ConnectOption) transport.Session {
+			apps++
+			sess, err := srv.ConnectID(h, apps, opts...)
+			if err != nil {
+				panic(err)
+			}
+			return bareSession{sess, &reqs}
+		}
+	}
+	defer func() { envHook = nil }()
+	f()
+}
+
+// bareSession is a bare server's session with request() drawing the ID from
+// the server's counter.
+type bareSession struct {
+	*rms.Session
+	last *request.ID
+}
+
+func (b bareSession) Request(spec rms.RequestSpec) (request.ID, error) {
+	*b.last++
+	id := *b.last
+	if err := b.RequestID(spec, id, nil); err != nil {
+		return 0, err
+	}
+	return id, nil
+}
 
 func diffConfigs() map[string]ScenarioConfig {
 	return map[string]ScenarioConfig{
@@ -41,13 +93,13 @@ func diffConfigs() map[string]ScenarioConfig {
 func TestOneShardFederationMatchesSingleRMSScenarios(t *testing.T) {
 	for name, cfg := range diffConfigs() {
 		t.Run(name, func(t *testing.T) {
-			single, err := RunScenario(cfg)
+			var single *ScenarioResult
+			var err error
+			withBareRMS(func() { single, err = RunScenario(cfg) })
 			if err != nil {
 				t.Fatal(err)
 			}
-			fedCfg := cfg
-			fedCfg.Shards = 1
-			fed, err := RunScenario(fedCfg)
+			fed, err := RunScenario(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -96,17 +148,19 @@ func TestOneShardFederationMatchesSingleRMSReplay(t *testing.T) {
 			if fill {
 				cfg.PSATaskDur = 120
 			}
-			single, err := replay(cfg)
+			var single *replayResult
+			var err error
+			withBareRMS(func() { single, err = replay(cfg) })
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg.Shards = 1
 			fed, err := replay(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Only a federation reports shard churn and tenant tallies.
-			fed.ShardChurn, fed.TenantPreempts = nil, nil
+			// The reference's shard churn is the idle federation's; the
+			// tenant tallies are empty on both sides.
+			single.ShardChurn, fed.ShardChurn = nil, nil
 			if !reflect.DeepEqual(single, fed) {
 				t.Errorf("federated replay diverges:\nsingle: %+v\nfed:    %+v", single, fed)
 			}

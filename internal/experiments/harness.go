@@ -30,9 +30,8 @@ type simEnv struct {
 	clusters map[view.ClusterID]int
 	// rec is the client-side recorder handed to applications (PSA waste);
 	// agg sums it with the per-shard recorders.
-	rec *metrics.Recorder
-	agg *metrics.Aggregate
-	// fed is nil when the environment runs a single rms.Server.
+	rec     *metrics.Recorder
+	agg     *metrics.Aggregate
 	fed     *federation.Federator
 	connect func(h rms.AppHandler, opts ...rms.ConnectOption) transport.Session
 	// remaining counts the applications whose completion gates the run. The
@@ -41,11 +40,16 @@ type simEnv struct {
 	remaining int
 }
 
-// buildRMS creates the environment: a single rms.Server when shards <= 0,
-// otherwise a Federator with that many shards configured by fc (policy,
-// recovery, scheduling, obs; the cluster set, clock, interval and recorders
-// are filled in here). §5.1.3: the re-scheduling interval is "set to 1
-// second, to obtain a very reactive system".
+// envHook, when set, is called with every environment buildRMS creates and
+// the federation configuration it was built from. Tests use it to swap the
+// environment's connect for another server on the same clock and recorder.
+var envHook func(*simEnv, federation.Config)
+
+// buildRMS creates the environment: a Federator with that many shards (at
+// least one) configured by fc (policy, recovery, scheduling, obs; the
+// cluster set, clock, interval and recorders are filled in here). §5.1.3:
+// the re-scheduling interval is "set to 1 second, to obtain a very reactive
+// system".
 func buildRMS(names []view.ClusterID, nodes, shards int, fc federation.Config) *simEnv {
 	e := sim.NewEngine()
 	env := &simEnv{
@@ -57,25 +61,20 @@ func buildRMS(names []view.ClusterID, nodes, shards int, fc federation.Config) *
 		env.clusters[c] = nodes
 	}
 	recs := []*metrics.Recorder{env.rec}
-	if shards <= 0 {
-		srv := rms.NewServer(rms.Config{
-			Clusters: env.clusters, ReschedInterval: 1, Clock: env.clk,
-			Policy: fc.Policy, Metrics: env.rec,
-		})
-		env.connect = func(h rms.AppHandler, opts ...rms.ConnectOption) transport.Session { return srv.Connect(h, opts...) }
-	} else {
-		fc.Clusters, fc.Shards, fc.ReschedInterval, fc.Clock = env.clusters, shards, 1, env.clk
-		fc.Metrics = func(int) *metrics.Recorder {
-			r := metrics.NewRecorder()
-			recs = append(recs, r)
-			return r
-		}
-		env.fed = federation.New(fc)
-		env.connect = func(h rms.AppHandler, opts ...rms.ConnectOption) transport.Session {
-			return env.fed.Connect(h, opts...)
-		}
+	fc.Clusters, fc.Shards, fc.ReschedInterval, fc.Clock = env.clusters, shards, 1, env.clk
+	fc.Metrics = func(int) *metrics.Recorder {
+		r := metrics.NewRecorder()
+		recs = append(recs, r)
+		return r
+	}
+	env.fed = federation.New(fc)
+	env.connect = func(h rms.AppHandler, opts ...rms.ConnectOption) transport.Session {
+		return env.fed.Connect(h, opts...)
 	}
 	env.agg = metrics.NewAggregate(recs...)
+	if envHook != nil {
+		envHook(env, fc)
+	}
 	return env
 }
 

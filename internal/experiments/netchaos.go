@@ -8,6 +8,7 @@ import (
 
 	"coormv2/internal/chaos"
 	"coormv2/internal/clock"
+	"coormv2/internal/federation"
 	"coormv2/internal/netchaos"
 	"coormv2/internal/obs"
 	"coormv2/internal/request"
@@ -100,12 +101,11 @@ func runNetChaos(cfg netChaosConfig) (*netChaosResult, error) {
 		cfg.Jobs = 8
 	}
 	reg := obs.NewRegistry()
-	r := rms.NewServer(rms.Config{
+	srv := transport.NewServer(federation.New(federation.Config{
 		Clusters:        map[view.ClusterID]int{"c0": 16},
 		ReschedInterval: 0.01,
 		Clock:           clock.NewRealClock(),
-	})
-	srv := transport.NewServer(r)
+	}))
 	srv.Logf = func(string, ...any) {}
 	srv.Obs = reg
 	if cfg.Resume {

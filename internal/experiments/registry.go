@@ -176,7 +176,7 @@ func replaySweep(rep *Report, jobs []workload.Job, variants []replayVariant, obs
 	})
 }
 
-// replayExp replays one rigid trace through a single RMS, with and without
+// replayExp replays one rigid trace through one shard, with and without
 // a scavenging PSA filling the idle nodes preemptibly: the malleable-fill
 // gain on a rigid trace.
 func replayExp(o Options) (*Report, error) {
@@ -203,8 +203,8 @@ func replayExp(o Options) (*Report, error) {
 // and a predictably-evolving application, through federations of growing
 // shard count. The total node count is fixed (per-shard clusters shrink as
 // the shard count grows) so the rows compare scheduling topology, not
-// capacity. A 1-shard federation is byte-identical to a single RMS (see the
-// differential test), so the first row doubles as the unsharded baseline.
+// capacity. The first row, one shard, is the single RMS: the unsharded
+// baseline.
 func federatedExp(o Options) (*Report, error) {
 	jobs := synthetic(o.Seed, 200, 16, 60, 1200)
 	rep := &Report{

@@ -28,10 +28,7 @@ type replayConfig struct {
 	// HotJobFraction for the skewed variant). A job wider than its cluster
 	// is clamped to the cluster.
 	Jobs []workload.Job
-	// Shards is the scheduler shard count. Below 1 the replay runs one
-	// rms.Server instead of a federation — the baseline of the 1-shard ≡
-	// single-RMS differential — and refuses a fault plan, a rebalancer and
-	// a DRF tree, which only a federation runs.
+	// Shards is the scheduler shard count; below 1 it is 1, the single RMS.
 	Shards int
 	// NodesPerShard sizes each cluster (a shard starts with ClustersPerShard
 	// of them).
@@ -170,7 +167,7 @@ type replayResult struct {
 	Trace []string
 
 	// TenantPreempts is the end-of-run per-tenant quota-preemption tally
-	// summed over running shards (nil on a single RMS).
+	// summed over running shards.
 	TenantPreempts map[string]int64
 	Snapshot       *obs.Snapshot // nil unless replayConfig.Obs was set
 }
@@ -197,9 +194,8 @@ func (w *evolvingWatch) OnStart(id request.ID, nodeIDs []int) {
 
 // replay replays a rigid-job stream through a CooRMv2 RMS until every job
 // and application has settled. With a fault plan the federation invariant
-// checker runs after every fault and migration; on a federation it runs once
-// more after the run. Any violation, or a fault the federation refuses, is
-// an error.
+// checker runs after every fault and migration, and it runs once more after
+// the run. Any violation, or a fault the federation refuses, is an error.
 func replay(cfg replayConfig) (*replayResult, error) {
 	if len(cfg.Jobs) == 0 {
 		return nil, fmt.Errorf("experiments: empty job stream")
@@ -214,15 +210,13 @@ func replay(cfg replayConfig) (*replayResult, error) {
 		return nil, fmt.Errorf("experiments: GangFraction %g outside [0,1]", cfg.GangFraction)
 	}
 	armed := cfg.Chaos != chaos.Config{}
-	if cfg.Shards < 1 && (armed || cfg.Rebalance != nil || cfg.Tenants != nil) {
-		return nil, fmt.Errorf("experiments: a fault plan, a rebalancer or a DRF tree needs a federation (Shards ≥ 1)")
-	}
+	cfg.Shards = max(cfg.Shards, 1)
 	cfg.ClustersPerShard = max(cfg.ClustersPerShard, 1)
 
 	// Cluster names sort in index order, so federation.Partition assigns
 	// cluster j to shard j % Shards: shard 0's initial clusters are exactly
 	// the indices ≡ 0 (mod Shards) — the "hot" set of the skewed trace.
-	totalClusters := max(cfg.Shards, 1) * cfg.ClustersPerShard
+	totalClusters := cfg.Shards * cfg.ClustersPerShard
 	var scheduling func(int) core.SchedulingPolicy
 	if cfg.Tenants != nil {
 		scheduling = func(int) core.SchedulingPolicy { return tenants.NewDRF(cfg.Tenants) }
@@ -319,30 +313,28 @@ func replay(cfg replayConfig) (*replayResult, error) {
 	for i, p := range psas {
 		res.PSAUseful += math.Max(0, agg.Area(psaIDs[i], res.Makespan)-p.Waste())
 	}
-	if fed != nil {
-		if err := fed.CheckInvariants(); err != nil {
-			return nil, fmt.Errorf("experiments: post-run invariant violated: %w", err)
-		}
-		fs := fed.Stats()
-		res.KilledSessions = int(fs["killed_sessions"])
-		res.RequeuedRequests = int(fs["requeued_requests"])
-		res.ReplayedRequests = int(fs["replayed_requests"])
-		res.DroppedRequests = int(fs["dropped_requests"])
-		res.GangsCommitted = int(fs["gang_committed"])
-		res.GangsAborted = int(fs["gang_aborted"])
-		res.GangsRetried = int(fs["gang_retried"])
-		res.ShardChurn = make([]int64, cfg.Shards)
-		for i := range res.ShardChurn {
-			for _, l := range fed.Shard(i).ClusterLoads() {
-				res.ShardChurn[i] += l.Churn
-			}
-			ss := fed.Shard(i).Stats()
-			res.NodeKilled += int(ss["node_killed_requests"])
-			res.NodeRequeued += int(ss["node_requeued_requests"])
-			res.NodeReduced += int(ss["node_reduced_requests"])
-		}
-		res.TenantPreempts = fed.TenantPreempts()
+	if err := fed.CheckInvariants(); err != nil {
+		return nil, fmt.Errorf("experiments: post-run invariant violated: %w", err)
 	}
+	fs := fed.Stats()
+	res.KilledSessions = int(fs["killed_sessions"])
+	res.RequeuedRequests = int(fs["requeued_requests"])
+	res.ReplayedRequests = int(fs["replayed_requests"])
+	res.DroppedRequests = int(fs["dropped_requests"])
+	res.GangsCommitted = int(fs["gang_committed"])
+	res.GangsAborted = int(fs["gang_aborted"])
+	res.GangsRetried = int(fs["gang_retried"])
+	res.ShardChurn = make([]int64, cfg.Shards)
+	for i := range res.ShardChurn {
+		for _, l := range fed.Shard(i).ClusterLoads() {
+			res.ShardChurn[i] += l.Churn
+		}
+		ss := fed.Shard(i).Stats()
+		res.NodeKilled += int(ss["node_killed_requests"])
+		res.NodeRequeued += int(ss["node_requeued_requests"])
+		res.NodeReduced += int(ss["node_reduced_requests"])
+	}
+	res.TenantPreempts = fed.TenantPreempts()
 	if rb != nil {
 		res.Migrations = rb.Migrations()
 		res.MigratedRequests = rb.MovedRequests()

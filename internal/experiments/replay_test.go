@@ -4,10 +4,7 @@ import (
 	"testing"
 
 	"coormv2/internal/apps"
-	"coormv2/internal/chaos"
-	"coormv2/internal/federation"
 	"coormv2/internal/stats"
-	"coormv2/internal/tenants"
 	"coormv2/internal/workload"
 )
 
@@ -72,7 +69,7 @@ func TestReplayValidation(t *testing.T) {
 	if _, err := replay(replayConfig{Jobs: jobs}); err == nil {
 		t.Error("zero nodes should error")
 	}
-	// A job wider than its cluster is clamped to it, single RMS or not.
+	// A job wider than its cluster is clamped to it, on one shard or two.
 	for _, shards := range []int{0, 2} {
 		res, err := replay(replayConfig{Jobs: jobs, Shards: shards, NodesPerShard: 10})
 		if err != nil {
@@ -80,17 +77,6 @@ func TestReplayValidation(t *testing.T) {
 		}
 		if res.Completed != 1 || res.RigidArea != 10*10 {
 			t.Errorf("shards=%d: completed %d, rigid area %v; want the job clamped to 10 nodes", shards, res.Completed, res.RigidArea)
-		}
-	}
-	// The single RMS runs none of a federation's extensions.
-	for name, cfg := range map[string]replayConfig{
-		"fault plan": {Chaos: chaos.Config{Seed: 1}},
-		"rebalancer": {Rebalance: &federation.RebalancerConfig{Interval: 60}},
-		"DRF tree":   {Tenants: tenants.NewTree()},
-	} {
-		cfg.Jobs, cfg.NodesPerShard = jobs, 10
-		if _, err := replay(cfg); err == nil {
-			t.Errorf("single RMS with a %s should error", name)
 		}
 	}
 }

@@ -43,13 +43,6 @@ type ScenarioConfig struct {
 	// PSAHook, when set, customizes each PSA right after creation
 	// (the ablation preset's switches, diagnostics, test instrumentation).
 	PSAHook func(p *apps.PSA)
-	// Shards, when positive, runs the scenario through a
-	// federation.Federator with that many shards instead of a single
-	// rms.Server. The scenario has one cluster, so the federation clamps to
-	// one shard — the point is exercising the whole routing/merging layer:
-	// a 1-shard federation must reproduce the single-RMS run byte-for-byte
-	// (see the differential test).
-	Shards int
 }
 
 // ScenarioResult aggregates the §5 metrics of one run.
@@ -97,7 +90,7 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 
 	// The single large homogeneous cluster of the resource model (§5.1.3).
 	const cluster = view.ClusterID("cluster")
-	env := buildRMS([]view.ClusterID{cluster}, pre, cfg.Shards, federation.Config{Policy: cfg.Policy})
+	env := buildRMS([]view.ClusterID{cluster}, pre, 1, federation.Config{Policy: cfg.Policy})
 	nea := apps.NewNEA(env.clk, apps.NEAConfig{
 		Cluster: cluster, Profile: profile, Params: params,
 		TargetEff: cfg.TargetEff, PreAllocN: pre, Mode: cfg.Mode,

@@ -115,6 +115,9 @@ type Config struct {
 	Policy core.PreemptPolicy
 	// GracePeriod is the per-shard protocol-violation grace period.
 	GracePeriod float64
+	// Clip optionally limits every application's non-preemptive view; every
+	// shard gets it (rms.Config.Clip).
+	Clip view.View
 	// Metrics, when non-nil, is called once per shard (in shard order,
 	// during New) to create that shard's recorder; returning nil disables
 	// metrics for the shard. Shards must not share a recorder: each
@@ -258,7 +261,7 @@ func Partition(clusters map[view.ClusterID]int, n int) []map[view.ClusterID]int 
 }
 
 // New creates a Federator and its shards. It panics on an invalid
-// configuration, mirroring rms.NewServer.
+// configuration, as rms.NewServer does.
 func New(cfg Config) *Federator {
 	if cfg.Clock == nil {
 		panic("federation: Config.Clock is required")
@@ -304,6 +307,7 @@ func New(cfg Config) *Federator {
 			Clock:           cfg.Clock,
 			Policy:          cfg.Policy,
 			GracePeriod:     cfg.GracePeriod,
+			Clip:            cfg.Clip,
 			Metrics:         rec,
 			NodeRecovery:    cfg.NodeRecovery,
 			FullRecompute:   cfg.FullRecompute,
@@ -703,9 +707,8 @@ func (f *Federator) CheckInvariants() error {
 	return nil
 }
 
-// nextRequestID reserves one request ID. Mirroring rms, an ID is
-// burned even if the shard later rejects the request spec, so a 1-shard
-// federation stays in lockstep with a single RMS.
+// nextRequestID reserves one request ID. An ID is burned even if the shard
+// later rejects the request spec: IDs are never reused.
 func (f *Federator) nextRequestID() request.ID {
 	f.mu.Lock()
 	id := f.nextReq

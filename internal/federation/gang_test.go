@@ -73,8 +73,17 @@ func TestSingleShardGangDifferential(t *testing.T) {
 		Clock:           clock.SimClock{E: be},
 	})
 	bapp := &testApp{}
-	bsess := bare.Connect(bapp)
-	bareRecs := driveRelatedWorkload(t, be, bapp, bsess.Request, bsess.Done)
+	bsess, err := bare.ConnectID(bapp, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The federation draws request IDs from 1, one per request() call.
+	var last request.ID
+	submit := func(spec rms.RequestSpec) (request.ID, error) {
+		last++
+		return last, bsess.RequestID(spec, last, nil)
+	}
+	bareRecs := driveRelatedWorkload(t, be, bapp, submit, bsess.Done)
 
 	// 1-shard federation over the identical cluster set.
 	fe := sim.NewEngine()

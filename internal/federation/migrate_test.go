@@ -5,6 +5,7 @@ import (
 	"maps"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -166,6 +167,60 @@ func TestMigrateClusterErrors(t *testing.T) {
 	}
 	f.RestartShard(1)
 	mustCheck(t, f)
+}
+
+// TestMigrationRefusedAttachReturnsToDonor drives MigrateCluster's refusal
+// path: the target refuses the attach, and the snapshot goes back to the
+// donor. The panic behind it (the donor refusing too) is unreachable: under
+// topoMu the donor is running (checked, and no crash can intervene), it has
+// just detached the cluster, and its sessions hold none of the snapshot's
+// request IDs, which the Federator drew once and never reuses. The target's
+// refusal is forced here from inside the package, by holding one of those
+// IDs on the target behind the federation's back; no caller outside it can.
+func TestMigrationRefusedAttachReturnsToDonor(t *testing.T) {
+	e, f := newMigrateFederation(t, KillOnCrash)
+	app := &testApp{}
+	sess := f.Connect(app)
+	id, err := sess.Request(rms.RequestSpec{Cluster: cA, N: 2, Duration: 1e6, Type: request.NonPreempt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Run(3)
+	sess.mu.Lock()
+	target := sess.subs[1]
+	sess.mu.Unlock()
+	// A hold never starts, so the target never reports the stray ID.
+	if err := target.HoldID(rms.RequestSpec{Cluster: cB, N: 1, Duration: 1e6, Type: request.NonPreempt}, id, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	_, err = f.MigrateCluster(cA, 1)
+	var re *rms.RequestError
+	if !errors.As(err, &re) || re.ID != id || re.Reason != rms.ReasonInUse {
+		t.Fatalf("MigrateCluster onto a colliding ID = %v, want request %d %s", err, id, rms.ReasonInUse)
+	}
+	if owner, _ := f.Owner(cA); owner != 0 {
+		t.Fatalf("alpha on shard %d after the refused attach, want 0", owner)
+	}
+	if _, ok := f.Shard(0).Clusters()[cA]; !ok {
+		t.Fatal("the donor does not hold alpha again")
+	}
+	if got := shardRequests(sess, 0); !slices.Contains(got, id) {
+		t.Fatalf("shard 0 holds %v, want request %d back", got, id)
+	}
+	if err := target.ReleaseHold(id); err != nil {
+		t.Fatal(err)
+	}
+	e.Run(6)
+	mustCheck(t, f)
+	for _, l := range f.Shard(0).ClusterLoads() {
+		if l.Cluster == cA && l.Held != 2 {
+			t.Fatalf("alpha holds %d nodes after the refused migration, want request %d's 2", l.Held, id)
+		}
+	}
+	if app.killed != "" {
+		t.Fatalf("session killed: %s", app.killed)
+	}
 }
 
 func TestMigrateThenCrashRequeueReplaysOnNewOwner(t *testing.T) {

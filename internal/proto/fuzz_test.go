@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"coormv2/internal/clock"
+	"coormv2/internal/federation"
 	"coormv2/internal/request"
 	"coormv2/internal/rms"
 	"coormv2/internal/sim"
@@ -157,7 +158,7 @@ func FuzzDecodeRequestSpec(f *testing.F) {
 		}
 
 		e := sim.NewEngine()
-		srv := rms.NewServer(rms.Config{
+		srv := federation.New(federation.Config{
 			Clusters: map[view.ClusterID]int{"c0": 16}, ReschedInterval: 1, Clock: clock.SimClock{E: e},
 		})
 		sess := srv.Connect(quietApp{})

@@ -68,9 +68,8 @@ func (r Relation) String() string {
 }
 
 // ID identifies a request: request() returns it, done() and every
-// notification quote it (§3.1.3). It is unique within the ID space of the
-// layer that draws it — a standalone RMS, or the Federator for all of its
-// shards, where a request keeps its ID across replay and migration.
+// notification quote it (§3.1.3). The Federator draws it for all of its
+// shards, and a request keeps it across replay and migration.
 type ID int64
 
 // Request is a resource request as stored inside the RMS (§A.1). The first

@@ -43,8 +43,7 @@ func (sess *Session) HoldID(spec RequestSpec, id request.ID, notBefore float64, 
 	if id <= 0 {
 		return fmt.Errorf("rms: request ID %d must be positive", id)
 	}
-	_, err := sess.admit(spec, id, true, notBefore, observe)
-	return err
+	return sess.admit(spec, id, true, notBefore, observe)
 }
 
 // liveRequestLocked looks up one of the session's requests for the

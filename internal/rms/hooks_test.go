@@ -2,10 +2,49 @@ package rms
 
 import (
 	"errors"
+	"sync"
 	"testing"
 
 	"coormv2/internal/request"
 )
+
+// The server admits sessions and requests only under IDs its caller chose
+// (internal/federation owns both ID spaces). connect and submit draw them
+// for the tests in this package: application IDs from one counter per
+// server, from 1, and request IDs from the server's admission sequence, so
+// a test that never picks an ID sees 1, 2, 3, … as a federation would give.
+var appIDs struct {
+	sync.Mutex
+	next map[*Server]int
+}
+
+// connect registers h under the server's next application ID. It panics
+// where ConnectID errors (a stopped server).
+func connect(s *Server, h AppHandler, opts ...ConnectOption) *Session {
+	appIDs.Lock()
+	if appIDs.next == nil {
+		appIDs.next = make(map[*Server]int)
+	}
+	appIDs.next[s]++
+	id := appIDs.next[s]
+	appIDs.Unlock()
+	sess, err := s.ConnectID(h, id, opts...)
+	if err != nil {
+		panic(err)
+	}
+	return sess
+}
+
+// submit is request() under the server's next admission sequence number.
+func submit(sess *Session, spec RequestSpec) (request.ID, error) {
+	sess.s.mu.Lock()
+	id := sess.s.nextReq
+	sess.s.mu.Unlock()
+	if err := sess.RequestID(spec, id, nil); err != nil {
+		return 0, err
+	}
+	return id, nil
+}
 
 // The hooks below exist for internal/federation: ConnectID registers a
 // session under an externally assigned application ID, RequestID admits a
@@ -29,11 +68,6 @@ func TestConnectIDAssignsAndCollides(t *testing.T) {
 	if _, err := s.ConnectID(&testApp{}, 0); err == nil {
 		t.Error("non-positive ID should error")
 	}
-	// The auto-assigned sequence continues past the external ID.
-	next := s.Connect(&testApp{})
-	if next.AppID() != 8 {
-		t.Errorf("next auto ID = %d, want 8", next.AppID())
-	}
 	e.RunAll()
 }
 
@@ -45,7 +79,7 @@ func TestConnectIDSessionIsFunctional(t *testing.T) {
 		t.Fatal(err)
 	}
 	app.sess = sess
-	if _, err := sess.Request(RequestSpec{Cluster: c0, N: 2, Duration: 50, Type: request.NonPreempt}); err != nil {
+	if _, err := submit(sess, RequestSpec{Cluster: c0, N: 2, Duration: 50, Type: request.NonPreempt}); err != nil {
 		t.Fatal(err)
 	}
 	e.RunAll()
@@ -57,7 +91,7 @@ func TestConnectIDSessionIsFunctional(t *testing.T) {
 func TestRequestObservedSeesIDBeforeStart(t *testing.T) {
 	e, s := newTestServer(10)
 	app := &testApp{}
-	app.sess = s.Connect(app)
+	app.sess = connect(s, app)
 
 	observed, started := false, false
 	app.onStart = func(id request.ID, _ []int) {
@@ -85,7 +119,7 @@ func TestRequestObservedSeesIDBeforeStart(t *testing.T) {
 func TestRequestIDCollidesAndAdvancesSequence(t *testing.T) {
 	e, s := newTestServer(10)
 	app := &testApp{}
-	app.sess = s.Connect(app)
+	app.sess = connect(s, app)
 	spec := RequestSpec{Cluster: c0, N: 1, Duration: 10, Type: request.NonPreempt}
 	if err := app.sess.RequestID(spec, 0, nil); err == nil {
 		t.Error("non-positive ID should error")
@@ -100,7 +134,7 @@ func TestRequestIDCollidesAndAdvancesSequence(t *testing.T) {
 	if err := app.sess.HoldID(spec, 7, 0, nil); !errors.As(err, &re) || re.Reason != ReasonInUse {
 		t.Errorf("hold under a used ID = %v, want in use", err)
 	}
-	next, err := app.sess.Request(RequestSpec{Cluster: c0, N: 1, Duration: 10, Type: request.NonPreempt,
+	next, err := submit(app.sess, RequestSpec{Cluster: c0, N: 1, Duration: 10, Type: request.NonPreempt,
 		RelatedHow: request.Next, RelatedTo: 7})
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +154,7 @@ func TestRequestIDCollidesAndAdvancesSequence(t *testing.T) {
 func TestRequestObservedNotCalledOnError(t *testing.T) {
 	e, s := newTestServer(10)
 	app := &testApp{}
-	app.sess = s.Connect(app)
+	app.sess = connect(s, app)
 	e.RunAll()
 	called := false
 	err := app.sess.RequestID(
@@ -138,8 +172,8 @@ func TestRequestObservedNotCalledOnError(t *testing.T) {
 func TestScheduleNowRunsARound(t *testing.T) {
 	_, s := newTestServer(10)
 	app := &testApp{}
-	app.sess = s.Connect(app)
-	if _, err := app.sess.Request(RequestSpec{Cluster: c0, N: 4, Duration: 100, Type: request.NonPreempt}); err != nil {
+	app.sess = connect(s, app)
+	if _, err := submit(app.sess, RequestSpec{Cluster: c0, N: 4, Duration: 100, Type: request.NonPreempt}); err != nil {
 		t.Fatal(err)
 	}
 	// No engine run: drive the round synchronously.

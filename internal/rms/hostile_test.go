@@ -49,7 +49,7 @@ func hostileRun(seed int64) error {
 	apps := make([]*hostileApp, 2)
 	for i := range apps {
 		apps[i] = &hostileApp{}
-		apps[i].sess = s.Connect(apps[i])
+		apps[i].sess = connect(s, apps[i])
 	}
 	for op := 0; op < 200; op++ {
 		a := apps[rng.Intn(len(apps))]
@@ -71,7 +71,7 @@ func hostileRun(seed int64) error {
 				spec.RelatedTo = request.ID(rng.Intn(5))
 			}
 			what = fmt.Sprintf("app %d request %+v", a.sess.AppID(), spec)
-			if id, err := a.sess.Request(spec); err == nil {
+			if id, err := submit(a.sess, spec); err == nil {
 				a.ids = append(a.ids, id)
 			}
 		case k < 7:
@@ -98,7 +98,7 @@ func hostileRun(seed int64) error {
 				what = fmt.Sprintf("app %d reconnects", a.sess.AppID())
 				a.sess.Disconnect()
 				*a = hostileApp{}
-				a.sess = s.Connect(a)
+				a.sess = connect(s, a)
 			}
 		}
 		if err := s.CheckInvariants(); err != nil {
@@ -162,12 +162,12 @@ func TestNextHandOverTypeMatrix(t *testing.T) {
 				t.Run(fmt.Sprintf("%s→%s/n=%d", parent, child, childN), func(t *testing.T) {
 					e, s := newTestServer(4)
 					app := &testApp{}
-					app.sess = s.Connect(app)
-					first, err := app.sess.Request(RequestSpec{Cluster: c0, N: 2, Duration: 100, Type: parent})
+					app.sess = connect(s, app)
+					first, err := submit(app.sess, RequestSpec{Cluster: c0, N: 2, Duration: 100, Type: parent})
 					if err != nil {
 						t.Fatal(err)
 					}
-					if _, err := app.sess.Request(RequestSpec{Cluster: c0, N: childN, Duration: 10, Type: child,
+					if _, err := submit(app.sess, RequestSpec{Cluster: c0, N: childN, Duration: 10, Type: child,
 						RelatedHow: request.Next, RelatedTo: first}); err != nil {
 						t.Fatal(err)
 					}
@@ -198,14 +198,14 @@ func TestNextHandOverTypeMatrix(t *testing.T) {
 func TestZeroGrantNextChildClearsParent(t *testing.T) {
 	e, s := newTestServer(8)
 	app := &testApp{}
-	app.sess = s.Connect(app)
+	app.sess = connect(s, app)
 	for _, spec := range []RequestSpec{
 		{Cluster: c0, N: 4, Duration: 1, Type: request.NonPreempt},
 		{Cluster: c0, N: 9, Duration: 100, Type: request.NonPreempt, RelatedHow: request.Next, RelatedTo: 1},
 		{Cluster: c0, N: 9, Duration: 1, Type: request.Preempt, RelatedHow: request.Next, RelatedTo: 1},
 		{Cluster: c0, N: 4, Duration: 1e300, Type: request.PreAlloc},
 	} {
-		if _, err := app.sess.Request(spec); err != nil {
+		if _, err := submit(app.sess, spec); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -110,8 +110,8 @@ func TestIDPoolBatchFreeIsAtomic(t *testing.T) {
 func TestPoolViolationsAreCountedErrors(t *testing.T) {
 	e, s := newTestServer(4)
 	app := &testApp{}
-	app.sess = s.Connect(app)
-	id, err := app.sess.Request(RequestSpec{Cluster: c0, N: 2, Duration: 100, Type: request.NonPreempt})
+	app.sess = connect(s, app)
+	id, err := submit(app.sess, RequestSpec{Cluster: c0, N: 2, Duration: 100, Type: request.NonPreempt})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,18 +53,18 @@ func TestDetachAttachRoundTrip(t *testing.T) {
 	}
 	// A started allocation, a pending NEXT child, and a preemptible request,
 	// all on mx; one bystander request on my that must stay behind.
-	np, err := sa.Request(RequestSpec{Cluster: mcX, N: 3, Duration: 1e6, Type: request.NonPreempt})
+	np, err := submit(sa, RequestSpec{Cluster: mcX, N: 3, Duration: 1e6, Type: request.NonPreempt})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sa.Request(RequestSpec{Cluster: mcX, N: 2, Duration: 1e6, Type: request.NonPreempt,
+	if _, err := submit(sa, RequestSpec{Cluster: mcX, N: 2, Duration: 1e6, Type: request.NonPreempt,
 		RelatedHow: request.Next, RelatedTo: np}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sa.Request(RequestSpec{Cluster: mcX, N: 1, Duration: math.Inf(1), Type: request.Preempt}); err != nil {
+	if _, err := submit(sa, RequestSpec{Cluster: mcX, N: 1, Duration: math.Inf(1), Type: request.Preempt}); err != nil {
 		t.Fatal(err)
 	}
-	stay, err := sa.Request(RequestSpec{Cluster: mcY, N: 2, Duration: 1e6, Type: request.NonPreempt})
+	stay, err := submit(sa, RequestSpec{Cluster: mcY, N: 2, Duration: 1e6, Type: request.NonPreempt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestDetachAttachRoundTrip(t *testing.T) {
 	if err := sa.Done(stay, nil); err != nil {
 		t.Fatalf("bystander done: %v", err)
 	}
-	if _, err := sa.Request(RequestSpec{Cluster: mcX, N: 1, Duration: 1, Type: request.NonPreempt}); err == nil {
+	if _, err := submit(sa, RequestSpec{Cluster: mcX, N: 1, Duration: 1, Type: request.NonPreempt}); err == nil {
 		t.Fatal("donor accepted a request for the detached cluster")
 	}
 
@@ -167,12 +167,12 @@ func TestDetachClusterEntangledAndLast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	px, err := sa.Request(RequestSpec{Cluster: mcX, N: 1, Duration: 1e6, Type: request.NonPreempt})
+	px, err := submit(sa, RequestSpec{Cluster: mcX, N: 1, Duration: 1e6, Type: request.NonPreempt})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Live cross-cluster NEXT: the parent runs on mx, the child waits on my.
-	child, err := sa.Request(RequestSpec{Cluster: mcY, N: 1, Duration: 1e6, Type: request.NonPreempt,
+	child, err := submit(sa, RequestSpec{Cluster: mcY, N: 1, Duration: 1e6, Type: request.NonPreempt,
 		RelatedHow: request.Next, RelatedTo: px})
 	if err != nil {
 		t.Fatal(err)
@@ -203,7 +203,7 @@ func TestDetachClusterEntangledAndLast(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ { // b draws IDs 1 and 2 itself
-		if _, err := sb.Request(RequestSpec{Cluster: mcZ, N: 1, Duration: 1e6, Type: request.NonPreempt}); err != nil {
+		if _, err := submit(sb, RequestSpec{Cluster: mcZ, N: 1, Duration: 1e6, Type: request.NonPreempt}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -327,11 +327,11 @@ func TestDetachCutsDeadRelations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		parent, err := sa.Request(RequestSpec{Cluster: mcX, N: 1, Duration: 1e6, Type: request.NonPreempt})
+		parent, err := submit(sa, RequestSpec{Cluster: mcX, N: 1, Duration: 1e6, Type: request.NonPreempt})
 		if err != nil {
 			t.Fatal(err)
 		}
-		child, err := sa.Request(RequestSpec{Cluster: mcY, N: 1, Duration: 1e6, Type: request.NonPreempt,
+		child, err := submit(sa, RequestSpec{Cluster: mcY, N: 1, Duration: 1e6, Type: request.NonPreempt,
 			RelatedHow: request.Coalloc, RelatedTo: parent})
 		if err != nil {
 			t.Fatal(err)
@@ -371,7 +371,7 @@ func TestAttachStampsFreshSeq(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ { // b draws sequences 1 and 2 itself
-		if _, err := sb.Request(RequestSpec{Cluster: mcZ, N: 1, Duration: 10, Type: request.NonPreempt}); err != nil {
+		if _, err := submit(sb, RequestSpec{Cluster: mcZ, N: 1, Duration: 10, Type: request.NonPreempt}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -396,11 +396,11 @@ func TestReapFreesParkedIDsInMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parent, err := sa.Request(RequestSpec{Cluster: mcX, N: 2, Duration: 1e6, Type: request.NonPreempt})
+	parent, err := submit(sa, RequestSpec{Cluster: mcX, N: 2, Duration: 1e6, Type: request.NonPreempt})
 	if err != nil {
 		t.Fatal(err)
 	}
-	child, err := sa.Request(RequestSpec{Cluster: mcX, N: 2, Duration: 1e6, Type: request.NonPreempt,
+	child, err := submit(sa, RequestSpec{Cluster: mcX, N: 2, Duration: 1e6, Type: request.NonPreempt,
 		RelatedHow: request.Next, RelatedTo: parent})
 	if err != nil {
 		t.Fatal(err)

@@ -28,12 +28,12 @@ func newTwoClusterServer() (*sim.Engine, *Server) {
 func TestMultiClusterIndependentAllocation(t *testing.T) {
 	e, s := newTwoClusterServer()
 	app := &testApp{}
-	app.sess = s.Connect(app)
-	ida, err := app.sess.Request(RequestSpec{Cluster: cA, N: 8, Duration: 1000, Type: request.NonPreempt})
+	app.sess = connect(s, app)
+	ida, err := submit(app.sess, RequestSpec{Cluster: cA, N: 8, Duration: 1000, Type: request.NonPreempt})
 	if err != nil {
 		t.Fatal(err)
 	}
-	idb, err := app.sess.Request(RequestSpec{Cluster: cB, N: 4, Duration: 1000, Type: request.NonPreempt})
+	idb, err := submit(app.sess, RequestSpec{Cluster: cB, N: 4, Duration: 1000, Type: request.NonPreempt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,12 +60,12 @@ func TestMultiClusterIndependentAllocation(t *testing.T) {
 func TestMultiClusterViewsPerCluster(t *testing.T) {
 	e, s := newTwoClusterServer()
 	holder := &testApp{}
-	holder.sess = s.Connect(holder)
-	_, _ = holder.sess.Request(RequestSpec{Cluster: cA, N: 6, Duration: 1000, Type: request.NonPreempt})
+	holder.sess = connect(s, holder)
+	_, _ = submit(holder.sess, RequestSpec{Cluster: cA, N: 6, Duration: 1000, Type: request.NonPreempt})
 	e.Run(3)
 
 	watcher := &testApp{}
-	watcher.sess = s.Connect(watcher)
+	watcher.sess = connect(s, watcher)
 	e.Run(6)
 	np, _ := watcher.lastViews(t)
 	if got := np.Get(cA).Value(s.Now()); got != 2 {
@@ -82,12 +82,12 @@ func TestMultiClusterViewsPerCluster(t *testing.T) {
 func TestPushesNameEveryCluster(t *testing.T) {
 	e, s := newTwoClusterServer()
 	holder := &testApp{}
-	holder.sess = s.Connect(holder)
-	if _, err := holder.sess.Request(RequestSpec{Cluster: cB, N: 4, Duration: math.Inf(1), Type: request.NonPreempt}); err != nil {
+	holder.sess = connect(s, holder)
+	if _, err := submit(holder.sess, RequestSpec{Cluster: cB, N: 4, Duration: math.Inf(1), Type: request.NonPreempt}); err != nil {
 		t.Fatal(err)
 	}
 	watcher := &testApp{}
-	watcher.sess = s.Connect(watcher)
+	watcher.sess = connect(s, watcher)
 	names := func(what string, want ...view.ClusterID) {
 		t.Helper()
 		np, p := watcher.lastViews(t)
@@ -112,7 +112,7 @@ func TestPushesNameEveryCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := holder.sess.Request(RequestSpec{Cluster: cA, N: 2, Duration: 1000, Type: request.NonPreempt}); err != nil {
+	if _, err := submit(holder.sess, RequestSpec{Cluster: cA, N: 2, Duration: 1000, Type: request.NonPreempt}); err != nil {
 		t.Fatal(err)
 	}
 	e.Run(6)
@@ -121,7 +121,7 @@ func TestPushesNameEveryCluster(t *testing.T) {
 	if err := s.AttachCluster(snap, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := holder.sess.Request(RequestSpec{Cluster: cA, N: 2, Duration: 1000, Type: request.NonPreempt}); err != nil {
+	if _, err := submit(holder.sess, RequestSpec{Cluster: cA, N: 2, Duration: 1000, Type: request.NonPreempt}); err != nil {
 		t.Fatal(err)
 	}
 	e.Run(9)
@@ -133,13 +133,13 @@ func TestMultiClusterPreemptibleIsolation(t *testing.T) {
 	// on alpha.
 	e, s := newTwoClusterServer()
 	p := &testApp{}
-	p.sess = s.Connect(p)
-	pid, _ := p.sess.Request(RequestSpec{Cluster: cB, N: 4, Duration: math.Inf(1), Type: request.Preempt})
+	p.sess = connect(s, p)
+	pid, _ := submit(p.sess, RequestSpec{Cluster: cB, N: 4, Duration: math.Inf(1), Type: request.Preempt})
 	e.Run(3)
 
 	r := &testApp{}
-	r.sess = s.Connect(r)
-	_, _ = r.sess.Request(RequestSpec{Cluster: cA, N: 8, Duration: 100, Type: request.NonPreempt})
+	r.sess = connect(s, r)
+	_, _ = submit(r.sess, RequestSpec{Cluster: cA, N: 8, Duration: 100, Type: request.NonPreempt})
 	e.Run(6)
 
 	var held []int
@@ -163,12 +163,12 @@ func TestMultiClusterCoallocAcrossClusters(t *testing.T) {
 	// co-allocate resources on two clusters (same start).
 	e, s := newTwoClusterServer()
 	app := &testApp{}
-	app.sess = s.Connect(app)
-	ra, err := app.sess.Request(RequestSpec{Cluster: cA, N: 4, Duration: 100, Type: request.NonPreempt})
+	app.sess = connect(s, app)
+	ra, err := submit(app.sess, RequestSpec{Cluster: cA, N: 4, Duration: 100, Type: request.NonPreempt})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := app.sess.Request(RequestSpec{Cluster: cB, N: 2, Duration: 100,
+	rb, err := submit(app.sess, RequestSpec{Cluster: cB, N: 2, Duration: 100,
 		Type: request.NonPreempt, RelatedHow: request.Coalloc, RelatedTo: ra})
 	if err != nil {
 		t.Fatal(err)

@@ -45,7 +45,7 @@ func mustCheck(t *testing.T, s *Server) {
 func TestFailFreeNodeShrinksCapacity(t *testing.T) {
 	e, s := newNodeFaultServer(t, 10, KillOnNodeFailure)
 	app := &nodeApp{}
-	app.sess = s.Connect(app)
+	app.sess = connect(s, app)
 	e.RunAll()
 
 	rep, err := s.FailNodes(c0, []int{3, 7})
@@ -59,7 +59,7 @@ func TestFailFreeNodeShrinksCapacity(t *testing.T) {
 	e.RunAll()
 	// The next rounds plan against 8 nodes: a full-width request fills the
 	// degraded cluster exactly and never touches a dead ID.
-	id, err := app.sess.Request(RequestSpec{Cluster: c0, N: 8, Duration: 5, Type: request.NonPreempt})
+	id, err := submit(app.sess, RequestSpec{Cluster: c0, N: 8, Duration: 5, Type: request.NonPreempt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,8 +78,8 @@ func TestFailFreeNodeShrinksCapacity(t *testing.T) {
 func TestFailNodesKillPolicy(t *testing.T) {
 	e, s := newNodeFaultServer(t, 10, KillOnNodeFailure)
 	app := &nodeApp{}
-	app.sess = s.Connect(app)
-	id, err := app.sess.Request(RequestSpec{Cluster: c0, N: 4, Duration: 1000, Type: request.NonPreempt})
+	app.sess = connect(s, app)
+	id, err := submit(app.sess, RequestSpec{Cluster: c0, N: 4, Duration: 1000, Type: request.NonPreempt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,8 +121,8 @@ func TestFailNodesKillPolicy(t *testing.T) {
 func TestFailNodesRequeuePolicy(t *testing.T) {
 	e, s := newNodeFaultServer(t, 4, RequeueOnNodeFailure)
 	app := &nodeApp{}
-	app.sess = s.Connect(app)
-	id, err := app.sess.Request(RequestSpec{Cluster: c0, N: 2, Duration: 50, Type: request.NonPreempt})
+	app.sess = connect(s, app)
+	id, err := submit(app.sess, RequestSpec{Cluster: c0, N: 2, Duration: 50, Type: request.NonPreempt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,8 +166,8 @@ func TestFailNodesRequeuePolicy(t *testing.T) {
 func TestFailNodesCooperativeReducesForHandlers(t *testing.T) {
 	e, s := newNodeFaultServer(t, 10, CooperativeOnNodeFailure)
 	app := &nodeApp{}
-	app.sess = s.Connect(app)
-	if _, err := app.sess.Request(RequestSpec{Cluster: c0, N: 4, Duration: 1000, Type: request.NonPreempt}); err != nil {
+	app.sess = connect(s, app)
+	if _, err := submit(app.sess, RequestSpec{Cluster: c0, N: 4, Duration: 1000, Type: request.NonPreempt}); err != nil {
 		t.Fatal(err)
 	}
 	e.Run(5)
@@ -205,8 +205,8 @@ func TestFailNodesCooperativeFallsBackToRequeue(t *testing.T) {
 	// on a reduced allocation, so the server requeues instead.
 	e, s := newNodeFaultServer(t, 4, CooperativeOnNodeFailure)
 	app := &testApp{}
-	app.sess = s.Connect(app)
-	if _, err := app.sess.Request(RequestSpec{Cluster: c0, N: 2, Duration: 30, Type: request.NonPreempt}); err != nil {
+	app.sess = connect(s, app)
+	if _, err := submit(app.sess, RequestSpec{Cluster: c0, N: 2, Duration: 30, Type: request.NonPreempt}); err != nil {
 		t.Fatal(err)
 	}
 	e.Run(5)
@@ -231,8 +231,8 @@ func TestFailNodesPreemptAlwaysReduced(t *testing.T) {
 	// policy a preemptible allocation is reduced, never killed.
 	e, s := newNodeFaultServer(t, 10, KillOnNodeFailure)
 	app := &nodeApp{}
-	app.sess = s.Connect(app)
-	if _, err := app.sess.Request(RequestSpec{Cluster: c0, N: 4, Duration: math.Inf(1), Type: request.Preempt}); err != nil {
+	app.sess = connect(s, app)
+	if _, err := submit(app.sess, RequestSpec{Cluster: c0, N: 4, Duration: math.Inf(1), Type: request.Preempt}); err != nil {
 		t.Fatal(err)
 	}
 	e.Run(5)
@@ -257,7 +257,7 @@ func TestFailNodesPreemptAlwaysReduced(t *testing.T) {
 func TestRecoverNodesRestoresCapacity(t *testing.T) {
 	e, s := newNodeFaultServer(t, 4, KillOnNodeFailure)
 	app := &nodeApp{}
-	app.sess = s.Connect(app)
+	app.sess = connect(s, app)
 	e.RunAll()
 	if _, err := s.FailNodes(c0, []int{0, 1, 2}); err != nil {
 		t.Fatal(err)
@@ -278,7 +278,7 @@ func TestRecoverNodesRestoresCapacity(t *testing.T) {
 		t.Fatalf("failed IDs = %v, want [0]", got)
 	}
 	// The recovered capacity is schedulable again.
-	id, err := app.sess.Request(RequestSpec{Cluster: c0, N: 3, Duration: 5, Type: request.NonPreempt})
+	id, err := submit(app.sess, RequestSpec{Cluster: c0, N: 3, Duration: 5, Type: request.NonPreempt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestRecoverNodesRestoresCapacity(t *testing.T) {
 func TestFailNodesValidation(t *testing.T) {
 	e, s := newNodeFaultServer(t, 4, KillOnNodeFailure)
 	app := &nodeApp{}
-	app.sess = s.Connect(app)
+	app.sess = connect(s, app)
 	e.RunAll()
 
 	if _, err := s.FailNodes(c0, []int{4}); err == nil {
@@ -341,8 +341,8 @@ func TestFailNodesNextHandOverSurvivorsStayParked(t *testing.T) {
 	// the survivors and tops up from the pool.
 	e, s := newNodeFaultServer(t, 10, KillOnNodeFailure)
 	app := &nodeApp{}
-	app.sess = s.Connect(app)
-	cur, err := app.sess.Request(RequestSpec{Cluster: c0, N: 6, Duration: 1000, Type: request.NonPreempt})
+	app.sess = connect(s, app)
+	cur, err := submit(app.sess, RequestSpec{Cluster: c0, N: 6, Duration: 1000, Type: request.NonPreempt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +353,7 @@ func TestFailNodesNextHandOverSurvivorsStayParked(t *testing.T) {
 	held := append([]int(nil), app.starts[0].ids...)
 	// Shrink 6 → 4 via NEXT + done, releasing two IDs; the four kept IDs
 	// park on the finished parent until the child starts.
-	next, err := app.sess.Request(RequestSpec{Cluster: c0, N: 4, Duration: 1000, Type: request.NonPreempt,
+	next, err := submit(app.sess, RequestSpec{Cluster: c0, N: 4, Duration: 1000, Type: request.NonPreempt,
 		RelatedHow: request.Next, RelatedTo: cur})
 	if err != nil {
 		t.Fatal(err)
@@ -392,8 +392,8 @@ func TestFailNodesNextHandOverSurvivorsStayParked(t *testing.T) {
 func TestFailedNodesSurviveReset(t *testing.T) {
 	e, s := newNodeFaultServer(t, 8, KillOnNodeFailure)
 	app := &nodeApp{}
-	app.sess = s.Connect(app)
-	if _, err := app.sess.Request(RequestSpec{Cluster: c0, N: 4, Duration: math.Inf(1), Type: request.NonPreempt}); err != nil {
+	app.sess = connect(s, app)
+	if _, err := submit(app.sess, RequestSpec{Cluster: c0, N: 4, Duration: math.Inf(1), Type: request.NonPreempt}); err != nil {
 		t.Fatal(err)
 	}
 	e.Run(2)
@@ -446,7 +446,7 @@ func TestFailedNodesSurviveReset(t *testing.T) {
 	if app2.sess, err = s.ConnectID(app2, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := app2.sess.Request(RequestSpec{Cluster: c0, N: 5, Duration: 10, Type: request.NonPreempt}); err != nil {
+	if _, err := submit(app2.sess, RequestSpec{Cluster: c0, N: 5, Duration: 10, Type: request.NonPreempt}); err != nil {
 		t.Fatal(err)
 	}
 	e.Run(e.Now() + 2)

@@ -51,7 +51,7 @@ func (a *reentrantApp) take() (*Session, bool) {
 // submitAndWithdraw submits a request and withdraws it before it can start.
 func (a *reentrantApp) submitAndWithdraw() {
 	if sess, ok := a.take(); ok {
-		id, err := sess.Request(reentrantSpec)
+		id, err := submit(sess, reentrantSpec)
 		if err != nil {
 			a.t.Error(err)
 			return
@@ -74,7 +74,7 @@ func (a *reentrantApp) OnStart(id request.ID, _ []int) {
 		a.t.Error(err)
 	}
 	if sess, ok := a.take(); ok {
-		if _, err := sess.Request(reentrantSpec); err != nil {
+		if _, err := submit(sess, reentrantSpec); err != nil {
 			a.t.Error(err)
 		}
 	}
@@ -133,7 +133,7 @@ func TestNotificationsReentrantInOrder(t *testing.T) {
 		var sessions []*Session
 		for i := 0; i < apps; i++ {
 			h := newReentrantApp(t, budget)
-			sess := s.Connect(h)
+			sess := connect(s, h)
 			h.mu.Lock()
 			h.sess = sess
 			h.mu.Unlock()
@@ -141,7 +141,7 @@ func TestNotificationsReentrantInOrder(t *testing.T) {
 		}
 		for _, h := range hs {
 			if sess, ok := h.take(); ok {
-				if _, err := sess.Request(reentrantSpec); err != nil {
+				if _, err := submit(sess, reentrantSpec); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -6,7 +6,7 @@ import (
 	"coormv2/internal/view"
 )
 
-// ConnectOption configures a session at Connect/ConnectID time.
+// ConnectOption configures a session at ConnectID time.
 type ConnectOption func(*connectOpts)
 
 type connectOpts struct {

@@ -41,13 +41,13 @@ func TestRealClockRoundsWaitOutDelivery(t *testing.T) {
 	})
 	defer s.Stop()
 	app := &slowApp{delay: 3 * interval} // a delivery three intervals long
-	sess := s.Connect(app)
+	sess := connect(s, app)
 
 	// A request every millisecond, each of which changes the views: without
 	// the rule this is a round per interval, on top of one another.
 	const requests = 80
 	for i := 0; i < requests; i++ {
-		if _, err := sess.Request(RequestSpec{Cluster: c0, N: 1, Duration: 1000, Type: request.NonPreempt}); err != nil {
+		if _, err := submit(sess, RequestSpec{Cluster: c0, N: 1, Duration: 1000, Type: request.NonPreempt}); err != nil {
 			t.Fatal(err)
 		}
 		time.Sleep(time.Millisecond)

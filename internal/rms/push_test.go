@@ -57,7 +57,7 @@ func newPushTwin(t *testing.T, clip view.View) *pushTwin {
 		for i := 0; i < pushApps; i++ {
 			r := &pushRecorder{}
 			tw.apps[k] = append(tw.apps[k], r)
-			tw.sess[k] = append(tw.sess[k], s.Connect(r))
+			tw.sess[k] = append(tw.sess[k], connect(s, r))
 		}
 		tw.srv[k] = s
 	}
@@ -117,7 +117,7 @@ func (tw *pushTwin) request(app int, spec RequestSpec) {
 	var ids [2]request.ID
 	var errs [2]error
 	for k := range tw.srv {
-		ids[k], errs[k] = tw.sess[k][app].Request(spec)
+		ids[k], errs[k] = submit(tw.sess[k][app], spec)
 	}
 	if ids[0] != ids[1] || (errs[0] == nil) != (errs[1] == nil) {
 		tw.t.Fatalf("request %+v: %d, %v on the incremental server, %d, %v on its twin", spec, ids[0], errs[0], ids[1], errs[1])
@@ -141,7 +141,7 @@ func (tw *pushTwin) connect() {
 	for k, s := range tw.srv {
 		r := &pushRecorder{}
 		tw.apps[k] = append(tw.apps[k], r)
-		tw.sess[k] = append(tw.sess[k], s.Connect(r))
+		tw.sess[k] = append(tw.sess[k], connect(s, r))
 	}
 	tw.ids = append(tw.ids, nil)
 }
@@ -320,11 +320,11 @@ func TestTrimSharesProfilesAcrossSessions(t *testing.T) {
 	})
 	// The holder comes first in CBF order, so the others meet beta's
 	// profile with its allocation subtracted.
-	holder := s.Connect(&pushRecorder{})
+	holder := connect(s, &pushRecorder{})
 	apps := make([]*pushRecorder, k)
 	for i := range apps {
 		apps[i] = &pushRecorder{}
-		if _, err := s.Connect(apps[i]).Request(RequestSpec{Cluster: cA, N: 1, Duration: 1000, Type: request.NonPreempt}); err != nil {
+		if _, err := submit(connect(s, apps[i]), RequestSpec{Cluster: cA, N: 1, Duration: 1000, Type: request.NonPreempt}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -332,7 +332,7 @@ func TestTrimSharesProfilesAcrossSessions(t *testing.T) {
 	e.Run(2)
 	// The holder's allocation puts a breakpoint at 2 in beta's free space,
 	// so every session's view of beta needs trimming at 2.
-	if _, err := holder.Request(RequestSpec{Cluster: cB, N: 2, Duration: 100, Type: request.NonPreempt}); err != nil {
+	if _, err := submit(holder, RequestSpec{Cluster: cB, N: 2, Duration: 100, Type: request.NonPreempt}); err != nil {
 		t.Fatal(err)
 	}
 	calls := apps[0].calls

@@ -5,6 +5,10 @@
 // kill of §3.1.4 ("if a protocol violation is detected, the RMS kills the
 // application's processes and terminates the session").
 //
+// A Server is one scheduler shard of internal/federation, which owns the
+// application and request ID spaces: sessions and requests are admitted
+// under IDs the caller chose (ConnectID, RequestID, HoldID).
+//
 // The server is clock-agnostic: driven by clock.SimClock it is the paper's
 // discrete-event simulator; driven by clock.RealClock behind a TCP
 // transport it is the real-life prototype RMS.
@@ -115,7 +119,7 @@ type Config struct {
 	Obs *obs.Registry
 	// ObsLabel prefixes this server's metric names and stamps its events
 	// (e.g. "shard0") so federated shards share one registry without
-	// colliding. Empty for a standalone RMS.
+	// colliding.
 	ObsLabel string
 	// Scheduling installs an application ordering/admission policy on the
 	// scheduler (nil keeps the default connection-order FIFO, whose rounds
@@ -154,7 +158,6 @@ type Server struct {
 	clk   clock.Clock
 
 	sessions map[int]*Session
-	nextApp  int
 	nextReq  request.ID // see nextSeqLocked
 
 	pools map[view.ClusterID]*idPool
@@ -340,7 +343,6 @@ func (s *Server) initStateLocked() {
 	s.victims, _ = s.cfg.Scheduling.(core.VictimNominator)
 	s.sessions = make(map[int]*Session)
 	s.churn = make(map[view.ClusterID]int64, len(s.pools))
-	s.nextApp = 1
 	s.nextReq = 1
 	s.lastRunAt = math.Inf(-1)
 	s.idleUntil = math.Inf(-1)
@@ -366,32 +368,14 @@ type Session struct {
 // AppID returns the RMS-assigned application ID.
 func (sess *Session) AppID() int { return sess.app.ID }
 
-// Connect registers an application and returns its session. The first view
-// push happens on the next scheduling round. Connect panics on a stopped
-// server; routing layers use ConnectID, which reports the condition as an
-// error instead. Options tag the session — WithTenant assigns it a
-// tenant queue.
-func (s *Server) Connect(h AppHandler, opts ...ConnectOption) *Session {
-	var o connectOpts
-	for _, opt := range opts {
-		opt(&o)
-	}
-	s.mu.Lock()
-	if s.stopped {
-		s.mu.Unlock()
-		panic("rms: Connect on a stopped server")
-	}
-	sess := s.connectLocked(h, s.nextApp, o)
-	s.mu.Unlock()
-	s.flush()
-	return sess
-}
-
-// ConnectID registers an application under a caller-chosen ID. It is the
-// session-routing hook used by internal/federation, where one front-end
-// assigns globally unique application IDs and every shard registers the
-// session under the same ID (so per-shard metrics aggregate by ID). It
-// errors if the ID is non-positive or already connected.
+// ConnectID registers an application under a caller-chosen ID and returns
+// its session; the first view push happens on the next scheduling round.
+// The caller owns the ID space: internal/federation assigns globally unique
+// application IDs and every shard registers the session under the same ID
+// (so per-shard metrics aggregate by ID). It errors if the ID is
+// non-positive or already connected, or if the server is stopped
+// (ErrStopped). Options tag the session — WithTenant assigns it a tenant
+// queue.
 func (s *Server) ConnectID(h AppHandler, id int, opts ...ConnectOption) (*Session, error) {
 	if id <= 0 {
 		return nil, fmt.Errorf("rms: application ID %d must be positive", id)
@@ -415,12 +399,8 @@ func (s *Server) ConnectID(h AppHandler, id int, opts ...ConnectOption) (*Sessio
 	return sess, nil
 }
 
-// connectLocked registers a session under id and keeps the auto-assigned
-// sequence ahead of every externally chosen ID.
+// connectLocked registers a session under id.
 func (s *Server) connectLocked(h AppHandler, id int, o connectOpts) *Session {
-	if id >= s.nextApp {
-		s.nextApp = id + 1
-	}
 	app := s.sched.AddApp(id, s.clk.Now())
 	app.Tenant = o.tenant
 	sess := &Session{s: s, app: app, h: h}
@@ -643,16 +623,12 @@ func (s *Server) CheckInvariants() error {
 // Now returns the server's current time.
 func (s *Server) Now() float64 { return s.clk.Now() }
 
-// Request implements the request() operation (§3.1.3): it adds a new
-// request to the system and returns its ID, which the server draws.
-func (sess *Session) Request(spec RequestSpec) (request.ID, error) {
-	return sess.admit(spec, 0, false, 0, nil)
-}
-
-// RequestID is Request under a caller-chosen ID — the request-side twin of
-// ConnectID, for the layer that owns the ID space (internal/federation
-// admits a request on its shard under the federated ID, so every
-// notification, error and obs event quotes the ID the application holds).
+// RequestID implements the request() operation (§3.1.3) under a
+// caller-chosen ID: it adds a new request to the system. It is the
+// request-side twin of ConnectID, for the layer that owns the ID space
+// (internal/federation admits a request on its shard under the federated ID,
+// so every notification, error and obs event quotes the ID the application
+// holds).
 // It errors if the ID is non-positive or already names one of the session's
 // requests. On success observe (when non-nil) runs while the server lock is
 // still held. Scheduling rounds also run under that lock, so bookkeeping
@@ -663,58 +639,52 @@ func (sess *Session) RequestID(spec RequestSpec, id request.ID, observe func()) 
 	if id <= 0 {
 		return fmt.Errorf("rms: request ID %d must be positive", id)
 	}
-	_, err := sess.admit(spec, id, false, 0, observe)
-	return err
+	return sess.admit(spec, id, false, 0, observe)
 }
 
 // nextSeqLocked draws the next admission sequence number (request.Request.Seq)
-// for a request admitted under id. The sequence doubles as the ID of requests
-// the server draws itself, so it is kept ahead of every caller-chosen ID, as
-// connectLocked does for applications.
+// for a request admitted under id, kept ahead of every admitted ID.
 func (s *Server) nextSeqLocked(id request.ID) request.ID {
 	seq := s.nextReq
 	s.nextReq = max(seq, id) + 1
 	return seq
 }
 
-// admit is the one admission path; Request, RequestID and HoldID are its
-// callers. id 0 lets the server draw the ID: the admission sequence number.
-// held admits a two-phase hold floored at notBefore (hold.go).
-func (sess *Session) admit(spec RequestSpec, id request.ID, held bool, notBefore float64, observe func()) (request.ID, error) {
+// admit is the one admission path; RequestID and HoldID are its callers,
+// and both refuse a non-positive id first. held admits a two-phase hold
+// floored at notBefore (hold.go).
+func (sess *Session) admit(spec RequestSpec, id request.ID, held bool, notBefore float64, observe func()) error {
 	s := sess.s
 	s.mu.Lock()
 	if sess.killed {
 		s.mu.Unlock()
-		return 0, fmt.Errorf("rms: session was terminated")
+		return fmt.Errorf("rms: session was terminated")
 	}
-	if id != 0 && sess.findRequestLocked(id) != nil {
+	if sess.findRequestLocked(id) != nil {
 		s.mu.Unlock()
-		return 0, errRequest(id, ReasonInUse)
+		return errRequest(id, ReasonInUse)
 	}
 	var parent *request.Request
 	if spec.RelatedHow != request.Free {
 		if notBefore > 0 {
 			s.mu.Unlock()
-			return 0, errRequest(id, reasonRelatedFloor)
+			return errRequest(id, reasonRelatedFloor)
 		}
 		parent = sess.findRequestLocked(spec.RelatedTo)
 		if parent == nil {
 			s.mu.Unlock()
-			return 0, errRelated(spec.RelatedTo, ReasonNotFound)
+			return errRelated(spec.RelatedTo, ReasonNotFound)
 		}
 	}
 	if _, ok := s.pools[spec.Cluster]; !ok {
 		s.mu.Unlock()
-		return 0, fmt.Errorf("%w %q", ErrUnknownCluster, spec.Cluster)
+		return fmt.Errorf("%w %q", ErrUnknownCluster, spec.Cluster)
 	}
 	seq := s.nextSeqLocked(id)
-	if id == 0 {
-		id = seq
-	}
 	r := request.New(id, sess.app.ID, spec.Cluster, spec.N, spec.Duration, spec.Type, spec.RelatedHow, parent)
 	if err := r.Validate(); err != nil {
 		s.mu.Unlock()
-		return 0, err
+		return err
 	}
 	r.Seq = int64(seq)
 	r.SubmittedAt = s.clk.Now()
@@ -731,7 +701,7 @@ func (sess *Session) admit(spec RequestSpec, id request.ID, held bool, notBefore
 	s.requestRunLocked()
 	s.mu.Unlock()
 	s.flush()
-	return id, nil
+	return nil
 }
 
 // Done implements the done() operation (§3.1.3): it immediately terminates

@@ -70,7 +70,7 @@ func newTestServer(nodes int) (*sim.Engine, *Server) {
 func TestConnectReceivesInitialViews(t *testing.T) {
 	e, s := newTestServer(10)
 	app := &testApp{}
-	app.sess = s.Connect(app)
+	app.sess = connect(s, app)
 	e.RunAll()
 	np, p := app.lastViews(t)
 	if np.Get(c0).Value(0) != 10 {
@@ -84,8 +84,8 @@ func TestConnectReceivesInitialViews(t *testing.T) {
 func TestRigidJobLifecycle(t *testing.T) {
 	e, s := newTestServer(10)
 	app := &testApp{}
-	app.sess = s.Connect(app)
-	id, err := app.sess.Request(RequestSpec{Cluster: c0, N: 4, Duration: 100, Type: request.NonPreempt})
+	app.sess = connect(s, app)
+	id, err := submit(app.sess, RequestSpec{Cluster: c0, N: 4, Duration: 100, Type: request.NonPreempt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,15 +108,15 @@ func TestRigidJobLifecycle(t *testing.T) {
 func TestRequestValidationErrors(t *testing.T) {
 	e, s := newTestServer(10)
 	app := &testApp{}
-	app.sess = s.Connect(app)
+	app.sess = connect(s, app)
 	e.RunAll()
-	if _, err := app.sess.Request(RequestSpec{Cluster: "nope", N: 1, Duration: 1, Type: request.NonPreempt}); err == nil {
+	if _, err := submit(app.sess, RequestSpec{Cluster: "nope", N: 1, Duration: 1, Type: request.NonPreempt}); err == nil {
 		t.Error("unknown cluster should error")
 	}
-	if _, err := app.sess.Request(RequestSpec{Cluster: c0, N: 0, Duration: 1, Type: request.NonPreempt}); err == nil {
+	if _, err := submit(app.sess, RequestSpec{Cluster: c0, N: 0, Duration: 1, Type: request.NonPreempt}); err == nil {
 		t.Error("zero nodes should error")
 	}
-	if _, err := app.sess.Request(RequestSpec{Cluster: c0, N: 1, Duration: 1, Type: request.NonPreempt,
+	if _, err := submit(app.sess, RequestSpec{Cluster: c0, N: 1, Duration: 1, Type: request.NonPreempt,
 		RelatedHow: request.Next, RelatedTo: 999}); err == nil {
 		t.Error("dangling RelatedTo should error")
 	}
@@ -128,14 +128,14 @@ func TestRequestValidationErrors(t *testing.T) {
 func TestDoneOnPendingWithdraws(t *testing.T) {
 	e, s := newTestServer(4)
 	a := &testApp{}
-	a.sess = s.Connect(a)
+	a.sess = connect(s, a)
 	// Fill the cluster so the next request queues.
-	id1, _ := a.sess.Request(RequestSpec{Cluster: c0, N: 4, Duration: 1000, Type: request.NonPreempt})
+	id1, _ := submit(a.sess, RequestSpec{Cluster: c0, N: 4, Duration: 1000, Type: request.NonPreempt})
 	e.Run(5)
 	_ = id1
 	b := &testApp{}
-	b.sess = s.Connect(b)
-	id2, _ := b.sess.Request(RequestSpec{Cluster: c0, N: 4, Duration: 100, Type: request.NonPreempt})
+	b.sess = connect(s, b)
+	id2, _ := submit(b.sess, RequestSpec{Cluster: c0, N: 4, Duration: 100, Type: request.NonPreempt})
 	e.Run(e.Now() + 10)
 	if len(b.starts) != 0 {
 		t.Fatal("queued request must not start")
@@ -153,15 +153,15 @@ func TestSpontaneousUpdateGrow(t *testing.T) {
 	// §3.1.3 / Fig. 6(b): request(new) NEXT current, then done(current).
 	e, s := newTestServer(10)
 	app := &testApp{}
-	app.sess = s.Connect(app)
-	cur, _ := app.sess.Request(RequestSpec{Cluster: c0, N: 2, Duration: 1000, Type: request.NonPreempt})
+	app.sess = connect(s, app)
+	cur, _ := submit(app.sess, RequestSpec{Cluster: c0, N: 2, Duration: 1000, Type: request.NonPreempt})
 	e.Run(5)
 	if len(app.starts) != 1 {
 		t.Fatal("initial request did not start")
 	}
 	firstIDs := app.starts[0].ids
 
-	next, err := app.sess.Request(RequestSpec{Cluster: c0, N: 5, Duration: 1000,
+	next, err := submit(app.sess, RequestSpec{Cluster: c0, N: 5, Duration: 1000,
 		Type: request.NonPreempt, RelatedHow: request.Next, RelatedTo: cur})
 	if err != nil {
 		t.Fatal(err)
@@ -188,12 +188,12 @@ func TestSpontaneousUpdateGrow(t *testing.T) {
 func TestSpontaneousUpdateShrink(t *testing.T) {
 	e, s := newTestServer(10)
 	app := &testApp{}
-	app.sess = s.Connect(app)
-	cur, _ := app.sess.Request(RequestSpec{Cluster: c0, N: 5, Duration: 1000, Type: request.NonPreempt})
+	app.sess = connect(s, app)
+	cur, _ := submit(app.sess, RequestSpec{Cluster: c0, N: 5, Duration: 1000, Type: request.NonPreempt})
 	e.Run(5)
 	held := app.starts[0].ids
 
-	next, _ := app.sess.Request(RequestSpec{Cluster: c0, N: 2, Duration: 1000,
+	next, _ := submit(app.sess, RequestSpec{Cluster: c0, N: 2, Duration: 1000,
 		Type: request.NonPreempt, RelatedHow: request.Next, RelatedTo: cur})
 	// The application chooses which IDs to release (§3.1.2).
 	release := held[2:]
@@ -216,10 +216,10 @@ func TestSpontaneousUpdateShrink(t *testing.T) {
 func TestDoneWithForeignIDErrors(t *testing.T) {
 	e, s := newTestServer(10)
 	app := &testApp{}
-	app.sess = s.Connect(app)
-	cur, _ := app.sess.Request(RequestSpec{Cluster: c0, N: 2, Duration: 1000, Type: request.NonPreempt})
+	app.sess = connect(s, app)
+	cur, _ := submit(app.sess, RequestSpec{Cluster: c0, N: 2, Duration: 1000, Type: request.NonPreempt})
 	e.Run(5)
-	_, _ = app.sess.Request(RequestSpec{Cluster: c0, N: 1, Duration: 1000,
+	_, _ = submit(app.sess, RequestSpec{Cluster: c0, N: 1, Duration: 1000,
 		Type: request.NonPreempt, RelatedHow: request.Next, RelatedTo: cur})
 	if err := app.sess.Done(cur, []int{99}); err == nil {
 		t.Error("releasing a node ID the request does not hold should error")
@@ -244,9 +244,9 @@ func TestPreallocationAndMalleableFilling(t *testing.T) {
 	e, s := newTestServer(10)
 
 	nea := &testApp{}
-	nea.sess = s.Connect(nea)
-	pa, _ := nea.sess.Request(RequestSpec{Cluster: c0, N: 8, Duration: 10000, Type: request.PreAlloc})
-	np1, _ := nea.sess.Request(RequestSpec{Cluster: c0, N: 2, Duration: 10000,
+	nea.sess = connect(s, nea)
+	pa, _ := submit(nea.sess, RequestSpec{Cluster: c0, N: 8, Duration: 10000, Type: request.PreAlloc})
+	np1, _ := submit(nea.sess, RequestSpec{Cluster: c0, N: 2, Duration: 10000,
 		Type: request.NonPreempt, RelatedHow: request.Coalloc, RelatedTo: pa})
 	e.Run(2)
 	if len(nea.starts) != 2 {
@@ -263,7 +263,7 @@ func TestPreallocationAndMalleableFilling(t *testing.T) {
 			// Release |held| - avail immediately (kill tasks).
 			keep := malHeld[:avail]
 			rel := malHeld[avail:]
-			newReq, err := mal.sess.Request(RequestSpec{Cluster: c0, N: avail, Duration: math.Inf(1),
+			newReq, err := submit(mal.sess, RequestSpec{Cluster: c0, N: avail, Duration: math.Inf(1),
 				Type: request.Preempt, RelatedHow: request.Next, RelatedTo: malReq})
 			if err != nil {
 				t.Errorf("malleable shrink request: %v", err)
@@ -282,15 +282,15 @@ func TestPreallocationAndMalleableFilling(t *testing.T) {
 			malHeld = ids
 		}
 	}
-	mal.sess = s.Connect(mal)
-	malReq, _ = mal.sess.Request(RequestSpec{Cluster: c0, N: 8, Duration: math.Inf(1), Type: request.Preempt})
+	mal.sess = connect(s, mal)
+	malReq, _ = submit(mal.sess, RequestSpec{Cluster: c0, N: 8, Duration: math.Inf(1), Type: request.Preempt})
 	e.Run(5)
 	if len(malHeld) != 8 {
 		t.Fatalf("malleable app should hold 8 nodes, has %v", malHeld)
 	}
 
 	// NEA spontaneous update: 2 -> 7 nodes, all inside the pre-allocation.
-	np2, _ := nea.sess.Request(RequestSpec{Cluster: c0, N: 7, Duration: 10000,
+	np2, _ := submit(nea.sess, RequestSpec{Cluster: c0, N: 7, Duration: 10000,
 		Type: request.NonPreempt, RelatedHow: request.Next, RelatedTo: np1})
 	if err := nea.sess.Done(np1, nil); err != nil {
 		t.Fatal(err)
@@ -325,8 +325,8 @@ func TestStealerGetsKilled(t *testing.T) {
 		Clock:           clock.SimClock{E: e},
 	})
 	stealer := &testApp{} // ignores its views entirely
-	stealer.sess = s.Connect(stealer)
-	_, _ = stealer.sess.Request(RequestSpec{Cluster: c0, N: 10, Duration: math.Inf(1), Type: request.Preempt})
+	stealer.sess = connect(s, stealer)
+	_, _ = submit(stealer.sess, RequestSpec{Cluster: c0, N: 10, Duration: math.Inf(1), Type: request.Preempt})
 	e.Run(2)
 	if len(stealer.starts) != 1 {
 		t.Fatal("preemptible request did not start")
@@ -334,8 +334,8 @@ func TestStealerGetsKilled(t *testing.T) {
 
 	// A non-preemptible job now needs the nodes.
 	rigid := &testApp{}
-	rigid.sess = s.Connect(rigid)
-	_, _ = rigid.sess.Request(RequestSpec{Cluster: c0, N: 6, Duration: 100, Type: request.NonPreempt})
+	rigid.sess = connect(s, rigid)
+	_, _ = submit(rigid.sess, RequestSpec{Cluster: c0, N: 6, Duration: 100, Type: request.NonPreempt})
 	e.Run(30)
 
 	if stealer.killed == "" {
@@ -345,7 +345,7 @@ func TestStealerGetsKilled(t *testing.T) {
 		t.Fatal("rigid job never started after the kill")
 	}
 	// Operations on a killed session error out.
-	if _, err := stealer.sess.Request(RequestSpec{Cluster: c0, N: 1, Duration: 1, Type: request.NonPreempt}); err == nil {
+	if _, err := submit(stealer.sess, RequestSpec{Cluster: c0, N: 1, Duration: 1, Type: request.NonPreempt}); err == nil {
 		t.Error("request on killed session should error")
 	}
 	if err := stealer.sess.Done(1, nil); err == nil {
@@ -358,20 +358,20 @@ func TestDeferredStartWaitsForRelease(t *testing.T) {
 	// and then allocates.
 	e, s := newTestServer(10)
 	holder := &testApp{}
-	holder.sess = s.Connect(holder)
-	hid, _ := holder.sess.Request(RequestSpec{Cluster: c0, N: 10, Duration: math.Inf(1), Type: request.Preempt})
+	holder.sess = connect(s, holder)
+	hid, _ := submit(holder.sess, RequestSpec{Cluster: c0, N: 10, Duration: math.Inf(1), Type: request.Preempt})
 	e.Run(2)
 
 	rigid := &testApp{}
-	rigid.sess = s.Connect(rigid)
-	_, _ = rigid.sess.Request(RequestSpec{Cluster: c0, N: 4, Duration: 50, Type: request.NonPreempt})
+	rigid.sess = connect(s, rigid)
+	_, _ = submit(rigid.sess, RequestSpec{Cluster: c0, N: 4, Duration: 50, Type: request.NonPreempt})
 	e.Run(4)
 	if len(rigid.starts) != 0 {
 		t.Fatal("rigid start should be deferred while IDs are held")
 	}
 	// Holder cooperates now.
 	held := holder.starts[0].ids
-	nid, _ := holder.sess.Request(RequestSpec{Cluster: c0, N: 6, Duration: math.Inf(1),
+	nid, _ := submit(holder.sess, RequestSpec{Cluster: c0, N: 6, Duration: math.Inf(1),
 		Type: request.Preempt, RelatedHow: request.Next, RelatedTo: hid})
 	_ = nid
 	if err := holder.sess.Done(hid, held[6:]); err != nil {
@@ -386,8 +386,8 @@ func TestDeferredStartWaitsForRelease(t *testing.T) {
 func TestDisconnectFreesResources(t *testing.T) {
 	e, s := newTestServer(10)
 	app := &testApp{}
-	app.sess = s.Connect(app)
-	_, _ = app.sess.Request(RequestSpec{Cluster: c0, N: 7, Duration: 1000, Type: request.NonPreempt})
+	app.sess = connect(s, app)
+	_, _ = submit(app.sess, RequestSpec{Cluster: c0, N: 7, Duration: 1000, Type: request.NonPreempt})
 	e.Run(2)
 	app.sess.Disconnect()
 	e.RunAll()
@@ -402,14 +402,14 @@ func TestDisconnectFreesResources(t *testing.T) {
 func TestViewsPushedOnlyOnChange(t *testing.T) {
 	e, s := newTestServer(10)
 	app := &testApp{}
-	app.sess = s.Connect(app)
+	app.sess = connect(s, app)
 	e.RunAll()
 	n := len(app.views)
 	if n == 0 {
 		t.Fatal("no initial view push")
 	}
 	// An idle stretch with no state change: no new pushes.
-	_, _ = app.sess.Request(RequestSpec{Cluster: c0, N: 1, Duration: 10, Type: request.NonPreempt})
+	_, _ = submit(app.sess, RequestSpec{Cluster: c0, N: 1, Duration: 10, Type: request.NonPreempt})
 	e.RunAll()
 	after := len(app.views)
 	if after == n {
@@ -428,9 +428,9 @@ func TestMetricsIntegration(t *testing.T) {
 		Metrics:         rec,
 	})
 	app := &testApp{}
-	app.sess = s.Connect(app)
-	pa, _ := app.sess.Request(RequestSpec{Cluster: c0, N: 8, Duration: 100, Type: request.PreAlloc})
-	_, _ = app.sess.Request(RequestSpec{Cluster: c0, N: 4, Duration: 100,
+	app.sess = connect(s, app)
+	pa, _ := submit(app.sess, RequestSpec{Cluster: c0, N: 8, Duration: 100, Type: request.PreAlloc})
+	_, _ = submit(app.sess, RequestSpec{Cluster: c0, N: 4, Duration: 100,
 		Type: request.NonPreempt, RelatedHow: request.Coalloc, RelatedTo: pa})
 	e.RunAll()
 	id := app.sess.AppID()
@@ -447,10 +447,10 @@ func TestReschedulingCoalescing(t *testing.T) {
 	// re-scheduling interval (§3.2).
 	e, s := newTestServer(100)
 	app := &testApp{}
-	app.sess = s.Connect(app)
+	app.sess = connect(s, app)
 	e.Run(0.5)
 	for i := 0; i < 20; i++ {
-		_, _ = app.sess.Request(RequestSpec{Cluster: c0, N: 1, Duration: 1000, Type: request.NonPreempt})
+		_, _ = submit(app.sess, RequestSpec{Cluster: c0, N: 1, Duration: 1000, Type: request.NonPreempt})
 	}
 	// All 20 become visible after a single coalesced round at t=1.
 	e.Run(1.5)
@@ -474,11 +474,11 @@ func TestStrictPolicyWiredThrough(t *testing.T) {
 		Policy:          core.StrictEquiPartition,
 	})
 	a := &testApp{}
-	a.sess = s.Connect(a)
-	_, _ = a.sess.Request(RequestSpec{Cluster: c0, N: 10, Duration: math.Inf(1), Type: request.Preempt})
+	a.sess = connect(s, a)
+	_, _ = submit(a.sess, RequestSpec{Cluster: c0, N: 10, Duration: math.Inf(1), Type: request.Preempt})
 	b := &testApp{}
-	b.sess = s.Connect(b)
-	_, _ = b.sess.Request(RequestSpec{Cluster: c0, N: 10, Duration: math.Inf(1), Type: request.Preempt})
+	b.sess = connect(s, b)
+	_, _ = submit(b.sess, RequestSpec{Cluster: c0, N: 10, Duration: math.Inf(1), Type: request.Preempt})
 	e.Run(3)
 	_, pv := a.lastViews(t)
 	if got := pv.Get(c0).Value(s.Now()); got != 5 {
@@ -495,7 +495,7 @@ func TestClipWiredThrough(t *testing.T) {
 		Clip:            view.Constant(3, c0),
 	})
 	a := &testApp{}
-	a.sess = s.Connect(a)
+	a.sess = connect(s, a)
 	e.Run(2)
 	np, _ := a.lastViews(t)
 	if got := np.Get(c0).Value(0); got != 3 {
@@ -548,15 +548,15 @@ func TestNotificationOrderIsConnectionOrder(t *testing.T) {
 func TestRelationChildRefusesFloor(t *testing.T) {
 	_, s := newTestServer(10)
 	app := &testApp{}
-	app.sess = s.Connect(app)
-	parent, err := app.sess.Request(RequestSpec{Cluster: c0, N: 4, Duration: 100, Type: request.NonPreempt})
+	app.sess = connect(s, app)
+	parent, err := submit(app.sess, RequestSpec{Cluster: c0, N: 4, Duration: 100, Type: request.NonPreempt})
 	if err != nil {
 		t.Fatal(err)
 	}
 	specs := map[request.ID]RequestSpec{}
 	for _, how := range []request.Relation{request.Next, request.Coalloc} {
 		spec := RequestSpec{Cluster: c0, N: 2, Duration: 50, Type: request.Preempt, RelatedHow: how, RelatedTo: parent}
-		child, err := app.sess.Request(spec)
+		child, err := submit(app.sess, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -586,10 +586,10 @@ func TestRelationChildRefusesFloor(t *testing.T) {
 func TestSetNotBeforeFloorsFreePreemptible(t *testing.T) {
 	e, s := newTestServer(10)
 	app := &testApp{}
-	app.sess = s.Connect(app)
+	app.sess = connect(s, app)
 	startedAt := -1.0
 	app.onStart = func(request.ID, []int) { startedAt = e.Now() }
-	id, err := app.sess.Request(RequestSpec{Cluster: c0, N: 4, Duration: 100, Type: request.Preempt})
+	id, err := submit(app.sess, RequestSpec{Cluster: c0, N: 4, Duration: 100, Type: request.Preempt})
 	if err != nil {
 		t.Fatal(err)
 	}

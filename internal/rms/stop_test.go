@@ -42,8 +42,8 @@ func TestStopDropsStateAndClosesMetrics(t *testing.T) {
 	rec := metrics.NewRecorder()
 	e, s := newStopTestServer(rec)
 	app := &observerApp{}
-	sess := s.Connect(app)
-	if _, err := sess.Request(RequestSpec{Cluster: "c", N: 4, Duration: math.Inf(1), Type: request.NonPreempt}); err != nil {
+	sess := connect(s, app)
+	if _, err := submit(sess, RequestSpec{Cluster: "c", N: 4, Duration: math.Inf(1), Type: request.NonPreempt}); err != nil {
 		t.Fatal(err)
 	}
 	e.Run(10)
@@ -71,7 +71,7 @@ func TestStopDropsStateAndClosesMetrics(t *testing.T) {
 		t.Fatalf("area keeps growing after crash: %v → %v", area, got)
 	}
 	// Every operation fails.
-	if _, err := sess.Request(RequestSpec{Cluster: "c", N: 1, Duration: 1, Type: request.NonPreempt}); err == nil {
+	if _, err := submit(sess, RequestSpec{Cluster: "c", N: 1, Duration: 1, Type: request.NonPreempt}); err == nil {
 		t.Error("Request on a stopped server should fail")
 	}
 	if err := sess.Done(1, nil); err == nil {
@@ -93,8 +93,8 @@ func TestStopDropsStateAndClosesMetrics(t *testing.T) {
 func TestResetRejoinsEmpty(t *testing.T) {
 	e, s := newStopTestServer(nil)
 	app := &observerApp{}
-	sess := s.Connect(app)
-	if _, err := sess.Request(RequestSpec{Cluster: "c", N: 8, Duration: math.Inf(1), Type: request.NonPreempt}); err != nil {
+	sess := connect(s, app)
+	if _, err := submit(sess, RequestSpec{Cluster: "c", N: 8, Duration: math.Inf(1), Type: request.NonPreempt}); err != nil {
 		t.Fatal(err)
 	}
 	e.Run(5)
@@ -109,7 +109,7 @@ func TestResetRejoinsEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, err := sess2.Request(RequestSpec{Cluster: "c", N: 8, Duration: 10, Type: request.NonPreempt})
+	id, err := submit(sess2, RequestSpec{Cluster: "c", N: 8, Duration: 10, Type: request.NonPreempt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestResetRejoinsEmpty(t *testing.T) {
 		t.Errorf("post-reset invariants: %v", err)
 	}
 	// The pre-crash session stays dead.
-	if _, err := sess.Request(RequestSpec{Cluster: "c", N: 1, Duration: 1, Type: request.NonPreempt}); err == nil {
+	if _, err := submit(sess, RequestSpec{Cluster: "c", N: 1, Duration: 1, Type: request.NonPreempt}); err == nil {
 		t.Error("pre-crash session should stay terminated")
 	}
 }
@@ -142,8 +142,8 @@ func TestResetPanicsOnRunningServer(t *testing.T) {
 func TestRequestObserverFinishAndReap(t *testing.T) {
 	e, s := newStopTestServer(nil)
 	app := &observerApp{}
-	sess := s.Connect(app)
-	id, err := sess.Request(RequestSpec{Cluster: "c", N: 2, Duration: 5, Type: request.NonPreempt})
+	sess := connect(s, app)
+	id, err := submit(sess, RequestSpec{Cluster: "c", N: 2, Duration: 5, Type: request.NonPreempt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestRequestObserverFinishAndReap(t *testing.T) {
 	}
 
 	// A withdrawn pending request is finished and reaped at once.
-	id2, err := sess.Request(RequestSpec{Cluster: "c", N: 99, Duration: 5, Type: request.NonPreempt})
+	id2, err := submit(sess, RequestSpec{Cluster: "c", N: 99, Duration: 5, Type: request.NonPreempt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,14 +185,14 @@ func TestRequestObserverFinishAndReap(t *testing.T) {
 func TestRequestFinishedKeepsNextParentReferable(t *testing.T) {
 	e, s := newStopTestServer(nil)
 	app := &observerApp{}
-	sess := s.Connect(app)
-	parent, err := sess.Request(RequestSpec{Cluster: "c", N: 2, Duration: 10, Type: request.NonPreempt})
+	sess := connect(s, app)
+	parent, err := submit(sess, RequestSpec{Cluster: "c", N: 2, Duration: 10, Type: request.NonPreempt})
 	if err != nil {
 		t.Fatal(err)
 	}
 	e.Run(2)
 	// NEXT child scheduled to start at the parent's end.
-	child, err := sess.Request(RequestSpec{Cluster: "c", N: 2, Duration: 10, Type: request.NonPreempt,
+	child, err := submit(sess, RequestSpec{Cluster: "c", N: 2, Duration: 10, Type: request.NonPreempt,
 		RelatedHow: request.Next, RelatedTo: parent})
 	if err != nil {
 		t.Fatal(err)
@@ -226,9 +226,9 @@ func TestRequestFinishedKeepsNextParentReferable(t *testing.T) {
 
 func TestStructuredErrors(t *testing.T) {
 	e, s := newStopTestServer(nil)
-	sess := s.Connect(&observerApp{})
+	sess := connect(s, &observerApp{})
 	e.Run(1)
-	_, err := sess.Request(RequestSpec{Cluster: "c", N: 1, Duration: 1, Type: request.NonPreempt,
+	_, err := submit(sess, RequestSpec{Cluster: "c", N: 1, Duration: 1, Type: request.NonPreempt,
 		RelatedHow: request.Next, RelatedTo: 42})
 	var re *RequestError
 	if !errors.As(err, &re) || re.ID != 42 || !re.Related {

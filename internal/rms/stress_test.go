@@ -52,7 +52,7 @@ func (a *chaosApp) OnViews(_, p view.View) {
 			}
 			return
 		}
-		next, err := a.sess.Request(RequestSpec{
+		next, err := submit(a.sess, RequestSpec{
 			Cluster: c0, N: avail, Duration: math.Inf(1),
 			Type: request.Preempt, RelatedHow: request.Next, RelatedTo: a.preempt,
 		})
@@ -92,12 +92,12 @@ func (a *chaosApp) act() {
 			return
 		}
 		a.paN = 1 + a.rng.Intn(6)
-		pa, err := a.sess.Request(RequestSpec{Cluster: c0, N: a.paN, Duration: 200 + a.rng.Float64()*400, Type: request.PreAlloc})
+		pa, err := submit(a.sess, RequestSpec{Cluster: c0, N: a.paN, Duration: 200 + a.rng.Float64()*400, Type: request.PreAlloc})
 		if err != nil {
 			return
 		}
 		n := 1 + a.rng.Intn(a.paN)
-		np, err := a.sess.Request(RequestSpec{Cluster: c0, N: n, Duration: 100 + a.rng.Float64()*200,
+		np, err := submit(a.sess, RequestSpec{Cluster: c0, N: n, Duration: 100 + a.rng.Float64()*200,
 			Type: request.NonPreempt, RelatedHow: request.Coalloc, RelatedTo: pa})
 		if err != nil {
 			return
@@ -109,7 +109,7 @@ func (a *chaosApp) act() {
 			return
 		}
 		want := 1 + a.rng.Intn(a.paN)
-		next, err := a.sess.Request(RequestSpec{Cluster: c0, N: want, Duration: 100 + a.rng.Float64()*200,
+		next, err := submit(a.sess, RequestSpec{Cluster: c0, N: want, Duration: 100 + a.rng.Float64()*200,
 			Type: request.NonPreempt, RelatedHow: request.Next, RelatedTo: a.np})
 		if err != nil {
 			return
@@ -139,7 +139,7 @@ func (a *chaosApp) act() {
 		if a.preempt != 0 {
 			return
 		}
-		id, err := a.sess.Request(RequestSpec{Cluster: c0, N: 1 + a.rng.Intn(8),
+		id, err := submit(a.sess, RequestSpec{Cluster: c0, N: 1 + a.rng.Intn(8),
 			Duration: math.Inf(1), Type: request.Preempt})
 		if err != nil {
 			return
@@ -155,7 +155,7 @@ func (a *chaosApp) act() {
 		a.pIDs = nil
 
 	case 5: // submit a standalone rigid request (implicit wrapping path)
-		_, _ = a.sess.Request(RequestSpec{Cluster: c0, N: 1 + a.rng.Intn(4),
+		_, _ = submit(a.sess, RequestSpec{Cluster: c0, N: 1 + a.rng.Intn(4),
 			Duration: 50 + a.rng.Float64()*100, Type: request.NonPreempt})
 	}
 }
@@ -174,7 +174,7 @@ func TestStressInvariants(t *testing.T) {
 		apps := make([]*chaosApp, 4)
 		for i := range apps {
 			a := &chaosApp{t: t, rng: rand.New(rand.NewSource(seed*100 + int64(i))), e: e}
-			a.sess = s.Connect(a)
+			a.sess = connect(s, a)
 			apps[i] = a
 		}
 
@@ -217,7 +217,7 @@ func TestStressNoOverlappingNodeIDs(t *testing.T) {
 	apps := make([]*chaosApp, 3)
 	for i := range apps {
 		a := &chaosApp{t: t, rng: rand.New(rand.NewSource(int64(900 + i))), e: e}
-		a.sess = s.Connect(a)
+		a.sess = connect(s, a)
 		apps[i] = a
 	}
 	for round := 0; round < 300; round++ {

@@ -46,8 +46,8 @@ func TestQuotaPreemptionRecoversGuarantee(t *testing.T) {
 	var batch [2]*finishWatcher
 	for i := range batch {
 		batch[i] = &finishWatcher{}
-		batch[i].sess = s.Connect(batch[i], WithTenant("batch"))
-		if _, err := batch[i].sess.Request(RequestSpec{
+		batch[i].sess = connect(s, batch[i], WithTenant("batch"))
+		if _, err := submit(batch[i].sess, RequestSpec{
 			Cluster: c0, N: 6, Duration: math.Inf(1), Type: request.Preempt,
 		}); err != nil {
 			t.Fatal(err)
@@ -59,11 +59,11 @@ func TestQuotaPreemptionRecoversGuarantee(t *testing.T) {
 	}
 
 	prod := &finishWatcher{}
-	prod.sess = s.Connect(prod, WithTenant("prod"))
+	prod.sess = connect(s, prod, WithTenant("prod"))
 	if tenant, ok := s.TenantOf(prod.sess.AppID()); !ok || tenant != "prod" {
 		t.Fatalf("TenantOf = %q,%v, want prod,true", tenant, ok)
 	}
-	if _, err := prod.sess.Request(RequestSpec{
+	if _, err := submit(prod.sess, RequestSpec{
 		Cluster: c0, N: 8, Duration: math.Inf(1), Type: request.NonPreempt,
 	}); err != nil {
 		t.Fatal(err)
@@ -134,8 +134,8 @@ func histNames(snap obs.Snapshot) []string {
 func TestTenantLabelInertUnderFIFO(t *testing.T) {
 	e, s := newTestServer(8)
 	app := &testApp{}
-	app.sess = s.Connect(app, WithTenant("org/team"))
-	if _, err := app.sess.Request(RequestSpec{
+	app.sess = connect(s, app, WithTenant("org/team"))
+	if _, err := submit(app.sess, RequestSpec{
 		Cluster: c0, N: 4, Duration: math.Inf(1), Type: request.NonPreempt,
 	}); err != nil {
 		t.Fatal(err)

@@ -27,7 +27,7 @@ func startFederatedServer(t *testing.T, workers int) (*federation.Federator, str
 		ReschedInterval: 0.01,
 		Clock:           clock.NewRealClock(),
 	})
-	srv := NewFederatedServer(f)
+	srv := NewServer(f)
 	srv.Logf = func(string, ...any) {}
 	srv.Workers = workers
 	addr, err := srv.Listen("127.0.0.1:0")

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"coormv2/internal/clock"
+	"coormv2/internal/federation"
 	"coormv2/internal/netchaos"
 	"coormv2/internal/proto"
 	"coormv2/internal/request"
@@ -90,11 +91,11 @@ func (a *resilApp) duplicateStarts() []request.ID {
 	return dups
 }
 
-// startResilientServer starts an RMS-backed transport server with a
+// startResilientServer starts a one-shard transport server with a
 // resume grace window.
 func startResilientServer(t *testing.T, grace time.Duration) (*Server, string) {
 	t.Helper()
-	r := rms.NewServer(rms.Config{
+	r := federation.New(federation.Config{
 		Clusters:        map[view.ClusterID]int{c0: 16},
 		ReschedInterval: 0.01,
 		Clock:           clock.NewRealClock(),
@@ -526,7 +527,7 @@ func TestEvictionWithUndeliveredStart(t *testing.T) {
 
 func testEvictionWithUndeliveredStart(t *testing.T, resume bool) {
 	// Rounds run only through ScheduleNow: the simulated clock never runs.
-	r := rms.NewServer(rms.Config{Clusters: map[view.ClusterID]int{c0: 4}, Clock: clock.SimClock{E: sim.NewEngine()}})
+	r := federation.New(federation.Config{Clusters: map[view.ClusterID]int{c0: 4}, Clock: clock.SimClock{E: sim.NewEngine()}})
 	srv := NewServer(r)
 	srv.Logf = func(string, ...any) {}
 	srv.Grace = time.Hour
@@ -556,7 +557,7 @@ func testEvictionWithUndeliveredStart(t *testing.T, resume bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.ScheduleNow() // the round's Start takes the free slot, its views frame finds none
+	r.Shard(0).ScheduleNow() // the round's Start takes the free slot, its views frame finds none
 	if got := srv.Stats()["evictions"]; got != 1 {
 		t.Fatalf("evictions = %d, want 1", got)
 	}
@@ -577,7 +578,7 @@ func testEvictionWithUndeliveredStart(t *testing.T, resume bool) {
 		if srv.lookupSession(ws.token) != nil {
 			t.Error("the torn-down session can still be resumed")
 		}
-		if held := r.ClusterLoads()[0].Held; held != 0 {
+		if held := r.Shard(0).ClusterLoads()[0].Held; held != 0 {
 			t.Errorf("%d nodes still held after the teardown, want 0", held)
 		}
 		if err := r.CheckInvariants(); err != nil {

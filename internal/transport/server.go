@@ -3,9 +3,9 @@
 // clock.RealClock it is the "real-life prototype RMS" of §5: the simulator
 // and the daemon share every line of scheduling code.
 //
-// The transport is backend-agnostic: it bridges connections either to a
-// single rms.Server or to a federation.Federator, whose front-end routes
-// each session's requests to the scheduler shard owning the target cluster.
+// Every connection becomes a session of a federation.Federator, whose
+// front-end routes each request to the scheduler shard owning its target
+// cluster; a one-shard Federator is the single RMS.
 //
 // The wire is treated as unreliable by design: clients heartbeat and
 // reconnect with exponential backoff (see Options), the server issues
@@ -53,8 +53,8 @@ const (
 	idemCacheSize = 1024
 )
 
-// Session is the server-side session surface the transport needs. Both
-// *rms.Session and *federation.Session satisfy it.
+// Session is the server-side session surface the transport needs.
+// *federation.Session satisfies it.
 type Session interface {
 	AppID() int
 	Request(spec rms.RequestSpec) (request.ID, error)
@@ -62,16 +62,10 @@ type Session interface {
 	Disconnect()
 }
 
-// Backend creates application sessions: a single RMS or a federation.
+// Backend creates application sessions: a federation, or a wrapper around
+// one (the benchmark's traced backend).
 type Backend interface {
 	Connect(h rms.AppHandler, opts ...rms.ConnectOption) Session
-}
-
-// rmsBackend adapts *rms.Server to Backend.
-type rmsBackend struct{ s *rms.Server }
-
-func (b rmsBackend) Connect(h rms.AppHandler, opts ...rms.ConnectOption) Session {
-	return b.s.Connect(h, opts...)
 }
 
 // fedBackend adapts *federation.Federator to Backend.
@@ -173,15 +167,10 @@ type Server struct {
 	Obs *obs.Registry
 }
 
-// NewServer wraps a single RMS server. Call Serve to start accepting.
-func NewServer(r *rms.Server) *Server { return NewBackendServer(rmsBackend{r}) }
-
-// NewFederatedServer wraps a federation front-end: every accepted
-// connection becomes a federated session whose requests are routed to the
-// shard owning their target cluster.
-func NewFederatedServer(f *federation.Federator) *Server {
-	return NewBackendServer(fedBackend{f})
-}
+// NewServer wraps a federation front-end: every accepted connection becomes
+// a federated session whose requests are routed to the shard owning their
+// target cluster. Call Serve to start accepting.
+func NewServer(f *federation.Federator) *Server { return NewBackendServer(fedBackend{f}) }
 
 // NewBackendServer wraps any session backend.
 func NewBackendServer(b Backend) *Server {

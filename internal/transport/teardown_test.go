@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"coormv2/internal/clock"
+	"coormv2/internal/federation"
 	"coormv2/internal/request"
 	"coormv2/internal/rms"
 	"coormv2/internal/view"
@@ -221,7 +222,7 @@ func TestOversizedClientFrame(t *testing.T) {
 
 func startServerMaxFrame(t *testing.T, maxFrame int) (*Server, string) {
 	t.Helper()
-	r := rms.NewServer(rms.Config{
+	r := federation.New(federation.Config{
 		Clusters:        map[view.ClusterID]int{c0: 16},
 		ReschedInterval: 0.01,
 		Clock:           clock.NewRealClock(),

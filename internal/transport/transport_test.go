@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"coormv2/internal/clock"
+	"coormv2/internal/federation"
 	"coormv2/internal/request"
 	"coormv2/internal/rms"
 	"coormv2/internal/view"
@@ -71,7 +72,7 @@ func (a *clientApp) waitFor(t *testing.T, what string, pred func() bool) {
 
 func startServer(t *testing.T) (*Server, string) {
 	t.Helper()
-	r := rms.NewServer(rms.Config{
+	r := federation.New(federation.Config{
 		Clusters:        map[view.ClusterID]int{c0: 16},
 		ReschedInterval: 0.01, // fast rounds for the test
 		Clock:           clock.NewRealClock(),
@@ -210,7 +211,7 @@ func TestPreemptibleInfiniteDurationOverTCP(t *testing.T) {
 func TestKillDeliveredOverTCP(t *testing.T) {
 	// A client that ignores preemption signals is killed; the kill frame
 	// must reach it and subsequent calls must fail.
-	r := rms.NewServer(rms.Config{
+	r := federation.New(federation.Config{
 		Clusters:        map[view.ClusterID]int{c0: 8},
 		ReschedInterval: 0.01,
 		GracePeriod:     0.05,
