@@ -79,10 +79,10 @@ func (r *Rigid) OnStart(id request.ID, nodeIDs []int) {
 	// scratch, so the completion moves with it — the first run's end timer
 	// must not settle the job while the re-run is still executing. (If the
 	// re-run starts only after the first run's scheduled end, the stale
-	// timer has already fired: the app has no crash signal to cancel it
-	// earlier — see ROADMAP "crash-aware applications". Crash-accurate
-	// consumers settle on the server-side OnRequestFinished event instead,
-	// as the chaos harness does.)
+	// timer has already fired and settled the job early: the protocol tells
+	// an application nothing when a crash requeues its request, so it cannot
+	// cancel the timer sooner. Crash-accurate consumers settle on the
+	// server-side OnRequestFinished event instead, as the chaos harness does.)
 	if r.endTimer != nil {
 		r.endTimer.Stop()
 	}

@@ -4,7 +4,7 @@
 package clock
 
 import (
-	"sync"
+	"math"
 	"time"
 
 	"coormv2/internal/sim"
@@ -53,33 +53,21 @@ func (c *RealClock) Now() float64 {
 	return time.Since(c.epoch).Seconds()
 }
 
-type realTimer struct {
-	mu    sync.Mutex
-	t     *time.Timer
-	fired bool
-}
-
-func (rt *realTimer) Stop() bool {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if rt.fired {
-		return false
-	}
-	return rt.t.Stop()
-}
-
-// AfterFunc schedules fn on a real timer. The name is ignored (it exists
-// for simulation traces).
+// AfterFunc schedules fn on a real timer, the Timer (its Stop reports false
+// once fn has started). The name is ignored (it exists for simulation traces).
 func (c *RealClock) AfterFunc(d float64, _ string, fn func()) Timer {
-	rt := &realTimer{}
-	if d < 0 {
-		d = 0
+	return time.AfterFunc(duration(d), fn)
+}
+
+// duration converts d seconds to a time.Duration clamped to [0, ≈292 years]:
+// past its range the product would wrap negative and fire at once.
+func duration(d float64) time.Duration {
+	if !(d > 0) {
+		return 0
 	}
-	rt.t = time.AfterFunc(time.Duration(d*float64(time.Second)), func() {
-		rt.mu.Lock()
-		rt.fired = true
-		rt.mu.Unlock()
-		fn()
-	})
-	return rt
+	ns := d * float64(time.Second)
+	if ns >= math.MaxInt64 {
+		return math.MaxInt64
+	}
+	return time.Duration(ns)
 }

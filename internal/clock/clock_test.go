@@ -1,6 +1,7 @@
 package clock
 
 import (
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -85,9 +86,30 @@ func TestRealTimerStopAfterFire(t *testing.T) {
 	var wg sync.WaitGroup
 	wg.Add(1)
 	tm := c.AfterFunc(0.01, "x", func() { wg.Done() })
-	wg.Wait()
-	time.Sleep(5 * time.Millisecond)
+	wg.Wait() // the callback has started
 	if tm.Stop() {
 		t.Error("Stop after fire should report false")
+	}
+}
+
+// TestDurationClamps pins the seconds → time.Duration conversion at delays a
+// request's duration can reach: past time.Duration's range the product would
+// wrap negative and fire at once.
+func TestDurationClamps(t *testing.T) {
+	for _, tc := range []struct {
+		d    float64
+		want time.Duration
+	}{
+		{1.5, 1500 * time.Millisecond},
+		{1e6, 1e6 * time.Second},
+		{1e12, math.MaxInt64},
+		{1e300, math.MaxInt64},
+		{math.Inf(1), math.MaxInt64},
+		{-5, 0},
+		{math.NaN(), 0},
+	} {
+		if got := duration(tc.d); got != tc.want {
+			t.Errorf("duration(%v) = %v, want %v", tc.d, got, tc.want)
+		}
 	}
 }

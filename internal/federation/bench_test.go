@@ -194,10 +194,10 @@ func BenchmarkCrossShardGang(b *testing.B) {
 // clock.RealClock: a background goroutine ping-pongs one cluster between two
 // shards as fast as MigrateCluster allows while the measured session issues
 // request/done pairs against that exact cluster. Every operation that lands
-// mid-migration walks the bounded retry path (migrateRetryBudget); p99 and
-// max per-op latency are reported so a retry pile-up is visible as a tail,
-// not hidden in the mean. Skipped under -short and on single-core runners
-// (no concurrent migrator there).
+// mid-migration takes a turn on the cluster — it waits the migration out and
+// is retried once — so none fails; p99 and max per-op latency are reported so
+// the waits are visible as a tail, not hidden in the mean. Skipped under
+// -short and on single-core runners (no concurrent migrator there).
 func BenchmarkMigrationBackpressure(b *testing.B) {
 	if testing.Short() {
 		b.Skip("real-clock migration benchmark; skipped under -short")

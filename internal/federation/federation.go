@@ -166,11 +166,14 @@ type Federator struct {
 	// a notification only use the session surface.
 	topoMu sync.Mutex
 
-	mu       sync.Mutex
-	owner    map[view.ClusterID]int // cluster → shard index; mutated by migration
-	nextApp  int
-	nextReq  request.ID
-	sessions map[int]*Session // live federated sessions by app ID
+	mu        sync.Mutex
+	owner     map[view.ClusterID]int // cluster → shard index; mutated by migration
+	nextApp   int
+	nextReq   request.ID
+	sessions  map[int]*Session // live federated sessions by app ID
+	migrating view.ClusterID   // the turns of migrate.go; turnCond is on mu
+	turns     map[view.ClusterID]int
+	turnCond  sync.Cond
 
 	// Observability (nil when Config.Obs is nil). crashedAt remembers each
 	// shard's last crash instant so RestartShard can record the outage
@@ -277,9 +280,11 @@ func New(cfg Config) *Federator {
 		recovery:     cfg.Recovery,
 		nodeRecovery: cfg.NodeRecovery,
 		sessions:     make(map[int]*Session),
+		turns:        make(map[view.ClusterID]int),
 		nextApp:      1,
 		nextReq:      1,
 	}
+	f.turnCond.L = &f.mu
 	f.reschedInterval = cfg.ReschedInterval
 	if f.reschedInterval <= 0 {
 		f.reschedInterval = 1

@@ -24,6 +24,11 @@ import (
 // included — topoMu serializes migration against crash/restart under
 // clock.RealClock, where the same atomicity must be enforced rather than
 // inherited.
+//
+// Turns: under clock.RealClock a call the donor refuses after the detach takes
+// a turn on the cluster (Federator.turn): it waits out the migration (set in
+// f.migrating before the detach, cleared at the commit or failure, no handler
+// run between), holds off the next (f.turns) and is routed once more.
 
 // MigrationReport summarizes one live cluster migration.
 type MigrationReport struct {
@@ -73,6 +78,9 @@ func (f *Federator) MigrateCluster(cid view.ClusterID, to int) (MigrationReport,
 	}
 	rep := MigrationReport{Cluster: cid, To: to}
 	f.mu.Lock()
+	for f.turns[cid] > 0 {
+		f.turnCond.Wait()
+	}
 	from, ok := f.owner[cid]
 	rep.From = from
 	if !ok {
@@ -88,10 +96,12 @@ func (f *Federator) MigrateCluster(cid view.ClusterID, to int) (MigrationReport,
 		return rep, fmt.Errorf("federation: cannot migrate %q from shard %d to %d: a shard is down", cid, from, to)
 	}
 	sessions := f.sessionsLocked()
+	f.migrating = cid
 	f.mu.Unlock()
 
 	snap, err := f.shards[from].DetachCluster(cid)
 	if err != nil {
+		f.endMigration(cid, from)
 		return rep, err
 	}
 	rep.Apps, rep.Requests, rep.Nodes = len(snap.Apps), snap.Requests(), snap.HeldNodes()
@@ -114,29 +124,25 @@ func (f *Federator) MigrateCluster(cid view.ClusterID, to int) (MigrationReport,
 			}
 		}
 	}
-	if err := f.shards[to].AttachCluster(snap, repoint(to)); err != nil {
-		// The donor is drained but the target refused (unreachable in the
-		// simulator — topoMu excludes a concurrent crash, and the down check
-		// above covered the rest). Exactly-once placement must hold even
-		// here: hand the snapshot back to the donor — to the sessions, a
-		// migration from the target.
+	if err = f.shards[to].AttachCluster(snap, repoint(to)); err != nil {
+		// The target refused (unreachable in the simulator — topoMu excludes
+		// a concurrent crash, the down check covered the rest): hand the
+		// snapshot back to the donor, to the sessions a move from the target.
 		for _, sess := range sessions {
 			sess.queueLost(lost, to)
-			sess.deliver()
 		}
 		if rerr := f.shards[from].AttachCluster(snap, repoint(from)); rerr != nil {
 			panic(fmt.Sprintf("federation: cluster %q lost in migration: %v (after %v)", cid, rerr, err))
 		}
-		return rep, err
+		to = from // the cluster's owner from here on
 	}
-
-	f.mu.Lock()
-	f.owner[cid] = to
-	f.mu.Unlock()
-
+	f.endMigration(cid, to) // before any handler runs: one may wait for it
 	for _, sess := range sessions {
 		sess.rehomeDetachedHolds(cid, to)
 		sess.deliver()
+	}
+	if err != nil {
+		return rep, err
 	}
 	f.stats.migratedClusters.Add(1)
 	if f.hMigrate != nil {
@@ -150,6 +156,27 @@ func (f *Federator) MigrateCluster(cid view.ClusterID, to int) (MigrationReport,
 			Cluster: string(cid), Value: pause})
 	}
 	return rep, nil
+}
+
+// endMigration commits owner for cid and wakes the calls waiting for a turn.
+func (f *Federator) endMigration(cid view.ClusterID, owner int) {
+	f.mu.Lock()
+	f.owner[cid] = owner
+	f.migrating = ""
+	f.turnCond.Broadcast()
+	f.mu.Unlock()
+}
+
+// turn takes (delta 1) or gives back (-1) a turn on cid. Taking one waits out
+// the migration of cid in flight; the next waits until no turn is held.
+func (f *Federator) turn(cid view.ClusterID, delta int) {
+	f.mu.Lock()
+	f.turns[cid] += delta
+	for delta > 0 && f.migrating == cid {
+		f.turnCond.Wait()
+	}
+	f.turnCond.Broadcast()
+	f.mu.Unlock()
 }
 
 // migrateMapping re-points one request's record at shard dst. Called under

@@ -2,9 +2,11 @@ package federation
 
 import (
 	"errors"
+	"fmt"
 	"maps"
 	"math"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -177,10 +179,16 @@ func TestMigrateClusterErrors(t *testing.T) {
 // request IDs, which the Federator drew once and never reuses. The target's
 // refusal is forced here from inside the package, by holding one of those
 // IDs on the target behind the federation's back; no caller outside it can.
+//
+// The segment naming alpha lost reaches the application only after alpha is
+// back on the donor and the migration has ended: the application submits to
+// alpha from inside that delivery, which would otherwise wait for the
+// migration it runs inside.
 func TestMigrationRefusedAttachReturnsToDonor(t *testing.T) {
 	e, f := newMigrateFederation(t, KillOnCrash)
-	app := &testApp{}
+	app := &lostResubmitter{testApp: &testApp{}, cid: cA}
 	sess := f.Connect(app)
+	app.sess = sess
 	id, err := sess.Request(rms.RequestSpec{Cluster: cA, N: 2, Duration: 1e6, Type: request.NonPreempt})
 	if err != nil {
 		t.Fatal(err)
@@ -194,10 +202,25 @@ func TestMigrationRefusedAttachReturnsToDonor(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, err = f.MigrateCluster(cA, 1)
+	migrated := make(chan struct{})
+	go func() {
+		defer close(migrated)
+		_, err = f.MigrateCluster(cA, 1)
+	}()
+	select {
+	case <-migrated:
+	case <-time.After(10 * time.Second):
+		t.Fatal("MigrateCluster hangs in a delivery that submits to the migrating cluster")
+	}
 	var re *rms.RequestError
 	if !errors.As(err, &re) || re.ID != id || re.Reason != rms.ReasonInUse {
 		t.Fatalf("MigrateCluster onto a colliding ID = %v, want request %d %s", err, id, rms.ReasonInUse)
+	}
+	if app.err != nil || app.id == 0 {
+		t.Fatalf("the submit from inside the delivery returned request %d, %v", app.id, app.err)
+	}
+	if got := shardRequests(sess, 0); !slices.Contains(got, app.id) {
+		t.Fatalf("shard 0 holds %v, want the request %d submitted mid-delivery", got, app.id)
 	}
 	if owner, _ := f.Owner(cA); owner != 0 {
 		t.Fatalf("alpha on shard %d after the refused attach, want 0", owner)
@@ -214,12 +237,29 @@ func TestMigrationRefusedAttachReturnsToDonor(t *testing.T) {
 	e.Run(6)
 	mustCheck(t, f)
 	for _, l := range f.Shard(0).ClusterLoads() {
-		if l.Cluster == cA && l.Held != 2 {
-			t.Fatalf("alpha holds %d nodes after the refused migration, want request %d's 2", l.Held, id)
+		if l.Cluster == cA && l.Held != 3 {
+			t.Fatalf("alpha holds %d nodes after the refused migration, want request %d's 2 and request %d's 1", l.Held, id, app.id)
 		}
 	}
 	if app.killed != "" {
 		t.Fatalf("session killed: %s", app.killed)
+	}
+}
+
+// lostResubmitter submits one request to a cluster from inside the first
+// delivery that names the cluster lost.
+type lostResubmitter struct {
+	*testApp
+	sess *Session
+	cid  view.ClusterID
+	id   request.ID
+	err  error
+}
+
+func (a *lostResubmitter) OnViews(np, p view.View) {
+	a.testApp.OnViews(np, p)
+	if f, named := np.Lookup(a.cid); named && f.IsZero() && a.id == 0 && a.err == nil {
+		a.id, a.err = a.sess.Request(rms.RequestSpec{Cluster: a.cid, N: 1, Duration: 1e6, Type: request.NonPreempt})
 	}
 }
 
@@ -356,48 +396,149 @@ func TestCrashedShardPushIsDropped(t *testing.T) {
 	}
 }
 
-// slowViews is an application whose view handler takes a while, so that
-// MigrateCluster is still delivering to it when the target's first round
-// pushes to the sessions after it.
-type slowViews struct{ inertApp }
+// slowViews is an application whose view handler takes two rounds: it steps
+// the engine, so the rounds that fall due during a delivery push before it
+// returns.
+type slowViews struct {
+	inertApp
+	e *sim.Engine
+}
 
-func (slowViews) OnViews(_, _ view.View) { time.Sleep(2 * time.Millisecond) }
+func (v slowViews) OnViews(_, _ view.View) { v.e.Run(v.e.Now() + 2) }
 
-// TestMigrationUnderRealClockKeepsClusterVisible ping-pongs an idle cluster
-// under clock.RealClock, where the target's first round runs on a timer
-// goroutine and can push before MigrateCluster returns. Once the shards are
-// idle again the application must hold the cluster at full capacity: a zero
-// segment delivered after that push would hide the cluster until its views
-// change.
-func TestMigrationUnderRealClockKeepsClusterVisible(t *testing.T) {
+// TestMigrationKeepsClusterVisibleMidDelivery ping-pongs an idle cluster
+// while the delivery MigrateCluster makes to a slow application steps the
+// clock, so the target's first round pushes to the sessions before
+// MigrateCluster returns — as it can under clock.RealClock, where the round
+// runs on a timer goroutine. The application connected after the slow one
+// must then hold the cluster at full capacity: a zero segment delivered
+// after that push would hide the cluster until its views change.
+func TestMigrationKeepsClusterVisibleMidDelivery(t *testing.T) {
+	e, f := newMigrateFederation(t, KillOnCrash)
+	f.Connect(slowViews{e: e})
+	app := &testApp{}
+	f.Connect(app)
+	for i := 0; i < 4; i++ {
+		e.Run(e.Now() + 5) // both shards idle: the target's round is due at once
+		if _, err := f.MigrateCluster(cC, 1-i%2); err != nil {
+			t.Fatal(err)
+		}
+		e.Run(e.Now() + 5)
+		np, _ := app.heldViews(t)
+		if got := np.Get(cC).Value(e.Now()); got != 8 {
+			t.Fatalf("migration %d: the application holds %d free nodes of gamma, want 8", i+1, got)
+		}
+	}
+	mustCheck(t, f)
+}
+
+// TestRealClockMigrationStorm ping-pongs a cluster between two shards back
+// to back under clock.RealClock while one session runs request/done pairs on
+// it, every other one for a request co-allocated with the one before it. A
+// call that reaches a shard the cluster, or the parent with its cluster, has
+// just left waits the migration out and is retried once: none may fail for
+// the live cluster.
+func TestRealClockMigrationStorm(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("needs >1 core for a concurrent migrator")
+	}
 	f := New(Config{
-		Clusters:        map[view.ClusterID]int{cA: 8, cB: 8, cC: 8},
+		Clusters:        map[view.ClusterID]int{"c00": 16, "c01": 16, "c02": 16, "c03": 16},
 		Shards:          2,
 		ReschedInterval: 0.001,
 		GracePeriod:     1e18,
 		Clock:           clock.NewRealClock(),
 	})
-	f.Connect(slowViews{})
-	app := &testApp{}
-	f.Connect(app)
-	for i := 0; i < 20; i++ {
-		time.Sleep(5 * time.Millisecond) // both shards idle: the target's round starts at once
-		if _, err := f.MigrateCluster(cC, 1-i%2); err != nil {
-			t.Fatal(err)
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	migrations := 0
+	go func() {
+		defer close(stopped)
+		for to := 1; ; to = 1 - to {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := f.MigrateCluster("c00", to); err != nil {
+				t.Error(err)
+				return
+			}
+			migrations++
 		}
-		for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
-			app.mu.Lock()
-			got := app.held[0].Get(cC).Value(0)
-			app.mu.Unlock()
-			if got == 8 {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("migration %d: the application holds %d free nodes of gamma, want 8", i+1, got)
-			}
+	}()
+	sess := f.Connect(inertApp{})
+	const pairs = 2000
+	var failed []error
+	spec := rms.RequestSpec{Cluster: "c00", N: 1, Duration: math.Inf(1), Type: request.Preempt}
+	for i := 0; i < pairs/2; i++ {
+		parent, err := sess.Request(spec)
+		if err != nil {
+			failed = append(failed, err, err) // the child's pair fails with it
+			continue
+		}
+		child := spec
+		child.RelatedHow, child.RelatedTo = request.Coalloc, parent
+		id, err := sess.Request(child)
+		if err == nil {
+			err = sess.Done(id, nil)
+		}
+		if err != nil {
+			failed = append(failed, err)
+		}
+		if err := sess.Done(parent, nil); err != nil {
+			failed = append(failed, err)
 		}
 	}
+	close(stop)
+	<-stopped
+	if len(failed) > 0 {
+		t.Errorf("%d of %d request/done pairs failed during %d migrations; first: %v", len(failed), pairs, migrations, failed[0])
+	}
+	// A shard's round delivers with no lock held, so a reap can still be on
+	// its way to the session's table: check the topology without it.
+	sess.Disconnect()
 	mustCheck(t, f)
+}
+
+// TestRacedRequestErrors pins which failed request() a migration may have
+// raced, and the cluster whose turn its one retry takes: the shard did not
+// know the cluster, or did not find a parent the session has a record of
+// (the parent's cluster), or no longer owns the cluster, whatever it said.
+func TestRacedRequestErrors(t *testing.T) {
+	_, f := newMigrateFederation(t, KillOnCrash)
+	sess := f.Connect(&testApp{})
+	parent, err := sess.Request(rms.RequestSpec{Cluster: cB, N: 1, Duration: 1e6, Type: request.NonPreempt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := rms.RequestSpec{Cluster: cA, N: 1, Duration: 1e6, Type: request.NonPreempt} // alpha: shard 0
+	child, orphan, stray := spec, spec, spec
+	stray.Cluster = "delta"
+	child.RelatedHow, child.RelatedTo = request.Coalloc, parent
+	orphan.RelatedHow, orphan.RelatedTo = request.Coalloc, parent+100
+	notFound := func(id request.ID) error {
+		return &rms.RequestError{ID: id, Related: true, Node: -1, Reason: rms.ReasonNotFound}
+	}
+	down := errors.New("federation: shard 1 is down")
+	for _, tc := range []struct {
+		name  string
+		spec  rms.RequestSpec
+		shard int
+		err   error
+		want  view.ClusterID // "" when not raced
+	}{
+		{"accepted", spec, 0, nil, ""},
+		{"unknown to the federation", stray, -1, errors.New(`rms: unknown cluster "delta"`), ""},
+		{"unknown to the shard", spec, 0, fmt.Errorf("%w %q", rms.ErrUnknownCluster, cA), cA},
+		{"parent not found", child, 0, notFound(parent), cB},
+		{"parent without a record", orphan, 0, notFound(orphan.RelatedTo), ""},
+		{"from a shard that lost the cluster", spec, 1, down, cA},
+		{"from the owner", spec, 0, down, ""},
+	} {
+		if got := sess.racedCluster(tc.spec, tc.shard, tc.err); got != tc.want {
+			t.Errorf("%s: racedCluster = %q, want %q", tc.name, got, tc.want)
+		}
+	}
 }
 
 // churnOn issues n short-lived preemptible request/done pairs on a cluster.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"time"
 
 	"coormv2/internal/request"
 	"coormv2/internal/rms"
@@ -53,15 +52,6 @@ type fedReq struct {
 	started   bool
 	startedAt float64
 }
-
-// migrateRetryBudget bounds how many times a racing request()/done() call
-// is retried against a re-homed cluster under clock.RealClock. Inside the
-// simulator a migration is atomic within one event, so the retry path is
-// unreachable there; under a real clock BenchmarkMigrationBackpressure
-// measures the tail latency of racing operations during sustained
-// migration churn — one retry almost always suffices, and the budget turns
-// a pathological migration storm into a clean error instead of livelock.
-const migrateRetryBudget = 3
 
 // Session is one application's connection to the federation. It satisfies
 // the same application-side surface as *rms.Session (AppID, Request, Done,
@@ -137,44 +127,54 @@ func (s *Session) onShardLocked(shard int, id request.ID) *fedReq {
 // is queued and replayed when the shard restarts (the ID is returned
 // immediately); under KillOnCrash it fails.
 func (s *Session) Request(spec rms.RequestSpec) (request.ID, error) {
-	shard, ok := s.f.Owner(spec.Cluster)
-	if !ok {
-		return 0, fmt.Errorf("rms: unknown cluster %q", spec.Cluster)
+	shard, id, err := s.submit(spec, 0)
+	if cid := s.racedCluster(spec, shard, err); cid != "" {
+		// A live migration took the cluster, or the parent with it, from the
+		// shard (real clock only): wait it out, submit once more under the ID.
+		s.f.turn(cid, 1)
+		defer s.f.turn(cid, -1)
+		_, id, err = s.submit(spec, id)
 	}
-	id, err := s.requestOn(shard, spec)
-	// A live migration may have re-homed the cluster between the routing
-	// decision and the shard call (real clock only — simulator events are
-	// atomic), making the old owner reject its own cluster. Retry against
-	// the current owner, bounded by the migration retry budget so a
-	// migration storm degrades into an error rather than a livelock. A
-	// rejection from the shard the owner table still names means the
-	// migration is mid-flight (detached, new owner not committed): back off
-	// briefly before re-resolving — that wait is the measured back-pressure
-	// of BenchmarkMigrationBackpressure.
-	for attempt := 0; err != nil && attempt < migrateRetryBudget; attempt++ {
-		cur, ok := s.f.Owner(spec.Cluster)
-		if !ok {
-			break
-		}
-		if cur == shard {
-			if !errors.Is(err, rms.ErrUnknownCluster) {
-				break
-			}
-			time.Sleep(time.Duration(attempt+1) * 100 * time.Microsecond)
-			continue
-		}
-		shard = cur
-		id, err = s.requestOn(shard, spec)
+	if err != nil {
+		return 0, err
 	}
-	return id, err
+	return id, nil
 }
 
-// requestOn submits the request to one specific shard.
-func (s *Session) requestOn(shard int, spec rms.RequestSpec) (request.ID, error) {
+// racedCluster names the cluster whose migration a request() refused on shard
+// may have raced, or returns "": its own if the shard did not know it or no
+// longer owns it, its parent's if the shard did not find a placed parent.
+func (s *Session) racedCluster(spec rms.RequestSpec, shard int, err error) view.ClusterID {
+	if err == nil {
+		return ""
+	}
+	var re *rms.RequestError
+	if errors.As(err, &re) && re.Related && re.Reason == rms.ReasonNotFound {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if pe := s.reqs[spec.RelatedTo]; pe != nil && !pe.state.nowhere() {
+			return pe.spec.Cluster
+		}
+		return ""
+	}
+	if owner, ok := s.f.Owner(spec.Cluster); ok && (owner != shard || errors.Is(err, rms.ErrUnknownCluster)) {
+		return spec.Cluster
+	}
+	return ""
+}
+
+// submit submits the request to the shard the owner table names under fid, or
+// under an ID it draws once it gets that far. It returns the shard (-1: none)
+// and the ID, also on failure: nothing holds the ID then, a retry reuses it.
+func (s *Session) submit(spec rms.RequestSpec, fid request.ID) (int, request.ID, error) {
+	shard, ok := s.f.Owner(spec.Cluster)
+	if !ok {
+		return -1, fid, fmt.Errorf("rms: unknown cluster %q", spec.Cluster)
+	}
 	s.mu.Lock()
 	if s.killed {
 		s.mu.Unlock()
-		return 0, fmt.Errorf("rms: session was terminated")
+		return shard, fid, fmt.Errorf("rms: session was terminated")
 	}
 	sub := s.subs[shard]
 	var parentSub *rms.Session // of a cross-shard parent that is on its shard
@@ -182,7 +182,7 @@ func (s *Session) requestOn(shard int, spec rms.RequestSpec) (request.ID, error)
 		pe, ok := s.reqs[spec.RelatedTo]
 		if !ok {
 			s.mu.Unlock()
-			return 0, &rms.RequestError{ID: spec.RelatedTo, Related: true, Node: -1, Reason: rms.ReasonNotFound}
+			return shard, fid, &rms.RequestError{ID: spec.RelatedTo, Related: true, Node: -1, Reason: rms.ReasonNotFound}
 		}
 		switch {
 		case pe.shard != shard:
@@ -197,22 +197,24 @@ func (s *Session) requestOn(shard int, spec rms.RequestSpec) (request.ID, error)
 			// Transient real-clock window between a restart's re-admission
 			// and its queue replay; inside the simulator it cannot occur.
 			s.mu.Unlock()
-			return 0, fmt.Errorf("federation: related request %d is awaiting replay on shard %d", spec.RelatedTo, shard)
+			return shard, fid, fmt.Errorf("federation: related request %d is awaiting replay on shard %d", spec.RelatedTo, shard)
 		}
 	}
 	s.mu.Unlock()
 
+	if sub == nil && s.f.recovery != RequeueOnCrash {
+		return shard, fid, fmt.Errorf("federation: shard %d is down", shard)
+	}
+	if fid == 0 {
+		fid = s.f.nextRequestID()
+	}
 	if sub == nil {
-		if s.f.recovery != RequeueOnCrash {
-			return 0, fmt.Errorf("federation: shard %d is down", shard)
-		}
 		// Queue the spec for replay on restart. The ID is reserved now so the
 		// application's bookkeeping works as usual.
-		fid := s.f.nextRequestID()
 		s.mu.Lock()
 		if s.killed {
 			s.mu.Unlock()
-			return 0, fmt.Errorf("rms: session was terminated")
+			return shard, fid, fmt.Errorf("rms: session was terminated")
 		}
 		if s.subs[shard] != nil {
 			// The shard restarted (and drained its replay queue) between the
@@ -220,12 +222,12 @@ func (s *Session) requestOn(shard int, spec rms.RequestSpec) (request.ID, error)
 			// awaiting-replay guard above. Queueing now would strand the
 			// request until the shard's next crash; fail transiently instead.
 			s.mu.Unlock()
-			return 0, fmt.Errorf("federation: shard %d restarted mid-request; retry", shard)
+			return shard, fid, fmt.Errorf("federation: shard %d restarted mid-request; retry", shard)
 		}
 		s.reqs[fid] = &fedReq{shard: shard, spec: spec, state: queued}
 		s.mu.Unlock()
 		s.f.stats.requeuedRequests.Add(1)
-		return fid, nil
+		return shard, fid, nil
 	}
 
 	// Seed a reservation's floor from the parent's current schedule so the
@@ -236,11 +238,10 @@ func (s *Session) requestOn(shard int, spec rms.RequestSpec) (request.ID, error)
 			notBefore = gangTarget(spec.RelatedHow, info)
 		}
 	}
-	fid := s.f.nextRequestID()
 	if _, err := s.place(fid, &fedReq{shard: shard, spec: spec}, sub, notBefore); err != nil {
-		return 0, err
+		return shard, fid, err
 	}
-	return fid, nil
+	return shard, fid, nil
 }
 
 // place admits record e on its shard under fid; it is the only admission
@@ -309,15 +310,28 @@ func (s *Session) drop(fid request.ID) bool {
 // on a request that is nowhere — queued for replay, or a released hold in its
 // retry back-off — withdraws it federation-side.
 func (s *Session) Done(id request.ID, released []int) error {
+	cid, err := s.done(id, released)
+	if cid == "" {
+		return err
+	}
+	// Not found: a live migration may have taken it (real clock only).
+	s.f.turn(cid, 1)
+	defer s.f.turn(cid, -1)
+	_, err = s.done(id, released)
+	return err
+}
+
+// done routes done() once; it returns the cluster of a request not found.
+func (s *Session) done(id request.ID, released []int) (view.ClusterID, error) {
 	s.mu.Lock()
 	if s.killed {
 		s.mu.Unlock()
-		return fmt.Errorf("rms: session was terminated")
+		return "", fmt.Errorf("rms: session was terminated")
 	}
 	e, ok := s.reqs[id]
 	if !ok {
 		s.mu.Unlock()
-		return &rms.RequestError{ID: id, Node: -1, Reason: rms.ReasonNotFound}
+		return "", &rms.RequestError{ID: id, Node: -1, Reason: rms.ReasonNotFound}
 	}
 	if e.state.nowhere() {
 		// The request is not on a shard; withdrawing it is purely a
@@ -330,46 +344,22 @@ func (s *Session) Done(id request.ID, released []int) error {
 		s.mu.Unlock()
 		s.f.stats.droppedRequests.Add(1)
 		s.notifyRetired([]request.ID{id}, []request.ID{id})
-		return nil
+		return "", nil
 	}
-	shard := e.shard
+	shard, cid := e.shard, e.spec.Cluster
 	sub := s.subs[shard]
+	s.mu.Unlock()
 	if sub == nil {
 		// Unreachable in the simulator: a crash either queued or purged
 		// every mapping on the dead shard. Real-clock race fallback.
-		s.mu.Unlock()
-		return fmt.Errorf("federation: shard %d is down", shard)
+		return "", fmt.Errorf("federation: shard %d is down", shard)
 	}
-	s.mu.Unlock()
 	err := sub.Done(id, released)
-	// A live migration may have re-homed the request mid-operation (real
-	// clock only): the record now points at another shard. Retry there,
-	// bounded by the migration retry budget. An unchanged record with a
-	// "not found" rejection is the mid-flight window (the re-point lands with
-	// the attach, under the target's lock): back off briefly and re-read it.
-	for attempt := 0; err != nil && attempt < migrateRetryBudget; attempt++ {
-		s.mu.Lock()
-		shard2, nowhere := e.shard, e.state.nowhere()
-		sub2 := s.subs[shard2]
-		s.mu.Unlock()
-		if nowhere || sub2 == nil {
-			break
-		}
-		if shard2 == shard {
-			// Only a structural not-found can be the migration window (a
-			// shard-side reap race pays the same bounded wait — its mapping
-			// is pruned moments later and retries are rare either way).
-			var re *rms.RequestError
-			if !errors.As(err, &re) || re.Reason != rms.ReasonNotFound {
-				break
-			}
-			time.Sleep(time.Duration(attempt+1) * 100 * time.Microsecond)
-			continue
-		}
-		shard, sub = shard2, sub2
-		err = sub.Done(id, released)
+	var re *rms.RequestError
+	if errors.As(err, &re) && re.Reason == rms.ReasonNotFound {
+		return cid, err
 	}
-	return err
+	return "", err
 }
 
 // Disconnect ends the session cleanly on every running shard.
@@ -765,22 +755,22 @@ func (h *shardHandler) OnViews(np, p view.View) {
 
 // OnStart records the start instant (crash recovery distinguishes
 // allocations that ran out their duration from ones interrupted mid-run) and
-// forwards the notification.
+// forwards the notification. Under clock.RealClock a migration can overtake
+// a start a round delivers unlocked: the new owner holds the request started
+// with the same IDs, so it is forwarded, unless a crash queued the record or
+// the new owner reaped it. Inside the simulator it is always on the shard.
 func (h *shardHandler) OnStart(id request.ID, nodeIDs []int) {
 	s := h.sess
 	s.mu.Lock()
-	e := s.onShardLocked(h.shard, id)
-	if e != nil {
-		e.started = true
-		e.startedAt = s.f.clk.Now()
-		s.noteGangParentLocked(id, false)
+	e := s.reqs[id]
+	if e == nil || e.state.nowhere() {
+		s.mu.Unlock()
+		return
 	}
+	e.started = true
+	e.startedAt = s.f.clk.Now()
+	s.noteGangParentLocked(id, false)
 	s.mu.Unlock()
-	if e == nil {
-		// RequestID registers the record under the shard lock before any
-		// round can start the request; a miss is a bug, not a race.
-		panic(fmt.Sprintf("federation: shard %d started unknown request %d for app %d", h.shard, id, s.id))
-	}
 	s.h.OnStart(id, nodeIDs)
 }
 

@@ -15,8 +15,8 @@ var ErrStopped = errors.New("rms: server stopped")
 // server does not manage. The federation routing layer detects it with
 // errors.Is: during a live migration there is a window where the cluster is
 // detached from its old owner but the new ownership is not committed yet,
-// and exactly this error marks an operation that should briefly back off
-// and re-resolve the owner (bounded by the migration retry budget).
+// and exactly this error marks an operation that should wait the migration
+// out and re-resolve the owner.
 var ErrUnknownCluster = errors.New("rms: unknown cluster")
 
 // ReasonNotFound is the RequestError.Reason for operations naming a request

@@ -122,9 +122,9 @@ func (e *Engine) Stop() { e.stopped = true }
 // Run processes events in order until the clock reaches `until` (use
 // math.Inf(1) for no horizon), until Stop is called, or — with an infinite
 // horizon — until the queue is empty. With a finite horizon the clock is
-// advanced to `until` even if the queue empties first, so callers can step
-// simulations whose processes keep lazy (event-free) state, like the PSA's
-// task bookkeeping. It returns the number of events processed by this call.
+// advanced to `until`, if behind it, even when the queue empties first, so
+// callers can step simulations whose processes keep lazy (event-free) state,
+// like the PSA's task bookkeeping. It returns the events processed by it.
 func (e *Engine) Run(until float64) int64 {
 	e.stopped = false
 	var n int64
@@ -136,7 +136,7 @@ func (e *Engine) Run(until float64) int64 {
 		if ev.at > until {
 			// Put it back for a later Run call and stop here.
 			heap.Push(&e.events, ev)
-			e.now = until
+			e.now = max(e.now, until)
 			return n
 		}
 		e.now = ev.at

@@ -93,6 +93,33 @@ func TestRunUntilHorizon(t *testing.T) {
 	}
 }
 
+// TestRunNeverMovesTimeBackwards steps to a horizon the clock has passed,
+// with an event pending and with none, and from inside a callback whose
+// nested Run passes the outer horizon.
+func TestRunNeverMovesTimeBackwards(t *testing.T) {
+	e := NewEngine()
+	e.After(100, "pending", func() {})
+	e.Run(60)
+	e.Run(30)
+	if e.Now() != 60 {
+		t.Errorf("with an event pending, Run(30) after Run(60) left Now = %v, want 60", e.Now())
+	}
+	empty := NewEngine()
+	empty.Run(60)
+	empty.Run(30)
+	if empty.Now() != 60 {
+		t.Errorf("with no event pending, Run(30) after Run(60) left Now = %v, want 60", empty.Now())
+	}
+
+	nested := NewEngine()
+	nested.At(10, "outer", func() { nested.Run(nested.Now() + 50) })
+	nested.At(100, "later", func() {})
+	nested.Run(20)
+	if nested.Now() != 60 {
+		t.Errorf("after a nested Run to 60 inside Run(20), Now = %v, want 60", nested.Now())
+	}
+}
+
 func TestTimerStop(t *testing.T) {
 	e := NewEngine()
 	fired := false
