@@ -403,13 +403,11 @@ func (f *Federator) TenantPreempts() map[string]int64 {
 // topoMu whenever a topology transition flushes them.
 func (f *Federator) Connect(h rms.AppHandler, opts ...rms.ConnectOption) *Session {
 	sess := &Session{
-		f:         f,
-		h:         h,
-		connect:   opts,
-		subs:      make([]*rms.Session, len(f.shards)),
-		handlers:  make([]*shardHandler, len(f.shards)),
-		reqs:      make(map[request.ID]*fedReq),
-		movedFrom: make(map[view.ClusterID]int),
+		f:       f,
+		h:       h,
+		connect: opts,
+		subs:    make([]*rms.Session, len(f.shards)),
+		reqs:    make(map[request.ID]*fedReq),
 	}
 	f.topoMu.Lock()
 	defer f.topoMu.Unlock()
@@ -531,16 +529,11 @@ func (f *Federator) CrashShard(i int) CrashReport {
 	}
 
 	var killed []*Session
-	type purgeNotice struct{ ended, reaped []request.ID }
-	notices := make(map[*Session]purgeNotice)
 	for _, sess := range sessions {
-		affected, requeued, purged, gangsAborted, ended, reaped := sess.absorbCrash(i, f.recovery)
+		affected, requeued, purged, gangsAborted := sess.absorbCrash(i, f.recovery)
 		rep.Requeued += requeued
 		rep.Purged += purged
 		rep.GangsAborted += gangsAborted
-		if len(reaped) > 0 {
-			notices[sess] = purgeNotice{ended, reaped}
-		}
 		if affected && f.recovery == KillOnCrash {
 			killed = append(killed, sess)
 			rep.Killed = append(rep.Killed, sess.id)
@@ -555,15 +548,14 @@ func (f *Federator) CrashShard(i int) CrashReport {
 	// the purged mappings, kills for the affected sessions, the lost clusters
 	// to the survivors.
 	for _, sess := range sessions {
-		n := notices[sess]
-		sess.notifyRetired(n.ended, n.reaped)
+		sess.deliver()
 	}
 	reason := fmt.Sprintf("federation: shard %d crashed and its scheduler-side state was lost", i)
 	for _, sess := range killed {
 		sess.teardown(reason)
 	}
 	for _, sess := range sessions {
-		sess.queueLost(lost, -1)
+		sess.queueLost(lost)
 		sess.deliver()
 	}
 	return rep
@@ -623,7 +615,9 @@ func (f *Federator) RestartShard(i int) RestartReport {
 // stranded by a migration), and every request mapping routes to the shard
 // owning its target cluster. It is the federation half of the chaos
 // harness's invariant checker, and runs after every fault and migration in
-// the chaos×migration matrix.
+// the chaos×migration matrix. Each shard's check first waits for the
+// shard's deliveries (rms.Server.CheckInvariants), so the sessions' tables
+// have taken in all it reported.
 func (f *Federator) CheckInvariants() error {
 	f.topoMu.Lock()
 	defer f.topoMu.Unlock()

@@ -63,7 +63,8 @@ func (r MigrationReport) String() string {
 // has been handed a segment naming the cluster with zero profiles (its new
 // owner's next push names it again), and the cluster is placed exactly
 // once: a failure after the donor was drained re-attaches the snapshot to
-// the donor.
+// the donor. The detach waits for the donor's deliveries, so, like Connect
+// and CheckInvariants, it must not be called from a notification handler.
 func (f *Federator) MigrateCluster(cid view.ClusterID, to int) (MigrationReport, error) {
 	if to < 0 || to >= len(f.shards) {
 		return MigrationReport{Cluster: cid, From: -1, To: to},
@@ -106,11 +107,12 @@ func (f *Federator) MigrateCluster(cid view.ClusterID, to int) (MigrationReport,
 	}
 	rep.Apps, rep.Requests, rep.Nodes = len(snap.Apps), snap.Requests(), snap.HeldNodes()
 	// Until its new owner's first push names the cluster, every session reads
-	// it as empty. The segment saying so is queued now, ahead of any push of
+	// it as empty. The segment saying so is queued now, behind every push of
+	// the donor's (the detach waited for its deliveries) and ahead of any of
 	// the target's, and delivered once the migration is done.
 	lost := view.Constant(0, cid)
 	for _, sess := range sessions {
-		sess.queueLost(lost, from)
+		sess.queueLost(lost)
 	}
 
 	byID := make(map[int]*Session, len(sessions))
@@ -127,10 +129,7 @@ func (f *Federator) MigrateCluster(cid view.ClusterID, to int) (MigrationReport,
 	if err = f.shards[to].AttachCluster(snap, repoint(to)); err != nil {
 		// The target refused (unreachable in the simulator — topoMu excludes
 		// a concurrent crash, the down check covered the rest): hand the
-		// snapshot back to the donor, to the sessions a move from the target.
-		for _, sess := range sessions {
-			sess.queueLost(lost, to)
-		}
+		// snapshot back to the donor, whose next push names the cluster again.
 		if rerr := f.shards[from].AttachCluster(snap, repoint(from)); rerr != nil {
 			panic(fmt.Sprintf("federation: cluster %q lost in migration: %v (after %v)", cid, rerr, err))
 		}

@@ -1,14 +1,15 @@
 package federation
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
-	"maps"
 	"math"
 	"reflect"
 	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -17,7 +18,6 @@ import (
 	"coormv2/internal/request"
 	"coormv2/internal/rms"
 	"coormv2/internal/sim"
-	"coormv2/internal/stepfunc"
 	"coormv2/internal/view"
 )
 
@@ -305,97 +305,6 @@ func TestMigrateThenCrashRequeueReplaysOnNewOwner(t *testing.T) {
 	mustCheck(t, f)
 }
 
-// TestStaleDonorPushIsStripped delivers, after a migration, a push the donor
-// computed before the detach (under clock.RealClock its delivery can trail
-// the migration): the cluster it still names must keep the new owner's
-// profile, the rest of the push must get through, and the pushed maps must
-// stay untouched. Once the cluster moves back, its old donor's pushes name
-// it again and count.
-func TestStaleDonorPushIsStripped(t *testing.T) {
-	e, f := newMigrateFederation(t, KillOnCrash)
-	app := &testApp{}
-	sess := f.Connect(app)
-	if _, err := sess.Request(rms.RequestSpec{Cluster: cC, N: 3, Duration: math.Inf(1), Type: request.NonPreempt}); err != nil {
-		t.Fatal(err)
-	}
-	e.Run(3)
-	push := func(shard int, seg view.View) {
-		before := seg.Clone()
-		sess.handlers[shard].OnViews(seg, seg)
-		if !maps.Equal(seg, before) {
-			t.Fatalf("forwarding modified the pushed segment: %v, was %v", seg, before)
-		}
-	}
-	free := func(cid view.ClusterID) int {
-		np, _ := app.heldViews(t)
-		return np.Get(cid).Value(e.Now())
-	}
-	hops := []struct {
-		from, to int
-		other    view.ClusterID // a cluster the donor keeps
-	}{{0, 1, cA}, {1, 0, cB}}
-	for _, hop := range hops {
-		if _, err := f.MigrateCluster(cC, hop.to); err != nil {
-			t.Fatal(err)
-		}
-		e.Run(e.Now() + 3)
-		if got := free(cC); got != 5 {
-			t.Fatalf("after the move to shard %d gamma holds %d free nodes, want 5", hop.to, got)
-		}
-		push(hop.from, view.View{cC: stepfunc.Constant(1), hop.other: stepfunc.Constant(2)})
-		if got := free(cC); got != 5 {
-			t.Fatalf("a stale push of shard %d set gamma to %d free nodes, want 5", hop.from, got)
-		}
-		if got := free(hop.other); got != 2 {
-			t.Fatalf("the stale push's other cluster holds %d, want 2", got)
-		}
-		push(hop.to, view.View{cC: stepfunc.Constant(4)})
-		if got := free(cC); got != 4 {
-			t.Fatalf("a push of gamma's owner, shard %d, set %d free nodes, want 4", hop.to, got)
-		}
-	}
-}
-
-// TestCrashedShardPushIsDropped delivers a push that shard 0 computed before
-// it crashed (under clock.RealClock its delivery can trail the crash's zero
-// segment) through the handler of the dead admission, once while the shard
-// is down and once after its restart: the shard's clusters must stay zero
-// at the application until the restarted shard pushes.
-func TestCrashedShardPushIsDropped(t *testing.T) {
-	e, f := newMigrateFederation(t, RequeueOnCrash)
-	app := &testApp{}
-	sess := f.Connect(app)
-	e.Run(3)
-	stale := sess.handlers[0]
-	lost := func(when string) {
-		t.Helper()
-		np, p := app.heldViews(t)
-		for _, cid := range []view.ClusterID{cA, cC} {
-			if np.Get(cid).Value(e.Now()) != 0 || p.Get(cid).Value(e.Now()) != 0 {
-				t.Fatalf("%s: crashed shard's cluster %s reads %v / %v, want zero", when, cid, np[cid], p[cid])
-			}
-		}
-		if got := np.Get(cB).Value(e.Now()); got != 8 {
-			t.Fatalf("%s: surviving cluster beta holds %d free nodes, want 8", when, got)
-		}
-	}
-	f.CrashShard(0)
-	seg := view.View{cA: stepfunc.Constant(8), cC: stepfunc.Constant(8)}
-	stale.OnViews(seg, seg)
-	lost("after the crash")
-	f.RestartShard(0)
-	if sess.handlers[0] == stale {
-		t.Fatal("the restart kept the dead admission's handler")
-	}
-	stale.OnViews(seg, seg)
-	lost("after the restart")
-	e.Run(e.Now() + 3)
-	np, _ := app.heldViews(t)
-	if got := np.Get(cA).Value(e.Now()); got != 8 {
-		t.Fatalf("after the restarted shard's round alpha holds %d free nodes, want 8", got)
-	}
-}
-
 // slowViews is an application whose view handler takes two rounds: it steps
 // the engine, so the rounds that fall due during a delivery push before it
 // returns.
@@ -494,9 +403,303 @@ func TestRealClockMigrationStorm(t *testing.T) {
 	if len(failed) > 0 {
 		t.Errorf("%d of %d request/done pairs failed during %d migrations; first: %v", len(failed), pairs, migrations, failed[0])
 	}
-	// A shard's round delivers with no lock held, so a reap can still be on
-	// its way to the session's table: check the topology without it.
-	sess.Disconnect()
+	// A round on each shard reaps what the pairs finished; CheckInvariants
+	// waits for every shard's delivery, so the session's table has taken
+	// in every reap when it is compared with the shards.
+	for i := 0; i < f.NumShards(); i++ {
+		f.Shard(i).ScheduleNow()
+	}
+	mustCheck(t, f)
+}
+
+// orderApp records, per request, what a session has been told, and reports
+// what breaks the order the notifications promise: a start after its own
+// finish, a repeated start, a finish after its reap or repeated, and a reap
+// without a finish or repeated. (A federation reaps without a finish only a
+// request it drops; nothing here is dropped.) It signals every start on
+// startedCh.
+type orderApp struct {
+	mu                        sync.Mutex
+	started, finished, reaped map[request.ID]bool
+	errs                      []string
+	startedCh                 chan struct{}
+}
+
+func newOrderApp() *orderApp {
+	return &orderApp{started: map[request.ID]bool{}, finished: map[request.ID]bool{},
+		reaped: map[request.ID]bool{}, startedCh: make(chan struct{}, 1)}
+}
+
+func (a *orderApp) failf(format string, args ...any) {
+	a.errs = append(a.errs, fmt.Sprintf(format, args...))
+}
+
+func (a *orderApp) OnViews(_, _ view.View) {}
+func (a *orderApp) OnKill(reason string) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.failf("killed: %s", reason)
+}
+
+func (a *orderApp) OnStart(id request.ID, _ []int) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	switch {
+	case a.started[id]:
+		a.failf("request %d started twice", id)
+	case a.finished[id]:
+		a.failf("request %d started after its finish", id)
+	}
+	a.started[id] = true
+	select {
+	case a.startedCh <- struct{}{}:
+	default:
+	}
+}
+
+func (a *orderApp) OnRequestFinished(id request.ID) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	switch {
+	case a.finished[id]:
+		a.failf("request %d finished twice", id)
+	case a.reaped[id]:
+		a.failf("request %d finished after its reap", id)
+	}
+	a.finished[id] = true
+}
+
+func (a *orderApp) OnRequestsReaped(ids []request.ID) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	for _, id := range ids {
+		switch {
+		case a.reaped[id]:
+			a.failf("request %d reaped twice", id)
+		case !a.finished[id]:
+			a.failf("request %d reaped without a finish", id)
+		}
+		a.reaped[id] = true
+	}
+}
+
+// awaitStart waits up to d for request id's start.
+func (a *orderApp) awaitStart(id request.ID, d time.Duration) {
+	timer := time.NewTimer(d)
+	defer timer.Stop()
+	for {
+		a.mu.Lock()
+		started := a.started[id]
+		a.mu.Unlock()
+		if started {
+			return
+		}
+		select {
+		case <-a.startedCh:
+		case <-timer.C:
+			return
+		}
+	}
+}
+
+// awaitShardStart spins until the shard holding request id has started it,
+// or holds it no longer, but for at most a second: a done() right after it
+// races the start's delivery.
+func awaitShardStart(sess *Session, id request.ID) {
+	for deadline := time.Now().Add(time.Second); time.Now().Before(deadline); runtime.Gosched() {
+		sess.mu.Lock()
+		sub := sess.subs[sess.reqs[id].shard]
+		sess.mu.Unlock()
+		if info, err := sub.ScheduleInfo(id); err != nil || info.Started {
+			return
+		}
+	}
+}
+
+// TestStormNotificationOrder runs request/done pairs on three sessions while
+// a goroutine ping-pongs their cluster between two shards under
+// clock.RealClock, every other pair waiting a moment for the start's
+// notification and the others only until the shard has started it. Each
+// session must hear a start before its finish, a finish before its reap, a
+// reap only after a finish, and nothing twice: each shard delivers its
+// notifications from one drainer, each session hands them over from one
+// outbox, and a migration fences the donor's deliveries before it detaches.
+func TestStormNotificationOrder(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("needs >1 core for a concurrent migrator")
+	}
+	f := New(Config{
+		Clusters:        map[view.ClusterID]int{"c00": 16, "c01": 16, "c02": 16, "c03": 16},
+		Shards:          2,
+		ReschedInterval: 2e-4,
+		GracePeriod:     1e18,
+		Clock:           clock.NewRealClock(),
+	})
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		for to := 1; ; to = 1 - to {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := f.MigrateCluster("c00", to); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	const sessions, pairs = 3, 400
+	apps := make([]*orderApp, sessions)
+	var wg sync.WaitGroup
+	for i := range apps {
+		app := newOrderApp()
+		apps[i] = app
+		sess := f.Connect(app)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			spec := rms.RequestSpec{Cluster: "c00", N: 1, Duration: math.Inf(1), Type: request.NonPreempt}
+			for j := 0; j < pairs; j++ {
+				id, err := sess.Request(spec)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if j%2 == 0 {
+					app.awaitStart(id, 300*time.Microsecond)
+				} else {
+					awaitShardStart(sess, id)
+				}
+				if err := sess.Done(id, nil); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	<-stopped
+	for i := 0; i < f.NumShards(); i++ {
+		f.Shard(i).ScheduleNow()
+	}
+	mustCheck(t, f) // waits for every shard's delivery
+	for i, app := range apps {
+		app.mu.Lock()
+		for _, e := range app.errs {
+			t.Errorf("session %d: %s", i, e)
+		}
+		if len(app.reaped) != pairs {
+			t.Errorf("session %d: %d of %d requests reaped", i, len(app.reaped), pairs)
+		}
+		app.mu.Unlock()
+	}
+}
+
+// blockingStart is an application whose first OnStart tells entered and
+// then waits for release before it submits one more request to cid, from
+// inside the shard's delivery.
+type blockingStart struct {
+	inertApp
+	sess             *Session
+	cid              view.ClusterID
+	entered, release chan struct{}
+	once             sync.Once
+	id               request.ID
+	err              error
+	submitted        chan struct{}
+}
+
+func (a *blockingStart) OnStart(request.ID, []int) {
+	a.once.Do(func() {
+		close(a.entered)
+		<-a.release
+		a.id, a.err = a.sess.Request(rms.RequestSpec{Cluster: a.cid, N: 1, Duration: 1e6, Type: request.NonPreempt})
+		close(a.submitted)
+	})
+}
+
+// inDeliveryFence reports whether some goroutine waits in an rms server's
+// delivery fence.
+func inDeliveryFence() bool {
+	buf := make([]byte, 1<<20)
+	return bytes.Contains(buf[:runtime.Stack(buf, true)], []byte("rms.(*Server).awaitDeliveryLocked"))
+}
+
+// TestRealClockMigrationFenceServesHandler migrates a cluster while a
+// handler is inside its donor's delivery, and that handler then submits to
+// the migrating cluster once the migration waits in the donor's delivery
+// fence. The fence waits while the donor still owns the cluster, so the
+// donor serves the submit and the migration completes. A fence taken after
+// the detach would deadlock: the donor would refuse the submit, whose retry
+// waits out the migration.
+func TestRealClockMigrationFenceServesHandler(t *testing.T) {
+	f := New(Config{
+		Clusters:        map[view.ClusterID]int{"c00": 4, "c01": 4, "c02": 4},
+		Shards:          2,
+		ReschedInterval: 1e-3,
+		Clock:           clock.NewRealClock(),
+	})
+	app := &blockingStart{cid: "c00", entered: make(chan struct{}), release: make(chan struct{}),
+		submitted: make(chan struct{})}
+	app.sess = f.Connect(app)
+	// Deliver the first pushes of both shards now: the start must then reach
+	// the application on the donor's own delivery, not on another shard's.
+	for i := 0; i < f.NumShards(); i++ {
+		f.Shard(i).ScheduleNow()
+	}
+	mustCheck(t, f) // waits for every shard's delivery
+	if _, err := app.sess.Request(rms.RequestSpec{Cluster: "c00", N: 1, Duration: 1e6, Type: request.NonPreempt}); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.After(10 * time.Second)
+	select {
+	case <-app.entered:
+	case <-deadline:
+		t.Fatal("the request never started")
+	}
+	var rep MigrationReport
+	var err error
+	migrated := make(chan struct{})
+	go func() {
+		defer close(migrated)
+		rep, err = f.MigrateCluster("c00", 1)
+	}()
+	released := false
+	defer func() {
+		if !released {
+			close(app.release)
+		}
+	}()
+	for !inDeliveryFence() {
+		select {
+		case <-migrated:
+			t.Fatal("MigrateCluster returned while a delivery of the donor's was in progress")
+		case <-deadline:
+			t.Fatal("MigrateCluster never waited for the donor's delivery")
+		default:
+			runtime.Gosched()
+		}
+	}
+	released = true
+	close(app.release)
+	select {
+	case <-migrated:
+	case <-deadline:
+		t.Fatal("MigrateCluster hangs behind a delivery that submits to the migrating cluster")
+	}
+	<-app.submitted
+	if err != nil {
+		t.Fatal(err)
+	}
+	if app.err != nil {
+		t.Fatalf("the submit from inside the delivery: %v", app.err)
+	}
+	if rep.Requests != 2 {
+		t.Errorf("the migration moved %d requests, want the first one and the one submitted mid-delivery", rep.Requests)
+	}
 	mustCheck(t, f)
 }
 

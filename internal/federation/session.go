@@ -58,9 +58,9 @@ type fedReq struct {
 // Disconnect), so applications and the transport layer use the two
 // interchangeably.
 //
-// Locking discipline: sess.mu protects the request table and view state
-// and is never held while calling into a shard or into the application
-// handler. Shard calls may synchronously flush notifications back into the
+// Locking discipline: sess.mu protects the request table, the outbox and
+// view state and is never held while calling into a shard or into the
+// application handler. Shard calls may synchronously flush notifications back into the
 // shardHandler on the same goroutine, and application handlers may
 // synchronously call back into the session — both safe because no session
 // lock is held at those points. The one sanctioned nesting is shard lock →
@@ -84,9 +84,6 @@ type Session struct {
 
 	mu   sync.Mutex
 	subs []*rms.Session // per-shard sub-sessions; nil while a shard is down
-	// handlers holds the per-shard handler of the current admission (nil
-	// while a shard is down): a push reaching an older one is dropped.
-	handlers []*shardHandler
 	// reqs records every request of the session by ID, and is the only
 	// per-request structure: a shard's replay queue is its queued records in
 	// ID order, a reservation hangs off its child's record. Entries are pruned
@@ -96,16 +93,11 @@ type Session struct {
 	reqs   map[request.ID]*fedReq
 	killed bool
 
-	// segs holds the view segments (see rms.AppHandler.OnViews) not yet
-	// handed to the application: shard pushes, forwarded untouched, and the
-	// federation's own crash and migration segments. One deliverer at a time
-	// (delivering) hands them over in order, one OnViews each, so a handler
-	// never sees a segment before an older one.
-	segs       [][2]view.View
+	// outbox holds the notifications not yet handed to the application: the
+	// shards', once the table has taken them in, and the federation's own.
+	// One deliverer at a time (delivering) hands them over in queue order.
+	outbox     []notice
 	delivering bool
-	// movedFrom maps a migrated cluster to the shard it last left: a push of
-	// that shard's still naming it predates the detach (see queueLost).
-	movedFrom map[view.ClusterID]int
 }
 
 // AppID returns the federated application ID (identical on every shard).
@@ -290,7 +282,9 @@ func (s *Session) place(fid request.ID, e *fedReq, sub *rms.Session, notBefore f
 // drop discards a record that will never reach a shard (again) — a failed
 // replay, an orphaned child, an aborted reservation: reservation state and
 // table entry go, the loss is counted, and an observer handler sees a reap
-// without a preceding finish (a killed session has nobody left to tell).
+// without a preceding finish, so it never waits on an OnStart that cannot
+// come and tells lost work from completed work (a killed session has nobody
+// left to tell).
 // Reports whether there was a record to drop. Called with no lock held.
 func (s *Session) drop(fid request.ID) bool {
 	s.mu.Lock()
@@ -300,7 +294,7 @@ func (s *Session) drop(fid request.ID) bool {
 	if ok {
 		s.f.stats.droppedRequests.Add(1)
 		if !killed {
-			s.notifyDropped(fid)
+			s.post(notice{kind: noticeReaped, ids: []request.ID{fid}})
 		}
 	}
 	return ok
@@ -343,7 +337,7 @@ func (s *Session) done(id request.ID, released []int) (view.ClusterID, error) {
 		s.noteGangParentLocked(id, true) // a withdraw delivers a finish: NEXT is satisfied
 		s.mu.Unlock()
 		s.f.stats.droppedRequests.Add(1)
-		s.notifyRetired([]request.ID{id}, []request.ID{id})
+		s.post(notice{kind: noticeFinished, id: id}, notice{kind: noticeReaped, ids: []request.ID{id}})
 		return "", nil
 	}
 	shard, cid := e.shard, e.spec.Cluster
@@ -392,7 +386,7 @@ func (s *Session) teardown(reason string) {
 	}
 	s.f.removeSession(s.id)
 	if reason != "" {
-		s.h.OnKill(reason)
+		s.post(notice{kind: noticeKill, reason: reason})
 	}
 }
 
@@ -400,24 +394,23 @@ func (s *Session) teardown(reason string) {
 // what happened: affected is true when live scheduler-side state was lost
 // (the KillOnCrash trigger), requeued counts requests moved to the replay
 // queue, purged counts finished mappings discarded with the shard, and
-// ended lists requests whose allocation had already run out its full
-// duration when the shard died — completed work the shard's end-of-round
-// sweep never got to record — and reaped lists every purged mapping (the
-// ended ones plus requests that had finished earlier but were never
-// GC-reaped by the dead shard). gangsAborted counts cross-shard
-// reservations whose held leg died with the shard and was not requeued
-// (their drops ride in reaped). The caller delivers the corresponding
-// observer notifications (and the segment naming the lost clusters) after
-// the sweep, with no locks held.
-func (s *Session) absorbCrash(shard int, pol RecoveryPolicy) (affected bool, requeued, purged, gangsAborted int, ended, reaped []request.ID) {
+// gangsAborted counts cross-shard reservations whose held leg died with the
+// shard and was not requeued. It queues the observer notifications for the
+// caller to deliver after the sweep, with no locks held: finishes for the
+// requests whose allocation had already run out its full duration when the
+// shard died — completed work the shard's end-of-round sweep never got to
+// record — then one ascending reap batch of every purged mapping (those,
+// the requests that had finished earlier but were never GC-reaped by the
+// dead shard, and the aborted reservations' drops).
+func (s *Session) absorbCrash(shard int, pol RecoveryPolicy) (affected bool, requeued, purged, gangsAborted int) {
 	now := s.f.clk.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.killed {
-		return false, 0, 0, 0, nil, nil
+		return false, 0, 0, 0
 	}
+	var reaped []request.ID
 	s.subs[shard] = nil
-	s.handlers[shard] = nil
 	for _, fid := range s.idsOnLocked(shard) {
 		e := s.reqs[fid]
 		switch {
@@ -438,7 +431,7 @@ func (s *Session) absorbCrash(shard int, pol RecoveryPolicy) (affected bool, req
 			// and its loss kills nobody under §3.1.4 (no live state died).
 			s.forgetLocked(fid)
 			purged++
-			ended = append(ended, fid)
+			s.outbox = append(s.outbox, notice{kind: noticeFinished, id: fid})
 			reaped = append(reaped, fid)
 			s.noteGangParentLocked(fid, true)
 		case e.state != placed:
@@ -479,27 +472,10 @@ func (s *Session) absorbCrash(shard int, pol RecoveryPolicy) (affected bool, req
 			affected = true
 		}
 	}
-	return affected, requeued, purged, gangsAborted, ended, reaped
-}
-
-// notifyRetired delivers the observer events for records the federation
-// itself retired. For the mappings a crash sweep purged: finishes for
-// allocations that ran out before the crash, then one ascending reap batch
-// covering every purged request — the ran-out ones and those that had
-// finished earlier but were never GC-reaped by the dead shard (their finish
-// was already delivered). For a voluntary withdraw: the finish + reap pair,
-// mirroring the single-RMS pending-withdraw. Called with no locks held.
-func (s *Session) notifyRetired(ended, reaped []request.ID) {
-	ro, ok := s.h.(rms.RequestObserver)
-	if !ok {
-		return
-	}
-	for _, fid := range ended {
-		ro.OnRequestFinished(fid)
-	}
 	if len(reaped) > 0 {
-		ro.OnRequestsReaped(reaped)
+		s.outbox = append(s.outbox, notice{kind: noticeReaped, ids: reaped})
 	}
+	return affected, requeued, purged, gangsAborted
 }
 
 // admitShard connects the session to shard i under its federated ID and
@@ -507,14 +483,9 @@ func (s *Session) notifyRetired(ended, reaped []request.ID) {
 // by Connect's initial fan-out and RestartShard's re-admission, both of which
 // hold f.topoMu: the shard is running and stays so, and nobody else admits.
 func (s *Session) admitShard(i int) bool {
-	// The handler is current before ConnectID, which flushes synchronously.
-	h := &shardHandler{sess: s, shard: i}
-	s.mu.Lock()
-	s.handlers[i] = h
-	s.mu.Unlock()
 	// ConnectID outside sess.mu: it flushes notifications, which
 	// synchronously re-enter the session through the shardHandler.
-	sub, err := s.f.shards[i].ConnectID(h, s.id, s.connect...)
+	sub, err := s.f.shards[i].ConnectID(&shardHandler{sess: s, shard: i}, s.id, s.connect...)
 	if err != nil {
 		// The federator owns the ID space and the shard's lifecycle; a
 		// collision or a stopped shard is a bug.
@@ -529,17 +500,6 @@ func (s *Session) admitShard(i int) bool {
 	s.subs[i] = sub
 	s.mu.Unlock()
 	return true
-}
-
-// notifyDropped reports a queued request that will never start to handlers
-// implementing rms.RequestObserver, so an application is never left waiting
-// on an OnStart that cannot come. A drop is a reap *without* a preceding
-// finish — the allocation never ran — which is how observers distinguish
-// lost work from completed work. Called with no session lock held.
-func (s *Session) notifyDropped(fid request.ID) {
-	if ro, ok := s.h.(rms.RequestObserver); ok {
-		ro.OnRequestsReaped([]request.ID{fid})
-	}
 }
 
 // idsOnLocked returns the IDs of shard's records in ascending order, which is
@@ -608,29 +568,56 @@ func (s *Session) replayQueue(shard int) (replayed, dropped int) {
 
 // queueLost queues, for deliver to hand over, the federation's own segment
 // naming the clusters a topology transition took from the session with zero
-// profiles (one map for both views). A migration queues it before the
-// attach, ahead of every push of the new owner, and passes the donor as from
-// (a crash passes -1): shardHandler.OnViews then strips the clusters from
-// the donor's pushes, which can only predate the detach.
-func (s *Session) queueLost(lost view.View, from int) {
+// profiles (one map for both views). A migration queues it after the detach,
+// so behind every push of the donor's naming the clusters (the detach waits
+// for the donor's deliveries), and before the attach, so ahead of every push
+// of the new owner's.
+func (s *Session) queueLost(lost view.View) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.killed {
-		return
+	if !s.killed {
+		s.outbox = append(s.outbox, notice{kind: noticeViews, np: lost, p: lost})
 	}
-	for cid := range lost.All() {
-		if from >= 0 {
-			s.movedFrom[cid] = from
-		}
-	}
-	s.segs = append(s.segs, [2]view.View{lost, lost})
 }
 
-// deliver hands the queued segments to the application in order, with no
-// lock held. If a delivery is already in progress the queue is left for the
-// active deliverer's loop, so handler calls stay serialized per session
-// (possible under clock.RealClock where shards run concurrently, or when a
-// handler re-enters).
+// noticeKind names the application callback a notice stands for.
+type noticeKind uint8
+
+const (
+	noticeViews noticeKind = iota
+	noticeStart
+	noticeFinished
+	noticeReaped
+	noticeNodeFailure
+	noticeKill
+)
+
+// notice is one outbox entry: a callback and its arguments, as a value, so
+// queueing one allocates nothing once the outbox has grown. The extension
+// callbacks reach only a handler that implements them.
+type notice struct {
+	kind   noticeKind
+	np, p  view.View        // noticeViews
+	id     request.ID       // noticeStart, noticeFinished
+	nodes  []int            // noticeStart
+	ids    []request.ID     // noticeReaped
+	ev     *rms.NodeFailure // noticeNodeFailure: rare, so kept out of line
+	reason string           // noticeKill
+}
+
+// post queues notices and delivers. Called with no lock held.
+func (s *Session) post(ns ...notice) {
+	s.mu.Lock()
+	s.outbox = append(s.outbox, ns...)
+	s.mu.Unlock()
+	s.deliver()
+}
+
+// deliver hands the outbox to the application in order, with no lock held.
+// If a delivery is already in progress the outbox is left for the active
+// deliverer's loop, so handler calls stay serialized per session and in the
+// order they were queued (possible under clock.RealClock where shards run
+// concurrently, or when a handler re-enters).
 func (s *Session) deliver() {
 	s.mu.Lock()
 	if s.delivering {
@@ -638,14 +625,33 @@ func (s *Session) deliver() {
 		return
 	}
 	s.delivering = true
-	for i := 0; i < len(s.segs); i++ {
-		seg := s.segs[i]
+	for i := 0; i < len(s.outbox); i++ {
+		n := s.outbox[i]
 		s.mu.Unlock()
-		s.h.OnViews(seg[0], seg[1])
+		switch h := s.h; n.kind {
+		case noticeViews:
+			h.OnViews(n.np, n.p)
+		case noticeStart:
+			h.OnStart(n.id, n.nodes)
+		case noticeFinished:
+			if ro, ok := h.(rms.RequestObserver); ok {
+				ro.OnRequestFinished(n.id)
+			}
+		case noticeReaped:
+			if ro, ok := h.(rms.RequestObserver); ok {
+				ro.OnRequestsReaped(n.ids)
+			}
+		case noticeNodeFailure:
+			if nh, ok := h.(rms.NodeFailureHandler); ok {
+				nh.OnNodeFailure(*n.ev)
+			}
+		case noticeKill:
+			h.OnKill(n.reason)
+		}
 		s.mu.Lock()
 	}
-	clear(s.segs) // drop the delivered maps, keep the backing array
-	s.segs = s.segs[:0]
+	clear(s.outbox) // drop the delivered maps and slices, keep the backing array
+	s.outbox = s.outbox[:0]
 	s.delivering = false
 	s.mu.Unlock()
 }
@@ -727,51 +733,39 @@ type shardHandler struct {
 	shard int
 }
 
+// Each method below takes the shard's notification into the table and
+// queues it on the outbox in one critical section, then delivers.
+
 // OnViews forwards the shard's segment, which names every cluster the shard
 // owns, untouched: a single RMS's push and a shard's are the same thing, so
-// a 1-shard federation is a single RMS by construction — except that a
-// cluster a migration took from the shard is stripped, from a copy, and that
-// a push reaching a handler the session no longer holds for the shard is
-// dropped: the shard computed it before it crashed, so it may trail the
-// crash's zero segment, and the restarted shard pushes afresh.
+// a 1-shard federation is a single RMS by construction. A crashed shard's
+// pushes all precede the crash's zero segment: rms.Server.Stop waits out the
+// shard's delivery in progress.
 func (h *shardHandler) OnViews(np, p view.View) {
 	s := h.sess
 	s.mu.Lock()
-	if s.handlers[h.shard] != h {
-		s.mu.Unlock()
-		return
-	}
-	for cid, from := range s.movedFrom {
-		if _, stale := np.Lookup(cid); stale && from == h.shard {
-			np, p = np.Clone(), p.Clone()
-			np.Delete(cid)
-			p.Delete(cid)
-		}
-	}
-	s.segs = append(s.segs, [2]view.View{np, p})
+	s.outbox = append(s.outbox, notice{kind: noticeViews, np: np, p: p})
 	s.mu.Unlock()
 	s.deliver()
 }
 
 // OnStart records the start instant (crash recovery distinguishes
 // allocations that ran out their duration from ones interrupted mid-run) and
-// forwards the notification. Under clock.RealClock a migration can overtake
-// a start a round delivers unlocked: the new owner holds the request started
-// with the same IDs, so it is forwarded, unless a crash queued the record or
-// the new owner reaped it. Inside the simulator it is always on the shard.
+// forwards the notification.
 func (h *shardHandler) OnStart(id request.ID, nodeIDs []int) {
 	s := h.sess
 	s.mu.Lock()
-	e := s.reqs[id]
-	if e == nil || e.state.nowhere() {
+	e := s.onShardLocked(h.shard, id)
+	if e == nil {
 		s.mu.Unlock()
 		return
 	}
 	e.started = true
 	e.startedAt = s.f.clk.Now()
 	s.noteGangParentLocked(id, false)
+	s.outbox = append(s.outbox, notice{kind: noticeStart, id: id, nodes: nodeIDs})
 	s.mu.Unlock()
-	s.h.OnStart(id, nodeIDs)
+	s.deliver()
 }
 
 // OnRequestFinished marks the request finished in the session's table
@@ -782,17 +776,15 @@ func (h *shardHandler) OnRequestFinished(id request.ID) {
 	s := h.sess
 	s.mu.Lock()
 	e := s.onShardLocked(h.shard, id)
-	if e != nil {
-		e.done = true
-		s.noteGangParentLocked(id, true)
-	}
-	s.mu.Unlock()
 	if e == nil {
+		s.mu.Unlock()
 		return
 	}
-	if ro, obs := s.h.(rms.RequestObserver); obs {
-		ro.OnRequestFinished(id)
-	}
+	e.done = true
+	s.noteGangParentLocked(id, true)
+	s.outbox = append(s.outbox, notice{kind: noticeFinished, id: id})
+	s.mu.Unlock()
+	s.deliver()
 }
 
 // OnRequestsReaped prunes the records of requests the shard garbage-
@@ -810,13 +802,11 @@ func (h *shardHandler) OnRequestsReaped(ids []request.ID) {
 			known = append(known, id)
 		}
 	}
+	if len(known) > 0 {
+		s.outbox = append(s.outbox, notice{kind: noticeReaped, ids: known})
+	}
 	s.mu.Unlock()
-	if len(known) == 0 {
-		return
-	}
-	if ro, obs := s.h.(rms.RequestObserver); obs {
-		ro.OnRequestsReaped(known)
-	}
+	s.deliver()
 }
 
 // OnKill propagates a shard-side protocol-violation kill (§3.1.4) to the
@@ -842,17 +832,17 @@ func (h *shardHandler) OnNodeFailure(ev rms.NodeFailure) {
 	s := h.sess
 	s.mu.Lock()
 	e := s.onShardLocked(h.shard, ev.Request)
-	if e != nil && ev.Action == rms.NodeFaultRequeued {
+	if e == nil {
+		s.mu.Unlock()
+		// The record is registered under the shard lock before any node
+		// event can touch the request.
+		panic(fmt.Sprintf("federation: shard %d reported node failure on unknown request %d for app %d", h.shard, ev.Request, s.id))
+	}
+	if ev.Action == rms.NodeFaultRequeued {
 		e.started = false
 		e.startedAt = 0
 	}
+	s.outbox = append(s.outbox, notice{kind: noticeNodeFailure, ev: &ev})
 	s.mu.Unlock()
-	if e == nil {
-		// The record is registered under the shard lock before any node
-		// event can touch the request; a miss mirrors OnStart's contract.
-		panic(fmt.Sprintf("federation: shard %d reported node failure on unknown request %d for app %d", h.shard, ev.Request, s.id))
-	}
-	if nh, obs := s.h.(rms.NodeFailureHandler); obs {
-		nh.OnNodeFailure(ev)
-	}
+	s.deliver()
 }

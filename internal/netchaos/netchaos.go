@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"coormv2/internal/chaos"
+	"coormv2/internal/clock"
 	"coormv2/internal/stats"
 )
 
@@ -111,7 +112,7 @@ type Proxy struct {
 	halfOpen    bool
 	delay       time.Duration
 	closed      bool
-	timers      []*time.Timer
+	timers      []clock.Timer
 	wg          sync.WaitGroup
 
 	severed atomic.Int64 // connections cut by Sever/Partition
@@ -164,12 +165,13 @@ func (p *Proxy) Start(plan []Fault, delayEach time.Duration) {
 }
 
 // after runs fn the given number of seconds from now, unless the proxy is
-// closed by then.
+// closed by then. The wall clock clamps the delay: a fault past
+// time.Duration's range (≈ 292 years) never fires, rather than at once.
 func (p *Proxy) after(seconds float64, fn func()) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if !p.closed {
-		p.timers = append(p.timers, time.AfterFunc(time.Duration(seconds*float64(time.Second)), fn))
+		p.timers = append(p.timers, clock.NewRealClock().AfterFunc(seconds, "netchaos.fault", fn))
 	}
 }
 

@@ -217,6 +217,39 @@ func TestProxyDelay(t *testing.T) {
 // proxy forwards again. (With the end armed independently of the start, an
 // end that overtook its start left the fault on for good — the netchaos
 // experiment then sat out its 30 s reconnect window on a loaded box.)
+// A fault planned past time.Duration's range (≈ 292 years) stays pending:
+// converted unclamped, its delay would wrap negative and fire at once.
+func TestProxyFarFaultsStayPending(t *testing.T) {
+	backend, stop := echoServer(t)
+	defer stop()
+	p := NewProxy(backend)
+	addr, err := p.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	p.Start([]Fault{{At: 1e11, Kind: Sever}, {At: 1e12, Dur: 1e12, Kind: Partition}}, 0)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := roundTrip(t, conn); err != nil {
+		t.Fatalf("round trip through proxy: %v", err)
+	}
+	p.mu.Lock()
+	timers := p.timers
+	p.mu.Unlock()
+	if len(timers) != 2 {
+		t.Fatalf("%d fault timers armed, want 2", len(timers))
+	}
+	for i, tm := range timers {
+		if !tm.Stop() {
+			t.Errorf("fault timer %d fired", i)
+		}
+	}
+}
+
 func TestPlanFaultsAlwaysClear(t *testing.T) {
 	backend, closeBackend := echoServer(t)
 	defer closeBackend()

@@ -5,17 +5,23 @@ import (
 	"sync"
 	"testing"
 
+	"coormv2/internal/core"
 	"coormv2/internal/request"
 )
 
 // The server admits sessions and requests only under IDs its caller chose
 // (internal/federation owns both ID spaces). connect and submit draw them
 // for the tests in this package: application IDs from one counter per
-// server, from 1, and request IDs from the server's admission sequence, so
-// a test that never picks an ID sees 1, 2, 3, … as a federation would give.
+// server, from 1, and request IDs from one counter per scheduler (a Reset
+// restarts it, as it restarts the server's admission sequence) kept at or
+// past that sequence, so a test that never picks an ID sees 1, 2, 3, … as a
+// federation would give. Both draw under one mutex and hold no lock while
+// they admit: a handler may re-enter submit from the delivery that admission
+// runs, on the same goroutine or another one.
 var appIDs struct {
 	sync.Mutex
 	next map[*Server]int
+	req  map[*core.Scheduler]request.ID
 }
 
 // connect registers h under the server's next application ID. It panics
@@ -35,11 +41,20 @@ func connect(s *Server, h AppHandler, opts ...ConnectOption) *Session {
 	return sess
 }
 
-// submit is request() under the server's next admission sequence number.
+// submit is request() under the next ID of the server's counter: the
+// server's next admission sequence number, unless another submit drew that
+// one and has not admitted it yet.
 func submit(sess *Session, spec RequestSpec) (request.ID, error) {
+	appIDs.Lock()
+	if appIDs.req == nil {
+		appIDs.req = make(map[*core.Scheduler]request.ID)
+	}
 	sess.s.mu.Lock()
-	id := sess.s.nextReq
+	sched := sess.s.sched
+	id := max(appIDs.req[sched]+1, sess.s.nextReq)
 	sess.s.mu.Unlock()
+	appIDs.req[sched] = id
+	appIDs.Unlock()
 	if err := sess.RequestID(spec, id, nil); err != nil {
 		return 0, err
 	}

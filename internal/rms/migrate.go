@@ -174,9 +174,13 @@ func severRelationLocked(r *request.Request) {
 // legs unrelated at the shard level and re-aligns them through the same
 // NotBefore mechanism, so a severed pin is exactly the state the coordinator
 // would have produced. Detaching the last cluster fails with ErrLastCluster.
+// It first waits for every queued notification's delivery (so not from a
+// handler), while the server still owns the cluster: a handler hears all it
+// says about the leaving records before their new server says anything.
 func (s *Server) DetachCluster(cid view.ClusterID) (*ClusterSnapshot, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.awaitDeliveryLocked()
 	if s.stopped {
 		return nil, ErrStopped
 	}

@@ -1,6 +1,8 @@
 package rms
 
 import (
+	"math"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -13,26 +15,29 @@ import (
 
 // reentrantApp calls back into the server from its handlers while a batch
 // of notifications is being delivered: OnStart ends the started request and
-// submits the next one, and OnStart and OnViews submit a request and withdraw
-// it at once, which queues two notifications (finished, then reaped) from
-// inside the delivery. It records what arrives and flags what arrives twice
-// or out of order.
+// submits the next one (unless the test's own goroutines end requests:
+// driven), and OnStart and OnViews submit a request and withdraw it at once,
+// which queues two notifications (finished, then reaped) from inside the
+// delivery. It records what arrives, flags what arrives twice or out of
+// order, and signals every start on startedCh.
 type reentrantApp struct {
-	t *testing.T
+	t      *testing.T
+	driven bool
 
-	mu       sync.Mutex
-	sess     *Session
-	budget   int // requests still to submit
-	started  map[request.ID]int
-	finished map[request.ID]int
-	reaped   map[request.ID]int
-	views    int
-	np, p    view.View // the last push
+	mu        sync.Mutex
+	sess      *Session
+	budget    int // requests still to submit
+	started   map[request.ID]int
+	finished  map[request.ID]int
+	reaped    map[request.ID]int
+	views     int
+	np, p     view.View // the last push
+	startedCh chan struct{}
 }
 
 func newReentrantApp(t *testing.T, budget int) *reentrantApp {
 	return &reentrantApp{t: t, budget: budget, started: map[request.ID]int{},
-		finished: map[request.ID]int{}, reaped: map[request.ID]int{}}
+		finished: map[request.ID]int{}, reaped: map[request.ID]int{}, startedCh: make(chan struct{}, 1)}
 }
 
 var reentrantSpec = RequestSpec{Cluster: c0, N: 1, Duration: 5, Type: request.NonPreempt}
@@ -70,15 +75,40 @@ func (a *reentrantApp) OnStart(id request.ID, _ []int) {
 	}
 	sess := a.sess
 	a.mu.Unlock()
-	if err := sess.Done(id, nil); err != nil {
-		a.t.Error(err)
+	select {
+	case a.startedCh <- struct{}{}:
+	default:
 	}
-	if sess, ok := a.take(); ok {
-		if _, err := submit(sess, reentrantSpec); err != nil {
+	if !a.driven {
+		if err := sess.Done(id, nil); err != nil {
 			a.t.Error(err)
+		}
+		if sess, ok := a.take(); ok {
+			if _, err := submit(sess, reentrantSpec); err != nil {
+				a.t.Error(err)
+			}
 		}
 	}
 	a.submitAndWithdraw()
+}
+
+// awaitStart waits up to d for request id's start.
+func (a *reentrantApp) awaitStart(id request.ID, d time.Duration) {
+	timer := time.NewTimer(d)
+	defer timer.Stop()
+	for {
+		a.mu.Lock()
+		started := a.started[id] > 0
+		a.mu.Unlock()
+		if started {
+			return
+		}
+		select {
+		case <-a.startedCh:
+		case <-timer.C:
+			return
+		}
+	}
 }
 
 func (a *reentrantApp) OnViews(np, p view.View) {
@@ -118,8 +148,8 @@ func (a *reentrantApp) OnRequestsReaped(ids []request.ID) {
 // while a batch is being delivered get every notification once and in queue
 // order — a start before its finish, a finish before its reap, no push
 // twice, and as the last push the views the server last queued — under the
-// simulated clock and under the real one, where the round goroutine and the
-// API calls' flushes share the notification arrays.
+// simulated clock and under the real one, where the round goroutine's
+// timers and the handlers' calls all reach the one drainer.
 func TestNotificationsReentrantInOrder(t *testing.T) {
 	const apps, budget = 6, 40
 	run := func(t *testing.T, clk clock.Clock, drain func(done func() bool)) {
@@ -157,7 +187,7 @@ func TestNotificationsReentrantInOrder(t *testing.T) {
 			}
 			s.mu.Lock()
 			defer s.mu.Unlock()
-			return !s.schedPending && !s.delivering && len(s.pending) == 0
+			return !s.schedPending && !s.draining && len(s.pending) == 0
 		}
 		drain(settled)
 		if !settled() {
@@ -194,4 +224,86 @@ func TestNotificationsReentrantInOrder(t *testing.T) {
 			}
 		})
 	})
+}
+
+// awaitServerStart spins until the server has started request id, but for
+// at most a second: a done() right after it races the start's delivery.
+func awaitServerStart(sess *Session, id request.ID) {
+	for deadline := time.Now().Add(time.Second); time.Now().Before(deadline); runtime.Gosched() {
+		if info, err := sess.ScheduleInfo(id); err != nil || info.Started {
+			return
+		}
+	}
+}
+
+// TestRealClockNotificationOrder runs request/done pairs from one goroutine
+// per application against a server on clock.RealClock, every other pair
+// waiting a moment for its start, while the handlers re-enter the server to
+// submit and withdraw more. A round's starts and a done()'s finish are then
+// queued by different goroutines, and only one of them may deliver: each
+// session must hear a start before its finish and a finish before its reap,
+// and nothing twice.
+func TestRealClockNotificationOrder(t *testing.T) {
+	const apps, pairs, budget = 4, 300, 300
+	s := NewServer(Config{
+		Clusters:        map[view.ClusterID]int{c0: 8},
+		ReschedInterval: 2e-4,
+		Clock:           clock.NewRealClock(),
+	})
+	defer s.Stop()
+	hs := make([]*reentrantApp, apps)
+	var wg sync.WaitGroup
+	for i := range hs {
+		h := newReentrantApp(t, budget)
+		h.driven = true
+		sess := connect(s, h)
+		h.mu.Lock()
+		h.sess = sess
+		h.mu.Unlock()
+		hs[i] = h
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			spec := RequestSpec{Cluster: c0, N: 1, Duration: math.Inf(1), Type: request.NonPreempt}
+			for j := 0; j < pairs; j++ {
+				id, err := submit(sess, spec)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if j%2 == 0 {
+					h.awaitStart(id, 300*time.Microsecond)
+				} else {
+					awaitServerStart(sess, id)
+				}
+				if err := sess.Done(id, nil); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	submitted := make([]int, apps)
+	for i, h := range hs {
+		h.mu.Lock()
+		submitted[i] = pairs + budget - h.budget
+		h.budget = 0
+		h.mu.Unlock()
+	}
+	// CheckInvariants waits for the deliveries in flight, after which no
+	// handler submits; a last round then reaps every request.
+	for _, step := range []func(){func() {}, s.ScheduleNow} {
+		step()
+		if err := s.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, h := range hs {
+		h.mu.Lock()
+		if len(h.reaped) != submitted[i] {
+			t.Errorf("app %d: %d requests reaped, want %d", i, len(h.reaped), submitted[i])
+		}
+		h.mu.Unlock()
+	}
 }

@@ -33,8 +33,10 @@ import (
 
 // AppHandler receives RMS→application notifications. Implementations must
 // not block; they may call back into the Session (the server never holds
-// its lock while notifying). Within a round, sessions are notified in
-// connection order, the order the scheduler serves them (§3.2).
+// its lock while notifying). Under either clock notifications arrive in the
+// order the server queued them (see flush): per session a request's start
+// before its finish, its finish before its reap, and no start twice. Within
+// a round, sessions are notified in connection order (§3.2).
 type AppHandler interface {
 	// OnViews delivers fresh non-preemptive and preemptive views (§3.1.4).
 	// Each push is a segment: it names every cluster its pusher owns — a
@@ -60,8 +62,8 @@ type AppHandler interface {
 // done() or a NEXT/COALLOC relation — so per-session routing tables can be
 // pruned in lockstep with the server's own bookkeeping. Like every other
 // handler callback, notifications are delivered without the server lock
-// held, in deterministic order: sessions in connection order, then requests
-// in set order.
+// held, in AppHandler's order (a federation reaps a request it drops, which
+// never ran, without a finish); within a session, requests in set order.
 type RequestObserver interface {
 	// OnRequestFinished reports that the request's allocation is over.
 	// The request may still be referenced by a pending NEXT child.
@@ -174,14 +176,18 @@ type Server struct {
 	schedTimer   clock.Timer
 	wakeTimer    clock.Timer
 	lastRunAt    float64 // −Inf until the first round
-	// delivering: a timer-driven round is running or still delivering its
-	// notifications; idleUntil is the earliest the next one may start.
-	delivering bool
-	idleUntil  float64
+	// paced: a timer-driven round queued notifications that are not all
+	// delivered yet; idleUntil is the earliest the next such round may start.
+	paced     bool
+	idleUntil float64
 
-	// notifications queued during a locked section, delivered unlocked. A
-	// delivered batch's array comes back as the next batch's (recycleLocked).
-	pending []notice
+	// Notifications queued during a locked section and delivered unlocked by
+	// one drainer at a time (flush), which owns the spare array; drained is
+	// broadcast on mu when a delivery ends with the queue empty.
+	pending  []notice
+	spare    []notice
+	draining bool
+	drained  sync.Cond
 
 	// The trim memo holds trims at the instant trimAt: trimmed, completed
 	// views by view identity (View.Key, refreshLocked) and trimmed profiles
@@ -250,6 +256,7 @@ func NewServer(cfg Config) *Server {
 		cfg.GracePeriod = 5 * cfg.ReschedInterval
 	}
 	s := &Server{cfg: cfg, clk: cfg.Clock, tenantPreempts: make(map[string]int64)}
+	s.drained.L = &s.mu
 	// The pools are the cluster set from here on: attach and detach change
 	// them, and the caller's map is never read or written again.
 	s.pools = make(map[view.ClusterID]*idPool, len(cfg.Clusters))
@@ -459,8 +466,10 @@ func (s *Server) touchLocked(appID int) {
 // Stop simulates a crash: the scheduler-side state of every session is
 // dropped without notification (the process died — there are no goodbye
 // messages; a routing layer such as internal/federation decides what the
-// applications are told), pending timers and notifications are cancelled,
-// and every subsequent operation fails until Reset, except the node-fault
+// applications are told), pending timers and notifications are cancelled, a
+// delivery in progress is waited out (so not from a handler: no notification
+// reaches a handler once Stop returns), and every subsequent operation fails
+// until Reset, except the node-fault
 // calls (FailNodes, RecoverNodes, FailedNodeIDs): the machines outlive the
 // process. Metrics integrals are closed out at the crash instant so no
 // allocation keeps accruing area for a dead shard. Stop is idempotent.
@@ -492,7 +501,9 @@ func (s *Server) Stop() {
 		s.wakeTimer = nil
 	}
 	s.schedPending = false
+	s.paced = false
 	s.pending = nil
+	s.awaitDeliveryLocked()
 	s.mu.Unlock()
 }
 
@@ -534,10 +545,12 @@ func (s *Server) SessionIDs() []int {
 // IDs, and the metrics recorder's current allocation agrees with the node
 // IDs the requests hold (the double-counted-area guard). A stopped server
 // must hold nothing. It is the per-shard half of the chaos harness's
-// post-run invariant checker.
+// post-run invariant checker. It first waits until every queued notification
+// is delivered, so it must not be called from inside a handler.
 func (s *Server) CheckInvariants() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.awaitDeliveryLocked()
 	if s.stopped {
 		if len(s.sessions) != 0 {
 			return fmt.Errorf("rms: stopped server still has %d sessions", len(s.sessions))
@@ -946,14 +959,14 @@ func (s *Server) ScheduleNow() {
 //
 // Under a real clock a round and the delivery of its notifications take
 // time, possibly more than the interval. A round therefore never overlaps
-// the previous round's delivery and starts only after the server has then
-// been idle for one interval, so every call that arrives during a round or
-// the idle interval after it shares the next round. Without the rule the
-// number of rounds — and of view pushes — one request()/done() pair costs
-// depends on how far the previous delivery had got when each call arrived,
-// that is on the machine's speed. A timer that fires too early re-arms
-// itself. Inside the simulator rounds take no time, the timer
-// requestRunLocked armed is never early, and nothing changes.
+// the delivery of the previous round's notifications (paced) and starts only
+// after the server has then been idle for one interval, so every call that
+// arrives during a round or the idle interval after it shares the next round.
+// Without the rule the number of rounds — and of view pushes — one
+// request()/done() pair costs depends on how far the previous delivery had
+// got when each call arrived, that is on the machine's speed. A timer that
+// fires too early re-arms itself. Inside the simulator rounds take no time,
+// the timer requestRunLocked armed is never early, and nothing changes.
 func (s *Server) runScheduled() {
 	s.mu.Lock()
 	if s.stopped {
@@ -961,7 +974,7 @@ func (s *Server) runScheduled() {
 		return
 	}
 	wait := s.idleUntil - s.clk.Now()
-	if s.delivering {
+	if s.paced {
 		wait = s.cfg.ReschedInterval
 	}
 	if wait > 1e-9 {
@@ -970,40 +983,56 @@ func (s *Server) runScheduled() {
 		return
 	}
 	s.schedPending = false
-	s.delivering = true
+	s.paced = true
 	s.runLocked()
-	// The round delivers its own notifications: a concurrent API call's
-	// flush must not take them and leave this goroutine nothing to wait for.
-	batch := s.pending
-	s.pending = nil
 	s.mu.Unlock()
-	done := deliver(batch)
 	s.flush()
-	s.mu.Lock()
-	s.recycleLocked(done)
-	s.delivering = false
-	if !math.IsInf(s.lastRunAt, -1) && !s.stopped { // not crashed or reset meanwhile
-		s.idleUntil = s.clk.Now() + s.cfg.ReschedInterval
-	}
-	s.mu.Unlock()
 }
 
 // flush delivers queued notifications without holding the lock, so handlers
 // can synchronously call back into the server (the simulated applications
-// do exactly that).
+// do exactly that). The goroutine that finds no delivery in progress drains
+// the queue in order until it is empty, and starts the idle interval if a
+// timer-driven round queued; every other caller, a handler calling back in
+// included, leaves its notices to it, so none overtakes an older one.
 func (s *Server) flush() {
-	var done []notice
-	for {
-		s.mu.Lock()
-		s.recycleLocked(done)
-		if len(s.pending) == 0 {
-			s.mu.Unlock()
-			return
-		}
-		batch := s.pending
-		s.pending = nil
+	s.mu.Lock()
+	if s.draining {
 		s.mu.Unlock()
-		done = deliver(batch)
+		return
+	}
+	s.draining = true
+	for len(s.pending) > 0 {
+		batch := s.pending
+		s.pending, s.spare = s.spare, nil // calls back in queue on the spare
+		s.mu.Unlock()
+		for i := range batch {
+			if n := &batch[i]; n.fn != nil {
+				n.fn()
+			} else {
+				n.h.OnViews(n.np, n.p)
+			}
+		}
+		clear(batch) // pin nothing
+		s.mu.Lock()
+		s.spare = batch[:0]
+	}
+	if s.paced {
+		s.paced = false
+		s.idleUntil = s.clk.Now() + s.cfg.ReschedInterval
+	}
+	s.draining = false
+	s.drained.Broadcast()
+	s.mu.Unlock()
+}
+
+// awaitDeliveryLocked is the delivery fence: it waits, releasing s.mu
+// meanwhile, until nothing is queued or being delivered. Under
+// clock.SimClock every delivery ends within the event that queued it, so it
+// never waits; called from inside a handler it would wait for itself.
+func (s *Server) awaitDeliveryLocked() {
+	for s.draining || len(s.pending) > 0 {
+		s.drained.Wait()
 	}
 }
 
@@ -1018,31 +1047,6 @@ type notice struct {
 // notifyLocked queues a notification other than a view push.
 func (s *Server) notifyLocked(fn func()) {
 	s.pending = append(s.pending, notice{fn: fn})
-}
-
-// deliver delivers a batch taken off the queue, in queue order, and returns
-// its emptied array. A batch is taken whole and the queue restarts without
-// an array, so a handler calling back into the server queues elsewhere.
-func deliver(batch []notice) []notice {
-	for i := range batch {
-		if n := &batch[i]; n.fn != nil {
-			n.fn()
-		} else {
-			n.h.OnViews(n.np, n.p)
-		}
-	}
-	clear(batch) // pin nothing
-	return batch[:0]
-}
-
-// recycleLocked hands a delivered batch's array back as the queue's, unless
-// the queue has one already: one spare array per server at most. Under a
-// real clock the round goroutine and API-call flushes hand arrays back and
-// forth, always under the lock.
-func (s *Server) recycleLocked(done []notice) {
-	if cap(s.pending) == 0 {
-		s.pending = done
-	}
 }
 
 // recordStartLocked records a request's admit→start wait — sim-time

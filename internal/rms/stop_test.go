@@ -1,9 +1,13 @@
 package rms
 
 import (
+	"bytes"
 	"errors"
 	"math"
+	"runtime"
+	"sync"
 	"testing"
+	"time"
 
 	"coormv2/internal/clock"
 	"coormv2/internal/metrics"
@@ -87,6 +91,77 @@ func TestStopDropsStateAndClosesMetrics(t *testing.T) {
 	e.Run(e.Now() + 50)
 	if s.Stopped() != true {
 		t.Fatal("still stopped")
+	}
+}
+
+// blockedViews is a handler whose first OnViews closes entered and then
+// waits for release.
+type blockedViews struct {
+	entered, release chan struct{}
+	once             sync.Once
+}
+
+func (a *blockedViews) OnViews(_, _ view.View) {
+	a.once.Do(func() {
+		close(a.entered)
+		<-a.release
+	})
+}
+func (a *blockedViews) OnStart(request.ID, []int) {}
+func (a *blockedViews) OnKill(string)             {}
+
+// inDeliveryFence reports whether some goroutine waits in a server's
+// delivery fence.
+func inDeliveryFence() bool {
+	buf := make([]byte, 1<<20)
+	return bytes.Contains(buf[:runtime.Stack(buf, true)], []byte("rms.(*Server).awaitDeliveryLocked"))
+}
+
+// TestStopWaitsOutDelivery crashes a server on clock.RealClock while its
+// round goroutine is inside a handler: Stop returns only once that delivery
+// has ended, so no notification of the crashed server can trail what a
+// routing layer tells the applications about the crash.
+func TestStopWaitsOutDelivery(t *testing.T) {
+	s := NewServer(Config{
+		Clusters:        map[view.ClusterID]int{"c": 4},
+		ReschedInterval: 1e-3,
+		Clock:           clock.NewRealClock(),
+	})
+	app := &blockedViews{entered: make(chan struct{}), release: make(chan struct{})}
+	released := false
+	defer func() {
+		if !released {
+			close(app.release)
+		}
+	}()
+	connect(s, app) // the first round pushes
+	deadline := time.After(10 * time.Second)
+	select {
+	case <-app.entered:
+	case <-deadline:
+		t.Fatal("no push")
+	}
+	stopped := make(chan struct{})
+	go func() {
+		s.Stop()
+		close(stopped)
+	}()
+	for !inDeliveryFence() {
+		select {
+		case <-stopped:
+			t.Fatal("Stop returned while a delivery was in progress")
+		case <-deadline:
+			t.Fatal("Stop never waited for the delivery")
+		default:
+			runtime.Gosched()
+		}
+	}
+	released = true
+	close(app.release)
+	select {
+	case <-stopped:
+	case <-deadline:
+		t.Fatal("Stop did not return once the delivery ended")
 	}
 }
 

@@ -73,9 +73,6 @@ func (v View) Set(cid ClusterID, f *stepfunc.StepFunc) {
 // cluster that went empty.
 func (v View) Put(cid ClusterID, f *stepfunc.StepFunc) { v[cid] = f }
 
-// Delete drops cid from v.
-func (v View) Delete(cid ClusterID) { delete(v, cid) }
-
 // Len returns the number of clusters v names.
 func (v View) Len() int { return len(v) }
 

@@ -145,7 +145,6 @@ func TestStoreSemantics(t *testing.T) {
 		{"Set zero on a missing cluster", func(v View) { v.Set("z", zero) }, true, stepfunc.Constant(2), 2},
 		{"Put profile", func(v View) { v.Put("x", four) }, true, four, 2},
 		{"Put zero keeps the name", func(v View) { v.Put("x", zero) }, true, zero, 2},
-		{"Delete", func(v View) { v.Delete("x") }, false, zero, 1},
 		{"Clear", func(v View) { v.Clear() }, false, zero, 0},
 		{"CopyInto keeps a named zero", func(v View) { Constant(0, "x").CopyInto(v) }, true, zero, 2},
 		{"MutAddRect to zero drops the cluster", func(v View) { v.MutAddRect("x", 0, math.Inf(1), -2) }, false, zero, 1},

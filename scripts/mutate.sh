@@ -34,6 +34,8 @@ mutants=(
 	'M8|internal/core/eqschedule.go|1|if s := share(i); leftover < s {|if s := share(i); false && leftover < s {|divideInterval: the uncongested grant drops the equi-partition floor'
 	'M9|internal/core/eqschedule.go|1|out[i] = share(i)|out[i] = avail / max(active, 1)|divideInterval: under StrictEquiPartition an inactive application gets avail / active'
 	'M10|internal/core/fit.go|1|if r.ScheduledAt != rp.ScheduledAt+rp.Duration && rpMovable {|if false && r.ScheduledAt != rp.ScheduledAt+rp.Duration && rpMovable {|fit: a NEXT child never delays its movable parent'
+	'M11|internal/rms/rms.go|1|if s.draining {|if false && s.draining {|rms flush: every goroutine drains the notification queue, not one at a time'
+	'M12|internal/rms/migrate.go|1|s.awaitDeliveryLocked()|if false { s.awaitDeliveryLocked() }|rms DetachCluster: the detach skips the delivery fence'
 )
 # Tests that compare output with golden or hash files.
 golden=' TestExperimentsGolden TestDefaultOutputGolden TestChaosInvariantMatrix TestGangChaosMatrix TestGangChaosMigrationMatrix TestNodeChaosInvariantMatrix TestChaosRebalanceMatrix TestChaosRebalanceMatrixDRF '
