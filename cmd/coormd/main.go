@@ -145,10 +145,13 @@ func start(args []string, stderr io.Writer) (*daemon, int) {
 		Obs:             reg,
 	})
 	d.srv = transport.NewServer(fed)
-	var shardDesc []string
-	for i := 0; i < fed.NumShards(); i++ {
-		shardDesc = append(shardDesc, fmt.Sprintf("shard%d=%s",
-			i, clusterFlags(fed.Shard(i).Clusters()).String()))
+	shardDesc := make([]string, fed.NumShards())
+	for cid, n := range clusters {
+		i, _ := fed.Owner(cid)
+		shardDesc[i] = strings.TrimPrefix(fmt.Sprintf("%s,%s=%d", shardDesc[i], cid, n), ",")
+	}
+	for i, desc := range shardDesc {
+		shardDesc[i] = fmt.Sprintf("shard%d=%s", i, desc)
 	}
 	topology := strings.Join(shardDesc, " ")
 	d.srv.Logf = logger.Printf

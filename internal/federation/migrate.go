@@ -26,9 +26,10 @@ import (
 // inherited.
 //
 // Turns: under clock.RealClock a call the donor refuses after the detach takes
-// a turn on the cluster (Federator.turn): it waits out the migration (set in
-// f.migrating before the detach, cleared at the commit or failure, no handler
-// run between), holds off the next (f.turns) and is routed once more.
+// a turn on the cluster (Federator.turn): it holds off the next migration
+// (f.turns), waits out the one in flight (set in f.migrating before the
+// detach, cleared at the commit or failure, no handler run between) once that
+// one has detached, and is routed once more.
 
 // MigrationReport summarizes one live cluster migration.
 type MigrationReport struct {
@@ -166,16 +167,43 @@ func (f *Federator) endMigration(cid view.ClusterID, owner int) {
 	f.mu.Unlock()
 }
 
-// turn takes (delta 1) or gives back (-1) a turn on cid. Taking one waits out
-// the migration of cid in flight; the next waits until no turn is held.
-func (f *Federator) turn(cid view.ClusterID, delta int) {
+// turn runs call, a request() or done() refused in a way a migration of cid
+// may have caused, once more, holding a turn on cid: no next migration of cid
+// starts meanwhile. The one in flight is waited out only once it has detached
+// the cluster; before that it may be waiting in the donor's delivery fence for
+// the handler making the call. If it had not, call names cid again, and it has
+// detached since, turn waits it out and runs call a third time.
+func (f *Federator) turn(cid view.ClusterID, call func() (raced view.ClusterID)) {
 	f.mu.Lock()
-	f.turns[cid] += delta
-	for delta > 0 && f.migrating == cid {
+	f.turns[cid]++
+	f.mu.Unlock()
+	defer func() {
+		f.mu.Lock()
+		f.turns[cid]--
+		f.turnCond.Broadcast()
+		f.mu.Unlock()
+	}()
+	settled := f.awaitDetached(cid)
+	if call() == cid && !settled && f.awaitDetached(cid) {
+		call()
+	}
+}
+
+// awaitDetached waits out the migration of cid in flight unless its donor
+// still hosts the cluster, and reports whether none is left in flight.
+func (f *Federator) awaitDetached(cid view.ClusterID) bool {
+	f.mu.Lock()
+	donor, inFlight := f.owner[cid], f.migrating == cid // the owner moves when it ends
+	f.mu.Unlock()
+	if _, hosted := f.shards[donor].Clusters()[cid]; !inFlight || hosted {
+		return !inFlight
+	}
+	f.mu.Lock()
+	for f.migrating == cid {
 		f.turnCond.Wait()
 	}
-	f.turnCond.Broadcast()
 	f.mu.Unlock()
+	return true
 }
 
 // migrateMapping re-points one request's record at shard dst. Called under

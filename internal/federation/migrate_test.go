@@ -703,6 +703,109 @@ func TestRealClockMigrationFenceServesHandler(t *testing.T) {
 	mustCheck(t, f)
 }
 
+// finishSubmit is an application whose handler, told that request parent
+// finished, tells entered and waits for release before it submits a NEXT
+// child of parent to cid, from inside the shard's delivery.
+type finishSubmit struct {
+	inertApp
+	sess             *Session
+	cid              view.ClusterID
+	parent           request.ID
+	entered, release chan struct{}
+	err              error
+	submitted        chan struct{}
+}
+
+func (a *finishSubmit) OnRequestFinished(id request.ID) {
+	if id != a.parent {
+		return
+	}
+	close(a.entered)
+	<-a.release
+	_, a.err = a.sess.Request(rms.RequestSpec{Cluster: a.cid, N: 1, Duration: 1, Type: request.NonPreempt,
+		RelatedHow: request.Next, RelatedTo: a.parent})
+	close(a.submitted)
+}
+
+func (a *finishSubmit) OnRequestsReaped([]request.ID) {}
+
+// TestRealClockReapedParentDuringMigrationFence withdraws a pending parent,
+// whose finish reaches the application on its donor's delivery with the reap
+// still queued behind it, and migrates the parent's cluster meanwhile. Once
+// the migration waits in the donor's delivery fence, the handler submits a
+// NEXT child of the parent. The donor, which still hosts the cluster, has no
+// parent to find: the refusal is genuine and reaches the handler, and the
+// migration completes. Waiting out the migration instead would deadlock, as
+// the migration waits for this very delivery.
+func TestRealClockReapedParentDuringMigrationFence(t *testing.T) {
+	f := New(Config{
+		Clusters:        map[view.ClusterID]int{"c00": 4, "c01": 4, "c02": 4},
+		Shards:          2,
+		ReschedInterval: 1e-3,
+		Clock:           clock.NewRealClock(),
+	})
+	app := &finishSubmit{cid: "c00", entered: make(chan struct{}), release: make(chan struct{}),
+		submitted: make(chan struct{})}
+	app.sess = f.Connect(app)
+	for i := 0; i < f.NumShards(); i++ {
+		f.Shard(i).ScheduleNow()
+	}
+	mustCheck(t, f) // waits for every shard's delivery
+	// Larger than the cluster: it stays pending, so done() withdraws it and
+	// reaps it at once.
+	parent, err := app.sess.Request(rms.RequestSpec{Cluster: "c00", N: 5, Duration: 1e6, Type: request.NonPreempt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	app.parent = parent
+	withdrawn := make(chan error, 1)
+	go func() { withdrawn <- app.sess.Done(parent, nil) }()
+	deadline := time.After(10 * time.Second)
+	select {
+	case <-app.entered:
+	case <-deadline:
+		t.Fatal("the parent's finish never reached the application")
+	}
+	var migErr error
+	migrated := make(chan struct{})
+	go func() {
+		defer close(migrated)
+		_, migErr = f.MigrateCluster("c00", 1)
+	}()
+	for !inDeliveryFence() {
+		select {
+		case <-migrated:
+			t.Fatal("MigrateCluster returned while a delivery of the donor's was in progress")
+		case <-deadline:
+			t.Fatal("MigrateCluster never waited for the donor's delivery")
+		default:
+			runtime.Gosched()
+		}
+	}
+	close(app.release)
+	select {
+	case <-app.submitted:
+	case <-deadline:
+		t.Fatal("the handler's submit waits for the migration that waits for the handler")
+	}
+	var re *rms.RequestError
+	if !errors.As(app.err, &re) || !re.Related || re.Reason != rms.ReasonNotFound {
+		t.Fatalf("the NEXT child of a withdrawn parent: %v, want its parent not found", app.err)
+	}
+	select {
+	case <-migrated:
+	case <-deadline:
+		t.Fatal("MigrateCluster never finished")
+	}
+	if migErr != nil {
+		t.Fatal(migErr)
+	}
+	if err := <-withdrawn; err != nil {
+		t.Fatal(err)
+	}
+	mustCheck(t, f)
+}
+
 // TestRacedRequestErrors pins which failed request() a migration may have
 // raced, and the cluster whose turn its one retry takes: the shard did not
 // know the cluster, or did not find a parent the session has a record of

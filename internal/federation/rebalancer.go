@@ -143,7 +143,7 @@ func (rb *Rebalancer) CheckNow() {
 		if rb.f.ShardDown(i) {
 			continue
 		}
-		loads := rb.f.Shard(i).ClusterLoads()
+		loads := rb.f.shards[i].ClusterLoads()
 		if loads == nil { // crashed between the down check and the read
 			continue
 		}

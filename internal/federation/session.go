@@ -121,11 +121,12 @@ func (s *Session) onShardLocked(shard int, id request.ID) *fedReq {
 func (s *Session) Request(spec rms.RequestSpec) (request.ID, error) {
 	shard, id, err := s.submit(spec, 0)
 	if cid := s.racedCluster(spec, shard, err); cid != "" {
-		// A live migration took the cluster, or the parent with it, from the
-		// shard (real clock only): wait it out, submit once more under the ID.
-		s.f.turn(cid, 1)
-		defer s.f.turn(cid, -1)
-		_, id, err = s.submit(spec, id)
+		// A live migration may have taken the cluster, or the parent with it,
+		// from the shard (real clock only): submit again under the ID.
+		s.f.turn(cid, func() view.ClusterID {
+			shard, id, err = s.submit(spec, id)
+			return s.racedCluster(spec, shard, err)
+		})
 	}
 	if err != nil {
 		return 0, err
@@ -305,13 +306,13 @@ func (s *Session) drop(fid request.ID) bool {
 // retry back-off — withdraws it federation-side.
 func (s *Session) Done(id request.ID, released []int) error {
 	cid, err := s.done(id, released)
-	if cid == "" {
-		return err
+	if cid != "" {
+		// Not found: a live migration may have taken it (real clock only).
+		s.f.turn(cid, func() view.ClusterID {
+			cid, err = s.done(id, released)
+			return cid
+		})
 	}
-	// Not found: a live migration may have taken it (real clock only).
-	s.f.turn(cid, 1)
-	defer s.f.turn(cid, -1)
-	_, err = s.done(id, released)
 	return err
 }
 

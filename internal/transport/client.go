@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"net"
 	"sort"
@@ -11,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"coormv2/internal/clock"
 	"coormv2/internal/obs"
 	"coormv2/internal/proto"
 	"coormv2/internal/request"
@@ -80,6 +82,7 @@ type Client struct {
 	addr string
 	h    Handler
 	o    Options
+	clk  clock.Clock // call deadlines, reconnects, heartbeats; stepped in tests
 
 	// wmu serializes frame writes; conn/w swap on reconnect.
 	wmu sync.Mutex
@@ -100,7 +103,7 @@ type Client struct {
 	termErr    error // set under mu before failing waiters; rejects new calls
 	rng        *rand.Rand
 
-	lastRx      atomic.Int64 // unix nanos of the last received frame
+	lastRx      atomic.Uint64 // clock seconds of the last received frame, as Float64bits
 	unsolicited atomic.Int64
 
 	stop    chan struct{} // closed by Close: interrupts backoff sleeps
@@ -124,6 +127,11 @@ func Dial(addr string, h Handler, opts ...Options) (*Client, error) {
 	if len(opts) > 0 {
 		o = opts[0]
 	}
+	return dial(addr, h, o, clock.NewRealClock())
+}
+
+// dial is Dial on the clock clk.
+func dial(addr string, h Handler, o Options, clk clock.Clock) (*Client, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: %w", err)
@@ -136,6 +144,7 @@ func Dial(addr string, h Handler, opts ...Options) (*Client, error) {
 		addr:         addr,
 		h:            h,
 		o:            o,
+		clk:          clk,
 		waiters:      make(map[int64]*pendingCall),
 		started:      make(map[int64]bool),
 		rng:          rand.New(rand.NewSource(seed)),
@@ -160,7 +169,7 @@ func Dial(addr string, h Handler, opts ...Options) (*Client, error) {
 	go c.dispatchLoop()
 	go c.run(conn, fr)
 	if o.HeartbeatInterval > 0 {
-		go c.heartbeatLoop()
+		clk.AfterFunc(o.HeartbeatInterval.Seconds(), "transport.heartbeat", c.heartbeat)
 	}
 	return c, nil
 }
@@ -187,7 +196,7 @@ func (c *Client) handshake(conn net.Conn, fr *frameReader, m proto.Message) (*pr
 	}
 	switch reply.Type {
 	case proto.MsgConnected:
-		c.lastRx.Store(time.Now().UnixNano())
+		c.lastRx.Store(math.Float64bits(c.clk.Now()))
 		return reply, nil
 	case proto.MsgKill, proto.MsgError:
 		if m.Resume != "" {
@@ -299,29 +308,29 @@ func (c *Client) call(m proto.Message) (*proto.Message, error) {
 		}
 	}
 
-	var deadline <-chan time.Time
 	if c.o.CallTimeout > 0 {
-		t := time.NewTimer(c.o.CallTimeout)
+		// Whoever takes the waiter out under c.mu sends the call's one result.
+		// (The callback reads pc only: capturing m would move it to the heap.)
+		t := c.clk.AfterFunc(c.o.CallTimeout.Seconds(), "transport.call", func() {
+			c.mu.Lock()
+			if c.waiters[pc.m.Seq] == pc {
+				delete(c.waiters, pc.m.Seq)
+				pc.ch <- callResult{err: fmt.Errorf("%w (%s after %s)", ErrCallTimeout, pc.m.Type, c.o.CallTimeout)}
+			}
+			c.mu.Unlock()
+		})
 		defer t.Stop()
-		deadline = t.C
 	}
-	select {
-	case res := <-pc.ch:
-		if res.err != nil {
-			return nil, res.err
-		}
-		if res.m.Type == proto.MsgError {
-			// The reason is the server-side error's full text and already
-			// names its origin ("rms: request 7 not found").
-			return nil, errors.New(res.m.Reason)
-		}
-		return res.m, nil
-	case <-deadline:
-		c.mu.Lock()
-		delete(c.waiters, seq)
-		c.mu.Unlock()
-		return nil, fmt.Errorf("%w (%s after %s)", ErrCallTimeout, m.Type, c.o.CallTimeout)
+	res := <-pc.ch
+	if res.err != nil {
+		return nil, res.err
 	}
+	if res.m.Type == proto.MsgError {
+		// The reason is the server-side error's full text and already
+		// names its origin ("rms: request 7 not found").
+		return nil, errors.New(res.m.Reason)
+	}
+	return res.m, nil
 }
 
 // downErrLocked returns the terminal error when the client can no longer
@@ -448,24 +457,27 @@ func (c *Client) failAllLocked(err error) {
 // reconnect re-dials with exponential backoff + jitter until the session
 // is resumed, the window expires, or the server rejects the resume.
 func (c *Client) reconnect(cause error) (net.Conn, *frameReader, error) {
-	start := time.Now()
-	window := c.o.reconnectWindow()
+	start := c.clk.Now()
+	window := positiveOr(c.o.ReconnectWindow, DefaultReconnectWindow)
 	c.o.Obs.Event(obs.Event{Type: obs.EvConnDrop, App: c.appID})
 	for attempt := 0; ; attempt++ {
 		// Backoff with jitter in [0.5, 1.0)·min(base·2ⁿ, max).
-		d := c.o.backoffBase() << uint(attempt)
-		if d <= 0 || d > c.o.backoffMax() {
-			d = c.o.backoffMax()
+		d := positiveOr(c.o.BackoffBase, DefaultBackoffBase) << uint(attempt)
+		if dmax := positiveOr(c.o.BackoffMax, DefaultBackoffMax); d <= 0 || d > dmax {
+			d = dmax
 		}
 		c.mu.Lock()
 		d = time.Duration(float64(d) * (0.5 + 0.5*c.rng.Float64()))
 		c.mu.Unlock()
+		woke := make(chan struct{})
+		t := c.clk.AfterFunc(d.Seconds(), "transport.backoff", func() { close(woke) })
 		select {
 		case <-c.stop:
+			t.Stop()
 			return nil, nil, errors.New("transport: client closed")
-		case <-time.After(d):
+		case <-woke:
 		}
-		remaining := window - time.Since(start)
+		remaining := window - time.Duration((c.clk.Now()-start)*float64(time.Second))
 		if remaining <= 0 {
 			return nil, nil, fmt.Errorf("transport: reconnect window (%s) expired: %w", window, cause)
 		}
@@ -492,7 +504,7 @@ func (c *Client) reconnect(cause error) (net.Conn, *frameReader, error) {
 			continue
 		}
 
-		outage := time.Since(start)
+		outage := c.clk.Now() - start
 		c.attach(conn)
 		c.mu.Lock()
 		if reply.Resume != "" {
@@ -514,41 +526,34 @@ func (c *Client) reconnect(cause error) (net.Conn, *frameReader, error) {
 				break
 			}
 		}
-		c.hReconnect.Record(outage.Seconds())
-		c.o.Obs.Event(obs.Event{Type: obs.EvResume, App: c.appID, Value: outage.Seconds()})
+		c.hReconnect.Record(outage)
+		c.o.Obs.Event(obs.Event{Type: obs.EvResume, App: c.appID, Value: outage})
 		return conn, fr, nil
 	}
 }
 
-// heartbeatLoop probes liveness: a ping every interval, and a forced
-// connection teardown (feeding the reconnect path) when nothing has been
-// received for heartbeatMisses intervals.
-func (c *Client) heartbeatLoop() {
-	t := time.NewTicker(c.o.HeartbeatInterval)
-	defer t.Stop()
-	deadline := heartbeatMisses * c.o.HeartbeatInterval
-	for {
-		select {
-		case <-c.stop:
-			return
-		case <-c.dead:
-			return
-		case <-t.C:
-		}
-		c.mu.Lock()
-		conn, up := c.conn, c.up
-		c.mu.Unlock()
-		if !up || conn == nil {
-			continue
-		}
-		if time.Since(time.Unix(0, c.lastRx.Load())) > deadline {
+// heartbeat probes liveness once an interval until the client is down: a
+// ping, or a forced connection teardown (feeding the reconnect path) when
+// nothing has been received for heartbeatMisses intervals. One last tick
+// may fire after Close: it finds the client down and does not re-arm.
+func (c *Client) heartbeat() {
+	c.mu.Lock()
+	conn, up, down := c.conn, c.up, c.downErrLocked() != nil
+	c.mu.Unlock()
+	if down {
+		return
+	}
+	if up && conn != nil {
+		silent := c.clk.Now() - math.Float64frombits(c.lastRx.Load())
+		if silent > (heartbeatMisses * c.o.HeartbeatInterval).Seconds() {
 			// Silent for too long: declare the connection dead. Closing it
 			// unblocks the read loop, which reconnects (or fails).
 			conn.Close()
-			continue
+		} else {
+			_ = c.send(proto.Message{Type: proto.MsgPing})
 		}
-		_ = c.send(proto.Message{Type: proto.MsgPing})
 	}
+	c.clk.AfterFunc(c.o.HeartbeatInterval.Seconds(), "transport.heartbeat", c.heartbeat)
 }
 
 // readLoop pumps one connection until it dies or the session ends.
@@ -565,7 +570,7 @@ func (c *Client) readLoop(fr *frameReader) error {
 			// re-syncs all state on a fresh connection.
 			return err
 		}
-		c.lastRx.Store(time.Now().UnixNano())
+		c.lastRx.Store(math.Float64bits(c.clk.Now()))
 		m, err := proto.Unmarshal(line)
 		if err != nil {
 			return err

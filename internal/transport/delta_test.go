@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"coormv2/internal/clock"
 	"coormv2/internal/proto"
 	"coormv2/internal/request"
 	"coormv2/internal/stepfunc"
@@ -99,7 +100,7 @@ func joinDeltaWire(t *testing.T, srv *Server, app *deltaApp, queue int) *deltaWi
 			starts: make(map[int64][]int),
 			idem:   make(map[int64]*idemEntry),
 		},
-		c: &Client{h: app, notif: make(chan func(), 1), dispatchDone: make(chan struct{})},
+		c: &Client{h: app, clk: clock.NewRealClock(), notif: make(chan func(), 1), dispatchDone: make(chan struct{})},
 	}
 	go w.c.dispatchLoop()
 	t.Cleanup(func() {
@@ -422,7 +423,7 @@ func TestDeltaViewsMatchFullEncode(t *testing.T) {
 // connection (the resume path re-syncs) instead of patching stale views.
 func TestDeltaBeforeFullIsConnectionFatal(t *testing.T) {
 	app := &deltaApp{got: make(chan [2]view.View, 4)}
-	c := &Client{h: app, notif: make(chan func(), 4)}
+	c := &Client{h: app, clk: clock.NewRealClock(), notif: make(chan func(), 4)}
 	full := `{"type":"views","np_view":{"c0":[{"dur":-1,"n":4}]}}`
 	delta := `{"type":"views","np_view":{"c0":[{"dur":-1,"n":3}]},"delta":true}`
 

@@ -36,10 +36,7 @@ type frameReader struct {
 }
 
 func newFrameReader(r io.Reader, limit int) *frameReader {
-	if limit <= 0 {
-		limit = DefaultMaxFrame
-	}
-	return &frameReader{r: bufio.NewReaderSize(r, 64*1024), limit: limit}
+	return &frameReader{r: bufio.NewReaderSize(r, 64*1024), limit: positiveOr(limit, DefaultMaxFrame)}
 }
 
 // next returns the next frame without its trailing newline. On an

@@ -81,23 +81,10 @@ type Options struct {
 	Obs *obs.Registry
 }
 
-func (o *Options) backoffBase() time.Duration {
-	if o.BackoffBase <= 0 {
-		return DefaultBackoffBase
+// positiveOr returns v, or def for an option left at zero (or negative).
+func positiveOr[T int | time.Duration](v, def T) T {
+	if v > 0 {
+		return v
 	}
-	return o.BackoffBase
-}
-
-func (o *Options) backoffMax() time.Duration {
-	if o.BackoffMax <= 0 {
-		return DefaultBackoffMax
-	}
-	return o.BackoffMax
-}
-
-func (o *Options) reconnectWindow() time.Duration {
-	if o.ReconnectWindow <= 0 {
-		return DefaultReconnectWindow
-	}
-	return o.ReconnectWindow
+	return def
 }

@@ -62,21 +62,19 @@ func (a *resilApp) OnError(reason string) {
 	a.mu.Unlock()
 }
 
+// waitFor polls until pred (evaluated under the lock) is true.
+func (a *resilApp) waitFor(t *testing.T, what string, pred func() bool) {
+	t.Helper()
+	eventually(t, what, func() bool {
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		return pred()
+	})
+}
+
 func (a *resilApp) waitStart(t *testing.T, id request.ID) {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		a.mu.Lock()
-		n := a.startCount[id]
-		a.mu.Unlock()
-		if n > 0 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("timeout waiting for start of request %d", id)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	a.waitFor(t, fmt.Sprintf("start of request %d", id), func() bool { return a.startCount[id] > 0 })
 }
 
 func (a *resilApp) duplicateStarts() []request.ID {
@@ -92,8 +90,8 @@ func (a *resilApp) duplicateStarts() []request.ID {
 }
 
 // startResilientServer starts a one-shard transport server with a
-// resume grace window.
-func startResilientServer(t *testing.T, grace time.Duration) (*Server, string) {
+// resume grace window on clk (nil: the real clock).
+func startResilientServer(t *testing.T, grace time.Duration, clk clock.Clock) (*Server, string) {
 	t.Helper()
 	r := federation.New(federation.Config{
 		Clusters:        map[view.ClusterID]int{c0: 16},
@@ -103,6 +101,9 @@ func startResilientServer(t *testing.T, grace time.Duration) (*Server, string) {
 	srv := NewServer(r)
 	srv.Logf = func(string, ...any) {}
 	srv.Grace = grace
+	if clk != nil {
+		srv.clk = clk
+	}
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +117,7 @@ func startResilientServer(t *testing.T, grace time.Duration) (*Server, string) {
 // mid-session, the client reconnects and resumes, and a request issued
 // across the outage is acked exactly once with no duplicate starts.
 func TestReconnectResumeAfterSever(t *testing.T) {
-	srv, backendAddr := startResilientServer(t, 5*time.Second)
+	srv, backendAddr := startResilientServer(t, 5*time.Second, nil)
 	p := netchaos.NewProxy(backendAddr)
 	addr, err := p.Listen("127.0.0.1:0")
 	if err != nil {
@@ -179,7 +180,8 @@ func TestReconnectResumeAfterSever(t *testing.T) {
 // ordinary disconnect machinery, and its resume attempt is rejected with
 // a kill.
 func TestGraceExpiryTearsDownSession(t *testing.T) {
-	srv, backendAddr := startResilientServer(t, 50*time.Millisecond)
+	clk := &stepClock{}
+	srv, backendAddr := startResilientServer(t, 50*time.Millisecond, clk)
 	p := netchaos.NewProxy(backendAddr)
 	addr, err := p.Listen("127.0.0.1:0")
 	if err != nil {
@@ -204,25 +206,18 @@ func TestGraceExpiryTearsDownSession(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Partition for well over the grace window, then heal: the client's
-	// resume must be rejected and surface as a kill.
+	// Partition, step the server's clock past the grace window once it has
+	// seen the drop, then heal: the client's resume must be rejected and
+	// surface as a kill.
 	p.SetPartitioned(true)
-	time.Sleep(300 * time.Millisecond)
-	p.SetPartitioned(false)
-
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		app.mu.Lock()
-		killed := app.killed
-		app.mu.Unlock()
-		if killed != "" {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("timeout waiting for OnKill after grace expiry")
-		}
-		time.Sleep(5 * time.Millisecond)
+	eventually(t, "the server to see the drop", func() bool { return srv.Stats()["conn_drops"] >= 1 })
+	clk.step(0.04)
+	if n := srv.Stats()["grace_expiries"]; n != 0 {
+		t.Fatalf("grace_expiries = %d inside the window", n)
 	}
+	clk.step(0.02)
+	p.SetPartitioned(false)
+	app.waitFor(t, "OnKill after grace expiry", func() bool { return app.killed != "" })
 	if _, err := c.Request(rms.RequestSpec{Cluster: c0, N: 1, Duration: 1, Type: request.NonPreempt}); err == nil {
 		t.Fatal("request succeeded on a killed session")
 	}
@@ -235,21 +230,19 @@ func TestGraceExpiryTearsDownSession(t *testing.T) {
 	}
 }
 
-// TestHeartbeatDetectsSilentPeer pins liveness detection: a server that
-// handshakes and then goes mute (never answers pings) must be declared
-// dead by the heartbeat within the miss budget, not hang forever.
-func TestHeartbeatDetectsSilentPeer(t *testing.T) {
+// muteServer accepts one connection, handshakes, and then never sends
+// again; it drains its input so the client's writes keep succeeding.
+func muteServer(t *testing.T) string {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
+	t.Cleanup(func() { ln.Close() })
 	go func() {
 		conn, err := ln.Accept()
 		if err != nil {
 			return
 		}
-		// Handshake, then silence. Drain input so writes keep succeeding.
 		fr := newFrameReader(conn, 0)
 		if _, err := fr.next(); err != nil {
 			return
@@ -263,24 +256,71 @@ func TestHeartbeatDetectsSilentPeer(t *testing.T) {
 			}
 		}
 	}()
+	return ln.Addr().String()
+}
 
-	app := newResilApp()
-	c, err := Dial(ln.Addr().String(), app, Options{
-		HeartbeatInterval: 20 * time.Millisecond,
-		CallTimeout:       5 * time.Second,
-	})
+// callOnStepClock dials a mute server on a stepped clock and starts a
+// request; it returns once the call waits, with the channel its error
+// arrives on.
+func callOnStepClock(t *testing.T, o Options) (*Client, *stepClock, <-chan error) {
+	clk := &stepClock{}
+	c, err := dial(muteServer(t), newResilApp(), o, clk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
+	t.Cleanup(func() { c.Close() })
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.Request(rms.RequestSpec{Cluster: c0, N: 1, Duration: 1, Type: request.NonPreempt})
+		done <- err
+	}()
+	eventually(t, "the call to wait", func() bool {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return len(c.waiters) == 1
+	})
+	return c, clk, done
+}
 
-	startT := time.Now()
-	_, err = c.Request(rms.RequestSpec{Cluster: c0, N: 1, Duration: 1, Type: request.NonPreempt})
-	if err == nil {
-		t.Fatal("call succeeded against a mute server")
+// TestHeartbeatDetectsSilentPeer pins liveness detection: a server that
+// handshakes and then goes mute (never answers pings) must be declared
+// dead by the heartbeat within the miss budget, not hang forever. The
+// client's clock moves five heartbeat intervals, far short of the call
+// deadline.
+func TestHeartbeatDetectsSilentPeer(t *testing.T) {
+	_, clk, done := callOnStepClock(t, Options{HeartbeatInterval: 20 * time.Millisecond, CallTimeout: 5 * time.Second})
+	for i := 0; i < 5; i++ {
+		clk.step(0.02)
 	}
-	if d := time.Since(startT); d > 2*time.Second {
-		t.Fatalf("liveness detection took %v, want well under the 5s call timeout", d)
+	select {
+	case err := <-done:
+		if err == nil || errors.Is(err, ErrCallTimeout) {
+			t.Fatalf("call against a mute server: %v, want a dead connection", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the heartbeat never declared the mute server dead")
+	}
+}
+
+// TestCallDeadline pins Options.CallTimeout: a call the server never answers
+// fails with ErrCallTimeout once the client's clock passes its deadline, and
+// not before.
+func TestCallDeadline(t *testing.T) {
+	c, clk, done := callOnStepClock(t, Options{CallTimeout: time.Second})
+	clk.step(0.9)
+	select {
+	case err := <-done:
+		t.Fatalf("call returned before its deadline: %v", err)
+	default:
+	}
+	clk.step(0.2) // the deadline answers the call on this goroutine
+	if err := <-done; !errors.Is(err, ErrCallTimeout) {
+		t.Fatalf("call past its deadline: %v, want ErrCallTimeout", err)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.waiters) != 0 {
+		t.Fatalf("%d waiters left after the deadline", len(c.waiters))
 	}
 }
 
@@ -288,7 +328,7 @@ func TestHeartbeatDetectsSilentPeer(t *testing.T) {
 // directly: the same request frame re-sent with its original idem token
 // (as a reconnecting client does) must not execute twice.
 func TestIdempotentRetryDeduplicated(t *testing.T) {
-	srv, addr := startResilientServer(t, time.Second)
+	srv, addr := startResilientServer(t, time.Second, nil)
 
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -626,7 +666,7 @@ func testEvictionWithUndeliveredStart(t *testing.T, resume bool) {
 // request IDs, and the per-request start counts. Same seed ⇒ same hash.
 func runChaosScenario(t *testing.T, seed int64) uint64 {
 	t.Helper()
-	_, backendAddr := startResilientServer(t, 10*time.Second)
+	_, backendAddr := startResilientServer(t, 10*time.Second, nil)
 	p := netchaos.NewProxy(backendAddr)
 	addr, err := p.Listen("127.0.0.1:0")
 	if err != nil {
@@ -716,7 +756,7 @@ func TestChaosMatrixDeterministic(t *testing.T) {
 // client receives the current views again (flagged as replay, but
 // delivered — a resumed client must not act on stale views).
 func TestViewsReplayedOnResume(t *testing.T) {
-	_, backendAddr := startResilientServer(t, 5*time.Second)
+	_, backendAddr := startResilientServer(t, 5*time.Second, nil)
 	p := netchaos.NewProxy(backendAddr)
 	addr, err := p.Listen("127.0.0.1:0")
 	if err != nil {
@@ -738,19 +778,7 @@ func TestViewsReplayedOnResume(t *testing.T) {
 	defer c.Close()
 
 	// Wait for at least one live views push, then sever.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		app.mu.Lock()
-		v := app.views
-		app.mu.Unlock()
-		if v > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no views before sever")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	app.waitFor(t, "views before sever", func() bool { return app.views > 0 })
 	p.Sever()
 
 	// A call forces the reconnect to finish; afterwards views flow again.
@@ -767,7 +795,7 @@ func TestViewsReplayedOnResume(t *testing.T) {
 // fail pending calls with ResumeRejectedError and deliver OnKill.
 func TestResumeRejectedSurfacesAsKill(t *testing.T) {
 	// A server whose sessions never survive a drop (Grace = 0).
-	_, backendAddr := startResilientServer(t, 0)
+	_, backendAddr := startResilientServer(t, 0, nil)
 	p := netchaos.NewProxy(backendAddr)
 	addr, err := p.Listen("127.0.0.1:0")
 	if err != nil {
@@ -797,17 +825,5 @@ func TestResumeRejectedSurfacesAsKill(t *testing.T) {
 	if !errors.As(err, &rr) {
 		t.Fatalf("error = %v, want ResumeRejectedError", err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		app.mu.Lock()
-		killed := app.killed
-		app.mu.Unlock()
-		if killed != "" {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("OnKill not delivered after resume rejection")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	app.waitFor(t, "OnKill after resume rejection", func() bool { return app.killed != "" })
 }

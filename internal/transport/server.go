@@ -30,6 +30,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"coormv2/internal/clock"
 	"coormv2/internal/federation"
 	"coormv2/internal/obs"
 	"coormv2/internal/proto"
@@ -116,6 +117,7 @@ func (st *serverStats) snapshot() map[string]int64 {
 type Server struct {
 	backend Backend
 	ln      net.Listener
+	clk     clock.Clock // runs the grace window; stepped in tests
 
 	mu       sync.Mutex
 	conns    map[net.Conn]struct{}
@@ -176,6 +178,7 @@ func NewServer(f *federation.Federator) *Server { return NewBackendServer(fedBac
 func NewBackendServer(b Backend) *Server {
 	return &Server{
 		backend:  b,
+		clk:      clock.NewRealClock(),
 		conns:    make(map[net.Conn]struct{}),
 		sessions: make(map[string]*wireSession),
 		Logf:     log.Printf,
@@ -184,20 +187,6 @@ func NewBackendServer(b Backend) *Server {
 
 // Stats returns the transport's resilience counters.
 func (s *Server) Stats() map[string]int64 { return s.stats.snapshot() }
-
-func (s *Server) maxFrame() int {
-	if s.MaxFrame > 0 {
-		return s.MaxFrame
-	}
-	return DefaultMaxFrame
-}
-
-func (s *Server) writeQueue() int {
-	if s.WriteQueue > 0 {
-		return s.WriteQueue
-	}
-	return DefaultWriteQueue
-}
 
 // Listen binds the given address ("host:port"; use ":0" for an ephemeral
 // port) and returns the bound address.
@@ -485,11 +474,11 @@ type wireSession struct {
 	synced    bool
 	starts    map[int64][]int // started-but-unfinished requests, replayed on resume
 	idem      map[int64]*idemEntry
-	idemQ     []int64 // insertion order, for cache eviction
-	idemFloor int64   // largest token evicted: nothing at or below it is new
-	gone      bool    // torn down or killed: nothing to resume
-	graceT    *time.Timer
-	droppedAt time.Time
+	idemQ     []int64     // insertion order, for cache eviction
+	idemFloor int64       // largest token evicted: nothing at or below it is new
+	gone      bool        // torn down or killed: nothing to resume
+	graceT    clock.Timer // a dropped connection's grace window, nil otherwise
+	droppedAt float64     // clock seconds of that drop
 }
 
 // enqueueLocked marshals and queues one frame on the attached connection
@@ -667,15 +656,12 @@ func (ws *wireSession) attach(cw *connWriter, connected proto.Message) bool {
 	}
 	old := ws.cw
 	ws.cw, ws.synced = cw, false
-	if t := ws.graceT; t != nil {
-		t.Stop()
+	resumed := ws.graceT != nil || old != nil
+	var outage float64
+	if ws.graceT != nil {
+		ws.graceT.Stop()
 		ws.graceT = nil
-	}
-	var outage time.Duration
-	resumed := !ws.droppedAt.IsZero() || old != nil
-	if !ws.droppedAt.IsZero() {
-		outage = time.Since(ws.droppedAt)
-		ws.droppedAt = time.Time{}
+		outage = ws.srv.clk.Now() - ws.droppedAt
 	}
 	ws.enqueueLocked(connected)
 	if ws.np != nil {
@@ -700,9 +686,9 @@ func (ws *wireSession) attach(cw *connWriter, connected proto.Message) bool {
 	}
 	if resumed {
 		ws.srv.stats.resumes.Add(1)
-		ws.srv.hResume.Record(outage.Seconds())
+		ws.srv.hResume.Record(outage)
 		if ws.srv.Obs != nil {
-			ws.srv.Obs.Event(obs.Event{Type: obs.EvResume, App: ws.appID, Value: outage.Seconds()})
+			ws.srv.Obs.Event(obs.Event{Type: obs.EvResume, App: ws.appID, Value: outage})
 		}
 	}
 	return true
@@ -718,10 +704,10 @@ func (ws *wireSession) dropConn(cw *connWriter) {
 		return
 	}
 	ws.cw = nil
-	ws.droppedAt = time.Now()
 	grace := ws.srv.Grace
 	if grace > 0 {
-		ws.graceT = time.AfterFunc(grace, ws.expireGrace)
+		ws.droppedAt = ws.srv.clk.Now()
+		ws.graceT = ws.srv.clk.AfterFunc(grace.Seconds(), "transport.grace", ws.expireGrace)
 	}
 	ws.mu.Unlock()
 	ws.srv.stats.connDrops.Add(1)
@@ -790,16 +776,13 @@ func (s *Server) handle(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 		if cw != nil {
-			cw.finish()
-			select {
-			case <-cw.done:
-			case <-time.After(drainWait):
-			}
+			cw.drainThenClose() // cw.conn is conn
+		} else {
+			conn.Close()
 		}
-		conn.Close()
 	}()
 
-	fr := newFrameReader(conn, s.maxFrame())
+	fr := newFrameReader(conn, s.MaxFrame)
 
 	// The first frame must be a connect (fresh or resuming).
 	line, err := fr.next()
@@ -829,7 +812,7 @@ func (s *Server) handle(conn net.Conn) {
 			return
 		}
 	}
-	cw = newConnWriter(conn, s.writeQueue(), DefaultWriteTimeout)
+	cw = newConnWriter(conn, positiveOr(s.WriteQueue, DefaultWriteQueue), DefaultWriteTimeout)
 	connected := proto.Message{Type: proto.MsgConnected, AppID: ws.appID, Resume: ws.token}
 	if !ws.attach(cw, connected) {
 		s.stats.resumeReject.Add(1)
@@ -912,7 +895,7 @@ func (s *Server) readCalls(ws *wireSession, fr *frameReader) (bye bool) {
 			ws.deliver(proto.Message{Type: proto.MsgPong, Seq: m.Seq})
 
 		case proto.MsgRequest, proto.MsgDone:
-			s.serveCall(ws, m)
+			ws.deliver(s.outcome(ws, m).frame(m.Seq))
 
 		case proto.MsgBye:
 			return true
@@ -922,11 +905,6 @@ func (s *Server) readCalls(ws *wireSession, fr *frameReader) (bye bool) {
 				Reason: fmt.Sprintf("unexpected message %q", m.Type)})
 		}
 	}
-}
-
-// serveCall answers one request/done call.
-func (s *Server) serveCall(ws *wireSession, m *proto.Message) {
-	ws.deliver(s.outcome(ws, m).frame(m.Seq))
 }
 
 // outcome executes one request/done call with idempotent-retry semantics:

@@ -102,19 +102,9 @@ func TestUnsolicitedErrorSurfaced(t *testing.T) {
 	}
 	defer c.Close()
 
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		app.mu.Lock()
-		got := len(app.errs) > 0 && app.errs[0] == "out of band"
-		app.mu.Unlock()
-		if got {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("unsolicited error never reached the ErrorHandler")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	app.waitFor(t, "the unsolicited error at the ErrorHandler", func() bool {
+		return len(app.errs) > 0 && app.errs[0] == "out of band"
+	})
 	if n := c.UnsolicitedErrors(); n != 1 {
 		t.Fatalf("UnsolicitedErrors = %d, want 1", n)
 	}

@@ -1,7 +1,9 @@
 package transport
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -55,18 +57,86 @@ func (a *clientApp) OnKill(reason string) {
 // deadline expires.
 func (a *clientApp) waitFor(t *testing.T, what string, pred func() bool) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
+	eventually(t, what, func() bool {
 		a.mu.Lock()
-		ok := pred()
-		a.mu.Unlock()
-		if ok {
-			return
-		}
+		defer a.mu.Unlock()
+		return pred()
+	})
+}
+
+// eventually polls cond, which waits on a network event, until it holds; the
+// test fails after 10 s.
+func eventually(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
 		if time.Now().After(deadline) {
 			t.Fatalf("timeout waiting for %s", what)
 		}
-		time.Sleep(5 * time.Millisecond)
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// stepClock is a clock.Clock that moves only when the test steps it. Unlike
+// clock.SimClock it is safe for concurrent use: a server's or client's
+// goroutines arm and read it while the test steps.
+type stepClock struct {
+	mu     sync.Mutex
+	now    float64
+	timers []*stepTimer
+}
+
+type stepTimer struct {
+	c       *stepClock
+	at      float64
+	fn      func()
+	pending bool // under c.mu
+}
+
+func (c *stepClock) Now() float64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.now
+}
+
+func (c *stepClock) AfterFunc(d float64, _ string, fn func()) clock.Timer {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	t := &stepTimer{c: c, at: c.now + max(d, 0), fn: fn, pending: true}
+	c.timers = append(c.timers, t)
+	return t
+}
+
+func (t *stepTimer) Stop() bool {
+	t.c.mu.Lock()
+	defer t.c.mu.Unlock()
+	was := t.pending
+	t.pending = false
+	return was
+}
+
+// step advances the clock by d and runs the timers then due, in deadline
+// order, on the calling goroutine. A timer a callback arms is due at the
+// next step at the earliest.
+func (c *stepClock) step(d float64) {
+	c.mu.Lock()
+	c.now += d
+	var due, keep []*stepTimer
+	for _, t := range c.timers {
+		switch {
+		case !t.pending:
+		case t.at <= c.now:
+			t.pending = false
+			due = append(due, t)
+		default:
+			keep = append(keep, t)
+		}
+	}
+	c.timers = keep
+	c.mu.Unlock()
+	slices.SortStableFunc(due, func(a, b *stepTimer) int { return cmp.Compare(a.at, b.at) })
+	for _, t := range due {
+		t.fn()
 	}
 }
 

@@ -3,7 +3,7 @@ package transport
 import (
 	"fmt"
 	"net"
-	"sync"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,49 +12,36 @@ import (
 	"coormv2/internal/metrics"
 	"coormv2/internal/proto"
 	"coormv2/internal/request"
-	"coormv2/internal/rms"
 	"coormv2/internal/sim"
 	"coormv2/internal/view"
 )
 
-// wireBackend is the Federator's backend with an observable Disconnect: a
-// bye's teardown runs on the server's goroutine, and the fuzz waits for it
-// before the simulated clock, which is not safe for concurrent use, is
-// touched again.
-type wireBackend struct {
-	f    *federation.Federator
-	mu   sync.Mutex
-	gone map[int]chan struct{} // by application ID
-}
-
-func (b *wireBackend) Connect(h rms.AppHandler, opts ...rms.ConnectOption) Session {
-	s := &goneSession{Session: b.f.Connect(h, opts...), gone: make(chan struct{})}
-	b.mu.Lock()
-	b.gone[s.AppID()] = s.gone
-	b.mu.Unlock()
-	return s
-}
-
-func (b *wireBackend) disconnected(app int) <-chan struct{} {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.gone[app]
-}
+// wireGrace is the fuzzed server's grace window: op 7's engine advance can
+// pass it.
+const wireGrace = 2 * time.Second
 
 // wireClient is one fuzzed application: a raw protocol endpoint over
 // net.Pipe into Server.handle, and what the oracle knows about its session.
 type wireClient struct {
-	t       *testing.T
-	srv     *Server
-	backend *wireBackend
+	t   *testing.T
+	srv *Server
+	e   *sim.Engine // the server's clock
+	// handled is closed when the connection's Server.handle returns: a bye's
+	// teardown or a dropped wire's grace timer is then in place, and the
+	// simulated clock, which is not safe for concurrent use, may be touched.
+	handled chan struct{}
 	conn    net.Conn
 	frames  chan wireFrame // every server frame in arrival order; closed at EOF
 	eof     bool           // frames is closed
 	killed  bool           // the session was killed: a kill frame arrived
-	token   string
-	app     int
-	seq     int64
-	idem    int64
+	// dropped: the wire dropped at engine time droppedAt and the session
+	// awaits a resume, which the client's next operation makes.
+	dropped   bool
+	droppedAt float64
+	token     string
+	app       int
+	seq       int64
+	idem      int64
 	// acked lists the requests the session was acked, in ack order; nodes
 	// holds a started one's node IDs, started the IDs of non-replay starts.
 	acked   []request.ID
@@ -70,14 +57,17 @@ type wireFrame struct {
 	err error
 }
 
-// dial connects c on a fresh pipe, fresh or resuming its session, and waits
-// for the connected frame.
-func (c *wireClient) dial(resume bool) {
+// open connects c on a fresh pipe into Server.handle and sends hello.
+func (c *wireClient) open(hello proto.Message) {
 	srvEnd, cliEnd := net.Pipe()
-	go c.srv.handle(srvEnd)
+	handled := make(chan struct{})
+	go func() {
+		defer close(handled)
+		c.srv.handle(srvEnd)
+	}()
 	// Sized past the frames one input can produce: the reader never blocks,
 	// so the server's writer never stalls into an eviction.
-	c.conn, c.frames, c.eof = cliEnd, make(chan wireFrame, 1<<14), false
+	c.conn, c.frames, c.eof, c.handled = cliEnd, make(chan wireFrame, 1<<14), false, handled
 	go func(conn net.Conn, out chan<- wireFrame) {
 		defer close(out)
 		fr := newFrameReader(conn, 0)
@@ -90,19 +80,49 @@ func (c *wireClient) dial(resume bool) {
 			out <- wireFrame{m, err}
 		}
 	}(cliEnd, c.frames)
-	hello := proto.Message{Type: proto.MsgConnect}
-	if resume {
-		hello.Resume = c.token
-	} else {
-		*c = wireClient{t: c.t, srv: c.srv, backend: c.backend, conn: c.conn, frames: c.frames,
-			isAcked: map[request.ID]bool{}, nodes: map[request.ID][]int{},
-			started: map[request.ID]bool{}, replies: map[int64]int{}}
-	}
 	c.send(hello)
+}
+
+// dial starts a fresh session and waits for the connected frame.
+func (c *wireClient) dial() {
+	*c = wireClient{t: c.t, srv: c.srv, e: c.e,
+		isAcked: map[request.ID]bool{}, nodes: map[request.ID][]int{},
+		started: map[request.ID]bool{}, replies: map[int64]int{}}
+	c.open(proto.Message{Type: proto.MsgConnect})
 	c.pump(func(m *proto.Message) bool { return m.Type == proto.MsgConnected })
 	if c.eof {
-		c.t.Fatalf("connect (resume %v) got no connected frame", resume)
+		c.t.Fatal("connect got no connected frame")
 	}
+}
+
+// resume reconnects a dropped wire. Once the engine's clock has passed the
+// grace window the server no longer holds the session; a session it does
+// hold resumes. One it does not (expired, or killed by the RMS while
+// dropped) gets the "resume rejected" kill, no frame follows it, and the
+// client starts a fresh session.
+func (c *wireClient) resume() {
+	c.dropped = false
+	held := c.srv.lookupSession(c.token) != nil
+	if held && c.e.Now() >= c.droppedAt+wireGrace.Seconds() {
+		c.t.Fatalf("session held at %v, past the grace window of its drop at %v", c.e.Now(), c.droppedAt)
+	}
+	c.open(proto.Message{Type: proto.MsgConnect, Resume: c.token})
+	if held {
+		c.pump(func(m *proto.Message) bool { return m.Type == proto.MsgConnected })
+		if c.eof {
+			c.t.Fatal("the resume of a held session got no connected frame")
+		}
+		return
+	}
+	f, ok := <-c.frames
+	if !ok || f.err != nil || f.m.Type != proto.MsgKill || !strings.HasPrefix(f.m.Reason, "resume rejected") {
+		c.t.Fatalf("the resume of a session the server no longer holds got %+v (open %v)", f, ok)
+	}
+	if f, ok := <-c.frames; ok {
+		c.t.Fatalf("frame after the resume's kill: %+v", f)
+	}
+	c.hangUp(false)
+	c.dial()
 }
 
 func (c *wireClient) send(m proto.Message) {
@@ -195,35 +215,49 @@ func (c *wireClient) call(m proto.Message) *proto.Message {
 }
 
 // sync is a barrier: every frame the server queued before it is read. A
-// killed session's connection closes instead of answering, and the client
-// reconnects fresh.
+// dropped wire resumes first; a killed session's connection closes instead
+// of answering, and the client reconnects fresh.
 func (c *wireClient) sync() {
+	if c.dropped {
+		c.resume()
+	}
 	if !c.eof {
 		c.call(proto.Message{Type: proto.MsgPing})
 	}
 	if c.eof {
-		c.dial(false)
+		c.dial()
 	}
 }
 
-// hangUp ends the connection: with a bye (the session is torn down), or by
-// dropping the wire (the session waits for a resume).
+// hangUp ends the connection, with a bye (the session is torn down) or
+// without, and waits for the server's handler to return. After a bye the
+// server no longer holds the session, and the backend's is disconnected,
+// unless the RMS killed it first.
 func (c *wireClient) hangUp(bye bool) {
+	ws := c.srv.lookupSession(c.token)
 	if bye {
+		if ws == nil {
+			c.t.Fatal("bye on a session the server does not hold")
+		}
 		c.send(proto.Message{Type: proto.MsgBye})
 		c.pump(func(*proto.Message) bool { return false }) // until the server closes
-		if !c.killed {
-			select {
-			case <-c.backend.disconnected(c.app):
-			case <-time.After(10 * time.Second):
-				c.t.Fatal("bye: the session was never torn down")
-			}
-		}
 	}
 	c.conn.Close()
 	for range c.frames {
 	}
 	c.eof = true
+	select {
+	case <-c.handled:
+	case <-time.After(10 * time.Second):
+		c.t.Fatal("the server's handler never returned")
+	}
+	if bye && !c.killed {
+		// A disconnected backend session refuses every call; done() of an
+		// unknown request changes nothing on a live one.
+		if err := ws.sess.Done(0, nil); c.srv.lookupSession(c.token) != nil || err == nil || !strings.Contains(err.Error(), "terminated") {
+			c.t.Fatalf("bye: the session was never torn down (done: %v)", err)
+		}
+	}
 }
 
 // wireInput decodes the fuzz input one byte at a time; past its end every
@@ -256,17 +290,23 @@ func pick(in *wireInput, own, other []request.ID) request.ID {
 }
 
 // FuzzWireSessions drives three raw clients, over net.Pipe into
-// Server.handle, against a 2-shard Federator on the simulated clock (behind
-// wireBackend). The input decodes into calls: request() with a fuzzed
+// Server.handle, against a 2-shard Federator on the simulated clock; the
+// server's grace window runs on the same engine. The input decodes into calls: request() with a fuzzed
 // cluster, size, duration, type, relation and related_to; done() on an own,
 // foreign or invented request with its nodes, part of them, duplicated or
 // invented ones; an idempotent call and its retry; ping; an unknown message
-// type; bye or a dropped wire, then a reconnect; and an engine advance. Nothing
-// may panic, and: every server frame parses; every call gets exactly one
-// ack or error by seq (unless a kill closed the session first); a retried
+// type; bye, then a fresh session; a dropped wire, which the client's next
+// operation resumes; and an engine advance, which may pass the grace window
+// of a dropped session (the server runs on the engine's clock). Nothing may
+// panic, and: every server frame parses; every call gets exactly one ack or
+// error by seq (unless a kill closed the session first); a retried
 // idempotency token returns the original outcome; a session sees starts
-// only for requests it was acked, and no non-replay start twice; and
-// Federator.CheckInvariants holds after every operation.
+// only for requests it was acked, and no non-replay start twice; a bye
+// tears its session down (server and backend); a session
+// whose grace window passed is no longer held, its resume gets the "resume
+// rejected" kill and no frame follows it; a held session resumes; and
+// Federator.CheckInvariants holds after every operation, grace expiries
+// included.
 func FuzzWireSessions(f *testing.F) {
 	f.Add([]byte{0, 1, 3, 1, 1, 1, 0, 7, 4, 7, 4, 1, 0, 0, 0, 5, 6})
 	f.Add([]byte{0, 0, 5, 5, 2, 1, 0, 0, 8, 0, 6, 1, 3, 0, 2, 0, 7, 9, 1, 0, 0, 1, 7, 9})
@@ -274,6 +314,8 @@ func FuzzWireSessions(f *testing.F) {
 	f.Add([]byte{16, 0, 4, 2, 3, 2, 0, 7, 5, 8, 0, 11, 2, 2, 2, 1, 7, 3, 13, 12, 15, 14})
 	f.Add([]byte{0, 0, 3, 2, 1, 0, 0, 7, 4, 6})
 	f.Add([]byte("0020120701"))
+	f.Add([]byte{0, 0, 5, 1, 1, 0, 0, 6, 15, 2, 3}) // a drop past its grace window
+	f.Add([]byte{0, 0, 5, 1, 1, 0, 0, 6, 15, 0, 3}) // a drop resumed within it
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := wireInput(data)
 		e := sim.NewEngine()
@@ -284,14 +326,14 @@ func FuzzWireSessions(f *testing.F) {
 			Clock:           clock.SimClock{E: e},
 			Metrics:         func(int) *metrics.Recorder { return metrics.NewRecorder() },
 		})
-		backend := &wireBackend{f: fed, gone: map[int]chan struct{}{}}
-		srv := NewBackendServer(backend)
+		srv := NewServer(fed)
 		srv.Logf = func(string, ...any) {}
-		srv.Grace = time.Hour // a dropped wire leaves its session for a resume
+		srv.clk = clock.SimClock{E: e}
+		srv.Grace = wireGrace
 		clients := make([]*wireClient, 3)
 		for i := range clients {
-			clients[i] = &wireClient{t: t, srv: srv, backend: backend}
-			clients[i].dial(false)
+			clients[i] = &wireClient{t: t, srv: srv, e: e}
+			clients[i].dial()
 		}
 		defer func() {
 			for _, c := range clients {
@@ -357,10 +399,10 @@ func FuzzWireSessions(f *testing.F) {
 				}
 			case 5: // bye, then a fresh session
 				c.hangUp(true)
-				c.dial(false)
-			case 6: // the wire drops, then the client resumes
+				c.dial()
+			case 6: // the wire drops; the client's next operation resumes
 				c.hangUp(false)
-				c.dial(true)
+				c.dropped, c.droppedAt = true, e.Now()
 			case 7:
 				e.Run(e.Now() + float64(in.next()%16+1)*0.75)
 			}

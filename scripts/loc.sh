@@ -3,7 +3,8 @@
 # excluded: the number ROADMAP aim 2 tracks. Plain `wc -l`, so comment and
 # blank lines count — which is why deleting comments is not a reduction.
 # Then the `panic(` call sites in the same files: the number ROADMAP's panic
-# table tracks. Last, the exported top-level names per internal/ package and
+# table tracks, and the wall-clock calls (time.Now, Sleep, AfterFunc, ...)
+# outside internal/clock, which a Go test holds to its list. Last, the exported top-level names per internal/ package and
 # in total, one `go doc -short` line each (a constructor listed under its
 # type counts as one): the number "no new exported name" is held to. Run from
 # anywhere inside the repository.
@@ -24,6 +25,9 @@ find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -print0 |
 panics=$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -print0 |
 	{ xargs -0 grep -o 'panic(' || true; } | wc -l)
 printf "%7d  panic( sites (non-test, bench/ excluded)\n" "$panics"
+wallclock=$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './internal/clock/*' -print0 |
+	{ xargs -0 grep -oE '\btime\.(Now|Since|Until|AfterFunc|After|NewTimer|NewTicker|Tick|Sleep)\(' || true; } | wc -l)
+printf "%7d  wall-clock sites outside internal/clock (non-test, bench/ excluded; listed in clock's TestWallClockSitesListed)\n" "$wallclock"
 exported=0
 for d in internal/*/; do
 	n=$(go doc -short "./$d" | wc -l)
