@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"net"
 	"net/http"
 	_ "net/http/pprof"
@@ -119,6 +120,17 @@ func start(args []string, stderr io.Writer) (*daemon, int) {
 		if errors.Is(err, flag.ErrHelp) {
 			return nil, 0
 		}
+		return nil, 2
+	}
+	// The servers read an interval ≤ 0 as 1 s and a grace ≤ 0 as five
+	// intervals, a NaN interval turns pacing off and an infinite one never
+	// schedules: a value the flag cannot mean is refused here.
+	if !(*interval > 0) || math.IsInf(*interval, 1) {
+		fmt.Fprintf(stderr, "coormd: -interval must be a finite number of seconds above 0, got %g\n", *interval)
+		return nil, 2
+	}
+	if !(*grace >= 0) || math.IsInf(*grace, 1) {
+		fmt.Fprintf(stderr, "coormd: -grace must be a finite number of seconds, 0 or more, got %g\n", *grace)
 		return nil, 2
 	}
 

@@ -46,6 +46,16 @@ func TestUsageErrorsExit2(t *testing.T) {
 		// core.NewScheduler panics on a negative capacity: the flag is the
 		// only way a node count reaches it from outside the program.
 		{"-cluster", "a=-3"},
+		// The servers would read these as 1 s (0, -1), turn pacing off
+		// (NaN) or never schedule (+Inf).
+		{"-interval", "NaN"},
+		{"-interval", "+Inf"},
+		{"-interval", "-Inf"},
+		{"-interval", "0"},
+		{"-interval", "-1"},
+		{"-grace", "NaN"},
+		{"-grace", "+Inf"},
+		{"-grace", "-1"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(args, &stdout, &stderr); code != 2 {
@@ -55,6 +65,17 @@ func TestUsageErrorsExit2(t *testing.T) {
 			t.Errorf("%v: stdout %q, stderr %q; want a diagnostic on stderr only", args, &stdout, &stderr)
 		}
 	}
+}
+
+// TestFloatFlagsAtTheirBounds: the smallest values -interval and -grace
+// take are served, not refused.
+func TestFloatFlagsAtTheirBounds(t *testing.T) {
+	var logs lockedBuffer
+	d, code := start([]string{"-listen", "127.0.0.1:0", "-interval", "1e-3", "-grace", "0"}, &logs)
+	if d == nil {
+		t.Fatalf("exit code %d: %s", code, logs.String())
+	}
+	d.Close()
 }
 
 // TestDefaultClusterWithoutFlag pins that no flag combination hands

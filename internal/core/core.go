@@ -80,11 +80,13 @@ type scratch struct {
 	npScratch   []rectA
 	foldFns     []*stepfunc.StepFunc
 	walks       []*clusterWalk
-	slotViews   []view.View
+	slotFrags   []*stepfunc.StepFunc // per walked slot, a row of pIndex
 
-	// eqSchedule buffers. grantP is a recomputed application's granted view
-	// restricted to its preemptible requests' clusters.
+	// eqSchedule buffers. grantP is an application's granted view
+	// restricted to its preemptible requests' clusters, grantNow its
+	// fragments there.
 	grantP   view.View
+	grantNow []*stepfunc.StepFunc
 	occ      []int // indices of applications with non-nil occupancy
 	vocc     []view.View
 	clusters []view.ClusterID
@@ -92,6 +94,7 @@ type scratch struct {
 	bps      []float64
 	profs    []*stepfunc.StepFunc // per-source profile cursors, [0] = vin
 	walkIn   []*stepfunc.StepFunc // newClusterWalk's distinct inputs
+	walkOut  []*stepfunc.StepFunc // walkCluster's per-slot outputs
 	cursor   []int
 	val      []int
 	req      []int

@@ -37,26 +37,31 @@ func (p PreemptPolicy) String() string {
 // vin among the applications' preemptible requests and returns the
 // preemptive view of each application trimmed at t0, keyed by application
 // ID. As a side effect the ScheduledAt and NAlloc attributes of the
-// preemptible requests are updated. It runs on a throwaway scheduler, so
-// nothing is cached across calls (the applications' caches are written but
-// never reused with stale inputs — every cache carries its exact input
-// identity).
+// preemptible requests are updated. It runs on a throwaway scheduler over
+// vin's clusters, so nothing is cached across calls (the applications'
+// caches are written but never reused with stale inputs — every cache
+// carries its exact input identity).
 func eqSchedule(apps []*AppState, vin view.View, t0 float64, policy PreemptPolicy) map[int]view.View {
-	s := NewScheduler(map[view.ClusterID]int{})
+	clusters := make(map[view.ClusterID]int, vin.Len())
+	for cid := range vin.All() {
+		clusters[cid] = 0 // capacities are not read: vin is the input
+	}
+	s := NewScheduler(clusters)
 	s.policy = policy
 	s.eqScheduleIncremental(apps, false, vin, t0)
 	out := make(map[int]view.View, len(apps))
 	for _, a := range apps {
-		out[a.ID] = a.cache.pOut
+		_, out[a.ID] = a.Views()
 	}
 	return out
 }
 
 // eqScheduleIncremental is Algorithm 3 with per-application and per-cluster
 // caching, over apps in this round's order (dynamic: admission-gated). It
-// leaves each application's preemptive view in its cache (pOut). Every
-// reuse condition is exact, so the result is bit-identical to a full
-// recomputation:
+// leaves each application's preemptive fragments in its cache (pFrags, one
+// per cluster of the scheduler's pIndex). Every reuse condition is exact, so
+// the result is
+// bit-identical to a full recomputation:
 //   - a preliminary occupancy view is reused when the application's
 //     preemptible set is clean and its availability-dependent allocs
 //     re-check unchanged, and a recomputed one equal by value keeps the
@@ -68,8 +73,7 @@ func eqSchedule(apps []*AppState, vin view.View, t0 float64, policy PreemptPolic
 //     object until t0 reaches their next breakpoint. The preemptive side
 //     reads views only on [t0, ∞) — allocWindow starts at t0 or later, fit
 //     places requests at t0 or later — so the cut changes no schedule, and
-//     the views arrive trimmed;
-//   - a granted view keeps its map when none of its fragments changed;
+//     the fragments arrive trimmed;
 //   - the rescheduling pass skips a clean, settled application whose
 //     fragments at its requests' clusters are the ones it was last
 //     rescheduled against.
@@ -180,7 +184,8 @@ func (s *Scheduler) eqScheduleIncremental(apps []*AppState, dynamic bool, vin vi
 	// (lines 4–27) — or reuse the cached walk when every input profile is
 	// the identical object (profiles are immutable, so identity implies
 	// equality; a recomputed occupancy keeps its objects only when its value
-	// held), or is one in another slot of an order-free walk.
+	// held), or is one in another slot of an order-free walk. A recomputed
+	// walk takes over the arrays of the one it replaces.
 	sc.profs = grown(sc.profs, nw+1)
 	sc.walks = grown(sc.walks, len(clusters))
 	var zero view.View
@@ -193,114 +198,167 @@ func (s *Scheduler) eqScheduleIncremental(apps []*AppState, dynamic bool, vin vi
 		if nw > len(occ) {
 			profs[1+len(occ)] = zero.Get(cid) // virtual idle slot
 		}
-		if w := s.eqWalks[cid]; w != nil && (slices.Equal(w.key, profs) || w.permute(profs, sc)) {
+		old := s.eqWalks[cid]
+		if old != nil && (slices.Equal(old.key, profs) || old.permute(profs, sc)) {
 			s.stats.WalksReused++
-			sc.walks[ci] = w
+			sc.walks[ci] = old
 			continue
 		}
 		s.stats.WalksRecomputed++
-		w := newClusterWalk(profs, nw, s.policy, sc)
+		w := newClusterWalk(old, profs, nw, s.policy, sc)
 		s.eqWalks[cid] = w
 		sc.walks[ci] = w
 	}
 
-	// Assemble each slot's granted view from the per-cluster fragments cut
-	// at t0, keeping the application's last view object when nothing
-	// changed. Slot nw-1 is the shared idle view.
-	sc.slotViews = grown(sc.slotViews, nw)
-	for j := 0; j < nw; j++ {
-		var cached view.View
-		if j < len(occ) {
-			cached = apps[occ[j]].cache.pOut
-		} else {
-			cached = s.eqIdle
+	// Cut each slot's fragments at t0, one row of pIndex's clusters per slot
+	// (row nw-1 is the shared idle slot's); nil stands for zero. A walked
+	// cluster the scheduler does not manage has no capacity, so vin and
+	// every fragment are zero there.
+	s.syncFragIndex()
+	cids := s.pIndex.cids
+	k := len(cids)
+	rows := grown(sc.slotFrags, nw*k)
+	sc.slotFrags = rows
+	clear(rows)
+	pi := 0
+	for ci, cid := range clusters {
+		for pi < k && cids[pi] < cid {
+			pi++
 		}
-		nonzero := 0
-		match := cached != nil
-		for ci := range clusters {
-			f := sc.walks[ci].cut(j, t0)
-			if f.IsZero() {
-				continue
-			}
-			nonzero++
-			if match && cached.Get(clusters[ci]) != f {
-				match = false
-			}
-		}
-		if match && cached.Len() == nonzero {
-			sc.slotViews[j] = cached
+		if pi == k || cids[pi] != cid {
 			continue
 		}
-		v := view.NewSized(nonzero)
-		for ci := range clusters {
+		for j := 0; j < nw; j++ {
 			if f := sc.walks[ci].cut(j, t0); !f.IsZero() {
-				v.Put(clusters[ci], f)
+				rows[j*k+pi] = f
 			}
 		}
-		sc.slotViews[j] = v
-		if j >= len(occ) {
-			s.eqIdle = v
-		}
-	}
-	var idle view.View // shared by every idle application
-	if nw > len(occ) {
-		idle = sc.slotViews[nw-1]
 	}
 
-	// Reschedule all requests according to the computed views, so that
-	// ScheduledAt and NAlloc are set correctly (lines 28–30). Idle
-	// applications with no preemptible requests at all have nothing to
-	// reschedule and share the idle view's map (consumers treat pushed
-	// views as immutable). A clean, settled application whose fragments at
-	// its requests' clusters are the objects it was last rescheduled
-	// against, and whose alloc() values re-check identical against them, has
-	// nothing to update either: a change on another cluster does not touch
-	// it.
+	// Hand each application its slot's row, and reschedule all requests
+	// according to it, so that ScheduledAt and NAlloc are set correctly
+	// (lines 28–30). Idle applications all take the idle row. A clean,
+	// settled application whose fragments at its requests' clusters are the
+	// objects it was last rescheduled against, and whose alloc() values
+	// re-check identical against them, has nothing to update: a change on
+	// another cluster does not touch it.
 	if sc.grantP == nil {
 		sc.grantP = view.New() // never nil: toView reads a nil view as unlimited
 	}
 	j := 0
 	for i, a := range apps {
-		v, c := idle, &a.cache
+		row, c := nw-1, &a.cache
 		if j < len(occ) && occ[j] == i {
-			v = sc.slotViews[j]
+			row = j
 			j++
 		}
-		c.pOut = v
+		if c.pIndex != s.pIndex {
+			c.pIndex, c.pFrags = s.pIndex, make([]*stepfunc.StepFunc, 2*k)
+		}
+		copy(c.pFrags, rows[row*k:(row+1)*k])
 		if a.P.Len() == 0 {
 			continue
+		}
+		frags := sc.grantNow[:0]
+		for _, r := range a.P.All() {
+			frags = append(frags, c.pFrag(r.Cluster))
+		}
+		sc.grantNow = frags
+		// toView and fit read a view only at their requests' clusters, so
+		// they run on the granted fragments there, in a reused map.
+		avail := sc.grantP
+		avail.Clear()
+		for x, r := range a.P.All() {
+			if frags[x] != nil {
+				avail.Put(r.Cluster, frags[x])
+			}
 		}
 		if dynamic && !a.admitted {
 			// Not admitted: refresh the started allocations against the
 			// granted view but leave pending requests unscheduled.
 			s.stats.EqAppRecomputed++
-			toViewScratch(a.P, v, t0, sc)
+			toViewScratch(a.P, avail, t0, sc)
 			unschedulePending(a.P)
 			c.eqOK = false
 			continue
 		}
-		if c.eqOK && c.pSettled && sameGrantFrags(a.P, v, c.grantFrags) && grantAllocStable(a.P, v, t0) {
+		if c.eqOK && c.pSettled && slices.Equal(c.grantFrags, frags) && grantAllocStable(a.P, avail, t0) {
 			s.stats.EqAppReused++
 			continue
 		}
 		s.stats.EqAppRecomputed++
-		// toView and fit read a view only at their requests' clusters, so
-		// they run on the granted view restricted to those, in a reused map.
-		avail := sc.grantP
-		avail.Clear()
-		c.grantFrags = c.grantFrags[:0]
-		for _, r := range a.P.All() {
-			f, ok := v.Lookup(r.Cluster)
-			if ok {
-				avail.Put(r.Cluster, f)
-			}
-			c.grantFrags = append(c.grantFrags, f)
-		}
+		c.grantFrags = append(c.grantFrags[:0], frags...)
 		fixed := toViewScratch(a.P, avail, t0, sc)
 		avail.MutSub(fixed)
 		avail.MutClampMin(0)
 		fitScratch(a.P, avail, t0, sc)
 	}
+}
+
+// syncFragIndex replaces pIndex when the scheduler's clusters are not its
+// clusters any more, after a structural change. Every application's
+// fragments move to their cluster's new position; a non-zero one last
+// reported at a cluster that left goes to the new index's gone list.
+func (s *Scheduler) syncFragIndex() {
+	if s.pIndex != nil && s.pGen == s.structGen {
+		return
+	}
+	s.pGen = s.structGen
+	if old := s.pIndex; old != nil && len(old.cids) == len(s.clusters) {
+		same := true
+		for _, cid := range old.cids {
+			if _, ok := s.clusters[cid]; !ok {
+				same = false
+				break
+			}
+		}
+		if same {
+			return
+		}
+	}
+	x := &fragIndex{
+		cids: make([]view.ClusterID, 0, len(s.clusters)),
+		idx:  make(map[view.ClusterID]int, len(s.clusters)),
+		gone: make(map[*appCache][]goneFrag),
+	}
+	for cid := range s.clusters {
+		x.cids = append(x.cids, cid)
+	}
+	slices.Sort(x.cids)
+	for i, cid := range x.cids {
+		x.idx[cid] = i
+	}
+	k := len(x.cids)
+	for _, a := range s.apps {
+		c := &a.cache
+		if c.pIndex == nil || c.pIndex != s.pIndex {
+			continue // never handed fragments by this scheduler
+		}
+		old := c.pIndex
+		n := len(old.cids)
+		frags := make([]*stepfunc.StepFunc, 2*k)
+		gone := old.gone[c]
+		for i, cid := range old.cids {
+			if j, ok := x.idx[cid]; ok {
+				frags[j], frags[k+j] = c.pFrags[i], c.pFrags[n+i]
+			} else if f := c.pFrags[n+i]; f != nil {
+				gone = append(gone, goneFrag{cid, f})
+			}
+		}
+		if len(gone) > 0 {
+			x.gone[c] = gone
+		}
+		c.pIndex, c.pFrags = x, frags
+	}
+	s.pIndex = x
+}
+
+// pFrag returns the application's fragment at cid, nil when zero.
+func (c *appCache) pFrag(cid view.ClusterID) *stepfunc.StepFunc {
+	if i, ok := c.pIndex.idx[cid]; ok {
+		return c.pFrags[i]
+	}
+	return nil
 }
 
 // captureNAllocs records every request's NAlloc in set order.
@@ -314,8 +372,9 @@ func captureNAllocs(rs *request.Set, dst []int) []int {
 
 // walkCluster runs one cluster's piece-wise constant interval walk
 // (Alg. 3 lines 4–27): profs[0] is the vin fragment, profs[1+j] walked
-// slot j's occupancy fragment. It returns the per-slot result fragments and
-// whether any interval's division depended on the slots' order.
+// slot j's occupancy fragment. It returns the per-slot result fragments, in
+// sc's buffer until the next walk, and whether any interval's division
+// depended on the slots' order.
 func walkCluster(profs []*stepfunc.StepFunc, nw int, policy PreemptPolicy, sc *scratch) (frags []*stepfunc.StepFunc, ordered bool) {
 	// Merge the breakpoints of all profiles into one sorted, deduplicated
 	// slice (no per-cluster set allocation).
@@ -386,10 +445,11 @@ func walkCluster(profs []*stepfunc.StepFunc, nw int, policy PreemptPolicy, sc *s
 			sc.builders[i].Append(t, sc.share[i])
 		}
 	}
-	frags = make([]*stepfunc.StepFunc, nw)
+	frags = grown(sc.walkOut, nw)
 	for i := 0; i < nw; i++ {
 		frags[i] = sc.builders[i].Fn()
 	}
+	sc.walkOut = frags
 	return frags, ordered
 }
 

@@ -133,11 +133,37 @@ type appCache struct {
 	pRects     []rectA // fixed P rects (NAlloc excluded: re-checked per round)
 	pSettled   bool    // every P request is Fixed: no time-dependent fit
 	vocc       view.View
-	voccNAlloc []int     // phase-A NAlloc per P request, set order
-	pOut       view.View // the application's preemptive view (Views)
+	voccNAlloc []int // phase-A NAlloc per P request, set order
 	// grantFrags holds, per P request in set order, the granted fragment at
 	// its cluster that the application was last rescheduled against.
 	grantFrags []*stepfunc.StepFunc
+
+	// The application's preemptive view, as fragments indexed by pIndex, the
+	// scheduler's index when they were last written: pFrags[i] is the
+	// fragment at cluster pIndex.cids[i] cut at the round's instant, and
+	// pFrags[k+i] (k clusters) the one ViewsSince last reported there; nil
+	// stands for zero. pFrags is nil before the application's first round.
+	pIndex *fragIndex
+	pFrags []*stepfunc.StepFunc
+}
+
+// fragIndex is the cluster list preemptive fragments are indexed by: cids
+// sorted, idx a cluster's position in it. The scheduler replaces its index
+// when its clusters change and never writes cids or idx once built. gone
+// holds, per application, the non-zero fragments ViewsSince last reported
+// at clusters the replaced index had and this one has not; ViewsSince
+// reports each once more.
+type fragIndex struct {
+	cids []view.ClusterID
+	idx  map[view.ClusterID]int
+	gone map[*appCache][]goneFrag
+}
+
+// goneFrag is a fragment last reported at a cluster the scheduler no longer
+// manages.
+type goneFrag struct {
+	cid view.ClusterID
+	f   *stepfunc.StepFunc
 }
 
 // clusterWalk caches one cluster's eqSchedule interval walk: the exact
@@ -160,8 +186,9 @@ type clusterWalk struct {
 // fragment, profs[1+j] walked slot j's occupancy fragment. Only the distinct
 // slots are walked, the non-zero ones in order and the first zero-input one:
 // the other zero-input slots would repeat its output, and leaving them out
-// changes no interval's division, nor ordered.
-func newClusterWalk(profs []*stepfunc.StepFunc, nw int, policy PreemptPolicy, sc *scratch) *clusterWalk {
+// changes no interval's division, nor ordered. The walk it replaces, when
+// not nil, is recycled: its arrays hold the new walk.
+func newClusterWalk(old *clusterWalk, profs []*stepfunc.StepFunc, nw int, policy PreemptPolicy, sc *scratch) *clusterWalk {
 	in := append(sc.walkIn[:0], profs[0])
 	zeroIn := false
 	for _, f := range profs[1 : nw+1] {
@@ -175,12 +202,17 @@ func newClusterWalk(profs []*stepfunc.StepFunc, nw int, policy PreemptPolicy, sc
 	}
 	sc.walkIn = in
 	outs, ordered := walkCluster(in, len(in)-1, policy, sc)
-	w := &clusterWalk{
-		key:     append([]*stepfunc.StepFunc(nil), profs...),
-		frags:   make([]*stepfunc.StepFunc, nw),
-		cuts:    make([]cutFrag, nw+1),
-		ordered: ordered,
+	w := old
+	if w == nil {
+		w = &clusterWalk{}
 	}
+	w.key = append(w.key[:0], profs...)
+	clear(w.key[len(w.key):cap(w.key)]) // pin no profile of the old walk
+	w.frags = grown(w.frags, nw)
+	clear(w.frags[nw:cap(w.frags)])
+	w.cuts = grown(w.cuts, nw+1)
+	clear(w.cuts[:cap(w.cuts)])
+	w.ordered = ordered
 	k, zero := 0, -1 // the next walked output; the zero-input slots' one
 	for j := range w.frags {
 		if profs[1+j].IsZero() && zero >= 0 {
@@ -322,7 +354,6 @@ func (s *Scheduler) invalidateDerivedLocked() {
 	}
 	s.foldsReady = false
 	s.pvClampOK = false
-	s.eqIdle = nil
 	clear(s.eqWalks)
 }
 
@@ -535,21 +566,6 @@ func allocStable(rs *request.Set, v view.View, now float64, want []int) bool {
 	for i, r := range all {
 		t0, t1 := allocWindow(r, now)
 		if v.Alloc(r.Cluster, r.N, t0, t1-t0) != want[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// sameGrantFrags reports whether v's fragment at every request's cluster is
-// the object recorded in want (one entry per request, set order).
-func sameGrantFrags(rs *request.Set, v view.View, want []*stepfunc.StepFunc) bool {
-	all := rs.All()
-	if len(want) != len(all) {
-		return false
-	}
-	for i, r := range all {
-		if f, _ := v.Lookup(r.Cluster); f != want[i] {
 			return false
 		}
 	}

@@ -817,7 +817,7 @@ func TestClusterWalkPermute(t *testing.T) {
 			profs[j] = pool[rng.Intn(len(pool))]
 		}
 		policy := PreemptPolicy(rng.Intn(2))
-		w := newClusterWalk(profs, nw, policy, sc)
+		w := newClusterWalk(nil, profs, nw, policy, sc)
 		ordered := w.ordered
 		plain, plainOrdered := walkCluster(profs, nw, policy, sc)
 		if ordered != plainOrdered {
@@ -898,9 +898,34 @@ func TestClusterWalkPermute(t *testing.T) {
 	}
 }
 
+// TestClusterWalkRecycled: a recomputed walk takes over the arrays of the
+// walk it replaces, so it allocates only its fragments — four allocations
+// fewer than a walk built afresh (the walk, its key, fragments and cuts) —
+// and holds what a fresh walk of the same inputs holds.
+func TestClusterWalkRecycled(t *testing.T) {
+	sc := &scratch{}
+	profs := []*stepfunc.StepFunc{stepfunc.Rect(0, math.Inf(1), 12)}
+	for j := 0; j < 6; j++ {
+		profs = append(profs, stepfunc.Rect(float64(j), 10, 1+j%3), stepfunc.Zero())
+	}
+	nw := len(profs) - 1
+	old := newClusterWalk(nil, profs, nw, EquiPartitionFilling, sc)
+	fresh := testing.AllocsPerRun(20, func() { newClusterWalk(nil, profs, nw, EquiPartitionFilling, sc) })
+	recycled := testing.AllocsPerRun(20, func() { old = newClusterWalk(old, profs, nw, EquiPartitionFilling, sc) })
+	if recycled > fresh-4 {
+		t.Errorf("a recycled walk allocates %.0f times, a fresh one %.0f: want at least 4 fewer", recycled, fresh)
+	}
+	want := newClusterWalk(nil, profs, nw, EquiPartitionFilling, sc)
+	for j := 0; j < nw; j++ {
+		if !old.frags[j].Equal(want.frags[j]) || !old.cut(j, 3).Equal(want.cut(j, 3)) {
+			t.Fatalf("slot %d: the recycled walk holds %v, a fresh one %v", j, old.frags[j], want.frags[j])
+		}
+	}
+}
+
 // TestPreemptViewsKeepIdentity: a start round whose start leaves the
 // started request's rectangle where fit put it hands over every preemptive
-// view map of the round before it at the same instant, recomputing no walk
+// fragment of the round before it at the same instant, recomputing no walk
 // and rescheduling at most the started application. A change on one
 // cluster then reschedules only the applications that request it.
 // TestClusterWalkZeroSlotsAllocs: a walk builds one fragment per distinct
@@ -925,7 +950,7 @@ func TestClusterWalkZeroSlotsAllocs(t *testing.T) {
 			}
 		}
 		nw := len(profs) - 1
-		return testing.AllocsPerRun(20, func() { newClusterWalk(profs, nw, EquiPartitionFilling, sc) })
+		return testing.AllocsPerRun(20, func() { newClusterWalk(nil, profs, nw, EquiPartitionFilling, sc) })
 	}
 	if many, one := walk(200), walk(1); many > one {
 		t.Fatalf("a walk of 4 non-zero and 200 zero-input slots allocates %.0f times, one with 4 and 1 %.0f", many, one)
@@ -968,8 +993,8 @@ func TestPreemptViewsKeepIdentity(t *testing.T) {
 	s.MarkAppDirty(6)
 	out = gather(s, s.Schedule(1))
 	for app, v := range out.PreemptViews {
-		if !view.Same(v, before[app]) {
-			t.Errorf("application %d's preemptive view is a new map after a start-only round", app)
+		if !sameFrags(v, before[app]) {
+			t.Errorf("application %d's preemptive fragments are new objects after a start-only round", app)
 		}
 	}
 	if got := s.Stats().WalksRecomputed - st.WalksRecomputed; got != 0 {

@@ -293,7 +293,7 @@ func testReorderKeepsCaches(t *testing.T, congested bool) {
 	}
 	for _, app := range p.order {
 		if !view.Same(out.NonPreemptViews[app], np[app]) {
-			t.Errorf("application %d's non-preemptive view is a new map after a reorder", app)
+			t.Errorf("application %d's non-preemptive fragments are new objects after a reorder", app)
 		}
 	}
 	if !congested {
@@ -304,8 +304,8 @@ func testReorderKeepsCaches(t *testing.T, congested bool) {
 			t.Errorf("the reversed round rescheduled %d applications, want 0", got)
 		}
 		for _, app := range p.order {
-			if !view.Same(out.PreemptViews[app], pv[app]) {
-				t.Errorf("application %d's preemptive view is a new map after a reorder", app)
+			if !sameFrags(out.PreemptViews[app], pv[app]) {
+				t.Errorf("application %d's preemptive fragments are new objects after a reorder", app)
 			}
 		}
 		return

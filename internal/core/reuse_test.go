@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"coormv2/internal/request"
+	"coormv2/internal/stepfunc"
 	"coormv2/internal/view"
 )
 
@@ -103,8 +104,8 @@ func TestMembershipKeepsCaches(t *testing.T) {
 		if app == 6 {
 			continue
 		}
-		if !view.Same(out.NonPreemptViews[app], np[app]) || !view.Same(out.PreemptViews[app], pv[app]) {
-			t.Errorf("application %d's views are new maps after a connect and a teardown", app)
+		if !view.Same(out.NonPreemptViews[app], np[app]) || !sameFrags(out.PreemptViews[app], pv[app]) {
+			t.Errorf("application %d's views are new maps or fragments after a connect and a teardown", app)
 		}
 	}
 	if _, ok := out.PreemptViews[9]; !ok {
@@ -202,8 +203,8 @@ func TestPreemptInputKeyedOnSubtractions(t *testing.T) {
 		t.Errorf("%d walks recomputed on an unchanged input, want 0", got)
 	}
 	for app, v := range pv {
-		if !view.Same(out.PreemptViews[app], v) {
-			t.Errorf("application %d's preemptive view is a new map on an unchanged input", app)
+		if !sameFrags(out.PreemptViews[app], v) {
+			t.Errorf("application %d's preemptive fragments are new objects on an unchanged input", app)
 		}
 	}
 
@@ -285,5 +286,84 @@ func TestMembershipChurnBounded(t *testing.T) {
 	}
 	if st := s.Stats(); st.FullRounds != 0 || st.CBFReused == 0 {
 		t.Errorf("FullRounds = %d, CBF steps reused %d: want 0 and some", st.FullRounds, st.CBFReused)
+	}
+}
+
+// TestViewsSinceReportsChanges: ViewsSince reports every cluster when asked
+// for all, then only the clusters whose fragment is a new object, with the
+// fragment it reported last; a cluster the scheduler dropped is reported
+// once with a nil fragment, and one it gained with a nil was.
+func TestViewsSinceReportsChanges(t *testing.T) {
+	s := NewScheduler(map[view.ClusterID]int{"cx": 8, "cy": 8})
+	runner, idle := s.AddApp(1, 0), s.AddApp(2, 1)
+	r := request.New(1, runner.ID, "cx", 4, math.Inf(1), request.Preempt, request.Free, nil)
+	runner.P.Add(r)
+	s.MarkAppDirty(runner.ID)
+	s.Schedule(0)
+	r.StartedAt = 0
+	s.MarkAppDirty(runner.ID)
+	s.Schedule(0)
+
+	type change struct{ was, now *stepfunc.StepFunc }
+	since := func(a *AppState, all bool) map[view.ClusterID]change {
+		got := make(map[view.ClusterID]change)
+		a.ViewsSince(all, func(cid view.ClusterID, was, now *stepfunc.StepFunc) {
+			if _, dup := got[cid]; dup {
+				t.Fatalf("app %d: %s reported twice", a.ID, cid)
+			}
+			got[cid] = change{was, now}
+		})
+		return got
+	}
+	for _, a := range []*AppState{runner, idle} {
+		_, pv := a.Views()
+		got := since(a, true)
+		if len(got) != 2 || got["cx"].now != pv.Get("cx") || got["cy"].now != pv.Get("cy") {
+			t.Fatalf("app %d: all reports %v, want cx and cy as in %v", a.ID, got, pv)
+		}
+		if got := since(a, false); len(got) != 0 {
+			t.Fatalf("app %d: a second call reports %v, want nothing", a.ID, got)
+		}
+	}
+
+	// A second preemptible application on cx changes the idle share there
+	// and nowhere else. Its new walk slot recomputes cy's walk too, so cy
+	// may come as a new object, of the same value.
+	_, before := idle.Views()
+	s.AddApp(3, 2).P.Add(request.New(2, 3, "cx", 2, 10, request.Preempt, request.Free, nil))
+	s.MarkAppDirty(3)
+	s.Schedule(1)
+	got := since(idle, false)
+	if got["cx"].was != before.Get("cx") || got["cx"].now.Equal(got["cx"].was) {
+		t.Fatalf("a change on cx reports %v to the idle application, want cx changed from %v", got, before.Get("cx"))
+	}
+	if cy, ok := got["cy"]; ok && (cy.was != before.Get("cy") || !cy.now.Equal(cy.was)) {
+		t.Fatalf("a change on cx reports cy %v to the idle application, want its value held at %v", cy, before.Get("cy"))
+	}
+	if got := since(idle, false); len(got) != 0 {
+		t.Fatalf("a second call reports %v, want nothing", got)
+	}
+
+	// At the same instant, a dropped cluster is reported once as gone, a
+	// gained one as new. A structural round recomputes every walk, so cx
+	// may come as a new object, of the same value.
+	_, mid := idle.Views()
+	wasCy := mid.Get("cy")
+	s.RemoveCluster("cy")
+	s.Schedule(1)
+	got = since(idle, false)
+	if got["cy"].was != wasCy || got["cy"].now != nil {
+		t.Fatalf("after cy left: %v, want cy gone from %v", got, wasCy)
+	}
+	if cx, ok := got["cx"]; len(got) > 2 || ok && !cx.was.Equal(cx.now) {
+		t.Fatalf("after cy left: %v, want cx unchanged", got)
+	}
+	if got := since(idle, false); len(got) != 0 {
+		t.Fatalf("a gone cluster reported again: %v", got)
+	}
+	s.AddCluster("cy", 8)
+	s.Schedule(1)
+	if got := since(idle, false); got["cy"].was != nil || got["cy"].now.IsZero() {
+		t.Fatalf("after cy came back: %v, want cy new", got)
 	}
 }

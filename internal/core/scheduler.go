@@ -8,6 +8,7 @@ import (
 	"sort"
 
 	"coormv2/internal/request"
+	"coormv2/internal/stepfunc"
 	"coormv2/internal/view"
 )
 
@@ -83,10 +84,60 @@ func (a *AppState) Requests() []*request.Request {
 // non-preemptible requests; preempt is what it can see for preemptible
 // requests, trimmed at the round's instant (stepfunc.TrimBefore), and a drop
 // below its current preemptible allocation signals that it must release
-// resources. A view map is never written once handed out, and a later round
-// hands over the same map only with the same value.
+// resources. nonPreempt is the scheduler's map: it is never written once
+// handed out, and a later round hands over the same map only with the same
+// value. preempt is built from the application's fragments on every call;
+// ViewsSince reports them as changes instead.
 func (a *AppState) Views() (nonPreempt, preempt view.View) {
-	return a.cache.cbfOut, a.cache.pOut
+	c := &a.cache
+	if c.pFrags == nil {
+		return c.cbfOut, nil
+	}
+	cids := c.pIndex.cids
+	n := 0
+	for _, f := range c.pFrags[:len(cids)] {
+		if f != nil {
+			n++
+		}
+	}
+	preempt = view.NewSized(n)
+	for i, f := range c.pFrags[:len(cids)] {
+		if f != nil {
+			preempt.Put(cids[i], f)
+		}
+	}
+	return c.cbfOut, preempt
+}
+
+// ViewsSince is Views for a caller that keeps what it was told: it returns
+// the non-preemptive view and reports the preemptive one as changes since
+// its previous call. report is called for every cluster whose fragment is
+// not the object the previous call reported there — for every cluster when
+// all is set — with that object (was) and the current one (now), and for
+// every cluster the scheduler has dropped since with a non-zero was and a
+// nil now. nil stands for the zero profile; fragments are trimmed at the
+// round's instant, and one kept across rounds is kept only while its value
+// holds, so a cluster not reported has the value reported last.
+func (a *AppState) ViewsSince(all bool, report func(cid view.ClusterID, was, now *stepfunc.StepFunc)) (nonPreempt view.View) {
+	c := &a.cache
+	if c.pFrags == nil {
+		return c.cbfOut
+	}
+	x := c.pIndex
+	if gone, ok := x.gone[c]; ok {
+		delete(x.gone, c)
+		for _, g := range gone {
+			report(g.cid, g.f, nil)
+		}
+	}
+	k := len(x.cids)
+	for i, f := range c.pFrags[:k] {
+		if was := c.pFrags[k+i]; all || was != f {
+			c.pFrags[k+i] = f
+			report(x.cids[i], was, f)
+		}
+	}
+	return c.cbfOut
 }
 
 // Scheduler holds the global scheduling state: the resource model and the
@@ -153,9 +204,13 @@ type Scheduler struct {
 	pvClamp   view.View
 	pvClampOK bool
 
-	// eqSchedule caches: per-cluster interval walks and the shared idle view.
+	// eqSchedule caches: per-cluster interval walks. pIndex is the cluster
+	// list the applications' preemptive fragments are indexed by, brought to
+	// the clusters by the first round after a structural change (pGen: the
+	// structGen it was checked at).
 	eqWalks map[view.ClusterID]*clusterWalk
-	eqIdle  view.View
+	pIndex  *fragIndex
+	pGen    uint64
 
 	stats SchedStats
 }
@@ -294,6 +349,9 @@ func (s *Scheduler) RemoveApp(id int) *AppState {
 	s.apps = s.apps[:last]
 
 	c := &a.cache
+	if s.pIndex != nil {
+		delete(s.pIndex.gone, c)
+	}
 	addRectClusters(s.npFoldDirt, c.paRects)
 	dirtyNPFolds(s.npFoldDirt, s.pFoldDirt, c.npRects)
 	if c.cbfPA.Len() > 0 || c.cbfExcess.Len() > 0 {

@@ -36,6 +36,22 @@ func gather(s *Scheduler, toStart []*request.Request) *gathered {
 	return g
 }
 
+// sameFrags reports whether two preemptive views hold the same fragment
+// objects at the same clusters: Views builds a fresh map on every call, so
+// fragment identity is what a round that keeps an application's preemptive
+// view keeps.
+func sameFrags(a, b view.View) bool {
+	if a.Len() != b.Len() {
+		return false
+	}
+	for cid, f := range a.All() {
+		if g, ok := b.Lookup(cid); !ok || g != f {
+			return false
+		}
+	}
+	return true
+}
+
 // submit creates, validates and adds a request to the right set.
 func submit(t *testing.T, s *Scheduler, a *AppState, id request.ID, n int, dur float64,
 	typ request.Type, how request.Relation, parent *request.Request) *request.Request {

@@ -2,8 +2,9 @@
 // front-end partitions the cluster set across N independent rms.Server
 // shards, routes application sessions and request()/done() calls to the
 // shard owning their target cluster, and forwards each shard's
-// non-preemptive/preemptive views — a segment naming the clusters the shard
-// owns (see rms.AppHandler.OnViews) — to the application untouched.
+// non-preemptive/preemptive views — segments naming the clusters the shard
+// owns, the preemptive one only those whose profile changed (see
+// rms.AppHandler.OnViews) — to the application untouched.
 // Scheduling semantics are untouched — every shard runs the unmodified §3
 // algorithm over its own clusters; the federation layer only routes and
 // forwards.

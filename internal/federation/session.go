@@ -737,11 +737,13 @@ type shardHandler struct {
 // Each method below takes the shard's notification into the table and
 // queues it on the outbox in one critical section, then delivers.
 
-// OnViews forwards the shard's segment, which names every cluster the shard
-// owns, untouched: a single RMS's push and a shard's are the same thing, so
-// a 1-shard federation is a single RMS by construction. A crashed shard's
-// pushes all precede the crash's zero segment: rms.Server.Stop waits out the
-// shard's delivery in progress.
+// OnViews forwards the shard's segments untouched — the non-preemptive one
+// names every cluster the shard owns, the preemptive one the shard's
+// clusters whose profile changed (rms.AppHandler.OnViews): a single RMS's
+// push and a shard's are the same thing, so a 1-shard federation is a
+// single RMS by construction. A crashed shard's pushes all precede the
+// crash's zero segment: rms.Server.Stop waits out the shard's delivery in
+// progress.
 func (h *shardHandler) OnViews(np, p view.View) {
 	s := h.sess
 	s.mu.Lock()

@@ -311,7 +311,7 @@ func (s *Server) AttachCluster(snap *ClusterSnapshot, observe func(appID int, id
 	// not taken for one the handler holds.
 	for _, sess := range s.sessions {
 		if _, stale := sess.np.v.Lookup(snap.Cluster); stale {
-			sess.np.v, sess.p.v = nil, nil
+			sess.np.v = nil
 		}
 	}
 

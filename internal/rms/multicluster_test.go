@@ -77,8 +77,12 @@ func TestMultiClusterViewsPerCluster(t *testing.T) {
 }
 
 // TestPushesNameEveryCluster pins the server's half of the OnViews contract:
-// every push names every cluster the server holds right now — a fully booked
-// one with the zero profile — and follows a detach and an attach.
+// a push's non-preemptive view names every cluster the server holds right
+// now — a fully booked one with the zero profile — and so does the
+// preemptive segment of a session's first push and of its first push after a
+// detach or an attach. Any other preemptive segment names exactly the
+// clusters whose profile changed, a cluster that became fully booked with
+// the zero profile.
 func TestPushesNameEveryCluster(t *testing.T) {
 	e, s := newTwoClusterServer()
 	holder := &testApp{}
@@ -88,44 +92,92 @@ func TestPushesNameEveryCluster(t *testing.T) {
 	}
 	watcher := &testApp{}
 	watcher.sess = connect(s, watcher)
-	names := func(what string, want ...view.ClusterID) {
+	named := func(v view.View, want ...view.ClusterID) bool {
+		if v.Len() != len(want) {
+			return false
+		}
+		for _, cid := range want {
+			if _, ok := v.Lookup(cid); !ok {
+				return false
+			}
+		}
+		return true
+	}
+	names := func(what string, np []view.ClusterID, p ...view.ClusterID) {
 		t.Helper()
-		np, p := watcher.lastViews(t)
-		for _, got := range []view.View{np, p} {
-			if len(got) != len(want) {
-				t.Fatalf("%s: push names %v, want %v", what, got, want)
-			}
-			for _, cid := range want {
-				if _, ok := got[cid]; !ok {
-					t.Fatalf("%s: push names %v, want %v", what, got, want)
-				}
-			}
+		last := watcher.views[len(watcher.views)-1]
+		if !named(last.np, np...) || !named(last.p, p...) {
+			t.Fatalf("%s: push names np %v, p %v; want np %v, p %v", what, last.np, last.p, np, p)
+		}
+	}
+	book := func(cid view.ClusterID, n int) {
+		t.Helper()
+		if _, err := submit(holder.sess, RequestSpec{Cluster: cid, N: n, Duration: math.Inf(1), Type: request.NonPreempt}); err != nil {
+			t.Fatal(err)
 		}
 	}
 	e.Run(3)
-	names("booked beta", cA, cB)
-	if np, _ := watcher.lastViews(t); !np[cB].IsZero() {
-		t.Fatalf("booked beta reads %v, want the zero profile", np[cB])
+	both := []view.ClusterID{cA, cB}
+	names("first push", both, cA, cB)
+	if np, p := watcher.lastViews(t); !np.Get(cB).IsZero() || !p.Get(cB).IsZero() {
+		t.Fatalf("booked beta reads np %v, p %v, want the zero profile", np.Get(cB), p.Get(cB))
 	}
 
 	snap, err := s.DetachCluster(cB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := submit(holder.sess, RequestSpec{Cluster: cA, N: 2, Duration: 1000, Type: request.NonPreempt}); err != nil {
-		t.Fatal(err)
-	}
+	book(cA, 2)
 	e.Run(6)
-	names("after the detach", cA)
+	names("after the detach", []view.ClusterID{cA}, cA)
 
 	if err := s.AttachCluster(snap, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := submit(holder.sess, RequestSpec{Cluster: cA, N: 2, Duration: 1000, Type: request.NonPreempt}); err != nil {
+	book(cA, 2)
+	e.Run(9)
+	names("after the attach", both, cA, cB)
+
+	pushes := len(watcher.views)
+	book(cA, 1)
+	e.Run(12)
+	names("a change on alpha", both, cA)
+	book(cA, 3)
+	e.Run(15)
+	names("alpha booked", both, cA)
+	if got := watcher.views[len(watcher.views)-1].p.Get(cA); !got.IsZero() {
+		t.Fatalf("booked alpha's segment reads %v, want the zero profile", got)
+	}
+	if got := len(watcher.views) - pushes; got != 2 {
+		t.Fatalf("%d pushes for two changes, want 2", got)
+	}
+}
+
+// TestIdleSessionsShareSegment: sessions shown the same hypothetical share
+// are handed one preemptive segment, naming the one cluster that changed.
+func TestIdleSessionsShareSegment(t *testing.T) {
+	e, s := newTwoClusterServer()
+	runner := &testApp{}
+	runner.sess = connect(s, runner)
+	idle := make([]*testApp, 4)
+	for i := range idle {
+		idle[i] = &testApp{}
+		idle[i].sess = connect(s, idle[i])
+	}
+	e.Run(3)
+	if _, err := submit(runner.sess, RequestSpec{Cluster: cA, N: 3, Duration: math.Inf(1), Type: request.Preempt}); err != nil {
 		t.Fatal(err)
 	}
-	e.Run(9)
-	names("after the attach", cA, cB)
+	e.Run(6)
+	first := idle[0].views[len(idle[0].views)-1].p
+	if _, ok := first.Lookup(cA); !ok || first.Len() != 1 {
+		t.Fatalf("an idle session's segment names %v, want alpha alone", first)
+	}
+	for i, a := range idle {
+		if got := a.views[len(a.views)-1].p; !view.Same(got, first) {
+			t.Fatalf("idle session %d was handed %v, session 0 another map %v", i, got, first)
+		}
+	}
 }
 
 func TestMultiClusterPreemptibleIsolation(t *testing.T) {

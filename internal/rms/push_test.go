@@ -13,24 +13,48 @@ import (
 	"coormv2/internal/view"
 )
 
-// pushRecorder is a passive AppHandler that keeps its last push and counts
-// them.
+// pushRecorder is a passive AppHandler that keeps its last push, the pair
+// its pushes add up to, and counts them.
 type pushRecorder struct {
 	calls int
-	np, p view.View
+	np, p view.View // the last push's segments
+	wp    view.View // every preemptive segment patched in, in order
 }
 
-func (r *pushRecorder) OnViews(np, p view.View)   { r.calls, r.np, r.p = r.calls+1, np, p }
+func (r *pushRecorder) OnViews(np, p view.View) {
+	r.calls, r.np, r.p = r.calls+1, np, p
+	if r.wp == nil {
+		r.wp = view.New()
+	}
+	patch(r.wp, p)
+}
 func (r *pushRecorder) OnStart(request.ID, []int) {}
 func (r *pushRecorder) OnKill(string)             {}
+
+// patch applies a pushed segment to acc, a map its caller owns, as a
+// handler that keeps whole views does: a named profile replaces acc's, a
+// named zero removes the cluster, a cluster seg does not name keeps its
+// profile. It returns acc.
+func patch(acc, seg view.View) view.View {
+	for cid, f := range seg.All() {
+		acc.Set(cid, f)
+	}
+	return acc
+}
 
 // pushTwin drives an incremental server ([0]) and its full-recompute twin
 // ([1]) through the same operations on one simulated clock. A round runs only
 // when the driver asks for one (the rescheduling interval is out of reach),
-// so every round is followed by the oracle check: each application's last
-// push on the incremental server equals its last push on the twin — whose
-// scheduler hands over fresh maps every round, so it trims, completes and
-// compares everything — and both servers pushed it as often.
+// so every round is followed by the oracle check:
+//   - each application was pushed as often on both servers, and its last
+//     push names the same clusters with the same profiles on both — the
+//     twin's scheduler hands over fresh maps and fragments every round, so
+//     it trims, completes and compares everything;
+//   - on each server, every live session's pushes add up to the whole views
+//     the scheduler holds: the last non-preemptive view equals the
+//     scheduler's trimmed at the round's instant, and the patched preemptive
+//     one its preemptive view at every cluster of the server;
+//   - the scheduler's preemptive fragments are trimmed at that instant.
 type pushTwin struct {
 	t    *testing.T
 	e    *sim.Engine
@@ -70,25 +94,38 @@ func (tw *pushTwin) round() {
 	for _, s := range tw.srv {
 		s.ScheduleNow()
 	}
+	now := tw.e.Now()
 	for i := range tw.apps[0] {
 		inc, full := tw.apps[0][i], tw.apps[1][i]
 		if inc.calls != full.calls {
-			tw.t.Fatalf("t=%g app %d: %d pushes, the full-recompute twin %d", tw.e.Now(), i, inc.calls, full.calls)
+			tw.t.Fatalf("t=%g app %d: %d pushes, the full-recompute twin %d", now, i, inc.calls, full.calls)
 		}
 		if !sameNames(inc.np, full.np) || !inc.np.Equal(full.np) || !sameNames(inc.p, full.p) || !inc.p.Equal(full.p) {
-			tw.t.Fatalf("t=%g app %d holds\n np %v\n p  %v\nthe full-recompute twin\n np %v\n p  %v",
-				tw.e.Now(), i, inc.np, inc.p, full.np, full.p)
+			tw.t.Fatalf("t=%g app %d was last pushed\n np %v\n p  %v\nthe full-recompute twin\n np %v\n p  %v",
+				now, i, inc.np, inc.p, full.np, full.p)
 		}
 	}
-	// The scheduler hands out preemptive views trimmed at the round's
-	// instant, so one that names every cluster needs neither a trim nor a
-	// completion: trimLocked returns its map.
 	for k, s := range tw.srv {
 		s.mu.Lock()
-		for id, sess := range s.sessions {
-			if src := sess.p.src; len(src) == len(s.pools) && !view.Same(s.trimLocked(src, s.clk.Now()), src) {
-				s.mu.Unlock()
-				tw.t.Fatalf("t=%g server %d app %d: trimLocked copied the preemptive view %v", tw.e.Now(), k, id, src)
+		for i, sess := range tw.sess[k] {
+			if s.sessions[sess.AppID()] != sess {
+				continue // torn down
+			}
+			r := tw.apps[k][i]
+			npv, pv := sess.app.Views()
+			wnp := npv.TrimBefore(now)
+			for cid := range s.pools {
+				if !r.np.Get(cid).Equal(wnp.Get(cid)) || !r.wp.Get(cid).Equal(pv.Get(cid)) {
+					s.mu.Unlock()
+					tw.t.Fatalf("t=%g server %d app %d at %s: the pushes add up to\n np %v\n p  %v\nthe scheduler holds\n np %v\n p  %v",
+						now, k, i, cid, r.np, r.wp, wnp, pv)
+				}
+			}
+			for cid, f := range pv.All() {
+				if f.NextBreakpoint(0) <= now {
+					s.mu.Unlock()
+					tw.t.Fatalf("t=%g server %d app %d: the preemptive fragment at %s is not trimmed: %v", now, k, i, cid, f)
+				}
 			}
 		}
 		s.mu.Unlock()
@@ -97,11 +134,11 @@ func (tw *pushTwin) round() {
 
 // sameNames reports whether two pushed views name the same clusters.
 func sameNames(a, b view.View) bool {
-	if len(a) != len(b) {
+	if a.Len() != b.Len() {
 		return false
 	}
-	for cid := range a {
-		if _, ok := b[cid]; !ok {
+	for cid := range a.All() {
+		if _, ok := b.Lookup(cid); !ok {
 			return false
 		}
 	}
@@ -154,7 +191,9 @@ func (tw *pushTwin) teardown(app int) {
 	}
 }
 
-// detachOrAttach moves beta out of both servers, or back in.
+// detachOrAttach moves beta out of both servers, or back in. A detach
+// hands every application the segment a federation hands it for a cluster
+// that left its shard: beta with the zero profile.
 func (tw *pushTwin) detachOrAttach() {
 	tw.t.Helper()
 	for k, s := range tw.srv {
@@ -164,6 +203,11 @@ func (tw *pushTwin) detachOrAttach() {
 				tw.t.Fatal(err)
 			}
 			tw.snap[k] = snap
+			for _, r := range tw.apps[k] {
+				if r.wp != nil {
+					r.wp.Set(cB, stepfunc.Zero())
+				}
+			}
 		} else {
 			if err := s.AttachCluster(tw.snap[k], nil); err != nil {
 				tw.t.Fatal(err)

@@ -39,14 +39,19 @@ import (
 // a round, sessions are notified in connection order (§3.2).
 type AppHandler interface {
 	// OnViews delivers fresh non-preemptive and preemptive views (§3.1.4).
-	// Each push is a segment: it names every cluster its pusher owns — a
-	// cluster with no availability as stepfunc.Zero(), not left out — and a
-	// cluster it does not name keeps the profile the handler last saw. A
-	// single RMS owns all its clusters, so every push names them all; a
-	// federation forwards each shard's push as it is, and names the clusters
-	// a crashed shard or a migration took away with zero profiles.
-	// Delivered views are immutable and may be shared between sessions:
-	// handlers may retain them indefinitely but must never modify them.
+	// Each push is a pair of segments, and a cluster a segment does not name
+	// keeps the profile the handler last saw. The non-preemptive segment
+	// names every cluster its pusher owns — a cluster with no availability
+	// as stepfunc.Zero(), not left out. The preemptive one names the
+	// clusters whose profile changed since the session's last push — one
+	// that fell to nothing as stepfunc.Zero() — and every cluster its pusher
+	// owns on the session's first push and on its first push after the
+	// pusher's cluster set changed; it is nil when nothing changed there. A
+	// single RMS owns all its clusters; a federation forwards each shard's
+	// push as it is, and names the clusters a crashed shard or a migration
+	// took away with zero profiles. Delivered views are immutable and may be
+	// shared between sessions: handlers may retain them indefinitely but
+	// must never modify them.
 	OnViews(nonPreempt, preempt view.View)
 	// OnStart notifies that a request started and delivers its node IDs
 	// (empty for pre-allocations).
@@ -200,6 +205,20 @@ type Server struct {
 	trimProfs map[*stepfunc.StepFunc]*stepfunc.StepFunc
 	trimAt    float64
 
+	// The preemptive segment of the session being pushed (pushViewsLocked):
+	// notePLocked, bound once, collects the clusters segAll or a change of
+	// value names into seg, and segChanged records a change. segMemo holds
+	// this push pass's segments by their first profile, so sessions handed
+	// equal segments share one map.
+	noteP      func(view.ClusterID, *stepfunc.StepFunc, *stepfunc.StepFunc)
+	seg        []segEntry
+	segAll     bool
+	segChanged bool
+	segMemo    map[*stepfunc.StepFunc]view.View
+	// The last pair of profiles sameProfileLocked compared, and its answer.
+	eqWas, eqNow *stepfunc.StepFunc
+	eqSame       bool
+
 	// stopped marks a crashed server (Stop): all state is gone and every
 	// operation fails until Reset.
 	stopped bool
@@ -265,6 +284,7 @@ func NewServer(cfg Config) *Server {
 	}
 	s.cfg.Clusters = nil
 	s.gcCollect = s.reapLocked
+	s.noteP = s.notePLocked
 	s.initObs()
 	s.initStateLocked()
 	return s
@@ -363,9 +383,12 @@ type Session struct {
 	h      AppHandler
 	killed bool
 
-	// np/p are the two halves of the last push; an unchanged pair is not
-	// pushed again.
-	np, p pushed
+	// np is the non-preemptive half of the last push; the scheduler keeps
+	// the preemptive half (core.AppState.ViewsSince). pAll: the next push
+	// names every cluster in its preemptive segment — the first push, and
+	// the first after the server's cluster set changed.
+	np   pushed
+	pAll bool
 	// inDeficit/deficitSince: whether, and since when, the application holds
 	// more preemptible nodes than granted (kill after GracePeriod).
 	inDeficit    bool
@@ -410,7 +433,7 @@ func (s *Server) ConnectID(h AppHandler, id int, opts ...ConnectOption) (*Sessio
 func (s *Server) connectLocked(h AppHandler, id int, o connectOpts) *Session {
 	app := s.sched.AddApp(id, s.clk.Now())
 	app.Tenant = o.tenant
-	sess := &Session{s: s, app: app, h: h}
+	sess := &Session{s: s, app: app, h: h, pAll: true}
 	s.sessions[id] = sess
 	s.requestRunLocked()
 	return sess
@@ -1292,39 +1315,127 @@ func (s *Server) startRequestsLocked(toStart []*request.Request, now float64) {
 }
 
 // pushViewsLocked queues OnViews notifications for applications whose views
-// changed since the last push. Views are trimmed to [now, ∞): their values
-// in the past are reconstruction artifacts. Every pushed view names every
-// cluster of the server (s.pools, so a detach or attach is followed): the
-// view algebra drops zero profiles, and the OnViews contract reads a cluster
-// left out as unchanged, so a cluster without availability is named with
-// stepfunc.Zero().
+// changed by value since the last push. Views are trimmed to [now, ∞): their
+// values in the past are reconstruction artifacts.
 //
-// A round pays for what changed. The scheduler keeps a view's map while its
-// value holds, so a session handed the map its last push came from, before
-// that map's trim horizon, is skipped without a trim, a completion or a
-// comparison (see pushed). The scheduler also shares view maps across
-// applications (idle applications in a CBF run see one map; idle
-// preemptible applications share the idle grant), so the trim and the
-// completion are memoized by view identity — each distinct view is handled
-// once per round, not once per session. Preemptive halves arrive trimmed at
-// the round's instant (core.AppState.Views), so a new one that names every
-// cluster costs a comparison and nothing else.
+// The non-preemptive half is pushed whole: it names every cluster of the
+// server (s.pools, so a detach or attach is followed), a cluster without
+// availability with stepfunc.Zero() — the view algebra drops zero profiles,
+// and the OnViews contract reads a cluster left out as unchanged. The
+// scheduler keeps a view's map while its value holds, so a session handed
+// the map its last push came from, before that map's trim horizon, is
+// skipped without a trim, a completion or a comparison (see pushed); it also
+// shares maps across applications (idle applications in a CBF run see one
+// map), so the trim and the completion are memoized by view identity.
+//
+// The preemptive half is a segment naming only the clusters whose profile
+// changed by value since the session's last push — every cluster on its
+// first push and on the first after the cluster set changed (pAll). The
+// scheduler reports which fragments are new objects since the last pass
+// (core.AppState.ViewsSince), trimmed at the round's instant, so only those
+// are compared, and sessions handed equal segments share one map.
 func (s *Server) pushViewsLocked() {
 	now := s.clk.Now()
 	s.resetTrimLocked(now)
+	if s.segMemo == nil {
+		s.segMemo = make(map[*stepfunc.StepFunc]view.View)
+	}
+	clear(s.segMemo)
 	for _, a := range s.sched.Apps() {
 		sess := s.sessions[a.ID]
-		npv, pv := a.Views()
-		changed := s.refreshLocked(&sess.np, npv, now, false)
-		if !s.refreshLocked(&sess.p, pv, now, changed) && !changed {
+		s.seg, s.segAll, s.segChanged = s.seg[:0], sess.pAll, false
+		npv := a.ViewsSince(sess.pAll, s.noteP)
+		if !s.refreshLocked(&sess.np, npv, now) && !s.segChanged {
 			continue
 		}
-		np, p, h := sess.np.v, sess.p.v, sess.h
+		sess.pAll = false
 		// Views are pushed without cloning: the OnViews contract makes them
 		// immutable to the handler, and sessions sharing a map (idle
 		// applications) share one trimmed object.
-		s.pending = append(s.pending, notice{h: h, np: np, p: p})
+		s.pending = append(s.pending, notice{h: sess.h, np: sess.np.v, p: s.segmentLocked()})
 	}
+	clear(s.seg) // pin nothing
+	s.eqWas, s.eqNow = nil, nil
+}
+
+// segEntry is one cluster of a preemptive segment.
+type segEntry struct {
+	cid view.ClusterID
+	f   *stepfunc.StepFunc
+}
+
+// notePLocked takes one cluster ViewsSince reported for the session being
+// pushed: was is what the session was last told, now what it holds (nil:
+// zero). A cluster is named when its value changed, or when the segment
+// names all; a cluster the server no longer has is not named (a federation
+// names it zero), but its loss is a change.
+func (s *Server) notePLocked(cid view.ClusterID, was, now *stepfunc.StepFunc) {
+	if s.sameProfileLocked(was, now) {
+		if !s.segAll {
+			return
+		}
+	} else {
+		s.segChanged = true
+	}
+	if now == nil {
+		if _, ok := s.pools[cid]; !ok {
+			return
+		}
+		now = stepfunc.Zero()
+	}
+	s.seg = append(s.seg, segEntry{cid, now})
+}
+
+// sameProfileLocked reports whether was and now (nil: zero) are equal.
+// Sessions shown one share are reported the same pair, so the last pair's
+// answer is kept.
+func (s *Server) sameProfileLocked(was, now *stepfunc.StepFunc) bool {
+	switch {
+	case was == now:
+		return true
+	case was == nil || now == nil:
+		return false
+	case was != s.eqWas || now != s.eqNow:
+		s.eqWas, s.eqNow, s.eqSame = was, now, was.Equal(now)
+	}
+	return s.eqSame
+}
+
+// segmentLocked returns the collected segment as a view, nil when it names
+// nothing: the map an earlier session of this push pass was handed for the
+// same profiles at the same clusters, else a new one. A segment that names
+// all is first completed with a zero profile at every cluster of the server
+// the scheduler did not report.
+func (s *Server) segmentLocked() view.View {
+	if s.segAll && len(s.seg) < len(s.pools) {
+		for cid := range s.pools {
+			if !slices.ContainsFunc(s.seg, func(e segEntry) bool { return e.cid == cid }) {
+				s.seg = append(s.seg, segEntry{cid, stepfunc.Zero()})
+			}
+		}
+	}
+	if len(s.seg) == 0 {
+		return nil
+	}
+	key := s.seg[0].f
+	if m, ok := s.segMemo[key]; ok && m.Len() == len(s.seg) {
+		hit := true
+		for _, e := range s.seg {
+			if f, ok := m.Lookup(e.cid); !ok || f != e.f {
+				hit = false
+				break
+			}
+		}
+		if hit {
+			return m
+		}
+	}
+	v := view.NewSized(len(s.seg))
+	for _, e := range s.seg {
+		v.Put(e.cid, e.f)
+	}
+	s.segMemo[key] = v
+	return v
 }
 
 // pushed is one half (non-preemptive or preemptive) of a session's last
@@ -1344,10 +1455,9 @@ type pushed struct {
 	horizon float64 // NaN until computed
 }
 
-// refreshLocked brings one half of a session's last push up to src at now
-// and reports whether its value changed. When the pair is pushed anyway
-// (pushing), a new source is taken without comparing.
-func (s *Server) refreshLocked(h *pushed, src view.View, now float64, pushing bool) bool {
+// refreshLocked brings the non-preemptive half of a session's last push up
+// to src at now and reports whether its value changed.
+func (s *Server) refreshLocked(h *pushed, src view.View, now float64) bool {
 	if h.v != nil && view.Same(src, h.src) {
 		if math.IsNaN(h.horizon) {
 			h.horizon = math.Inf(1)
@@ -1366,7 +1476,7 @@ func (s *Server) refreshLocked(h *pushed, src view.View, now float64, pushing bo
 		s.trimMemo[key] = t
 	}
 	h.src, h.at, h.horizon = src, now, math.NaN()
-	changed := pushing || h.v == nil || !h.v.Equal(t)
+	changed := h.v == nil || !h.v.Equal(t)
 	// Taken even when its value held: v must be what src derives, names
 	// included — s.pools may have changed since the last push, and a later
 	// push that skips this half by identity sends v.
@@ -1423,10 +1533,11 @@ func (s *Server) resetTrimLocked(now float64) {
 }
 
 // expirePushHorizonsLocked makes the next push pass trim, complete and
-// compare every session's views afresh; s.pools changed.
+// compare every session's non-preemptive view afresh, and name every
+// cluster in its preemptive segment; s.pools changed.
 func (s *Server) expirePushHorizonsLocked() {
 	for _, sess := range s.sessions {
-		sess.np.horizon, sess.p.horizon = math.Inf(-1), math.Inf(-1)
+		sess.np.horizon, sess.pAll = math.Inf(-1), true
 	}
 }
 

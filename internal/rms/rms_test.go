@@ -48,13 +48,18 @@ func (a *testApp) OnStart(id request.ID, ids []int) {
 
 func (a *testApp) OnKill(reason string) { a.killed = reason }
 
+// lastViews returns the last pushed non-preemptive view and the preemptive
+// one every pushed segment adds up to.
 func (a *testApp) lastViews(t *testing.T) (view.View, view.View) {
 	t.Helper()
 	if len(a.views) == 0 {
 		t.Fatal("no views received")
 	}
-	v := a.views[len(a.views)-1]
-	return v.np, v.p
+	p := view.New()
+	for _, v := range a.views {
+		patch(p, v.p)
+	}
+	return a.views[len(a.views)-1].np, p
 }
 
 func newTestServer(nodes int) (*sim.Engine, *Server) {

@@ -22,7 +22,8 @@ rev=${MUTATE_REV:-HEAD}
 
 # name|file|occurrence|old line|new line|what the mutant breaks
 # Lines are compared without their indentation, which the new line keeps;
-# occurrence picks among identical lines, counting from 1.
+# occurrence picks among identical lines, counting from 1. A '|' inside a
+# field is written '\|'.
 mutants=(
 	'M1|internal/core/fit.go|1|r.ScheduledAt = r.EarliestScheduleAt|r.ScheduledAt = t0|fit: a FREE preemptible request ignores its NotBefore floor'
 	'M2|internal/core/fit.go|1|if r.ScheduledAt != rp.ScheduledAt && rpMovable {|if false && r.ScheduledAt != rp.ScheduledAt && rpMovable {|fit: a COALLOC child never delays its movable parent'
@@ -36,6 +37,8 @@ mutants=(
 	'M10|internal/core/fit.go|1|if r.ScheduledAt != rp.ScheduledAt+rp.Duration && rpMovable {|if false && r.ScheduledAt != rp.ScheduledAt+rp.Duration && rpMovable {|fit: a NEXT child never delays its movable parent'
 	'M11|internal/rms/rms.go|1|if s.draining {|if false && s.draining {|rms flush: every goroutine drains the notification queue, not one at a time'
 	'M12|internal/rms/migrate.go|1|s.awaitDeliveryLocked()|if false { s.awaitDeliveryLocked() }|rms DetachCluster: the detach skips the delivery fence'
+	'M13|internal/federation/migrate.go|1|if _, hosted := f.shards[donor].Clusters()[cid]; !inFlight \|\| hosted {|if _, hosted := f.shards[donor].Clusters()[cid]; !inFlight \|\| false \&\& hosted {|federation awaitDetached: a refused call waits out the migration even while the donor still hosts the cluster'
+	'M14|internal/rms/rms.go|1|s.seg = append(s.seg, segEntry{cid, now})|if s.segAll { s.seg = append(s.seg, segEntry{cid, now}) }|rms push: a cluster whose preemptive profile changed is left out of the segment'
 )
 # Tests that compare output with golden or hash files.
 golden=' TestExperimentsGolden TestDefaultOutputGolden TestChaosInvariantMatrix TestGangChaosMatrix TestGangChaosMigrationMatrix TestNodeChaosInvariantMatrix TestChaosRebalanceMatrix TestChaosRebalanceMatrixDRF '
@@ -61,7 +64,7 @@ done
 [ ${#selected[@]} -gt 0 ] || { echo "mutate: no mutant named $*" >&2; exit 1; }
 stale=0
 for row in "${selected[@]}"; do
-	IFS='|' read -r name file nth old new what <<<"$row"
+	IFS='|' read name file nth old new what <<<"$row"
 	if [ -z "$(lineno "$file" "$nth" "$old")" ]; then
 		echo "mutate: $name: $file has no occurrence $nth of: $old" >&2
 		stale=1
@@ -71,7 +74,7 @@ done
 
 declare -A total=([test]=0 [golden]=0 [none]=0 [build]=0)
 for row in "${selected[@]}"; do
-	IFS='|' read -r name file nth old new what <<<"$row"
+	IFS='|' read name file nth old new what <<<"$row"
 	n=$(lineno "$file" "$nth" "$old")
 	rm -rf "$tmp/m"
 	cp -r "$tmp/base" "$tmp/m"
