@@ -60,8 +60,7 @@ func eqSchedule(apps []*AppState, vin view.View, t0 float64, policy PreemptPolic
 // caching, over apps in this round's order (dynamic: admission-gated). It
 // leaves each application's preemptive fragments in its cache (pFrags, one
 // per cluster of the scheduler's pIndex). Every reuse condition is exact, so
-// the result is
-// bit-identical to a full recomputation:
+// the result is bit-identical to a full recomputation:
 //   - a preliminary occupancy view is reused when the application's
 //     preemptible set is clean and its availability-dependent allocs
 //     re-check unchanged, and a recomputed one equal by value keeps the
@@ -259,20 +258,18 @@ func (s *Scheduler) eqScheduleIncremental(apps []*AppState, dynamic bool, vin vi
 		if a.P.Len() == 0 {
 			continue
 		}
-		frags := sc.grantNow[:0]
-		for _, r := range a.P.All() {
-			frags = append(frags, c.pFrag(r.Cluster))
-		}
-		sc.grantNow = frags
 		// toView and fit read a view only at their requests' clusters, so
 		// they run on the granted fragments there, in a reused map.
-		avail := sc.grantP
+		avail, frags := sc.grantP, sc.grantNow[:0]
 		avail.Clear()
-		for x, r := range a.P.All() {
-			if frags[x] != nil {
-				avail.Put(r.Cluster, frags[x])
+		for _, r := range a.P.All() {
+			f := c.pFrag(r.Cluster)
+			if f != nil {
+				avail.Put(r.Cluster, f)
 			}
+			frags = append(frags, f)
 		}
+		sc.grantNow = frags
 		if dynamic && !a.admitted {
 			// Not admitted: refresh the started allocations against the
 			// granted view but leave pending requests unscheduled.

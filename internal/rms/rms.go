@@ -1340,7 +1340,6 @@ func (s *Server) pushViewsLocked() {
 	if s.segMemo == nil {
 		s.segMemo = make(map[*stepfunc.StepFunc]view.View)
 	}
-	clear(s.segMemo)
 	for _, a := range s.sched.Apps() {
 		sess := s.sessions[a.ID]
 		s.seg, s.segAll, s.segChanged = s.seg[:0], sess.pAll, false
@@ -1355,6 +1354,7 @@ func (s *Server) pushViewsLocked() {
 		s.pending = append(s.pending, notice{h: sess.h, np: sess.np.v, p: s.segmentLocked()})
 	}
 	clear(s.seg) // pin nothing
+	clear(s.segMemo)
 	s.eqWas, s.eqNow = nil, nil
 }
 
@@ -1403,17 +1403,10 @@ func (s *Server) sameProfileLocked(was, now *stepfunc.StepFunc) bool {
 
 // segmentLocked returns the collected segment as a view, nil when it names
 // nothing: the map an earlier session of this push pass was handed for the
-// same profiles at the same clusters, else a new one. A segment that names
-// all is first completed with a zero profile at every cluster of the server
-// the scheduler did not report.
+// same profiles at the same clusters, else a new one. The scheduler's
+// clusters are the server's (s.pools), so a segment that names all names
+// every cluster of the server.
 func (s *Server) segmentLocked() view.View {
-	if s.segAll && len(s.seg) < len(s.pools) {
-		for cid := range s.pools {
-			if !slices.ContainsFunc(s.seg, func(e segEntry) bool { return e.cid == cid }) {
-				s.seg = append(s.seg, segEntry{cid, stepfunc.Zero()})
-			}
-		}
-	}
 	if len(s.seg) == 0 {
 		return nil
 	}
@@ -1438,8 +1431,8 @@ func (s *Server) segmentLocked() view.View {
 	return v
 }
 
-// pushed is one half (non-preemptive or preemptive) of a session's last
-// push: the trimmed, completed view the handler holds, the scheduler map that
+// pushed is the non-preemptive half of a session's last push: the trimmed,
+// completed view the handler holds, the scheduler map that
 // view was last derived from and the instant it was trimmed at. The map is
 // held, so its address cannot be recycled. While the scheduler hands over the
 // same map before its trim horizon — its first breakpoint after that instant
