@@ -215,9 +215,6 @@ type Server struct {
 	segAll     bool
 	segChanged bool
 	segMemo    map[*stepfunc.StepFunc]view.View
-	// The last pair of profiles sameProfileLocked compared, and its answer.
-	eqWas, eqNow *stepfunc.StepFunc
-	eqSame       bool
 
 	// stopped marks a crashed server (Stop): all state is gone and every
 	// operation fails until Reset.
@@ -1355,7 +1352,6 @@ func (s *Server) pushViewsLocked() {
 	}
 	clear(s.seg) // pin nothing
 	clear(s.segMemo)
-	s.eqWas, s.eqNow = nil, nil
 }
 
 // segEntry is one cluster of a preemptive segment.
@@ -1370,7 +1366,7 @@ type segEntry struct {
 // names all; a cluster the server no longer has is not named (a federation
 // names it zero), but its loss is a change.
 func (s *Server) notePLocked(cid view.ClusterID, was, now *stepfunc.StepFunc) {
-	if s.sameProfileLocked(was, now) {
+	if sameProfile(was, now) {
 		if !s.segAll {
 			return
 		}
@@ -1386,19 +1382,13 @@ func (s *Server) notePLocked(cid view.ClusterID, was, now *stepfunc.StepFunc) {
 	s.seg = append(s.seg, segEntry{cid, now})
 }
 
-// sameProfileLocked reports whether was and now (nil: zero) are equal.
-// Sessions shown one share are reported the same pair, so the last pair's
-// answer is kept.
-func (s *Server) sameProfileLocked(was, now *stepfunc.StepFunc) bool {
-	switch {
-	case was == now:
-		return true
-	case was == nil || now == nil:
-		return false
-	case was != s.eqWas || now != s.eqNow:
-		s.eqWas, s.eqNow, s.eqSame = was, now, was.Equal(now)
+// sameProfile reports whether two reported fragments are equal; nil is zero,
+// and a fragment the scheduler hands out is never zero.
+func sameProfile(was, now *stepfunc.StepFunc) bool {
+	if was == nil || now == nil {
+		return was == now
 	}
-	return s.eqSame
+	return was.Equal(now)
 }
 
 // segmentLocked returns the collected segment as a view, nil when it names
