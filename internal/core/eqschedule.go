@@ -313,18 +313,11 @@ func (s *Scheduler) syncFragIndex() {
 			return
 		}
 	}
-	x := &fragIndex{
-		cids: make([]view.ClusterID, 0, len(s.clusters)),
-		idx:  make(map[view.ClusterID]int, len(s.clusters)),
-		gone: make(map[*appCache][]goneFrag),
-	}
+	x := &fragIndex{cids: make([]view.ClusterID, 0, len(s.clusters))}
 	for cid := range s.clusters {
 		x.cids = append(x.cids, cid)
 	}
 	slices.Sort(x.cids)
-	for i, cid := range x.cids {
-		x.idx[cid] = i
-	}
 	k := len(x.cids)
 	for _, a := range s.apps {
 		c := &a.cache
@@ -336,13 +329,16 @@ func (s *Scheduler) syncFragIndex() {
 		frags := make([]*stepfunc.StepFunc, 2*k)
 		gone := old.gone[c]
 		for i, cid := range old.cids {
-			if j, ok := x.idx[cid]; ok {
+			if j, ok := slices.BinarySearch(x.cids, cid); ok {
 				frags[j], frags[k+j] = c.pFrags[i], c.pFrags[n+i]
 			} else if f := c.pFrags[n+i]; f != nil {
 				gone = append(gone, goneFrag{cid, f})
 			}
 		}
 		if len(gone) > 0 {
+			if x.gone == nil {
+				x.gone = make(map[*appCache][]goneFrag)
+			}
 			x.gone[c] = gone
 		}
 		c.pIndex, c.pFrags = x, frags
@@ -352,7 +348,7 @@ func (s *Scheduler) syncFragIndex() {
 
 // pFrag returns the application's fragment at cid, nil when zero.
 func (c *appCache) pFrag(cid view.ClusterID) *stepfunc.StepFunc {
-	if i, ok := c.pIndex.idx[cid]; ok {
+	if i, ok := slices.BinarySearch(c.pIndex.cids, cid); ok {
 		return c.pFrags[i]
 	}
 	return nil

@@ -147,15 +147,13 @@ type appCache struct {
 	pFrags []*stepfunc.StepFunc
 }
 
-// fragIndex is the cluster list preemptive fragments are indexed by: cids
-// sorted, idx a cluster's position in it. The scheduler replaces its index
-// when its clusters change and never writes cids or idx once built. gone
-// holds, per application, the non-zero fragments ViewsSince last reported
-// at clusters the replaced index had and this one has not; ViewsSince
-// reports each once more.
+// fragIndex is the cluster list preemptive fragments are indexed by, cids
+// sorted. The scheduler replaces its index when its clusters change and
+// never writes cids once built. gone holds, per application, the non-zero
+// fragments ViewsSince last reported at clusters the replaced index had and
+// this one has not; ViewsSince reports each once more.
 type fragIndex struct {
 	cids []view.ClusterID
-	idx  map[view.ClusterID]int
 	gone map[*appCache][]goneFrag
 }
 

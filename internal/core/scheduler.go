@@ -124,7 +124,7 @@ func (a *AppState) ViewsSince(all bool, report func(cid view.ClusterID, was, now
 		return c.cbfOut
 	}
 	x := c.pIndex
-	if gone, ok := x.gone[c]; ok && len(x.gone) > 0 {
+	if gone, ok := x.gone[c]; ok {
 		delete(x.gone, c)
 		for _, g := range gone {
 			report(g.cid, g.f, nil)
