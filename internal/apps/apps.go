@@ -52,8 +52,9 @@ func (b *base) OnKill(reason string) {
 func (b *base) now() float64 { return b.clk.Now() }
 
 // named returns cid's profile in the view segment v (see
-// rms.AppHandler.OnViews), else last (nil: zero): under a federation another
-// shard's push leaves the application's cluster alone.
+// rms.AppHandler.OnViews), else last (nil: zero): a push that does not name
+// the application's cluster — another shard's, or a preemptive segment of
+// clusters that changed elsewhere — leaves it alone.
 func named(v view.View, cid view.ClusterID, last *stepfunc.StepFunc) *stepfunc.StepFunc {
 	if _, ok := v.Lookup(cid); ok || last == nil {
 		return v.Get(cid)

@@ -1469,8 +1469,7 @@ func (s *Server) refreshLocked(h *pushed, src view.View, now float64) bool {
 
 // trimLocked trims v at now and completes it to the server's clusters,
 // trimming each profile once per instant. A view that is already trimmed and
-// names every cluster, as a preemptive view the scheduler cut at this
-// instant, comes back as the same map.
+// names every cluster comes back as the same map.
 func (s *Server) trimLocked(v view.View, now float64) view.View {
 	if now != s.trimAt || s.trimProfs == nil {
 		s.resetTrimLocked(now)
