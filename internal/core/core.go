@@ -80,7 +80,6 @@ type scratch struct {
 	npScratch   []rectA
 	foldFns     []*stepfunc.StepFunc
 	walks       []*clusterWalk
-	slotFrags   []*stepfunc.StepFunc // per walked slot, a row of pIndex
 
 	// eqSchedule buffers. grantP is an application's granted view
 	// restricted to its preemptible requests' clusters, grantNow its

@@ -58,9 +58,9 @@ func eqSchedule(apps []*AppState, vin view.View, t0 float64, policy PreemptPolic
 
 // eqScheduleIncremental is Algorithm 3 with per-application and per-cluster
 // caching, over apps in this round's order (dynamic: admission-gated). It
-// leaves each application's preemptive fragments in its cache (pFrags, one
-// per cluster of the scheduler's pIndex). Every reuse condition is exact, so
-// the result is bit-identical to a full recomputation:
+// leaves each application's preemptive fragments in the scheduler's pIndex,
+// at the row its cache names (pRow). Every reuse condition is exact, so the
+// result is bit-identical to a full recomputation:
 //   - a preliminary occupancy view is reused when the application's
 //     preemptible set is clean and its availability-dependent allocs
 //     re-check unchanged, and a recomputed one equal by value keeps the
@@ -214,11 +214,12 @@ func (s *Scheduler) eqScheduleIncremental(apps []*AppState, dynamic bool, vin vi
 	// cluster the scheduler does not manage has no capacity, so vin and
 	// every fragment are zero there.
 	s.syncFragIndex()
-	cids := s.pIndex.cids
+	x := s.pIndex
+	cids := x.cids
 	k := len(cids)
-	rows := grown(sc.slotFrags, nw*k)
-	sc.slotFrags = rows
-	clear(rows)
+	x.rows = grown(x.rows, nw*k)
+	clear(x.rows[:cap(x.rows)]) // pin no fragment of an earlier round
+	rows := x.rows
 	pi := 0
 	for ci, cid := range clusters {
 		for pi < k && cids[pi] < cid {
@@ -234,7 +235,7 @@ func (s *Scheduler) eqScheduleIncremental(apps []*AppState, dynamic bool, vin vi
 		}
 	}
 
-	// Hand each application its slot's row, and reschedule all requests
+	// Point each application at its slot's row, and reschedule all requests
 	// according to it, so that ScheduledAt and NAlloc are set correctly
 	// (lines 28–30). Idle applications all take the idle row. A clean,
 	// settled application whose fragments at its requests' clusters are the
@@ -251,10 +252,10 @@ func (s *Scheduler) eqScheduleIncremental(apps []*AppState, dynamic bool, vin vi
 			row = j
 			j++
 		}
-		if c.pIndex != s.pIndex {
-			c.pIndex, c.pFrags = s.pIndex, make([]*stepfunc.StepFunc, 2*k)
+		if c.pIndex != x {
+			c.pIndex, c.pSeen = x, make([]*stepfunc.StepFunc, k)
 		}
-		copy(c.pFrags, rows[row*k:(row+1)*k])
+		c.pRow = row
 		if a.P.Len() == 0 {
 			continue
 		}
@@ -294,8 +295,9 @@ func (s *Scheduler) eqScheduleIncremental(apps []*AppState, dynamic bool, vin vi
 
 // syncFragIndex replaces pIndex when the scheduler's clusters are not its
 // clusters any more, after a structural change. Every application's
-// fragments move to their cluster's new position; a non-zero one last
-// reported at a cluster that left goes to the new index's gone list.
+// reported fragments move to their cluster's new position; a non-zero one
+// at a cluster that left goes to the new index's gone list. The round that
+// calls it fills the new index's rows.
 func (s *Scheduler) syncFragIndex() {
 	if s.pIndex != nil && s.pGen == s.structGen {
 		return
@@ -325,13 +327,12 @@ func (s *Scheduler) syncFragIndex() {
 			continue // never handed fragments by this scheduler
 		}
 		old := c.pIndex
-		n := len(old.cids)
-		frags := make([]*stepfunc.StepFunc, 2*k)
+		seen := make([]*stepfunc.StepFunc, k)
 		gone := old.gone[c]
 		for i, cid := range old.cids {
 			if j, ok := slices.BinarySearch(x.cids, cid); ok {
-				frags[j], frags[k+j] = c.pFrags[i], c.pFrags[n+i]
-			} else if f := c.pFrags[n+i]; f != nil {
+				seen[j] = c.pSeen[i]
+			} else if f := c.pSeen[i]; f != nil {
 				gone = append(gone, goneFrag{cid, f})
 			}
 		}
@@ -341,15 +342,21 @@ func (s *Scheduler) syncFragIndex() {
 			}
 			x.gone[c] = gone
 		}
-		c.pIndex, c.pFrags = x, frags
+		c.pIndex, c.pSeen = x, seen
 	}
 	s.pIndex = x
+}
+
+// pFrags returns the application's fragments, one per cluster of its index.
+func (c *appCache) pFrags() []*stepfunc.StepFunc {
+	k := len(c.pIndex.cids)
+	return c.pIndex.rows[c.pRow*k : (c.pRow+1)*k]
 }
 
 // pFrag returns the application's fragment at cid, nil when zero.
 func (c *appCache) pFrag(cid view.ClusterID) *stepfunc.StepFunc {
 	if i, ok := slices.BinarySearch(c.pIndex.cids, cid); ok {
-		return c.pFrags[i]
+		return c.pFrags()[i]
 	}
 	return nil
 }

@@ -138,22 +138,26 @@ type appCache struct {
 	// its cluster that the application was last rescheduled against.
 	grantFrags []*stepfunc.StepFunc
 
-	// The application's preemptive view, as fragments indexed by pIndex, the
-	// scheduler's index when they were last written: pFrags[i] is the
-	// fragment at cluster pIndex.cids[i] cut at the round's instant, and
-	// pFrags[k+i] (k clusters) the one ViewsSince last reported there; nil
-	// stands for zero. pFrags is nil before the application's first round.
+	// The application's preemptive view: row pRow of pIndex.rows (the
+	// scheduler's index when the last round ran) holds its fragment at each
+	// cluster of pIndex.cids, cut at the round's instant, and pSeen the one
+	// ViewsSince last reported there; nil stands for zero. pSeen is nil
+	// before the application's first round.
 	pIndex *fragIndex
-	pFrags []*stepfunc.StepFunc
+	pRow   int
+	pSeen  []*stepfunc.StepFunc
 }
 
-// fragIndex is the cluster list preemptive fragments are indexed by, cids
-// sorted. The scheduler replaces its index when its clusters change and
-// never writes cids once built. gone holds, per application, the non-zero
-// fragments ViewsSince last reported at clusters the replaced index had and
-// this one has not; ViewsSince reports each once more.
+// fragIndex holds the last round's preemptive fragments: rows has one row
+// per walked slot, one fragment per cluster of cids (sorted), and every
+// application reads the row of its slot — the idle applications all read
+// the idle slot's. The scheduler replaces its index when its clusters
+// change and never writes cids once built. gone holds, per application, the
+// non-zero fragments ViewsSince last reported at clusters the replaced
+// index had and this one has not; ViewsSince reports each once more.
 type fragIndex struct {
 	cids []view.ClusterID
+	rows []*stepfunc.StepFunc
 	gone map[*appCache][]goneFrag
 }
 

@@ -80,7 +80,7 @@ func (a *AppState) Requests() []*request.Request {
 
 // Views returns the views the last Schedule round computed for the
 // application (Algorithm 4's V_¬P^(i) and V_P^(i)), nil before its first
-// round. nonPreempt is what it can see for pre-allocations and
+// round; once RemoveApp dropped it, its preemptive view is nil. nonPreempt is what it can see for pre-allocations and
 // non-preemptible requests; preempt is what it can see for preemptible
 // requests, trimmed at the round's instant (stepfunc.TrimBefore), and a drop
 // below its current preemptible allocation signals that it must release
@@ -90,20 +90,20 @@ func (a *AppState) Requests() []*request.Request {
 // ViewsSince reports them as changes instead.
 func (a *AppState) Views() (nonPreempt, preempt view.View) {
 	c := &a.cache
-	if c.pFrags == nil {
+	if c.pSeen == nil {
 		return c.cbfOut, nil
 	}
-	cids := c.pIndex.cids
+	frags := c.pFrags()
 	n := 0
-	for _, f := range c.pFrags[:len(cids)] {
+	for _, f := range frags {
 		if f != nil {
 			n++
 		}
 	}
 	preempt = view.NewSized(n)
-	for i, f := range c.pFrags[:len(cids)] {
+	for i, f := range frags {
 		if f != nil {
-			preempt.Put(cids[i], f)
+			preempt.Put(c.pIndex.cids[i], f)
 		}
 	}
 	return c.cbfOut, preempt
@@ -120,7 +120,7 @@ func (a *AppState) Views() (nonPreempt, preempt view.View) {
 // holds, so a cluster not reported has the value reported last.
 func (a *AppState) ViewsSince(all bool, report func(cid view.ClusterID, was, now *stepfunc.StepFunc)) (nonPreempt view.View) {
 	c := &a.cache
-	if c.pFrags == nil {
+	if c.pSeen == nil {
 		return c.cbfOut
 	}
 	x := c.pIndex
@@ -130,10 +130,9 @@ func (a *AppState) ViewsSince(all bool, report func(cid view.ClusterID, was, now
 			report(g.cid, g.f, nil)
 		}
 	}
-	k := len(x.cids)
-	for i, f := range c.pFrags[:k] {
-		if was := c.pFrags[k+i]; all || was != f {
-			c.pFrags[k+i] = f
+	for i, f := range c.pFrags() {
+		if was := c.pSeen[i]; all || was != f {
+			c.pSeen[i] = f
 			report(x.cids[i], was, f)
 		}
 	}
@@ -352,6 +351,7 @@ func (s *Scheduler) RemoveApp(id int) *AppState {
 	if s.pIndex != nil {
 		delete(s.pIndex.gone, c)
 	}
+	c.pSeen = nil // its row is another application's from the next round on
 	addRectClusters(s.npFoldDirt, c.paRects)
 	dirtyNPFolds(s.npFoldDirt, s.pFoldDirt, c.npRects)
 	if c.cbfPA.Len() > 0 || c.cbfExcess.Len() > 0 {
