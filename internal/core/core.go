@@ -83,9 +83,10 @@ type scratch struct {
 
 	// eqSchedule buffers. grantP is an application's granted view
 	// restricted to its preemptible requests' clusters, grantNow its
-	// fragments there.
+	// fragments there, and fixedP what its fixed requests occupy of it.
 	grantP   view.View
 	grantNow []*stepfunc.StepFunc
+	fixedP   view.View
 	occ      []int // indices of applications with non-nil occupancy
 	vocc     []view.View
 	clusters []view.ClusterID

@@ -210,26 +210,39 @@ func (s *Scheduler) eqScheduleIncremental(apps []*AppState, dynamic bool, vin vi
 	}
 
 	// Cut each slot's fragments at t0, one row of pIndex's clusters per slot
-	// (row nw-1 is the shared idle slot's); nil stands for zero. A walked
-	// cluster the scheduler does not manage has no capacity, so vin and
-	// every fragment are zero there.
+	// (row nw-1 is the shared idle slot's); nil stands for zero, and so
+	// does a cluster no walk covered. A walked cluster the scheduler does
+	// not manage has no capacity, so vin and every fragment are zero there.
+	// An entry is written only when its fragment changed: most hold from
+	// round to round, and every pointer write costs a barrier while the
+	// collector marks. Entries past the rows in use stay nil, so no
+	// fragment of an earlier round is pinned.
 	s.syncFragIndex()
 	x := s.pIndex
 	cids := x.cids
 	k := len(cids)
+	if len(x.rows) > nw*k {
+		clear(x.rows[nw*k:])
+	}
 	x.rows = grown(x.rows, nw*k)
-	clear(x.rows[:cap(x.rows)]) // pin no fragment of an earlier round
 	rows := x.rows
-	pi := 0
-	for ci, cid := range clusters {
-		for pi < k && cids[pi] < cid {
-			pi++
+	ci := 0
+	for pi, cid := range cids {
+		for ci < len(clusters) && clusters[ci] < cid {
+			ci++
 		}
-		if pi == k || cids[pi] != cid {
-			continue
+		var w *clusterWalk
+		if ci < len(clusters) && clusters[ci] == cid {
+			w = sc.walks[ci]
 		}
 		for j := 0; j < nw; j++ {
-			if f := sc.walks[ci].cut(j, t0); !f.IsZero() {
+			var f *stepfunc.StepFunc
+			if w != nil {
+				if f = w.cut(j, t0); f.IsZero() {
+					f = nil
+				}
+			}
+			if rows[j*k+pi] != f {
 				rows[j*k+pi] = f
 			}
 		}
@@ -244,6 +257,7 @@ func (s *Scheduler) eqScheduleIncremental(apps []*AppState, dynamic bool, vin vi
 	// another cluster does not touch it.
 	if sc.grantP == nil {
 		sc.grantP = view.New() // never nil: toView reads a nil view as unlimited
+		sc.fixedP = view.New()
 	}
 	j := 0
 	for i, a := range apps {
@@ -275,7 +289,8 @@ func (s *Scheduler) eqScheduleIncremental(apps []*AppState, dynamic bool, vin vi
 			// Not admitted: refresh the started allocations against the
 			// granted view but leave pending requests unscheduled.
 			s.stats.EqAppRecomputed++
-			toViewScratch(a.P, avail, t0, sc)
+			sc.fixedP.Clear()
+			toViewInto(sc.fixedP, a.P, avail, t0, sc)
 			unschedulePending(a.P)
 			c.eqOK = false
 			continue
@@ -286,7 +301,11 @@ func (s *Scheduler) eqScheduleIncremental(apps []*AppState, dynamic bool, vin vi
 		}
 		s.stats.EqAppRecomputed++
 		c.grantFrags = append(c.grantFrags[:0], frags...)
-		fixed := toViewScratch(a.P, avail, t0, sc)
+		sc.fixedP.Clear()
+		fixed := toViewInto(sc.fixedP, a.P, avail, t0, sc)
+		if allFixed(a.P) {
+			continue // fit schedules only requests that are not fixed
+		}
 		avail.MutSub(fixed)
 		avail.MutClampMin(0)
 		fitScratch(a.P, avail, t0, sc)

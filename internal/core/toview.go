@@ -26,8 +26,13 @@ func toView(rs *request.Set, vi view.View, now float64) view.View {
 // toViewScratch is toView with caller-provided scratch buffers; the
 // scheduler threads one scratch through all the rounds it runs.
 func toViewScratch(rs *request.Set, vi view.View, now float64, sc *scratch) view.View {
-	var vo view.View
+	return toViewInto(nil, rs, vi, now, sc)
+}
 
+// toViewInto is toViewScratch generating the view into vo, an empty map
+// the caller owns and reuses, and returning it; a nil vo gets a new map
+// when a request is fixed.
+func toViewInto(vo view.View, rs *request.Set, vi view.View, now float64, sc *scratch) view.View {
 	// Initialization: clear the fixed flag of every request (Alg. 1 line 2).
 	for _, r := range rs.All() {
 		r.Fixed = false
